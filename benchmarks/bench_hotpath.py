@@ -11,6 +11,10 @@ Per variant x query shape it records answers/sec, TTF (enumerator
 creation to first answer, warm plan), TTL (creation to last requested
 answer), and per-answer delay p50/p99 — and asserts the two cores
 produce bit-identical ranked prefixes before trusting any number.
+Per cell it also records what preprocessing costs: ``build_ms`` +
+``compile_ms`` for the object reference path measured here, and
+``bind_ms`` for a cold engine bind of the same inputs (the direct
+lowering of ``repro.dp.lower``).
 
 Results merge into ``BENCH_hotpath.json`` at the repo root (one section
 per mode, ``full`` and ``smoke``), which is committed so every future
@@ -51,6 +55,7 @@ from repro.anyk.base import make_enumerator  # noqa: E402
 from repro.data.generators import uniform_database  # noqa: E402
 from repro.dp.builder import build_tdp_for_query  # noqa: E402
 from repro.dp.flat import compile_tdp  # noqa: E402
+from repro.engine import Engine  # noqa: E402
 from repro.experiments.runner import percentile  # noqa: E402
 from repro.query.builders import path_query, star_query  # noqa: E402
 from repro.ranking.dioid import TROPICAL, LexicographicDioid  # noqa: E402
@@ -116,7 +121,19 @@ def build_cell(shape: str, size: int, n: int, dioid):
     t0 = time.perf_counter()
     compiled = compile_tdp(tdp)
     compile_seconds = time.perf_counter() - t0
-    return tdp, compiled, build_seconds, compile_seconds
+    # ``build_ms`` / ``compile_ms`` time the object reference path (the
+    # T-DP both enumerator families run over below); ``bind_ms`` is what
+    # a cold ``Engine`` bind costs on the same inputs — the direct
+    # lowering for float-key dioids.  The engine takes no weight lift,
+    # so the lexicographic cell has no engine-level number.
+    bind_seconds = None
+    if lift is None:
+        gc.collect()
+        engine = Engine(database, core_cache="off")
+        t0 = time.perf_counter()
+        engine.prepare(query, dioid=dioid).bind()
+        bind_seconds = time.perf_counter() - t0
+    return tdp, compiled, build_seconds, compile_seconds, bind_seconds
 
 
 def run_once(tdp, algorithm: str, flat, k: int | None):
@@ -192,7 +209,9 @@ def signature(tdp, algorithm: str, flat, k: int):
 def run_benchmark() -> dict:
     cells = {}
     for name, shape, size, n, k, dioid in workload_cells():
-        tdp, compiled, build_s, compile_s = build_cell(shape, size, n, dioid)
+        tdp, compiled, build_s, compile_s, bind_s = build_cell(
+            shape, size, n, dioid
+        )
         verify_k = min(VERIFY_PREFIX, k or VERIFY_PREFIX)
         cell = {
             "shape": shape,
@@ -202,10 +221,12 @@ def run_benchmark() -> dict:
             "compiled": compiled is not None,
             "build_ms": round(build_s * 1e3, 2),
             "compile_ms": round(compile_s * 1e3, 2),
+            "bind_ms": None if bind_s is None else round(bind_s * 1e3, 2),
             "variants": {},
         }
         print(f"== {name}  (n={n}, k={k or 'all'}, "
-              f"build {cell['build_ms']} ms, compile {cell['compile_ms']} ms)")
+              f"build {cell['build_ms']} ms, compile {cell['compile_ms']} ms, "
+              f"engine bind {cell['bind_ms']} ms)")
         for algorithm in VARIANTS:
             # Bit-identical prefix gate before any timing is trusted.
             flat_sig = signature(tdp, algorithm, None, verify_k)
@@ -249,7 +270,7 @@ def run_coldstart() -> dict:
     """Warm-start-by-mmap vs cold rebuild on the 4-path SQLite workload.
 
     Cold = fresh backend + engine with persistence off: prepare, bind
-    (T-DP build + flat compile), first answer.  Warm = fresh backend +
+    (the direct bottom-up lowering), first answer.  Warm = fresh backend +
     engine over an already-written ``<db>.core``: the bind maps the
     compiled arrays and skips the build entirely.  Both repeat with a
     brand-new engine each time (best-of), so neither side benefits from
@@ -259,7 +280,6 @@ def run_coldstart() -> dict:
     import tempfile
 
     from repro.data.backend import SQLiteBackend
-    from repro.engine import Engine
 
     n = 8_000 if SMOKE else 20_000
     size = 4
@@ -360,7 +380,7 @@ def run_obs_overhead() -> dict:
     n = 1_000 if SMOKE else 4_000
     k = 20_000 if SMOKE else 50_000
     slice_size = 64
-    tdp, compiled, _build_s, _compile_s = build_cell("path", 4, n, TROPICAL)
+    tdp, compiled, *_timings = build_cell("path", 4, n, TROPICAL)
     assert compiled is not None
 
     def factory(counter):

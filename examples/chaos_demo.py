@@ -27,7 +27,7 @@ from repro.data.backend import SQLiteBackend
 from repro.data.generators import uniform_database
 from repro.engine import Engine
 from repro.query.builders import path_query
-from repro.serve.resilience import COUNTERS
+from repro.util.resilience import COUNTERS
 from repro.serve.session import SessionManager
 from repro.util import faults
 

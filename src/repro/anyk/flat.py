@@ -1003,8 +1003,8 @@ class FlatBatch(Enumerator):
         """All ``(key, states)`` solutions in DFS preorder.
 
         Dispatches to the numpy level-expansion kernel when it applies:
-        a CSR-backed core (``conn_offsets`` present — per-fragment
-        ``ShardCompiled`` cores keep the scalar path), no visit counting
+        a CSR-backed core (``conn_offsets`` present — cores that hold
+        only pair lists keep the scalar path), no visit counting
         (the counter increments per intermediate tuple, which the
         vectorized expansion never materialises one at a time), numpy
         available.  Both paths produce the identical list — same DFS

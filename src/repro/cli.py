@@ -418,7 +418,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     policy = None
     breaker = None
     if args.breaker_threshold is not None:
-        from repro.serve.resilience import CircuitBreaker
+        from repro.util.resilience import CircuitBreaker
 
         breaker = CircuitBreaker(
             failure_threshold=args.breaker_threshold,

@@ -43,32 +43,20 @@ import sqlite3
 import threading
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.util import faults
+from repro.util import faults, resilience
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.database import Database
     from repro.data.relation import Relation
 
-#: Lazily built shared retrier for transient SQLite errors.  Imported
-#: on first use because ``repro.serve`` (where the Retrier lives) pulls
-#: in the engine, which pulls in this module — a cycle at import time
-#: but not at call time.
-_SQLITE_RETRIER = None
-
-
-def _sqlite_retrier():
-    global _SQLITE_RETRIER
-    if _SQLITE_RETRIER is None:
-        from repro.serve import resilience
-
-        _SQLITE_RETRIER = resilience.Retrier(
-            attempts=4,
-            base_delay=0.005,
-            max_delay=0.1,
-            retryable=resilience.transient_sqlite,
-            label="sqlite",
-        )
-    return _SQLITE_RETRIER
+#: Shared retrier for transient SQLite errors (``locked`` / ``busy``).
+_SQLITE_RETRIER = resilience.Retrier(
+    attempts=4,
+    base_delay=0.005,
+    max_delay=0.1,
+    retryable=resilience.transient_sqlite,
+    label="sqlite",
+)
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 #: Table names a backend may never hand to user data.
@@ -491,7 +479,7 @@ class SQLiteBackend:
                 return conn.execute(sql)
             return conn.execute(sql, params)
 
-        return _sqlite_retrier().call(attempt)
+        return _SQLITE_RETRIER.call(attempt)
 
     def _executemany(self, sql: str, rows: Iterable[tuple]) -> sqlite3.Cursor:
         # No retry here: the row source may be a one-shot generator, so a

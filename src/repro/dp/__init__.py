@@ -8,9 +8,11 @@ objects grouping child states by join value, keeping the graph at
 O(l*n) size and *sharing* all ranking data structures between parent
 states with the same join value.
 
-For enumeration, a built T-DP is lowered once (per database version)
-into the flat :class:`repro.dp.flat.CompiledTDP` arrays whenever the
-ranking dioid supports key-space arithmetic; see :mod:`repro.dp.flat`.
+Enumeration runs over the flat :class:`repro.dp.flat.CompiledTDP`
+arrays whenever the ranking dioid supports key-space arithmetic.  The
+engine gets them in one bottom-up pass straight from the relations
+(:mod:`repro.dp.lower`, no object graph); :func:`compile_tdp` lowers an
+object ``TDP`` that was built anyway.  See :mod:`repro.dp.flat`.
 """
 
 from repro.dp.builder import build_tdp, build_tdp_for_query

@@ -1,7 +1,8 @@
 """Zero-copy compiled-core buffers: shared memory, mmap persistence.
 
 A :class:`~repro.dp.flat.CompiledTDP` is, deliberately, a bundle of flat
-key-space arrays (see that module's docstring).  This module gives those
+key-space arrays (see that module's docstring) — the direct lowering of
+:mod:`repro.dp.lower` produces nothing else.  This module gives those
 arrays a zero-copy lifecycle:
 
 * **Section buffers** — :class:`SectionWriter` packs named typed arrays
@@ -23,7 +24,7 @@ arrays a zero-copy lifecycle:
   database.  Entries are keyed by the plan fingerprint, the dioid's
   registry name, and the shard spec, and stamped with the
   ``Database.version`` they were built from; a cold process warm-starts
-  by ``mmap``-ing the file and skips build+compile entirely, while a
+  by ``mmap``-ing the file and skips the bottom-up pass entirely, while a
   version mismatch reads as a miss and the rebuild rewrites the entry
   (atomic temp-file + ``os.replace``).
 
@@ -33,11 +34,13 @@ arrays are meaningful only in an additive float key space, and the dioid
 must travel by registry name — ``id()`` and pickled instances are not
 stable across processes.
 
-This module sits in the ``dp`` layer and must not import
-``repro.parallel`` (the parallel builder imports *us*); the mapped
-sharded cores therefore reconstruct the fragment aliasing structurally
-(shared uid-indexed lists, per-fragment anchor arrays) without
-referencing the builder's classes.
+A ``.core`` entry is always the fragment cores of one plan
+(:func:`export_fragments` / :func:`load_fragments`): a sharded plan
+stores one per shard, an unsharded plan stores its single all-spanning
+fragment.  Loading reconstructs the cold build's aliasing structurally
+(shared uid-indexed lists, per-fragment anchor arrays) through
+:meth:`CompiledTDP.assemble`; this module sits in the ``dp`` layer and
+never imports ``repro.parallel``.
 """
 
 from __future__ import annotations
@@ -54,39 +57,28 @@ from array import array
 from multiprocessing import shared_memory
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP
-from repro.dp.graph import TDP
+from repro.dp.flat import CompiledTDP, CoreShell
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid
 from repro.util import faults
+from repro.util.resilience import Retrier
 
-#: Lazily built shared retrier for transient ``.core`` read errors.
-#: Imported on first use: ``repro.serve`` pulls in the engine, which
-#: pulls in this module — a cycle at import time, not at call time.
-_CORE_RETRIER = None
-
-
-def _core_retrier():
-    global _CORE_RETRIER
-    if _CORE_RETRIER is None:
-        from repro.serve import resilience
-
-        _CORE_RETRIER = resilience.Retrier(
-            attempts=3,
-            base_delay=0.005,
-            max_delay=0.05,
-            # A missing file is a plain cache miss, not a transient
-            # fault — retrying it would tax every cold start.
-            retryable=lambda exc: isinstance(exc, OSError)
-            and not isinstance(exc, FileNotFoundError),
-            label="core_read",
-        )
-    return _CORE_RETRIER
+#: Shared retrier for transient ``.core`` read errors.
+_CORE_RETRIER = Retrier(
+    attempts=3,
+    base_delay=0.005,
+    max_delay=0.05,
+    # A missing file is a plain cache miss, not a transient fault —
+    # retrying it would tax every cold start.
+    retryable=lambda exc: isinstance(exc, OSError)
+    and not isinstance(exc, FileNotFoundError),
+    label="core_read",
+)
 
 #: ``<db>.core`` container magic + format version.  Bump the version on
 #: any layout change: readers treat unknown versions as a cache miss.
 CORE_MAGIC = b"RPROCORE"
-CORE_FORMAT = 1
+CORE_FORMAT = 2
 
 _ALIGN = 8
 _HEADER = struct.Struct("<8sII")  # magic, format, TOC length
@@ -166,7 +158,7 @@ def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | Non
     return repr((query.fingerprint(), name, shard_key))
 
 
-# -- mapped shells and cores ---------------------------------------------------
+# -- lazily fetched shell rows -------------------------------------------------
 
 
 class LazyRows:
@@ -196,82 +188,6 @@ class LazyRows:
         return row
 
 
-class _NegSeq:
-    """Lazily negated read-only view of a key sequence (max-plus values)."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, keys):
-        self.keys = keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, index: int):
-        return -self.keys[index]
-
-
-def _value_sequences(dioid: SelectiveDioid, key_stages: list) -> list:
-    """Per-stage dioid-value views over key-space sequences."""
-    key = dioid.key
-    if all(key(p) == p for p in (1.25, -3.5, 0.0)):
-        return list(key_stages)  # key is the value: alias
-    if all(key(p) == -p for p in (1.25, -3.5, 0.0)):
-        return [_NegSeq(keys) for keys in key_stages]
-    vfk = dioid.value_from_key
-    return [[vfk(k) for k in keys] for keys in key_stages]
-
-
-class MappedShell(TDP):
-    """A connector-free T-DP shell over mapped (or lazily fetched) data.
-
-    The mapped analogue of the parallel builder's ``FragmentTDP``: it
-    carries exactly what result assembly reads — per-stage rows, global
-    tuple ids, the query — and no ``ChoiceSet`` graph.  ``_compiled``
-    points at the :class:`MappedCompiled`, so ``make_enumerator(shell)``
-    transparently runs the flat core.
-    """
-
-    def __init__(self, dioid, atom_of_stage, parent_stage, query, join_tree):
-        super().__init__(
-            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
-        )
-        self._empty = True
-
-    def is_empty(self) -> bool:
-        return self._empty
-
-
-class MappedCompiled(CompiledTDP):
-    """A compiled core whose pools are views over a mapped buffer.
-
-    Assembled directly into the slots (never via ``__init__``); the CSR
-    pool arrays are ``memoryview.cast`` views, so nothing is copied
-    until an enumerator actually touches a connector —
-    :meth:`pairs` then materialises that connector's pair list exactly
-    like the eager base class would have.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def assemble(cls, **fields) -> "MappedCompiled":
-        self = cls.__new__(cls)
-        for name, value in fields.items():
-            setattr(self, name, value)
-        return self
-
-    def pairs(self, uid: int) -> list[tuple[float, int]]:
-        entries = self._pairs[uid]
-        if entries is None:
-            offsets = self.conn_offsets
-            lo, hi = offsets[uid], offsets[uid + 1]
-            entries = self._pairs[uid] = list(
-                zip(self.entry_key[lo:hi], self.entry_state[lo:hi])
-            )
-        return entries
-
-
 # -- export: compiled core -> sections + meta ----------------------------------
 
 
@@ -282,46 +198,17 @@ def _require_persistable(dioid: SelectiveDioid) -> str:
     return name
 
 
-def export_compiled(compiled: CompiledTDP) -> tuple[dict, bytes]:
-    """Serialize an unsharded compiled core to ``(meta, sections)``."""
-    name = _require_persistable(compiled.dioid)
-    tdp = compiled.tdp
-    writer = SectionWriter()
-    writer.add("entry_key", "d", compiled.entry_key)
-    writer.add("entry_state", "q", compiled.entry_state)
-    writer.add("conn_offsets", "q", compiled.conn_offsets)
-    writer.add("conn_stage", "q", compiled.conn_stage)
-    for stage in range(compiled.num_stages):
-        writer.add(f"vk{stage}", "d", compiled.values_key[stage])
-        writer.add(f"pk{stage}", "d", compiled.pi1_key[stage])
-        writer.add(f"cu{stage}", "q", compiled.child_uids[stage])
-        writer.add(f"ids{stage}", "q", tdp.tuple_ids[stage])
-    meta = {
-        "kind": "tdp",
-        "dioid": name,
-        "num_stages": compiled.num_stages,
-        "num_connectors": compiled.num_connectors,
-        "order": list(tdp.atom_of_stage),
-        "parent_stage": list(compiled.parent_stage),
-        "root_uid": dict(compiled.root_uid),
-        "best_key": compiled.best_key,
-        "empty": compiled.empty,
-        "manifest": writer.manifest,
-    }
-    return meta, writer.getvalue()
-
-
 def export_fragments(
     fragment_cores: Sequence[CompiledTDP], anchor_stage: int
 ) -> tuple[dict, bytes]:
-    """Serialize a sharded build's fragment cores to ``(meta, sections)``.
+    """Serialize one plan's fragment cores to ``(meta, sections)``.
 
-    The fragments of one shard plan share a common uid space — shared
-    connectors first, then one root connector per fragment — and alias
-    one uid-indexed ``_pairs`` list, so fragment 0's view of that list
-    already contains every fragment's root entries.  The non-anchor
-    stage arrays are likewise shared; only the anchor stage differs per
-    fragment.
+    The fragments of one plan (a single one for an unsharded bind) share
+    a common uid space — shared connectors first, then one root
+    connector per fragment — and alias one uid-indexed ``_pairs`` list,
+    so fragment 0's view of that list already contains every fragment's
+    root entries.  The non-anchor stage arrays are likewise shared; only
+    the anchor stage differs per fragment.
     """
     first = fragment_cores[0]
     name = _require_persistable(first.dioid)
@@ -333,21 +220,15 @@ def export_fragments(
     entry_key = array("d")
     entry_state = array("q")
     offsets = array("q", [0])
-    conn_stage = array("q")
-    total = 0
-    pairs = first._pairs
     for uid in range(uid_space):
-        entries = pairs[uid] or ()
-        for key, state in entries:
+        for key, state in first.pairs(uid):
             entry_key.append(key)
             entry_state.append(state)
-        total += len(entries)
-        offsets.append(total)
-        conn_stage.append(first.conn_stage[uid] if first.conn_stage[uid] is not None else -1)
+        offsets.append(len(entry_key))
     writer.add("entry_key", "d", entry_key)
     writer.add("entry_state", "q", entry_state)
     writer.add("conn_offsets", "q", offsets)
-    writer.add("conn_stage", "q", conn_stage)
+    writer.add("conn_stage", "q", first.conn_stage)
     for stage in range(num_stages):
         if stage == anchor_stage:
             continue
@@ -365,7 +246,7 @@ def export_fragments(
             {"best_key": core.best_key, "empty": core.empty}
         )
     meta = {
-        "kind": "sharded",
+        "kind": "fragments",
         "dioid": name,
         "num_stages": num_stages,
         "num_connectors": uid_space,
@@ -387,156 +268,17 @@ def export_fragments(
 # -- import: sections + meta -> mapped cores -----------------------------------
 
 
-def _conn_of_rows(shell: TDP, child_uids: list) -> list:
-    """Per non-root stage: the connector uid row indexed by parent state."""
-    conn_of: list = [None] * shell.num_stages
-    for stage in range(shell.num_stages):
-        parent = shell.parent_stage[stage]
-        if parent == -1:
-            continue
-        fanout = len(shell.children_stages[parent])
-        branch = shell.branch_index[stage]
-        row = child_uids[parent]
-        conn_of[stage] = row[branch::fanout] if fanout else []
-    return conn_of
-
-
-def _vfk_of(dioid: SelectiveDioid):
-    return (
-        None
-        if type(dioid).value_from_key is SelectiveDioid.value_from_key
-        else dioid.value_from_key
-    )
-
-
-def _assemble_mapped(
-    shell: MappedShell,
-    dioid: SelectiveDioid,
-    meta: dict,
-    values_key: list,
-    pi1_key: list,
-    child_uids: list,
-    conn_stage: list,
-    sections: SectionView,
-    root_uid: dict,
-    best_key: float,
-    empty: bool,
-    pairs: list,
-    caches: tuple[list, list, list],
-) -> MappedCompiled:
-    num_stages = meta["num_stages"]
-    uid_space = meta["num_connectors"]
-    num_branches = [len(c) for c in shell.children_stages]
-    per_stage = [
-        (num_branches[s], values_key[s], child_uids[s], s)
-        for s in range(num_stages)
-    ]
-    conn_meta = [
-        None if stage < 0 else per_stage[stage] for stage in conn_stage
-    ]
-    compiled = MappedCompiled.assemble(
-        tdp=shell,
-        dioid=dioid,
-        num_stages=num_stages,
-        num_connectors=uid_space,
-        parent_stage=list(shell.parent_stage),
-        children_stages=shell.children_stages,
-        branch_index=shell.branch_index,
-        num_branches=num_branches,
-        values_key=values_key,
-        pi1_key=pi1_key,
-        conn_offsets=sections.view("conn_offsets"),
-        entry_key=sections.view("entry_key"),
-        entry_state=sections.view("entry_state"),
-        conn_stage=conn_stage,
-        child_uids=child_uids,
-        conn_of=_conn_of_rows(shell, child_uids),
-        conn_meta=conn_meta,
-        root_stages=list(shell.root_stages),
-        root_uid=root_uid,
-        best_key=best_key,
-        empty=empty,
-        vfk=_vfk_of(dioid),
-        is_chain=all(
-            shell.parent_stage[j] == j - 1 for j in range(num_stages)
-        ),
-        _pairs=pairs,
-        _take2_heaps=caches[0],
-        _sorted_pairs=caches[1],
-        _rea_heaps=caches[2],
-    )
-    shell._compiled = compiled
-    return compiled
-
-
-def _shell_for(
-    meta: dict, dioid: SelectiveDioid, database, query, join_tree
-) -> tuple[MappedShell, list]:
-    """A mapped shell plus its per-stage relations, rows still unset."""
-    order = list(meta["order"])
-    shell = MappedShell(dioid, order, list(meta["parent_stage"]), query, join_tree)
-    relations = [
-        database[query.atoms[atom_index].relation_name] for atom_index in order
-    ]
-    return shell, relations
-
-
-def _finish_shell(
-    shell: MappedShell,
-    dioid: SelectiveDioid,
-    values_key: list,
-    pi1_key: list,
-    uid_space: int,
-    best_key: float,
-    empty: bool,
-) -> None:
-    shell.values = _value_sequences(dioid, values_key)
-    shell.pi1 = _value_sequences(dioid, pi1_key)
-    shell.num_connectors = uid_space
-    shell.best_weight = dioid.zero if empty else dioid.value_from_key(best_key)
-    shell._empty = empty
-
-
-def load_compiled(
-    meta: dict, buffer, base: int, database, query, join_tree
-) -> MappedShell:
-    """Rehydrate an unsharded core as a mapped shell (``.core`` hit)."""
-    dioid = NAMED_DIOIDS[meta["dioid"]]
-    sections = SectionView(buffer, meta["manifest"], base)
-    shell, relations = _shell_for(meta, dioid, database, query, join_tree)
-    num_stages = meta["num_stages"]
-    values_key = [sections.view(f"vk{s}") for s in range(num_stages)]
-    pi1_key = [sections.view(f"pk{s}") for s in range(num_stages)]
-    child_uids = [sections.view(f"cu{s}") for s in range(num_stages)]
-    tuple_ids = [sections.view(f"ids{s}") for s in range(num_stages)]
-    shell.tuple_ids = tuple_ids
-    shell.tuples = [
-        LazyRows(relation, ids) for relation, ids in zip(relations, tuple_ids)
-    ]
-    uid_space = meta["num_connectors"]
-    _finish_shell(
-        shell, dioid, values_key, pi1_key, uid_space,
-        meta["best_key"], meta["empty"],
-    )
-    conn_stage = list(sections.view("conn_stage"))
-    _assemble_mapped(
-        shell, dioid, meta, values_key, pi1_key, child_uids, conn_stage,
-        sections, dict(meta["root_uid"]), meta["best_key"], meta["empty"],
-        [None] * uid_space,
-        ([None] * uid_space, [None] * uid_space, [None] * uid_space),
-    )
-    return shell
-
-
 def load_fragments(
     meta: dict, buffer, base: int, database, query, join_tree
-) -> list[MappedCompiled]:
-    """Rehydrate a sharded core as per-fragment mapped compiled cores.
+) -> list[CompiledTDP]:
+    """Rehydrate a stored plan as per-fragment cores over the mapping.
 
-    Reconstructs the cold build's aliasing exactly: one ``_pairs`` list,
-    one set of lazily built ranking-structure caches, and one view per
-    shared stage array — shared by every fragment — with per-fragment
-    anchor-stage arrays and root connectors layered on top.
+    Reconstructs the cold build's aliasing exactly: one ``_pairs`` list
+    (filled per connector on first touch), one set of lazily built
+    ranking-structure caches, and one view per shared stage array —
+    shared by every fragment — with per-fragment anchor-stage arrays
+    and root connectors layered on top.  Rows are point-fetched from
+    the backend (:class:`LazyRows`).
     """
     dioid = NAMED_DIOIDS[meta["dioid"]]
     sections = SectionView(buffer, meta["manifest"], base)
@@ -544,11 +286,16 @@ def load_fragments(
     anchor = meta["anchor_stage"]
     uid_space = meta["num_connectors"]
     num_fragments = meta["num_fragments"]
+    order = list(meta["order"])
+    relations = [
+        database[query.atoms[atom_index].relation_name] for atom_index in order
+    ]
 
     shared_vk: list = [None] * num_stages
     shared_pk: list = [None] * num_stages
     shared_cu: list = [None] * num_stages
     shared_ids: list = [None] * num_stages
+    shared_rows: list = [None] * num_stages
     for stage in range(num_stages):
         if stage == anchor:
             continue
@@ -556,47 +303,51 @@ def load_fragments(
         shared_pk[stage] = sections.view(f"pk{stage}")
         shared_cu[stage] = sections.view(f"cu{stage}")
         shared_ids[stage] = sections.view(f"ids{stage}")
+        shared_rows[stage] = LazyRows(relations[stage], shared_ids[stage])
     conn_stage = list(sections.view("conn_stage"))
     shared_root_uid = {
         int(stage): uid for stage, uid in meta["root_uid"].items()
     }
+    csr = (
+        sections.view("conn_offsets"),
+        sections.view("entry_key"),
+        sections.view("entry_state"),
+    )
     pairs: list = [None] * uid_space
     caches = ([None] * uid_space, [None] * uid_space, [None] * uid_space)
-    shared_rows: list = [None] * num_stages
 
-    cores: list[MappedCompiled] = []
+    cores: list[CompiledTDP] = []
     for index in range(num_fragments):
         frag_meta = meta["fragments"][index]
-        shell, relations = _shell_for(meta, dioid, database, query, join_tree)
-        if index == 0:
-            for stage in range(num_stages):
-                if stage != anchor:
-                    shared_rows[stage] = LazyRows(
-                        relations[stage], shared_ids[stage]
-                    )
         values_key = list(shared_vk)
         values_key[anchor] = sections.view(f"f{index}.vk")
         pi1_key = list(shared_pk)
         pi1_key[anchor] = sections.view(f"f{index}.pk")
         child_uids = list(shared_cu)
         child_uids[anchor] = sections.view(f"f{index}.cu")
-        frag_ids = sections.view(f"f{index}.ids")
-        shell.tuple_ids = list(shared_ids)
-        shell.tuple_ids[anchor] = frag_ids
-        shell.tuples = list(shared_rows)
-        shell.tuples[anchor] = LazyRows(relations[anchor], frag_ids)
+        tuple_ids = list(shared_ids)
+        tuple_ids[anchor] = sections.view(f"f{index}.ids")
+        tuples = list(shared_rows)
+        tuples[anchor] = LazyRows(relations[anchor], tuple_ids[anchor])
         root_uid = dict(shared_root_uid)
         root_uid[anchor] = uid_space - num_fragments + index
-        best_key = frag_meta["best_key"]
-        empty = frag_meta["empty"]
-        _finish_shell(
-            shell, dioid, values_key, pi1_key, uid_space, best_key, empty
+        shell = CoreShell(
+            dioid, order, list(meta["parent_stage"]), query, join_tree,
+            tuples, tuple_ids,
         )
         cores.append(
-            _assemble_mapped(
-                shell, dioid, meta, values_key, pi1_key, child_uids,
-                conn_stage, sections, root_uid, best_key, empty,
-                pairs, caches,
+            CompiledTDP.assemble(
+                shell,
+                values_key=values_key,
+                pi1_key=pi1_key,
+                child_uids=child_uids,
+                conn_stage=conn_stage,
+                root_uid=root_uid,
+                best_key=frag_meta["best_key"],
+                empty=frag_meta["empty"],
+                pairs=pairs,
+                caches=caches,
+                csr=csr,
             )
         )
     return cores
@@ -752,7 +503,7 @@ class CoreFile:
         degrades to a graceful miss and the caller rebuilds.
         """
         try:
-            return _core_retrier().call(self._read_once)
+            return _CORE_RETRIER.call(self._read_once)
         except Exception:
             return None
 
@@ -899,9 +650,9 @@ class CoreFile:
 class CoreCache:
     """The engine-facing warm-start cache over one :class:`CoreFile`.
 
-    ``load_*`` return mapped cores on a hit, ``None`` on a miss; a
-    ``Database.version`` mismatch counts as *stale* (the caller rebuilds
-    and ``store_*`` rewrites the entry).  Counters feed the engine's
+    :meth:`load_fragment_cores` returns mapped cores on a hit, ``None``
+    on a miss; a ``Database.version`` mismatch counts as *stale* (the
+    caller rebuilds and :meth:`store` rewrites the entry).  Counters feed the engine's
     ``EngineStats``.  The mmap behind a hit stays open as long as loaded
     cores reference its views; :meth:`close` releases mappings that are
     no longer referenced and leaves the rest to garbage collection.
@@ -971,34 +722,12 @@ class CoreCache:
             # That is corruption, not staleness: miss and rebuild.
             self.misses += 1
             return None
-        # The hit is counted by the load_* caller once the blob actually
+        # The hit is counted by the caller once the blob actually
         # decodes — the counter is monotone, so a decode failure must
         # never have to "take a hit back".
         return entry["meta"], mapped, entry["offset"]
 
     # -- engine API ------------------------------------------------------------
-
-    def load_tdp(self, key: str | None, database, query, join_tree):
-        """A mapped unsharded shell for ``key``, or ``None``."""
-        with self._lock:
-            found = self._entry(key, database.version)
-            if found is None:
-                return None
-            meta, mapped, offset = found
-            if meta["kind"] != "tdp":
-                self.misses += 1
-                return None
-            try:
-                shell = load_compiled(
-                    meta, mapped, offset, database, query, join_tree
-                )
-            except Exception:
-                # Mangled section data inside an in-bounds blob: a cold
-                # rebuild beats serving garbage.
-                self.misses += 1
-                return None
-            self.hits += 1
-            return shell
 
     def load_fragment_cores(
         self, key: str | None, database, query, join_tree,
@@ -1010,18 +739,20 @@ class CoreCache:
             if found is None:
                 return None
             meta, mapped, offset = found
-            if (
-                meta["kind"] != "sharded"
-                or meta["anchor_stage"] != anchor_stage
-                or meta["num_fragments"] != num_fragments
-            ):
-                self.misses += 1
-                return None
             try:
+                if (
+                    meta["kind"] != "fragments"
+                    or meta["anchor_stage"] != anchor_stage
+                    or meta["num_fragments"] != num_fragments
+                ):
+                    raise ValueError("entry was stored for another plan shape")
                 cores = load_fragments(
                     meta, mapped, offset, database, query, join_tree
                 )
             except Exception:
+                # A foreign entry under our key, or mangled section data
+                # inside an in-bounds blob: a cold rebuild beats serving
+                # garbage.
                 self.misses += 1
                 return None
             self.hits += 1

@@ -1,26 +1,36 @@
-"""Compiled flat enumeration core: the T-DP lowered to parallel arrays.
+"""Compiled flat enumeration core: the T-DP as parallel key-space arrays.
 
-The object-graph :class:`~repro.dp.graph.TDP` is the right structure for
-*building* the state space (Eq. 2/7 bottom-up, semi-join pruning), but a
-poor one for *enumerating* over it: every ``Succ`` call walks
+Enumerating over the object-graph :class:`~repro.dp.graph.TDP` walks
 :class:`~repro.dp.graph.ChoiceSet` objects holding boxed ``(key, state,
-value)`` triples, and every weight combination dispatches through
-``SelectiveDioid.times``/``key`` even though nearly all workloads rank
-by the tropical ``(min, +)`` dioid over plain floats.
+value)`` triples and dispatches every weight combination through
+``SelectiveDioid.times``/``key``, even though nearly all workloads rank
+by the tropical ``(min, +)`` dioid over plain floats.  A
+:class:`CompiledTDP` is the same state space as flat, cache-friendly
+parallel structures:
 
-:func:`compile_tdp` lowers a bound T-DP into a :class:`CompiledTDP` —
-a bundle of flat, cache-friendly parallel structures:
-
-* ``entry_key`` / ``entry_state`` — one CSR-style pool per T-DP with
-  per-connector ``conn_offsets`` slices, replacing the per-``ChoiceSet``
-  Python tuple lists.  Keys are raw ``float``\\ s in *key space*.
 * ``values_key`` / ``pi1_key`` — per-stage contiguous state values and
   precomputed ``pi1`` keys (plain float lists: hot random-access reads).
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
   plus ``root_uid`` for the virtual start state's branches.
+* connector entries, in one of two storages behind :meth:`CompiledTDP.
+  pairs`: per-connector ``(key, state)`` pair lists (what the direct
+  lowering emits), or a CSR pool ``entry_key`` / ``entry_state`` with
+  ``conn_offsets`` slices (typed arrays from the object lowering,
+  ``memoryview`` casts over a mapped ``.core`` file) from which pair
+  lists materialise per connector on first touch.
 
-Everything is expressed in **key space**: the compilation step requires
+There are two ways to get one.  The default, for every dioid with the
+float-key contract, is :mod:`repro.dp.lower`: it lowers the join tree's
+stages *directly* into these arrays in one bottom-up pass and never
+builds an object graph; the core's ``tdp`` is then a connector-free
+:class:`CoreShell` that only serves result assembly.  The reference
+path is :func:`compile_tdp`, which lowers an already built object
+``TDP`` — used where an object graph exists anyway (``build_tdp``
+callers, the min-weight projection, tests and benchmarks comparing the
+two enumerator families over one T-DP).  Both produce the same arrays.
+
+Everything is expressed in **key space**: a core requires
 ``dioid.key_is_value`` — keys are floats and ``key`` is additive over
 ``times`` (``key(a ⊗ b) == key(a) + key(b)``, exactly, by IEEE
 sign-symmetry for the tropical min/max dioids).  The flat enumerators in
@@ -28,19 +38,16 @@ sign-symmetry for the tropical min/max dioids).  The flat enumerators in
 compare with native float ordering; the ranked output is bit-identical
 to the object-graph path because every float operation performed is the
 image (under ``key``) of the corresponding ``times`` call.  Dioids
-without the ``key_is_value`` contract (lexicographic vectors,
-tie-breaking pairs, ...) are not compiled — :func:`compile_tdp` returns
-``None`` and the callers keep the generic object-graph path.
+without the contract (lexicographic vectors, tie-breaking pairs, ...)
+are not compiled — :func:`compile_tdp` returns ``None`` and the callers
+keep the generic object-graph path.
 
-The compiled core is memoized on the source ``TDP`` (``TDP._compiled``),
-so the engine's version-stamped physical-plan cache shares one
-``CompiledTDP`` across all any-k algorithm variants and all serving
-sessions of a database version.
-
-Because every array in the core is plain key-space floats/ints, a
-compiled core is *persistable*: :mod:`repro.dp.corebuf` serializes the
-pools to a ``<db>.core`` file (and to shared-memory segments for the
-process-pool shard build) and maps them back without re-running the
+A compiled core is memoized on its ``TDP`` (``TDP._compiled``), so the
+engine's version-stamped physical-plan cache shares one ``CompiledTDP``
+across all any-k algorithm variants and all serving sessions of a
+database version.  Because every array is plain key-space floats/ints,
+a core is also *persistable*: :mod:`repro.dp.corebuf` serializes the
+pools to a ``<db>.core`` file and maps them back without re-running the
 build.  Only dioids that are both ``key_is_value`` and registered in
 ``NAMED_DIOIDS`` — tropical min-plus and max-plus — are persisted; the
 dioid travels by registry name, never by pickled instance.
@@ -48,6 +55,7 @@ dioid travels by registry name, never by pickled instance.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from heapq import heapify as _heapify
 from typing import Any
@@ -64,19 +72,64 @@ from repro.util import vec
 _VEC_SORT_MIN = 64
 
 
-def _seq_bytes(seq: Any) -> int:
+#: Key-space transform lanes (see :func:`key_lane`).
+LANE_ID, LANE_NEG, LANE_CALL = 0, 1, 2
+
+
+def key_lane(dioid: SelectiveDioid) -> int:
+    """How raw weights map into key space for this ``key_is_value`` dioid.
+
+    Tropical keys are the values themselves, max-plus keys are their
+    negation; any other (hypothetical) additive float key falls back to
+    calling ``dioid.key`` / ``dioid.value_from_key`` per element.
+    """
+    probes = (1.25, -3.5, 0.0)
+    if all(dioid.key(p) == p for p in probes):
+        return LANE_ID
+    if all(dioid.key(p) == -p for p in probes):
+        return LANE_NEG
+    return LANE_CALL
+
+
+class _NegSeq:
+    """Lazily negated read-only view of a key sequence (max-plus values)."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: int):
+        return -self.keys[index]
+
+
+def _value_views(dioid: SelectiveDioid, key_stages: list) -> list:
+    """Per-stage dioid-value views over key-space sequences."""
+    lane = key_lane(dioid)
+    if lane == LANE_ID:
+        return list(key_stages)  # the key *is* the value: alias, no copy
+    if lane == LANE_NEG:
+        return [_NegSeq(keys) for keys in key_stages]
+    vfk = dioid.value_from_key
+    return [[vfk(k) for k in keys] for keys in key_stages]
+
+
+def _seq_bytes(seq: Any, seen: set[int]) -> int:
     """Heap-byte estimate of one compiled-core column.
 
     ``memoryview`` columns are mmap-backed and count zero.  Lists of
     scalars/tuples are estimated from their first element (columns are
-    homogeneous), so the walk is O(nesting), not O(entries).
+    homogeneous), so the walk is O(nesting), not O(entries).  ``seen``
+    holds the ``id`` of every container already counted: the fragment
+    cores of one shard plan alias their shared columns, which must be
+    counted once.
     """
-    import sys
-
-    if seq is None or isinstance(seq, memoryview):
+    if seq is None or isinstance(seq, memoryview) or id(seq) in seen:
         return 0
-    if isinstance(seq, array):
-        return sys.getsizeof(seq)
+    seen.add(id(seq))
     if isinstance(seq, (list, tuple)):
         total = sys.getsizeof(seq)
         sample = next((item for item in seq if item is not None), None)
@@ -84,24 +137,56 @@ def _seq_bytes(seq: Any) -> int:
             return total
         if isinstance(sample, (list, array, memoryview)):
             for item in seq:  # ragged columns (per-stage / per-connector)
-                total += _seq_bytes(item)
+                total += _seq_bytes(item, seen)
         elif isinstance(sample, tuple):
-            total += _seq_bytes(sample) * len(seq)  # homogeneous rows
+            total += _seq_bytes(sample, set()) * len(seq)  # homogeneous rows
         else:
             total += sys.getsizeof(sample) * len(seq)
         return total
     return sys.getsizeof(seq)
 
 
+class CoreShell(TDP):
+    """The connector-free T-DP behind a directly lowered or mapped core.
+
+    Carries exactly what result assembly reads — per-stage rows (at atom
+    arity; eager lists or :class:`~repro.dp.corebuf.LazyRows`), global
+    tuple ids, the query — and no :class:`~repro.dp.graph.ChoiceSet`
+    graph: the flat enumerators never walk one.  :meth:`CompiledTDP.
+    assemble` fills in the value views and points ``_compiled`` at the
+    core, so ``make_enumerator(shell)`` transparently runs the flat
+    loops (``flat=False`` has no object graph to fall back on).
+    """
+
+    def __init__(
+        self, dioid, atom_of_stage, parent_stage, query, join_tree,
+        tuples: list, tuple_ids: list,
+    ):
+        super().__init__(
+            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
+        )
+        self.tuples = tuples
+        self.tuple_ids = tuple_ids
+        self._empty = True
+
+    def is_empty(self) -> bool:
+        return self._empty
+
+
 class CompiledTDP:
-    """A T-DP lowered to flat arrays in dioid key space.
+    """A T-DP as flat arrays in dioid key space.
 
     Read-only after construction; every per-run mutable structure (heap
     orders, sorted prefixes, memoized solution lists) lives in the
     enumerators of :mod:`repro.anyk.flat`.  Holds a back-reference to
-    the source :class:`TDP` for result assembly — witness tuples and
+    its :class:`TDP` (an object graph it was lowered from, or a
+    :class:`CoreShell`) for result assembly — witness tuples and
     variable assignments are materialised lazily from ``tuple_ids`` at
     result-construction time, never carried through candidate queues.
+
+    ``CompiledTDP(tdp)`` lowers an object graph; :meth:`assemble` wraps
+    columns that were produced without one (:mod:`repro.dp.lower`,
+    :mod:`repro.dp.corebuf`).
     """
 
     __slots__ = (
@@ -119,28 +204,11 @@ class CompiledTDP:
             raise ValueError(
                 f"{dioid!r} does not satisfy the key_is_value contract"
             )
-        self.tdp = tdp
-        self.dioid = dioid
         key_of = dioid.key
-
-        num_stages = tdp.num_stages
-        self.num_stages = num_stages
-        self.num_connectors = tdp.num_connectors
-        self.parent_stage = list(tdp.parent_stage)
-        self.children_stages = [list(c) for c in tdp.children_stages]
-        self.branch_index = list(tdp.branch_index)
-        #: Branch fan-out per stage (row width of ``child_uids``).
-        self.num_branches = [len(c) for c in tdp.children_stages]
-
-        #: Per-stage state values and pi1, as key-space floats.  Plain
-        #: lists, not ``array``: these are read one element at a time in
-        #: the innermost loops, where list indexing (no re-boxing) wins.
-        self.values_key: list[list[float]] = [
+        values_key = [
             [key_of(v) for v in stage_values] for stage_values in tdp.values
         ]
-        self.pi1_key: list[list[float]] = [
-            [key_of(v) for v in stage_pi1] for stage_pi1 in tdp.pi1
-        ]
+        pi1_key = [[key_of(v) for v in stage_pi1] for stage_pi1 in tdp.pi1]
 
         # Collect every reachable connector by uid.  (The builder also
         # creates join-key groups no parent references; their uids get
@@ -153,9 +221,8 @@ class CompiledTDP:
         for conn in tdp.root_conn.values():
             conns[conn.uid] = conn
 
-        #: CSR entry pool: connector ``uid`` owns entries
-        #: ``conn_offsets[uid] .. conn_offsets[uid + 1]``.  Compact
-        #: typed arrays: consumed in bulk (one zip per first view).
+        # CSR entry pool in compact typed arrays (consumed in bulk: one
+        # zip for the pair lists below, numpy views in FlatBatch).
         entry_key = array("d")
         entry_state = array("q")
         conn_stage = [-1] * tdp.num_connectors
@@ -169,71 +236,127 @@ class CompiledTDP:
                     entry_state.append(entry[1])
                 total += len(conn.entries)
             offsets[uid + 1] = total
-        self.conn_offsets = offsets
-        self.entry_key = entry_key
-        self.entry_state = entry_state
-        #: Connector uid -> owning stage.  Plain int list (not a typed
-        #: array): read per ``_ensure`` call, and list indexing returns
-        #: the stored int without re-boxing.
-        self.conn_stage = conn_stage
 
+        child_uids = [
+            [conn.uid for state_conns in tdp.child_conns[stage] for conn in state_conns]
+            for stage in range(tdp.num_stages)
+        ]
+        # Pair lists built eagerly in one C-level pass: this is
+        # preprocessing-phase work, paid once per database version and
+        # amortised over every enumeration run.
+        all_pairs = list(zip(entry_key, entry_state))
+        self._fill(
+            tdp,
+            values_key=values_key,
+            pi1_key=pi1_key,
+            child_uids=child_uids,
+            conn_stage=conn_stage,
+            root_uid={stage: conn.uid for stage, conn in tdp.root_conn.items()},
+            best_key=key_of(tdp.best_weight),
+            empty=tdp.is_empty(),
+            pairs=[
+                all_pairs[offsets[uid]:offsets[uid + 1]]
+                for uid in range(tdp.num_connectors)
+            ],
+            csr=(offsets, entry_key, entry_state),
+        )
+
+    @classmethod
+    def assemble(cls, shell: CoreShell, **columns) -> "CompiledTDP":
+        """A core over ready-made ``columns`` (see :meth:`_fill`).
+
+        Completes ``shell`` — value views, best weight, emptiness, the
+        ``_compiled`` memo — so the pair is ready for result assembly.
+        """
+        self = cls.__new__(cls)
+        self._fill(shell, **columns)
+        dioid = self.dioid
+        shell.values = _value_views(dioid, self.values_key)
+        shell.pi1 = _value_views(dioid, self.pi1_key)
+        shell.num_connectors = self.num_connectors
+        shell.best_weight = (
+            dioid.zero if self.empty else dioid.value_from_key(self.best_key)
+        )
+        shell._empty = self.empty
+        shell._compiled = self
+        return self
+
+    def _fill(
+        self, tdp: TDP, *, values_key, pi1_key, child_uids, conn_stage,
+        root_uid, best_key, empty, pairs, caches=None, csr=None,
+    ) -> None:
+        """Set every slot from the stored columns plus derived layout.
+
+        ``pairs`` and the three ``caches`` lists (Take2 heap orders,
+        sorted entry lists, Recursive heap templates) are uid-indexed
+        and may be the *same list objects* across the fragment cores of
+        one shard plan: a ranking structure for a shared connector is
+        then built once and reused by every fragment, algorithm, and
+        serving session.  ``csr`` is ``(conn_offsets, entry_key,
+        entry_state)`` when the entries (also) live in a CSR pool;
+        ``pairs[uid]`` may then be ``None`` until first touched.
+        """
+        dioid = tdp.dioid
+        self.tdp = tdp
+        self.dioid = dioid
+        num_stages = self.num_stages = tdp.num_stages
+        uid_space = self.num_connectors = len(conn_stage)
+        parent_stage = self.parent_stage = tdp.parent_stage
+        self.children_stages = tdp.children_stages
+        branch_index = self.branch_index = tdp.branch_index
+        #: Branch fan-out per stage (row width of ``child_uids``).
+        num_branches = self.num_branches = [
+            len(c) for c in tdp.children_stages
+        ]
+        #: Per-stage state values and pi1, as key-space floats.  Plain
+        #: lists where built in-process: read one element at a time in
+        #: the innermost loops, where list indexing (no re-boxing) wins.
+        self.values_key = values_key
+        self.pi1_key = pi1_key
+        #: CSR entry pool (or ``None`` x 3): connector ``uid`` owns
+        #: entries ``conn_offsets[uid] .. conn_offsets[uid + 1]``.
+        self.conn_offsets, self.entry_key, self.entry_state = (
+            csr or (None, None, None)
+        )
+        #: Connector uid -> owning stage (-1: never referenced).
+        self.conn_stage = conn_stage
         #: Flattened adjacency: ``child_uids[s][state * num_branches[s]
         #: + b]`` is the connector uid governing branch ``b`` of that
-        #: state (empty for leaf stages).  Plain int lists, as above.
-        self.child_uids: list[list[int]] = []
-        for stage in range(num_stages):
-            flat: list[int] = []
-            for state_conns in tdp.child_conns[stage]:
-                for conn in state_conns:
-                    flat.append(conn.uid)
-            self.child_uids.append(flat)
-
+        #: state (empty for leaf stages).
+        self.child_uids = child_uids
         #: Per *non-root* stage ``s``: the connector uid governing ``s``
         #: indexed directly by the parent's state —
         #: ``conn_of[s][parent_state]`` replaces the
         #: ``child_uids[parent][state * fanout + branch]`` multiply-add
         #: on the enumeration hot path (``None`` for root stages, whose
         #: single connector is in :attr:`root_uid`).
-        self.conn_of: list[list[int] | None] = [None] * num_stages
-        for stage in range(num_stages):
-            parent = self.parent_stage[stage]
-            if parent == -1:
-                continue
-            fanout = self.num_branches[parent]
-            branch = self.branch_index[stage]
-            row = self.child_uids[parent]
-            self.conn_of[stage] = row[branch::fanout] if fanout else []
-
-        self.root_stages = list(tdp.root_stages)
-        self.root_uid = {
-            stage: conn.uid for stage, conn in tdp.root_conn.items()
-        }
+        self.conn_of = [
+            None
+            if parent == -1
+            else child_uids[parent][branch_index[stage]::num_branches[parent]]
+            for stage, parent in enumerate(parent_stage)
+        ]
+        #: Per-connector hot metadata ``(branch_count, own_state_keys,
+        #: child_uid_row, stage)`` — one list index + unpack replaces
+        #: four attribute/index chains in Recursive's ``_ensure``.
+        per_stage = [
+            (num_branches[s], values_key[s], child_uids[s], s)
+            for s in range(num_stages)
+        ]
+        self.conn_meta = [
+            None if stage < 0 else per_stage[stage] for stage in conn_stage
+        ]
+        self.root_stages = tdp.root_stages
+        self.root_uid = root_uid
         #: Serpentine/path shape: every stage's parent is the previous
         #: stage (single root, no branching).  The enumerators install
         #: chain-specialised loops for this, the most common join-tree
         #: layout (path queries, cycle-decomposition members).
         self.is_chain = all(
-            self.parent_stage[j] == j - 1 for j in range(num_stages)
+            parent_stage[j] == j - 1 for j in range(num_stages)
         )
-
-        #: Per-connector hot metadata ``(branch_count, own_state_keys,
-        #: child_uid_row, stage)`` — one list index + unpack replaces
-        #: four attribute/index chains in Recursive's ``_ensure``
-        #: (``None`` for the builder's unreferenced join-key groups).
-        self.conn_meta: list[tuple | None] = [
-            None
-            if conn_stage[uid] < 0
-            else (
-                self.num_branches[conn_stage[uid]],
-                self.values_key[conn_stage[uid]],
-                self.child_uids[conn_stage[uid]],
-                conn_stage[uid],
-            )
-            for uid in range(tdp.num_connectors)
-        ]
-        self.empty = tdp.is_empty()
-        self.best_key = key_of(tdp.best_weight)
-
+        self.empty = empty
+        self.best_key = best_key
         #: Key-to-value map for result construction, or ``None`` when
         #: the key *is* the value (tropical min-plus): the enumerators
         #: then skip the call entirely on their per-result path.
@@ -242,18 +365,10 @@ class CompiledTDP:
             if type(dioid).value_from_key is SelectiveDioid.value_from_key
             else dioid.value_from_key
         )
-
         #: Shared ``(key, state)`` pair lists per connector — the flat
         #: analogue of ``ChoiceSet.entries`` (unsorted, read-only;
-        #: strategies copy before heapify/sort).  Built eagerly in one
-        #: C-level pass: this is preprocessing-phase work, paid once per
-        #: database version and amortised over every enumeration run.
-        all_pairs = list(zip(entry_key, entry_state))
-        self._pairs: list[list[tuple[float, int]]] = [
-            all_pairs[offsets[uid]:offsets[uid + 1]]
-            for uid in range(tdp.num_connectors)
-        ]
-
+        #: strategies copy before heapify/sort).
+        self._pairs = pairs
         # Per-connector ranking structures that are *read-only once
         # built* and therefore shared across every enumerator run (and
         # every concurrent session) over this compiled core, filled
@@ -267,9 +382,9 @@ class CompiledTDP:
         #   runs *do* pop/push these, so :meth:`rea_heap` hands out a
         #   C-level copy of the heapified template (the triples inside
         #   are immutable and stay shared).
-        self._take2_heaps: list[list | None] = [None] * tdp.num_connectors
-        self._sorted_pairs: list[list | None] = [None] * tdp.num_connectors
-        self._rea_heaps: list[list | None] = [None] * tdp.num_connectors
+        self._take2_heaps, self._sorted_pairs, self._rea_heaps = caches or (
+            [None] * uid_space, [None] * uid_space, [None] * uid_space
+        )
 
     # -- accessors -----------------------------------------------------------
 
@@ -278,9 +393,17 @@ class CompiledTDP:
 
         Shared by all enumerator runs (and algorithms).  Callers must
         not mutate the returned list — copy first (as the ``sorted`` /
-        ``heapify`` call sites do).
+        ``heapify`` call sites do).  Over a mapped CSR pool nothing is
+        copied until an enumerator actually touches the connector; the
+        lazy fill is the benign race :meth:`take2_heap` documents.
         """
-        return self._pairs[uid]
+        entries = self._pairs[uid]
+        if entries is None:
+            lo, hi = self.conn_offsets[uid], self.conn_offsets[uid + 1]
+            entries = self._pairs[uid] = list(
+                zip(self.entry_key[lo:hi], self.entry_state[lo:hi])
+            )
+        return entries
 
     def take2_heap(self, uid: int) -> list[tuple[float, int]]:
         """Connector ``uid``'s entries in static heap order (shared).
@@ -335,8 +458,16 @@ class CompiledTDP:
         return list(template)
 
     def conn_size(self, uid: int) -> int:
-        """Number of entries of connector ``uid``."""
-        return self.conn_offsets[uid + 1] - self.conn_offsets[uid]
+        """Number of entries of connector ``uid`` (either storage)."""
+        offsets = self.conn_offsets
+        if offsets is None:
+            return len(self._pairs[uid])
+        return offsets[uid + 1] - offsets[uid]
+
+    @property
+    def mapped(self) -> bool:
+        """Whether the entry pool is a view over a mapped ``.core`` file."""
+        return isinstance(self.entry_key, memoryview)
 
     def value_from_key(self, key: float) -> Any:
         """Map a key-space float back to the dioid value domain."""
@@ -347,21 +478,27 @@ class CompiledTDP:
         return {
             "stages": self.num_stages,
             "connectors": self.num_connectors,
-            "entries": len(self.entry_key),
+            "entries": (
+                sum(len(p) for p in self._pairs if p)
+                if self.entry_key is None
+                else len(self.entry_key)
+            ),
             "states": sum(len(v) for v in self.values_key),
             "empty": self.empty,
         }
 
-    def memory_bytes(self) -> int:
+    def memory_bytes(self, seen: set[int] | None = None) -> int:
         """Estimated heap bytes of this core's columns (scrape-time).
 
         Mmap-backed ``memoryview`` columns (warm-started cores) count
         zero here — their residency is reported by
         :meth:`repro.dp.corebuf.CoreCache.mmap_bytes` instead, which is
         exactly the heap-vs-mmap split the memory gauges exist to show.
+        Pass one ``seen`` set across the fragment cores of a shard plan
+        to count the columns they alias once.
         """
-        import sys
-
+        if seen is None:
+            seen = set()
         total = sys.getsizeof(self)
         for name in (
             "values_key", "pi1_key", "conn_offsets", "entry_key",
@@ -369,13 +506,13 @@ class CompiledTDP:
             "root_stages", "_pairs", "_take2_heaps", "_sorted_pairs",
             "_rea_heaps",
         ):
-            total += _seq_bytes(getattr(self, name, None))
+            total += _seq_bytes(getattr(self, name), seen)
         return total
 
     def __repr__(self) -> str:
         return (
             f"CompiledTDP(stages={self.num_stages}, "
-            f"entries={len(self.entry_key)}, best={self.best_key!r})"
+            f"entries={self.stats()['entries']}, best={self.best_key!r})"
         )
 
 

@@ -45,6 +45,7 @@ from repro.query.selections import (
 )
 from repro.ranking.dioid import TROPICAL, SelectiveDioid
 from repro.util.counters import OpCounter
+from repro.util.resilience import COUNTERS as RECOVERY_COUNTERS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from repro.serve.cursor import Cursor
@@ -62,7 +63,7 @@ class EngineStats:
     mutable instrument itself).  The ``core_*`` and recovery fields are
     *mirrors* of authoritative counters elsewhere
     (:class:`~repro.dp.corebuf.CoreCache`,
-    :data:`repro.serve.resilience.COUNTERS`) refreshed after every bind
+    :data:`repro.util.resilience.COUNTERS`) refreshed after every bind
     by plain assignment.
     """
 
@@ -549,9 +550,7 @@ class Engine:
                 self.stats.core_misses = stats["misses"]
                 self.stats.core_stale = stats["stale"]
                 self.stats.core_writes = stats["writes"]
-            from repro.serve.resilience import COUNTERS as _recovery_counters
-
-            recovery = _recovery_counters.snapshot()
+            recovery = RECOVERY_COUNTERS.snapshot()
             self.stats.retries = sum(
                 count
                 for name, count in recovery.items()
@@ -677,31 +676,29 @@ class Engine:
     @staticmethod
     def _compiled_cores(physical: PhysicalPlan) -> list:
         """Compiled flat cores reachable from one bound physical plan."""
-        cores = []
-        compiled = getattr(physical, "compiled", None)
-        if compiled is not None:
-            cores.append(compiled)
-        tdps = []
-        tdp = getattr(physical, "tdp", None)
-        if tdp is not None:
-            tdps.append(tdp)
-        tdps.extend(getattr(physical, "tdps", ()) or ())
-        for candidate in tdps:
-            core = getattr(candidate, "_compiled", None)
-            if core:  # None = not compiled yet, False = unsupported dioid
-                cores.append(core)
-        return cores
+        inner = getattr(physical, "inner", None)
+        if inner is not None:  # projection wrapper
+            return Engine._compiled_cores(inner)
+        cores = [
+            fragment.compiled for fragment in getattr(physical, "fragments", ())
+        ]
+        tdps = [getattr(physical, "tdp", None), *getattr(physical, "tdps", ())]
+        cores.extend(getattr(tdp, "_compiled", None) for tdp in tdps)
+        # None = not compiled (yet), False = unsupported dioid.
+        return [core for core in cores if core]
 
     def memory_stats(self) -> dict:
         """Scrape-time estimate of engine-held memory.
 
         ``stream_bytes`` covers memoized result prefixes;
         ``core_heap_bytes`` sums the heap structures of compiled cores
-        reachable from bound plans (mmap-backed columns count zero);
-        ``core_mmap_bytes`` is the mapped span of the ``.core`` file —
-        the heap-vs-mmap split shows what warm starts moved off the
-        heap.  Everything here is an estimate computed on demand; no
-        instrument is touched on the enumeration path.
+        reachable from bound plans — sharded plans included, with the
+        columns their fragment cores alias counted once (mmap-backed
+        columns count zero); ``core_mmap_bytes`` is the mapped span of
+        the ``.core`` file — the heap-vs-mmap split shows what warm
+        starts moved off the heap.  Everything here is an estimate
+        computed on demand; no instrument is touched on the enumeration
+        path.
         """
         with self._stream_lock:
             streams = [stream for _physical, stream in self._streams.values()]
@@ -711,12 +708,9 @@ class Engine:
         seen: set[int] = set()
         for physical in physicals:
             for core in self._compiled_cores(physical):
-                if id(core) in seen:
-                    continue
-                seen.add(id(core))
-                estimate = getattr(core, "memory_bytes", None)
-                if estimate is not None:
-                    heap += estimate()
+                if id(core) not in seen:
+                    seen.add(id(core))
+                    heap += core.memory_bytes(seen)
         return {
             "stream_count": len(streams),
             "stream_bytes": sum(s.memory_bytes() for s in streams),

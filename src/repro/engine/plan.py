@@ -40,7 +40,9 @@ from repro.decomposition.base import TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp
+from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
 from repro.dp.flat import compile_tdp
+from repro.dp.lower import lower_query
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
@@ -279,11 +281,15 @@ class PhysicalPlan:
 class AcyclicPhysical(PhysicalPlan):
     """Acyclic full CQ: one T-DP, any-k enumeration (Section 4/5).
 
-    Binding also lowers the built T-DP into its compiled flat core
-    (:func:`repro.dp.flat.compile_tdp`) when the dioid supports it, so
-    the compilation cost lands in ``preprocess_seconds`` — paid once
-    per database version — and every enumeration run (any algorithm,
-    any serving session) starts on the shared arrays.
+    ``tdp`` is whatever the bind produced.  For dioids with the
+    float-key contract that is the :class:`~repro.dp.flat.CoreShell` of
+    a directly lowered (or ``.core``-mapped) compiled core, which
+    :func:`~repro.dp.flat.compile_tdp` just reads back off the shell;
+    for every other dioid it is the object graph of
+    :func:`~repro.dp.builder.build_tdp` and ``compiled`` is ``None``.
+    Either way the bottom-up pass lands in ``preprocess_seconds`` — paid
+    once per database version — and every enumeration run (any
+    algorithm, any serving session) starts on the shared structures.
     """
 
     def __init__(self, logical: LogicalPlan, database: Database, tdp):
@@ -325,13 +331,7 @@ class AcyclicPhysical(PhysicalPlan):
             stats = self.compiled.stats()
             # Mapped warm starts replay the persisted core; flag them so
             # explain() distinguishes a rebuilt plan from a replayed one.
-            from repro.dp.corebuf import MappedShell
-
-            mapped = (
-                " (mapped warm start)"
-                if isinstance(self.tdp, MappedShell)
-                else ""
-            )
+            mapped = " (mapped warm start)" if self.compiled.mapped else ""
             lines.append(
                 f"  compiled core: {stats['entries']} flat entries "
                 f"({'chain' if self.compiled.is_chain else 'tree'} layout, "
@@ -442,8 +442,6 @@ class MinWeightPhysical(PhysicalPlan):
                 self.fc_plan.database, self.fc_plan.tree, dioid=logical.dioid
             )
         )
-        if self.tdp is not None:
-            compile_tdp(self.tdp)
 
     def iter(
         self,
@@ -533,13 +531,14 @@ def bind(
 
     ``core_cache`` (a :class:`repro.dp.corebuf.CoreCache`, or ``None``)
     enables warm starts for the acyclic T-DP strategy: a fresh entry for
-    this plan's persistence key skips the build + compile entirely and
+    this plan's persistence key skips the bottom-up pass entirely and
     enumerates straight off the mmapped arrays; a miss or stale entry
     falls through to the normal build and rewrites the file.
 
     ``tracer`` (:class:`repro.obs.trace.Tracer`) records a per-stage
-    span tree of the preprocessing phase — T-DP build, flat compile,
-    core-cache load/store, decomposition, shard build.  The default
+    span tree of the preprocessing phase — T-DP build (``tdp.compile``
+    too where an object graph is lowered afterwards), core-cache
+    load/store, decomposition, shard build.  The default
     no-op tracer keeps the cost at one constant method call per stage.
     """
     start = time.perf_counter()
@@ -548,15 +547,41 @@ def bind(
     return physical
 
 
-def warm_meta(logical: LogicalPlan) -> dict:
-    """The replay recipe stored beside a core entry (``Engine.warm_start``)."""
-    from repro.dp.corebuf import dioid_core_name
+def load_cores(
+    core_cache, key: str | None, database: Database, query, join_tree,
+    anchor_stage: int, num_fragments: int, tracer,
+):
+    """The plan's fragment cores mapped from the ``.core`` file, or ``None``.
 
-    return {
-        "query": logical.query,
-        "dioid": dioid_core_name(logical.dioid),
-        "shards": logical.shard,
-    }
+    ``None`` for a disabled cache, a non-persistable plan (``key`` is
+    ``None``), and any miss: absent, stale, or stored for another
+    anchor / fragment count.
+    """
+    if core_cache is None:
+        return None
+    with tracer.span("core.load", fragments=num_fragments) as span:
+        cores = core_cache.load_fragment_cores(
+            key, database, query, join_tree, anchor_stage, num_fragments
+        )
+        span.set(hit=cores is not None)
+    return cores
+
+
+def store_cores(
+    core_cache, key: str | None, logical: LogicalPlan, database: Database,
+    cores: list, anchor_stage: int, tracer,
+) -> None:
+    """Persist freshly built fragment cores with their replay recipe."""
+    if core_cache is None or key is None:
+        return
+    with tracer.span("core.store", fragments=len(cores)):
+        meta, data = export_fragments(cores, anchor_stage)
+        warm = {  # what ``Engine.warm_start`` needs to re-prepare the plan
+            "query": logical.query,
+            "dioid": dioid_core_name(logical.dioid),
+            "shards": logical.shard,
+        }
+        core_cache.store(key, database, meta, data, warm=warm)
 
 
 def _bind(
@@ -578,36 +603,25 @@ def _bind(
                 core_cache=core_cache,
                 tracer=tracer,
             )
-        key = None
-        if core_cache is not None:
-            from repro.dp.corebuf import core_key
-
-            key = core_key(logical.query, logical.dioid, None)
-            with tracer.span("core.load") as span:
-                shell = core_cache.load_tdp(
-                    key, database, logical.query, logical.join_tree
-                )
-                span.set(hit=shell is not None)
-            if shell is not None:
-                # compile_tdp() inside AcyclicPhysical returns the
-                # pre-assembled mapped core via the TDP memo slot.
-                return AcyclicPhysical(logical, database, shell)
-        with tracer.span("tdp.build") as span:
-            tdp = build_tdp(database, logical.join_tree, dioid=logical.dioid)
-            span.set(states=tdp.num_states())
-        with tracer.span("tdp.compile") as span:
-            physical = AcyclicPhysical(logical, database, tdp)
-            if physical.compiled is not None:
-                span.set(entries=physical.compiled.stats()["entries"])
-        if key is not None and physical.compiled is not None:
-            from repro.dp.corebuf import export_compiled
-
-            with tracer.span("core.store"):
-                meta, data = export_compiled(physical.compiled)
-                core_cache.store(
-                    key, database, meta, data, warm=warm_meta(logical)
-                )
-        return physical
+        if not getattr(logical.dioid, "key_is_value", False):
+            # No float-key contract: the object graph is the T-DP.
+            with tracer.span("tdp.build") as span:
+                tdp = build_tdp(database, logical.join_tree, dioid=logical.dioid)
+                span.set(states=tdp.num_states())
+            return AcyclicPhysical(logical, database, tdp)
+        # One fragment spanning the whole anchor relation (stage 0).
+        key = core_key(logical.query, logical.dioid, None)
+        cores = load_cores(
+            core_cache, key, database, logical.query, logical.join_tree,
+            0, 1, tracer,
+        )
+        if cores is None:
+            with tracer.span("tdp.build") as span:
+                cores = [lower_query(database, logical.join_tree, logical.dioid)]
+                stats = cores[0].stats()
+                span.set(states=stats["states"], entries=stats["entries"])
+            store_cores(core_cache, key, logical, database, cores, 0, tracer)
+        return AcyclicPhysical(logical, database, cores[0].tdp)
     if strategy == SIMPLE_CYCLE_UNION:
         with tracer.span("decompose", kind="simple-cycle") as span:
             tasks = decompose_cycle(
@@ -630,7 +644,14 @@ def _bind(
             return UnionPhysical(logical, database, tasks, dedup=False)
     if strategy == FREE_CONNEX_MINWEIGHT:
         with tracer.span("tdp.build", projection="min_weight"):
-            return MinWeightPhysical(logical, database)
+            physical = MinWeightPhysical(logical, database)
+        if physical.tdp is not None and getattr(
+            logical.dioid, "key_is_value", False
+        ):
+            with tracer.span("tdp.compile") as span:
+                compiled = compile_tdp(physical.tdp)
+                span.set(entries=compiled.stats()["entries"])
+        return physical
     if strategy == ALL_WEIGHT_PROJECTION:
         inner = _bind(logical.inner, database, indexes, core_cache, tracer)
         return ProjectionPhysical(logical, database, inner)

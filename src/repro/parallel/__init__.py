@@ -15,8 +15,9 @@ Layout:
 * :mod:`repro.parallel.sharder` — fragment planning (:class:`ShardSpec`,
   :class:`Sharder`, anchor-atom heuristic, range/hash partitioning);
 * :mod:`repro.parallel.build` — the fragment preprocessor
-  (:class:`ParallelPreprocessor`): a fused direct-to-compiled key-space
-  builder plus thread-/process-pool worker modes;
+  (:class:`ParallelPreprocessor`): runs the direct lowering of
+  :mod:`repro.dp.lower` once per fragment — fused in-process, or on
+  thread-/process-pool workers;
 * :mod:`repro.parallel.physical` — :class:`ShardedPhysical`, the engine
   integration (``Engine.prepare(..., shards=N)`` binds through it);
 * :class:`repro.parallel.merge.ShardMerge` — the ranked k-way merge over

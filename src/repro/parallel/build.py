@@ -1,30 +1,14 @@
-"""Multi-core preprocessing: fragment T-DPs built straight to flat arrays.
+"""Multi-core preprocessing: fragment planning meets the direct lowering.
 
-The unsharded bind builds an object-graph :class:`~repro.dp.graph.TDP`
-(Python triples inside :class:`ChoiceSet` objects) and then lowers it to
-a :class:`~repro.dp.flat.CompiledTDP`.  The parallel layer's fragment
-builder skips the intermediate entirely for ``key_is_value`` dioids: it
-lowers each stage *directly* into the compiled core's key-space arrays
-(one bulk backend fetch per stage, native float arithmetic, grouped
-entry pairs), which is what makes a sharded bind faster than the serial
-one even on a single core.
-
-Work sharing across fragments rests on one structural fact: the
-bottom-up construction never propagates a root restriction downward, so
-with the anchor at a component root **every non-anchor stage is
-fragment-independent**.  The builder therefore runs in two phases:
-
-* **phase A** (once): build all non-anchor stages — state arrays,
-  connector entry pools, join-key maps — shared read-only by every
-  fragment;
-* **phase B** (per fragment): scan only the fragment's slice of the
-  anchor relation, resolve child connectors against phase A's join-key
-  maps, and emit a per-fragment root connector.
-
-Per-fragment :class:`ShardCompiled` objects alias the shared uid-indexed
-structures (entry pairs, lazily heapified Take2 orders, sorted lists,
-REA heap templates), so ranking structures for shared connectors are
-built once per database version — not once per fragment.
+The bottom-up pass itself lives in :mod:`repro.dp.lower` — phase A
+lowers every non-anchor stage once, phase B lowers one slice of the
+anchor relation and assembles a :class:`~repro.dp.flat.CompiledTDP`
+over phase A's columns.  The unsharded bind is that pass with a single
+all-spanning fragment; this module runs phase B once per fragment of a
+:class:`~repro.parallel.sharder.ShardPlan` and owns everything around
+it: fragment row sources (rowid ranges, stable-hash buckets), database
+recipes a worker can reopen, the worker pool with its crash recovery,
+and :class:`ParallelPreprocessor`, which picks the mode.
 
 Execution modes (resolved by the :class:`~repro.parallel.sharder.Sharder`):
 
@@ -44,8 +28,8 @@ Execution modes (resolved by the :class:`~repro.parallel.sharder.Sharder`):
 
 Dioids without the ``key_is_value`` contract — and the ``canonical``
 tie-break, which ranks fragments under the Section 6.3
-:class:`~repro.ranking.dioid.TieBreakingDioid` — keep the generic
-object-graph builder per fragment (:func:`build_object_fragments`).
+:class:`~repro.ranking.dioid.TieBreakingDioid` — build one object-graph
+T-DP per fragment instead (:func:`build_object_fragment`).
 """
 
 from __future__ import annotations
@@ -62,11 +46,20 @@ from repro.dp.builder import build_tdp
 from repro.dp.corebuf import LazyRows, ShmPool, pack_worker_lower, unpack_worker_lower
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import TDP
+from repro.dp.lower import (
+    StageScan,
+    assemble_fragment,
+    build_fragment,
+    build_shared_lower,
+    scan_stage,
+    shared_lists,
+    trailing_rows,
+)
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.sharder import Fragment, ShardPlan, stable_hash
-from repro.query.jointree import JoinTree
 from repro.ranking.dioid import SelectiveDioid, TieBreakingDioid
-from repro.util import faults, vec
+from repro.util import faults
+from repro.util.resilience import COUNTERS
 
 #: Total tries for the process-pool fragment build: the initial pool
 #: plus one respawn after a dead worker.  A second crash falls through
@@ -74,728 +67,7 @@ from repro.util import faults, vec
 POOL_BUILD_ATTEMPTS = 2
 
 
-def _resilience_counters():
-    # Imported on call, not at module load: ``repro.serve`` pulls in the
-    # engine, which (through the sharded-bind path) pulls in this module.
-    from repro.serve.resilience import COUNTERS
-
-    return COUNTERS
-
-#: Key-space transform lanes (see ``_key_lane``).
-_LANE_ID, _LANE_NEG, _LANE_CALL = 0, 1, 2
-
-
-def _key_lane(dioid: SelectiveDioid) -> int:
-    """How raw weights map into key space for this ``key_is_value`` dioid.
-
-    Tropical keys are the values themselves, max-plus keys are their
-    negation; any other (hypothetical) additive float key falls back to
-    calling ``dioid.key`` per row.
-    """
-    probes = (1.25, -3.5, 0.0)
-    if all(dioid.key(p) == p for p in probes):
-        return _LANE_ID
-    if all(dioid.key(p) == -p for p in probes):
-        return _LANE_NEG
-    return _LANE_CALL
-
-
-def _trailing_rows(
-    relation: Relation, lo: int | None = None, hi: int | None = None
-) -> list[tuple]:
-    """Rows as flat tuples with the weight trailing (bulk, order-stable).
-
-    Backend-stored, unmaterialised relations use the backend's bulk
-    ``fetch_rows`` (a single rowid-range ``fetchall`` for SQLite);
-    in-memory relations normalise their parallel lists once per stage.
-    """
-    backend = relation.backend
-    if backend is not None and not relation.is_materialized:
-        return backend.fetch_rows(relation.table, lo, hi)
-    tuples = relation.tuples
-    weights = relation.weights
-    if lo is not None or hi is not None:
-        tuples = tuples[lo:hi]
-        weights = weights[lo:hi]
-    return [t + (w,) for t, w in zip(tuples, weights)]
-
-
-# -- the shared lower stages (phase A) -----------------------------------------
-
-
-class SharedLower:
-    """Phase A output: every fragment-independent stage, lowered flat.
-
-    All structures are read-only once built.  Connector uids are
-    assigned ``0 .. num_conns-1`` here; fragment root connectors extend
-    the uid space from ``num_conns`` upward (one per fragment).
-    """
-
-    __slots__ = (
-        "query", "tree", "dioid", "lane", "order", "num_stages",
-        "parent_stage", "children_stages", "anchor_stage", "tuples",
-        "tuple_ids", "values_key", "pi1_key", "child_uids", "conn_of",
-        "pairs", "conn_stage", "conn_min", "conn_maps", "root_uid",
-        "num_conns", "complete", "own_key_positions",
-        "parent_key_positions", "arities", "seconds",
-    )
-
-    def __init__(self, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int):
-        self.query = query
-        self.tree = tree
-        self.dioid = dioid
-        self.lane = _key_lane(dioid)
-        self.order = list(tree.order)
-        self.num_stages = len(self.order)
-        stage_of_atom = {a: s for s, a in enumerate(self.order)}
-        self.parent_stage = [
-            -1 if tree.parent[a] == -1 else stage_of_atom[tree.parent[a]]
-            for a in self.order
-        ]
-        self.children_stages: list[list[int]] = [[] for _ in range(self.num_stages)]
-        for stage, parent in enumerate(self.parent_stage):
-            if parent != -1:
-                self.children_stages[parent].append(stage)
-        self.anchor_stage = anchor_stage
-        if self.parent_stage[anchor_stage] != -1:
-            raise ValueError("the anchor stage must be a component root")
-        self.own_key_positions: list[tuple[int, ...]] = []
-        self.parent_key_positions: list[tuple[int, ...]] = []
-        for stage, atom_idx in enumerate(self.order):
-            atom = query.atoms[atom_idx]
-            shared = tree.shared_variables(atom_idx)
-            self.own_key_positions.append(atom.positions_of(shared))
-            if self.parent_stage[stage] == -1:
-                self.parent_key_positions.append(())
-            else:
-                parent_atom = query.atoms[tree.parent[atom_idx]]
-                self.parent_key_positions.append(parent_atom.positions_of(shared))
-        self.arities = [query.atoms[a].arity for a in self.order]
-
-        empty: list[list] = [[] for _ in range(self.num_stages)]
-        self.tuples: list[list[tuple]] = [list(x) for x in empty]
-        self.tuple_ids: list[list[int]] = [list(x) for x in empty]
-        self.values_key: list[list[float]] = [list(x) for x in empty]
-        self.pi1_key: list[list[float]] = [list(x) for x in empty]
-        #: Flattened child connector uids per stage (branch-major).
-        self.child_uids: list[list[int]] = [list(x) for x in empty]
-        #: Connector uid governing stage ``s``, indexed by parent state
-        #: (``None`` for root stages and for children of the anchor —
-        #: those rows are fragment-specific).
-        self.conn_of: list[list[int] | None] = [None] * self.num_stages
-        #: uid -> unsorted (key, state) entry pairs.
-        self.pairs: list[list[tuple[float, int]]] = []
-        self.conn_stage: list[int] = []
-        self.conn_min: list[float] = []
-        #: Per stage: join key -> connector uid (phase B resolves the
-        #: anchor's child branches against the anchor-children's maps).
-        self.conn_maps: list[dict] = [dict() for _ in range(self.num_stages)]
-        #: Root connector uids of *non-anchor* root stages.
-        self.root_uid: dict[int, int] = {}
-        self.num_conns = 0
-        #: False when some non-anchor component is empty (then every
-        #: fragment is empty regardless of its anchor rows).
-        self.complete = True
-        self.seconds = 0.0
-
-    def child_lookups(self, stage: int):
-        """Per child branch: (single_column, positions, conn_map)."""
-        return [
-            (
-                self.parent_key_positions[c][0]
-                if len(self.parent_key_positions[c]) == 1
-                else None,
-                self.parent_key_positions[c],
-                self.conn_maps[c],
-            )
-            for c in self.children_stages[stage]
-        ]
-
-
-def build_shared_lower(
-    database: Database, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int
-) -> SharedLower:
-    """Phase A: lower every non-anchor stage to key-space flat arrays.
-
-    Mirrors :func:`repro.dp.builder.build_tdp` stage by stage — same row
-    order, same alive filter, same left-fold weight aggregation — but in
-    dioid key space, so the produced keys are the bit-exact ``key``
-    image of the object builder's values (the PR-4 ``key_is_value``
-    contract).
-    """
-    start = time.perf_counter()
-    shared = SharedLower(query, tree, dioid, anchor_stage)
-    lane = shared.lane
-    identity = lane == _LANE_ID
-    negate = lane == _LANE_NEG
-    key_of = dioid.key
-
-    for stage in reversed(range(shared.num_stages)):
-        if stage == anchor_stage:
-            continue
-        atom = query.atoms[shared.order[stage]]
-        relation = database[atom.relation_name]
-        warity = atom.arity
-        check_repeats = atom.has_repeated_variables()
-        satisfies = atom.satisfies_repeats
-        lookups = shared.child_lookups(stage)
-        rows = _trailing_rows(relation)
-
-        tuples_out = shared.tuples[stage]
-        ids_out = shared.tuple_ids[stage]
-        vk_out = shared.values_key[stage]
-        pk_out = shared.pi1_key[stage]
-        cu_out = shared.child_uids[stage]
-        t_append = tuples_out.append
-        i_append = ids_out.append
-        v_append = vk_out.append
-        p_append = pk_out.append
-        c_append = cu_out.append
-
-        own_pos = shared.own_key_positions[stage]
-        own_single = own_pos[0] if len(own_pos) == 1 else None
-        groups: dict = {}
-        g_get = groups.get
-        conn_min = shared.conn_min
-        state = 0
-
-        if len(lookups) == 1 and lookups[0][0] is not None and own_single is not None:
-            # Hot path: one single-column child branch, single-column
-            # own join key — the chain layout of path queries and
-            # cycle-decomposition members.
-            child_col, _positions, cmap = lookups[0]
-            cm_get = cmap.get
-            for tid, row in enumerate(rows):
-                if check_repeats and not satisfies(row):
-                    continue
-                cu = cm_get(row[child_col])
-                if cu is None:
-                    continue
-                pi = conn_min[cu]
-                w = row[warity]
-                k = w if identity else (-w if negate else key_of(w))
-                entry = (k + pi, state)
-                jk = row[own_single]
-                bucket = g_get(jk)
-                if bucket is None:
-                    groups[jk] = [entry]
-                else:
-                    bucket.append(entry)
-                t_append(row)
-                i_append(tid)
-                v_append(k)
-                p_append(pi)
-                c_append(cu)
-                state += 1
-        else:
-            for tid, row in enumerate(rows):
-                if check_repeats and not satisfies(row):
-                    continue
-                pi = 0.0
-                conns: list[int] = []
-                dead = False
-                for single, positions, cmap in lookups:
-                    if single is None:
-                        cu = cmap.get(tuple(row[p] for p in positions))
-                    else:
-                        cu = cmap.get(row[single])
-                    if cu is None:
-                        dead = True
-                        break
-                    conns.append(cu)
-                    pi = pi + conn_min[cu]
-                if dead:
-                    continue
-                w = row[warity]
-                k = w if identity else (-w if negate else key_of(w))
-                entry = (k + pi, state)
-                if own_single is None:
-                    jk = tuple(row[p] for p in own_pos)
-                else:
-                    jk = row[own_single]
-                bucket = g_get(jk)
-                if bucket is None:
-                    groups[jk] = [entry]
-                else:
-                    bucket.append(entry)
-                t_append(row)
-                i_append(tid)
-                v_append(k)
-                p_append(pi)
-                cu_out.extend(conns)
-                state += 1
-
-        cmap_out = shared.conn_maps[stage]
-        uid = shared.num_conns
-        pairs = shared.pairs
-        conn_stage = shared.conn_stage
-        conn_min_out = shared.conn_min
-        for join_key, entries in groups.items():
-            cmap_out[join_key] = uid
-            pairs.append(entries)
-            conn_stage.append(stage)
-            conn_min_out.append(min(entries)[0])
-            uid += 1
-        shared.num_conns = uid
-
-        if shared.parent_stage[stage] == -1:
-            root = cmap_out.get(())
-            if root is None:
-                shared.complete = False
-            else:
-                shared.root_uid[stage] = root
-
-    # conn_of rows for stages whose parent is a shared (non-anchor)
-    # stage; children of the anchor get fragment-specific rows later.
-    for stage in range(shared.num_stages):
-        parent = shared.parent_stage[stage]
-        if parent == -1 or parent == anchor_stage:
-            continue
-        fanout = len(shared.children_stages[parent])
-        branch = shared.children_stages[parent].index(stage)
-        row = shared.child_uids[parent]
-        shared.conn_of[stage] = row[branch::fanout] if fanout else []
-
-    shared.seconds = time.perf_counter() - start
-    return shared
-
-
-# -- the per-fragment result-assembly shell ------------------------------------
-
-
-class FragmentTDP(TDP):
-    """A connector-free T-DP shell behind one fragment's compiled core.
-
-    Carries exactly what result assembly needs — per-stage rows, global
-    tuple ids, the query — and no :class:`ChoiceSet` graph (the flat
-    enumerators never walk one).  Stored rows may carry the trailing
-    backend weight; :meth:`witness` slices them back to atom arity.
-    ``_compiled`` points at the fragment's :class:`ShardCompiled`, so
-    ``make_enumerator(shell)`` transparently runs the flat core.
-    """
-
-    def __init__(self, dioid, atom_of_stage, parent_stage, query, join_tree, arities):
-        super().__init__(
-            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
-        )
-        self._arities = list(arities)
-        self._empty = True
-
-    def is_empty(self) -> bool:
-        return self._empty
-
-    def witness(self, states: Sequence[int]) -> tuple:
-        arities = self._arities
-        by_atom = sorted(
-            (self.atom_of_stage[stage], self.tuples[stage][state][: arities[stage]])
-            for stage, state in enumerate(states)
-        )
-        return tuple(t for _atom, t in by_atom)
-
-
-class ShardCompiled(CompiledTDP):
-    """One fragment's compiled core, aliasing the shared structures.
-
-    Never constructed through ``CompiledTDP.__init__``; ``assemble``
-    fills the slots directly.  The uid-indexed lists (entry pairs and
-    the three lazily built ranking-structure caches) are the *same list
-    objects* across all fragments of a shard plan — a ranking structure
-    for a shared connector is built once and reused by every fragment,
-    algorithm, and serving session (the lazy fill is the same benign
-    race the base class documents).
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def assemble(cls, **fields) -> "ShardCompiled":
-        self = cls.__new__(cls)
-        for name, value in fields.items():
-            setattr(self, name, value)
-        return self
-
-    def conn_size(self, uid: int) -> int:
-        return len(self._pairs[uid])
-
-    def stats(self) -> dict:
-        return {
-            "stages": self.num_stages,
-            "connectors": self.num_connectors,
-            "entries": sum(len(p) for p in self._pairs if p),
-            "states": sum(len(v) for v in self.values_key),
-            "empty": self.empty,
-        }
-
-
-# -- phase B: one fragment -----------------------------------------------------
-
-
-def _values_from_keys(dioid: SelectiveDioid, keys: list[float], lane: int) -> list:
-    if lane == _LANE_ID:
-        return keys  # the key *is* the value: alias, no copy
-    if lane == _LANE_NEG:
-        return [-k for k in keys]
-    vfk = dioid.value_from_key
-    return [vfk(k) for k in keys]
-
-
-#: Row count below which the vectorized phase-B scan is not worth the
-#: numpy round-trip.
-_VEC_SCAN_MIN = 512
-
-
-class _AnchorScan:
-    """The anchor scan's inputs, decoupled from :class:`SharedLower`.
-
-    Built either from a parent-process ``SharedLower`` or, in a pool
-    worker, from the shared-memory :class:`~repro.dp.corebuf.WorkerLower`
-    (whose ``conn_min`` is a memoryview aliasing the owner's pool).
-    """
-
-    __slots__ = (
-        "warity", "check_repeats", "satisfies", "lookups", "lane",
-        "key_of", "conn_min",
-    )
-
-    def __init__(self, atom, lookups, lane, key_of, conn_min):
-        self.warity = atom.arity
-        self.check_repeats = atom.has_repeated_variables()
-        self.satisfies = atom.satisfies_repeats
-        self.lookups = lookups
-        self.lane = lane
-        self.key_of = key_of
-        self.conn_min = conn_min
-
-
-def _anchor_scan_of(shared: SharedLower) -> _AnchorScan:
-    anchor = shared.anchor_stage
-    atom = shared.query.atoms[shared.order[anchor]]
-    return _AnchorScan(
-        atom, shared.child_lookups(anchor), shared.lane,
-        shared.dioid.key, shared.conn_min,
-    )
-
-
-def _scan_anchor_vec(
-    scan: _AnchorScan,
-    rows: list[tuple],
-    base: int | None,
-    global_ids: Sequence[int] | None,
-    keep_tuples: bool,
-):
-    """Vectorized chain-shape anchor scan (identity/negate lanes only).
-
-    The join-key dict probes stay in Python (hash tables do not
-    vectorize); the alive mask, the key transform, and the ``k + pi``
-    entry keys run as numpy float64 kernels — the same IEEE operations
-    in the same order as the scalar loop, so the produced arrays are
-    bit-identical.  All outputs convert back to native Python scalars
-    (``.tolist()``): nothing downstream ever sees a numpy type.
-    """
-    np = vec.np
-    child_col, _positions, cmap = scan.lookups[0]
-    cm_get = cmap.get
-    warity = scan.warity
-    n = len(rows)
-    cu_all = np.fromiter(
-        (cm_get(row[child_col], -1) for row in rows), np.int64, n
-    )
-    alive = np.flatnonzero(cu_all >= 0)
-    cu = cu_all[alive]
-    alive_list = alive.tolist()
-    w = np.fromiter((rows[i][warity] for i in alive_list), np.float64, len(alive_list))
-    k = w if scan.lane == _LANE_ID else -w
-    pi = np.asarray(scan.conn_min, dtype=np.float64)[cu]
-    ek = k + pi
-    vk_out = k.tolist()
-    pk_out = pi.tolist()
-    cu_out = cu.tolist()
-    entries = list(zip(ek.tolist(), range(len(vk_out))))
-    tuples_out = [rows[i] for i in alive_list] if keep_tuples else []
-    if base is not None:
-        ids_out = (alive + base).tolist()
-    else:
-        ids_out = [global_ids[i] for i in alive_list]
-    return entries, tuples_out, ids_out, vk_out, pk_out, cu_out
-
-
-def _scan_anchor(
-    scan: _AnchorScan,
-    rows: list[tuple],
-    base: int | None,
-    global_ids: Sequence[int] | None,
-    keep_tuples: bool = True,
-):
-    """Phase B scan: lower one fragment's anchor rows to flat arrays.
-
-    Returns ``(entries, tuples_out, ids_out, vk_out, pk_out, cu_out)``;
-    ``entries`` states are sequential (``0 .. alive-1``), which is what
-    lets pool workers ship only the value arrays.
-    """
-    warity = scan.warity
-    check_repeats = scan.check_repeats
-    satisfies = scan.satisfies
-    lookups = scan.lookups
-    lane = scan.lane
-    identity = lane == _LANE_ID
-    negate = lane == _LANE_NEG
-    key_of = scan.key_of
-    conn_min = scan.conn_min
-
-    chain = len(lookups) == 1 and lookups[0][0] is not None
-    if (
-        chain
-        and not check_repeats
-        and lane != _LANE_CALL
-        and len(rows) >= _VEC_SCAN_MIN
-        and vec.np is not None
-    ):
-        return _scan_anchor_vec(scan, rows, base, global_ids, keep_tuples)
-
-    tuples_out: list[tuple] = []
-    ids_out: list[int] = []
-    vk_out: list[float] = []
-    pk_out: list[float] = []
-    cu_out: list[int] = []
-    entries: list[tuple[float, int]] = []
-    t_append = tuples_out.append
-    i_append = ids_out.append
-    v_append = vk_out.append
-    p_append = pk_out.append
-    e_append = entries.append
-    state = 0
-
-    if chain:
-        child_col, _positions, cmap = lookups[0]
-        cm_get = cmap.get
-        c_append = cu_out.append
-        for local, row in enumerate(rows):
-            if check_repeats and not satisfies(row):
-                continue
-            cu = cm_get(row[child_col])
-            if cu is None:
-                continue
-            pi = conn_min[cu]
-            w = row[warity]
-            k = w if identity else (-w if negate else key_of(w))
-            e_append((k + pi, state))
-            if keep_tuples:
-                t_append(row)
-            i_append(base + local if base is not None else global_ids[local])
-            v_append(k)
-            p_append(pi)
-            c_append(cu)
-            state += 1
-    else:
-        for local, row in enumerate(rows):
-            if check_repeats and not satisfies(row):
-                continue
-            pi = 0.0
-            conns: list[int] = []
-            dead = False
-            for single, positions, cmap in lookups:
-                if single is None:
-                    cu = cmap.get(tuple(row[p] for p in positions))
-                else:
-                    cu = cmap.get(row[single])
-                if cu is None:
-                    dead = True
-                    break
-                conns.append(cu)
-                pi = pi + conn_min[cu]
-            if dead:
-                continue
-            w = row[warity]
-            k = w if identity else (-w if negate else key_of(w))
-            e_append((k + pi, state))
-            if keep_tuples:
-                t_append(row)
-            i_append(base + local if base is not None else global_ids[local])
-            v_append(k)
-            p_append(pi)
-            cu_out.extend(conns)
-            state += 1
-
-    return entries, tuples_out, ids_out, vk_out, pk_out, cu_out
-
-
-def build_fragment(
-    shared: SharedLower,
-    fragment: Fragment,
-    rows: list[tuple],
-    global_ids: Sequence[int] | None,
-    uid: int,
-    uid_space: int,
-    shared_lists: dict,
-) -> tuple[ShardCompiled, float]:
-    """Phase B: lower one anchor fragment and assemble its compiled core.
-
-    ``rows`` is the fragment's slice of the anchor relation (trailing
-    weight); ``global_ids`` maps local row positions to insertion
-    positions (``None`` for range fragments, whose ids are ``lo +
-    local``).  ``uid`` is the fragment root connector's id inside the
-    common uid space of ``uid_space`` connectors; ``shared_lists`` holds
-    the cross-fragment aliased structures (see :func:`_shared_lists`).
-    """
-    start = time.perf_counter()
-    base = fragment.lo if global_ids is None else None
-    scan_out = _scan_anchor(_anchor_scan_of(shared), rows, base, global_ids)
-    compiled = _assemble_fragment(shared, scan_out, uid, uid_space, shared_lists)
-    return compiled, time.perf_counter() - start
-
-
-def _assemble_fragment(
-    shared: SharedLower,
-    scan_out: tuple,
-    uid: int,
-    uid_space: int,
-    shared_lists: dict,
-) -> ShardCompiled:
-    """Assemble one fragment's :class:`ShardCompiled` from its scan output."""
-    entries, tuples_out, ids_out, vk_out, pk_out, cu_out = scan_out
-    query = shared.query
-    anchor = shared.anchor_stage
-    lane = shared.lane
-    conn_min = shared.conn_min
-    num_stages = shared.num_stages
-    children = shared.children_stages
-    fanout = len(children[anchor])
-    root_stages = [s for s, p in enumerate(shared.parent_stage) if p == -1]
-
-    empty = not entries or not shared.complete
-    frag_min = min(entries)[0] if entries else None
-    best_key = 0.0
-    for root in root_stages:
-        if root == anchor:
-            if frag_min is None:
-                empty = True
-                break
-            best_key = best_key + frag_min
-        else:
-            root_conn = shared.root_uid.get(root)
-            if root_conn is None:
-                empty = True
-                break
-            best_key = best_key + conn_min[root_conn]
-    if empty:
-        best_key = shared.dioid.key(shared.dioid.zero)
-
-    pairs = shared_lists["pairs"]
-    pairs[uid] = entries
-    conn_stage = shared_lists["conn_stage"]
-    conn_stage[uid] = anchor
-
-    values_key = list(shared.values_key)
-    values_key[anchor] = vk_out
-    pi1_key = list(shared.pi1_key)
-    pi1_key[anchor] = pk_out
-    child_uids = list(shared.child_uids)
-    child_uids[anchor] = cu_out
-    conn_of = list(shared.conn_of)
-    for branch, child in enumerate(children[anchor]):
-        conn_of[child] = cu_out[branch::fanout] if fanout else []
-    root_uid = dict(shared.root_uid)
-    root_uid[anchor] = uid
-    conn_meta = shared_lists["conn_meta"]
-    conn_meta[uid] = (fanout, vk_out, cu_out, anchor)
-
-    dioid = shared.dioid
-    shell = FragmentTDP(
-        dioid,
-        shared.order,
-        shared.parent_stage,
-        query,
-        shared.tree,
-        shared.arities,
-    )
-    shell.tuples = list(shared.tuples)
-    shell.tuples[anchor] = tuples_out
-    shell.tuple_ids = list(shared.tuple_ids)
-    shell.tuple_ids[anchor] = ids_out
-    shell.values = [
-        _values_from_keys(dioid, keys, lane) for keys in values_key
-    ]
-    shell.pi1 = [_values_from_keys(dioid, keys, lane) for keys in pi1_key]
-    shell.num_connectors = uid_space
-    shell.best_weight = (
-        dioid.zero if empty else dioid.value_from_key(best_key)
-    )
-    shell._empty = empty
-
-    vfk = (
-        None
-        if type(dioid).value_from_key is SelectiveDioid.value_from_key
-        else dioid.value_from_key
-    )
-    compiled = ShardCompiled.assemble(
-        tdp=shell,
-        dioid=dioid,
-        num_stages=num_stages,
-        num_connectors=uid_space,
-        parent_stage=shared.parent_stage,
-        children_stages=children,
-        branch_index=shell.branch_index,
-        num_branches=[len(c) for c in children],
-        values_key=values_key,
-        pi1_key=pi1_key,
-        conn_offsets=None,
-        entry_key=None,
-        entry_state=None,
-        conn_stage=conn_stage,
-        child_uids=child_uids,
-        conn_of=conn_of,
-        conn_meta=conn_meta,
-        root_stages=root_stages,
-        root_uid=root_uid,
-        best_key=best_key,
-        empty=empty,
-        vfk=vfk,
-        is_chain=all(
-            shared.parent_stage[j] == j - 1 for j in range(num_stages)
-        ),
-        _pairs=pairs,
-        _take2_heaps=shared_lists["take2"],
-        _sorted_pairs=shared_lists["sorted"],
-        _rea_heaps=shared_lists["rea"],
-    )
-    shell._compiled = compiled
-    return compiled
-
-
-def _shared_lists(shared: SharedLower, num_fragments: int) -> dict:
-    """The cross-fragment aliased uid-indexed structures (pre-sized).
-
-    Fragment slots are assigned by index, so concurrent phase-B builds
-    on a thread pool never resize a shared list.
-    """
-    total = shared.num_conns + num_fragments
-    tail = [None] * num_fragments
-    return {
-        "pairs": shared.pairs + tail,
-        "conn_stage": shared.conn_stage + tail,
-        "conn_meta": [
-            None
-            if shared.conn_stage[uid] < 0
-            else (
-                len(shared.children_stages[shared.conn_stage[uid]]),
-                shared.values_key[shared.conn_stage[uid]],
-                shared.child_uids[shared.conn_stage[uid]],
-                shared.conn_stage[uid],
-            )
-            for uid in range(shared.num_conns)
-        ]
-        + tail,
-        "take2": [None] * total,
-        "sorted": [None] * total,
-        "rea": [None] * total,
-    }
-
-
 # -- fragment row sources ------------------------------------------------------
-
-
-def _anchor_relation(database: Database, query, shared_order, anchor_stage: int) -> Relation:
-    return database[query.atoms[shared_order[anchor_stage]].relation_name]
 
 
 def _hash_buckets(
@@ -806,7 +78,7 @@ def _hash_buckets(
     buckets: list[tuple[list[tuple], list[int]]] = [
         ([], []) for _ in range(shards)
     ]
-    for gid, row in enumerate(_trailing_rows(relation)):
+    for gid, row in enumerate(trailing_rows(relation)):
         rows, gids = buckets[stable_hash(row[:arity]) % shards]
         rows.append(row)
         gids.append(gid)
@@ -943,7 +215,7 @@ def _init_scan_worker(
     _WORKER = {
         "database": database,
         "pool": pool,
-        "scan": _AnchorScan(
+        "scan": StageScan(
             atom, lower.lookups, lower.lane, dioid.key, lower.conn_min
         ),
         "relation": database[anchor_relation_name],
@@ -970,7 +242,7 @@ def _scan_worker_fragment(task: tuple) -> tuple:
     start = time.perf_counter()
     relation = state["relation"]
     if fragment.kind == "range":
-        rows = _trailing_rows(relation, fragment.lo, fragment.hi)
+        rows = trailing_rows(relation, fragment.lo, fragment.hi)
         gids = None
         base = fragment.lo
     else:
@@ -979,7 +251,7 @@ def _scan_worker_fragment(task: tuple) -> tuple:
             buckets = state["buckets"] = _hash_buckets(relation, shards)
         rows, gids = buckets[fragment.index]
         base = None
-    _entries, _tuples, ids_out, vk_out, pk_out, cu_out = _scan_anchor(
+    _entries, _tuples, ids_out, vk_out, pk_out, cu_out = scan_stage(
         state["scan"], rows, base, gids, keep_tuples=False
     )
     return (
@@ -1016,7 +288,7 @@ class FragmentRuntime:
     def __init__(
         self,
         index: int,
-        compiled: ShardCompiled | None,
+        compiled: CompiledTDP | None,
         tdp: TDP | None,
         seconds: float,
         anchor_stage: int = 0,
@@ -1082,7 +354,24 @@ class ParallelPreprocessor:
 
     # -- flat path -------------------------------------------------------------
 
-    def _flat_fragment_sources(self, shared: SharedLower):
+    def _anchor_name(self) -> str:
+        return self.logical.query.atoms[self.shard_plan.anchor_atom].relation_name
+
+    def _lower_shared(self):
+        """Phase A under its span, plus the lists the fragments alias."""
+        plan = self.shard_plan
+        with self.tracer.span("shared.lower") as span:
+            shared = build_shared_lower(
+                self.database,
+                self.logical.query,
+                plan.join_tree,
+                self.logical.dioid,
+                plan.anchor_stage,
+            )
+            span.set(connectors=shared.num_conns)
+        return shared, shared_lists(shared, len(plan.fragments))
+
+    def _flat_fragment_sources(self, relation: Relation):
         """Per fragment: ``(fragment, loader)`` with a *lazy* row loader.
 
         The loader runs inside the building worker, so in thread mode
@@ -1093,9 +382,6 @@ class ParallelPreprocessor:
         every row); only range fragments defer.
         """
         plan = self.shard_plan
-        relation = _anchor_relation(
-            self.database, shared.query, shared.order, plan.anchor_stage
-        )
         if plan.spec.strategy == "hash":
             buckets = _hash_buckets(relation, plan.spec.shards)
 
@@ -1105,7 +391,7 @@ class ParallelPreprocessor:
             return [(fragment, hash_loader) for fragment in plan.fragments]
 
         def range_loader(fragment: Fragment):
-            return _trailing_rows(relation, fragment.lo, fragment.hi), None
+            return trailing_rows(relation, fragment.lo, fragment.hi), None
 
         return [(fragment, range_loader) for fragment in plan.fragments]
 
@@ -1123,7 +409,7 @@ class ParallelPreprocessor:
                 RuntimeError,       # incl. BrokenProcessPool (worker died)
                 pickle.PicklingError,
             ) as exc:
-                _resilience_counters().bump("pool_downgrades")
+                COUNTERS.bump("pool_downgrades")
                 with self.tracer.span("pool.downgrade", reason=repr(exc)):
                     pass
                 notes.append(
@@ -1131,28 +417,21 @@ class ParallelPreprocessor:
                     "the fused in-process build"
                 )
                 mode = "fused"
-        with self.tracer.span("shared.lower") as span:
-            shared = build_shared_lower(
-                self.database,
-                self.logical.query,
-                plan.join_tree,
-                self.logical.dioid,
-                plan.anchor_stage,
-            )
-            span.set(connectors=shared.num_conns)
-        lists = _shared_lists(shared, len(plan.fragments))
-        sources = self._flat_fragment_sources(shared)
-        uid_space = shared.num_conns + len(plan.fragments)
+        shared, lists = self._lower_shared()
+        relation = self.database[self._anchor_name()]
+        sources = self._flat_fragment_sources(relation)
 
         def one(source) -> FragmentRuntime:
             fragment, loader = source
             rows, gids = loader(fragment)
-            compiled, seconds = build_fragment(
-                shared, fragment, rows, gids,
-                shared.num_conns + fragment.index, uid_space, lists,
+            start = time.perf_counter()
+            compiled = build_fragment(
+                shared, relation, rows,
+                fragment.lo if gids is None else None, gids,
+                fragment.index, lists,
             )
             return FragmentRuntime(
-                fragment.index, compiled, None, seconds,
+                fragment.index, compiled, None, time.perf_counter() - start,
                 anchor_stage=plan.anchor_stage,
             )
 
@@ -1179,17 +458,10 @@ class ParallelPreprocessor:
 
         plan = self.shard_plan
         query = self.logical.query
-        with self.tracer.span("shared.lower") as span:
-            shared = build_shared_lower(
-                self.database, query, plan.join_tree,
-                self.logical.dioid, plan.anchor_stage,
-            )
-            span.set(connectors=shared.num_conns)
-        lists = _shared_lists(shared, len(plan.fragments))
-        uid_space = shared.num_conns + len(plan.fragments)
+        shared, lists = self._lower_shared()
         recipe = _database_recipe(self.database)
-        anchor_atom_index = shared.order[plan.anchor_stage]
-        anchor_name = query.atoms[anchor_atom_index].relation_name
+        anchor_name = self._anchor_name()
+        relation = self.database[anchor_name]
         tasks = [
             (fragment, plan.spec.shards) for fragment in plan.fragments
         ]
@@ -1217,7 +489,7 @@ class ParallelPreprocessor:
                         mp_context=context,
                         initializer=_init_scan_worker,
                         initargs=(
-                            shm_pool.name, recipe, query, anchor_atom_index,
+                            shm_pool.name, recipe, query, plan.anchor_atom,
                             anchor_name, self.logical.dioid,
                         ),
                     ) as pool:
@@ -1226,7 +498,7 @@ class ParallelPreprocessor:
                 except BrokenProcessPool:
                     if attempt == POOL_BUILD_ATTEMPTS - 1:
                         raise
-                    _resilience_counters().bump("worker_respawns")
+                    COUNTERS.bump("worker_respawns")
                     notes.append(
                         "worker pool died mid-build; respawned the pool "
                         f"and retried (attempt {attempt + 2} of "
@@ -1236,32 +508,19 @@ class ParallelPreprocessor:
                         pass
         finally:
             shm_pool.destroy()
-        relation = _anchor_relation(
-            self.database, query, shared.order, plan.anchor_stage
-        )
         fragments = []
         for index, vk, pk, cu, ids, seconds in sorted(results):
-            vk_out = vk.tolist()
-            pk_out = pk.tolist()
             ids_out = ids.tolist()
-            entries = [
-                (v + p, s) for s, (v, p) in enumerate(zip(vk_out, pk_out))
-            ]
+            # Entry pairs are implied by the value arrays (sequential
+            # states); rows are re-fetched lazily, per emitted answer.
             scan_out = (
-                entries,
-                LazyRows(relation, ids_out),
-                ids_out,
-                vk_out,
-                pk_out,
-                cu.tolist(),
-            )
-            compiled = _assemble_fragment(
-                shared, scan_out, shared.num_conns + index, uid_space, lists
+                None, LazyRows(relation, ids_out), ids_out,
+                vk.tolist(), pk.tolist(), cu.tolist(),
             )
             fragments.append(
                 FragmentRuntime(
-                    index, compiled, None, seconds,
-                    anchor_stage=plan.anchor_stage,
+                    index, assemble_fragment(shared, scan_out, index, lists),
+                    None, seconds, anchor_stage=plan.anchor_stage,
                 )
             )
         return PreprocessResult(
@@ -1287,9 +546,7 @@ class ParallelPreprocessor:
             lift = make_tie_lift(tie, var_position)
             dioid = tie
 
-        relation = _anchor_relation(
-            self.database, query, list(plan.join_tree.order), plan.anchor_stage
-        )
+        relation = self.database[self._anchor_name()]
         tuples = relation.tuples
         weights = relation.weights
         if plan.spec.strategy == "hash":

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.data.database import Database
-from repro.engine.plan import LogicalPlan, PhysicalPlan
+from repro.dp.corebuf import core_key
+from repro.engine.plan import LogicalPlan, PhysicalPlan, load_cores, store_cores
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.build import (
@@ -203,57 +204,34 @@ def bind_sharded(
             shards=len(shard_plan.fragments),
             anchor_atom=shard_plan.anchor_atom,
         )
-    key = None
-    if core_cache is not None and flat_path and spec.parallel == "auto":
-        from repro.dp.corebuf import core_key
-
-        key = core_key(logical.query, logical.dioid, spec.cache_key())
-        with tracer.span("core.load", fragments=len(shard_plan.fragments)) as span:
-            cores = core_cache.load_fragment_cores(
-                key,
-                database,
-                logical.query,
-                shard_plan.join_tree,
-                shard_plan.anchor_stage,
-                len(shard_plan.fragments),
-            )
-            span.set(hit=cores is not None)
-        if cores is not None:
-            fragments = [
-                FragmentRuntime(
-                    index, core, None, 0.0, shard_plan.anchor_stage
-                )
-                for index, core in enumerate(cores)
-            ]
-            result = PreprocessResult(
-                fragments,
-                "mmap",
-                shard_plan.workers,
-                0.0,
-                list(shard_plan.notes) + ["warm start from compiled core file"],
-                None,
-            )
-            return ShardedPhysical(logical, database, shard_plan, result)
+    if not (flat_path and spec.parallel == "auto"):
+        core_cache = None
+    key = core_key(logical.query, logical.dioid, spec.cache_key())
+    cores = load_cores(
+        core_cache, key, database, logical.query, shard_plan.join_tree,
+        shard_plan.anchor_stage, len(shard_plan.fragments), tracer,
+    )
+    if cores is not None:
+        fragments = [
+            FragmentRuntime(index, core, None, 0.0, shard_plan.anchor_stage)
+            for index, core in enumerate(cores)
+        ]
+        result = PreprocessResult(
+            fragments,
+            "mmap",
+            shard_plan.workers,
+            0.0,
+            list(shard_plan.notes) + ["warm start from compiled core file"],
+            None,
+        )
+        return ShardedPhysical(logical, database, shard_plan, result)
     with tracer.span("fragments.build") as span:
         result = ParallelPreprocessor(
             database, logical, shard_plan, tracer=tracer
         ).build()
         span.set(mode=result.mode, workers=result.workers)
-    if (
-        key is not None
-        and result.tie is None
-        and result.fragments
-        and all(f.compiled is not None for f in result.fragments)
-    ):
-        from repro.dp.corebuf import export_fragments
-
-        from repro.engine.plan import warm_meta
-
-        with tracer.span("core.store", fragments=len(result.fragments)):
-            meta, data = export_fragments(
-                [f.compiled for f in result.fragments], shard_plan.anchor_stage
-            )
-            core_cache.store(
-                key, database, meta, data, warm=warm_meta(logical)
-            )
+    store_cores(
+        core_cache, key, logical, database,
+        [f.compiled for f in result.fragments], shard_plan.anchor_stage, tracer,
+    )
     return ShardedPhysical(logical, database, shard_plan, result)

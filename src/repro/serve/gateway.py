@@ -68,7 +68,7 @@ from repro.obs.top import debug_html
 from repro.obs.trace import new_request_id
 from repro.serve import protocol
 from repro.serve.policy import AccessPolicy
-from repro.serve.resilience import COUNTERS as RESILIENCE_COUNTERS
+from repro.util.resilience import COUNTERS as RESILIENCE_COUNTERS
 from repro.serve.server import OpDispatcher, ServerThread
 from repro.serve.session import SessionManager
 from repro.util import faults

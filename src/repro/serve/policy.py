@@ -19,7 +19,7 @@ scheduler work:
   which is the difference between *containing* a misbehaving client
   (the cooperative scheduler's job) and *refusing* it.
 * :meth:`AccessPolicy.overload_acquire` — the load-shed gate: an
-  optional :class:`~repro.serve.resilience.CircuitBreaker` (fed from
+  optional :class:`~repro.util.resilience.CircuitBreaker` (fed from
   dispatch outcomes via :meth:`record_result`) plus an optional cap on
   concurrently executing fetches.  A shed request is answered 503 /
   ``ERR_OVERLOADED`` with a ``Retry-After`` hint; unlike throttling,
@@ -38,7 +38,7 @@ import time
 from typing import Any, Callable, Hashable
 
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.serve.resilience import CircuitBreaker
+from repro.util.resilience import CircuitBreaker
 
 #: Ops subject to the overload gate (the expensive ones); stats, ping,
 #: explain, and close stay open so operators can inspect a shedding

@@ -34,7 +34,7 @@ from repro.engine.engine import Engine
 from repro.enumeration.result import QueryResult
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.serve.cursor import Cursor, CursorBudgetExceeded
-from repro.serve.resilience import Deadline
+from repro.util.resilience import Deadline
 from repro.util import faults
 
 

@@ -30,7 +30,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from ..obs.metrics import Counter, Family
+from repro.obs.metrics import Counter, Family
 
 
 class _Counters:

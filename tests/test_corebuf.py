@@ -360,6 +360,45 @@ class TestRobustness:
             assert run(engine, query, "take2") == reference
             assert core_stats(engine)["core_hits"] == 1
 
+    def test_old_format_core_file_is_a_miss_and_rewritten(self, tmp_path):
+        import struct
+
+        from repro.dp.corebuf import CORE_FORMAT, CORE_MAGIC
+
+        path = sqlite_database(tmp_path, "oldfmt")
+        query = path_query(4)
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            reference = run(engine, query, "take2")
+        # Stamp the previous container version into an otherwise intact
+        # file: what a process upgraded in place finds next to its db.
+        with open(path + ".core", "r+b") as handle:
+            handle.seek(len(CORE_MAGIC))
+            handle.write(struct.pack("<I", CORE_FORMAT - 1))
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert run(engine, query, "take2") == reference
+            stats = core_stats(engine)
+            assert stats["core_hits"] == 0 and stats["core_writes"] == 1
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert run(engine, query, "take2") == reference
+            assert core_stats(engine)["core_hits"] == 1
+
+    def test_foreign_entry_under_our_key_is_a_miss(self, tmp_path):
+        from repro.dp.corebuf import CoreFile
+
+        path = sqlite_database(tmp_path, "foreign")
+        query = path_query(4)
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            reference = run(engine, query, "take2")
+            version = engine.database.version
+        # Same key and db version, but a meta this build does not write
+        # (wrong kind, no layout fields): must miss, never raise.
+        key = core_key(query, TROPICAL, None)
+        CoreFile(path + ".core").write({key: ({"kind": "tdp"}, version, b"x" * 64)})
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert run(engine, query, "take2") == reference
+            stats = core_stats(engine)
+            assert stats["core_hits"] == 0 and stats["core_writes"] == 1
+
     def test_memory_backend_has_no_core_cache(self):
         engine = Engine(decoding_database(3, 20, domain=5, seed=1))
         assert engine.core_cache is None

@@ -223,8 +223,10 @@ class TestEngineSpans:
             prepared = engine.prepare(QUERY)
             prepared.bind()
             names = {s.name for s in engine.tracer.spans()}
-            assert {"engine.prepare", "engine.bind", "tdp.build",
-                    "tdp.compile"} <= names
+            assert {"engine.prepare", "engine.bind", "tdp.build"} <= names
+            # The direct lowering is one pass: no object graph is built,
+            # so there is nothing for a separate compile step to lower.
+            assert "tdp.compile" not in names
             bind = next(
                 s for s in engine.tracer.spans() if s.name == "engine.bind"
             )
@@ -233,6 +235,35 @@ class TestEngineSpans:
             )
             assert build.parent_id == bind.span_id
             assert build.attrs["states"] > 0
+            assert build.attrs["entries"] >= build.attrs["states"]
+        finally:
+            engine.close()
+
+    def test_object_dioid_bind_has_no_compile_span(self, database):
+        from repro.ranking.dioid import BOOLEAN
+
+        engine = Engine(database, tracer=Tracer(sample="always"))
+        try:
+            engine.prepare(QUERY, dioid=BOOLEAN).bind()
+            spans = engine.tracer.spans()
+            build = next(s for s in spans if s.name == "tdp.build")
+            assert build.attrs["states"] > 0
+            assert "entries" not in build.attrs
+            assert not any(s.name == "tdp.compile" for s in spans)
+        finally:
+            engine.close()
+
+    def test_compile_span_only_where_an_object_tdp_is_lowered(self, database):
+        engine = Engine(database, tracer=Tracer(sample="always"))
+        try:
+            engine.prepare(
+                "Q(x1) :- R1(x1, x2), R2(x2, x3)", projection="min_weight"
+            ).bind()
+            spans = engine.tracer.spans()
+            bind = next(s for s in spans if s.name == "engine.bind")
+            compile_span = next(s for s in spans if s.name == "tdp.compile")
+            assert compile_span.parent_id == bind.span_id
+            assert compile_span.attrs["entries"] > 0
         finally:
             engine.close()
 

@@ -25,7 +25,7 @@ from repro.query.builders import path_query
 from repro.serve.client import HttpServeClient, ServeClient, ServeClientError
 from repro.serve.gateway import GatewayThread
 from repro.serve.policy import AccessPolicy
-from repro.serve.resilience import (
+from repro.util.resilience import (
     COUNTERS,
     CircuitBreaker,
     Deadline,
