@@ -68,6 +68,9 @@ class Enumerator:
     #: no further results will ever be produced (so schedulers can drop
     #: the enumeration without probing it again).
     _finished = False
+    #: The compiled generator loop driving this run, for the flat
+    #: enumerators that have one (it sets ``_finished`` when it ends).
+    _gen = None
 
     @property
     def exhausted(self) -> bool:
@@ -75,7 +78,15 @@ class Enumerator:
         return self._finished
 
     def __iter__(self) -> Iterator[RankedResult]:
-        return self
+        # Hand out the compiled generator itself when one drives this
+        # run: consumers then resume it directly, with no ``__next__`` /
+        # ``_next_result`` frames in between.  Interleaving with
+        # ``step``/``top`` stays consistent because every consumption
+        # path pulls from the same generator.
+        return self if self._gen is None else self._gen
+
+    def _next_from_gen(self) -> RankedResult | None:
+        return next(self._gen, None)
 
     def __next__(self) -> RankedResult:
         result = self._next_result()

@@ -14,9 +14,13 @@ walking ``ChoiceSet`` object graphs:
   are direct C-level list indexing with no view object in between;
 * ``heappush``/``heappop`` and every per-iteration attribute are bound
   to locals once per call;
-* op-counting is zero-cost when disabled: each enumerator selects a
-  *counter-free compiled loop variant* at construction instead of
-  branching ``if counter is not None`` per operation;
+* op-counting never forks a loop: every loop tallies in locals it
+  keeps anyway (the tie-breaking sequence number counts pushes, the
+  popped candidate's stage gives the successor calls, solutions
+  appended are pops) and charges the ``OpCounter`` before control
+  leaves it — once per answer in the AnyK-part loops, once per call in
+  Recursive's ``_ensure`` — so a run with a counter and a run without
+  execute the same code, and the counts are exact after every answer;
 * results carry only ``(key, states)``; witness tuples and variable
   assignments materialise lazily from the source T-DP's ``tuple_ids``
   at result-construction time (:class:`~repro.anyk.base.RankedResult`).
@@ -41,6 +45,23 @@ from repro.util import vec
 from repro.util.counters import OpCounter
 
 
+def _charge(counter: OpCounter, steps: int, pushed: int) -> None:
+    """Add one popped-and-expanded candidate's operations to ``counter``.
+
+    ``steps`` stages were extended (one successor call each) and
+    ``pushed`` sibling candidates created — what the object-graph
+    :class:`~repro.anyk.partition.AnyKPart` counts operation by
+    operation.  The loops below tally in locals they keep anyway and
+    charge once per result, so counting costs a run one test per answer.
+    """
+    counter.pq_pop += 1
+    counter.successor_calls += steps
+    counter.expansions += steps
+    counter.pq_push += pushed
+    counter.candidates_created += pushed
+    counter.results += 1
+
+
 class FlatAnyKPart(Enumerator):
     """Algorithm 1 over the compiled core (strategies via flat views).
 
@@ -50,11 +71,13 @@ class FlatAnyKPart(Enumerator):
     key-space subtraction (always valid: ``(R, +)`` is a group), which
     coincides with the object path's inverse-based derivation.
 
-    ``carrier`` is the bare ranking list for the Take2/Eager specialised
-    loops and a flat view object (:data:`~repro.anyk.strategies
-    .FLAT_VIEWS`) for Lazy/All and for the counting variant; each
-    enumerator instance uses exactly one carrier kind, selected with the
-    loop variant at construction.
+    Two carrier kinds, chosen by the algorithm name alone: Take2 and
+    Eager run a compiled generator loop over the *bare ranking list* (a
+    static heap order, a sorted list) — one loop each for chain-shaped
+    and for tree-shaped cores; Lazy and All run the generic loop over a
+    flat view object (:data:`~repro.anyk.strategies.FLAT_VIEWS`), whose
+    ranking structure changes as it is read.  Passing a counter changes
+    neither the carrier nor the loop.
     """
 
     def __init__(
@@ -75,51 +98,30 @@ class FlatAnyKPart(Enumerator):
         self._seq = 0
         self._exhausted = compiled.empty
 
-        bare_lists = counter is None and kind in ("take2", "eager")
-        if counter is not None:
-            self._next_result = self._next_result_counted
-        elif kind == "take2":
+        kernels = {
+            ("take2", True): self._generate_take2_chain,
+            ("take2", False): self._generate_take2,
+            ("eager", True): self._generate_eager_chain,
+            ("eager", False): self._generate_eager,
+        }
+        kernel = kernels.get((kind, compiled.is_chain))
+        if kernel is not None:
             # Compiled generator loop: the ~20 local bindings of the
             # hot loop happen once for the whole run, not per result.
-            self._gen = (
-                self._generate_take2_chain()
-                if compiled.is_chain
-                else self._generate_take2()
-            )
+            # It seeds its own candidate heap on first resume (the
+            # chain loops use a narrower candidate layout).
+            self._gen = kernel()
             self._next_result = self._next_from_gen
-        elif kind == "eager":
-            self._gen = (
-                self._generate_eager_chain()
-                if compiled.is_chain
-                else self._generate_eager()
-            )
-            self._next_result = self._next_from_gen
-
-        if not self._exhausted and not bare_lists:
-            # Generator variants seed their own candidate heap on first
-            # resume (the chain loops use a narrower candidate layout).
+        elif not self._exhausted:
             uid = compiled.root_uid[0]  # stage 0 is always a root stage
             carrier = self._view(uid)
             self._seq = 1
             self._heap.append(
                 (compiled.best_key, 1, None, 0, carrier, carrier.best)
             )
-            if counter is not None:
-                counter.pq_push += 1
-                counter.candidates_created += 1
-
-    def _next_from_gen(self) -> RankedResult | None:
-        return next(self._gen, None)
-
-    def __iter__(self):
-        # Hand out the compiled generator itself when one drives this
-        # run: ``for`` loops then resume it directly with no
-        # ``__next__``/``_next_result`` frames in between.  The
-        # generator marks ``_finished`` on exhaustion, and interleaving
-        # with ``step``/``top`` stays consistent because every
-        # consumption path pulls from the same generator.
-        gen = getattr(self, "_gen", None)
-        return self if gen is None else gen
+        if counter is not None and not self._exhausted:
+            counter.pq_push += 1  # the seed candidate
+            counter.candidates_created += 1
 
     def _view(self, uid: int):
         view = self._views[uid]
@@ -132,7 +134,7 @@ class FlatAnyKPart(Enumerator):
         """Current size of the candidate priority queue (MEM diagnostics)."""
         return len(self._heap)
 
-    # -- Take2 hot loop (bare heap lists, counter-free) ------------------------
+    # -- Take2 hot loop (bare heap lists) --------------------------------------
 
     def _generate_take2(self):
         compiled = self.compiled
@@ -157,6 +159,8 @@ class FlatAnyKPart(Enumerator):
                 entries = take2_heap(uid)
             seq = 1
             heap.append((compiled.best_key, 1, None, 0, entries, 0))
+        counter = self.counter
+        counted = seq  # pushes already charged (the seed: at construction)
 
         while heap:
             total, _seq, prefix, stage, entries, pos = heappop(heap)
@@ -209,6 +213,9 @@ class FlatAnyKPart(Enumerator):
             res.key = total
             res.states = tuple(states)
             res.tdp = tdp
+            if counter is not None:
+                _charge(counter, num_stages - stage, seq - counted)
+                counted = seq
             yield res
         self._finished = True
 
@@ -245,6 +252,8 @@ class FlatAnyKPart(Enumerator):
             root_entries = take2_heap(compiled.root_uid[0])
             seq = 1
             heap.append((compiled.best_key, 1, None, 0, 0))
+        counter = self.counter
+        counted = seq  # pushes already charged (the seed: at construction)
 
         while heap:
             total, _seq, prefix, stage, pos = heappop(heap)
@@ -287,10 +296,13 @@ class FlatAnyKPart(Enumerator):
             res.key = total
             res.states = tuple(states)
             res.tdp = tdp
+            if counter is not None:
+                _charge(counter, num_stages - stage, seq - counted)
+                counted = seq
             yield res
         self._finished = True
 
-    # -- Eager hot loop (bare sorted lists, counter-free) ----------------------
+    # -- Eager hot loop (bare sorted lists) ------------------------------------
 
     def _generate_eager(self):
         compiled = self.compiled
@@ -315,6 +327,8 @@ class FlatAnyKPart(Enumerator):
                 entries = sorted_pairs(uid)
             seq = 1
             heap.append((compiled.best_key, 1, None, 0, entries, 0))
+        counter = self.counter
+        counted = seq  # pushes already charged (the seed: at construction)
 
         while heap:
             total, _seq, prefix, stage, entries, pos = heappop(heap)
@@ -359,6 +373,9 @@ class FlatAnyKPart(Enumerator):
             res.key = total
             res.states = tuple(states)
             res.tdp = tdp
+            if counter is not None:
+                _charge(counter, num_stages - stage, seq - counted)
+                counted = seq
             yield res
         self._finished = True
 
@@ -385,6 +402,8 @@ class FlatAnyKPart(Enumerator):
             root_entries = sorted_pairs(compiled.root_uid[0])
             seq = 1
             heap.append((compiled.best_key, 1, None, 0, 0))
+        counter = self.counter
+        counted = seq  # pushes already charged (the seed: at construction)
 
         while heap:
             total, _seq, prefix, stage, pos = heappop(heap)
@@ -422,10 +441,13 @@ class FlatAnyKPart(Enumerator):
             res.key = total
             res.states = tuple(states)
             res.tdp = tdp
+            if counter is not None:
+                _charge(counter, num_stages - stage, seq - counted)
+                counted = seq
             yield res
         self._finished = True
 
-    # -- generic loop (Lazy/All flat views, counter-free) ----------------------
+    # -- generic loop (Lazy/All flat views) ------------------------------------
 
     def _next_result(self) -> RankedResult | None:
         heap = self._heap
@@ -440,7 +462,7 @@ class FlatAnyKPart(Enumerator):
         view_class = self._view_class
         pairs_of = compiled.pairs
         heappush = heapq.heappush
-        seq = self._seq
+        counted = seq = self._seq
 
         total, _seq, prefix, stage, view, pos = heapq.heappop(heap)
         states = [0] * num_stages
@@ -483,76 +505,8 @@ class FlatAnyKPart(Enumerator):
                 pos = view.best
 
         self._seq = seq
-        vfk = compiled.vfk
-        return RankedResult(
-            total if vfk is None else vfk(total), total, tuple(states), self.tdp
-        )
-
-    # -- counting variant (identical ordering, instrumented) -------------------
-
-    def _next_result_counted(self) -> RankedResult | None:
-        heap = self._heap
-        if not heap:
-            return None
-        compiled = self.compiled
-        counter = self.counter
-        num_stages = compiled.num_stages
-        parent_stage = compiled.parent_stage
-        conn_of = compiled.conn_of
-        root_uid = compiled.root_uid
-        views = self._views
-        view_class = self._view_class
-        pairs_of = compiled.pairs
-        heappush = heapq.heappush
-        seq = self._seq
-
-        total, _seq, prefix, stage, view, pos = heapq.heappop(heap)
-        counter.pq_pop += 1
-        states = [0] * num_stages
-        node = prefix
-        fill = stage - 1
-        while node is not None:
-            states[fill] = node[0]
-            node = node[1]
-            fill -= 1
-
-        for j in range(stage, num_stages):
-            entry = view.entry_at(pos)
-            succs = view.succ(pos)
-            counter.successor_calls += 1
-            if succs:
-                base = total - entry[0]
-                entry_at = view.entry_at
-                for succ_pos in succs:
-                    seq += 1
-                    heappush(
-                        heap,
-                        (
-                            base + entry_at(succ_pos)[0],
-                            seq, prefix, j, view, succ_pos,
-                        ),
-                    )
-                    counter.pq_push += 1
-                    counter.candidates_created += 1
-            state = entry[1]
-            states[j] = state
-            prefix = (state, prefix)
-            next_stage = j + 1
-            if next_stage < num_stages:
-                parent = parent_stage[next_stage]
-                if parent == -1:
-                    uid = root_uid[next_stage]
-                else:
-                    uid = conn_of[next_stage][states[parent]]
-                view = views[uid]
-                if view is None:
-                    view = view_class(pairs_of(uid))
-                    views[uid] = view
-                pos = view.best
-            counter.expansions += 1
-
-        self._seq = seq
-        counter.results += 1
+        if self.counter is not None:
+            _charge(self.counter, num_stages - stage, seq - counted)
         vfk = compiled.vfk
         return RankedResult(
             total if vfk is None else vfk(total), total, tuple(states), self.tdp
@@ -567,11 +521,10 @@ class FlatRankedProduct:
     ``(key, state, js)``; aggregate weights are plain float sums.  The
     Lawler marker scheme, memoized ``outputs``, and heap tie-breaking
     sequence are identical to the object version, so combination order
-    matches bit-for-bit.  ``get`` is bound at construction to a
-    counter-free or counting variant.
+    matches bit-for-bit.
     """
 
-    __slots__ = ("uids", "ensure", "outputs", "_heap", "_seq", "counter", "get")
+    __slots__ = ("uids", "ensure", "outputs", "_heap", "_seq", "counter")
 
     def __init__(
         self,
@@ -585,7 +538,6 @@ class FlatRankedProduct:
         self.outputs: list[tuple[float, tuple[int, ...]]] = []
         self._heap: list[tuple] = []
         self._seq = 0
-        self.get = self._get if counter is None else self._get_counted
         firsts = [ensure(uid, 0) for uid in self.uids]
         if any(entry is None for entry in firsts):
             return  # dead product: some branch has no solution at all
@@ -597,8 +549,11 @@ class FlatRankedProduct:
         if counter is not None:
             counter.pq_push += 1
 
-    def _advance(self, j: int, counter: OpCounter | None):
+    def get(self, j: int) -> tuple[float, tuple[int, ...]] | None:
+        """The ``j``-th best combination (0-based), or ``None``."""
         outputs = self.outputs
+        if j < len(outputs):
+            return outputs[j]
         ensure = self.ensure
         uids = self.uids
         width = len(uids)
@@ -606,41 +561,30 @@ class FlatRankedProduct:
         heappop = heapq.heappop
         heappush = heapq.heappush
         append = outputs.append
-        seq = self._seq
-        while len(outputs) <= j:
-            if not heap:
-                self._seq = seq
-                return None
-            key, _seq, vector, marker = heappop(heap)
-            if counter is not None:
-                counter.pq_pop += 1
-            append((key, vector))
-            for i in range(marker, width):
-                bumped = ensure(uids[i], vector[i] + 1)
-                if bumped is None:
-                    continue
-                new_vector = vector[:i] + (vector[i] + 1,) + vector[i + 1:]
-                new_key = 0.0
-                for branch, rank in enumerate(new_vector):
-                    new_key += ensure(uids[branch], rank)[0]
-                seq += 1
-                heappush(heap, (new_key, seq, new_vector, i))
-                if counter is not None:
-                    counter.pq_push += 1
-        self._seq = seq
-        return outputs[j]
-
-    def _get(self, j: int) -> tuple[float, tuple[int, ...]] | None:
-        outputs = self.outputs
-        if j < len(outputs):
+        known = len(outputs)
+        pushed_from = seq = self._seq
+        try:
+            while len(outputs) <= j:
+                if not heap:
+                    return None
+                key, _seq, vector, marker = heappop(heap)
+                append((key, vector))
+                for i in range(marker, width):
+                    bumped = ensure(uids[i], vector[i] + 1)
+                    if bumped is None:
+                        continue
+                    new_vector = vector[:i] + (vector[i] + 1,) + vector[i + 1:]
+                    new_key = 0.0
+                    for branch, rank in enumerate(new_vector):
+                        new_key += ensure(uids[branch], rank)[0]
+                    seq += 1
+                    heappush(heap, (new_key, seq, new_vector, i))
             return outputs[j]
-        return self._advance(j, None)
-
-    def _get_counted(self, j: int) -> tuple[float, tuple[int, ...]] | None:
-        outputs = self.outputs
-        if j < len(outputs):
-            return outputs[j]
-        return self._advance(j, self.counter)
+        finally:
+            self._seq = seq
+            if self.counter is not None:
+                self.counter.pq_pop += len(outputs) - known
+                self.counter.pq_push += seq - pushed_from
 
 
 class FlatRecursive(Enumerator):
@@ -649,10 +593,10 @@ class FlatRecursive(Enumerator):
     Memoized per-connector solution lists and candidate heaps live in
     uid-indexed lists; solution entries are ``(key, state, js)``
     triples in key space.  ``_ensure`` — the innermost loop of
-    Recursive — comes in counter-free and counting compiled variants
-    (selected once at construction), each with the per-stage suffix
-    computation inlined per branch-arity instead of dispatching through
-    a ``_state_suffix`` helper per pop.
+    Recursive — has the per-stage suffix computation inlined per
+    branch-arity instead of dispatching through a ``_state_suffix``
+    helper per pop, and charges an ``OpCounter`` once per call from
+    tallies it keeps anyway (solutions appended = pops).
     """
 
     def __init__(self, compiled: CompiledTDP, counter: OpCounter | None = None):
@@ -674,29 +618,19 @@ class FlatRecursive(Enumerator):
         #: reconstruction is an iterative walk instead of a recursion.
         self._chain = all(b <= 1 for b in compiled.num_branches)
         self._root_product: FlatRankedProduct | None = None
-        if counter is not None:
-            self._ensure = self._ensure_counted
         if not self._exhausted and len(self._roots) > 1:
             self._root_product = FlatRankedProduct(
                 tuple(compiled.root_uid[r] for r in self._roots),
                 self._ensure,
                 counter=counter,
             )
-        if counter is None and not self._exhausted and self._root_product is None:
+        elif not self._exhausted:
             # Compiled generator loop for the common single-root case:
             # the root connector's advance step is inlined and every hot
-            # local binds once for the whole run.  (The counting variant
-            # and the multi-root union keep the method-based loop.)
+            # local binds once for the whole run.  (The multi-root
+            # product keeps the method-based loop.)
             self._gen = self._generate()
             self._next_result = self._next_from_gen
-
-    def _next_from_gen(self) -> RankedResult | None:
-        return next(self._gen, None)
-
-    def __iter__(self):
-        # See FlatAnyKPart.__iter__: direct generator hand-out.
-        gen = getattr(self, "_gen", None)
-        return self if gen is None else gen
 
     def _generate(self):
         compiled = self.compiled
@@ -714,6 +648,7 @@ class FlatRecursive(Enumerator):
         reconstruct = self._reconstruct
         ensure = self._ensure
         product_of = self._product
+        counter = self.counter
 
         root_uid = compiled.root_uid[self._roots[0]]
         sols = all_sols[root_uid]
@@ -739,23 +674,23 @@ class FlatRecursive(Enumerator):
                 append(item)
                 state = item[1]
                 next_js = item[2] + 1
+                bumped = None
                 if root_branches == 1:
                     child_uid = root_child_row[state]
                     child_sols = all_sols[child_uid]
                     if child_sols is not None and next_js < len(child_sols):
-                        entry = child_sols[next_js]
+                        bumped = child_sols[next_js]
                     else:
-                        entry = ensure(child_uid, next_js)
-                    if entry is not None:
-                        heappush(
-                            heap, (root_own[state] + entry[0], state, next_js)
-                        )
+                        bumped = ensure(child_uid, next_js)
                 elif root_branches:
-                    combo = product_of(root_stage, state).get(next_js)
-                    if combo is not None:
-                        heappush(
-                            heap, (root_own[state] + combo[0], state, next_js)
-                        )
+                    bumped = product_of(root_stage, state).get(next_js)
+                if bumped is not None:
+                    heappush(heap, (root_own[state] + bumped[0], state, next_js))
+                if counter is not None:
+                    counter.pq_pop += 1
+                    counter.next_calls += 1
+                    if bumped is not None:
+                        counter.pq_push += 1
             key = item[0]
             if chain:
                 # In a chain, connector depth == stage: walk the
@@ -776,10 +711,12 @@ class FlatRecursive(Enumerator):
             res.key = key
             res.states = tuple(states)
             res.tdp = tdp
+            if counter is not None:
+                counter.results += 1
             yield res
             rank += 1
 
-    # -- per-connector REA (counter-free compiled variant) ---------------------
+    # -- per-connector REA -----------------------------------------------------
 
     def _ensure(self, uid: int, j: int) -> tuple | None:
         """Solution ``Π_{j+1}`` of connector ``uid`` (0-based), or ``None``."""
@@ -793,19 +730,43 @@ class FlatRecursive(Enumerator):
         heap = self._heaps[uid]
         branches, own_keys, child_row, stage = self.compiled.conn_meta[uid]
         heappop = heapq.heappop
-        append = sols.append
-
-        if branches == 0:
-            # Leaf connector: one suffix per state — drain, no bumps.
-            while len(sols) <= j:
-                if not heap:
-                    return None
-                append(heappop(heap))
-            return sols[j]
-
         heappush = heapq.heappush
-        if branches == 1:
-            ensure = self._ensure
+        append = sols.append
+        known = len(sols)
+        pushed = 0
+        try:
+            if branches == 0:
+                # Leaf connector: one suffix per state — drain, no bumps.
+                while len(sols) <= j:
+                    if not heap:
+                        return None
+                    append(heappop(heap))
+                return sols[j]
+
+            if branches == 1:
+                ensure = self._ensure
+                while len(sols) <= j:
+                    if not heap:
+                        return None
+                    item = heappop(heap)
+                    append(item)
+                    state = item[1]
+                    next_js = item[2] + 1
+                    # Inlined memo hit: thanks to connector sharing most
+                    # child lookups land in an already-advanced solution
+                    # list, so skip the recursive call for those.
+                    child_uid = child_row[state]
+                    child_sols = all_sols[child_uid]
+                    if child_sols is not None and next_js < len(child_sols):
+                        entry = child_sols[next_js]
+                    else:
+                        entry = ensure(child_uid, next_js)
+                    if entry is not None:
+                        heappush(heap, (own_keys[state] + entry[0], state, next_js))
+                        pushed += 1
+                return sols[j]
+
+            product_of = self._product
             while len(sols) <= j:
                 if not heap:
                     return None
@@ -813,78 +774,18 @@ class FlatRecursive(Enumerator):
                 append(item)
                 state = item[1]
                 next_js = item[2] + 1
-                # Inlined memo hit: thanks to connector sharing most
-                # child lookups land in an already-advanced solution
-                # list, so skip the recursive call for those.
-                child_uid = child_row[state]
-                child_sols = all_sols[child_uid]
-                if child_sols is not None and next_js < len(child_sols):
-                    entry = child_sols[next_js]
-                else:
-                    entry = ensure(child_uid, next_js)
-                if entry is not None:
-                    heappush(heap, (own_keys[state] + entry[0], state, next_js))
-            return sols[j]
-
-        product_of = self._product
-        while len(sols) <= j:
-            if not heap:
-                return None
-            item = heappop(heap)
-            append(item)
-            state = item[1]
-            next_js = item[2] + 1
-            combo = product_of(stage, state).get(next_js)
-            if combo is not None:
-                heappush(heap, (own_keys[state] + combo[0], state, next_js))
-        return sols[j]
-
-    # -- counting variant (identical ordering, instrumented) -------------------
-
-    def _ensure_counted(self, uid: int, j: int) -> tuple | None:
-        sols = self._sols[uid]
-        if sols is None:
-            sols = self._sols[uid] = []
-            self._heaps[uid] = self.compiled.rea_heap(uid)
-        if j < len(sols):
-            return sols[j]
-        heap = self._heaps[uid]
-        compiled = self.compiled
-        counter = self.counter
-        stage = compiled.conn_stage[uid]
-        branches = compiled.num_branches[stage]
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        append = sols.append
-        own_keys = compiled.values_key[stage]
-        child_row = compiled.child_uids[stage]
-        ensure = self._ensure_counted
-        product_of = self._product
-        while len(sols) <= j:
-            if not heap:
-                return None
-            item = heappop(heap)
-            counter.pq_pop += 1
-            counter.next_calls += 1
-            append(item)
-            state = item[1]
-            next_js = item[2] + 1
-            if branches == 0:
-                continue
-            if branches == 1:
-                entry = ensure(child_row[state], next_js)
-                bumped = (
-                    None if entry is None else own_keys[state] + entry[0]
-                )
-            else:
                 combo = product_of(stage, state).get(next_js)
-                bumped = (
-                    None if combo is None else own_keys[state] + combo[0]
-                )
-            if bumped is not None:
-                heappush(heap, (bumped, state, next_js))
-                counter.pq_push += 1
-        return sols[j]
+                if combo is not None:
+                    heappush(heap, (own_keys[state] + combo[0], state, next_js))
+                    pushed += 1
+            return sols[j]
+        finally:
+            counter = self.counter
+            if counter is not None:
+                popped = len(sols) - known
+                counter.pq_pop += popped
+                counter.next_calls += popped
+                counter.pq_push += pushed
 
     def _product(self, stage: int, state: int) -> FlatRankedProduct:
         key = (stage, state)
@@ -919,53 +820,23 @@ class FlatRecursive(Enumerator):
         for branch in range(branches):
             self._reconstruct(child_uids[base + branch], vector[branch], states)
 
-    # -- iterator protocol -----------------------------------------------------
+    # -- iterator protocol (multi-root: ranked product of the roots) -----------
 
     def _next_result(self) -> RankedResult | None:
         if self._exhausted:
             return None
         compiled = self.compiled
-        rank = self._rank
+        combo = self._root_product.get(self._rank)
+        if combo is None:
+            self._exhausted = True
+            return None
+        key, vector = combo
         states = [0] * compiled.num_stages
-        if self._root_product is not None:
-            combo = self._root_product.get(rank)
-            if combo is None:
-                self._exhausted = True
-                return None
-            key, vector = combo
-            for branch, root in enumerate(self._roots):
-                self._reconstruct(
-                    compiled.root_uid[root], vector[branch], states
-                )
-        else:
-            root_uid = compiled.root_uid[self._roots[0]]
-            entry = self._ensure(root_uid, rank)
-            if entry is None:
-                self._exhausted = True
-                return None
-            key = entry[0]
-            if self._chain:
-                # Iterative walk down the chain of memoized solutions.
-                all_sols = self._sols
-                conn_stage = compiled.conn_stage
-                num_branches = compiled.num_branches
-                child_uids = compiled.child_uids
-                uid = root_uid
-                j = rank
-                while True:
-                    _key, state, js = all_sols[uid][j]
-                    stage = conn_stage[uid]
-                    states[stage] = state
-                    if num_branches[stage] == 0:
-                        break
-                    uid = child_uids[stage][state]
-                    j = js
-            else:
-                self._reconstruct(root_uid, rank, states)
+        for branch, root in enumerate(self._roots):
+            self._reconstruct(compiled.root_uid[root], vector[branch], states)
         self._rank += 1
-        counter = self.counter
-        if counter is not None:
-            counter.results += 1
+        if self.counter is not None:
+            self.counter.results += 1
         vfk = compiled.vfk
         return RankedResult(
             key if vfk is None else vfk(key), key, tuple(states), self.tdp

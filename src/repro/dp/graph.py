@@ -18,6 +18,7 @@ and decompositions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Sequence
 
 from repro.ranking.dioid import SelectiveDioid
@@ -83,6 +84,143 @@ class ChoiceSet:
             f"ChoiceSet(uid={self.uid}, stage={self.stage}, "
             f"size={len(self.entries)}, min={shown})"
         )
+
+
+class QueryResult:
+    """One ranked answer: weight, variable assignment, optional witness.
+
+    The public result type of every ranked-enumeration pipeline
+    (re-exported as :class:`repro.enumeration.result.QueryResult`); it
+    lives here, below the enumerators, because :class:`ResultAssembler`
+    builds it.
+    """
+
+    __slots__ = ("weight", "assignment", "_head", "_witness_ids", "_witness")
+
+    def __init__(
+        self,
+        weight: Any,
+        assignment: dict[str, Any],
+        head: tuple[str, ...],
+        witness_ids: tuple | None = None,
+        witness: tuple | None = None,
+    ):
+        self.weight = weight
+        self.assignment = assignment
+        self._head = head
+        self._witness_ids = witness_ids
+        self._witness = witness
+
+    @property
+    def output_tuple(self) -> tuple:
+        """The answer projected onto the query head."""
+        return tuple(self.assignment[v] for v in self._head)
+
+    @property
+    def witness_ids(self) -> tuple | None:
+        """Per-atom input tuple positions, when the pipeline tracks them."""
+        return self._witness_ids
+
+    @property
+    def witness(self) -> tuple | None:
+        """Per-atom input tuples, when the pipeline tracks them."""
+        return self._witness
+
+    def __repr__(self) -> str:
+        return f"QueryResult(weight={self.weight!r}, {self.assignment!r})"
+
+
+#: Source of one assembler's four decoders (see :class:`ResultAssembler`).
+_ASSEMBLER_SOURCE = """
+def result(weight, states):
+    {unpack} = states
+    {fetch}
+    return QueryResult(weight, {binding}, head, ({ids}), ({rows}))
+
+def assignment(states):
+    {unpack} = states
+    {fetch}
+    return {binding}
+
+def witness(states):
+    {unpack} = states
+    {fetch}
+    return ({rows})
+
+def witness_ids(states):
+    {unpack} = states
+    return ({ids})
+"""
+
+
+@lru_cache(maxsize=256)
+def _assembler_code(source: str):
+    """``source`` compiled; every bind of one query shape (and every
+    fragment of a sharded one) formats the same text."""
+    return compile(source, "<result assembler>", "exec")
+
+
+def _no_query() -> dict:
+    raise ValueError("TDP was built without a query")
+
+
+class ResultAssembler:
+    """Decodes a solution's per-stage states into what callers read.
+
+    Everything that depends only on the T-DP and the query is derived
+    once, here — which ``(stage, column)`` binds each variable (the last
+    binding, in order of first appearance: what a stage-by-stage dict
+    fill leaves) and the permutation from stage order to atom order —
+    and compiled into straight-line functions, so decoding a solution
+    is ``l`` index lookups and one dict/tuple display, with no loop, no
+    sort and no per-variable dispatch:
+
+    * ``result(weight, states)`` — the finished :class:`QueryResult`,
+      every field decoded *now*: rows may be
+      :class:`~repro.dp.corebuf.LazyRows` over a backend that is closed
+      before the caller reads the page;
+    * ``assignment(states)``, ``witness(states)``, ``witness_ids(states)``
+      — the single views :class:`~repro.anyk.base.RankedResult` serves
+      lazily.
+
+    Compile it after the builder is done: the per-stage row and id
+    sequences are captured, not re-read from the T-DP.
+    """
+
+    __slots__ = ("head", "result", "assignment", "witness", "witness_ids")
+
+    def __init__(self, tdp: "TDP", head: tuple[str, ...] | None):
+        self.head = head
+        stages = range(tdp.num_stages)
+        by_atom = sorted(stages, key=tdp.atom_of_stage.__getitem__)
+        binding = "_no_query()"
+        if tdp.query is not None:
+            source: dict[str, str] = {}
+            for stage, atom in enumerate(tdp.atom_of_stage):
+                for column, var in enumerate(tdp.query.atoms[atom].variables):
+                    source[var] = f"r{stage}[{column}]"
+            binding = "{%s}" % ", ".join(
+                f"{var!r}: {value}" for var, value in source.items()
+            )
+        namespace: dict[str, Any] = {
+            "QueryResult": QueryResult, "head": head, "_no_query": _no_query,
+        }
+        for stage in stages:
+            namespace[f"rows{stage}"] = tdp.tuples[stage]
+            namespace[f"ids{stage}"] = tdp.tuple_ids[stage]
+        source_text = _ASSEMBLER_SOURCE.format(
+            unpack="".join(f"s{j}, " for j in stages),
+            fetch="; ".join(f"r{j} = rows{j}[s{j}]" for j in stages),
+            binding=binding,
+            ids="".join(f"ids{j}[s{j}], " for j in by_atom),
+            rows="".join(f"r{j}, " for j in by_atom),
+        )
+        # Definitions land in their own dict: a function stored in its
+        # own globals would be a cycle pinning the rows until a GC pass.
+        decoders: dict[str, Any] = {}
+        exec(_assembler_code(source_text), namespace, decoders)
+        for name in ("result", "assignment", "witness", "witness_ids"):
+            setattr(self, name, decoders[name])
 
 
 class TDP:
@@ -157,6 +295,13 @@ class TDP:
         #: enumerator run — and, through the engine's physical-plan
         #: cache, by every algorithm variant and serving session.
         self._compiled: Any = None
+        #: head -> :class:`ResultAssembler` (see :meth:`assembler`).
+        self._assemblers: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Assemblers hold compiled functions: derived, not picklable,
+        # rebuilt on first use wherever the T-DP lands.
+        return {**self.__dict__, "_assemblers": {}}
 
     # -- navigation ---------------------------------------------------------------
 
@@ -223,32 +368,24 @@ class TDP:
 
     # -- result assembly ------------------------------------------------------------
 
+    def assembler(self, head: tuple[str, ...] | None = None) -> "ResultAssembler":
+        """The :class:`ResultAssembler` for ``head``, compiled on first use."""
+        assembler = self._assemblers.get(head)
+        if assembler is None:
+            assembler = self._assemblers[head] = ResultAssembler(self, head)
+        return assembler
+
     def assignment(self, states: Sequence[int]) -> dict[str, Any]:
         """Variable assignment of a full solution (requires query context)."""
-        if self.query is None:
-            raise ValueError("TDP was built without a query")
-        binding: dict[str, Any] = {}
-        for stage, state in enumerate(states):
-            atom = self.query.atoms[self.atom_of_stage[stage]]
-            for var, value in zip(atom.variables, self.tuples[stage][state]):
-                binding[var] = value
-        return binding
+        return self.assembler().assignment(states)
 
     def witness(self, states: Sequence[int]) -> tuple:
         """Witness in *atom order*: the input tuple chosen for each atom."""
-        by_atom = sorted(
-            (self.atom_of_stage[stage], self.tuples[stage][state])
-            for stage, state in enumerate(states)
-        )
-        return tuple(t for _atom, t in by_atom)
+        return self.assembler().witness(states)
 
     def witness_ids(self, states: Sequence[int]) -> tuple[int, ...]:
         """Stable witness identity: tuple positions, in atom order."""
-        by_atom = sorted(
-            (self.atom_of_stage[stage], self.tuple_ids[stage][state])
-            for stage, state in enumerate(states)
-        )
-        return tuple(i for _atom, i in by_atom)
+        return self.assembler().witness_ids(states)
 
     def verify(self) -> None:
         """Check structural invariants; raise ``AssertionError`` on breakage.

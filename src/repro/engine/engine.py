@@ -595,6 +595,9 @@ class Engine:
         longer matches, and a fresh stream over the fresh plan replaces
         the entry — a raced stale insert can at worst serve the
         requester whose bind predated the mutation, never later ones.
+        A stream whose run died of an error is replaced the same way:
+        cursors already on it keep replaying its memo, new requests
+        enumerate afresh.
         The stream pulls lazily: creating it does no enumeration work.
 
         Memoized prefixes live until replaced, LRU-evicted, or
@@ -606,7 +609,11 @@ class Engine:
         with self._stream_lock:
             key = prepared.stream_key
             entry = self._streams.get(key)
-            if entry is not None and entry[0] is physical:
+            if (
+                entry is not None
+                and entry[0] is physical
+                and not entry[1].broken
+            ):
                 self._streams.move_to_end(key)
                 self.stats.stream_hits += 1
                 return entry[1]

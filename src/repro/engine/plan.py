@@ -209,6 +209,36 @@ def plan(
 # -- physical plans ------------------------------------------------------------
 
 
+class DecodedResults:
+    """``map(decode, results)`` that a failing ``decode`` cannot damage.
+
+    Decoding reads input rows, which for a warm-started plan are point
+    lookups in a storage backend and can fail.  ``map`` would drop the
+    result it had already pulled (a skipped rank); a generator would be
+    finalised by the raise and read as exhausted from then on.  Here
+    the undecoded result stays pending and the next pull retries it, so
+    a consumer that survives the error resumes at the same rank.
+    """
+
+    __slots__ = ("_results", "_decode", "_pending")
+
+    def __init__(self, results, decode):
+        self._results = iter(results)
+        self._decode = decode
+        self._pending = None
+
+    def __iter__(self) -> "DecodedResults":
+        return self
+
+    def __next__(self) -> QueryResult:
+        pending = self._pending
+        if pending is None:
+            pending = self._pending = next(self._results)
+        answer = self._decode(pending)
+        self._pending = None
+        return answer
+
+
 class PhysicalPlan:
     """A logical plan bound to one database state (preprocessing done).
 
@@ -296,6 +326,9 @@ class AcyclicPhysical(PhysicalPlan):
         super().__init__(logical, database)
         self.tdp = tdp
         self.compiled = compile_tdp(tdp)
+        # Compiled here, in the preprocessing phase: a warm plan's first
+        # answer should not pay for it.
+        tdp.assembler(logical.query.head)
 
     def close(self) -> None:
         if self.tdp is not None:
@@ -311,19 +344,10 @@ class AcyclicPhysical(PhysicalPlan):
         enumerator = make_enumerator(
             self.tdp, algorithm or self.logical.algorithm, counter=counter
         )
-        head = self.logical.query.head
-
-        def generate() -> Iterator[QueryResult]:
-            for result in enumerator:
-                yield QueryResult(
-                    result.weight,
-                    result.assignment,
-                    head,
-                    witness_ids=result.witness_ids,
-                    witness=result.witness,
-                )
-
-        return generate()
+        finish = self.tdp.assembler(self.logical.query.head).result
+        return DecodedResults(
+            enumerator, lambda result: finish(result.weight, result.states)
+        )
 
     def _physical_stats(self) -> list[str]:
         lines = self._tdp_lines("t-dp", self.tdp)
@@ -396,25 +420,24 @@ class UnionPhysical(PhysicalPlan):
         query = self.logical.query
         tie = self.tie
 
-        def generate() -> Iterator[QueryResult]:
-            for result in union:
-                task = task_of_tdp.get(id(result.tdp))
-                if task is None:
-                    raise ValueError(
-                        "result does not belong to any member enumerator"
-                    )
-                witness_ids, witness = recover_witness(
-                    database, query, task, result
+        def finish(result) -> QueryResult:
+            task = task_of_tdp.get(id(result.tdp))
+            if task is None:
+                raise ValueError(
+                    "result does not belong to any member enumerator"
                 )
-                yield QueryResult(
-                    tie.base_value(result.weight),
-                    result.assignment,
-                    head,
-                    witness_ids=witness_ids,
-                    witness=witness,
-                )
+            witness_ids, witness = recover_witness(
+                database, query, task, result
+            )
+            return QueryResult(
+                tie.base_value(result.weight),
+                result.assignment,
+                head,
+                witness_ids=witness_ids,
+                witness=witness,
+            )
 
-        return generate()
+        return DecodedResults(union, finish)
 
     def _physical_stats(self) -> list[str]:
         lines = [f"  union of {len(self.tasks)} member trees:"]
@@ -494,22 +517,23 @@ class ProjectionPhysical(PhysicalPlan):
         head_set = set(head)
         inner_iter = self.inner.iter(counter, algorithm)
 
-        def generate() -> Iterator[QueryResult]:
-            for result in inner_iter:
-                projected = {
-                    var: value
-                    for var, value in result.assignment.items()
-                    if var in head_set
-                }
-                yield QueryResult(
-                    result.weight,
-                    projected,
-                    head,
-                    witness_ids=result.witness_ids,
-                    witness=result.witness,
-                )
+        def project(result: QueryResult) -> QueryResult:
+            projected = {
+                var: value
+                for var, value in result.assignment.items()
+                if var in head_set
+            }
+            return QueryResult(
+                result.weight,
+                projected,
+                head,
+                witness_ids=result.witness_ids,
+                witness=result.witness,
+            )
 
-        return generate()
+        # ``map``, not a generator: a raise from the inner plan passes
+        # through and the next pull asks the inner plan again.
+        return map(project, inner_iter)
 
     def _physical_stats(self) -> list[str]:
         return self.inner._physical_stats()

@@ -18,18 +18,33 @@ version-stamped, so the engine's :attr:`Database.version` invalidation
 extends to them: a database mutation makes the next request rebuild the
 stream against a freshly bound plan (see ``Engine._stream_for``).
 The enumerator under a stream runs on the physical plan's compiled
-flat core when the dioid supports it (``repro.dp.flat``) — the
-stream's internal counter selects the *counting* compiled loop
-variants, so per-request ``OpCounter`` attribution keeps working on
-the fast path.
+flat core when the dioid supports it (``repro.dp.flat``).  The stream
+always passes its internal counter; the compiled kernels tally in
+locals and charge it once per answer, so a counted run is the same
+loop as an uncounted one and per-request ``OpCounter`` attribution
+costs the serving path one test and one call per answer.
 
-Extension is guarded by a lock, making one stream safe to share across
-threads as well as asyncio tasks; the memoized prefix itself is
+Extension pulls exactly the missing answers in one C-level batch
+(``list.extend`` over ``islice``): no Python frame per answer between
+the kernel and the memo, and never an answer more than was asked for —
+any-k's pay-per-answer property, which the cursor's budget probe
+relies on.  It is guarded by a lock, making one stream safe to share
+across threads as well as asyncio tasks; the memoized prefix itself is
 append-only, so replays need no locking at all.
+
+A raise during extension is never mistaken for the end of the output.
+Answers memoized before it stay; an iterator that survives its own
+raise (:class:`~repro.engine.plan.DecodedResults` does, keeping the
+answer whose decode failed pending) resumes at the same rank on the
+next extension; one that is dead afterwards — a generator is finalised
+by a raise — marks the stream :attr:`~PrefixStream.broken`: replays of
+the memo keep working, further extension raises, and the engine hands
+new requests a fresh stream.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from threading import RLock
 from typing import Any, Callable, Iterator
 
@@ -53,6 +68,12 @@ class PrefixStream:
     __slots__ = (
         "_factory", "_iterator", "_results", "_exhausted", "_lock",
         "_tracer", "counter", "replays", "extensions", "_result_bytes",
+        "_raised", "_broken",
+    )
+
+    _BROKEN = (
+        "the enumeration behind this stream failed; its memoized prefix "
+        "still replays, further answers need a new stream"
     )
 
     def __init__(
@@ -65,6 +86,9 @@ class PrefixStream:
         self._iterator: Iterator[QueryResult] | None = None
         self._results: list[QueryResult] = []
         self._exhausted = False
+        #: The last extension raised / the run turned out to be dead.
+        self._raised = False
+        self._broken = False
         self._lock = RLock()
         #: Every enumeration operation spent by this stream, cumulative.
         self.counter = OpCounter()
@@ -86,6 +110,11 @@ class PrefixStream:
     def exhausted(self) -> bool:
         """Whether the underlying enumeration ran dry."""
         return self._exhausted
+
+    @property
+    def broken(self) -> bool:
+        """Whether the run died of an error (replays only; see :meth:`ensure`)."""
+        return self._broken
 
     @property
     def done(self) -> bool:
@@ -114,35 +143,50 @@ class PrefixStream:
             self.replays += 1
             return n
         with self._lock:
-            if self._exhausted or len(self._results) >= n:
-                return min(n, len(self._results))
+            results = self._results
+            if self._exhausted or len(results) >= n:
+                return min(n, len(results))
+            if self._broken:
+                raise RuntimeError(self._BROKEN)
             before = self.counter.as_dict() if counter is not None else None
             if self._iterator is None:
                 self._iterator = self._factory(self.counter)
-            results = self._results
-            iterator = self._iterator
-            # The span covers only actual extension work — fully
-            # memoized requests take the lock-free replay path above
-            # and never reach the tracer.
-            with self._tracer.span("stream.extend", target=n) as span:
-                while len(results) < n:
-                    nxt = next(iterator, None)
-                    if nxt is None:
-                        self._exhausted = True
-                        break
-                    results.append(nxt)
-                    self.extensions += 1
-                span.set(
-                    produced=len(results), exhausted=self._exhausted
-                )
-            if counter is not None:
-                after = self.counter.as_dict()
-                for name, value in after.items():
-                    setattr(
-                        counter,
-                        name,
-                        getattr(counter, name) + value - before[name],
+            produced = len(results)
+            try:
+                # The span covers only actual extension work — fully
+                # memoized requests take the lock-free replay path above
+                # and never reach the tracer.
+                with self._tracer.span("stream.extend", target=n) as span:
+                    # One C-level pull of exactly the missing answers:
+                    # any-k charges per answer, so never one more.
+                    results.extend(islice(self._iterator, n - produced))
+                    ran_dry = len(results) < n
+                    # A run that raised and then ends without another
+                    # answer did not run dry, it died: a generator is
+                    # finalised by its own raise.
+                    self._broken = (
+                        ran_dry and self._raised and len(results) == produced
                     )
+                    self._exhausted = ran_dry and not self._broken
+                    span.set(produced=len(results), exhausted=self._exhausted)
+                self._raised = False
+            except BaseException:
+                # Answers appended before the raise stay memoized: the
+                # next extension resumes after them, no rank is skipped
+                # or enumerated twice.
+                self._raised = True
+                raise
+            finally:
+                self.extensions += len(results) - produced
+                if counter is not None:
+                    for name, value in self.counter.as_dict().items():
+                        setattr(
+                            counter,
+                            name,
+                            getattr(counter, name) + value - before[name],
+                        )
+            if self._broken:
+                raise RuntimeError(self._BROKEN)
             return len(results)
 
     def prefix(

@@ -1,43 +1,5 @@
 """The public result type yielded by every ranked-enumeration pipeline."""
 
-from __future__ import annotations
+from repro.dp.graph import QueryResult
 
-from typing import Any
-
-
-class QueryResult:
-    """One ranked answer: weight, variable assignment, optional witness."""
-
-    __slots__ = ("weight", "assignment", "_head", "_witness_ids", "_witness")
-
-    def __init__(
-        self,
-        weight: Any,
-        assignment: dict[str, Any],
-        head: tuple[str, ...],
-        witness_ids: tuple | None = None,
-        witness: tuple | None = None,
-    ):
-        self.weight = weight
-        self.assignment = assignment
-        self._head = head
-        self._witness_ids = witness_ids
-        self._witness = witness
-
-    @property
-    def output_tuple(self) -> tuple:
-        """The answer projected onto the query head."""
-        return tuple(self.assignment[v] for v in self._head)
-
-    @property
-    def witness_ids(self) -> tuple | None:
-        """Per-atom input tuple positions, when the pipeline tracks them."""
-        return self._witness_ids
-
-    @property
-    def witness(self) -> tuple | None:
-        """Per-atom input tuples, when the pipeline tracks them."""
-        return self._witness
-
-    def __repr__(self) -> str:
-        return f"QueryResult(weight={self.weight!r}, {self.assignment!r})"
+__all__ = ["QueryResult"]

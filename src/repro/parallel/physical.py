@@ -17,7 +17,13 @@ from typing import Iterator
 
 from repro.data.database import Database
 from repro.dp.corebuf import core_key
-from repro.engine.plan import LogicalPlan, PhysicalPlan, load_cores, store_cores
+from repro.engine.plan import (
+    DecodedResults,
+    LogicalPlan,
+    PhysicalPlan,
+    load_cores,
+    store_cores,
+)
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.build import (
@@ -43,6 +49,8 @@ class ShardedPhysical(PhysicalPlan):
         super().__init__(logical, database)
         self.shard_plan = shard_plan
         self.fragments = result.fragments
+        for fragment in self.fragments:  # bind-time, as in AcyclicPhysical
+            fragment.tdp.assembler(logical.query.head)
         self.mode = result.mode
         self.workers = result.workers
         self.shared_seconds = result.shared_seconds
@@ -81,18 +89,11 @@ class ShardedPhysical(PhysicalPlan):
         head = self.logical.query.head
         tie = self.tie
 
-        def generate() -> Iterator[QueryResult]:
-            base_value = None if tie is None else tie.base_value
-            for result in merge:
-                yield QueryResult(
-                    result.weight if base_value is None else base_value(result.weight),
-                    result.assignment,
-                    head,
-                    witness_ids=result.witness_ids,
-                    witness=result.witness,
-                )
+        def finish(result) -> QueryResult:
+            weight = result.weight if tie is None else tie.base_value(result.weight)
+            return result.tdp.assembler(head).result(weight, result.states)
 
-        return generate()
+        return DecodedResults(merge, finish)
 
     def last_shard_counts(self) -> list[int] | None:
         """Per-shard emitted counts of the most recent merge run.

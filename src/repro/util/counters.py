@@ -19,13 +19,13 @@ class OpCounter:
     plain attribute increments over dict lookups to keep the overhead of
     instrumented runs low.
 
-    Counting is strictly opt-in on the hot path: the compiled flat
-    enumerators (:mod:`repro.anyk.flat`) select a *counting loop
-    variant* at construction when a counter is passed, and an entirely
-    branch-free variant otherwise — disabled instrumentation costs
-    zero per-operation tests.  Both variants count the same semantic
-    events at the same points as the object-graph enumerators, so
-    instrumented runs are comparable across cores.
+    Counting is opt-in and cheap on the hot path: the compiled flat
+    loops (:mod:`repro.anyk.flat`) tally in locals and charge the
+    counter once per answer (AnyK-part) or per call (Recursive) — the
+    same loop runs with and without one.  Every flat enumerator counts
+    the same semantic events as its object-graph counterpart, and the
+    totals are exact after every answer, so instrumented runs are
+    comparable across cores.
     """
 
     __slots__ = (

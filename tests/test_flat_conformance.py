@@ -11,8 +11,9 @@ ordering decision is replicated.  This suite pins that claim:
   (``flat=False``), on tropical and max-plus (both compile) and on the
   lexicographic dioid (no ``key_is_value`` — must transparently fall
   back to the object path and still agree);
-* counting and counter-free compiled loop variants produce the same
-  stream, and op-counts match the object path exactly;
+* a counted and an uncounted run produce the same stream (they are the
+  same loop), op-counts match the object path exactly — also after a
+  prefix, however it was pulled, and through the engine's stream;
 * both storage backends (memory and SQLite) through the engine;
 * a hypothesis sweep over random weighted databases.
 """
@@ -54,6 +55,15 @@ def signature(results):
     return [(r.weight, r.key, r.states) for r in results]
 
 
+#: Ways to take ``k`` answers off one enumerator run.
+PULLS = {
+    "islice": lambda enum, k: list(itertools.islice(enum, k)),
+    "next": lambda enum, k: [next(enum) for _ in range(k)],
+    "step": lambda enum, k: enum.step(5) + enum.step(k - 5),
+    "top": lambda enum, k: enum.top(k),
+}
+
+
 def build(shape: str, size: int, n: int, dioid, seed: int = 7):
     db = uniform_database(size, n, domain_size=max(2, n // 5), seed=seed)
     query = path_query(size) if shape == "path" else star_query(size)
@@ -76,8 +86,12 @@ class TestFlatBitIdentical:
         assert signature(make_enumerator(tdp, algorithm)) == reference
 
     @pytest.mark.parametrize("algorithm", ALL_VARIANTS)
-    def test_counting_variant_matches_and_counts_agree(self, algorithm):
-        tdp = build("star", 4, 80, TROPICAL)
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    @pytest.mark.parametrize("dioid", FAST_DIOIDS, ids=["tropical", "max-plus"])
+    def test_counting_variant_matches_and_counts_agree(
+        self, algorithm, shape, dioid
+    ):
+        tdp = build(shape, 4, 60, dioid)
         flat_counter, object_counter = OpCounter(), OpCounter()
         flat = signature(make_enumerator(tdp, algorithm, counter=flat_counter))
         reference = signature(
@@ -85,6 +99,55 @@ class TestFlatBitIdentical:
         )
         assert flat == reference
         assert flat_counter.as_dict() == object_counter.as_dict()
+        # One loop per kernel: the counter-free run is the same run.
+        assert signature(make_enumerator(tdp, algorithm)) == reference
+
+    @pytest.mark.parametrize("pull", sorted(PULLS))
+    @pytest.mark.parametrize("algorithm", ALL_VARIANTS)
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_prefix_counts_agree_however_pulled(self, algorithm, shape, pull):
+        """After k answers the counter holds k answers' operations —
+        not a batch's worth — whichever way the k were pulled."""
+        k = 37
+        tdp = build(shape, 4, 60, TROPICAL)
+        object_counter, flat_counter = OpCounter(), OpCounter()
+        reference = signature(itertools.islice(
+            make_enumerator(tdp, algorithm, counter=object_counter, flat=False), k
+        ))
+        enum = make_enumerator(tdp, algorithm, counter=flat_counter)
+        assert signature(PULLS[pull](enum, k)) == reference
+        assert flat_counter.as_dict() == object_counter.as_dict()
+
+    @pytest.mark.parametrize("algorithm", ["take2", "eager"])
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    @pytest.mark.parametrize("dioid", FAST_DIOIDS, ids=["tropical", "max-plus"])
+    def test_counts_agree_through_the_stream(self, algorithm, shape, dioid):
+        """``prepared.top(k, counter)`` — direct lowering, compiled
+        kernel, ``PrefixStream`` batch pull — spends what the
+        object-graph enumerator spends on the same k answers."""
+        db = uniform_database(4, 60, domain_size=12, seed=7)
+        query = path_query(4) if shape == "path" else star_query(4)
+        object_counter = OpCounter()
+        reference = list(itertools.islice(
+            make_enumerator(
+                build_tdp_for_query(db, query, dioid=dioid), algorithm,
+                counter=object_counter, flat=False,
+            ),
+            50,
+        ))
+        prepared = Engine(db).prepare(query, dioid=dioid, algorithm=algorithm)
+        first, rest = OpCounter(), OpCounter()
+        prepared.top(7, counter=first)
+        answers = prepared.top(50, counter=rest)
+        assert [a.weight for a in answers] == [r.weight for r in reference]
+        assert [a.witness_ids for a in answers] == [
+            r.witness_ids for r in reference
+        ]
+        spent = {
+            op: getattr(first, op) + getattr(rest, op)
+            for op in OpCounter.__slots__
+        }
+        assert spent == object_counter.as_dict()
 
     def test_interleaved_step_top_iter(self):
         tdp = build("path", 4, 60, TROPICAL)

@@ -11,6 +11,7 @@ counter movement).
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import threading
 import time
@@ -240,6 +241,37 @@ class TestSqliteBusyStorm:
         with faults.injected("sqlite.execute=raise:1:0:busy"):
             with pytest.raises(sqlite3.OperationalError):
                 list(engine.prepare(path_query(3)).iter())
+
+
+class TestRowFetchFailureMidStream:
+    def test_warm_started_stream_resumes_at_the_same_rank(self, tmp_path):
+        """A warm-started plan decodes answers by point lookups; one that
+        fails past the retrier's budget must cost the caller that call,
+        not the rest of the output (a silently "complete" short memo)."""
+        import sqlite3
+
+        db = uniform_database(3, 200, domain_size=20, seed=11)
+        path = str(tmp_path / "warm.db")
+        backend = SQLiteBackend(path)
+        for relation in db:
+            backend.ingest(relation)
+        with Engine.from_backend(backend) as cold:  # writes warm.db.core
+            baseline = signature(cold.prepare(QUERY).top(60))
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            prepared = engine.prepare(QUERY)
+            stream = prepared.stream()
+            assert engine.stats.core_hits == 1
+            assert stream.ensure(5) == 5
+            with faults.injected("sqlite.execute=raise:1:0:busy"):
+                with pytest.raises(sqlite3.OperationalError):
+                    stream.ensure(40)
+            reached = stream.produced
+            assert 5 <= reached < 40
+            assert not stream.exhausted
+            assert signature(prepared.top(60)) == baseline
+            assert not stream.broken
+            # The answer whose decode failed was enumerated once.
+            assert stream.counter.results == stream.extensions == 60
 
 
 # -- worker crash recovery -----------------------------------------------------
@@ -520,6 +552,65 @@ class TestOverloadGate:
                 assert metrics["policy"]["shed"] >= 1
                 assert metrics["resilience"]["shed"] >= 1
                 patient.close()
+
+
+    def test_shedding_plus_retry_is_lossless(self):
+        """Serving under a deliberately tiny in-flight cap.
+
+        ``max_in_flight=1`` makes the edge shed concurrent fetches with
+        503 + ``Retry-After``; clients that opt into retries wait the
+        hint out, and every session's ranked prefix must still be
+        bit-identical to a single-session run.
+        """
+        sessions, k, page_size = 4, 120, 20
+        engine = Engine(uniform_database(3, 300, domain_size=30, seed=13))
+        baseline = signature(
+            itertools.islice(engine.prepare(QUERY, algorithm="take2").iter(), k)
+        )
+        policy = AccessPolicy(max_in_flight=1)
+        outputs: dict = {}
+        errors: list = []
+
+        def job(address: tuple, name: str) -> None:
+            try:
+                with ServeClient(*address, timeout=120, retries=100) as client:
+                    cursor = client.prepare(name, QUERY)["cursor"]
+                    rows: list[dict] = []
+                    while len(rows) < k:
+                        page = client.fetch(
+                            name, cursor, min(page_size, k - len(rows))
+                        )
+                        rows.extend(page.results)
+                        if page.exhausted:
+                            break
+                    outputs[name] = rows[:k]
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        with ServerThread(
+            engine, slice_size=32, max_sessions=128, policy=policy
+        ) as address:
+            threads = [
+                threading.Thread(target=job, args=(address, f"shed-{i}"))
+                for i in range(sessions)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(outputs) == sessions
+        head = ("x1", "x2", "x3", "x4")
+        for name, rows in outputs.items():
+            assert [
+                (
+                    round(row["weight"], 6),
+                    tuple(row["assignment"][v] for v in head),
+                    tuple(row["witness_ids"]),
+                )
+                for row in rows
+            ] == baseline, f"{name} diverged under load shedding"
 
 
 # -- graceful drain ------------------------------------------------------------

@@ -13,7 +13,8 @@ import itertools
 import pytest
 
 from repro.data.generators import uniform_database
-from repro.engine import Engine
+from repro.engine import Engine, PrefixStream
+from repro.engine.plan import VALID_ALGORITHMS
 from repro.query.builders import path_query
 from repro.serve.cursor import Cursor, CursorBudgetExceeded, fetch_all
 from repro.util.counters import OpCounter
@@ -68,6 +69,84 @@ class TestTopPrefixCache:
         assert engine.stats.stream_misses == 1
         assert engine.stats.stream_hits == 2
         assert prepared.stream().produced == 10
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    @pytest.mark.parametrize("algorithm", VALID_ALGORITHMS)
+    def test_extension_enumerates_exactly_what_was_asked(
+        self, engine, algorithm, n
+    ):
+        """Any-k charges per answer: the batch pull takes n, not n + 1."""
+        stream = engine.prepare(path_query(3), algorithm=algorithm).stream()
+        assert stream.ensure(n) == n
+        assert stream.counter.results == stream.extensions == n
+
+    def test_raise_is_not_exhaustion(self):
+        """A run that dies mid-extension must not read as a short output."""
+
+        def dies_at_5_of_10(_counter):
+            for rank in range(10):
+                if rank == 5:
+                    raise OSError("backend went away")
+                yield rank
+
+        stream = PrefixStream(dies_at_5_of_10)
+        with pytest.raises(OSError):
+            stream.prefix(8)
+        assert (stream.produced, stream.extensions) == (5, 5)
+        assert not stream.exhausted and not stream.done
+        with pytest.raises(RuntimeError, match="new stream"):
+            stream.prefix(8)
+        assert stream.broken and not stream.exhausted
+        assert stream.prefix(5) == [0, 1, 2, 3, 4]  # the memo still replays
+        with pytest.raises(RuntimeError):
+            stream.get(5)
+
+    def test_resumable_iterator_resumes_at_the_same_rank(self):
+        """An iterator that survives its own raise loses and repeats nothing."""
+
+        class Flaky:
+            def __init__(self):
+                self.rank, self.failed = 0, False
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                if self.rank == 5 and not self.failed:
+                    self.failed = True
+                    raise OSError("transient")
+                if self.rank == 10:
+                    raise StopIteration
+                self.rank += 1
+                return self.rank - 1
+
+        stream = PrefixStream(lambda _counter: Flaky())
+        with pytest.raises(OSError):
+            stream.prefix(8)
+        assert stream.prefix(8) == list(range(8))
+        assert stream.prefix(20) == list(range(10))
+        assert stream.exhausted and not stream.broken
+        assert stream.extensions == 10
+
+    def test_engine_replaces_a_broken_stream(self, engine, monkeypatch):
+        prepared = engine.prepare(path_query(3))
+        physical = prepared.bind()
+        healthy = physical.iter
+
+        def dying(counter=None, algorithm=None):
+            yield from itertools.islice(healthy(counter, algorithm), 5)
+            raise OSError("backend went away")
+
+        monkeypatch.setattr(physical, "iter", dying)
+        with pytest.raises(OSError):
+            prepared.top(8)
+        with pytest.raises(RuntimeError):
+            prepared.top(8)  # same stream: now known to be dead
+        monkeypatch.undo()
+        assert signature(prepared.top(8)) == signature(
+            itertools.islice(prepared.iter(), 8)
+        )
+        assert engine.stats.stream_misses == 2
 
     def test_negative_k_rejected(self, engine):
         """top(-1) must raise (as islice did), not slice off the tail."""
@@ -180,8 +259,10 @@ class TestCursor:
         cursor.fetch(8)
         with pytest.raises(CursorBudgetExceeded):
             cursor.fetch(3)
-        # The failed fetch did not advance the cursor.
+        # The failed fetch did not advance the cursor, and probed
+        # exactly one answer past the allowance.
         assert cursor.position == 8
+        assert cursor.stream.counter.results == cursor.stream.extensions == 11
         assert len(cursor.fetch(2)) == 2
         assert cursor.remaining_budget == 0
 
