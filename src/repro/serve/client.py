@@ -96,6 +96,34 @@ class FetchPage:
         )
 
 
+def _checked(message: dict) -> dict:
+    """``message`` if it is an ``ok`` response; raises what it reports."""
+    if not message.get("ok", False):
+        raise ServeClientError(
+            message.get("error", "unknown"),
+            message.get("message", ""),
+            retry_after=message.get("retry_after"),
+        )
+    return message
+
+
+def _fetch_page(result_lines: list[bytes], final_line: bytes) -> FetchPage:
+    """A fetch response as the JSON-lines clients return it.
+
+    The result lines of the whole page are parsed by one ``json.loads``
+    (:func:`protocol.join_results`), not one call per answer; an error
+    terminator raises, whatever arrived before it.
+    """
+    final = _checked(protocol.decode(final_line))
+    return FetchPage(
+        json.loads(protocol.join_results(result_lines)),
+        final["served"],
+        final["position"],
+        final["exhausted"],
+        deadline_exceeded=final.get("deadline_exceeded", False),
+    )
+
+
 class ServeClient:
     """Blocking JSON-lines client: ``prepare`` / ``fetch`` / ``explain`` /
     ``close`` plus ``stats`` and ``ping``."""
@@ -127,22 +155,18 @@ class ServeClient:
         self._file.write(protocol.encode(message))
         self._file.flush()
 
-    def _read(self) -> dict:
+    def _read_line(self) -> bytes:
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return protocol.decode(line)
+        return line
+
+    def _read(self) -> dict:
+        return protocol.decode(self._read_line())
 
     def _read_final(self) -> dict:
         """Read one response line, raising on protocol errors."""
-        message = self._read()
-        if not message.get("ok", False):
-            raise ServeClientError(
-                message.get("error", "unknown"),
-                message.get("message", ""),
-                retry_after=message.get("retry_after"),
-            )
-        return message
+        return _checked(self._read())
 
     def _with_retries(self, attempt_fn: Callable[[], Any]) -> Any:
         """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
@@ -226,25 +250,10 @@ class ServeClient:
 
     def _fetch_once(self, message: dict) -> FetchPage:
         self._send(message)
-        results: list[dict] = []
-        while True:
-            line = self._read()
-            if "result" in line:
-                results.append(line["result"])
-                continue
-            if not line.get("ok", False):
-                raise ServeClientError(
-                    line.get("error", "unknown"),
-                    line.get("message", ""),
-                    retry_after=line.get("retry_after"),
-                )
-            return FetchPage(
-                results,
-                line["served"],
-                line["position"],
-                line["exhausted"],
-                deadline_exceeded=line.get("deadline_exceeded", False),
-            )
+        lines: list[bytes] = []
+        while (line := self._read_line()).startswith(protocol.RESULT_PREFIX):
+            lines.append(line)
+        return _fetch_page(lines, line)
 
     def fetch_all(
         self, session: str, cursor: str, page_size: int = 64
@@ -358,21 +367,14 @@ class AsyncServeClient:
         self._writer.write(protocol.encode(message))
         await self._writer.drain()
 
-    async def _read(self) -> dict:
+    async def _read_line(self) -> bytes:
         line = await asyncio.wait_for(self._reader.readline(), self.timeout)
         if not line:
             raise ConnectionError("server closed the connection")
-        return protocol.decode(line)
+        return line
 
     async def _read_final(self) -> dict:
-        message = await self._read()
-        if not message.get("ok", False):
-            raise ServeClientError(
-                message.get("error", "unknown"),
-                message.get("message", ""),
-                retry_after=message.get("retry_after"),
-            )
-        return message
+        return _checked(protocol.decode(await self._read_line()))
 
     async def _with_retries(self, attempt_fn) -> Any:
         """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
@@ -443,25 +445,12 @@ class AsyncServeClient:
 
     async def _fetch_once(self, message: dict) -> FetchPage:
         await self._send(message)
-        results: list[dict] = []
-        while True:
-            line = await self._read()
-            if "result" in line:
-                results.append(line["result"])
-                continue
-            if not line.get("ok", False):
-                raise ServeClientError(
-                    line.get("error", "unknown"),
-                    line.get("message", ""),
-                    retry_after=line.get("retry_after"),
-                )
-            return FetchPage(
-                results,
-                line["served"],
-                line["position"],
-                line["exhausted"],
-                deadline_exceeded=line.get("deadline_exceeded", False),
-            )
+        lines: list[bytes] = []
+        while (line := await self._read_line()).startswith(
+            protocol.RESULT_PREFIX
+        ):
+            lines.append(line)
+        return _fetch_page(lines, line)
 
     async def fetch_all(
         self, session: str, cursor: str, page_size: int = 64

@@ -62,14 +62,13 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import Engine
-from repro.obs.latency import LatencyWindow
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.top import debug_html
 from repro.obs.trace import new_request_id
 from repro.serve import protocol
 from repro.serve.policy import AccessPolicy
 from repro.util.resilience import COUNTERS as RESILIENCE_COUNTERS
-from repro.serve.server import OpDispatcher, ServerThread
+from repro.serve.server import CoalescingWriter, OpDispatcher, ServerThread
 from repro.serve.session import SessionManager
 from repro.util import faults
 
@@ -162,21 +161,23 @@ async def ws_read_frame(
 
 
 class _CollectWriter:
-    """Writer shim that collects protocol lines for a buffered response.
+    """Writer shim that keeps a response's protocol lines, encoded.
 
-    The op dispatcher writes complete ``protocol.encode`` lines; HTTP
-    request/response endpoints collect them and fold the stream into a
-    single JSON body.  ``is_closing`` proxies the real transport so a
-    client that disconnects mid-fetch still aborts the enumeration
-    (the scheduler rewinds the undelivered slice).
+    An HTTP response needs its status line first, so nothing is sent
+    while the op runs: the dispatcher's ``protocol.encode`` lines are
+    kept as they are and :meth:`GatewayServer._dispatch_http` splices
+    them into one body when the terminator has arrived — only that one
+    line is ever decoded here.  ``is_closing`` proxies the real
+    transport so a client that disconnects mid-fetch still aborts the
+    enumeration (the scheduler rewinds the undelivered slice).
     """
 
     def __init__(self, transport_writer: asyncio.StreamWriter):
         self._writer = transport_writer
-        self.lines: list[dict] = []
+        self.lines: list[bytes] = []
 
     def write(self, data: bytes) -> None:
-        self.lines.append(protocol.decode(data))
+        self.lines.append(data)
 
     async def drain(self) -> None:
         return None
@@ -185,21 +186,17 @@ class _CollectWriter:
         return self._writer.is_closing()
 
 
-class _WsWriter:
-    """Writer shim that wraps each protocol line into a text frame."""
+class _WsWriter(CoalescingWriter):
+    """Writer shim that wraps each protocol line into a text frame.
 
-    def __init__(self, transport_writer: asyncio.StreamWriter):
-        self._writer = transport_writer
+    One frame per line, as ever; the frames written between two drains
+    (a slice of results, or the last slice and the terminator) reach the
+    socket as one send.
+    """
 
     def write(self, data: bytes) -> None:
         faults.hit("gateway.write")
-        self._writer.write(ws_encode_frame(data.rstrip(b"\n")))
-
-    async def drain(self) -> None:
-        await self._writer.drain()
-
-    def is_closing(self) -> bool:
-        return self._writer.is_closing()
+        super().write(ws_encode_frame(data.rstrip(b"\n")))
 
 
 class _HttpRequest:
@@ -243,7 +240,6 @@ class GatewayServer:
         result_budget: int | None = None,
         slice_size: int = 64,
         max_frame_bytes: int = 1 << 20,
-        latency_window: int = 2048,
         log_requests: bool = True,
         drain_s: float = 0.0,
     ):
@@ -273,8 +269,6 @@ class GatewayServer:
         #: engine spans created while dispatching nest under them and
         #: the whole request is one trace (request-ID propagation).
         self.tracer = self.engine.tracer
-        #: Rolling fetch-latency window surfaced by ``/metrics``.
-        self.fetch_latency = LatencyWindow(latency_window)
         self._server: asyncio.AbstractServer | None = None
         self.started_at = time.time()
         self.http_requests = Counter(
@@ -289,12 +283,6 @@ class GatewayServer:
         #: Requests currently inside dispatch (drain watches this).
         #: A plain int (goes down as well as up); exported as a gauge.
         self.active_requests = 0
-        #: Cumulative fetch-latency histogram (Prometheus ``le`` buckets)
-        #: alongside the rolling window's percentiles.
-        self.fetch_latency_histogram = Histogram(
-            "repro_fetch_latency_seconds",
-            "End-to-end fetch latency at the gateway.",
-        )
         #: The deployment's typed-instrument registry behind
         #: ``GET /metrics?format=prometheus``.  Per-gateway, never
         #: process-global: two gateways (or two test fixtures) each see
@@ -307,7 +295,6 @@ class GatewayServer:
         registry.attach(self.http_requests)
         registry.attach(self.ws_connections)
         registry.attach(self.ws_messages)
-        registry.attach(self.fetch_latency_histogram)
         registry.attach(self.dispatcher.requests)
         registry.attach(RESILIENCE_COUNTERS.family)
         self.policy.register_metrics(registry)
@@ -712,7 +699,6 @@ class GatewayServer:
         response needs its status line first.
         """
         collector = _CollectWriter(writer)
-        started = time.perf_counter()
         # The request span roots the trace: dispatch runs in this task,
         # so session/engine spans opened below nest under it and carry
         # the edge's request id end to end.
@@ -728,44 +714,50 @@ class GatewayServer:
                 await self.dispatcher.dispatch(wire_request, collector)
         finally:
             self.active_requests -= 1
-        elapsed = time.perf_counter() - started
-        if wire_request["op"] == "fetch":
-            self.fetch_latency.record(elapsed)
-            self.fetch_latency_histogram.observe(elapsed)
-        results = [
-            line["result"] for line in collector.lines if "result" in line
+        lines = collector.lines or [
+            protocol.encode(
+                protocol.error(protocol.ERR_INTERNAL, "op produced no response")
+            )
         ]
-        terminator = collector.lines[-1] if collector.lines else protocol.error(
-            protocol.ERR_INTERNAL, "op produced no response"
-        )
+        # The body is the terminator line, for a fetch with the result
+        # lines spliced in as its "results" member — bytes the dispatcher
+        # encoded once, none decoded or encoded again.
+        terminator = protocol.decode(lines[-1])
+        body = lines[-1][:-1]
         extra_headers: dict[str, str] = {}
         if terminator.get("ok"):
             status = 200
-            payload = dict(terminator)
-            if results or wire_request["op"] == "fetch":
-                payload["results"] = results
-            if payload.get("deadline_exceeded") and not results:
+            if terminator.get("deadline_exceeded") and len(lines) == 1:
                 # Zero progress before the deadline: that is a timeout,
                 # not a page.  (With any results at all the partial page
                 # goes out as 200 + deadline_exceeded — any-k's
                 # bounded time-to-first-answer means losing a computed
                 # ranked prefix to a timeout would be strictly worse.)
                 status = 504
-                payload = protocol.error(
-                    protocol.ERR_DEADLINE,
-                    "deadline expired before any result was enumerated",
+                body = protocol.encode(
+                    protocol.error(
+                        protocol.ERR_DEADLINE,
+                        "deadline expired before any result was enumerated",
+                    )
+                )[:-1]
+            elif wire_request["op"] == "fetch":
+                body = (
+                    body[:-1]
+                    + b',"results":'
+                    + protocol.join_results(lines[:-1])
+                    + b"}"
                 )
         else:
             status = HTTP_STATUS.get(terminator.get("error"), 400)
-            payload = terminator
             if status in (429, 503):
                 retry = terminator.get("retry_after")
                 extra_headers["Retry-After"] = str(
                     max(1, round(retry)) if retry else 1
                 )
-        self._respond(
-            writer, status, payload, keep_alive=request.keep_alive,
-            extra_headers=extra_headers, request_id=request.request_id,
+        self._respond_raw(
+            writer, status, body, "application/json",
+            keep_alive=request.keep_alive, extra_headers=extra_headers,
+            request_id=request.request_id,
         )
         return status
 
@@ -831,7 +823,7 @@ class GatewayServer:
                             protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
                         )
                     )
-                    await writer.drain()
+                    await ws_writer.drain()
                     break
                 if opcode == _WS_CLOSE:
                     writer.write(ws_encode_frame(payload[:2], _WS_CLOSE))
@@ -856,7 +848,7 @@ class GatewayServer:
                             )
                         )
                     )
-                    await writer.drain()
+                    await ws_writer.drain()
                     continue
                 self.ws_messages += 1
                 try:
@@ -867,7 +859,7 @@ class GatewayServer:
                             protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
                         )
                     )
-                    await writer.drain()
+                    await ws_writer.drain()
                     continue
                 if wire_request.get("op") != "ping" and not self.policy.admit(
                     peer
@@ -881,9 +873,8 @@ class GatewayServer:
                             )
                         )
                     )
-                    await writer.drain()
+                    await ws_writer.drain()
                     continue
-                started = time.perf_counter()
                 self.active_requests += 1
                 try:
                     with self.tracer.span(
@@ -896,11 +887,7 @@ class GatewayServer:
                         await self.dispatcher.dispatch(wire_request, ws_writer)
                 finally:
                     self.active_requests -= 1
-                if wire_request.get("op") == "fetch":
-                    elapsed = time.perf_counter() - started
-                    self.fetch_latency.record(elapsed)
-                    self.fetch_latency_histogram.observe(elapsed)
-                await writer.drain()
+                await ws_writer.drain()
         except (BrokenPipeError, asyncio.CancelledError):
             pass
 
@@ -931,8 +918,10 @@ class GatewayServer:
             },
             "policy": self.policy.snapshot(),
             "latency": {
-                "fetch": self.fetch_latency.snapshot(),
-                "fetch_histogram": self.fetch_latency_histogram.snapshot(),
+                "fetch": self.manager.fetch_latency.snapshot(),
+                "fetch_histogram": (
+                    self.manager.fetch_latency_histogram.snapshot()
+                ),
             },
             "sessions": {
                 "session_count": manager_stats["session_count"],

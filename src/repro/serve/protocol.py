@@ -21,11 +21,14 @@ Every request carries ``op`` plus op-specific fields:
 ``fetch``
     ``{"op": "fetch", "session": "s1", "cursor": "c0", "n": 10}`` →
     ten ``{"result": {"index": i, "weight": w, "assignment": {...}}}``
-    lines (streamed as they are enumerated, honouring transport
-    backpressure) followed by the terminator ``{"ok": true, "op":
-    "fetch", "served": 10, "position": 10, "exhausted": false}``.
-    Repeating the request returns the *next* page — pagination is the
-    default, no offset bookkeeping client-side.
+    lines (streamed a scheduler slice at a time as they are enumerated,
+    honouring transport backpressure) followed by the terminator
+    ``{"ok": true, "op": "fetch", "served": 10, "position": 10,
+    "exhausted": false}``.  Lines are compact JSON, so a result line
+    always starts with the bytes ``{"result":`` (:data:`RESULT_PREFIX`)
+    and a terminator never does.  Repeating the request returns the
+    *next* page — pagination is the default, no offset bookkeeping
+    client-side.
 
 ``explain``
     → ``{"ok": true, "op": "explain", "plan": "..."}`` (the bound
@@ -97,24 +100,29 @@ def valid_ms(value: Any) -> bool:
     )
 
 
-def _jsonable(value: Any) -> Any:
-    """Map result values onto the JSON data model (tuples → arrays)."""
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
+#: The one compiled encoder behind :func:`encode` (``json.dumps`` would
+#: build a fresh ``JSONEncoder`` per call).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: How every result line starts — what tells it from a terminator
+#: without decoding it.
+RESULT_PREFIX = b'{"result":'
 
 
 def encode(message: dict) -> bytes:
     """One protocol line: compact JSON plus the newline terminator.
+
+    Called once per line and nowhere else: an answer is encoded here
+    once and those bytes are what every transport sends — TCP joins a
+    slice's lines into one buffer, WebSocket frames each line, HTTP
+    splices them into its body (:func:`join_results`); none re-encodes.
 
     No ``default=`` hook: tuples encode as arrays natively, and a value
     json cannot represent should fail with the standard, descriptive
     ``TypeError`` (a hook returning the object unchanged would turn it
     into an opaque circular-reference error instead).
     """
-    return (
-        json.dumps(message, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (_encode_json(message) + "\n").encode("utf-8")
 
 
 def decode(line: bytes | str) -> dict:
@@ -128,18 +136,31 @@ def decode(line: bytes | str) -> dict:
 
 
 def result_message(index: int, result: QueryResult) -> dict:
-    """The wire form of one ranked answer."""
+    """The wire form of one ranked answer.
+
+    Weight, assignment and witness ids go to the encoder as they are
+    (tuples become arrays there), so the message aliases the result:
+    encode it, do not mutate it.
+    """
     payload: dict[str, Any] = {
         "index": index,
-        "weight": _jsonable(result.weight),
-        "assignment": {
-            var: _jsonable(value)
-            for var, value in result.assignment.items()
-        },
+        "weight": result.weight,
+        "assignment": result.assignment,
     }
     if result.witness_ids is not None:
-        payload["witness_ids"] = _jsonable(result.witness_ids)
+        payload["witness_ids"] = result.witness_ids
     return {"result": payload}
+
+
+def join_results(lines: list[bytes]) -> bytes:
+    """A page's encoded result lines as one JSON array of their payloads.
+
+    Pure byte splicing — ``{"result":X}\\n`` contributes ``X`` — so the
+    HTTP body carries the bytes :func:`encode` produced, and a client
+    parses a whole page with one ``json.loads``.
+    """
+    start = len(RESULT_PREFIX)
+    return b"[" + b",".join([line[start:-2] for line in lines]) + b"]"
 
 
 def ok(op: str, **fields: Any) -> dict:

@@ -4,11 +4,16 @@
 TCP JSON-lines protocol (see :mod:`repro.serve.protocol`).  Design
 points that matter for serving ranked enumeration:
 
-* **Streaming with backpressure** — fetch results are written (and
-  ``drain()``-ed) per scheduler slice while the enumeration advances,
-  so the first answers of a page reach a slow client before the last
-  ones are computed, and a client that stops reading suspends its own
-  enumeration instead of buffering the server into the ground.
+* **Streaming with backpressure, one send per slice** — each answer is
+  encoded once, a scheduler slice's lines are joined and handed to the
+  transport in one ``write`` (:class:`CoalescingWriter`), and the fetch
+  then ``drain()``-s before enumerating further.  So the first answers
+  of a long page reach a slow client before the last ones are
+  computed, and a client that stops reading suspends its own
+  enumeration instead of buffering the server into the ground.  The
+  slice that completes the page is not sent on its own: it leaves with
+  the terminator, so a page of up to ``slice_size`` answers is exactly
+  one send.  A send that fails rewinds the slice it carried.
 * **Cooperative fairness** — every fetch runs through the session
   manager's :class:`~repro.serve.session.CooperativeScheduler`, which
   yields to the event loop between bounded slices.  Concurrent
@@ -65,6 +70,32 @@ _ERROR_CODES = {
 _READ_CHUNK = 1 << 16
 
 
+class CoalescingWriter:
+    """Writer shim: the lines written between drains leave in one send.
+
+    ``write`` only collects; ``drain`` joins what was collected, hands
+    it to the transport as one buffer and then waits on the transport's
+    own flow control.  It holds at most what its user writes between two
+    drains — for a fetch, one scheduler slice of lines.
+    """
+
+    def __init__(self, transport_writer: asyncio.StreamWriter):
+        self._writer = transport_writer
+        self._pending: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self._pending.append(data)
+
+    async def drain(self) -> None:
+        if self._pending:
+            self._writer.write(b"".join(self._pending))
+            self._pending.clear()
+        await self._writer.drain()
+
+    def is_closing(self) -> bool:
+        return self._writer.is_closing()
+
+
 class OpDispatcher:
     """Protocol op handlers over one session manager, transport-agnostic.
 
@@ -73,6 +104,9 @@ class OpDispatcher:
     transport — the TCP server, the gateway's WebSocket endpoint, and
     the gateway's buffered HTTP endpoints — routes through one instance,
     so a validation rule fixed here is fixed everywhere at once.
+
+    Every ``write`` is one complete protocol line, the terminator last;
+    how lines are batched into sends is the writer's business.
     """
 
     def __init__(self, manager: SessionManager, policy: AccessPolicy | None = None):
@@ -239,7 +273,11 @@ class OpDispatcher:
         # backpressure) while the enumeration is still advancing.
         # Budget clamping/reservation all happens inside fetch_async —
         # one slice loop for the sync, async, and wire paths.
+        unsent = n
+        held: tuple[int, int] | None = None
+
         async def sink(start_rank: int, page) -> None:
+            nonlocal unsent, held
             if writer.is_closing():
                 # Client went away mid-stream: abort the fetch now (the
                 # scheduler rewinds the undelivered slice) instead of
@@ -251,7 +289,13 @@ class OpDispatcher:
                         protocol.result_message(start_rank + offset, result)
                     )
                 )
-            await writer.drain()
+            unsent -= len(page)
+            if unsent:
+                await writer.drain()
+            else:
+                # The page is complete: this slice leaves with the
+                # terminator, in the drain below.
+                held = (start_rank, len(page))
 
         outcome = await self.manager.fetch_async(
             session_name, cursor_id, n, sink=sink, deadline_ms=deadline_ms
@@ -268,6 +312,14 @@ class OpDispatcher:
             # short-of-n as exhaustion.
             terminator["deadline_exceeded"] = True
         writer.write(protocol.encode(terminator))
+        try:
+            await writer.drain()
+        except BaseException:
+            if held is not None:
+                # Same promise as for a slice lost mid-stream: what never
+                # reached the client is taken back, not charged.
+                self.manager.undeliver(session_name, cursor_id, *held)
+            raise
 
     async def op_explain(self, request: dict, writer: Any) -> None:
         session_name, cursor_id = self._require(request, "session", "cursor")
@@ -434,7 +486,7 @@ class ServeServer:
         return None
 
     async def _handle_line(
-        self, line: bytes, peer: Any, writer: asyncio.StreamWriter
+        self, line: bytes, peer: Any, writer: CoalescingWriter
     ) -> None:
         stripped = line.strip()
         if not stripped:
@@ -471,11 +523,15 @@ class ServeServer:
         await writer.drain()
 
     async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, stream: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
-        peername = writer.get_extra_info("peername")
+        peername = stream.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) else str(peername)
+        # Responses go through the shim: whatever a request writes before
+        # it drains — a slice of results, then the terminator — is one
+        # send on the socket.
+        writer = CoalescingWriter(stream)
         # Framing is done here with an explicit buffer instead of
         # ``reader.readline()``: readline raises an uncatchable-in-place
         # ValueError once a line outgrows the stream limit (64 KiB by
@@ -517,13 +573,13 @@ class ServeServer:
             # not surface a cancellation to the streams machinery.
             pass
         finally:
-            writer.close()
+            stream.close()
             try:
-                await writer.wait_closed()
+                await stream.wait_closed()
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _reject_oversized(self, writer: asyncio.StreamWriter) -> None:
+    async def _reject_oversized(self, writer: CoalescingWriter) -> None:
         self.requests += 1
         self.oversized_frames += 1
         writer.write(

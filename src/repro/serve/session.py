@@ -32,7 +32,8 @@ from typing import Any, Callable, Iterator
 
 from repro.engine.engine import Engine
 from repro.enumeration.result import QueryResult
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.latency import LatencyWindow
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.serve.cursor import Cursor, CursorBudgetExceeded
 from repro.util.resilience import Deadline
 from repro.util import faults
@@ -176,12 +177,14 @@ class CooperativeScheduler:
         out: list[QueryResult] = []
         used = 0
         expired = False
-        for size in self._slices(cursor.clamped(n)):
+        remaining = cursor.clamped(n)
+        while remaining:
             if deadline is not None and deadline.expired():
                 expired = True
                 self.deadline_stops += 1
                 break
             start = cursor.position
+            size = min(self.slice_size, remaining)
             page = self._fetch_slice(cursor, size)
             if page is None:
                 break
@@ -201,8 +204,11 @@ class CooperativeScheduler:
                     # concurrent reader's consumption of this cursor.
                     cursor.unfetch(start, len(page))
                     raise
-            if len(page) < size:
+            remaining -= size
+            if len(page) < size or not remaining:
                 break
+            # Only between slices: a fetch that fits one slice never
+            # pays an event-loop turn.
             self.yields += 1
             await asyncio.sleep(0)
         return out, max(1, used), expired
@@ -293,6 +299,15 @@ class SessionManager:
         )
         self.expirations = Counter(
             "repro_sessions_expired_total", "Sessions expired by TTL."
+        )
+        #: Latency of every streamed fetch, whichever transport asked:
+        #: a rolling window (percentiles for ``/metrics`` and ``repro
+        #: top``) and the cumulative Prometheus histogram.
+        self.fetch_latency = LatencyWindow()
+        self.fetch_latency_histogram = Histogram(
+            "repro_fetch_latency_seconds",
+            "Latency of streamed fetches in the session manager, "
+            "all transports.",
         )
 
     # -- session lifecycle -----------------------------------------------------
@@ -554,6 +569,7 @@ class SessionManager:
         :meth:`CooperativeScheduler.run_async`) — the server's
         backpressure path.
         """
+        started = time.perf_counter()
         session, cursor, n = self._fetch_prologue(session_name, cursor_id, n)
         deadline = self._deadline(session, cursor_id, deadline_ms)
         begin = cursor.position
@@ -575,7 +591,24 @@ class SessionManager:
                     served = max(0, cursor.position - begin)
                 self.settle_budget(session, n, served)
                 span.set(served=served, deadline_exceeded=expired)
+                elapsed = time.perf_counter() - started
+                self.fetch_latency.record(elapsed)
+                self.fetch_latency_histogram.observe(elapsed)
         return self._fetch_epilogue(session, cursor, results, slices, expired)
+
+    def undeliver(
+        self, session_name: str, cursor_id: str, start: int, count: int
+    ) -> None:
+        """Take back a slice whose send failed after its fetch returned.
+
+        What :meth:`CooperativeScheduler.run_async` does for a slice its
+        sink could not deliver, for the one slice a transport sends
+        together with the terminator: rewind the cursor (unless another
+        reader has moved it on) and refund the session budget.
+        """
+        session = self.session(session_name, create=False)
+        if session.cursor(cursor_id).unfetch(start, count):
+            self.settle_budget(session, count, 0)
 
     # -- observability ---------------------------------------------------------
 
@@ -614,6 +647,7 @@ class SessionManager:
         registry.attach(self.scheduler.deadline_stops)
         registry.attach(self.evictions)
         registry.attach(self.expirations)
+        registry.attach(self.fetch_latency_histogram)
         registry.gauge(
             "repro_sessions_open",
             "Sessions currently open.",

@@ -311,6 +311,36 @@ class TestMetrics:
         assert after == before + 4
 
 
+    def test_tcp_fetch_counts_in_the_gateway_scrape(self, engine):
+        """Regression: only HTTP and WS fetches fed the latency histogram,
+        so a deployment serving JSON-lines traffic reported none of it."""
+        def fetch_count(address) -> int:
+            conn = http.client.HTTPConnection(*address)
+            conn.request("GET", "/metrics?format=prometheus")
+            text = conn.getresponse().read().decode("utf-8")
+            conn.close()
+            (line,) = [
+                line for line in text.splitlines()
+                if line.startswith("repro_fetch_latency_seconds_count")
+            ]
+            return int(float(line.split()[-1]))
+
+        tcp = ServerThread(engine)
+        tcp_address = tcp.start()
+        try:
+            with GatewayThread(engine, manager=tcp.server.manager) as address:
+                before = fetch_count(address)
+                with ServeClient(*tcp_address) as c:
+                    cursor = c.prepare("tcplat", QUERY)["cursor"]
+                    c.fetch("tcplat", cursor, 3)
+                    c.fetch("tcplat", cursor, 3)
+                assert fetch_count(address) == before + 2
+                with HttpServeClient(*address) as c:
+                    assert c.metrics()["latency"]["fetch"]["total"] == before + 2
+        finally:
+            tcp.stop()
+
+
 # -- websocket -----------------------------------------------------------------
 
 

@@ -273,6 +273,23 @@ class TestScheduler:
         assert signature(outcome.results) == signature(sync_results)
         assert manager.scheduler.yields > 0
 
+    def test_yields_only_between_slices(self, engine):
+        """Regression: a full-size final slice was followed by a yield,
+        so every one-slice page paid an event-loop turn for nothing."""
+        manager = SessionManager(engine, slice_size=8)
+        _, cursor_id = manager.open_cursor("y", QUERY)
+        yields = int(manager.scheduler.yields)
+
+        async def fetch(n):
+            return await manager.fetch_async("y", cursor_id, n)
+
+        for n in (0, 1, 5, 8):
+            assert len(asyncio.run(fetch(n)).results) == n
+            assert manager.scheduler.yields == yields, n
+        outcome = asyncio.run(fetch(24))
+        assert (len(outcome.results), outcome.slices) == (24, 3)
+        assert manager.scheduler.yields == yields + 2
+
     def test_heavy_query_does_not_starve_cheap_one(self):
         """Fairness: a cheap fetch completes while a heavy one is mid-flight.
 
