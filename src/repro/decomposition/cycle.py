@@ -19,11 +19,12 @@ original atom's weight is pinned to exactly one bag.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Any, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.decomposition.base import TreeTask
+from repro.decomposition.base import BagLineage, TreeTask
 from repro.query.atom import Atom
 from repro.query.cq import ConjunctiveQuery
 from repro.ranking.dioid import TROPICAL, SelectiveDioid
@@ -76,104 +77,95 @@ def default_threshold(n: int, length: int) -> int:
 
 
 class _CycleAtom:
-    """One atom of the cycle walk with its orientation resolved."""
+    """One atom of the cycle walk: orientation resolved, rows read once.
 
-    __slots__ = ("index", "relation", "entry_pos", "exit_pos", "entry_var", "exit_var")
+    ``full`` holds ``(tuple_id, entry_value, exit_value, weight)`` for
+    every stored tuple, from the single scan of the relation that all
+    l+1 partitions share — one snapshot of a backend-stored table, one
+    statement.  :meth:`split` derives the ``heavy`` / ``light`` sublists
+    (in scan order) once the threshold is known.
+    """
+
+    __slots__ = ("index", "relation", "entry_pos", "entry_var", "full", "heavy", "light")
 
     def __init__(self, index: int, relation: Relation, atom: Atom, entry_var: str):
         self.index = index
         self.relation = relation
         self.entry_var = entry_var
-        self.entry_pos = atom.variables.index(entry_var)
-        self.exit_pos = 1 - self.entry_pos
-        self.exit_var = atom.variables[self.exit_pos]
+        self.entry_pos = entry_pos = atom.variables.index(entry_var)
+        exit_pos = 1 - entry_pos
+        self.full: list[tuple[int, Any, Any, Any]] = [
+            (tuple_id, values[entry_pos], values[exit_pos], weight)
+            for tuple_id, (values, weight) in enumerate(relation.rows())
+        ]
+        self.heavy: list[tuple] = []
+        self.light = self.full
 
-    def rows(self, restriction: str, heavy: set) -> list[tuple[int, Any, Any, Any]]:
-        """(tuple_id, entry_value, exit_value, weight) under a restriction."""
-        entry_pos = self.entry_pos
-        exit_pos = self.exit_pos
-        out = []
-        for tuple_id, (values, weight) in enumerate(self.relation.rows()):
-            entry_value = values[entry_pos]
-            if restriction == "heavy" and entry_value not in heavy:
-                continue
-            if restriction == "light" and entry_value in heavy:
-                continue
-            out.append((tuple_id, entry_value, values[exit_pos], weight))
-        return out
+    def split(self, threshold: int, indexes=None) -> None:
+        """Classify the scanned rows by their entry value's degree.
 
-
-def _heavy_values(
-    cycle_atom: _CycleAtom, threshold: int, indexes=None
-) -> set:
-    """Entry-attribute values with >= ``threshold`` occurrences.
-
-    With an :class:`~repro.data.index.IndexCache` the degree statistics
-    come from :meth:`~repro.data.index.IndexCache.degrees`: a (possibly
-    cached) hash index on the entry column for in-memory relations, or a
-    server-side ``GROUP BY`` for backend-stored ones — so repeated
-    decompositions of the same database skip the counting pass, and a
-    SQLite-backed relation is not materialised just to be counted.
-    """
-    entry_pos = cycle_atom.entry_pos
-    if indexes is not None:
-        return {
-            key[0]
-            for key, count in indexes.degrees(
-                cycle_atom.relation, (entry_pos,)
-            ).items()
-            if count >= threshold
-        }
-    counts: dict = {}
-    for values in cycle_atom.relation.tuples:
-        value = values[entry_pos]
-        counts[value] = counts.get(value, 0) + 1
-    return {value for value, count in counts.items() if count >= threshold}
+        With an :class:`~repro.data.index.IndexCache` the degree
+        statistics come from :meth:`~repro.data.index.IndexCache.degrees`:
+        a (possibly cached) hash index on the entry column for in-memory
+        relations, or a server-side ``GROUP BY`` for backend-stored ones
+        — so repeated decompositions of the same database skip the
+        counting pass.  Any classification yields a disjoint cover; the
+        degrees only carry the size bound.
+        """
+        if indexes is not None:
+            degrees = indexes.degrees(self.relation, (self.entry_pos,))
+            heavy_values = {
+                key[0] for key, count in degrees.items() if count >= threshold
+            }
+        else:
+            counts = Counter(row[1] for row in self.full)
+            heavy_values = {
+                value for value, count in counts.items() if count >= threshold
+            }
+        if heavy_values:
+            self.heavy = [row for row in self.full if row[1] in heavy_values]
+            self.light = [row for row in self.full if row[1] not in heavy_values]
 
 
 def _chain_join(
-    members: Sequence[list[tuple]],
-    atom_indices: Sequence[int],
-    dioid: SelectiveDioid,
-) -> tuple[list[tuple], list[Any], list[tuple]]:
+    members: Sequence[list[tuple]], dioid: SelectiveDioid
+) -> tuple[list[tuple], list[Any], list[list[int]]]:
     """Join a chain of cycle atoms on exit = next entry.
 
     ``members[i]`` are ``(tuple_id, entry, exit, weight)`` rows.  Returns
-    bag tuples ``(v_0, ..., v_m)``, their aggregated weights, and their
-    lineages.
+    bag tuples ``(v_0, ..., v_m)``, their aggregated weights (a left
+    fold of ``times`` along the chain) and one tuple-id column per
+    member.  One hash join per level; the output order is that of the
+    nested loops (member 0 outermost, index buckets in scan order).
     """
     times = dioid.times
-    indexes = []
+    tuples = [(row[1], row[2]) for row in members[0]]
+    weights = [row[3] for row in members[0]]
+    id_columns = [[row[0] for row in members[0]]]
     for rows in members[1:]:
-        index: dict = {}
+        by_entry: dict = {}
         for row in rows:
-            index.setdefault(row[1], []).append(row)
-        indexes.append(index)
-
-    tuples: list[tuple] = []
-    weights: list[Any] = []
-    lineages: list[tuple] = []
-    stack_rows: list[tuple] = [None] * len(members)
-
-    def extend(depth: int, values: tuple, weight: Any) -> None:
-        if depth == len(members):
-            tuples.append(values)
-            weights.append(weight)
-            lineages.append(
-                tuple(
-                    (atom_indices[i], stack_rows[i][0])
-                    for i in range(len(members))
-                )
-            )
-            return
-        for row in indexes[depth - 1].get(values[-1], []):
-            stack_rows[depth] = row
-            extend(depth + 1, values + (row[2],), times(weight, row[3]))
-
-    for row in members[0]:
-        stack_rows[0] = row
-        extend(1, (row[1], row[2]), row[3])
-    return tuples, weights, lineages
+            by_entry.setdefault(row[1], []).append(row)
+        extended: list[int] = []
+        next_tuples: list[tuple] = []
+        next_weights: list[Any] = []
+        next_ids: list[int] = []
+        for position, prefix in enumerate(tuples):
+            matches = by_entry.get(prefix[-1])
+            if matches is None:
+                continue
+            weight = weights[position]
+            for tuple_id, _entry, exit_value, row_weight in matches:
+                extended.append(position)
+                next_tuples.append(prefix + (exit_value,))
+                next_weights.append(times(weight, row_weight))
+                next_ids.append(tuple_id)
+        id_columns = [
+            [column[position] for position in extended] for column in id_columns
+        ]
+        id_columns.append(next_ids)
+        tuples, weights = next_tuples, next_weights
+    return tuples, weights, id_columns
 
 
 def decompose_cycle(
@@ -192,6 +184,7 @@ def decompose_cycle(
     degree statistics, and ``walk`` a precomputed
     :func:`detect_simple_cycle` result (the planning layer passes the
     one it stored on the logical plan, skipping re-detection on rebind).
+    Every cycle atom's relation is read exactly once.
     """
     if walk is None:
         walk = detect_simple_cycle(query)
@@ -203,38 +196,28 @@ def decompose_cycle(
                    query.atoms[index], entry_var)
         for index, entry_var in walk
     ]
-    n = max(len(ca.relation) for ca in cycle_atoms)
     if threshold is None:
+        n = max(len(ca.full) for ca in cycle_atoms)
         threshold = default_threshold(n, length)
-    heavy_sets = [
-        _heavy_values(ca, threshold, indexes=indexes) for ca in cycle_atoms
-    ]
+    for ca in cycle_atoms:
+        ca.split(threshold, indexes)
 
     tasks: list[TreeTask] = []
     for pivot in range(length):
-        task = _heavy_partition(
-            query, cycle_atoms, heavy_sets, pivot, dioid
-        )
-        if task is not None:
-            tasks.append(task)
-    light = _light_partition(query, cycle_atoms, heavy_sets, dioid)
+        # No heavy entry value at the pivot: T_pivot is empty.
+        if cycle_atoms[pivot].heavy:
+            task = _heavy_partition(query, cycle_atoms, pivot, dioid)
+            if task is not None:
+                tasks.append(task)
+    light = _light_partition(query, cycle_atoms, dioid)
     if light is not None:
         tasks.append(light)
     return tasks
 
 
-def _restriction_for(position_in_walk: int, pivot: int) -> str:
-    if position_in_walk < pivot:
-        return "light"
-    if position_in_walk == pivot:
-        return "heavy"
-    return "full"
-
-
 def _heavy_partition(
     query: ConjunctiveQuery,
     cycle_atoms: list[_CycleAtom],
-    heavy_sets: list[set],
     pivot: int,
     dioid: SelectiveDioid,
 ) -> TreeTask | None:
@@ -242,19 +225,22 @@ def _heavy_partition(
     length = len(cycle_atoms)
     times = dioid.times
     # Q_k = cycle atom at walk position (pivot + k) mod length, with its
-    # restriction; a_k = Q_k's entry variable.
+    # restriction — light before the pivot, heavy at it, unrestricted
+    # after; a_k = Q_k's entry variable.
     rotated: list[_CycleAtom] = []
     rows: list[list[tuple]] = []
     for k in range(length):
         position = (pivot + k) % length
         ca = cycle_atoms[position]
         rotated.append(ca)
-        rows.append(ca.rows(_restriction_for(position, pivot), heavy_sets[position]))
+        rows.append(
+            ca.light if position < pivot
+            else ca.heavy if position == pivot
+            else ca.full
+        )
     if any(not r for r in rows):
         return None
     heavy_entry_values = sorted({row[1] for row in rows[0]})
-    if not heavy_entry_values:
-        return None
     heavy_entry_set = set(heavy_entry_values)
     variables = [ca.entry_var for ca in rotated]
 
@@ -269,59 +255,52 @@ def _heavy_partition(
     prefix = f"T{pivot}"
     bag_relations: list[Relation] = []
     bag_atoms: list[Atom] = []
-    lineage: dict[str, list[tuple]] = {}
+    lineage: dict[str, BagLineage] = {}
 
-    def add_bag(j: int, vars_: tuple[str, ...], tuples, weights, lineages) -> bool:
+    def add_bag(j: int, vars_: tuple[str, ...], tuples, weights, pinned, id_columns) -> bool:
         if not tuples:
             return False
         name = f"{prefix}_B{j}"
         bag_relations.append(Relation(name, len(vars_), tuples, weights))
         bag_atoms.append(Atom(name, vars_))
-        lineage[name] = lineages
+        # Per-tuple pairs are listed in atom order.
+        by_atom = sorted(zip((rotated[k].index for k in pinned), id_columns))
+        lineage[name] = BagLineage(*zip(*by_atom))
         return True
 
+    empty: list = []
     if length == 3:
         q2_pairs: dict[tuple, list[tuple]] = {}
         for tuple_id, entry, exit_value, weight in rows[2]:
             q2_pairs.setdefault((entry, exit_value), []).append((tuple_id, weight))
-        tuples, weights, lineages = [], [], []
-        empty: list = []
+        tuples, weights = [], []
+        ids0, ids1, ids2 = [], [], []
         for tuple_id1, v1, v2, w1 in rows[1]:
             for v0, tuple_id0, w0 in q0_by_exit.get(v1, empty):
                 for tuple_id2, w2 in q2_pairs.get((v2, v0), empty):
                     tuples.append((v0, v1, v2))
                     weights.append(times(times(w0, w1), w2))
-                    lineages.append(
-                        tuple(sorted((
-                            (rotated[0].index, tuple_id0),
-                            (rotated[1].index, tuple_id1),
-                            (rotated[2].index, tuple_id2),
-                        )))
-                    )
+                    ids0.append(tuple_id0)
+                    ids1.append(tuple_id1)
+                    ids2.append(tuple_id2)
         if not add_bag(1, (variables[0], variables[1], variables[2]),
-                       tuples, weights, lineages):
+                       tuples, weights, (0, 1, 2), (ids0, ids1, ids2)):
             return None
     else:
         # B_1(a_0, a_1, a_2) = Q_0H joined with Q_1 on a_1.
-        tuples, weights, lineages = [], [], []
-        empty: list = []
-        atom0 = rotated[0].index
-        atom1 = rotated[1].index
+        tuples, weights = [], []
+        ids0, ids1 = [], []
         for tuple_id1, v1, v2, w1 in rows[1]:
             for v0, tuple_id0, w0 in q0_by_exit.get(v1, empty):
                 tuples.append((v0, v1, v2))
                 weights.append(times(w0, w1))
-                lineages.append(
-                    ((atom0, tuple_id0), (atom1, tuple_id1))
-                    if atom0 < atom1
-                    else ((atom1, tuple_id1), (atom0, tuple_id0))
-                )
+                ids0.append(tuple_id0)
+                ids1.append(tuple_id1)
         if not add_bag(1, (variables[0], variables[1], variables[2]),
-                       tuples, weights, lineages):
+                       tuples, weights, (0, 1), (ids0, ids1)):
             return None
         # Middle bags B_j(a_0, a_j, a_j+1) = heavy values x Q_j.
         for j in range(2, length - 2):
-            atom_j = rotated[j].index
             tuples = [
                 (v0, u, u2)
                 for (_tid, u, u2, _w) in rows[j]
@@ -330,13 +309,11 @@ def _heavy_partition(
             weights = [
                 w for (_tid, _u, _u2, w) in rows[j] for _v0 in heavy_entry_values
             ]
-            lineages = [
-                ((atom_j, tid),)
-                for (tid, _u, _u2, _w) in rows[j]
-                for _v0 in heavy_entry_values
+            ids = [
+                tid for (tid, _u, _u2, _w) in rows[j] for _v0 in heavy_entry_values
             ]
             if not add_bag(j, (variables[0], variables[j], variables[j + 1]),
-                           tuples, weights, lineages):
+                           tuples, weights, (j,), (ids,)):
                 return None
         # Last bag B_(l-2)(a_0, a_(l-2), a_(l-1)) joins Q_(l-2) with the
         # Q_(l-1) tuples that close the cycle on a heavy a_0 value.
@@ -347,20 +324,16 @@ def _heavy_partition(
                 qlast_by_entry.setdefault(entry, []).append(
                     (exit_value, tuple_id, weight)
                 )
-        tuples, weights, lineages = [], [], []
-        atom_a = rotated[j].index
-        atom_b = rotated[length - 1].index
+        tuples, weights = [], []
+        ids_a, ids_b = [], []
         for tuple_id_a, u, u2, w_a in rows[j]:
             for v0, tuple_id_b, w_b in qlast_by_entry.get(u2, empty):
                 tuples.append((v0, u, u2))
                 weights.append(times(w_a, w_b))
-                lineages.append(
-                    ((atom_a, tuple_id_a), (atom_b, tuple_id_b))
-                    if atom_a < atom_b
-                    else ((atom_b, tuple_id_b), (atom_a, tuple_id_a))
-                )
+                ids_a.append(tuple_id_a)
+                ids_b.append(tuple_id_b)
         if not add_bag(j, (variables[0], variables[j], variables[(j + 1) % length]),
-                       tuples, weights, lineages):
+                       tuples, weights, (j, length - 1), (ids_a, ids_b)):
             return None
 
     bag_query = ConjunctiveQuery(
@@ -377,44 +350,39 @@ def _heavy_partition(
 def _light_partition(
     query: ConjunctiveQuery,
     cycle_atoms: list[_CycleAtom],
-    heavy_sets: list[set],
     dioid: SelectiveDioid,
 ) -> TreeTask | None:
     """Partition T_(l+1): the two-chain all-light decomposition (Fig 8c)."""
     length = len(cycle_atoms)
     split = math.ceil(length / 2)
-    rows = [
-        ca.rows("light", heavy_sets[position])
-        for position, ca in enumerate(cycle_atoms)
-    ]
-    if any(not r for r in rows):
+    if any(not ca.light for ca in cycle_atoms):
         return None
     variables = [ca.entry_var for ca in cycle_atoms]
 
-    first_members = rows[:split]
-    first_atoms = [cycle_atoms[i].index for i in range(split)]
-    second_members = rows[split:]
-    second_atoms = [cycle_atoms[i].index for i in range(split, length)]
+    relations: list[Relation] = []
+    atoms: list[Atom] = []
+    lineage: dict[str, BagLineage] = {}
+    chains = (
+        ("TL_C1", cycle_atoms[:split], variables[: split + 1]),
+        ("TL_C2", cycle_atoms[split:], variables[split:] + [variables[0]]),
+    )
+    for name, members, vars_ in chains:
+        tuples, weights, id_columns = _chain_join(
+            [ca.light for ca in members], dioid
+        )
+        if not tuples:
+            return None
+        relations.append(Relation(name, len(vars_), tuples, weights))
+        atoms.append(Atom(name, vars_))
+        # Pairs listed in walk order, as the chain visits the atoms.
+        lineage[name] = BagLineage([ca.index for ca in members], id_columns)
 
-    tuples1, weights1, lineages1 = _chain_join(first_members, first_atoms, dioid)
-    if not tuples1:
-        return None
-    tuples2, weights2, lineages2 = _chain_join(second_members, second_atoms, dioid)
-    if not tuples2:
-        return None
-
-    vars1 = tuple(variables[: split + 1])
-    vars2 = tuple(variables[split:] + [variables[0]])
-    rel1 = Relation("TL_C1", len(vars1), tuples1, weights1)
-    rel2 = Relation("TL_C2", len(vars2), tuples2, weights2)
     bag_query = ConjunctiveQuery(
-        head=query.head,
-        atoms=[Atom("TL_C1", vars1), Atom("TL_C2", vars2)],
-        name=f"{query.name}_TL",
+        head=query.head, atoms=atoms, name=f"{query.name}_TL"
     )
     return TreeTask(
-        database=Database([rel1, rel2]),
+        database=Database(relations),
         query=bag_query,
-        lineage={"TL_C1": lineages1, "TL_C2": lineages2},
+        lineage=lineage,
         label="all-light",
     )

@@ -14,6 +14,7 @@ plus hash grouping; nothing is sorted (TTF optimality).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.data.database import Database
@@ -29,6 +30,22 @@ WeightLift = Callable[[Any, tuple, Any], Any]
 def default_lift(_atom, _values, raw_weight):
     """Identity lift: relation weights already live in the dioid domain."""
     return raw_weight
+
+
+def _key_reader(positions: tuple[int, ...]) -> tuple[int | None, Any]:
+    """How the scan loops read a join key off a tuple.
+
+    ``(column, None)`` for a single column: the loops subscript it in
+    line and use the bare value instead of a 1-tuple (a measurable
+    constant-factor win on the TTF-critical path).  Otherwise ``(None,
+    getter)`` where ``getter(values)`` is the key tuple, built in C —
+    decomposition bags join on two or more columns.
+    """
+    if len(positions) == 1:
+        return positions[0], None
+    if not positions:
+        return None, lambda _values: ()
+    return None, itemgetter(*positions)
 
 
 def build_tdp(
@@ -85,8 +102,6 @@ def build_tdp(
     next_uid = 0
 
     # conn_map[c]: join key -> ChoiceSet over stage c's alive states.
-    # Single-column join keys use the bare value instead of a 1-tuple
-    # (a measurable constant-factor win on the TTF-critical path).
     conn_map: list[dict] = [dict() for _ in range(num_stages)]
 
     for stage in reversed(range(num_stages)):
@@ -101,27 +116,26 @@ def build_tdp(
         stage_pi1 = tdp.pi1[stage]
         stage_conns = tdp.child_conns[stage]
 
-        # Per child branch: (single_column_or_None, positions, conn_map).
+        # Per child branch: (single_column_or_None, key_getter, conn_map).
         child_lookups = [
-            (
-                parent_key_positions[c][0]
-                if len(parent_key_positions[c]) == 1
-                else None,
-                parent_key_positions[c],
-                conn_map[c],
-            )
+            (*_key_reader(parent_key_positions[c]), conn_map[c])
             for c in child_list
         ]
 
         for tuple_id, (values, raw_weight) in enumerate(relation.rows()):
             if check_repeats and not atom.satisfies_repeats(values):
                 continue
+            # ``times`` runs against ``one`` on the first branch here and
+            # on leaf stages below: the result must carry the dioid's
+            # arithmetic (``0.0 + 2`` is ``2.0``).  Folding ``one``
+            # cheaply is the dioid's business (the tie-breaking dioid
+            # skips the id-vector merge).
             pi = dioid_one
             conns: list[ChoiceSet] = []
             dead = False
-            for single, positions, cmap in child_lookups:
+            for single, key_getter, cmap in child_lookups:
                 if single is None:
-                    conn = cmap.get(tuple(values[p] for p in positions))
+                    conn = cmap.get(key_getter(values))
                 else:
                     conn = cmap.get(values[single])
                 if conn is None:
@@ -149,14 +163,13 @@ def build_tdp(
 
         # Group the alive states of this stage by their join key with the
         # parent (the empty key for root stages: a single connector).
-        positions = own_key_positions[stage]
-        single = positions[0] if len(positions) == 1 else None
+        single, key_getter = _key_reader(own_key_positions[stage])
         groups: dict = {}
         for state, values in enumerate(stage_tuples):
             entry_value = times(stage_values[state], stage_pi1[state])
             entry = (key_of(entry_value), state, entry_value)
             if single is None:
-                join_key = tuple(values[p] for p in positions)
+                join_key = key_getter(values)
             else:
                 join_key = values[single]
             bucket = groups.get(join_key)

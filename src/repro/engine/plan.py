@@ -27,7 +27,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (lazy runtime import)
     from repro.parallel.sharder import ShardSpec
@@ -36,7 +37,7 @@ from repro.anyk.base import make_enumerator
 from repro.anyk.union import UnionEnumerator
 from repro.data.database import Database
 from repro.data.index import IndexCache
-from repro.decomposition.base import TreeTask
+from repro.decomposition.base import BagLineage, TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp
@@ -390,12 +391,14 @@ class UnionPhysical(PhysicalPlan):
         var_position = {v: i for i, v in enumerate(variables)}
         self.tie = TieBreakingDioid(logical.dioid, len(variables))
         self.tdps = []
+        #: id(member T-DP) -> its :func:`witness_decoder`.
+        self._decoders: dict[int, Callable] = {}
         for task in tasks:
             lift = make_tie_lift(self.tie, var_position)
             tree = build_join_tree(task.query)
-            self.tdps.append(
-                build_tdp(task.database, tree, dioid=self.tie, lift=lift)
-            )
+            tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
+            self.tdps.append(tdp)
+            self._decoders[id(tdp)] = witness_decoder(database, query, task, tdp)
 
     def iter(
         self,
@@ -415,20 +418,16 @@ class UnionPhysical(PhysicalPlan):
         union = UnionEnumerator(
             members, identity=identity, dedup=self.dedup, counter=counter
         )
-        task_of_tdp = {id(tdp): task for tdp, task in zip(self.tdps, self.tasks)}
-        database = self.database
-        query = self.logical.query
+        decoders = self._decoders
         tie = self.tie
 
         def finish(result) -> QueryResult:
-            task = task_of_tdp.get(id(result.tdp))
-            if task is None:
+            decode = decoders.get(id(result.tdp))
+            if decode is None:
                 raise ValueError(
                     "result does not belong to any member enumerator"
                 )
-            witness_ids, witness = recover_witness(
-                database, query, task, result
-            )
+            witness_ids, witness = decode(result.states)
             return QueryResult(
                 tie.base_value(result.weight),
                 result.assignment,
@@ -656,16 +655,23 @@ def _bind(
                 indexes=indexes,
                 walk=logical.cycle_walk,
             )
-            span.set(members=len(tasks))
-        with tracer.span("tdp.build", members=len(tasks)):
-            return UnionPhysical(logical, database, tasks, dedup=False)
+            atoms = len(logical.cycle_walk)
+            span.set(
+                members=len(tasks),
+                # Of the l heavy partitions and the light one.
+                members_skipped=atoms + 1 - len(tasks),
+                # The decomposition reads each cycle atom once.
+                scans=atoms,
+                bag_tuples=_bag_tuples(tasks),
+            )
+        return _bind_union(logical, database, tasks, tracer)
     if strategy == GENERIC_DECOMPOSITION:
-        with tracer.span("decompose", kind="generic"):
+        with tracer.span("decompose", kind="generic") as span:
             tasks = [
                 decompose_generic(database, logical.query, dioid=logical.dioid)
             ]
-        with tracer.span("tdp.build", members=len(tasks)):
-            return UnionPhysical(logical, database, tasks, dedup=False)
+            span.set(bag_tuples=_bag_tuples(tasks))
+        return _bind_union(logical, database, tasks, tracer)
     if strategy == FREE_CONNEX_MINWEIGHT:
         with tracer.span("tdp.build", projection="min_weight"):
             physical = MinWeightPhysical(logical, database)
@@ -682,6 +688,19 @@ def _bind(
     raise AssertionError(f"unhandled strategy {strategy!r}")
 
 
+def _bag_tuples(tasks: list[TreeTask]) -> int:
+    return sum(len(bag) for task in tasks for bag in task.database)
+
+
+def _bind_union(
+    logical: LogicalPlan, database: Database, tasks: list[TreeTask], tracer
+) -> "UnionPhysical":
+    with tracer.span("tdp.build", members=len(tasks)) as span:
+        physical = UnionPhysical(logical, database, tasks, dedup=False)
+        span.set(states=sum(tdp.num_states() for tdp in physical.tdps))
+    return physical
+
+
 # -- shared helpers (also used by the UCQ pipeline in enumeration.api) ---------
 
 
@@ -689,40 +708,83 @@ def make_tie_lift(tie: TieBreakingDioid, var_position: dict[str, int]):
     """Lift bag weights into the tie-breaking dioid with their bindings.
 
     Variables absent from ``var_position`` (e.g. non-head variables in
-    the UCQ pipeline) simply do not participate in tie-breaking.
+    the UCQ pipeline) simply do not participate in tie-breaking.  Which
+    column fills which id slot depends only on the atom, and the builder
+    lifts a whole stage through one atom, so the ``(column, slot)``
+    template is compiled when the atom changes and a tuple costs one
+    list copy.  The ``(value,)`` slot boxes are shared per distinct
+    value: a bag of n tuples over a domain of d values keeps d boxes
+    alive, not 3n, which is most of what the cyclic GC had to walk
+    during a bind.  (Values are join keys or SQLite scalars: hashable.)
     """
+    blank = list(tie.one[1])
+    boxes: dict = {}
+    compiled: tuple = (None, ())
 
     def lift(atom, values, raw_weight):
-        bindings = {
-            var_position[var]: value
-            for var, value in zip(atom.variables, values)
-            if var in var_position
-        }
-        return tie.lift(raw_weight, bindings)
+        nonlocal compiled
+        compiled_for, template = compiled
+        if compiled_for is not atom:
+            template = tuple(
+                (column, var_position[var])
+                for column, var in enumerate(atom.variables)
+                if var in var_position
+            )
+            # One rebinding of the pair: a concurrent fragment build
+            # lifting another atom sees either template whole.
+            compiled = (atom, template)
+        ids = blank.copy()
+        for column, slot in template:
+            value = values[column]
+            box = boxes.get(value)
+            if box is None:
+                box = boxes[value] = (value,)
+            ids[slot] = box
+        return (raw_weight, tuple(ids))
 
     return lift
 
 
-def recover_witness(
-    database: Database, query: ConjunctiveQuery, task: TreeTask, result
-) -> tuple[tuple | None, tuple | None]:
-    """Map bag-level states back to original witness ids and tuples."""
+def witness_decoder(
+    database: Database, query: ConjunctiveQuery, task: TreeTask, tdp
+) -> Callable[[Sequence[int]], tuple[tuple | None, tuple | None]]:
+    """``states -> (witness_ids, witness)`` for one decomposition member.
+
+    Maps bag-level states back to original tuple ids and tuples, in atom
+    order.  Which bag (stage) and which lineage column supply each
+    original atom is the same for every answer of the member, so both —
+    and the relation each id is looked up in — are resolved here, at
+    bind; an answer costs one pick per atom and no sort.
+    """
     if not task.lineage:
-        return None, None
-    tdp = result.tdp
-    merged: list[tuple[int, int]] = []
-    for stage, state in enumerate(result.states):
-        atom = task.query.atoms[tdp.atom_of_stage[stage]]
-        per_tuple = task.lineage.get(atom.relation_name)
+        return lambda _states: (None, None)
+    by_atom: list[tuple[int, int, list[int], Sequence[int]]] = []
+    for stage, bag_atom in enumerate(tdp.atom_of_stage):
+        per_tuple = task.lineage.get(task.query.atoms[bag_atom].relation_name)
         if per_tuple is None:
             continue
-        merged.extend(per_tuple[tdp.tuple_ids[stage][state]])
-    merged.sort()
-    witness_ids = tuple(tuple_id for _atom, tuple_id in merged)
+        bag = BagLineage.of(per_tuple)
+        bag_ids = tdp.tuple_ids[stage]
+        by_atom.extend(
+            (atom, stage, bag_ids, column)
+            for atom, column in zip(bag.atoms, bag.columns)
+        )
+    by_atom.sort(key=itemgetter(0))
+    picks = [pick[1:] for pick in by_atom]
     # tuple_at is a plain list index in memory and a rowid point lookup
     # for backend-stored relations (no materialisation per witness).
-    witness = tuple(
-        database[query.atoms[atom_index].relation_name].tuple_at(tuple_id)
-        for atom_index, tuple_id in merged
-    )
-    return witness_ids, witness
+    fetchers = [
+        database[query.atoms[pick[0]].relation_name].tuple_at
+        for pick in by_atom
+    ]
+
+    def decode(states: Sequence[int]) -> tuple[tuple, tuple]:
+        witness_ids = tuple(
+            [column[bag_ids[states[stage]]] for stage, bag_ids, column in picks]
+        )
+        witness = tuple(
+            [fetch(tuple_id) for fetch, tuple_id in zip(fetchers, witness_ids)]
+        )
+        return witness_ids, witness
+
+    return decode

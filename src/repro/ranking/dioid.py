@@ -288,8 +288,10 @@ class TieBreakingDioid(SelectiveDioid):
     one slot per query variable (in a fixed global order).  Each slot is
     either the empty tuple (variable not bound by this partial witness)
     or a one-tuple ``(value,)``.  ``times`` aggregates the base weights
-    and merges the id vectors; the order key is
-    ``(base_key, ids)`` compared lexicographically.
+    and merges the id vectors (an all-unbound side — ``one``, a bag
+    that binds no ranked variable — hands back the other side's vector
+    unmerged); the order key is ``(base_key, ids)`` compared
+    lexicographically.
 
     Because a *full* solution's id vector is exactly its output
     assignment in global variable order, two identical output tuples
@@ -318,12 +320,15 @@ class TieBreakingDioid(SelectiveDioid):
         return self._one
 
     def times(self, a: tuple, b: tuple) -> tuple:
-        base_value = self.base.times(a[0], b[0])
-        ids = tuple(
-            y if x is _UNBOUND or x == _UNBOUND else x
-            for x, y in zip(a[1], b[1])
-        )
-        return (base_value, ids)
+        ids, other = a[1], b[1]
+        unbound = self._one[1]
+        if ids == unbound:
+            ids = other
+        elif other != unbound:
+            # Slot-wise first-bound: a slot is ``()`` (falsy) or a
+            # one-tuple, so ``x or y`` is ``y if x == () else x``.
+            ids = tuple([x or y for x, y in zip(ids, other)])
+        return (self.base.times(a[0], b[0]), ids)
 
     def key(self, a: tuple) -> tuple:
         return (self.base.key(a[0]), a[1])

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine.plan import make_tie_lift
+from repro.query.atom import Atom
 from repro.ranking.dioid import (
     BOOLEAN,
     MAX_PLUS,
@@ -181,6 +183,105 @@ class TestTieBreaking:
         v = tie.lift(3.0, {0: 1})
         assert tie.times(v, tie.one) == v
         assert tie.key(tie.zero)[0] == math.inf
+
+
+def _reference_times(tie, a, b):
+    """Section 6.3 as written: base product, slot-wise first-bound."""
+    ids = tuple(y if x == () else x for x, y in zip(a[1], b[1]))
+    return (tie.base.times(a[0], b[0]), ids)
+
+
+@st.composite
+def compatible_operands(draw, count):
+    """``count`` partial witnesses of one full assignment (so they agree
+    on shared variables), with integer-valued weights: exact arithmetic,
+    so associativity is an equality, not a tolerance."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    tie = TieBreakingDioid(TROPICAL, m)
+    assignment = draw(
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    )
+    operands = []
+    for _ in range(count):
+        bound = draw(st.sets(st.integers(0, m - 1)))
+        weight = float(draw(st.integers(-50, 50)))
+        operands.append(tie.lift(weight, {p: assignment[p] for p in bound}))
+    return tie, operands
+
+
+class TestTieBreakingAlgebra:
+    """The short-circuiting ``times`` and the templated lift (ISSUE 15)
+    against the definitions they replaced."""
+
+    @given(compatible_operands(2))
+    def test_times_equals_reference(self, drawn):
+        tie, (a, b) = drawn
+        assert tie.times(a, b) == _reference_times(tie, a, b)
+        assert tie.times(b, a) == _reference_times(tie, b, a)
+
+    @given(compatible_operands(1))
+    def test_one_is_two_sided_identity(self, drawn):
+        tie, (a,) = drawn
+        assert tie.times(a, tie.one) == a
+        assert tie.times(tie.one, a) == a
+        # An all-unbound vector that is not ``one`` itself (a bag that
+        # binds no ranked variable) is folded the same way.
+        blank = tie.lift(0.0, {})
+        assert blank[1] is not tie.one[1]
+        assert tie.times(a, blank) == a == tie.times(blank, a)
+
+    @given(compatible_operands(3))
+    def test_associativity(self, drawn):
+        tie, (a, b, c) = drawn
+        assert tie.times(tie.times(a, b), c) == tie.times(a, tie.times(b, c))
+
+    def test_base_arithmetic_survives_the_identity(self):
+        # ``one`` must not be skipped: the base dioid's ``0.0 + x``
+        # turns an int weight into a float and ``-0.0`` into ``0.0``.
+        tie = TieBreakingDioid(TROPICAL, 1)
+        product = tie.times(tie.lift(2, {0: 7}), tie.one)
+        assert repr(product[0]) == "2.0"
+        product = tie.times(tie.one, tie.lift(-0.0, {0: 7}))
+        assert math.copysign(1.0, product[0]) == 1.0
+
+    @given(
+        variables=st.lists(
+            st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=4
+        ),
+        ranked=st.lists(
+            st.sampled_from(["a", "b", "c", "d", "e"]), unique=True, max_size=5
+        ),
+        rows=st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(st.integers(-2, 2), st.sampled_from([1.0, "x"])),
+                    min_size=4, max_size=4,
+                ),
+                finite_floats,
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_make_tie_lift_equals_dioid_lift(self, variables, ranked, rows):
+        # ``variables`` may repeat (R(x, x)) and may name variables that
+        # are not ranked (the UCQ pipeline ranks head variables only).
+        var_position = {var: slot for slot, var in enumerate(ranked)}
+        tie = TieBreakingDioid(TROPICAL, max(1, len(ranked)))
+        atoms = [Atom("R", variables), Atom("S", variables[::-1])]
+        lift = make_tie_lift(tie, var_position)
+        for values, weight in rows:
+            # Alternating atoms: the compiled template must follow.
+            for atom in atoms:
+                row = tuple(values[: atom.arity])
+                expected = tie.lift(
+                    weight,
+                    {
+                        var_position[var]: value
+                        for var, value in zip(atom.variables, row)
+                        if var in var_position
+                    },
+                )
+                assert lift(atom, row, weight) == expected
 
 
 class TestTimesAll:

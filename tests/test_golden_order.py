@@ -17,6 +17,14 @@ numpy kernels)} x all 7 any-k variants x {tropical, max-plus} x {memory, SQLite 
 object-graph path.  Each cell hashes the top ``K`` answers (the full
 output where it is smaller).
 
+Cyclic cells (captured before ISSUE 15 rewrote the decomposition-to-
+choice-set path): {4-cycle, triangle} x {float weights, integer weights
+in 1..3}, a 4-cycle whose entry columns are skewed so that heavy
+partitions are non-empty, and a tie-heavy 6-cycle (middle fan bags,
+three-atom chains), x {tropical, max-times} x all 7 variants, all
+through the simple-cycle union plan (decomposition, tie-breaking dioid,
+ranked merge, witness recovery from bag lineage).
+
 Regenerate (only when a ranked-order change is intended and reviewed)::
 
     PYTHONPATH=src python tests/test_golden_order.py
@@ -37,9 +45,10 @@ from repro.anyk.base import make_enumerator
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.decomposition.cycle import decompose_cycle
 from repro.dp.builder import build_tdp
 from repro.engine import Engine
-from repro.query.builders import path_query, star_query
+from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
 from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL
@@ -130,6 +139,46 @@ WORKLOADS = {
 }
 
 
+def _cycle(length: int, n: int, domain: int, seed: int, ties: bool = False):
+    rng = random.Random(seed)
+    relations = [
+        _binary(
+            f"R{i}", n, domain, rng,
+            [rng.randint(1, 3) for _ in range(n)] if ties else None,
+        )
+        for i in range(1, length + 1)
+    ]
+    return cycle_query(length), Database(relations)
+
+
+def _cycle4_skew():
+    # A quarter of every relation enters through one of two hub values:
+    # those values are heavy, so heavy partitions carry answers.
+    rng = random.Random(1216)
+    relations = []
+    for i in range(1, 5):
+        tuples = [
+            (rng.randint(1, 2) if j % 4 == 0 else rng.randint(3, 14),
+             rng.randint(1, 14))
+            for j in range(80)
+        ]
+        relations.append(Relation(f"R{i}", 2, tuples, _float_weights(rng, 80)))
+    return cycle_query(4), Database(relations)
+
+
+CYCLIC_WORKLOADS = {
+    # No value reaches the heavy threshold: only the all-light member.
+    "cycle4": lambda: _cycle(4, 150, 30, 1212),
+    "triangle": lambda: _cycle(3, 90, 9, 1213),
+    "cycle4_ties": lambda: _cycle(4, 70, 8, 1214, ties=True),
+    "triangle_ties": lambda: _cycle(3, 90, 9, 1215, ties=True),
+    "cycle4_skew": _cycle4_skew,
+    # Middle fan bags and three-atom chain joins only exist from l = 6.
+    "cycle6_ties": lambda: _cycle(6, 40, 10, 1217, ties=True),
+}
+CYCLIC_DIOIDS = {"tropical": TROPICAL, "max_times": MAX_TIMES}
+
+
 def digest(results) -> dict:
     """sha256 over ``(repr(weight), sorted assignment, witness_ids)`` rows."""
     sha = hashlib.sha256()
@@ -202,6 +251,12 @@ def compute_object_cells() -> dict:
     }
 
 
+def compute_cyclic_cell(workload: str, dioid_name: str) -> dict:
+    """Digests of all 7 variants of one cyclic (workload, dioid) cell."""
+    query, database = CYCLIC_WORKLOADS[workload]()
+    return _engine_digests(Engine(database), query, CYCLIC_DIOIDS[dioid_name])
+
+
 def cell_name(workload: str, dioid_name: str, storage: str) -> str:
     return f"{workload}/{dioid_name}/{storage}"
 
@@ -216,6 +271,11 @@ def compute_all() -> dict:
                         workload, dioid_name, storage, scratch
                     )
     cells.update(compute_object_cells())
+    for workload in CYCLIC_WORKLOADS:
+        for dioid_name in CYCLIC_DIOIDS:
+            cells[cell_name(workload, dioid_name, "union")] = compute_cyclic_cell(
+                workload, dioid_name
+            )
     return cells
 
 
@@ -239,10 +299,27 @@ def test_object_path_cells_match_golden(golden):
         assert actual == golden[name], name
 
 
+@pytest.mark.parametrize("dioid_name", list(CYCLIC_DIOIDS))
+@pytest.mark.parametrize("workload", list(CYCLIC_WORKLOADS))
+def test_cyclic_ranked_order_matches_golden(golden, workload, dioid_name):
+    expected = golden[cell_name(workload, dioid_name, "union")]
+    assert compute_cyclic_cell(workload, dioid_name) == expected
+
+
+def test_cyclic_cells_run_heavy_and_light_members():
+    # The digests only pin the partitioned path if it is actually taken.
+    for workload in set(CYCLIC_WORKLOADS) - {"cycle4"}:
+        query, database = CYCLIC_WORKLOADS[workload]()
+        labels = [task.label for task in decompose_cycle(database, query)]
+        assert "all-light" in labels and len(labels) > 1, (workload, labels)
+
+
 def test_golden_file_covers_exactly_the_matrix(golden):
     expected = {
         cell_name(w, d, s) for w in WORKLOADS for d in DIOIDS for s in STORAGES
-    } | {"path4/lexicographic/object", "path4/max_times/object"}
+    } | {"path4/lexicographic/object", "path4/max_times/object"} | {
+        cell_name(w, d, "union") for w in CYCLIC_WORKLOADS for d in CYCLIC_DIOIDS
+    }
     assert set(golden) == expected
     for cell in golden.values():
         assert set(cell) == set(ALL_VARIANTS)

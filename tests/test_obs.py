@@ -253,6 +253,31 @@ class TestEngineSpans:
         finally:
             engine.close()
 
+    def test_cycle_bind_spans_split_bags_from_tdp_build(self):
+        from repro.query.builders import cycle_query
+
+        cyclic = uniform_database(4, 60, domain_size=6, seed=11)
+        engine = Engine(cyclic, tracer=Tracer(sample="always"))
+        try:
+            physical = engine.prepare(cycle_query(4)).bind()
+            spans = engine.tracer.spans()
+            decompose = next(s for s in spans if s.name == "decompose")
+            build = next(s for s in spans if s.name == "tdp.build")
+            members = len(physical.tasks)
+            assert decompose.attrs["members"] == members
+            assert decompose.attrs["members_skipped"] == 5 - members
+            assert decompose.attrs["scans"] == 4
+            assert decompose.attrs["bag_tuples"] == sum(
+                len(bag) for task in physical.tasks for bag in task.database
+            )
+            assert build.attrs["members"] == members
+            assert build.attrs["states"] == sum(
+                tdp.num_states() for tdp in physical.tdps
+            )
+            assert 0 < build.attrs["states"] <= decompose.attrs["bag_tuples"]
+        finally:
+            engine.close()
+
     def test_compile_span_only_where_an_object_tdp_is_lowered(self, database):
         engine = Engine(database, tracer=Tracer(sample="always"))
         try:
