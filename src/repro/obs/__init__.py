@@ -1,4 +1,4 @@
-"""Observability layer: tracing, EXPLAIN ANALYZE, exporters, latency.
+"""Observability layer: tracing, EXPLAIN ANALYZE, metrics, latency.
 
 The running system's view of the paper's cost model:
 
@@ -7,13 +7,13 @@ The running system's view of the paper's cost model:
 * :mod:`repro.obs.analyze` — ``PreparedQuery.analyze(k)``: per-stage
   wall time, OpCounter attribution, per-shard counts, and the
   TTF / TT(k) / per-answer-delay profile;
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and
-  Prometheus text exposition for ``GET /metrics``;
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto);
 * :mod:`repro.obs.latency` — the shared percentile / latency-window
   implementation behind the gateway and the experiment runner;
 * :mod:`repro.obs.metrics` — the typed metrics registry (counters,
   gauges, histograms, labeled families) every subsystem registers
-  into, plus a promtool-style exposition validator;
+  into — the one source of the Prometheus exposition behind
+  ``GET /metrics?format=prometheus`` — plus a promtool-style validator;
 * :mod:`repro.obs.profiler` — the sampling profiler behind
   ``repro profile`` (collapsed-stack output, stage attribution);
 * :mod:`repro.obs.top` — the ``repro top`` operator view and the
@@ -24,7 +24,6 @@ from repro.obs.analyze import AnalyzeReport, StageNode, analyze_prepared
 from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,
-    prometheus_text,
     write_chrome_trace,
 )
 from repro.obs.latency import (
@@ -61,7 +60,6 @@ __all__ = [
     "analyze_prepared",
     "chrome_trace_events",
     "chrome_trace_json",
-    "prometheus_text",
     "write_chrome_trace",
     "LatencyStats",
     "LatencyWindow",

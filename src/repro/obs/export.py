@@ -1,23 +1,18 @@
-"""Trace and metric exporters: Chrome trace-event JSON, Prometheus text.
+"""The trace exporter: Chrome trace-event JSON.
 
 Chrome trace events (the ``traceEvents`` array format) load directly in
 Perfetto / ``chrome://tracing``; complete events (``ph: "X"``) carry
 microsecond start + duration, so nested spans render as a flame chart
-per thread.  Prometheus exposition is the plain text format version
-0.0.4 — flattened gauge names over the gateway's nested metrics dict —
-so the existing ``GET /metrics`` endpoint can serve scrapers via
-content negotiation without growing a client dependency.
+per thread.  (Metrics have one exporter of their own: the typed registry
+of :mod:`repro.obs.metrics` renders the Prometheus exposition.)
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Iterable
 
 from repro.obs.trace import Span, Tracer
-
-_NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def chrome_trace_events(
@@ -99,68 +94,3 @@ def write_chrome_trace(
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(document)
     return count
-
-
-def _metric_name(parts: tuple[str, ...]) -> str:
-    name = "_".join(_NAME_OK.sub("_", part) for part in parts)
-    if name and name[0].isdigit():
-        name = "_" + name
-    return name.lower()
-
-
-def _flatten(
-    value,
-    parts: tuple[str, ...],
-    out: list[tuple[str, tuple[str, ...], float]],
-) -> None:
-    if isinstance(value, bool):
-        out.append((_metric_name(parts), parts, 1.0 if value else 0.0))
-    elif isinstance(value, (int, float)):
-        out.append((_metric_name(parts), parts, float(value)))
-    elif isinstance(value, dict):
-        for key, child in value.items():
-            _flatten(child, parts + (str(key),), out)
-    # Strings, lists, and None have no scalar reading; scrapers get the
-    # JSON form of /metrics for those.
-
-
-def prometheus_text(metrics: dict, prefix: str = "repro") -> str:
-    """Render a nested metrics dict as Prometheus exposition text.
-
-    Every numeric leaf becomes a gauge named
-    ``<prefix>_<path_joined_by_underscores>``; booleans map to 0/1 and
-    non-numeric leaves are skipped.  Output is sorted so scrapes are
-    deterministic and diff-friendly.
-
-    Distinct dict paths can sanitize to the same metric name (e.g.
-    ``{"a": {"b_c": 1}, "a_b": {"c": 2}}`` or a key that only differs
-    by a scrubbed character).  Repeating a name — let alone its
-    ``# TYPE`` line — is invalid exposition, so colliders are suffixed
-    ``_2``, ``_3``, ... in path order: the lexicographically-smallest
-    source path keeps the bare name, and the mapping is stable across
-    scrapes as long as the colliding keys themselves are.
-    """
-    flat: list[tuple[str, tuple[str, ...], float]] = []
-    _flatten(metrics, (prefix,), flat)
-    if not flat:
-        return ""
-    flat.sort(key=lambda item: (item[0], item[1]))
-    base_names = {name for name, _path, _value in flat}
-    emitted: set[str] = set()
-    lines: list[str] = []
-    for name, _path, value in flat:
-        if name in emitted:
-            occurrence = 2
-            while (
-                f"{name}_{occurrence}" in emitted
-                or f"{name}_{occurrence}" in base_names
-            ):
-                occurrence += 1
-            name = f"{name}_{occurrence}"
-        emitted.add(name)
-        lines.append(f"# TYPE {name} gauge")
-        if value == int(value) and abs(value) < 1e15:
-            lines.append(f"{name} {int(value)}")
-        else:
-            lines.append(f"{name} {value}")
-    return "\n".join(lines) + "\n"

@@ -12,16 +12,17 @@ incremental delay per page and zero repeated-prefix work.
 * :mod:`repro.serve.policy` — :class:`AccessPolicy`: bearer-token auth
   and per-client token-bucket rate limiting, shared across transports;
 * :mod:`repro.serve.protocol` — the JSON-lines wire protocol;
-* :mod:`repro.serve.server` — the asyncio TCP server
-  (:class:`ServeServer`), the transport-agnostic op dispatcher
-  (:class:`OpDispatcher`), and the thread-hosted harness
+* :mod:`repro.serve.server` — the listener core (lifecycle, drain,
+  edge check, tracked dispatch), the transport-agnostic op dispatcher
+  (:class:`OpDispatcher`), the JSON-lines framing of the core
+  (:class:`ServeServer`), and the thread-hosted harness
   (:class:`ServerThread`);
-* :mod:`repro.serve.gateway` — the HTTP/1.1 + WebSocket gateway
-  (:class:`GatewayServer`, :class:`GatewayThread`) with ``/metrics``
-  and structured request logging;
-* :mod:`repro.serve.client` — the synchronous :class:`ServeClient`,
-  the asyncio :class:`AsyncServeClient`, and the gateway-facing
-  :class:`HttpServeClient`.
+* :mod:`repro.serve.gateway` — the HTTP/1.1 + WebSocket framing of the
+  same core (:class:`GatewayServer`, :class:`GatewayThread`) with
+  ``/metrics`` and structured request logging;
+* :mod:`repro.serve.client` — one op table under three transports: the
+  blocking :class:`ServeClient`, the asyncio :class:`AsyncServeClient`,
+  and the gateway-facing :class:`HttpServeClient`.
 
 Start a server from the command line with ``python -m repro.cli serve``
 (add ``--http-port`` for the gateway, ``--auth-token``/``--rate-limit``

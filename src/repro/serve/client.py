@@ -1,4 +1,9 @@
-"""Clients for the serving layer: sync, async, and HTTP.
+"""Clients for the serving layer: one op table under three transports.
+
+The op surface — ``ping`` / ``prepare`` / ``fetch`` / ``fetch_all`` /
+``explain`` / ``close_cursor`` / ``close_session`` / ``stats`` — is
+written once (each request message built once, each response unpacked
+once, one retry policy) and inherited by:
 
 * :class:`ServeClient` — blocking JSON-lines client over one socket;
   used by the tests, the load benchmark, and the pagination example; it
@@ -8,9 +13,12 @@
   creating one client per worker thread.
 * :class:`AsyncServeClient` — the same protocol over asyncio streams,
   for event-loop-native consumers (one connection per client; drive
-  concurrency by creating several clients on one loop).
+  concurrency by creating several clients on one loop).  Its op methods
+  return awaitables.
 * :class:`HttpServeClient` — a thin blocking client for the HTTP
-  gateway's request/response endpoints (:mod:`repro.serve.gateway`).
+  gateway's request/response endpoints (:mod:`repro.serve.gateway`):
+  an op is ``POST /v1/<op>`` (``stats``: ``GET /v1/stats``, ``ping``:
+  ``GET /healthz``), plus ``healthz()`` and ``metrics()``.
 
 All three accept ``token=`` and attach it to every request, matching
 the server-side :class:`~repro.serve.policy.AccessPolicy`.
@@ -107,88 +115,55 @@ def _checked(message: dict) -> dict:
     return message
 
 
-def _fetch_page(result_lines: list[bytes], final_line: bytes) -> FetchPage:
-    """A fetch response as the JSON-lines clients return it.
+def _line_response(result_lines: list[bytes], final_line: bytes) -> dict:
+    """A JSON-lines response in the shape the HTTP gateway gives it.
 
-    The result lines of the whole page are parsed by one ``json.loads``
+    A fetch's result lines become the terminator's ``results`` member,
+    parsed by one ``json.loads`` for the whole page
     (:func:`protocol.join_results`), not one call per answer; an error
     terminator raises, whatever arrived before it.
     """
-    final = _checked(protocol.decode(final_line))
+    response = _checked(protocol.decode(final_line))
+    if response.get("op") == "fetch":
+        response["results"] = json.loads(protocol.join_results(result_lines))
+    return response
+
+
+def _page(response: dict) -> FetchPage:
     return FetchPage(
-        json.loads(protocol.join_results(result_lines)),
-        final["served"],
-        final["position"],
-        final["exhausted"],
-        deadline_exceeded=final.get("deadline_exceeded", False),
+        response["results"],
+        response["served"],
+        response["position"],
+        response["exhausted"],
+        deadline_exceeded=response.get("deadline_exceeded", False),
     )
 
 
-class ServeClient:
-    """Blocking JSON-lines client: ``prepare`` / ``fetch`` / ``explain`` /
-    ``close`` plus ``stats`` and ``ping``."""
+#: What each op's method returns, from the op's checked response.
+_UNPACK: dict[str, Callable[[dict], Any]] = {
+    "ping": lambda response: response["ok"],
+    "prepare": lambda response: response,
+    "fetch": _page,
+    "explain": lambda response: response["plan"],
+    "close": lambda response: None,
+    "stats": lambda response: response["stats"],
+}
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        token: str | None = None,
-        retries: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.host = host
-        self.port = port
-        self.token = token
-        #: Extra attempts on throttled/overloaded rejections (0 = raise
-        #: immediately).  Retries honour the server's ``retry_after``.
-        self.retries = retries
-        self._sleep = sleep
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
 
-    # -- transport -------------------------------------------------------------
+class _Client:
+    """The op surface of every client, written once.
 
-    def _send(self, message: dict) -> None:
-        if self.token is not None and "token" not in message:
-            message = {**message, "token": self.token}
-        self._file.write(protocol.encode(message))
-        self._file.flush()
+    Each method builds its request message and hands it to ``_call``,
+    which a transport supplies: send ``message``, return what
+    :data:`_UNPACK` makes of the response (blocking transports return
+    it, the asyncio one returns its awaitable).
+    """
 
-    def _read_line(self) -> bytes:
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return line
-
-    def _read(self) -> dict:
-        return protocol.decode(self._read_line())
-
-    def _read_final(self) -> dict:
-        """Read one response line, raising on protocol errors."""
-        return _checked(self._read())
-
-    def _with_retries(self, attempt_fn: Callable[[], Any]) -> Any:
-        """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
-        for attempt in range(self.retries + 1):
-            try:
-                return attempt_fn()
-            except ServeClientError as exc:
-                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
-                    raise
-                self._sleep(_retry_delay(exc, attempt))
-
-    def request(self, message: dict) -> dict:
-        """Send one non-streaming request, return its response."""
-        def attempt() -> dict:
-            self._send(message)
-            return self._read_final()
-        return self._with_retries(attempt)
-
-    # -- protocol ops ----------------------------------------------------------
+    host: str
+    port: int
 
     def ping(self) -> bool:
-        return self.request({"op": "ping"})["ok"]
+        return self._call({"op": "ping"})
 
     def prepare(
         self,
@@ -200,16 +175,19 @@ class ServeClient:
         budget: int | None = None,
         shards: int | None = None,
         shard_tie_break: str = "arrival",
+        shard_strategy: str = "range",
+        shard_parallel: str = "auto",
         deadline_ms: float | None = None,
     ) -> dict:
         """Open a cursor for ``query`` in ``session``; returns the
         response (``cursor``, ``strategy``, ``algorithm``, ``shards``).
 
         ``shards`` asks the server to bind through the parallel
-        execution layer (fragment-sharded T-DPs, ranked k-way merge);
-        the wire format and fetch semantics are unchanged.
-        ``deadline_ms`` becomes the cursor's default per-fetch deadline
-        (each fetch's countdown starts when that fetch begins).
+        execution layer (fragment-sharded T-DPs, ranked k-way merge),
+        refined by the ``shard_*`` arguments; the wire format and fetch
+        semantics are unchanged.  ``deadline_ms`` becomes the cursor's
+        default per-fetch deadline (each fetch's countdown starts when
+        that fetch begins).
         """
         message: dict[str, Any] = {
             "op": "prepare",
@@ -225,9 +203,13 @@ class ServeClient:
             message["shards"] = shards
             if shard_tie_break != "arrival":
                 message["shard_tie_break"] = shard_tie_break
+            if shard_strategy != "range":
+                message["shard_strategy"] = shard_strategy
+            if shard_parallel != "auto":
+                message["shard_parallel"] = shard_parallel
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
-        return self.request(message)
+        return self._call(message)
 
     def fetch(
         self,
@@ -246,14 +228,7 @@ class ServeClient:
         }
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
-        return self._with_retries(lambda: self._fetch_once(message))
-
-    def _fetch_once(self, message: dict) -> FetchPage:
-        self._send(message)
-        lines: list[bytes] = []
-        while (line := self._read_line()).startswith(protocol.RESULT_PREFIX):
-            lines.append(line)
-        return _fetch_page(lines, line)
+        return self._call(message)
 
     def fetch_all(
         self, session: str, cursor: str, page_size: int = 64
@@ -267,20 +242,100 @@ class ServeClient:
                 return out
 
     def explain(self, session: str, cursor: str) -> str:
-        return self.request(
-            {"op": "explain", "session": session, "cursor": cursor}
-        )["plan"]
+        return self._call({"op": "explain", "session": session, "cursor": cursor})
 
     def close_cursor(self, session: str, cursor: str) -> None:
-        self.request({"op": "close", "session": session, "cursor": cursor})
+        return self._call({"op": "close", "session": session, "cursor": cursor})
 
     def close_session(self, session: str) -> None:
-        self.request({"op": "close", "session": session})
+        return self._call({"op": "close", "session": session})
 
     def stats(self) -> dict:
-        return self.request({"op": "stats"})["stats"]
+        return self._call({"op": "stats"})
 
-    # -- lifecycle -------------------------------------------------------------
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.host}:{self.port})"
+
+
+class _BlockingClient(_Client):
+    """Blocking control flow over a transport's ``_open(timeout)`` and
+    ``_exchange(message)``."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float = 30.0,
+        token: str | None = None,
+        retries: int = 0,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
+        self.host = host
+        self.port = port
+        self.token = token
+        #: Extra attempts on throttled/overloaded rejections (0 = raise
+        #: immediately).  Retries honour the server's ``retry_after``
+        #: (over HTTP, its ``Retry-After`` header).
+        self.retries = retries
+        self._sleep = sleep
+        self._open(timeout)
+
+    def _with_retries(self, attempt_fn: Callable[[], dict]) -> dict:
+        """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
+        for attempt in range(self.retries + 1):
+            try:
+                return attempt_fn()
+            except ServeClientError as exc:
+                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
+                    raise
+                self._sleep(_retry_delay(exc, attempt))
+
+    def _call(self, message: dict) -> Any:
+        response = self._with_retries(lambda: self._exchange(message))
+        return _UNPACK[message["op"]](response)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
+class ServeClient(_BlockingClient):
+    """Blocking JSON-lines client: ``prepare`` / ``fetch`` / ``explain`` /
+    ``close`` plus ``stats`` and ``ping``."""
+
+    def _open(self, timeout: float) -> None:
+        self._sock = socket.create_connection(
+            (self.host, self.port), timeout=timeout
+        )
+        self._file = self._sock.makefile("rwb")
+
+    def _send(self, message: dict) -> None:
+        if self.token is not None and "token" not in message:
+            message = {**message, "token": self.token}
+        self._file.write(protocol.encode(message))
+        self._file.flush()
+
+    def _read_line(self) -> bytes:
+        line = self._file.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return line
+
+    def _read(self) -> dict:
+        return protocol.decode(self._read_line())
+
+    def _exchange(self, message: dict) -> dict:
+        self._send(message)
+        lines: list[bytes] = []
+        while (line := self._read_line()).startswith(protocol.RESULT_PREFIX):
+            lines.append(line)
+        return _line_response(lines, line)
+
+    def request(self, message: dict) -> dict:
+        """Send one request, return its checked response."""
+        return self._with_retries(lambda: self._exchange(message))
 
     def close(self) -> None:
         try:
@@ -288,17 +343,8 @@ class ServeClient:
         finally:
             self._sock.close()
 
-    def __enter__(self) -> "ServeClient":
-        return self
 
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"ServeClient({self.host}:{self.port})"
-
-
-class AsyncServeClient:
+class AsyncServeClient(_Client):
     """An asyncio JSON-lines client mirroring :class:`ServeClient`.
 
     Connect with :meth:`connect` (or ``async with``)::
@@ -359,98 +405,39 @@ class AsyncServeClient:
 
     # -- transport -------------------------------------------------------------
 
-    async def _send(self, message: dict) -> None:
-        if self._writer is None:
-            await self.connect()
-        if self.token is not None and "token" not in message:
-            message = {**message, "token": self.token}
-        self._writer.write(protocol.encode(message))
-        await self._writer.drain()
-
     async def _read_line(self) -> bytes:
         line = await asyncio.wait_for(self._reader.readline(), self.timeout)
         if not line:
             raise ConnectionError("server closed the connection")
         return line
 
-    async def _read_final(self) -> dict:
-        return _checked(protocol.decode(await self._read_line()))
-
-    async def _with_retries(self, attempt_fn) -> Any:
-        """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
-        for attempt in range(self.retries + 1):
-            try:
-                return await attempt_fn()
-            except ServeClientError as exc:
-                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
-                    raise
-                await asyncio.sleep(_retry_delay(exc, attempt))
-
-    async def request(self, message: dict) -> dict:
-        """Send one non-streaming request, return its response."""
-        async def attempt() -> dict:
-            await self._send(message)
-            return await self._read_final()
-        return await self._with_retries(attempt)
-
-    # -- protocol ops ----------------------------------------------------------
-
-    async def ping(self) -> bool:
-        return (await self.request({"op": "ping"}))["ok"]
-
-    async def prepare(
-        self,
-        session: str,
-        query: str,
-        algorithm: str = "take2",
-        dioid: str = "tropical",
-        projection: str = "all_weight",
-        budget: int | None = None,
-        shards: int | None = None,
-        shard_tie_break: str = "arrival",
-        deadline_ms: float | None = None,
-    ) -> dict:
-        message: dict[str, Any] = {
-            "op": "prepare",
-            "session": session,
-            "query": query,
-            "algorithm": algorithm,
-            "dioid": dioid,
-            "projection": projection,
-        }
-        if budget is not None:
-            message["budget"] = budget
-        if shards is not None:
-            message["shards"] = shards
-            if shard_tie_break != "arrival":
-                message["shard_tie_break"] = shard_tie_break
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return await self.request(message)
-
-    async def fetch(
-        self,
-        session: str,
-        cursor: str,
-        n: int = 10,
-        deadline_ms: float | None = None,
-    ) -> FetchPage:
-        """The next ``n`` ranked answers of a cursor (may be fewer)."""
-        message: dict[str, Any] = {
-            "op": "fetch", "session": session, "cursor": cursor, "n": n,
-        }
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return await self._with_retries(lambda: self._fetch_once(message))
-
-    async def _fetch_once(self, message: dict) -> FetchPage:
-        await self._send(message)
+    async def _exchange(self, message: dict) -> dict:
+        if self._writer is None:
+            await self.connect()
+        if self.token is not None and "token" not in message:
+            message = {**message, "token": self.token}
+        self._writer.write(protocol.encode(message))
+        await self._writer.drain()
         lines: list[bytes] = []
         while (line := await self._read_line()).startswith(
             protocol.RESULT_PREFIX
         ):
             lines.append(line)
-        return _fetch_page(lines, line)
+        return _line_response(lines, line)
+
+    async def request(self, message: dict) -> dict:
+        """Send one request, return its checked response, retrying edge
+        rejections up to ``retries``."""
+        for attempt in range(self.retries + 1):
+            try:
+                return await self._exchange(message)
+            except ServeClientError as exc:
+                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
+                    raise
+                await asyncio.sleep(_retry_delay(exc, attempt))
+
+    async def _call(self, message: dict) -> Any:
+        return _UNPACK[message["op"]](await self.request(message))
 
     async def fetch_all(
         self, session: str, cursor: str, page_size: int = 64
@@ -463,30 +450,16 @@ class AsyncServeClient:
             if page.exhausted or page.served == 0:
                 return out
 
-    async def explain(self, session: str, cursor: str) -> str:
-        return (
-            await self.request(
-                {"op": "explain", "session": session, "cursor": cursor}
-            )
-        )["plan"]
-
-    async def close_cursor(self, session: str, cursor: str) -> None:
-        await self.request(
-            {"op": "close", "session": session, "cursor": cursor}
-        )
-
-    async def close_session(self, session: str) -> None:
-        await self.request({"op": "close", "session": session})
-
-    async def stats(self) -> dict:
-        return (await self.request({"op": "stats"}))["stats"]
-
     def __repr__(self) -> str:
         state = "connected" if self._writer is not None else "disconnected"
         return f"AsyncServeClient({self.host}:{self.port}, {state})"
 
 
-class HttpServeClient:
+#: Ops the gateway serves elsewhere than ``POST /v1/<op>``.
+_HTTP_ROUTES = {"ping": ("GET", "/healthz"), "stats": ("GET", "/v1/stats")}
+
+
+class HttpServeClient(_BlockingClient):
     """A blocking client for the HTTP gateway's JSON endpoints.
 
     Thin by design — the gateway's request/response bodies *are* the
@@ -496,34 +469,24 @@ class HttpServeClient:
     JSON-lines clients.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        token: str | None = None,
-        retries: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.host = host
-        self.port = port
-        self.token = token
-        #: Extra attempts on 429/503 rejections, honouring Retry-After.
-        self.retries = retries
-        self._sleep = sleep
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
-
-    # -- transport -------------------------------------------------------------
+    def _open(self, timeout: float) -> None:
+        self._conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=timeout
+        )
 
     def request(self, method: str, path: str, payload: dict | None = None) -> dict:
         """One HTTP round trip; returns the decoded JSON body."""
-        for attempt in range(self.retries + 1):
-            try:
-                return self._request_once(method, path, payload)
-            except ServeClientError as exc:
-                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
-                    raise
-                self._sleep(_retry_delay(exc, attempt))
+        return self._with_retries(
+            lambda: self._request_once(method, path, payload)
+        )
+
+    def _exchange(self, message: dict) -> dict:
+        fields = dict(message)
+        op = fields.pop("op")
+        method, path = _HTTP_ROUTES.get(op, ("POST", f"/v1/{op}"))
+        return self._request_once(
+            method, path, fields if method == "POST" else None
+        )
 
     def _request_once(
         self, method: str, path: str, payload: dict | None
@@ -539,21 +502,16 @@ class HttpServeClient:
         response = self._conn.getresponse()
         retry_header = response.getheader("Retry-After")
         decoded = json.loads(response.read().decode("utf-8"))
-        if response.status >= 400 or not decoded.get("ok", False):
-            retry_after = decoded.get("retry_after")
-            if retry_after is None and retry_header is not None:
-                try:
-                    retry_after = float(retry_header)
-                except ValueError:
-                    retry_after = None
-            raise ServeClientError(
-                decoded.get("error", f"http_{response.status}"),
-                decoded.get("message", ""),
-                retry_after=retry_after,
-            )
-        return decoded
-
-    # -- endpoints -------------------------------------------------------------
+        if response.status >= 400:
+            decoded = {
+                "error": f"http_{response.status}", **decoded, "ok": False,
+            }
+        if decoded.get("retry_after") is None and retry_header is not None:
+            try:
+                decoded["retry_after"] = float(retry_header)
+            except ValueError:
+                pass
+        return _checked(decoded)
 
     def healthz(self) -> dict:
         return self.request("GET", "/healthz")
@@ -561,65 +519,5 @@ class HttpServeClient:
     def metrics(self) -> dict:
         return self.request("GET", "/metrics")
 
-    def stats(self) -> dict:
-        return self.request("GET", "/v1/stats")["stats"]
-
-    def prepare(self, session: str, query: str, **fields: Any) -> dict:
-        payload = {"session": session, "query": query, **fields}
-        return self.request("POST", "/v1/prepare", payload)
-
-    def fetch(
-        self,
-        session: str,
-        cursor: str,
-        n: int = 10,
-        deadline_ms: float | None = None,
-    ) -> FetchPage:
-        payload: dict[str, Any] = {
-            "session": session, "cursor": cursor, "n": n,
-        }
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        response = self.request("POST", "/v1/fetch", payload)
-        return FetchPage(
-            response["results"],
-            response["served"],
-            response["position"],
-            response["exhausted"],
-            deadline_exceeded=response.get("deadline_exceeded", False),
-        )
-
-    def fetch_all(
-        self, session: str, cursor: str, page_size: int = 64
-    ) -> list[dict]:
-        out: list[dict] = []
-        while True:
-            page = self.fetch(session, cursor, page_size)
-            out.extend(page.results)
-            if page.exhausted or page.served == 0:
-                return out
-
-    def explain(self, session: str, cursor: str) -> str:
-        return self.request(
-            "POST", "/v1/explain", {"session": session, "cursor": cursor}
-        )["plan"]
-
-    def close_cursor(self, session: str, cursor: str) -> None:
-        self.request(
-            "POST", "/v1/close", {"session": session, "cursor": cursor}
-        )
-
-    def close_session(self, session: str) -> None:
-        self.request("POST", "/v1/close", {"session": session})
-
     def close(self) -> None:
         self._conn.close()
-
-    def __enter__(self) -> "HttpServeClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"HttpServeClient({self.host}:{self.port})"

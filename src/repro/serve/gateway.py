@@ -16,19 +16,31 @@ protocol cannot give:
   session/eviction counts, admission counters, tracer stats, and
   rolling p50/p95/p99 fetch latency (a
   :class:`~repro.obs.latency.LatencyWindow` over the
-  :class:`~repro.obs.latency.LatencyStats` machinery) — as JSON, or as
-  Prometheus text exposition via content negotiation (``Accept:
-  text/plain`` or ``?format=prometheus``).  Structured JSON request
-  logging on ``repro.serve.gateway`` carries a per-request
-  ``request_id`` (honouring a client's ``X-Request-Id``, echoed back in
-  the response header) and the request's wall-clock ``ms``.
+  :class:`~repro.obs.latency.LatencyStats` machinery) — as JSON, or,
+  via content negotiation (``Accept: text/plain`` or
+  ``?format=prometheus``), as the Prometheus exposition of the
+  deployment's typed :class:`~repro.obs.metrics.MetricsRegistry`.
+  Structured JSON request logging on ``repro.serve.gateway`` carries a
+  per-request ``request_id`` (honouring a client's ``X-Request-Id``,
+  echoed back in the response header) and the request's wall-clock
+  ``ms``.
 * **Two client shapes over one semantics**: request/response JSON
   endpoints (``POST /v1/prepare`` …) for stateless HTTP clients, and a
   WebSocket upgrade (``GET /v1/ws``) that speaks the *exact* JSON-lines
   protocol of :mod:`repro.serve.protocol`, one message per text frame.
-  Both paths dispatch through the TCP server's
-  :class:`~repro.serve.server.OpDispatcher`, so validation, error
-  codes, and result framing are bit-identical across transports.
+  Both paths dispatch through the same
+  :class:`~repro.serve.server.OpDispatcher` as the TCP server, so
+  validation, error codes, and result framing are bit-identical across
+  transports.
+
+The gateway is a *framing*: listener lifecycle, drain, the connection
+shell, the edge check and the tracked dispatch are
+:class:`~repro.serve.server.Listener`'s, shared with the TCP server;
+this module adds HTTP parsing and routing, the response writer, and the
+WebSocket frames.  An HTTP page is buffered (the status line must come
+first) and leaves in one write; if that write fails the page is taken
+back — cursor rewound, budget refunded — exactly as the TCP path takes
+back a slice whose send failed.
 
 Endpoints
 ---------
@@ -58,7 +70,7 @@ import hashlib
 import json
 import logging
 import time
-from typing import Any
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import Engine
@@ -68,7 +80,7 @@ from repro.obs.trace import new_request_id
 from repro.serve import protocol
 from repro.serve.policy import AccessPolicy
 from repro.util.resilience import COUNTERS as RESILIENCE_COUNTERS
-from repro.serve.server import CoalescingWriter, OpDispatcher, ServerThread
+from repro.serve.server import CoalescingWriter, Listener, ServerThread
 from repro.serve.session import SessionManager
 from repro.util import faults
 
@@ -89,32 +101,9 @@ HTTP_STATUS = {
     protocol.ERR_DEADLINE: 504,
 }
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-    101: "Switching Protocols",
-}
-
 #: RFC 6455 handshake GUID.
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _WS_TEXT, _WS_CLOSE, _WS_PING, _WS_PONG = 0x1, 0x8, 0x9, 0xA
-
-#: Paths → protocol ops for the request/response endpoints.
-_POST_OPS = {
-    "/v1/prepare": "prepare",
-    "/v1/fetch": "fetch",
-    "/v1/explain": "explain",
-    "/v1/close": "close",
-}
 
 
 def ws_accept_key(key: str) -> str:
@@ -160,30 +149,20 @@ async def ws_read_frame(
     return fin, opcode, payload
 
 
-class _CollectWriter:
+class _CollectWriter(CoalescingWriter):
     """Writer shim that keeps a response's protocol lines, encoded.
 
     An HTTP response needs its status line first, so nothing is sent
-    while the op runs: the dispatcher's ``protocol.encode`` lines are
-    kept as they are and :meth:`GatewayServer._dispatch_http` splices
-    them into one body when the terminator has arrived — only that one
-    line is ever decoded here.  ``is_closing`` proxies the real
-    transport so a client that disconnects mid-fetch still aborts the
-    enumeration (the scheduler rewinds the undelivered slice).
+    while the op runs: the dispatcher's ``protocol.encode`` lines stay
+    ``pending`` and :meth:`GatewayServer._run_op` splices them into one
+    body when the terminator has arrived — only that one line is ever
+    decoded here.  ``is_closing`` still proxies the real transport, so a
+    client that disconnects mid-fetch aborts the enumeration (the
+    scheduler rewinds the undelivered slice).
     """
-
-    def __init__(self, transport_writer: asyncio.StreamWriter):
-        self._writer = transport_writer
-        self.lines: list[bytes] = []
-
-    def write(self, data: bytes) -> None:
-        self.lines.append(data)
 
     async def drain(self) -> None:
         return None
-
-    def is_closing(self) -> bool:
-        return self._writer.is_closing()
 
 
 class _WsWriter(CoalescingWriter):
@@ -200,26 +179,69 @@ class _WsWriter(CoalescingWriter):
 
 
 class _HttpRequest:
-    """One parsed HTTP/1.1 request."""
+    """One parsed HTTP/1.1 request, and the way to answer it."""
 
     __slots__ = (
-        "method", "path", "query", "headers", "body", "keep_alive",
+        "writer", "method", "path", "query", "headers", "body", "keep_alive",
         "request_id",
     )
 
-    def __init__(self, method, path, query, headers, body, keep_alive):
+    def __init__(self, writer, method, path, query, headers, body, keep_alive):
+        self.writer = writer
         self.method = method
         self.path = path
         self.query = query
         self.headers = headers
         self.body = body
         self.keep_alive = keep_alive
-        #: Set by the connection handler: the client's ``X-Request-Id``
-        #: or a freshly generated id; echoed on the response and logged.
-        self.request_id: str | None = None
+        #: The client's ``X-Request-Id`` or a freshly generated id;
+        #: echoed on the response and logged.
+        self.request_id = headers.get("x-request-id") or new_request_id()
+
+    @property
+    def token(self) -> str | None:
+        auth = self.headers.get("authorization", "")
+        if auth.lower().startswith("bearer "):
+            return auth[7:].strip()
+        return self.query.get("token")
+
+    async def respond(
+        self,
+        status: int,
+        payload: dict,
+        extra_headers: dict[str, str] | None = None,
+    ) -> int:
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return await self.respond_raw(
+            status, body, "application/json", extra_headers
+        )
+
+    async def respond_raw(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        extra_headers: dict[str, str] | None = None,
+    ) -> int:
+        """Send the whole response in one write; returns ``status``."""
+        headers = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'keep-alive' if self.keep_alive else 'close'}",
+            f"X-Request-Id: {self.request_id}",
+        ]
+        for name, value in (extra_headers or {}).items():
+            headers.append(f"{name}: {value}")
+        faults.hit("gateway.write")
+        self.writer.write(
+            "\r\n".join(headers).encode("latin-1") + b"\r\n\r\n" + body
+        )
+        await self.writer.drain()
+        return status
 
 
-class GatewayServer:
+class GatewayServer(Listener):
     """A stdlib HTTP/1.1 + WebSocket gateway over one session manager.
 
     Pass ``manager=`` to share sessions (and edge policy) with a
@@ -227,6 +249,13 @@ class GatewayServer:
     private manager is built over ``engine`` with the same knobs the
     TCP server takes.
     """
+
+    connections_metric = (
+        "repro_gateway_connections_total", "HTTP connections accepted."
+    )
+    requests_metric = (
+        "repro_gateway_http_requests_total", "HTTP requests received."
+    )
 
     def __init__(
         self,
@@ -243,46 +272,36 @@ class GatewayServer:
         log_requests: bool = True,
         drain_s: float = 0.0,
     ):
-        if drain_s < 0:
-            raise ValueError(f"drain_s must be non-negative, got {drain_s}")
-        if manager is None:
-            if engine is None:
-                raise ValueError("GatewayServer needs an engine or a manager")
-            manager = SessionManager(
-                engine,
-                max_sessions=max_sessions,
-                ttl_seconds=ttl_seconds,
-                result_budget=result_budget,
-                slice_size=slice_size,
-            )
-        self.manager = manager
-        self.engine = manager.engine
-        self.policy = policy if policy is not None else AccessPolicy()
-        self.dispatcher = OpDispatcher(manager, self.policy)
-        self.host = host
-        self.port = port
-        self.max_frame_bytes = max_frame_bytes
-        self.log_requests = log_requests
-        #: Default grace period for :meth:`stop`.
-        self.drain_s = drain_s
-        #: The engine's tracer: gateway request spans open here, so
-        #: engine spans created while dispatching nest under them and
-        #: the whole request is one trace (request-ID propagation).
-        self.tracer = self.engine.tracer
-        self._server: asyncio.AbstractServer | None = None
-        self.started_at = time.time()
-        self.http_requests = Counter(
-            "repro_gateway_http_requests_total", "HTTP requests received."
+        super().__init__(
+            engine, host, port, manager,
+            policy if policy is not None else AccessPolicy(),
+            max_frame_bytes, drain_s,
+            max_sessions=max_sessions,
+            ttl_seconds=ttl_seconds,
+            result_budget=result_budget,
+            slice_size=slice_size,
         )
+        self.log_requests = log_requests
+        #: The engine's tracer, whose statistics ``/metrics`` reports.
+        self.tracer = self.engine.tracer
+        self.started_at = time.time()
         self.ws_connections = Counter(
             "repro_gateway_ws_connections_total", "WebSocket upgrades."
         )
         self.ws_messages = Counter(
             "repro_gateway_ws_messages_total", "WebSocket messages received."
         )
-        #: Requests currently inside dispatch (drain watches this).
-        #: A plain int (goes down as well as up); exported as a gauge.
-        self.active_requests = 0
+        #: Path → (method, handler) of every endpoint but the upgrade.
+        self._routes = {
+            "/healthz": ("GET", self._get_healthz),
+            "/metrics": ("GET", self._get_metrics),
+            "/debug": ("GET", self._get_debug),
+            "/v1/stats": ("GET", self._run_op),
+            "/v1/prepare": ("POST", self._run_op),
+            "/v1/fetch": ("POST", self._run_op),
+            "/v1/explain": ("POST", self._run_op),
+            "/v1/close": ("POST", self._run_op),
+        }
         #: The deployment's typed-instrument registry behind
         #: ``GET /metrics?format=prometheus``.  Per-gateway, never
         #: process-global: two gateways (or two test fixtures) each see
@@ -292,7 +311,7 @@ class GatewayServer:
 
     def _register_metrics(self) -> None:
         registry = self.registry
-        registry.attach(self.http_requests)
+        registry.attach(self.requests)
         registry.attach(self.ws_connections)
         registry.attach(self.ws_messages)
         registry.attach(self.dispatcher.requests)
@@ -323,53 +342,13 @@ class GatewayServer:
                 fn=lambda field=field: tracer_stats().get(field, 0),
             )
 
-    # -- lifecycle -------------------------------------------------------------
-
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
-        return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(
-        self, close_sessions: bool = True, drain_s: float | None = None
-    ) -> None:
-        """Stop accepting, drain in-flight dispatches, drop sessions.
-
-        Same drain semantics as :meth:`ServeServer.stop`: during the
-        grace period a mid-fetch client still receives its full page.
-        """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        drain_s = self.drain_s if drain_s is None else drain_s
-        if drain_s > 0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + drain_s
-            while self.active_requests > 0 and loop.time() < deadline:
-                await asyncio.sleep(0.005)
-        if close_sessions:
-            self.manager.close()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
-
     def url(self, path: str = "/") -> str:
         return f"http://{self.host}:{self.port}{path}"
 
     # -- HTTP plumbing ---------------------------------------------------------
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> _HttpRequest | None:
         """Parse one request; ``None`` on clean EOF, ValueError on junk."""
         try:
@@ -408,129 +387,50 @@ class GatewayServer:
         keep_alive = version == "HTTP/1.1" and (
             headers.get("connection", "").lower() != "close"
         )
-        return _HttpRequest(method, split.path, query, headers, body, keep_alive)
-
-    def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        keep_alive: bool = True,
-        extra_headers: dict[str, str] | None = None,
-        request_id: str | None = None,
-    ) -> int:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        return self._respond_raw(
-            writer, status, body, "application/json", keep_alive,
-            extra_headers, request_id,
+        return _HttpRequest(
+            writer, method, split.path, query, headers, body, keep_alive
         )
 
-    def _respond_raw(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        content_type: str,
-        keep_alive: bool = True,
-        extra_headers: dict[str, str] | None = None,
-        request_id: str | None = None,
-    ) -> int:
-        headers = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        if request_id:
-            headers.append(f"X-Request-Id: {request_id}")
-        for name, value in (extra_headers or {}).items():
-            headers.append(f"{name}: {value}")
-        faults.hit("gateway.write")
-        writer.write("\r\n".join(headers).encode("latin-1") + b"\r\n\r\n" + body)
-        return len(body)
-
     def _log(
-        self,
-        request: _HttpRequest | None,
-        peer: str,
-        status: int,
-        elapsed: float,
-        **extra: Any,
+        self, request: _HttpRequest, peer: str, status: int, started: float
     ) -> None:
         if not self.log_requests:
             return
         record = {
             "event": "request",
             "client": peer,
-            "method": request.method if request else "-",
-            "path": request.path if request else "-",
+            "method": request.method,
+            "path": request.path,
             "status": status,
-            "ms": round(elapsed * 1e3, 3),
+            "ms": round((time.perf_counter() - started) * 1e3, 3),
+            "request_id": request.request_id,
         }
-        record.update(extra)
         logger.info(json.dumps(record, separators=(",", ":")))
-
-    # -- auth / admission ------------------------------------------------------
-
-    def _request_token(self, request: _HttpRequest) -> str | None:
-        auth = request.headers.get("authorization", "")
-        if auth.lower().startswith("bearer "):
-            return auth[7:].strip()
-        return request.query.get("token")
-
-    def _edge_check(self, request: _HttpRequest, peer: str) -> dict | None:
-        """Auth + admission; an error dict means "reject at the edge"."""
-        if request.path == "/healthz":
-            return None
-        if not self.policy.authorize(self._request_token(request)):
-            return protocol.error(
-                protocol.ERR_UNAUTHORIZED, "missing or invalid auth token"
-            )
-        if not self.policy.admit(peer):
-            retry = self.policy.retry_after(peer)
-            return protocol.error(
-                protocol.ERR_THROTTLED,
-                f"rate limit exceeded; retry in {retry:.3f}s",
-            )
-        return None
 
     # -- connection handling ---------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer: str
     ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = peername[0] if isinstance(peername, tuple) else str(peername)
-        try:
-            while True:
-                started = time.perf_counter()
-                request_id = new_request_id()
-                try:
-                    request = await self._read_request(reader)
-                except (ValueError, asyncio.IncompleteReadError) as exc:
-                    self.http_requests += 1
-                    self._respond(
-                        writer,
-                        400,
-                        protocol.error(protocol.ERR_BAD_REQUEST, str(exc)),
-                        keep_alive=False,
-                        request_id=request_id,
-                    )
-                    await writer.drain()
-                    self._log(
-                        None, peer, 400, time.perf_counter() - started,
-                        request_id=request_id,
-                    )
-                    break
+        while True:
+            started = time.perf_counter()
+            try:
+                request = await self._read_request(reader, writer)
+            except (ValueError, asyncio.IncompleteReadError) as exc:
+                # Nothing of the request can be trusted, its framing
+                # least of all: answer, log and hang up.
+                self.requests += 1
+                request = _HttpRequest(writer, "-", "-", {}, {}, b"", False)
+                status = await request.respond(
+                    400, protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
+                )
+            else:
                 if request is None:
                     break
-                # Honour a client-supplied id (trace continuation across
-                # services); otherwise the generated one stands.
-                request.request_id = (
-                    request.headers.get("x-request-id") or request_id
+                self.requests += 1
+                rejection = self._edge_check(
+                    request.path == "/healthz", request.token, peer
                 )
-                self.http_requests += 1
-                rejection = self._edge_check(request, peer)
                 if rejection is not None:
                     status = HTTP_STATUS[rejection["error"]]
                     extra = {}
@@ -538,186 +438,96 @@ class GatewayServer:
                         extra["Retry-After"] = str(
                             max(1, round(self.policy.retry_after(peer)))
                         )
-                    self._respond(
-                        writer, status, rejection,
-                        keep_alive=request.keep_alive, extra_headers=extra,
-                        request_id=request.request_id,
-                    )
-                    await writer.drain()
-                    self._log(
-                        request, peer, status, time.perf_counter() - started,
-                        request_id=request.request_id,
-                    )
-                    if not request.keep_alive:
-                        break
-                    continue
-                if self._is_ws_upgrade(request):
-                    self._log(
-                        request, peer, 101, time.perf_counter() - started,
-                        request_id=request.request_id,
-                    )
-                    await self._serve_websocket(request, reader, writer, peer)
+                    await request.respond(status, rejection, extra)
+                elif (
+                    request.path == "/v1/ws"
+                    and "upgrade" in request.headers.get("connection", "").lower()
+                    and request.headers.get("upgrade", "").lower() == "websocket"
+                ):
+                    self._log(request, peer, 101, started)
+                    await self._serve_websocket(request, reader, peer)
                     break
-                status = await self._route(request, writer)
-                await writer.drain()
-                self._log(
-                    request, peer, status, time.perf_counter() - started,
-                    request_id=request.request_id,
-                )
-                if not request.keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
+                else:
+                    status = await self._route(request)
+            self._log(request, peer, status, started)
+            if not request.keep_alive:
+                break
 
-    # -- routing ---------------------------------------------------------------
-
-    async def _route(
-        self, request: _HttpRequest, writer: asyncio.StreamWriter
-    ) -> int:
-        if request.path == "/healthz":
-            if request.method != "GET":
-                return self._method_not_allowed(request, writer, "GET")
-            self._respond(
-                writer,
-                200,
-                {"ok": True, "status": "serving"},
-                keep_alive=request.keep_alive,
-                request_id=request.request_id,
+    async def _route(self, request: _HttpRequest) -> int:
+        method, handler = self._routes.get(request.path, (None, None))
+        if handler is None:
+            return await request.respond(
+                404,
+                protocol.error(
+                    protocol.ERR_BAD_REQUEST, f"no route for {request.path!r}"
+                ),
             )
-            return 200
-        if request.path == "/metrics":
-            if request.method != "GET":
-                return self._method_not_allowed(request, writer, "GET")
-            # Content negotiation: Prometheus scrapers ask for
-            # text/plain (or ?format=prometheus) and get the typed
-            # registry exposition; everyone else keeps the JSON
-            # document.
-            accept = request.headers.get("accept", "")
-            if (
-                "text/plain" in accept
-                or request.query.get("format") == "prometheus"
-            ):
-                self._respond_raw(
-                    writer,
-                    200,
-                    self.registry.render().encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    keep_alive=request.keep_alive,
-                    request_id=request.request_id,
-                )
-            else:
-                self._respond(
-                    writer, 200, self.metrics(),
-                    keep_alive=request.keep_alive,
-                    request_id=request.request_id,
-                )
-            return 200
-        if request.path == "/debug":
-            if request.method != "GET":
-                return self._method_not_allowed(request, writer, "GET")
-            self._respond_raw(
-                writer,
-                200,
-                debug_html(self.metrics()).encode("utf-8"),
-                "text/html; charset=utf-8",
-                keep_alive=request.keep_alive,
-                request_id=request.request_id,
+        if request.method != method:
+            return await request.respond(
+                405,
+                protocol.error(
+                    protocol.ERR_BAD_REQUEST,
+                    f"{request.method} not allowed on {request.path}",
+                ),
+                {"Allow": method},
             )
-            return 200
-        if request.path == "/v1/stats":
-            if request.method != "GET":
-                return self._method_not_allowed(request, writer, "GET")
-            return await self._dispatch_http(request, writer, {"op": "stats"})
-        op = _POST_OPS.get(request.path)
-        if op is not None:
-            if request.method != "POST":
-                return self._method_not_allowed(request, writer, "POST")
-            try:
-                fields = (
-                    json.loads(request.body.decode("utf-8"))
-                    if request.body
-                    else {}
-                )
-                if not isinstance(fields, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._respond(
-                    writer,
-                    400,
-                    protocol.error(protocol.ERR_BAD_REQUEST, str(exc)),
-                    keep_alive=request.keep_alive,
-                    request_id=request.request_id,
-                )
-                return 400
-            fields.pop("token", None)
-            fields["op"] = op
-            return await self._dispatch_http(request, writer, fields)
-        self._respond(
-            writer,
-            404,
-            protocol.error(
-                protocol.ERR_BAD_REQUEST, f"no route for {request.path!r}"
-            ),
-            keep_alive=request.keep_alive,
-            request_id=request.request_id,
-        )
-        return 404
+        return await handler(request)
 
-    def _method_not_allowed(
-        self, request: _HttpRequest, writer: asyncio.StreamWriter, allow: str
-    ) -> int:
-        self._respond(
-            writer,
-            405,
-            protocol.error(
-                protocol.ERR_BAD_REQUEST,
-                f"{request.method} not allowed on {request.path}",
-            ),
-            keep_alive=request.keep_alive,
-            extra_headers={"Allow": allow},
-            request_id=request.request_id,
-        )
-        return 405
+    # -- routes ----------------------------------------------------------------
 
-    async def _dispatch_http(
-        self,
-        request: _HttpRequest,
-        writer: asyncio.StreamWriter,
-        wire_request: dict,
-    ) -> int:
-        """Run one protocol op, folding its line stream into one body.
+    async def _get_healthz(self, request: _HttpRequest) -> int:
+        return await request.respond(200, {"ok": True, "status": "serving"})
+
+    async def _get_metrics(self, request: _HttpRequest) -> int:
+        # Content negotiation: Prometheus scrapers ask for text/plain
+        # (or ?format=prometheus) and get the typed registry exposition;
+        # everyone else keeps the JSON document.
+        if (
+            "text/plain" in request.headers.get("accept", "")
+            or request.query.get("format") == "prometheus"
+        ):
+            return await request.respond_raw(
+                200,
+                self.registry.render().encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        return await request.respond(200, self.metrics())
+
+    async def _get_debug(self, request: _HttpRequest) -> int:
+        return await request.respond_raw(
+            200,
+            debug_html(self.metrics()).encode("utf-8"),
+            "text/html; charset=utf-8",
+        )
+
+    async def _run_op(self, request: _HttpRequest) -> int:
+        """Run the protocol op the path names, folding its line stream
+        into one body.
 
         Results stream through the same scheduler slices (and abort on
         client disconnect) as on the TCP path; they are simply buffered
         into a single JSON response at the end, because an HTTP
         response needs its status line first.
         """
-        collector = _CollectWriter(writer)
-        # The request span roots the trace: dispatch runs in this task,
-        # so session/engine spans opened below nest under it and carry
-        # the edge's request id end to end.
-        self.active_requests += 1
         try:
-            with self.tracer.span(
-                "gateway.request",
-                method=request.method,
-                path=request.path,
-                op=wire_request["op"],
-                request_id=request.request_id,
-            ):
-                await self.dispatcher.dispatch(wire_request, collector)
-        finally:
-            self.active_requests -= 1
-        lines = collector.lines or [
-            protocol.encode(
-                protocol.error(protocol.ERR_INTERNAL, "op produced no response")
+            fields = (
+                json.loads(request.body.decode("utf-8")) if request.body else {}
             )
+            if not isinstance(fields, dict):
+                raise ValueError("request body must be a JSON object")
+        except (ValueError, UnicodeDecodeError) as exc:
+            return await request.respond(
+                400, protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
+            )
+        fields.pop("token", None)
+        op = fields["op"] = request.path.rpartition("/")[2]
+        collector = _CollectWriter(request.writer)
+        await self._dispatch(
+            "gateway.request", fields, collector, request.request_id,
+            method=request.method, path=request.path,
+        )
+        lines = collector.pending or [
+            protocol.error_line(protocol.ERR_INTERNAL, "op produced no response")
         ]
         # The body is the terminator line, for a fetch with the result
         # lines spliced in as its "results" member — bytes the dispatcher
@@ -725,6 +535,7 @@ class GatewayServer:
         terminator = protocol.decode(lines[-1])
         body = lines[-1][:-1]
         extra_headers: dict[str, str] = {}
+        page: tuple[int, int] | None = None
         if terminator.get("ok"):
             status = 200
             if terminator.get("deadline_exceeded") and len(lines) == 1:
@@ -734,19 +545,19 @@ class GatewayServer:
                 # bounded time-to-first-answer means losing a computed
                 # ranked prefix to a timeout would be strictly worse.)
                 status = 504
-                body = protocol.encode(
-                    protocol.error(
-                        protocol.ERR_DEADLINE,
-                        "deadline expired before any result was enumerated",
-                    )
+                body = protocol.error_line(
+                    protocol.ERR_DEADLINE,
+                    "deadline expired before any result was enumerated",
                 )[:-1]
-            elif wire_request["op"] == "fetch":
+            elif op == "fetch":
                 body = (
                     body[:-1]
                     + b',"results":'
                     + protocol.join_results(lines[:-1])
                     + b"}"
                 )
+                served = terminator["served"]
+                page = (terminator["position"] - served, served)
         else:
             status = HTTP_STATUS.get(terminator.get("error"), 400)
             if status in (429, 503):
@@ -754,44 +565,41 @@ class GatewayServer:
                 extra_headers["Retry-After"] = str(
                     max(1, round(retry)) if retry else 1
                 )
-        self._respond_raw(
-            writer, status, body, "application/json",
-            keep_alive=request.keep_alive, extra_headers=extra_headers,
-            request_id=request.request_id,
-        )
-        return status
+        try:
+            return await request.respond_raw(
+                status, body, "application/json", extra_headers
+            )
+        except BaseException:
+            if page is not None:
+                # The page was buffered, so a lost response loses all of
+                # it: take it back as the TCP path takes back the slice
+                # a failed send carried (not charged, and not rewound
+                # past another reader that has moved the cursor on).
+                self.manager.undeliver(
+                    fields["session"], fields["cursor"], *page
+                )
+            raise
 
     # -- websocket -------------------------------------------------------------
 
-    @staticmethod
-    def _is_ws_upgrade(request: _HttpRequest) -> bool:
-        return (
-            request.path == "/v1/ws"
-            and "upgrade" in request.headers.get("connection", "").lower()
-            and request.headers.get("upgrade", "").lower() == "websocket"
-        )
-
     async def _serve_websocket(
-        self,
-        request: _HttpRequest,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer: str,
+        self, request: _HttpRequest, reader: asyncio.StreamReader, peer: str
     ) -> None:
         """Upgrade and speak the JSON-lines protocol, one op per frame.
 
-        Auth already happened at the upgrade request; admission control
-        is then enforced per message, exactly like the TCP server.
+        The upgrade request passed the edge check; each message then
+        passes it again under the upgrade's token, exactly like a line
+        on the TCP server.
         """
+        writer = request.writer
         key = request.headers.get("sec-websocket-key")
         if not key:
-            self._respond(
-                writer,
+            request.keep_alive = False
+            await request.respond(
                 400,
                 protocol.error(
                     protocol.ERR_BAD_REQUEST, "missing Sec-WebSocket-Key"
                 ),
-                keep_alive=False,
             )
             return
         writer.write(
@@ -805,91 +613,44 @@ class GatewayServer:
         await writer.drain()
         self.ws_connections += 1
         ws_writer = _WsWriter(writer)
+        token = request.token
+
+        async def refuse(message: str) -> None:
+            ws_writer.write(protocol.error_line(protocol.ERR_BAD_REQUEST, message))
+            await ws_writer.drain()
+
         message = bytearray()
-        try:
-            while True:
-                try:
-                    fin, opcode, payload = await ws_read_frame(
-                        reader, self.max_frame_bytes
-                    )
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    break
-                except ValueError as exc:
-                    ws_writer.write(
-                        protocol.encode(
-                            protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
-                        )
-                    )
-                    await ws_writer.drain()
-                    break
-                if opcode == _WS_CLOSE:
-                    writer.write(ws_encode_frame(payload[:2], _WS_CLOSE))
-                    await writer.drain()
-                    break
-                if opcode == _WS_PING:
-                    writer.write(ws_encode_frame(payload, _WS_PONG))
-                    await writer.drain()
-                    continue
-                if opcode == _WS_PONG:
-                    continue
-                message += payload
-                if not fin:
-                    continue
-                frame, message = bytes(message), bytearray()
-                if len(frame) > self.max_frame_bytes:
-                    ws_writer.write(
-                        protocol.encode(
-                            protocol.error(
-                                protocol.ERR_BAD_REQUEST,
-                                f"message exceeds {self.max_frame_bytes} bytes",
-                            )
-                        )
-                    )
-                    await ws_writer.drain()
-                    continue
-                self.ws_messages += 1
-                try:
-                    wire_request = protocol.decode(frame)
-                except ValueError as exc:
-                    ws_writer.write(
-                        protocol.encode(
-                            protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
-                        )
-                    )
-                    await ws_writer.drain()
-                    continue
-                if wire_request.get("op") != "ping" and not self.policy.admit(
-                    peer
-                ):
-                    retry = self.policy.retry_after(peer)
-                    ws_writer.write(
-                        protocol.encode(
-                            protocol.error(
-                                protocol.ERR_THROTTLED,
-                                f"rate limit exceeded; retry in {retry:.3f}s",
-                            )
-                        )
-                    )
-                    await ws_writer.drain()
-                    continue
-                self.active_requests += 1
-                try:
-                    with self.tracer.span(
-                        "gateway.ws",
-                        op=wire_request.get("op"),
-                        request_id=(
-                            wire_request.get("request_id") or request.request_id
-                        ),
-                    ):
-                        await self.dispatcher.dispatch(wire_request, ws_writer)
-                finally:
-                    self.active_requests -= 1
-                await ws_writer.drain()
-        except (BrokenPipeError, asyncio.CancelledError):
-            pass
+        while True:
+            try:
+                fin, opcode, payload = await ws_read_frame(
+                    reader, self.max_frame_bytes
+                )
+            except (asyncio.IncompleteReadError, ConnectionResetError):
+                break
+            except ValueError as exc:
+                await refuse(str(exc))
+                break
+            if opcode == _WS_CLOSE:
+                writer.write(ws_encode_frame(payload[:2], _WS_CLOSE))
+                await writer.drain()
+                break
+            if opcode == _WS_PING:
+                writer.write(ws_encode_frame(payload, _WS_PONG))
+                await writer.drain()
+                continue
+            if opcode == _WS_PONG:
+                continue
+            message += payload
+            if not fin:
+                continue
+            frame, message = bytes(message), bytearray()
+            if len(frame) > self.max_frame_bytes:
+                await refuse(f"message exceeds {self.max_frame_bytes} bytes")
+                continue
+            self.ws_messages += 1
+            await self._handle_message(
+                "gateway.ws", frame, ws_writer, peer, token, request.request_id
+            )
 
     # -- observability ---------------------------------------------------------
 
@@ -910,7 +671,7 @@ class GatewayServer:
             "ok": True,
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "gateway": {
-                "http_requests": int(self.http_requests),
+                "http_requests": int(self.requests),
                 "ws_connections": int(self.ws_connections),
                 "ws_messages": int(self.ws_messages),
                 "dispatched": int(self.dispatcher.requests),

@@ -176,3 +176,8 @@ def error(code: str, message: str, **fields: Any) -> dict:
     payload = {"ok": False, "error": code, "message": message}
     payload.update(fields)
     return payload
+
+
+def error_line(code: str, message: str, **fields: Any) -> bytes:
+    """:func:`error`, encoded: what a server writes to refuse a request."""
+    return encode(error(code, message, **fields))

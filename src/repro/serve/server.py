@@ -1,8 +1,13 @@
-"""The asyncio streaming query server (stdlib only).
+"""The asyncio streaming query server: listener core, op dispatcher,
+and the TCP JSON-lines framing (stdlib only).
 
-:class:`ServeServer` exposes one :class:`~repro.engine.Engine` over a
-TCP JSON-lines protocol (see :mod:`repro.serve.protocol`).  Design
-points that matter for serving ranked enumeration:
+:class:`Listener` is everything about a front door that is not its
+framing: the session manager, the accept / stop / drain lifecycle, the
+connection shell, the auth-then-admit edge check and the tracked
+dispatch.  :class:`ServeServer` frames it as JSON lines over TCP (see
+:mod:`repro.serve.protocol`); :mod:`repro.serve.gateway` frames it as
+HTTP/1.1 and WebSocket on a second port.  Design points that matter for
+serving ranked enumeration:
 
 * **Streaming with backpressure, one send per slice** — each answer is
   encoded once, a scheduler slice's lines are joined and handed to the
@@ -24,18 +29,18 @@ points that matter for serving ranked enumeration:
   :class:`~repro.serve.policy.AccessPolicy` authenticates and
   rate-limits every request *before* it reaches the session manager:
   an unauthorized or over-limit client is refused without consuming a
-  scheduler slice.  The same policy object serves the HTTP gateway
-  (:mod:`repro.serve.gateway`), so both transports enforce one config.
+  scheduler slice.  The check is :meth:`Listener._edge_check`, the one
+  place every framing asks.
 * **Shared work** — connections are stateless transports; all state
   (sessions, cursors, memoized prefixes) lives behind the engine, so
   two clients paginating the same query share one enumeration.
 
 The protocol op handlers live in :class:`OpDispatcher`, which is
-transport-agnostic (it only needs a ``write``/``drain`` writer): the
-TCP server and the gateway's WebSocket endpoint dispatch through the
-same object, so validation and semantics cannot drift between them.
+transport-agnostic (it only needs a ``write``/``drain`` writer): every
+framing dispatches through it, so validation and semantics — the types
+of the request fields included — cannot drift between them.
 
-:class:`ServerThread` hosts the server's event loop in a daemon thread,
+:class:`ServerThread` hosts a listener's event loop in a daemon thread,
 which is how the tests, the load benchmark, and the example embed a
 live server without blocking.
 """
@@ -44,10 +49,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from repro.engine.engine import Engine
 from repro.obs.metrics import Counter
+from repro.ranking.dioid import NAMED_DIOIDS
 from repro.serve import protocol
 from repro.serve.cursor import CursorBudgetExceeded
 from repro.serve.policy import AccessPolicy
@@ -81,19 +87,55 @@ class CoalescingWriter:
 
     def __init__(self, transport_writer: asyncio.StreamWriter):
         self._writer = transport_writer
-        self._pending: list[bytes] = []
+        #: The lines written since the last drain.
+        self.pending: list[bytes] = []
 
     def write(self, data: bytes) -> None:
-        self._pending.append(data)
+        self.pending.append(data)
 
     async def drain(self) -> None:
-        if self._pending:
-            self._writer.write(b"".join(self._pending))
-            self._pending.clear()
+        if self.pending:
+            self._writer.write(b"".join(self.pending))
+            self.pending.clear()
         await self._writer.drain()
 
     def is_closing(self) -> bool:
         return self._writer.is_closing()
+
+
+def _is_string(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_count(value: Any) -> bool:
+    return protocol.valid_int(value) and value >= 0
+
+
+def _is_positive_int(value: Any) -> bool:
+    return protocol.valid_int(value) and value >= 1
+
+
+#: What a typed request field must be, whichever op carries it: name →
+#: (predicate, description).  Checked before any handler runs, so a
+#: mistyped field is the client's ``bad_request`` on every transport and
+#: never an exception out of the planner (which would count against the
+#: circuit breaker, i.e. let one client shed everybody's requests).
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        (
+            "session", "query", "cursor", "algorithm", "dioid", "projection",
+            "shard_tie_break", "shard_strategy", "shard_parallel",
+        ),
+        (_is_string, "a string"),
+    ),
+    "budget": (_is_count, "a non-negative int or null"),
+    "shards": (_is_positive_int, "a positive int or null"),
+    "n": (_is_count, "a non-negative int"),
+    "deadline_ms": (protocol.valid_ms, "a positive number or null"),
+}
+
+#: Fields whose JSON ``null`` means "not given".
+_NULLABLE_FIELDS = ("cursor", "budget", "shards", "deadline_ms")
 
 
 class OpDispatcher:
@@ -109,13 +151,21 @@ class OpDispatcher:
     how lines are batched into sends is the writer's business.
     """
 
-    def __init__(self, manager: SessionManager, policy: AccessPolicy | None = None):
+    def __init__(
+        self,
+        manager: SessionManager,
+        policy: AccessPolicy | None = None,
+        extra_stats: Callable[[], dict] | None = None,
+    ):
         self.manager = manager
         #: Shared edge policy; when set, its overload gate (circuit
         #: breaker + in-flight cap) sheds prepare/fetch requests here —
         #: after auth/throttle but before any engine work — and its
         #: breaker is fed from dispatch outcomes.
         self.policy = policy
+        #: What the listener adds to the ``stats`` op's answer (its own
+        #: connection/request counts, the policy snapshot).
+        self.extra_stats = extra_stats
         #: Requests dispatched (all transports sharing this dispatcher).
         self.requests = Counter(
             "repro_dispatched_requests_total",
@@ -132,11 +182,7 @@ class OpDispatcher:
         handler = getattr(self, f"op_{op}", None) if op in protocol.OPS else None
         if handler is None:
             writer.write(
-                protocol.encode(
-                    protocol.error(
-                        protocol.ERR_UNKNOWN_OP, f"unknown op {op!r}"
-                    )
-                )
+                protocol.error_line(protocol.ERR_UNKNOWN_OP, f"unknown op {op!r}")
             )
             return
         acquired = False
@@ -144,17 +190,16 @@ class OpDispatcher:
             admitted, retry = self.policy.overload_acquire(op)
             if not admitted:
                 writer.write(
-                    protocol.encode(
-                        protocol.error(
-                            protocol.ERR_OVERLOADED,
-                            f"server overloaded; retry in {retry:.3f}s",
-                            retry_after=round(retry, 3),
-                        )
+                    protocol.error_line(
+                        protocol.ERR_OVERLOADED,
+                        f"server overloaded; retry in {retry:.3f}s",
+                        retry_after=round(retry, 3),
                     )
                 )
                 return
             acquired = True
         try:
+            self._check_fields(request)
             await handler(request, writer)
             self._record(True)
         except (ConnectionResetError, BrokenPipeError):
@@ -165,38 +210,38 @@ class OpDispatcher:
             raise
         except ServeError as exc:
             writer.write(
-                protocol.encode(
-                    protocol.error(
-                        _ERROR_CODES.get(type(exc), protocol.ERR_BAD_REQUEST),
-                        str(exc),
-                    )
+                protocol.error_line(
+                    _ERROR_CODES.get(type(exc), protocol.ERR_BAD_REQUEST),
+                    str(exc),
                 )
             )
         except CursorBudgetExceeded as exc:
-            writer.write(
-                protocol.encode(protocol.error(protocol.ERR_BUDGET, str(exc)))
-            )
+            writer.write(protocol.error_line(protocol.ERR_BUDGET, str(exc)))
         except (ValueError, KeyError, TypeError) as exc:
             # Planner/parser rejections (bad query text, unknown
             # relation, unsupported algorithm) — the client's fault.
-            writer.write(
-                protocol.encode(protocol.error(protocol.ERR_QUERY, str(exc)))
-            )
+            writer.write(protocol.error_line(protocol.ERR_QUERY, str(exc)))
         except Exception as exc:  # noqa: BLE001 - keep the server alive
             # Server-side failure: this is what the circuit breaker
             # counts — enough of these in a row and the edge starts
             # shedding instead of queueing doomed work.
             self._record(False)
-            writer.write(
-                protocol.encode(
-                    protocol.error(protocol.ERR_INTERNAL, repr(exc))
-                )
-            )
+            writer.write(protocol.error_line(protocol.ERR_INTERNAL, repr(exc)))
         finally:
             if acquired:
                 self.policy.overload_release(op)
 
     # -- ops -------------------------------------------------------------------
+
+    @staticmethod
+    def _check_fields(request: dict) -> None:
+        for name, value in request.items():
+            rule = _FIELD_TYPES.get(name)
+            if rule is None or (value is None and name in _NULLABLE_FIELDS):
+                continue
+            accepts, expected = rule
+            if not accepts(value):
+                raise ServeError(f"{name} must be {expected}, got {value!r}")
 
     @staticmethod
     def _require(request: dict, *fields: str) -> list[Any]:
@@ -208,26 +253,12 @@ class OpDispatcher:
         return values
 
     async def op_prepare(self, request: dict, writer: Any) -> None:
-        from repro.ranking.dioid import NAMED_DIOIDS
-
         session_name, query = self._require(request, "session", "query")
         dioid_name = request.get("dioid", "tropical")
         if dioid_name not in NAMED_DIOIDS:
             raise ServeError(
                 f"unknown dioid {dioid_name!r} "
                 f"(expected one of {sorted(NAMED_DIOIDS)})"
-            )
-        shards = request.get("shards")
-        if shards is not None and (
-            not protocol.valid_int(shards) or shards < 1
-        ):
-            raise ServeError(
-                f"shards must be a positive int, got {shards!r}"
-            )
-        deadline_ms = request.get("deadline_ms")
-        if deadline_ms is not None and not protocol.valid_ms(deadline_ms):
-            raise ServeError(
-                f"deadline_ms must be a positive number, got {deadline_ms!r}"
             )
         session, cursor_id = self.manager.open_cursor(
             session_name,
@@ -236,11 +267,11 @@ class OpDispatcher:
             dioid=NAMED_DIOIDS[dioid_name],
             projection=request.get("projection", "all_weight"),
             budget=request.get("budget"),
-            shards=shards,
+            shards=request.get("shards"),
             shard_tie_break=request.get("shard_tie_break", "arrival"),
             shard_strategy=request.get("shard_strategy", "range"),
             shard_parallel=request.get("shard_parallel", "auto"),
-            deadline_ms=deadline_ms,
+            deadline_ms=request.get("deadline_ms"),
         )
         cursor = session.cursor(cursor_id)
         shard = cursor.prepared.logical.shard
@@ -260,13 +291,6 @@ class OpDispatcher:
     async def op_fetch(self, request: dict, writer: Any) -> None:
         session_name, cursor_id = self._require(request, "session", "cursor")
         n = request.get("n", 10)
-        if not protocol.valid_int(n) or n < 0:
-            raise ServeError(f"fetch size must be a non-negative int, got {n!r}")
-        deadline_ms = request.get("deadline_ms")
-        if deadline_ms is not None and not protocol.valid_ms(deadline_ms):
-            raise ServeError(
-                f"deadline_ms must be a positive number, got {deadline_ms!r}"
-            )
 
         # Stream slice by slice: the sink runs after every scheduler
         # slice, so results go out (and drain() applies transport
@@ -298,7 +322,11 @@ class OpDispatcher:
                 held = (start_rank, len(page))
 
         outcome = await self.manager.fetch_async(
-            session_name, cursor_id, n, sink=sink, deadline_ms=deadline_ms
+            session_name,
+            cursor_id,
+            n,
+            sink=sink,
+            deadline_ms=request.get("deadline_ms"),
         )
         terminator = protocol.ok(
             "fetch",
@@ -337,30 +365,42 @@ class OpDispatcher:
 
     async def op_stats(self, request: dict, writer: Any) -> None:
         stats = self.manager.stats()
-        extra = getattr(self, "extra_stats", None)
-        if extra is not None:
-            stats.update(extra())
+        if self.extra_stats is not None:
+            stats.update(self.extra_stats())
         writer.write(protocol.encode(protocol.ok("stats", stats=stats)))
 
     async def op_ping(self, request: dict, writer: Any) -> None:
         writer.write(protocol.encode(protocol.ok("ping")))
 
 
-class ServeServer:
-    """A TCP JSON-lines front end over one engine's prepared queries."""
+class Listener:
+    """One asyncio listener over one session manager: everything about a
+    front door that is not its framing.
+
+    It owns, once for every transport: the session manager and its
+    argument checks, ``start`` / ``serve_forever`` / ``stop`` with the
+    drain wait, the per-connection shell (peer, quiet disconnects, the
+    close), the auth-then-admit edge check and the tracked dispatch of
+    an admitted request.  A framing — :class:`ServeServer`'s JSON lines,
+    the gateway's HTTP/1.1 and WebSocket — subclasses it and supplies
+    :meth:`_serve`: read requests off one connection, pass each through
+    :meth:`_edge_check`, hand the admitted ones to :meth:`_dispatch`.
+    """
+
+    #: (name, help) of this framing's connection and request counters.
+    connections_metric: tuple[str, str]
+    requests_metric: tuple[str, str]
 
     def __init__(
         self,
-        engine: Engine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_sessions: int = 64,
-        ttl_seconds: float | None = None,
-        result_budget: int | None = None,
-        slice_size: int = 64,
-        policy: AccessPolicy | None = None,
-        max_frame_bytes: int = 1 << 20,
-        drain_s: float = 0.0,
+        engine: Engine | None,
+        host: str,
+        port: int,
+        manager: SessionManager | None,
+        policy: AccessPolicy | None,
+        max_frame_bytes: int,
+        drain_s: float,
+        **manager_options: Any,
     ):
         if max_frame_bytes < 1:
             raise ValueError(
@@ -368,42 +408,34 @@ class ServeServer:
             )
         if drain_s < 0:
             raise ValueError(f"drain_s must be non-negative, got {drain_s}")
-        self.engine = engine
+        if manager is None:
+            if engine is None:
+                raise ValueError(
+                    f"{type(self).__name__} needs an engine or a manager"
+                )
+            manager = SessionManager(engine, **manager_options)
+        self.manager = manager
+        self.engine = manager.engine
         self.host = host
         self.port = port
-        self.manager = SessionManager(
-            engine,
-            max_sessions=max_sessions,
-            ttl_seconds=ttl_seconds,
-            result_budget=result_budget,
-            slice_size=slice_size,
-        )
-        self.dispatcher = OpDispatcher(self.manager, policy)
-        self.dispatcher.extra_stats = self._extra_stats
         #: Shared edge policy (None = open deployment, no checks).
         self.policy = policy
-        #: Largest accepted request line; longer frames are answered
-        #: with ``ERR_BAD_REQUEST`` and skipped, the connection lives on.
+        self.dispatcher = OpDispatcher(manager, policy, self._edge_stats)
+        #: Largest accepted request frame (a JSON line, an HTTP header
+        #: section or body, a WebSocket message); a longer one is
+        #: answered with ``ERR_BAD_REQUEST``.
         self.max_frame_bytes = max_frame_bytes
         #: Default grace period for :meth:`stop`: how long to let
         #: in-flight requests finish before sessions are dropped.
         self.drain_s = drain_s
         self._server: asyncio.AbstractServer | None = None
-        self.connections = Counter(
-            "repro_server_connections_total", "TCP connections accepted."
-        )
-        self.requests = Counter(
-            "repro_server_requests_total", "Request lines received."
-        )
-        self.oversized_frames = Counter(
-            "repro_server_oversized_frames_total",
-            "Request frames rejected for exceeding the frame cap.",
-        )
+        self.connections = Counter(*self.connections_metric)
+        self.requests = Counter(*self.requests_metric)
         #: Requests currently inside dispatch (drain watches this).
         #: A plain int, not an instrument: it goes down as well as up.
         self.active_requests = 0
 
-    def _extra_stats(self) -> dict:
+    def _edge_stats(self) -> dict:
         extra = {
             "connections": int(self.connections),
             "requests": int(self.requests),
@@ -442,20 +474,17 @@ class ServeServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self._drain(self.drain_s if drain_s is None else drain_s)
+        drain_s = self.drain_s if drain_s is None else drain_s
+        if drain_s > 0:
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + drain_s
+            while self.active_requests > 0 and loop.time() < deadline:
+                await asyncio.sleep(0.005)
         if close_sessions:
             # Drop every session and its cursors so engine streams are
             # not pinned by a dead server across restarts (the engine's
             # own memo cache stays warm — that is its job, not ours).
             self.manager.close()
-
-    async def _drain(self, drain_s: float) -> None:
-        if drain_s <= 0:
-            return
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_s
-        while self.active_requests > 0 and loop.time() < deadline:
-            await asyncio.sleep(0.005)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -463,109 +492,14 @@ class ServeServer:
 
     # -- connection handling ---------------------------------------------------
 
-    def _edge_check(self, request: dict, peer: Any) -> dict | None:
-        """Run the shared policy; an error message means "reject now".
-
-        Runs before dispatch, so a rejected request never reaches the
-        session manager or consumes a cooperative-scheduler slice.
-        ``ping`` stays open (liveness probes, like the gateway's
-        ``/healthz``).
-        """
-        if self.policy is None or request.get("op") == "ping":
-            return None
-        if not self.policy.authorize(request.get("token")):
-            return protocol.error(
-                protocol.ERR_UNAUTHORIZED, "missing or invalid auth token"
-            )
-        if not self.policy.admit(peer):
-            retry = self.policy.retry_after(peer)
-            return protocol.error(
-                protocol.ERR_THROTTLED,
-                f"rate limit exceeded; retry in {retry:.3f}s",
-            )
-        return None
-
-    async def _handle_line(
-        self, line: bytes, peer: Any, writer: CoalescingWriter
-    ) -> None:
-        stripped = line.strip()
-        if not stripped:
-            return
-        self.requests += 1
-        try:
-            request = protocol.decode(stripped)
-        except ValueError as exc:
-            writer.write(
-                protocol.encode(
-                    protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
-                )
-            )
-            await writer.drain()
-            return
-        rejection = self._edge_check(request, peer)
-        if rejection is not None:
-            writer.write(protocol.encode(rejection))
-            await writer.drain()
-            return
-        # Clients may tag requests with an opaque ``request_id`` field;
-        # handlers ignore it, but the span carries it so a wire request
-        # can be matched against the engine spans it caused.
-        self.active_requests += 1
-        try:
-            with self.engine.tracer.span(
-                "server.request",
-                op=request.get("op"),
-                request_id=request.get("request_id"),
-            ):
-                await self.dispatcher.dispatch(request, writer)
-        finally:
-            self.active_requests -= 1
-        await writer.drain()
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, stream: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
         peername = stream.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) else str(peername)
-        # Responses go through the shim: whatever a request writes before
-        # it drains — a slice of results, then the terminator — is one
-        # send on the socket.
-        writer = CoalescingWriter(stream)
-        # Framing is done here with an explicit buffer instead of
-        # ``reader.readline()``: readline raises an uncatchable-in-place
-        # ValueError once a line outgrows the stream limit (64 KiB by
-        # default), which used to kill the handler task silently.  The
-        # explicit buffer makes the frame cap a first-class, configurable
-        # protocol error: the client gets ERR_BAD_REQUEST, the rest of
-        # the oversized line is discarded, and the connection survives.
-        buffer = bytearray()
-        discarding = False
         try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                buffer += chunk
-                while True:
-                    newline = buffer.find(b"\n")
-                    if newline < 0:
-                        break
-                    line = bytes(buffer[:newline])
-                    del buffer[: newline + 1]
-                    if discarding:
-                        # Tail of a frame already reported oversized.
-                        discarding = False
-                        continue
-                    if len(line) > self.max_frame_bytes:
-                        await self._reject_oversized(writer)
-                        continue
-                    await self._handle_line(line, peer, writer)
-                if not discarding and len(buffer) > self.max_frame_bytes:
-                    await self._reject_oversized(writer)
-                    discarding = True
-                if discarding:
-                    buffer.clear()
+            await self._serve(reader, stream, peer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -579,15 +513,171 @@ class ServeServer:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
+    async def _serve(
+        self, reader: asyncio.StreamReader, stream: asyncio.StreamWriter, peer: str
+    ) -> None:
+        """Speak this framing on one connection until it ends."""
+        raise NotImplementedError
+
+    def _edge_check(self, probe: bool, token: Any, peer: Any) -> dict | None:
+        """Run the shared policy; an error message means "reject now".
+
+        Runs before dispatch, so a rejected request never reaches the
+        session manager or consumes a cooperative-scheduler slice.
+        Liveness probes (``ping``, ``/healthz``) stay open.
+        """
+        if self.policy is None or probe:
+            return None
+        if not self.policy.authorize(token):
+            return protocol.error(
+                protocol.ERR_UNAUTHORIZED, "missing or invalid auth token"
+            )
+        if not self.policy.admit(peer):
+            retry = self.policy.retry_after(peer)
+            return protocol.error(
+                protocol.ERR_THROTTLED,
+                f"rate limit exceeded; retry in {retry:.3f}s",
+            )
+        return None
+
+    async def _handle_message(
+        self,
+        span: str,
+        frame: bytes,
+        writer: Any,
+        peer: Any,
+        token: Any = None,
+        request_id: Any = None,
+    ) -> None:
+        """One JSON-lines request, whatever framed it (a TCP line, a
+        WebSocket message): decode, edge check, dispatch.
+
+        ``token`` and ``request_id`` are what the connection established
+        (a WebSocket's upgrade request); the message's own fields win.
+        """
+        try:
+            request = protocol.decode(frame)
+        except ValueError as exc:
+            rejection = protocol.error(protocol.ERR_BAD_REQUEST, str(exc))
+        else:
+            rejection = self._edge_check(
+                request.get("op") == "ping", request.get("token", token), peer
+            )
+        if rejection is not None:
+            writer.write(protocol.encode(rejection))
+            await writer.drain()
+            return
+        await self._dispatch(
+            span, request, writer, request.get("request_id") or request_id
+        )
+
+    async def _dispatch(
+        self, span: str, request: dict, writer: Any, request_id: Any, **attrs: Any
+    ) -> None:
+        """Run one admitted request: counted for the drain wait, under
+        its request span, and flushed when the handler is done.
+
+        The span carries the request id (a client's opaque
+        ``request_id`` field or ``X-Request-Id`` header) and roots the
+        trace: dispatch runs in this task, so the session and engine
+        spans it causes nest under it.
+        """
+        self.active_requests += 1
+        try:
+            with self.engine.tracer.span(
+                span, **attrs, op=request.get("op"), request_id=request_id
+            ):
+                await self.dispatcher.dispatch(request, writer)
+        finally:
+            self.active_requests -= 1
+        await writer.drain()
+
+
+class ServeServer(Listener):
+    """A TCP JSON-lines front end over one engine's prepared queries."""
+
+    connections_metric = (
+        "repro_server_connections_total", "TCP connections accepted."
+    )
+    requests_metric = ("repro_server_requests_total", "Request lines received.")
+
+    def __init__(
+        self,
+        engine: Engine,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_sessions: int = 64,
+        ttl_seconds: float | None = None,
+        result_budget: int | None = None,
+        slice_size: int = 64,
+        policy: AccessPolicy | None = None,
+        max_frame_bytes: int = 1 << 20,
+        drain_s: float = 0.0,
+    ):
+        super().__init__(
+            engine, host, port, None, policy, max_frame_bytes, drain_s,
+            max_sessions=max_sessions,
+            ttl_seconds=ttl_seconds,
+            result_budget=result_budget,
+            slice_size=slice_size,
+        )
+        self.oversized_frames = Counter(
+            "repro_server_oversized_frames_total",
+            "Request frames rejected for exceeding the frame cap.",
+        )
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, stream: asyncio.StreamWriter, peer: str
+    ) -> None:
+        # Responses go through the shim: whatever a request writes before
+        # it drains — a slice of results, then the terminator — is one
+        # send on the socket.
+        writer = CoalescingWriter(stream)
+        # Framing is done here with an explicit buffer instead of
+        # ``reader.readline()``: readline raises an uncatchable-in-place
+        # ValueError once a line outgrows the stream limit (64 KiB by
+        # default), which used to kill the handler task silently.  The
+        # explicit buffer makes the frame cap a first-class, configurable
+        # protocol error: the client gets ERR_BAD_REQUEST, the rest of
+        # the oversized line is discarded, and the connection survives.
+        buffer = bytearray()
+        discarding = False
+        while True:
+            chunk = await reader.read(_READ_CHUNK)
+            if not chunk:
+                break
+            buffer += chunk
+            while True:
+                newline = buffer.find(b"\n")
+                if newline < 0:
+                    break
+                line = bytes(buffer[:newline])
+                del buffer[: newline + 1]
+                if discarding:
+                    # Tail of a frame already reported oversized.
+                    discarding = False
+                    continue
+                if len(line) > self.max_frame_bytes:
+                    await self._reject_oversized(writer)
+                    continue
+                if line.strip():
+                    self.requests += 1
+                    await self._handle_message(
+                        "server.request", line, writer, peer
+                    )
+            if not discarding and len(buffer) > self.max_frame_bytes:
+                await self._reject_oversized(writer)
+                discarding = True
+            if discarding:
+                buffer.clear()
+
     async def _reject_oversized(self, writer: CoalescingWriter) -> None:
         self.requests += 1
         self.oversized_frames += 1
         writer.write(
-            protocol.encode(
-                protocol.error(
-                    protocol.ERR_BAD_REQUEST,
-                    f"request frame exceeds {self.max_frame_bytes} bytes",
-                )
+            protocol.error_line(
+                protocol.ERR_BAD_REQUEST,
+                f"request frame exceeds {self.max_frame_bytes} bytes",
             )
         )
         await writer.drain()

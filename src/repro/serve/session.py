@@ -34,6 +34,7 @@ from repro.engine.engine import Engine
 from repro.enumeration.result import QueryResult
 from repro.obs.latency import LatencyWindow
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.ranking.dioid import TROPICAL
 from repro.serve.cursor import Cursor, CursorBudgetExceeded
 from repro.util.resilience import Deadline
 from repro.util import faults
@@ -413,8 +414,6 @@ class SessionManager:
         and distinct memoized prefixes (the shard spec is part of every
         engine cache key).
         """
-        from repro.ranking.dioid import TROPICAL
-
         # Prepare/bind runs outside the manager lock (it can be the
         # slow part); the session is resolved *atomically with* cursor
         # registration below, so an eviction or TTL expiry racing the

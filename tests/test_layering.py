@@ -65,3 +65,65 @@ def test_lower_packages_do_not_import_upper_packages():
                         where = f"{os.path.relpath(path, SRC_ROOT)}:{line}"
                         violations.setdefault(where, f"{where} imports {module}")
     assert not violations, "\n".join(violations.values())
+
+
+#: ``serve`` modules, lowest layer first; a module imports only from
+#: layers strictly below its own.  ``client`` is the other side of the
+#: wire: it may know the protocol and nothing else of the package.
+SERVE_LAYERS = (
+    ("protocol", "policy", "cursor"),
+    ("session",),
+    ("server",),
+    ("gateway",),
+)
+SERVE_ALLOWED = {"client": {"protocol"}}
+
+
+def _serve_imports(name: str) -> set[str]:
+    """The ``repro.serve`` submodules that ``serve/<name>.py`` imports."""
+    path = os.path.join(SRC_ROOT, "serve", name + ".py")
+    prefix = "repro.serve."
+    return {
+        module[len(prefix):].split(".")[0]
+        for _line, module in _imported_modules(path, "repro.serve")
+        if module.startswith(prefix)
+    }
+
+
+def test_serve_modules_import_only_downwards():
+    allowed = dict(SERVE_ALLOWED)
+    below: set[str] = set()
+    for layer in SERVE_LAYERS:
+        for name in layer:
+            allowed[name] = set(below)
+        below |= set(layer)
+    violations = {
+        name: sorted(_serve_imports(name) - permitted)
+        for name, permitted in allowed.items()
+        if _serve_imports(name) - permitted
+    }
+    assert not violations, violations
+
+
+def test_serve_has_no_function_local_repro_imports():
+    """An import inside a function is how a cycle gets hidden, not fixed."""
+    violations = []
+    root = os.path.join(SRC_ROOT, "serve")
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(root, name)
+        with open(path, encoding="utf-8") as fd:
+            tree = ast.parse(fd.read(), filename=path)
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                modules = []
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if not node.level else ["repro"]
+                if any(m == "repro" or m.startswith("repro.") for m in modules):
+                    violations.append(f"serve/{name}:{node.lineno}")
+    assert not violations, violations

@@ -25,7 +25,6 @@ from repro.obs import (
     delay_profile,
     new_request_id,
     percentile,
-    prometheus_text,
     tracer_from_option,
     write_chrome_trace,
 )
@@ -468,49 +467,6 @@ class TestExporters:
         assert any(
             e["name"] == "alpha" for e in document["traceEvents"]
         )
-
-    def test_prometheus_text_shape(self):
-        metrics = {
-            "http": {"requests": 7, "ws_connections": 0},
-            "latency": {"fetch": {"p99_ms": 1.25}},
-            "ok": True,
-            "name": "ignored-string",
-            "list": [1, 2, 3],
-        }
-        text = prometheus_text(metrics)
-        lines = text.strip().splitlines()
-        assert "# TYPE repro_http_requests gauge" in lines
-        assert "repro_http_requests 7" in lines
-        assert "repro_latency_fetch_p99_ms 1.25" in lines
-        assert "repro_ok 1" in lines
-        assert not any("ignored" in line for line in lines)
-        assert not any("list" in line for line in lines)
-        assert text.endswith("\n")
-        # Deterministic ordering: value lines arrive sorted by name.
-        value_lines = [l for l in lines if not l.startswith("#")]
-        assert value_lines == sorted(value_lines)
-
-    def test_prometheus_text_empty(self):
-        assert prometheus_text({}) == ""
-
-    def test_prometheus_text_name_collisions_deduped(self):
-        # Two distinct paths flatten to the same metric name; emitting
-        # the name (and its # TYPE line) twice is invalid exposition.
-        from repro.obs.metrics import validate_exposition
-
-        metrics = {"a": {"b_c": 1}, "a_b": {"c": 2}, "x y": 3, "x_y": 4}
-        text = prometheus_text(metrics)
-        lines = text.strip().splitlines()
-        names = [l.split()[2] for l in lines if l.startswith("# TYPE")]
-        assert len(names) == len(set(names)) == 4
-        assert validate_exposition(text) == []
-        # Deterministic: the lexicographically-smaller path keeps the
-        # bare name and the collider gets a stable suffix.
-        assert "repro_a_b_c 1" in lines
-        assert "repro_a_b_c_2 2" in lines
-        assert "repro_x_y 3" in lines
-        assert "repro_x_y_2 4" in lines
-        assert prometheus_text(metrics) == text
 
     def test_chrome_trace_stable_small_tids(self):
         tracer = Tracer(sample="always")

@@ -23,8 +23,13 @@ from repro.data.generators import uniform_database
 from repro.dp.corebuf import CoreFile
 from repro.engine import Engine
 from repro.query.builders import path_query
-from repro.serve.client import HttpServeClient, ServeClient, ServeClientError
-from repro.serve.gateway import GatewayThread
+from repro.serve.client import (
+    AsyncServeClient,
+    HttpServeClient,
+    ServeClient,
+    ServeClientError,
+)
+from repro.serve.gateway import GatewayServer, GatewayThread
 from repro.serve.policy import AccessPolicy
 from repro.util.resilience import (
     COUNTERS,
@@ -616,41 +621,59 @@ class TestOverloadGate:
 # -- graceful drain ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("server_class", [ServeServer, GatewayServer])
 class TestGracefulDrain:
-    def test_mid_fetch_client_gets_its_full_page(self, db):
-        async def scenario():
-            from repro.serve.client import AsyncServeClient
+    """One drain, in the listener core: both front doors wait for it."""
 
-            server = ServeServer(
+    def test_mid_fetch_client_gets_its_full_page(self, db, server_class):
+        async def scenario():
+            server = server_class(
                 Engine(db), port=0, slice_size=4, drain_s=5.0
             )
-            host, port = await server.start()
-            client = AsyncServeClient(host, port)
-            cursor = (await client.prepare("s", QUERY))["cursor"]
-
-            fetch_task = asyncio.ensure_future(
-                client.fetch("s", cursor, 400)
-            )
-            await asyncio.sleep(0.05)  # let the fetch get in flight
-            await server.stop()  # closes the listener, then drains
-            page = await fetch_task
-            await client.close()
+            address = await server.start()
+            if server_class is ServeServer:
+                client = AsyncServeClient(*address)
+                cursor = (await client.prepare("s", QUERY))["cursor"]
+                fetch = client.fetch("s", cursor, 400)
+            else:
+                client = HttpServeClient(*address)
+                cursor = (
+                    await asyncio.to_thread(client.prepare, "s", QUERY)
+                )["cursor"]
+                fetch = asyncio.to_thread(client.fetch, "s", cursor, 400)
+            # A slowed scheduler (100 slices, 2 ms each) keeps the fetch
+            # in flight long enough to stop the server under it.
+            with faults.injected("fetch.slice=delay:1:0:0.002"):
+                fetch_task = asyncio.ensure_future(fetch)
+                patience = asyncio.get_running_loop().time() + 10.0
+                while server.active_requests == 0:
+                    assert asyncio.get_running_loop().time() < patience
+                    await asyncio.sleep(0)
+                await server.stop()  # closes the listener, then drains
+                # The wait is what stop() adds: it returned because the
+                # fetch left dispatch, not because it gave up on it.
+                assert server.active_requests == 0
+                page = await fetch_task
+            if server_class is ServeServer:
+                await client.close()
+            else:
+                client.close()
             return page
 
         page = asyncio.run(scenario())
         assert page.served == 400
 
-    def test_zero_drain_still_stops_cleanly(self, db):
+    def test_zero_drain_still_stops_cleanly(self, db, server_class):
         async def scenario():
-            server = ServeServer(Engine(db), port=0, drain_s=0.0)
+            server = server_class(Engine(db), port=0, drain_s=0.0)
             await server.start()
             await server.stop()
 
         asyncio.run(scenario())
 
-    def test_negative_drain_rejected(self, db):
+    def test_negative_drain_rejected(self, db, server_class):
         with pytest.raises(ValueError):
-            ServeServer(Engine(db), drain_s=-1.0)
+            server_class(Engine(db), drain_s=-1.0)
 
 
 # -- parity: faults off must be a no-op ----------------------------------------
