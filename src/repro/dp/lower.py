@@ -3,13 +3,43 @@
 The paper's preprocessing for an acyclic query is one linear sweep over
 the join tree (Section 4; Eq. 2 / Eq. 7).  This module is that sweep for
 every dioid with the float-key contract (``key_is_value``): each stage
-is read in one bulk backend fetch and lowered *directly* into the
-columns of a :class:`~repro.dp.flat.CompiledTDP` — native float
-arithmetic in key space, grouped ``(key, state)`` entry pairs — without
-building the object graph of :mod:`repro.dp.builder` first.  It mirrors
-``build_tdp`` stage by stage (same row order, same alive filter, same
-left-fold weight aggregation), so the keys are the bit-exact ``key``
-image of the object builder's values and the ranked output is identical.
+is lowered *directly* into the columns of a
+:class:`~repro.dp.flat.CompiledTDP` — native float arithmetic in key
+space, ``(key, state)`` entry pairs per connector — without building the
+object graph of :mod:`repro.dp.builder` first.  It mirrors ``build_tdp``
+stage by stage (same row order, same alive filter, same left-fold weight
+aggregation), so the keys equal the ``key`` image of the object
+builder's values and the ranked output is identical
+(``tests/test_lower_columns.py`` compares the two in bits and pins the
+one place they differ: the sign of a max-plus zero).
+
+**One stage-input shape.**  Every caller — the unsharded bind, range and
+hash shard fragments, the process-pool worker scan — hands a stage to
+:func:`scan_stage` as two parallel sequences, rows (at atom arity) and
+weights: :func:`stage_columns`.  An in-memory relation already stores
+exactly those two lists and hands them over (slices for a fragment); a
+backend relation splits its one bulk ``fetch_rows`` result once.  No
+per-row container is built to carry a weight next to its row.
+
+**Scan, then placement.**  The scan drops dead rows and emits one column
+per output (state keys, ``pi1`` keys, child connector uids, entry keys
+``k + pi``).  The alive states are then *placed* into connectors by the
+uid of their join key, never by weight: the paper's "nothing is sorted
+during preprocessing" is about weights, and holds — the placement is a
+counting sort on connector ids, linear in the stage.  Every connector's
+pair list exists when the bind returns (enumerators index ``_pairs``
+directly; leaving them to first touch moved the cost into the first
+fetch and was measured and rejected).
+
+**Two implementations, one behaviour.**  With numpy present, a stage of
+at least ``_VEC_SCAN_MIN`` rows, no repeated variable in its atom and an
+identity/negate key lane takes the kernels (:func:`_scan_stage_vec`,
+:func:`_place_by_connector`): any number of child branches, one- or
+multi-column join keys.  Everything else — numpy absent or disabled
+(``REPRO_NO_NUMPY``), small stages, repeated variables, a ``key``
+callable, a stage whose entry keys contain NaN — runs the scalar loops,
+which read the same two sequences.  Both perform the same IEEE
+operations in the same association order.
 
 The sweep is split at one **anchor** stage, a root of its join-tree
 component.  The bottom-up construction never propagates a root
@@ -41,6 +71,8 @@ flat core is still wanted.
 from __future__ import annotations
 
 import time
+from itertools import count, repeat
+from operator import itemgetter, neg
 from typing import Sequence
 
 from repro.data.database import Database
@@ -53,43 +85,39 @@ from repro.dp.flat import (
     CoreShell,
     key_lane,
 )
+from repro.obs.trace import NULL_SPAN
 from repro.query.jointree import JoinTree
 from repro.ranking.dioid import SelectiveDioid
 from repro.util import vec
 
 
-def trailing_rows(
+def stage_columns(
     relation: Relation, lo: int | None = None, hi: int | None = None
-) -> list[tuple]:
-    """Rows as flat tuples with the weight trailing (bulk, order-stable).
+) -> tuple[Sequence[tuple], Sequence]:
+    """One stage's input: ``(rows, weights)``, parallel and order-stable.
 
-    Backend-stored, unmaterialised relations use the backend's bulk
-    ``fetch_rows`` (a single rowid-range ``fetchall`` for SQLite);
-    in-memory relations normalise their parallel lists once per stage.
+    Rows are at atom arity.  An in-memory relation hands over the two
+    lists it stores (slices for ``lo .. hi``); a backend-stored,
+    unmaterialised one splits its bulk ``fetch_rows`` result (a single
+    rowid-range ``fetchall`` for SQLite) once.
     """
     backend = relation.backend
     if backend is not None and not relation.is_materialized:
-        return backend.fetch_rows(relation.table, lo, hi)
-    tuples = relation.tuples
+        fetched = backend.fetch_rows(relation.table, lo, hi)
+        return [row[:-1] for row in fetched], [row[-1] for row in fetched]
+    rows = relation.tuples
     weights = relation.weights
     if lo is not None or hi is not None:
-        tuples = tuples[lo:hi]
+        rows = rows[lo:hi]
         weights = weights[lo:hi]
-    return [t + (w,) for t, w in zip(tuples, weights)]
+    return rows, weights
 
 
-def _bare_rows(relation: Relation, kept: list[tuple], ids: list[int]) -> list[tuple]:
-    """The kept rows at atom arity — what result assembly reads.
-
-    ``kept`` are :func:`trailing_rows` rows, ``ids`` their insertion
-    positions.  Materialised relations hand back their stored tuples
-    (no allocation); backend rows drop the trailing weight.
-    """
-    if relation.backend is None or relation.is_materialized:
-        tuples = relation.tuples
-        return [tuples[i] for i in ids]
-    arity = relation.arity
-    return [row[:arity] for row in kept]
+def _join_keys(rows: Sequence[tuple], positions: tuple[int, ...]):
+    """Iterate the join keys of ``rows``: bare values for one column, else tuples."""
+    if not positions:
+        return repeat((), len(rows))
+    return map(itemgetter(*positions), rows)
 
 
 # -- the shared lower stages (phase A) -----------------------------------------
@@ -109,7 +137,7 @@ class SharedLower:
         "tuple_ids", "values_key", "pi1_key", "child_uids",
         "pairs", "conn_stage", "conn_min", "conn_maps", "root_uid",
         "num_conns", "complete", "own_key_positions",
-        "parent_key_positions", "seconds",
+        "parent_key_positions", "seconds", "rows", "vectorized_stages",
     )
 
     def __init__(self, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int):
@@ -165,6 +193,9 @@ class SharedLower:
         #: fragment is empty regardless of its anchor rows).
         self.complete = True
         self.seconds = 0.0
+        #: Input rows scanned, and how many stages took the numpy kernel.
+        self.rows = 0
+        self.vectorized_stages = 0
 
     def child_lookups(self, stage: int):
         """Per child branch: (single_column, positions, conn_map)."""
@@ -190,53 +221,34 @@ def build_shared_lower(
     dioid key space, so the produced keys are the bit-exact ``key``
     image of the object builder's values (the PR-4 ``key_is_value``
     contract).  Each stage is one :func:`scan_stage` over its relation,
-    then its alive states are grouped by their join key with the parent
-    into connectors (first-seen order, like the object builder's).
+    then its alive states are placed into connectors by their join key
+    with the parent (first-seen order, like the object builder's).
     """
     start = time.perf_counter()
     shared = SharedLower(query, tree, dioid, anchor_stage)
-    pairs = shared.pairs
-    conn_stage = shared.conn_stage
-    conn_min = shared.conn_min
 
     for stage in reversed(range(shared.num_stages)):
         if stage == anchor_stage:
             continue
         relation = database[query.atoms[shared.order[stage]].relation_name]
-        entries, kept, ids_out, vk_out, pk_out, cu_out = scan_stage(
-            stage_scan_of(shared, stage), trailing_rows(relation), 0, None
+        rows, weights = stage_columns(relation)
+        entry_keys, kept, ids_out, vk_out, pk_out, cu_out = scan_stage(
+            stage_scan_of(shared, stage), rows, weights, 0, None
         )
-        shared.tuples[stage] = _bare_rows(relation, kept, ids_out)
+        shared.rows += len(rows)
+        shared.vectorized_stages += _from_kernel(entry_keys)
+        shared.tuples[stage] = kept
         shared.tuple_ids[stage] = ids_out
         shared.values_key[stage] = vk_out
         shared.pi1_key[stage] = pk_out
         shared.child_uids[stage] = cu_out
 
-        own_pos = shared.own_key_positions[stage]
-        if len(own_pos) == 1:
-            column = own_pos[0]
-            join_keys = [row[column] for row in kept]
-        else:
-            join_keys = [tuple(row[p] for p in own_pos) for row in kept]
-        groups: dict = {}
-        g_get = groups.get
-        for join_key, entry in zip(join_keys, entries):
-            bucket = g_get(join_key)
-            if bucket is None:
-                groups[join_key] = [entry]
-            else:
-                bucket.append(entry)
-
-        cmap_out = shared.conn_maps[stage]
-        for join_key, group in groups.items():
-            cmap_out[join_key] = len(pairs)
-            pairs.append(group)
-            conn_stage.append(stage)
-            conn_min.append(min(group)[0])
-        shared.num_conns = len(pairs)
+        join_keys = list(_join_keys(kept, shared.own_key_positions[stage]))
+        _place_entries(shared, stage, join_keys, entry_keys)
+        shared.num_conns = len(shared.pairs)
 
         if shared.parent_stage[stage] == -1:
-            root = cmap_out.get(())
+            root = shared.conn_maps[stage].get(())
             if root is None:
                 shared.complete = False
             else:
@@ -244,6 +256,87 @@ def build_shared_lower(
 
     shared.seconds = time.perf_counter() - start
     return shared
+
+
+# -- one stage's connectors ----------------------------------------------------
+
+
+def _place_entries(
+    shared: SharedLower, stage: int, join_keys: list, entry_keys
+) -> None:
+    """Group one stage's alive states into connectors by join key.
+
+    A connector per distinct join key in first-seen order, its ``(key,
+    state)`` pairs in state order, its minimum the key of ``min(group)``
+    — the first entry in state order that attains it.  This loop is the
+    reference; kernel output goes through :func:`_place_by_connector`
+    unless an entry key is NaN (``min()`` over ``(nan, state)`` tuples
+    depends on the order it meets them in, which only this loop
+    reproduces).
+    """
+    if _from_kernel(entry_keys):
+        if len(entry_keys) and not vec.np.isnan(entry_keys).any():
+            _place_by_connector(shared, stage, join_keys, entry_keys)
+            return
+        entry_keys = entry_keys.tolist()
+    groups: dict = {}
+    g_get = groups.get
+    for join_key, entry in zip(join_keys, zip(entry_keys, count())):
+        bucket = g_get(join_key)
+        if bucket is None:
+            groups[join_key] = [entry]
+        else:
+            bucket.append(entry)
+
+    pairs = shared.pairs
+    cmap_out = shared.conn_maps[stage]
+    for join_key, group in groups.items():
+        cmap_out[join_key] = len(pairs)
+        pairs.append(group)
+        shared.conn_stage.append(stage)
+        shared.conn_min.append(min(group)[0])
+
+
+def _place_by_connector(
+    shared: SharedLower, stage: int, join_keys: list, entry_keys
+) -> None:
+    """:func:`_place_entries` as one bucket placement by connector id.
+
+    Nothing is ordered by weight: first-seen uids come from
+    ``dict.fromkeys``, one stable integer argsort (a counting sort up to
+    2**16 connectors) moves every state into its connector's slice,
+    ``minimum.reduceat`` takes the slice minima, and every pair list is
+    cut from one C-level ``zip``.
+    """
+    np = vec.np
+    states = len(entry_keys)
+    first_uid = len(shared.pairs)
+    cmap_out = shared.conn_maps[stage]
+    cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
+    conns = len(cmap_out)
+    local = np.fromiter(map(cmap_out.__getitem__, join_keys), np.int64, states)
+    local -= first_uid
+    if conns <= 1 << 16:
+        local = local.astype(np.uint16)
+    order = local.argsort(kind="stable")
+    sizes = np.bincount(local, minlength=conns)
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    keys = entry_keys[order]
+    minima = np.minimum.reduceat(keys, starts)
+    zero_min = minima == 0.0
+    if zero_min.any():
+        # ``min(group)`` hands over the sign of the group's *first* zero.
+        first_zero = np.minimum.reduceat(
+            np.where(keys == 0.0, np.arange(states), states), starts
+        )
+        minima[zero_min] = keys[first_zero[zero_min]]
+    placed = list(zip(keys.tolist(), order.tolist()))
+    shared.pairs.extend(
+        map(placed.__getitem__, map(slice, starts.tolist(), ends.tolist()))
+    )
+    shared.conn_stage.extend([stage] * conns)
+    shared.conn_min.extend(minima.tolist())
 
 
 # -- one stage's scan ----------------------------------------------------------
@@ -264,12 +357,10 @@ class StageScan:
     """
 
     __slots__ = (
-        "warity", "check_repeats", "satisfies", "lookups", "lane",
-        "key_of", "conn_min",
+        "check_repeats", "satisfies", "lookups", "lane", "key_of", "conn_min",
     )
 
     def __init__(self, atom, lookups, lane, key_of, conn_min):
-        self.warity = atom.arity
         self.check_repeats = atom.has_repeated_variables()
         self.satisfies = atom.satisfies_repeats
         self.lookups = lookups
@@ -286,68 +377,108 @@ def stage_scan_of(shared: SharedLower, stage: int) -> StageScan:
     )
 
 
+def _from_kernel(entry_keys) -> bool:
+    """Whether a scan's entry keys are the numpy kernel's (an ndarray)."""
+    return not isinstance(entry_keys, list)
+
+
 def _scan_stage_vec(
     scan: StageScan,
-    rows: list[tuple],
+    rows: Sequence[tuple],
+    weights: Sequence,
     base: int | None,
     global_ids: Sequence[int] | None,
     keep_tuples: bool,
 ):
-    """Vectorized chain-shape stage scan (identity/negate lanes only).
+    """Vectorized stage scan (identity/negate lanes, no repeated variable).
 
-    The join-key dict probes stay in Python (hash tables do not
-    vectorize); the alive mask, the key transform, and the ``k + pi``
+    The join-key dict probes stay hash probes (hash tables do not
+    vectorize) but run as one C-level ``map`` per child branch; the
+    alive mask, the key transform, the ``pi`` fold and the ``k + pi``
     entry keys run as numpy float64 kernels — the same IEEE operations
     in the same order as the scalar loop, so the produced arrays are
-    bit-identical.  All outputs convert back to native Python scalars
-    (``.tolist()``): nothing downstream ever sees a numpy type.
+    bit-identical.  Every column is a list of native Python scalars
+    (``.tolist()``, or the stored weight objects themselves); only the
+    entry keys stay an array, for :func:`_place_by_connector`.
     """
     np = vec.np
-    child_col, _positions, cmap = scan.lookups[0]
-    cm_get = cmap.get
-    warity = scan.warity
     n = len(rows)
-    cu_all = np.fromiter(
-        (cm_get(row[child_col], -1) for row in rows), np.int64, n
-    )
-    alive = np.flatnonzero(cu_all >= 0)
-    cu = cu_all[alive]
-    alive_list = alive.tolist()
-    w = np.fromiter((rows[i][warity] for i in alive_list), np.float64, len(alive_list))
+    probes = [
+        np.fromiter(
+            map(cmap.get, _join_keys(rows, positions), repeat(-1)), np.int64, n
+        )
+        for _single, positions, cmap in scan.lookups
+    ]
+    w = np.array(weights, np.float64)
+    alive = None
+    if probes:
+        mask = np.minimum.reduce(probes) >= 0
+        if not mask.all():
+            alive = np.flatnonzero(mask)
+            probes = [probe[alive] for probe in probes]
+            w = w[alive]
     k = w if scan.lane == LANE_ID else -w
-    pi = np.asarray(scan.conn_min, dtype=np.float64)[cu]
-    ek = k + pi
-    vk_out = k.tolist()
-    pk_out = pi.tolist()
-    cu_out = cu.tolist()
-    entries = list(zip(ek.tolist(), range(len(vk_out))))
-    tuples_out = [rows[i] for i in alive_list] if keep_tuples else []
-    if base is not None:
-        ids_out = (alive + base).tolist()
+    conn_min = np.asarray(scan.conn_min, dtype=np.float64)
+    # Left-folded from 0.0 in branch order, like the scalar tree loop
+    # (whose chain shortcut ``pi = conn_min[cu]`` has the same bits: no
+    # connector minimum is ever -0.0, being itself a sum that began at
+    # +0.0).  inf + -inf is NaN here as there, without the warning.
+    pi = np.zeros(len(k))
+    with np.errstate(invalid="ignore"):
+        for probe in probes:
+            pi = pi + conn_min[probe]
+        entry_keys = k + pi
+    # Branch-major per state, like the scalar loop's ``extend``.
+    cu_out = np.stack(probes, axis=1).ravel().tolist() if probes else []
+    if alive is None:
+        tuples_out = list(rows) if keep_tuples else []
+        ids_out = (
+            list(range(base, base + n)) if base is not None else list(global_ids)
+        )
     else:
-        ids_out = [global_ids[i] for i in alive_list]
-    return entries, tuples_out, ids_out, vk_out, pk_out, cu_out
+        alive_list = alive.tolist()
+        tuples_out = [rows[i] for i in alive_list] if keep_tuples else []
+        weights = [weights[i] for i in alive_list]
+        if base is not None:
+            ids_out = (alive + base).tolist()
+        else:
+            ids_out = [global_ids[i] for i in alive_list]
+    # Like the scalar loop, hand back objects that already exist rather
+    # than a second float per state: state keys are the stored weights
+    # (negated for max-plus; an ``int`` weight stays one), a leaf's pi1
+    # column is one shared ``0.0``, a single branch's is its connector
+    # minima themselves (``0.0 + m`` has ``m``'s bits, see above).
+    vk_out = list(weights) if scan.lane == LANE_ID else list(map(neg, weights))
+    if not probes:
+        pk_out = [0.0] * len(vk_out)
+    elif len(probes) == 1:
+        pk_out = list(map(scan.conn_min.__getitem__, cu_out))
+    else:
+        pk_out = pi.tolist()
+    return entry_keys, tuples_out, ids_out, vk_out, pk_out, cu_out
 
 
 def scan_stage(
     scan: StageScan,
-    rows: list[tuple],
+    rows: Sequence[tuple],
+    weights: Sequence,
     base: int | None,
     global_ids: Sequence[int] | None,
     keep_tuples: bool = True,
 ):
-    """Lower one stage's ``rows`` (trailing weight) to flat arrays.
+    """Lower one stage's ``rows`` and parallel ``weights`` to flat arrays.
 
-    The one per-row loop of the bottom-up pass: drop rows violating a
+    The one per-row pass of the bottom-up sweep: drop rows violating a
     repeated variable or lacking a join partner in some child branch,
     fold the child connectors' minima into ``pi1``, key the weight.
     Insertion positions are ``base + local`` for a contiguous slice,
-    ``global_ids[local]`` otherwise.  Returns ``(entries, tuples_out,
-    ids_out, vk_out, pk_out, cu_out)``; ``entries`` states are
-    sequential (``0 .. alive-1``), which is what lets pool workers ship
-    only the value arrays.
+    ``global_ids[local]`` otherwise.  Returns ``(entry_keys, tuples_out,
+    ids_out, vk_out, pk_out, cu_out)``, one element per alive state:
+    states are sequential (``0 .. alive-1``), so ``entry_keys[s]`` is
+    state ``s``'s ``k + pi`` and pool workers ship only the value
+    arrays.  ``entry_keys`` is a list from this loop, an ndarray from
+    the numpy kernel (everything else is native lists either way).
     """
-    warity = scan.warity
     check_repeats = scan.check_repeats
     satisfies = scan.satisfies
     lookups = scan.lookups
@@ -357,52 +488,47 @@ def scan_stage(
     key_of = scan.key_of
     conn_min = scan.conn_min
 
-    chain = len(lookups) == 1 and lookups[0][0] is not None
     if (
-        chain
-        and not check_repeats
+        not check_repeats
         and lane != LANE_CALL
         and len(rows) >= _VEC_SCAN_MIN
         and vec.np is not None
     ):
-        return _scan_stage_vec(scan, rows, base, global_ids, keep_tuples)
+        return _scan_stage_vec(scan, rows, weights, base, global_ids, keep_tuples)
 
     tuples_out: list[tuple] = []
     ids_out: list[int] = []
     vk_out: list[float] = []
     pk_out: list[float] = []
     cu_out: list[int] = []
-    entries: list[tuple[float, int]] = []
+    entry_keys: list[float] = []
     t_append = tuples_out.append
     i_append = ids_out.append
     v_append = vk_out.append
     p_append = pk_out.append
-    e_append = entries.append
-    state = 0
+    e_append = entry_keys.append
 
-    if chain:
+    if len(lookups) == 1 and lookups[0][0] is not None:  # the chain shape
         child_col, _positions, cmap = lookups[0]
         cm_get = cmap.get
         c_append = cu_out.append
-        for local, row in enumerate(rows):
+        for local, (row, w) in enumerate(zip(rows, weights)):
             if check_repeats and not satisfies(row):
                 continue
             cu = cm_get(row[child_col])
             if cu is None:
                 continue
             pi = conn_min[cu]
-            w = row[warity]
             k = w if identity else (-w if negate else key_of(w))
-            e_append((k + pi, state))
+            e_append(k + pi)
             if keep_tuples:
                 t_append(row)
             i_append(base + local if base is not None else global_ids[local])
             v_append(k)
             p_append(pi)
             c_append(cu)
-            state += 1
     else:
-        for local, row in enumerate(rows):
+        for local, (row, w) in enumerate(zip(rows, weights)):
             if check_repeats and not satisfies(row):
                 continue
             pi = 0.0
@@ -420,18 +546,16 @@ def scan_stage(
                 pi = pi + conn_min[cu]
             if dead:
                 continue
-            w = row[warity]
             k = w if identity else (-w if negate else key_of(w))
-            e_append((k + pi, state))
+            e_append(k + pi)
             if keep_tuples:
                 t_append(row)
             i_append(base + local if base is not None else global_ids[local])
             v_append(k)
             p_append(pi)
             cu_out.extend(conns)
-            state += 1
 
-    return entries, tuples_out, ids_out, vk_out, pk_out, cu_out
+    return entry_keys, tuples_out, ids_out, vk_out, pk_out, cu_out
 
 
 # -- phase B: assemble one fragment's core -------------------------------------
@@ -455,8 +579,8 @@ def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
 
 def build_fragment(
     shared: SharedLower,
-    relation: Relation,
-    rows: list[tuple],
+    rows: Sequence[tuple],
+    weights: Sequence,
     base: int | None,
     global_ids: Sequence[int] | None,
     index: int,
@@ -464,17 +588,14 @@ def build_fragment(
 ) -> CompiledTDP:
     """Phase B: lower one anchor fragment and assemble its compiled core.
 
-    ``rows`` is the fragment's slice of the anchor ``relation``
-    (trailing weight); insertion positions are ``base + local`` for a
-    contiguous slice, ``global_ids[local]`` otherwise.  ``index`` is the
-    fragment's slot in ``lists`` (see :func:`shared_lists`).
+    ``rows`` / ``weights`` are the fragment's slice of the anchor
+    relation (:func:`stage_columns`); insertion positions are ``base +
+    local`` for a contiguous slice, ``global_ids[local]`` otherwise.
+    ``index`` is the fragment's slot in ``lists`` (see
+    :func:`shared_lists`).
     """
-    entries, kept, ids_out, vk_out, pk_out, cu_out = scan_stage(
-        stage_scan_of(shared, shared.anchor_stage), rows, base, global_ids
-    )
-    scan_out = (
-        entries, _bare_rows(relation, kept, ids_out), ids_out,
-        vk_out, pk_out, cu_out,
+    scan_out = scan_stage(
+        stage_scan_of(shared, shared.anchor_stage), rows, weights, base, global_ids
     )
     return assemble_fragment(shared, scan_out, index, lists)
 
@@ -484,14 +605,18 @@ def assemble_fragment(
 ) -> CompiledTDP:
     """One fragment's core from its scan output over the shared columns.
 
-    ``scan_out`` is :func:`scan_stage`'s tuple with the rows already at
-    atom arity (or a lazy row source).  ``entries`` may be ``None``:
-    scan states are sequential, so pool workers ship only the value
-    arrays and the pairs are recomputed here by the same float addition.
+    ``scan_out`` is :func:`scan_stage`'s tuple (its rows may be a lazy
+    row source).  The entry keys may be ``None``: pool workers ship only
+    the value arrays and the keys are recomputed here by the same float
+    addition.  Scan states are sequential, so the fragment's root
+    connector is the keys zipped with ``0 .. alive-1``.
     """
-    entries, rows, ids_out, vk_out, pk_out, cu_out = scan_out
-    if entries is None:
-        entries = [(v + p, s) for s, (v, p) in enumerate(zip(vk_out, pk_out))]
+    entry_keys, rows, ids_out, vk_out, pk_out, cu_out = scan_out
+    if entry_keys is None:
+        entry_keys = [v + p for v, p in zip(vk_out, pk_out)]
+    elif _from_kernel(entry_keys):
+        entry_keys = entry_keys.tolist()
+    entries = list(zip(entry_keys, count()))
     dioid = shared.dioid
     anchor = shared.anchor_stage
     uid = shared.num_conns + index
@@ -545,7 +670,7 @@ def assemble_fragment(
 
 
 def lower_query(
-    database: Database, tree: JoinTree, dioid: SelectiveDioid
+    database: Database, tree: JoinTree, dioid: SelectiveDioid, span=NULL_SPAN
 ) -> CompiledTDP:
     """The whole bottom-up pass: phase A, then one all-spanning fragment.
 
@@ -553,12 +678,18 @@ def lower_query(
     builder also processes last — so the core is the one
     ``compile_tdp(build_tdp(database, tree, dioid))`` would produce,
     without the object graph in between.  ``core.tdp`` is the
-    :class:`~repro.dp.flat.CoreShell` for result assembly.
+    :class:`~repro.dp.flat.CoreShell` for result assembly.  ``span``
+    (the caller's ``tdp.build``) is told how many input rows the pass
+    scanned and how many of its stages took the numpy kernel.
     """
     query = tree.query
     shared = build_shared_lower(database, query, tree, dioid, anchor_stage=0)
     relation = database[query.atoms[shared.order[0]].relation_name]
-    return build_fragment(
-        shared, relation, trailing_rows(relation), 0, None, 0,
-        shared_lists(shared, 1),
+    rows, weights = stage_columns(relation)
+    scan_out = scan_stage(stage_scan_of(shared, 0), rows, weights, 0, None)
+    span.set(
+        rows=shared.rows + len(rows),
+        stages=shared.num_stages,
+        vectorized_stages=shared.vectorized_stages + _from_kernel(scan_out[0]),
     )
+    return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))

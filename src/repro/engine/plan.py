@@ -640,7 +640,9 @@ def _bind(
         )
         if cores is None:
             with tracer.span("tdp.build") as span:
-                cores = [lower_query(database, logical.join_tree, logical.dioid)]
+                cores = [
+                    lower_query(database, logical.join_tree, logical.dioid, span)
+                ]
                 stats = cores[0].stats()
                 span.set(states=stats["states"], entries=stats["entries"])
             store_cores(core_cache, key, logical, database, cores, 0, tracer)

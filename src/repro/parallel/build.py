@@ -53,7 +53,7 @@ from repro.dp.lower import (
     build_shared_lower,
     scan_stage,
     shared_lists,
-    trailing_rows,
+    stage_columns,
 )
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.sharder import Fragment, ShardPlan, stable_hash
@@ -72,15 +72,18 @@ POOL_BUILD_ATTEMPTS = 2
 
 def _hash_buckets(
     relation: Relation, shards: int
-) -> list[tuple[list[tuple], list[int]]]:
-    """One scan of the anchor relation, bucketed by stable content hash."""
-    arity = relation.arity
-    buckets: list[tuple[list[tuple], list[int]]] = [
-        ([], []) for _ in range(shards)
+) -> list[tuple[list[tuple], list, list[int]]]:
+    """One scan of the anchor relation, bucketed by stable content hash.
+
+    Per bucket: ``(rows, weights, global ids)``, parallel.
+    """
+    buckets: list[tuple[list[tuple], list, list[int]]] = [
+        ([], [], []) for _ in range(shards)
     ]
-    for gid, row in enumerate(trailing_rows(relation)):
-        rows, gids = buckets[stable_hash(row[:arity]) % shards]
+    for gid, (row, weight) in enumerate(zip(*stage_columns(relation))):
+        rows, weights, gids = buckets[stable_hash(row) % shards]
         rows.append(row)
+        weights.append(weight)
         gids.append(gid)
     return buckets
 
@@ -242,17 +245,17 @@ def _scan_worker_fragment(task: tuple) -> tuple:
     start = time.perf_counter()
     relation = state["relation"]
     if fragment.kind == "range":
-        rows = trailing_rows(relation, fragment.lo, fragment.hi)
+        rows, weights = stage_columns(relation, fragment.lo, fragment.hi)
         gids = None
         base = fragment.lo
     else:
         buckets = state["buckets"]
         if buckets is None:
             buckets = state["buckets"] = _hash_buckets(relation, shards)
-        rows, gids = buckets[fragment.index]
+        rows, weights, gids = buckets[fragment.index]
         base = None
-    _entries, _tuples, ids_out, vk_out, pk_out, cu_out = scan_stage(
-        state["scan"], rows, base, gids, keep_tuples=False
+    _entry_keys, _tuples, ids_out, vk_out, pk_out, cu_out = scan_stage(
+        state["scan"], rows, weights, base, gids, keep_tuples=False
     )
     return (
         fragment.index,
@@ -391,7 +394,8 @@ class ParallelPreprocessor:
             return [(fragment, hash_loader) for fragment in plan.fragments]
 
         def range_loader(fragment: Fragment):
-            return trailing_rows(relation, fragment.lo, fragment.hi), None
+            rows, weights = stage_columns(relation, fragment.lo, fragment.hi)
+            return rows, weights, None
 
         return [(fragment, range_loader) for fragment in plan.fragments]
 
@@ -423,10 +427,10 @@ class ParallelPreprocessor:
 
         def one(source) -> FragmentRuntime:
             fragment, loader = source
-            rows, gids = loader(fragment)
+            rows, weights, gids = loader(fragment)
             start = time.perf_counter()
             compiled = build_fragment(
-                shared, relation, rows,
+                shared, rows, weights,
                 fragment.lo if gids is None else None, gids,
                 fragment.index, lists,
             )
@@ -511,7 +515,7 @@ class ParallelPreprocessor:
         fragments = []
         for index, vk, pk, cu, ids, seconds in sorted(results):
             ids_out = ids.tolist()
-            # Entry pairs are implied by the value arrays (sequential
+            # Entry keys are implied by the value arrays (sequential
             # states); rows are re-fetched lazily, per emitted answer.
             scan_out = (
                 None, LazyRows(relation, ids_out), ids_out,

@@ -252,6 +252,35 @@ class TestEngineSpans:
         finally:
             engine.close()
 
+    def test_acyclic_build_span_says_how_much_was_scanned_and_how(self):
+        """``tdp.build`` carries ``rows`` and ``vectorized_stages`` (of ``stages``).
+
+        Why was this bind slow?  Because it scanned that many rows, and
+        that many of its stages fell back from the numpy kernel.
+        """
+        from repro.util import vec
+
+        big = uniform_database(4, 600, domain_size=150, seed=2)
+        small = uniform_database(4, 40, domain_size=10, seed=2)
+        expected = {"big": 4 if vec.np is not None else 0, "small": 0}
+        for name, data in (("big", big), ("small", small)):
+            engine = Engine(data, tracer=Tracer(sample="always"))
+            try:
+                prepared = engine.prepare(path_query(4))
+                prepared.bind()
+                build = next(
+                    s for s in engine.tracer.spans() if s.name == "tdp.build"
+                )
+                assert build.attrs["rows"] == sum(len(r) for r in data)
+                assert build.attrs["stages"] == 4
+                assert build.attrs["vectorized_stages"] == expected[name]
+                assert (
+                    f"vectorized_stages={expected[name]}"
+                    in prepared.analyze(3).render()
+                )
+            finally:
+                engine.close()
+
     def test_cycle_bind_spans_split_bags_from_tdp_build(self):
         from repro.query.builders import cycle_query
 
