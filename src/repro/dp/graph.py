@@ -93,9 +93,15 @@ class QueryResult:
     (re-exported as :class:`repro.enumeration.result.QueryResult`); it
     lives here, below the enumerators, because :class:`ResultAssembler`
     builds it.
+
+    ``_wire`` is the serving layer's: ``(index, line)`` once the answer
+    has been sent at that rank (:func:`repro.serve.protocol.result_lines`
+    owns it).  No constructor sets it, so it reads with a default.
     """
 
-    __slots__ = ("weight", "assignment", "_head", "_witness_ids", "_witness")
+    __slots__ = (
+        "weight", "assignment", "_head", "_witness_ids", "_witness", "_wire",
+    )
 
     def __init__(
         self,

@@ -40,6 +40,13 @@ next extension; one that is dead afterwards — a generator is finalised
 by a raise — marks the stream :attr:`~PrefixStream.broken`: replays of
 the memo keep working, further extension raises, and the engine hands
 new requests a fresh stream.
+
+The memo holds an answer's served form too: once a rank has gone over a
+socket, its :class:`QueryResult` carries the encoded protocol line
+(:func:`repro.serve.protocol.result_lines`), so a replayed page is
+neither re-enumerated nor re-encoded.  The line has no lifetime of its
+own — it goes when the stream that memoizes the answer goes — and
+:meth:`PrefixStream.memory_bytes` charges for it.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class PrefixStream:
     __slots__ = (
         "_factory", "_iterator", "_results", "_exhausted", "_lock",
         "_tracer", "counter", "replays", "extensions", "_result_bytes",
-        "_raised", "_broken",
+        "_sized_wire", "_raised", "_broken",
     )
 
     _BROKEN = (
@@ -96,8 +103,10 @@ class PrefixStream:
         self.replays = 0
         #: Results pulled from the underlying enumerator.
         self.extensions = 0
-        #: Cached per-result byte estimate (computed on first scrape).
+        #: Cached per-result byte estimate (computed on first scrape),
+        #: and the sample's held wire line it was computed with.
         self._result_bytes: int | None = None
+        self._sized_wire: tuple | None = None
 
     # -- state -----------------------------------------------------------------
 
@@ -231,15 +240,28 @@ class PrefixStream:
         answer (results of one stream are homogeneous — same query,
         same arity) and multiplied by the prefix length, so polling this
         never walks the whole memo.
+
+        The estimate includes the encoded line an answer holds once it
+        was served over a socket, and is taken again when the sample
+        gains one (one attribute read per scrape).  So once rank 0 has
+        been served every memoized answer is charged a line of the
+        sample's size: as many lines as a fully served prefix holds,
+        more than a partly served one does — the safe direction for
+        ``memory_budget_bytes``.  The size is the sample's, like the
+        rest of the estimate (rank 0's line has the fewest index
+        digits: about 2% short on a 2 000-answer 4-path prefix).
         """
         import sys
 
         results = self._results
         if not results:
             return sys.getsizeof(results)
-        if self._result_bytes is None:
-            sample = results[0]
+        sample = results[0]
+        wire = getattr(sample, "_wire", None)
+        if self._result_bytes is None or wire is not self._sized_wire:
             size = sys.getsizeof(sample)
+            if wire is not None:
+                size += sys.getsizeof(wire) + sys.getsizeof(wire[1])
             assignment = getattr(sample, "assignment", None)
             if isinstance(assignment, dict):
                 # Keys are the query's variable names, shared across
@@ -249,7 +271,7 @@ class PrefixStream:
             weight = getattr(sample, "weight", None)
             if weight is not None:
                 size += sys.getsizeof(weight)
-            self._result_bytes = size
+            self._result_bytes, self._sized_wire = size, wire
         return sys.getsizeof(results) + self._result_bytes * len(results)
 
     def stats(self) -> dict[str, Any]:

@@ -315,6 +315,8 @@ class GatewayServer(Listener):
         registry.attach(self.ws_connections)
         registry.attach(self.ws_messages)
         registry.attach(self.dispatcher.requests)
+        registry.attach(self.dispatcher.lines_encoded)
+        registry.attach(self.dispatcher.lines_replayed)
         registry.attach(RESILIENCE_COUNTERS.family)
         self.policy.register_metrics(registry)
         self.manager.register_metrics(registry)
@@ -675,6 +677,8 @@ class GatewayServer(Listener):
                 "ws_connections": int(self.ws_connections),
                 "ws_messages": int(self.ws_messages),
                 "dispatched": int(self.dispatcher.requests),
+                "lines_encoded": int(self.dispatcher.lines_encoded),
+                "lines_replayed": int(self.dispatcher.lines_replayed),
                 "active_requests": self.active_requests,
             },
             "policy": self.policy.snapshot(),

@@ -52,7 +52,7 @@ tuples are transported as JSON arrays.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from repro.enumeration.result import QueryResult
 
@@ -112,10 +112,13 @@ RESULT_PREFIX = b'{"result":'
 def encode(message: dict) -> bytes:
     """One protocol line: compact JSON plus the newline terminator.
 
-    Called once per line and nowhere else: an answer is encoded here
-    once and those bytes are what every transport sends — TCP joins a
-    slice's lines into one buffer, WebSocket frames each line, HTTP
-    splices them into its body (:func:`join_results`); none re-encodes.
+    Called once per line and nowhere else.  A result line is encoded
+    here once per stream rank (:func:`result_lines` keeps the bytes on
+    the answer, so every later fetch of that rank — any session, any
+    transport — sends them again) and those bytes are what every
+    transport sends: TCP joins a slice's lines into one buffer,
+    WebSocket frames each line, HTTP splices them into its body
+    (:func:`join_results`); none re-encodes.
 
     No ``default=`` hook: tuples encode as arrays natively, and a value
     json cannot represent should fail with the standard, descriptive
@@ -150,6 +153,40 @@ def result_message(index: int, result: QueryResult) -> dict:
     if result.witness_ids is not None:
         payload["witness_ids"] = result.witness_ids
     return {"result": payload}
+
+
+def result_lines(
+    start_rank: int, page: Sequence[QueryResult]
+) -> tuple[list[bytes], int]:
+    """The encoded lines of ``page`` served at ranks ``start_rank``…,
+    and how many of them had to be encoded now.
+
+    The line for rank *i* of a stream is a pure function of
+    ``(i, result)``, so it is built once and kept where the answer is
+    kept: on the :class:`QueryResult` itself (``_wire``), which the
+    stream memoizes.  The bytes therefore live exactly as long as the
+    memoized answer — a rebuilt stream, a refreshed cursor or a mutated
+    database hand out new results, hence new lines — and a replayed
+    page costs no encoding at all.  An answer that arrives at another
+    index than the one it holds a line for is encoded again.
+
+    The owner of ``_wire``: nothing else reads or writes it (the
+    stream's memory estimate only sizes it).  A result must not be
+    mutated once it was served — it is the stream's memo, so it
+    already must not — or its held line goes stale.  Two threads
+    filling the same rank store equal tuples.
+    """
+    lines: list[bytes] = []
+    encoded = 0
+    for index, result in enumerate(page, start_rank):
+        held = getattr(result, "_wire", None)
+        if held is None or held[0] != index:
+            held = result._wire = (
+                index, encode(result_message(index, result))
+            )
+            encoded += 1
+        lines.append(held[1])
+    return lines, encoded
 
 
 def join_results(lines: list[bytes]) -> bytes:

@@ -171,6 +171,16 @@ class OpDispatcher:
             "repro_dispatched_requests_total",
             "Requests dispatched across all transports.",
         )
+        #: Result lines sent, by whether the slice had to encode them or
+        #: the stream's memo already held their bytes (bumped per slice).
+        self.lines_encoded = Counter(
+            "repro_wire_lines_encoded_total",
+            "Result lines encoded for their first trip over the wire.",
+        )
+        self.lines_replayed = Counter(
+            "repro_wire_lines_replayed_total",
+            "Result lines sent again from the bytes the stream holds.",
+        )
 
     def _record(self, succeeded: bool) -> None:
         if self.policy is not None:
@@ -198,15 +208,21 @@ class OpDispatcher:
                 )
                 return
             acquired = True
+        # Every way out of the handler but a server-side failure feeds
+        # the breaker a success: it spent a half-open probe on this
+        # request, and a probe that ends unrecorded leaves it half-open
+        # with none left, shedding everything.  "Your fault" is an
+        # answer — the engine is up.
+        engine_failed = False
         try:
             self._check_fields(request)
             await handler(request, writer)
-            self._record(True)
         except (ConnectionResetError, BrokenPipeError):
             # Transport-level failures end the connection (handled by
             # the caller); writing an error line would be pointless.
-            # They say nothing about engine health, so the breaker is
-            # not fed either.
+            # The only sends inside a handler are a fetch's slices, so
+            # the engine had produced what the dead socket lost: that
+            # counts for the breaker like a delivered page.
             raise
         except ServeError as exc:
             writer.write(
@@ -225,9 +241,10 @@ class OpDispatcher:
             # Server-side failure: this is what the circuit breaker
             # counts — enough of these in a row and the edge starts
             # shedding instead of queueing doomed work.
-            self._record(False)
+            engine_failed = True
             writer.write(protocol.error_line(protocol.ERR_INTERNAL, repr(exc)))
         finally:
+            self._record(not engine_failed)
             if acquired:
                 self.policy.overload_release(op)
 
@@ -307,12 +324,11 @@ class OpDispatcher:
                 # scheduler rewinds the undelivered slice) instead of
                 # enumerating and writing the rest into a dead socket.
                 raise ConnectionResetError("client disconnected mid-fetch")
-            for offset, result in enumerate(page):
-                writer.write(
-                    protocol.encode(
-                        protocol.result_message(start_rank + offset, result)
-                    )
-                )
+            lines, encoded = protocol.result_lines(start_rank, page)
+            for line in lines:
+                writer.write(line)
+            self.lines_encoded += encoded
+            self.lines_replayed += len(lines) - encoded
             unsent -= len(page)
             if unsent:
                 await writer.drain()
@@ -365,6 +381,10 @@ class OpDispatcher:
 
     async def op_stats(self, request: dict, writer: Any) -> None:
         stats = self.manager.stats()
+        stats["wire"] = {
+            "lines_encoded": int(self.lines_encoded),
+            "lines_replayed": int(self.lines_replayed),
+        }
         if self.extra_stats is not None:
             stats.update(self.extra_stats())
         writer.write(protocol.encode(protocol.ok("stats", stats=stats)))

@@ -13,6 +13,7 @@ import pytest
 
 from repro.data.generators import uniform_database
 from repro.engine import Engine
+from repro.obs.metrics import validate_exposition
 from repro.query.builders import path_query
 from repro.serve import (
     AccessPolicy,
@@ -299,6 +300,40 @@ class TestMetrics:
         for key in ("stream_hits", "stream_misses", "core_hits", "binds"):
             assert key in engine_stats
         assert metrics["scheduler"]["slices"] >= 1
+
+    def test_replayed_page_is_counted_as_replayed(self, engine):
+        """Was this page encoded or sent again from the stream's bytes?"""
+        def scrape(address) -> tuple[dict, str]:
+            conn = http.client.HTTPConnection(*address)
+            conn.request("GET", "/metrics?format=prometheus")
+            text = conn.getresponse().read().decode("utf-8")
+            conn.close()
+            counts = {
+                kind: int(float(line.split()[-1]))
+                for kind in ("encoded", "replayed")
+                for line in text.splitlines()
+                if line.startswith(f"repro_wire_lines_{kind}_total ")
+            }
+            return counts, text
+
+        with GatewayThread(Engine(engine.database), slice_size=8) as address:
+            with HttpServeClient(*address) as c:
+                first = c.prepare("first", QUERY)["cursor"]
+                c.fetch("first", first, 20)
+                before, _ = scrape(address)
+                assert before == {"encoded": 20, "replayed": 0}
+                again = c.prepare("again", QUERY)["cursor"]
+                c.fetch("again", again, 20)
+                after, text = scrape(address)
+                assert after == {"encoded": 20, "replayed": 20}
+                assert validate_exposition(text) == []
+                gateway = c.metrics()["gateway"]
+                assert (gateway["lines_encoded"], gateway["lines_replayed"]) == (
+                    20, 20
+                )
+                assert c.stats()["wire"] == {
+                    "lines_encoded": 20, "lines_replayed": 20
+                }
 
     def test_latency_window_fills_with_fetches(self, engine):
         with GatewayThread(engine) as address:

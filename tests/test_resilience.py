@@ -38,7 +38,13 @@ from repro.util.resilience import (
     Retrier,
     transient_sqlite,
 )
-from repro.serve.server import ServeServer, ServerThread
+from repro.serve import protocol
+from repro.serve.server import (
+    CoalescingWriter,
+    OpDispatcher,
+    ServeServer,
+    ServerThread,
+)
 from repro.serve.session import SessionManager
 from repro.util import faults
 from repro.util.faults import FaultInjected, FaultPlan
@@ -558,6 +564,83 @@ class TestOverloadGate:
                 assert metrics["resilience"]["shed"] >= 1
                 patient.close()
 
+
+    #: Requests the engine answers with "your fault".
+    CLIENT_ERRORS = [
+        ({"op": "fetch", "session": "nope", "cursor": "c0", "n": 5},
+         "unknown_session"),
+        ({"op": "prepare", "session": "s", "query": 5}, "bad_request"),
+        ({"op": "prepare", "session": "s", "query": "Q(x) :- Missing(x)"},
+         "bad_query"),
+    ]
+
+    @staticmethod
+    def _half_open_policy(now: dict) -> AccessPolicy:
+        """A policy whose breaker just became half-open: one probe left."""
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=30.0, clock=lambda: now["t"]
+        )
+        breaker.record_failure()
+        assert not breaker.allow()
+        now["t"] = 31.0
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        return AccessPolicy(breaker=breaker)
+
+    @pytest.mark.parametrize(
+        "message, code", CLIENT_ERRORS, ids=[code for _, code in CLIENT_ERRORS]
+    )
+    def test_probe_ending_in_a_client_error_closes_the_breaker(
+        self, db, message, code
+    ):
+        """Regression: such a probe was recorded neither way, so the
+        breaker stayed half-open with no probe left and shed every
+        prepare/fetch until an ungated op happened to succeed."""
+        policy = self._half_open_policy({"t": 0.0})
+        dispatcher = OpDispatcher(SessionManager(Engine(db)), policy)
+        writer = CoalescingWriter(None)
+
+        def exchange(request: dict) -> dict:
+            asyncio.run(dispatcher.dispatch(request, writer))
+            (line,) = writer.pending
+            writer.pending.clear()
+            return protocol.decode(line)
+
+        assert exchange(message)["error"] == code
+        assert policy.breaker.state == CircuitBreaker.CLOSED
+        assert exchange({"op": "prepare", "session": "s", "query": QUERY})["ok"]
+        assert int(policy.shed) == 0
+
+    def test_probe_lost_to_a_dead_socket_closes_the_breaker(self, db):
+        """The engine produced the slice the socket lost: evidence
+        enough, and the probe is not left spent."""
+        policy = self._half_open_policy({"t": 0.0})
+        manager = SessionManager(Engine(db))
+        dispatcher = OpDispatcher(manager, policy)
+        _, cursor = manager.open_cursor("s", QUERY)
+
+        class Gone(CoalescingWriter):
+            def is_closing(self) -> bool:
+                return True
+
+        with pytest.raises(ConnectionResetError):
+            asyncio.run(
+                dispatcher.dispatch(
+                    {"op": "fetch", "session": "s", "cursor": cursor, "n": 5},
+                    Gone(None),
+                )
+            )
+        assert manager.cursor("s", cursor).position == 0
+        assert policy.breaker.state == CircuitBreaker.CLOSED
+
+    def test_client_error_probe_over_a_real_transport(self, db):
+        policy = self._half_open_policy({"t": 0.0})
+        with ServerThread(Engine(db), policy=policy) as address:
+            with ServeClient(*address) as client:
+                with pytest.raises(ServeClientError) as err:
+                    client.fetch("nope", "c0", 5)
+                assert err.value.code == "unknown_session"
+                assert client.prepare("s", QUERY)["ok"]
+        assert int(policy.shed) == 0
 
     def test_shedding_plus_retry_is_lossless(self):
         """Serving under a deliberately tiny in-flight cap.
