@@ -10,20 +10,54 @@ specialised to the tropical (or any) semiring, as Section 3 observes.
 
 Total cost is O(l * n) data complexity: one pass over every relation
 plus hash grouping; nothing is sorted (TTF optimality).
+
+**A stage is swept as columns, never as rows.**  The input is the two
+parallel sequences :func:`repro.dp.lower.stage_columns` also hands the
+direct lowering (rows, weights).  Per stage: one C-level hash-probe pass
+per child branch (``map(conn_map.get, join keys)``) and one alive
+filter; the lift as one column; ``pi1``, the entry values and their keys
+through the dioid's column operations
+(:meth:`~repro.ranking.dioid.SelectiveDioid.times_column` /
+``key_column`` — by default the scalar methods mapped, so any dioid
+works, and :class:`~repro.ranking.dioid.TieBreakingDioid` merges id
+vectors slot by slot); the entries from one ``zip(keys, count(),
+values)``.  The only per-row interpreter loop left is the grouping of a
+non-root stage's entries into first-seen connectors.
+
+**Folded once per connector.**  A connector's minimum is read, and its
+product with ``one`` (the first branch's contribution to ``pi1``) made,
+once per *distinct* connector a stage references; every parent state
+pointing at it receives that one value.  ``min_entry`` stays lazy for
+connectors nothing references.  Further branches multiply per state.
+
+**What a state keeps alive**: its row (the relation's own tuple), its
+lifted value, its entry value, the entry's key if the dioid boxes one,
+the ``(key, state, value)`` entry and — with child branches — the tuple
+of its child connectors.  Under the tie-breaking dioid that is five
+tuples for a leaf state (id vector, value, entry value, key, entry) and
+a sixth, the merged id vector, for a state with children; no list and no
+``pi1`` of its own (``tests/test_builder_columns.py`` takes the census,
+and compares every emitted value with the row-at-a-time loop this sweep
+replaced, kept as ``tests/scalar_builder.py``).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import and_, is_not, itemgetter
 from typing import Any, Callable
 
 from repro.data.database import Database
 from repro.dp.graph import ChoiceSet, TDP
+from repro.dp.lower import join_key_column, stage_columns
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
-from repro.ranking.dioid import TROPICAL, SelectiveDioid
+from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
 
-#: Lift signature: (atom, tuple_values, raw_weight) -> dioid value.
+#: Lift signature: (atom, tuple_values, raw_weight) -> dioid value.  A
+#: lift may carry its column form as a ``column`` attribute —
+#: ``column(atom, rows, weights)``, equal to the lift mapped over the
+#: two sequences — which the builder then calls once per stage.
 WeightLift = Callable[[Any, tuple, Any], Any]
 
 
@@ -32,20 +66,69 @@ def default_lift(_atom, _values, raw_weight):
     return raw_weight
 
 
-def _key_reader(positions: tuple[int, ...]) -> tuple[int | None, Any]:
-    """How the scan loops read a join key off a tuple.
+def make_tie_lift(tie: TieBreakingDioid, var_position: dict[str, int]):
+    """Lift bag weights into the tie-breaking dioid with their bindings.
 
-    ``(column, None)`` for a single column: the loops subscript it in
-    line and use the bare value instead of a 1-tuple (a measurable
-    constant-factor win on the TTF-critical path).  Otherwise ``(None,
-    getter)`` where ``getter(values)`` is the key tuple, built in C —
-    decomposition bags join on two or more columns.
+    Variables absent from ``var_position`` (e.g. non-head variables in
+    the UCQ pipeline) simply do not participate in tie-breaking.  Which
+    column fills which id slot depends only on the atom, and the builder
+    lifts a whole stage through one atom: ``lift.column`` reads each
+    templated column once, looks its ``(value,)`` boxes up once and cuts
+    every id vector from one ``zip``.  The boxes are shared per distinct
+    value: a bag of n tuples over a domain of d values keeps d boxes
+    alive, not 3n, which is most of what the cyclic GC had to walk
+    during a bind.  (Values are join keys or SQLite scalars: hashable.)
+    A value is boxed as its first spelling in row-major order (``1``
+    before ``1.0``), by the scalar form and the column form alike.
     """
-    if len(positions) == 1:
-        return positions[0], None
-    if not positions:
-        return None, lambda _values: ()
-    return None, itemgetter(*positions)
+    unbound = tie.one[1]
+    blank = list(unbound)
+    boxes: dict = {}
+    compiled: tuple = (None, ())
+
+    def template_of(atom) -> tuple:
+        return tuple(
+            (column, var_position[var])
+            for column, var in enumerate(atom.variables)
+            if var in var_position
+        )
+
+    def lift(atom, values, raw_weight):
+        nonlocal compiled
+        compiled_for, template = compiled
+        if compiled_for is not atom:
+            # One rebinding of the pair: a concurrent fragment build
+            # lifting another atom sees either template whole.
+            compiled = (atom, template := template_of(atom))
+        ids = blank.copy()
+        for column, slot in template:
+            value = values[column]
+            box = boxes.get(value)
+            if box is None:
+                box = boxes[value] = (value,)
+            ids[slot] = box
+        return (raw_weight, tuple(ids))
+
+    def lift_column(atom, rows, weights) -> list:
+        template = template_of(atom)
+        if not template:
+            return list(zip(weights, repeat(unbound)))
+        columns = [list(map(itemgetter(column), rows)) for column, _ in template]
+        for value in dict.fromkeys(chain.from_iterable(zip(*columns))):
+            if value not in boxes:
+                boxes[value] = (value,)
+        slots = [repeat(slot) for slot in unbound]
+        for (_, slot), column in zip(template, columns):
+            slots[slot] = map(boxes.__getitem__, column)
+        return list(zip(weights, zip(*slots)))
+
+    lift.column = lift_column
+    return lift
+
+
+def _keep(mask: list, *columns) -> list[list]:
+    """Each of the parallel ``columns`` cut down to the rows ``mask`` keeps."""
+    return [list(compress(column, mask)) for column in columns]
 
 
 def build_tdp(
@@ -64,6 +147,7 @@ def build_tdp(
     """
     if lift is None:
         lift = default_lift
+    lift_column = getattr(lift, "column", None)
     query = join_tree.query
     order = join_tree.order
     num_stages = len(order)
@@ -95,10 +179,8 @@ def build_tdp(
             parent_atom = query.atoms[join_tree.parent[atom_idx]]
             parent_key_positions.append(parent_atom.positions_of(shared))
 
-    dioid_one = dioid.one
-    times = dioid.times
-    key_of = dioid.key
-    identity_lift = lift is default_lift
+    one = dioid.one
+    times_column = dioid.times_column
     next_uid = 0
 
     # conn_map[c]: join key -> ChoiceSet over stage c's alive states.
@@ -106,86 +188,96 @@ def build_tdp(
 
     for stage in reversed(range(num_stages)):
         atom = query.atoms[order[stage]]
-        relation = database[atom.relation_name]
-        child_list = tdp.children_stages[stage]
-        check_repeats = atom.has_repeated_variables()
-
-        stage_tuples = tdp.tuples[stage]
-        stage_ids = tdp.tuple_ids[stage]
-        stage_values = tdp.values[stage]
-        stage_pi1 = tdp.pi1[stage]
-        stage_conns = tdp.child_conns[stage]
-
-        # Per child branch: (single_column_or_None, key_getter, conn_map).
-        child_lookups = [
-            (*_key_reader(parent_key_positions[c]), conn_map[c])
-            for c in child_list
-        ]
-
-        for tuple_id, (values, raw_weight) in enumerate(relation.rows()):
-            if check_repeats and not atom.satisfies_repeats(values):
-                continue
-            # ``times`` runs against ``one`` on the first branch here and
-            # on leaf stages below: the result must carry the dioid's
-            # arithmetic (``0.0 + 2`` is ``2.0``).  Folding ``one``
-            # cheaply is the dioid's business (the tie-breaking dioid
-            # skips the id-vector merge).
-            pi = dioid_one
-            conns: list[ChoiceSet] = []
-            dead = False
-            for single, key_getter, cmap in child_lookups:
-                if single is None:
-                    conn = cmap.get(key_getter(values))
-                else:
-                    conn = cmap.get(values[single])
-                if conn is None:
-                    dead = True
-                    break
-                conns.append(conn)
-                pi = times(pi, conn.min_value)
-            if dead:
-                continue
-            if not share_connectors and conns:
-                private = []
-                for conn in conns:
-                    private.append(
-                        ChoiceSet(next_uid, conn.stage, list(conn.entries))
-                    )
-                    next_uid += 1
-                conns = private
-            stage_tuples.append(values)
-            stage_ids.append(tuple_id)
-            stage_values.append(
-                raw_weight if identity_lift else lift(atom, values, raw_weight)
+        # Copies: an in-memory relation hands over the lists it stores.
+        rows, weights = map(list, stage_columns(database[atom.relation_name]))
+        ids = range(len(rows))
+        if atom.has_repeated_variables():
+            rows, weights, ids = _keep(
+                list(map(atom.satisfies_repeats, rows)), rows, weights, ids
             )
-            stage_pi1.append(pi)
-            stage_conns.append(tuple(conns))
+
+        # One hash probe pass per child branch; a state is alive when
+        # every branch found its connector.
+        branches = [
+            list(map(conn_map[c].get, join_key_column(rows, parent_key_positions[c])))
+            for c in tdp.children_stages[stage]
+        ]
+        alive = None
+        for conns in branches:
+            found = map(is_not, conns, repeat(None))
+            alive = list(found if alive is None else map(and_, alive, found))
+        if alive is not None and not all(alive):
+            rows, weights, ids, *branches = _keep(alive, rows, weights, ids, *branches)
+        del alive
+        states = len(rows)
+
+        # ``times`` runs against ``one`` on the first branch here and on
+        # leaf stages below: the result must carry the dioid's
+        # arithmetic (``0.0 + 2`` is ``2.0``).  A connector's minimum is
+        # read once, and that first product made once, per distinct
+        # connector the stage references, however many states share it.
+        pi = [one] * states
+        for branch, conns in enumerate(branches):
+            minima = {conn: conn.min_value for conn in dict.fromkeys(conns)}
+            if branch == 0:
+                folded = times_column([one] * len(minima), list(minima.values()))
+                pi = list(map(dict(zip(minima, folded)).__getitem__, conns))
+            else:
+                pi = times_column(pi, list(map(minima.__getitem__, conns)))
+
+        if not share_connectors and branches:
+            # State-major uids, as if each state copied its own.
+            width = len(branches)
+            branches = [
+                [
+                    ChoiceSet(uid, conn.stage, list(conn.entries))
+                    for uid, conn in zip(count(next_uid + branch, width), conns)
+                ]
+                for branch, conns in enumerate(branches)
+            ]
+            next_uid += width * states
+
+        if lift is default_lift:
+            values = weights
+        elif lift_column is not None:
+            values = lift_column(atom, rows, weights)
+        else:
+            values = list(map(lift, repeat(atom), rows, weights))
+        del weights
+        tdp.tuples[stage] = rows
+        tdp.tuple_ids[stage] = list(ids)
+        tdp.values[stage] = values
+        tdp.pi1[stage] = pi
+        tdp.child_conns[stage] = list(zip(*branches)) if branches else [()] * states
+        del branches
+
+        entry_values = times_column(values, pi)
+        entries = list(zip(dioid.key_column(entry_values), count(), entry_values))
+        del entry_values
 
         # Group the alive states of this stage by their join key with the
         # parent (the empty key for root stages: a single connector).
-        single, key_getter = _key_reader(own_key_positions[stage])
+        own_positions = own_key_positions[stage]
         groups: dict = {}
-        for state, values in enumerate(stage_tuples):
-            entry_value = times(stage_values[state], stage_pi1[state])
-            entry = (key_of(entry_value), state, entry_value)
-            if single is None:
-                join_key = key_getter(values)
-            else:
-                join_key = values[single]
-            bucket = groups.get(join_key)
-            if bucket is None:
-                groups[join_key] = [entry]
-            else:
-                bucket.append(entry)
+        if not own_positions:
+            if entries:
+                groups[()] = entries
+        else:
+            for join_key, entry in zip(join_key_column(rows, own_positions), entries):
+                bucket = groups.get(join_key)
+                if bucket is None:
+                    groups[join_key] = [entry]
+                else:
+                    bucket.append(entry)
         stage_conn_map = conn_map[stage]
-        for join_key, entries in groups.items():
-            stage_conn_map[join_key] = ChoiceSet(next_uid, stage, entries)
+        for join_key, group in groups.items():
+            stage_conn_map[join_key] = ChoiceSet(next_uid, stage, group)
             next_uid += 1
 
     tdp.num_connectors = next_uid
 
-    # Virtual start state: one branch per root stage.
-    best = dioid_one
+    # Virtual start state: a one-row stage with one branch per root stage.
+    best = [one]
     complete = True
     for root in tdp.root_stages:
         conn = conn_map[root].get(())
@@ -193,8 +285,8 @@ def build_tdp(
             complete = False
             break
         tdp.root_conn[root] = conn
-        best = times(best, conn.min_value)
-    tdp.best_weight = best if complete else dioid.zero
+        best = times_column(best, [conn.min_value])
+    tdp.best_weight = best[0] if complete else dioid.zero
     if not complete:
         tdp.root_conn = {}
     return tdp

@@ -64,8 +64,11 @@ per fragment.
 
 Dioids without the contract, the ``canonical`` tie-break, decomposition
 members, the min-weight projection and ``DPProblem`` keep the object
-builder; :func:`repro.dp.flat.compile_tdp` lowers its result where a
-flat core is still wanted.
+builder, which reads the same stage-input shape (:func:`stage_columns`,
+:func:`join_key_column`) and sweeps a stage as columns through the
+dioid's ``times_column`` / ``key_column``;
+:func:`repro.dp.flat.compile_tdp` lowers its result where a flat core is
+still wanted.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def stage_columns(
     return rows, weights
 
 
-def _join_keys(rows: Sequence[tuple], positions: tuple[int, ...]):
+def join_key_column(rows: Sequence[tuple], positions: tuple[int, ...]):
     """Iterate the join keys of ``rows``: bare values for one column, else tuples."""
     if not positions:
         return repeat((), len(rows))
@@ -243,7 +246,7 @@ def build_shared_lower(
         shared.pi1_key[stage] = pk_out
         shared.child_uids[stage] = cu_out
 
-        join_keys = list(_join_keys(kept, shared.own_key_positions[stage]))
+        join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
         _place_entries(shared, stage, join_keys, entry_keys)
         shared.num_conns = len(shared.pairs)
 
@@ -405,7 +408,7 @@ def _scan_stage_vec(
     n = len(rows)
     probes = [
         np.fromiter(
-            map(cmap.get, _join_keys(rows, positions), repeat(-1)), np.int64, n
+            map(cmap.get, join_key_column(rows, positions), repeat(-1)), np.int64, n
         )
         for _single, positions, cmap in scan.lookups
     ]

@@ -40,7 +40,7 @@ from repro.data.index import IndexCache
 from repro.decomposition.base import BagLineage, TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
-from repro.dp.builder import build_tdp
+from repro.dp.builder import build_tdp, make_tie_lift
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
 from repro.dp.flat import compile_tdp
 from repro.dp.lower import lower_query
@@ -699,52 +699,18 @@ def _bind_union(
 ) -> "UnionPhysical":
     with tracer.span("tdp.build", members=len(tasks)) as span:
         physical = UnionPhysical(logical, database, tasks, dedup=False)
-        span.set(states=sum(tdp.num_states() for tdp in physical.tdps))
+        tdps = physical.tdps
+        span.set(
+            # Bag tuples read (every bag is one stage) -> alive states.
+            rows=_bag_tuples(tasks),
+            stages=sum(tdp.num_stages for tdp in tdps),
+            states=sum(tdp.num_states() for tdp in tdps),
+            connectors=sum(tdp.num_connectors for tdp in tdps),
+        )
     return physical
 
 
-# -- shared helpers (also used by the UCQ pipeline in enumeration.api) ---------
-
-
-def make_tie_lift(tie: TieBreakingDioid, var_position: dict[str, int]):
-    """Lift bag weights into the tie-breaking dioid with their bindings.
-
-    Variables absent from ``var_position`` (e.g. non-head variables in
-    the UCQ pipeline) simply do not participate in tie-breaking.  Which
-    column fills which id slot depends only on the atom, and the builder
-    lifts a whole stage through one atom, so the ``(column, slot)``
-    template is compiled when the atom changes and a tuple costs one
-    list copy.  The ``(value,)`` slot boxes are shared per distinct
-    value: a bag of n tuples over a domain of d values keeps d boxes
-    alive, not 3n, which is most of what the cyclic GC had to walk
-    during a bind.  (Values are join keys or SQLite scalars: hashable.)
-    """
-    blank = list(tie.one[1])
-    boxes: dict = {}
-    compiled: tuple = (None, ())
-
-    def lift(atom, values, raw_weight):
-        nonlocal compiled
-        compiled_for, template = compiled
-        if compiled_for is not atom:
-            template = tuple(
-                (column, var_position[var])
-                for column, var in enumerate(atom.variables)
-                if var in var_position
-            )
-            # One rebinding of the pair: a concurrent fragment build
-            # lifting another atom sees either template whole.
-            compiled = (atom, template)
-        ids = blank.copy()
-        for column, slot in template:
-            value = values[column]
-            box = boxes.get(value)
-            if box is None:
-                box = boxes[value] = (value,)
-            ids[slot] = box
-        return (raw_weight, tuple(ids))
-
-    return lift
+# -- witness recovery -----------------------------------------------------------
 
 
 def witness_decoder(

@@ -28,7 +28,7 @@ from repro.data.database import Database
 from repro.decomposition.base import TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
-from repro.dp.builder import build_tdp
+from repro.dp.builder import build_tdp, make_tie_lift
 from repro.enumeration.result import QueryResult
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import build_join_tree
@@ -149,8 +149,6 @@ def ranked_enumerate_ucq(
     Cyclic members are decomposed and their trees flattened into the
     top-level union.
     """
-    from repro.engine.plan import make_tie_lift
-
     if not queries:
         raise ValueError("the union needs at least one query")
     head_arity = len(queries[0].head)

@@ -42,7 +42,7 @@ from typing import Sequence
 from repro.anyk.base import Enumerator, make_enumerator
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.builder import build_tdp
+from repro.dp.builder import build_tdp, make_tie_lift
 from repro.dp.corebuf import LazyRows, ShmPool, pack_worker_lower, unpack_worker_lower
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import TDP
@@ -534,8 +534,6 @@ class ParallelPreprocessor:
     # -- object path -----------------------------------------------------------
 
     def _build_object(self) -> PreprocessResult:
-        from repro.engine.plan import make_tie_lift
-
         plan = self.shard_plan
         logical = self.logical
         notes = list(plan.notes)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Iterable
+from operator import itemgetter
+from typing import Any, Iterable, Sequence
 
 
 class SelectiveDioid(ABC):
@@ -37,6 +38,14 @@ class SelectiveDioid(ABC):
     the order key ``key``, and the identities ``zero`` (neutral for
     ``plus``, absorbing for ``times`` — the *worst* possible weight) and
     ``one`` (neutral for ``times`` — the weight of an empty witness).
+
+    The bottom-up pass (:mod:`repro.dp.builder`) never multiplies or
+    keys one value at a time: it hands a whole stage to
+    :meth:`times_column` and :meth:`key_column`.  Their defaults *are*
+    the definition — the scalar method mapped over the columns — so a
+    dioid that only defines ``times`` and ``key`` is complete.  An
+    override (see :class:`TieBreakingDioid`) is an optimisation only: it
+    must return a new list equal to the default's, element by element.
     """
 
     #: Whether ``times`` has an inverse (the monoid is a group).
@@ -71,6 +80,14 @@ class SelectiveDioid(ABC):
     @abstractmethod
     def key(self, a: Any) -> Any:
         """Map a value to an orderable key; smaller key ranks earlier."""
+
+    def times_column(self, a: Sequence[Any], b: Sequence[Any]) -> list:
+        """``[times(x, y) for x, y in zip(a, b)]`` for parallel columns."""
+        return list(map(self.times, a, b))
+
+    def key_column(self, values: Sequence[Any]) -> list:
+        """``[key(v) for v in values]``."""
+        return list(map(self.key, values))
 
     def plus(self, a: Any, b: Any) -> Any:
         """Selective addition: return the better-ranked operand."""
@@ -280,6 +297,10 @@ class LexicographicDioid(SelectiveDioid):
 # assignments a well-defined lexicographic position.
 _UNBOUND: tuple = ()
 
+# The two lanes of a tie-broken value ``(base_value, ids)``.
+_BASE_LANE = itemgetter(0)
+_ID_LANE = itemgetter(1)
+
 
 class TieBreakingDioid(SelectiveDioid):
     """Section 6.3: product of a base dioid with a canonical tie-breaker.
@@ -332,6 +353,47 @@ class TieBreakingDioid(SelectiveDioid):
 
     def key(self, a: tuple) -> tuple:
         return (self.base.key(a[0]), a[1])
+
+    def times_column(self, a: Sequence[tuple], b: Sequence[tuple]) -> list:
+        """Lane-wise ``times``: the base's own column operation, ids by slot.
+
+        Like the scalar ``times``, an operand that binds nothing (a
+        column of ``one``) hands back the other side's id tuples
+        themselves.  Otherwise a slot column is taken whole from ``a``
+        where ``a`` binds it in every row (or ``b`` in none), whole from
+        ``b`` where ``a`` never binds it, and merged ``x or y`` row by
+        row only where neither holds — so any two columns are merged
+        correctly, and the uniform ones a stage produces cost no per-row
+        step.  (Slots are read with one ``itemgetter`` pass each rather
+        than one ``zip(*ids)``: that would allocate an iterator per row.)
+        """
+        base = self.base.times_column(
+            list(map(_BASE_LANE, a)), list(map(_BASE_LANE, b))
+        )
+        a_ids = list(map(_ID_LANE, a))
+        b_ids = list(map(_ID_LANE, b))
+        unbound = self._one[1]
+        if a_ids.count(unbound) == len(a_ids):
+            ids = b_ids
+        elif b_ids.count(unbound) == len(b_ids):
+            ids = a_ids
+        else:
+            merged = []
+            for slot in map(itemgetter, range(self.num_variables)):
+                x = list(map(slot, a_ids))
+                if not all(x):
+                    y = list(map(slot, b_ids))
+                    if not any(x):
+                        x = y
+                    elif any(y):
+                        x = [p or q for p, q in zip(x, y)]
+                merged.append(x)
+            ids = zip(*merged)
+        return list(zip(base, ids))
+
+    def key_column(self, values: Sequence[tuple]) -> list:
+        base_keys = self.base.key_column(list(map(_BASE_LANE, values)))
+        return list(zip(base_keys, map(_ID_LANE, values)))
 
     def lift(self, base_value: Any, bindings: dict[int, Any]) -> tuple:
         """Wrap ``base_value`` binding variable positions to values."""

@@ -2,9 +2,11 @@
 
 ISSUE 15 took the simple-cycle bind from "about twelve containers and
 three dioid merges per bag tuple" to one scan per cycle atom, one lift
-per alive state and one id-vector merge per child branch.  Wall clock
-cannot guard that on a shared CI box; these counts can: a re-introduced
-rescan, a second lift or a merge against ``one`` changes an integer.
+per alive state and one id-vector merge per child branch; ISSUE 22
+turned the per-state calls into one column operation per stage.  Wall
+clock cannot guard that on a shared CI box; these counts can: a
+re-introduced rescan, a second product per state, a shared minimum
+folded per state or a scalar fallback on the tie path changes an integer.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class CountingRelation(Relation):
 
 
 class CountingMaxTimes(MaxTimesDioid):
+    """Counts scalar products: still the definition behind ``times_column``."""
+
     def __init__(self):
         self.times_calls = 0
 
@@ -50,22 +54,32 @@ class CountingMaxTimes(MaxTimesDioid):
 
 
 class CountingTie(TieBreakingDioid):
-    """Counts ``times`` calls, and those that had two id vectors to merge."""
+    """Counts column operations, and any scalar ``times`` / ``key`` at all."""
 
     instances: list["CountingTie"] = []
 
     def __init__(self, base, num_variables):
         super().__init__(base, num_variables)
-        self.times_calls = 0
-        self.merges = 0
+        self.scalar_calls = 0
+        self.times_columns = 0
+        self.key_columns = 0
         CountingTie.instances.append(self)
 
     def times(self, a, b):
-        self.times_calls += 1
-        unbound = self.one[1]
-        if a[1] != unbound and b[1] != unbound:
-            self.merges += 1
+        self.scalar_calls += 1
         return super().times(a, b)
+
+    def key(self, a):
+        self.scalar_calls += 1
+        return super().key(a)
+
+    def times_column(self, a, b):
+        self.times_columns += 1
+        return super().times_column(a, b)
+
+    def key_column(self, values):
+        self.key_columns += 1
+        return super().key_column(values)
 
 
 def _skewed_cycle_database(relation_names: list[str], seed: int) -> Database:
@@ -87,16 +101,22 @@ def _skewed_cycle_database(relation_names: list[str], seed: int) -> Database:
 def counted(monkeypatch):
     """Route the union bind through the counting dioid and lift."""
     CountingTie.instances = []
-    lifts = {"calls": 0}
+    lifts = {"scalar": 0, "columns": 0, "rows": 0}
     real_make_tie_lift = plan_module.make_tie_lift
 
     def counting_make_tie_lift(tie, var_position):
         lift = real_make_tie_lift(tie, var_position)
 
         def counted_lift(atom, values, raw_weight):
-            lifts["calls"] += 1
+            lifts["scalar"] += 1
             return lift(atom, values, raw_weight)
 
+        def counted_column(atom, rows, weights):
+            lifts["columns"] += 1
+            lifts["rows"] += len(rows)
+            return lift.column(atom, rows, weights)
+
+        counted_lift.column = counted_column
         return counted_lift
 
     monkeypatch.setattr(plan_module, "TieBreakingDioid", CountingTie)
@@ -106,6 +126,23 @@ def counted(monkeypatch):
 
 @pytest.mark.parametrize("self_join", [False, True])
 def test_four_cycle_bind_op_counts(counted, self_join):
+    """The bind in column operations, and in the scalar products behind them.
+
+    * ``lift`` columns == stages, their rows == alive states: a stage is
+      lifted once, after its dead rows are gone, never row by row.
+    * ``times_column`` calls == one per child branch and one for the
+      entries per stage, plus one per root for the virtual start state;
+      ``key_column`` calls == stages.  The tie dioid's scalar ``times``
+      and ``key`` are never called: no fallback on the tie path.
+    * The base dioid's scalar ``times`` — what the default
+      ``times_column`` maps — is counted per element: one product per
+      alive state (its entry), one per *distinct connector* a stage's
+      first branch references (its minimum folded from ``one`` once,
+      then handed to every state pointing at it), one per state for each
+      further branch, one per root connector, plus the bag joins.  A
+      second product per state or a per-state fold of a shared minimum
+      changes it.
+    """
     names = ["E"] * 4 if self_join else ["R1", "R2", "R3", "R4"]
     database = _skewed_cycle_database(names, seed=1501)
     query = cycle_query(4, relation="E" if self_join else None)
@@ -120,31 +157,36 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     labels = [task.label for task in physical.tasks]
     assert "all-light" in labels and len(labels) > 1, labels
     (tie,) = CountingTie.instances
-    bag_tuples = alive = calls = merges = join_products = 0
+    bag_tuples = alive = stages = columns = products = join_products = 0
+    shared_minima = 0
     for task, tdp in zip(physical.tasks, physical.tdps):
         for name, bag in task.database.relations.items():
             bag_tuples += len(bag)
             # A bag pinning p atoms folds p - 1 base products per tuple.
             join_products += len(bag) * (len(task.lineage[name].atoms) - 1)
-        calls += len(tdp.root_stages)  # best weight through each root
+        # The virtual start state: one product through each root connector.
+        columns += len(tdp.root_conn)
+        products += len(tdp.root_conn)
         for stage, children in enumerate(tdp.children_stages):
-            # With at most one child branch a dead state dies on its
-            # first lookup, before any product: the counts below are exact.
-            assert len(children) <= 1
             states = len(tdp.tuples[stage])
+            stages += 1
             alive += states
-            # Per alive state: pi1 folds one product per child branch,
-            # the connector entry one more ...
-            calls += states * (len(children) + 1)
-            # ... of which only the entry of a non-leaf state, and the
-            # branches after the first, have two id vectors to merge.
-            merges += states * len(children)
-    assert alive > 0 and merges > 0
-    assert counted["calls"] == alive <= bag_tuples, "one lift per alive state"
-    assert tie.times_calls == calls
-    assert tie.merges == merges
-    # The base dioid sees the tie-breaking calls plus the bag joins.
-    assert base.times_calls == calls + join_products
+            columns += len(children) + 1
+            products += states  # the entry: value (x) pi1
+            if children:
+                first_branch = {conns[0].uid for conns in tdp.child_conns[stage]}
+                products += len(first_branch)
+                products += states * (len(children) - 1)
+                shared_minima += states - len(first_branch)
+    assert alive > 0 and shared_minima > 0
+    assert counted["scalar"] == 0
+    assert counted["columns"] == stages, "one lift column per member and stage"
+    assert counted["rows"] == alive <= bag_tuples, "lifted once, when alive"
+    assert tie.scalar_calls == 0, "no scalar fallback on the tie path"
+    assert tie.times_columns == columns
+    assert tie.key_columns == stages
+    # The base dioid sees the column products plus the bag joins.
+    assert base.times_calls == products + join_products
 
 
 def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path):

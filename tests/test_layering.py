@@ -2,10 +2,12 @@
 
 ``util``, ``data``, ``ranking``, ``query``, ``dp`` and ``obs`` sit below
 the engine.  None of their modules may import ``repro.engine``,
-``repro.parallel`` or ``repro.serve`` — at module level *or* inside a
-function: an import-on-call is how a cycle gets hidden instead of
-removed (``dp/corebuf.py`` and ``data/backend.py`` both did that to
-reach the retry primitives while those lived in ``serve/``).
+``repro.parallel``, ``repro.serve`` or ``repro.enumeration`` — at module
+level *or* inside a function: an import-on-call is how a cycle gets
+hidden instead of removed (``dp/corebuf.py`` and ``data/backend.py``
+both did that to reach the retry primitives while those lived in
+``serve/``; ``enumeration/api.py`` reached up into ``engine/plan.py``
+for the tie lift, which now lives in ``dp/builder.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import os
 import repro
 
 LOWER_PACKAGES = ("util", "data", "ranking", "query", "dp", "obs")
-UPPER_PACKAGES = ("repro.engine", "repro.parallel", "repro.serve")
+UPPER_PACKAGES = (
+    "repro.engine", "repro.parallel", "repro.serve", "repro.enumeration",
+)
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 

@@ -303,6 +303,15 @@ class TestEngineSpans:
                 tdp.num_states() for tdp in physical.tdps
             )
             assert 0 < build.attrs["states"] <= decompose.attrs["bag_tuples"]
+            # Bag tuples read -> alive states, per trace: every bag is a
+            # stage of its member, read once.
+            assert build.attrs["rows"] == decompose.attrs["bag_tuples"]
+            assert build.attrs["stages"] == sum(
+                tdp.num_stages for tdp in physical.tdps
+            )
+            assert build.attrs["connectors"] == sum(
+                tdp.num_connectors for tdp in physical.tdps
+            )
         finally:
             engine.close()
 
