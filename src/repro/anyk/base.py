@@ -50,6 +50,13 @@ class RankedResult:
         return f"RankedResult(weight={self.weight!r}, states={self.states})"
 
 
+#: The flat kernels write ``weight``, ``key``, ``states`` and ``decoder``
+#: into whichever result class their caller handed over.  A T-DP decodes
+#: states as a :class:`~repro.dp.graph.ResultAssembler` does, so here the
+#: name is a second handle on the ``tdp`` slot (the same descriptor).
+RankedResult.decoder = RankedResult.tdp
+
+
 class Enumerator:
     """Iterator over :class:`RankedResult` in ranking order.
 

@@ -22,8 +22,10 @@ walking ``ChoiceSet`` object graphs:
   Recursive's ``_ensure`` — so a run with a counter and a run without
   execute the same code, and the counts are exact after every answer;
 * results carry only ``(key, states)``; witness tuples and variable
-  assignments materialise lazily from the source T-DP's ``tuple_ids``
-  at result-construction time (:class:`~repro.anyk.base.RankedResult`).
+  assignments materialise when read, through the result's decoder — the
+  source T-DP of a :class:`~repro.anyk.base.RankedResult`, the plan's
+  assembler of an engine-built :class:`~repro.dp.graph.QueryResult`
+  (:class:`FlatEnumerator` says who decides which).
 
 Every loop replicates the object-graph algorithms' candidate ordering
 exactly — same push sequence, same tie-breaking sequence numbers, and
@@ -62,7 +64,44 @@ def _charge(counter: OpCounter, steps: int, pushed: int) -> None:
     counter.results += 1
 
 
-class FlatAnyKPart(Enumerator):
+class FlatEnumerator(Enumerator):
+    """What the flat enumerators share: the core and what they emit.
+
+    ``emits`` is ``(result class, decoder)``: the class every answer is
+    allocated as and what lands in its ``decoder`` slot.  The default —
+    :class:`~repro.anyk.base.RankedResult` over the source T-DP — is the
+    any-k library's result; the engine hands over
+    :class:`~repro.dp.graph.QueryResult` and the plan's compiled
+    assembler, so the object a kernel allocates is the public answer
+    and nothing is built between the kernel and the caller.  Either
+    way a kernel writes the same four slots of one object per answer.
+    """
+
+    def __init__(
+        self,
+        compiled: CompiledTDP,
+        counter: OpCounter | None,
+        emits: tuple | None,
+    ):
+        self.compiled = compiled
+        self.tdp = compiled.tdp
+        self.dioid = compiled.dioid
+        self.counter = counter
+        self.emits = (RankedResult, compiled.tdp) if emits is None else emits
+
+    def _emit(self, key: float, states: tuple[int, ...]):
+        """One answer outside the compiled loops (same four slots)."""
+        result_cls, decoder = self.emits
+        vfk = self.compiled.vfk
+        res = result_cls.__new__(result_cls)
+        res.weight = key if vfk is None else vfk(key)
+        res.key = key
+        res.states = states
+        res.decoder = decoder
+        return res
+
+
+class FlatAnyKPart(FlatEnumerator):
     """Algorithm 1 over the compiled core (strategies via flat views).
 
     Candidate tuples are ``(key, seq, prefix, stage, carrier, pos)`` —
@@ -85,12 +124,10 @@ class FlatAnyKPart(Enumerator):
         compiled: CompiledTDP,
         kind: str,
         counter: OpCounter | None = None,
+        emits: tuple | None = None,
     ):
-        self.compiled = compiled
-        self.tdp = compiled.tdp
-        self.dioid = compiled.dioid
+        super().__init__(compiled, counter, emits)
         self.kind = kind
-        self.counter = counter
         self._view_class = FLAT_VIEWS[kind]
         #: uid -> per-run ranking structure (lists or views, see class doc).
         self._views: list = [None] * compiled.num_connectors
@@ -138,7 +175,6 @@ class FlatAnyKPart(Enumerator):
 
     def _generate_take2(self):
         compiled = self.compiled
-        tdp = self.tdp
         heap = self._heap
         num_stages = compiled.num_stages
         parent_stage = compiled.parent_stage
@@ -149,8 +185,8 @@ class FlatAnyKPart(Enumerator):
         heappop = heapq.heappop
         heappush = heapq.heappush
         vfk = compiled.vfk
-        new_result = RankedResult.__new__
-        result_cls = RankedResult
+        result_cls, decoder = self.emits
+        new_result = result_cls.__new__
         seq = 0
         if not compiled.empty:
             uid = root_uid[0]
@@ -212,7 +248,7 @@ class FlatAnyKPart(Enumerator):
             res.weight = total if vfk is None else vfk(total)
             res.key = total
             res.states = tuple(states)
-            res.tdp = tdp
+            res.decoder = decoder
             if counter is not None:
                 _charge(counter, num_stages - stage, seq - counted)
                 counted = seq
@@ -231,7 +267,6 @@ class FlatAnyKPart(Enumerator):
         (the parent's state), which every push site has already warmed.
         """
         compiled = self.compiled
-        tdp = self.tdp
         heap = self._heap
         num_stages = compiled.num_stages
         last = num_stages - 1
@@ -243,8 +278,8 @@ class FlatAnyKPart(Enumerator):
         heappop = heapq.heappop
         heappush = heapq.heappush
         vfk = compiled.vfk
-        new_result = RankedResult.__new__
-        result_cls = RankedResult
+        result_cls, decoder = self.emits
+        new_result = result_cls.__new__
 
         seq = 0
         root_entries = None
@@ -295,7 +330,7 @@ class FlatAnyKPart(Enumerator):
             res.weight = total if vfk is None else vfk(total)
             res.key = total
             res.states = tuple(states)
-            res.tdp = tdp
+            res.decoder = decoder
             if counter is not None:
                 _charge(counter, num_stages - stage, seq - counted)
                 counted = seq
@@ -306,7 +341,6 @@ class FlatAnyKPart(Enumerator):
 
     def _generate_eager(self):
         compiled = self.compiled
-        tdp = self.tdp
         heap = self._heap
         num_stages = compiled.num_stages
         parent_stage = compiled.parent_stage
@@ -317,8 +351,8 @@ class FlatAnyKPart(Enumerator):
         heappop = heapq.heappop
         heappush = heapq.heappush
         vfk = compiled.vfk
-        new_result = RankedResult.__new__
-        result_cls = RankedResult
+        result_cls, decoder = self.emits
+        new_result = result_cls.__new__
         seq = 0
         if not compiled.empty:
             uid = root_uid[0]
@@ -372,7 +406,7 @@ class FlatAnyKPart(Enumerator):
             res.weight = total if vfk is None else vfk(total)
             res.key = total
             res.states = tuple(states)
-            res.tdp = tdp
+            res.decoder = decoder
             if counter is not None:
                 _charge(counter, num_stages - stage, seq - counted)
                 counted = seq
@@ -382,7 +416,6 @@ class FlatAnyKPart(Enumerator):
     def _generate_eager_chain(self):
         """Eager loop specialised for chain T-DPs (see take2 variant)."""
         compiled = self.compiled
-        tdp = self.tdp
         heap = self._heap
         num_stages = compiled.num_stages
         last = num_stages - 1
@@ -393,8 +426,8 @@ class FlatAnyKPart(Enumerator):
         heappop = heapq.heappop
         heappush = heapq.heappush
         vfk = compiled.vfk
-        new_result = RankedResult.__new__
-        result_cls = RankedResult
+        result_cls, decoder = self.emits
+        new_result = result_cls.__new__
 
         seq = 0
         root_entries = None
@@ -440,7 +473,7 @@ class FlatAnyKPart(Enumerator):
             res.weight = total if vfk is None else vfk(total)
             res.key = total
             res.states = tuple(states)
-            res.tdp = tdp
+            res.decoder = decoder
             if counter is not None:
                 _charge(counter, num_stages - stage, seq - counted)
                 counted = seq
@@ -507,10 +540,7 @@ class FlatAnyKPart(Enumerator):
         self._seq = seq
         if self.counter is not None:
             _charge(self.counter, num_stages - stage, seq - counted)
-        vfk = compiled.vfk
-        return RankedResult(
-            total if vfk is None else vfk(total), total, tuple(states), self.tdp
-        )
+        return self._emit(total, tuple(states))
 
 
 class FlatRankedProduct:
@@ -587,7 +617,7 @@ class FlatRankedProduct:
                 self.counter.pq_push += seq - pushed_from
 
 
-class FlatRecursive(Enumerator):
+class FlatRecursive(FlatEnumerator):
     """anyK-rec (Algorithm 2) over the compiled core.
 
     Memoized per-connector solution lists and candidate heaps live in
@@ -599,11 +629,13 @@ class FlatRecursive(Enumerator):
     tallies it keeps anyway (solutions appended = pops).
     """
 
-    def __init__(self, compiled: CompiledTDP, counter: OpCounter | None = None):
-        self.compiled = compiled
-        self.tdp = compiled.tdp
-        self.dioid = compiled.dioid
-        self.counter = counter
+    def __init__(
+        self,
+        compiled: CompiledTDP,
+        counter: OpCounter | None = None,
+        emits: tuple | None = None,
+    ):
+        super().__init__(compiled, counter, emits)
         num_connectors = compiled.num_connectors
         #: uid -> ranked solutions [(key, state, js), ...]
         self._sols: list[list[tuple] | None] = [None] * num_connectors
@@ -634,10 +666,9 @@ class FlatRecursive(Enumerator):
 
     def _generate(self):
         compiled = self.compiled
-        tdp = self.tdp
         vfk = compiled.vfk
-        new_result = RankedResult.__new__
-        result_cls = RankedResult
+        result_cls, decoder = self.emits
+        new_result = result_cls.__new__
         num_stages = compiled.num_stages
         last = num_stages - 1
         all_sols = self._sols
@@ -710,7 +741,7 @@ class FlatRecursive(Enumerator):
             res.weight = key if vfk is None else vfk(key)
             res.key = key
             res.states = tuple(states)
-            res.tdp = tdp
+            res.decoder = decoder
             if counter is not None:
                 counter.results += 1
             yield res
@@ -837,13 +868,10 @@ class FlatRecursive(Enumerator):
         self._rank += 1
         if self.counter is not None:
             self.counter.results += 1
-        vfk = compiled.vfk
-        return RankedResult(
-            key if vfk is None else vfk(key), key, tuple(states), self.tdp
-        )
+        return self._emit(key, tuple(states))
 
 
-class FlatBatch(Enumerator):
+class FlatBatch(FlatEnumerator):
     """Batch baseline over the compiled core (full output, optional sort).
 
     Backtracks over the compiled entry pairs with float prefix sums;
@@ -858,11 +886,9 @@ class FlatBatch(Enumerator):
         compiled: CompiledTDP,
         sort: bool = True,
         counter: OpCounter | None = None,
+        emits: tuple | None = None,
     ):
-        self.compiled = compiled
-        self.tdp = compiled.tdp
-        self.dioid = compiled.dioid
-        self.counter = counter
+        super().__init__(compiled, counter, emits)
         self.sorted = sort
         results = self._solutions_list(counter)
         if sort:
@@ -991,22 +1017,25 @@ class FlatBatch(Enumerator):
         key, states = item
         if self.counter is not None:
             self.counter.results += 1
-        vfk = self.compiled.vfk
-        return RankedResult(
-            key if vfk is None else vfk(key), key, states, self.tdp
-        )
+        return self._emit(key, states)
 
 
 def make_flat_enumerator(
-    compiled: CompiledTDP, algorithm: str, counter: OpCounter | None = None
+    compiled: CompiledTDP,
+    algorithm: str,
+    counter: OpCounter | None = None,
+    emits: tuple | None = None,
 ) -> Enumerator:
-    """Instantiate a flat enumerator over ``compiled`` by algorithm name."""
+    """Instantiate a flat enumerator over ``compiled`` by algorithm name.
+
+    ``emits`` — see :class:`FlatEnumerator`.
+    """
     if algorithm in FLAT_VIEWS:
-        return FlatAnyKPart(compiled, algorithm, counter=counter)
+        return FlatAnyKPart(compiled, algorithm, counter=counter, emits=emits)
     if algorithm == "recursive":
-        return FlatRecursive(compiled, counter=counter)
+        return FlatRecursive(compiled, counter=counter, emits=emits)
     if algorithm == "batch":
-        return FlatBatch(compiled, counter=counter)
+        return FlatBatch(compiled, counter=counter, emits=emits)
     if algorithm == "batch_nosort":
-        return FlatBatch(compiled, sort=False, counter=counter)
+        return FlatBatch(compiled, sort=False, counter=counter, emits=emits)
     raise ValueError(f"unknown any-k algorithm {algorithm!r}")

@@ -332,12 +332,13 @@ def _command_query(args: argparse.Namespace) -> int:
                 collected.append(result)
         enumeration = time.perf_counter() - enum_start
         for index, result in enumerate(collected, start=1):
-            row = ", ".join(
-                f"{v}={result.assignment[v]}" for v in prepared.query.head
-            )
+            # One read per field: on a view, a read is a decode.
+            assignment = result.assignment
+            row = ", ".join(f"{v}={assignment[v]}" for v in prepared.query.head)
             line = f"#{index:<4} weight={result.weight}  {row}"
-            if args.witness and result.witness is not None:
-                line += f"  witness={result.witness}"
+            witness = result.witness if args.witness else None
+            if witness is not None:
+                line += f"  witness={witness}"
             print(line)
         if run == 0 and count == 0:
             print("(no results)")

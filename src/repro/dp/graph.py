@@ -91,17 +91,35 @@ class QueryResult:
 
     The public result type of every ranked-enumeration pipeline
     (re-exported as :class:`repro.enumeration.result.QueryResult`); it
-    lives here, below the enumerators, because :class:`ResultAssembler`
-    builds it.
+    lives here, below the enumerators, because they allocate it.
+
+    An answer is its states until someone reads it.  The flat kernels
+    (:mod:`repro.anyk.flat`) allocate the *view* form — ``weight``,
+    ``key`` (the dioid key it was ranked by), ``states`` (one per stage,
+    the paper's O(l) solution) and ``decoder``, the plan's compiled
+    :class:`ResultAssembler` — and ``assignment`` / ``witness_ids`` /
+    ``witness`` / ``output_tuple`` decode through the assembler on every
+    read, retaining nothing: a memoized answer nobody looks at costs its
+    states, one that was served costs its states and its line, and two
+    threads reading one answer share nothing they could race on.  The
+    decoder is the assembler, never the T-DP or the compiled core, so a
+    held answer keeps its plan's row lists alive (as a held
+    :class:`~repro.anyk.base.RankedResult` keeps its T-DP) but cannot
+    pin a mapped ``.core`` file.
+
+    ``QueryResult(weight, assignment, head, witness_ids, witness)``
+    builds the *finished* form (``states is None``): what a finisher
+    that post-processes answers hands out, and what a plan whose rows
+    sit behind a storage backend must hand out, because there a decode
+    is a lookup that can fail (:class:`repro.engine.plan.DecodedResults`).
+    A view pickles and copies as its finished form.
 
     ``_wire`` is the serving layer's: ``(index, line)`` once the answer
     has been sent at that rank (:func:`repro.serve.protocol.result_lines`
-    owns it).  No constructor sets it, so it reads with a default.
+    owns it).  Nothing here sets it, so it reads with a default.
     """
 
-    __slots__ = (
-        "weight", "assignment", "_head", "_witness_ids", "_witness", "_wire",
-    )
+    __slots__ = ("weight", "key", "states", "decoder", "_fields", "_wire")
 
     def __init__(
         self,
@@ -112,41 +130,77 @@ class QueryResult:
         witness: tuple | None = None,
     ):
         self.weight = weight
-        self.assignment = assignment
-        self._head = head
-        self._witness_ids = witness_ids
-        self._witness = witness
+        self.states = None
+        self._fields = (assignment, head, witness_ids, witness)
+
+    def decoded(self) -> tuple:
+        """``(assignment, head, witness_ids, witness)`` in one decode."""
+        states = self.states
+        return self._fields if states is None else self.decoder.fields(states)
+
+    @property
+    def assignment(self) -> dict[str, Any]:
+        """Mapping of query variables to values."""
+        states = self.states
+        if states is None:
+            return self._fields[0]
+        return self.decoder.assignment(states)
 
     @property
     def output_tuple(self) -> tuple:
         """The answer projected onto the query head."""
-        return tuple(self.assignment[v] for v in self._head)
+        states = self.states
+        if states is None:
+            fields = self._fields
+            return tuple(map(fields[0].__getitem__, fields[1]))
+        return self.decoder.output_tuple(states)
 
     @property
     def witness_ids(self) -> tuple | None:
         """Per-atom input tuple positions, when the pipeline tracks them."""
-        return self._witness_ids
+        states = self.states
+        if states is None:
+            return self._fields[2]
+        return self.decoder.witness_ids(states)
 
     @property
     def witness(self) -> tuple | None:
         """Per-atom input tuples, when the pipeline tracks them."""
-        return self._witness
+        states = self.states
+        if states is None:
+            return self._fields[3]
+        return self.decoder.witness(states)
+
+    def __reduce__(self):
+        # The assembler holds compiled functions (and the plan's rows):
+        # an answer travels as what it decodes to.
+        return QueryResult, (self.weight, *self.decoded())
 
     def __repr__(self) -> str:
         return f"QueryResult(weight={self.weight!r}, {self.assignment!r})"
 
 
-#: Source of one assembler's four decoders (see :class:`ResultAssembler`).
+#: Source of one assembler's decoders (see :class:`ResultAssembler`).
 _ASSEMBLER_SOURCE = """
 def result(weight, states):
     {unpack} = states
     {fetch}
     return QueryResult(weight, {binding}, head, ({ids}), ({rows}))
 
+def fields(states):
+    {unpack} = states
+    {fetch}
+    return ({binding}, head, ({ids}), ({rows}))
+
 def assignment(states):
     {unpack} = states
     {fetch}
     return {binding}
+
+def output_tuple(states):
+    {unpack} = states
+    {fetch}
+    return {output}
 
 def witness(states):
     {unpack} = states
@@ -181,25 +235,33 @@ class ResultAssembler:
     is ``l`` index lookups and one dict/tuple display, with no loop, no
     sort and no per-variable dispatch:
 
+    * ``assignment(states)``, ``output_tuple(states)``,
+      ``witness(states)``, ``witness_ids(states)`` — the single fields,
+      which a :class:`QueryResult` view (and a
+      :class:`~repro.anyk.base.RankedResult`) decodes when read;
+    * ``fields(states)`` — ``(assignment, head, witness_ids, witness)``
+      in one pass over the rows;
     * ``result(weight, states)`` — the finished :class:`QueryResult`,
-      every field decoded *now*: rows may be
-      :class:`~repro.dp.corebuf.LazyRows` over a backend that is closed
-      before the caller reads the page;
-    * ``assignment(states)``, ``witness(states)``, ``witness_ids(states)``
-      — the single views :class:`~repro.anyk.base.RankedResult` serves
-      lazily.
+      every field decoded *now*: what a plan hands out while extending
+      when its rows are :class:`~repro.dp.corebuf.LazyRows` over a
+      backend that may fail, or be closed, before the caller reads the
+      page.
 
     Compile it after the builder is done: the per-stage row and id
-    sequences are captured, not re-read from the T-DP.
+    sequences are captured, not re-read from the T-DP — which is why a
+    view holding an assembler holds no T-DP.
     """
 
-    __slots__ = ("head", "result", "assignment", "witness", "witness_ids")
+    __slots__ = (
+        "head", "result", "fields", "assignment", "output_tuple", "witness",
+        "witness_ids",
+    )
 
     def __init__(self, tdp: "TDP", head: tuple[str, ...] | None):
         self.head = head
         stages = range(tdp.num_stages)
         by_atom = sorted(stages, key=tdp.atom_of_stage.__getitem__)
-        binding = "_no_query()"
+        binding = output = "_no_query()"
         if tdp.query is not None:
             source: dict[str, str] = {}
             for stage, atom in enumerate(tdp.atom_of_stage):
@@ -207,6 +269,10 @@ class ResultAssembler:
                     source[var] = f"r{stage}[{column}]"
             binding = "{%s}" % ", ".join(
                 f"{var!r}: {value}" for var, value in source.items()
+            )
+            output = "(%s)" % "".join(
+                f"{source[var]}, "
+                for var in (tdp.query.head if head is None else head)
             )
         namespace: dict[str, Any] = {
             "QueryResult": QueryResult, "head": head, "_no_query": _no_query,
@@ -218,6 +284,7 @@ class ResultAssembler:
             unpack="".join(f"s{j}, " for j in stages),
             fetch="; ".join(f"r{j} = rows{j}[s{j}]" for j in stages),
             binding=binding,
+            output=output,
             ids="".join(f"ids{j}[s{j}], " for j in by_atom),
             rows="".join(f"r{j}, " for j in by_atom),
         )
@@ -225,8 +292,8 @@ class ResultAssembler:
         # own globals would be a cycle pinning the rows until a GC pass.
         decoders: dict[str, Any] = {}
         exec(_assembler_code(source_text), namespace, decoders)
-        for name in ("result", "assignment", "witness", "witness_ids"):
-            setattr(self, name, decoders[name])
+        for name, decoder in decoders.items():
+            setattr(self, name, decoder)
 
 
 class TDP:

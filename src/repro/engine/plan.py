@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (lazy runtime import)
     from repro.parallel.sharder import ShardSpec
 
 from repro.anyk.base import make_enumerator
+from repro.anyk.flat import make_flat_enumerator
 from repro.anyk.union import UnionEnumerator
 from repro.data.database import Database
 from repro.data.index import IndexCache
@@ -210,15 +211,42 @@ def plan(
 # -- physical plans ------------------------------------------------------------
 
 
+def decodes_at_extension(tdp, flat: bool) -> str | None:
+    """Why answers over ``tdp`` are finished while the stream extends,
+    or ``None`` when they can be handed out as views and decoded on read.
+
+    One rule, applied once per bind to what the T-DP holds: rows this
+    process holds (lists) are read when someone looks, because reading
+    them later cannot fail; rows behind a backend
+    (:class:`~repro.dp.corebuf.LazyRows` of a warm-started or
+    process-assembled plan) are fetched while extending, so a failed
+    fetch is a failed ``ensure`` that resumes at the same rank and an
+    answer handed out is complete after the backend is closed.  Only
+    the flat kernels allocate views; the object-graph enumerators emit
+    :class:`~repro.anyk.base.RankedResult` and keep the hop.
+    """
+    if not flat:
+        return "object-graph enumerators"
+    for rows in tdp.tuples:
+        if not isinstance(rows, list):
+            backend = getattr(getattr(rows, "relation", None), "backend", None)
+            holder = rows if backend is None else backend
+            return f"rows behind {type(holder).__name__}"
+    return None
+
+
 class DecodedResults:
     """``map(decode, results)`` that a failing ``decode`` cannot damage.
 
-    Decoding reads input rows, which for a warm-started plan are point
-    lookups in a storage backend and can fail.  ``map`` would drop the
-    result it had already pulled (a skipped rank); a generator would be
-    finalised by the raise and read as exhausted from then on.  Here
-    the undecoded result stays pending and the next pull retries it, so
-    a consumer that survives the error resumes at the same rank.
+    The hop of every plan whose answers are finished while the stream
+    extends (:func:`decodes_at_extension`, and the finishers that
+    post-process).  Decoding reads input rows, which for a warm-started
+    plan are point lookups in a storage backend and can fail.  ``map``
+    would drop the result it had already pulled (a skipped rank); a
+    generator would be finalised by the raise and read as exhausted
+    from then on.  Here the undecoded result stays pending and the next
+    pull retries it, so a consumer that survives the error resumes at
+    the same rank.
     """
 
     __slots__ = ("_results", "_decode", "_pending")
@@ -254,6 +282,10 @@ class PhysicalPlan:
     engine shares one bound plan across prepared queries that differ
     only in algorithm.
     """
+
+    #: Why answers are decoded while the stream extends; ``None`` when the
+    #: plan hands out views that decode on read (:func:`decodes_at_extension`).
+    eager: str | None = "the plan's finisher builds each answer"
 
     def __init__(self, logical: LogicalPlan, database: Database):
         self.logical = logical
@@ -293,6 +325,11 @@ class PhysicalPlan:
             f"physical: preprocessing took "
             f"{self.preprocess_seconds * 1e3:.2f} ms"
         )
+        lines.append(
+            "  answers: decoded on read"
+            if self.eager is None
+            else f"  answers: decoded at extension ({self.eager})"
+        )
         lines.extend(self._physical_stats())
         return "\n".join(lines)
 
@@ -330,6 +367,7 @@ class AcyclicPhysical(PhysicalPlan):
         # Compiled here, in the preprocessing phase: a warm plan's first
         # answer should not pay for it.
         tdp.assembler(logical.query.head)
+        self.eager = decodes_at_extension(tdp, self.compiled is not None)
 
     def close(self) -> None:
         if self.tdp is not None:
@@ -342,10 +380,18 @@ class AcyclicPhysical(PhysicalPlan):
         counter: OpCounter | None = None,
         algorithm: str | None = None,
     ) -> Iterator[QueryResult]:
-        enumerator = make_enumerator(
-            self.tdp, algorithm or self.logical.algorithm, counter=counter
-        )
-        finish = self.tdp.assembler(self.logical.query.head).result
+        algorithm = algorithm or self.logical.algorithm
+        assembler = self.tdp.assembler(self.logical.query.head)
+        if self.eager is None:
+            # The kernel's object is the answer: nothing in between.
+            return iter(
+                make_flat_enumerator(
+                    self.compiled, algorithm.lower(), counter,
+                    emits=(QueryResult, assembler),
+                )
+            )
+        enumerator = make_enumerator(self.tdp, algorithm, counter=counter)
+        finish = assembler.result
         return DecodedResults(
             enumerator, lambda result: finish(result.weight, result.states)
         )
@@ -517,17 +563,15 @@ class ProjectionPhysical(PhysicalPlan):
         inner_iter = self.inner.iter(counter, algorithm)
 
         def project(result: QueryResult) -> QueryResult:
+            # One fused decode of an inner view, not one per field.
+            assignment, _head, witness_ids, witness = result.decoded()
             projected = {
                 var: value
-                for var, value in result.assignment.items()
+                for var, value in assignment.items()
                 if var in head_set
             }
             return QueryResult(
-                result.weight,
-                projected,
-                head,
-                witness_ids=result.witness_ids,
-                witness=result.witness,
+                result.weight, projected, head, witness_ids, witness
             )
 
         # ``map``, not a generator: a raise from the inner plan passes

@@ -41,6 +41,19 @@ by a raise — marks the stream :attr:`~PrefixStream.broken`: replays of
 the memo keep working, further extension raises, and the engine hands
 new requests a fresh stream.
 
+What the memo holds is what the plan hands out.  A plan whose rows this
+process holds hands out :class:`QueryResult` *views* — the object the
+kernel allocated: weight, states, the plan's assembler — and a field is
+decoded when someone reads it, retaining nothing, so an answer that is
+only skipped, budgeted, probed or ranked is never decoded at all.  A
+plan whose rows sit behind a storage backend (a warm-started ``.core``
+plan, process-assembled fragments), or whose finisher post-processes
+(union, min-weight, projection), hands out finished answers built while
+extending (:func:`repro.engine.plan.decodes_at_extension`);
+:attr:`PrefixStream.decode` says which, and so do the ``stream.extend``
+span and ``explain()``.  A held view keeps its plan's row lists alive
+(as a held ``RankedResult`` keeps its T-DP), not its engine or backend.
+
 The memo holds an answer's served form too: once a rank has gone over a
 socket, its :class:`QueryResult` carries the encoded protocol line
 (:func:`repro.serve.protocol.result_lines`), so a replayed page is
@@ -51,6 +64,7 @@ own — it goes when the stream that memoizes the answer goes — and
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from threading import RLock
 from typing import Any, Callable, Iterator
@@ -177,7 +191,10 @@ class PrefixStream:
                         ran_dry and self._raised and len(results) == produced
                     )
                     self._exhausted = ran_dry and not self._broken
-                    span.set(produced=len(results), exhausted=self._exhausted)
+                    span.set(
+                        produced=len(results), exhausted=self._exhausted,
+                        decode=self.decode,
+                    )
                 self._raised = False
             except BaseException:
                 # Answers appended before the raise stay memoized: the
@@ -233,13 +250,28 @@ class PrefixStream:
             yield result
             index += 1
 
+    @property
+    def decode(self) -> str | None:
+        """Where this stream's answers are decoded, read off the memo:
+        ``"on_read"`` when it holds views (states, decoded when someone
+        looks), ``"at_extension"`` when it holds finished answers (the
+        plan's rows sit behind a backend, or a finisher post-processes —
+        ``explain()`` says which); ``None`` while it holds nothing."""
+        if not self._results:
+            return None
+        view = getattr(self._results[0], "states", None) is not None
+        return "on_read" if view else "at_extension"
+
     def memory_bytes(self) -> int:
         """Estimated bytes held by the memoized prefix (scrape-time).
 
         A per-result estimate is measured once from the first memoized
         answer (results of one stream are homogeneous — same query,
         same arity) and multiplied by the prefix length, so polling this
-        never walks the whole memo.
+        never walks the whole memo.  A view is charged what it holds —
+        the object, its states tuple, its weight — whether or not its
+        fields were ever read, since a read retains nothing; a finished
+        answer is charged its assignment dict and values as well.
 
         The estimate includes the encoded line an answer holds once it
         was served over a socket, and is taken again when the sample
@@ -251,8 +283,6 @@ class PrefixStream:
         rest of the estimate (rank 0's line has the fewest index
         digits: about 2% short on a 2 000-answer 4-path prefix).
         """
-        import sys
-
         results = self._results
         if not results:
             return sys.getsizeof(results)
@@ -262,12 +292,17 @@ class PrefixStream:
             size = sys.getsizeof(sample)
             if wire is not None:
                 size += sys.getsizeof(wire) + sys.getsizeof(wire[1])
-            assignment = getattr(sample, "assignment", None)
-            if isinstance(assignment, dict):
-                # Keys are the query's variable names, shared across
-                # every result — charge only the values per result.
-                size += sys.getsizeof(assignment)
-                size += sum(sys.getsizeof(v) for v in assignment.values())
+            states = getattr(sample, "states", None)
+            if states is not None:
+                # The states themselves are the compiled core's ints.
+                size += sys.getsizeof(states)
+            else:
+                assignment = getattr(sample, "assignment", None)
+                if isinstance(assignment, dict):
+                    # Keys are the query's variable names, shared across
+                    # every result — charge only the values per result.
+                    size += sys.getsizeof(assignment)
+                    size += sum(sys.getsizeof(v) for v in assignment.values())
             weight = getattr(sample, "weight", None)
             if weight is not None:
                 size += sys.getsizeof(weight)
@@ -281,6 +316,7 @@ class PrefixStream:
             "exhausted": self._exhausted,
             "replays": self.replays,
             "extensions": self.extensions,
+            "decode": self.decode,
             "memory_bytes": self.memory_bytes(),
         }
 

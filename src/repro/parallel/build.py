@@ -303,11 +303,17 @@ class FragmentRuntime:
         self.seconds = seconds
         self.anchor_stage = anchor_stage
 
-    def make_enumerator(self, algorithm: str, counter=None) -> Enumerator:
+    def make_enumerator(
+        self, algorithm: str, counter=None, emits: tuple | None = None
+    ) -> Enumerator:
+        """``emits`` (flat fragments only): see
+        :class:`repro.anyk.flat.FlatEnumerator`."""
         if self.compiled is not None:
             from repro.anyk.flat import make_flat_enumerator
 
-            return make_flat_enumerator(self.compiled, algorithm, counter=counter)
+            return make_flat_enumerator(
+                self.compiled, algorithm, counter=counter, emits=emits
+            )
         return make_enumerator(self.tdp, algorithm, counter=counter)
 
     def anchor_states(self) -> int:

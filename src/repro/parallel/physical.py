@@ -21,6 +21,7 @@ from repro.engine.plan import (
     DecodedResults,
     LogicalPlan,
     PhysicalPlan,
+    decodes_at_extension,
     load_cores,
     store_cores,
 )
@@ -49,8 +50,12 @@ class ShardedPhysical(PhysicalPlan):
         super().__init__(logical, database)
         self.shard_plan = shard_plan
         self.fragments = result.fragments
+        self.eager = None
         for fragment in self.fragments:  # bind-time, as in AcyclicPhysical
             fragment.tdp.assembler(logical.query.head)
+            self.eager = self.eager or decodes_at_extension(
+                fragment.tdp, fragment.compiled is not None
+            )
         self.mode = result.mode
         self.workers = result.workers
         self.shared_seconds = result.shared_seconds
@@ -76,17 +81,25 @@ class ShardedPhysical(PhysicalPlan):
         algorithm: str | None = None,
     ) -> Iterator[QueryResult]:
         algorithm = (algorithm or self.logical.algorithm).lower()
+        head = self.logical.query.head
+        views = self.eager is None
         members = []
         member_fragments = []
         for fragment in self.fragments:
             if fragment.empty:
                 continue
-            members.append(fragment.make_enumerator(algorithm, counter=counter))
+            # Each fragment's kernel emits the answer itself, decoding
+            # through that fragment's assembler; the merge only orders.
+            emits = (QueryResult, fragment.tdp.assembler(head)) if views else None
+            members.append(
+                fragment.make_enumerator(algorithm, counter=counter, emits=emits)
+            )
             member_fragments.append(fragment.index)
         merge_cls = ShardConcat if algorithm == "batch_nosort" else ShardMerge
         merge = merge_cls(members, counter=counter)
         self._last_merge = (merge, member_fragments)
-        head = self.logical.query.head
+        if views:
+            return merge
         tie = self.tie
 
         def finish(result) -> QueryResult:

@@ -143,15 +143,18 @@ def result_message(index: int, result: QueryResult) -> dict:
 
     Weight, assignment and witness ids go to the encoder as they are
     (tuples become arrays there), so the message aliases the result:
-    encode it, do not mutate it.
+    encode it, do not mutate it.  Each field is read once: on a view a
+    read is a decode, and the first encode of an answer is its first
+    reader.
     """
     payload: dict[str, Any] = {
         "index": index,
         "weight": result.weight,
         "assignment": result.assignment,
     }
-    if result.witness_ids is not None:
-        payload["witness_ids"] = result.witness_ids
+    witness_ids = result.witness_ids
+    if witness_ids is not None:
+        payload["witness_ids"] = witness_ids
     return {"result": payload}
 
 

@@ -341,6 +341,32 @@ class TestEngineSpans:
         finally:
             engine.close()
 
+    def test_trace_stats_and_explain_say_where_answers_are_decoded(self, database):
+        """In-process rows decode on read; a plan that keeps the hop (here
+        the object-graph family) decodes while the stream extends."""
+        from repro.ranking.dioid import MAX_TIMES, TROPICAL
+
+        engine = Engine(database, tracer=Tracer(sample="always"))
+        try:
+            for dioid, decode, line in (
+                (TROPICAL, "on_read", "answers: decoded on read"),
+                (
+                    MAX_TIMES, "at_extension",
+                    "answers: decoded at extension (object-graph enumerators)",
+                ),
+            ):
+                prepared = engine.prepare(QUERY, dioid=dioid)
+                assert prepared.stream().stats()["decode"] is None
+                before = len(engine.tracer.spans())
+                prepared.top(5)
+                spans = engine.tracer.spans()[before:]
+                assert [s.name for s in spans] == ["stream.extend"]
+                assert spans[0].attrs["decode"] == decode
+                assert prepared.stream().stats()["decode"] == decode
+                assert f"  {line}" in prepared.explain().splitlines()
+        finally:
+            engine.close()
+
     def test_sharded_bind_spans(self, database):
         engine = Engine(database, tracer=Tracer(sample="always"))
         try:
