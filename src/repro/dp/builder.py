@@ -19,10 +19,10 @@ filter; the lift as one column; ``pi1``, the entry values and their keys
 through the dioid's column operations
 (:meth:`~repro.ranking.dioid.SelectiveDioid.times_column` /
 ``key_column`` — by default the scalar methods mapped, so any dioid
-works, and :class:`~repro.ranking.dioid.TieBreakingDioid` merges id
-vectors slot by slot); the entries from one ``zip(keys, count(),
-values)``.  The only per-row interpreter loop left is the grouping of a
-non-root stage's entries into first-seen connectors.
+works, and :class:`~repro.ranking.dioid.TieBreakingDioid` adds its rank
+lane with one ``map(add, ...)``); the entries from one ``zip(keys,
+count(), values)``.  The only per-row interpreter loop left is the
+grouping of a non-root stage's entries into first-seen connectors.
 
 **Folded once per connector.**  A connector's minimum is read, and its
 product with ``one`` (the first branch's contribution to ``pi1``) made,
@@ -33,19 +33,22 @@ connectors nothing references.  Further branches multiply per state.
 **What a state keeps alive**: its row (the relation's own tuple), its
 lifted value, its entry value, the entry's key if the dioid boxes one,
 the ``(key, state, value)`` entry and — with child branches — the tuple
-of its child connectors.  Under the tie-breaking dioid that is five
-tuples for a leaf state (id vector, value, entry value, key, entry) and
-a sixth, the merged id vector, for a state with children; no list and no
-``pi1`` of its own (``tests/test_builder_columns.py`` takes the census,
-and compares every emitted value with the row-at-a-time loop this sweep
-replaced, kept as ``tests/scalar_builder.py``).
+of its child connectors.  Under the tie-breaking dioid that is four
+tuples for any state, leaf or not — value ``(weight, rank)``, entry
+value, key, entry — each a pair of scalars (the entry: of the two
+pairs and an int); the tie-breaker is one ``int`` in each, numbered
+once per bind (:func:`rank_tie_domains`), so there is no id vector, no
+per-value box and nothing to merge.  No list and no ``pi1`` of its own
+(``tests/test_builder_columns.py`` takes the census, and compares every
+emitted value with the row-at-a-time loop this sweep replaced, kept as
+``tests/scalar_builder.py``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
-from operator import and_, is_not, itemgetter
-from typing import Any, Callable
+from itertools import compress, count, repeat
+from operator import add, and_, is_not, itemgetter
+from typing import Any, Callable, Iterable
 
 from repro.data.database import Database
 from repro.dp.graph import ChoiceSet, TDP
@@ -66,61 +69,88 @@ def default_lift(_atom, _values, raw_weight):
     return raw_weight
 
 
-def make_tie_lift(tie: TieBreakingDioid, var_position: dict[str, int]):
-    """Lift bag weights into the tie-breaking dioid with their bindings.
+def owned_columns(
+    join_tree: JoinTree, var_position: dict[str, int]
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Per atom, ``(column, slot)`` of each ranked variable its stage *owns*.
 
-    Variables absent from ``var_position`` (e.g. non-head variables in
-    the UCQ pipeline) simply do not participate in tie-breaking.  Which
-    column fills which id slot depends only on the atom, and the builder
-    lifts a whole stage through one atom: ``lift.column`` reads each
-    templated column once, looks its ``(value,)`` boxes up once and cuts
-    every id vector from one ``zip``.  The boxes are shared per distinct
-    value: a bag of n tuples over a domain of d values keeps d boxes
-    alive, not 3n, which is most of what the cyclic GC had to walk
-    during a bind.  (Values are join keys or SQLite scalars: hashable.)
-    A value is boxed as its first spelling in row-major order (``1``
-    before ``1.0``), by the scalar form and the column form alike.
+    A variable is owned by the first stage in serialised order whose
+    atom contains it — by the running intersection property the top of
+    the subtree that holds it — and read from its first column there.
+    Variables absent from ``var_position`` are not ranked.
     """
-    unbound = tie.one[1]
-    blank = list(unbound)
-    boxes: dict = {}
-    compiled: tuple = (None, ())
+    atoms = join_tree.query.atoms
+    owned: dict[int, tuple[tuple[int, int], ...]] = {}
+    seen: set[str] = set()
+    for atom_idx in join_tree.order:
+        template = []
+        for column, var in enumerate(atoms[atom_idx].variables):
+            if var not in seen:
+                seen.add(var)
+                if var in var_position:
+                    template.append((column, var_position[var]))
+        owned[atom_idx] = tuple(template)
+    return owned
 
-    def template_of(atom) -> tuple:
-        return tuple(
-            (column, var_position[var])
-            for column, var in enumerate(atom.variables)
-            if var in var_position
-        )
+
+def rank_tie_domains(
+    tie: TieBreakingDioid,
+    members: Iterable[tuple[Database, JoinTree, dict[str, int]]],
+) -> None:
+    """Number the values of every ranked variable, once for the whole plan.
+
+    ``members`` are the ``(database, join tree, variable -> slot)`` of
+    every tree that will be lifted into ``tie`` (decomposition members,
+    UCQ members, or the one tree all fragments of a sharded plan share):
+    a slot's domain is what the columns owning it hold, over all of
+    them, so any two members rank one value alike.  One C pass per
+    owning column over rows the bind reads anyway, one sort per slot.
+    """
+    domains: list[set] = [set() for _ in range(tie.num_variables)]
+    for database, join_tree, var_position in members:
+        atoms = join_tree.query.atoms
+        for atom_idx, template in owned_columns(join_tree, var_position).items():
+            if template:
+                rows, _weights = stage_columns(database[atoms[atom_idx].relation_name])
+                for column, slot in template:
+                    domains[slot].update(map(itemgetter(column), rows))
+    tie.rank_domains(domains)
+
+
+def make_tie_lift(
+    tie: TieBreakingDioid, var_position: dict[str, int], join_tree: JoinTree
+):
+    """Lift one member's weights into the tie-breaking dioid.
+
+    A stage's value carries the packed rank of the variables the stage
+    owns (:func:`owned_columns`), so the operands of every ``times`` of
+    the bottom-up pass bind disjoint slots and adding ranks is the whole
+    merge.  ``lift.column`` is one table lookup pass per owned column —
+    most stages own one or two — and one ``zip``; nothing is boxed per
+    value.  :func:`rank_tie_domains` must have numbered the domains.
+    """
+    atoms = join_tree.query.atoms
+    # By identity: a query may hold two equal atoms, and only the first
+    # owns their variables.  (The tree keeps the atoms alive.)
+    templates = {
+        id(atoms[atom_idx]): template
+        for atom_idx, template in owned_columns(join_tree, var_position).items()
+    }
 
     def lift(atom, values, raw_weight):
-        nonlocal compiled
-        compiled_for, template = compiled
-        if compiled_for is not atom:
-            # One rebinding of the pair: a concurrent fragment build
-            # lifting another atom sees either template whole.
-            compiled = (atom, template := template_of(atom))
-        ids = blank.copy()
-        for column, slot in template:
-            value = values[column]
-            box = boxes.get(value)
-            if box is None:
-                box = boxes[value] = (value,)
-            ids[slot] = box
-        return (raw_weight, tuple(ids))
+        ranks = tie.ranks
+        return (
+            raw_weight,
+            sum([ranks[slot][values[column]] for column, slot in templates[id(atom)]]),
+        )
 
     def lift_column(atom, rows, weights) -> list:
-        template = template_of(atom)
-        if not template:
-            return list(zip(weights, repeat(unbound)))
-        columns = [list(map(itemgetter(column), rows)) for column, _ in template]
-        for value in dict.fromkeys(chain.from_iterable(zip(*columns))):
-            if value not in boxes:
-                boxes[value] = (value,)
-        slots = [repeat(slot) for slot in unbound]
-        for (_, slot), column in zip(template, columns):
-            slots[slot] = map(boxes.__getitem__, column)
-        return list(zip(weights, zip(*slots)))
+        ranks = tie.ranks
+        packed = None
+        for column, slot in templates[id(atom)]:
+            lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
+            packed = lane if packed is None else map(add, packed, lane)
+        return list(zip(weights, repeat(0) if packed is None else packed))
 
     lift.column = lift_column
     return lift

@@ -28,7 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (lazy runtime import)
     from repro.parallel.sharder import ShardSpec
@@ -41,7 +41,7 @@ from repro.data.index import IndexCache
 from repro.decomposition.base import BagLineage, TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
-from repro.dp.builder import build_tdp, make_tie_lift
+from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
 from repro.dp.flat import compile_tdp
 from repro.dp.lower import lower_query
@@ -223,7 +223,9 @@ def decodes_at_extension(tdp, flat: bool) -> str | None:
     fetch is a failed ``ensure`` that resumes at the same rank and an
     answer handed out is complete after the backend is closed.  Only
     the flat kernels allocate views; the object-graph enumerators emit
-    :class:`~repro.anyk.base.RankedResult` and keep the hop.
+    :class:`~repro.anyk.base.RankedResult` and keep the hop.  (A union
+    of member trees applies the same rule to the relations its
+    witnesses are read from: :attr:`MemberDecoder.behind`.)
     """
     if not flat:
         return "object-graph enumerators"
@@ -414,12 +416,19 @@ class AcyclicPhysical(PhysicalPlan):
 class UnionPhysical(PhysicalPlan):
     """UT-DP over decomposition members with tie-breaking (+ opt. dedup).
 
-    Each member is ranked under the Section 6.3 tie-breaking dioid so
-    that ties across members resolve identically and duplicates arrive
-    consecutively; the reported weight is the base (first) dimension.
-    ``dedup`` is off for the cycle and generic decompositions (their
-    member outputs are disjoint) and exists for overlapping
-    decompositions plugged in via ``enumerate_union``.
+    Each member is ranked under the Section 6.3 tie-breaking dioid —
+    its domains numbered once, over all members — so that ties across
+    members resolve identically and duplicates arrive consecutively; the
+    reported weight is the base (first) dimension.  ``dedup`` is off for
+    the cycle and generic decompositions (their member outputs are
+    disjoint) and exists for overlapping decompositions plugged in via
+    ``enumerate_union``.
+
+    An answer is its member's states until someone reads it: a
+    :class:`QueryResult` view over that member's :class:`MemberDecoder`.
+    The rule is :func:`decodes_at_extension`'s — when a relation the
+    witness is read from sits behind a backend, answers are finished
+    while the stream extends instead.
     """
 
     def __init__(
@@ -436,15 +445,22 @@ class UnionPhysical(PhysicalPlan):
         variables = query.variables
         var_position = {v: i for i, v in enumerate(variables)}
         self.tie = TieBreakingDioid(logical.dioid, len(variables))
+        trees = [build_join_tree(task.query) for task in tasks]
+        rank_tie_domains(
+            self.tie,
+            [(task.database, tree, var_position) for task, tree in zip(tasks, trees)],
+        )
         self.tdps = []
-        #: id(member T-DP) -> its :func:`witness_decoder`.
-        self._decoders: dict[int, Callable] = {}
-        for task in tasks:
-            lift = make_tie_lift(self.tie, var_position)
-            tree = build_join_tree(task.query)
+        #: id(member T-DP) -> its :class:`MemberDecoder`.
+        self._decoders: dict[int, MemberDecoder] = {}
+        self.eager = None
+        for task, tree in zip(tasks, trees):
+            lift = make_tie_lift(self.tie, var_position, tree)
             tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
             self.tdps.append(tdp)
-            self._decoders[id(tdp)] = witness_decoder(database, query, task, tdp)
+            decoder = MemberDecoder(database, query, task, tdp)
+            self._decoders[id(tdp)] = decoder
+            self.eager = self.eager or decoder.behind
 
     def iter(
         self,
@@ -465,24 +481,26 @@ class UnionPhysical(PhysicalPlan):
             members, identity=identity, dedup=self.dedup, counter=counter
         )
         decoders = self._decoders
-        tie = self.tie
-
-        def finish(result) -> QueryResult:
-            decode = decoders.get(id(result.tdp))
-            if decode is None:
-                raise ValueError(
-                    "result does not belong to any member enumerator"
-                )
-            witness_ids, witness = decode(result.states)
-            return QueryResult(
-                tie.base_value(result.weight),
-                result.assignment,
-                head,
-                witness_ids=witness_ids,
-                witness=witness,
+        base_value = self.tie.base_value
+        if self.eager is not None:
+            return DecodedResults(
+                union,
+                lambda result: QueryResult(
+                    base_value(result.weight),
+                    *decoders[id(result.tdp)].fields(result.states),
+                ),
             )
+        new = QueryResult.__new__
 
-        return DecodedResults(union, finish)
+        def view(result) -> QueryResult:
+            answer = new(QueryResult)
+            answer.weight = base_value(result.weight)
+            answer.key = result.key
+            answer.states = result.states
+            answer.decoder = decoders[id(result.tdp)]
+            return answer
+
+        return map(view, union)
 
     def _physical_stats(self) -> list[str]:
         lines = [f"  union of {len(self.tasks)} member trees:"]
@@ -754,49 +772,76 @@ def _bind_union(
     return physical
 
 
-# -- witness recovery -----------------------------------------------------------
+# -- decoding a union answer ------------------------------------------------------
 
 
-def witness_decoder(
-    database: Database, query: ConjunctiveQuery, task: TreeTask, tdp
-) -> Callable[[Sequence[int]], tuple[tuple | None, tuple | None]]:
-    """``states -> (witness_ids, witness)`` for one decomposition member.
+class MemberDecoder:
+    """What a union answer decodes through: one decomposition member.
 
-    Maps bag-level states back to original tuple ids and tuples, in atom
-    order.  Which bag (stage) and which lineage column supply each
-    original atom is the same for every answer of the member, so both —
-    and the relation each id is looked up in — are resolved here, at
-    bind; an answer costs one pick per atom and no sort.
+    The five reads of a :class:`~repro.dp.graph.ResultAssembler`, over
+    the member's bag-level states: ``assignment`` / ``output_tuple``
+    are the member T-DP's compiled assembler's; ``witness_ids`` /
+    ``witness`` map the states back to original tuple ids and tuples,
+    in atom order.  Which bag (stage) and which lineage column supply
+    each original atom is the same for every answer of the member, so
+    both — and the relation each id is looked up in — are resolved here,
+    at bind; a read costs one pick per atom and no sort.  Holds the
+    assembler, the lineage columns and the relations' lookups, never
+    the T-DP.
+
+    ``behind`` says why reading a witness can fail — a relation behind a
+    storage backend, where a lookup is a query — or is ``None``.
     """
-    if not task.lineage:
-        return lambda _states: (None, None)
-    by_atom: list[tuple[int, int, list[int], Sequence[int]]] = []
-    for stage, bag_atom in enumerate(tdp.atom_of_stage):
-        per_tuple = task.lineage.get(task.query.atoms[bag_atom].relation_name)
-        if per_tuple is None:
-            continue
-        bag = BagLineage.of(per_tuple)
-        bag_ids = tdp.tuple_ids[stage]
-        by_atom.extend(
-            (atom, stage, bag_ids, column)
-            for atom, column in zip(bag.atoms, bag.columns)
-        )
-    by_atom.sort(key=itemgetter(0))
-    picks = [pick[1:] for pick in by_atom]
-    # tuple_at is a plain list index in memory and a rowid point lookup
-    # for backend-stored relations (no materialisation per witness).
-    fetchers = [
-        database[query.atoms[pick[0]].relation_name].tuple_at
-        for pick in by_atom
-    ]
 
-    def decode(states: Sequence[int]) -> tuple[tuple, tuple]:
-        witness_ids = tuple(
-            [column[bag_ids[states[stage]]] for stage, bag_ids, column in picks]
-        )
-        witness = tuple(
-            [fetch(tuple_id) for fetch, tuple_id in zip(fetchers, witness_ids)]
-        )
-        return witness_ids, witness
+    __slots__ = (
+        "assignment", "output_tuple", "witness_ids", "witness", "fields", "behind",
+    )
 
-    return decode
+    def __init__(
+        self, database: Database, query: ConjunctiveQuery, task: TreeTask, tdp
+    ):
+        assembler = tdp.assembler(query.head)
+        assignment = self.assignment = assembler.assignment
+        self.output_tuple = assembler.output_tuple
+        self.behind: str | None = None
+        by_atom: list[tuple[int, int, list[int], Sequence[int]]] = []
+        for stage, bag_atom in enumerate(tdp.atom_of_stage):
+            per_tuple = task.lineage.get(task.query.atoms[bag_atom].relation_name)
+            if per_tuple is None:
+                continue
+            bag = BagLineage.of(per_tuple)
+            bag_ids = tdp.tuple_ids[stage]
+            by_atom.extend(
+                (atom, stage, bag_ids, column)
+                for atom, column in zip(bag.atoms, bag.columns)
+            )
+        by_atom.sort(key=itemgetter(0))
+        picks = [pick[1:] for pick in by_atom]
+        relations = [database[query.atoms[pick[0]].relation_name] for pick in by_atom]
+        for relation in relations:
+            if relation.backend is not None:
+                self.behind = f"rows behind {type(relation.backend).__name__}"
+        # tuple_at is a plain list index in memory and a rowid point lookup
+        # for backend-stored relations (no materialisation per witness).
+        fetchers = [relation.tuple_at for relation in relations]
+
+        def witness_ids(states: Sequence[int]) -> tuple:
+            return tuple(
+                [column[bag_ids[states[stage]]] for stage, bag_ids, column in picks]
+            )
+
+        def rows_of(tuple_ids: tuple) -> tuple:
+            return tuple([fetch(i) for fetch, i in zip(fetchers, tuple_ids)])
+
+        if not task.lineage:  # a hand-made task that tracks no witnesses
+            witness_ids = rows_of = lambda _: None
+        head = query.head
+
+        def fields(states: Sequence[int]) -> tuple:
+            """``(assignment, head, witness_ids, witness)``, as the assembler's."""
+            tuple_ids = witness_ids(states)
+            return (assignment(states), head, tuple_ids, rows_of(tuple_ids))
+
+        self.witness_ids = witness_ids
+        self.witness = lambda states: rows_of(witness_ids(states))
+        self.fields = fields

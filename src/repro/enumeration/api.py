@@ -20,7 +20,7 @@ preprocessing phase over repeated executions.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.anyk.base import make_enumerator
 from repro.anyk.union import UnionEnumerator
@@ -28,7 +28,7 @@ from repro.data.database import Database
 from repro.decomposition.base import TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
-from repro.dp.builder import build_tdp, make_tie_lift
+from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.enumeration.result import QueryResult
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import build_join_tree
@@ -160,16 +160,12 @@ def ranked_enumerate_ucq(
             raise ValueError("all UCQ members need the same head arity")
 
     tie = TieBreakingDioid(dioid, head_arity)
-    members = []
-    member_heads: list[tuple[str, ...]] = []
+    #: Per member: (database, join tree, head variable -> head position).
+    parts: list[tuple] = []
 
     def add_member(member_db, member_query, head):
         positions = {v: i for i, v in enumerate(head)}
-        lift = make_tie_lift(tie, positions)
-        tree = build_join_tree(member_query)
-        tdp = build_tdp(member_db, tree, dioid=tie, lift=lift)
-        members.append(make_enumerator(tdp, algorithm, counter=counter))
-        member_heads.append(head)
+        parts.append((member_db, build_join_tree(member_query), positions))
 
     for query in queries:
         if query.is_acyclic():
@@ -181,6 +177,17 @@ def ranked_enumerate_ucq(
             task = decompose_generic(database, query, dioid=dioid)
             add_member(task.database, task.query, query.head)
 
+    # One numbering per head position, over every member.
+    rank_tie_domains(tie, parts)
+    members = []
+    #: id(member T-DP) -> states -> the answer's values in head order.
+    head_values: dict[int, Callable] = {}
+    for member_db, tree, positions in parts:
+        lift = make_tie_lift(tie, positions, tree)
+        tdp = build_tdp(member_db, tree, dioid=tie, lift=lift)
+        members.append(make_enumerator(tdp, algorithm, counter=counter))
+        head_values[id(tdp)] = tdp.assembler(tuple(positions)).output_tuple
+
     def identity(result) -> tuple:
         # The tie-broken key *is* (weight, head tuple) — sufficient.
         return result.key
@@ -190,10 +197,7 @@ def ranked_enumerate_ucq(
 
     def generate() -> Iterator[QueryResult]:
         for result in union:
-            member_index = _member_of(members, result)
-            head = member_heads[member_index]
-            assignment = result.assignment
-            values = tuple(assignment[v] for v in head)
+            values = head_values[id(result.tdp)](result.states)
             yield QueryResult(
                 tie.base_value(result.weight),
                 dict(zip(head_names, values)),
@@ -201,10 +205,3 @@ def ranked_enumerate_ucq(
             )
 
     return generate()
-
-
-def _member_of(members, result) -> int:
-    for index, member in enumerate(members):
-        if result.tdp is member.tdp:
-            return index
-    raise ValueError("result does not belong to any member enumerator")

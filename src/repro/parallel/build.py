@@ -42,7 +42,7 @@ from typing import Sequence
 from repro.anyk.base import Enumerator, make_enumerator
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.builder import build_tdp, make_tie_lift
+from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import LazyRows, ShmPool, pack_worker_lower, unpack_worker_lower
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import TDP
@@ -551,7 +551,9 @@ class ParallelPreprocessor:
             variables = query.variables
             tie = TieBreakingDioid(logical.dioid, len(variables))
             var_position = {v: i for i, v in enumerate(variables)}
-            lift = make_tie_lift(tie, var_position)
+            # Numbered over the whole anchor relation: fragments agree.
+            rank_tie_domains(tie, [(self.database, plan.join_tree, var_position)])
+            lift = make_tie_lift(tie, var_position, plan.join_tree)
             dioid = tie
 
         relation = self.database[self._anchor_name()]

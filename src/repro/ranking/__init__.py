@@ -16,7 +16,8 @@ ships the orders the paper discusses:
 * :class:`LexicographicDioid` — vector weights compared entry-wise
   (Section 2.2 "Generality").
 * :class:`TieBreakingDioid` — the Section 6.3 product construction that
-  appends a canonical tie-breaking dimension so duplicate results arrive
+  appends a canonical tie-breaking dimension (the output assignment,
+  packed into one order-preserving integer) so duplicate results arrive
   consecutively in UT-DP unions.
 """
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from operator import itemgetter
+from itertools import count
+from operator import add, itemgetter
 from typing import Any, Iterable, Sequence
 
 
@@ -292,45 +293,94 @@ class LexicographicDioid(SelectiveDioid):
         return f"LexicographicDioid({self.dimensions})"
 
 
-# Sentinel used by TieBreakingDioid for a variable not bound yet.  An
-# empty tuple compares strictly below any one-tuple, giving partial
-# assignments a well-defined lexicographic position.
-_UNBOUND: tuple = ()
-
-# The two lanes of a tie-broken value ``(base_value, ids)``.
+# The two lanes of a tie-broken value ``(base_value, rank)``.
 _BASE_LANE = itemgetter(0)
-_ID_LANE = itemgetter(1)
+_RANK_LANE = itemgetter(1)
+
+
+def _comparable_group(value: Any) -> tuple:
+    """Where ``value`` sorts among values it cannot be compared with."""
+    if value is None:
+        return (0, "")
+    if isinstance(value, (int, float)):  # ``bool`` is an ``int``
+        return (1, "")
+    return (2, type(value).__qualname__)
+
+
+def ranking_order(values: Iterable[Any]) -> list:
+    """The distinct ``values``, ascending: one sort.
+
+    Values that do not order against each other (``int`` with ``str``,
+    SQLite's ``None``) are sorted inside their comparable group — ``None``
+    first, then numbers, then every other type by its name — and a group
+    whose own values still do not compare is ordered by ``repr``.
+    """
+    distinct = set(values)
+    try:
+        return sorted(distinct)
+    except TypeError:
+        groups: dict[tuple, list] = {}
+        for value in distinct:
+            groups.setdefault(_comparable_group(value), []).append(value)
+        ordered: list = []
+        for group in sorted(groups):
+            try:
+                ordered.extend(sorted(groups[group]))
+            except TypeError:
+                ordered.extend(sorted(groups[group], key=repr))
+        return ordered
 
 
 class TieBreakingDioid(SelectiveDioid):
     """Section 6.3: product of a base dioid with a canonical tie-breaker.
 
-    Values are pairs ``(base_value, ids)`` where ``ids`` is a vector with
-    one slot per query variable (in a fixed global order).  Each slot is
-    either the empty tuple (variable not bound by this partial witness)
-    or a one-tuple ``(value,)``.  ``times`` aggregates the base weights
-    and merges the id vectors (an all-unbound side — ``one``, a bag
-    that binds no ranked variable — hands back the other side's vector
-    unmerged); the order key is ``(base_key, ids)`` compared
-    lexicographically.
+    Values are pairs ``(base_value, rank)``.  Section 6.3 breaks a tie
+    by the output assignment, compared variable by variable in a fixed
+    global order; a lexicographic order over finite domains is a
+    mixed-radix number, so the assignment is carried as one integer:
+    ``rank = sum(place[slot] * ordinal[slot][value])`` over the bound
+    variables, slot 0 most significant, where ``ordinal[slot]`` numbers
+    the distinct values the variable can take in ascending order and
+    ``place[slot]`` is the product of the domain sizes of the slots
+    after it.  ``times`` aggregates the base weights and *adds* the
+    ranks, the order key is ``(base_key, rank)``, and ``one`` / ``zero``
+    carry rank ``0``.  Python integers: no width limit, no overflow.
 
-    Because a *full* solution's id vector is exactly its output
-    assignment in global variable order, two identical output tuples
-    produced by different trees of a decomposition receive identical
-    keys, and any two distinct outputs receive distinct keys.  Hence
-    duplicates arrive consecutively from the UT-DP union enumerator and
-    can be eliminated on the fly with O(1) look-behind.
+    Addition is the whole merge because operands bind disjoint slots: a
+    lift (:func:`repro.dp.builder.make_tie_lift`) gives a stage only the
+    variables it *owns* — those no stage above it holds — so a variable
+    enters a solution's rank exactly once.  Wherever two ranks are
+    compared they cover the same slots and agree on every slot left out
+    (inside one connector the join variables, owned further up, are
+    equal across entries), so the order is the order of the id vectors;
+    a *full* solution's rank is its whole output assignment, injectively.
+    Hence two identical output tuples produced by different trees of a
+    decomposition receive identical keys, any two distinct outputs
+    receive distinct keys, duplicates arrive consecutively from the
+    UT-DP union enumerator and can be eliminated on the fly with O(1)
+    look-behind.
 
-    ``times`` is only ever applied to *compatible* operands (partial
-    witnesses that agree on shared variables), which is all the ranked
-    enumeration algorithms require.
+    The ordinals are numbered once per bind by :meth:`rank_domains`,
+    from every value a slot can take in any member of the plan, before
+    anything is lifted.  Numbering never fails where comparing two tied
+    answers would not have: values that compare equal (``1``, ``1.0``,
+    ``True``) share one ordinal, being keyed through a hash table as
+    join keys are; values that do not order against each other are
+    numbered group by group (:func:`ranking_order`: ``None``, numbers,
+    then other types by name), so a mixed-type column ranks
+    deterministically instead of raising ``TypeError``.
+
+    There is no inverse: dividing the base lane would change the order
+    of its float operations.
     """
 
     def __init__(self, base: SelectiveDioid, num_variables: int):
         self.base = base
         self.num_variables = num_variables
-        self._one = (base.one, (_UNBOUND,) * num_variables)
-        self._zero = (base.zero, (_UNBOUND,) * num_variables)
+        self._one = (base.one, 0)
+        self._zero = (base.zero, 0)
+        #: Per slot, value -> ``place * ordinal`` (see :meth:`rank_domains`).
+        self.ranks: tuple[dict, ...] = tuple({} for _ in range(num_variables))
 
     @property
     def zero(self) -> tuple:
@@ -340,67 +390,52 @@ class TieBreakingDioid(SelectiveDioid):
     def one(self) -> tuple:
         return self._one
 
+    def rank_domains(self, domains: Sequence[Iterable[Any]]) -> None:
+        """Number every slot's values: ``domains[slot]`` is all it can take.
+
+        Once per bind, for all members / fragments of the plan together,
+        before the first lift; one sort per slot.
+        """
+        if len(domains) != self.num_variables:
+            raise ValueError("one domain per ranked variable")
+        ranks: list[dict] = []
+        place = 1
+        for domain in reversed(domains):
+            ordered = ranking_order(domain)
+            ranks.append(dict(zip(ordered, count(0, place))))
+            place *= len(ordered) or 1
+        self.ranks = tuple(reversed(ranks))
+
     def times(self, a: tuple, b: tuple) -> tuple:
-        ids, other = a[1], b[1]
-        unbound = self._one[1]
-        if ids == unbound:
-            ids = other
-        elif other != unbound:
-            # Slot-wise first-bound: a slot is ``()`` (falsy) or a
-            # one-tuple, so ``x or y`` is ``y if x == () else x``.
-            ids = tuple([x or y for x, y in zip(ids, other)])
-        return (self.base.times(a[0], b[0]), ids)
+        return (self.base.times(a[0], b[0]), a[1] + b[1])
 
     def key(self, a: tuple) -> tuple:
         return (self.base.key(a[0]), a[1])
 
     def times_column(self, a: Sequence[tuple], b: Sequence[tuple]) -> list:
-        """Lane-wise ``times``: the base's own column operation, ids by slot.
-
-        Like the scalar ``times``, an operand that binds nothing (a
-        column of ``one``) hands back the other side's id tuples
-        themselves.  Otherwise a slot column is taken whole from ``a``
-        where ``a`` binds it in every row (or ``b`` in none), whole from
-        ``b`` where ``a`` never binds it, and merged ``x or y`` row by
-        row only where neither holds — so any two columns are merged
-        correctly, and the uniform ones a stage produces cost no per-row
-        step.  (Slots are read with one ``itemgetter`` pass each rather
-        than one ``zip(*ids)``: that would allocate an iterator per row.)
-        """
+        """Lane-wise ``times``: the base's own column operation, ranks added."""
         base = self.base.times_column(
             list(map(_BASE_LANE, a)), list(map(_BASE_LANE, b))
         )
-        a_ids = list(map(_ID_LANE, a))
-        b_ids = list(map(_ID_LANE, b))
-        unbound = self._one[1]
-        if a_ids.count(unbound) == len(a_ids):
-            ids = b_ids
-        elif b_ids.count(unbound) == len(b_ids):
-            ids = a_ids
-        else:
-            merged = []
-            for slot in map(itemgetter, range(self.num_variables)):
-                x = list(map(slot, a_ids))
-                if not all(x):
-                    y = list(map(slot, b_ids))
-                    if not any(x):
-                        x = y
-                    elif any(y):
-                        x = [p or q for p, q in zip(x, y)]
-                merged.append(x)
-            ids = zip(*merged)
-        return list(zip(base, ids))
+        return list(zip(base, map(add, map(_RANK_LANE, a), map(_RANK_LANE, b))))
 
     def key_column(self, values: Sequence[tuple]) -> list:
         base_keys = self.base.key_column(list(map(_BASE_LANE, values)))
-        return list(zip(base_keys, map(_ID_LANE, values)))
+        return list(zip(base_keys, map(_RANK_LANE, values)))
+
+    def is_zero(self, a: tuple) -> bool:
+        """Only ``zero`` itself.  A solution may carry the base's zero
+        weight (``inf`` under tropical, ``0`` under max-times) at rank 0
+        — every variable at its least value — and is still an answer."""
+        return a is self._zero
 
     def lift(self, base_value: Any, bindings: dict[int, Any]) -> tuple:
-        """Wrap ``base_value`` binding variable positions to values."""
-        ids = [_UNBOUND] * self.num_variables
-        for position, value in bindings.items():
-            ids[position] = (value,)
-        return (base_value, tuple(ids))
+        """Wrap ``base_value`` binding variable positions to (ranked) values."""
+        ranks = self.ranks
+        return (
+            base_value,
+            sum([ranks[slot][value] for slot, value in bindings.items()]),
+        )
 
     def base_value(self, a: tuple) -> Any:
         """Recover the first (true weight) dimension (Section 6.3)."""

@@ -10,9 +10,9 @@ the same T-DP — compared by ``repr``, which tells ``-0.0`` from ``0.0``,
 ``1`` from ``1.0`` from ``True`` and prints a NaN as itself.
 
 The tie-breaking dioid's column operations are additionally checked
-against their scalar definitions on columns no stage produces
-(non-uniform partial bindings), and a container gate pins what a
-tie-broken state may keep alive.
+against their scalar definitions on columns no stage produces (any
+ranks, any base weights), and a container gate pins what a tie-broken
+state may keep alive.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.decomposition.cycle import decompose_cycle
-from repro.dp.builder import build_tdp, make_tie_lift
+from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.graph import ChoiceSet
 from repro.query.builders import cycle_query, path_query
 from repro.query.jointree import build_join_tree
@@ -61,29 +61,29 @@ def database_for(query, n, weights, seed, **shape):
 
 
 def _plain(dioid):
-    return lambda query: (dioid, lambda: None)
+    return lambda database, tree: (dioid, lambda: None)
 
 
 def _tie(base):
-    def ranking(query):
-        variables = query.variables
+    def ranking(database, tree):
+        variables = tree.query.variables
         tie = TieBreakingDioid(base, len(variables))
         positions = {var: slot for slot, var in enumerate(variables)}
-        # A lift shares its value boxes across calls: one per build.
-        return tie, lambda: make_tie_lift(tie, positions)
+        rank_tie_domains(tie, [(database, tree, positions)])
+        return tie, lambda: make_tie_lift(tie, positions, tree)
 
     return ranking
 
 
 def _lexicographic(helper):
-    def ranking(query):
-        dioid, lift = helper(query)
+    def ranking(database, tree):
+        dioid, lift = helper(tree.query)
         return dioid, lambda: lift
 
     return ranking
 
 
-#: name -> query -> (dioid, factory of a fresh lift).  The lexicographic
+#: name -> (database, tree) -> (dioid, factory of a fresh lift).  The lexicographic
 #: lifts are plain ``(atom, values, raw_weight)`` callables with no column
 #: form; the tie lift has one, which only the column builder looks for.
 RANKINGS = {
@@ -135,7 +135,7 @@ def snapshot(tdp) -> dict:
 
 
 def assert_same_tdp(database, tree, ranking, **options):
-    dioid, fresh_lift = RANKINGS[ranking](tree.query)
+    dioid, fresh_lift = RANKINGS[ranking](database, tree)
     columns = build_tdp(database, tree, dioid=dioid, lift=fresh_lift(), **options)
     scalar = build_tdp_scalar(
         database, tree, dioid=dioid, lift=fresh_lift(), **options
@@ -176,9 +176,9 @@ def test_columns_equal_the_scalar_loop(ranking, shape, weights):
 def test_join_keys_1_and_1_0_and_true(ranking, shape):
     """Equal keys of different types share a connector and keep their spelling.
 
-    Under the tie-breaking dioid the id boxes are shared per *equal*
-    value: which spelling a box carries (the first in row-major order)
-    must not depend on the lift being called per row or per column.
+    Under the tie-breaking dioid they also share a rank: ``1``, ``1.0``
+    and ``True`` are one key of the rank table, whether the lift is
+    called per row or per column.
     """
     query = QUERIES[shape]
     database = make_database(query, 80, "mixed", seed=2202, mixed_keys=True)
@@ -229,11 +229,21 @@ def test_decomposition_bag_trees(base, self_join):
     query = cycle_query(4, relation="E" if self_join else None)
     tasks = decompose_cycle(database, query, dioid=base)
     assert len(tasks) > 1
-    tie, fresh_lift = _tie(base)(query)
+    variables = query.variables
+    tie = TieBreakingDioid(base, len(variables))
+    positions = {var: slot for slot, var in enumerate(variables)}
+    trees = [build_join_tree(task.query) for task in tasks]
+    # One numbering for all members, as ``UnionPhysical`` does.
+    rank_tie_domains(
+        tie, [(task.database, tree, positions) for task, tree in zip(tasks, trees)]
+    )
     states = 0
-    for task in tasks:
-        tree = build_join_tree(task.query)
+    for task, tree in zip(tasks, trees):
         assert any(len(tree.shared_variables(atom)) == 2 for atom in tree.order)
+
+        def fresh_lift():
+            return make_tie_lift(tie, positions, tree)
+
         columns = build_tdp(task.database, tree, dioid=tie, lift=fresh_lift())
         scalar = build_tdp_scalar(task.database, tree, dioid=tie, lift=fresh_lift())
         assert snapshot(columns) == snapshot(scalar)
@@ -262,31 +272,22 @@ def test_stage_columns_are_not_the_relations_lists():
 # -- the tie-breaking dioid's column operations --------------------------------
 
 
-def tie_values(slots: int):
-    """Tie-broken values with *any* subset of the slots bound, per value."""
-    slot = st.one_of(st.just(()), st.tuples(st.integers(0, 3)))
-    ids = st.tuples(*[slot] * slots)
-    base = st.one_of(
-        st.floats(allow_nan=False), st.integers(-3, 3), st.just(-0.0)
-    )
-    return st.tuples(base, ids)
+#: Tie-broken values: any base weight, any rank (Python ints do not wrap).
+tie_values = st.tuples(
+    st.one_of(st.floats(allow_nan=False), st.integers(-3, 3), st.just(-0.0)),
+    st.one_of(st.integers(0, 50), st.integers(0, 10**40)),
+)
 
 
 @st.composite
 def tie_column_pairs(draw):
-    slots = draw(st.integers(0, 4))
-    tie = TieBreakingDioid(draw(st.sampled_from([TROPICAL, MAX_TIMES])), slots)
+    tie = TieBreakingDioid(
+        draw(st.sampled_from([TROPICAL, MAX_TIMES])), draw(st.integers(0, 4))
+    )
     length = draw(st.sampled_from([0, 1, 1, 2, 5, 9]))
     column = st.one_of(
-        st.lists(tie_values(slots), min_size=length, max_size=length),
+        st.lists(tie_values, min_size=length, max_size=length),
         st.just([tie.one] * length),
-        # Uniform in one slot: bound in every row of the column.
-        st.lists(tie_values(slots), min_size=length, max_size=length).map(
-            lambda rows: [
-                (base, ((7,),) + ids[1:]) if ids else (base, ids)
-                for base, ids in rows
-            ]
-        ),
     )
     return tie, draw(column), draw(column)
 
@@ -300,13 +301,13 @@ def test_tie_column_operations_equal_their_scalar_definitions(case):
     assert type(product) is list and repr(product) == repr(expected)
     assert repr(tie.key_column(product)) == repr([tie.key(v) for v in expected])
     assert repr(tie.key_column(a)) == repr([tie.key(v) for v in a])
-    # Against a column of ``one`` the id vectors come back themselves
-    # (an all-unbound vector may come back as ``one``'s, as from ``times``).
+    # Against a column of ``one`` the ranks come back; the base lane
+    # still goes through the base dioid (``0.0 + 2`` is ``2.0``).
     ones = [tie.one] * len(a)
     for product in (tie.times_column(a, ones), tie.times_column(ones, a)):
-        assert all(
-            out[1] is value[1] or value[1] == tie.one[1]
-            for out, value in zip(product, a)
+        assert [out[1] for out in product] == [value[1] for value in a]
+        assert repr([out[0] for out in product]) == repr(
+            [tie.base.times(tie.base.one, value[0]) for value in a]
         )
 
 
@@ -324,24 +325,35 @@ def test_default_column_operations_are_the_scalar_methods_mapped(values, dioid):
 
 
 def test_tie_lift_column_is_the_scalar_lift_mapped():
-    """Same values by ``repr``, boxes shared per equal value in both forms."""
-    query = QUERIES["twocol"]
-    atom = query.atoms[1]
+    """Same values by ``repr``; each stage lifts the variables it owns."""
+    query = QUERIES["twocol"]  # R1(a, b, c), R2(b, c, d), R3(c, d, e)
+    tree = build_join_tree(query)
+    assert tree.order[0] == 0 and tree.parent[1] == 0
     tie = TieBreakingDioid(TROPICAL, 4)
-    positions = {"b": 0, "d": 2, "e": 3}  # ``c`` is not ranked, ``e`` not here
-    # Row-major, ``1`` is first spelled ``True`` (row 0, column ``d``);
-    # column by column it would be ``1.0`` (row 1, column ``b``).
+    positions = {"b": 0, "d": 2, "e": 3}  # ``c`` is not ranked, slot 1 unused
+    # ``1`` is spelled ``True`` and ``1.0`` too: one rank.
     rows = [(5, 1, True), (1.0, 7, 1), (True, 5, 5), (2, 2, 2)]
     weights = [0.5, 1, -0.0, 2.5]
-    scalar_lift = make_tie_lift(tie, positions)
-    scalar = [scalar_lift(atom, row, w) for row, w in zip(rows, weights)]
-    column = make_tie_lift(tie, positions).column(atom, rows, weights)
-    assert repr(column) == repr(scalar)
-    assert repr(column[1]) == "(1, ((True,), (), (True,), ()))"
-    assert column[0][1][2] is column[1][1][0] is column[2][1][0]
-    unranked = make_tie_lift(tie, {"z": 1}).column(atom, rows, weights)
-    assert unranked == [(w, tie.one[1]) for w in weights]
-    assert make_tie_lift(tie, positions).column(atom, [], []) == []
+    database = Database(
+        [Relation(f"R{i}", 3, rows, weights) for i in (1, 2, 3)]
+    )
+    rank_tie_domains(tie, [(database, tree, positions)])
+    # b: column 1 of R1 {1, 7, 5, 2}; d: column 2 of R2 {1, 5, 2}; e:
+    # column 2 of R3 (the same column) -- places 9, 3, 1.
+    assert tie.ranks == (
+        {1: 0, 2: 9, 5: 18, 7: 27}, {}, {1: 0, 2: 3, 5: 6}, {1: 0, 2: 1, 5: 2},
+    )
+    scalar_lift = make_tie_lift(tie, positions, tree)
+    column_lift = make_tie_lift(tie, positions, tree).column
+    for atom, ranks in zip(
+        query.atoms, ([0, 27, 18, 9], [0, 0, 6, 3], [0, 0, 2, 1])
+    ):
+        scalar = [scalar_lift(atom, row, w) for row, w in zip(rows, weights)]
+        assert repr(column_lift(atom, rows, weights)) == repr(scalar)
+        assert scalar == list(zip(weights, ranks))
+        assert column_lift(atom, [], []) == []
+    unranked = make_tie_lift(tie, {"z": 1}, tree).column(query.atoms[1], rows, weights)
+    assert unranked == [(w, 0) for w in weights]
 
 
 # -- the cost gate: count, do not time -----------------------------------------
@@ -352,18 +364,19 @@ def test_tie_lift_column_is_the_scalar_lift_mapped():
 CONTAINERS_PER_STAGE = 24
 
 
-def test_tie_broken_bind_keeps_six_tuples_per_state_and_no_per_state_list():
+def test_tie_broken_bind_keeps_four_tuples_per_state_and_no_per_state_list():
     """What a tie-broken state costs in containers, by census.
 
     With the collector off nothing is untracked, so every container the
-    bind made and still holds is in ``gc.get_objects()``.  A leaf state
-    may keep five tuples — its id vector, its lifted value, its entry
-    value (the same id vector under a new base weight), the entry's key
-    and the entry — and a state with child branches a sixth, the merged
-    id vector, beside the tuple of its child connectors.  ``pi1`` is not
-    on the list: a connector's minimum is folded once per distinct
-    connector and handed to every state that points at it.  Lists are
-    per stage (columns) or per connector (entries), never per state.
+    bind made and still holds is in ``gc.get_objects()``.  A state may
+    keep four tuples beyond its row — its lifted value ``(weight,
+    rank)``, its entry value (the product with ``pi1``), the entry's key
+    and the entry — beside the tuple of its child connectors.  None of
+    them holds a tuple of tuples or a per-value box: the tie-breaker is
+    an ``int`` in each.  ``pi1`` is not on the list: a connector's
+    minimum is folded once per distinct connector and handed to every
+    state that points at it.  Lists are per stage (columns) or per
+    connector (entries), never per state.
     """
     query = path_query(2)
     rng = random.Random(2206)
@@ -380,8 +393,9 @@ def test_tie_broken_bind_keeps_six_tuples_per_state_and_no_per_state_list():
     positions = {var: slot for slot, var in enumerate(query.variables)}
 
     def bind():
+        rank_tie_domains(tie, [(database, tree, positions)])
         return build_tdp(
-            database, tree, dioid=tie, lift=make_tie_lift(tie, positions)
+            database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree)
         )
 
     bind()  # warm caches, imports
@@ -396,17 +410,23 @@ def test_tie_broken_bind_keeps_six_tuples_per_state_and_no_per_state_list():
     root_states, leaf_states = (len(stage) for stage in tdp.tuples)
     assert root_states > 500 and leaf_states > 500
     connectors = tdp.num_connectors
-    values = 40  # one ``(value,)`` box per distinct domain value
     child_conn_tuples = sum(
         type(o) is tuple and len(o) == 1 and type(o[0]) is ChoiceSet for o in fresh
     )
     assert child_conn_tuples == root_states
-    tuples = sum(type(o) is tuple for o in fresh) - child_conn_tuples
-    # (+ per referenced connector: its folded minimum.)
+    fresh_tuples = [o for o in fresh if type(o) is tuple]
+    tuples = len(fresh_tuples) - child_conn_tuples
+    # (+ per referenced connector: its folded minimum; the rank tables
+    # are dicts, three of them.)
     assert tuples <= (
-        6 * root_states + 5 * leaf_states + connectors + values
-        + CONTAINERS_PER_STAGE * 2
+        4 * (root_states + leaf_states) + connectors + CONTAINERS_PER_STAGE * 2
     ), tuples
-    assert tuples > 5 * (root_states + leaf_states)  # the census sees them
+    assert tuples > 3 * (root_states + leaf_states)  # the census sees them
+    # A value or a key is a pair of scalars; only an entry holds tuples
+    # (its key and its value), and nothing holds a one-tuple box.
+    for item in fresh_tuples:
+        if len(item) == 2:
+            assert not any(type(part) is tuple for part in item), item
+        assert not (len(item) == 1 and type(item[0]) is int), item
     lists = sum(type(o) is list for o in fresh)
     assert lists <= connectors + CONTAINERS_PER_STAGE * 2, lists

@@ -3,10 +3,12 @@
 ISSUE 15 took the simple-cycle bind from "about twelve containers and
 three dioid merges per bag tuple" to one scan per cycle atom, one lift
 per alive state and one id-vector merge per child branch; ISSUE 22
-turned the per-state calls into one column operation per stage.  Wall
-clock cannot guard that on a shared CI box; these counts can: a
-re-introduced rescan, a second product per state, a shared minimum
-folded per state or a scalar fallback on the tie path changes an integer.
+turned the per-state calls into one column operation per stage; ISSUE 24
+made the tie-breaker one integer, numbered by one sort per ranked
+variable per bind and merged by addition.  Wall clock cannot guard that
+on a shared CI box; these counts can: a re-introduced rescan, a second
+product per state, a shared minimum folded per state, a sort per member
+or a scalar fallback on the tie path changes an integer.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.ranking.dioid import MaxTimesDioid, TieBreakingDioid
 
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 plan_module = importlib.import_module("repro.engine.plan")
+dioid_module = importlib.import_module("repro.ranking.dioid")
 
 
 class CountingRelation(Relation):
@@ -101,11 +104,12 @@ def _skewed_cycle_database(relation_names: list[str], seed: int) -> Database:
 def counted(monkeypatch):
     """Route the union bind through the counting dioid and lift."""
     CountingTie.instances = []
-    lifts = {"scalar": 0, "columns": 0, "rows": 0}
+    lifts = {"scalar": 0, "columns": 0, "rows": 0, "sorts": 0, "rankings": 0}
     real_make_tie_lift = plan_module.make_tie_lift
+    real_rank_tie_domains = plan_module.rank_tie_domains
 
-    def counting_make_tie_lift(tie, var_position):
-        lift = real_make_tie_lift(tie, var_position)
+    def counting_make_tie_lift(tie, var_position, join_tree):
+        lift = real_make_tie_lift(tie, var_position, join_tree)
 
         def counted_lift(atom, values, raw_weight):
             lifts["scalar"] += 1
@@ -119,8 +123,19 @@ def counted(monkeypatch):
         counted_lift.column = counted_column
         return counted_lift
 
+    def counting_rank_tie_domains(tie, members):
+        lifts["rankings"] += 1
+        return real_rank_tie_domains(tie, members)
+
+    def counting_sorted(*args, **kwargs):
+        lifts["sorts"] += 1
+        return sorted(*args, **kwargs)
+
     monkeypatch.setattr(plan_module, "TieBreakingDioid", CountingTie)
     monkeypatch.setattr(plan_module, "make_tie_lift", counting_make_tie_lift)
+    monkeypatch.setattr(plan_module, "rank_tie_domains", counting_rank_tie_domains)
+    # The module's ``sorted`` shadows the builtin for the rank tables only.
+    monkeypatch.setattr(dioid_module, "sorted", counting_sorted, raising=False)
     return lifts
 
 
@@ -128,6 +143,9 @@ def counted(monkeypatch):
 def test_four_cycle_bind_op_counts(counted, self_join):
     """The bind in column operations, and in the scalar products behind them.
 
+    * The domains are numbered once per bind, for all members together:
+      one sort per ranked variable (the query's four), however many
+      members and stages hold it.
     * ``lift`` columns == stages, their rows == alive states: a stage is
       lifted once, after its dead rows are gone, never row by row.
     * ``times_column`` calls == one per child branch and one for the
@@ -179,6 +197,9 @@ def test_four_cycle_bind_op_counts(counted, self_join):
                 products += states * (len(children) - 1)
                 shared_minima += states - len(first_branch)
     assert alive > 0 and shared_minima > 0
+    assert counted["rankings"] == 1, "numbered once, shared by every member"
+    assert counted["sorts"] == len(query.variables) == 4
+    assert all(len(ranks) > 1 for ranks in tie.ranks)
     assert counted["scalar"] == 0
     assert counted["columns"] == stages, "one lift column per member and stage"
     assert counted["rows"] == alive <= bag_tuples, "lifted once, when alive"

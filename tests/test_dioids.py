@@ -5,14 +5,17 @@ each dioid; the lexicographic and tie-breaking dioids get additional
 structure tests because the algorithms rely on them subtly.
 """
 
+import dis
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.plan import make_tie_lift
+from repro.dp.builder import make_tie_lift
 from repro.query.atom import Atom
+from repro.query.cq import ConjunctiveQuery
+from repro.query.jointree import build_join_tree
 from repro.ranking.dioid import (
     BOOLEAN,
     MAX_PLUS,
@@ -149,29 +152,35 @@ class TestLexicographic:
         assert d.plus(a, b) in (a, b)
 
 
+def ranked_tie(base, *domains):
+    tie = TieBreakingDioid(base, len(domains))
+    tie.rank_domains(domains)
+    return tie
+
+
 class TestTieBreaking:
     def test_lift_and_key(self):
-        tie = TieBreakingDioid(TROPICAL, 3)
+        tie = ranked_tie(TROPICAL, "ab", "xy", "ab")
         v = tie.lift(5.0, {0: "a", 2: "b"})
-        assert v == (5.0, (("a",), (), ("b",)))
-        assert tie.key(v) == (5.0, (("a",), (), ("b",)))
+        # Mixed radix, slot 0 most significant: a=0, b=1 at places 4, 2, 1.
+        assert v == (5.0, 0 * 4 + 1 * 1)
+        assert tie.key(v) == (5.0, 1)
         assert tie.base_value(v) == 5.0
 
-    def test_times_merges_bindings(self):
-        tie = TieBreakingDioid(TROPICAL, 3)
-        a = tie.lift(1.0, {0: 10})
-        b = tie.lift(2.0, {1: 20})
-        combined = tie.times(a, b)
-        assert combined == (3.0, ((10,), (20,), ()))
+    def test_times_adds_the_ranks_of_disjoint_bindings(self):
+        tie = ranked_tie(TROPICAL, [10, 11], [20, 21, 22], [30])
+        a = tie.lift(1.0, {0: 11})
+        b = tie.lift(2.0, {1: 22})
+        assert tie.times(a, b) == (3.0, 1 * 3 + 2 * 1) == tie.lift(3.0, {0: 11, 1: 22})
 
     def test_ties_broken_by_bindings(self):
-        tie = TieBreakingDioid(TROPICAL, 2)
+        tie = ranked_tie(TROPICAL, [1], [1, 2])
         a = tie.lift(1.0, {0: 1, 1: 2})
         b = tie.lift(1.0, {0: 1, 1: 1})
         assert tie.plus(a, b) == b, "equal weights break ties lexicographically"
 
     def test_identical_outputs_get_identical_keys(self):
-        tie = TieBreakingDioid(TROPICAL, 2)
+        tie = ranked_tie(TROPICAL, "wx", "yz")
         # Two trees composing the same full assignment in different
         # orders must produce the same key (Section 6.3 adjacency).
         left = tie.times(tie.lift(1.0, {0: "x"}), tie.lift(2.0, {1: "y"}))
@@ -179,58 +188,67 @@ class TestTieBreaking:
         assert tie.key(left) == tie.key(right)
 
     def test_one_and_zero(self):
-        tie = TieBreakingDioid(TROPICAL, 2)
+        tie = ranked_tie(TROPICAL, [1], [2])
         v = tie.lift(3.0, {0: 1})
         assert tie.times(v, tie.one) == v
+        assert tie.one == (0.0, 0) and tie.zero == (math.inf, 0)
         assert tie.key(tie.zero)[0] == math.inf
+        assert tie.is_zero(tie.zero)
+        # Rank 0 is also what the least full assignment packs to.
+        assert not tie.is_zero(tie.lift(math.inf, {0: 1, 1: 2}))
 
-
-def _reference_times(tie, a, b):
-    """Section 6.3 as written: base product, slot-wise first-bound."""
-    ids = tuple(y if x == () else x for x, y in zip(a[1], b[1]))
-    return (tie.base.times(a[0], b[0]), ids)
+    def test_times_is_one_expression(self):
+        # No loop, no container but the pair: ``+`` is the whole merge.
+        opnames = [
+            instruction.opname
+            for instruction in dis.get_instructions(TieBreakingDioid.times)
+        ]
+        assert not {"FOR_ITER", "BUILD_LIST", "BUILD_MAP", "BUILD_SET"} & set(opnames)
+        assert opnames.count("BUILD_TUPLE") == 1
 
 
 @st.composite
-def compatible_operands(draw, count):
-    """``count`` partial witnesses of one full assignment (so they agree
-    on shared variables), with integer-valued weights: exact arithmetic,
-    so associativity is an equality, not a tolerance."""
+def owned_operands(draw, count):
+    """``count`` partial witnesses of one full assignment that bind
+    *disjoint* slots (each variable owned once), with integer-valued
+    weights: exact arithmetic, so associativity is an equality."""
     m = draw(st.integers(min_value=1, max_value=6))
-    tie = TieBreakingDioid(TROPICAL, m)
-    assignment = draw(
-        st.lists(st.integers(-3, 3), min_size=m, max_size=m)
-    )
-    operands = []
-    for _ in range(count):
-        bound = draw(st.sets(st.integers(0, m - 1)))
-        weight = float(draw(st.integers(-50, 50)))
-        operands.append(tie.lift(weight, {p: assignment[p] for p in bound}))
+    domains = [
+        draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5)) for _ in range(m)
+    ]
+    tie = ranked_tie(TROPICAL, *domains)
+    assignment = [draw(st.sampled_from(domain)) for domain in domains]
+    owner = [draw(st.integers(0, count)) for _ in range(m)]  # ``count``: nobody
+    operands = [
+        tie.lift(
+            float(draw(st.integers(-50, 50))),
+            {p: assignment[p] for p in range(m) if owner[p] == part},
+        )
+        for part in range(count)
+    ]
     return tie, operands
 
 
 class TestTieBreakingAlgebra:
-    """The short-circuiting ``times`` and the templated lift (ISSUE 15)
-    against the definitions they replaced."""
+    """``times`` on the packed rank against Section 6.3 as written (the
+    id vectors of ``tests/vector_tie.py`` are compared pipeline by
+    pipeline in ``tests/test_tie_rank.py``)."""
 
-    @given(compatible_operands(2))
-    def test_times_equals_reference(self, drawn):
+    @given(owned_operands(2))
+    def test_times_is_the_base_product_and_the_rank_sum(self, drawn):
         tie, (a, b) = drawn
-        assert tie.times(a, b) == _reference_times(tie, a, b)
-        assert tie.times(b, a) == _reference_times(tie, b, a)
+        assert tie.times(a, b) == (a[0] + b[0], a[1] + b[1]) == tie.times(b, a)
 
-    @given(compatible_operands(1))
+    @given(owned_operands(1))
     def test_one_is_two_sided_identity(self, drawn):
         tie, (a,) = drawn
         assert tie.times(a, tie.one) == a
         assert tie.times(tie.one, a) == a
-        # An all-unbound vector that is not ``one`` itself (a bag that
-        # binds no ranked variable) is folded the same way.
+        # A bag that binds no ranked variable is folded the same way.
         blank = tie.lift(0.0, {})
-        assert blank[1] is not tie.one[1]
         assert tie.times(a, blank) == a == tie.times(blank, a)
 
-    @given(compatible_operands(3))
+    @given(owned_operands(3))
     def test_associativity(self, drawn):
         tie, (a, b, c) = drawn
         assert tie.times(tie.times(a, b), c) == tie.times(a, tie.times(b, c))
@@ -238,7 +256,7 @@ class TestTieBreakingAlgebra:
     def test_base_arithmetic_survives_the_identity(self):
         # ``one`` must not be skipped: the base dioid's ``0.0 + x``
         # turns an int weight into a float and ``-0.0`` into ``0.0``.
-        tie = TieBreakingDioid(TROPICAL, 1)
+        tie = ranked_tie(TROPICAL, [7])
         product = tie.times(tie.lift(2, {0: 7}), tie.one)
         assert repr(product[0]) == "2.0"
         product = tie.times(tie.one, tie.lift(-0.0, {0: 7}))
@@ -262,26 +280,34 @@ class TestTieBreakingAlgebra:
             min_size=1, max_size=5,
         ),
     )
-    def test_make_tie_lift_equals_dioid_lift(self, variables, ranked, rows):
+    def test_make_tie_lift_binds_what_each_stage_owns(self, variables, ranked, rows):
         # ``variables`` may repeat (R(x, x)) and may name variables that
         # are not ranked (the UCQ pipeline ranks head variables only).
         var_position = {var: slot for slot, var in enumerate(ranked)}
+        query = ConjunctiveQuery(
+            None, [Atom("R", variables), Atom("S", variables[::-1])]
+        )
+        tree = build_join_tree(query)
         tie = TieBreakingDioid(TROPICAL, max(1, len(ranked)))
-        atoms = [Atom("R", variables), Atom("S", variables[::-1])]
-        lift = make_tie_lift(tie, var_position)
+        values = [value for row, _weight in rows for value in row]
+        tie.rank_domains([values] * tie.num_variables)
+        lift = make_tie_lift(tie, var_position, tree)
+        first, second = (query.atoms[index] for index in tree.order)
         for values, weight in rows:
-            # Alternating atoms: the compiled template must follow.
-            for atom in atoms:
-                row = tuple(values[: atom.arity])
-                expected = tie.lift(
-                    weight,
-                    {
-                        var_position[var]: value
-                        for var, value in zip(atom.variables, row)
-                        if var in var_position
-                    },
-                )
-                assert lift(atom, row, weight) == expected
+            row = tuple(values[: first.arity])
+            # The first stage owns every ranked variable it holds (read
+            # from its first column there); the second shares them all.
+            owned = {}
+            for var, value in zip(first.variables, row):
+                if var in var_position:
+                    owned.setdefault(var_position[var], value)
+            assert lift(first, row, weight) == tie.lift(weight, owned)
+            assert lift(second, row[::-1], weight) == (weight, 0)
+            # Alternating atoms: the column form follows the scalar one.
+            for atom, stage_row in ((first, row), (second, row[::-1])):
+                assert lift.column(atom, [stage_row], [weight]) == [
+                    lift(atom, stage_row, weight)
+                ]
 
 
 class TestTimesAll:

@@ -14,8 +14,11 @@ extends.  This module pins both sides:
   every answer equal ``ResultAssembler.result(weight, states)`` by
   ``repr`` / ``float.hex``, and (unsharded) a stage-by-stage loop that
   shares no code with the assembler;
-* union, min-weight, projection and warm-started plans as the eager
-  controls;
+* the cycle union over in-process relations: views too, decoding
+  through the member's assembler and bag lineage, equal field by field
+  to the finished answers the same plan hands out over SQLite;
+* min-weight, projection, warm-started and SQLite-backed union plans as
+  the eager controls;
 * lifetime: answers of an in-memory plan decode after ``engine.close()``
   / ``invalidate()`` / a relation append; a warm-started plan still
   fails inside ``ensure`` and hands out answers that outlive their
@@ -28,7 +31,6 @@ extends.  This module pins both sides:
 
 from __future__ import annotations
 
-import builtins
 import copy
 import gc
 import pickle
@@ -39,11 +41,12 @@ import types
 
 import pytest
 
-from repro.anyk.base import RankedResult, make_enumerator
+from repro.anyk.base import Enumerator, RankedResult, make_enumerator
 from repro.data.backend import SQLiteBackend
 from repro.dp.flat import CompiledTDP
-from repro.dp.graph import TDP, QueryResult, ResultAssembler
+from repro.dp.graph import TDP, ChoiceSet, QueryResult, ResultAssembler
 from repro.engine import Engine
+from repro.engine.plan import MemberDecoder
 from repro.query.builders import cycle_query
 from repro.query.parser import parse_query
 from repro.ranking.dioid import MAX_TIMES
@@ -202,7 +205,6 @@ def assert_finished(prepared, results, reason: str) -> None:
 
 #: name -> (query, prepare options, why its answers are finished).
 EAGER_PLANS = {
-    "union": (cycle_query(4), {}, "the plan's finisher"),
     "min_weight": (
         parse_query("Q(x1, x2) :- R1(x1, x2), R2(x2, x3), R3(x3, x4)"),
         {"projection": "min_weight"},
@@ -305,6 +307,117 @@ def test_warm_started_plan_is_the_cold_plan_finished_at_extension(
     assert [snapshot(result) for result in results] == expected
 
 
+# -- the cycle union: a view over its member ----------------------------------------
+
+
+def skewed_cycle_database(seed: int, weights="floats"):
+    """Hub values make heavy partitions non-empty: several members merge."""
+    database = make_database(cycle_query(4), 80, weights, seed=seed)
+    for relation in database:
+        relation.tuples[::4] = [(1 + i % 2, b) for i, (_a, b) in enumerate(relation.tuples[::4])]
+    return database
+
+
+@pytest.mark.parametrize("algorithm", ALL_VARIANTS)
+@pytest.mark.parametrize("dioid", ["tropical", "max-times"])
+def test_union_answers_are_views_equal_to_the_finished_answers(
+    tmp_path, dioid, algorithm
+):
+    """In memory a union answer is its member's states; over SQLite the
+    same plan finishes each answer while extending.  Same five fields."""
+    query = cycle_query(4)
+    weights = "floats" if dioid == "tropical" else "mixed"
+    database = skewed_cycle_database(seed=29, weights=weights)
+    if dioid == "max-times":
+        for relation in database:
+            relation.weights = [abs(w) + 0.25 for w in relation.weights]
+    options = {"algorithm": algorithm}
+    if dioid == "max-times":
+        options["dioid"] = MAX_TIMES
+    with Engine(database, core_cache="off") as engine:
+        prepared = engine.prepare(query, **options)
+        results = prepared.top(K)
+        physical = prepared.bind()
+        assert len(physical.tdps) > 1 and len(results) >= 50
+        assert physical.eager is None
+        assert "answers: decoded on read" in prepared.explain()
+        assert prepared.stream().decode == "on_read"
+        members = set()
+        for result in results:
+            assert type(result) is QueryResult and result.states is not None
+            decoder = result.decoder
+            assert type(decoder) is MemberDecoder
+            members.add(id(decoder))
+            assert type(result.weight) is not tuple, "the base value, not the pair"
+            assert result.key[1].__class__ is int
+            eager = QueryResult(result.weight, *decoder.fields(result.states))
+            assert eager.states is None
+            assert snapshot(result) == snapshot(eager)
+            assert repr(result.decoded()) == repr(eager.decoded())
+            assert protocol.encode(protocol.result_message(7, result)) == (
+                protocol.encode(protocol.result_message(7, eager))
+            )
+        if algorithm != "batch_nosort":
+            assert len(members) > 1, "answers of several members were merged"
+    with open_engine(database, "sqlite", tmp_path, core_cache="off") as stored:
+        prepared = stored.prepare(query, **options)
+        finished = prepared.top(K)
+        assert_finished(prepared, finished, "rows behind SQLiteBackend")
+    assert [snapshot(r) for r in results] == [snapshot(r) for r in finished]
+
+
+def test_a_held_union_answer_reaches_no_tdp_connector_or_enumerator():
+    database = skewed_cycle_database(seed=31)
+    with Engine(database) as engine:
+        results = engine.prepare(cycle_query(4)).top(40)
+    assert results[0].states is not None
+    for result in (results[0], results[-1]):
+        # (> 100: it did walk the member's bag rows and lineage columns.)
+        assert reachable_from(result, (TDP, CompiledTDP, ChoiceSet, Enumerator)) > 100
+    # ... and reads after the engine is gone, like any view.
+    expected = [snapshot(result) for result in results]
+    for relation in database:
+        relation.add((1, 1), -1000.0)
+    assert [snapshot(result) for result in results] == expected
+
+
+@pytest.mark.parametrize("clone", ["deepcopy", "copy", "pickle2", "pickle5"])
+def test_a_union_view_pickles_and_copies_as_the_finished_answer(clone):
+    database = skewed_cycle_database(seed=37)
+    with Engine(database) as engine:
+        results = engine.prepare(cycle_query(4), dioid=MAX_TIMES).top(25)
+    for result in results:
+        twin = CLONES[clone](result)
+        assert type(twin) is QueryResult
+        assert snapshot(twin) == snapshot(result)
+        assert twin.states is None and not hasattr(twin, "decoder")
+
+
+def test_unread_union_memo_holds_no_dict_and_no_witness():
+    """An unread cyclic answer is one object over its member's states."""
+    database = skewed_cycle_database(seed=41)
+    variables = set(cycle_query(4).variables)
+    with Engine(database) as engine:
+        prepared = engine.prepare(cycle_query(4))
+        prepared.top(10)  # warm caches, imports
+        prepared.invalidate()
+        prepared.bind()
+        gc.collect()
+        gc.disable()
+        try:
+            known = {id(o) for o in gc.get_objects()}
+            known.add(id(known))
+            results = prepared.top(500)
+            fresh = [o for o in gc.get_objects() if id(o) not in known]
+            assert sum(type(o) is QueryResult for o in fresh) == len(results) == 500
+            assert not [o for o in fresh if type(o) is dict and variables <= set(o)]
+            alive = len(gc.get_objects())
+            read_every_field(results)
+            assert len(gc.get_objects()) == alive, "a read retains nothing"
+        finally:
+            gc.enable()
+
+
 # -- lifetime ------------------------------------------------------------------------
 
 
@@ -328,24 +441,32 @@ def test_held_views_outlive_their_engine_plan_and_later_appends():
     assert [snapshot(result) for result in results] == expected
 
 
+def reachable_from(result, forbidden: tuple) -> int:
+    """Walk everything ``result`` keeps alive; none may be ``forbidden``.
+
+    Classes, modules and their globals (every function refers to its
+    module's, and to the interpreter's builtins) are the process's, not
+    the answer's.
+    """
+    seen: set[int] = {id(vars(module)) for module in list(sys.modules.values())}
+    frontier = [result]
+    while frontier:
+        item = frontier.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+            continue
+        seen.add(id(item))
+        assert not isinstance(item, forbidden), type(item)
+        frontier.extend(gc.get_referents(item))
+    return len(seen)
+
+
 def test_a_view_reaches_no_tdp_and_no_compiled_core():
     query = SHAPES["star4"]
     database = make_database(query, 60, "floats", seed=2)
     with Engine(database) as engine:
         result = engine.prepare(query, shards=2).top(3)[-1]
-        # Everything the answer keeps alive; classes, modules and the
-        # interpreter's builtins (every function refers to them) are
-        # the process's, not the answer's.
-        seen: set[int] = {id(builtins.__dict__)}
-        frontier = [result]
-        while frontier:
-            item = frontier.pop()
-            if id(item) in seen or isinstance(item, (type, types.ModuleType)):
-                continue
-            seen.add(id(item))
-            assert not isinstance(item, (TDP, CompiledTDP)), type(item)
-            frontier.extend(gc.get_referents(item))
-        assert len(seen) > 100  # it did walk the assembler's rows
+        # (> 100: it did walk the assembler's rows.)
+        assert reachable_from(result, (TDP, CompiledTDP)) > 100
 
 
 def test_warm_started_plan_fails_inside_ensure_and_answers_outlive_the_backend(
