@@ -23,7 +23,11 @@ in 1..3}, a 4-cycle whose entry columns are skewed so that heavy
 partitions are non-empty, and a tie-heavy 6-cycle (middle fan bags,
 three-atom chains), x {tropical, max-times} x all 7 variants, all
 through the simple-cycle union plan (decomposition, tie-breaking dioid,
-ranked merge, witness recovery from bag lineage).
+ranked merge, witness recovery from bag lineage).  The max-plus column
+of those cells and a 4-cycle whose weights are mostly zeros (``0.0``,
+``-0.0`` and ``int`` ``0``, so whole witnesses weigh zero: the sign a
+derived zero reports is pinned) were captured before union members were
+lowered to a compiled core.
 
 Regenerate (only when a ranked-order change is intended and reviewed)::
 
@@ -166,6 +170,18 @@ def _cycle4_skew():
     return cycle_query(4), Database(relations)
 
 
+def _cycle4_zeros():
+    # Zero weights of three spellings beside two non-zero ones: every
+    # base dioid folds whole zero witnesses, mid-ranking under max-plus.
+    rng = random.Random(1218)
+    palette = (0.0, -0.0, 0, 1.0, -1.5)
+    relations = [
+        _binary(f"R{i}", 40, 6, rng, [rng.choice(palette) for _ in range(40)])
+        for i in range(1, 5)
+    ]
+    return cycle_query(4), Database(relations)
+
+
 CYCLIC_WORKLOADS = {
     # No value reaches the heavy threshold: only the all-light member.
     "cycle4": lambda: _cycle(4, 150, 30, 1212),
@@ -175,8 +191,9 @@ CYCLIC_WORKLOADS = {
     "cycle4_skew": _cycle4_skew,
     # Middle fan bags and three-atom chain joins only exist from l = 6.
     "cycle6_ties": lambda: _cycle(6, 40, 10, 1217, ties=True),
+    "cycle4_zeros": _cycle4_zeros,
 }
-CYCLIC_DIOIDS = {"tropical": TROPICAL, "max_times": MAX_TIMES}
+CYCLIC_DIOIDS = {"tropical": TROPICAL, "max_times": MAX_TIMES, "max_plus": MAX_PLUS}
 
 
 def digest(results) -> dict:
