@@ -76,13 +76,15 @@ class Enumerator:
     #: the enumeration without probing it again).
     _finished = False
     #: The compiled generator loop driving this run, for the flat
-    #: enumerators that have one (it sets ``_finished`` when it ends).
+    #: enumerators that have one (a generator that has returned has no
+    #: frame left: it is exhausted whoever consumed it).
     _gen = None
 
     @property
     def exhausted(self) -> bool:
         """Whether the enumeration has produced its last result."""
-        return self._finished
+        gen = self._gen
+        return self._finished or (gen is not None and gen.gi_frame is None)
 
     def __iter__(self) -> Iterator[RankedResult]:
         # Hand out the compiled generator itself when one drives this

@@ -7,7 +7,11 @@ walking ``ChoiceSet`` object graphs:
 
 * weight combination is native float ``+``/``-`` in dioid *key space*
   (the ``key_is_value`` contract) — no ``SelectiveDioid.times``/``key``
-  dispatch anywhere on the hot path;
+  dispatch anywhere on the hot path; over a
+  :class:`~repro.dp.lane.LaneCore` (a tie-broken union member) the lane
+  family runs instead: the base dioid's operator in value space plus an
+  integer rank, keyed afterwards, and — the tie dioid having no inverse
+  — sibling totals recomputed from the prefix product, not subtracted;
 * connector ranking structures live in a uid-indexed list (no dict
   hashing); for the Take2 and Eager strategies the candidate carries
   the raw heapified/sorted ``(key, state)`` list itself, so entry reads
@@ -32,7 +36,8 @@ exactly — same push sequence, same tie-breaking sequence numbers, and
 float operations that are the bit-exact ``key``-image of the object
 path's ``times`` calls — so the ranked output is bit-identical to
 :mod:`repro.anyk.partition` / :mod:`repro.anyk.recursive` /
-:mod:`repro.anyk.batch` (asserted by ``tests/test_flat_conformance.py``).
+:mod:`repro.anyk.batch` (asserted by ``tests/test_flat_conformance.py``
+and, for the lane family, ``tests/test_lane_conformance.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from typing import Callable
 from repro.anyk.base import Enumerator, RankedResult
 from repro.anyk.strategies import FLAT_VIEWS
 from repro.dp.flat import CompiledTDP
+from repro.dp.lane import LaneCore
 from repro.util import vec
 from repro.util.counters import OpCounter
 
@@ -1020,6 +1026,596 @@ class FlatBatch(FlatEnumerator):
         return self._emit(key, states)
 
 
+# -- the two-lane core of tie-broken union members ---------------------------------
+#
+# A :class:`~repro.dp.lane.LaneCore` holds a tie-broken member as a
+# base-value lane and a packed-rank lane.  The tie dioid has no inverse,
+# so nothing here subtracts: like :class:`~repro.anyk.partition.AnyKPart`
+# in monoid mode, a sibling's total is recomputed as ``fixed (x) open
+# branch minima (x) succ_entry``, Recursive and Batch fold ``times`` from
+# ``one`` as their object versions do — the base lane by the dioid's
+# operator in value space, the rank lane by ``+`` — and every total is
+# keyed after it is made.  A key ``(base_key, rank)`` rides flattened at
+# the head of each heap item, where ``(base_key, rank, seq, ...)`` orders
+# as the object path's ``((base_key, rank), seq, ...)``.  Answers carry
+# the pairs ``weight = (base, rank)`` and ``key = (base_key, rank)``.
+
+
+def _pair_emitter(emits: tuple) -> Callable:
+    """``emit(value, key, rank, states)``: one answer of class ``emits[0]``.
+
+    A closure over the result class and decoder only, so a kernel
+    generator that holds it holds nothing that holds the generator: a
+    dropped run is freed by reference counting, its core with it.
+    """
+    result_cls, decoder = emits
+    new_result = result_cls.__new__
+
+    def emit(value, key, rank: int, states: tuple[int, ...]):
+        res = new_result(result_cls)
+        res.weight = (value, rank)
+        res.key = (key, rank)
+        res.states = states
+        res.decoder = decoder
+        return res
+
+    return emit
+
+
+class LaneAnyKPart(FlatEnumerator):
+    """Algorithm 1 over a lane core, recomputing sibling totals.
+
+    ``fixed`` is the product of the popped candidate's prefix values —
+    folded from ``one`` back to front at pop, as the object path folds
+    it, then extended stage by stage — and a sibling's total is ``fixed``
+    times the minima of the branches still open, times its own entry
+    value.  Candidates are ``(base_key, rank, seq, prefix, stage[, view],
+    pos, total)`` (``total`` is the base lane).  Take2 and Eager over a
+    chain run :func:`_lane_chain_loop` over the shared static heap /
+    sorted list; everything else runs :func:`_lane_loop` over per-run
+    :data:`~repro.anyk.strategies.FLAT_VIEWS`.
+    """
+
+    def __init__(
+        self,
+        compiled: LaneCore,
+        kind: str,
+        counter: OpCounter | None = None,
+        emits: tuple | None = None,
+    ):
+        super().__init__(compiled, counter, emits)
+        self.kind = kind
+        self._heap: list[tuple] = []
+        chain = compiled.is_chain and kind in ("take2", "eager")
+        loop = _lane_chain_loop if chain else _lane_loop
+        self._gen = loop(
+            compiled, kind, self._heap, counter, _pair_emitter(self.emits)
+        )
+        if counter is not None and not compiled.empty:
+            counter.pq_push += 1  # the seed candidate
+            counter.candidates_created += 1
+
+    def _next_result(self):
+        return next(self._gen, None)
+
+    def peak_candidates(self) -> int:
+        """Current size of the candidate priority queue (MEM diagnostics)."""
+        return len(self._heap)
+
+
+def _lane_chain_loop(compiled: LaneCore, kind: str, heap: list, counter, emit):
+    """Take2 / Eager over a chain lane core: bare ranking lists.
+
+    The successors of position ``pos`` are ``pos * width + 1`` onward —
+    the two static-heap children (``width`` 2) or the next sorted entry
+    (1).  A candidate's list is recovered at pop time from its parent's
+    state, as in :meth:`FlatAnyKPart._generate_take2_chain`.
+    """
+    num_stages = compiled.num_stages
+    last = num_stages - 1
+    conn_next = [compiled.conn_of[j + 1] for j in range(last)]
+    conn_next.append(None)
+    if kind == "take2":
+        width, lists, list_of = 2, compiled._take2_heaps, compiled.take2_heap
+    else:
+        width, lists, list_of = 1, compiled._sorted_pairs, compiled.sorted_pairs
+    val_base = compiled.val_base
+    val_rank = compiled.val_rank
+    ent_base = compiled.ent_base
+    multiply, negate = compiled.lane
+    one = compiled.one
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+
+    seq = 0
+    root_entries = None
+    if not compiled.empty:
+        root_entries = list_of(compiled.root_uid[0])
+        best, best_rank = compiled.best
+        seq = 1
+        heap.append((compiled.best_key[0], best_rank, 1, None, 0, 0, best))
+    counted = seq  # pushes already charged (the seed: at construction)
+
+    while heap:
+        key, rank, _seq, prefix, stage, pos, total = heappop(heap)
+        fixed = one
+        fixed_rank = 0
+        if stage:
+            entries = lists[conn_next[stage - 1][prefix[0]]]
+            node = prefix
+            fill = stage - 1
+            while node is not None:
+                state = node[0]
+                value = val_base[fill][state]
+                fixed = value * fixed if multiply else value + fixed
+                fixed_rank += val_rank[fill][state]
+                node = node[1]
+                fill -= 1
+        else:
+            entries = root_entries
+        for j in range(stage, num_stages):
+            entry = entries[pos]
+            succ = pos * width + 1
+            size = len(entries)
+            if succ < size:
+                stop = succ + width
+                if stop > size:
+                    stop = size
+                stage_entry = ent_base[j]
+                while succ < stop:
+                    other = entries[succ]
+                    value = stage_entry[other[2]]
+                    sibling = fixed * value if multiply else fixed + value
+                    seq += 1
+                    heappush(heap, (
+                        -sibling if negate else sibling, fixed_rank + other[1],
+                        seq, prefix, j, succ, sibling,
+                    ))
+                    succ += 1
+            state = entry[2]
+            prefix = (state, prefix)
+            value = val_base[j][state]
+            fixed = fixed * value if multiply else fixed + value
+            fixed_rank += val_rank[j][state]
+            if j < last:
+                uid = conn_next[j][state]
+                entries = lists[uid]
+                if entries is None:
+                    entries = list_of(uid)
+                pos = 0
+
+        states = [0] * num_stages
+        node = prefix
+        fill = last
+        while node is not None:
+            states[fill] = node[0]
+            node = node[1]
+            fill -= 1
+        if counter is not None:
+            _charge(counter, num_stages - stage, seq - counted)
+            counted = seq
+        yield emit(total, key, rank, tuple(states))
+
+
+def _lane_loop(compiled: LaneCore, kind: str, heap: list, counter, emit):
+    """Any strategy, any tree shape: the views of :data:`FLAT_VIEWS`."""
+    num_stages = compiled.num_stages
+    parent_stage = compiled.parent_stage
+    conn_of = compiled.conn_of
+    root_uid = compiled.root_uid
+    val_base = compiled.val_base
+    val_rank = compiled.val_rank
+    ent_base = compiled.ent_base
+    min_base = compiled.min_base
+    min_rank = compiled.min_rank
+    multiply, negate = compiled.lane
+    one = compiled.one
+    # Stages whose branch is open (parent fixed, state not chosen) while
+    # stage j's state is decided: their minima join ``fixed``.
+    open_after = [
+        [c for c in range(j + 1, num_stages) if parent_stage[c] < j]
+        for j in range(num_stages)
+    ]
+    view_class = FLAT_VIEWS[kind]
+    views: list = [None] * compiled.num_connectors
+    pairs_of = compiled.pairs
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+
+    seq = 0
+    if not compiled.empty:
+        uid = root_uid[0]  # stage 0 is always a root stage
+        view = views[uid] = view_class(pairs_of(uid))
+        best, best_rank = compiled.best
+        seq = 1
+        heap.append((compiled.best_key[0], best_rank, 1, None, 0, view, view.best, best))
+    counted = seq  # pushes already charged (the seed: at construction)
+
+    while heap:
+        key, rank, _seq, prefix, stage, view, pos, total = heappop(heap)
+        states = [0] * num_stages
+        fixed = one
+        fixed_rank = 0
+        node = prefix
+        fill = stage - 1
+        while node is not None:
+            state = node[0]
+            states[fill] = state
+            value = val_base[fill][state]
+            fixed = value * fixed if multiply else value + fixed
+            fixed_rank += val_rank[fill][state]
+            node = node[1]
+            fill -= 1
+
+        for j in range(stage, num_stages):
+            entry = view.entry_at(pos)
+            succs = view.succ(pos)
+            if succs:
+                base = fixed
+                base_rank = fixed_rank
+                for open_stage in open_after[j]:
+                    parent = parent_stage[open_stage]
+                    if parent == -1:
+                        uid = root_uid[open_stage]
+                    else:
+                        uid = conn_of[open_stage][states[parent]]
+                    least = min_base[uid]
+                    base = base * least if multiply else base + least
+                    base_rank += min_rank[uid]
+                entry_at = view.entry_at
+                stage_entry = ent_base[j]
+                for succ_pos in succs:
+                    other = entry_at(succ_pos)
+                    value = stage_entry[other[2]]
+                    sibling = base * value if multiply else base + value
+                    seq += 1
+                    heappush(heap, (
+                        -sibling if negate else sibling, base_rank + other[1],
+                        seq, prefix, j, view, succ_pos, sibling,
+                    ))
+            state = entry[2]
+            states[j] = state
+            prefix = (state, prefix)
+            value = val_base[j][state]
+            fixed = fixed * value if multiply else fixed + value
+            fixed_rank += val_rank[j][state]
+            next_stage = j + 1
+            if next_stage < num_stages:
+                parent = parent_stage[next_stage]
+                if parent == -1:
+                    uid = root_uid[next_stage]
+                else:
+                    uid = conn_of[next_stage][states[parent]]
+                view = views[uid]
+                if view is None:
+                    view = views[uid] = view_class(pairs_of(uid))
+                pos = view.best
+
+        if counter is not None:
+            _charge(counter, num_stages - stage, seq - counted)
+            counted = seq
+        yield emit(total, key, rank, tuple(states))
+
+
+class LaneRankedProduct:
+    """:class:`~repro.anyk.product.RankedProduct` over lane solutions.
+
+    Branch streams are connector uids read through ``ensure(uid, j)``,
+    whose entries are ``(base_key, rank, state, js, base)``; a
+    combination's value is folded from ``one`` in branch order.  Outputs
+    are ``(base, rank, vector)``.  Same Lawler markers, same sequence
+    numbers, same counts as the object version.
+    """
+
+    __slots__ = ("uids", "ensure", "lane", "one", "outputs", "_heap", "_seq", "counter")
+
+    def __init__(
+        self,
+        uids: tuple[int, ...],
+        ensure: Callable[[int, int], tuple | None],
+        compiled: LaneCore,
+        counter: OpCounter | None = None,
+    ):
+        self.uids = tuple(uids)
+        self.ensure = ensure
+        self.lane = compiled.lane
+        self.one = compiled.one
+        self.counter = counter
+        self.outputs: list[tuple] = []
+        self._heap: list[tuple] = []
+        self._seq = 0
+        firsts = [ensure(uid, 0) for uid in self.uids]
+        if any(entry is None for entry in firsts):
+            return  # dead product: some branch has no solution at all
+        value, rank = self._fold(firsts)
+        self._seq = 1
+        key = -value if self.lane.negate else value
+        self._heap.append((key, rank, 1, (0,) * len(self.uids), 0, value))
+        if counter is not None:
+            counter.pq_push += 1
+
+    def _fold(self, entries) -> tuple:
+        multiply = self.lane.multiply
+        value = self.one
+        rank = 0
+        for entry in entries:
+            value = value * entry[4] if multiply else value + entry[4]
+            rank += entry[1]
+        return value, rank
+
+    def get(self, j: int) -> tuple | None:
+        """The ``j``-th best combination (0-based), or ``None``."""
+        outputs = self.outputs
+        if j < len(outputs):
+            return outputs[j]
+        ensure = self.ensure
+        uids = self.uids
+        width = len(uids)
+        negate = self.lane.negate
+        heap = self._heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        append = outputs.append
+        known = len(outputs)
+        pushed_from = seq = self._seq
+        try:
+            while len(outputs) <= j:
+                if not heap:
+                    return None
+                _key, rank, _seq, vector, marker, value = heappop(heap)
+                append((value, rank, vector))
+                for i in range(marker, width):
+                    if ensure(uids[i], vector[i] + 1) is None:
+                        continue
+                    new_vector = vector[:i] + (vector[i] + 1,) + vector[i + 1:]
+                    new_value, new_rank = self._fold(
+                        [ensure(uids[branch], r) for branch, r in enumerate(new_vector)]
+                    )
+                    seq += 1
+                    heappush(heap, (
+                        -new_value if negate else new_value, new_rank, seq,
+                        new_vector, i, new_value,
+                    ))
+            return outputs[j]
+        finally:
+            self._seq = seq
+            if self.counter is not None:
+                self.counter.pq_pop += len(outputs) - known
+                self.counter.pq_push += seq - pushed_from
+
+
+class LaneRecursive(FlatEnumerator):
+    """anyK-rec (Algorithm 2) over a lane core.
+
+    Per connector a memoized solution list and a candidate heap of
+    ``(base_key, rank, state, js, base)``; a state's next suffix is its
+    own value times the child's (one branch) or the ranked product's
+    (several) — own value first, as the object path multiplies.  Counts
+    as :class:`~repro.anyk.recursive.Recursive` does, per call.
+    """
+
+    def __init__(
+        self,
+        compiled: LaneCore,
+        counter: OpCounter | None = None,
+        emits: tuple | None = None,
+    ):
+        super().__init__(compiled, counter, emits)
+        num_connectors = compiled.num_connectors
+        self._sols: list[list[tuple] | None] = [None] * num_connectors
+        self._heaps: list[list[tuple] | None] = [None] * num_connectors
+        #: (stage, state) -> LaneRankedProduct for multi-branch states
+        self._products: dict[tuple[int, int], LaneRankedProduct] = {}
+        roots = compiled.root_stages
+        self._root_product = None
+        if not compiled.empty and len(roots) > 1:
+            self._root_product = LaneRankedProduct(
+                tuple(compiled.root_uid[r] for r in roots), self._ensure,
+                compiled, counter=counter,
+            )
+        self._emit_pair = _pair_emitter(self.emits)
+        self._rank = 0
+
+    def _next_result(self):
+        compiled = self.compiled
+        if compiled.empty:
+            return None
+        rank = self._rank
+        states = [0] * compiled.num_stages
+        roots = compiled.root_stages
+        product = self._root_product
+        if product is None:
+            uid = compiled.root_uid[roots[0]]
+            item = self._ensure(uid, rank)
+            if item is None:
+                return None
+            key, tie, _state, _js, value = item
+            self._reconstruct(uid, rank, states)
+        else:
+            combo = product.get(rank)
+            if combo is None:
+                return None
+            value, tie, vector = combo
+            key = -value if compiled.lane.negate else value
+            for branch, root in enumerate(roots):
+                self._reconstruct(compiled.root_uid[root], vector[branch], states)
+        self._rank = rank + 1
+        if self.counter is not None:
+            self.counter.results += 1
+        return self._emit_pair(value, key, tie, tuple(states))
+
+    def _ensure(self, uid: int, j: int) -> tuple | None:
+        """Solution ``Π_{j+1}`` of connector ``uid`` (0-based), or ``None``."""
+        all_sols = self._sols
+        sols = all_sols[uid]
+        if sols is None:
+            sols = all_sols[uid] = []
+            self._heaps[uid] = self.compiled.rea_heap(uid)
+        if j < len(sols):
+            return sols[j]
+        compiled = self.compiled
+        heap = self._heaps[uid]
+        branches, own_base, own_rank, child_row, stage = compiled.lane_meta[uid]
+        multiply, negate = compiled.lane
+        ensure = self._ensure
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        append = sols.append
+        known = len(sols)
+        pushed = 0
+        try:
+            while len(sols) <= j:
+                if not heap:
+                    return None
+                item = heappop(heap)
+                append(item)
+                if not branches:
+                    continue  # a leaf state has one suffix: no bump
+                state = item[2]
+                next_js = item[3] + 1
+                if branches == 1:
+                    child_uid = child_row[state]
+                    child_sols = all_sols[child_uid]
+                    if child_sols is not None and next_js < len(child_sols):
+                        suffix = child_sols[next_js]
+                    else:
+                        suffix = ensure(child_uid, next_js)
+                    if suffix is None:
+                        continue
+                    value = suffix[4]
+                    tie = suffix[1]
+                else:
+                    combo = self._product(stage, state).get(next_js)
+                    if combo is None:
+                        continue
+                    value, tie, _vector = combo
+                own = own_base[state]
+                total = own * value if multiply else own + value
+                heappush(heap, (
+                    -total if negate else total, own_rank[state] + tie,
+                    state, next_js, total,
+                ))
+                pushed += 1
+            return sols[j]
+        finally:
+            counter = self.counter
+            if counter is not None:
+                popped = len(sols) - known
+                counter.pq_pop += popped
+                counter.next_calls += popped
+                counter.pq_push += pushed
+
+    def _product(self, stage: int, state: int) -> LaneRankedProduct:
+        key = (stage, state)
+        product = self._products.get(key)
+        if product is None:
+            compiled = self.compiled
+            branches = compiled.num_branches[stage]
+            base = state * branches
+            product = self._products[key] = LaneRankedProduct(
+                tuple(compiled.child_uids[stage][base:base + branches]),
+                self._ensure, compiled, counter=self.counter,
+            )
+        return product
+
+    def _reconstruct(self, uid: int, j: int, states: list[int]) -> None:
+        state, js = self._sols[uid][j][2:4]
+        compiled = self.compiled
+        stage = compiled.conn_stage[uid]
+        states[stage] = state
+        branches = compiled.num_branches[stage]
+        child_uids = compiled.child_uids[stage]
+        if branches == 1:
+            self._reconstruct(child_uids[state], js, states)
+        elif branches:
+            vector = self._products[(stage, state)].outputs[js][2]
+            base = state * branches
+            for branch in range(branches):
+                self._reconstruct(child_uids[base + branch], vector[branch], states)
+
+
+class LaneBatch(FlatEnumerator):
+    """Batch over a lane core: every solution, folded from ``one``, then sorted.
+
+    A DFS in entry order, a solution's value the left fold of its
+    states' values; sorting ``(base_key, rank, states, base)`` is the
+    object Batch's sort by ``((base_key, rank), states)``.
+    """
+
+    def __init__(
+        self,
+        compiled: LaneCore,
+        sort: bool = True,
+        counter: OpCounter | None = None,
+        emits: tuple | None = None,
+    ):
+        super().__init__(compiled, counter, emits)
+        self.sorted = sort
+        results = list(self._solutions(counter))
+        if sort:
+            results.sort()
+        self.size = len(results)
+        self._iter = iter(results)
+        self._emit_pair = _pair_emitter(self.emits)
+
+    def _solutions(self, counter: OpCounter | None):
+        compiled = self.compiled
+        if compiled.empty:
+            return
+        num_stages = compiled.num_stages
+        parent_stage = compiled.parent_stage
+        conn_of = compiled.conn_of
+        root_uid = compiled.root_uid
+        val_base = compiled.val_base
+        val_rank = compiled.val_rank
+        pairs_of = compiled.pairs
+        multiply, negate = compiled.lane
+
+        states = [0] * num_stages
+        prefix = [compiled.one] * (num_stages + 1)
+        prefix_rank = [0] * (num_stages + 1)
+        iterators: list = [None] * num_stages
+        iterators[0] = iter(pairs_of(root_uid[0]))
+        level = 0
+        last = num_stages - 1
+        while level >= 0:
+            entry = next(iterators[level], None)
+            if entry is None:
+                level -= 1
+                continue
+            state = entry[2]
+            states[level] = state
+            value = val_base[level][state]
+            acc = prefix[level]
+            prefix[level + 1] = acc * value if multiply else acc + value
+            prefix_rank[level + 1] = prefix_rank[level] + val_rank[level][state]
+            if counter is not None:
+                counter.intermediate_tuples += 1
+            if level == last:
+                total = prefix[num_stages]
+                yield (
+                    -total if negate else total, prefix_rank[num_stages],
+                    tuple(states), total,
+                )
+            else:
+                level += 1
+                parent = parent_stage[level]
+                if parent == -1:
+                    uid = root_uid[level]
+                else:
+                    uid = conn_of[level][states[parent]]
+                iterators[level] = iter(pairs_of(uid))
+
+    def _next_result(self):
+        item = next(self._iter, None)
+        if item is None:
+            return None
+        key, rank, states, value = item
+        if self.counter is not None:
+            self.counter.results += 1
+        return self._emit_pair(value, key, rank, states)
+
+
 def make_flat_enumerator(
     compiled: CompiledTDP,
     algorithm: str,
@@ -1028,14 +1624,19 @@ def make_flat_enumerator(
 ) -> Enumerator:
     """Instantiate a flat enumerator over ``compiled`` by algorithm name.
 
-    ``emits`` — see :class:`FlatEnumerator`.
+    A :class:`~repro.dp.lane.LaneCore` gets the lane family, any other
+    core the key-space one.  ``emits`` — see :class:`FlatEnumerator`.
     """
+    lanes = isinstance(compiled, LaneCore)
     if algorithm in FLAT_VIEWS:
-        return FlatAnyKPart(compiled, algorithm, counter=counter, emits=emits)
+        kind = LaneAnyKPart if lanes else FlatAnyKPart
+        return kind(compiled, algorithm, counter=counter, emits=emits)
     if algorithm == "recursive":
-        return FlatRecursive(compiled, counter=counter, emits=emits)
-    if algorithm == "batch":
-        return FlatBatch(compiled, counter=counter, emits=emits)
-    if algorithm == "batch_nosort":
-        return FlatBatch(compiled, sort=False, counter=counter, emits=emits)
+        kind = LaneRecursive if lanes else FlatRecursive
+        return kind(compiled, counter=counter, emits=emits)
+    if algorithm in ("batch", "batch_nosort"):
+        kind = LaneBatch if lanes else FlatBatch
+        return kind(
+            compiled, sort=algorithm == "batch", counter=counter, emits=emits
+        )
     raise ValueError(f"unknown any-k algorithm {algorithm!r}")

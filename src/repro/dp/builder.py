@@ -48,11 +48,11 @@ from __future__ import annotations
 
 from itertools import compress, count, repeat
 from operator import add, and_, is_not, itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.data.database import Database
 from repro.dp.graph import ChoiceSet, TDP
-from repro.dp.lower import join_key_column, stage_columns
+from repro.dp.lower import join_key_column, stage_columns, stage_layout
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
@@ -117,6 +117,19 @@ def rank_tie_domains(
     tie.rank_domains(domains)
 
 
+def packed_ranks(ranks: Sequence[dict], template, rows) -> Iterable[int] | None:
+    """Each row's packed rank over the owned ``template``, or ``None``.
+
+    ``ranks`` is :attr:`TieBreakingDioid.ranks`; one table lookup pass
+    per owned column, summed lazily (``None``: the stage owns nothing).
+    """
+    packed = None
+    for column, slot in template:
+        lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
+        packed = lane if packed is None else map(add, packed, lane)
+    return packed
+
+
 def make_tie_lift(
     tie: TieBreakingDioid, var_position: dict[str, int], join_tree: JoinTree
 ):
@@ -145,11 +158,7 @@ def make_tie_lift(
         )
 
     def lift_column(atom, rows, weights) -> list:
-        ranks = tie.ranks
-        packed = None
-        for column, slot in templates[id(atom)]:
-            lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
-            packed = lane if packed is None else map(add, packed, lane)
+        packed = packed_ranks(tie.ranks, templates[id(atom)], rows)
         return list(zip(weights, repeat(0) if packed is None else packed))
 
     lift.column = lift_column
@@ -159,6 +168,35 @@ def make_tie_lift(
 def _keep(mask: list, *columns) -> list[list]:
     """Each of the parallel ``columns`` cut down to the rows ``mask`` keeps."""
     return [list(compress(column, mask)) for column in columns]
+
+
+def alive_rows(relation, atom, children) -> tuple[list, list, Sequence[int], list[list]]:
+    """One stage's alive rows: ``(rows, weights, ids, branches)``.
+
+    ``children`` is ``(connector map, join-key positions in this atom)``
+    per child branch.  A row is alive when it satisfies its atom's
+    repeated variables and every branch finds its connector: one hash
+    probe pass per branch (``branches[b][i]`` is what row ``i`` found),
+    one filter.  ``ids`` are the rows' positions in the relation.  The
+    columns are copies: an in-memory relation hands over its own lists.
+    """
+    rows, weights = map(list, stage_columns(relation))
+    ids = range(len(rows))
+    if atom.has_repeated_variables():
+        rows, weights, ids = _keep(
+            list(map(atom.satisfies_repeats, rows)), rows, weights, ids
+        )
+    branches = [
+        list(map(conn_map.get, join_key_column(rows, positions)))
+        for conn_map, positions in children
+    ]
+    alive = None
+    for conns in branches:
+        found = map(is_not, conns, repeat(None))
+        alive = list(found if alive is None else map(and_, alive, found))
+    if alive is not None and not all(alive):
+        rows, weights, ids, *branches = _keep(alive, rows, weights, ids, *branches)
+    return rows, weights, ids, branches
 
 
 def build_tdp(
@@ -181,11 +219,7 @@ def build_tdp(
     query = join_tree.query
     order = join_tree.order
     num_stages = len(order)
-    stage_of_atom = {atom_idx: s for s, atom_idx in enumerate(order)}
-    parent_stage = [
-        -1 if join_tree.parent[atom_idx] == -1 else stage_of_atom[join_tree.parent[atom_idx]]
-        for atom_idx in order
-    ]
+    parent_stage, own_key_positions, parent_key_positions = stage_layout(join_tree)
     tdp = TDP(
         dioid,
         atom_of_stage=order,
@@ -193,21 +227,6 @@ def build_tdp(
         query=query,
         join_tree=join_tree,
     )
-
-    # Join-key column positions, per stage: within the stage's own atom
-    # (used to group its states) and within the parent's atom (used to
-    # look up the child connector from a parent state).
-    own_key_positions: list[tuple[int, ...]] = []
-    parent_key_positions: list[tuple[int, ...]] = []
-    for stage, atom_idx in enumerate(order):
-        atom = query.atoms[atom_idx]
-        shared = join_tree.shared_variables(atom_idx)
-        own_key_positions.append(atom.positions_of(shared))
-        if parent_stage[stage] == -1:
-            parent_key_positions.append(())
-        else:
-            parent_atom = query.atoms[join_tree.parent[atom_idx]]
-            parent_key_positions.append(parent_atom.positions_of(shared))
 
     one = dioid.one
     times_column = dioid.times_column
@@ -218,27 +237,10 @@ def build_tdp(
 
     for stage in reversed(range(num_stages)):
         atom = query.atoms[order[stage]]
-        # Copies: an in-memory relation hands over the lists it stores.
-        rows, weights = map(list, stage_columns(database[atom.relation_name]))
-        ids = range(len(rows))
-        if atom.has_repeated_variables():
-            rows, weights, ids = _keep(
-                list(map(atom.satisfies_repeats, rows)), rows, weights, ids
-            )
-
-        # One hash probe pass per child branch; a state is alive when
-        # every branch found its connector.
-        branches = [
-            list(map(conn_map[c].get, join_key_column(rows, parent_key_positions[c])))
-            for c in tdp.children_stages[stage]
-        ]
-        alive = None
-        for conns in branches:
-            found = map(is_not, conns, repeat(None))
-            alive = list(found if alive is None else map(and_, alive, found))
-        if alive is not None and not all(alive):
-            rows, weights, ids, *branches = _keep(alive, rows, weights, ids, *branches)
-        del alive
+        rows, weights, ids, branches = alive_rows(
+            database[atom.relation_name], atom,
+            [(conn_map[c], parent_key_positions[c]) for c in tdp.children_stages[stage]],
+        )
         states = len(rows)
 
         # ``times`` runs against ``one`` on the first branch here and on

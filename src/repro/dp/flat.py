@@ -37,10 +37,15 @@ sign-symmetry for the tropical min/max dioids).  The flat enumerators in
 :mod:`repro.anyk.flat` then combine weights with native ``+`` and
 compare with native float ordering; the ranked output is bit-identical
 to the object-graph path because every float operation performed is the
-image (under ``key``) of the corresponding ``times`` call.  Dioids
-without the contract (lexicographic vectors, tie-breaking pairs, ...)
-are not compiled — :func:`compile_tdp` returns ``None`` and the callers
-keep the generic object-graph path.
+image (under ``key``) of the corresponding ``times`` call.  An object
+graph over a dioid without the contract (lexicographic vectors,
+tie-breaking pairs, max-times) is not compiled — :func:`compile_tdp`
+returns ``None`` and the callers keep the generic object-graph path.
+Tie-broken union members whose base dioid keeps its *lane* contract
+never become an object graph: :mod:`repro.dp.lane` lowers them to a
+:class:`~repro.dp.lane.LaneCore`, this class's layout over a base-value
+lane and a packed-rank lane, which the shell hands to ``compile_tdp``
+like any lowered core.
 
 A compiled core is memoized on its ``TDP`` (``TDP._compiled``), so the
 engine's version-stamped physical-plan cache shares one ``CompiledTDP``
@@ -511,7 +516,7 @@ class CompiledTDP:
 
     def __repr__(self) -> str:
         return (
-            f"CompiledTDP(stages={self.num_stages}, "
+            f"{type(self).__name__}(stages={self.num_stages}, "
             f"entries={self.stats()['entries']}, best={self.best_key!r})"
         )
 

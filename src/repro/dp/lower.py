@@ -62,9 +62,12 @@ Take2 orders, sorted lists, REA heap templates), so ranking structures
 for shared connectors are built once per database version — not once
 per fragment.
 
-Dioids without the contract, the ``canonical`` tie-break, decomposition
-members, the min-weight projection and ``DPProblem`` keep the object
-builder, which reads the same stage-input shape (:func:`stage_columns`,
+Decomposition members whose base dioid keeps its lane contract are
+lowered too, by the same stage sweep in value space, to a two-lane core
+(:mod:`repro.dp.lane`).  Dioids without either contract (and members
+over them), the ``canonical`` tie-break, the UCQ pipeline, the
+min-weight projection and ``DPProblem`` keep the object builder, which
+reads the same stage-input shape (:func:`stage_columns`,
 :func:`join_key_column`) and sweeps a stage as columns through the
 dioid's ``times_column`` / ``key_column``;
 :func:`repro.dp.flat.compile_tdp` lowers its result where a flat core is
@@ -123,6 +126,36 @@ def join_key_column(rows: Sequence[tuple], positions: tuple[int, ...]):
     return map(itemgetter(*positions), rows)
 
 
+def stage_layout(
+    join_tree: JoinTree,
+) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``(parent_stage, own_key_positions, parent_key_positions)``.
+
+    Stages are the tree's serialised order; ``-1`` parents hang off the
+    virtual start state.  Per stage, the join-key columns within its own
+    atom (which group its states into connectors) and within its
+    parent's atom (which look the connector up from a parent state).
+    """
+    query = join_tree.query
+    order = join_tree.order
+    stage_of_atom = {atom_idx: s for s, atom_idx in enumerate(order)}
+    parent_stage = [
+        -1 if join_tree.parent[atom_idx] == -1 else stage_of_atom[join_tree.parent[atom_idx]]
+        for atom_idx in order
+    ]
+    own_key_positions: list[tuple[int, ...]] = []
+    parent_key_positions: list[tuple[int, ...]] = []
+    for stage, atom_idx in enumerate(order):
+        shared = join_tree.shared_variables(atom_idx)
+        own_key_positions.append(query.atoms[atom_idx].positions_of(shared))
+        if parent_stage[stage] == -1:
+            parent_key_positions.append(())
+        else:
+            parent_atom = query.atoms[join_tree.parent[atom_idx]]
+            parent_key_positions.append(parent_atom.positions_of(shared))
+    return parent_stage, own_key_positions, parent_key_positions
+
+
 # -- the shared lower stages (phase A) -----------------------------------------
 
 
@@ -150,11 +183,9 @@ class SharedLower:
         self.lane = key_lane(dioid)
         self.order = list(tree.order)
         self.num_stages = len(self.order)
-        stage_of_atom = {a: s for s, a in enumerate(self.order)}
-        self.parent_stage = [
-            -1 if tree.parent[a] == -1 else stage_of_atom[tree.parent[a]]
-            for a in self.order
-        ]
+        self.parent_stage, self.own_key_positions, self.parent_key_positions = (
+            stage_layout(tree)
+        )
         self.children_stages: list[list[int]] = [[] for _ in range(self.num_stages)]
         for stage, parent in enumerate(self.parent_stage):
             if parent != -1:
@@ -162,17 +193,6 @@ class SharedLower:
         self.anchor_stage = anchor_stage
         if self.parent_stage[anchor_stage] != -1:
             raise ValueError("the anchor stage must be a component root")
-        self.own_key_positions: list[tuple[int, ...]] = []
-        self.parent_key_positions: list[tuple[int, ...]] = []
-        for stage, atom_idx in enumerate(self.order):
-            atom = query.atoms[atom_idx]
-            shared = tree.shared_variables(atom_idx)
-            self.own_key_positions.append(atom.positions_of(shared))
-            if self.parent_stage[stage] == -1:
-                self.parent_key_positions.append(())
-            else:
-                parent_atom = query.atoms[tree.parent[atom_idx]]
-                self.parent_key_positions.append(parent_atom.positions_of(shared))
 
         # Per-stage columns; the anchor's slots stay empty (each
         # fragment layers its own over a copy of these lists).

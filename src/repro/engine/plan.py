@@ -44,6 +44,7 @@ from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
 from repro.dp.flat import compile_tdp
+from repro.dp.lane import LaneCore, lower_member, member_lane
 from repro.dp.lower import lower_query
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
@@ -424,6 +425,15 @@ class UnionPhysical(PhysicalPlan):
     disjoint) and exists for overlapping decompositions plugged in via
     ``enumerate_union``.
 
+    A member is *lowered*, not built, when the base dioid keeps its lane
+    contract (:func:`repro.dp.lane.member_lane`, decided once from the
+    dioid): ``tdps[i]`` is then the shell of a
+    :class:`~repro.dp.lane.LaneCore` (``cores[i]``) and the member runs
+    the lane kernels of :mod:`repro.anyk.flat`; otherwise it is the
+    object graph of ``build_tdp`` (``cores[i]`` is ``None``, the reason
+    in :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
+    yields pair-valued results, ``(base, rank)``.
+
     An answer is its member's states until someone reads it: a
     :class:`QueryResult` view over that member's :class:`MemberDecoder`.
     The rule is :func:`decodes_at_extension`'s — when a relation the
@@ -450,17 +460,35 @@ class UnionPhysical(PhysicalPlan):
             self.tie,
             [(task.database, tree, var_position) for task, tree in zip(tasks, trees)],
         )
+        lane, self.object_reason = member_lane(self.tie)
         self.tdps = []
+        self.cores: list[LaneCore | None] = []
         #: id(member T-DP) -> its :class:`MemberDecoder`.
         self._decoders: dict[int, MemberDecoder] = {}
         self.eager = None
         for task, tree in zip(tasks, trees):
-            lift = make_tie_lift(self.tie, var_position, tree)
-            tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
+            if lane is None:
+                lift = make_tie_lift(self.tie, var_position, tree)
+                core = None
+                tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
+            else:
+                core = lower_member(task.database, tree, self.tie, var_position, lane)
+                tdp = core.tdp
             self.tdps.append(tdp)
+            self.cores.append(core)
             decoder = MemberDecoder(database, query, task, tdp)
             self._decoders[id(tdp)] = decoder
             self.eager = self.eager or decoder.behind
+
+    def close(self) -> None:
+        # A lowered member's shell and core point at each other: unlink
+        # them, so the columns go when the plan does, not at the next
+        # full collection (which a following bind would otherwise share
+        # its peak memory with).
+        for tdp in self.tdps:
+            tdp._compiled = None
+        self.tdps = []
+        self.cores = []
 
     def iter(
         self,
@@ -504,10 +532,18 @@ class UnionPhysical(PhysicalPlan):
 
     def _physical_stats(self) -> list[str]:
         lines = [f"  union of {len(self.tasks)} member trees:"]
-        for task, tdp in zip(self.tasks, self.tdps):
+        for task, tdp, core in zip(self.tasks, self.tdps, self.cores):
             lines.extend(
                 self._tdp_lines(task.label or task.query.name, tdp)
             )
+            if core is None:
+                lines.append(f"    core: object graph ({self.object_reason})")
+            else:
+                lines.append(
+                    f"    core: lowered, {core.stats()['entries']} entries, "
+                    f"lanes ({core.lane}) + packed rank, "
+                    f"{'chain' if core.is_chain else 'tree'} layout"
+                )
         return lines
 
 
@@ -762,12 +798,16 @@ def _bind_union(
     with tracer.span("tdp.build", members=len(tasks)) as span:
         physical = UnionPhysical(logical, database, tasks, dedup=False)
         tdps = physical.tdps
+        lowered = [core for core in physical.cores if core is not None]
         span.set(
             # Bag tuples read (every bag is one stage) -> alive states.
             rows=_bag_tuples(tasks),
             stages=sum(tdp.num_stages for tdp in tdps),
             states=sum(tdp.num_states() for tdp in tdps),
             connectors=sum(tdp.num_connectors for tdp in tdps),
+            # Members lowered to lane cores, and the entries they hold.
+            lowered=len(lowered),
+            entries=sum(core.stats()["entries"] for core in lowered),
         )
     return physical
 

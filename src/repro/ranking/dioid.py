@@ -21,6 +21,21 @@ not just monoids — Section 6.2).  Those advertise ``has_inverse = True``
 and implement :meth:`SelectiveDioid.divide`; the anyK-part algorithms use
 the inverse for O(1) candidate-weight derivation on tree queries and fall
 back to the paper's O(l^2) recomputation otherwise.
+
+The lane contract
+-----------------
+A dioid whose values are Python numbers and whose ``times`` and ``key``
+are each one native operator declares a :class:`FloatLane`: tropical
+(``a + b``, key ``a``), max-plus (``a + b``, key ``-a``) and max-times
+(``a * b``, key ``-a``).  A lane lets a caller run the dioid's
+arithmetic as that operator on plain columns — in *value* space, keyed
+afterwards, one operation for each ``times`` the object path would
+call, so every bit (signed zeros included) and every result type (an
+``int`` weight stays an ``int`` until it meets ``one``) is the one
+``times`` would have produced.  Tie-broken union members whose base has
+a lane are lowered that way (:mod:`repro.dp.lane`).  :func:`lane_of`
+reads the declaration; a subclass that overrides ``times`` or ``key``
+no longer keeps the promise and has no lane.
 """
 
 from __future__ import annotations
@@ -29,7 +44,21 @@ import math
 from abc import ABC, abstractmethod
 from itertools import count
 from operator import add, itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
+
+
+class FloatLane(NamedTuple):
+    """A dioid's ``times`` and ``key`` as native operators on numbers.
+
+    ``multiply``: ``times(a, b)`` is ``a * b`` (else ``a + b``).
+    ``negate``: ``key(a)`` is ``-a`` (else ``a`` itself).
+    """
+
+    multiply: bool
+    negate: bool
+
+    def __str__(self) -> str:
+        return f"{'a * b' if self.multiply else 'a + b'}, key {'-a' if self.negate else 'a'}"
 
 
 class SelectiveDioid(ABC):
@@ -63,6 +92,12 @@ class SelectiveDioid(ABC):
     #: for any dioid whose key is not an additive float image (the
     #: enumerators transparently fall back to the generic path).
     key_is_value: bool = False
+
+    #: The lane contract (module docstring): ``times`` and ``key`` as one
+    #: native operator each, or ``None``.  Read it through
+    #: :func:`lane_of`, which also checks that no subclass redefined
+    #: what the declaration describes.
+    float_lane: FloatLane | None = None
 
     @property
     @abstractmethod
@@ -142,6 +177,7 @@ class TropicalDioid(SelectiveDioid):
     #: core-persistable — they round-trip through a ``<db>.core`` mmap
     #: (:mod:`repro.dp.corebuf`) with no per-process rebuild.
     key_is_value = True
+    float_lane = FloatLane(multiply=False, negate=False)
 
     @property
     def zero(self) -> float:
@@ -174,6 +210,10 @@ class MaxPlusDioid(SelectiveDioid):
     #: deterministic and bit-exact, so mmap-loaded arrays reproduce a
     #: fresh compile byte-for-byte.
     key_is_value = True
+    #: Its lane runs in value space: a derived zero keeps the sign
+    #: ``times`` gives it (``-(0.0 + x)``), which key-space folding from
+    #: ``0.0`` would not.
+    float_lane = FloatLane(multiply=False, negate=True)
 
     @property
     def zero(self) -> float:
@@ -203,8 +243,13 @@ class MaxTimesDioid(SelectiveDioid):
     simulates bag semantics, returning the highest-multiplicity output
     first; with probabilities it returns the most probable witness.
     ``times`` has no inverse on all of ``[0, ∞)`` (zero is not
-    invertible), so this dioid advertises ``has_inverse = False``.
+    invertible), so this dioid advertises ``has_inverse = False``.  Its
+    key is no additive image of the value either, so the key-space core
+    does not apply — but it has a lane: products run as ``*`` in value
+    space and are keyed by negation afterwards.
     """
+
+    float_lane = FloatLane(multiply=True, negate=True)
 
     @property
     def zero(self) -> float:
@@ -372,6 +417,13 @@ class TieBreakingDioid(SelectiveDioid):
 
     There is no inverse: dividing the base lane would change the order
     of its float operations.
+
+    Both lanes are plain numbers, so where the base keeps the lane
+    contract (:func:`lane_of`) a union member never calls ``times`` or
+    ``key`` here: :mod:`repro.dp.lane` lowers it to a base-value column
+    and a rank column per stage, runs the base's operator on the first
+    and ``+`` on the second, and keys ``(base_key, rank)`` afterwards —
+    exactly the pairs this class would have produced.
     """
 
     def __init__(self, base: SelectiveDioid, num_variables: int):
@@ -443,6 +495,23 @@ class TieBreakingDioid(SelectiveDioid):
 
     def __repr__(self) -> str:
         return f"TieBreakingDioid({self.base!r}, m={self.num_variables})"
+
+
+def lane_of(dioid: SelectiveDioid) -> tuple[FloatLane | None, str]:
+    """``(lane, "")`` when ``dioid`` keeps its lane contract, else ``(None, why)``.
+
+    The declaration describes the ``times`` and ``key`` of the class that
+    made it; a subclass overriding either (to count calls, to clamp, ...)
+    inherits the attribute but not the promise.
+    """
+    cls = type(dioid)
+    owner = next(c for c in cls.__mro__ if "float_lane" in vars(c))
+    if owner.float_lane is None:
+        return None, f"{dioid!r} declares no float lane"
+    for name in ("times", "key"):
+        if getattr(cls, name) is not getattr(owner, name):
+            return None, f"{cls.__name__} overrides {name}"
+    return owner.float_lane, ""
 
 
 #: Shared default instances (the dioids are stateless).

@@ -1,18 +1,25 @@
 """What a cyclic bind is allowed to cost, in counts a machine cannot blur.
 
-ISSUE 15 took the simple-cycle bind from "about twelve containers and
-three dioid merges per bag tuple" to one scan per cycle atom, one lift
-per alive state and one id-vector merge per child branch; ISSUE 22
-turned the per-state calls into one column operation per stage; ISSUE 24
-made the tie-breaker one integer, numbered by one sort per ranked
-variable per bind and merged by addition.  Wall clock cannot guard that
-on a shared CI box; these counts can: a re-introduced rescan, a second
-product per state, a shared minimum folded per state, a sort per member
-or a scalar fallback on the tie path changes an integer.
+The simple-cycle bind went from "about twelve containers and three
+dioid merges per bag tuple" to one scan per cycle atom, one column
+operation per stage and a tie-breaker that is one integer, numbered by
+one sort per ranked variable per bind and merged by addition; members
+whose base dioid keeps its lane contract are now lowered to a two-lane
+core — no ``times`` or ``key`` call, no ``ChoiceSet``, one tuple per
+alive state.  Wall clock cannot guard that on a shared CI box; these
+counts can: a re-introduced rescan, a second product per state, a shared
+minimum folded per state, a sort per member, a scalar fallback on the
+tie path or an object built per state on the lowered one changes an
+integer.
+
+``CountingMaxTimes`` overrides ``times`` to count it, which costs it the
+lane (:func:`repro.ranking.dioid.lane_of`): it drives the object path's
+gates, and proves the override guard while doing so.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import random
@@ -22,9 +29,19 @@ import pytest
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.dp.graph import ChoiceSet
+from repro.dp.lane import lower_member
 from repro.engine import Engine
 from repro.query.builders import cycle_query
-from repro.ranking.dioid import MaxTimesDioid, TieBreakingDioid
+from repro.ranking.dioid import (
+    MAX_PLUS,
+    MAX_TIMES,
+    TROPICAL,
+    MaxTimesDioid,
+    MaxPlusDioid,
+    TieBreakingDioid,
+    TropicalDioid,
+)
 
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 plan_module = importlib.import_module("repro.engine.plan")
@@ -167,6 +184,8 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     base = CountingMaxTimes()
 
     physical = Engine(database).prepare(query, dioid=base).bind()
+    assert physical.cores == [None] * len(physical.tdps)
+    assert physical.object_reason == "CountingMaxTimes overrides times"
 
     # One full read per cycle atom — the l+1 partitions share it.
     assert sum(relation.scans for relation in database) == 4
@@ -208,6 +227,123 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     assert tie.key_columns == stages
     # The base dioid sees the column products plus the bag joins.
     assert base.times_calls == products + join_products
+
+
+LANE_BASES = {
+    "tropical": (TROPICAL, TropicalDioid),
+    "max_plus": (MAX_PLUS, MaxPlusDioid),
+    "max_times": (MAX_TIMES, MaxTimesDioid),
+}
+
+
+def _bag_join_products(physical) -> int:
+    """Base products the decomposition makes: a bag pinning p atoms folds
+    p - 1 per tuple."""
+    return sum(
+        len(bag) * (len(task.lineage[name].atoms) - 1)
+        for task in physical.tasks
+        for name, bag in task.database.relations.items()
+    )
+
+
+@pytest.mark.parametrize("base_name", list(LANE_BASES))
+@pytest.mark.parametrize("self_join", [False, True])
+def test_lowered_four_cycle_bind_op_counts(counted, monkeypatch, self_join, base_name):
+    """A base that keeps its lane: every member is lowered, and the bind
+    makes no ``times`` / ``key`` call and no ``ChoiceSet``.
+
+    * One scan per cycle atom and one sort per ranked variable, as on
+      the object path.
+    * No lift column, no column operation and no scalar call on the tie
+      dioid: the ranks go straight into the rank lane.
+    * The base dioid's scalar ``times`` — counted on the class that
+      declares the lane, so the lane stands — runs exactly for the bag
+      joins of the decomposition and never for the T-DP; ``key`` never.
+    """
+    base, declaring = LANE_BASES[base_name]
+    calls = {"times": 0, "key": 0, "choice_sets": 0}
+    real_times, real_key, real_init = declaring.times, declaring.key, ChoiceSet.__init__
+
+    def times(self, a, b):
+        calls["times"] += 1
+        return real_times(self, a, b)
+
+    def key(self, a):
+        calls["key"] += 1
+        return real_key(self, a)
+
+    def init(self, *args):
+        calls["choice_sets"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(declaring, "times", times)
+    monkeypatch.setattr(declaring, "key", key)
+    monkeypatch.setattr(ChoiceSet, "__init__", init)
+    names = ["E"] * 4 if self_join else ["R1", "R2", "R3", "R4"]
+    database = _skewed_cycle_database(names, seed=1501)
+    query = cycle_query(4, relation="E" if self_join else None)
+
+    physical = Engine(database).prepare(query, dioid=base).bind()
+
+    assert len(physical.cores) > 1 and None not in physical.cores
+    assert sum(relation.scans for relation in database) == 4
+    (tie,) = CountingTie.instances
+    assert counted["rankings"] == 1
+    assert counted["sorts"] == len(query.variables) == 4
+    assert counted["columns"] == counted["scalar"] == 0, "no lift: the rank lane"
+    assert tie.scalar_calls == tie.times_columns == tie.key_columns == 0
+    assert calls["choice_sets"] == 0
+    assert calls["key"] == 0
+    assert calls["times"] == _bag_join_products(physical) > 0
+    # ... and enumerating them needs neither.
+    before = dict(calls)
+    assert len(physical.top(50)) == 50
+    assert calls == before
+
+
+#: Containers a lowered member may hold beside its states' entries and
+#: its connectors' lists: per stage its columns, per core the uid-indexed
+#: caches and the shell's per-stage tables.  Measured 46 for two stages
+#: (CPython 3.11).
+CONTAINERS_PER_STAGE = 16
+CONTAINERS_PER_CORE = 24
+
+
+def test_a_lowered_state_keeps_one_tuple_beyond_its_row():
+    """By census, with the collector off: a member's lowering keeps one
+    tuple per alive state — its ``(base_key, rank, state)`` entry — and
+    one list per connector; no ``ChoiceSet``, no value pair, no dict or
+    list per state."""
+    database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1503)
+    query = cycle_query(4)
+    physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
+    positions = {var: slot for slot, var in enumerate(query.variables)}
+    assert len(physical.cores) > 1
+    for task, core in zip(physical.tasks, physical.cores):
+        tree = core.tdp.join_tree
+
+        def lower():
+            return lower_member(task.database, tree, physical.tie, positions, core.lane)
+
+        lower()  # warm caches
+        gc.collect()
+        gc.disable()
+        try:
+            known = {id(o) for o in gc.get_objects()}
+            known.add(id(known))
+            again = lower()
+            fresh = [o for o in gc.get_objects() if id(o) not in known]
+        finally:
+            gc.enable()
+        states = again.tdp.num_states()
+        slack = CONTAINERS_PER_CORE + CONTAINERS_PER_STAGE * again.num_stages
+        entries = [o for o in fresh if type(o) is tuple and len(o) == 3]
+        assert len(entries) == states > 0
+        assert all(type(key) is float and type(rank) is int for key, rank, _ in entries)
+        assert sum(type(o) is tuple for o in fresh) <= states + slack
+        assert sum(type(o) is list for o in fresh) <= again.num_connectors + slack
+        assert sum(type(o) is dict for o in fresh) <= slack
+        assert not any(type(o) is ChoiceSet for o in fresh)
 
 
 def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path):

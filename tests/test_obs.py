@@ -312,8 +312,49 @@ class TestEngineSpans:
             assert build.attrs["connectors"] == sum(
                 tdp.num_connectors for tdp in physical.tdps
             )
+            # Tropical keeps its lane: every member lowered, one entry
+            # per alive state.
+            assert build.attrs["lowered"] == members
+            assert build.attrs["entries"] == build.attrs["states"]
         finally:
             engine.close()
+
+    def test_union_explain_names_each_members_core(self):
+        from repro.query.builders import cycle_query
+        from repro.ranking.dioid import MaxTimesDioid
+
+        class CountingMaxTimes(MaxTimesDioid):
+            def times(self, a, b):
+                return a * b
+
+        cyclic = uniform_database(4, 60, domain_size=6, seed=11)
+        for dioid, lowered in ((None, True), (CountingMaxTimes(), False)):
+            engine = Engine(cyclic, tracer=Tracer(sample="always"))
+            try:
+                options = {} if dioid is None else {"dioid": dioid}
+                prepared = engine.prepare(cycle_query(4), **options)
+                physical = prepared.bind()
+                text = prepared.explain()
+                build = next(
+                    s for s in engine.tracer.spans() if s.name == "tdp.build"
+                )
+            finally:
+                engine.close()
+            core_lines = [line for line in text.splitlines() if "core:" in line]
+            assert len(core_lines) == len(physical.tasks) > 1
+            if lowered:
+                for line in core_lines:
+                    assert "core: lowered" in line and "entries" in line
+                    assert "lanes (a + b, key a) + packed rank" in line
+                    assert "chain layout" in line
+                assert build.attrs["lowered"] == len(physical.tasks)
+            else:
+                assert all(
+                    line.strip() == "core: object graph "
+                    "(CountingMaxTimes overrides times)"
+                    for line in core_lines
+                )
+                assert build.attrs["lowered"] == build.attrs["entries"] == 0
 
     def test_compile_span_only_where_an_object_tdp_is_lowered(self, database):
         engine = Engine(database, tracer=Tracer(sample="always"))
