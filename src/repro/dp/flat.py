@@ -66,7 +66,7 @@ from heapq import heapify as _heapify
 from typing import Any
 
 from repro.dp.graph import TDP
-from repro.ranking.dioid import SelectiveDioid
+from repro.ranking.dioid import SelectiveDioid, lane_of
 from repro.util import vec
 
 #: Connector size above which :meth:`CompiledTDP.sorted_pairs` prefers a
@@ -84,16 +84,16 @@ LANE_ID, LANE_NEG, LANE_CALL = 0, 1, 2
 def key_lane(dioid: SelectiveDioid) -> int:
     """How raw weights map into key space for this ``key_is_value`` dioid.
 
-    Tropical keys are the values themselves, max-plus keys are their
-    negation; any other (hypothetical) additive float key falls back to
-    calling ``dioid.key`` / ``dioid.value_from_key`` per element.
+    Read off the dioid's lane declaration (:func:`lane_of`): tropical
+    keys are the values themselves, max-plus keys are their negation.  A
+    dioid that keeps no lane — a subclass overriding ``times`` or
+    ``key``, any other additive float key — falls back to calling
+    ``dioid.key`` / ``dioid.value_from_key`` per element.
     """
-    probes = (1.25, -3.5, 0.0)
-    if all(dioid.key(p) == p for p in probes):
-        return LANE_ID
-    if all(dioid.key(p) == -p for p in probes):
-        return LANE_NEG
-    return LANE_CALL
+    lane, _why = lane_of(dioid)
+    if lane is None:
+        return LANE_CALL
+    return LANE_NEG if lane.negate else LANE_ID
 
 
 class _NegSeq:

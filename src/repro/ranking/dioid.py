@@ -51,7 +51,9 @@ class FloatLane(NamedTuple):
     """A dioid's ``times`` and ``key`` as native operators on numbers.
 
     ``multiply``: ``times(a, b)`` is ``a * b`` (else ``a + b``).
-    ``negate``: ``key(a)`` is ``-a`` (else ``a`` itself).
+    ``negate``: ``key(a)`` is ``-a`` (else ``a`` itself) — the one place
+    that says so: the key-space core's weight transform
+    (:func:`repro.dp.flat.key_lane`) reads it too.
     """
 
     multiply: bool

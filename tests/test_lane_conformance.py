@@ -34,6 +34,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.decomposition.cycle import decompose_cycle
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
+from repro.dp.flat import LANE_CALL, LANE_ID, LANE_NEG, key_lane
 from repro.dp.lane import LaneCore, lower_member, member_lane
 from repro.engine import Engine
 from repro.query.builders import cycle_query, star_query
@@ -283,6 +284,10 @@ def test_the_lane_is_declared_by_the_dioid_and_lost_by_an_override():
         assert member_lane(TieBreakingDioid(base, 2))[0] is lane_of(base)[0]
     lane, why = member_lane(vector_tie.TieBreakingDioid(TROPICAL, 2))
     assert lane is None and "not the packed-rank tie-breaker" in why
+    # The key-space core reads the same declaration for its weight transform.
+    assert key_lane(TROPICAL) == LANE_ID
+    assert key_lane(MAX_PLUS) == LANE_NEG
+    assert key_lane(CountingTropical()) == LANE_CALL
 
 
 @pytest.mark.parametrize(
