@@ -76,8 +76,8 @@ class Enumerator:
     #: the enumeration without probing it again).
     _finished = False
     #: The compiled generator loop driving this run, for the flat
-    #: enumerators that have one (a generator that has returned has no
-    #: frame left: it is exhausted whoever consumed it).
+    #: enumerators (a generator that has returned has no frame left: it
+    #: is exhausted whoever consumed it).
     _gen = None
 
     @property
@@ -93,9 +93,6 @@ class Enumerator:
         # ``step``/``top`` stays consistent because every consumption
         # path pulls from the same generator.
         return self if self._gen is None else self._gen
-
-    def _next_from_gen(self) -> RankedResult | None:
-        return next(self._gen, None)
 
     def __next__(self) -> RankedResult:
         result = self._next_result()
@@ -159,12 +156,15 @@ def make_enumerator(
     final sort, the paper's "Batch(No sort)" reference line).
 
     ``flat`` selects the enumeration core: ``None`` (default) uses the
-    compiled flat core (:mod:`repro.anyk.flat`) whenever the dioid
-    satisfies the ``key_is_value`` contract and transparently falls
-    back to the object-graph enumerators otherwise; ``False`` forces
-    the object-graph path (the differential-testing reference);
-    ``True`` requires the flat core and raises if the dioid does not
-    support it.  Both cores produce bit-identical ranked output.
+    compiled flat core (:mod:`repro.anyk.flat`) whenever ``tdp`` has
+    one — a lowered core's shell (a key-space plan, a lowered union
+    member) always does, an object graph when its dioid satisfies the
+    ``key_is_value`` contract (:func:`~repro.dp.flat.compile_tdp`) —
+    and transparently falls back to the object-graph enumerators
+    otherwise; ``False`` forces the object-graph path (the
+    differential-testing reference); ``True`` requires the flat core
+    and raises if there is none.  Both cores produce bit-identical
+    ranked output.
     """
     from repro.anyk.batch import Batch
     from repro.anyk.partition import AnyKPart

@@ -190,40 +190,29 @@ ALGORITHMS: dict[str, type[SuccessorStrategy]] = {
 
 # -- flat (compiled-core) views -------------------------------------------------
 #
-# The same four strategies, ported to the key-space ``(key, state)``
-# pairs of a :class:`~repro.dp.flat.CompiledTDP`.  Two deliberate
-# differences from the object views above:
+# Lazy and All, ported to the entries of a :class:`~repro.dp.flat.
+# CompiledTDP` — ``(key, state)`` pairs in key space, ``(base_key, rank,
+# state)`` triples in a :class:`~repro.dp.lane.LaneCore`.  (Take2 and
+# Eager need no view there: their ranking lists are read-only once
+# built, so the flat kernels read the core's shared lists directly.)
+# Two deliberate differences from the object views above:
 #
 # * ``entry_at`` is an *attribute* bound once at construction — for the
-#   list-backed views it is the list's C-level ``__getitem__``, so the
+#   list-backed view it is the list's C-level ``__getitem__``, so the
 #   hot loop pays no Python-level method frame per entry read;
-# * construction takes the connector's shared pair list (see
-#   ``CompiledTDP.pairs``) instead of a ``ChoiceSet``; views that
-#   reorder copy it first, exactly like the object views copy
+# * construction takes the connector's shared entry list (see
+#   ``CompiledTDP.pairs``) instead of a ``ChoiceSet``; a view that
+#   reorders copies it first, exactly like the object views copy
 #   ``conn.entries``.
 #
 # Position semantics, successor rules, and tie-breaking are identical to
-# the object views: pairs ``(key, state)`` order exactly like triples
+# the object views: flat entries order exactly like the object triples
 # ``(key, state, value)`` because ``state`` is unique per entry, which
 # is what makes the flat and object paths bit-identical.
 
 
-class FlatEagerView:
-    """Eager Sort over key-space pairs (sorted copy, successor = pos+1)."""
-
-    __slots__ = ("entries", "entry_at", "best")
-
-    def __init__(self, pairs: list[tuple]):
-        self.entries = sorted(pairs)
-        self.entry_at = self.entries.__getitem__
-        self.best = 0
-
-    def succ(self, pos: int) -> Sequence[int]:
-        return (pos + 1,) if pos + 1 < len(self.entries) else ()
-
-
 class FlatLazyView:
-    """Lazy Sort over key-space pairs (heap drained into a sorted prefix)."""
+    """Lazy Sort over flat entries (heap drained into a sorted prefix)."""
 
     __slots__ = ("lazy", "entry_at", "best")
 
@@ -236,25 +225,8 @@ class FlatLazyView:
         return (pos + 1,) if self.lazy.get(pos + 1) is not None else ()
 
 
-class FlatTake2View:
-    """Take2 over key-space pairs: one heapify, successors = heap children."""
-
-    __slots__ = ("entries", "entry_at", "best")
-
-    def __init__(self, pairs: list[tuple]):
-        import heapq
-
-        self.entries = list(pairs)  # private copy: the base list is shared
-        heapq.heapify(self.entries)
-        self.entry_at = self.entries.__getitem__
-        self.best = 0
-
-    def succ(self, pos: int) -> Sequence[int]:
-        return heap_children(pos, len(self.entries))
-
-
 class FlatAllView:
-    """All over key-space pairs: every non-top choice succeeds the top."""
+    """All over flat entries: every non-top choice succeeds the top."""
 
     __slots__ = ("entries", "entry_at", "best")
 
@@ -272,8 +244,6 @@ class FlatAllView:
 
 #: Name -> flat view class, used by :class:`repro.anyk.flat.FlatAnyKPart`.
 FLAT_VIEWS: dict[str, type] = {
-    "eager": FlatEagerView,
     "lazy": FlatLazyView,
-    "take2": FlatTake2View,
     "all": FlatAllView,
 }

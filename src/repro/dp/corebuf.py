@@ -57,7 +57,7 @@ from array import array
 from multiprocessing import shared_memory
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP, CoreShell
+from repro.dp.flat import CompiledTDP, CoreShell, lowers_to_key_space
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid
 from repro.util import faults
@@ -136,7 +136,7 @@ class SectionView:
 
 def dioid_core_name(dioid: SelectiveDioid) -> str | None:
     """The registry name a persistable dioid travels under, or ``None``."""
-    if not getattr(dioid, "key_is_value", False):
+    if not lowers_to_key_space(dioid):
         return None
     for name, registered in NAMED_DIOIDS.items():
         if registered is dioid:

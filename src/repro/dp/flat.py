@@ -1,51 +1,57 @@
-"""Compiled flat enumeration core: the T-DP as parallel key-space arrays.
+"""Compiled flat enumeration core: the T-DP as parallel arrays.
 
 Enumerating over the object-graph :class:`~repro.dp.graph.TDP` walks
 :class:`~repro.dp.graph.ChoiceSet` objects holding boxed ``(key, state,
 value)`` triples and dispatches every weight combination through
-``SelectiveDioid.times``/``key``, even though nearly all workloads rank
-by the tropical ``(min, +)`` dioid over plain floats.  A
-:class:`CompiledTDP` is the same state space as flat, cache-friendly
-parallel structures:
+``SelectiveDioid.times``/``key``.  A :class:`CompiledTDP` is the same
+state space as flat, cache-friendly parallel structures:
 
 * ``values_key`` / ``pi1_key`` — per-stage contiguous state values and
   precomputed ``pi1`` keys (plain float lists: hot random-access reads).
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
   plus ``root_uid`` for the virtual start state's branches.
-* connector entries, in one of two storages behind :meth:`CompiledTDP.
-  pairs`: per-connector ``(key, state)`` pair lists (what the direct
-  lowering emits), or a CSR pool ``entry_key`` / ``entry_state`` with
+* connector entries, state last, in one of two storages behind
+  :meth:`CompiledTDP.pairs`: per-connector entry lists (what the direct
+  lowerings emit), or a CSR pool ``entry_key`` / ``entry_state`` with
   ``conn_offsets`` slices (typed arrays from the object lowering,
-  ``memoryview`` casts over a mapped ``.core`` file) from which pair
-  lists materialise per connector on first touch.
+  ``memoryview`` casts over a mapped ``.core`` file) from which
+  ``(key, state)`` pairs materialise per connector on first touch.
 
-There are two ways to get one.  The default, for every dioid with the
-float-key contract, is :mod:`repro.dp.lower`: it lowers the join tree's
-stages *directly* into these arrays in one bottom-up pass and never
-builds an object graph; the core's ``tdp`` is then a connector-free
-:class:`CoreShell` that only serves result assembly.  The reference
-path is :func:`compile_tdp`, which lowers an already built object
-``TDP`` — used where an object graph exists anyway (``build_tdp``
-callers, the min-weight projection, tests and benchmarks comparing the
-two enumerator families over one T-DP).  Both produce the same arrays.
+Every core is a *lane core*: it declares the arithmetic the kernels of
+:mod:`repro.anyk.flat` run on it — a :class:`~repro.ranking.dioid.
+FloatLane` (``times`` as native ``+`` or ``*``, key as the value or its
+negation), its ``one``, an optional packed-rank lane, and whether the
+lane has an inverse.  There are two kinds:
 
-Everything is expressed in **key space**: a core requires
-``dioid.key_is_value`` — keys are floats and ``key`` is additive over
-``times`` (``key(a ⊗ b) == key(a) + key(b)``, exactly, by IEEE
-sign-symmetry for the tropical min/max dioids).  The flat enumerators in
-:mod:`repro.anyk.flat` then combine weights with native ``+`` and
-compare with native float ordering; the ranked output is bit-identical
-to the object-graph path because every float operation performed is the
-image (under ``key``) of the corresponding ``times`` call.  An object
-graph over a dioid without the contract (lexicographic vectors,
-tie-breaking pairs, max-times) is not compiled — :func:`compile_tdp`
-returns ``None`` and the callers keep the generic object-graph path.
-Tie-broken union members whose base dioid keeps its *lane* contract
-never become an object graph: :mod:`repro.dp.lane` lowers them to a
-:class:`~repro.dp.lane.LaneCore`, this class's layout over a base-value
-lane and a packed-rank lane, which the shell hands to ``compile_tdp``
-like any lowered core.
+* **key space** (this class): for dioids with the ``key_is_value``
+  contract (:func:`lowers_to_key_space` — tropical, max-plus), keys are
+  floats and ``key`` is additive over ``times`` (``key(a ⊗ b) ==
+  key(a) + key(b)``, exactly, by IEEE sign-symmetry), so the core holds
+  keys, its lane is ``+`` over them with ``one = 0.0``, there is no rank
+  lane (``val_rank is None``), and ``+`` has an inverse: a sibling's key
+  is ``total − entry + succ``.  Every float operation is the image
+  (under ``key``) of the object path's ``times`` call, so the ranked
+  output is bit-identical.
+* **lanes** (:class:`~repro.dp.lane.LaneCore`): a tie-broken union
+  member whose base dioid keeps its lane contract (tropical, max-plus,
+  max-times) holds base values in value space plus a packed-rank lane,
+  and has no inverse: a sibling's total is recomputed from the prefix
+  product (``fixed ⊗ open-branch minima ⊗ entry``), as the object path
+  does in monoid mode.
+
+There are two ways to get a key-space core.  The default is
+:mod:`repro.dp.lower`: it lowers the join tree's stages *directly* into
+these arrays in one bottom-up pass and never builds an object graph; the
+core's ``tdp`` is then a connector-free :class:`CoreShell` that only
+serves result assembly.  The reference path is :func:`compile_tdp`,
+which lowers an already built object ``TDP`` — used where an object
+graph exists anyway (``build_tdp`` callers, the min-weight projection,
+tests and benchmarks comparing the two enumerator families over one
+T-DP).  Both produce the same arrays.  An object graph over any other
+dioid (lexicographic vectors, tie-breaking pairs, max-times) is not
+compiled — :func:`compile_tdp` returns ``None`` and the callers keep
+the generic object-graph path.
 
 A compiled core is memoized on its ``TDP`` (``TDP._compiled``), so the
 engine's version-stamped physical-plan cache shares one ``CompiledTDP``
@@ -53,9 +59,9 @@ across all any-k algorithm variants and all serving sessions of a
 database version.  Because every array is plain key-space floats/ints,
 a core is also *persistable*: :mod:`repro.dp.corebuf` serializes the
 pools to a ``<db>.core`` file and maps them back without re-running the
-build.  Only dioids that are both ``key_is_value`` and registered in
-``NAMED_DIOIDS`` — tropical min-plus and max-plus — are persisted; the
-dioid travels by registry name, never by pickled instance.
+build.  Only key-space dioids registered in ``NAMED_DIOIDS`` — tropical
+min-plus and max-plus — are persisted; the dioid travels by registry
+name, never by pickled instance.
 """
 
 from __future__ import annotations
@@ -63,18 +69,31 @@ from __future__ import annotations
 import sys
 from array import array
 from heapq import heapify as _heapify
-from typing import Any
+from typing import Any, Callable
 
 from repro.dp.graph import TDP
-from repro.ranking.dioid import SelectiveDioid, lane_of
+from repro.ranking.dioid import FloatLane, SelectiveDioid, lane_of
 from repro.util import vec
 
 #: Connector size above which :meth:`CompiledTDP.sorted_pairs` prefers a
 #: numpy ``lexsort`` over ``sorted`` on tuples.  Both orders are
-#: identical — primary key ascending, state ascending on ties (states
-#: are unique within a connector, so the tie rule is moot but kept for
+#: identical — column by column, key first, state last (states are
+#: unique within a connector, so the last tie rule is moot but kept for
 #: symmetry with the tuple comparison).
 _VEC_SORT_MIN = 64
+
+#: The lane of every key-space core: ``times`` is ``+`` over keys.
+_KEY_SPACE = FloatLane(multiply=False, negate=False)
+
+
+def lowers_to_key_space(dioid: SelectiveDioid) -> bool:
+    """Whether plans ranked under ``dioid`` lower to a key-space core.
+
+    Exactly the dioids advertising the ``key_is_value`` contract; every
+    other dioid keeps the object graph (or, as the base of a tie-broken
+    union member, a :class:`~repro.dp.lane.LaneCore`).
+    """
+    return getattr(dioid, "key_is_value", False)
 
 
 #: Key-space transform lanes (see :func:`key_lane`).
@@ -120,6 +139,27 @@ def _value_views(dioid: SelectiveDioid, key_stages: list) -> list:
         return [_NegSeq(keys) for keys in key_stages]
     vfk = dioid.value_from_key
     return [[vfk(k) for k in keys] for keys in key_stages]
+
+
+def _sorted_entries(entries: list[tuple]) -> list[tuple]:
+    """``sorted(entries)``, through a numpy ``lexsort`` on large connectors.
+
+    Sorts on every column, key first and state last, so ``(key, state)``
+    pairs and ``(key, rank, state)`` triples alike come out in tuple
+    order.  The key column sorts as float64, the others as int64; a rank
+    too wide for int64 keeps ``sorted``.
+    """
+    np = vec.np
+    if np is None or len(entries) < _VEC_SORT_MIN:
+        return sorted(entries)
+    keys, *others = zip(*entries)
+    try:
+        columns = [np.array(keys, np.float64)]
+        columns += [np.array(column, np.int64) for column in others]
+    except OverflowError:
+        return sorted(entries)
+    order = np.lexsort(columns[::-1])
+    return list(zip(*(column[order].tolist() for column in columns)))
 
 
 def _seq_bytes(seq: Any, seen: set[int]) -> int:
@@ -179,7 +219,7 @@ class CoreShell(TDP):
 
 
 class CompiledTDP:
-    """A T-DP as flat arrays in dioid key space.
+    """A T-DP as flat arrays; as a lane core, one in dioid key space.
 
     Read-only after construction; every per-run mutable structure (heap
     orders, sorted prefixes, memoized solution lists) lives in the
@@ -188,6 +228,15 @@ class CompiledTDP:
     :class:`CoreShell`) for result assembly — witness tuples and
     variable assignments are materialised lazily from ``tuple_ids`` at
     result-construction time, never carried through candidate queues.
+
+    The lane slots say which arithmetic the kernels run (see the module
+    docstring): ``lane`` and ``one``; ``val_base`` / ``val_rank``, the
+    per-stage value lanes (here ``values_key`` and ``None``); and, for a
+    core without an inverse, ``ent_base`` / ``ent_rank`` (per-stage
+    entry values) and ``min_base`` / ``min_rank`` (per-connector least
+    entry) — ``None`` here.  ``best`` is ``(total, rank)`` of the best
+    answer.  Every total is its key, or the key negated (``lane.negate``),
+    exactly, so the kernels carry keys only.
 
     ``CompiledTDP(tdp)`` lowers an object graph; :meth:`assemble` wraps
     columns that were produced without one (:mod:`repro.dp.lower`,
@@ -200,12 +249,18 @@ class CompiledTDP:
         "pi1_key", "conn_offsets", "entry_key", "entry_state",
         "conn_stage", "child_uids", "conn_of", "conn_meta", "root_stages",
         "root_uid", "best_key", "empty", "vfk", "is_chain", "_pairs",
-        "_take2_heaps", "_sorted_pairs", "_rea_heaps",
+        "_take2_heaps", "_sorted_pairs", "_rea_heaps", "lane", "one",
+        "val_base", "val_rank", "ent_base", "ent_rank", "min_base",
+        "min_rank", "best",
     )
+
+    #: Whether ``lane`` has an inverse: a sibling's key is then derived by
+    #: subtraction (``total − entry + succ``), not from its prefix.
+    inverse = True
 
     def __init__(self, tdp: TDP):
         dioid = tdp.dioid
-        if not getattr(dioid, "key_is_value", False):
+        if not lowers_to_key_space(dioid):
             raise ValueError(
                 f"{dioid!r} does not satisfy the key_is_value contract"
             )
@@ -289,6 +344,7 @@ class CompiledTDP:
     def _fill(
         self, tdp: TDP, *, values_key, pi1_key, child_uids, conn_stage,
         root_uid, best_key, empty, pairs, caches=None, csr=None,
+        val_rank=None,
     ) -> None:
         """Set every slot from the stored columns plus derived layout.
 
@@ -299,7 +355,9 @@ class CompiledTDP:
         then built once and reused by every fragment, algorithm, and
         serving session.  ``csr`` is ``(conn_offsets, entry_key,
         entry_state)`` when the entries (also) live in a CSR pool;
-        ``pairs[uid]`` may then be ``None`` until first touched.
+        ``pairs[uid]`` may then be ``None`` until first touched.  The
+        lane slots get the key-space lane; ``val_rank`` is the rank lane
+        of a core that has one.
         """
         dioid = tdp.dioid
         self.tdp = tdp
@@ -313,9 +371,10 @@ class CompiledTDP:
         num_branches = self.num_branches = [
             len(c) for c in tdp.children_stages
         ]
-        #: Per-stage state values and pi1, as key-space floats.  Plain
-        #: lists where built in-process: read one element at a time in
-        #: the innermost loops, where list indexing (no re-boxing) wins.
+        #: Per-stage state values (the value lane: key-space floats
+        #: here, base values in a lane core) and pi1 keys.  Plain lists
+        #: where built in-process: read one element at a time in the
+        #: innermost loops, where list indexing (no re-boxing) wins.
         self.values_key = values_key
         self.pi1_key = pi1_key
         #: CSR entry pool (or ``None`` x 3): connector ``uid`` owns
@@ -341,11 +400,20 @@ class CompiledTDP:
             else child_uids[parent][branch_index[stage]::num_branches[parent]]
             for stage, parent in enumerate(parent_stage)
         ]
-        #: Per-connector hot metadata ``(branch_count, own_state_keys,
-        #: child_uid_row, stage)`` — one list index + unpack replaces
-        #: four attribute/index chains in Recursive's ``_ensure``.
+        self.lane = _KEY_SPACE
+        self.one = 0.0
+        self.val_base = values_key
+        self.val_rank = val_rank
+        self.ent_base = self.ent_rank = self.min_base = self.min_rank = None
+        self.best = None if empty else (best_key, 0)
+        #: Per-connector hot metadata ``(branch_count, own_values,
+        #: own_ranks, child_uid_row, stage)`` — one list index + unpack
+        #: replaces five attribute/index chains in Recursive's ``ensure``.
         per_stage = [
-            (num_branches[s], values_key[s], child_uids[s], s)
+            (
+                num_branches[s], values_key[s],
+                None if val_rank is None else val_rank[s], child_uids[s], s,
+            )
             for s in range(num_stages)
         ]
         self.conn_meta = [
@@ -370,7 +438,7 @@ class CompiledTDP:
             if type(dioid).value_from_key is SelectiveDioid.value_from_key
             else dioid.value_from_key
         )
-        #: Shared ``(key, state)`` pair lists per connector — the flat
+        #: Shared entry lists per connector, state last — the flat
         #: analogue of ``ChoiceSet.entries`` (unsorted, read-only;
         #: strategies copy before heapify/sort).
         self._pairs = pairs
@@ -383,18 +451,18 @@ class CompiledTDP:
         #   (that is the whole point of Take2), so one array serves all
         #   runs where the object path re-heapifies per run;
         # * Eager's sorted entry lists — never mutated after sorting;
-        # * Recursive's initial candidate heaps ``[(key, state, 0)]`` —
-        #   runs *do* pop/push these, so :meth:`rea_heap` hands out a
-        #   C-level copy of the heapified template (the triples inside
-        #   are immutable and stay shared).
+        # * Recursive's initial candidate heaps — runs *do* pop/push
+        #   these, so :meth:`rea_heap` hands out a C-level copy of the
+        #   heapified template (the tuples inside are immutable and stay
+        #   shared).
         self._take2_heaps, self._sorted_pairs, self._rea_heaps = caches or (
             [None] * uid_space, [None] * uid_space, [None] * uid_space
         )
 
     # -- accessors -----------------------------------------------------------
 
-    def pairs(self, uid: int) -> list[tuple[float, int]]:
-        """The unsorted ``(key, state)`` entry pairs of connector ``uid``.
+    def pairs(self, uid: int) -> list[tuple]:
+        """The unsorted entries of connector ``uid``, state last.
 
         Shared by all enumerator runs (and algorithms).  Callers must
         not mutate the returned list — copy first (as the ``sorted`` /
@@ -410,7 +478,7 @@ class CompiledTDP:
             )
         return entries
 
-    def take2_heap(self, uid: int) -> list[tuple[float, int]]:
+    def take2_heap(self, uid: int) -> list[tuple]:
         """Connector ``uid``'s entries in static heap order (shared).
 
         Built by one ``heapify`` on first access; read-only afterwards
@@ -426,41 +494,55 @@ class CompiledTDP:
             self._take2_heaps[uid] = heap
         return heap
 
-    def sorted_pairs(self, uid: int) -> list[tuple[float, int]]:
+    def sorted_pairs(self, uid: int) -> list[tuple]:
         """Connector ``uid``'s entries fully sorted (shared, read-only)."""
         entries = self._sorted_pairs[uid]
         if entries is None:
-            pairs = self.pairs(uid)
-            np = vec.np
-            if np is not None and len(pairs) >= _VEC_SORT_MIN:
-                n = len(pairs)
-                keys = np.fromiter((p[0] for p in pairs), np.float64, n)
-                states = np.fromiter((p[1] for p in pairs), np.int64, n)
-                order = np.lexsort((states, keys))
-                entries = list(
-                    zip(keys[order].tolist(), states[order].tolist())
-                )
-            else:
-                entries = sorted(pairs)
-            self._sorted_pairs[uid] = entries
+            entries = self._sorted_pairs[uid] = _sorted_entries(self.pairs(uid))
         return entries
 
-    def rea_heap(self, uid: int) -> list[tuple[float, int, int]]:
-        """A fresh Recursive candidate heap ``[(key, state, 0), ...]``.
+    def rea_heap(self, uid: int) -> list[tuple]:
+        """A fresh Recursive candidate heap ``[(key, rank, state, 0), ...]``.
 
-        Returns a per-call copy of a lazily built heapified template:
-        the caller mutates its copy freely while the immutable triples
-        stay shared, and repeated runs skip both the triple allocation
-        and the ``heapify``.
+        The rank is 0 where the core has no rank lane.  Returns a
+        per-call copy of a lazily built heapified template: the caller
+        mutates its copy freely while the immutable tuples stay shared,
+        and repeated runs skip both the tuple allocation and the
+        ``heapify``.
         """
         template = self._rea_heaps[uid]
         if template is None:
-            template = [
-                (key, state, 0) for key, state in self.pairs(uid)
-            ]
+            if self.val_rank is None:
+                template = [(key, 0, state, 0) for key, state in self.pairs(uid)]
+            else:
+                template = [entry + (0,) for entry in self.pairs(uid)]
             _heapify(template)
             self._rea_heaps[uid] = template
         return list(template)
+
+    def emitter(self, emits: tuple) -> Callable:
+        """``emit(key, rank, states)``: one answer of class ``emits[0]``.
+
+        What the kernels call per answer: the result is allocated as
+        ``emits[0]`` and gets ``emits[1]`` as its decoder; here its key
+        is ``key`` and its weight the key's dioid value (``rank`` is 0).
+        A closure over the result class, decoder and key map only, so a
+        kernel generator that holds it holds nothing that holds the
+        generator: a dropped run is freed by reference counting.
+        """
+        result_cls, decoder = emits
+        new_result = result_cls.__new__
+        vfk = self.vfk
+
+        def emit(key, rank: int, states: tuple[int, ...]):
+            res = new_result(result_cls)
+            res.weight = key if vfk is None else vfk(key)
+            res.key = key
+            res.states = states
+            res.decoder = decoder
+            return res
+
+        return emit
 
     def conn_size(self, uid: int) -> int:
         """Number of entries of connector ``uid`` (either storage)."""
@@ -509,7 +591,8 @@ class CompiledTDP:
             "values_key", "pi1_key", "conn_offsets", "entry_key",
             "entry_state", "conn_stage", "child_uids", "conn_of",
             "root_stages", "_pairs", "_take2_heaps", "_sorted_pairs",
-            "_rea_heaps",
+            "_rea_heaps", "val_rank", "ent_base", "ent_rank", "min_base",
+            "min_rank",
         ):
             total += _seq_bytes(getattr(self, name), seen)
         return total
@@ -524,8 +607,8 @@ class CompiledTDP:
 def compile_tdp(tdp: TDP) -> CompiledTDP | None:
     """Lower ``tdp`` to a :class:`CompiledTDP`, or ``None`` if unsupported.
 
-    Supported exactly when the dioid advertises ``key_is_value`` (see
-    the module docstring for the contract).  The result — including the
+    Supported exactly when :func:`lowers_to_key_space` (see the module
+    docstring for the contract).  The result — including the
     negative answer — is memoized on the ``TDP``, so repeated calls from
     concurrent enumerator constructions cost one attribute read.  The
     memo write is a benign race: two threads may both compile, either
@@ -534,7 +617,7 @@ def compile_tdp(tdp: TDP) -> CompiledTDP | None:
     compiled = tdp._compiled
     if compiled is not None:
         return compiled or None  # ``False`` memoizes "unsupported"
-    if not getattr(tdp.dioid, "key_is_value", False):
+    if not lowers_to_key_space(tdp.dioid):
         tdp._compiled = False
         return None
     compiled = CompiledTDP(tdp)

@@ -24,9 +24,9 @@ The arithmetic runs in value space — one operator application for each
 keyed afterwards, so every bit (a signed zero included) and every type
 (an ``int`` weight stays an ``int`` until it meets ``one``) is the object
 path's.  A state keeps one tuple beyond its row, its entry; no
-``ChoiceSet``, no value tuple, no ``times`` or ``key`` call.  The lane
-kernels of :mod:`repro.anyk.flat` enumerate the result with the same
-fold discipline, so they rank, tie-break and count exactly as
+``ChoiceSet``, no value tuple, no ``times`` or ``key`` call.  The kernels
+of :mod:`repro.anyk.flat` run this core's lane with the same fold
+discipline, so they rank, tie-break and count exactly as
 :mod:`repro.anyk.partition`, ``recursive`` and ``batch`` do over the
 object graph (``tests/test_lane_conformance.py``).
 
@@ -36,13 +36,13 @@ alone (:func:`member_lane`): no flag.
 
 from __future__ import annotations
 
-from heapq import heapify
 from itertools import chain, count, repeat
 from operator import add, itemgetter, mul, neg
+from typing import Callable
 
 from repro.data.database import Database
 from repro.dp.builder import alive_rows, owned_columns, packed_ranks
-from repro.dp.flat import CompiledTDP, CoreShell, _seq_bytes
+from repro.dp.flat import CompiledTDP, CoreShell
 from repro.dp.lower import join_key_column, stage_layout
 from repro.query.jointree import JoinTree
 from repro.ranking.dioid import FloatLane, SelectiveDioid, TieBreakingDioid, lane_of
@@ -74,18 +74,16 @@ class _PairSeq:
 class LaneCore(CompiledTDP):
     """A tie-broken member as two lanes (see the module docstring).
 
-    The layout slots — adjacency, ``conn_of``, the uid-indexed pair lists
-    and ranking caches, ``is_chain`` — are :class:`CompiledTDP`'s; what
-    it calls ``values_key`` is the base-value lane here, read only for
-    the state count.  Entries are triples, so the shared caches hold
-    triples too, and a Recursive heap template is ``(base_key, rank,
-    state, 0, entry_base)``.
+    A :class:`CompiledTDP` whose lane slots hold the base dioid's lane
+    and ``one``, the base-value and packed-rank lanes (``val_base`` is
+    also its ``values_key``), the entry lanes and each connector's least
+    entry.  The lane has no inverse.  Entries are ``(base_key, rank,
+    state)`` triples, so the shared caches hold triples too.
     """
 
-    __slots__ = (
-        "lane", "one", "val_base", "val_rank", "ent_base", "ent_rank",
-        "min_base", "min_rank", "best", "lane_meta",
-    )
+    __slots__ = ()
+
+    inverse = False
 
     @classmethod
     def assemble_lanes(
@@ -99,26 +97,15 @@ class LaneCore(CompiledTDP):
         self._fill(
             shell, values_key=val_base, pi1_key=None, child_uids=child_uids,
             conn_stage=conn_stage, root_uid=root_uid, best_key=best_key,
-            empty=empty, pairs=pairs,
+            empty=empty, pairs=pairs, val_rank=val_rank,
         )
         self.lane = lane
         self.one = one
-        self.val_base = val_base
-        self.val_rank = val_rank
         self.ent_base = ent_base
         self.ent_rank = ent_rank
-        #: Per connector uid: the two lanes of its least entry's value.
         self.min_base = min_base
         self.min_rank = min_rank
-        #: ``(base, rank)`` of the best solution (``None`` when empty).
         self.best = best
-        #: Per connector: ``(branch_count, own_base, own_rank,
-        #: child_uid_row, stage)`` — Recursive's ``_ensure`` unpacks it.
-        per_stage = [
-            (self.num_branches[s], val_base[s], val_rank[s], child_uids[s], s)
-            for s in range(self.num_stages)
-        ]
-        self.lane_meta = [None if s < 0 else per_stage[s] for s in conn_stage]
         shell.values = list(map(_PairSeq, val_base, val_rank))
         shell.num_connectors = self.num_connectors
         shell.best_weight = shell.dioid.zero if empty else best
@@ -126,33 +113,26 @@ class LaneCore(CompiledTDP):
         shell._compiled = self
         return self
 
-    def sorted_pairs(self, uid: int) -> list[tuple]:
-        """Connector ``uid``'s triples fully sorted (shared, read-only)."""
-        entries = self._sorted_pairs[uid]
-        if entries is None:
-            entries = self._sorted_pairs[uid] = sorted(self.pairs(uid))
-        return entries
+    def emitter(self, emits: tuple) -> Callable:
+        """``emit(key, rank, states)``: an answer keyed ``(key, rank)``.
 
-    def rea_heap(self, uid: int) -> list[tuple]:
-        """A fresh Recursive heap ``[(base_key, rank, state, 0, entry_base)]``."""
-        template = self._rea_heaps[uid]
-        if template is None:
-            entry_base = self.ent_base[self.conn_stage[uid]]
-            template = [
-                (key, rank, state, 0, entry_base[state])
-                for key, rank, state in self.pairs(uid)
-            ]
-            heapify(template)
-            self._rea_heaps[uid] = template
-        return list(template)
+        Its weight is ``(base, rank)``, the base value the key's
+        negation or the key itself — exactly, as keying negated it; see
+        :meth:`CompiledTDP.emitter`.
+        """
+        result_cls, decoder = emits
+        new_result = result_cls.__new__
+        negate = self.lane.negate
 
-    def memory_bytes(self, seen: set[int] | None = None) -> int:
-        if seen is None:
-            seen = set()
-        total = super().memory_bytes(seen)
-        for name in ("val_rank", "ent_base", "ent_rank", "min_base", "min_rank"):
-            total += _seq_bytes(getattr(self, name), seen)
-        return total
+        def emit(key, rank: int, states: tuple[int, ...]):
+            res = new_result(result_cls)
+            res.weight = (-key if negate else key, rank)
+            res.key = (key, rank)
+            res.states = states
+            res.decoder = decoder
+            return res
+
+        return emit
 
 
 def lower_member(

@@ -43,7 +43,7 @@ from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
-from repro.dp.flat import compile_tdp
+from repro.dp.flat import compile_tdp, lowers_to_key_space
 from repro.dp.lane import LaneCore, lower_member, member_lane
 from repro.dp.lower import lower_query
 from repro.enumeration.result import QueryResult
@@ -429,7 +429,7 @@ class UnionPhysical(PhysicalPlan):
     contract (:func:`repro.dp.lane.member_lane`, decided once from the
     dioid): ``tdps[i]`` is then the shell of a
     :class:`~repro.dp.lane.LaneCore` (``cores[i]``) and the member runs
-    the lane kernels of :mod:`repro.anyk.flat`; otherwise it is the
+    the flat kernels of :mod:`repro.anyk.flat` over it; otherwise it is the
     object graph of ``build_tdp`` (``cores[i]`` is ``None``, the reason
     in :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
     yields pair-valued results, ``(base, rank)``.
@@ -724,7 +724,7 @@ def _bind(
                 core_cache=core_cache,
                 tracer=tracer,
             )
-        if not getattr(logical.dioid, "key_is_value", False):
+        if not lowers_to_key_space(logical.dioid):
             # No float-key contract: the object graph is the T-DP.
             with tracer.span("tdp.build") as span:
                 tdp = build_tdp(database, logical.join_tree, dioid=logical.dioid)
@@ -775,9 +775,7 @@ def _bind(
     if strategy == FREE_CONNEX_MINWEIGHT:
         with tracer.span("tdp.build", projection="min_weight"):
             physical = MinWeightPhysical(logical, database)
-        if physical.tdp is not None and getattr(
-            logical.dioid, "key_is_value", False
-        ):
+        if physical.tdp is not None and lowers_to_key_space(logical.dioid):
             with tracer.span("tdp.compile") as span:
                 compiled = compile_tdp(physical.tdp)
                 span.set(entries=compiled.stats()["entries"])

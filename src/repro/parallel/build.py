@@ -44,7 +44,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import LazyRows, ShmPool, pack_worker_lower, unpack_worker_lower
-from repro.dp.flat import CompiledTDP
+from repro.dp.flat import CompiledTDP, lowers_to_key_space
 from repro.dp.graph import TDP
 from repro.dp.lower import (
     StageScan,
@@ -617,7 +617,7 @@ class ParallelPreprocessor:
 
     def build(self) -> PreprocessResult:
         flat_path = (
-            getattr(self.logical.dioid, "key_is_value", False)
+            lowers_to_key_space(self.logical.dioid)
             and self.shard_plan.spec.tie_break == "arrival"
         )
         return self._build_flat() if flat_path else self._build_object()

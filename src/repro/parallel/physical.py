@@ -17,6 +17,7 @@ from typing import Iterator
 
 from repro.data.database import Database
 from repro.dp.corebuf import core_key
+from repro.dp.flat import lowers_to_key_space
 from repro.engine.plan import (
     DecodedResults,
     LogicalPlan,
@@ -208,7 +209,7 @@ def bind_sharded(
     """
     spec = logical.shard
     flat_path = (
-        getattr(logical.dioid, "key_is_value", False)
+        lowers_to_key_space(logical.dioid)
         and spec.tie_break == "arrival"
     )
     sharder = Sharder(database, indexes)

@@ -2,7 +2,7 @@
 
 :func:`repro.dp.lane.lower_member` lowers a tie-broken member straight to
 a two-lane :class:`~repro.dp.lane.LaneCore` and :mod:`repro.anyk.flat`'s
-lane kernels enumerate it.  The object path — ``build_tdp`` under
+kernels enumerate it.  The object path — ``build_tdp`` under
 :class:`~repro.ranking.dioid.TieBreakingDioid` and the enumerators of
 ``anyk/partition.py``, ``recursive.py`` and ``batch.py`` — is the oracle:
 
@@ -31,13 +31,15 @@ import pytest
 
 from repro.anyk.base import make_enumerator
 from repro.data.database import Database
+from repro.data.generators import uniform_database
 from repro.data.relation import Relation
 from repro.decomposition.cycle import decompose_cycle
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.flat import LANE_CALL, LANE_ID, LANE_NEG, key_lane
 from repro.dp.lane import LaneCore, lower_member, member_lane
+from repro.dp.lower import lower_query
 from repro.engine import Engine
-from repro.query.builders import cycle_query, star_query
+from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
 from repro.ranking.dioid import (
@@ -246,6 +248,58 @@ def test_a_run_that_is_dropped_is_freed_by_reference_counting():
             assert gone() is None, variant
         finally:
             gc.enable()
+
+
+def key_space_shell(shape: str):
+    """A directly lowered tropical 4-path or 4-star: a key-space core's shell."""
+    database = uniform_database(4, 40, domain_size=8, seed=2520)
+    query = path_query(4) if shape == "path" else star_query(4)
+    return lower_query(database, build_join_tree(query), TROPICAL).tdp
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("core", ["key_path", "key_star", "lane_chain", "lane_star"])
+def test_every_kernel_frees_a_dropped_run_without_the_cycle_collector(core, variant):
+    """The run holds its candidate heap or memo: dropping the enumerator
+    and its iterator must free it at once, on either kind of core and
+    either tree shape (a tree's Recursive keeps ranked products)."""
+    import gc
+    import weakref
+
+    if core.startswith("key"):
+        shell = key_space_shell(core[4:])
+    else:
+        shell = member_pair(
+            "light_chain" if core == "lane_chain" else "star", "floats", "max_times"
+        )[0].tdp
+    gc.collect()
+    gc.disable()
+    try:
+        enumerator = make_enumerator(shell, variant)
+        results = iter(enumerator)
+        next(results)
+        gone = weakref.ref(enumerator)
+        del enumerator, results
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("base_name", list(BASES))
+def test_eager_over_a_wide_connector_sorts_every_entry_column(base_name):
+    """From 64 entries up a connector's sorted list comes from numpy's
+    ``lexsort`` where numpy is present: key, rank and state columns must
+    all survive it, in ``sorted``'s order, for Eager to rank as the
+    object path does."""
+    core, tdp = member_pair("heavy_fan", "ties", base_name)
+    wide = [uid for uid in range(core.num_connectors) if core.conn_size(uid) >= 64]
+    assert wide
+    for uid in wide:
+        assert canon(core.sorted_pairs(uid)) == canon(sorted(core.pairs(uid)))
+    lane_counter, object_counter = OpCounter(), OpCounter()
+    assert ranked(make_enumerator(core.tdp, "eager", lane_counter), lane_counter) == ranked(
+        make_enumerator(tdp, "eager", object_counter), object_counter
+    )
 
 
 def test_an_exhausted_generator_run_says_so_however_it_was_read():
