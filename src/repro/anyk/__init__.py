@@ -18,8 +18,8 @@ and the :class:`repro.anyk.union.UnionEnumerator` for UT-DP problems.
 Each family also has a *flat* port (:mod:`repro.anyk.flat`) whose inner
 loops index into the compiled :class:`~repro.dp.flat.CompiledTDP`
 arrays with native float arithmetic; :func:`make_enumerator` dispatches
-to it automatically when the ranking dioid supports key-space
-compilation, with bit-identical ranked output.
+to it automatically when the ranking dioid has a lane, with
+bit-identical ranked output.
 """
 
 from repro.anyk.base import Enumerator, RankedResult, make_enumerator

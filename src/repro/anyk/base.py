@@ -5,7 +5,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Iterator
 
+from repro.dp.flat import compile_tdp
 from repro.dp.graph import TDP
+from repro.ranking.dioid import lane_of
 
 
 class RankedResult:
@@ -157,14 +159,14 @@ def make_enumerator(
 
     ``flat`` selects the enumeration core: ``None`` (default) uses the
     compiled flat core (:mod:`repro.anyk.flat`) whenever ``tdp`` has
-    one — a lowered core's shell (a key-space plan, a lowered union
-    member) always does, an object graph when its dioid satisfies the
-    ``key_is_value`` contract (:func:`~repro.dp.flat.compile_tdp`) —
-    and transparently falls back to the object-graph enumerators
-    otherwise; ``False`` forces the object-graph path (the
-    differential-testing reference); ``True`` requires the flat core
-    and raises if there is none.  Both cores produce bit-identical
-    ranked output.
+    one — a lowered core's shell (an acyclic plan, a shard fragment, a
+    lowered union member) always does, an object graph when its dioid
+    has a lane (:func:`~repro.ranking.dioid.lane_of`,
+    :func:`~repro.dp.flat.compile_tdp`) — and transparently falls back
+    to the object-graph enumerators otherwise; ``False`` forces the
+    object-graph path (the differential-testing reference); ``True``
+    requires the flat core and raises with ``lane_of``'s reason if
+    there is none.  Both cores produce bit-identical ranked output.
     """
     from repro.anyk.batch import Batch
     from repro.anyk.partition import AnyKPart
@@ -174,16 +176,12 @@ def make_enumerator(
     name = algorithm.lower()
     if flat is None or flat:
         from repro.anyk.flat import make_flat_enumerator
-        from repro.dp.flat import compile_tdp
 
         compiled = compile_tdp(tdp)
         if compiled is not None:
             return make_flat_enumerator(compiled, name, counter=counter)
         if flat:
-            raise ValueError(
-                f"{tdp.dioid!r} does not support the compiled flat core "
-                "(no key_is_value contract)"
-            )
+            raise ValueError(f"no compiled flat core: {lane_of(tdp.dioid)[1]}")
     if name in ALGORITHMS:
         return AnyKPart(tdp, strategy=ALGORITHMS[name](), counter=counter)
     if name == "recursive":

@@ -7,14 +7,15 @@ walking ``ChoiceSet`` object graphs.  One class per algorithm runs over
 every compiled core, and the core says which arithmetic to run:
 
 * weights combine by the core's lane — native ``+`` or ``*`` from the
-  core's ``one``, plus a packed-rank ``int`` lane where the core has one
-  (a tie-broken union member's :class:`~repro.dp.lane.LaneCore`) — and
-  are keyed by negating or not: no ``SelectiveDioid.times``/``key``
-  dispatch anywhere on the hot path;
-* a sibling candidate's total comes, as Section 6.2 allows, either from
-  the lane's inverse — ``total − entry + succ``, in a key-space core,
-  whose lane is ``+`` over keys — or, where the lane has none, from the
-  fixed prefix: ``fixed ⊗ open-branch minima ⊗ entry``, ``fixed`` the
+  core's ``one``, plus a packed-rank ``int`` lane where the core has no
+  inverse (a tie-broken union member's :class:`~repro.dp.flat.LaneCore`
+  ranks there; elsewhere every rank is 0) — and are keyed by negating
+  or not: no ``SelectiveDioid.times``/``key`` dispatch anywhere on the
+  hot path;
+* a sibling candidate's key comes, as Section 6.2 allows, either from
+  the lane's inverse — ``total − entry + succ`` over the entry keys —
+  or, where the lane has none, from the fixed prefix's total:
+  ``fixed ⊗ open-branch minima ⊗ entry``, ``fixed`` the
   product of the popped candidate's prefix values folded from ``one``
   back to front, as :class:`~repro.anyk.partition.AnyKPart` folds it in
   monoid mode, then extended stage by stage;
@@ -863,10 +864,12 @@ class FlatBatch(FlatEnumerator):
         Each level replaces every live prefix by its child entries in
         pool order, preserving prefix order — which reproduces the
         scalar backtracker's DFS preorder exactly.  The per-solution
-        key is grown by the same left fold ``acc + values_key[level]
-        [state]`` the scalar path uses, so keys are bit-identical; all
+        total is grown by the same left fold from ``one``, ``acc ⊗
+        val_base[level][state]`` under the core's lane, that the scalar
+        path uses, and keyed at the end, so keys are bit-identical; all
         outputs convert to native Python scalars before leaving.  (Only
-        a key-space core has a CSR pool: every rank is 0.)
+        a core lowered from an object graph or mapped from a file has a
+        CSR pool, never a tie-broken one: every rank is 0.)
         """
         compiled = self.compiled
         num_stages = compiled.num_stages
@@ -874,15 +877,15 @@ class FlatBatch(FlatEnumerator):
         root_uid = compiled.root_uid
         offsets = np.asarray(compiled.conn_offsets)
         entry_state = np.asarray(compiled.entry_state)
-        values_key = [
-            np.asarray(v, dtype=np.float64) for v in compiled.values_key
-        ]
+        values = [np.asarray(v, dtype=np.float64) for v in compiled.val_base]
+        multiply, negate = compiled.lane
 
         uid0 = root_uid[0]
         lo = compiled.conn_offsets[uid0]
         hi = compiled.conn_offsets[uid0 + 1]
         states0 = entry_state[lo:hi]
-        acc = 0.0 + values_key[0][states0]
+        first, one = values[0][states0], compiled.one
+        acc = one * first if multiply else one + first
         paths = states0.reshape(-1, 1)
         for level in range(1, num_stages):
             if not len(acc):
@@ -904,11 +907,12 @@ class FlatBatch(FlatEnumerator):
             cum = np.cumsum(counts) - counts
             idx = np.arange(total) - cum[rep] + starts[rep]
             child_states = entry_state[idx]
-            acc = acc[rep] + values_key[level][child_states]
+            child_values = values[level][child_states]
+            acc = acc[rep] * child_values if multiply else acc[rep] + child_values
             paths = np.concatenate(
                 [paths[rep], child_states.reshape(-1, 1)], axis=1
             )
-        keys = acc.tolist()
+        keys = (-acc if negate else acc).tolist()
         rows = paths.tolist()
         return [(key, 0, tuple(states)) for key, states in zip(keys, rows)]
 

@@ -191,8 +191,8 @@ ALGORITHMS: dict[str, type[SuccessorStrategy]] = {
 # -- flat (compiled-core) views -------------------------------------------------
 #
 # Lazy and All, ported to the entries of a :class:`~repro.dp.flat.
-# CompiledTDP` — ``(key, state)`` pairs in key space, ``(base_key, rank,
-# state)`` triples in a :class:`~repro.dp.lane.LaneCore`.  (Take2 and
+# CompiledTDP` — ``(key, state)`` pairs where the lane has an inverse,
+# ``(key, rank, state)`` triples where it has none.  (Take2 and
 # Eager need no view there: their ranking lists are read-only once
 # built, so the flat kernels read the core's shared lists directly.)
 # Two deliberate differences from the object views above:

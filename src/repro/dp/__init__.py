@@ -9,12 +9,12 @@ O(l*n) size and *sharing* all ranking data structures between parent
 states with the same join value.
 
 Enumeration runs over the flat :class:`repro.dp.flat.CompiledTDP`
-arrays whenever the ranking dioid supports key-space arithmetic.  The
-engine gets them in one bottom-up pass straight from the relations
-(:mod:`repro.dp.lower`, no object graph); :func:`compile_tdp` lowers an
-object ``TDP`` that was built anyway.  See :mod:`repro.dp.flat`.  The
-tie-broken members of a cyclic plan are lowered the same way to two
-lanes, base value and packed rank (:mod:`repro.dp.lane`).
+arrays whenever the ranking dioid has a lane (``lane_of``).  The engine
+gets them in one bottom-up pass straight from the relations
+(:mod:`repro.dp.lower`, no object graph) — acyclic plans, shard
+fragments, and the tie-broken members of a cyclic plan, which carry a
+packed-rank column besides; :func:`compile_tdp` lowers an object
+``TDP`` that was built anyway.  See :mod:`repro.dp.flat`.
 """
 
 from repro.dp.builder import build_tdp, build_tdp_for_query

@@ -47,12 +47,18 @@ emitted value with the row-at-a-time loop this sweep replaced, kept as
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import add, and_, is_not, itemgetter
+from operator import and_, is_not, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.data.database import Database
 from repro.dp.graph import ChoiceSet, TDP
-from repro.dp.lower import join_key_column, stage_columns, stage_layout
+from repro.dp.lower import (
+    join_key_column,
+    owned_columns,
+    packed_ranks,
+    stage_columns,
+    stage_layout,
+)
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
@@ -67,30 +73,6 @@ WeightLift = Callable[[Any, tuple, Any], Any]
 def default_lift(_atom, _values, raw_weight):
     """Identity lift: relation weights already live in the dioid domain."""
     return raw_weight
-
-
-def owned_columns(
-    join_tree: JoinTree, var_position: dict[str, int]
-) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Per atom, ``(column, slot)`` of each ranked variable its stage *owns*.
-
-    A variable is owned by the first stage in serialised order whose
-    atom contains it — by the running intersection property the top of
-    the subtree that holds it — and read from its first column there.
-    Variables absent from ``var_position`` are not ranked.
-    """
-    atoms = join_tree.query.atoms
-    owned: dict[int, tuple[tuple[int, int], ...]] = {}
-    seen: set[str] = set()
-    for atom_idx in join_tree.order:
-        template = []
-        for column, var in enumerate(atoms[atom_idx].variables):
-            if var not in seen:
-                seen.add(var)
-                if var in var_position:
-                    template.append((column, var_position[var]))
-        owned[atom_idx] = tuple(template)
-    return owned
 
 
 def rank_tie_domains(
@@ -115,19 +97,6 @@ def rank_tie_domains(
                 for column, slot in template:
                     domains[slot].update(map(itemgetter(column), rows))
     tie.rank_domains(domains)
-
-
-def packed_ranks(ranks: Sequence[dict], template, rows) -> Iterable[int] | None:
-    """Each row's packed rank over the owned ``template``, or ``None``.
-
-    ``ranks`` is :attr:`TieBreakingDioid.ranks`; one table lookup pass
-    per owned column, summed lazily (``None``: the stage owns nothing).
-    """
-    packed = None
-    for column, slot in template:
-        lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
-        packed = lane if packed is None else map(add, packed, lane)
-    return packed
 
 
 def make_tie_lift(

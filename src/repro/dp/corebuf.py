@@ -1,7 +1,7 @@
 """Zero-copy compiled-core buffers: shared memory, mmap persistence.
 
 A :class:`~repro.dp.flat.CompiledTDP` is, deliberately, a bundle of flat
-key-space arrays (see that module's docstring) — the direct lowering of
+arrays (see that module's docstring) — the direct lowering of
 :mod:`repro.dp.lower` produces nothing else.  This module gives those
 arrays a zero-copy lifecycle:
 
@@ -28,11 +28,14 @@ arrays a zero-copy lifecycle:
   version mismatch reads as a miss and the rebuild rewrites the entry
   (atomic temp-file + ``os.replace``).
 
-Only dioids that are both ``key_is_value`` and registered in
-``NAMED_DIOIDS`` (tropical min-plus, max-plus) are persistable: the
-arrays are meaningful only in an additive float key space, and the dioid
-must travel by registry name — ``id()`` and pickled instances are not
-stable across processes.
+Only dioids registered in ``NAMED_DIOIDS`` whose lane has an inverse
+(tropical min-plus, max-plus) are persistable: their cores are the
+state and ``pi1`` value columns, the child uids and the keyed ``(key,
+state)`` entries, nothing more (a core without an inverse also holds
+entry values, least entries and ranks, which no section stores), and
+the dioid must travel by registry name — ``id()`` and pickled instances
+are not stable across processes.  The ``vk`` / ``pk`` sections hold
+*values* under the dioid's lane (a max-plus weight, not its negation).
 
 A ``.core`` entry is always the fragment cores of one plan
 (:func:`export_fragments` / :func:`load_fragments`): a sharded plan
@@ -57,9 +60,9 @@ from array import array
 from multiprocessing import shared_memory
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP, CoreShell, lowers_to_key_space
+from repro.dp.flat import CompiledTDP, CoreShell
 from repro.obs.metrics import Counter
-from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid
+from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid, lane_of
 from repro.util import faults
 from repro.util.resilience import Retrier
 
@@ -78,7 +81,7 @@ _CORE_RETRIER = Retrier(
 #: ``<db>.core`` container magic + format version.  Bump the version on
 #: any layout change: readers treat unknown versions as a cache miss.
 CORE_MAGIC = b"RPROCORE"
-CORE_FORMAT = 2
+CORE_FORMAT = 3
 
 _ALIGN = 8
 _HEADER = struct.Struct("<8sII")  # magic, format, TOC length
@@ -136,7 +139,7 @@ class SectionView:
 
 def dioid_core_name(dioid: SelectiveDioid) -> str | None:
     """The registry name a persistable dioid travels under, or ``None``."""
-    if not lowers_to_key_space(dioid):
+    if lane_of(dioid)[0] is None or not dioid.has_inverse:
         return None
     for name, registered in NAMED_DIOIDS.items():
         if registered is dioid:
@@ -147,8 +150,8 @@ def dioid_core_name(dioid: SelectiveDioid) -> str | None:
 def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | None:
     """A stable cache key for one (query, dioid, shard spec) plan.
 
-    ``None`` when the plan is not persistable (unregistered or
-    non-``key_is_value`` dioid).  The query contributes its canonical
+    ``None`` when the plan is not persistable (an unregistered dioid, or
+    one whose lane has no inverse).  The query contributes its canonical
     fingerprint (PYTHONHASHSEED-independent), the shard spec its
     ``cache_key()`` tuple of primitives.
     """
@@ -232,18 +235,18 @@ def export_fragments(
     for stage in range(num_stages):
         if stage == anchor_stage:
             continue
-        writer.add(f"vk{stage}", "d", first.values_key[stage])
-        writer.add(f"pk{stage}", "d", first.pi1_key[stage])
+        writer.add(f"vk{stage}", "d", first.val_base[stage])
+        writer.add(f"pk{stage}", "d", first.pi1[stage])
         writer.add(f"cu{stage}", "q", first.child_uids[stage])
         writer.add(f"ids{stage}", "q", first.tdp.tuple_ids[stage])
     fragments_meta = []
     for index, core in enumerate(fragment_cores):
-        writer.add(f"f{index}.vk", "d", core.values_key[anchor_stage])
-        writer.add(f"f{index}.pk", "d", core.pi1_key[anchor_stage])
+        writer.add(f"f{index}.vk", "d", core.val_base[anchor_stage])
+        writer.add(f"f{index}.pk", "d", core.pi1[anchor_stage])
         writer.add(f"f{index}.cu", "q", core.child_uids[anchor_stage])
         writer.add(f"f{index}.ids", "q", core.tdp.tuple_ids[anchor_stage])
         fragments_meta.append(
-            {"best_key": core.best_key, "empty": core.empty}
+            {"best": core.best[0], "empty": core.empty}
         )
     meta = {
         "kind": "fragments",
@@ -281,6 +284,7 @@ def load_fragments(
     the backend (:class:`LazyRows`).
     """
     dioid = NAMED_DIOIDS[meta["dioid"]]
+    lane = lane_of(dioid)[0]
     sections = SectionView(buffer, meta["manifest"], base)
     num_stages = meta["num_stages"]
     anchor = meta["anchor_stage"]
@@ -319,10 +323,10 @@ def load_fragments(
     cores: list[CompiledTDP] = []
     for index in range(num_fragments):
         frag_meta = meta["fragments"][index]
-        values_key = list(shared_vk)
-        values_key[anchor] = sections.view(f"f{index}.vk")
-        pi1_key = list(shared_pk)
-        pi1_key[anchor] = sections.view(f"f{index}.pk")
+        val_base = list(shared_vk)
+        val_base[anchor] = sections.view(f"f{index}.vk")
+        pi1 = list(shared_pk)
+        pi1[anchor] = sections.view(f"f{index}.pk")
         child_uids = list(shared_cu)
         child_uids[anchor] = sections.view(f"f{index}.cu")
         tuple_ids = list(shared_ids)
@@ -338,12 +342,14 @@ def load_fragments(
         cores.append(
             CompiledTDP.assemble(
                 shell,
-                values_key=values_key,
-                pi1_key=pi1_key,
+                lane=lane,
+                one=dioid.one,
+                val_base=val_base,
+                pi1=pi1,
                 child_uids=child_uids,
                 conn_stage=conn_stage,
                 root_uid=root_uid,
-                best_key=frag_meta["best_key"],
+                best=(frag_meta["best"], 0),
                 empty=frag_meta["empty"],
                 pairs=pairs,
                 caches=caches,
@@ -428,18 +434,6 @@ class ShmPool:
             _cleanup_segment(self.segment, self.owner)
 
 
-class WorkerLower:
-    """The worker-side view of phase A: what the anchor scan reads."""
-
-    __slots__ = ("lane", "conn_min", "lookups")
-
-    def __init__(self, lane: int, conn_min, lookups: list):
-        self.lane = lane
-        #: memoryview("d") aliasing the owner's pool — zero copies.
-        self.conn_min = conn_min
-        self.lookups = lookups
-
-
 def pack_worker_lower(shared) -> bytes:
     """Pack a ``SharedLower``'s scan-relevant state for :class:`ShmPool`.
 
@@ -453,7 +447,6 @@ def pack_worker_lower(shared) -> bytes:
     data = writer.getvalue()
     blob = pickle.dumps(
         {
-            "lane": shared.lane,
             "manifest": writer.manifest,
             "lookups": shared.child_lookups(shared.anchor_stage),
         },
@@ -464,8 +457,12 @@ def pack_worker_lower(shared) -> bytes:
     return header + blob + b"\x00" * pad + data
 
 
-def unpack_worker_lower(buffer) -> WorkerLower:
-    """Worker side of :func:`pack_worker_lower` (views, no pool copy)."""
+def unpack_worker_lower(buffer) -> tuple:
+    """Worker side of :func:`pack_worker_lower`: ``(conn_min, lookups)``.
+
+    ``conn_min`` is a ``memoryview("d")`` aliasing the owner's pool —
+    zero copies.
+    """
     mv = memoryview(buffer)
     (blob_len,) = struct.unpack_from("<Q", mv, 0)
     blob = pickle.loads(mv[8:8 + blob_len])
@@ -475,7 +472,7 @@ def unpack_worker_lower(buffer) -> WorkerLower:
         (single, tuple(positions), cmap)
         for single, positions, cmap in blob["lookups"]
     ]
-    return WorkerLower(blob["lane"], sections.view("conn_min"), lookups)
+    return sections.view("conn_min"), lookups
 
 
 # -- the <db>.core container ---------------------------------------------------

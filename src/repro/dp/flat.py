@@ -6,62 +6,42 @@ value)`` triples and dispatches every weight combination through
 ``SelectiveDioid.times``/``key``.  A :class:`CompiledTDP` is the same
 state space as flat, cache-friendly parallel structures:
 
-* ``values_key`` / ``pi1_key`` — per-stage contiguous state values and
-  precomputed ``pi1`` keys (plain float lists: hot random-access reads).
+* ``val_base`` / ``pi1`` — per-stage state values and their ``pi1``
+  values (plain lists: hot random-access reads);
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
-  plus ``root_uid`` for the virtual start state's branches.
-* connector entries, state last, in one of two storages behind
-  :meth:`CompiledTDP.pairs`: per-connector entry lists (what the direct
-  lowerings emit), or a CSR pool ``entry_key`` / ``entry_state`` with
-  ``conn_offsets`` slices (typed arrays from the object lowering,
-  ``memoryview`` casts over a mapped ``.core`` file) from which
-  ``(key, state)`` pairs materialise per connector on first touch.
+  plus ``root_uid`` for the virtual start state's branches;
+* connector entries, key first and state last, behind
+  :meth:`CompiledTDP.pairs`: per-connector lists (the direct lowering),
+  or a CSR pool ``entry_key`` / ``entry_state`` with ``conn_offsets``
+  slices (typed arrays from the object lowering, ``memoryview`` casts
+  over a mapped ``.core`` file) materialised per connector on first
+  touch.
 
-Every core is a *lane core*: it declares the arithmetic the kernels of
-:mod:`repro.anyk.flat` run on it — a :class:`~repro.ranking.dioid.
-FloatLane` (``times`` as native ``+`` or ``*``, key as the value or its
-negation), its ``one``, an optional packed-rank lane, and whether the
-lane has an inverse.  There are two kinds:
+Every core is run by its dioid's lane (:func:`~repro.ranking.dioid.
+lane_of`): ``times`` as native ``+`` or ``*`` folded from ``one``, the
+key the value or its negation; the columns hold values and only the
+entries are keyed.  Section 6.2's two ways to get a sibling's weight
+are the slot ``inverse``, the dioid's ``has_inverse``: with one
+(tropical, max-plus) the key is ``total − entry + succ`` and entries are
+``(key, state)``; without (max-times, a tie-broken union member) the
+total is recomputed from the prefix, so the core also holds entry values
+(``ent_base``), least entries (``min_base``) and a rank lane
+(``val_rank`` / ``ent_rank`` / ``min_rank``, zeros without a
+tie-breaker), with ``(key, rank, state)`` entries.  A tie-broken
+member's core is a :class:`LaneCore`, whose answers are ``(base, rank)``
+pairs.
 
-* **key space** (this class): for dioids with the ``key_is_value``
-  contract (:func:`lowers_to_key_space` — tropical, max-plus), keys are
-  floats and ``key`` is additive over ``times`` (``key(a ⊗ b) ==
-  key(a) + key(b)``, exactly, by IEEE sign-symmetry), so the core holds
-  keys, its lane is ``+`` over them with ``one = 0.0``, there is no rank
-  lane (``val_rank is None``), and ``+`` has an inverse: a sibling's key
-  is ``total − entry + succ``.  Every float operation is the image
-  (under ``key``) of the object path's ``times`` call, so the ranked
-  output is bit-identical.
-* **lanes** (:class:`~repro.dp.lane.LaneCore`): a tie-broken union
-  member whose base dioid keeps its lane contract (tropical, max-plus,
-  max-times) holds base values in value space plus a packed-rank lane,
-  and has no inverse: a sibling's total is recomputed from the prefix
-  product (``fixed ⊗ open-branch minima ⊗ entry``), as the object path
-  does in monoid mode.
-
-There are two ways to get a key-space core.  The default is
-:mod:`repro.dp.lower`: it lowers the join tree's stages *directly* into
-these arrays in one bottom-up pass and never builds an object graph; the
-core's ``tdp`` is then a connector-free :class:`CoreShell` that only
-serves result assembly.  The reference path is :func:`compile_tdp`,
-which lowers an already built object ``TDP`` — used where an object
-graph exists anyway (``build_tdp`` callers, the min-weight projection,
-tests and benchmarks comparing the two enumerator families over one
-T-DP).  Both produce the same arrays.  An object graph over any other
-dioid (lexicographic vectors, tie-breaking pairs, max-times) is not
-compiled — :func:`compile_tdp` returns ``None`` and the callers keep
-the generic object-graph path.
-
-A compiled core is memoized on its ``TDP`` (``TDP._compiled``), so the
-engine's version-stamped physical-plan cache shares one ``CompiledTDP``
-across all any-k algorithm variants and all serving sessions of a
-database version.  Because every array is plain key-space floats/ints,
-a core is also *persistable*: :mod:`repro.dp.corebuf` serializes the
-pools to a ``<db>.core`` file and maps them back without re-running the
-build.  Only key-space dioids registered in ``NAMED_DIOIDS`` — tropical
-min-plus and max-plus — are persisted; the dioid travels by registry
-name, never by pickled instance.
+:mod:`repro.dp.lower` builds a core straight from the relations; its
+``tdp`` is then a connector-free :class:`CoreShell` serving result
+assembly.  :func:`compile_tdp` lowers an object ``TDP`` that exists
+anyway (``build_tdp`` callers, the min-weight projection, tests and
+benchmarks comparing the two enumerator families) to the same arrays,
+and returns ``None`` for a dioid without a lane.  A core is memoized on
+its ``TDP`` (``TDP._compiled``) and shared by every algorithm variant
+and serving session of a database version; a tropical or max-plus core
+is also persistable (:mod:`repro.dp.corebuf`, the dioid travelling by
+``NAMED_DIOIDS`` name).
 """
 
 from __future__ import annotations
@@ -69,10 +49,12 @@ from __future__ import annotations
 import sys
 from array import array
 from heapq import heapify as _heapify
+from itertools import repeat
+from operator import add, mul
 from typing import Any, Callable
 
 from repro.dp.graph import TDP
-from repro.ranking.dioid import FloatLane, SelectiveDioid, lane_of
+from repro.ranking.dioid import lane_of
 from repro.util import vec
 
 #: Connector size above which :meth:`CompiledTDP.sorted_pairs` prefers a
@@ -81,64 +63,6 @@ from repro.util import vec
 #: unique within a connector, so the last tie rule is moot but kept for
 #: symmetry with the tuple comparison).
 _VEC_SORT_MIN = 64
-
-#: The lane of every key-space core: ``times`` is ``+`` over keys.
-_KEY_SPACE = FloatLane(multiply=False, negate=False)
-
-
-def lowers_to_key_space(dioid: SelectiveDioid) -> bool:
-    """Whether plans ranked under ``dioid`` lower to a key-space core.
-
-    Exactly the dioids advertising the ``key_is_value`` contract; every
-    other dioid keeps the object graph (or, as the base of a tie-broken
-    union member, a :class:`~repro.dp.lane.LaneCore`).
-    """
-    return getattr(dioid, "key_is_value", False)
-
-
-#: Key-space transform lanes (see :func:`key_lane`).
-LANE_ID, LANE_NEG, LANE_CALL = 0, 1, 2
-
-
-def key_lane(dioid: SelectiveDioid) -> int:
-    """How raw weights map into key space for this ``key_is_value`` dioid.
-
-    Read off the dioid's lane declaration (:func:`lane_of`): tropical
-    keys are the values themselves, max-plus keys are their negation.  A
-    dioid that keeps no lane — a subclass overriding ``times`` or
-    ``key``, any other additive float key — falls back to calling
-    ``dioid.key`` / ``dioid.value_from_key`` per element.
-    """
-    lane, _why = lane_of(dioid)
-    if lane is None:
-        return LANE_CALL
-    return LANE_NEG if lane.negate else LANE_ID
-
-
-class _NegSeq:
-    """Lazily negated read-only view of a key sequence (max-plus values)."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, keys):
-        self.keys = keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, index: int):
-        return -self.keys[index]
-
-
-def _value_views(dioid: SelectiveDioid, key_stages: list) -> list:
-    """Per-stage dioid-value views over key-space sequences."""
-    lane = key_lane(dioid)
-    if lane == LANE_ID:
-        return list(key_stages)  # the key *is* the value: alias, no copy
-    if lane == LANE_NEG:
-        return [_NegSeq(keys) for keys in key_stages]
-    vfk = dioid.value_from_key
-    return [[vfk(k) for k in keys] for keys in key_stages]
 
 
 def _sorted_entries(entries: list[tuple]) -> list[tuple]:
@@ -198,7 +122,7 @@ class CoreShell(TDP):
     arity; eager lists or :class:`~repro.dp.corebuf.LazyRows`), global
     tuple ids, the query — and no :class:`~repro.dp.graph.ChoiceSet`
     graph: the flat enumerators never walk one.  :meth:`CompiledTDP.
-    assemble` fills in the value views and points ``_compiled`` at the
+    assemble` fills in the value columns and points ``_compiled`` at the
     core, so ``make_enumerator(shell)`` transparently runs the flat
     loops (``flat=False`` has no object graph to fall back on).
     """
@@ -219,7 +143,7 @@ class CoreShell(TDP):
 
 
 class CompiledTDP:
-    """A T-DP as flat arrays; as a lane core, one in dioid key space.
+    """A T-DP as flat arrays, run by its dioid's lane.
 
     Read-only after construction; every per-run mutable structure (heap
     orders, sorted prefixes, memoized solution lists) lives in the
@@ -230,12 +154,11 @@ class CompiledTDP:
     result-construction time, never carried through candidate queues.
 
     The lane slots say which arithmetic the kernels run (see the module
-    docstring): ``lane`` and ``one``; ``val_base`` / ``val_rank``, the
-    per-stage value lanes (here ``values_key`` and ``None``); and, for a
-    core without an inverse, ``ent_base`` / ``ent_rank`` (per-stage
-    entry values) and ``min_base`` / ``min_rank`` (per-connector least
-    entry) — ``None`` here.  ``best`` is ``(total, rank)`` of the best
-    answer.  Every total is its key, or the key negated (``lane.negate``),
+    docstring): ``lane``, ``one``, ``inverse``, and — ``None`` where the
+    core has an inverse — ``ent_base`` / ``ent_rank`` / ``val_rank`` per
+    stage and ``min_base`` / ``min_rank`` per connector.  ``best`` is
+    ``(total, rank)`` of the best answer (the zero when there is none),
+    ``best_key`` its key; a total is its key, or the key negated,
     exactly, so the kernels carry keys only.
 
     ``CompiledTDP(tdp)`` lowers an object graph; :meth:`assemble` wraps
@@ -245,30 +168,19 @@ class CompiledTDP:
 
     __slots__ = (
         "tdp", "dioid", "num_stages", "num_connectors", "parent_stage",
-        "children_stages", "branch_index", "num_branches", "values_key",
-        "pi1_key", "conn_offsets", "entry_key", "entry_state",
-        "conn_stage", "child_uids", "conn_of", "conn_meta", "root_stages",
-        "root_uid", "best_key", "empty", "vfk", "is_chain", "_pairs",
-        "_take2_heaps", "_sorted_pairs", "_rea_heaps", "lane", "one",
-        "val_base", "val_rank", "ent_base", "ent_rank", "min_base",
-        "min_rank", "best",
+        "children_stages", "branch_index", "num_branches", "val_base",
+        "pi1", "conn_offsets", "entry_key", "entry_state", "conn_stage",
+        "child_uids", "conn_of", "conn_meta", "root_stages", "root_uid",
+        "best_key", "empty", "is_chain", "_pairs", "_take2_heaps",
+        "_sorted_pairs", "_rea_heaps", "lane", "one", "inverse",
+        "val_rank", "ent_base", "ent_rank", "min_base", "min_rank", "best",
     )
-
-    #: Whether ``lane`` has an inverse: a sibling's key is then derived by
-    #: subtraction (``total − entry + succ``), not from its prefix.
-    inverse = True
 
     def __init__(self, tdp: TDP):
         dioid = tdp.dioid
-        if not lowers_to_key_space(dioid):
-            raise ValueError(
-                f"{dioid!r} does not satisfy the key_is_value contract"
-            )
-        key_of = dioid.key
-        values_key = [
-            [key_of(v) for v in stage_values] for stage_values in tdp.values
-        ]
-        pi1_key = [[key_of(v) for v in stage_pi1] for stage_pi1 in tdp.pi1]
+        lane, why = lane_of(dioid)
+        if lane is None:
+            raise ValueError(why)
 
         # Collect every reachable connector by uid.  (The builder also
         # creates join-key groups no parent references; their uids get
@@ -301,50 +213,70 @@ class CompiledTDP:
             [conn.uid for state_conns in tdp.child_conns[stage] for conn in state_conns]
             for stage in range(tdp.num_stages)
         ]
-        # Pair lists built eagerly in one C-level pass: this is
-        # preprocessing-phase work, paid once per database version and
-        # amortised over every enumeration run.
-        all_pairs = list(zip(entry_key, entry_state))
+        # The value columns are the object graph's own; only a core
+        # without an inverse needs its entry values, least entries and
+        # (zero) ranks besides.  Pair lists are built eagerly in one
+        # C-level pass: preprocessing-phase work, paid once per
+        # database version and amortised over every enumeration run.
+        if dioid.has_inverse:
+            without_inverse: dict = {}
+            all_pairs = list(zip(entry_key, entry_state))
+        else:
+            times = mul if lane.multiply else add
+            zeros = [[0] * len(values) for values in tdp.values]
+            without_inverse = dict(
+                val_rank=zeros,
+                ent_base=[list(map(times, v, p)) for v, p in zip(tdp.values, tdp.pi1)],
+                ent_rank=zeros,
+                min_base=[None if conn is None else conn.min_value for conn in conns],
+                min_rank=[0] * tdp.num_connectors,
+            )
+            all_pairs = list(zip(entry_key, repeat(0), entry_state))
         self._fill(
             tdp,
-            values_key=values_key,
-            pi1_key=pi1_key,
+            lane=lane,
+            one=dioid.one,
+            val_base=tdp.values,
+            pi1=tdp.pi1,
             child_uids=child_uids,
             conn_stage=conn_stage,
             root_uid={stage: conn.uid for stage, conn in tdp.root_conn.items()},
-            best_key=key_of(tdp.best_weight),
+            best=(tdp.best_weight, 0),
             empty=tdp.is_empty(),
             pairs=[
                 all_pairs[offsets[uid]:offsets[uid + 1]]
                 for uid in range(tdp.num_connectors)
             ],
             csr=(offsets, entry_key, entry_state),
+            **without_inverse,
         )
 
     @classmethod
     def assemble(cls, shell: CoreShell, **columns) -> "CompiledTDP":
         """A core over ready-made ``columns`` (see :meth:`_fill`).
 
-        Completes ``shell`` — value views, best weight, emptiness, the
+        Completes ``shell`` — values, best weight, emptiness, the
         ``_compiled`` memo — so the pair is ready for result assembly.
         """
         self = cls.__new__(cls)
         self._fill(shell, **columns)
-        dioid = self.dioid
-        shell.values = _value_views(dioid, self.values_key)
-        shell.pi1 = _value_views(dioid, self.pi1_key)
+        self._complete(shell)
         shell.num_connectors = self.num_connectors
-        shell.best_weight = (
-            dioid.zero if self.empty else dioid.value_from_key(self.best_key)
-        )
         shell._empty = self.empty
         shell._compiled = self
         return self
 
+    def _complete(self, shell: CoreShell) -> None:
+        """The shell's values: the value column itself, no copy."""
+        shell.values = self.val_base
+        shell.pi1 = self.pi1
+        shell.best_weight = self.best[0]
+
     def _fill(
-        self, tdp: TDP, *, values_key, pi1_key, child_uids, conn_stage,
-        root_uid, best_key, empty, pairs, caches=None, csr=None,
-        val_rank=None,
+        self, tdp: TDP, *, lane, one, val_base, pi1, child_uids,
+        conn_stage, root_uid, best, empty, pairs, caches=None, csr=None,
+        val_rank=None, ent_base=None, ent_rank=None, min_base=None,
+        min_rank=None,
     ) -> None:
         """Set every slot from the stored columns plus derived layout.
 
@@ -356,8 +288,8 @@ class CompiledTDP:
         serving session.  ``csr`` is ``(conn_offsets, entry_key,
         entry_state)`` when the entries (also) live in a CSR pool;
         ``pairs[uid]`` may then be ``None`` until first touched.  The
-        lane slots get the key-space lane; ``val_rank`` is the rank lane
-        of a core that has one.
+        entry-value, least-entry and rank columns are those of a core
+        without an inverse (the dioid's ``has_inverse``).
         """
         dioid = tdp.dioid
         self.tdp = tdp
@@ -371,12 +303,11 @@ class CompiledTDP:
         num_branches = self.num_branches = [
             len(c) for c in tdp.children_stages
         ]
-        #: Per-stage state values (the value lane: key-space floats
-        #: here, base values in a lane core) and pi1 keys.  Plain lists
-        #: where built in-process: read one element at a time in the
-        #: innermost loops, where list indexing (no re-boxing) wins.
-        self.values_key = values_key
-        self.pi1_key = pi1_key
+        #: Per-stage state values and pi1 values.  Plain lists where
+        #: built in-process: read one element at a time in the innermost
+        #: loops, where list indexing (no re-boxing) wins.
+        self.val_base = val_base
+        self.pi1 = pi1
         #: CSR entry pool (or ``None`` x 3): connector ``uid`` owns
         #: entries ``conn_offsets[uid] .. conn_offsets[uid + 1]``.
         self.conn_offsets, self.entry_key, self.entry_state = (
@@ -400,18 +331,24 @@ class CompiledTDP:
             else child_uids[parent][branch_index[stage]::num_branches[parent]]
             for stage, parent in enumerate(parent_stage)
         ]
-        self.lane = _KEY_SPACE
-        self.one = 0.0
-        self.val_base = values_key
+        self.lane = lane
+        self.one = one
+        #: Whether ``lane`` has an inverse: a sibling's key is then derived by
+        #: subtraction (``total − entry + succ``), not from its prefix.
+        self.inverse = dioid.has_inverse
         self.val_rank = val_rank
-        self.ent_base = self.ent_rank = self.min_base = self.min_rank = None
-        self.best = None if empty else (best_key, 0)
+        self.ent_base = ent_base
+        self.ent_rank = ent_rank
+        self.min_base = min_base
+        self.min_rank = min_rank
+        self.best = best
+        self.best_key = -best[0] if lane.negate else best[0]
         #: Per-connector hot metadata ``(branch_count, own_values,
         #: own_ranks, child_uid_row, stage)`` — one list index + unpack
         #: replaces five attribute/index chains in Recursive's ``ensure``.
         per_stage = [
             (
-                num_branches[s], values_key[s],
+                num_branches[s], val_base[s],
                 None if val_rank is None else val_rank[s], child_uids[s], s,
             )
             for s in range(num_stages)
@@ -429,15 +366,6 @@ class CompiledTDP:
             parent_stage[j] == j - 1 for j in range(num_stages)
         )
         self.empty = empty
-        self.best_key = best_key
-        #: Key-to-value map for result construction, or ``None`` when
-        #: the key *is* the value (tropical min-plus): the enumerators
-        #: then skip the call entirely on their per-result path.
-        self.vfk = (
-            None
-            if type(dioid).value_from_key is SelectiveDioid.value_from_key
-            else dioid.value_from_key
-        )
         #: Shared entry lists per connector, state last — the flat
         #: analogue of ``ChoiceSet.entries`` (unsorted, read-only;
         #: strategies copy before heapify/sort).
@@ -525,18 +453,19 @@ class CompiledTDP:
 
         What the kernels call per answer: the result is allocated as
         ``emits[0]`` and gets ``emits[1]`` as its decoder; here its key
-        is ``key`` and its weight the key's dioid value (``rank`` is 0).
-        A closure over the result class, decoder and key map only, so a
+        is ``key`` and its weight the key's value — the key itself, or
+        negated, exactly, as keying negated it (``rank`` is 0).  A
+        closure over the result class, decoder and lane only, so a
         kernel generator that holds it holds nothing that holds the
         generator: a dropped run is freed by reference counting.
         """
         result_cls, decoder = emits
         new_result = result_cls.__new__
-        vfk = self.vfk
+        negate = self.lane.negate
 
         def emit(key, rank: int, states: tuple[int, ...]):
             res = new_result(result_cls)
-            res.weight = key if vfk is None else vfk(key)
+            res.weight = -key if negate else key
             res.key = key
             res.states = states
             res.decoder = decoder
@@ -556,10 +485,6 @@ class CompiledTDP:
         """Whether the entry pool is a view over a mapped ``.core`` file."""
         return isinstance(self.entry_key, memoryview)
 
-    def value_from_key(self, key: float) -> Any:
-        """Map a key-space float back to the dioid value domain."""
-        return self.dioid.value_from_key(key)
-
     def stats(self) -> dict:
         """Compiled-core summary (for ``explain`` physical reports)."""
         return {
@@ -570,7 +495,7 @@ class CompiledTDP:
                 if self.entry_key is None
                 else len(self.entry_key)
             ),
-            "states": sum(len(v) for v in self.values_key),
+            "states": sum(len(v) for v in self.val_base),
             "empty": self.empty,
         }
 
@@ -588,11 +513,10 @@ class CompiledTDP:
             seen = set()
         total = sys.getsizeof(self)
         for name in (
-            "values_key", "pi1_key", "conn_offsets", "entry_key",
-            "entry_state", "conn_stage", "child_uids", "conn_of",
-            "root_stages", "_pairs", "_take2_heaps", "_sorted_pairs",
-            "_rea_heaps", "val_rank", "ent_base", "ent_rank", "min_base",
-            "min_rank",
+            "val_base", "pi1", "conn_offsets", "entry_key", "entry_state",
+            "conn_stage", "child_uids", "conn_of", "root_stages", "_pairs",
+            "_take2_heaps", "_sorted_pairs", "_rea_heaps", "val_rank",
+            "ent_base", "ent_rank", "min_base", "min_rank",
         ):
             total += _seq_bytes(getattr(self, name), seen)
         return total
@@ -604,20 +528,71 @@ class CompiledTDP:
         )
 
 
+class _PairSeq:
+    """One stage's tie-broken values, ``(base, rank)``, read off its two lanes."""
+
+    __slots__ = ("base", "rank")
+
+    def __init__(self, base: list, rank: list):
+        self.base = base
+        self.rank = rank
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, index: int) -> tuple:
+        return (self.base[index], self.rank[index])
+
+
+class LaneCore(CompiledTDP):
+    """A tie-broken union member's core (:func:`repro.dp.lower.lower_member`).
+
+    The base dioid's lane without an inverse, the packed ranks of the
+    Section 6.3 tie-breaker in the rank lane; an answer's weight is
+    ``(base, rank)``, its key ``(base_key, rank)``, as on the object path.
+    """
+
+    __slots__ = ()
+
+    def _complete(self, shell: CoreShell) -> None:
+        shell.values = list(map(_PairSeq, self.val_base, self.val_rank))
+        shell.best_weight = shell.dioid.zero if self.empty else self.best
+
+    def emitter(self, emits: tuple) -> Callable:
+        """``emit(key, rank, states)``: an answer keyed ``(key, rank)``.
+
+        Its weight is ``(base, rank)``, the base value the key's
+        negation or the key itself; see :meth:`CompiledTDP.emitter`.
+        """
+        result_cls, decoder = emits
+        new_result = result_cls.__new__
+        negate = self.lane.negate
+
+        def emit(key, rank: int, states: tuple[int, ...]):
+            res = new_result(result_cls)
+            res.weight = (-key if negate else key, rank)
+            res.key = (key, rank)
+            res.states = states
+            res.decoder = decoder
+            return res
+
+        return emit
+
+
 def compile_tdp(tdp: TDP) -> CompiledTDP | None:
     """Lower ``tdp`` to a :class:`CompiledTDP`, or ``None`` if unsupported.
 
-    Supported exactly when :func:`lowers_to_key_space` (see the module
-    docstring for the contract).  The result — including the
-    negative answer — is memoized on the ``TDP``, so repeated calls from
-    concurrent enumerator constructions cost one attribute read.  The
-    memo write is a benign race: two threads may both compile, either
-    result is valid, and one wins the slot.
+    Supported exactly when the dioid has a lane (:func:`~repro.ranking.
+    dioid.lane_of`).  The result — including the negative answer — is
+    memoized on the ``TDP``, so repeated calls from concurrent
+    enumerator constructions cost one attribute read.  The memo write is
+    a benign race: two threads may both compile, either result is valid,
+    and one wins the slot.
     """
     compiled = tdp._compiled
     if compiled is not None:
         return compiled or None  # ``False`` memoizes "unsupported"
-    if not lowers_to_key_space(tdp.dioid):
+    if lane_of(tdp.dioid)[0] is None:
         tdp._compiled = False
         return None
     compiled = CompiledTDP(tdp)

@@ -1,99 +1,79 @@
-"""The bottom-up pass, lowered straight to key-space arrays.
+"""The bottom-up pass, lowered straight to a compiled core's columns.
 
 The paper's preprocessing for an acyclic query is one linear sweep over
-the join tree (Section 4; Eq. 2 / Eq. 7).  This module is that sweep for
-every dioid with the float-key contract (``key_is_value``): each stage
-is lowered *directly* into the columns of a
-:class:`~repro.dp.flat.CompiledTDP` — native float arithmetic in key
-space, ``(key, state)`` entry pairs per connector — without building the
-object graph of :mod:`repro.dp.builder` first.  It mirrors ``build_tdp``
-stage by stage (same row order, same alive filter, same left-fold weight
-aggregation), so the keys equal the ``key`` image of the object
-builder's values and the ranked output is identical
-(``tests/test_lower_columns.py`` compares the two in bits and pins the
-one place they differ: the sign of a max-plus zero).
+the join tree (Section 4; Eq. 2 / Eq. 7).  This module is that sweep —
+the only lowering, for acyclic plans, shard fragments and union members
+alike — for every dioid with a lane
+(:func:`~repro.ranking.dioid.lane_of`): each stage is lowered *directly*
+into the columns of a :class:`~repro.dp.flat.CompiledTDP`, without the
+object graph of :mod:`repro.dp.builder`.  It runs in value space — the
+lane's operator folded from ``one``, one operation per ``times`` the
+object builder makes, same operands, same order, same row order and
+alive filter — and keys the entries afterwards (``-v`` where the lane
+negates), so every column is ``build_tdp``'s in bits and type
+(``tests/test_lower_columns.py``, ``tests/test_lane_conformance.py``).
+A tie-broken member (:func:`lower_member`) adds the packed-rank column
+of the Section 6.3 tie-breaker and never calls ``times`` or ``key``.
 
-**One stage-input shape.**  Every caller — the unsharded bind, range and
-hash shard fragments, the process-pool worker scan — hands a stage to
+**One stage-input shape.**  Every caller hands a stage to
 :func:`scan_stage` as two parallel sequences, rows (at atom arity) and
-weights: :func:`stage_columns`.  An in-memory relation already stores
-exactly those two lists and hands them over (slices for a fragment); a
-backend relation splits its one bulk ``fetch_rows`` result once.  No
-per-row container is built to carry a weight next to its row.
+weights (:func:`stage_columns`): the two lists an in-memory relation
+stores (slices for a fragment), or a backend's one bulk ``fetch_rows``
+split once.  No per-row container carries a weight next to its row.
 
 **Scan, then placement.**  The scan drops dead rows and emits one column
-per output (state keys, ``pi1`` keys, child connector uids, entry keys
-``k + pi``).  The alive states are then *placed* into connectors by the
-uid of their join key, never by weight: the paper's "nothing is sorted
-during preprocessing" is about weights, and holds — the placement is a
-counting sort on connector ids, linear in the stage.  Every connector's
-pair list exists when the bind returns (enumerators index ``_pairs``
-directly; leaving them to first touch moved the cost into the first
+per output (state values, ``pi1`` values, child connector uids, entry
+values ``v ⊗ pi1``).  The alive states are then *placed* into connectors
+by the uid of their join key, never by weight — "nothing is sorted
+during preprocessing" holds: the placement is a counting sort on
+connector ids.  Every connector's entry list exists when the bind
+returns (leaving them to first touch moved the cost into the first
 fetch and was measured and rejected).
 
-**Two implementations, one behaviour.**  With numpy present, a stage of
-at least ``_VEC_SCAN_MIN`` rows, no repeated variable in its atom and an
-identity/negate key lane takes the kernels (:func:`_scan_stage_vec`,
-:func:`_place_by_connector`): any number of child branches, one- or
-multi-column join keys.  Everything else — numpy absent or disabled
-(``REPRO_NO_NUMPY``), small stages, repeated variables, a ``key``
-callable, a stage whose entry keys contain NaN — runs the scalar loops,
-which read the same two sequences.  Both perform the same IEEE
-operations in the same association order.
+**Two implementations, one behaviour.**  With numpy, a stage of at
+least ``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels
+(:func:`_scan_stage_vec`; for a core with an inverse also
+:func:`_place_by_connector`).  Everything else — no numpy
+(``REPRO_NO_NUMPY``), small stages, repeated variables, NaN entry
+values, a rank column — runs the scalar loops over the same sequences,
+with the same IEEE operations in the same order.
 
 The sweep is split at one **anchor** stage, a root of its join-tree
-component.  The bottom-up construction never propagates a root
-restriction downward, so every non-anchor stage is independent of which
-anchor rows are present:
+component; no non-anchor stage depends on which anchor rows are present:
 
 * **phase A** (:func:`build_shared_lower`, once): all non-anchor stages
-  — state arrays, connector entry pools, join-key maps;
+  — state columns, connector entry pools, join-key maps;
 * **phase B** (:func:`build_fragment`, per fragment): scan one slice of
-  the anchor relation, resolve child connectors against phase A's
-  join-key maps, emit that fragment's root connector and assemble its
-  core over the shared columns.
+  the anchor relation against phase A's join-key maps, emit that
+  fragment's root connector and assemble its core over the shared
+  columns.
 
-:func:`lower_query` is the unsharded bind: phase A, then one fragment
-spanning the whole anchor relation (anchor = stage 0).  The parallel
-layer (:mod:`repro.parallel.build`) runs phase B once per fragment of a
-shard plan, possibly on a worker pool; the fragment cores alias phase
-A's columns and one set of uid-indexed lists (entry pairs, lazily built
-Take2 orders, sorted lists, REA heap templates), so ranking structures
-for shared connectors are built once per database version — not once
-per fragment.
+:func:`lower_query` and :func:`lower_member` are phase A plus one
+fragment spanning the anchor relation (stage 0).  The parallel layer
+(:mod:`repro.parallel.build`) runs phase B once per shard fragment,
+possibly on a worker pool; the fragment cores alias phase A's columns
+and one set of uid-indexed lists (entries, Take2 orders, sorted lists,
+REA heap templates), built once per database version.
 
-Decomposition members whose base dioid keeps its lane contract are
-lowered too, by the same stage sweep in value space, to a two-lane core
-(:mod:`repro.dp.lane`).  Dioids without either contract (and members
-over them), the ``canonical`` tie-break, the UCQ pipeline, the
-min-weight projection and ``DPProblem`` keep the object builder, which
-reads the same stage-input shape (:func:`stage_columns`,
-:func:`join_key_column`) and sweeps a stage as columns through the
-dioid's ``times_column`` / ``key_column``;
-:func:`repro.dp.flat.compile_tdp` lowers its result where a flat core is
-still wanted.
+Dioids without a lane (and members over them), the ``canonical``
+tie-break, the UCQ pipeline, the min-weight projection and ``DPProblem``
+keep the object builder, which reads the same stage-input shape
+(:func:`stage_columns`, :func:`join_key_column`).
 """
 
 from __future__ import annotations
 
 import time
 from itertools import count, repeat
-from operator import itemgetter, neg
-from typing import Sequence
+from operator import add, itemgetter, mul, neg
+from typing import Iterable, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.flat import (
-    LANE_CALL,
-    LANE_ID,
-    LANE_NEG,
-    CompiledTDP,
-    CoreShell,
-    key_lane,
-)
+from repro.dp.flat import CompiledTDP, CoreShell, LaneCore
 from repro.obs.trace import NULL_SPAN
 from repro.query.jointree import JoinTree
-from repro.ranking.dioid import SelectiveDioid
+from repro.ranking.dioid import FloatLane, SelectiveDioid, TieBreakingDioid, lane_of
 from repro.util import vec
 
 
@@ -156,6 +136,57 @@ def stage_layout(
     return parent_stage, own_key_positions, parent_key_positions
 
 
+# -- the packed-rank column of a tie-broken member -----------------------------
+
+
+def owned_columns(
+    join_tree: JoinTree, var_position: dict[str, int]
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Per atom, ``(column, slot)`` of each ranked variable its stage *owns*.
+
+    A variable is owned by the first stage in serialised order whose
+    atom contains it — by the running intersection property the top of
+    the subtree that holds it — and read from its first column there.
+    Variables absent from ``var_position`` are not ranked.
+    """
+    atoms = join_tree.query.atoms
+    owned: dict[int, tuple[tuple[int, int], ...]] = {}
+    seen: set[str] = set()
+    for atom_idx in join_tree.order:
+        template = []
+        for column, var in enumerate(atoms[atom_idx].variables):
+            if var not in seen:
+                seen.add(var)
+                if var in var_position:
+                    template.append((column, var_position[var]))
+        owned[atom_idx] = tuple(template)
+    return owned
+
+
+def packed_ranks(ranks: Sequence[dict], template, rows) -> Iterable[int] | None:
+    """Each row's packed rank over the owned ``template``, or ``None``.
+
+    ``ranks`` is :attr:`TieBreakingDioid.ranks`; one table lookup pass
+    per owned column, summed lazily (``None``: the stage owns nothing).
+    """
+    packed = None
+    for column, slot in template:
+        lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
+        packed = lane if packed is None else map(add, packed, lane)
+    return packed
+
+
+def member_lane(tie: SelectiveDioid) -> tuple[FloatLane | None, str]:
+    """``(lane, "")`` when members ranked under ``tie`` lower, else ``(None, why)``.
+
+    The lane is the base dioid's (:func:`~repro.ranking.dioid.lane_of`);
+    the tie-breaker rides along as the packed-rank column.
+    """
+    if not isinstance(tie, TieBreakingDioid):
+        return None, f"{type(tie).__name__} is not the packed-rank tie-breaker"
+    return lane_of(tie.base)
+
+
 # -- the shared lower stages (phase A) -----------------------------------------
 
 
@@ -168,19 +199,36 @@ class SharedLower:
     """
 
     __slots__ = (
-        "query", "tree", "dioid", "lane", "order", "num_stages",
-        "parent_stage", "children_stages", "anchor_stage", "tuples",
-        "tuple_ids", "values_key", "pi1_key", "child_uids",
-        "pairs", "conn_stage", "conn_min", "conn_maps", "root_uid",
-        "num_conns", "complete", "own_key_positions",
-        "parent_key_positions", "seconds", "rows", "vectorized_stages",
+        "query", "tree", "dioid", "lane", "one", "zero", "inverse",
+        "templates", "order", "num_stages", "parent_stage",
+        "children_stages", "anchor_stage", "tuples", "tuple_ids",
+        "val_base", "pi1", "child_uids", "val_rank", "ent_base",
+        "ent_rank", "pairs", "conn_stage", "conn_min", "conn_rank",
+        "conn_maps", "root_uid", "num_conns", "complete",
+        "own_key_positions", "parent_key_positions", "seconds", "rows",
+        "vectorized_stages",
     )
 
-    def __init__(self, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int):
+    def __init__(
+        self, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int,
+        lane: FloatLane | None = None, templates: dict | None = None,
+    ):
         self.query = query
         self.tree = tree
         self.dioid = dioid
-        self.lane = key_lane(dioid)
+        if lane is None:
+            lane, why = lane_of(dioid)
+            if lane is None:
+                raise ValueError(why)
+        self.lane = lane
+        #: Per atom, the ranked columns its stage owns (:func:`owned_columns`)
+        #: of a tie-broken member, whose values are ``(base, rank)``; else
+        #: ``None``.
+        self.templates = templates
+        base = dioid if templates is None else dioid.base
+        self.one = base.one
+        self.zero = base.zero
+        self.inverse = dioid.has_inverse
         self.order = list(tree.order)
         self.num_stages = len(self.order)
         self.parent_stage, self.own_key_positions, self.parent_key_positions = (
@@ -198,14 +246,23 @@ class SharedLower:
         # fragment layers its own over a copy of these lists).
         self.tuples: list[list[tuple]] = [[] for _ in self.order]
         self.tuple_ids: list[list[int]] = [[] for _ in self.order]
-        self.values_key: list[list[float]] = [[] for _ in self.order]
-        self.pi1_key: list[list[float]] = [[] for _ in self.order]
+        self.val_base: list[list] = [[] for _ in self.order]
+        self.pi1: list[list] = [[] for _ in self.order]
         #: Flattened child connector uids per stage (branch-major).
         self.child_uids: list[list[int]] = [[] for _ in self.order]
-        #: uid -> unsorted (key, state) entry pairs.
-        self.pairs: list[list[tuple[float, int]]] = []
+        #: uid -> unsorted entries, ``(key, state)`` or ``(key, rank, state)``.
+        self.pairs: list[list[tuple]] = []
         self.conn_stage: list[int] = []
-        self.conn_min: list[float] = []
+        #: uid -> the value of its least entry.
+        self.conn_min: list = []
+        # Without an inverse: per stage the rank and entry-value columns,
+        # per connector the least entry's rank.
+        self.val_rank = self.ent_base = self.ent_rank = self.conn_rank = None
+        if not self.inverse:
+            self.val_rank = [[] for _ in self.order]
+            self.ent_base = [[] for _ in self.order]
+            self.ent_rank = [[] for _ in self.order]
+            self.conn_rank = []
         #: Per stage: join key -> connector uid (phase B resolves the
         #: anchor's child branches against the anchor-children's maps).
         self.conn_maps: list[dict] = [dict() for _ in range(self.num_stages)]
@@ -235,39 +292,51 @@ class SharedLower:
 
 
 def build_shared_lower(
-    database: Database, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int
+    database: Database, query, tree: JoinTree, dioid: SelectiveDioid,
+    anchor_stage: int, lane: FloatLane | None = None, templates: dict | None = None,
 ) -> SharedLower:
-    """Phase A: lower every non-anchor stage to key-space flat arrays.
+    """Phase A: lower every non-anchor stage to flat columns.
 
     Mirrors :func:`repro.dp.builder.build_tdp` stage by stage — same row
-    order, same alive filter, same left-fold weight aggregation — but in
-    dioid key space, so the produced keys are the bit-exact ``key``
-    image of the object builder's values (the PR-4 ``key_is_value``
-    contract).  Each stage is one :func:`scan_stage` over its relation,
-    then its alive states are placed into connectors by their join key
-    with the parent (first-seen order, like the object builder's).
+    order, same alive filter, same fold from ``one`` — in value space,
+    so the columns are the object builder's values and the entry keys
+    their ``key`` images, in bits.  Each stage is one :func:`scan_stage`
+    over its relation, then its alive states are placed into connectors
+    by their join key with the parent (first-seen order, like the
+    object builder's).  ``lane`` defaults to ``lane_of(dioid)``;
+    ``templates`` (:func:`owned_columns`) asks for the packed-rank
+    column of a tie-broken ``dioid``.
     """
     start = time.perf_counter()
-    shared = SharedLower(query, tree, dioid, anchor_stage)
+    shared = SharedLower(query, tree, dioid, anchor_stage, lane, templates)
 
     for stage in reversed(range(shared.num_stages)):
         if stage == anchor_stage:
             continue
         relation = database[query.atoms[shared.order[stage]].relation_name]
         rows, weights = stage_columns(relation)
-        entry_keys, kept, ids_out, vk_out, pk_out, cu_out = scan_stage(
+        entry_values, kept, ids_out, vk_out, pk_out, cu_out = scan_stage(
             stage_scan_of(shared, stage), rows, weights, 0, None
         )
         shared.rows += len(rows)
-        shared.vectorized_stages += _from_kernel(entry_keys)
+        shared.vectorized_stages += _from_kernel(entry_values)
         shared.tuples[stage] = kept
         shared.tuple_ids[stage] = ids_out
-        shared.values_key[stage] = vk_out
-        shared.pi1_key[stage] = pk_out
+        shared.val_base[stage] = vk_out
+        shared.pi1[stage] = pk_out
         shared.child_uids[stage] = cu_out
+        entry_ranks = None
+        if not shared.inverse:
+            if _from_kernel(entry_values):
+                entry_values = entry_values.tolist()
+            shared.val_rank[stage], entry_ranks = _rank_columns(
+                shared, stage, kept, cu_out
+            )
+            shared.ent_base[stage] = entry_values
+            shared.ent_rank[stage] = entry_ranks
 
         join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
-        _place_entries(shared, stage, join_keys, entry_keys)
+        _place_entries(shared, stage, join_keys, entry_values, entry_ranks)
         shared.num_conns = len(shared.pairs)
 
         if shared.parent_stage[stage] == -1:
@@ -281,30 +350,65 @@ def build_shared_lower(
     return shared
 
 
+def _rank_columns(
+    shared: SharedLower, stage: int, rows: Sequence[tuple], child_uids: list[int]
+) -> tuple[list[int], list[int]]:
+    """``(val_rank, ent_rank)`` of one stage of a core without an inverse:
+    zeros without a tie-breaker, else the packed ranks of the variables
+    the stage owns plus, for the entry, the child connectors' least ranks.
+    """
+    if shared.templates is None:
+        zeros = [0] * len(rows)
+        return zeros, zeros
+    packed = packed_ranks(
+        shared.dioid.ranks, shared.templates[shared.order[stage]], rows
+    )
+    val_rank = [0] * len(rows) if packed is None else list(packed)
+    branches = len(shared.children_stages[stage])
+    conn_rank = shared.conn_rank
+    pi_rank = None
+    for branch in range(branches):
+        uids = child_uids if branches == 1 else child_uids[branch::branches]
+        ranks = map(conn_rank.__getitem__, uids)
+        pi_rank = list(ranks) if pi_rank is None else list(map(add, pi_rank, ranks))
+    if pi_rank is None:  # a leaf
+        return val_rank, val_rank
+    return val_rank, list(map(add, val_rank, pi_rank))
+
+
 # -- one stage's connectors ----------------------------------------------------
 
 
 def _place_entries(
-    shared: SharedLower, stage: int, join_keys: list, entry_keys
+    shared: SharedLower, stage: int, join_keys: list, entry_values, entry_ranks=None
 ) -> None:
-    """Group one stage's alive states into connectors by join key.
+    """Key one stage's entry values and group its states into connectors.
 
-    A connector per distinct join key in first-seen order, its ``(key,
-    state)`` pairs in state order, its minimum the key of ``min(group)``
-    — the first entry in state order that attains it.  This loop is the
-    reference; kernel output goes through :func:`_place_by_connector`
-    unless an entry key is NaN (``min()`` over ``(nan, state)`` tuples
-    depends on the order it meets them in, which only this loop
-    reproduces).
+    A connector per distinct join key in first-seen order, its entries
+    (``(key, state)``, or ``(key, rank, state)`` with ``entry_ranks``)
+    in state order, its minimum the value of ``min(group)``.  This loop
+    is the reference; kernel output goes through
+    :func:`_place_by_connector` unless there is a rank column or a NaN
+    (``min()`` over ``(nan, state)`` tuples depends on the order it meets
+    them in, which only this loop reproduces).
     """
-    if _from_kernel(entry_keys):
-        if len(entry_keys) and not vec.np.isnan(entry_keys).any():
-            _place_by_connector(shared, stage, join_keys, entry_keys)
+    if _from_kernel(entry_values):
+        if (
+            entry_ranks is None
+            and len(entry_values)
+            and not vec.np.isnan(entry_values).any()
+        ):
+            _place_by_connector(shared, stage, join_keys, entry_values)
             return
-        entry_keys = entry_keys.tolist()
+        entry_values = entry_values.tolist()
+    keys = list(map(neg, entry_values)) if shared.lane.negate else entry_values
+    if entry_ranks is None:
+        entries = zip(keys, count())
+    else:
+        entries = zip(keys, entry_ranks, count())
     groups: dict = {}
     g_get = groups.get
-    for join_key, entry in zip(join_keys, zip(entry_keys, count())):
+    for join_key, entry in zip(join_keys, entries):
         bucket = g_get(join_key)
         if bucket is None:
             groups[join_key] = [entry]
@@ -317,11 +421,14 @@ def _place_entries(
         cmap_out[join_key] = len(pairs)
         pairs.append(group)
         shared.conn_stage.append(stage)
-        shared.conn_min.append(min(group)[0])
+        least = min(group)
+        shared.conn_min.append(entry_values[least[-1]])
+        if entry_ranks is not None:
+            shared.conn_rank.append(least[1])
 
 
 def _place_by_connector(
-    shared: SharedLower, stage: int, join_keys: list, entry_keys
+    shared: SharedLower, stage: int, join_keys: list, entry_values
 ) -> None:
     """:func:`_place_entries` as one bucket placement by connector id.
 
@@ -329,10 +436,12 @@ def _place_by_connector(
     ``dict.fromkeys``, one stable integer argsort (a counting sort up to
     2**16 connectors) moves every state into its connector's slice,
     ``minimum.reduceat`` takes the slice minima, and every pair list is
-    cut from one C-level ``zip``.
+    cut from one C-level ``zip``.  A minimum's value is its key, or the
+    key negated: keying is a bijection.
     """
     np = vec.np
-    states = len(entry_keys)
+    negate = shared.lane.negate
+    states = len(entry_values)
     first_uid = len(shared.pairs)
     cmap_out = shared.conn_maps[stage]
     cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
@@ -345,7 +454,7 @@ def _place_by_connector(
     sizes = np.bincount(local, minlength=conns)
     ends = sizes.cumsum()
     starts = ends - sizes
-    keys = entry_keys[order]
+    keys = (-entry_values if negate else entry_values)[order]
     minima = np.minimum.reduceat(keys, starts)
     zero_min = minima == 0.0
     if zero_min.any():
@@ -359,7 +468,7 @@ def _place_by_connector(
         map(placed.__getitem__, map(slice, starts.tolist(), ends.tolist()))
     )
     shared.conn_stage.extend([stage] * conns)
-    shared.conn_min.extend(minima.tolist())
+    shared.conn_min.extend((-minima if negate else minima).tolist())
 
 
 # -- one stage's scan ----------------------------------------------------------
@@ -374,35 +483,32 @@ class StageScan:
     """One stage scan's inputs, decoupled from :class:`SharedLower`.
 
     Built either from a parent-process ``SharedLower`` or, in a pool
-    worker scanning its anchor fragment, from the shared-memory
-    :class:`~repro.dp.corebuf.WorkerLower` (whose ``conn_min`` is a
-    memoryview aliasing the owner's pool).
+    worker scanning its anchor fragment, from the shared-memory pool of
+    :func:`~repro.dp.corebuf.unpack_worker_lower` (whose ``conn_min`` is
+    a memoryview aliasing the owner's pool).
     """
 
-    __slots__ = (
-        "check_repeats", "satisfies", "lookups", "lane", "key_of", "conn_min",
-    )
+    __slots__ = ("check_repeats", "satisfies", "lookups", "lane", "one", "conn_min")
 
-    def __init__(self, atom, lookups, lane, key_of, conn_min):
+    def __init__(self, atom, lookups, lane: FloatLane, one, conn_min):
         self.check_repeats = atom.has_repeated_variables()
         self.satisfies = atom.satisfies_repeats
         self.lookups = lookups
         self.lane = lane
-        self.key_of = key_of
+        self.one = one
         self.conn_min = conn_min
 
 
 def stage_scan_of(shared: SharedLower, stage: int) -> StageScan:
     atom = shared.query.atoms[shared.order[stage]]
     return StageScan(
-        atom, shared.child_lookups(stage), shared.lane,
-        shared.dioid.key, shared.conn_min,
+        atom, shared.child_lookups(stage), shared.lane, shared.one, shared.conn_min
     )
 
 
-def _from_kernel(entry_keys) -> bool:
-    """Whether a scan's entry keys are the numpy kernel's (an ndarray)."""
-    return not isinstance(entry_keys, list)
+def _from_kernel(entry_values) -> bool:
+    """Whether a scan's entry values are the numpy kernel's (an ndarray)."""
+    return not isinstance(entry_values, list)
 
 
 def _scan_stage_vec(
@@ -413,16 +519,16 @@ def _scan_stage_vec(
     global_ids: Sequence[int] | None,
     keep_tuples: bool,
 ):
-    """Vectorized stage scan (identity/negate lanes, no repeated variable).
+    """Vectorized stage scan (no repeated variable).
 
     The join-key dict probes stay hash probes (hash tables do not
     vectorize) but run as one C-level ``map`` per child branch; the
-    alive mask, the key transform, the ``pi`` fold and the ``k + pi``
-    entry keys run as numpy float64 kernels — the same IEEE operations
-    in the same order as the scalar loop, so the produced arrays are
-    bit-identical.  Every column is a list of native Python scalars
-    (``.tolist()``, or the stored weight objects themselves); only the
-    entry keys stay an array, for :func:`_place_by_connector`.
+    alive mask, the ``pi`` fold and the ``v ⊗ pi`` entry values run as
+    numpy float64 kernels — the same IEEE operations in the same order
+    as the scalar loop, so the produced arrays are bit-identical.  Every
+    column is a list of native Python scalars (``.tolist()``, or the
+    stored weight objects themselves); only the entry values stay an
+    array, for :func:`_place_by_connector`.
     """
     np = vec.np
     n = len(rows)
@@ -440,17 +546,18 @@ def _scan_stage_vec(
             alive = np.flatnonzero(mask)
             probes = [probe[alive] for probe in probes]
             w = w[alive]
-    k = w if scan.lane == LANE_ID else -w
+    multiply = scan.lane.multiply
     conn_min = np.asarray(scan.conn_min, dtype=np.float64)
-    # Left-folded from 0.0 in branch order, like the scalar tree loop
-    # (whose chain shortcut ``pi = conn_min[cu]`` has the same bits: no
-    # connector minimum is ever -0.0, being itself a sum that began at
-    # +0.0).  inf + -inf is NaN here as there, without the warning.
-    pi = np.zeros(len(k))
+    # Folded from ``one`` in branch order, like the scalar tree loop
+    # (whose chain shortcut ``pi = conn_min[cu]`` has the same bits:
+    # ``1.0 * m`` is ``m``, and so is ``0.0 + m``, a minimum under ``+``
+    # never being -0.0, itself a sum that began at +0.0).  inf + -inf
+    # and 0 * inf are NaN here as there, without the warning.
+    pi = np.full(len(w), scan.one)
     with np.errstate(invalid="ignore"):
         for probe in probes:
-            pi = pi + conn_min[probe]
-        entry_keys = k + pi
+            pi = pi * conn_min[probe] if multiply else pi + conn_min[probe]
+        entry_values = w * pi if multiply else w + pi
     # Branch-major per state, like the scalar loop's ``extend``.
     cu_out = np.stack(probes, axis=1).ravel().tolist() if probes else []
     if alive is None:
@@ -467,18 +574,18 @@ def _scan_stage_vec(
         else:
             ids_out = [global_ids[i] for i in alive_list]
     # Like the scalar loop, hand back objects that already exist rather
-    # than a second float per state: state keys are the stored weights
-    # (negated for max-plus; an ``int`` weight stays one), a leaf's pi1
-    # column is one shared ``0.0``, a single branch's is its connector
-    # minima themselves (``0.0 + m`` has ``m``'s bits, see above).
-    vk_out = list(weights) if scan.lane == LANE_ID else list(map(neg, weights))
+    # than a second float per state: state values are the stored
+    # weights (an ``int`` weight stays one), a leaf's pi1 column is one
+    # shared ``one``, a single branch's is its connector minima
+    # themselves (the same bits, see above).
+    vk_out = list(weights)
     if not probes:
-        pk_out = [0.0] * len(vk_out)
+        pk_out = [scan.one] * len(vk_out)
     elif len(probes) == 1:
         pk_out = list(map(scan.conn_min.__getitem__, cu_out))
     else:
         pk_out = pi.tolist()
-    return entry_keys, tuples_out, ids_out, vk_out, pk_out, cu_out
+    return entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out
 
 
 def scan_stage(
@@ -489,47 +596,41 @@ def scan_stage(
     global_ids: Sequence[int] | None,
     keep_tuples: bool = True,
 ):
-    """Lower one stage's ``rows`` and parallel ``weights`` to flat arrays.
+    """Lower one stage's ``rows`` and parallel ``weights`` to flat columns.
 
     The one per-row pass of the bottom-up sweep: drop rows violating a
     repeated variable or lacking a join partner in some child branch,
-    fold the child connectors' minima into ``pi1``, key the weight.
-    Insertion positions are ``base + local`` for a contiguous slice,
-    ``global_ids[local]`` otherwise.  Returns ``(entry_keys, tuples_out,
-    ids_out, vk_out, pk_out, cu_out)``, one element per alive state:
-    states are sequential (``0 .. alive-1``), so ``entry_keys[s]`` is
-    state ``s``'s ``k + pi`` and pool workers ship only the value
-    arrays.  ``entry_keys`` is a list from this loop, an ndarray from
-    the numpy kernel (everything else is native lists either way).
+    fold the child connectors' minima into ``pi1`` from ``one``, and
+    multiply the weight by it.  Insertion positions are ``base + local``
+    for a contiguous slice, ``global_ids[local]`` otherwise.  Returns
+    ``(entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out)``,
+    one element per alive state: states are sequential (``0 ..
+    alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi`` and
+    pool workers ship only the other value columns.  ``entry_values``
+    is a list from this loop, an ndarray from the numpy kernel
+    (everything else is native lists either way).
     """
     check_repeats = scan.check_repeats
     satisfies = scan.satisfies
     lookups = scan.lookups
-    lane = scan.lane
-    identity = lane == LANE_ID
-    negate = lane == LANE_NEG
-    key_of = scan.key_of
+    multiply = scan.lane.multiply
+    one = scan.one
     conn_min = scan.conn_min
 
-    if (
-        not check_repeats
-        and lane != LANE_CALL
-        and len(rows) >= _VEC_SCAN_MIN
-        and vec.np is not None
-    ):
+    if not check_repeats and len(rows) >= _VEC_SCAN_MIN and vec.np is not None:
         return _scan_stage_vec(scan, rows, weights, base, global_ids, keep_tuples)
 
     tuples_out: list[tuple] = []
     ids_out: list[int] = []
-    vk_out: list[float] = []
-    pk_out: list[float] = []
+    vk_out: list = []
+    pk_out: list = []
     cu_out: list[int] = []
-    entry_keys: list[float] = []
+    entry_values: list = []
     t_append = tuples_out.append
     i_append = ids_out.append
     v_append = vk_out.append
     p_append = pk_out.append
-    e_append = entry_keys.append
+    e_append = entry_values.append
 
     if len(lookups) == 1 and lookups[0][0] is not None:  # the chain shape
         child_col, _positions, cmap = lookups[0]
@@ -542,19 +643,18 @@ def scan_stage(
             if cu is None:
                 continue
             pi = conn_min[cu]
-            k = w if identity else (-w if negate else key_of(w))
-            e_append(k + pi)
+            e_append(w * pi if multiply else w + pi)
             if keep_tuples:
                 t_append(row)
             i_append(base + local if base is not None else global_ids[local])
-            v_append(k)
+            v_append(w)
             p_append(pi)
             c_append(cu)
     else:
         for local, (row, w) in enumerate(zip(rows, weights)):
             if check_repeats and not satisfies(row):
                 continue
-            pi = 0.0
+            pi = one
             conns: list[int] = []
             dead = False
             for single, positions, cmap in lookups:
@@ -566,19 +666,18 @@ def scan_stage(
                     dead = True
                     break
                 conns.append(cu)
-                pi = pi + conn_min[cu]
+                pi = pi * conn_min[cu] if multiply else pi + conn_min[cu]
             if dead:
                 continue
-            k = w if identity else (-w if negate else key_of(w))
-            e_append(k + pi)
+            e_append(w * pi if multiply else w + pi)
             if keep_tuples:
                 t_append(row)
             i_append(base + local if base is not None else global_ids[local])
-            v_append(k)
+            v_append(w)
             p_append(pi)
             cu_out.extend(conns)
 
-    return entry_keys, tuples_out, ids_out, vk_out, pk_out, cu_out
+    return entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out
 
 
 # -- phase B: assemble one fragment's core -------------------------------------
@@ -590,14 +689,19 @@ def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
     Pre-sized to the common uid space (shared connectors first, then one
     root connector per fragment, all at the anchor stage): fragment
     slots are assigned by index, so concurrent phase-B builds on a
-    thread pool never resize a shared list.
+    thread pool never resize a shared list.  A core without an inverse
+    adds its least entries' values and ranks.
     """
     total = shared.num_conns + num_fragments
-    return {
+    lists = {
         "pairs": shared.pairs + [None] * num_fragments,
         "conn_stage": shared.conn_stage + [shared.anchor_stage] * num_fragments,
         "caches": ([None] * total, [None] * total, [None] * total),
     }
+    if not shared.inverse:
+        lists["min_base"] = shared.conn_min + [None] * num_fragments
+        lists["min_rank"] = shared.conn_rank + [None] * num_fragments
+    return lists
 
 
 def build_fragment(
@@ -629,67 +733,108 @@ def assemble_fragment(
     """One fragment's core from its scan output over the shared columns.
 
     ``scan_out`` is :func:`scan_stage`'s tuple (its rows may be a lazy
-    row source).  The entry keys may be ``None``: pool workers ship only
-    the value arrays and the keys are recomputed here by the same float
-    addition.  Scan states are sequential, so the fragment's root
-    connector is the keys zipped with ``0 .. alive-1``.
+    row source).  The entry values may be ``None``: pool workers ship
+    only the value columns, and the entry values are recomputed here by
+    the same operation — and with them the keys and, for a core without
+    an inverse, the fragment's least entry.  Scan states are sequential,
+    so the fragment's root connector is the keys zipped with ``0 ..
+    alive-1``.
     """
-    entry_keys, rows, ids_out, vk_out, pk_out, cu_out = scan_out
-    if entry_keys is None:
-        entry_keys = [v + p for v, p in zip(vk_out, pk_out)]
-    elif _from_kernel(entry_keys):
-        entry_keys = entry_keys.tolist()
-    entries = list(zip(entry_keys, count()))
-    dioid = shared.dioid
+    entry_values, rows, ids_out, vk_out, pk_out, cu_out = scan_out
+    multiply, negate = shared.lane
+    if entry_values is None:
+        entry_values = list(map(mul if multiply else add, vk_out, pk_out))
+    elif _from_kernel(entry_values):
+        entry_values = entry_values.tolist()
+    keys = list(map(neg, entry_values)) if negate else entry_values
     anchor = shared.anchor_stage
     uid = shared.num_conns + index
 
+    def per_fragment(columns: list, column: list) -> list:
+        """The shared per-stage ``columns`` with this fragment's anchor ``column``."""
+        columns = list(columns)
+        columns[anchor] = column
+        return columns
+
+    without_inverse: dict = {}
+    if shared.inverse:
+        entries = list(zip(keys, count()))
+    else:
+        val_rank, ent_rank = _rank_columns(shared, anchor, rows, cu_out)
+        entries = list(zip(keys, ent_rank, count()))
+        without_inverse = dict(
+            val_rank=per_fragment(shared.val_rank, val_rank),
+            ent_base=per_fragment(shared.ent_base, entry_values),
+            ent_rank=per_fragment(shared.ent_rank, ent_rank),
+            min_base=lists["min_base"],
+            min_rank=lists["min_rank"],
+        )
+
     empty = not entries or not shared.complete
     if empty:
-        best_key = dioid.key(dioid.zero)
+        best = (shared.zero, 0)
     else:
-        # The virtual start state: one branch per root stage, folded in
-        # stage order exactly as ``build_tdp`` folds ``best_weight``.
-        frag_min = min(entries)[0]
-        best_key = 0.0
+        least = min(entries)
+        frag_min = entry_values[least[-1]]
+        frag_rank = 0 if shared.inverse else least[1]
+        if not shared.inverse:
+            lists["min_base"][uid] = frag_min
+            lists["min_rank"][uid] = frag_rank
+        # The virtual start state: one branch per root stage, folded
+        # from ``one`` in stage order exactly as ``build_tdp`` folds
+        # ``best_weight``.
+        total, rank = shared.one, 0
         for stage, parent in enumerate(shared.parent_stage):
-            if parent == -1:
-                best_key = best_key + (
-                    frag_min
-                    if stage == anchor
-                    else shared.conn_min[shared.root_uid[stage]]
-                )
+            if parent != -1:
+                continue
+            if stage == anchor:
+                value, value_rank = frag_min, frag_rank
+            else:
+                root = shared.root_uid[stage]
+                value = shared.conn_min[root]
+                value_rank = 0 if shared.inverse else shared.conn_rank[root]
+            total = total * value if multiply else total + value
+            rank += value_rank
+        best = (total, rank)
 
     lists["pairs"][uid] = entries
-    values_key = list(shared.values_key)
-    values_key[anchor] = vk_out
-    pi1_key = list(shared.pi1_key)
-    pi1_key[anchor] = pk_out
-    child_uids = list(shared.child_uids)
-    child_uids[anchor] = cu_out
-    tuples = list(shared.tuples)
-    tuples[anchor] = rows
-    tuple_ids = list(shared.tuple_ids)
-    tuple_ids[anchor] = ids_out
     root_uid = dict(shared.root_uid)
     root_uid[anchor] = uid
-
     shell = CoreShell(
-        dioid, shared.order, shared.parent_stage, shared.query, shared.tree,
-        tuples, tuple_ids,
+        shared.dioid, shared.order, shared.parent_stage, shared.query, shared.tree,
+        per_fragment(shared.tuples, rows), per_fragment(shared.tuple_ids, ids_out),
     )
-    return CompiledTDP.assemble(
+    core_class = CompiledTDP if shared.templates is None else LaneCore
+    return core_class.assemble(
         shell,
-        values_key=values_key,
-        pi1_key=pi1_key,
-        child_uids=child_uids,
+        lane=shared.lane,
+        one=shared.one,
+        val_base=per_fragment(shared.val_base, vk_out),
+        pi1=per_fragment(shared.pi1, pk_out),
+        child_uids=per_fragment(shared.child_uids, cu_out),
         conn_stage=lists["conn_stage"],
         root_uid=root_uid,
-        best_key=best_key,
+        best=best,
         empty=empty,
         pairs=lists["pairs"],
         caches=lists["caches"],
+        **without_inverse,
     )
+
+
+def _lower_whole(
+    database: Database, shared: SharedLower, span=NULL_SPAN
+) -> CompiledTDP:
+    """Phase B over the whole anchor relation (stage 0): one fragment."""
+    relation = database[shared.query.atoms[shared.order[0]].relation_name]
+    rows, weights = stage_columns(relation)
+    scan_out = scan_stage(stage_scan_of(shared, 0), rows, weights, 0, None)
+    span.set(
+        rows=shared.rows + len(rows),
+        stages=shared.num_stages,
+        vectorized_stages=shared.vectorized_stages + _from_kernel(scan_out[0]),
+    )
+    return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))
 
 
 def lower_query(
@@ -705,14 +850,28 @@ def lower_query(
     (the caller's ``tdp.build``) is told how many input rows the pass
     scanned and how many of its stages took the numpy kernel.
     """
-    query = tree.query
-    shared = build_shared_lower(database, query, tree, dioid, anchor_stage=0)
-    relation = database[query.atoms[shared.order[0]].relation_name]
-    rows, weights = stage_columns(relation)
-    scan_out = scan_stage(stage_scan_of(shared, 0), rows, weights, 0, None)
-    span.set(
-        rows=shared.rows + len(rows),
-        stages=shared.num_stages,
-        vectorized_stages=shared.vectorized_stages + _from_kernel(scan_out[0]),
+    shared = build_shared_lower(database, tree.query, tree, dioid, anchor_stage=0)
+    return _lower_whole(database, shared, span)
+
+
+def lower_member(
+    database: Database,
+    join_tree: JoinTree,
+    tie: TieBreakingDioid,
+    var_position: dict[str, int],
+    lane: FloatLane,
+) -> LaneCore:
+    """Lower one union member to a :class:`~repro.dp.flat.LaneCore`.
+
+    The same sweep as :func:`lower_query`, ranked under ``tie`` — which
+    must have numbered its domains
+    (:func:`~repro.dp.builder.rank_tie_domains`) — with the packed-rank
+    column of the variables each stage owns; ``lane`` is
+    :func:`member_lane`'s.  Its columns and ranks are ``build_tdp``'s
+    under ``tie`` and its lift, with no ``times`` or ``key`` call.
+    """
+    shared = build_shared_lower(
+        database, join_tree.query, join_tree, tie, 0, lane,
+        owned_columns(join_tree, var_position),
     )
-    return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))
+    return _lower_whole(database, shared)

@@ -43,14 +43,13 @@ from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
-from repro.dp.flat import compile_tdp, lowers_to_key_space
-from repro.dp.lane import LaneCore, lower_member, member_lane
-from repro.dp.lower import lower_query
+from repro.dp.flat import LaneCore, compile_tdp
+from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
-from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
+from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid, lane_of
 from repro.util.counters import OpCounter
 
 #: Strategy names: how the (inner full) query will be evaluated.
@@ -352,9 +351,10 @@ class PhysicalPlan:
 class AcyclicPhysical(PhysicalPlan):
     """Acyclic full CQ: one T-DP, any-k enumeration (Section 4/5).
 
-    ``tdp`` is whatever the bind produced.  For dioids with the
-    float-key contract that is the :class:`~repro.dp.flat.CoreShell` of
-    a directly lowered (or ``.core``-mapped) compiled core, which
+    ``tdp`` is whatever the bind produced.  For a dioid with a lane
+    (:func:`~repro.ranking.dioid.lane_of`) that is the
+    :class:`~repro.dp.flat.CoreShell` of a directly lowered (or
+    ``.core``-mapped) compiled core, which
     :func:`~repro.dp.flat.compile_tdp` just reads back off the shell;
     for every other dioid it is the object graph of
     :func:`~repro.dp.builder.build_tdp` and ``compiled`` is ``None``.
@@ -409,7 +409,7 @@ class AcyclicPhysical(PhysicalPlan):
             lines.append(
                 f"  compiled core: {stats['entries']} flat entries "
                 f"({'chain' if self.compiled.is_chain else 'tree'} layout, "
-                f"key space: {self.logical.dioid!r}){mapped}"
+                f"lane ({self.compiled.lane})){mapped}"
             )
         return lines
 
@@ -426,9 +426,9 @@ class UnionPhysical(PhysicalPlan):
     ``enumerate_union``.
 
     A member is *lowered*, not built, when the base dioid keeps its lane
-    contract (:func:`repro.dp.lane.member_lane`, decided once from the
+    contract (:func:`repro.dp.lower.member_lane`, decided once from the
     dioid): ``tdps[i]`` is then the shell of a
-    :class:`~repro.dp.lane.LaneCore` (``cores[i]``) and the member runs
+    :class:`~repro.dp.flat.LaneCore` (``cores[i]``) and the member runs
     the flat kernels of :mod:`repro.anyk.flat` over it; otherwise it is the
     object graph of ``build_tdp`` (``cores[i]`` is ``None``, the reason
     in :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
@@ -724,8 +724,8 @@ def _bind(
                 core_cache=core_cache,
                 tracer=tracer,
             )
-        if not lowers_to_key_space(logical.dioid):
-            # No float-key contract: the object graph is the T-DP.
+        if lane_of(logical.dioid)[0] is None:
+            # No lane: the object graph is the T-DP.
             with tracer.span("tdp.build") as span:
                 tdp = build_tdp(database, logical.join_tree, dioid=logical.dioid)
                 span.set(states=tdp.num_states())
@@ -775,7 +775,7 @@ def _bind(
     if strategy == FREE_CONNEX_MINWEIGHT:
         with tracer.span("tdp.build", projection="min_weight"):
             physical = MinWeightPhysical(logical, database)
-        if physical.tdp is not None and lowers_to_key_space(logical.dioid):
+        if physical.tdp is not None and lane_of(logical.dioid)[0] is not None:
             with tracer.span("tdp.compile") as span:
                 compiled = compile_tdp(physical.tdp)
                 span.set(entries=compiled.stats()["entries"])
@@ -803,7 +803,7 @@ def _bind_union(
             stages=sum(tdp.num_stages for tdp in tdps),
             states=sum(tdp.num_states() for tdp in tdps),
             connectors=sum(tdp.num_connectors for tdp in tdps),
-            # Members lowered to lane cores, and the entries they hold.
+            # Members lowered to compiled cores, and the entries they hold.
             lowered=len(lowered),
             entries=sum(core.stats()["entries"] for core in lowered),
         )

@@ -26,10 +26,13 @@ Execution modes (resolved by the :class:`~repro.parallel.sharder.Sharder`):
   SQLite reopens once per worker, memory-backed relations ship by value
   once per worker.
 
-Dioids without the ``key_is_value`` contract — and the ``canonical``
-tie-break, which ranks fragments under the Section 6.3
-:class:`~repro.ranking.dioid.TieBreakingDioid` — build one object-graph
-T-DP per fragment instead (:func:`build_object_fragment`).
+Every dioid with a lane (:func:`~repro.ranking.dioid.lane_of`) takes
+that path, max-times included: a core without an inverse ships the
+same three columns, and the parent recomputes its entry values and its
+fragment's least entry along with the keys.  Dioids without a lane —
+and the ``canonical`` tie-break, which ranks fragments under the
+Section 6.3 :class:`~repro.ranking.dioid.TieBreakingDioid` — build one
+object-graph T-DP per fragment instead (:func:`build_object_fragment`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import LazyRows, ShmPool, pack_worker_lower, unpack_worker_lower
-from repro.dp.flat import CompiledTDP, lowers_to_key_space
+from repro.dp.flat import CompiledTDP
 from repro.dp.graph import TDP
 from repro.dp.lower import (
     StageScan,
@@ -57,7 +60,7 @@ from repro.dp.lower import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.sharder import Fragment, ShardPlan, stable_hash
-from repro.ranking.dioid import SelectiveDioid, TieBreakingDioid
+from repro.ranking.dioid import SelectiveDioid, TieBreakingDioid, lane_of
 from repro.util import faults
 from repro.util.resilience import COUNTERS
 
@@ -213,14 +216,12 @@ def _init_scan_worker(
 
     database = _open_recipe(recipe)
     pool = ShmPool.attach(shm_name)
-    lower = unpack_worker_lower(pool.buf)
+    conn_min, lookups = unpack_worker_lower(pool.buf)
     atom = query.atoms[anchor_atom_index]
     _WORKER = {
         "database": database,
         "pool": pool,
-        "scan": StageScan(
-            atom, lower.lookups, lower.lane, dioid.key, lower.conn_min
-        ),
+        "scan": StageScan(atom, lookups, lane_of(dioid)[0], dioid.one, conn_min),
         "relation": database[anchor_relation_name],
         "buckets": None,
     }
@@ -232,8 +233,8 @@ def _scan_worker_fragment(task: tuple) -> tuple:
 
     Phase A is *not* rebuilt here — the scan resolves its child
     connectors against the shared-memory pool the initializer attached.
-    The return value is four compact typed arrays (anchor value keys,
-    pi1 keys, child uids, global tuple ids); entry states are implied
+    The return value is four compact typed arrays (anchor state values,
+    pi1 values, child uids, global tuple ids); entry states are implied
     (sequential) and anchor rows are re-fetched lazily by the parent, so
     no row data or entry pools are pickled back either.
     """
@@ -254,7 +255,7 @@ def _scan_worker_fragment(task: tuple) -> tuple:
             buckets = state["buckets"] = _hash_buckets(relation, shards)
         rows, weights, gids = buckets[fragment.index]
         base = None
-    _entry_keys, _tuples, ids_out, vk_out, pk_out, cu_out = scan_stage(
+    _entry_values, _tuples, ids_out, vk_out, pk_out, cu_out = scan_stage(
         state["scan"], rows, weights, base, gids, keep_tuples=False
     )
     return (
@@ -319,7 +320,7 @@ class FragmentRuntime:
     def anchor_states(self) -> int:
         """Alive states at the anchor stage (this fragment's own slice)."""
         if self.compiled is not None:
-            return len(self.compiled.values_key[self.anchor_stage])
+            return len(self.compiled.val_base[self.anchor_stage])
         return len(self.tdp.tuples[self.anchor_stage])
 
 
@@ -521,8 +522,9 @@ class ParallelPreprocessor:
         fragments = []
         for index, vk, pk, cu, ids, seconds in sorted(results):
             ids_out = ids.tolist()
-            # Entry keys are implied by the value arrays (sequential
-            # states); rows are re-fetched lazily, per emitted answer.
+            # Entry values and keys are implied by the value arrays
+            # (sequential states); rows are re-fetched lazily, per
+            # emitted answer.
             scan_out = (
                 None, LazyRows(relation, ids_out), ids_out,
                 vk.tolist(), pk.tolist(), cu.tolist(),
@@ -617,7 +619,7 @@ class ParallelPreprocessor:
 
     def build(self) -> PreprocessResult:
         flat_path = (
-            lowers_to_key_space(self.logical.dioid)
+            lane_of(self.logical.dioid)[0] is not None
             and self.shard_plan.spec.tie_break == "arrival"
         )
         return self._build_flat() if flat_path else self._build_object()

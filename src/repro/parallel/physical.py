@@ -1,8 +1,8 @@
 """ShardedPhysical: the bound form of a sharded logical plan.
 
-Holds one built fragment per shard — compiled flat cores on the fast
-path, object-graph T-DPs under the canonical tie-break or a generic
-dioid — and starts enumeration runs that merge the per-fragment any-k
+Holds one built fragment per shard — compiled flat cores for a dioid
+with a lane, object-graph T-DPs under the canonical tie-break or a
+dioid without one — and starts enumeration runs that merge the per-fragment any-k
 streams through :class:`~repro.parallel.merge.ShardMerge`.  Like every
 :class:`~repro.engine.plan.PhysicalPlan`, the built structures are
 read-only during enumeration and algorithm-independent: the engine
@@ -17,7 +17,6 @@ from typing import Iterator
 
 from repro.data.database import Database
 from repro.dp.corebuf import core_key
-from repro.dp.flat import lowers_to_key_space
 from repro.engine.plan import (
     DecodedResults,
     LogicalPlan,
@@ -35,6 +34,7 @@ from repro.parallel.build import (
 )
 from repro.parallel.merge import ShardConcat, ShardMerge
 from repro.parallel.sharder import Sharder, ShardPlan
+from repro.ranking.dioid import lane_of
 from repro.util.counters import OpCounter
 
 
@@ -209,8 +209,7 @@ def bind_sharded(
     """
     spec = logical.shard
     flat_path = (
-        lowers_to_key_space(logical.dioid)
-        and spec.tie_break == "arrival"
+        lane_of(logical.dioid)[0] is not None and spec.tie_break == "arrival"
     )
     sharder = Sharder(database, indexes)
     with tracer.span("shard.plan") as span:

@@ -22,7 +22,8 @@ repr — deterministic across processes, unlike ``hash()``), the classic
 skew-resistant layout when insertion order correlates with weight.
 
 **Tie-break modes.**  With ``tie_break="arrival"`` (default) fragments
-rank under the query's own dioid — the compiled flat cores apply — and
+rank under the query's own dioid — the compiled flat cores apply
+wherever it has a lane (``lane_of``: tropical, max-plus, max-times) — and
 exact-key ties across fragments resolve by merge arrival order; the
 merged stream is bit-identical to the unsharded one whenever no two
 distinct answers share an exact key, which is the generic case for
@@ -205,7 +206,7 @@ class Sharder:
     explicit ``spec.atom`` overrides the heuristic.
 
     The object-graph fragment path — taken for ``tie_break="canonical"``
-    *and* for any dioid without the ``key_is_value`` contract — restricts
+    *and* for any dioid without a lane (``lane_of``) — restricts
     the anchor *relation by name*, so it requires an anchor whose
     relation name is unique among the query's atoms (no self-join on
     the anchor).  The flat direct builder restricts per *stage* and has
@@ -238,7 +239,7 @@ class Sharder:
         """The anchor atom index plus human-readable reasoning.
 
         The object-graph fragment path (``flat_path=False``: canonical
-        tie-break, or a dioid without the ``key_is_value`` contract)
+        tie-break, or a dioid without a lane)
         restricts the anchor *relation by name*, so it must anchor an
         atom whose relation appears exactly once — restricting a
         self-joined name would also restrict the other occurrences and
@@ -263,7 +264,7 @@ class Sharder:
                     f"cannot anchor atom #{spec.atom}: relation "
                     f"{names[spec.atom]!r} appears in several atoms, and "
                     "the object-graph fragment path (canonical tie-break "
-                    "or a non-key_is_value dioid) restricts the anchor "
+                    "or a dioid without a lane) restricts the anchor "
                     "relation by name"
                 )
             notes.append(f"anchor atom #{spec.atom} set explicitly")
@@ -277,7 +278,7 @@ class Sharder:
                     "sharding this query needs an atom whose relation "
                     "appears exactly once: pure self-joins can only "
                     "shard on the flat path (arrival tie-break with a "
-                    "key_is_value dioid)"
+                    "dioid that has a lane)"
                 )
             if default not in unique_ok:
                 default = candidates[0]

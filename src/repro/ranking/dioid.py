@@ -32,10 +32,13 @@ arithmetic as that operator on plain columns — in *value* space, keyed
 afterwards, one operation for each ``times`` the object path would
 call, so every bit (signed zeros included) and every result type (an
 ``int`` weight stays an ``int`` until it meets ``one``) is the one
-``times`` would have produced.  Tie-broken union members whose base has
-a lane are lowered that way (:mod:`repro.dp.lane`).  :func:`lane_of`
-reads the declaration; a subclass that overrides ``times`` or ``key``
-no longer keeps the promise and has no lane.
+``times`` would have produced.  Every plan ranked by a dioid with a lane
+— acyclic plans, shard fragments, and tie-broken union members whose
+base has one — is lowered that way (:mod:`repro.dp.lower`); whether the
+lane has an inverse is the dioid's :attr:`~SelectiveDioid.has_inverse`.
+:func:`lane_of` reads the declaration, and is the only question the
+lowering asks about a dioid; a subclass that overrides ``times`` or
+``key`` no longer keeps the promise and has no lane.
 """
 
 from __future__ import annotations
@@ -51,9 +54,7 @@ class FloatLane(NamedTuple):
     """A dioid's ``times`` and ``key`` as native operators on numbers.
 
     ``multiply``: ``times(a, b)`` is ``a * b`` (else ``a + b``).
-    ``negate``: ``key(a)`` is ``-a`` (else ``a`` itself) — the one place
-    that says so: the key-space core's weight transform
-    (:func:`repro.dp.flat.key_lane`) reads it too.
+    ``negate``: ``key(a)`` is ``-a`` (else ``a`` itself).
     """
 
     multiply: bool
@@ -82,18 +83,6 @@ class SelectiveDioid(ABC):
 
     #: Whether ``times`` has an inverse (the monoid is a group).
     has_inverse: bool = False
-
-    #: Fast-path contract (see ``repro.dp.flat``): when ``True``, the
-    #: order key *carries the whole value* — keys are plain floats,
-    #: ``key`` is additive over ``times`` (``key(times(a, b)) ==
-    #: key(a) + key(b)`` bit-for-bit under IEEE arithmetic), and the
-    #: original value is recoverable via :meth:`value_from_key`.  The
-    #: compiled enumeration core then runs entirely in key space with
-    #: native ``+`` / float comparison instead of ``times``/``key``
-    #: dispatch.  True for the tropical min/max dioids; leave ``False``
-    #: for any dioid whose key is not an additive float image (the
-    #: enumerators transparently fall back to the generic path).
-    key_is_value: bool = False
 
     #: The lane contract (module docstring): ``times`` and ``key`` as one
     #: native operator each, or ``None``.  Read it through
@@ -135,16 +124,6 @@ class SelectiveDioid(ABC):
         """Return ``c`` with ``times(c, b) == a``; only if ``has_inverse``."""
         raise NotImplementedError(f"{type(self).__name__} has no inverse")
 
-    def value_from_key(self, key: Any) -> Any:
-        """Recover the dioid value whose order key is ``key``.
-
-        Only meaningful when :attr:`key_is_value` is ``True``; the
-        default (identity) covers dioids whose key *is* the value, e.g.
-        tropical min-plus.  Dioids with an order-flipping key (max-plus
-        uses ``key(a) = -a``) override this with the inverse map.
-        """
-        return key
-
     def leq(self, a: Any, b: Any) -> bool:
         """Total order induced by selectivity: ``a`` ranks no worse than ``b``."""
         return self.key(a) <= self.key(b)
@@ -174,11 +153,6 @@ class TropicalDioid(SelectiveDioid):
     """
 
     has_inverse = True
-    #: Keys are the values themselves: the compiled flat core applies,
-    #: and because the key IS the stored value the compiled arrays are
-    #: core-persistable — they round-trip through a ``<db>.core`` mmap
-    #: (:mod:`repro.dp.corebuf`) with no per-process rebuild.
-    key_is_value = True
     float_lane = FloatLane(multiply=False, negate=False)
 
     @property
@@ -206,15 +180,8 @@ class MaxPlusDioid(SelectiveDioid):
     """
 
     has_inverse = True
-    #: ``key(a) = -a`` is an additive, invertible float image of the
-    #: value (IEEE negation is exact), so the flat key-space core applies
-    #: and, like the tropical dioid, is core-persistable: negation is
-    #: deterministic and bit-exact, so mmap-loaded arrays reproduce a
-    #: fresh compile byte-for-byte.
-    key_is_value = True
-    #: Its lane runs in value space: a derived zero keeps the sign
-    #: ``times`` gives it (``-(0.0 + x)``), which key-space folding from
-    #: ``0.0`` would not.
+    #: Its lane runs in value space and keys afterwards: a derived zero
+    #: keeps the sign ``times`` gives it (``-(0.0 + x)``).
     float_lane = FloatLane(multiply=False, negate=True)
 
     @property
@@ -234,9 +201,6 @@ class MaxPlusDioid(SelectiveDioid):
     def divide(self, a: float, b: float) -> float:
         return a - b
 
-    def value_from_key(self, key: float) -> float:
-        return -key
-
 
 class MaxTimesDioid(SelectiveDioid):
     """``([0,∞), max, ×, 0, 1)`` — largest product first.
@@ -245,10 +209,9 @@ class MaxTimesDioid(SelectiveDioid):
     simulates bag semantics, returning the highest-multiplicity output
     first; with probabilities it returns the most probable witness.
     ``times`` has no inverse on all of ``[0, ∞)`` (zero is not
-    invertible), so this dioid advertises ``has_inverse = False``.  Its
-    key is no additive image of the value either, so the key-space core
-    does not apply — but it has a lane: products run as ``*`` in value
-    space and are keyed by negation afterwards.
+    invertible), so this dioid advertises ``has_inverse = False``: its
+    lane runs products as ``*`` in value space, keys them by negation
+    afterwards, and derives a sibling's weight from its prefix.
     """
 
     float_lane = FloatLane(multiply=True, negate=True)
@@ -422,7 +385,7 @@ class TieBreakingDioid(SelectiveDioid):
 
     Both lanes are plain numbers, so where the base keeps the lane
     contract (:func:`lane_of`) a union member never calls ``times`` or
-    ``key`` here: :mod:`repro.dp.lane` lowers it to a base-value column
+    ``key`` here: :mod:`repro.dp.lower` lowers it to a base-value column
     and a rank column per stage, runs the base's operator on the first
     and ``+`` on the second, and keys ``(base_key, rank)`` afterwards —
     exactly the pairs this class would have produced.

@@ -14,8 +14,8 @@ repro.util import vec`` ... ``vec.np``), which gives one switch that
 Vectorized kernels must stay bit-identical to the scalar path: they may
 only reorder *bookkeeping*, never floating-point arithmetic — every
 float operation performed must be the same operation, in the same
-association order, as the scalar code (see ``repro/dp/flat.py`` for the
-key-space contract that makes the additions associate identically).
+association order, as the scalar code (see ``repro/dp/lower.py``: both
+fold a dioid's lane from ``one`` in the object path's order).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.graph import ChoiceSet
-from repro.dp.lane import lower_member
+from repro.dp.lower import lower_member
 from repro.engine import Engine
 from repro.query.builders import cycle_query
 from repro.ranking.dioid import (

@@ -9,7 +9,7 @@ ordering decision is replicated.  This suite pins that claim:
 
 * all 7 variants, flat (``flat=None`` auto) vs. forced object path
   (``flat=False``), on tropical and max-plus (both compile) and on the
-  lexicographic dioid (no ``key_is_value`` — must transparently fall
+  lexicographic dioid (no lane — must transparently fall
   back to the object path and still agree);
 * a counted and an uncounted run produce the same stream (they are the
   same loop), op-counts match the object path exactly — also after a
@@ -37,10 +37,13 @@ from repro.engine import Engine
 from repro.query.builders import path_query, star_query
 from repro.query.parser import parse_query
 from repro.ranking.dioid import (
+    BOOLEAN,
     MAX_PLUS,
+    MAX_TIMES,
     TROPICAL,
     LexicographicDioid,
     SelectiveDioid,
+    lane_of,
 )
 from repro.util.counters import OpCounter
 
@@ -160,7 +163,7 @@ class TestFlatBitIdentical:
 
 
 class TestGenericDioidFallback:
-    """Non-``key_is_value`` dioids keep the object path, transparently."""
+    """Dioids without a lane keep the object path, transparently."""
 
     def _lex_tdp(self, algorithm_seed: int = 0):
         dioid = LexicographicDioid(2)
@@ -190,7 +193,7 @@ class TestGenericDioidFallback:
         tdp, _dioid = self._lex_tdp()
         assert compile_tdp(tdp) is None
         assert compile_tdp(tdp) is None  # memoized negative answer
-        with pytest.raises(ValueError, match="key_is_value"):
+        with pytest.raises(ValueError, match="declares no float lane"):
             make_enumerator(tdp, "take2", flat=True)
 
     def test_flat_forced_on_supported_dioid(self):
@@ -199,26 +202,38 @@ class TestGenericDioidFallback:
         assert isinstance(enum, FlatAnyKPart)
 
 
-class TestKeyIsValueContract:
-    def test_tropical_key_roundtrip(self):
-        assert TROPICAL.key_is_value
-        assert TROPICAL.value_from_key(TROPICAL.key(3.5)) == 3.5
+class TestLaneContract:
+    """``lane_of`` is the one question the lowering asks about a dioid."""
 
-    def test_max_plus_key_roundtrip(self):
-        assert MAX_PLUS.key_is_value
-        assert MAX_PLUS.value_from_key(MAX_PLUS.key(3.5)) == 3.5
-        assert MAX_PLUS.key(2.0) == -2.0
+    LANES = [(TROPICAL, False, False), (MAX_PLUS, False, True), (MAX_TIMES, True, True)]
 
-    def test_key_additivity(self):
+    def test_lane_declarations(self):
+        for dioid, multiply, negate in self.LANES:
+            lane, why = lane_of(dioid)
+            assert (lane.multiply, lane.negate, why) == (multiply, negate, "")
+
+    def test_lane_is_times_and_key(self):
         rng = random.Random(5)
-        for dioid in FAST_DIOIDS:
+        for dioid, multiply, negate in self.LANES:
             for _ in range(50):
                 a, b = rng.random() * 10, rng.random() * 10
-                assert dioid.key(dioid.times(a, b)) == dioid.key(a) + dioid.key(b)
+                assert dioid.times(a, b) == (a * b if multiply else a + b)
+                assert dioid.key(a) == (-a if negate else a)
 
-    def test_generic_dioids_not_marked(self):
-        assert not LexicographicDioid(2).key_is_value
-        assert not SelectiveDioid.key_is_value
+    def test_inverse_is_has_inverse(self):
+        """The sibling rule a core runs is the dioid's own ``has_inverse``."""
+        assert [dioid.has_inverse for dioid, _m, _n in self.LANES] == [True, True, False]
+        for dioid, _multiply, _negate in self.LANES:
+            compiled = compile_tdp(build("path", 3, 30, dioid))
+            assert compiled.inverse == dioid.has_inverse
+            assert compiled.lane is lane_of(dioid)[0]
+
+    def test_generic_dioids_have_no_lane(self):
+        assert lane_of(LexicographicDioid(2)) == (
+            None, "LexicographicDioid(2) declares no float lane"
+        )
+        assert lane_of(BOOLEAN)[0] is None
+        assert SelectiveDioid.float_lane is None
 
 
 class TestCompiledStructure:
@@ -384,7 +399,7 @@ class TestDirectLoweringMatchesObjectLowering:
         assert direct.best_key == reference.best_key
         assert direct.root_uid == reference.root_uid
         assert direct.num_connectors == reference.num_connectors
-        for name in ("values_key", "pi1_key", "child_uids", "conn_of"):
+        for name in ("val_base", "pi1", "child_uids", "conn_of"):
             assert getattr(direct, name) == getattr(reference, name), name
         assert direct.tdp.tuples == tdp.tuples
         assert direct.tdp.tuple_ids == tdp.tuple_ids

@@ -1,7 +1,7 @@
 """A lowered union member is the object member, column by column and rank by rank.
 
-:func:`repro.dp.lane.lower_member` lowers a tie-broken member straight to
-a two-lane :class:`~repro.dp.lane.LaneCore` and :mod:`repro.anyk.flat`'s
+:func:`repro.dp.lower.lower_member` lowers a tie-broken member straight to
+a two-lane :class:`~repro.dp.flat.LaneCore` and :mod:`repro.anyk.flat`'s
 kernels enumerate it.  The object path — ``build_tdp`` under
 :class:`~repro.ranking.dioid.TieBreakingDioid` and the enumerators of
 ``anyk/partition.py``, ``recursive.py`` and ``batch.py`` — is the oracle:
@@ -35,9 +35,8 @@ from repro.data.generators import uniform_database
 from repro.data.relation import Relation
 from repro.decomposition.cycle import decompose_cycle
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
-from repro.dp.flat import LANE_CALL, LANE_ID, LANE_NEG, key_lane
-from repro.dp.lane import LaneCore, lower_member, member_lane
-from repro.dp.lower import lower_query
+from repro.dp.flat import LaneCore
+from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.engine import Engine
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.jointree import build_join_tree
@@ -338,10 +337,6 @@ def test_the_lane_is_declared_by_the_dioid_and_lost_by_an_override():
         assert member_lane(TieBreakingDioid(base, 2))[0] is lane_of(base)[0]
     lane, why = member_lane(vector_tie.TieBreakingDioid(TROPICAL, 2))
     assert lane is None and "not the packed-rank tie-breaker" in why
-    # The key-space core reads the same declaration for its weight transform.
-    assert key_lane(TROPICAL) == LANE_ID
-    assert key_lane(MAX_PLUS) == LANE_NEG
-    assert key_lane(CountingTropical()) == LANE_CALL
 
 
 @pytest.mark.parametrize(

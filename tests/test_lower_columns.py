@@ -15,15 +15,13 @@ over {tropical, max-plus} x {path, star, two-column join key, self-join
 with a repeated variable} x {in-memory, SQLite} x {whole relation, range
 fragments, hash fragments} x hostile weight and join-key palettes.
 
-One difference predates this suite and is pinned, not hidden: under
-max-plus the lowering's derived zero keys are ``+0.0`` where the object
-path's are ``-0.0`` (it folds from ``0.0`` in key space, the object path
-negates a sum folded from ``one``): see
-:func:`test_max_plus_zero_keys_differ_from_the_object_path_in_sign_only`.
-One the suite found is gone: the numpy kernel used to hand back
-``float64`` round trips of the weights as state keys (an ``int`` weight
-became a ``float``, a max-plus ``int`` zero a ``-0.0``); it now keeps
-the stored weight objects, like the scalar loop and the object path.
+The columns are values (state values, ``pi1`` values, connector minima)
+and the entries keys, under the dioid's lane.  The lowering folds in
+value space from ``one`` and keys afterwards, as the object path does,
+so nothing differs, a max-plus derived zero's sign included
+(:func:`test_max_plus_zeros_equal_the_object_path_in_bits`).  The numpy
+kernel hands back the stored weight objects as state values (an ``int``
+weight stays an ``int``), like the scalar loop and the object path.
 """
 
 from __future__ import annotations
@@ -127,13 +125,8 @@ def open_database(database, backend, tmp_path):
 
 
 def bits(x) -> str:
-    """A key's IEEE bits (an ``int`` key as the float it equals)."""
+    """A number's IEEE bits (an ``int`` as the float it equals)."""
     return float(x).hex()
-
-
-def unsigned_zero_bits(x) -> str:
-    """:func:`bits` with ``-0.0`` read as ``0.0`` (the pinned max-plus gap)."""
-    return (float(x) + 0.0).hex()
 
 
 # -- the three lowerings -------------------------------------------------------
@@ -152,11 +145,15 @@ def lower_whole(database, tree, dioid):
 
 
 def conn_minima(shared, cores) -> list:
-    """``shared.conn_min`` extended by each fragment's root-connector minimum."""
+    """``shared.conn_min`` extended by each fragment's root-connector minimum.
+
+    Values: a least entry's key, negated where the lane negates.
+    """
     minima = list(shared.conn_min)
     for index, core in enumerate(cores):
         root = core.pairs(shared.num_conns + index)
-        minima.append(min(root)[0] if root else None)
+        key = min(root)[0] if root else None
+        minima.append(-key if root and shared.lane.negate else key)
     return minima
 
 
@@ -177,34 +174,34 @@ def with_scalar(monkeypatch, build):
         return build()
 
 
-def core_columns(core, conn_min, key_bits=bits, uids=None) -> dict:
-    """Everything the lowering emits for one core, keys as bit strings."""
+def core_columns(core, conn_min, uids=None) -> dict:
+    """Everything the lowering emits for one core, numbers as bit strings."""
     if uids is None:
         uids = range(core.num_connectors)
     return {
         "empty": core.empty,
         # (An empty fragment still owns its root uid slot.)
         "num_connectors": None if core.empty else core.num_connectors,
-        "best_key": key_bits(core.best_key),
+        "best_key": bits(core.best_key),
         # (The object path forgets its root connectors when empty.)
         "root_uid": {} if core.empty else dict(core.root_uid),
-        "values_key": [[key_bits(v) for v in stage] for stage in core.values_key],
-        "pi1_key": [[key_bits(v) for v in stage] for stage in core.pi1_key],
+        "val_base": [[bits(v) for v in stage] for stage in core.val_base],
+        "pi1": [[bits(v) for v in stage] for stage in core.pi1],
         "child_uids": [list(stage) for stage in core.child_uids],
         "tuples": [list(stage) for stage in core.tdp.tuples],
         "tuple_ids": [list(stage) for stage in core.tdp.tuple_ids],
         "conn_min": {
-            uid: None if conn_min[uid] is None else key_bits(conn_min[uid])
+            uid: None if conn_min[uid] is None else bits(conn_min[uid])
             for uid in uids
         },
         "pairs": {
-            uid: [(key_bits(key), state) for key, state in core.pairs(uid)]
+            uid: [(bits(key), state) for key, state in core.pairs(uid)]
             for uid in uids
         },
     }
 
 
-def object_columns(database, tree, dioid, key_bits=bits) -> tuple[dict, list[int]]:
+def object_columns(database, tree, dioid) -> tuple[dict, list[int]]:
     """The same columns from ``compile_tdp(build_tdp(...))``.
 
     Returns them with the uids some state (or the virtual start state)
@@ -221,8 +218,8 @@ def object_columns(database, tree, dioid, key_bits=bits) -> tuple[dict, list[int
     for conn in tdp.root_conn.values():
         conns[conn.uid] = conn
     uids = sorted(conns)
-    conn_min = {uid: conns[uid].min_key for uid in uids}
-    return core_columns(reference, conn_min, key_bits, uids), uids
+    conn_min = {uid: conns[uid].min_value for uid in uids}
+    return core_columns(reference, conn_min, uids), uids
 
 
 def assert_same_structures(core):
@@ -233,7 +230,7 @@ def assert_same_structures(core):
         assert type(pairs) is list
         for key, state in pairs:
             assert type(key) is float and type(state) is int
-    for column in core.values_key + core.pi1_key + core.child_uids:
+    for column in core.val_base + core.pi1 + core.child_uids:
         assert type(column) is list
         assert all(type(v) in (float, int) for v in column)
 
@@ -243,12 +240,10 @@ def assert_three_way(monkeypatch, database, tree, dioid, expect_empty=False):
         monkeypatch, lambda: lower_whole(database, tree, dioid)
     )
     assert_same_structures(scalar)
-    # Max-plus zeros: ``+0.0`` here, ``-0.0`` on the object path (pinned).
-    key_bits = bits if dioid is TROPICAL else unsigned_zero_bits
-    reference, uids = object_columns(database, tree, dioid, key_bits)
+    reference, uids = object_columns(database, tree, dioid)
     assert reference["empty"] == expect_empty
     scalar_min = conn_minima(scalar_shared, [scalar])
-    assert core_columns(scalar, scalar_min, key_bits, uids) == reference
+    assert core_columns(scalar, scalar_min, uids) == reference
     if vec.np is None:
         return
     kernel_shared, kernel = with_kernel(
@@ -262,8 +257,8 @@ def assert_three_way(monkeypatch, database, tree, dioid, expect_empty=False):
     assert kernel.conn_stage == scalar.conn_stage
     # Not only equal bits: the same Python types (``int`` weights stay
     # ``int`` state keys on both), state by state.
-    assert [[type(v) for v in s] for s in kernel.values_key] == [
-        [type(v) for v in s] for s in scalar.values_key
+    assert [[type(v) for v in s] for s in kernel.val_base] == [
+        [type(v) for v in s] for s in scalar.val_base
     ]
 
 
@@ -341,7 +336,7 @@ def test_lower_query_is_the_two_steps(shape, dioid):
     assert core_columns(core, minima) == core_columns(stepwise, minima)
 
 
-# -- the two pinned differences ------------------------------------------------
+# -- what the columns hold ----------------------------------------------------
 
 
 @needs_numpy
@@ -354,8 +349,8 @@ def test_state_keys_are_the_stored_weight_objects(monkeypatch, dioid):
     _shared, kernel = with_kernel(
         monkeypatch, lambda: lower_whole(database, tree, DIOIDS[dioid])
     )
-    assert {type(v) for s in kernel.values_key for v in s} == {int}
-    assert {type(v) for s in kernel.pi1_key for v in s} == {float}
+    assert {type(v) for s in kernel.val_base for v in s} == {int}
+    assert {type(v) for s in kernel.pi1 for v in s} == {float}
     assert all(type(k) is float for uid in range(4) for k, _s in kernel.pairs(uid))
     floats = make_database(query, 60, "floats", seed=4)
     _shared, kernel = with_kernel(
@@ -363,35 +358,27 @@ def test_state_keys_are_the_stored_weight_objects(monkeypatch, dioid):
     )
     leaf = tree.query.atoms[tree.order[-1]].relation_name
     stored = {id(w) for w in floats[leaf].weights}
-    assert all(id(v) in stored for v in kernel.values_key[-1])
-    assert len({id(p) for p in kernel.pi1_key[-1]}) == 1  # one shared 0.0
+    assert all(id(v) in stored for v in kernel.val_base[-1])
+    assert len({id(p) for p in kernel.pi1[-1]}) == 1  # one shared 0.0
 
 
-def test_max_plus_zero_keys_differ_from_the_object_path_in_sign_only(monkeypatch):
+@pytest.mark.parametrize("lowering", ["scalar", "kernel"])
+def test_max_plus_zeros_equal_the_object_path_in_bits(monkeypatch, lowering):
+    """A derived zero is keyed as the object path keys it: ``-(0.0)``."""
     query = QUERIES["path4"]
     database = make_database(query, 60, "zeros", seed=6)
     tree = build_join_tree(query)
-    shared, scalar = with_scalar(
+    lower_with = with_scalar if lowering == "scalar" else with_kernel
+    shared, core = lower_with(
         monkeypatch, lambda: lower_whole(database, tree, MAX_PLUS)
     )
     reference, uids = object_columns(database, tree, MAX_PLUS)
-    direct = core_columns(scalar, conn_minima(shared, [scalar]), uids=uids)
-    assert direct != reference
-    plus, minus = (0.0).hex(), (-0.0).hex()
-    seen = set()
-    for name in ("values_key", "pi1_key"):
-        for ours, theirs in zip(direct[name], reference[name]):
-            for a, b in zip(ours, theirs):
-                if a != b:
-                    seen.add((a, b))
-    for uid in uids:
-        for (a, s), (b, t) in zip(direct["pairs"][uid], reference["pairs"][uid]):
-            assert s == t
-            if a != b:
-                seen.add((a, b))
-    # State keys (``-w``) keep the weight's sign on both paths; every
-    # *derived* zero is +0.0 here and -0.0 there, and nothing else moves.
-    assert seen == {(plus, minus)}
+    direct = core_columns(core, conn_minima(shared, [core]), uids=uids)
+    assert direct == reference
+    # A derived zero entry value is +0.0, so its key is -0.0 (a fold in
+    # key space from +0.0 would have made it +0.0).
+    keys = {key for uid in uids for key, _state in direct["pairs"][uid]}
+    assert (-0.0).hex() in keys and (0.0).hex() not in keys
 
 
 # -- fragments -----------------------------------------------------------------
@@ -484,7 +471,6 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
         anchor = query.atoms[tree.order[0]]
         if sum(a.relation_name == anchor.relation_name for a in query.atoms) > 1:
             return
-        key_bits = bits if dioid is TROPICAL else unsigned_zero_bits
         for core, (rows, weights, base, gids) in zip(scalar, inputs):
             restricted = Database(
                 [
@@ -497,10 +483,10 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
             tdp = build_tdp(restricted, tree, dioid=dioid)
             reference = compile_tdp(tdp)
             assert core.empty == reference.empty
-            assert key_bits(core.best_key) == key_bits(reference.best_key)
-            for name in ("values_key", "pi1_key"):
-                assert [key_bits(v) for v in getattr(core, name)[0]] == [
-                    key_bits(v) for v in getattr(reference, name)[0]
+            assert bits(core.best_key) == bits(reference.best_key)
+            for name in ("val_base", "pi1"):
+                assert [bits(v) for v in getattr(core, name)[0]] == [
+                    bits(v) for v in getattr(reference, name)[0]
                 ]
             assert core.tdp.tuples[0] == tdp.tuples[0]
             assert core.tdp.tuple_ids[0] == [
@@ -508,9 +494,9 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
             ]
             if not reference.empty:
                 assert [
-                    (key_bits(k), s) for k, s in core.pairs(core.root_uid[0])
+                    (bits(k), s) for k, s in core.pairs(core.root_uid[0])
                 ] == [
-                    (key_bits(k), s)
+                    (bits(k), s)
                     for k, s in reference.pairs(reference.root_uid[0])
                 ]
     finally:

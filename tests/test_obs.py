@@ -385,14 +385,14 @@ class TestEngineSpans:
     def test_trace_stats_and_explain_say_where_answers_are_decoded(self, database):
         """In-process rows decode on read; a plan that keeps the hop (here
         the object-graph family) decodes while the stream extends."""
-        from repro.ranking.dioid import MAX_TIMES, TROPICAL
+        from repro.ranking.dioid import BOOLEAN, TROPICAL
 
         engine = Engine(database, tracer=Tracer(sample="always"))
         try:
             for dioid, decode, line in (
                 (TROPICAL, "on_read", "answers: decoded on read"),
                 (
-                    MAX_TIMES, "at_extension",
+                    BOOLEAN, "at_extension",
                     "answers: decoded at extension (object-graph enumerators)",
                 ),
             ):

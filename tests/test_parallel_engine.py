@@ -111,9 +111,9 @@ class TestSharderPlanning:
         """The object-graph fragment path restricts the anchor relation
         by *name*, so a pure self-join must be rejected — silently
         dropping cross-fragment answers would be worse (regression for
-        the canonical tie-break AND non-key_is_value dioids)."""
+        the canonical tie-break AND dioids without a lane)."""
         from repro.query.parser import parse_query
-        from repro.ranking.dioid import MAX_TIMES
+        from repro.ranking.dioid import BOOLEAN
 
         # Join-acyclic edge set: no (i, j)/(j, i) answer pairs, so the
         # flat-path comparison below is tie-free.
@@ -129,7 +129,7 @@ class TestSharderPlanning:
         # Same guard for a generic dioid under the default arrival mode.
         engine = Engine(database)
         with pytest.raises(ValueError, match="self-join"):
-            engine.prepare(query, dioid=MAX_TIMES, shards=2).bind()
+            engine.prepare(query, dioid=BOOLEAN, shards=2).bind()
         # The flat path shards the same query fine (per-stage restriction).
         reference = signature(engine.prepare(query).iter())
         assert signature(engine.prepare(query, shards=2).iter()) == reference

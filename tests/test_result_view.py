@@ -49,7 +49,7 @@ from repro.engine import Engine
 from repro.engine.plan import MemberDecoder
 from repro.query.builders import cycle_query
 from repro.query.parser import parse_query
-from repro.ranking.dioid import MAX_TIMES
+from repro.ranking.dioid import BOOLEAN, MAX_TIMES
 from repro.serve import protocol
 from repro.util import faults
 from tests.test_lower_columns import DIOIDS, QUERIES, make_database
@@ -210,8 +210,8 @@ EAGER_PLANS = {
         {"projection": "min_weight"},
         "the plan's finisher",
     ),
-    "max_times": (
-        SHAPES["path4"], {"dioid": MAX_TIMES}, "object-graph enumerators",
+    "boolean": (
+        SHAPES["path4"], {"dioid": BOOLEAN}, "object-graph enumerators",
     ),
     "canonical_shards": (
         SHAPES["path4"],

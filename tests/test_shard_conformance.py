@@ -31,7 +31,7 @@ from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.query.builders import path_query, star_query
 from repro.query.parser import parse_query
-from repro.ranking.dioid import MAX_PLUS, MAX_TIMES
+from repro.ranking.dioid import MAX_PLUS, LexicographicDioid
 
 ALL_VARIANTS = ["take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort"]
 SHARD_COUNTS = [1, 2, 4, 7]
@@ -133,17 +133,18 @@ class TestExactConformanceSweep:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_generic_dioid_object_path(self, shards):
-        """Non-``key_is_value`` dioids shard through the object builder."""
+        """Dioids without a lane shard through the object builder."""
         database = decoding_database(3, 20, domain=5, seed=31)
-        # max-times needs positive multiplicative weights.
+        # One-dimensional lexicographic vectors: the decoding sums, boxed.
         for relation in database:
-            relation.weights = [1.0 + (w % 97) / 97.0 for w in relation.weights]
+            relation.weights = [(w,) for w in relation.weights]
+        dioid = LexicographicDioid(1)
         engine = Engine(database)
         query = path_query(3)
-        reference = run(engine, query, "take2", dioid=MAX_TIMES)
+        reference = run(engine, query, "take2", dioid=dioid)
         assert reference
-        sharded = run(engine, query, "take2", dioid=MAX_TIMES, shards=shards)
-        prepared = engine.prepare(query, dioid=MAX_TIMES, shards=shards)
+        sharded = run(engine, query, "take2", dioid=dioid, shards=shards)
+        prepared = engine.prepare(query, dioid=dioid, shards=shards)
         assert prepared.bind().fragments[0].compiled is None
         assert sharded == reference
 
