@@ -60,11 +60,12 @@ recursive` / :mod:`repro.anyk.batch` (asserted by
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable
 
 from repro.anyk.base import Enumerator, RankedResult
 from repro.anyk.strategies import ALGORITHMS, FLAT_VIEWS
-from repro.dp.flat import CompiledTDP
+from repro.dp.flat import CompiledTDP, LaneCore
 from repro.util import vec
 from repro.util.counters import OpCounter
 
@@ -840,12 +841,12 @@ class FlatBatch(FlatEnumerator):
         """All ``(key, rank, states)`` solutions in DFS preorder.
 
         Dispatches to the numpy level-expansion kernel when it applies:
-        a CSR-backed core (``conn_offsets`` present — cores that hold
-        only entry lists keep the scalar path), no visit counting
-        (the counter increments per intermediate tuple, which the
-        vectorized expansion never materialises one at a time), numpy
-        available.  Both paths produce the identical list — same DFS
-        preorder, same left-fold float additions.
+        every rank 0 (not a tie-broken :class:`~repro.dp.flat.LaneCore`,
+        which keeps the scalar path), no visit counting (the counter
+        increments per intermediate tuple, which the vectorized
+        expansion never materialises one at a time), numpy available.
+        Both paths produce the identical list — same DFS preorder, same
+        left-fold float operations.
         """
         compiled = self.compiled
         np = vec.np
@@ -853,7 +854,7 @@ class FlatBatch(FlatEnumerator):
             np is not None
             and counter is None
             and not compiled.empty
-            and compiled.conn_offsets is not None
+            and not isinstance(compiled, LaneCore)
         ):
             return self._solutions_vec(np)
         return list(self._solutions(counter))
@@ -863,58 +864,45 @@ class FlatBatch(FlatEnumerator):
 
         Each level replaces every live prefix by its child entries in
         pool order, preserving prefix order — which reproduces the
-        scalar backtracker's DFS preorder exactly.  The per-solution
-        total is grown by the same left fold from ``one``, ``acc ⊗
-        val_base[level][state]`` under the core's lane, that the scalar
-        path uses, and keyed at the end, so keys are bit-identical; all
-        outputs convert to native Python scalars before leaving.  (Only
-        a core lowered from an object graph or mapped from a file has a
-        CSR pool, never a tie-broken one: every rank is 0.)
+        scalar backtracker's DFS preorder exactly (a root's entries
+        repeat under every prefix).  The per-solution total is grown by
+        the same left fold from ``one``, ``acc ⊗ val_base[level][state]``
+        under the core's lane, that the scalar path uses, and keyed at
+        the end, so keys are bit-identical; all outputs convert to
+        native Python scalars before leaving.
         """
         compiled = self.compiled
-        num_stages = compiled.num_stages
         parent_stage = compiled.parent_stage
         root_uid = compiled.root_uid
+        pool = compiled.entries
+        if isinstance(pool, list):
+            entry_state = np.fromiter(map(itemgetter(-1), pool), np.int64, len(pool))
+        else:
+            entry_state = np.asarray(pool.state)
         offsets = np.asarray(compiled.conn_offsets)
-        entry_state = np.asarray(compiled.entry_state)
-        values = [np.asarray(v, dtype=np.float64) for v in compiled.val_base]
         multiply, negate = compiled.lane
 
-        uid0 = root_uid[0]
-        lo = compiled.conn_offsets[uid0]
-        hi = compiled.conn_offsets[uid0 + 1]
-        states0 = entry_state[lo:hi]
-        first, one = values[0][states0], compiled.one
-        acc = one * first if multiply else one + first
-        paths = states0.reshape(-1, 1)
-        for level in range(1, num_stages):
-            if not len(acc):
-                break
+        acc = np.full(1, compiled.one)
+        paths = np.zeros((1, 0), np.int64)
+        for level in range(compiled.num_stages):
             parent = parent_stage[level]
             if parent == -1:
-                uids = np.full(len(acc), root_uid[level], dtype=np.int64)
+                root = [entry[-1] for entry in compiled.pairs(root_uid[level])]
+                child_states = np.tile(np.array(root, np.int64), len(acc))
+                rep = np.repeat(np.arange(len(acc)), len(root))
             else:
-                conn_row = np.asarray(compiled.conn_of[level])
-                uids = conn_row[paths[:, parent]]
-            starts = offsets[uids]
-            counts = offsets[uids + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                acc = acc[:0]
-                paths = paths[:0]
-                break
-            rep = np.repeat(np.arange(len(acc)), counts)
-            cum = np.cumsum(counts) - counts
-            idx = np.arange(total) - cum[rep] + starts[rep]
-            child_states = entry_state[idx]
-            child_values = values[level][child_states]
-            acc = acc[rep] * child_values if multiply else acc[rep] + child_values
-            paths = np.concatenate(
-                [paths[rep], child_states.reshape(-1, 1)], axis=1
-            )
+                uids = np.asarray(compiled.conn_of[level])[paths[:, parent]]
+                starts = offsets[uids]
+                counts = offsets[uids + 1] - starts
+                rep = np.repeat(np.arange(len(acc)), counts)
+                cum = np.cumsum(counts) - counts
+                idx = np.arange(len(rep)) - cum[rep] + starts[rep]
+                child_states = entry_state[idx]
+            values = np.asarray(compiled.val_base[level], np.float64)[child_states]
+            acc = acc[rep] * values if multiply else acc[rep] + values
+            paths = np.concatenate([paths[rep], child_states.reshape(-1, 1)], axis=1)
         keys = (-acc if negate else acc).tolist()
-        rows = paths.tolist()
-        return [(key, 0, tuple(states)) for key, states in zip(keys, rows)]
+        return [(key, 0, tuple(states)) for key, states in zip(keys, paths.tolist())]
 
     def _solutions(self, counter: OpCounter | None):
         compiled = self.compiled
@@ -926,14 +914,21 @@ class FlatBatch(FlatEnumerator):
         root_uid = compiled.root_uid
         val_base = compiled.val_base
         val_rank = compiled.val_rank
-        pairs_of = compiled.pairs
         multiply, negate = compiled.lane
+        held, offsets = compiled._pairs, compiled.conn_offsets
+        entry_at = compiled.entries.__getitem__
+
+        def entries_of(uid: int):  # in place: no list per prefix visit
+            entries = held[uid]
+            if entries is None:
+                return map(entry_at, range(offsets[uid], offsets[uid + 1]))
+            return iter(entries)
 
         states = [0] * num_stages
         prefix = [compiled.one] * (num_stages + 1)
         prefix_rank = [0] * (num_stages + 1)
         iterators: list = [None] * num_stages
-        iterators[0] = iter(pairs_of(root_uid[0]))
+        iterators[0] = entries_of(root_uid[0])
         level = 0
         last = num_stages - 1
         while level >= 0:
@@ -963,7 +958,7 @@ class FlatBatch(FlatEnumerator):
                     uid = root_uid[level]
                 else:
                     uid = conn_of[level][states[parent]]
-                iterators[level] = iter(pairs_of(uid))
+                iterators[level] = entries_of(uid)
 
 
 def _drain(results: list, counter: OpCounter | None, emit):

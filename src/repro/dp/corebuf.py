@@ -57,10 +57,12 @@ import struct
 import threading
 import weakref
 from array import array
+from itertools import chain
 from multiprocessing import shared_memory
+from operator import itemgetter
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP, CoreShell
+from repro.dp.flat import CompiledTDP, CoreShell, MappedEntries
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid, lane_of
 from repro.util import faults
@@ -208,10 +210,10 @@ def export_fragments(
 
     The fragments of one plan (a single one for an unsharded bind) share
     a common uid space — shared connectors first, then one root
-    connector per fragment — and alias one uid-indexed ``_pairs`` list,
-    so fragment 0's view of that list already contains every fragment's
-    root entries.  The non-anchor stage arrays are likewise shared; only
-    the anchor stage differs per fragment.
+    connector per fragment — and alias one entry pool and one
+    ``_pairs`` list holding every root: the file's pool is the two in uid
+    order, no connector cut.  The non-anchor stage arrays are likewise
+    shared; only the anchor stage differs per fragment.
     """
     first = fragment_cores[0]
     name = _require_persistable(first.dioid)
@@ -219,17 +221,15 @@ def export_fragments(
     uid_space = first.num_connectors
 
     writer = SectionWriter()
-    # One CSR pool across the whole shared uid space.
-    entry_key = array("d")
-    entry_state = array("q")
-    offsets = array("q", [0])
-    for uid in range(uid_space):
-        for key, state in first.pairs(uid):
-            entry_key.append(key)
-            entry_state.append(state)
-        offsets.append(len(entry_key))
-    writer.add("entry_key", "d", entry_key)
-    writer.add("entry_state", "q", entry_state)
+    # One CSR pool across the whole shared uid space: the core's pool,
+    # then the roots held beside it.
+    offsets = array("q", first.conn_offsets)
+    held = first._pairs[len(offsets) - 1:]
+    for root in held:
+        offsets.append(offsets[-1] + len(root))
+    for section, typecode, column in (("entry_key", "d", 0), ("entry_state", "q", 1)):
+        pool = chain(first.entries, *held)
+        writer.add(section, typecode, map(itemgetter(column), pool))
     writer.add("conn_offsets", "q", offsets)
     writer.add("conn_stage", "q", first.conn_stage)
     for stage in range(num_stages):
@@ -276,8 +276,10 @@ def load_fragments(
 ) -> list[CompiledTDP]:
     """Rehydrate a stored plan as per-fragment cores over the mapping.
 
-    Reconstructs the cold build's aliasing exactly: one ``_pairs`` list
-    (filled per connector on first touch), one set of lazily built
+    Reconstructs the cold build's aliasing: one entry pool over the
+    mapped columns (:class:`~repro.dp.flat.MappedEntries`, roots
+    included), one ``_pairs`` list (filled per connector on first
+    touch), one set of lazily built
     ranking-structure caches, and one view per shared stage array —
     shared by every fragment — with per-fragment anchor-stage arrays
     and root connectors layered on top.  Rows are point-fetched from
@@ -312,11 +314,8 @@ def load_fragments(
     shared_root_uid = {
         int(stage): uid for stage, uid in meta["root_uid"].items()
     }
-    csr = (
-        sections.view("conn_offsets"),
-        sections.view("entry_key"),
-        sections.view("entry_state"),
-    )
+    conn_offsets = sections.view("conn_offsets")
+    entries = MappedEntries(sections.view("entry_key"), sections.view("entry_state"))
     pairs: list = [None] * uid_space
     caches = ([None] * uid_space, [None] * uid_space, [None] * uid_space)
 
@@ -351,9 +350,10 @@ def load_fragments(
                 root_uid=root_uid,
                 best=(frag_meta["best"], 0),
                 empty=frag_meta["empty"],
+                conn_offsets=conn_offsets,
+                entries=entries,
                 pairs=pairs,
                 caches=caches,
-                csr=csr,
             )
         )
     return cores

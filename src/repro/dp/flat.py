@@ -11,12 +11,12 @@ state space as flat, cache-friendly parallel structures:
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
   plus ``root_uid`` for the virtual start state's branches;
-* connector entries, key first and state last, behind
-  :meth:`CompiledTDP.pairs`: per-connector lists (the direct lowering),
-  or a CSR pool ``entry_key`` / ``entry_state`` with ``conn_offsets``
-  slices (typed arrays from the object lowering, ``memoryview`` casts
-  over a mapped ``.core`` file) materialised per connector on first
-  touch.
+* connector entries, key first and state last, in one CSR pool:
+  connector ``uid`` owns ``entries[conn_offsets[uid]:conn_offsets[uid +
+  1]]``, a list of tuples made at bind (or a mapped ``.core`` file's
+  :class:`MappedEntries`), cut into a list per connector by
+  :meth:`CompiledTDP.pairs` on first touch; a fragment's root connector
+  is a list from the bind on, beside the pool.
 
 Every core is run by its dioid's lane (:func:`~repro.ranking.dioid.
 lane_of`): ``times`` as native ``+`` or ``*`` folded from ``one``, the
@@ -47,10 +47,8 @@ is also persistable (:mod:`repro.dp.corebuf`, the dioid travelling by
 from __future__ import annotations
 
 import sys
-from array import array
 from heapq import heapify as _heapify
-from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Any, Callable
 
 from repro.dp.graph import TDP
@@ -86,17 +84,32 @@ def _sorted_entries(entries: list[tuple]) -> list[tuple]:
     return list(zip(*(column[order].tolist() for column in columns)))
 
 
+class MappedEntries:
+    """A mapped ``.core`` file's entry pool: its two typed views, read as
+    ``(key, state)`` tuples by index or slice — made only when touched."""
+
+    __slots__ = ("key", "state")
+
+    def __init__(self, key: memoryview, state: memoryview):
+        self.key, self.state = key, state
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.key[index], self.state[index]))
+        return self.key[index], self.state[index]
+
+
 def _seq_bytes(seq: Any, seen: set[int]) -> int:
     """Heap-byte estimate of one compiled-core column.
 
-    ``memoryview`` columns are mmap-backed and count zero.  Lists of
-    scalars/tuples are estimated from their first element (columns are
-    homogeneous), so the walk is O(nesting), not O(entries).  ``seen``
+    ``memoryview`` columns and a mapped pool are mmap-backed and count
+    zero.  Lists of scalars/tuples are estimated from their first element
+    (columns are homogeneous), so the walk is O(nesting).  ``seen``
     holds the ``id`` of every container already counted: the fragment
     cores of one shard plan alias their shared columns, which must be
     counted once.
     """
-    if seq is None or isinstance(seq, memoryview) or id(seq) in seen:
+    if isinstance(seq, (memoryview, MappedEntries)) or seq is None or id(seq) in seen:
         return 0
     seen.add(id(seq))
     if isinstance(seq, (list, tuple)):
@@ -104,7 +117,7 @@ def _seq_bytes(seq: Any, seen: set[int]) -> int:
         sample = next((item for item in seq if item is not None), None)
         if sample is None:
             return total
-        if isinstance(sample, (list, array, memoryview)):
+        if isinstance(sample, (list, memoryview)):
             for item in seq:  # ragged columns (per-stage / per-connector)
                 total += _seq_bytes(item, seen)
         elif isinstance(sample, tuple):
@@ -169,11 +182,11 @@ class CompiledTDP:
     __slots__ = (
         "tdp", "dioid", "num_stages", "num_connectors", "parent_stage",
         "children_stages", "branch_index", "num_branches", "val_base",
-        "pi1", "conn_offsets", "entry_key", "entry_state", "conn_stage",
-        "child_uids", "conn_of", "conn_meta", "root_stages", "root_uid",
-        "best_key", "empty", "is_chain", "_pairs", "_take2_heaps",
-        "_sorted_pairs", "_rea_heaps", "lane", "one", "inverse",
-        "val_rank", "ent_base", "ent_rank", "min_base", "min_rank", "best",
+        "pi1", "conn_offsets", "entries", "conn_stage", "child_uids",
+        "conn_of", "conn_meta", "root_stages", "root_uid", "best_key",
+        "empty", "is_chain", "_pairs", "_take2_heaps", "_sorted_pairs",
+        "_rea_heaps", "lane", "one", "inverse", "val_rank", "ent_base",
+        "ent_rank", "min_base", "min_rank", "best",
     )
 
     def __init__(self, tdp: TDP):
@@ -193,21 +206,15 @@ class CompiledTDP:
         for conn in tdp.root_conn.values():
             conns[conn.uid] = conn
 
-        # CSR entry pool in compact typed arrays (consumed in bulk: one
-        # zip for the pair lists below, numpy views in FlatBatch).
-        entry_key = array("d")
-        entry_state = array("q")
+        # The CSR entry pool, roots included, in uid order.
+        entries: list = []
         conn_stage = [-1] * tdp.num_connectors
-        offsets = array("q", [0] * (tdp.num_connectors + 1))
-        total = 0
+        offsets = [0]
         for uid, conn in enumerate(conns):
             if conn is not None:
                 conn_stage[uid] = conn.stage
-                for entry in conn.entries:
-                    entry_key.append(entry[0])
-                    entry_state.append(entry[1])
-                total += len(conn.entries)
-            offsets[uid + 1] = total
+                entries += map(itemgetter(0, 1), conn.entries)
+            offsets.append(len(entries))
 
         child_uids = [
             [conn.uid for state_conns in tdp.child_conns[stage] for conn in state_conns]
@@ -215,13 +222,9 @@ class CompiledTDP:
         ]
         # The value columns are the object graph's own; only a core
         # without an inverse needs its entry values, least entries and
-        # (zero) ranks besides.  Pair lists are built eagerly in one
-        # C-level pass: preprocessing-phase work, paid once per
-        # database version and amortised over every enumeration run.
-        if dioid.has_inverse:
-            without_inverse: dict = {}
-            all_pairs = list(zip(entry_key, entry_state))
-        else:
+        # (zero) ranks besides.
+        without_inverse: dict = {}
+        if not dioid.has_inverse:
             times = mul if lane.multiply else add
             zeros = [[0] * len(values) for values in tdp.values]
             without_inverse = dict(
@@ -231,7 +234,7 @@ class CompiledTDP:
                 min_base=[None if conn is None else conn.min_value for conn in conns],
                 min_rank=[0] * tdp.num_connectors,
             )
-            all_pairs = list(zip(entry_key, repeat(0), entry_state))
+            entries = [(key, 0, state) for key, state in entries]
         self._fill(
             tdp,
             lane=lane,
@@ -243,11 +246,8 @@ class CompiledTDP:
             root_uid={stage: conn.uid for stage, conn in tdp.root_conn.items()},
             best=(tdp.best_weight, 0),
             empty=tdp.is_empty(),
-            pairs=[
-                all_pairs[offsets[uid]:offsets[uid + 1]]
-                for uid in range(tdp.num_connectors)
-            ],
-            csr=(offsets, entry_key, entry_state),
+            conn_offsets=offsets,
+            entries=entries,
             **without_inverse,
         )
 
@@ -274,20 +274,19 @@ class CompiledTDP:
 
     def _fill(
         self, tdp: TDP, *, lane, one, val_base, pi1, child_uids,
-        conn_stage, root_uid, best, empty, pairs, caches=None, csr=None,
-        val_rank=None, ent_base=None, ent_rank=None, min_base=None,
-        min_rank=None,
+        conn_stage, root_uid, best, empty, conn_offsets, entries, pairs=None,
+        caches=None, val_rank=None, ent_base=None, ent_rank=None,
+        min_base=None, min_rank=None,
     ) -> None:
         """Set every slot from the stored columns plus derived layout.
 
-        ``pairs`` and the three ``caches`` lists (Take2 heap orders,
-        sorted entry lists, Recursive heap templates) are uid-indexed
-        and may be the *same list objects* across the fragment cores of
-        one shard plan: a ranking structure for a shared connector is
-        then built once and reused by every fragment, algorithm, and
-        serving session.  ``csr`` is ``(conn_offsets, entry_key,
-        entry_state)`` when the entries (also) live in a CSR pool;
-        ``pairs[uid]`` may then be ``None`` until first touched.  The
+        ``conn_offsets`` may stop short of the uid space: the uids past
+        the pool are fragment roots, held in ``pairs``.  ``pairs`` and
+        the three ``caches`` lists (Take2 heap orders, sorted entry
+        lists, Recursive heap templates) are uid-indexed and may be the
+        *same list objects* across the fragment cores of one shard plan:
+        a structure for a shared connector is then built once and reused
+        by every fragment, algorithm, and serving session.  The
         entry-value, least-entry and rank columns are those of a core
         without an inverse (the dioid's ``has_inverse``).
         """
@@ -308,11 +307,10 @@ class CompiledTDP:
         #: loops, where list indexing (no re-boxing) wins.
         self.val_base = val_base
         self.pi1 = pi1
-        #: CSR entry pool (or ``None`` x 3): connector ``uid`` owns
-        #: entries ``conn_offsets[uid] .. conn_offsets[uid + 1]``.
-        self.conn_offsets, self.entry_key, self.entry_state = (
-            csr or (None, None, None)
-        )
+        #: The CSR entry pool: connector ``uid`` owns entries
+        #: ``conn_offsets[uid] .. conn_offsets[uid + 1]``.
+        self.conn_offsets = conn_offsets
+        self.entries = entries
         #: Connector uid -> owning stage (-1: never referenced).
         self.conn_stage = conn_stage
         #: Flattened adjacency: ``child_uids[s][state * num_branches[s]
@@ -366,10 +364,10 @@ class CompiledTDP:
             parent_stage[j] == j - 1 for j in range(num_stages)
         )
         self.empty = empty
-        #: Shared entry lists per connector, state last — the flat
-        #: analogue of ``ChoiceSet.entries`` (unsorted, read-only;
-        #: strategies copy before heapify/sort).
-        self._pairs = pairs
+        #: Entry lists per connector, state last — the flat analogue of
+        #: ``ChoiceSet.entries`` (unsorted, read-only): fragment roots from
+        #: the bind on, pool connectors once :meth:`pairs` cut them.
+        self._pairs = [None] * uid_space if pairs is None else pairs
         # Per-connector ranking structures that are *read-only once
         # built* and therefore shared across every enumerator run (and
         # every concurrent session) over this compiled core, filled
@@ -389,35 +387,39 @@ class CompiledTDP:
 
     # -- accessors -----------------------------------------------------------
 
+    def _cut(self, uid: int) -> list[tuple]:
+        """A new list of connector ``uid``'s entries, in pool order."""
+        held = self._pairs[uid]
+        if held is not None:
+            return list(held)
+        offsets = self.conn_offsets
+        return self.entries[offsets[uid]:offsets[uid + 1]]
+
     def pairs(self, uid: int) -> list[tuple]:
         """The unsorted entries of connector ``uid``, state last.
 
-        Shared by all enumerator runs (and algorithms).  Callers must
-        not mutate the returned list — copy first (as the ``sorted`` /
-        ``heapify`` call sites do).  Over a mapped CSR pool nothing is
-        copied until an enumerator actually touches the connector; the
-        lazy fill is the benign race :meth:`take2_heap` documents.
+        Shared by all enumerator runs (and algorithms): callers must not
+        mutate it.  Cut from the pool on first touch (a fragment root is
+        held from the bind on); the lazy fill is the benign race
+        :meth:`take2_heap` documents.
         """
         entries = self._pairs[uid]
         if entries is None:
-            lo, hi = self.conn_offsets[uid], self.conn_offsets[uid + 1]
-            entries = self._pairs[uid] = list(
-                zip(self.entry_key[lo:hi], self.entry_state[lo:hi])
-            )
+            entries = self._pairs[uid] = self._cut(uid)
         return entries
 
     def take2_heap(self, uid: int) -> list[tuple]:
         """Connector ``uid``'s entries in static heap order (shared).
 
-        Built by one ``heapify`` on first access; read-only afterwards
-        (Take2 uses the heap array as a static partial order), so safe
-        to share across runs, algorithms, and threads — the lazy fill
-        is a benign race: ``heapify`` is deterministic, both winners
-        produce the identical list.
+        One ``heapify`` of a fresh cut on first access, in place;
+        read-only afterwards (Take2 uses the heap array as a static
+        partial order), so safe to share across runs, algorithms, and
+        threads — the lazy fill is a benign race: ``heapify`` is
+        deterministic, both winners produce the identical list.
         """
         heap = self._take2_heaps[uid]
         if heap is None:
-            heap = list(self.pairs(uid))
+            heap = self._cut(uid)
             _heapify(heap)
             self._take2_heaps[uid] = heap
         return heap
@@ -426,7 +428,7 @@ class CompiledTDP:
         """Connector ``uid``'s entries fully sorted (shared, read-only)."""
         entries = self._sorted_pairs[uid]
         if entries is None:
-            entries = self._sorted_pairs[uid] = _sorted_entries(self.pairs(uid))
+            entries = self._sorted_pairs[uid] = _sorted_entries(self._cut(uid))
         return entries
 
     def rea_heap(self, uid: int) -> list[tuple]:
@@ -441,9 +443,9 @@ class CompiledTDP:
         template = self._rea_heaps[uid]
         if template is None:
             if self.val_rank is None:
-                template = [(key, 0, state, 0) for key, state in self.pairs(uid)]
+                template = [(key, 0, state, 0) for key, state in self._cut(uid)]
             else:
-                template = [entry + (0,) for entry in self.pairs(uid)]
+                template = [entry + (0,) for entry in self._cut(uid)]
             _heapify(template)
             self._rea_heaps[uid] = template
         return list(template)
@@ -474,27 +476,25 @@ class CompiledTDP:
         return emit
 
     def conn_size(self, uid: int) -> int:
-        """Number of entries of connector ``uid`` (either storage)."""
-        offsets = self.conn_offsets
-        if offsets is None:
-            return len(self._pairs[uid])
-        return offsets[uid + 1] - offsets[uid]
+        """Number of entries of connector ``uid``, without cutting a list."""
+        held = self._pairs[uid]
+        if held is None:
+            return self.conn_offsets[uid + 1] - self.conn_offsets[uid]
+        return len(held)
 
     @property
     def mapped(self) -> bool:
         """Whether the entry pool is a view over a mapped ``.core`` file."""
-        return isinstance(self.entry_key, memoryview)
+        return isinstance(self.entries, MappedEntries)
 
     def stats(self) -> dict:
-        """Compiled-core summary (for ``explain`` physical reports)."""
+        """Compiled-core summary (for ``explain``), no connector walk."""
+        pooled = len(self.conn_offsets) - 1
+        held = [uid for uid in self.root_uid.values() if uid >= pooled]
         return {
             "stages": self.num_stages,
             "connectors": self.num_connectors,
-            "entries": (
-                sum(len(p) for p in self._pairs if p)
-                if self.entry_key is None
-                else len(self.entry_key)
-            ),
+            "entries": self.conn_offsets[-1] + sum(map(self.conn_size, held)),
             "states": sum(len(v) for v in self.val_base),
             "empty": self.empty,
         }
@@ -513,10 +513,10 @@ class CompiledTDP:
             seen = set()
         total = sys.getsizeof(self)
         for name in (
-            "val_base", "pi1", "conn_offsets", "entry_key", "entry_state",
-            "conn_stage", "child_uids", "conn_of", "root_stages", "_pairs",
-            "_take2_heaps", "_sorted_pairs", "_rea_heaps", "val_rank",
-            "ent_base", "ent_rank", "min_base", "min_rank",
+            "val_base", "pi1", "conn_offsets", "entries", "conn_stage",
+            "child_uids", "conn_of", "root_stages", "_pairs", "_take2_heaps",
+            "_sorted_pairs", "_rea_heaps", "val_rank", "ent_base", "ent_rank",
+            "min_base", "min_rank",
         ):
             total += _seq_bytes(getattr(self, name), seen)
         return total

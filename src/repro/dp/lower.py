@@ -26,9 +26,11 @@ per output (state values, ``pi1`` values, child connector uids, entry
 values ``v ⊗ pi1``).  The alive states are then *placed* into connectors
 by the uid of their join key, never by weight — "nothing is sorted
 during preprocessing" holds: the placement is a counting sort on
-connector ids.  Every connector's entry list exists when the bind
-returns (leaving them to first touch moved the cost into the first
-fetch and was measured and rejected).
+connector ids, appending every entry tuple to one pool in uid order (the
+core's ``entries`` / ``conn_offsets``); a connector's list is cut only
+when enumeration first touches it.  Measured: a fragment's root is a
+list at bind (zipping it in the first fetch was slower), and the tuples
+are made at bind (made on touch, they moved collections into pages).
 
 **Two implementations, one behaviour.**  With numpy, a stage of at
 least ``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels
@@ -42,7 +44,7 @@ The sweep is split at one **anchor** stage, a root of its join-tree
 component; no non-anchor stage depends on which anchor rows are present:
 
 * **phase A** (:func:`build_shared_lower`, once): all non-anchor stages
-  — state columns, connector entry pools, join-key maps;
+  — state columns, the connector entry pool, join-key maps;
 * **phase B** (:func:`build_fragment`, per fragment): scan one slice of
   the anchor relation against phase A's join-key maps, emit that
   fragment's root connector and assemble its core over the shared
@@ -52,8 +54,8 @@ component; no non-anchor stage depends on which anchor rows are present:
 fragment spanning the anchor relation (stage 0).  The parallel layer
 (:mod:`repro.parallel.build`) runs phase B once per shard fragment,
 possibly on a worker pool; the fragment cores alias phase A's columns
-and one set of uid-indexed lists (entries, Take2 orders, sorted lists,
-REA heap templates), built once per database version.
+and entry pool and one set of uid-indexed lists (cut entries, Take2
+orders, sorted lists, REA heap templates), built once per version.
 
 Dioids without a lane (and members over them), the ``canonical``
 tie-break, the UCQ pipeline, the min-weight projection and ``DPProblem``
@@ -64,7 +66,7 @@ keep the object builder, which reads the same stage-input shape
 from __future__ import annotations
 
 import time
-from itertools import count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, itemgetter, mul, neg
 from typing import Iterable, Sequence
 
@@ -203,8 +205,8 @@ class SharedLower:
         "templates", "order", "num_stages", "parent_stage",
         "children_stages", "anchor_stage", "tuples", "tuple_ids",
         "val_base", "pi1", "child_uids", "val_rank", "ent_base",
-        "ent_rank", "pairs", "conn_stage", "conn_min", "conn_rank",
-        "conn_maps", "root_uid", "num_conns", "complete",
+        "ent_rank", "entries", "conn_offsets", "conn_stage", "conn_min",
+        "conn_rank", "conn_maps", "root_uid", "num_conns", "complete",
         "own_key_positions", "parent_key_positions", "seconds", "rows",
         "vectorized_stages",
     )
@@ -250,8 +252,9 @@ class SharedLower:
         self.pi1: list[list] = [[] for _ in self.order]
         #: Flattened child connector uids per stage (branch-major).
         self.child_uids: list[list[int]] = [[] for _ in self.order]
-        #: uid -> unsorted entries, ``(key, state)`` or ``(key, rank, state)``.
-        self.pairs: list[list[tuple]] = []
+        #: The entry pool in uid order, ``(key, state)`` or ``(key, rank, state)``.
+        self.entries: list[tuple] = []
+        self.conn_offsets: list[int] = [0]
         self.conn_stage: list[int] = []
         #: uid -> the value of its least entry.
         self.conn_min: list = []
@@ -337,7 +340,7 @@ def build_shared_lower(
 
         join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
         _place_entries(shared, stage, join_keys, entry_values, entry_ranks)
-        shared.num_conns = len(shared.pairs)
+        shared.num_conns = len(shared.conn_stage)
 
         if shared.parent_stage[stage] == -1:
             root = shared.conn_maps[stage].get(())
@@ -382,15 +385,15 @@ def _rank_columns(
 def _place_entries(
     shared: SharedLower, stage: int, join_keys: list, entry_values, entry_ranks=None
 ) -> None:
-    """Key one stage's entry values and group its states into connectors.
+    """Key one stage's entry values and place its states into connectors.
 
     A connector per distinct join key in first-seen order, its entries
     (``(key, state)``, or ``(key, rank, state)`` with ``entry_ranks``)
-    in state order, its minimum the value of ``min(group)``.  This loop
-    is the reference; kernel output goes through
-    :func:`_place_by_connector` unless there is a rank column or a NaN
-    (``min()`` over ``(nan, state)`` tuples depends on the order it meets
-    them in, which only this loop reproduces).
+    appended to the pool in state order, its minimum the value of
+    ``min(group)``.  This loop is the reference; kernel output
+    goes through :func:`_place_by_connector` unless there is a rank
+    column or a NaN (``min()`` over ``(nan, state)`` tuples depends on
+    the order it meets them in, which only this loop reproduces).
     """
     if _from_kernel(entry_values):
         if (
@@ -415,16 +418,16 @@ def _place_entries(
         else:
             bucket.append(entry)
 
-    pairs = shared.pairs
-    cmap_out = shared.conn_maps[stage]
-    for join_key, group in groups.items():
-        cmap_out[join_key] = len(pairs)
-        pairs.append(group)
-        shared.conn_stage.append(stage)
-        least = min(group)
-        shared.conn_min.append(entry_values[least[-1]])
-        if entry_ranks is not None:
-            shared.conn_rank.append(least[1])
+    # The buckets are scratch: the core keeps the pool they flatten into.
+    pool = shared.entries
+    shared.conn_maps[stage].update(zip(groups, count(len(shared.conn_stage))))
+    shared.conn_stage += [stage] * len(groups)
+    shared.conn_offsets += map(len(pool).__add__, accumulate(map(len, groups.values())))
+    pool += chain.from_iterable(groups.values())
+    least = list(map(min, groups.values()))
+    shared.conn_min += map(entry_values.__getitem__, map(itemgetter(-1), least))
+    if entry_ranks is not None:
+        shared.conn_rank += map(itemgetter(1), least)
 
 
 def _place_by_connector(
@@ -434,15 +437,15 @@ def _place_by_connector(
 
     Nothing is ordered by weight: first-seen uids come from
     ``dict.fromkeys``, one stable integer argsort (a counting sort up to
-    2**16 connectors) moves every state into its connector's slice,
-    ``minimum.reduceat`` takes the slice minima, and every pair list is
-    cut from one C-level ``zip``.  A minimum's value is its key, or the
-    key negated: keying is a bijection.
+    2**16 connectors) moves every state into its connector's range,
+    ``minimum.reduceat`` takes the range minima, and the pool grows by
+    one C-level ``zip``.  A minimum's value is its key, or the key
+    negated: keying is a bijection.
     """
     np = vec.np
     negate = shared.lane.negate
     states = len(entry_values)
-    first_uid = len(shared.pairs)
+    first_uid = len(shared.conn_stage)
     cmap_out = shared.conn_maps[stage]
     cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
     conns = len(cmap_out)
@@ -463,10 +466,9 @@ def _place_by_connector(
             np.where(keys == 0.0, np.arange(states), states), starts
         )
         minima[zero_min] = keys[first_zero[zero_min]]
-    placed = list(zip(keys.tolist(), order.tolist()))
-    shared.pairs.extend(
-        map(placed.__getitem__, map(slice, starts.tolist(), ends.tolist()))
-    )
+    pool = shared.entries
+    shared.conn_offsets += (ends + len(pool)).tolist()
+    pool += zip(keys.tolist(), order.tolist())
     shared.conn_stage.extend([stage] * conns)
     shared.conn_min.extend((-minima if negate else minima).tolist())
 
@@ -689,12 +691,13 @@ def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
     Pre-sized to the common uid space (shared connectors first, then one
     root connector per fragment, all at the anchor stage): fragment
     slots are assigned by index, so concurrent phase-B builds on a
-    thread pool never resize a shared list.  A core without an inverse
-    adds its least entries' values and ranks.
+    thread pool never resize a shared list (a root goes into its
+    ``pairs`` slot, not the pool).  A core without an inverse adds its
+    least entries' values and ranks.
     """
     total = shared.num_conns + num_fragments
     lists = {
-        "pairs": shared.pairs + [None] * num_fragments,
+        "pairs": [None] * total,
         "conn_stage": shared.conn_stage + [shared.anchor_stage] * num_fragments,
         "caches": ([None] * total, [None] * total, [None] * total),
     }
@@ -816,6 +819,8 @@ def assemble_fragment(
         root_uid=root_uid,
         best=best,
         empty=empty,
+        conn_offsets=shared.conn_offsets,
+        entries=shared.entries,
         pairs=lists["pairs"],
         caches=lists["caches"],
         **without_inverse,

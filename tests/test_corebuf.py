@@ -426,3 +426,79 @@ class TestRobustness:
         engine2 = Engine(database, core_cache=CoreCache(core_path))
         assert run(engine2, query, "take2") == reference
         assert core_stats(engine2)["core_hits"] == 1
+
+
+class TestExportFromThePool:
+    """A ``.core`` export writes the entry pool column by column, roots
+    after it, and cuts no connector: its bytes are those of the object
+    lowering (``compile_tdp(build_tdp(...))``) over the same plan."""
+
+    @staticmethod
+    def _database():
+        """Dense enough that every join-key group has a parent (the object
+        builder numbers a group nobody references but stores no entries)."""
+        from repro.data.generators import uniform_database
+
+        return uniform_database(4, 700, domain_size=20, seed=3)
+
+    @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
+    def test_unsharded_bytes_equal_the_object_lowering(self, dioid):
+        from repro.dp.builder import build_tdp
+        from repro.dp.corebuf import export_fragments
+        from repro.dp.flat import compile_tdp
+        from repro.dp.lower import lower_query
+        from repro.query.jointree import build_join_tree
+
+        database = self._database()
+        tree = build_join_tree(path_query(4))
+        core = lower_query(database, tree, dioid)
+        reference = compile_tdp(build_tdp(database, tree, dioid=dioid))
+        assert -1 not in reference.conn_stage
+        assert export_fragments([core], 0) == export_fragments([reference], 0)
+        pooled = len(core.conn_offsets) - 1
+        assert core._pairs[:pooled] == [None] * pooled  # nothing was cut
+
+    @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
+    def test_arrival_shard_bytes_equal_the_object_lowering(self, dioid):
+        from array import array
+        from itertools import accumulate
+
+        from repro.dp.builder import build_tdp
+        from repro.dp.corebuf import SectionView, export_fragments
+        from repro.dp.flat import compile_tdp
+        from repro.parallel.build import build_object_fragment
+
+        database = self._database()
+        query = path_query(4)
+        physical = Engine(database).prepare(query, dioid=dioid, shards=4).bind()
+        plan = physical.shard_plan
+        anchor = plan.anchor_stage
+        cores = [fragment.compiled for fragment in physical.fragments]
+        meta, data = export_fragments(cores, anchor)
+        pooled = len(cores[0].conn_offsets) - 1
+        assert cores[0]._pairs[:pooled] == [None] * pooled  # nothing was cut
+
+        # Phase A's connectors are the whole relation's non-root ones;
+        # each fragment's root is its own object build's.
+        whole = compile_tdp(build_tdp(database, plan.join_tree, dioid=dioid))
+        assert whole.root_uid == {anchor: pooled} == {0: whole.num_connectors - 1}
+        expected = [whole.pairs(uid) for uid in range(pooled)]
+        relation = database[query.atoms[plan.anchor_atom].relation_name]
+        for fragment in plan.fragments:
+            rows = (
+                relation.tuples[fragment.lo:fragment.hi],
+                relation.weights[fragment.lo:fragment.hi],
+            )
+            part = compile_tdp(
+                build_object_fragment(database, plan, fragment, dioid, None, rows, None)
+            )
+            expected.append(part.pairs(part.root_uid[anchor]))
+        assert len(expected) == meta["num_connectors"] == pooled + 4
+
+        sections = SectionView(data, meta["manifest"])
+        for section, typecode, column in (
+            ("entry_key", "d", [key for pairs in expected for key, _ in pairs]),
+            ("entry_state", "q", [state for pairs in expected for _, state in pairs]),
+            ("conn_offsets", "q", list(accumulate(map(len, expected), initial=0))),
+        ):
+            assert sections.view(section).tobytes() == array(typecode, column).tobytes()

@@ -410,3 +410,43 @@ class TestDirectLoweringMatchesObjectLowering:
                 assert direct.conn_stage[uid] == stage
                 assert direct.pairs(uid) == reference.pairs(uid)
                 assert direct.conn_size(uid) == reference.conn_size(uid)
+
+
+class TestBatchOverThePool:
+    """``FlatBatch`` over a lowered core: the numpy expansion and the
+    scalar DFS read the entry pool alike, and agree with the object
+    lowering's core, answer by answer in ``repr``."""
+
+    @pytest.mark.parametrize("algorithm", ["batch", "batch_nosort"])
+    @pytest.mark.parametrize(
+        "dioid", [TROPICAL, MAX_PLUS, MAX_TIMES],
+        ids=["tropical", "max-plus", "max-times"],
+    )
+    @pytest.mark.parametrize("shape", ["path4", "star4"])
+    def test_vec_equals_scalar(self, shape, dioid, algorithm, monkeypatch):
+        from repro.anyk.flat import FlatBatch
+        from repro.dp.lower import lower_query
+        from repro.query.jointree import build_join_tree
+        from repro.util import vec
+
+        query = path_query(4) if shape == "path4" else star_query(4)
+        db = uniform_database(4, 60, domain_size=12, seed=5)
+        core = lower_query(db, build_join_tree(query), dioid)
+        sort = algorithm == "batch"
+
+        def answers(compiled) -> list[str]:
+            return [
+                repr((r.weight, r.key, r.states))
+                for r in FlatBatch(compiled, sort=sort)
+            ]
+
+        lowered = answers(core)
+        with monkeypatch.context() as patch:
+            patch.setattr(vec, "np", None)
+            assert answers(core) == lowered
+        solutions = repr(list(FlatBatch(core, sort=False)._solutions(None)))
+        if vec.np is not None:
+            assert repr(FlatBatch(core, sort=False)._solutions_vec(vec.np)) == solutions
+        reference = compile_tdp(build_tdp_for_query(db, query, dioid=dioid))
+        assert answers(reference) == lowered
+        assert len(lowered) > 1000

@@ -223,11 +223,20 @@ def object_columns(database, tree, dioid) -> tuple[dict, list[int]]:
 
 
 def assert_same_structures(core):
-    """The acceptance shape: eager ``(float, int)`` pair lists, no CSR pool."""
-    assert core.conn_offsets is None
-    for uid in range(core.num_connectors):
-        pairs = core._pairs[uid]
-        assert type(pairs) is list
+    """The acceptance shape: one pool of ``(float, int)`` entries in uid
+    order, the fragment roots beside it as lists (see
+    :func:`test_lowering_keeps_no_list_per_connector`)."""
+    offsets = core.conn_offsets
+    pooled = len(offsets) - 1
+    assert type(core.entries) is list and type(offsets) is list
+    assert offsets[0] == 0 and offsets[-1] == len(core.entries)
+    assert all(lo <= hi for lo, hi in zip(offsets, offsets[1:]))
+    for key, state in core.entries:
+        assert type(key) is float and type(state) is int
+    assert pooled < core.num_connectors
+    for uid in range(pooled, core.num_connectors):  # the fragment roots
+        pairs = core.pairs(uid)
+        assert type(pairs) is list and core.conn_size(uid) == len(pairs)
         for key, state in pairs:
             assert type(key) is float and type(state) is int
     for column in core.val_base + core.pi1 + core.child_uids:
@@ -449,6 +458,13 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
         )
         for core in scalar:
             assert_same_structures(core)
+        for index, core in enumerate(scalar):
+            root = shared.num_conns + index
+            assert core.root_uid[0] == root
+            assert core.conn_size(root) == len(core.val_base[0])
+            assert core.stats()["entries"] == (
+                shared.conn_offsets[-1] + core.conn_size(root)
+            )
         columns = fragment_columns(shared, scalar)
         _shared, shipped, _inputs = with_scalar(
             monkeypatch,
@@ -514,8 +530,12 @@ def place(join_keys, entry_keys, kernel):
         lower._place_entries(shared, 2, join_keys, vec.np.array(entry_keys))
     else:
         lower._place_entries(shared, 2, join_keys, list(entry_keys))
+    offsets = shared.conn_offsets
     return (
-        [[(bits(k), s) for k, s in group] for group in shared.pairs],
+        [
+            [(bits(k), s) for k, s in shared.entries[lo:hi]]
+            for lo, hi in zip(offsets, offsets[1:])
+        ],
         [bits(m) for m in shared.conn_min],
         list(shared.conn_maps[2].items()),
         shared.conn_stage,
@@ -651,3 +671,69 @@ def test_lowering_creates_no_reboxed_rows_and_only_what_the_core_holds(monkeypat
         + CONTAINERS_PER_STAGE * stats["stages"]
     )
     assert max(count for count, _reboxed in samples) <= bound, (samples, bound)
+
+
+# -- one pool, not a list per connector ----------------------------------------
+
+#: The slots read lazily: filled on first touch, ``None`` at bind.
+FIRST_TOUCH_CACHES = ("_take2_heaps", "_sorted_pairs", "_rea_heaps")
+
+
+def reachable_lists(core) -> int:
+    """``list`` objects reachable from the core's slots through lists,
+    tuples and dicts (not through other objects, the shell included)."""
+    seen: set[int] = set()
+    stack = [
+        getattr(core, name) for name in type(core).__slots__
+        if name not in FIRST_TOUCH_CACHES
+    ]
+    found = 0
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, (list, tuple, dict)) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        found += type(item) is list
+        stack.extend(item.values() if isinstance(item, dict) else item)
+    return found
+
+
+def test_lowering_keeps_no_list_per_connector():
+    """Ten times the rows, ten times the connectors, the same lists: the
+    entries are one pool, and only the root connector is a list at bind."""
+    query = QUERIES["path4"]
+    tree = build_join_tree(query)
+    small, large = (
+        lower.lower_query(make_database(query, n, seed=14), tree, TROPICAL)
+        for n in (2_000, 20_000)
+    )
+    assert large.num_connectors > 5 * small.num_connectors
+    assert reachable_lists(small) == reachable_lists(large)
+    # What enumeration touches is cut then, and only that.
+    before = reachable_lists(large)
+    large.pairs(0)
+    assert reachable_lists(large) == before + 1
+
+
+@pytest.mark.parametrize("mode", ["fused", "thread"])
+def test_fragment_roots_are_sized_beside_the_pool(mode):
+    """Concurrently assembled fragment roots never enter the shared pool;
+    ``conn_size`` and ``stats`` read them where they are held."""
+    from repro.engine import Engine
+
+    query = QUERIES["path4"]
+    database = make_database(query, 700, seed=15)
+    physical = Engine(database).prepare(
+        query, shards=4, shard_parallel=mode, shard_workers=2
+    ).bind()
+    cores = [fragment.compiled for fragment in physical.fragments]
+    assert len(cores) == 4 and physical.mode == mode
+    pooled = len(cores[0].conn_offsets) - 1
+    for index, core in enumerate(cores):
+        assert core.entries is cores[0].entries
+        root = core.root_uid[0]
+        assert root == pooled + index
+        assert core.conn_size(root) == len(core.pairs(root)) == len(core.val_base[0])
+        assert core.stats()["entries"] == len(core.entries) + core.conn_size(root)
+        for uid in range(core.num_connectors):
+            assert core.conn_size(uid) == len(core.pairs(uid))
