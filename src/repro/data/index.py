@@ -8,9 +8,18 @@ subset to the list of matching tuple positions.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import Counter
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from repro.data.relation import Relation
+
+
+def _key_tuples(rows: Sequence[tuple], columns: tuple[int, ...]) -> Iterator[tuple]:
+    """Each row's projection onto ``columns``, as a tuple (one C pass)."""
+    if not columns:
+        return iter([()] * len(rows))
+    return zip(*(map(itemgetter(c), rows) for c in columns))
 
 
 class HashIndex:
@@ -27,9 +36,7 @@ class HashIndex:
         self.relation = relation
         self.columns = tuple(columns)
         buckets: dict[tuple, list[int]] = {}
-        cols = self.columns
-        for position, values in enumerate(relation.tuples):
-            key = tuple(values[c] for c in cols)
+        for position, key in enumerate(_key_tuples(relation.tuples, self.columns)):
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [position]
@@ -82,8 +89,8 @@ class IndexCache:
 
     def __init__(self):
         self._indexes: dict[tuple, tuple[tuple, HashIndex]] = {}
-        #: Memoised backend degree statistics, stamped like _indexes.
-        self._degrees: dict[tuple, tuple[tuple, dict[tuple, int]]] = {}
+        #: Memoised degree statistics: ``(stamp, counts, relation)``.
+        self._degrees: dict[tuple, tuple[tuple, dict[tuple, int], Relation]] = {}
         self.hits = 0
         self.misses = 0
         #: Degree-statistics requests answered server-side by a backend.
@@ -110,24 +117,31 @@ class IndexCache:
         of the cycle decomposition (Section 5.2).  For a backend-stored,
         not-yet-materialised relation the counts are computed *server
         side* (SQL ``GROUP BY`` for SQLite) so asking for statistics
-        does not force the relation into memory; otherwise they are
-        derived from the (cached) hash index.
+        does not force the relation into memory.  Otherwise they are
+        counted over the key column in one pass, building no index.
+        Either way they are memoised, stamped like the indexes.
         """
         columns = tuple(columns)
         backend = relation.backend
-        if backend is not None and not relation.is_materialized:
-            key = (relation.name, columns)
+        in_memory = backend is None or relation.is_materialized
+        if in_memory:
+            stamp = (id(relation), len(relation), relation.version)
+        else:
             stamp = (id(relation), relation.version)
-            entry = self._degrees.get(key)
-            if entry is not None and entry[0] == stamp:
-                self.hits += 1
-                return entry[1]
+        key = (relation.name, columns, in_memory)
+        entry = self._degrees.get(key)
+        if entry is not None and entry[0] == stamp:
+            self.hits += 1
+            return entry[1]
+        if not in_memory:
             self.pushdowns += 1
             counts = backend.degree_statistics(relation.table, columns)
-            self._degrees[key] = (stamp, counts)
-            return counts
-        index = self.get(relation, columns)
-        return {key: len(positions) for key, positions in index.items()}
+        else:
+            self.misses += 1
+            counts = dict(Counter(_key_tuples(relation.tuples, columns)))
+        # The entry holds the relation, so its ``id`` stays its own.
+        self._degrees[key] = (stamp, counts, relation)
+        return counts
 
     def clear(self) -> None:
         self._indexes.clear()

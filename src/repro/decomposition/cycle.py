@@ -106,10 +106,10 @@ class _CycleAtom:
 
         With an :class:`~repro.data.index.IndexCache` the degree
         statistics come from :meth:`~repro.data.index.IndexCache.degrees`:
-        a (possibly cached) hash index on the entry column for in-memory
-        relations, or a server-side ``GROUP BY`` for backend-stored ones
-        — so repeated decompositions of the same database skip the
-        counting pass.  Any classification yields a disjoint cover; the
+        one count over the entry column for in-memory relations, or a
+        server-side ``GROUP BY`` for backend-stored ones, memoised — so
+        repeated decompositions of the same database skip the counting
+        pass.  Any classification yields a disjoint cover; the
         degrees only carry the size bound.
         """
         if indexes is not None:

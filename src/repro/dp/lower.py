@@ -33,12 +33,16 @@ list at bind (zipping it in the first fetch was slower), and the tuples
 are made at bind (made on touch, they moved collections into pages).
 
 **Two implementations, one behaviour.**  With numpy, a stage of at
-least ``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels
-(:func:`_scan_stage_vec`; for a core with an inverse also
-:func:`_place_by_connector`).  Everything else — no numpy
-(``REPRO_NO_NUMPY``), small stages, repeated variables, NaN entry
-values, a rank column — runs the scalar loops over the same sequences,
-with the same IEEE operations in the same order.
+least ``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels:
+:func:`_scan_stage_vec`, then :func:`_place_by_connector` — for a core
+with an inverse, and for one without (tie-broken union members, acyclic
+max-times) with its rank column converted to int64 once
+(:func:`_kernel_columns`); the fragment root's least entry comes from
+the same arrays.  Everything else — no numpy (``REPRO_NO_NUMPY``),
+small stages, repeated variables, NaN entry values, a rank column past
+int64 (the tie-breaker numbers more than 2**63 assignments) — runs the
+scalar loops over the same sequences, with the same IEEE operations in
+the same order.
 
 The sweep is split at one **anchor** stage, a root of its join-tree
 component; no non-anchor stage depends on which anchor rows are present:
@@ -330,12 +334,10 @@ def build_shared_lower(
         shared.child_uids[stage] = cu_out
         entry_ranks = None
         if not shared.inverse:
-            if _from_kernel(entry_values):
-                entry_values = entry_values.tolist()
             shared.val_rank[stage], entry_ranks = _rank_columns(
                 shared, stage, kept, cu_out
             )
-            shared.ent_base[stage] = entry_values
+            shared.ent_base[stage] = _as_list(entry_values)
             shared.ent_rank[stage] = entry_ranks
 
         join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
@@ -379,6 +381,11 @@ def _rank_columns(
     return val_rank, list(map(add, val_rank, pi_rank))
 
 
+def _as_list(column):
+    """A kernel's numpy column as a list of native scalars; a list as it is."""
+    return column.tolist() if _from_kernel(column) else column
+
+
 # -- one stage's connectors ----------------------------------------------------
 
 
@@ -390,20 +397,15 @@ def _place_entries(
     A connector per distinct join key in first-seen order, its entries
     (``(key, state)``, or ``(key, rank, state)`` with ``entry_ranks``)
     appended to the pool in state order, its minimum the value of
-    ``min(group)``.  This loop is the reference; kernel output
-    goes through :func:`_place_by_connector` unless there is a rank
-    column or a NaN (``min()`` over ``(nan, state)`` tuples depends on
-    the order it meets them in, which only this loop reproduces).
+    ``min(group)``.  This loop is the reference; kernel output goes
+    through :func:`_place_by_connector` unless :func:`_kernel_columns`
+    refuses it (a NaN, or a rank that does not fit in int64).
     """
-    if _from_kernel(entry_values):
-        if (
-            entry_ranks is None
-            and len(entry_values)
-            and not vec.np.isnan(entry_values).any()
-        ):
-            _place_by_connector(shared, stage, join_keys, entry_values)
-            return
-        entry_values = entry_values.tolist()
+    columns = _kernel_columns(entry_values, entry_ranks)
+    if columns is not None:
+        _place_by_connector(shared, stage, join_keys, *columns)
+        return
+    entry_values = _as_list(entry_values)
     keys = list(map(neg, entry_values)) if shared.lane.negate else entry_values
     if entry_ranks is None:
         entries = zip(keys, count())
@@ -430,20 +432,59 @@ def _place_entries(
         shared.conn_rank += map(itemgetter(1), least)
 
 
+def _kernel_columns(entry_values, entry_ranks):
+    """A stage's entry columns as the placement kernel takes them — the
+    scan's numpy values and the ranks (if any) as int64 — or ``None``
+    where only the scalar loop reproduces ``min()``: a list (no kernel
+    scan), no rows, a NaN (``min()`` over ``(nan, ...)`` tuples depends
+    on the order it meets them in), or a rank past int64 (the
+    tie-breaker numbers more than 2**63 assignments)."""
+    np = vec.np
+    if (
+        not _from_kernel(entry_values)
+        or not len(entry_values)
+        or np.isnan(entry_values).any()
+    ):
+        return None
+    if entry_ranks is None:
+        return entry_values, None
+    try:
+        return entry_values, np.array(entry_ranks, np.int64)
+    except OverflowError:
+        return None
+
+
+def _least_entries(keys, ranks, starts, sizes):
+    """Per connector, the position of its least entry in the sorted columns.
+
+    ``keys`` (and ``ranks``) are in connector order, each connector the
+    range ``starts[i] .. starts[i] + sizes[i]`` in state order.  The
+    position is ``min()``'s over the entry tuples: the least key
+    (``0.0 == -0.0``), among those the least rank, among those the first
+    state — so a zero minimum has the sign of the entry it came from.
+    """
+    np = vec.np
+    n = len(keys)
+    at_min = keys == np.repeat(np.minimum.reduceat(keys, starts), sizes)
+    if ranks is not None:
+        ranked = np.where(at_min, ranks, np.iinfo(np.int64).max)
+        at_min &= ranks == np.repeat(np.minimum.reduceat(ranked, starts), sizes)
+    return np.minimum.reduceat(np.where(at_min, np.arange(n), n), starts)
+
+
 def _place_by_connector(
-    shared: SharedLower, stage: int, join_keys: list, entry_values
+    shared: SharedLower, stage: int, join_keys: list, entry_values, entry_ranks=None
 ) -> None:
     """:func:`_place_entries` as one bucket placement by connector id.
 
     Nothing is ordered by weight: first-seen uids come from
     ``dict.fromkeys``, one stable integer argsort (a counting sort up to
     2**16 connectors) moves every state into its connector's range,
-    ``minimum.reduceat`` takes the range minima, and the pool grows by
-    one C-level ``zip``.  A minimum's value is its key, or the key
-    negated: keying is a bijection.
+    :func:`_least_entries` picks each range's least entry, and the pool
+    grows by one C-level ``zip`` of the key, (int64) rank and state
+    columns.
     """
     np = vec.np
-    negate = shared.lane.negate
     states = len(entry_values)
     first_uid = len(shared.conn_stage)
     cmap_out = shared.conn_maps[stage]
@@ -457,20 +498,18 @@ def _place_by_connector(
     sizes = np.bincount(local, minlength=conns)
     ends = sizes.cumsum()
     starts = ends - sizes
-    keys = (-entry_values if negate else entry_values)[order]
-    minima = np.minimum.reduceat(keys, starts)
-    zero_min = minima == 0.0
-    if zero_min.any():
-        # ``min(group)`` hands over the sign of the group's *first* zero.
-        first_zero = np.minimum.reduceat(
-            np.where(keys == 0.0, np.arange(states), states), starts
-        )
-        minima[zero_min] = keys[first_zero[zero_min]]
+    keys = (-entry_values if shared.lane.negate else entry_values)[order]
+    ranks = None if entry_ranks is None else entry_ranks[order]
+    least = _least_entries(keys, ranks, starts, sizes)
     pool = shared.entries
     shared.conn_offsets += (ends + len(pool)).tolist()
-    pool += zip(keys.tolist(), order.tolist())
+    if ranks is None:
+        pool += zip(keys.tolist(), order.tolist())
+    else:
+        pool += zip(keys.tolist(), ranks.tolist(), order.tolist())
+        shared.conn_rank += ranks[least].tolist()
     shared.conn_stage.extend([stage] * conns)
-    shared.conn_min.extend((-minima if negate else minima).tolist())
+    shared.conn_min += entry_values[order[least]].tolist()
 
 
 # -- one stage's scan ----------------------------------------------------------
@@ -747,9 +786,6 @@ def assemble_fragment(
     multiply, negate = shared.lane
     if entry_values is None:
         entry_values = list(map(mul if multiply else add, vk_out, pk_out))
-    elif _from_kernel(entry_values):
-        entry_values = entry_values.tolist()
-    keys = list(map(neg, entry_values)) if negate else entry_values
     anchor = shared.anchor_stage
     uid = shared.num_conns + index
 
@@ -759,11 +795,22 @@ def assemble_fragment(
         columns[anchor] = column
         return columns
 
+    val_rank = ent_rank = None
+    if not shared.inverse:
+        val_rank, ent_rank = _rank_columns(shared, anchor, rows, cu_out)
+    # The root connector's least entry: from the kernel's arrays where
+    # the placement would take them, else ``min()`` over its entries.
+    least = None
+    columns = _kernel_columns(entry_values, ent_rank)
+    if columns is not None:
+        keys = -entry_values if negate else entry_values
+        least = int(_least_entries(keys, columns[1], [0], [len(keys)])[0])
+    entry_values = _as_list(entry_values)
+    keys = list(map(neg, entry_values)) if negate else entry_values
     without_inverse: dict = {}
     if shared.inverse:
         entries = list(zip(keys, count()))
     else:
-        val_rank, ent_rank = _rank_columns(shared, anchor, rows, cu_out)
         entries = list(zip(keys, ent_rank, count()))
         without_inverse = dict(
             val_rank=per_fragment(shared.val_rank, val_rank),
@@ -777,9 +824,9 @@ def assemble_fragment(
     if empty:
         best = (shared.zero, 0)
     else:
-        least = min(entries)
-        frag_min = entry_values[least[-1]]
-        frag_rank = 0 if shared.inverse else least[1]
+        least = min(entries)[-1] if least is None else least
+        frag_min = entry_values[least]
+        frag_rank = 0 if shared.inverse else ent_rank[least]
         if not shared.inverse:
             lists["min_base"][uid] = frag_min
             lists["min_rank"][uid] = frag_rank
@@ -827,18 +874,14 @@ def assemble_fragment(
     )
 
 
-def _lower_whole(
-    database: Database, shared: SharedLower, span=NULL_SPAN
-) -> CompiledTDP:
-    """Phase B over the whole anchor relation (stage 0): one fragment."""
+def _lower_whole(database: Database, shared: SharedLower) -> CompiledTDP:
+    """Phase B over the whole anchor relation (stage 0): one fragment.
+    ``shared.rows`` / ``vectorized_stages`` then count every stage."""
     relation = database[shared.query.atoms[shared.order[0]].relation_name]
     rows, weights = stage_columns(relation)
     scan_out = scan_stage(stage_scan_of(shared, 0), rows, weights, 0, None)
-    span.set(
-        rows=shared.rows + len(rows),
-        stages=shared.num_stages,
-        vectorized_stages=shared.vectorized_stages + _from_kernel(scan_out[0]),
-    )
+    shared.rows += len(rows)
+    shared.vectorized_stages += _from_kernel(scan_out[0])
     return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))
 
 
@@ -856,7 +899,13 @@ def lower_query(
     scanned and how many of its stages took the numpy kernel.
     """
     shared = build_shared_lower(database, tree.query, tree, dioid, anchor_stage=0)
-    return _lower_whole(database, shared, span)
+    core = _lower_whole(database, shared)
+    span.set(
+        rows=shared.rows,
+        stages=shared.num_stages,
+        vectorized_stages=shared.vectorized_stages,
+    )
+    return core
 
 
 def lower_member(
@@ -865,6 +914,7 @@ def lower_member(
     tie: TieBreakingDioid,
     var_position: dict[str, int],
     lane: FloatLane,
+    span=NULL_SPAN,
 ) -> LaneCore:
     """Lower one union member to a :class:`~repro.dp.flat.LaneCore`.
 
@@ -874,9 +924,14 @@ def lower_member(
     column of the variables each stage owns; ``lane`` is
     :func:`member_lane`'s.  Its columns and ranks are ``build_tdp``'s
     under ``tie`` and its lift, with no ``times`` or ``key`` call.
+    ``span`` is the union's ``tdp.build``: its ``vectorized_stages``
+    counts, over the members, the stages that took the numpy kernel (the
+    union sets ``rows`` and ``stages`` itself).
     """
     shared = build_shared_lower(
         database, join_tree.query, join_tree, tie, 0, lane,
         owned_columns(join_tree, var_position),
     )
-    return _lower_whole(database, shared)
+    core = _lower_whole(database, shared)
+    span.add(vectorized_stages=shared.vectorized_stages)
+    return core

@@ -46,7 +46,7 @@ from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
 from repro.dp.flat import LaneCore, compile_tdp
 from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.enumeration.result import QueryResult
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid, lane_of
@@ -432,7 +432,8 @@ class UnionPhysical(PhysicalPlan):
     the flat kernels of :mod:`repro.anyk.flat` over it; otherwise it is the
     object graph of ``build_tdp`` (``cores[i]`` is ``None``, the reason
     in :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
-    yields pair-valued results, ``(base, rank)``.
+    yields pair-valued results, ``(base, rank)``.  Lowered members count
+    their kernel stages into ``span`` (``vectorized_stages``).
 
     An answer is its member's states until someone reads it: a
     :class:`QueryResult` view over that member's :class:`MemberDecoder`.
@@ -447,6 +448,7 @@ class UnionPhysical(PhysicalPlan):
         database: Database,
         tasks: list[TreeTask],
         dedup: bool = False,
+        span=NULL_SPAN,
     ):
         super().__init__(logical, database)
         self.tasks = tasks
@@ -472,7 +474,9 @@ class UnionPhysical(PhysicalPlan):
                 core = None
                 tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
             else:
-                core = lower_member(task.database, tree, self.tie, var_position, lane)
+                core = lower_member(
+                    task.database, tree, self.tie, var_position, lane, span
+                )
                 tdp = core.tdp
             self.tdps.append(tdp)
             self.cores.append(core)
@@ -794,7 +798,7 @@ def _bind_union(
     logical: LogicalPlan, database: Database, tasks: list[TreeTask], tracer
 ) -> "UnionPhysical":
     with tracer.span("tdp.build", members=len(tasks)) as span:
-        physical = UnionPhysical(logical, database, tasks, dedup=False)
+        physical = UnionPhysical(logical, database, tasks, dedup=False, span=span)
         tdps = physical.tdps
         lowered = [core for core in physical.cores if core is not None]
         span.set(

@@ -61,6 +61,9 @@ class NullSpan:
     def set(self, **attrs) -> "NullSpan":
         return self
 
+    def add(self, **counts) -> "NullSpan":
+        return self
+
     @property
     def duration(self) -> float:
         return 0.0
@@ -132,6 +135,14 @@ class Span:
 
     def set(self, **attrs) -> "Span":
         self.attrs.update(attrs)
+        return self
+
+    def add(self, **counts) -> "Span":
+        """Add ``counts`` to what the span carries (absent counts are 0):
+        several parts of one region report into one span."""
+        attrs = self.attrs
+        for name, count in counts.items():
+            attrs[name] = attrs.get(name, 0) + count
         return self
 
     @property

@@ -29,6 +29,7 @@ import pytest
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.dp import lower as lower_module
 from repro.dp.graph import ChoiceSet
 from repro.dp.lower import lower_member
 from repro.engine import Engine
@@ -42,6 +43,7 @@ from repro.ranking.dioid import (
     TieBreakingDioid,
     TropicalDioid,
 )
+from repro.util import vec
 
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 plan_module = importlib.import_module("repro.engine.plan")
@@ -309,11 +311,17 @@ CONTAINERS_PER_STAGE = 16
 CONTAINERS_PER_CORE = 24
 
 
-def test_a_lowered_state_keeps_one_tuple_beyond_its_row():
+@pytest.mark.parametrize("kernel", [False, True], ids=["default", "kernel"])
+def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, kernel):
     """By census, with the collector off: a member's lowering keeps one
     tuple per alive state — its ``(base_key, rank, state)`` entry — and
     one list per connector; no ``ChoiceSet``, no value pair, no dict or
-    list per state."""
+    list per state.  Once as the stage sizes pick, once with the numpy
+    kernels forced onto every stage."""
+    if kernel:
+        if vec.np is None:
+            pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
+        monkeypatch.setattr(lower_module, "_VEC_SCAN_MIN", 0)
     database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1503)
     query = cycle_query(4)
     physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
@@ -329,10 +337,13 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row():
         gc.collect()
         gc.disable()
         try:
-            known = {id(o) for o in gc.get_objects()}
-            known.add(id(known))
+            # Held, so no object freed meanwhile hands its id to a new one.
+            baseline = gc.get_objects()
+            known = {id(o) for o in baseline}
+            known.update((id(known), id(baseline)))
             again = lower()
             fresh = [o for o in gc.get_objects() if id(o) not in known]
+            del baseline
         finally:
             gc.enable()
         states = again.tdp.num_states()

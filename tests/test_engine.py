@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.generators import uniform_database, worst_case_cycle_database
-from repro.data.index import IndexCache
+from repro.data.index import HashIndex, IndexCache
 from repro.data.relation import Relation
 from repro.engine import (
     ACYCLIC_TDP,
@@ -248,8 +248,8 @@ class TestPlanCache:
         misses = engine.indexes.misses
         assert misses > 0
         assert engine.indexes.hits == 0
-        # Mutate one relation: on rebind, only its degree index rebuilds;
-        # the other cycle atoms' indexes are cache hits.
+        # Mutate one relation: on rebind, only its degree counts are
+        # recounted; the other cycle atoms' counts are memo hits.
         name = next(iter(db.relations))
         db[name].add((0, 0), 1.0)
         list(prepared.iter())
@@ -377,6 +377,34 @@ class TestIndexCache:
         assert rebuilt is not index
         assert rebuilt.lookup((5,)) == [3]
         assert cache.misses == 2
+
+    def test_degrees_count_the_key_column_and_follow_mutation(self):
+        rows = [(1, 2), (1, 3), (2, 3), (1.0, 4), (None, 5), ("1", 2)]
+        rel = Relation("R", 2, rows, [0.0] * len(rows))
+        cache = IndexCache()
+        for columns in ((0,), (1,), (0, 1), ()):
+            expected = {
+                key: len(positions)
+                for key, positions in HashIndex(rel, columns).items()
+            }
+            counts = cache.degrees(rel, columns)
+            assert counts == expected
+            assert list(counts) == list(expected)  # first-seen order
+            assert cache.degrees(rel, columns) is counts
+        assert len(cache) == 0, "counting builds no index"
+        assert (cache.hits, cache.misses) == (4, 4)
+        rel.add((2, 9), 0.0)
+        assert cache.degrees(rel, (0,)) == {(1,): 3, (2,): 2, (None,): 1, ("1",): 1}
+        assert cache.misses == 5
+
+    def test_degrees_of_a_same_name_replacement_are_recounted(self):
+        rel = Relation("R", 2, [(1, 2), (1, 3), (2, 3)], [0.0] * 3)
+        cache = IndexCache()
+        assert cache.degrees(rel, (0,)) == {(1,): 2, (2,): 1}
+        # Same name, cardinality and version, but another relation.
+        other = Relation("R", 2, [(5, 2), (5, 3), (5, 3)], [0.0] * 3)
+        assert cache.degrees(other, (0,)) == {(5,): 3}
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_distinct_columns_distinct_indexes(self):
         rel = Relation("R", 2, [(1, 2)], [0.0])

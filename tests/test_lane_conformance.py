@@ -18,13 +18,16 @@ Over 3 bases (tropical, max-plus, max-times) x 3 weight palettes (floats,
 chain and a heavy fan of a 4-cycle, a four-bag heavy member of a
 6-cycle), plus tree-shaped members — a star (open branches, ranked
 products) and a two-component query (several roots) — that no cycle
-produces.  Nothing here needs numpy.
+produces.  The columns are compared twice per member: lowered on the
+numpy kernels (forced onto every stage, ``_VEC_SCAN_MIN = 0``; skipped
+without numpy) and on the scalar loops.  Nothing else here needs numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -34,6 +37,7 @@ from repro.data.database import Database
 from repro.data.generators import uniform_database
 from repro.data.relation import Relation
 from repro.decomposition.cycle import decompose_cycle
+from repro.dp import lower
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.flat import LaneCore
 from repro.dp.lower import lower_member, lower_query, member_lane
@@ -52,6 +56,7 @@ from repro.ranking.dioid import (
     TropicalDioid,
     lane_of,
 )
+from repro.util import vec
 from repro.util.counters import OpCounter
 from tests import vector_tie
 
@@ -123,16 +128,35 @@ def member_task(member: str, palette: str, base):
     return database, build_join_tree(query), query.variables
 
 
+@contextmanager
+def lowering(mode: str):
+    """``kernel``: the numpy kernels on every stage, however small;
+    ``scalar``: the scalar loops (what ``REPRO_NO_NUMPY`` runs);
+    ``default``: whichever the stage sizes pick."""
+    if mode == "kernel" and vec.np is None:
+        pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
+    saved = lower._VEC_SCAN_MIN, vec.np
+    if mode == "kernel":
+        lower._VEC_SCAN_MIN = 0
+    elif mode == "scalar":
+        vec.np = None
+    try:
+        yield
+    finally:
+        lower._VEC_SCAN_MIN, vec.np = saved
+
+
 @lru_cache(maxsize=None)
-def member_pair(member: str, palette: str, base_name: str):
-    """The same member lowered and built: ``(core, object T-DP)``."""
+def member_pair(member: str, palette: str, base_name: str, mode: str = "default"):
+    """The same member lowered (under ``mode``) and built: ``(core, object T-DP)``."""
     base = BASES[base_name]
     database, tree, variables = member_task(member, palette, base)
     positions = {var: slot for slot, var in enumerate(variables)}
     tie = TieBreakingDioid(base, len(variables))
     rank_tie_domains(tie, [(database, tree, positions)])
     lane, _why = member_lane(tie)
-    core = lower_member(database, tree, tie, positions, lane)
+    with lowering(mode):
+        core = lower_member(database, tree, tie, positions, lane)
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     return core, tdp
 
@@ -159,11 +183,18 @@ MEMBERS = [*CYCLE_MEMBERS, *TREE_MEMBERS]
 PALETTES = ["floats", "ints", "ties"]
 
 
+@pytest.mark.parametrize("mode", ["kernel", "scalar"])
 @pytest.mark.parametrize("palette", PALETTES)
 @pytest.mark.parametrize("base_name", list(BASES))
 @pytest.mark.parametrize("member", MEMBERS)
-def test_lowered_columns_equal_the_object_builder(member, base_name, palette):
-    core, tdp = member_pair(member, palette, base_name)
+def test_lowered_columns_equal_the_object_builder(member, base_name, palette, mode):
+    core, tdp = member_pair(member, palette, base_name, mode)
+    assert core.is_chain == (member not in TREE_MEMBERS)
+    assert_same_columns(core, tdp)
+
+
+def assert_same_columns(core, tdp) -> None:
+    """Every column of a lowered member is the object T-DP's, in bits."""
     assert isinstance(core, LaneCore) and core.tdp._compiled is core
     shell = core.tdp
     assert shell.num_stages == tdp.num_stages
@@ -171,7 +202,6 @@ def test_lowered_columns_equal_the_object_builder(member, base_name, palette):
     assert core.num_connectors == tdp.num_connectors
     assert core.empty == tdp.is_empty() is False
     assert canon(core.best) == canon(tdp.best_weight) == canon(shell.best_weight)
-    assert core.is_chain == (member not in TREE_MEMBERS)
     for stage in range(tdp.num_stages):
         assert shell.tuples[stage] == tdp.tuples[stage]
         assert shell.tuple_ids[stage] == tdp.tuple_ids[stage]
@@ -195,6 +225,50 @@ def test_lowered_columns_equal_the_object_builder(member, base_name, palette):
             lanes = (core.ent_base[stage][state], core.ent_rank[stage][state])
             assert canon(lanes) == canon(value)
         assert canon((core.min_base[uid], core.min_rank[uid])) == canon(conn.min_value)
+
+
+def test_ranks_past_int64_lower_on_the_scalar_placement(monkeypatch):
+    """A tie-breaker numbering more than 2**63 assignments (19 variables
+    of 15 values): a stage whose ranks pass int64 keeps them as Python
+    integers and is placed by the scalar loop, even with the kernels
+    forced; a stage whose ranks fit takes the kernel; and the columns
+    are the object builder's."""
+    if vec.np is None:
+        pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
+
+    query = path_query(18)
+    rng = random.Random(2530)
+    database = Database([
+        Relation(
+            atom.relation_name, 2,
+            [(rng.randint(1, 15), rng.randint(1, 15)) for _ in range(60)],
+            palette_weights(rng, "ties", 60),
+        )
+        for atom in query.atoms
+    ])
+    tree = build_join_tree(query)
+    positions = {var: slot for slot, var in enumerate(query.variables)}
+    tie = TieBreakingDioid(MAX_TIMES, len(positions))
+    rank_tie_domains(tie, [(database, tree, positions)])
+    assert sum(map(max, (ranks.values() for ranks in tie.ranks))) >= 1 << 63
+    placed = []
+    real = lower._place_by_connector
+    monkeypatch.setattr(lower, "_VEC_SCAN_MIN", 0)
+    monkeypatch.setattr(
+        lower, "_place_by_connector",
+        lambda shared, stage, *rest: placed.append(stage) or real(shared, stage, *rest),
+    )
+    core = lower_member(database, tree, tie, positions, member_lane(tie)[0])
+    tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
+    assert_same_columns(core, tdp)
+    # Stage 0 is the anchor: its root connector is not placed.
+    fits = [
+        max(core.ent_rank[stage]) < 1 << 63 for stage in range(1, tdp.num_stages)
+    ]
+    assert all(core.ent_rank[1:]) and any(fits) and not all(fits)
+    assert placed == [
+        stage for stage, fit in zip(range(1, tdp.num_stages), fits) if fit
+    ][::-1]
 
 
 def ranked(enumerator, counter: OpCounter) -> tuple[list, list]:

@@ -42,7 +42,7 @@ from repro.parallel.build import _hash_buckets
 from repro.query.builders import path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
-from repro.ranking.dioid import MAX_PLUS, TROPICAL
+from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL
 from repro.util import vec
 
 DIOIDS = {"tropical": TROPICAL, "max-plus": MAX_PLUS}
@@ -522,23 +522,32 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
 # -- connector placement, as a unit --------------------------------------------
 
 
-def place(join_keys, entry_keys, kernel):
-    """One stage's grouping through the kernel's or the scalar placement."""
+def place(join_keys, entry_keys, kernel, ranks=None):
+    """One stage's grouping through the kernel's or the scalar placement.
+
+    With ``ranks`` the stage is a max-times one (no inverse), whose
+    entries are ``(key, rank, state)``; the rank column is a list of
+    Python integers, as :func:`lower._rank_columns` hands it over.
+    """
     query = QUERIES["path4"]
-    shared = lower.SharedLower(query, build_join_tree(query), TROPICAL, 0)
+    dioid = TROPICAL if ranks is None else MAX_TIMES
+    shared = lower.SharedLower(query, build_join_tree(query), dioid, 0)
     if kernel:
-        lower._place_entries(shared, 2, join_keys, vec.np.array(entry_keys))
+        lower._place_entries(shared, 2, join_keys, vec.np.array(entry_keys), ranks)
     else:
-        lower._place_entries(shared, 2, join_keys, list(entry_keys))
+        lower._place_entries(shared, 2, join_keys, list(entry_keys), ranks)
     offsets = shared.conn_offsets
+    for entry in shared.entries:
+        assert [type(v) for v in entry] == [float] + [int] * (len(entry) - 1)
     return (
         [
-            [(bits(k), s) for k, s in shared.entries[lo:hi]]
+            [(bits(k), *rest) for k, *rest in shared.entries[lo:hi]]
             for lo, hi in zip(offsets, offsets[1:])
         ],
         [bits(m) for m in shared.conn_min],
         list(shared.conn_maps[2].items()),
         shared.conn_stage,
+        shared.conn_rank,
     )
 
 
@@ -587,6 +596,80 @@ def test_nan_entry_keys_keep_the_scalar_grouping(monkeypatch):
     assert kernel == place(join_keys, entry_keys, False)
     # ``min()`` never replaces a leading NaN: order-dependent, and kept.
     assert kernel[1] == [bits(NAN), bits(0.25)]
+
+
+@needs_numpy
+def test_ranked_key_ties_go_to_the_rank_then_the_state():
+    # Per group, in state order; max-times keys are the values negated.
+    join_keys = ["a", "a", "a", "b", "b", "b", "c", "c", "d"]
+    values = [2.0, 2.0, 2.0, 1.0, 1.0, 3.0, 0.5, 0.5, 4.0]
+    ranks = [7, 3, 3, 5, 5, 0, 1, 0, 9]
+    kernel = place(join_keys, values, True, ranks)
+    assert kernel == place(join_keys, values, False, ranks)
+    # a: equal keys, rank 3 beats 7; b: 3.0 is the least key (-3.0)
+    # whatever its rank; c: equal keys, rank 0 beats 1.
+    assert kernel[4] == [3, 0, 0, 9]
+    assert kernel[1] == [bits(m) for m in (2.0, 3.0, 0.5, 4.0)]
+
+
+@needs_numpy
+def test_ranked_signed_zeros_tie_on_the_key():
+    # ``0.0 == -0.0``: the rank decides, so the minimum's sign is the
+    # least-ranked zero's, not the first zero's.
+    join_keys = ["a", "a", "a", "b", "b", "c", "c"]
+    values = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0]
+    ranks = [4, 2, 2, 1, 1, 6, 6]
+    kernel = place(join_keys, values, True, ranks)
+    assert kernel == place(join_keys, values, False, ranks)
+    assert kernel[1] == [bits(m) for m in (-0.0, -0.0, 0.0)]
+    assert kernel[4] == [2, 1, 6]
+
+
+@needs_numpy
+def test_ranked_placement_matches_the_scalar_grouping():
+    rng = random.Random(5)
+    palette = [0.0, -0.0, INF, -INF, 1.5, -1.5, 2.0, 1e-300, -1e-300]
+    join_values = [1, 1.0, True, 2, 2.0, "x", (1, 2), (1.0, 2), None]
+    for size in (1, 7, 600):
+        for rank_range in (3, 1 << 40):
+            join_keys = [rng.choice(join_values) for _ in range(size)]
+            values = [rng.choice(palette) for _ in range(size)]
+            ranks = [rng.randrange(rank_range) for _ in range(size)]
+            assert place(join_keys, values, True, ranks) == place(
+                join_keys, values, False, ranks
+            )
+
+
+@needs_numpy
+def test_ranks_near_two_to_the_63_take_the_kernel(monkeypatch):
+    top = (1 << 63) - 1
+    join_keys = ["a", "b", "a", "b", "a", "c"]
+    values = [1.0, 2.0, 1.0, 2.0, 1.0, -0.0]
+    ranks = [top, top - 1, top - 2, top - 1, top - 2, top]
+    calls = []
+    real = lower._place_by_connector
+    monkeypatch.setattr(
+        lower, "_place_by_connector", lambda *args: calls.append(1) or real(*args)
+    )
+    kernel = place(join_keys, values, True, ranks)
+    assert calls == [1]
+    assert kernel == place(join_keys, values, False, ranks)
+    assert kernel[4] == [top - 2, top - 1, top]
+
+
+@needs_numpy
+def test_a_rank_column_past_int64_keeps_the_scalar_grouping(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a rank column past int64 reached the kernel")
+
+    join_keys = ["a", "b", "a", "b"]
+    values = [1.0, 2.0, 1.0, 2.0]
+    ranks = [1 << 64, 3, (1 << 64) - 1, 1 << 70]
+    expected = place(join_keys, values, False, ranks)
+    monkeypatch.setattr(lower, "_place_by_connector", refuse)
+    kernel = place(join_keys, values, True, ranks)
+    assert kernel == expected
+    assert kernel[4] == [(1 << 64) - 1, 3]
 
 
 @needs_numpy

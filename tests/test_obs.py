@@ -319,6 +319,30 @@ class TestEngineSpans:
         finally:
             engine.close()
 
+    def test_a_cycle_union_sized_bind_runs_every_member_stage_on_the_kernel(self):
+        """A lowered member reports into the union's ``tdp.build`` as an
+        acyclic plan does: at the benchmark's size every stage of every
+        member takes the numpy kernel."""
+        from repro.query.builders import cycle_query
+        from repro.ranking.dioid import MAX_TIMES
+        from repro.util import vec
+
+        cyclic = uniform_database(4, 1_500, domain_size=100, seed=31, weight_high=1.0)
+        engine = Engine(cyclic, tracer=Tracer(sample="always"))
+        try:
+            physical = engine.prepare(cycle_query(4), dioid=MAX_TIMES).bind()
+            build = next(s for s in engine.tracer.spans() if s.name == "tdp.build")
+            stages = sum(tdp.num_stages for tdp in physical.tdps)
+            assert build.attrs["lowered"] == len(physical.tdps) > 0
+            assert build.attrs["stages"] == stages
+            assert build.attrs["rows"] == sum(
+                len(bag) for task in physical.tasks for bag in task.database
+            )
+            expected = stages if vec.np is not None else 0
+            assert build.attrs["vectorized_stages"] == expected
+        finally:
+            engine.close()
+
     def test_union_explain_names_each_members_core(self):
         from repro.query.builders import cycle_query
         from repro.ranking.dioid import MaxTimesDioid
