@@ -7,9 +7,9 @@ Measures, per storage backend, on the 4-path workload:
   fragments.  Both run the same direct key-space lowering
   (``repro.dp.lower``): the unsharded bind *is* the one-fragment case,
   so the interesting numbers are what fragment planning, the shared
-  uid space and (on wider hosts) the worker pools add or save — mode
+  uid space and (on wider hosts) the thread pool add or save — mode
   resolved by the sharder's ``auto`` policy for the recorded row, plus
-  informational ``thread``/``process`` pool timings at 4 shards;
+  an informational ``thread`` pool timing at 4 shards;
 * **enumeration** — TTF and answers/sec for a top-k run through the
   ranked k-way shard merge at each fragment count, vs the unsharded
   enumerator.
@@ -168,15 +168,9 @@ def run_cell(name: str, database) -> dict:
               f"{enum['answers_per_sec']:.0f} answers/s, "
               f"ttf {enum['ttf_ms']} ms")
 
-    # Informational worker-pool timings at 4 shards (not gated: on a
-    # single-core host the pools cannot beat the fused build).
-    pool_ms = {}
-    for parallel in ("thread", "process"):
-        try:
-            pool_ms[parallel] = best_bind_ms(database, 4, parallel)
-        except Exception as exc:  # pool unavailable in this environment
-            pool_ms[parallel] = None
-            print(f"  pool mode {parallel} unavailable: {exc!r}")
+    # Informational thread-pool timing at 4 shards (not gated: on a
+    # single-core host the pool cannot beat the fused build).
+    pool_ms = {"thread": best_bind_ms(database, 4, "thread")}
     print(f"  4-shard pool timings: {pool_ms}")
 
     # Informational warm-start row (file-backed cells only): write the

@@ -1,14 +1,13 @@
 """Chaos demo: the fault-tolerance layer recovering, end to end.
 
-Runs four deterministic failure drills against one small any-k workload
+Runs three deterministic failure drills against one small any-k workload
 and shows each one recovering with **bit-identical ranked output**:
 
 1. a storm of transient ``database is locked`` errors absorbed by the
    SQLite retrier;
-2. a pool worker killed mid shard build, respawned transparently;
-3. a truncated ``.core`` warm-start container degrading to a cold
+2. a truncated ``.core`` warm-start container degrading to a cold
    rebuild;
-4. a fetch deadline cutting a page short — the partial page is still
+3. a fetch deadline cutting a page short — the partial page is still
    the exact ranked prefix, and the cursor resumes where it stopped.
 
 Everything is driven through :mod:`repro.util.faults` — the same
@@ -59,21 +58,7 @@ def main() -> None:
         print(f"three injected 'database is locked' errors, "
               f"{COUNTERS.get('retries_sqlite')} retries, output identical")
 
-        banner("2. worker killed mid shard build")
-        token = os.path.join(tmp, "kill-once")
-        open(token, "w").close()
-        engine = Engine(database, core_cache="off")
-        with faults.injected(f"worker.scan=exit:1:0:{token}"):
-            results = signature(
-                engine.prepare(
-                    path_query(3), shards=2, shard_parallel="process"
-                ).iter()
-            )
-        assert results == baseline
-        print(f"one pool worker killed (os._exit), "
-              f"{COUNTERS.get('worker_respawns')} respawn, output identical")
-
-        banner("3. truncated .core container")
+        banner("2. truncated .core container")
         core_path = os.path.join(tmp, "plans.core")
         warm = Engine(database, core_cache=core_path)
         list(warm.prepare(path_query(3)).iter())  # writes the core file
@@ -85,7 +70,7 @@ def main() -> None:
         print(f"container cut to {len(payload) // 2} of {len(payload)} bytes; "
               "warm start degraded to a cold rebuild, output identical")
 
-    banner("4. fetch deadline -> partial page")
+    banner("3. fetch deadline -> partial page")
     manager = SessionManager(Engine(database), slice_size=8)
     _, cursor = manager.open_cursor("demo", QUERY)
     outcome = manager.fetch("demo", cursor, 200, deadline_ms=0.05)

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "fragments and run the parallel execution "
                                 "layer (fragment T-DPs + ranked merge)")
     query_cmd.add_argument("--shard-parallel", default="auto",
-                           choices=["auto", "fused", "thread", "process"],
+                           choices=["auto", "fused", "thread"],
                            help="fragment build mode with --shards "
                                 "(default: auto)")
     query_cmd.add_argument("--algorithm", default="take2",

@@ -1,4 +1,4 @@
-"""Zero-copy compiled-core buffers: shared memory, mmap persistence.
+"""Zero-copy compiled-core buffers: mmap persistence.
 
 A :class:`~repro.dp.flat.CompiledTDP` is, deliberately, a bundle of flat
 arrays (see that module's docstring) — the direct lowering of
@@ -8,17 +8,10 @@ arrays a zero-copy lifecycle:
 * **Section buffers** — :class:`SectionWriter` packs named typed arrays
   into one contiguous, 8-byte-aligned buffer with a ``{name: (offset,
   count, typecode)}`` manifest; :class:`SectionView` hands back
-  ``memoryview.cast`` views over *any* buffer (bytes, ``mmap``, a
-  ``SharedMemory`` buffer) without copying.  Indexing a cast view yields
-  native Python ``float``/``int`` — never a wrapper type — which is what
-  keeps warm-started enumeration bit-identical to a cold rebuild.
-* **Shared-memory pools** (:class:`ShmPool`) — the process-pool shard
-  build packs phase A's lower-stage pools into one
-  ``multiprocessing.shared_memory`` segment; workers attach by *name*
-  (the only thing that crosses the pickle boundary) and alias the float
-  pools directly.  Cleanup is refcounted through the owning build with a
-  ``weakref.finalize`` backstop, and attached workers unregister from
-  the ``resource_tracker`` so nothing is double-freed or warned about.
+  ``memoryview.cast`` views over *any* buffer (bytes, ``mmap``)
+  without copying.  Indexing a cast view yields native Python
+  ``float``/``int`` — never a wrapper type — which is what keeps
+  warm-started enumeration bit-identical to a cold rebuild.
 * **mmap persistence** (:class:`CoreFile` / :class:`CoreCache`) — the
   same sections serialize to a ``<db>.core`` file next to the SQLite
   database.  Entries are keyed by the plan fingerprint, the dioid's
@@ -55,10 +48,8 @@ import os
 import pickle
 import struct
 import threading
-import weakref
 from array import array
 from itertools import chain
-from multiprocessing import shared_memory
 from operator import itemgetter
 from typing import Sequence
 
@@ -169,11 +160,11 @@ def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | Non
 class LazyRows:
     """A per-stage row sequence materialised per index from the backend.
 
-    Stands in for the builder's eagerly fetched row lists on warm-start
-    and process-assembled fragments: result construction touches only
-    the states a run actually emits, so rows are point-fetched (and
-    memoized) instead of bulk-loaded.  Rows are the relation's bare
-    value tuples — exactly what witness/assignment need.
+    Stands in for the builder's eagerly fetched row lists on warm-started
+    cores: result construction touches only the states a run actually
+    emits, so rows are point-fetched (and memoized) instead of
+    bulk-loaded.  Rows are the relation's bare value tuples — exactly
+    what witness/assignment need.
     """
 
     __slots__ = ("relation", "ids", "_cache")
@@ -357,122 +348,6 @@ def load_fragments(
             )
         )
     return cores
-
-
-# -- shared-memory pools (process-pool shard build) ----------------------------
-
-
-def _cleanup_segment(segment: shared_memory.SharedMemory, owner: bool) -> None:
-    try:
-        segment.close()
-    except BufferError:  # views still exported; the OS frees at exit
-        return
-    if owner:
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class ShmPool:
-    """One shared-memory segment of packed sections, shipped by name.
-
-    The owning process creates it and unlinks it when the build
-    finishes (``destroy``), with a ``weakref.finalize`` backstop for
-    error paths that never reach the ``finally``.  Workers ``attach``
-    by name and immediately unregister from the ``resource_tracker`` —
-    the owner's tracker entry is the only one that should exist, which
-    is what keeps worker exits warning-free on pre-3.13 Pythons.
-    """
-
-    __slots__ = ("name", "segment", "owner", "_finalizer", "__weakref__")
-
-    def __init__(self, name: str, segment, owner: bool):
-        self.name = name
-        self.segment = segment
-        self.owner = owner
-        self._finalizer = weakref.finalize(
-            self, _cleanup_segment, segment, owner
-        )
-
-    @classmethod
-    def create(cls, payload: bytes) -> "ShmPool":
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload))
-        )
-        segment.buf[: len(payload)] = payload
-        return cls(segment.name, segment, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmPool":
-        try:
-            segment = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            # Python < 3.13 has no ``track=`` and (bpo-39959) registers
-            # even a plain attach with the resource tracker; with several
-            # workers attaching the same segment the later unregisters
-            # race each other in the tracker daemon.  Suppress the
-            # registration for the duration of the attach instead —
-            # single-threaded here (pool initializer / test probe).
-            from multiprocessing import resource_tracker
-
-            original = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
-        return cls(name, segment, owner=False)
-
-    @property
-    def buf(self):
-        return self.segment.buf
-
-    def destroy(self) -> None:
-        """Release (and, for the owner, unlink) the segment now."""
-        if self._finalizer.detach() is not None:
-            _cleanup_segment(self.segment, self.owner)
-
-
-def pack_worker_lower(shared) -> bytes:
-    """Pack a ``SharedLower``'s scan-relevant state for :class:`ShmPool`.
-
-    The float pool (``conn_min``) travels as a raw section workers view
-    in place; the anchor children's join-key maps are hash tables and
-    necessarily unpickle per worker — but from the mapped buffer, never
-    through the executor's task pipe.
-    """
-    writer = SectionWriter()
-    writer.add("conn_min", "d", shared.conn_min)
-    data = writer.getvalue()
-    blob = pickle.dumps(
-        {
-            "manifest": writer.manifest,
-            "lookups": shared.child_lookups(shared.anchor_stage),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    header = struct.pack("<Q", len(blob))
-    pad = _pad(len(header) + len(blob))
-    return header + blob + b"\x00" * pad + data
-
-
-def unpack_worker_lower(buffer) -> tuple:
-    """Worker side of :func:`pack_worker_lower`: ``(conn_min, lookups)``.
-
-    ``conn_min`` is a ``memoryview("d")`` aliasing the owner's pool —
-    zero copies.
-    """
-    mv = memoryview(buffer)
-    (blob_len,) = struct.unpack_from("<Q", mv, 0)
-    blob = pickle.loads(mv[8:8 + blob_len])
-    data_base = 8 + blob_len + _pad(8 + blob_len)
-    sections = SectionView(mv, blob["manifest"], data_base)
-    lookups = [
-        (single, tuple(positions), cmap)
-        for single, positions, cmap in blob["lookups"]
-    ]
-    return sections.view("conn_min"), lookups
 
 
 # -- the <db>.core container ---------------------------------------------------

@@ -57,7 +57,7 @@ component; no non-anchor stage depends on which anchor rows are present:
 :func:`lower_query` and :func:`lower_member` are phase A plus one
 fragment spanning the anchor relation (stage 0).  The parallel layer
 (:mod:`repro.parallel.build`) runs phase B once per shard fragment,
-possibly on a worker pool; the fragment cores alias phase A's columns
+possibly on a thread pool; the fragment cores alias phase A's columns
 and entry pool and one set of uid-indexed lists (cut entries, Take2
 orders, sorted lists, REA heap templates), built once per version.
 
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import time
 from itertools import accumulate, chain, count, repeat
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, neg
 from typing import Iterable, Sequence
 
 from repro.data.database import Database
@@ -521,13 +521,8 @@ _VEC_SCAN_MIN = 512
 
 
 class StageScan:
-    """One stage scan's inputs, decoupled from :class:`SharedLower`.
-
-    Built either from a parent-process ``SharedLower`` or, in a pool
-    worker scanning its anchor fragment, from the shared-memory pool of
-    :func:`~repro.dp.corebuf.unpack_worker_lower` (whose ``conn_min`` is
-    a memoryview aliasing the owner's pool).
-    """
+    """One stage scan's inputs, read off a :class:`SharedLower` once
+    (:func:`stage_scan_of`)."""
 
     __slots__ = ("check_repeats", "satisfies", "lookups", "lane", "one", "conn_min")
 
@@ -558,7 +553,6 @@ def _scan_stage_vec(
     weights: Sequence,
     base: int | None,
     global_ids: Sequence[int] | None,
-    keep_tuples: bool,
 ):
     """Vectorized stage scan (no repeated variable).
 
@@ -602,13 +596,13 @@ def _scan_stage_vec(
     # Branch-major per state, like the scalar loop's ``extend``.
     cu_out = np.stack(probes, axis=1).ravel().tolist() if probes else []
     if alive is None:
-        tuples_out = list(rows) if keep_tuples else []
+        tuples_out = list(rows)
         ids_out = (
             list(range(base, base + n)) if base is not None else list(global_ids)
         )
     else:
         alive_list = alive.tolist()
-        tuples_out = [rows[i] for i in alive_list] if keep_tuples else []
+        tuples_out = [rows[i] for i in alive_list]
         weights = [weights[i] for i in alive_list]
         if base is not None:
             ids_out = (alive + base).tolist()
@@ -635,7 +629,6 @@ def scan_stage(
     weights: Sequence,
     base: int | None,
     global_ids: Sequence[int] | None,
-    keep_tuples: bool = True,
 ):
     """Lower one stage's ``rows`` and parallel ``weights`` to flat columns.
 
@@ -646,10 +639,9 @@ def scan_stage(
     for a contiguous slice, ``global_ids[local]`` otherwise.  Returns
     ``(entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out)``,
     one element per alive state: states are sequential (``0 ..
-    alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi`` and
-    pool workers ship only the other value columns.  ``entry_values``
-    is a list from this loop, an ndarray from the numpy kernel
-    (everything else is native lists either way).
+    alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi``.
+    ``entry_values`` is a list from this loop, an ndarray from the numpy
+    kernel (everything else is native lists either way).
     """
     check_repeats = scan.check_repeats
     satisfies = scan.satisfies
@@ -659,7 +651,7 @@ def scan_stage(
     conn_min = scan.conn_min
 
     if not check_repeats and len(rows) >= _VEC_SCAN_MIN and vec.np is not None:
-        return _scan_stage_vec(scan, rows, weights, base, global_ids, keep_tuples)
+        return _scan_stage_vec(scan, rows, weights, base, global_ids)
 
     tuples_out: list[tuple] = []
     ids_out: list[int] = []
@@ -685,8 +677,7 @@ def scan_stage(
                 continue
             pi = conn_min[cu]
             e_append(w * pi if multiply else w + pi)
-            if keep_tuples:
-                t_append(row)
+            t_append(row)
             i_append(base + local if base is not None else global_ids[local])
             v_append(w)
             p_append(pi)
@@ -711,8 +702,7 @@ def scan_stage(
             if dead:
                 continue
             e_append(w * pi if multiply else w + pi)
-            if keep_tuples:
-                t_append(row)
+            t_append(row)
             i_append(base + local if base is not None else global_ids[local])
             v_append(w)
             p_append(pi)
@@ -774,18 +764,12 @@ def assemble_fragment(
 ) -> CompiledTDP:
     """One fragment's core from its scan output over the shared columns.
 
-    ``scan_out`` is :func:`scan_stage`'s tuple (its rows may be a lazy
-    row source).  The entry values may be ``None``: pool workers ship
-    only the value columns, and the entry values are recomputed here by
-    the same operation — and with them the keys and, for a core without
-    an inverse, the fragment's least entry.  Scan states are sequential,
-    so the fragment's root connector is the keys zipped with ``0 ..
-    alive-1``.
+    ``scan_out`` is :func:`scan_stage`'s tuple.  Scan states are
+    sequential, so the fragment's root connector is the keys zipped with
+    ``0 .. alive-1``.
     """
     entry_values, rows, ids_out, vk_out, pk_out, cu_out = scan_out
     multiply, negate = shared.lane
-    if entry_values is None:
-        entry_values = list(map(mul if multiply else add, vk_out, pk_out))
     anchor = shared.anchor_stage
     uid = shared.num_conns + index
 

@@ -82,11 +82,8 @@ class EngineStats:
         "core_misses",
         "core_stale",
         "core_writes",
-        #: Recovery mirrors — how often transient faults were absorbed
-        #: (retries), pools respawned, or builds downgraded.
+        #: Recovery mirror — how often transient faults were absorbed.
         "retries",
-        "worker_respawns",
-        "pool_downgrades",
     )
 
     def __init__(self):
@@ -556,8 +553,6 @@ class Engine:
                 for name, count in recovery.items()
                 if name.startswith("retries_")
             )
-            self.stats.worker_respawns = recovery.get("worker_respawns", 0)
-            self.stats.pool_downgrades = recovery.get("pool_downgrades", 0)
             self._physicals[key] = (version, physical)
             self._physicals.move_to_end(key)
             while len(self._physicals) > self.max_cached_plans:

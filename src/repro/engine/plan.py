@@ -218,10 +218,10 @@ def decodes_at_extension(tdp, flat: bool) -> str | None:
     One rule, applied once per bind to what the T-DP holds: rows this
     process holds (lists) are read when someone looks, because reading
     them later cannot fail; rows behind a backend
-    (:class:`~repro.dp.corebuf.LazyRows` of a warm-started or
-    process-assembled plan) are fetched while extending, so a failed
-    fetch is a failed ``ensure`` that resumes at the same rank and an
-    answer handed out is complete after the backend is closed.  Only
+    (:class:`~repro.dp.corebuf.LazyRows` of a warm-started plan) are
+    fetched while extending, so a failed fetch is a failed ``ensure``
+    that resumes at the same rank and an answer handed out is complete
+    after the backend is closed.  Only
     the flat kernels allocate views; the object-graph enumerators emit
     :class:`~repro.anyk.base.RankedResult` and keep the hop.  (A union
     of member trees applies the same rule to the relations its

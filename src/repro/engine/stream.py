@@ -47,7 +47,7 @@ kernel allocated: weight, states, the plan's assembler — and a field is
 decoded when someone reads it, retaining nothing, so an answer that is
 only skipped, budgeted, probed or ranked is never decoded at all.  A
 plan whose rows sit behind a storage backend (a warm-started ``.core``
-plan, process-assembled fragments), or whose finisher post-processes
+plan), or whose finisher post-processes
 (union, min-weight, projection), hands out finished answers built while
 extending (:func:`repro.engine.plan.decodes_at_extension`);
 :attr:`PrefixStream.decode` says which, and so do the ``stream.extend``

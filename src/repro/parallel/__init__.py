@@ -16,8 +16,8 @@ Layout:
   :class:`Sharder`, anchor-atom heuristic, range/hash partitioning);
 * :mod:`repro.parallel.build` — the fragment preprocessor
   (:class:`ParallelPreprocessor`): runs the direct lowering of
-  :mod:`repro.dp.lower` once per fragment — fused in-process, or on
-  thread-/process-pool workers;
+  :mod:`repro.dp.lower` once per fragment — fused inline, or on a
+  thread pool;
 * :mod:`repro.parallel.physical` — :class:`ShardedPhysical`, the engine
   integration (``Engine.prepare(..., shards=N)`` binds through it);
 * :class:`repro.parallel.merge.ShardMerge` — the ranked k-way merge over

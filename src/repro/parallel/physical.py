@@ -201,8 +201,8 @@ def bind_sharded(
     *planned* (cheap, metadata-only) — the stored cores are validated
     against the fresh plan's anchor stage and fragment count.
 
-    An *explicitly* requested build mode (``parallel="fused"/"thread"/
-    "process"``) always builds with that mode: the warm start only
+    An *explicitly* requested build mode (``parallel="fused"`` or
+    ``"thread"``) always builds with that mode: the warm start only
     replaces the build under the default ``"auto"`` policy, where the
     engine is free to pick the fastest path.  Cold ``auto`` builds
     still write the core so the next process can warm-start.

@@ -490,10 +490,9 @@ def _named_dioid(name: str) -> "SelectiveDioid":
     """Pickle hook: resolve a registry name back to the shared instance.
 
     The engine keys plan caches on dioid *identity*, so a dioid that
-    crosses a process boundary (the parallel preprocessor's worker pool
-    pickles fragment T-DPs back to the parent) must unpickle to the very
-    singleton the registry hands out — not to a fresh equal-but-distinct
-    instance.
+    crosses a process boundary (a pickled compiled core or query
+    result) must unpickle to the very singleton the registry hands out —
+    not to a fresh equal-but-distinct instance.
     """
     return NAMED_DIOIDS[name]
 

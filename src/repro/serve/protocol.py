@@ -14,7 +14,7 @@ Every request carries ``op`` plus op-specific fields:
     :mod:`repro.parallel`), with optional ``shard_tie_break``
     (``"arrival"``/``"canonical"``), ``shard_strategy``
     (``"range"``/``"hash"``), and ``shard_parallel`` (``"auto"``/
-    ``"fused"``/``"thread"``/``"process"``) refinements; the
+    ``"fused"``/``"thread"``) refinements; the
     per-session ``stats`` entries then report the cursor's shard
     configuration.
 

@@ -2,11 +2,11 @@
 
 A :class:`FaultPlan` is a registry of named *sites* — places in the
 code that call :func:`hit` (or :func:`corrupt`) — and *rules* that make
-the Nth arrival at a site raise, sleep, mangle bytes, or kill the
-process.  Everything is deterministic: rules fire on hit counts, the
-RNG is seeded, and the plan is injectable via constructor or the
-``REPRO_FAULTS`` environment variable, so a chaos test (or a CI smoke
-lane) replays the exact same failure every run.
+the Nth arrival at a site raise, sleep, or mangle bytes.  Everything
+is deterministic: rules fire on hit counts, the RNG is seeded, and the
+plan is injectable via constructor or the ``REPRO_FAULTS`` environment
+variable, so a chaos test (or a CI smoke lane) replays the exact same
+failure every run.
 
 The default plan is empty and the module-level entry points check that
 with one attribute read, so instrumented production paths pay ~nothing
@@ -18,8 +18,6 @@ Instrumented sites in the tree:
 =======================  ====================================================
 ``sqlite.execute``       every retried statement in ``SQLiteBackend``
 ``sqlite.executemany``   the unretried batch-insert path (callers roll back)
-``pool.submit``          process-pool build submission (``parallel/build.py``)
-``worker.scan``          inside a pool worker's fragment scan (fork-inherited)
 ``core.read``            ``CoreFile`` TOC read (mmap warm starts)
 ``core.write``           mid-rewrite of the ``.core`` container
 ``fetch.slice``          every cooperative-scheduler slice
@@ -29,15 +27,13 @@ Instrumented sites in the tree:
 Rule syntax (``REPRO_FAULTS`` or :meth:`FaultPlan.parse`): a
 comma-separated list of ``site=action[:after[:count[:param]]]``:
 
-* ``action`` — ``raise``, ``delay``, ``corrupt``, or ``exit``;
+* ``action`` — ``raise``, ``delay``, or ``corrupt``;
 * ``after`` — 1-based hit number at which the rule starts firing
   (default 1);
 * ``count`` — consecutive hits that fire (default 1; ``0`` = forever);
 * ``param`` — for ``raise``, the exception shape (``busy``, ``oserror``,
-  ``reset``, ``broken``, or the default ``fault``); for ``delay``,
-  seconds; for ``corrupt``, ``flip`` or ``truncate``; for ``exit``, an
-  optional one-shot token-file path (the rule fires only while the file
-  exists and consumes it — lets a forked pool worker die exactly once).
+  ``reset``, or the default ``fault``); for ``delay``, seconds; for
+  ``corrupt``, ``flip`` or ``truncate``.
 
 Example: ``REPRO_FAULTS="sqlite.execute=raise:1:2:busy"`` makes the
 first two statements fail with ``database is locked`` — which the
@@ -59,8 +55,7 @@ class FaultInjected(RuntimeError):
     """The default exception raised by a ``raise`` rule.
 
     A ``RuntimeError`` subclass on purpose: injected failures travel the
-    same degradation paths real infrastructure failures do (e.g. the
-    process-pool fallback catches ``RuntimeError``).
+    same paths real infrastructure failures do.
     """
 
 
@@ -73,10 +68,6 @@ def _make_exception(param: Any, site: str) -> BaseException:
         return OSError(f"injected I/O error at {site}")
     if param == "reset":
         return ConnectionResetError(f"injected connection reset at {site}")
-    if param == "broken":
-        from concurrent.futures.process import BrokenProcessPool
-
-        return BrokenProcessPool(f"injected broken pool at {site}")
     return FaultInjected(f"injected fault at {site}")
 
 
@@ -85,7 +76,7 @@ class FaultRule:
     """One deterministic rule: fire ``action`` on hits [after, after+count)."""
 
     site: str
-    action: str  # "raise" | "delay" | "corrupt" | "exit"
+    action: str  # "raise" | "delay" | "corrupt"
     after: int = 1
     count: int = 1  # 0 = every hit from ``after`` on
     param: Any = None
@@ -96,7 +87,7 @@ class FaultRule:
         return self.count == 0 or hit_number < self.after + self.count
 
 
-_ACTIONS = ("raise", "delay", "corrupt", "exit")
+_ACTIONS = ("raise", "delay", "corrupt")
 
 
 class FaultPlan:
@@ -182,16 +173,8 @@ class FaultPlan:
                 self._fired[site] = self._fired.get(site, 0) + 1
         return fired
 
-    def _consume_token(self, path: str) -> bool:
-        """Atomically claim a one-shot token file (False if already gone)."""
-        try:
-            os.unlink(path)
-            return True
-        except OSError:
-            return False
-
     def hit(self, site: str) -> None:
-        """One arrival at ``site``; may sleep, raise, or exit the process."""
+        """One arrival at ``site``; may sleep or raise."""
         if not self._rules:
             return
         for rule in self._arm(site):
@@ -199,9 +182,6 @@ class FaultPlan:
                 self._sleep(0.01 if rule.param is None else float(rule.param))
             elif rule.action == "raise":
                 raise _make_exception(rule.param, site)
-            elif rule.action == "exit":
-                if rule.param is None or self._consume_token(str(rule.param)):
-                    os._exit(13)
             # "corrupt" rules are inert on hit(): they need the bytes.
 
     def corrupt(self, site: str, data: bytes) -> bytes:
@@ -213,9 +193,6 @@ class FaultPlan:
                 self._sleep(0.01 if rule.param is None else float(rule.param))
             elif rule.action == "raise":
                 raise _make_exception(rule.param, site)
-            elif rule.action == "exit":
-                if rule.param is None or self._consume_token(str(rule.param)):
-                    os._exit(13)
             elif rule.action == "corrupt":
                 if rule.param == "truncate":
                     data = data[: len(data) // 2]

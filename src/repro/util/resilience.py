@@ -6,9 +6,9 @@ drive every state transition deterministically:
 
 * :class:`Retrier` — bounded retry with exponential backoff and
   deterministic-seeded jitter; used around transient SQLite errors
-  (``database is locked`` / ``busy``), ``.core`` mmap reads, and
-  process-pool builds.  Retries preserve bit-identical output because
-  they only re-run *idempotent* reads/builds — never a partial write.
+  (``database is locked`` / ``busy``) and ``.core`` mmap reads.
+  Retries preserve bit-identical output because they only re-run
+  *idempotent* reads — never a partial write.
 * :class:`CircuitBreaker` — classic closed → open → half-open cycle
   over a failure counter, consulted at the serving edge so a persistent
   engine failure sheds load fast (503 + ``Retry-After``) instead of
@@ -46,7 +46,7 @@ class _Counters:
         self.family = Family(
             Counter,
             "repro_resilience_events_total",
-            "Recovery events (retries, respawns, downgrades) by name.",
+            "Recovery events (retries) by name.",
             labelnames=("event",),
         )
 
@@ -68,8 +68,8 @@ class _Counters:
         self.family.clear()
 
 
-#: Process-wide recovery counters (``retries_*``, ``worker_respawns``,
-#: ``pool_downgrades``, ...).  Exported on ``/metrics`` under
+#: Process-wide recovery counters (``retries_*``, ...).  Exported on
+#: ``/metrics`` under
 #: ``resilience`` and mirrored into ``EngineStats``.
 COUNTERS = _Counters()
 

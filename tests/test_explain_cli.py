@@ -106,6 +106,32 @@ class TestCLI:
         )
         assert "witness=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["auto", "fused", "thread"])
+    def test_query_shard_parallel_modes(self, csv_dir, capsys, mode):
+        text = "Q(x1,x2,x3) :- R1(x1,x2), R2(x2,x3)"
+        assert main(["query", csv_dir, text, "--top", "0"]) == 0
+        unsharded = capsys.readouterr().out
+        code = main(
+            ["query", csv_dir, text, "--top", "0", "--shards", "2",
+             "--shard-parallel", mode]
+        )
+        assert code == 0
+        sharded = capsys.readouterr().out
+        weights = [line.split("weight=")[1].split()[0]
+                   for line in unsharded.strip().splitlines()]
+        assert weights
+        assert [line.split("weight=")[1].split()[0]
+                for line in sharded.strip().splitlines()] == weights
+
+    def test_query_refuses_removed_shard_mode(self, csv_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["query", csv_dir, "R1(x1,x2), R2(x2,x3)", "--shards", "2",
+                 "--shard-parallel", "process"]
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_explain_command(self, csv_dir, capsys):
         code = main(["explain", csv_dir, "R1(x1,x2), R2(x2,x3)"])
         assert code == 0

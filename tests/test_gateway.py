@@ -129,6 +129,12 @@ class TestHttpPlumbing:
         with pytest.raises(ServeClientError, match="bad_request"):
             client.fetch("boolh", cursor, n=True)
 
+    def test_removed_shard_mode_is_bad_query_over_http(self, client):
+        """``"process"`` is refused like any unknown shard mode."""
+        with pytest.raises(ServeClientError, match="bad_query"):
+            client.prepare("modeh", QUERY, shards=2, shard_parallel="process")
+        assert client.ping()
+
 
 # -- pagination bit-identity ---------------------------------------------------
 
@@ -484,6 +490,19 @@ class TestWebSocket:
         message = ws.recv()
         assert message["ok"] is False
         assert message["error"] == "bad_request"
+        ws.send({"op": "ping"})
+        assert ws.recv()["ok"]
+        ws.close()
+
+    def test_ws_removed_shard_mode_is_bad_query(self, gateway):
+        ws = _SyncWsClient(*gateway)
+        ws.send(
+            {"op": "prepare", "session": "wsmode", "query": QUERY,
+             "shards": 2, "shard_parallel": "process"}
+        )
+        message = ws.recv()
+        assert message["ok"] is False
+        assert message["error"] == "bad_query"
         ws.send({"op": "ping"})
         assert ws.recv()["ok"]
         ws.close()

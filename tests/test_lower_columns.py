@@ -408,7 +408,7 @@ def fragment_inputs(relation, strategy):
     ]
 
 
-def lower_fragments(database, tree, dioid, strategy, worker_shape=False):
+def lower_fragments(database, tree, dioid, strategy):
     query = tree.query
     shared = lower.build_shared_lower(database, query, tree, dioid, 0)
     relation = database[query.atoms[shared.order[0]].relation_name]
@@ -416,22 +416,9 @@ def lower_fragments(database, tree, dioid, strategy, worker_shape=False):
     lists = lower.shared_lists(shared, len(inputs))
     cores = []
     for index, (rows, weights, base, gids) in enumerate(inputs):
-        if worker_shape:
-            # What a pool worker ships: value arrays only, no entry keys.
-            _keys, _rows, ids, vk, pk, cu = lower.scan_stage(
-                lower.stage_scan_of(shared, 0), rows, weights, base, gids,
-                keep_tuples=False,
-            )
-            kept = [relation.tuple_at(i) for i in ids]
-            cores.append(
-                lower.assemble_fragment(
-                    shared, (None, kept, ids, vk, pk, cu), index, lists
-                )
-            )
-        else:
-            cores.append(
-                lower.build_fragment(shared, rows, weights, base, gids, index, lists)
-            )
+        cores.append(
+            lower.build_fragment(shared, rows, weights, base, gids, index, lists)
+        )
     return shared, cores, inputs
 
 
@@ -466,20 +453,12 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
                 shared.conn_offsets[-1] + core.conn_size(root)
             )
         columns = fragment_columns(shared, scalar)
-        _shared, shipped, _inputs = with_scalar(
-            monkeypatch,
-            lambda: lower_fragments(database, tree, dioid, strategy, True),
-        )
-        assert fragment_columns(shared, shipped) == columns
         if vec.np is not None:
-            for worker_shape in (False, True):
-                _shared, kernel, _inputs = with_kernel(
-                    monkeypatch,
-                    lambda: lower_fragments(
-                        database, tree, dioid, strategy, worker_shape
-                    ),
-                )
-                assert fragment_columns(shared, kernel) == columns
+            _shared, kernel, _inputs = with_kernel(
+                monkeypatch,
+                lambda: lower_fragments(database, tree, dioid, strategy),
+            )
+            assert fragment_columns(shared, kernel) == columns
 
         # Against the object path: each fragment is the query over the
         # anchor relation restricted to its rows (sound when the anchor

@@ -3,14 +3,13 @@
 Max-times has a lane (``a * b``, key ``-a``) but no inverse, so an
 acyclic plan ranked by it lowers through :mod:`repro.dp.lower` to a core
 whose siblings are recomputed from their prefix product — unsharded, and
-per fragment of a shard plan (fused in-process, or scanned by a process
-pool whose parent recomputes the entry values from the shipped columns).
+per fragment of a shard plan (fused inline, or on a thread pool).
 The oracle is ``build_tdp`` + ``make_enumerator(flat=False)`` over the
 same rows:
 
 * {4-path, 4-star, self-join with a repeated variable, two-component
   Cartesian product} x all 7 variants x {memory, SQLite} x {unsharded;
-  2 and 4 arrival shards, fused and process};
+  2 and 4 arrival shards, fused and thread};
 * every answer's weight by ``repr``, its order and its witness ids, and,
   unsharded, the ``OpCounter`` after the last answer.  A sharded run adds
   the merge's own operations and orders answers of equal weight by
@@ -55,8 +54,8 @@ LAYOUTS = {
     "unsharded": None,
     "fused2": (2, "fused"),
     "fused4": (4, "fused"),
-    "process2": (2, "process"),
-    "process4": (4, "process"),
+    "thread2": (2, "thread"),
+    "thread4": (4, "thread"),
 }
 
 

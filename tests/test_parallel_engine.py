@@ -8,8 +8,9 @@ Covers the engine-integration guarantees of the sharding subsystem:
 * sharded binds share physical plans across algorithms and invalidate
   under the existing database-version stamp scheme;
 * the anchor heuristic, fragment layout, and explain output;
-* thread/process preprocessor modes build bit-identical fragments, and
-  the compiled cores (and singleton dioids) survive pickling.
+* the thread preprocessor mode builds bit-identical fragments, a fused
+  plan reports the one worker it runs on, and the compiled cores (and
+  singleton dioids) survive pickling.
 """
 
 import pickle
@@ -52,6 +53,10 @@ class TestShardSpec:
             ShardSpec(2, tie_break="random")
         with pytest.raises(ValueError):
             ShardSpec(2, parallel="gpu")
+        with pytest.raises(
+            ValueError, match=r"\('auto', 'fused', 'thread'\)"
+        ):
+            ShardSpec(2, parallel="process")
         with pytest.raises(ValueError):
             ShardSpec(2, workers=0)
 
@@ -246,7 +251,7 @@ class TestPreprocessorModes:
     # *result identity* only, so a second prepare with a different
     # build-mode hint would (deliberately) reuse the first bind.
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_worker_modes_match_fused_memory(self, mode):
         database = uniform_database(3, 120, seed=21)
         fused = signature(
@@ -264,7 +269,7 @@ class TestPreprocessorModes:
                        for note in physical.notes)
         assert signature(physical.iter()) == fused
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["thread"])
     def test_worker_modes_match_fused_sqlite(self, tmp_path, mode):
         backend = SQLiteBackend(str(tmp_path / "modes.db"))
         for relation in uniform_database(3, 120, seed=21):
@@ -297,16 +302,15 @@ class TestPreprocessorModes:
         assert engine.stats.binds == binds  # no second preprocessing
         assert a.physical_key == b.physical_key
 
-    def test_process_mode_downgrades_for_memory_sqlite(self):
-        backend = SQLiteBackend(":memory:")
-        for relation in uniform_database(2, 30, seed=4):
-            backend.ingest(relation)
-        engine = Engine(backend.database())
-        prepared = engine.prepare(path_query(2), shards=2, shard_parallel="process")
+    def test_fused_mode_reports_one_worker(self, engine):
+        """The fused build runs inline: its plan and result say so."""
+        prepared = engine.prepare(
+            QUERY, shards=4, shard_parallel="fused", shard_workers=3
+        )
         physical = prepared.bind()
-        assert physical.mode == "thread"
-        assert any("downgraded" in note for note in physical.notes)
-        engine.close()
+        assert "mode=fused(1 worker(s))" in prepared.explain()
+        assert physical.mode == "fused"
+        assert physical.workers == physical.shard_plan.workers == 1
 
 
 class TestPicklability:

@@ -120,12 +120,9 @@ class TestFaultPlan:
             assert faults.enabled()
         assert not faults.enabled()
 
-    def test_exit_token_is_one_shot(self, tmp_path):
-        token = tmp_path / "token"
-        token.write_text("")
-        plan = FaultPlan.parse(f"s=exit:1:0:{token}")
-        assert plan._consume_token(str(token))
-        assert not plan._consume_token(str(token))
+    def test_unknown_action_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultPlan.parse("s=exit")
 
 
 # -- retrier -------------------------------------------------------------------
@@ -283,57 +280,6 @@ class TestRowFetchFailureMidStream:
             assert not stream.broken
             # The answer whose decode failed was enumerated once.
             assert stream.counter.results == stream.extensions == 60
-
-
-# -- worker crash recovery -----------------------------------------------------
-
-
-class TestWorkerCrashRecovery:
-    def test_killed_worker_is_respawned_bit_identically(self, db, tmp_path):
-        baseline = {
-            algorithm: list(
-                Engine(db).prepare(path_query(3), algorithm=algorithm).iter()
-            )
-            for algorithm in ALL_VARIANTS
-        }
-        token = tmp_path / "kill-once"
-        token.write_text("")
-        engine = Engine(db, core_cache="off")
-        # The exit rule is fork-inherited by pool workers; the token file
-        # is consumed atomically, so exactly one worker dies and the
-        # respawned pool rebuilds the same fragments.
-        with faults.injected(f"worker.scan=exit:1:0:{token}"):
-            for algorithm in ALL_VARIANTS:
-                results = list(
-                    engine.prepare(
-                        path_query(3),
-                        algorithm=algorithm,
-                        shards=2,
-                        shard_parallel="process",
-                    ).iter()
-                )
-                assert signature(results) == signature(baseline[algorithm]), (
-                    f"{algorithm} diverged after worker crash recovery"
-                )
-        assert not token.exists()
-        assert COUNTERS.get("worker_respawns") == 1
-        assert engine.stats.worker_respawns == 1
-        assert engine.stats.pool_downgrades == 0
-
-    def test_repeated_crashes_degrade_to_fused(self, db):
-        baseline = list(Engine(db).prepare(path_query(3)).iter())
-        engine = Engine(db, core_cache="off")
-        # No token file: every worker dies, both pool attempts fail, and
-        # the build falls back to the fused in-process path.
-        with faults.injected("worker.scan=exit:1:0"):
-            prepared = engine.prepare(
-                path_query(3), shards=2, shard_parallel="process"
-            )
-            results = list(prepared.iter())
-        assert signature(results) == signature(baseline)
-        assert COUNTERS.get("pool_downgrades") == 1
-        assert engine.stats.pool_downgrades == 1
-        assert "fell back to" in prepared.explain()
 
 
 # -- core-file corruption and partial writes -----------------------------------
@@ -771,8 +717,6 @@ class TestZeroFaultParity:
         assert faults.counters() == {"hits": {}, "fired": {}}
         assert COUNTERS.snapshot() == {}
         assert engine.stats.retries == 0
-        assert engine.stats.worker_respawns == 0
-        assert engine.stats.pool_downgrades == 0
 
     def test_wire_terminator_unchanged_without_deadline(self, db):
         with ServerThread(Engine(db), slice_size=8) as address:

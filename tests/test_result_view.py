@@ -9,7 +9,8 @@ post-process, still hand out finished answers built while the stream
 extends.  This module pins both sides:
 
 * every plan kind that hands out views x {tropical, max-plus} x all
-  seven algorithm names x {memory, SQLite cold bind, sharded 1 / 4},
+  seven algorithm names x {memory, SQLite cold bind, sharded 1 / 4,
+  4 shards built on the thread pool},
   over the ``1 == 1.0 == True`` join-key palette: all five fields of
   every answer equal ``ResultAssembler.result(weight, states)`` by
   ``repr`` / ``float.hex``, and (unsharded) a stage-by-stage loop that
@@ -69,6 +70,7 @@ STORAGES = {
     "sqlite_cold": ("sqlite", {}),
     "shards1": ("memory", {"shards": 1}),
     "shards4": ("memory", {"shards": 4}),
+    "thread4": ("memory", {"shards": 4, "shard_parallel": "thread"}),
 }
 K = 300
 PROJECTION = parse_query("Q(x1, x3) :- R1(x1, x2), R2(x2, x3), R3(x3, x4)")
@@ -217,11 +219,6 @@ EAGER_PLANS = {
         SHAPES["path4"],
         {"shards": 2, "shard_tie_break": "canonical"},
         "object-graph enumerators",
-    ),
-    "process_shards": (
-        SHAPES["path4"],
-        {"shards": 2, "shard_parallel": "process"},
-        "rows behind LazyRows",
     ),
 }
 
