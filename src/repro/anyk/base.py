@@ -5,8 +5,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Iterator
 
-from repro.dp.flat import compile_tdp
-from repro.dp.graph import TDP
+from repro.dp.flat import CompiledTDP, compile_tdp
+from repro.dp.graph import TDP, ResultAssembler
 from repro.ranking.dioid import lane_of
 
 
@@ -14,49 +14,47 @@ class RankedResult:
     """One enumerated solution: a weight plus one state per stage.
 
     The heavier derived views (variable assignment, witness tuples) are
-    computed lazily from the owning :class:`~repro.dp.graph.TDP`, keeping
-    the per-result footprint at the paper's O(l).
+    decoded on read through ``decoder``, the
+    :class:`~repro.dp.graph.ResultAssembler` of the T-DP or core that
+    produced it (``owner.assembler()``), keeping the per-result
+    footprint at the paper's O(l).  The flat kernels write the same four
+    slots into whichever result class their caller hands over.
     """
 
-    __slots__ = ("weight", "key", "states", "tdp")
+    __slots__ = ("weight", "key", "states", "decoder")
 
-    def __init__(self, weight: Any, key: Any, states: tuple[int, ...], tdp: TDP):
+    def __init__(
+        self, weight: Any, key: Any, states: tuple[int, ...], decoder: ResultAssembler
+    ):
         self.weight = weight
         self.key = key
         self.states = states
-        self.tdp = tdp
+        self.decoder = decoder
 
     @property
     def assignment(self) -> dict[str, Any]:
         """Mapping of query variables to values."""
-        return self.tdp.assignment(self.states)
+        return self.decoder.assignment(self.states)
 
     @property
     def witness(self) -> tuple:
         """Input tuples in atom order (Section 2.1's witness vector)."""
-        return self.tdp.witness(self.states)
+        return self.decoder.witness(self.states)
 
     @property
     def witness_ids(self) -> tuple[int, ...]:
         """Stable input-tuple positions in atom order."""
-        return self.tdp.witness_ids(self.states)
+        return self.decoder.witness_ids(self.states)
 
     def output_tuple(self, variables: tuple[str, ...] | None = None) -> tuple:
         """Head projection of the assignment (defaults to all head vars)."""
-        assignment = self.assignment
         if variables is None:
-            variables = self.tdp.query.head
+            return self.decoder.output_tuple(self.states)
+        assignment = self.assignment
         return tuple(assignment[v] for v in variables)
 
     def __repr__(self) -> str:
         return f"RankedResult(weight={self.weight!r}, states={self.states})"
-
-
-#: The flat kernels write ``weight``, ``key``, ``states`` and ``decoder``
-#: into whichever result class their caller handed over.  A T-DP decodes
-#: states as a :class:`~repro.dp.graph.ResultAssembler` does, so here the
-#: name is a second handle on the ``tdp`` slot (the same descriptor).
-RankedResult.decoder = RankedResult.tdp
 
 
 class Enumerator:
@@ -142,11 +140,12 @@ class Enumerator:
             yield result
 
     def _leq_bound(self, result: RankedResult, bound) -> bool:
-        return result.tdp.dioid.key(result.weight) <= result.tdp.dioid.key(bound)
+        key = self.dioid.key
+        return key(result.weight) <= key(bound)
 
 
 def make_enumerator(
-    tdp: TDP,
+    tdp: TDP | CompiledTDP,
     algorithm: str = "take2",
     counter=None,
     flat: bool | None = None,
@@ -157,16 +156,19 @@ def make_enumerator(
     ``recursive``, ``batch``, and ``batch_nosort`` (Batch without the
     final sort, the paper's "Batch(No sort)" reference line).
 
-    ``flat`` selects the enumeration core: ``None`` (default) uses the
-    compiled flat core (:mod:`repro.anyk.flat`) whenever ``tdp`` has
-    one — a lowered core's shell (an acyclic plan, a shard fragment, a
-    lowered union member) always does, an object graph when its dioid
-    has a lane (:func:`~repro.ranking.dioid.lane_of`,
-    :func:`~repro.dp.flat.compile_tdp`) — and transparently falls back
-    to the object-graph enumerators otherwise; ``False`` forces the
-    object-graph path (the differential-testing reference); ``True``
-    requires the flat core and raises with ``lane_of``'s reason if
-    there is none.  Both cores produce bit-identical ranked output.
+    ``tdp`` is a compiled core — what a bound plan holds for a dioid
+    with a lane (``physical.tdp``, ``physical.tdps[i]``) — or an object
+    graph.  A core always runs the flat kernels (:mod:`repro.anyk.flat`);
+    it has no object graph, so ``flat=False`` raises.  For an object
+    graph ``flat`` selects the enumeration core: ``None`` (default) uses
+    the compiled flat core whenever its dioid has a lane
+    (:func:`~repro.ranking.dioid.lane_of`,
+    :func:`~repro.dp.flat.compile_tdp`) and falls back to the
+    object-graph enumerators otherwise; ``False`` forces the object-graph
+    path (the differential-testing reference); ``True`` requires the
+    flat core and raises with ``lane_of``'s reason if there is none.
+    Both cores produce bit-identical ranked output; each result decodes
+    through its producer's ``assembler()``.
     """
     from repro.anyk.batch import Batch
     from repro.anyk.partition import AnyKPart
@@ -174,14 +176,18 @@ def make_enumerator(
     from repro.anyk.strategies import ALGORITHMS
 
     name = algorithm.lower()
-    if flat is None or flat:
+    if isinstance(tdp, CompiledTDP):
+        if flat is False:
+            raise ValueError("a compiled core has no object graph to walk")
+        compiled = tdp
+    else:
+        compiled = None if flat is False else compile_tdp(tdp)
+        if compiled is None and flat:
+            raise ValueError(f"no compiled flat core: {lane_of(tdp.dioid)[1]}")
+    if compiled is not None:
         from repro.anyk.flat import make_flat_enumerator
 
-        compiled = compile_tdp(tdp)
-        if compiled is not None:
-            return make_flat_enumerator(compiled, name, counter=counter)
-        if flat:
-            raise ValueError(f"no compiled flat core: {lane_of(tdp.dioid)[1]}")
+        return make_flat_enumerator(compiled, name, counter=counter)
     if name in ALGORITHMS:
         return AnyKPart(tdp, strategy=ALGORITHMS[name](), counter=counter)
     if name == "recursive":

@@ -69,9 +69,10 @@ class Batch(Enumerator):
 
     def __init__(self, tdp: TDP, sort: bool = True, counter: OpCounter | None = None):
         self.tdp = tdp
+        self.decoder = tdp.assembler()
         self.counter = counter
         self.sorted = sort
-        dioid = tdp.dioid
+        dioid = self.dioid = tdp.dioid
         key_of = dioid.key
         results = [
             (key_of(weight), states, weight)
@@ -91,4 +92,4 @@ class Batch(Enumerator):
         key, states, weight = item
         if self.counter is not None:
             self.counter.results += 1
-        return RankedResult(weight, key, states, self.tdp)
+        return RankedResult(weight, key, states, self.decoder)

@@ -43,8 +43,8 @@ every compiled core, and the core says which arithmetic to run:
   execute the same code, and the counts are exact after every answer;
 * results carry only ``(key, states)``; witness tuples and variable
   assignments materialise when read, through the result's decoder — the
-  source T-DP of a :class:`~repro.anyk.base.RankedResult`, the plan's
-  assembler of an engine-built :class:`~repro.dp.graph.QueryResult`
+  core's own assembler for a :class:`~repro.anyk.base.RankedResult`, the
+  plan's for an engine-built :class:`~repro.dp.graph.QueryResult`
   (:class:`FlatEnumerator` says who decides which).  The core's emitter
   (:meth:`~repro.dp.flat.CompiledTDP.emitter`) makes each answer.
 
@@ -92,8 +92,8 @@ class FlatEnumerator(Enumerator):
 
     ``emits`` is ``(result class, decoder)``: the class every answer is
     allocated as and what lands in its ``decoder`` slot.  The default —
-    :class:`~repro.anyk.base.RankedResult` over the source T-DP — is the
-    any-k library's result; the engine hands over
+    :class:`~repro.anyk.base.RankedResult` over ``compiled.assembler()`` —
+    is the any-k library's result; the engine hands over
     :class:`~repro.dp.graph.QueryResult` and the plan's compiled
     assembler, so the object a kernel allocates is the public answer
     and nothing is built between the kernel and the caller.  Either
@@ -108,10 +108,9 @@ class FlatEnumerator(Enumerator):
         emits: tuple | None,
     ):
         self.compiled = compiled
-        self.tdp = compiled.tdp
         self.dioid = compiled.dioid
         self.counter = counter
-        self.emits = (RankedResult, compiled.tdp) if emits is None else emits
+        self.emits = (RankedResult, compiled.assembler()) if emits is None else emits
 
     def _next_result(self) -> RankedResult | None:
         return next(self._gen, None)

@@ -46,6 +46,7 @@ class AnyKPart(Enumerator):
         use_inverse: bool | None = None,
     ):
         self.tdp = tdp
+        self.decoder = tdp.assembler()
         self.strategy = strategy if strategy is not None else Take2Strategy()
         self.counter = counter
         dioid = tdp.dioid
@@ -171,4 +172,4 @@ class AnyKPart(Enumerator):
 
         if counter is not None:
             counter.results += 1
-        return RankedResult(total, key, tuple(states), tdp)
+        return RankedResult(total, key, tuple(states), self.decoder)

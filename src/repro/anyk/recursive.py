@@ -38,6 +38,7 @@ class Recursive(Enumerator):
 
     def __init__(self, tdp: TDP, counter: OpCounter | None = None):
         self.tdp = tdp
+        self.decoder = tdp.assembler()
         self.counter = counter
         self.dioid = tdp.dioid
         #: connector uid -> ranked solutions [(key, value, state, js), ...]
@@ -168,4 +169,4 @@ class Recursive(Enumerator):
         self._rank += 1
         if self.counter is not None:
             self.counter.results += 1
-        return RankedResult(value, self.dioid.key(value), tuple(states), tdp)
+        return RankedResult(value, self.dioid.key(value), tuple(states), self.decoder)

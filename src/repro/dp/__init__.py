@@ -13,8 +13,9 @@ arrays whenever the ranking dioid has a lane (``lane_of``).  The engine
 gets them in one bottom-up pass straight from the relations
 (:mod:`repro.dp.lower`, no object graph) — acyclic plans, shard
 fragments, and the tie-broken members of a cyclic plan, which carry a
-packed-rank column besides; :func:`compile_tdp` lowers an object
-``TDP`` that was built anyway.  See :mod:`repro.dp.flat`.
+packed-rank column besides.  A core owns its rows and query, so physical
+plans hold it alone; :func:`compile_tdp` lowers an object ``TDP`` that
+was built anyway.  See :mod:`repro.dp.flat`.
 """
 
 from repro.dp.builder import build_tdp, build_tdp_for_query

@@ -53,7 +53,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP, CoreShell, MappedEntries
+from repro.dp.flat import CompiledTDP, MappedEntries
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid, lane_of
 from repro.util import faults
@@ -154,7 +154,7 @@ def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | Non
     return repr((query.fingerprint(), name, shard_key))
 
 
-# -- lazily fetched shell rows -------------------------------------------------
+# -- lazily fetched rows -------------------------------------------------------
 
 
 class LazyRows:
@@ -229,13 +229,13 @@ def export_fragments(
         writer.add(f"vk{stage}", "d", first.val_base[stage])
         writer.add(f"pk{stage}", "d", first.pi1[stage])
         writer.add(f"cu{stage}", "q", first.child_uids[stage])
-        writer.add(f"ids{stage}", "q", first.tdp.tuple_ids[stage])
+        writer.add(f"ids{stage}", "q", first.tuple_ids[stage])
     fragments_meta = []
     for index, core in enumerate(fragment_cores):
         writer.add(f"f{index}.vk", "d", core.val_base[anchor_stage])
         writer.add(f"f{index}.pk", "d", core.pi1[anchor_stage])
         writer.add(f"f{index}.cu", "q", core.child_uids[anchor_stage])
-        writer.add(f"f{index}.ids", "q", core.tdp.tuple_ids[anchor_stage])
+        writer.add(f"f{index}.ids", "q", core.tuple_ids[anchor_stage])
         fragments_meta.append(
             {"best": core.best[0], "empty": core.empty}
         )
@@ -244,7 +244,7 @@ def export_fragments(
         "dioid": name,
         "num_stages": num_stages,
         "num_connectors": uid_space,
-        "order": list(first.tdp.atom_of_stage),
+        "order": list(first.atom_of_stage),
         "parent_stage": list(first.parent_stage),
         "root_uid": {
             stage: uid
@@ -284,6 +284,7 @@ def load_fragments(
     uid_space = meta["num_connectors"]
     num_fragments = meta["num_fragments"]
     order = list(meta["order"])
+    parent_stage = list(meta["parent_stage"])
     relations = [
         database[query.atoms[atom_index].relation_name] for atom_index in order
     ]
@@ -325,13 +326,15 @@ def load_fragments(
         tuples[anchor] = LazyRows(relations[anchor], tuple_ids[anchor])
         root_uid = dict(shared_root_uid)
         root_uid[anchor] = uid_space - num_fragments + index
-        shell = CoreShell(
-            dioid, order, list(meta["parent_stage"]), query, join_tree,
-            tuples, tuple_ids,
-        )
         cores.append(
             CompiledTDP.assemble(
-                shell,
+                dioid=dioid,
+                query=query,
+                join_tree=join_tree,
+                atom_of_stage=order,
+                parent_stage=parent_stage,
+                tuples=tuples,
+                tuple_ids=tuple_ids,
                 lane=lane,
                 one=dioid.one,
                 val_base=val_base,
@@ -685,9 +688,9 @@ class CoreCache:
     def close(self) -> None:
         """Release mappings without live views; GC reclaims the rest.
 
-        Mapped shells and their compiled cores cross-reference each
-        other, so dropped plans may sit in cycles still pinning exported
-        views; one collection pass frees those before the close attempt.
+        A dropped plan's mapped cores go by reference counting; a view
+        still pinned by a reference cycle elsewhere gets one collection
+        pass before the close attempt.
         A mapping with genuinely live views (a plan the caller still
         uses) survives untouched and is retried on the next close.
         """

@@ -4,7 +4,9 @@ Enumerating over the object-graph :class:`~repro.dp.graph.TDP` walks
 :class:`~repro.dp.graph.ChoiceSet` objects holding boxed ``(key, state,
 value)`` triples and dispatches every weight combination through
 ``SelectiveDioid.times``/``key``.  A :class:`CompiledTDP` is the same
-state space as flat, cache-friendly parallel structures:
+state space as flat, cache-friendly parallel structures, plus the rows
+result assembly reads (``tuples`` / ``tuple_ids``, the query): a core is
+a whole T-DP on its own, with no object graph behind it.
 
 * ``val_base`` / ``pi1`` — per-stage state values and their ``pi1``
   values (plain lists: hot random-access reads);
@@ -32,15 +34,16 @@ tie-breaker), with ``(key, rank, state)`` entries.  A tie-broken
 member's core is a :class:`LaneCore`, whose answers are ``(base, rank)``
 pairs.
 
-:mod:`repro.dp.lower` builds a core straight from the relations; its
-``tdp`` is then a connector-free :class:`CoreShell` serving result
-assembly.  :func:`compile_tdp` lowers an object ``TDP`` that exists
-anyway (``build_tdp`` callers, the min-weight projection, tests and
-benchmarks comparing the two enumerator families) to the same arrays,
-and returns ``None`` for a dioid without a lane.  A core is memoized on
-its ``TDP`` (``TDP._compiled``) and shared by every algorithm variant
-and serving session of a database version; a tropical or max-plus core
-is also persistable (:mod:`repro.dp.corebuf`, the dioid travelling by
+:mod:`repro.dp.lower` builds a core straight from the relations and
+:mod:`repro.dp.corebuf` maps one from a ``.core`` file, both through
+:meth:`CompiledTDP.assemble`.  :func:`compile_tdp` lowers an object
+``TDP`` that exists anyway (the no-lane sites' ``build_tdp`` callers,
+tests and benchmarks comparing the two enumerator families) to the same
+arrays, sharing its row lists, and returns ``None`` for a dioid without
+a lane; that core is memoized on the ``TDP`` (``TDP._compiled``), and
+points nowhere back.  Physical plans hold cores themselves, one shared
+by every algorithm variant and serving session of a database version; a
+tropical or max-plus core is also persistable (the dioid travelling by
 ``NAMED_DIOIDS`` name).
 """
 
@@ -51,7 +54,7 @@ from heapq import heapify as _heapify
 from operator import add, itemgetter, mul
 from typing import Any, Callable
 
-from repro.dp.graph import TDP
+from repro.dp.graph import TDP, ResultAssembler, stage_tree
 from repro.ranking.dioid import lane_of
 from repro.util import vec
 
@@ -128,43 +131,19 @@ def _seq_bytes(seq: Any, seen: set[int]) -> int:
     return sys.getsizeof(seq)
 
 
-class CoreShell(TDP):
-    """The connector-free T-DP behind a directly lowered or mapped core.
-
-    Carries exactly what result assembly reads — per-stage rows (at atom
-    arity; eager lists or :class:`~repro.dp.corebuf.LazyRows`), global
-    tuple ids, the query — and no :class:`~repro.dp.graph.ChoiceSet`
-    graph: the flat enumerators never walk one.  :meth:`CompiledTDP.
-    assemble` fills in the value columns and points ``_compiled`` at the
-    core, so ``make_enumerator(shell)`` transparently runs the flat
-    loops (``flat=False`` has no object graph to fall back on).
-    """
-
-    def __init__(
-        self, dioid, atom_of_stage, parent_stage, query, join_tree,
-        tuples: list, tuple_ids: list,
-    ):
-        super().__init__(
-            dioid, atom_of_stage, parent_stage, query=query, join_tree=join_tree
-        )
-        self.tuples = tuples
-        self.tuple_ids = tuple_ids
-        self._empty = True
-
-    def is_empty(self) -> bool:
-        return self._empty
-
-
 class CompiledTDP:
     """A T-DP as flat arrays, run by its dioid's lane.
 
     Read-only after construction; every per-run mutable structure (heap
     orders, sorted prefixes, memoized solution lists) lives in the
-    enumerators of :mod:`repro.anyk.flat`.  Holds a back-reference to
-    its :class:`TDP` (an object graph it was lowered from, or a
-    :class:`CoreShell`) for result assembly — witness tuples and
-    variable assignments are materialised lazily from ``tuple_ids`` at
-    result-construction time, never carried through candidate queues.
+    enumerators of :mod:`repro.anyk.flat`.  Owns what result assembly
+    reads — ``query``, ``join_tree``, ``atom_of_stage``, per-stage rows
+    (``tuples``: lists, or :class:`~repro.dp.corebuf.LazyRows` over a
+    backend) and ``tuple_ids`` — and memoizes one
+    :class:`~repro.dp.graph.ResultAssembler` per head (:meth:`assembler`):
+    witness tuples and variable assignments are materialised from the
+    states when an answer is read, never carried through candidate
+    queues.
 
     The lane slots say which arithmetic the kernels run (see the module
     docstring): ``lane``, ``one``, ``inverse``, and — ``None`` where the
@@ -174,19 +153,20 @@ class CompiledTDP:
     ``best_key`` its key; a total is its key, or the key negated,
     exactly, so the kernels carry keys only.
 
-    ``CompiledTDP(tdp)`` lowers an object graph; :meth:`assemble` wraps
-    columns that were produced without one (:mod:`repro.dp.lower`,
-    :mod:`repro.dp.corebuf`).
+    ``CompiledTDP(tdp)`` lowers an object graph, taking its rows by
+    reference; :meth:`assemble` wraps columns that were produced without
+    one (:mod:`repro.dp.lower`, :mod:`repro.dp.corebuf`).
     """
 
     __slots__ = (
-        "tdp", "dioid", "num_stages", "num_connectors", "parent_stage",
-        "children_stages", "branch_index", "num_branches", "val_base",
-        "pi1", "conn_offsets", "entries", "conn_stage", "child_uids",
-        "conn_of", "conn_meta", "root_stages", "root_uid", "best_key",
-        "empty", "is_chain", "_pairs", "_take2_heaps", "_sorted_pairs",
-        "_rea_heaps", "lane", "one", "inverse", "val_rank", "ent_base",
-        "ent_rank", "min_base", "min_rank", "best",
+        "dioid", "query", "join_tree", "atom_of_stage", "tuples",
+        "tuple_ids", "_assemblers", "num_stages", "num_connectors",
+        "parent_stage", "children_stages", "branch_index", "num_branches",
+        "val_base", "pi1", "conn_offsets", "entries", "conn_stage",
+        "child_uids", "conn_of", "conn_meta", "root_stages", "root_uid",
+        "best_key", "empty", "is_chain", "_pairs", "_take2_heaps",
+        "_sorted_pairs", "_rea_heaps", "lane", "one", "inverse", "val_rank",
+        "ent_base", "ent_rank", "min_base", "min_rank", "best",
     )
 
     def __init__(self, tdp: TDP):
@@ -236,7 +216,13 @@ class CompiledTDP:
             )
             entries = [(key, 0, state) for key, state in entries]
         self._fill(
-            tdp,
+            dioid=dioid,
+            query=tdp.query,
+            join_tree=tdp.join_tree,
+            atom_of_stage=tdp.atom_of_stage,
+            parent_stage=tdp.parent_stage,
+            tuples=tdp.tuples,
+            tuple_ids=tdp.tuple_ids,
             lane=lane,
             one=dioid.one,
             val_base=tdp.values,
@@ -252,33 +238,24 @@ class CompiledTDP:
         )
 
     @classmethod
-    def assemble(cls, shell: CoreShell, **columns) -> "CompiledTDP":
-        """A core over ready-made ``columns`` (see :meth:`_fill`).
-
-        Completes ``shell`` — values, best weight, emptiness, the
-        ``_compiled`` memo — so the pair is ready for result assembly.
-        """
+    def assemble(cls, **columns) -> "CompiledTDP":
+        """A core over ready-made ``columns`` (see :meth:`_fill`)."""
         self = cls.__new__(cls)
-        self._fill(shell, **columns)
-        self._complete(shell)
-        shell.num_connectors = self.num_connectors
-        shell._empty = self.empty
-        shell._compiled = self
+        self._fill(**columns)
         return self
 
-    def _complete(self, shell: CoreShell) -> None:
-        """The shell's values: the value column itself, no copy."""
-        shell.values = self.val_base
-        shell.pi1 = self.pi1
-        shell.best_weight = self.best[0]
-
     def _fill(
-        self, tdp: TDP, *, lane, one, val_base, pi1, child_uids,
+        self, *, dioid, query, join_tree, atom_of_stage, parent_stage,
+        tuples, tuple_ids, lane, one, val_base, pi1, child_uids,
         conn_stage, root_uid, best, empty, conn_offsets, entries, pairs=None,
         caches=None, val_rank=None, ent_base=None, ent_rank=None,
         min_base=None, min_rank=None,
     ) -> None:
         """Set every slot from the stored columns plus derived layout.
+
+        ``atom_of_stage`` / ``parent_stage`` are the stage layout
+        (children, roots and branch positions derive from it), ``tuples``
+        / ``tuple_ids`` the rows result assembly reads.
 
         ``conn_offsets`` may stop short of the uid space: the uids past
         the pool are fragment roots, held in ``pairs``.  ``pairs`` and
@@ -290,18 +267,23 @@ class CompiledTDP:
         entry-value, least-entry and rank columns are those of a core
         without an inverse (the dioid's ``has_inverse``).
         """
-        dioid = tdp.dioid
-        self.tdp = tdp
         self.dioid = dioid
-        num_stages = self.num_stages = tdp.num_stages
+        self.query = query
+        self.join_tree = join_tree
+        self.atom_of_stage = atom_of_stage
+        self.tuples = tuples
+        self.tuple_ids = tuple_ids
+        #: head -> :class:`~repro.dp.graph.ResultAssembler` (:meth:`assembler`).
+        self._assemblers = {}
+        num_stages = self.num_stages = len(parent_stage)
         uid_space = self.num_connectors = len(conn_stage)
-        parent_stage = self.parent_stage = tdp.parent_stage
-        self.children_stages = tdp.children_stages
-        branch_index = self.branch_index = tdp.branch_index
+        self.parent_stage = parent_stage
+        children_stages, root_stages, branch_index = stage_tree(parent_stage)
+        self.children_stages = children_stages
+        self.root_stages = root_stages
+        self.branch_index = branch_index
         #: Branch fan-out per stage (row width of ``child_uids``).
-        num_branches = self.num_branches = [
-            len(c) for c in tdp.children_stages
-        ]
+        num_branches = self.num_branches = list(map(len, children_stages))
         #: Per-stage state values and pi1 values.  Plain lists where
         #: built in-process: read one element at a time in the innermost
         #: loops, where list indexing (no re-boxing) wins.
@@ -354,7 +336,6 @@ class CompiledTDP:
         self.conn_meta = [
             None if stage < 0 else per_stage[stage] for stage in conn_stage
         ]
-        self.root_stages = tdp.root_stages
         self.root_uid = root_uid
         #: Serpentine/path shape: every stage's parent is the previous
         #: stage (single root, no branching).  The enumerators install
@@ -385,7 +366,26 @@ class CompiledTDP:
             [None] * uid_space, [None] * uid_space, [None] * uid_space
         )
 
+    def __getstate__(self) -> dict:
+        # Assemblers hold compiled functions: derived, not picklable,
+        # rebuilt on first use wherever the core lands.
+        state = {name: getattr(self, name) for name in CompiledTDP.__slots__}
+        state["_assemblers"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+
     # -- accessors -----------------------------------------------------------
+
+    def assembler(self, head: tuple[str, ...] | None = None) -> ResultAssembler:
+        """The :class:`~repro.dp.graph.ResultAssembler` for ``head``,
+        compiled on first use (a benign race, as :meth:`take2_heap`'s)."""
+        assembler = self._assemblers.get(head)
+        if assembler is None:
+            assembler = self._assemblers[head] = ResultAssembler(self, head)
+        return assembler
 
     def _cut(self, uid: int) -> list[tuple]:
         """A new list of connector ``uid``'s entries, in pool order."""
@@ -528,22 +528,6 @@ class CompiledTDP:
         )
 
 
-class _PairSeq:
-    """One stage's tie-broken values, ``(base, rank)``, read off its two lanes."""
-
-    __slots__ = ("base", "rank")
-
-    def __init__(self, base: list, rank: list):
-        self.base = base
-        self.rank = rank
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, index: int) -> tuple:
-        return (self.base[index], self.rank[index])
-
-
 class LaneCore(CompiledTDP):
     """A tie-broken union member's core (:func:`repro.dp.lower.lower_member`).
 
@@ -553,10 +537,6 @@ class LaneCore(CompiledTDP):
     """
 
     __slots__ = ()
-
-    def _complete(self, shell: CoreShell) -> None:
-        shell.values = list(map(_PairSeq, self.val_base, self.val_rank))
-        shell.best_weight = shell.dioid.zero if self.empty else self.best
 
     def emitter(self, emits: tuple) -> Callable:
         """``emit(key, rank, states)``: an answer keyed ``(key, rank)``.

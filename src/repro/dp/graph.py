@@ -104,8 +104,8 @@ class QueryResult:
     threads reading one answer share nothing they could race on.  The
     decoder is the assembler, never the T-DP or the compiled core, so a
     held answer keeps its plan's row lists alive (as a held
-    :class:`~repro.anyk.base.RankedResult` keeps its T-DP) but cannot
-    pin a mapped ``.core`` file.
+    :class:`~repro.anyk.base.RankedResult` does) but cannot pin a mapped
+    ``.core`` file.
 
     ``QueryResult(weight, assignment, head, witness_ids, witness)``
     builds the *finished* form (``states is None``): what a finisher
@@ -247,9 +247,12 @@ class ResultAssembler:
       backend that may fail, or be closed, before the caller reads the
       page.
 
-    Compile it after the builder is done: the per-stage row and id
-    sequences are captured, not re-read from the T-DP — which is why a
-    view holding an assembler holds no T-DP.
+    Built from anything that owns rows — an object :class:`TDP` or a
+    :class:`~repro.dp.flat.CompiledTDP`: ``num_stages``,
+    ``atom_of_stage``, ``query``, ``tuples`` and ``tuple_ids``.  Compile
+    it after the builder is done: the per-stage row and id sequences are
+    captured, not re-read from their owner — which is why a view holding
+    an assembler holds no T-DP and no core.
     """
 
     __slots__ = (
@@ -257,29 +260,30 @@ class ResultAssembler:
         "witness_ids",
     )
 
-    def __init__(self, tdp: "TDP", head: tuple[str, ...] | None):
+    def __init__(self, owner, head: tuple[str, ...] | None):
         self.head = head
-        stages = range(tdp.num_stages)
-        by_atom = sorted(stages, key=tdp.atom_of_stage.__getitem__)
+        stages = range(owner.num_stages)
+        by_atom = sorted(stages, key=owner.atom_of_stage.__getitem__)
         binding = output = "_no_query()"
-        if tdp.query is not None:
+        query = owner.query
+        if query is not None:
             source: dict[str, str] = {}
-            for stage, atom in enumerate(tdp.atom_of_stage):
-                for column, var in enumerate(tdp.query.atoms[atom].variables):
+            for stage, atom in enumerate(owner.atom_of_stage):
+                for column, var in enumerate(query.atoms[atom].variables):
                     source[var] = f"r{stage}[{column}]"
             binding = "{%s}" % ", ".join(
                 f"{var!r}: {value}" for var, value in source.items()
             )
             output = "(%s)" % "".join(
                 f"{source[var]}, "
-                for var in (tdp.query.head if head is None else head)
+                for var in (query.head if head is None else head)
             )
         namespace: dict[str, Any] = {
             "QueryResult": QueryResult, "head": head, "_no_query": _no_query,
         }
         for stage in stages:
-            namespace[f"rows{stage}"] = tdp.tuples[stage]
-            namespace[f"ids{stage}"] = tdp.tuple_ids[stage]
+            namespace[f"rows{stage}"] = owner.tuples[stage]
+            namespace[f"ids{stage}"] = owner.tuple_ids[stage]
         source_text = _ASSEMBLER_SOURCE.format(
             unpack="".join(f"s{j}, " for j in stages),
             fetch="; ".join(f"r{j} = rows{j}[s{j}]" for j in stages),
@@ -294,6 +298,26 @@ class ResultAssembler:
         exec(_assembler_code(source_text), namespace, decoders)
         for name, decoder in decoders.items():
             setattr(self, name, decoder)
+
+
+def stage_tree(parent_stage: Sequence[int]) -> tuple[list, list, list]:
+    """``(children_stages, root_stages, branch_index)`` of a stage layout.
+
+    ``branch_index[j]`` is stage ``j``'s position among its parent's
+    children, or among the root stages for a root.  Shared by the object
+    graph and the compiled core, which both derive their navigation from
+    ``parent_stage`` alone.
+    """
+    children_stages: list[list[int]] = [[] for _ in parent_stage]
+    root_stages: list[int] = []
+    for stage, parent in enumerate(parent_stage):
+        siblings = root_stages if parent == -1 else children_stages[parent]
+        siblings.append(stage)
+    branch_index = [0] * len(parent_stage)
+    for siblings in (root_stages, *children_stages):
+        for index, stage in enumerate(siblings):
+            branch_index[stage] = index
+    return children_stages, root_stages, branch_index
 
 
 class TDP:
@@ -333,20 +357,9 @@ class TDP:
         self.parent_stage = list(parent_stage)
         self.num_stages = len(parent_stage)
 
-        self.children_stages: list[list[int]] = [[] for _ in range(self.num_stages)]
-        self.root_stages: list[int] = []
-        for stage, parent in enumerate(self.parent_stage):
-            if parent == -1:
-                self.root_stages.append(stage)
-            else:
-                self.children_stages[parent].append(stage)
-        #: Index of stage j within its parent's children list.
-        self.branch_index: list[int] = [0] * self.num_stages
-        for stage in range(self.num_stages):
-            for idx, child in enumerate(self.children_stages[stage]):
-                self.branch_index[child] = idx
-        for idx, root in enumerate(self.root_stages):
-            self.branch_index[root] = idx
+        self.children_stages, self.root_stages, self.branch_index = stage_tree(
+            self.parent_stage
+        )
 
         # Per-stage state arrays, filled by the builder.
         empty: list[list] = [[] for _ in range(self.num_stages)]
@@ -363,10 +376,9 @@ class TDP:
         #: Number of connectors created (uids are 0 .. num_connectors-1).
         self.num_connectors: int = 0
         #: Memoized :class:`~repro.dp.flat.CompiledTDP` (or ``False``
-        #: when the dioid does not support the flat fast path); filled
-        #: by :func:`repro.dp.flat.compile_tdp`, shared by every
-        #: enumerator run — and, through the engine's physical-plan
-        #: cache, by every algorithm variant and serving session.
+        #: when the dioid has no lane); filled by
+        #: :func:`repro.dp.flat.compile_tdp`.  The core holds no
+        #: reference back: it shares this graph's row lists, not the graph.
         self._compiled: Any = None
         #: head -> :class:`ResultAssembler` (see :meth:`assembler`).
         self._assemblers: dict = {}

@@ -76,7 +76,8 @@ from typing import Iterable, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.flat import CompiledTDP, CoreShell, LaneCore
+from repro.dp.flat import CompiledTDP, LaneCore
+from repro.dp.graph import stage_tree
 from repro.obs.trace import NULL_SPAN
 from repro.query.jointree import JoinTree
 from repro.ranking.dioid import FloatLane, SelectiveDioid, TieBreakingDioid, lane_of
@@ -240,10 +241,7 @@ class SharedLower:
         self.parent_stage, self.own_key_positions, self.parent_key_positions = (
             stage_layout(tree)
         )
-        self.children_stages: list[list[int]] = [[] for _ in range(self.num_stages)]
-        for stage, parent in enumerate(self.parent_stage):
-            if parent != -1:
-                self.children_stages[parent].append(stage)
+        self.children_stages = stage_tree(self.parent_stage)[0]
         self.anchor_stage = anchor_stage
         if self.parent_stage[anchor_stage] != -1:
             raise ValueError("the anchor stage must be a component root")
@@ -834,13 +832,15 @@ def assemble_fragment(
     lists["pairs"][uid] = entries
     root_uid = dict(shared.root_uid)
     root_uid[anchor] = uid
-    shell = CoreShell(
-        shared.dioid, shared.order, shared.parent_stage, shared.query, shared.tree,
-        per_fragment(shared.tuples, rows), per_fragment(shared.tuple_ids, ids_out),
-    )
     core_class = CompiledTDP if shared.templates is None else LaneCore
     return core_class.assemble(
-        shell,
+        dioid=shared.dioid,
+        query=shared.query,
+        join_tree=shared.tree,
+        atom_of_stage=shared.order,
+        parent_stage=shared.parent_stage,
+        tuples=per_fragment(shared.tuples, rows),
+        tuple_ids=per_fragment(shared.tuple_ids, ids_out),
         lane=shared.lane,
         one=shared.one,
         val_base=per_fragment(shared.val_base, vk_out),
@@ -877,8 +877,8 @@ def lower_query(
     The anchor is stage 0 of ``tree`` — the first root, which the object
     builder also processes last — so the core is the one
     ``compile_tdp(build_tdp(database, tree, dioid))`` would produce,
-    without the object graph in between.  ``core.tdp`` is the
-    :class:`~repro.dp.flat.CoreShell` for result assembly.  ``span``
+    without the object graph in between; the core holds the rows result
+    assembly reads.  ``span``
     (the caller's ``tdp.build``) is told how many input rows the pass
     scanned and how many of its stages took the numpy kernel.
     """

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.data.database import Database
 from repro.data.index import IndexCache
+from repro.dp.flat import CompiledTDP
 from repro.engine.plan import LogicalPlan, PhysicalPlan, bind, plan
 from repro.engine.stream import PrefixStream
 from repro.enumeration.result import QueryResult
@@ -681,13 +682,12 @@ class Engine:
         inner = getattr(physical, "inner", None)
         if inner is not None:  # projection wrapper
             return Engine._compiled_cores(inner)
-        cores = [
-            fragment.compiled for fragment in getattr(physical, "fragments", ())
+        tdps = [
+            *(fragment.tdp for fragment in getattr(physical, "fragments", ())),
+            getattr(physical, "tdp", None),
+            *getattr(physical, "tdps", ()),
         ]
-        tdps = [getattr(physical, "tdp", None), *getattr(physical, "tdps", ())]
-        cores.extend(getattr(tdp, "_compiled", None) for tdp in tdps)
-        # None = not compiled (yet), False = unsupported dioid.
-        return [core for core in cores if core]
+        return [tdp for tdp in tdps if isinstance(tdp, CompiledTDP)]
 
     def memory_stats(self) -> dict:
         """Scrape-time estimate of engine-held memory.

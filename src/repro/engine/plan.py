@@ -43,7 +43,7 @@ from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
-from repro.dp.flat import LaneCore, compile_tdp
+from repro.dp.flat import CompiledTDP, compile_tdp
 from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
@@ -211,7 +211,20 @@ def plan(
 # -- physical plans ------------------------------------------------------------
 
 
-def decodes_at_extension(tdp, flat: bool) -> str | None:
+def run_tdp(tdp, algorithm: str, counter=None, emits: tuple | None = None):
+    """One any-k run over a bound T-DP.
+
+    A compiled core runs the flat kernels, allocating ``emits`` (see
+    :class:`~repro.anyk.flat.FlatEnumerator`); an object graph — bound
+    only where the dioid has no lane — runs the object enumerators,
+    which emit :class:`~repro.anyk.base.RankedResult`.
+    """
+    if isinstance(tdp, CompiledTDP):
+        return make_flat_enumerator(tdp, algorithm.lower(), counter, emits=emits)
+    return make_enumerator(tdp, algorithm, counter=counter)
+
+
+def decodes_at_extension(tdp) -> str | None:
     """Why answers over ``tdp`` are finished while the stream extends,
     or ``None`` when they can be handed out as views and decoded on read.
 
@@ -222,12 +235,12 @@ def decodes_at_extension(tdp, flat: bool) -> str | None:
     fetched while extending, so a failed fetch is a failed ``ensure``
     that resumes at the same rank and an answer handed out is complete
     after the backend is closed.  Only
-    the flat kernels allocate views; the object-graph enumerators emit
-    :class:`~repro.anyk.base.RankedResult` and keep the hop.  (A union
-    of member trees applies the same rule to the relations its
-    witnesses are read from: :attr:`MemberDecoder.behind`.)
+    the flat kernels over a compiled core allocate views; the object-graph
+    enumerators emit :class:`~repro.anyk.base.RankedResult` and keep the
+    hop.  (A union of member trees applies the same rule to the relations
+    its witnesses are read from: :attr:`MemberDecoder.behind`.)
     """
-    if not flat:
+    if not isinstance(tdp, CompiledTDP):
         return "object-graph enumerators"
     for rows in tdp.tuples:
         if not isinstance(rows, list):
@@ -352,31 +365,25 @@ class AcyclicPhysical(PhysicalPlan):
     """Acyclic full CQ: one T-DP, any-k enumeration (Section 4/5).
 
     ``tdp`` is whatever the bind produced.  For a dioid with a lane
-    (:func:`~repro.ranking.dioid.lane_of`) that is the
-    :class:`~repro.dp.flat.CoreShell` of a directly lowered (or
-    ``.core``-mapped) compiled core, which
-    :func:`~repro.dp.flat.compile_tdp` just reads back off the shell;
-    for every other dioid it is the object graph of
-    :func:`~repro.dp.builder.build_tdp` and ``compiled`` is ``None``.
-    Either way the bottom-up pass lands in ``preprocess_seconds`` — paid
-    once per database version — and every enumeration run (any
-    algorithm, any serving session) starts on the shared structures.
+    (:func:`~repro.ranking.dioid.lane_of`) that is a directly lowered
+    (or ``.core``-mapped) :class:`~repro.dp.flat.CompiledTDP`, run by
+    the flat kernels; for every other dioid it is the object graph of
+    :func:`~repro.dp.builder.build_tdp`.  Either way the bottom-up pass
+    lands in ``preprocess_seconds`` — paid once per database version —
+    and every enumeration run (any algorithm, any serving session)
+    starts on the shared structures.
     """
 
     def __init__(self, logical: LogicalPlan, database: Database, tdp):
         super().__init__(logical, database)
         self.tdp = tdp
-        self.compiled = compile_tdp(tdp)
         # Compiled here, in the preprocessing phase: a warm plan's first
         # answer should not pay for it.
         tdp.assembler(logical.query.head)
-        self.eager = decodes_at_extension(tdp, self.compiled is not None)
+        self.eager = decodes_at_extension(tdp)
 
     def close(self) -> None:
-        if self.tdp is not None:
-            self.tdp._compiled = None
         self.tdp = None
-        self.compiled = None
 
     def iter(
         self,
@@ -385,31 +392,24 @@ class AcyclicPhysical(PhysicalPlan):
     ) -> Iterator[QueryResult]:
         algorithm = algorithm or self.logical.algorithm
         assembler = self.tdp.assembler(self.logical.query.head)
+        run = run_tdp(self.tdp, algorithm, counter, emits=(QueryResult, assembler))
         if self.eager is None:
             # The kernel's object is the answer: nothing in between.
-            return iter(
-                make_flat_enumerator(
-                    self.compiled, algorithm.lower(), counter,
-                    emits=(QueryResult, assembler),
-                )
-            )
-        enumerator = make_enumerator(self.tdp, algorithm, counter=counter)
+            return iter(run)
         finish = assembler.result
-        return DecodedResults(
-            enumerator, lambda result: finish(result.weight, result.states)
-        )
+        return DecodedResults(run, lambda result: finish(result.weight, result.states))
 
     def _physical_stats(self) -> list[str]:
-        lines = self._tdp_lines("t-dp", self.tdp)
-        if self.compiled is not None:
-            stats = self.compiled.stats()
+        core = self.tdp
+        lines = self._tdp_lines("t-dp", core)
+        if isinstance(core, CompiledTDP):
             # Mapped warm starts replay the persisted core; flag them so
             # explain() distinguishes a rebuilt plan from a replayed one.
-            mapped = " (mapped warm start)" if self.compiled.mapped else ""
+            mapped = " (mapped warm start)" if core.mapped else ""
             lines.append(
-                f"  compiled core: {stats['entries']} flat entries "
-                f"({'chain' if self.compiled.is_chain else 'tree'} layout, "
-                f"lane ({self.compiled.lane})){mapped}"
+                f"  compiled core: {core.stats()['entries']} flat entries "
+                f"({'chain' if core.is_chain else 'tree'} layout, "
+                f"lane ({core.lane})){mapped}"
             )
         return lines
 
@@ -427,11 +427,10 @@ class UnionPhysical(PhysicalPlan):
 
     A member is *lowered*, not built, when the base dioid keeps its lane
     contract (:func:`repro.dp.lower.member_lane`, decided once from the
-    dioid): ``tdps[i]`` is then the shell of a
-    :class:`~repro.dp.flat.LaneCore` (``cores[i]``) and the member runs
-    the flat kernels of :mod:`repro.anyk.flat` over it; otherwise it is the
-    object graph of ``build_tdp`` (``cores[i]`` is ``None``, the reason
-    in :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
+    dioid): ``tdps[i]`` is then a :class:`~repro.dp.flat.LaneCore` and
+    the member runs the flat kernels of :mod:`repro.anyk.flat` over it;
+    otherwise it is the object graph of ``build_tdp`` (the reason in
+    :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
     yields pair-valued results, ``(base, rank)``.  Lowered members count
     their kernel stages into ``span`` (``vectorized_stages``).
 
@@ -464,35 +463,22 @@ class UnionPhysical(PhysicalPlan):
         )
         lane, self.object_reason = member_lane(self.tie)
         self.tdps = []
-        self.cores: list[LaneCore | None] = []
-        #: id(member T-DP) -> its :class:`MemberDecoder`.
-        self._decoders: dict[int, MemberDecoder] = {}
+        #: A member's ``assembler()`` — what its results decode through —
+        #: -> that member's :class:`MemberDecoder`.
+        self._decoders: dict = {}
         self.eager = None
         for task, tree in zip(tasks, trees):
             if lane is None:
                 lift = make_tie_lift(self.tie, var_position, tree)
-                core = None
                 tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
             else:
-                core = lower_member(
+                tdp = lower_member(
                     task.database, tree, self.tie, var_position, lane, span
                 )
-                tdp = core.tdp
             self.tdps.append(tdp)
-            self.cores.append(core)
             decoder = MemberDecoder(database, query, task, tdp)
-            self._decoders[id(tdp)] = decoder
+            self._decoders[tdp.assembler()] = decoder
             self.eager = self.eager or decoder.behind
-
-    def close(self) -> None:
-        # A lowered member's shell and core point at each other: unlink
-        # them, so the columns go when the plan does, not at the next
-        # full collection (which a following bind would otherwise share
-        # its peak memory with).
-        for tdp in self.tdps:
-            tdp._compiled = None
-        self.tdps = []
-        self.cores = []
 
     def iter(
         self,
@@ -500,10 +486,7 @@ class UnionPhysical(PhysicalPlan):
         algorithm: str | None = None,
     ) -> Iterator[QueryResult]:
         algorithm = algorithm or self.logical.algorithm
-        members = [
-            make_enumerator(tdp, algorithm, counter=counter)
-            for tdp in self.tdps
-        ]
+        members = [run_tdp(tdp, algorithm, counter) for tdp in self.tdps]
         head = self.logical.query.head
 
         def identity(result) -> tuple:
@@ -519,7 +502,7 @@ class UnionPhysical(PhysicalPlan):
                 union,
                 lambda result: QueryResult(
                     base_value(result.weight),
-                    *decoders[id(result.tdp)].fields(result.states),
+                    *decoders[result.decoder].fields(result.states),
                 ),
             )
         new = QueryResult.__new__
@@ -529,18 +512,18 @@ class UnionPhysical(PhysicalPlan):
             answer.weight = base_value(result.weight)
             answer.key = result.key
             answer.states = result.states
-            answer.decoder = decoders[id(result.tdp)]
+            answer.decoder = decoders[result.decoder]
             return answer
 
         return map(view, union)
 
     def _physical_stats(self) -> list[str]:
         lines = [f"  union of {len(self.tasks)} member trees:"]
-        for task, tdp, core in zip(self.tasks, self.tdps, self.cores):
+        for task, core in zip(self.tasks, self.tdps):
             lines.extend(
-                self._tdp_lines(task.label or task.query.name, tdp)
+                self._tdp_lines(task.label or task.query.name, core)
             )
-            if core is None:
+            if not isinstance(core, CompiledTDP):
                 lines.append(f"    core: object graph ({self.object_reason})")
             else:
                 lines.append(
@@ -561,6 +544,8 @@ class MinWeightPhysical(PhysicalPlan):
         self.fc_plan = build_free_connex_plan(
             database, logical.query, dioid=logical.dioid
         )
+        #: The reduced free-region T-DP: bind swaps in its compiled core
+        #: where the dioid has a lane; ``None`` for an empty free region.
         self.tdp = (
             None
             if self.fc_plan.empty
@@ -582,7 +567,7 @@ class MinWeightPhysical(PhysicalPlan):
         def generate() -> Iterator[QueryResult]:
             if tdp is None:
                 return
-            enumerator = make_enumerator(tdp, algorithm, counter=counter)
+            enumerator = run_tdp(tdp, algorithm, counter)
             dioid = logical.dioid
             for result in enumerator:
                 yield QueryResult(
@@ -748,7 +733,7 @@ def _bind(
                 stats = cores[0].stats()
                 span.set(states=stats["states"], entries=stats["entries"])
             store_cores(core_cache, key, logical, database, cores, 0, tracer)
-        return AcyclicPhysical(logical, database, cores[0].tdp)
+        return AcyclicPhysical(logical, database, cores[0])
     if strategy == SIMPLE_CYCLE_UNION:
         with tracer.span("decompose", kind="simple-cycle") as span:
             tasks = decompose_cycle(
@@ -781,8 +766,8 @@ def _bind(
             physical = MinWeightPhysical(logical, database)
         if physical.tdp is not None and lane_of(logical.dioid)[0] is not None:
             with tracer.span("tdp.compile") as span:
-                compiled = compile_tdp(physical.tdp)
-                span.set(entries=compiled.stats()["entries"])
+                physical.tdp = compile_tdp(physical.tdp)
+                span.set(entries=physical.tdp.stats()["entries"])
         return physical
     if strategy == ALL_WEIGHT_PROJECTION:
         inner = _bind(logical.inner, database, indexes, core_cache, tracer)
@@ -800,12 +785,12 @@ def _bind_union(
     with tracer.span("tdp.build", members=len(tasks)) as span:
         physical = UnionPhysical(logical, database, tasks, dedup=False, span=span)
         tdps = physical.tdps
-        lowered = [core for core in physical.cores if core is not None]
+        lowered = [tdp for tdp in tdps if isinstance(tdp, CompiledTDP)]
         span.set(
             # Bag tuples read (every bag is one stage) -> alive states.
             rows=_bag_tuples(tasks),
             stages=sum(tdp.num_stages for tdp in tdps),
-            states=sum(tdp.num_states() for tdp in tdps),
+            states=sum(len(rows) for tdp in tdps for rows in tdp.tuples),
             connectors=sum(tdp.num_connectors for tdp in tdps),
             # Members lowered to compiled cores, and the entries they hold.
             lowered=len(lowered),

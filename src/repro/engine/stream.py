@@ -52,7 +52,7 @@ plan), or whose finisher post-processes
 extending (:func:`repro.engine.plan.decodes_at_extension`);
 :attr:`PrefixStream.decode` says which, and so do the ``stream.extend``
 span and ``explain()``.  A held view keeps its plan's row lists alive
-(as a held ``RankedResult`` keeps its T-DP), not its engine or backend.
+(as a held ``RankedResult`` does), not its engine or backend.
 
 The memo holds an answer's served form too: once a rank has gone over a
 socket, its :class:`QueryResult` carries the encoded protocol line

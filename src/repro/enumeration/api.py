@@ -20,7 +20,7 @@ preprocessing phase over repeated executions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.anyk.base import make_enumerator
 from repro.anyk.union import UnionEnumerator
@@ -180,13 +180,14 @@ def ranked_enumerate_ucq(
     # One numbering per head position, over every member.
     rank_tie_domains(tie, parts)
     members = []
-    #: id(member T-DP) -> states -> the answer's values in head order.
-    head_values: dict[int, Callable] = {}
+    #: A member's ``assembler()`` — what its results decode through —
+    #: -> states -> the answer's values in head order.
+    head_values: dict = {}
     for member_db, tree, positions in parts:
         lift = make_tie_lift(tie, positions, tree)
         tdp = build_tdp(member_db, tree, dioid=tie, lift=lift)
         members.append(make_enumerator(tdp, algorithm, counter=counter))
-        head_values[id(tdp)] = tdp.assembler(tuple(positions)).output_tuple
+        head_values[tdp.assembler()] = tdp.assembler(tuple(positions)).output_tuple
 
     def identity(result) -> tuple:
         # The tie-broken key *is* (weight, head tuple) — sufficient.
@@ -197,7 +198,7 @@ def ranked_enumerate_ucq(
 
     def generate() -> Iterator[QueryResult]:
         for result in union:
-            values = head_values[id(result.tdp)](result.states)
+            values = head_values[result.decoder](result.states)
             yield QueryResult(
                 tie.base_value(result.weight),
                 dict(zip(head_names, values)),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.dp.flat import CompiledTDP
 from repro.obs.latency import delay_profile
 from repro.obs.trace import Span, Tracer
 from repro.util.counters import OpCounter
@@ -159,12 +160,12 @@ def _core_stats(physical) -> dict | None:
     inner = getattr(physical, "inner", None)
     if inner is not None:
         return _core_stats(inner)
-    compiled = getattr(physical, "compiled", None)
-    if compiled is not None and compiled is not False:
-        return compiled.stats()
+    core = getattr(physical, "tdp", None)
+    if isinstance(core, CompiledTDP):
+        return core.stats()
     fragments = getattr(physical, "fragments", None)
     if fragments:
-        stats = [f.compiled.stats() for f in fragments if f.compiled is not None]
+        stats = [f.tdp.stats() for f in fragments if isinstance(f.tdp, CompiledTDP)]
         if stats:
             # Per-fragment cores alias the shared lower stages, so the
             # sums attribute shared structures to every fragment that

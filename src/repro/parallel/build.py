@@ -30,12 +30,10 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.anyk.base import Enumerator, make_enumerator
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.flat import CompiledTDP
-from repro.dp.graph import TDP
 from repro.dp.lower import (
     build_fragment,
     build_shared_lower,
@@ -99,7 +97,7 @@ def build_object_fragment(
     lift,
     anchor_rows: tuple[list[tuple], list],
     global_ids: Sequence[int] | None,
-) -> TDP:
+):
     """One fragment through the generic builder (canonical/object path)."""
     query = shard_plan.join_tree.query
     anchor_name = query.atoms[shard_plan.anchor_atom].relation_name
@@ -120,42 +118,24 @@ def build_object_fragment(
 
 
 class FragmentRuntime:
-    """One built fragment, ready to hand out enumerators."""
+    """One built fragment.
 
-    __slots__ = ("index", "compiled", "tdp", "empty", "seconds", "anchor_stage")
+    ``tdp`` is the fragment's :class:`~repro.dp.flat.CompiledTDP`, or an
+    object-graph T-DP under the canonical tie-break or a dioid without a
+    lane.
+    """
 
-    def __init__(
-        self,
-        index: int,
-        compiled: CompiledTDP | None,
-        tdp: TDP | None,
-        seconds: float,
-        anchor_stage: int = 0,
-    ):
+    __slots__ = ("index", "tdp", "empty", "seconds", "anchor_stage")
+
+    def __init__(self, index: int, tdp, seconds: float, anchor_stage: int = 0):
         self.index = index
-        self.compiled = compiled
-        self.tdp = tdp if tdp is not None else (compiled.tdp if compiled else None)
-        self.empty = compiled.empty if compiled is not None else tdp.is_empty()
+        self.tdp = tdp
+        self.empty = tdp.empty if isinstance(tdp, CompiledTDP) else tdp.is_empty()
         self.seconds = seconds
         self.anchor_stage = anchor_stage
 
-    def make_enumerator(
-        self, algorithm: str, counter=None, emits: tuple | None = None
-    ) -> Enumerator:
-        """``emits`` (flat fragments only): see
-        :class:`repro.anyk.flat.FlatEnumerator`."""
-        if self.compiled is not None:
-            from repro.anyk.flat import make_flat_enumerator
-
-            return make_flat_enumerator(
-                self.compiled, algorithm, counter=counter, emits=emits
-            )
-        return make_enumerator(self.tdp, algorithm, counter=counter)
-
     def anchor_states(self) -> int:
         """Alive states at the anchor stage (this fragment's own slice)."""
-        if self.compiled is not None:
-            return len(self.compiled.val_base[self.anchor_stage])
         return len(self.tdp.tuples[self.anchor_stage])
 
 
@@ -246,7 +226,7 @@ class ParallelPreprocessor:
                 fragment.index, lists,
             )
             return FragmentRuntime(
-                fragment.index, compiled, None, time.perf_counter() - start,
+                fragment.index, compiled, time.perf_counter() - start,
                 anchor_stage=plan.anchor_stage,
             )
 
@@ -309,7 +289,7 @@ class ParallelPreprocessor:
                 self.database, plan, fragment, dioid, lift, rows, gids
             )
             return FragmentRuntime(
-                fragment.index, None, tdp, time.perf_counter() - start,
+                fragment.index, tdp, time.perf_counter() - start,
                 anchor_stage=plan.anchor_stage,
             )
 

@@ -17,12 +17,14 @@ from typing import Iterator
 
 from repro.data.database import Database
 from repro.dp.corebuf import core_key
+from repro.dp.flat import CompiledTDP
 from repro.engine.plan import (
     DecodedResults,
     LogicalPlan,
     PhysicalPlan,
     decodes_at_extension,
     load_cores,
+    run_tdp,
     store_cores,
 )
 from repro.enumeration.result import QueryResult
@@ -54,9 +56,7 @@ class ShardedPhysical(PhysicalPlan):
         self.eager = None
         for fragment in self.fragments:  # bind-time, as in AcyclicPhysical
             fragment.tdp.assembler(logical.query.head)
-            self.eager = self.eager or decodes_at_extension(
-                fragment.tdp, fragment.compiled is not None
-            )
+            self.eager = self.eager or decodes_at_extension(fragment.tdp)
         self.mode = result.mode
         self.workers = result.workers
         self.shared_seconds = result.shared_seconds
@@ -92,9 +92,7 @@ class ShardedPhysical(PhysicalPlan):
             # Each fragment's kernel emits the answer itself, decoding
             # through that fragment's assembler; the merge only orders.
             emits = (QueryResult, fragment.tdp.assembler(head)) if views else None
-            members.append(
-                fragment.make_enumerator(algorithm, counter=counter, emits=emits)
-            )
+            members.append(run_tdp(fragment.tdp, algorithm, counter, emits=emits))
             member_fragments.append(fragment.index)
         merge_cls = ShardConcat if algorithm == "batch_nosort" else ShardMerge
         merge = merge_cls(members, counter=counter)
@@ -102,10 +100,15 @@ class ShardedPhysical(PhysicalPlan):
         if views:
             return merge
         tie = self.tie
+        # A fragment's results decode through its ``assembler()``; the
+        # finished answer through its assembler for the query head.
+        finishers = {
+            f.tdp.assembler(): f.tdp.assembler(head).result for f in self.fragments
+        }
 
         def finish(result) -> QueryResult:
             weight = result.weight if tie is None else tie.base_value(result.weight)
-            return result.tdp.assembler(head).result(weight, result.states)
+            return finishers[result.decoder](weight, result.states)
 
         return DecodedResults(merge, finish)
 
@@ -137,8 +140,8 @@ class ShardedPhysical(PhysicalPlan):
         compiled_fragments = 0
         for fragment in self.fragments:
             status = " (EMPTY)" if fragment.empty else ""
-            if fragment.compiled is not None:
-                entries = fragment.compiled.stats()["entries"]
+            if isinstance(fragment.tdp, CompiledTDP):
+                entries = fragment.tdp.stats()["entries"]
                 total_entries += entries
                 compiled_fragments += 1
                 flavour = f"compiled ({entries} flat entries)"
@@ -173,7 +176,7 @@ class ShardedPhysical(PhysicalPlan):
             "empty_fragments": sum(1 for f in self.fragments if f.empty),
             "fragment_states": [f.anchor_states() for f in self.fragments],
             "fragment_entries": [
-                None if f.compiled is None else f.compiled.stats()["entries"]
+                f.tdp.stats()["entries"] if isinstance(f.tdp, CompiledTDP) else None
                 for f in self.fragments
             ],
             "fragment_build_ms": [
@@ -227,7 +230,7 @@ def bind_sharded(
     )
     if cores is not None:
         fragments = [
-            FragmentRuntime(index, core, None, 0.0, shard_plan.anchor_stage)
+            FragmentRuntime(index, core, 0.0, shard_plan.anchor_stage)
             for index, core in enumerate(cores)
         ]
         result = PreprocessResult(
@@ -246,6 +249,6 @@ def bind_sharded(
         span.set(mode=result.mode, workers=result.workers)
     store_cores(
         core_cache, key, logical, database,
-        [f.compiled for f in result.fragments], shard_plan.anchor_stage, tracer,
+        [f.tdp for f in result.fragments], shard_plan.anchor_stage, tracer,
     )
     return ShardedPhysical(logical, database, shard_plan, result)

@@ -351,7 +351,7 @@ class TestExportFromThePool:
         physical = Engine(database).prepare(query, dioid=dioid, shards=4).bind()
         plan = physical.shard_plan
         anchor = plan.anchor_stage
-        cores = [fragment.compiled for fragment in physical.fragments]
+        cores = [fragment.tdp for fragment in physical.fragments]
         meta, data = export_fragments(cores, anchor)
         pooled = len(cores[0].conn_offsets) - 1
         assert cores[0]._pairs[:pooled] == [None] * pooled  # nothing was cut

@@ -30,6 +30,7 @@ from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp import lower as lower_module
+from repro.dp.flat import CompiledTDP
 from repro.dp.graph import ChoiceSet
 from repro.dp.lower import lower_member
 from repro.engine import Engine
@@ -186,7 +187,7 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     base = CountingMaxTimes()
 
     physical = Engine(database).prepare(query, dioid=base).bind()
-    assert physical.cores == [None] * len(physical.tdps)
+    assert not any(isinstance(tdp, CompiledTDP) for tdp in physical.tdps)
     assert physical.object_reason == "CountingMaxTimes overrides times"
 
     # One full read per cycle atom — the l+1 partitions share it.
@@ -287,7 +288,8 @@ def test_lowered_four_cycle_bind_op_counts(counted, monkeypatch, self_join, base
 
     physical = Engine(database).prepare(query, dioid=base).bind()
 
-    assert len(physical.cores) > 1 and None not in physical.cores
+    assert len(physical.tdps) > 1
+    assert all(isinstance(tdp, CompiledTDP) for tdp in physical.tdps)
     assert sum(relation.scans for relation in database) == 4
     (tie,) = CountingTie.instances
     assert counted["rankings"] == 1
@@ -326,9 +328,9 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, kernel):
     query = cycle_query(4)
     physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
     positions = {var: slot for slot, var in enumerate(query.variables)}
-    assert len(physical.cores) > 1
-    for task, core in zip(physical.tasks, physical.cores):
-        tree = core.tdp.join_tree
+    assert len(physical.tdps) > 1
+    for task, core in zip(physical.tasks, physical.tdps):
+        tree = core.join_tree
 
         def lower():
             return lower_member(task.database, tree, physical.tie, positions, core.lane)
@@ -346,7 +348,7 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, kernel):
             del baseline
         finally:
             gc.enable()
-        states = again.tdp.num_states()
+        states = again.stats()["states"]
         slack = CONTAINERS_PER_CORE + CONTAINERS_PER_STAGE * again.num_stages
         entries = [o for o in fresh if type(o) is tuple and len(o) == 3]
         assert len(entries) == states > 0

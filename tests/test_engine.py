@@ -1,6 +1,8 @@
 """Engine/plan-layer tests: equivalence vs. the legacy entry point,
 plan-cache hit/miss behaviour, and invalidation after database mutation."""
 
+import gc
+
 import pytest
 
 from repro.data.database import Database
@@ -20,7 +22,7 @@ from repro.engine import (
 from repro.enumeration.api import ranked_enumerate
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.parser import parse_query
-from repro.ranking.dioid import MAX_PLUS
+from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL
 
 
 def signature(results):
@@ -423,3 +425,57 @@ class TestIndexCache:
         assert index.lookup((9,)) == [0]
         assert index.lookup((1,)) == []
         assert cache.misses == 2
+
+
+# -- plan lifetime ---------------------------------------------------------------
+
+
+def _live_cores() -> int:
+    from repro.dp.flat import CompiledTDP
+
+    return sum(1 for o in gc.get_objects() if isinstance(o, CompiledTDP))
+
+
+class TestCoresGoByReferenceCounting:
+    """A core refers to nothing that refers back to it, so a plan the LRU
+    evicts, or a core nobody holds, is freed at once: the counts below
+    are taken with the cycle collector off."""
+
+    @pytest.mark.parametrize(
+        "query, dioid",
+        [(path_query(4), TROPICAL), (cycle_query(4), MAX_TIMES)],
+        ids=["acyclic", "max_times_union"],
+    )
+    def test_an_evicted_plan_frees_its_cores(self, query, dioid):
+        db = uniform_database(4, 200, domain_size=15, seed=41)
+        gc.collect()
+        gc.disable()
+        try:
+            before = _live_cores()
+            engine = Engine(db, max_cached_plans=1)
+            assert engine.prepare(query, dioid=dioid).top(5)
+            assert _live_cores() > before
+            # Binding another plan evicts the first: only its core is live.
+            assert engine.prepare(path_query(3)).top(5)
+            assert _live_cores() == before + 1
+            engine.close()
+        finally:
+            gc.enable()
+
+    def test_a_dropped_lowered_core_is_freed(self):
+        from repro.anyk.base import make_enumerator
+        from repro.dp.lower import lower_query
+        from repro.query.jointree import build_join_tree
+
+        db = uniform_database(4, 200, domain_size=15, seed=41)
+        gc.collect()
+        gc.disable()
+        try:
+            before = _live_cores()
+            core = lower_query(db, build_join_tree(path_query(4)), TROPICAL)
+            assert make_enumerator(core, "take2").top(3)
+            assert _live_cores() == before + 1
+            del core
+            assert _live_cores() == before
+        finally:
+            gc.enable()

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.anyk.base import make_enumerator
+from repro.anyk.flat import make_flat_enumerator
 from repro.data.generators import uniform_database, worst_case_cycle_database
 from repro.dp.builder import build_tdp_for_query
+from repro.dp.flat import compile_tdp
 from repro.enumeration.api import evaluate_boolean, ranked_enumerate
+from repro.enumeration.result import QueryResult
 from repro.query.builders import cycle_query, path_query
 from repro.query.parser import parse_query
 from repro.util.counters import OpCounter
@@ -62,6 +65,24 @@ class TestWithin:
         enum = make_enumerator(tdp, "take2")
         got = [r.weight for r in enum.within(15_000.0)]
         assert all(w >= 15_000.0 for w in got), "max-plus: within = at least"
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_bound_is_read_off_the_enumerator_not_the_result(self, algorithm):
+        """``within`` keys by the enumerator's own dioid: a flat run that
+        emits :class:`QueryResult` views (which reach no T-DP) and an
+        object-graph run, Batch included, bound alike."""
+        db = uniform_database(2, 30, domain_size=4, seed=3)
+        tdp = build_tdp_for_query(db, path_query(2))
+        expected = [w for w, _ in brute_force(db, path_query(2)) if w <= 5000]
+        core = compile_tdp(tdp)
+        views = make_flat_enumerator(
+            core, algorithm, emits=(QueryResult, core.assembler())
+        )
+        got = list(views.within(5000.0))
+        assert all(type(r) is QueryResult for r in got)
+        assert [r.weight for r in got] == pytest.approx(expected)
+        objects = make_enumerator(tdp, algorithm, flat=False)
+        assert [r.weight for r in objects.within(5000.0)] == pytest.approx(expected)
 
 
 class TestBooleanEvaluation:

@@ -322,11 +322,12 @@ class TestEngineBackends:
         engine = Engine(self._database())
         prepared = engine.prepare(self.QUERY, algorithm="take2")
         physical = prepared.bind()
-        assert physical.compiled is not None
-        assert physical.tdp._compiled is physical.compiled
+        assert isinstance(physical.tdp, CompiledTDP)
+        with pytest.raises(ValueError, match="no object graph"):
+            make_enumerator(physical.tdp, "take2", flat=False)
         # Sibling algorithm shares the same physical plan and core.
         sibling = engine.prepare(self.QUERY, algorithm="recursive")
-        assert sibling.bind().compiled is physical.compiled
+        assert sibling.bind().tdp is physical.tdp
 
     def test_prefix_stream_uses_counting_variant(self):
         engine = Engine(self._database())
@@ -401,10 +402,10 @@ class TestDirectLoweringMatchesObjectLowering:
         assert direct.num_connectors == reference.num_connectors
         for name in ("val_base", "pi1", "child_uids", "conn_of"):
             assert getattr(direct, name) == getattr(reference, name), name
-        assert direct.tdp.tuples == tdp.tuples
-        assert direct.tdp.tuple_ids == tdp.tuple_ids
-        assert [list(v) for v in direct.tdp.values] == tdp.values
-        assert direct.tdp.best_weight == tdp.best_weight
+        assert direct.tuples == tdp.tuples
+        assert direct.tuple_ids == tdp.tuple_ids
+        assert [list(v) for v in direct.val_base] == tdp.values
+        assert direct.best[0] == tdp.best_weight
         for uid, stage in enumerate(reference.conn_stage):
             if stage >= 0:
                 assert direct.conn_stage[uid] == stage
@@ -450,3 +451,27 @@ class TestBatchOverThePool:
         reference = compile_tdp(build_tdp_for_query(db, query, dioid=dioid))
         assert answers(reference) == lowered
         assert len(lowered) > 1000
+
+
+@pytest.mark.parametrize("variant", ["take2", "lazy", "eager", "all"])
+def test_an_all_zero_max_plus_sibling_differs_from_the_object_path_in_sign_only(
+    variant,
+):
+    """Pinned, not fixed (ROADMAP item 6(d)).  The inverse kernels derive
+    a sibling's key as ``total − entry + succ`` in key space, where the
+    object path's ``divide`` works in value space: over an all-zero
+    max-plus 2-path every sibling weighs ``-0.0`` flat and ``0.0`` on the
+    object path.  Order, states and values agree; only the sign bit
+    differs.  A fix moves the golden digests, so it needs its own
+    recapture first."""
+    database = Database([
+        Relation("R1", 2, [(1, 1), (2, 1), (3, 1)], [0.0] * 3),
+        Relation("R2", 2, [(1, 5), (1, 6)], [0.0] * 2),
+    ])
+    tdp = build_tdp_for_query(database, path_query(2), dioid=MAX_PLUS)
+    objects = list(make_enumerator(tdp, variant, flat=False))
+    flat = list(make_enumerator(tdp, variant))
+    assert [r.states for r in flat] == [r.states for r in objects]
+    assert [r.weight for r in flat] == [r.weight for r in objects] == [0.0] * 6
+    assert [r.weight.hex() for r in objects] == ["0x0.0p+0"] * 6
+    assert [r.weight.hex() for r in flat] == ["0x0.0p+0"] + ["-0x0.0p+0"] * 5

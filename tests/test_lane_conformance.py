@@ -195,20 +195,18 @@ def test_lowered_columns_equal_the_object_builder(member, base_name, palette, mo
 
 def assert_same_columns(core, tdp) -> None:
     """Every column of a lowered member is the object T-DP's, in bits."""
-    assert isinstance(core, LaneCore) and core.tdp._compiled is core
-    shell = core.tdp
-    assert shell.num_stages == tdp.num_stages
-    assert shell.parent_stage == tdp.parent_stage
+    assert isinstance(core, LaneCore)
+    assert core.num_stages == tdp.num_stages
+    assert core.parent_stage == tdp.parent_stage
     assert core.num_connectors == tdp.num_connectors
     assert core.empty == tdp.is_empty() is False
-    assert canon(core.best) == canon(tdp.best_weight) == canon(shell.best_weight)
+    assert canon(core.best) == canon(tdp.best_weight)
     for stage in range(tdp.num_stages):
-        assert shell.tuples[stage] == tdp.tuples[stage]
-        assert shell.tuple_ids[stage] == tdp.tuple_ids[stage]
+        assert core.tuples[stage] == tdp.tuples[stage]
+        assert core.tuple_ids[stage] == tdp.tuple_ids[stage]
         assert canon(list(zip(core.val_base[stage], core.val_rank[stage]))) == canon(
             tdp.values[stage]
         )
-        assert canon(list(shell.values[stage])) == canon(tdp.values[stage])
         branches = len(tdp.children_stages[stage])
         child_uids = core.child_uids[stage]
         for state, conns in enumerate(tdp.child_conns[stage]):
@@ -295,7 +293,7 @@ def test_lane_kernels_rank_and_count_as_the_object_enumerators(
 ):
     core, tdp = member_pair(member, palette, base_name)
     lane_counter, object_counter = OpCounter(), OpCounter()
-    rows, counts = ranked(make_enumerator(core.tdp, variant, lane_counter), lane_counter)
+    rows, counts = ranked(make_enumerator(core, variant, lane_counter), lane_counter)
     expected_rows, expected_counts = ranked(
         make_enumerator(tdp, variant, object_counter), object_counter
     )
@@ -312,7 +310,7 @@ def test_a_run_that_is_dropped_is_freed_by_reference_counting():
 
     core, _tdp = member_pair("light_chain", "floats", "max_times")
     for variant in ALL_VARIANTS:
-        enumerator = make_enumerator(core.tdp, variant)
+        enumerator = make_enumerator(core, variant)
         next(iter(enumerator))
         gone = weakref.ref(enumerator)
         gc.disable()
@@ -323,11 +321,11 @@ def test_a_run_that_is_dropped_is_freed_by_reference_counting():
             gc.enable()
 
 
-def key_space_shell(shape: str):
-    """A directly lowered tropical 4-path or 4-star: a key-space core's shell."""
+def key_space_core(shape: str):
+    """A directly lowered tropical 4-path or 4-star: a key-space core."""
     database = uniform_database(4, 40, domain_size=8, seed=2520)
     query = path_query(4) if shape == "path" else star_query(4)
-    return lower_query(database, build_join_tree(query), TROPICAL).tdp
+    return lower_query(database, build_join_tree(query), TROPICAL)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -340,15 +338,15 @@ def test_every_kernel_frees_a_dropped_run_without_the_cycle_collector(core, vari
     import weakref
 
     if core.startswith("key"):
-        shell = key_space_shell(core[4:])
+        lowered = key_space_core(core[4:])
     else:
-        shell = member_pair(
+        lowered = member_pair(
             "light_chain" if core == "lane_chain" else "star", "floats", "max_times"
-        )[0].tdp
+        )[0]
     gc.collect()
     gc.disable()
     try:
-        enumerator = make_enumerator(shell, variant)
+        enumerator = make_enumerator(lowered, variant)
         results = iter(enumerator)
         next(results)
         gone = weakref.ref(enumerator)
@@ -370,17 +368,17 @@ def test_eager_over_a_wide_connector_sorts_every_entry_column(base_name):
     for uid in wide:
         assert canon(core.sorted_pairs(uid)) == canon(sorted(core.pairs(uid)))
     lane_counter, object_counter = OpCounter(), OpCounter()
-    assert ranked(make_enumerator(core.tdp, "eager", lane_counter), lane_counter) == ranked(
+    assert ranked(make_enumerator(core, "eager", lane_counter), lane_counter) == ranked(
         make_enumerator(tdp, "eager", object_counter), object_counter
     )
 
 
 def test_an_exhausted_generator_run_says_so_however_it_was_read():
     core, _tdp = member_pair("heavy_fan", "ints", "tropical")
-    enumerator = make_enumerator(core.tdp, "take2")
+    enumerator = make_enumerator(core, "take2")
     assert not enumerator.exhausted
     assert list(enumerator) and enumerator.exhausted
-    stepped = make_enumerator(core.tdp, "lazy")
+    stepped = make_enumerator(core, "lazy")
     while stepped.step(7):
         pass
     assert stepped.exhausted
@@ -425,7 +423,7 @@ def test_a_union_lowers_exactly_the_members_whose_base_keeps_a_lane(dioid, lower
             relation.weights = [(w,) for w in relation.weights]
     physical = Engine(database).prepare(cycle_query(4), dioid=dioid).bind()
     assert len(physical.tdps) > 1
-    assert all((core is not None) == lowered for core in physical.cores)
+    assert all(isinstance(tdp, LaneCore) == lowered for tdp in physical.tdps)
     for tdp in physical.tdps:
         # Either way a member enumerates to pair-valued results.
         first = next(iter(make_enumerator(tdp, "take2")))
@@ -444,7 +442,7 @@ def test_an_empty_member_lowers_to_an_empty_core():
     tie = TieBreakingDioid(MAX_TIMES, 4)
     rank_tie_domains(tie, [(database, tree, positions)])
     core = lower_member(database, tree, tie, positions, member_lane(tie)[0])
-    assert core.empty and core.tdp.is_empty()
-    assert core.tdp.best_weight is tie.zero
+    assert core.empty
+    assert core.best == (MAX_TIMES.zero, 0)
     for variant in ALL_VARIANTS:
-        assert list(make_enumerator(core.tdp, variant)) == []
+        assert list(make_enumerator(core, variant)) == []

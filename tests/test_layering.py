@@ -131,3 +131,66 @@ def test_serve_has_no_function_local_repro_imports():
                 if any(m == "repro" or m.startswith("repro.") for m in modules):
                     violations.append(f"serve/{name}:{node.lineno}")
     assert not violations, violations
+
+
+
+def _modules():
+    """``(dotted name, imported modules)`` of every module in ``src/repro``."""
+    for directory, _dirs, files in os.walk(SRC_ROOT):
+        relative = os.path.relpath(directory, SRC_ROOT)
+        package = "repro"
+        if relative != ".":
+            package += "." + relative.replace(os.sep, ".")
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                module = package if name == "__init__.py" else f"{package}.{name[:-3]}"
+                yield module, {found for _, found in _imported_modules(path, package)}
+
+
+def test_the_engine_and_the_shards_hold_cores_not_object_graphs():
+    """A bound plan holds compiled cores; where it holds an object graph
+    (a no-lane site) it gets one from the builder, never names the class."""
+    violations = [
+        module
+        for module, imported in _modules()
+        if module.startswith(("repro.engine", "repro.parallel"))
+        and {"repro.dp.graph.TDP", "repro.dp.TDP"} & imported
+    ]
+    assert not violations, violations
+
+
+#: Where the object path is still imported: ROADMAP item 2's no-lane
+#: sites, ``make_enumerator`` (which lowers an object graph it is handed)
+#: and the packages re-exporting the public API.  Item 2(c) lowers the
+#: sites and shrinks this list.
+OBJECT_PATH_IMPORTERS = {
+    "repro",  # public ``build_tdp``
+    "repro.dp",  # package re-exports
+    "repro.anyk.base",  # ``make_enumerator`` over an object graph
+    "repro.engine.plan",  # no-lane acyclic plans, object members, min-weight
+    "repro.enumeration.api",  # UCQ members
+    "repro.enumeration.explain",
+    "repro.enumeration.projections",
+    "repro.parallel.build",  # canonical and no-lane shards
+}
+
+
+def test_only_the_no_lane_sites_import_the_object_builder():
+    importers = {
+        module
+        for module, imported in _modules()
+        if any(name.endswith((".build_tdp", ".compile_tdp")) for name in imported)
+    }
+    assert importers == OBJECT_PATH_IMPORTERS
+
+
+def test_no_core_shell_is_left_in_src():
+    found = []
+    for directory, _dirs, files in os.walk(SRC_ROOT):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as fd:
+                    if "CoreShell" in fd.read():
+                        found.append(name)
+    assert not found, found

@@ -188,8 +188,8 @@ def core_columns(core, conn_min, uids=None) -> dict:
         "val_base": [[bits(v) for v in stage] for stage in core.val_base],
         "pi1": [[bits(v) for v in stage] for stage in core.pi1],
         "child_uids": [list(stage) for stage in core.child_uids],
-        "tuples": [list(stage) for stage in core.tdp.tuples],
-        "tuple_ids": [list(stage) for stage in core.tdp.tuple_ids],
+        "tuples": [list(stage) for stage in core.tuples],
+        "tuple_ids": [list(stage) for stage in core.tuple_ids],
         "conn_min": {
             uid: None if conn_min[uid] is None else bits(conn_min[uid])
             for uid in uids
@@ -483,8 +483,8 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
                 assert [bits(v) for v in getattr(core, name)[0]] == [
                     bits(v) for v in getattr(reference, name)[0]
                 ]
-            assert core.tdp.tuples[0] == tdp.tuples[0]
-            assert core.tdp.tuple_ids[0] == [
+            assert core.tuples[0] == tdp.tuples[0]
+            assert core.tuple_ids[0] == [
                 (base + i) if gids is None else gids[i] for i in tdp.tuple_ids[0]
             ]
             if not reference.empty:
@@ -788,7 +788,7 @@ def test_fragment_roots_are_sized_beside_the_pool(mode):
     physical = Engine(database).prepare(
         query, shards=4, shard_parallel=mode, shard_workers=2
     ).bind()
-    cores = [fragment.compiled for fragment in physical.fragments]
+    cores = [fragment.tdp for fragment in physical.fragments]
     assert len(cores) == 4 and physical.mode == mode
     pooled = len(cores[0].conn_offsets) - 1
     for index, core in enumerate(cores):

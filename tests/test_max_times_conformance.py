@@ -33,6 +33,7 @@ from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.builder import build_tdp
+from repro.dp.flat import CompiledTDP
 from repro.engine import Engine
 from repro.query.builders import path_query, star_query
 from repro.query.jointree import build_join_tree
@@ -122,15 +123,15 @@ def test_lowered_max_times_is_the_object_path(tmp_path, shape, backend, layout):
             physical = prepared.bind()
             explain = prepared.explain()
             if LAYOUTS[layout] is None:
-                assert physical.compiled is not None
-                assert not physical.compiled.inverse
+                assert isinstance(physical.tdp, CompiledTDP)
+                assert not physical.tdp.inverse
                 assert "compiled core:" in explain
                 assert "lane (a * b, key -a)" in explain
                 assert rows == expected_rows, variant
                 assert counter.as_dict() == expected_counts, variant
             else:
                 assert physical.mode == LAYOUTS[layout][1], physical.notes
-                assert all(f.compiled is not None for f in physical.fragments)
+                assert all(isinstance(f.tdp, CompiledTDP) for f in physical.fragments)
                 assert "compiled cores:" in explain
                 if variant == "batch_nosort":
                     assert sorted(rows) == sorted(expected_rows)

@@ -36,7 +36,7 @@ def result(key, payload=None):
     r.weight = key
     r.key = key
     r.states = (payload,)
-    r.tdp = None
+    r.decoder = None
     return r
 
 

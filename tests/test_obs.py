@@ -300,7 +300,7 @@ class TestEngineSpans:
             )
             assert build.attrs["members"] == members
             assert build.attrs["states"] == sum(
-                tdp.num_states() for tdp in physical.tdps
+                core.stats()["states"] for core in physical.tdps
             )
             assert 0 < build.attrs["states"] <= decompose.attrs["bag_tuples"]
             # Bag tuples read -> alive states, per trace: every bag is a

@@ -317,19 +317,19 @@ class TestPicklability:
     def test_shard_compiled_round_trips(self, engine):
         physical = engine.prepare(QUERY, shards=2).bind()
         fragment = physical.fragments[0]
-        clone = pickle.loads(pickle.dumps(fragment.compiled))
+        clone = pickle.loads(pickle.dumps(fragment.tdp))
         from repro.anyk.flat import make_flat_enumerator
 
         original = [
             (r.weight, r.states)
-            for r in make_flat_enumerator(fragment.compiled, "recursive")
+            for r in make_flat_enumerator(fragment.tdp, "recursive")
         ]
         copied = [
             (r.weight, r.states)
             for r in make_flat_enumerator(clone, "recursive")
         ]
         assert original == copied
-        assert clone.tdp.dioid is fragment.compiled.tdp.dioid  # singleton
+        assert clone.dioid is fragment.tdp.dioid  # singleton
 
     def test_named_dioids_pickle_to_singletons(self):
         from repro.ranking.dioid import BOOLEAN, MAX_PLUS, MAX_TIMES, TROPICAL

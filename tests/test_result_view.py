@@ -183,7 +183,7 @@ def test_make_enumerator_keeps_ranked_results():
         ranked = make_enumerator(tdp, "take2").top(50)
         views = prepared.top(50)
     for r, view in zip(ranked, views):
-        assert type(r) is RankedResult and r.tdp is tdp and r.decoder is tdp
+        assert type(r) is RankedResult and r.decoder is tdp.assembler()
         assert (r.weight, r.key, r.states) == (view.weight, view.key, view.states)
         assert r.output_tuple() == view.output_tuple
         assert r.assignment == view.assignment

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.dp.flat import CompiledTDP
 from repro.engine import Engine
 from repro.query.builders import path_query, star_query
 from repro.query.parser import parse_query
@@ -145,7 +146,7 @@ class TestExactConformanceSweep:
         assert reference
         sharded = run(engine, query, "take2", dioid=dioid, shards=shards)
         prepared = engine.prepare(query, dioid=dioid, shards=shards)
-        assert prepared.bind().fragments[0].compiled is None
+        assert not isinstance(prepared.bind().fragments[0].tdp, CompiledTDP)
         assert sharded == reference
 
     @pytest.mark.parametrize("shards", [2, 4])

@@ -216,7 +216,7 @@ def test_the_oracle_is_the_vector_representation():
     database = tie_database(["R1", "R2", "R3", "R4"], 26, 5, "tropical", "equal", 1)
     plain = Engine(database).prepare(cycle_query(4)).bind()
     assert len(plain.tdps) > 1, "heavy and light members: the merge is exercised"
-    assert type(plain.tdps[0].values[0][0][1]) is int
+    assert type(plain.tdps[0].val_rank[0][0]) is int
     with vector_oracle():
         physical = Engine(database).prepare(cycle_query(4)).bind()
         assert type(physical.tie) is vector_tie.TieBreakingDioid
