@@ -13,6 +13,12 @@ which case the relation is a *lazy view*: ``rows()`` streams from the
 backend without materialising, while ``tuples``/``weights`` materialise
 on first access and transparently refresh when the backend-side version
 counter shows the table changed underneath them.
+
+A relation may also be *column-backed* (:meth:`Relation.from_columns`):
+one int64 array per attribute and a float64 weight array, as the cycle
+decomposition builds its bags.  Consumers that understand the arrays
+read :attr:`Relation.arrays`; ``tuples`` / ``weights`` are made from
+them, as native Python values, only when something reads them.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class Relation:
 
     __slots__ = (
         "name", "arity", "backend", "_table", "_tuples", "_weights",
-        "_version", "_cardinality",
+        "_version", "_cardinality", "_arrays",
     )
 
     def __init__(
@@ -53,6 +59,8 @@ class Relation:
         #: :meth:`rename`, which aliases the same stored table).
         self._table = name
         self._cardinality: tuple[int, int] | None = None
+        #: ``(value_columns, weight_column)`` of a column-backed relation.
+        self._arrays: tuple | None = None
         self._tuples: list[tuple] | None = [tuple(t) for t in (tuples or [])]
         for t in self._tuples:
             if len(t) != arity:
@@ -91,6 +99,29 @@ class Relation:
         relation._version = backend.version(table)
         return relation
 
+    @classmethod
+    def from_columns(cls, name: str, columns: Sequence, weights) -> "Relation":
+        """A relation over one int64 array per attribute and a float64
+        weight array, all of one length; ``tuples`` / ``weights`` are
+        materialised from them on first read (see :attr:`arrays`)."""
+        relation = cls(name, len(columns))
+        relation._tuples = relation._weights = None
+        relation._arrays = (tuple(columns), weights)
+        return relation
+
+    @property
+    def arrays(self) -> tuple | None:
+        """``(value_columns, weight_column)`` of a column-backed relation
+        (:meth:`from_columns`), else ``None``.  Read-only: a mutation
+        (:meth:`add`, assigning ``tuples``) drops them."""
+        return self._arrays
+
+    def _from_arrays(self) -> None:
+        """Materialise ``tuples`` / ``weights`` from the arrays."""
+        columns, weights = self._arrays
+        self._tuples = list(zip(*[column.tolist() for column in columns]))
+        self._weights = weights.tolist()
+
     @property
     def table(self) -> str:
         """The backend-side table this relation reads (== name unless aliased)."""
@@ -121,10 +152,13 @@ class Relation:
     def tuples(self) -> list[tuple]:
         if self.backend is not None:
             self._refresh()
+        elif self._tuples is None:
+            self._from_arrays()
         return self._tuples
 
     @tuples.setter
     def tuples(self, value: list[tuple]) -> None:
+        self._drop_arrays()
         self._tuples = value
         self._cardinality = None
 
@@ -132,11 +166,21 @@ class Relation:
     def weights(self) -> list[Any]:
         if self.backend is not None:
             self._refresh()
+        elif self._weights is None:
+            self._from_arrays()
         return self._weights
 
     @weights.setter
     def weights(self, value: list[Any]) -> None:
+        self._drop_arrays()
         self._weights = value
+
+    def _drop_arrays(self) -> None:
+        """Before a mutation: the lists become the only storage."""
+        if self._arrays is not None:
+            if self._tuples is None:
+                self._from_arrays()
+            self._arrays = None
 
     @property
     def version(self) -> int:
@@ -190,6 +234,7 @@ class Relation:
                     self._weights = None
             self._cardinality = None
             return
+        self._drop_arrays()
         self._tuples.append(values)
         self._weights.append(weight)
         self._version += 1
@@ -198,6 +243,8 @@ class Relation:
 
     def __len__(self) -> int:
         if self.backend is None:
+            if self._tuples is None:
+                return len(self._arrays[1])
             return len(self._tuples)
         if self._tuples is not None:
             # Materialised view: refresh if another view of the same
@@ -213,7 +260,7 @@ class Relation:
         return self._cardinality[1]
 
     def __iter__(self) -> Iterator[tuple]:
-        if self._tuples is None:
+        if self._tuples is None and self.backend is not None:
             return (values for values, _weight in self.rows())
         return iter(self.tuples)
 
@@ -224,10 +271,11 @@ class Relation:
         from storage — the single pass the T-DP bottom-up build needs —
         without pulling the relation into memory.
         """
+        if self.backend is None:
+            return zip(self.tuples, self._weights)
         if self._tuples is None:
             return self.backend.iter_rows(self._table)
-        if self.backend is not None:
-            self._refresh()
+        self._refresh()
         return zip(self._tuples, self._weights)
 
     def tuple_at(self, position: int) -> tuple:
@@ -236,7 +284,7 @@ class Relation:
             if self._tuples is None:
                 return self.backend.fetch_tuple(self._table, position)[0]
             self._refresh()
-        return self._tuples[position]
+        return self.tuples[position]
 
     def __repr__(self) -> str:
         where = "" if self.backend is None else f", backend={self.backend!r}"
@@ -260,6 +308,7 @@ class Relation:
         copy._table = self._table
         copy._tuples = self._tuples
         copy._weights = self._weights
+        copy._arrays = self._arrays
         copy._version = self._version
         return copy
 

@@ -19,8 +19,9 @@ class BagLineage(Sequence):
     Every tuple of a bag pins the same original atoms, so the atom
     indices are stored once and bag tuple ``i`` costs one int per
     pinned atom — ``columns[j][i]`` is the id of its ``atoms[j]`` tuple
-    — instead of a tuple of pairs.  Indexing builds the public
-    :data:`Lineage` value on demand.
+    — instead of a tuple of pairs.  A column is a list of ``int``, or an
+    int64 array (bags built as columns); either way, indexing builds the
+    public :data:`Lineage` value, of native ``int`` ids, on demand.
     """
 
     __slots__ = ("atoms", "columns", "_length")
@@ -65,7 +66,7 @@ class BagLineage(Sequence):
         if not -self._length <= position < self._length:
             raise IndexError("bag tuple position out of range")
         return tuple(
-            zip(self.atoms, [column[position] for column in self.columns])
+            zip(self.atoms, [int(column[position]) for column in self.columns])
         )
 
 
@@ -81,13 +82,16 @@ class TreeTask:
     the built-in decompositions, any list of :data:`Lineage` values from
     hand-made tasks), which lets the enumeration API reconstruct
     original witnesses, and ``label`` identifies the member (e.g.
-    ``"heavy@x3"``).
+    ``"heavy@x3"``).  ``bag_layout`` says how the bags are stored:
+    ``"bag columns"`` (column-backed relations, lowered by the column
+    stage scan) or ``"bag rows (<why not columns>)"``.
     """
 
     database: Database
     query: ConjunctiveQuery
     lineage: dict[str, Sequence[Lineage]] = field(default_factory=dict)
     label: str = ""
+    bag_layout: str = "bag rows"
 
     def witness_ids_of(self, bag_choices: dict[str, int]) -> Lineage:
         """Merge bag-tuple lineages into an original witness id vector.

@@ -24,7 +24,7 @@ from repro.decomposition.base import TreeTask
 from repro.joins.generic_join import generic_join
 from repro.query.atom import Atom
 from repro.query.cq import ConjunctiveQuery
-from repro.ranking.dioid import TROPICAL, SelectiveDioid
+from repro.ranking.dioid import TROPICAL, SelectiveDioid, ranking_order
 
 
 def _tree_decomposition(query: ConjunctiveQuery) -> list[frozenset]:
@@ -142,6 +142,7 @@ def decompose_generic(
         query=bag_query,
         lineage=lineage,
         label="ghd",
+        bag_layout="bag rows (generic decomposition)",
     )
 
 
@@ -153,4 +154,4 @@ def _active_domain(database: Database, query: ConjunctiveQuery, var: str) -> lis
             continue
         position = atom.variables.index(var)
         values.update(database[atom.relation_name].column_values(position))
-    return sorted(values)
+    return ranking_order(values)

@@ -62,6 +62,7 @@ from repro.dp.lower import (
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
+from repro.util import vec
 
 #: Lift signature: (atom, tuple_values, raw_weight) -> dioid value.  A
 #: lift may carry its column form as a ``column`` attribute —
@@ -86,16 +87,24 @@ def rank_tie_domains(
     UCQ members, or the one tree all fragments of a sharded plan share):
     a slot's domain is what the columns owning it hold, over all of
     them, so any two members rank one value alike.  One C pass per
-    owning column over rows the bind reads anyway, one sort per slot.
+    owning column over rows the bind reads anyway — one ``unique`` per
+    owning column of a column-backed bag — and one sort per slot.
     """
     domains: list[set] = [set() for _ in range(tie.num_variables)]
     for database, join_tree, var_position in members:
         atoms = join_tree.query.atoms
         for atom_idx, template in owned_columns(join_tree, var_position).items():
-            if template:
-                rows, _weights = stage_columns(database[atoms[atom_idx].relation_name])
+            if not template:
+                continue
+            relation = database[atoms[atom_idx].relation_name]
+            if relation.arrays is not None and vec.np is not None:
+                columns = relation.arrays[0]
                 for column, slot in template:
-                    domains[slot].update(map(itemgetter(column), rows))
+                    domains[slot].update(vec.np.unique(columns[column]).tolist())
+                continue
+            rows, _weights = stage_columns(relation)
+            for column, slot in template:
+                domains[slot].update(map(itemgetter(column), rows))
     tie.rank_domains(domains)
 
 

@@ -32,17 +32,30 @@ when enumeration first touches it.  Measured: a fragment's root is a
 list at bind (zipping it in the first fetch was slower), and the tuples
 are made at bind (made on touch, they moved collections into pages).
 
-**Two implementations, one behaviour.**  With numpy, a stage of at
-least ``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels:
+**Three scans, one behaviour.**  With numpy, a stage of at least
+``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels:
 :func:`_scan_stage_vec`, then :func:`_place_by_connector` — for a core
 with an inverse, and for one without (tie-broken union members, acyclic
 max-times) with its rank column converted to int64 once
 (:func:`_kernel_columns`); the fragment root's least entry comes from
-the same arrays.  Everything else — no numpy (``REPRO_NO_NUMPY``),
-small stages, repeated variables, NaN entry values, a rank column past
-int64 (the tie-breaker numbers more than 2**63 assignments) — runs the
-scalar loops over the same sequences, with the same IEEE operations in
-the same order.
+the same arrays.  A union member whose bags are columns (a cycle
+decomposition's, :meth:`~repro.data.relation.Relation.from_columns`)
+takes the **column stage scan** on every stage, whatever its size
+(:func:`member_columns`): join keys become int64 codes, connectors
+numbered first-seen as ``dict.fromkeys`` numbers them (:func:`_place_columns`),
+a parent probes the child's codes (:class:`_KeyTable`), packed ranks
+come from the slot ordinals by ``searchsorted``
+(:func:`_rank_columns_of`), placement is :func:`_place_by_connector`'s
+(:func:`_place_local`), and the core's rows for the stage are a
+:class:`ColumnRows` view that result assembly indexes only for answers
+someone reads — no row tuple, no join-key tuple, no ``times`` per bag
+row.  Everything else — no numpy (``REPRO_NO_NUMPY``), small stages,
+repeated variables, NaN entry values, a rank column past int64 (the
+tie-breaker numbers more than 2**63 assignments) — runs the scalar
+loops over the same sequences, with the same IEEE operations in the
+same order (a column member with ranks past int64 lowers from its rows;
+a column stage with a NaN entry value takes the scalar placement over
+its key codes).
 
 The sweep is split at one **anchor** stage, a root of its join-tree
 component; no non-anchor stage depends on which anchor rows are present:
@@ -213,12 +226,13 @@ class SharedLower:
         "ent_rank", "entries", "conn_offsets", "conn_stage", "conn_min",
         "conn_rank", "conn_maps", "root_uid", "num_conns", "complete",
         "own_key_positions", "parent_key_positions", "seconds", "rows",
-        "vectorized_stages",
+        "vectorized_stages", "rank_tables",
     )
 
     def __init__(
         self, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int,
         lane: FloatLane | None = None, templates: dict | None = None,
+        rank_tables: list | None = None,
     ):
         self.query = query
         self.tree = tree
@@ -232,6 +246,9 @@ class SharedLower:
         #: of a tie-broken member, whose values are ``(base, rank)``; else
         #: ``None``.
         self.templates = templates
+        #: A tie-broken member's packed ranks as arrays (:func:`rank_tables`)
+        #: when its stages take the column stage scan, else ``None``.
+        self.rank_tables = rank_tables
         base = dioid if templates is None else dioid.base
         self.one = base.one
         self.zero = base.zero
@@ -299,6 +316,7 @@ class SharedLower:
 def build_shared_lower(
     database: Database, query, tree: JoinTree, dioid: SelectiveDioid,
     anchor_stage: int, lane: FloatLane | None = None, templates: dict | None = None,
+    rank_tables: list | None = None,
 ) -> SharedLower:
     """Phase A: lower every non-anchor stage to flat columns.
 
@@ -310,20 +328,19 @@ def build_shared_lower(
     by their join key with the parent (first-seen order, like the
     object builder's).  ``lane`` defaults to ``lane_of(dioid)``;
     ``templates`` (:func:`owned_columns`) asks for the packed-rank
-    column of a tie-broken ``dioid``.
+    column of a tie-broken ``dioid``, and ``rank_tables`` the column
+    stage scan (:func:`lower_member`).
     """
     start = time.perf_counter()
-    shared = SharedLower(query, tree, dioid, anchor_stage, lane, templates)
+    shared = SharedLower(query, tree, dioid, anchor_stage, lane, templates, rank_tables)
 
     for stage in reversed(range(shared.num_stages)):
         if stage == anchor_stage:
             continue
         relation = database[query.atoms[shared.order[stage]].relation_name]
-        rows, weights = stage_columns(relation)
-        entry_values, kept, ids_out, vk_out, pk_out, cu_out = scan_stage(
-            stage_scan_of(shared, stage), rows, weights, 0, None
+        entry_values, kept, ids_out, vk_out, pk_out, cu_out = _scan_relation(
+            shared, stage, relation
         )
-        shared.rows += len(rows)
         shared.vectorized_stages += _from_kernel(entry_values)
         shared.tuples[stage] = kept
         shared.tuple_ids[stage] = ids_out
@@ -332,14 +349,17 @@ def build_shared_lower(
         shared.child_uids[stage] = cu_out
         entry_ranks = None
         if not shared.inverse:
-            shared.val_rank[stage], entry_ranks = _rank_columns(
-                shared, stage, kept, cu_out
+            val_rank, entry_ranks = _rank_columns(shared, stage, kept, cu_out)
+            shared.val_rank[stage], shared.ent_rank[stage] = _rank_lists(
+                val_rank, entry_ranks
             )
             shared.ent_base[stage] = _as_list(entry_values)
-            shared.ent_rank[stage] = entry_ranks
 
-        join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
-        _place_entries(shared, stage, join_keys, entry_values, entry_ranks)
+        if isinstance(kept, ColumnRows):
+            _place_columns(shared, stage, kept, entry_values, entry_ranks)
+        else:
+            join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
+            _place_entries(shared, stage, join_keys, entry_values, entry_ranks)
         shared.num_conns = len(shared.conn_stage)
 
         if shared.parent_stage[stage] == -1:
@@ -359,10 +379,13 @@ def _rank_columns(
     """``(val_rank, ent_rank)`` of one stage of a core without an inverse:
     zeros without a tie-breaker, else the packed ranks of the variables
     the stage owns plus, for the entry, the child connectors' least ranks.
+    Lists, or int64 arrays from a column stage (:func:`_rank_columns_of`).
     """
     if shared.templates is None:
         zeros = [0] * len(rows)
         return zeros, zeros
+    if isinstance(rows, ColumnRows):
+        return _rank_columns_of(shared, stage, rows, child_uids)
     packed = packed_ranks(
         shared.dioid.ranks, shared.templates[shared.order[stage]], rows
     )
@@ -382,6 +405,13 @@ def _rank_columns(
 def _as_list(column):
     """A kernel's numpy column as a list of native scalars; a list as it is."""
     return column.tolist() if _from_kernel(column) else column
+
+
+def _rank_lists(val_rank, ent_rank) -> tuple[list, list]:
+    """:func:`_rank_columns`' two columns as lists, one list where a leaf's
+    two are one."""
+    val_list = _as_list(val_rank)
+    return val_list, val_list if ent_rank is val_rank else _as_list(ent_rank)
 
 
 # -- one stage's connectors ----------------------------------------------------
@@ -476,20 +506,30 @@ def _place_by_connector(
     """:func:`_place_entries` as one bucket placement by connector id.
 
     Nothing is ordered by weight: first-seen uids come from
-    ``dict.fromkeys``, one stable integer argsort (a counting sort up to
-    2**16 connectors) moves every state into its connector's range,
-    :func:`_least_entries` picks each range's least entry, and the pool
-    grows by one C-level ``zip`` of the key, (int64) rank and state
-    columns.
+    ``dict.fromkeys``, then :func:`_place_local` moves every state into
+    its connector's range.
     """
-    np = vec.np
-    states = len(entry_values)
     first_uid = len(shared.conn_stage)
     cmap_out = shared.conn_maps[stage]
     cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
-    conns = len(cmap_out)
-    local = np.fromiter(map(cmap_out.__getitem__, join_keys), np.int64, states)
+    local = vec.np.fromiter(
+        map(cmap_out.__getitem__, join_keys), vec.np.int64, len(entry_values)
+    )
     local -= first_uid
+    _place_local(shared, stage, local, len(cmap_out), entry_values, entry_ranks)
+
+
+def _place_local(
+    shared: SharedLower, stage: int, local, conns: int, entry_values, entry_ranks
+) -> None:
+    """Place a stage's states by ``local``, each state's connector as
+    numbered ``0 .. conns-1`` in first-seen order: one stable integer
+    argsort (a counting sort up to 2**16 connectors) moves every state
+    into its connector's range, :func:`_least_entries` picks each range's
+    least entry, and the pool grows by one C-level ``zip`` of the key,
+    (int64) rank and state columns.
+    """
+    np = vec.np
     if conns <= 1 << 16:
         local = local.astype(np.uint16)
     order = local.argsort(kind="stable")
@@ -557,11 +597,10 @@ def _scan_stage_vec(
     The join-key dict probes stay hash probes (hash tables do not
     vectorize) but run as one C-level ``map`` per child branch; the
     alive mask, the ``pi`` fold and the ``v ⊗ pi`` entry values run as
-    numpy float64 kernels — the same IEEE operations in the same order
-    as the scalar loop, so the produced arrays are bit-identical.  Every
-    column is a list of native Python scalars (``.tolist()``, or the
-    stored weight objects themselves); only the entry values stay an
-    array, for :func:`_place_by_connector`.
+    numpy float64 kernels (:func:`_fold_branches`).  Every column is a
+    list of native Python scalars (``.tolist()``, or the stored weight
+    objects themselves); only the entry values stay an array, for
+    :func:`_place_by_connector`.
     """
     np = vec.np
     n = len(rows)
@@ -571,7 +610,41 @@ def _scan_stage_vec(
         )
         for _single, positions, cmap in scan.lookups
     ]
-    w = np.array(weights, np.float64)
+    alive, probes, _w, pi, entry_values = _fold_branches(
+        scan, probes, np.array(weights, np.float64)
+    )
+    if alive is None:
+        tuples_out = list(rows)
+        ids_out = (
+            list(range(base, base + n)) if base is not None else list(global_ids)
+        )
+    else:
+        alive_list = alive.tolist()
+        tuples_out = [rows[i] for i in alive_list]
+        weights = [weights[i] for i in alive_list]
+        if base is not None:
+            ids_out = (alive + base).tolist()
+        else:
+            ids_out = [global_ids[i] for i in alive_list]
+    # Like the scalar loop, hand back objects that already exist rather
+    # than a second float per state: state values are the stored
+    # weights (an ``int`` weight stays one).
+    cu_out, pk_out = _branch_columns(scan, probes, pi, len(tuples_out))
+    return entry_values, tuples_out, ids_out, list(weights), pk_out, cu_out
+
+
+def _fold_branches(scan: StageScan, probes: list, w):
+    """The kernels' shared middle: ``(alive, probes, w, pi, entry_values)``.
+
+    ``probes`` hold each child branch's connector uid per row (``-1``:
+    no partner), ``w`` the float64 weights.  Rows without a partner in
+    some branch are dropped (``alive`` their positions, ``None`` when
+    every row lives), then ``pi`` folds the connector minima from
+    ``one`` and ``entry_values`` is ``w ⊗ pi`` — the same IEEE
+    operations in the same order as the scalar loop, so the arrays are
+    bit-identical to its values.
+    """
+    np = vec.np
     alive = None
     if probes:
         mask = np.minimum.reduce(probes) >= 0
@@ -591,34 +664,23 @@ def _scan_stage_vec(
         for probe in probes:
             pi = pi * conn_min[probe] if multiply else pi + conn_min[probe]
         entry_values = w * pi if multiply else w + pi
-    # Branch-major per state, like the scalar loop's ``extend``.
-    cu_out = np.stack(probes, axis=1).ravel().tolist() if probes else []
-    if alive is None:
-        tuples_out = list(rows)
-        ids_out = (
-            list(range(base, base + n)) if base is not None else list(global_ids)
-        )
-    else:
-        alive_list = alive.tolist()
-        tuples_out = [rows[i] for i in alive_list]
-        weights = [weights[i] for i in alive_list]
-        if base is not None:
-            ids_out = (alive + base).tolist()
-        else:
-            ids_out = [global_ids[i] for i in alive_list]
-    # Like the scalar loop, hand back objects that already exist rather
-    # than a second float per state: state values are the stored
-    # weights (an ``int`` weight stays one), a leaf's pi1 column is one
-    # shared ``one``, a single branch's is its connector minima
-    # themselves (the same bits, see above).
-    vk_out = list(weights)
+    return alive, probes, w, pi, entry_values
+
+
+def _branch_columns(scan: StageScan, probes: list, pi, states: int):
+    """``(cu_out, pk_out)`` of a kernel scan: the child connector uids
+    branch-major per state, like the scalar loop's ``extend``, and the
+    ``pi1`` column — a leaf's one shared ``one``, a single branch's its
+    connector minima themselves (the same bits, see
+    :func:`_fold_branches`), else the fold."""
+    cu_out = vec.np.stack(probes, axis=1).ravel().tolist() if probes else []
     if not probes:
-        pk_out = [scan.one] * len(vk_out)
+        pk_out = [scan.one] * states
     elif len(probes) == 1:
         pk_out = list(map(scan.conn_min.__getitem__, cu_out))
     else:
         pk_out = pi.tolist()
-    return entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out
+    return cu_out, pk_out
 
 
 def scan_stage(
@@ -709,6 +771,166 @@ def scan_stage(
     return entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out
 
 
+# -- the column stage scan ------------------------------------------------------
+
+
+class ColumnRows:
+    """A column stage's alive rows, as a view over its bag's columns.
+
+    What the core holds for that stage's rows (``tuples``): ``ids`` are
+    the alive rows' positions in the bag, ``alive`` the same as an array
+    (``None``: every row).  A row is made — a tuple of native ``int`` —
+    only when it is read, so result assembly pays for the answers
+    someone reads and the bind for none.
+    """
+
+    __slots__ = ("arrays", "ids", "alive")
+
+    def __init__(self, arrays: Sequence, ids: list[int], alive):
+        self.arrays = arrays
+        self.ids = ids
+        self.alive = alive
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, state: int) -> tuple:
+        position = self.ids[state]
+        return tuple([column.item(position) for column in self.arrays])
+
+    def column(self, position: int):
+        """Attribute ``position`` of the alive rows, as an int64 array."""
+        values = self.arrays[position]
+        return values if self.alive is None else values[self.alive]
+
+
+class _KeyTable:
+    """A column stage's connectors by join key: the distinct keys as
+    columns, in uid (first-seen) order from ``first_uid`` on — the
+    column form of a row stage's join-key dict."""
+
+    __slots__ = ("columns", "first_uid")
+
+    def __init__(self, columns: list, first_uid: int):
+        self.columns = columns
+        self.first_uid = first_uid
+
+    def probe(self, key_columns: list):
+        """Per row of ``key_columns`` its connector's uid, ``-1`` for none."""
+        np = vec.np
+        if not len(self.columns[0]):
+            return np.full(len(key_columns[0]), -1, np.int64)
+        if len(self.columns) == 1:
+            keys, probes = self.columns[0], key_columns[0]
+        else:
+            keys, probes = vec.key_codes(*zip(self.columns, key_columns))
+        order = keys.argsort()
+        ordered = keys[order]
+        at = ordered.searchsorted(probes)
+        at[at == len(ordered)] = 0
+        return np.where(ordered[at] == probes, order[at] + self.first_uid, -1)
+
+
+def _scan_relation(shared: SharedLower, stage: int, relation: Relation):
+    """One stage's :func:`scan_stage` output over ``relation``: the column
+    stage scan where the member takes it, else the rows
+    (:func:`stage_columns`) through :func:`scan_stage`."""
+    if shared.rank_tables is not None:
+        shared.rows += len(relation)
+        return _scan_column_stage(shared, stage, relation.arrays)
+    rows, weights = stage_columns(relation)
+    shared.rows += len(rows)
+    return scan_stage(stage_scan_of(shared, stage), rows, weights, 0, None)
+
+
+def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
+    """:func:`scan_stage` over a column-backed relation's ``arrays``.
+
+    Each child branch is probed with the parent's key columns against
+    the child's :class:`_KeyTable`; the fold is :func:`_fold_branches`.
+    The rows come back as a :class:`ColumnRows` view, the state values
+    as the weight column's native floats.
+    """
+    columns, weights = arrays
+    scan = stage_scan_of(shared, stage)
+    probes = [
+        cmap.probe([columns[p] for p in positions])
+        for _single, positions, cmap in scan.lookups
+    ]
+    alive, probes, w, pi, entry_values = _fold_branches(scan, probes, weights)
+    ids_out = list(range(len(weights))) if alive is None else alive.tolist()
+    rows = ColumnRows(columns, ids_out, alive)
+    cu_out, pk_out = _branch_columns(scan, probes, pi, len(ids_out))
+    return entry_values, rows, ids_out, w.tolist(), pk_out, cu_out
+
+
+def _place_columns(
+    shared: SharedLower, stage: int, rows: ColumnRows, entry_values, entry_ranks
+) -> None:
+    """:func:`_place_entries` for a column stage: its join keys as int64
+    codes, numbered in first-seen order as ``dict.fromkeys`` numbers
+    them, kept as the stage's :class:`_KeyTable`.  A NaN entry value
+    takes the scalar placement, grouping by those numbers."""
+    positions = shared.own_key_positions[stage]
+    if not positions:  # a root: one connector
+        join_keys = list(join_key_column(rows, positions))
+        _place_entries(shared, stage, join_keys, entry_values, _as_list(entry_ranks))
+        return
+    np = vec.np
+    keys = [rows.column(p) for p in positions]
+    codes = keys[0] if len(keys) == 1 else vec.key_codes(*[(k, k[:0]) for k in keys])[0]
+    _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    seen = first.argsort()
+    number = np.empty(len(first), np.int64)
+    number[seen] = np.arange(len(first))
+    local = number[inverse.reshape(-1)]
+    table = _KeyTable([key[first[seen]] for key in keys], len(shared.conn_stage))
+    columns = _kernel_columns(entry_values, entry_ranks)
+    if columns is None:
+        _place_entries(shared, stage, local.tolist(), entry_values, _as_list(entry_ranks))
+    else:
+        _place_local(shared, stage, local, len(first), *columns)
+    shared.conn_maps[stage] = table
+
+
+def _rank_columns_of(
+    shared: SharedLower, stage: int, rows: ColumnRows, child_uids: list[int]
+) -> tuple:
+    """:func:`_rank_columns` of a column stage, as int64 arrays: each
+    owned column's packed ranks gathered from
+    :attr:`SharedLower.rank_tables` by ``searchsorted``, whose lists
+    (``tolist``) equal :func:`packed_ranks`' in value and type."""
+    np = vec.np
+    val_rank = np.zeros(len(rows), np.int64)
+    for column, slot in shared.templates[shared.order[stage]]:
+        domain, packed = shared.rank_tables[slot]
+        val_rank += packed[domain.searchsorted(rows.column(column))]
+    branches = len(shared.children_stages[stage])
+    if not branches:  # a leaf
+        return val_rank, val_rank
+    conn_rank = np.array(shared.conn_rank, np.int64)
+    uids = np.array(child_uids, np.int64).reshape(len(rows), branches)
+    return val_rank, val_rank + conn_rank[uids].sum(axis=1)
+
+
+def rank_tables(tie: TieBreakingDioid) -> list | None:
+    """Per slot of ``tie``, ``(domain, packed)``: its numbered values,
+    ascending, and their packed ranks, as int64 arrays — or ``None``
+    where a column stage cannot rank: no numpy, a value that is not an
+    ``int``, or ranks past int64."""
+    np = vec.np
+    if np is None:
+        return None
+    top = sum(next(reversed(ranks.values()), 0) for ranks in tie.ranks)
+    if top >= 1 << 63 or any(set(map(type, ranks)) - {int} for ranks in tie.ranks):
+        return None
+    return [
+        (np.fromiter(ranks, np.int64, len(ranks)),
+         np.fromiter(ranks.values(), np.int64, len(ranks)))
+        for ranks in tie.ranks
+    ]
+
+
 # -- phase B: assemble one fragment's core -------------------------------------
 
 
@@ -787,6 +1009,8 @@ def assemble_fragment(
     if columns is not None:
         keys = -entry_values if negate else entry_values
         least = int(_least_entries(keys, columns[1], [0], [len(keys)])[0])
+    if not shared.inverse:
+        val_rank, ent_rank = _rank_lists(val_rank, ent_rank)
     entry_values = _as_list(entry_values)
     keys = list(map(neg, entry_values)) if negate else entry_values
     without_inverse: dict = {}
@@ -862,9 +1086,7 @@ def _lower_whole(database: Database, shared: SharedLower) -> CompiledTDP:
     """Phase B over the whole anchor relation (stage 0): one fragment.
     ``shared.rows`` / ``vectorized_stages`` then count every stage."""
     relation = database[shared.query.atoms[shared.order[0]].relation_name]
-    rows, weights = stage_columns(relation)
-    scan_out = scan_stage(stage_scan_of(shared, 0), rows, weights, 0, None)
-    shared.rows += len(rows)
+    scan_out = _scan_relation(shared, 0, relation)
     shared.vectorized_stages += _from_kernel(scan_out[0])
     return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))
 
@@ -898,6 +1120,7 @@ def lower_member(
     tie: TieBreakingDioid,
     var_position: dict[str, int],
     lane: FloatLane,
+    tables: list | None,
     span=NULL_SPAN,
 ) -> LaneCore:
     """Lower one union member to a :class:`~repro.dp.flat.LaneCore`.
@@ -906,16 +1129,32 @@ def lower_member(
     must have numbered its domains
     (:func:`~repro.dp.builder.rank_tie_domains`) — with the packed-rank
     column of the variables each stage owns; ``lane`` is
-    :func:`member_lane`'s.  Its columns and ranks are ``build_tdp``'s
-    under ``tie`` and its lift, with no ``times`` or ``key`` call.
-    ``span`` is the union's ``tdp.build``: its ``vectorized_stages``
-    counts, over the members, the stages that took the numpy kernel (the
-    union sets ``rows`` and ``stages`` itself).
+    :func:`member_lane`'s and ``tables`` ``tie``'s :func:`rank_tables`,
+    made once for all the members.  Its columns and ranks are
+    ``build_tdp``'s under ``tie`` and its lift, with no ``times`` or
+    ``key`` call.  ``span`` is the union's ``tdp.build``: its
+    ``vectorized_stages`` counts, over the members, the stages that took
+    the numpy kernel or the column stage scan (the union sets ``rows``
+    and ``stages`` itself).
     """
     shared = build_shared_lower(
         database, join_tree.query, join_tree, tie, 0, lane,
         owned_columns(join_tree, var_position),
+        tables if member_columns(database, join_tree) else None,
     )
     core = _lower_whole(database, shared)
     span.add(vectorized_stages=shared.vectorized_stages)
     return core
+
+
+def member_columns(database: Database, join_tree: JoinTree) -> bool:
+    """Whether every stage of the member takes the column stage scan:
+    each relation holds columns (a cycle decomposition's bags,
+    :meth:`~repro.data.relation.Relation.from_columns`) and no atom
+    repeats a variable.  The stages still lower from their rows where
+    :func:`rank_tables` could not rank."""
+    return all(
+        database[atom.relation_name].arrays is not None
+        and not atom.has_repeated_variables()
+        for atom in join_tree.query.atoms
+    )

@@ -28,7 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (lazy runtime import)
     from repro.parallel.sharder import ShardSpec
@@ -39,12 +39,22 @@ from repro.anyk.union import UnionEnumerator
 from repro.data.database import Database
 from repro.data.index import IndexCache
 from repro.decomposition.base import BagLineage, TreeTask
-from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
+from repro.decomposition.cycle import (
+    cycle_relations,
+    decompose_cycle,
+    detect_simple_cycle,
+)
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
 from repro.dp.flat import CompiledTDP, compile_tdp
-from repro.dp.lower import lower_member, lower_query, member_lane
+from repro.dp.lower import (
+    lower_member,
+    lower_query,
+    member_columns,
+    member_lane,
+    rank_tables,
+)
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
@@ -462,6 +472,12 @@ class UnionPhysical(PhysicalPlan):
             [(task.database, tree, var_position) for task, tree in zip(tasks, trees)],
         )
         lane, self.object_reason = member_lane(self.tie)
+        # The column stage scan's packed ranks, shared by every member.
+        tables = None
+        if lane is not None and any(
+            member_columns(task.database, tree) for task, tree in zip(tasks, trees)
+        ):
+            tables = rank_tables(self.tie)
         self.tdps = []
         #: A member's ``assembler()`` — what its results decode through —
         #: -> that member's :class:`MemberDecoder`.
@@ -473,7 +489,7 @@ class UnionPhysical(PhysicalPlan):
                 tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
             else:
                 tdp = lower_member(
-                    task.database, tree, self.tie, var_position, lane, span
+                    task.database, tree, self.tie, var_position, lane, tables, span
                 )
             self.tdps.append(tdp)
             decoder = MemberDecoder(database, query, task, tdp)
@@ -523,6 +539,7 @@ class UnionPhysical(PhysicalPlan):
             lines.extend(
                 self._tdp_lines(task.label or task.query.name, core)
             )
+            lines.append(f"    decomposition: {task.bag_layout}")
             if not isinstance(core, CompiledTDP):
                 lines.append(f"    core: object graph ({self.object_reason})")
             else:
@@ -749,9 +766,13 @@ def _bind(
                 members=len(tasks),
                 # Of the l heavy partitions and the light one.
                 members_skipped=atoms + 1 - len(tasks),
-                # The decomposition reads each cycle atom once.
-                scans=atoms,
+                # The decomposition reads each distinct relation once.
+                scans=len(cycle_relations(logical.query, logical.cycle_walk)),
                 bag_tuples=_bag_tuples(tasks),
+                # Bags built as columns (the rest are rows).
+                columns=sum(
+                    bag.arrays is not None for task in tasks for bag in task.database
+                ),
             )
         return _bind_union(logical, database, tasks, tracer)
     if strategy == GENERIC_DECOMPOSITION:
@@ -831,15 +852,16 @@ class MemberDecoder:
         assignment = self.assignment = assembler.assignment
         self.output_tuple = assembler.output_tuple
         self.behind: str | None = None
-        by_atom: list[tuple[int, int, list[int], Sequence[int]]] = []
+        by_atom: list[tuple[int, int, list[int], Callable]] = []
         for stage, bag_atom in enumerate(tdp.atom_of_stage):
             per_tuple = task.lineage.get(task.query.atoms[bag_atom].relation_name)
             if per_tuple is None:
                 continue
             bag = BagLineage.of(per_tuple)
             bag_ids = tdp.tuple_ids[stage]
+            # An int64 column reads native ints through ``item``.
             by_atom.extend(
-                (atom, stage, bag_ids, column)
+                (atom, stage, bag_ids, getattr(column, "item", column.__getitem__))
                 for atom, column in zip(bag.atoms, bag.columns)
             )
         by_atom.sort(key=itemgetter(0))
@@ -854,7 +876,7 @@ class MemberDecoder:
 
         def witness_ids(states: Sequence[int]) -> tuple:
             return tuple(
-                [column[bag_ids[states[stage]]] for stage, bag_ids, column in picks]
+                [pick(bag_ids[states[stage]]) for stage, bag_ids, pick in picks]
             )
 
         def rows_of(tuple_ids: tuple) -> tuple:

@@ -78,6 +78,8 @@ class AnalyzeReport:
     shard_counts: list[int] | None = None
     shard_stats: dict | None = None
     core: dict | None = None
+    #: Per union member, ``(label, bag layout)`` (``None``: not a union).
+    members: list | None = None
     explain: str = ""
 
     def as_dict(self) -> dict:
@@ -95,6 +97,7 @@ class AnalyzeReport:
             "shard_counts": self.shard_counts,
             "shard_stats": self.shard_stats,
             "core": self.core,
+            "members": self.members,
         }
 
     def render(self) -> str:
@@ -142,6 +145,8 @@ class AnalyzeReport:
                 f"{self.core['states']} states, "
                 f"{self.core['connectors']} connectors"
             )
+        for label, layout in self.members or ():
+            lines.append(f"union member {label}: {layout}")
         return "\n".join(lines)
 
 
@@ -177,6 +182,18 @@ def _core_stats(physical) -> dict | None:
                 "fragments": len(stats),
             }
     return None
+
+
+def _members(physical) -> list | None:
+    """``(label, bag layout)`` per member of a union plan (through
+    projection wraps), else ``None``."""
+    inner = getattr(physical, "inner", None)
+    if inner is not None:
+        return _members(inner)
+    tasks = getattr(physical, "tasks", None)
+    if tasks is None:
+        return None
+    return [(task.label or task.query.name, task.bag_layout) for task in tasks]
 
 
 def _sharded(physical):
@@ -247,5 +264,6 @@ def analyze_prepared(
         shard_counts=shard_counts,
         shard_stats=shard_stats,
         core=_core_stats(physical),
+        members=_members(physical),
         explain=physical.explain(),
     )

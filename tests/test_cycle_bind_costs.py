@@ -32,8 +32,9 @@ from repro.data.relation import Relation
 from repro.dp import lower as lower_module
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import ChoiceSet
-from repro.dp.lower import lower_member
+from repro.dp.lower import ColumnRows, lower_member, rank_tables
 from repro.engine import Engine
+from repro.obs.trace import NULL_SPAN
 from repro.query.builders import cycle_query
 from repro.ranking.dioid import (
     MAX_PLUS,
@@ -143,12 +144,20 @@ def counted(monkeypatch):
         counted_lift.column = counted_column
         return counted_lift
 
+    ranking = []
+
     def counting_rank_tie_domains(tie, members):
         lifts["rankings"] += 1
-        return real_rank_tie_domains(tie, members)
+        ranking.append(True)
+        try:
+            return real_rank_tie_domains(tie, members)
+        finally:
+            ranking.pop()
 
     def counting_sorted(*args, **kwargs):
-        lifts["sorts"] += 1
+        # The decomposition orders its heavy values through the same
+        # module (``ranking_order``): only the rank tables' sorts count.
+        lifts["sorts"] += bool(ranking)
         return sorted(*args, **kwargs)
 
     monkeypatch.setattr(plan_module, "TieBreakingDioid", CountingTie)
@@ -190,9 +199,10 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     assert not any(isinstance(tdp, CompiledTDP) for tdp in physical.tdps)
     assert physical.object_reason == "CountingMaxTimes overrides times"
 
-    # One full read per cycle atom — the l+1 partitions share it.
-    assert sum(relation.scans for relation in database) == 4
-    assert {relation.scans for relation in database} == ({4} if self_join else {1})
+    # One full read per distinct relation — the l+1 partitions, and
+    # every atom of a self-join, share it.
+    assert sum(relation.scans for relation in database) == (1 if self_join else 4)
+    assert {relation.scans for relation in database} == {1}
 
     labels = [task.label for task in physical.tasks]
     assert "all-light" in labels and len(labels) > 1, labels
@@ -232,6 +242,24 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     assert base.times_calls == products + join_products
 
 
+@pytest.fixture
+def row_bags(monkeypatch):
+    """Have the bind decompose into bag rows: numpy is off for the
+    decomposition only, so the lowering still takes the numpy kernels
+    wherever the stage sizes (or ``_VEC_SCAN_MIN``) pick them."""
+    real_decompose = plan_module.decompose_cycle
+
+    def decompose(*args, **kwargs):
+        saved = vec.np
+        vec.np = None
+        try:
+            return real_decompose(*args, **kwargs)
+        finally:
+            vec.np = saved
+
+    monkeypatch.setattr(plan_module, "decompose_cycle", decompose)
+
+
 LANE_BASES = {
     "tropical": (TROPICAL, TropicalDioid),
     "max_plus": (MAX_PLUS, MaxPlusDioid),
@@ -249,20 +277,30 @@ def _bag_join_products(physical) -> int:
     )
 
 
+@pytest.mark.parametrize("bags", ["rows", "columns"])
 @pytest.mark.parametrize("base_name", list(LANE_BASES))
 @pytest.mark.parametrize("self_join", [False, True])
-def test_lowered_four_cycle_bind_op_counts(counted, monkeypatch, self_join, base_name):
+def test_lowered_four_cycle_bind_op_counts(
+    counted, monkeypatch, request, self_join, base_name, bags
+):
     """A base that keeps its lane: every member is lowered, and the bind
     makes no ``times`` / ``key`` call and no ``ChoiceSet``.
 
-    * One scan per cycle atom and one sort per ranked variable, as on
-      the object path.
+    * One scan per distinct relation and one sort per ranked variable,
+      as on the object path.
     * No lift column, no column operation and no scalar call on the tie
       dioid: the ranks go straight into the rank lane.
     * The base dioid's scalar ``times`` — counted on the class that
       declares the lane, so the lane stands — runs exactly for the bag
-      joins of the decomposition and never for the T-DP; ``key`` never.
+      joins of a decomposition into bag rows, and not at all for one
+      into bag columns; never for the T-DP; ``key`` never.  Bag rows
+      are forced on the decomposition alone: with numpy on, the
+      lowering still runs the kernels the stage sizes pick.
     """
+    if bags == "rows":
+        request.getfixturevalue("row_bags")
+    elif vec.np is None:
+        pytest.skip("bag columns need numpy (REPRO_NO_NUMPY)")
     base, declaring = LANE_BASES[base_name]
     calls = {"times": 0, "key": 0, "choice_sets": 0}
     real_times, real_key, real_init = declaring.times, declaring.key, ChoiceSet.__init__
@@ -290,7 +328,10 @@ def test_lowered_four_cycle_bind_op_counts(counted, monkeypatch, self_join, base
 
     assert len(physical.tdps) > 1
     assert all(isinstance(tdp, CompiledTDP) for tdp in physical.tdps)
-    assert sum(relation.scans for relation in database) == 4
+    assert sum(relation.scans for relation in database) == (1 if self_join else 4)
+    assert {task.bag_layout for task in physical.tasks} == {
+        "bag columns" if bags == "columns" else "bag rows (no numpy)"
+    }
     (tie,) = CountingTie.instances
     assert counted["rankings"] == 1
     assert counted["sorts"] == len(query.variables) == 4
@@ -298,11 +339,20 @@ def test_lowered_four_cycle_bind_op_counts(counted, monkeypatch, self_join, base
     assert tie.scalar_calls == tie.times_columns == tie.key_columns == 0
     assert calls["choice_sets"] == 0
     assert calls["key"] == 0
-    assert calls["times"] == _bag_join_products(physical) > 0
+    assert _bag_join_products(physical) > 0
+    assert calls["times"] == (_bag_join_products(physical) if bags == "rows" else 0)
     # ... and enumerating them needs neither.
     before = dict(calls)
     assert len(physical.top(50)) == 50
     assert calls == before
+
+
+class AddedCounts(dict):
+    """A span that only sums what :meth:`add` is given."""
+
+    def add(self, **counts):
+        for name, value in counts.items():
+            self[name] = self.get(name, 0) + value
 
 
 #: Containers a lowered member may hold beside its states' entries and
@@ -313,13 +363,27 @@ CONTAINERS_PER_STAGE = 16
 CONTAINERS_PER_CORE = 24
 
 
-@pytest.mark.parametrize("kernel", [False, True], ids=["default", "kernel"])
-def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, kernel):
+@pytest.mark.parametrize(
+    "bags, kernel",
+    [("rows", False), ("rows", True), ("columns", False)],
+    ids=["default", "kernel", "columns"],
+)
+def test_a_lowered_state_keeps_one_tuple_beyond_its_row(
+    request, monkeypatch, bags, kernel
+):
     """By census, with the collector off: a member's lowering keeps one
     tuple per alive state — its ``(base_key, rank, state)`` entry — and
     one list per connector; no ``ChoiceSet``, no value pair, no dict or
-    list per state.  Once as the stage sizes pick, once with the numpy
-    kernels forced onto every stage."""
+    list per state.  Over bag rows twice: as the stage sizes pick, and
+    with the numpy kernels (``_scan_stage_vec``, ``_place_by_connector``)
+    forced onto every stage.  Over bag columns once — the column stage
+    scan takes every stage, whatever its size — where the member holds
+    no bag-row tuple at all: its rows are views over the columns, which
+    never materialise."""
+    if bags == "rows":
+        request.getfixturevalue("row_bags")
+    elif vec.np is None:
+        pytest.skip("bag columns need numpy (REPRO_NO_NUMPY)")
     if kernel:
         if vec.np is None:
             pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
@@ -328,14 +392,21 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, kernel):
     query = cycle_query(4)
     physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
     positions = {var: slot for slot, var in enumerate(query.variables)}
+    tables = rank_tables(physical.tie)  # made once per union, as the bind does
     assert len(physical.tdps) > 1
     for task, core in zip(physical.tasks, physical.tdps):
         tree = core.join_tree
 
-        def lower():
-            return lower_member(task.database, tree, physical.tie, positions, core.lane)
+        def lower(span=NULL_SPAN):
+            return lower_member(
+                task.database, tree, physical.tie, positions, core.lane, tables, span
+            )
 
-        lower()  # warm caches
+        added = AddedCounts()
+        lower(added)  # warm caches
+        if kernel or bags == "columns":
+            # Every stage on the numpy kernels, or on the column scan.
+            assert added["vectorized_stages"] == core.num_stages
         gc.collect()
         gc.disable()
         try:
@@ -357,11 +428,22 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, kernel):
         assert sum(type(o) is list for o in fresh) <= again.num_connectors + slack
         assert sum(type(o) is dict for o in fresh) <= slack
         assert not any(type(o) is ChoiceSet for o in fresh)
+        if bags == "rows":
+            assert task.bag_layout == "bag rows (no numpy)"
+            assert not any(type(rows) is ColumnRows for rows in again.tuples)
+        else:
+            assert task.bag_layout == "bag columns"
+            assert not any(relation.is_materialized for relation in task.database)
+            assert all(type(rows) is ColumnRows for rows in again.tuples)
 
 
-def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path):
-    database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1502)
-    query = cycle_query(4)
+@pytest.mark.parametrize("self_join", [False, True])
+def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path, self_join):
+    """One ``SELECT`` per stored relation: four for R1..R4, one for the
+    self-join ``E⋈E⋈E⋈E``."""
+    names = ["E"] * 4 if self_join else ["R1", "R2", "R3", "R4"]
+    database = _skewed_cycle_database(names, seed=1502)
+    query = cycle_query(4, relation="E" if self_join else None)
     backend = SQLiteBackend(str(tmp_path / "cycle.db"))
     for relation in database:
         backend.ingest(relation)
@@ -375,7 +457,7 @@ def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path):
             if sql.startswith("SELECT * FROM") and "WHERE" not in sql
         ]
         assert sorted(row_scans) == [
-            f'SELECT * FROM "R{i}" ORDER BY rowid' for i in range(1, 5)
+            f'SELECT * FROM "{name}" ORDER BY rowid' for name in dict.fromkeys(names)
         ], row_scans
         stored = list(itertools.islice(prepared.iter(), 300))
     memory = list(itertools.islice(Engine(database).prepare(query).iter(), 300))

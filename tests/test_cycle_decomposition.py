@@ -19,6 +19,7 @@ from repro.enumeration.api import ranked_enumerate
 from repro.joins.yannakakis import yannakakis
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.parser import parse_query
+from repro.util import vec
 from tests.conftest import brute_force, weight_signature
 
 
@@ -210,3 +211,40 @@ class TestEndToEnd:
                 for a, tid in zip(query.atoms, r.witness_ids)
             )
             assert total == pytest.approx(r.weight)
+
+
+class TestMixedTypeValues:
+    """Heavy values that do not order against each other (``int`` with
+    ``str``) rank through ``ranking_order`` instead of raising."""
+
+    def test_heavy_values_of_mixed_types_decompose(self):
+        from repro.engine import Engine
+
+        def database(node):
+            # ``node`` and 1 are heavy entry values of every atom.
+            edges = [(node, 1), (1, node), (node, 2), (1, 2), (2, node), (2, 1)] * 3
+            weights = [float(j % 5) for j in range(len(edges))]
+            return Database([
+                Relation(f"R{i}", 2, edges, weights) for i in range(1, 5)
+            ])
+
+        query = cycle_query(4)
+        mixed = database("a")
+        tasks = decompose_cycle(mixed, query, threshold=2)
+        assert any(task.label.startswith("heavy") for task in tasks)
+        assert {task.bag_layout for task in tasks} == {
+            "bag rows (R1 holds a value of type str)" if vec.np else "bag rows (no numpy)"
+        }
+        # Renaming 'a' to 0 (a fresh int) changes no weight.
+        top = Engine(mixed).prepare(query).top(3)
+        renamed = Engine(database(0)).prepare(query).top(3)
+        assert len(top) == 3
+        assert [r.weight for r in top] == [r.weight for r in renamed]
+
+    def test_active_domain_of_mixed_types(self):
+        from repro.decomposition.generic import _active_domain
+
+        db = Database([Relation("R", 2, [("a", 1), (2, None), (1, "b")], [0.0] * 3)])
+        query = parse_query("Q(x, y) :- R(x, y)")
+        assert _active_domain(db, query, "x") == [1, 2, "a"]
+        assert _active_domain(db, query, "y") == [None, 1, "b"]

@@ -18,9 +18,12 @@ Over 3 bases (tropical, max-plus, max-times) x 3 weight palettes (floats,
 chain and a heavy fan of a 4-cycle, a four-bag heavy member of a
 6-cycle), plus tree-shaped members — a star (open branches, ranked
 products) and a two-component query (several roots) — that no cycle
-produces.  The columns are compared twice per member: lowered on the
-numpy kernels (forced onto every stage, ``_VEC_SCAN_MIN = 0``; skipped
-without numpy) and on the scalar loops.  Nothing else here needs numpy.
+produces.  The columns are compared four times per cycle member:
+decomposed into bag rows (numpy off) and into bag columns, each lowered
+on the numpy kernels (forced onto every stage, ``_VEC_SCAN_MIN = 0`` —
+the column stage scan for bag columns; skipped without numpy) and on the
+scalar loops.  The ``ints`` palette keeps bag rows either way.  Nothing
+else here needs numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.decomposition.cycle import decompose_cycle
 from repro.dp import lower
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.flat import LaneCore
-from repro.dp.lower import lower_member, lower_query, member_lane
+from repro.dp.lower import lower_member, lower_query, member_lane, rank_tables
 from repro.engine import Engine
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.jointree import build_join_tree
@@ -102,17 +105,28 @@ TREE_MEMBERS = {
 }
 
 
-def member_task(member: str, palette: str, base):
-    """``(database, join tree, var -> slot)`` of one member to lower."""
+def member_task(member: str, palette: str, base, decomposition: str = "rows"):
+    """``(database, join tree, var -> slot)`` of one member to lower; a
+    cycle member's bags are ``decomposition``'s, rows or columns."""
     seed = 2500 + sorted(CYCLE_MEMBERS | TREE_MEMBERS).index(member)
     if member in CYCLE_MEMBERS:
         length, n, domain, label = CYCLE_MEMBERS[member]
         database = cycle_database(length, n, domain, palette, seed)
         query = cycle_query(length)
-        (task,) = [
-            task for task in decompose_cycle(database, query, dioid=base)
-            if task.label == label
-        ]
+        if decomposition == "columns" and vec.np is None:
+            pytest.skip("bag columns need numpy (REPRO_NO_NUMPY)")
+        saved = vec.np
+        if decomposition == "rows":
+            vec.np = None
+        try:
+            (task,) = [
+                task for task in decompose_cycle(database, query, dioid=base)
+                if task.label == label
+            ]
+        finally:
+            vec.np = saved
+        columns = decomposition == "columns" and palette != "ints"
+        assert (task.bag_layout == "bag columns") == columns, task.bag_layout
         variables = query.variables
         return task.database, build_join_tree(task.query), variables
     query = TREE_MEMBERS[member]
@@ -147,16 +161,19 @@ def lowering(mode: str):
 
 
 @lru_cache(maxsize=None)
-def member_pair(member: str, palette: str, base_name: str, mode: str = "default"):
+def member_pair(
+    member: str, palette: str, base_name: str, mode: str = "default",
+    decomposition: str = "rows",
+):
     """The same member lowered (under ``mode``) and built: ``(core, object T-DP)``."""
     base = BASES[base_name]
-    database, tree, variables = member_task(member, palette, base)
+    database, tree, variables = member_task(member, palette, base, decomposition)
     positions = {var: slot for slot, var in enumerate(variables)}
     tie = TieBreakingDioid(base, len(variables))
     rank_tie_domains(tie, [(database, tree, positions)])
     lane, _why = member_lane(tie)
     with lowering(mode):
-        core = lower_member(database, tree, tie, positions, lane)
+        core = lower_member(database, tree, tie, positions, lane, rank_tables(tie))
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     return core, tdp
 
@@ -183,12 +200,22 @@ MEMBERS = [*CYCLE_MEMBERS, *TREE_MEMBERS]
 PALETTES = ["floats", "ints", "ties"]
 
 
+#: Cycle members twice (bag rows, bag columns), tree members from rows.
+MEMBER_DECOMPOSITIONS = [
+    (member, decomposition)
+    for member in MEMBERS
+    for decomposition in (("rows", "columns") if member in CYCLE_MEMBERS else ("rows",))
+]
+
+
 @pytest.mark.parametrize("mode", ["kernel", "scalar"])
 @pytest.mark.parametrize("palette", PALETTES)
 @pytest.mark.parametrize("base_name", list(BASES))
-@pytest.mark.parametrize("member", MEMBERS)
-def test_lowered_columns_equal_the_object_builder(member, base_name, palette, mode):
-    core, tdp = member_pair(member, palette, base_name, mode)
+@pytest.mark.parametrize("member, decomposition", MEMBER_DECOMPOSITIONS)
+def test_lowered_columns_equal_the_object_builder(
+    member, decomposition, base_name, palette, mode
+):
+    core, tdp = member_pair(member, palette, base_name, mode, decomposition)
     assert core.is_chain == (member not in TREE_MEMBERS)
     assert_same_columns(core, tdp)
 
@@ -202,7 +229,8 @@ def assert_same_columns(core, tdp) -> None:
     assert core.empty == tdp.is_empty() is False
     assert canon(core.best) == canon(tdp.best_weight)
     for stage in range(tdp.num_stages):
-        assert core.tuples[stage] == tdp.tuples[stage]
+        # A column stage's rows are a view, read here row by row.
+        assert list(core.tuples[stage]) == tdp.tuples[stage]
         assert core.tuple_ids[stage] == tdp.tuple_ids[stage]
         assert canon(list(zip(core.val_base[stage], core.val_rank[stage]))) == canon(
             tdp.values[stage]
@@ -256,7 +284,9 @@ def test_ranks_past_int64_lower_on_the_scalar_placement(monkeypatch):
         lower, "_place_by_connector",
         lambda shared, stage, *rest: placed.append(stage) or real(shared, stage, *rest),
     )
-    core = lower_member(database, tree, tie, positions, member_lane(tie)[0])
+    core = lower_member(
+        database, tree, tie, positions, member_lane(tie)[0], rank_tables(tie)
+    )
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     assert_same_columns(core, tdp)
     # Stage 0 is the anchor: its root connector is not placed.
@@ -441,7 +471,9 @@ def test_an_empty_member_lowers_to_an_empty_core():
     tree = build_join_tree(member)
     tie = TieBreakingDioid(MAX_TIMES, 4)
     rank_tie_domains(tie, [(database, tree, positions)])
-    core = lower_member(database, tree, tie, positions, member_lane(tie)[0])
+    core = lower_member(
+        database, tree, tie, positions, member_lane(tie)[0], rank_tables(tie)
+    )
     assert core.empty
     assert core.best == (MAX_TIMES.zero, 0)
     for variant in ALL_VARIANTS:

@@ -343,6 +343,42 @@ class TestEngineSpans:
         finally:
             engine.close()
 
+    def test_a_four_cycle_says_how_its_bags_are_stored(self, monkeypatch):
+        """The ``decompose`` span counts the bags built as columns; each
+        member line of ``explain()`` and of ``--analyze`` says "bag
+        columns", or "bag rows (<why>)"."""
+        from repro.query.builders import cycle_query
+        from repro.util import vec
+
+        cyclic = uniform_database(4, 60, domain_size=6, seed=11)
+        for numpy in (True, False):
+            if not numpy:
+                monkeypatch.setattr(vec, "np", None)
+            elif vec.np is None:
+                continue
+            layout = "bag columns" if numpy else "bag rows (no numpy)"
+            engine = Engine(cyclic, tracer=Tracer(sample="always"))
+            try:
+                prepared = engine.prepare(cycle_query(4))
+                physical = prepared.bind()
+                text = prepared.explain()
+                report = prepared.analyze(5).render()
+                decompose = next(
+                    s for s in engine.tracer.spans() if s.name == "decompose"
+                )
+            finally:
+                engine.close()
+            bags = sum(len(task.database.relations) for task in physical.tasks)
+            assert decompose.attrs["columns"] == (bags if numpy else 0)
+            members = len(physical.tasks)
+            assert text.count(f"decomposition: {layout}") == members > 1
+            assert "decomposition: bag" not in text.replace(
+                f"decomposition: {layout}", ""
+            )
+            for task in physical.tasks:
+                assert f"union member {task.label}: {layout}" in report
+            assert f"columns={bags if numpy else 0}" in report
+
     def test_union_explain_names_each_members_core(self):
         from repro.query.builders import cycle_query
         from repro.ranking.dioid import MaxTimesDioid
