@@ -6,10 +6,9 @@ Measures, per storage backend, on the 4-path workload:
 * **preprocessing** — the unsharded bind vs the sharded bind at 1/2/4/8
   fragments.  Both run the same direct key-space lowering
   (``repro.dp.lower``): the unsharded bind *is* the one-fragment case,
-  so the interesting numbers are what fragment planning, the shared
-  uid space and (on wider hosts) the thread pool add or save — mode
-  resolved by the sharder's ``auto`` policy for the recorded row, plus
-  an informational ``thread`` pool timing at 4 shards;
+  so the interesting numbers are what fragment planning and the shared
+  uid space add or save (every fragment builds inline, one after
+  another);
 * **enumeration** — TTF and answers/sec for a top-k run through the
   ranked k-way shard merge at each fragment count, vs the unsharded
   enumerator.
@@ -30,7 +29,7 @@ Usage::
         # unless bind(shards=1) / unsharded bind stays within
         # [0.8, 1.25] in this run (one lowering, two entry points) and
         # the 4-shard preprocess_ms stays within BENCH_TOLERANCE
-        # (default 30%) of the committed same-mode number
+        # (default 30%) of the committed number for the same mode
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def signature(results, k):
     return out
 
 
-def bind_once(database, shards=None, parallel="auto", core_cache="off"):
+def bind_once(database, shards=None, core_cache="off"):
     """One cold bind on a fresh engine; returns (physical, seconds).
 
     Persistence is off by default: with ``core_cache="auto"`` the first
@@ -97,15 +96,15 @@ def bind_once(database, shards=None, parallel="auto", core_cache="off"):
     if shards is None:
         prepared = engine.prepare(QUERY)
     else:
-        prepared = engine.prepare(QUERY, shards=shards, shard_parallel=parallel)
+        prepared = engine.prepare(QUERY, shards=shards)
     physical = prepared.bind()
     return physical, time.perf_counter() - start
 
 
-def best_bind_ms(database, shards=None, parallel="auto", core_cache="off"):
+def best_bind_ms(database, shards=None, core_cache="off"):
     times = []
     for _ in range(REPEATS):
-        _physical, seconds = bind_once(database, shards, parallel, core_cache)
+        _physical, seconds = bind_once(database, shards, core_cache)
         times.append(seconds)
     return round(min(times) * 1e3, 2)
 
@@ -160,18 +159,12 @@ def run_cell(name: str, database) -> dict:
         shard_cells[str(shards)] = {
             "preprocess_ms": preprocess_ms,
             "preprocess_speedup": speedup,
-            "mode": physical.mode,
             **enum,
         }
         print(f"  shards={shards}: preprocess {preprocess_ms} ms "
-              f"({speedup}x, {physical.mode}), "
+              f"({speedup}x), "
               f"{enum['answers_per_sec']:.0f} answers/s, "
               f"ttf {enum['ttf_ms']} ms")
-
-    # Informational thread-pool timing at 4 shards (not gated: on a
-    # single-core host the pool cannot beat the fused build).
-    pool_ms = {"thread": best_bind_ms(database, 4, "thread")}
-    print(f"  4-shard pool timings: {pool_ms}")
 
     # Informational warm-start row (file-backed cells only): write the
     # compiled core once, then time fresh-engine binds that mmap it.
@@ -198,7 +191,6 @@ def run_cell(name: str, database) -> dict:
         "serial_preprocess_ms": serial_ms,
         "serial": serial_enum,
         "shards": shard_cells,
-        "pool_preprocess_ms_at_4": pool_ms,
         "warm_mmap_bind_ms_at_4": warm_mmap_ms,
         "one_shard_vs_unsharded": round(
             shard_cells["1"]["preprocess_ms"] / serial_ms, 3
@@ -239,7 +231,7 @@ def regression_gate(previous: dict, current: dict) -> list[str]:
     points, so a ratio outside ``ONE_SHARD_BAND`` means one of them grew
     a private cost.  A same-machine ratio, robust to slow CI runners.
     (b) The 4-shard ``preprocess_ms`` has not regressed beyond TOLERANCE
-    against the committed same-mode number.
+    against the committed number of the same (smoke/full) mode.
     """
     failures = []
     cell = current["cells"].get("4-path[sqlite]", {})

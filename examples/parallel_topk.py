@@ -1,14 +1,13 @@
-"""Parallel execution: fragment-sharded preprocessing with a ranked merge.
+"""Sharded execution: fragment-sharded preprocessing with a ranked merge.
 
-The dominant cold-query cost is the O(n) preprocessing phase; the
-parallel layer partitions one anchor relation into disjoint fragments,
-builds one (strictly smaller) T-DP per fragment, and merges the
-per-fragment any-k streams back into the exact global ranked order.
+The sharded layer partitions one anchor relation into disjoint
+fragments, builds one (strictly smaller) T-DP per fragment, and merges
+the per-fragment any-k streams back into the exact global ranked order.
 This script shows the whole surface:
 
 * ``Engine.prepare(query, shards=N)`` — the one-keyword opt-in;
 * the bit-identical guarantee (sharded top-k == unsharded top-k);
-* the preprocessing win, measured;
+* the preprocessing cost, measured against the unsharded bind;
 * the shard plan in ``explain()`` and per-shard attribution stats.
 
 Run:  python examples/parallel_topk.py

@@ -61,6 +61,17 @@ from repro.ranking.dioid import NAMED_DIOIDS
 DIOIDS = NAMED_DIOIDS
 
 
+def _shard_count(text: str) -> int:
+    """``--shards``: a positive int, else an argparse usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -91,14 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_options(query_cmd)
     query_cmd.add_argument("--top", type=int, default=10,
                            help="number of results (default 10; 0 = all)")
-    query_cmd.add_argument("--shards", type=int, default=None, metavar="N",
+    query_cmd.add_argument("--shards", type=_shard_count, default=None, metavar="N",
                            help="partition the anchor relation into N "
                                 "fragments and run the parallel execution "
                                 "layer (fragment T-DPs + ranked merge)")
-    query_cmd.add_argument("--shard-parallel", default="auto",
-                           choices=["auto", "fused", "thread"],
-                           help="fragment build mode with --shards "
-                                "(default: auto)")
     query_cmd.add_argument("--algorithm", default="take2",
                            choices=["take2", "lazy", "eager", "all",
                                     "recursive", "batch"])
@@ -120,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "an already-populated --db-path is given)")
     explain_cmd.add_argument("text", help="the query")
     add_backend_options(explain_cmd)
-    explain_cmd.add_argument("--shards", type=int, default=None, metavar="N",
+    explain_cmd.add_argument("--shards", type=_shard_count, default=None,
+                             metavar="N",
                              help="show the sharded plan (anchor atom, "
-                                  "fragment layout, build mode)")
+                                  "fragment layout)")
     explain_cmd.add_argument("--analyze", type=int, default=None, metavar="K",
                              help="EXPLAIN ANALYZE: run the query "
                                   "instrumented, enumerate the top K "
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--out", default="trace.json", metavar="FILE",
                            help="trace-event JSON output path "
                                 "(default: trace.json)")
-    trace_cmd.add_argument("--shards", type=int, default=None, metavar="N",
+    trace_cmd.add_argument("--shards", type=_shard_count, default=None, metavar="N",
                            help="trace the sharded (parallel) plan")
     trace_cmd.add_argument("--algorithm", default="take2",
                            choices=["take2", "lazy", "eager", "all",
@@ -316,7 +324,6 @@ def _command_query(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             projection=args.projection,
             shards=args.shards,
-            shard_parallel=args.shard_parallel,
         )
         prepared.bind()
         preprocess = time.perf_counter() - start

@@ -69,10 +69,10 @@ component; no non-anchor stage depends on which anchor rows are present:
 
 :func:`lower_query` and :func:`lower_member` are phase A plus one
 fragment spanning the anchor relation (stage 0).  The parallel layer
-(:mod:`repro.parallel.build`) runs phase B once per shard fragment,
-possibly on a thread pool; the fragment cores alias phase A's columns
-and entry pool and one set of uid-indexed lists (cut entries, Take2
-orders, sorted lists, REA heap templates), built once per version.
+(:mod:`repro.parallel.build`) runs phase B once per shard fragment;
+the fragment cores alias phase A's columns and entry pool and one set
+of uid-indexed lists (cut entries, Take2 orders, sorted lists, REA heap
+templates), built once per version.
 
 Dioids without a lane (and members over them), the ``canonical``
 tie-break, the UCQ pipeline, the min-weight projection and ``DPProblem``
@@ -589,8 +589,7 @@ def _scan_stage_vec(
     scan: StageScan,
     rows: Sequence[tuple],
     weights: Sequence,
-    base: int | None,
-    global_ids: Sequence[int] | None,
+    base: int,
 ):
     """Vectorized stage scan (no repeated variable).
 
@@ -615,17 +614,12 @@ def _scan_stage_vec(
     )
     if alive is None:
         tuples_out = list(rows)
-        ids_out = (
-            list(range(base, base + n)) if base is not None else list(global_ids)
-        )
+        ids_out = list(range(base, base + n))
     else:
         alive_list = alive.tolist()
         tuples_out = [rows[i] for i in alive_list]
         weights = [weights[i] for i in alive_list]
-        if base is not None:
-            ids_out = (alive + base).tolist()
-        else:
-            ids_out = [global_ids[i] for i in alive_list]
+        ids_out = (alive + base).tolist()
     # Like the scalar loop, hand back objects that already exist rather
     # than a second float per state: state values are the stored
     # weights (an ``int`` weight stays one).
@@ -687,16 +681,15 @@ def scan_stage(
     scan: StageScan,
     rows: Sequence[tuple],
     weights: Sequence,
-    base: int | None,
-    global_ids: Sequence[int] | None,
+    base: int,
 ):
     """Lower one stage's ``rows`` and parallel ``weights`` to flat columns.
 
     The one per-row pass of the bottom-up sweep: drop rows violating a
     repeated variable or lacking a join partner in some child branch,
     fold the child connectors' minima into ``pi1`` from ``one``, and
-    multiply the weight by it.  Insertion positions are ``base + local``
-    for a contiguous slice, ``global_ids[local]`` otherwise.  Returns
+    multiply the weight by it.  Insertion positions are ``base +
+    local``.  Returns
     ``(entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out)``,
     one element per alive state: states are sequential (``0 ..
     alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi``.
@@ -711,7 +704,7 @@ def scan_stage(
     conn_min = scan.conn_min
 
     if not check_repeats and len(rows) >= _VEC_SCAN_MIN and vec.np is not None:
-        return _scan_stage_vec(scan, rows, weights, base, global_ids)
+        return _scan_stage_vec(scan, rows, weights, base)
 
     tuples_out: list[tuple] = []
     ids_out: list[int] = []
@@ -738,7 +731,7 @@ def scan_stage(
             pi = conn_min[cu]
             e_append(w * pi if multiply else w + pi)
             t_append(row)
-            i_append(base + local if base is not None else global_ids[local])
+            i_append(base + local)
             v_append(w)
             p_append(pi)
             c_append(cu)
@@ -763,7 +756,7 @@ def scan_stage(
                 continue
             e_append(w * pi if multiply else w + pi)
             t_append(row)
-            i_append(base + local if base is not None else global_ids[local])
+            i_append(base + local)
             v_append(w)
             p_append(pi)
             cu_out.extend(conns)
@@ -840,7 +833,7 @@ def _scan_relation(shared: SharedLower, stage: int, relation: Relation):
         return _scan_column_stage(shared, stage, relation.arrays)
     rows, weights = stage_columns(relation)
     shared.rows += len(rows)
-    return scan_stage(stage_scan_of(shared, stage), rows, weights, 0, None)
+    return scan_stage(stage_scan_of(shared, stage), rows, weights, 0)
 
 
 def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
@@ -939,10 +932,9 @@ def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
 
     Pre-sized to the common uid space (shared connectors first, then one
     root connector per fragment, all at the anchor stage): fragment
-    slots are assigned by index, so concurrent phase-B builds on a
-    thread pool never resize a shared list (a root goes into its
-    ``pairs`` slot, not the pool).  A core without an inverse adds its
-    least entries' values and ranks.
+    slots are assigned by index, so no phase-B build resizes a shared
+    list (a root goes into its ``pairs`` slot, not the pool).  A core
+    without an inverse adds its least entries' values and ranks.
     """
     total = shared.num_conns + num_fragments
     lists = {
@@ -960,21 +952,19 @@ def build_fragment(
     shared: SharedLower,
     rows: Sequence[tuple],
     weights: Sequence,
-    base: int | None,
-    global_ids: Sequence[int] | None,
+    base: int,
     index: int,
     lists: dict,
 ) -> CompiledTDP:
     """Phase B: lower one anchor fragment and assemble its compiled core.
 
     ``rows`` / ``weights`` are the fragment's slice of the anchor
-    relation (:func:`stage_columns`); insertion positions are ``base +
-    local`` for a contiguous slice, ``global_ids[local]`` otherwise.
-    ``index`` is the fragment's slot in ``lists`` (see
+    relation (:func:`stage_columns`), starting at insertion position
+    ``base``.  ``index`` is the fragment's slot in ``lists`` (see
     :func:`shared_lists`).
     """
     scan_out = scan_stage(
-        stage_scan_of(shared, shared.anchor_stage), rows, weights, base, global_ids
+        stage_scan_of(shared, shared.anchor_stage), rows, weights, base
     )
     return assemble_fragment(shared, scan_out, index, lists)
 

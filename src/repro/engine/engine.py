@@ -391,10 +391,7 @@ class Engine:
         cycle_threshold: int | None = None,
         shards: "int | Any | None" = None,
         shard_atom: int | None = None,
-        shard_strategy: str = "range",
         shard_tie_break: str = "arrival",
-        shard_parallel: str = "auto",
-        shard_workers: int | None = None,
     ) -> PreparedQuery:
         """Plan ``query`` (or fetch the cached plan) for later execution.
 
@@ -407,19 +404,16 @@ class Engine:
         ``shards`` (an int or a prebuilt
         :class:`repro.parallel.sharder.ShardSpec`) routes binding
         through the parallel execution layer: the anchor relation is
-        partitioned into that many fragments, fragment T-DPs build
-        concurrently (:class:`~repro.parallel.build.ParallelPreprocessor`),
+        partitioned into that many fragments, fragment T-DPs build one
+        after another (:class:`~repro.parallel.build.ParallelPreprocessor`),
         and enumeration merges the per-fragment streams.  The shard
         configuration is part of the physical *and* stream cache keys,
         so re-preparing with a different ``shards=`` never reuses a
         bound plan or a memoized result prefix built under another
-        fragmentation.  The remaining ``shard_*`` keywords refine the
+        fragmentation.  ``shard_atom`` and ``shard_tie_break`` refine the
         spec (ignored when ``shards`` is ``None`` or already a spec).
         """
-        spec = self._shard_spec(
-            shards, shard_atom, shard_strategy, shard_tie_break,
-            shard_parallel, shard_workers,
-        )
+        spec = self._shard_spec(shards, shard_atom, shard_tie_break)
         source_query, selections = self._resolve(query)
         planned_query = (
             rewrite_for_selections(source_query, list(selections))
@@ -434,9 +428,6 @@ class Engine:
             id(dioid),
             projection,
             cycle_threshold,
-            # Only the result-affecting shard fields: prepares that
-            # differ merely in build mechanics (parallel mode, worker
-            # count) share one bound plan and one memoized prefix.
             None if spec is None else spec.cache_key(),
         )
         key = physical_key + (algorithm.lower(),)
@@ -564,9 +555,7 @@ class Engine:
             return physical
 
     @staticmethod
-    def _shard_spec(
-        shards, atom, strategy, tie_break, parallel, workers
-    ):
+    def _shard_spec(shards, atom, tie_break):
         """Normalise the ``prepare`` shard keywords into a ShardSpec."""
         if shards is None:
             return None
@@ -574,14 +563,7 @@ class Engine:
 
         if isinstance(shards, ShardSpec):
             return shards
-        return ShardSpec(
-            shards,
-            atom=atom,
-            strategy=strategy,
-            tie_break=tie_break,
-            parallel=parallel,
-            workers=workers,
-        )
+        return ShardSpec(shards, atom=atom, tie_break=tie_break)
 
     def _stream_for(self, prepared: PreparedQuery) -> PrefixStream:
         """Fetch or create the shared memoized stream for ``prepared``.

@@ -135,9 +135,8 @@ class AnalyzeReport:
             lines.append(f"shards: emitted per fragment {self.shard_counts}")
         if self.shard_stats is not None:
             lines.append(
-                f"  shard build: mode={self.shard_stats['mode']}  "
-                f"workers={self.shard_stats['workers']}  "
-                f"shared lower {self.shard_stats['shared_lower_ms']} ms"
+                f"  shard build: shared lower "
+                f"{self.shard_stats['shared_lower_ms']} ms"
             )
         if self.core is not None:
             lines.append(

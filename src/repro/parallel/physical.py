@@ -57,8 +57,6 @@ class ShardedPhysical(PhysicalPlan):
         for fragment in self.fragments:  # bind-time, as in AcyclicPhysical
             fragment.tdp.assembler(logical.query.head)
             self.eager = self.eager or decodes_at_extension(fragment.tdp)
-        self.mode = result.mode
-        self.workers = result.workers
         self.shared_seconds = result.shared_seconds
         self.notes = list(result.notes)
         #: TieBreakingDioid fragments rank under (canonical mode only).
@@ -133,7 +131,7 @@ class ShardedPhysical(PhysicalPlan):
         plan = self.shard_plan
         lines = plan.explain(indent="  ")
         lines.append(
-            f"  fragment builds ({self.mode}): shared lower stages "
+            "  fragment builds: shared lower stages "
             f"{self.shared_seconds * 1e3:.2f} ms"
         )
         total_entries = 0
@@ -169,10 +167,7 @@ class ShardedPhysical(PhysicalPlan):
         return {
             "shards": self.shard_count,
             "anchor_atom": self.shard_plan.anchor_atom,
-            "strategy": self.shard_plan.spec.strategy,
             "tie_break": self.shard_plan.spec.tie_break,
-            "mode": self.mode,
-            "workers": self.workers,
             "empty_fragments": sum(1 for f in self.fragments if f.empty),
             "fragment_states": [f.anchor_states() for f in self.fragments],
             "fragment_entries": [
@@ -202,13 +197,8 @@ def bind_sharded(
     arrays exactly as the cold build's fragments alias its in-process
     lists, so ranked output is bit-identical.  Sharding is still
     *planned* (cheap, metadata-only) — the stored cores are validated
-    against the fresh plan's anchor stage and fragment count.
-
-    An *explicitly* requested build mode (``parallel="fused"`` or
-    ``"thread"``) always builds with that mode: the warm start only
-    replaces the build under the default ``"auto"`` policy, where the
-    engine is free to pick the fastest path.  Cold ``auto`` builds
-    still write the core so the next process can warm-start.
+    against the fresh plan's anchor stage and fragment count.  A cold
+    build writes the core so the next process can warm-start.
     """
     spec = logical.shard
     flat_path = (
@@ -221,7 +211,7 @@ def bind_sharded(
             shards=len(shard_plan.fragments),
             anchor_atom=shard_plan.anchor_atom,
         )
-    if not (flat_path and spec.parallel == "auto"):
+    if not flat_path:
         core_cache = None
     key = core_key(logical.query, logical.dioid, spec.cache_key())
     cores = load_cores(
@@ -235,18 +225,15 @@ def bind_sharded(
         ]
         result = PreprocessResult(
             fragments,
-            "mmap",
-            shard_plan.workers,
             0.0,
             list(shard_plan.notes) + ["warm start from compiled core file"],
             None,
         )
         return ShardedPhysical(logical, database, shard_plan, result)
-    with tracer.span("fragments.build") as span:
+    with tracer.span("fragments.build"):
         result = ParallelPreprocessor(
             database, logical, shard_plan, tracer=tracer
         ).build()
-        span.set(mode=result.mode, workers=result.workers)
     store_cores(
         core_cache, key, logical, database,
         [f.tdp for f in result.fragments], shard_plan.anchor_stage, tracer,

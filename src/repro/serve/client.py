@@ -175,8 +175,6 @@ class _Client:
         budget: int | None = None,
         shards: int | None = None,
         shard_tie_break: str = "arrival",
-        shard_strategy: str = "range",
-        shard_parallel: str = "auto",
         deadline_ms: float | None = None,
     ) -> dict:
         """Open a cursor for ``query`` in ``session``; returns the
@@ -184,7 +182,7 @@ class _Client:
 
         ``shards`` asks the server to bind through the parallel
         execution layer (fragment-sharded T-DPs, ranked k-way merge),
-        refined by the ``shard_*`` arguments; the wire format and fetch
+        refined by ``shard_tie_break``; the wire format and fetch
         semantics are unchanged.  ``deadline_ms`` becomes the cursor's
         default per-fetch deadline (each fetch's countdown starts when
         that fetch begins).
@@ -203,10 +201,6 @@ class _Client:
             message["shards"] = shards
             if shard_tie_break != "arrival":
                 message["shard_tie_break"] = shard_tie_break
-            if shard_strategy != "range":
-                message["shard_strategy"] = shard_strategy
-            if shard_parallel != "auto":
-                message["shard_parallel"] = shard_parallel
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
         return self._call(message)

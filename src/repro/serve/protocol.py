@@ -11,12 +11,10 @@ Every request carries ``op`` plus op-specific fields:
     the session and returns a cursor positioned at rank 0.  Optional
     ``"shards": N`` binds through the parallel execution layer
     (fragment-sharded T-DPs merged by a ranked k-way merge; see
-    :mod:`repro.parallel`), with optional ``shard_tie_break``
-    (``"arrival"``/``"canonical"``), ``shard_strategy``
-    (``"range"``/``"hash"``), and ``shard_parallel`` (``"auto"``/
-    ``"fused"``/``"thread"``) refinements; the
-    per-session ``stats`` entries then report the cursor's shard
-    configuration.
+    :mod:`repro.parallel`), with an optional ``shard_tie_break``
+    (``"arrival"``/``"canonical"``); the per-session ``stats`` entries
+    then report the cursor's shard configuration.  A request field the
+    server does not know is ignored.
 
 ``fetch``
     ``{"op": "fetch", "session": "s1", "cursor": "c0", "n": 10}`` →

@@ -124,7 +124,7 @@ _FIELD_TYPES = {
     **dict.fromkeys(
         (
             "session", "query", "cursor", "algorithm", "dioid", "projection",
-            "shard_tie_break", "shard_strategy", "shard_parallel",
+            "shard_tie_break",
         ),
         (_is_string, "a string"),
     ),
@@ -286,8 +286,6 @@ class OpDispatcher:
             budget=request.get("budget"),
             shards=request.get("shards"),
             shard_tie_break=request.get("shard_tie_break", "arrival"),
-            shard_strategy=request.get("shard_strategy", "range"),
-            shard_parallel=request.get("shard_parallel", "auto"),
             deadline_ms=request.get("deadline_ms"),
         )
         cursor = session.cursor(cursor_id)

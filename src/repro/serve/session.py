@@ -400,8 +400,6 @@ class SessionManager:
         budget: int | None = None,
         shards: int | None = None,
         shard_tie_break: str = "arrival",
-        shard_strategy: str = "range",
-        shard_parallel: str = "auto",
         deadline_ms: float | None = None,
     ) -> tuple[Session, str]:
         """Prepare ``query`` in the session; returns its new cursor id.
@@ -425,8 +423,6 @@ class SessionManager:
             projection=projection,
             shards=shards,
             shard_tie_break=shard_tie_break,
-            shard_strategy=shard_strategy,
-            shard_parallel=shard_parallel,
         )
         cursor = prepared.cursor(budget=budget)
         with self._lock:

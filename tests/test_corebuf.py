@@ -18,6 +18,7 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
 
 import itertools
 import os
+import pickle
 import random
 
 import pytest
@@ -25,8 +26,9 @@ import pytest
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.corebuf import CoreCache, core_key, dioid_core_name
+from repro.dp.corebuf import CoreCache, core_key, dioid_core_name, export_fragments
 from repro.engine import Engine
+from repro.parallel import ShardSpec
 from repro.query.builders import path_query
 from repro.ranking.dioid import (
     MAX_PLUS,
@@ -41,6 +43,14 @@ ALL_VARIANTS = [
     "take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort",
 ]
 BASE = 64
+#: ``pickle.dumps(ShardSpec(2))`` as written by the build whose spec also
+#: held a partitioning strategy, a build mode and a worker count.
+OLDER_SHARD_SPEC = (
+    b"\x80\x05\x95\x89\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.parallel.sharder"
+    b"\x94\x8c\tShardSpec\x94\x93\x94)\x81\x94}\x94(\x8c\x06shards\x94K\x02\x8c"
+    b"\x04atom\x94N\x8c\x08strategy\x94\x8c\x05range\x94\x8c\ttie_break\x94\x8c"
+    b"\x07arrival\x94\x8c\x08parallel\x94\x8c\x04auto\x94\x8c\x07workers\x94Nub."
+)
 
 
 def decoding_weights(n: int, relation_index: int) -> list[float]:
@@ -132,12 +142,14 @@ class TestWarmStartDifferential:
         path = sqlite_database(tmp_path, "mode")
         query = path_query(4)
         with Engine.from_backend(SQLiteBackend(path)) as engine:
-            engine.prepare(query, shards=4).bind()
+            cold = engine.prepare(query, shards=4).bind()
+            assert not any(f.tdp.mapped for f in cold.fragments)
+            assert "warm start" not in " ".join(cold.notes)
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             physical = engine.prepare(query, shards=4).bind()
-            assert physical.mode == "mmap"
+            assert all(f.tdp.mapped for f in physical.fragments)
             assert physical.shard_count == 4
-            assert "warm start" in " ".join(physical.notes)
+            assert "warm start from compiled core file" in physical.notes
 
     def test_warm_start_replays_stored_plans(self, tmp_path):
         path = sqlite_database(tmp_path, "boot")
@@ -148,6 +160,40 @@ class TestWarmStartDifferential:
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             assert engine.warm_start() == 2
             assert core_stats(engine)["core_hits"] == 2
+
+    def test_warm_start_rebuilds_an_entry_of_the_older_shard_spec(self, tmp_path):
+        """A stored recipe whose spec still carries ``strategy``,
+        ``parallel`` and ``workers`` binds as ``ShardSpec(2)``: its entry
+        (keyed with the strategy) is a miss, the plan rebuilds and is
+        written under the new key, and ``warm_start`` does not raise."""
+        older = pickle.loads(OLDER_SHARD_SPEC)
+        assert older == ShardSpec(2)
+        assert older.cache_key() == (2, None, "arrival")
+        path = sqlite_database(tmp_path, "older")
+        query = path_query(4)
+        with Engine.from_backend(SQLiteBackend(path), core_cache="off") as engine:
+            prepared = engine.prepare(query, shards=2)
+            expected = signature(prepared.iter())
+            physical = prepared.bind()
+            meta, data = export_fragments(
+                [f.tdp for f in physical.fragments], physical.shard_plan.anchor_stage
+            )
+            cache = CoreCache(engine.database.backend.core_path)
+            assert cache.store(
+                core_key(query, TROPICAL, (2, None, "range", "arrival")),
+                engine.database, meta, data,
+                warm={"query": query, "dioid": "tropical", "shards": older},
+            )
+            cache.close()
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert engine.warm_start() == 1
+            stats = core_stats(engine)
+            assert stats["core_hits"] == 0
+            assert stats["core_misses"] == stats["core_writes"] == 1
+            assert signature(engine.prepare(query, shards=2).iter()) == expected
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert signature(engine.prepare(query, shards=2).iter()) == expected
+            assert core_stats(engine)["core_hits"] == 1
 
 
 class TestStaleness:
@@ -368,7 +414,7 @@ class TestExportFromThePool:
                 relation.weights[fragment.lo:fragment.hi],
             )
             part = compile_tdp(
-                build_object_fragment(database, plan, fragment, dioid, None, rows, None)
+                build_object_fragment(database, plan, fragment, dioid, None, rows)
             )
             expected.append(part.pairs(part.root_uid[anchor]))
         assert len(expected) == meta["num_connectors"] == pooled + 4

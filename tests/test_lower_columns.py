@@ -38,7 +38,6 @@ from repro.data.relation import Relation
 from repro.dp import lower
 from repro.dp.builder import build_tdp
 from repro.dp.flat import compile_tdp
-from repro.parallel.build import _hash_buckets
 from repro.query.builders import path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
@@ -139,7 +138,7 @@ def lower_whole(database, tree, dioid):
     relation = database[query.atoms[shared.order[0]].relation_name]
     rows, weights = lower.stage_columns(relation)
     core = lower.build_fragment(
-        shared, rows, weights, 0, None, 0, lower.shared_lists(shared, 1)
+        shared, rows, weights, 0, 0, lower.shared_lists(shared, 1)
     )
     return shared, core
 
@@ -393,32 +392,32 @@ def test_max_plus_zeros_equal_the_object_path_in_bits(monkeypatch, lowering):
 # -- fragments -----------------------------------------------------------------
 
 
-def fragment_inputs(relation, strategy):
-    """``(rows, weights, base, global_ids)`` per fragment, one left empty."""
-    total = len(relation)
-    if strategy == "range":
-        cuts = [0, total // 3, total // 3, (2 * total) // 3, total]
-        return [
-            (*lower.stage_columns(relation, lo, hi), lo, None)
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
+#: Fragment cuts over ``total`` anchor rows: ``thirds`` leaves one
+#: fragment empty, ``edges`` gives the first and the last row one each.
+CUTS = {
+    "thirds": lambda total: [0, total // 3, total // 3, (2 * total) // 3, total],
+    "edges": lambda total: [0, 1, total - 1, total],
+}
+
+
+def fragment_inputs(relation, layout):
+    """``(rows, weights, base)`` per fragment of ``CUTS[layout]``."""
+    cuts = CUTS[layout](len(relation))
     return [
-        (rows, weights, None, gids)
-        for rows, weights, gids in _hash_buckets(relation, 4)
+        (*lower.stage_columns(relation, lo, hi), lo)
+        for lo, hi in zip(cuts, cuts[1:])
     ]
 
 
-def lower_fragments(database, tree, dioid, strategy):
+def lower_fragments(database, tree, dioid, layout):
     query = tree.query
     shared = lower.build_shared_lower(database, query, tree, dioid, 0)
     relation = database[query.atoms[shared.order[0]].relation_name]
-    inputs = fragment_inputs(relation, strategy)
+    inputs = fragment_inputs(relation, layout)
     lists = lower.shared_lists(shared, len(inputs))
     cores = []
-    for index, (rows, weights, base, gids) in enumerate(inputs):
-        cores.append(
-            lower.build_fragment(shared, rows, weights, base, gids, index, lists)
-        )
+    for index, (rows, weights, base) in enumerate(inputs):
+        cores.append(lower.build_fragment(shared, rows, weights, base, index, lists))
     return shared, cores, inputs
 
 
@@ -428,11 +427,11 @@ def fragment_columns(shared, cores):
 
 
 @pytest.mark.parametrize("n", [60, 700])
-@pytest.mark.parametrize("strategy", ["range", "hash"])
+@pytest.mark.parametrize("layout", list(CUTS))
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
-def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
+def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, layout, n):
     query = QUERIES[shape]
     tree = build_join_tree(query)
     dioid = DIOIDS[dioid]
@@ -441,7 +440,7 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
     )
     try:
         shared, scalar, inputs = with_scalar(
-            monkeypatch, lambda: lower_fragments(database, tree, dioid, strategy)
+            monkeypatch, lambda: lower_fragments(database, tree, dioid, layout)
         )
         for core in scalar:
             assert_same_structures(core)
@@ -456,7 +455,7 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
         if vec.np is not None:
             _shared, kernel, _inputs = with_kernel(
                 monkeypatch,
-                lambda: lower_fragments(database, tree, dioid, strategy),
+                lambda: lower_fragments(database, tree, dioid, layout),
             )
             assert fragment_columns(shared, kernel) == columns
 
@@ -466,7 +465,7 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
         anchor = query.atoms[tree.order[0]]
         if sum(a.relation_name == anchor.relation_name for a in query.atoms) > 1:
             return
-        for core, (rows, weights, base, gids) in zip(scalar, inputs):
+        for core, (rows, weights, base) in zip(scalar, inputs):
             restricted = Database(
                 [
                     Relation(anchor.relation_name, anchor.arity, rows, weights)
@@ -484,9 +483,7 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, strategy, n):
                     bits(v) for v in getattr(reference, name)[0]
                 ]
             assert core.tuples[0] == tdp.tuples[0]
-            assert core.tuple_ids[0] == [
-                (base + i) if gids is None else gids[i] for i in tdp.tuple_ids[0]
-            ]
+            assert core.tuple_ids[0] == [base + i for i in tdp.tuple_ids[0]]
             if not reference.empty:
                 assert [
                     (bits(k), s) for k, s in core.pairs(core.root_uid[0])
@@ -777,19 +774,16 @@ def test_lowering_keeps_no_list_per_connector():
     assert reachable_lists(large) == before + 1
 
 
-@pytest.mark.parametrize("mode", ["fused", "thread"])
-def test_fragment_roots_are_sized_beside_the_pool(mode):
-    """Concurrently assembled fragment roots never enter the shared pool;
-    ``conn_size`` and ``stats`` read them where they are held."""
+def test_fragment_roots_are_sized_beside_the_pool():
+    """Fragment roots never enter the shared pool; ``conn_size`` and
+    ``stats`` read them where they are held."""
     from repro.engine import Engine
 
     query = QUERIES["path4"]
     database = make_database(query, 700, seed=15)
-    physical = Engine(database).prepare(
-        query, shards=4, shard_parallel=mode, shard_workers=2
-    ).bind()
+    physical = Engine(database).prepare(query, shards=4).bind()
     cores = [fragment.tdp for fragment in physical.fragments]
-    assert len(cores) == 4 and physical.mode == mode
+    assert len(cores) == 4
     pooled = len(cores[0].conn_offsets) - 1
     for index, core in enumerate(cores):
         assert core.entries is cores[0].entries

@@ -1,4 +1,4 @@
-"""Parallel layer: sharder planning, engine caching, preprocessor modes.
+"""Parallel layer: sharder planning, engine caching, spec validation.
 
 Covers the engine-integration guarantees of the sharding subsystem:
 
@@ -8,9 +8,8 @@ Covers the engine-integration guarantees of the sharding subsystem:
 * sharded binds share physical plans across algorithms and invalidate
   under the existing database-version stamp scheme;
 * the anchor heuristic, fragment layout, and explain output;
-* the thread preprocessor mode builds bit-identical fragments, a fused
-  plan reports the one worker it runs on, and the compiled cores (and
-  singleton dioids) survive pickling.
+* the spec takes only a non-``bool`` int shard count and anchor, and
+  the compiled cores (and singleton dioids) survive pickling.
 """
 
 import pickle
@@ -18,7 +17,6 @@ import random
 
 import pytest
 
-from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.generators import uniform_database
 from repro.data.relation import Relation
@@ -48,17 +46,28 @@ class TestShardSpec:
         with pytest.raises(ValueError):
             ShardSpec(0)
         with pytest.raises(ValueError):
-            ShardSpec(2, strategy="mod")
-        with pytest.raises(ValueError):
             ShardSpec(2, tie_break="random")
-        with pytest.raises(ValueError):
-            ShardSpec(2, parallel="gpu")
-        with pytest.raises(
-            ValueError, match=r"\('auto', 'fused', 'thread'\)"
-        ):
-            ShardSpec(2, parallel="process")
-        with pytest.raises(ValueError):
-            ShardSpec(2, workers=0)
+
+    def test_fields_are_count_anchor_and_tie_break(self):
+        import dataclasses
+
+        names = [field.name for field in dataclasses.fields(ShardSpec)]
+        assert names == ["shards", "atom", "tie_break"]
+        assert ShardSpec(2, atom=1).cache_key() == (2, 1, "arrival")
+
+    @pytest.mark.parametrize("shards", [True, False, 2.0, "2"])
+    def test_shard_count_must_be_an_int_not_a_bool(self, shards):
+        with pytest.raises(ValueError, match="shards must be a positive int"):
+            ShardSpec(shards)
+
+    @pytest.mark.parametrize("atom", [True, "x", 1.0])
+    def test_anchor_must_be_an_int_not_a_bool(self, atom):
+        with pytest.raises(ValueError, match="shard atom must be an int"):
+            ShardSpec(2, atom=atom)
+
+    def test_prepare_rejects_an_untyped_anchor_at_prepare(self, engine):
+        with pytest.raises(ValueError, match="shard atom"):
+            engine.prepare(QUERY, shards=2, shard_atom="x")
 
     def test_hashable_and_distinct(self):
         assert ShardSpec(2) == ShardSpec(2)
@@ -244,73 +253,6 @@ class TestMergeCounterAttribution:
         stats = physical.shard_stats()
         assert stats["shards"] == 4
         assert stats["last_shard_counts"] == counts
-
-
-class TestPreprocessorModes:
-    # Fresh engine per mode: the engine's caches key on the spec's
-    # *result identity* only, so a second prepare with a different
-    # build-mode hint would (deliberately) reuse the first bind.
-
-    @pytest.mark.parametrize("mode", ["thread"])
-    def test_worker_modes_match_fused_memory(self, mode):
-        database = uniform_database(3, 120, seed=21)
-        fused = signature(
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel="fused")
-            .iter()
-        )
-        physical = (
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel=mode)
-            .bind()
-        )
-        if physical.mode != mode:  # pool unavailable -> graceful fallback
-            assert any("fell back" in note or "downgraded" in note
-                       for note in physical.notes)
-        assert signature(physical.iter()) == fused
-
-    @pytest.mark.parametrize("mode", ["thread"])
-    def test_worker_modes_match_fused_sqlite(self, tmp_path, mode):
-        backend = SQLiteBackend(str(tmp_path / "modes.db"))
-        for relation in uniform_database(3, 120, seed=21):
-            backend.ingest(relation)
-        database = backend.database()
-        fused = signature(
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel="fused")
-            .iter()
-        )
-        physical = (
-            Engine(database)
-            .prepare(QUERY, shards=4, shard_parallel=mode)
-            .bind()
-        )
-        if physical.mode != mode:  # pragma: no cover - env-dependent
-            assert any("fell back" in note or "downgraded" in note
-                       for note in physical.notes)
-        assert signature(physical.iter()) == fused
-        backend.close()
-
-    def test_parallel_hint_shares_bind_and_stream(self, engine):
-        """parallel/workers are build mechanics, not result identity."""
-        a = engine.prepare(QUERY, shards=4)
-        first = a.top(5)
-        binds = engine.stats.binds
-        b = engine.prepare(QUERY, shards=4, shard_parallel="thread",
-                           shard_workers=2)
-        assert b.top(5) == first
-        assert engine.stats.binds == binds  # no second preprocessing
-        assert a.physical_key == b.physical_key
-
-    def test_fused_mode_reports_one_worker(self, engine):
-        """The fused build runs inline: its plan and result say so."""
-        prepared = engine.prepare(
-            QUERY, shards=4, shard_parallel="fused", shard_workers=3
-        )
-        physical = prepared.bind()
-        assert "mode=fused(1 worker(s))" in prepared.explain()
-        assert physical.mode == "fused"
-        assert physical.workers == physical.shard_plan.workers == 1
 
 
 class TestPicklability:

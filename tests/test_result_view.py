@@ -70,7 +70,7 @@ STORAGES = {
     "sqlite_cold": ("sqlite", {}),
     "shards1": ("memory", {"shards": 1}),
     "shards4": ("memory", {"shards": 4}),
-    "thread4": ("memory", {"shards": 4, "shard_parallel": "thread"}),
+    "sqlite_shards4": ("sqlite", {"shards": 4}),
 }
 K = 300
 PROJECTION = parse_query("Q(x1, x3) :- R1(x1, x2), R2(x2, x3), R3(x3, x4)")

@@ -131,6 +131,80 @@ class TestTypedFields:
         assert _error_code(transport, addresses, message) is None
 
 
+# -- removed wire fields ------------------------------------------------------------
+
+
+class TestRemovedShardFields:
+    """``shard_parallel`` and ``shard_strategy`` are not wire fields: a
+    prepare from a client that still sends them, with any value, is
+    served as if they were absent."""
+
+    @pytest.fixture(scope="class")
+    def addresses(self, engine):
+        with ServerThread(engine) as tcp, GatewayThread(
+            engine, log_requests=False
+        ) as http:
+            yield {"tcp": tcp, "http": http}
+
+    @staticmethod
+    def _serve_ws(addresses: dict, message: dict):
+        ws = _SyncWsClient(*addresses["http"])
+        try:
+            ws.send({"op": "prepare", **message})
+            response = ws.recv()
+            cursor = response.pop("cursor")
+            pages = []
+            for _ in range(3):
+                ws.send(
+                    {"op": "fetch", "session": message["session"],
+                     "cursor": cursor, "n": 7}
+                )
+                rows = []
+                while "result" in (frame := ws.recv()):
+                    rows.append(frame["result"])
+                pages.append(rows)
+        finally:
+            ws.close()
+        return response, pages
+
+    @classmethod
+    def _serve(cls, transport: str, addresses: dict, message: dict):
+        """``message``'s prepare response (no cursor id) and three pages."""
+        if transport == "ws":
+            return cls._serve_ws(addresses, message)
+        if transport == "tcp":
+            client = ServeClient(*addresses["tcp"])
+            response = client.request({"op": "prepare", **message})
+        else:
+            client = HttpServeClient(*addresses["http"])
+            response = client.request("POST", "/v1/prepare", message)
+        with client:
+            cursor = response.pop("cursor")
+            pages = [
+                client.fetch(message["session"], cursor, 7).results
+                for _ in range(3)
+            ]
+        return response, pages
+
+    @pytest.mark.parametrize("transport", ["tcp", "http", "ws"])
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            {"shard_parallel": "process"},
+            {"shard_parallel": "thread", "shard_strategy": "hash"},
+            {"shard_parallel": 5, "shard_strategy": ["range"]},
+        ],
+    )
+    def test_stale_fields_get_the_same_pages(self, addresses, transport, stale):
+        plain = {"session": f"plain-{transport}", "query": QUERY, "shards": 2}
+        response, pages = self._serve(transport, addresses, plain)
+        assert sum(map(len, pages)) == 21
+        carried = {**plain, "session": f"stale-{transport}", **stale}
+        stale_response, stale_pages = self._serve(transport, addresses, carried)
+        assert stale_pages == pages
+        assert {**stale_response, "session": None} == {**response, "session": None}
+
+
 # -- stats: one answer on every transport ----------------------------------------
 
 

@@ -162,9 +162,6 @@ class TestServerErrors:
     def test_bad_query_text(self, client):
         with pytest.raises(ServeClientError, match="bad_query"):
             client.prepare("errs", "THIS IS NOT DATALOG")
-        # A removed shard mode is refused like any unknown one.
-        with pytest.raises(ServeClientError, match="bad_query"):
-            client.prepare("errs", QUERY, shards=2, shard_parallel="process")
         assert client.ping()
 
     def test_unknown_relation(self, client):

@@ -158,19 +158,6 @@ class TestExactConformanceSweep:
         assert reference
         assert run(engine, query, "take2", shards=shards) == reference
 
-    def test_hash_partitioning_matches(self, tmp_path):
-        database = open_database(
-            decoding_database(3, 40, domain=7, seed=5), "sqlite", tmp_path, "hash"
-        )
-        engine = Engine(database)
-        query = path_query(3)
-        reference = run(engine, query, "take2")
-        for shards in (2, 5):
-            assert (
-                run(engine, query, "take2", shards=shards, shard_strategy="hash")
-                == reference
-            )
-
     def test_self_join_anchor(self):
         """Per-stage restriction keeps self-joins shardable (arrival mode).
 
