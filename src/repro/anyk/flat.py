@@ -63,10 +63,11 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable
 
+import numpy as np
+
 from repro.anyk.base import Enumerator, RankedResult
 from repro.anyk.strategies import ALGORITHMS, FLAT_VIEWS
 from repro.dp.flat import CompiledTDP, LaneCore
-from repro.util import vec
 from repro.util.counters import OpCounter
 
 
@@ -843,22 +844,20 @@ class FlatBatch(FlatEnumerator):
         every rank 0 (not a tie-broken :class:`~repro.dp.flat.LaneCore`,
         which keeps the scalar path), no visit counting (the counter
         increments per intermediate tuple, which the vectorized
-        expansion never materialises one at a time), numpy available.
-        Both paths produce the identical list — same DFS preorder, same
-        left-fold float operations.
+        expansion never materialises one at a time).  Both paths produce
+        the identical list — same DFS preorder, same left-fold float
+        operations.
         """
         compiled = self.compiled
-        np = vec.np
         if (
-            np is not None
-            and counter is None
+            counter is None
             and not compiled.empty
             and not isinstance(compiled, LaneCore)
         ):
-            return self._solutions_vec(np)
+            return self._solutions_vec()
         return list(self._solutions(counter))
 
-    def _solutions_vec(self, np) -> list:
+    def _solutions_vec(self) -> list:
         """Level-synchronous ragged expansion over the CSR entry pool.
 
         Each level replaces every live prefix by its child entries in

@@ -18,21 +18,21 @@ original atom's weight is pinned to exactly one bag.
 **One scan per relation, two ways to join it.**  Each distinct relation
 of the cycle is read once (a self-join ``E⋈E⋈E⋈E`` reads ``E`` once;
 stored in a backend, one ``SELECT``) and every atom orients that scan.
-Where numpy is on, the dioid has a lane (:func:`~repro.ranking.dioid.
-lane_of`) and the relations hold ``int`` values and ``float`` weights,
-the bags are built as **columns**: each relation becomes an int64 value
-table and a float64 weight column, heavy and light are split by one
-mask, and every join — the light chains and the heavy fan's bags — is
+Where the dioid has a lane (:func:`~repro.ranking.dioid.lane_of`) and
+the relations hold ``int`` values and ``float`` weights, the bags are
+built as **columns**: each relation becomes an int64 value table and a
+float64 weight column, heavy and light are split by one mask, and every
+join — the light chains and the heavy fan's bags — is
 one :func:`~repro.util.vec.gather` (sort, ``searchsorted``, ``repeat``)
 whose weights are the lane's ``*`` or ``+`` of the same two floats in
 the same order as ``times`` on the row path.  A bag is then a
 column-backed :class:`~repro.data.relation.Relation` (its ``tuples``
 made only if something reads them) with its lineage id columns, and
-:mod:`repro.dp.lower` scans it as columns.  Everything else — no numpy
-(``REPRO_NO_NUMPY``), a value that is not an ``int``, a weight that is
-not a ``float``, a dioid without a lane — builds **rows**: one Python
-tuple and one ``times`` per bag row, the reference the columns equal
-tuple for tuple and bit for bit (``tests/test_cycle_columns.py``).
+:mod:`repro.dp.lower` scans it as columns.  Everything else — a value
+that is not an ``int``, a weight that is not a ``float``, a dioid
+without a lane — builds **rows**: one Python tuple and one ``times`` per
+bag row, the reference the columns equal tuple for tuple and bit for bit
+(``tests/test_cycle_columns.py``).
 Each task's ``bag_layout`` says which, and why not columns.
 """
 
@@ -44,6 +44,8 @@ from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -145,7 +147,7 @@ class _CycleAtom:
         if isinstance(scan, tuple):
             table, weights = scan
             self.full = _Columns(
-                vec.np.arange(len(weights)), table[:, entry_pos],
+                np.arange(len(weights)), table[:, entry_pos],
                 table[:, exit_pos], weights,
             )
             self.heavy = self.full.take(slice(0, 0))
@@ -177,7 +179,7 @@ class _CycleAtom:
                 key[0] for key, count in degrees.items() if count >= threshold
             ]
         elif columns:
-            values, counts = vec.np.unique(self.full.entry, return_counts=True)
+            values, counts = np.unique(self.full.entry, return_counts=True)
             heavy_values = values[counts >= threshold]
         else:
             counts = Counter(row[1] for row in self.full)
@@ -187,7 +189,7 @@ class _CycleAtom:
         if not len(heavy_values):
             return
         if columns:
-            heavy = vec.np.isin(self.full.entry, heavy_values)
+            heavy = np.isin(self.full.entry, heavy_values)
             self.heavy = self.full.take(heavy)
             self.light = self.full.take(~heavy)
         else:
@@ -200,7 +202,6 @@ def _scan_columns(relation: Relation, scan: list) -> tuple | str:
     """``relation``'s one scan as an ``(n, 2)`` int64 value table and a
     float64 weight column, or why it stays rows (a value that is not an
     ``int``, a weight that is not a ``float``, a value past int64)."""
-    np = vec.np
     values, weights = zip(*scan) if scan else ((), ())
     for kind, wanted, items in (
         ("value", int, chain.from_iterable(values)), ("weight", float, weights),
@@ -231,11 +232,10 @@ def _read_scans(
     Else ``why`` is the reason the bags stay rows and a name maps to its
     ``(values, weight)`` rows: a list where several atoms share them, else
     the relation's ``rows`` method, which the one atom streams when it
-    is built.  Without numpy or a lane the path is known before anything
-    is read.
+    is built.  Without a lane the path is known before anything is read.
     """
     names = cycle_relations(query, walk)
-    why = "no numpy" if vec.np is None else lane_of(dioid)[1] or None
+    why = lane_of(dioid)[1] or None
     if why is not None:
         atoms = Counter(query.atoms[index].relation_name for index, _entry in walk)
         return {
@@ -316,7 +316,7 @@ def _chain_join_columns(members: Sequence[_Columns], multiply: bool):
 def _times(a, b, multiply: bool):
     """The lane's ``times`` over two float64 columns (NaN and overflow
     arise silently, as they do on Python floats)."""
-    with vec.np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return a * b if multiply else a + b
 
 
@@ -340,8 +340,8 @@ def decompose_cycle(
     many atoms it serves.
 
     The bags are built as columns (column-backed relations) where
-    numpy is on, ``dioid`` has a lane and the relations hold ``int``
-    values and ``float`` weights; else as rows.  Either way they hold
+    ``dioid`` has a lane and the relations hold ``int`` values and
+    ``float`` weights; else as rows.  Either way they hold
     the same tuples, weight bits and lineage; each task's
     ``bag_layout`` says which, and why not columns.
     """
@@ -622,7 +622,6 @@ def _heavy_partition_columns(
     order, matches in scan order: the row path's loop nest) or, for the
     middle bags, a ``repeat`` / ``tile`` against the sorted heavy values.
     """
-    np = vec.np
     length = len(cycle_atoms)
     rotated, rows = _restricted(cycle_atoms, pivot)
     if any(not len(r) for r in rows):

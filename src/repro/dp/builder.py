@@ -50,6 +50,8 @@ from itertools import compress, count, repeat
 from operator import and_, is_not, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.data.database import Database
 from repro.dp.graph import ChoiceSet, TDP
 from repro.dp.lower import (
@@ -62,7 +64,6 @@ from repro.dp.lower import (
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
-from repro.util import vec
 
 #: Lift signature: (atom, tuple_values, raw_weight) -> dioid value.  A
 #: lift may carry its column form as a ``column`` attribute —
@@ -97,10 +98,10 @@ def rank_tie_domains(
             if not template:
                 continue
             relation = database[atoms[atom_idx].relation_name]
-            if relation.arrays is not None and vec.np is not None:
+            if relation.arrays is not None:
                 columns = relation.arrays[0]
                 for column, slot in template:
-                    domains[slot].update(vec.np.unique(columns[column]).tolist())
+                    domains[slot].update(np.unique(columns[column]).tolist())
                 continue
             rows, _weights = stage_columns(relation)
             for column, slot in template:

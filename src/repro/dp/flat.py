@@ -54,9 +54,10 @@ from heapq import heapify as _heapify
 from operator import add, itemgetter, mul
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.dp.graph import TDP, ResultAssembler, stage_tree
 from repro.ranking.dioid import lane_of
-from repro.util import vec
 
 #: Connector size above which :meth:`CompiledTDP.sorted_pairs` prefers a
 #: numpy ``lexsort`` over ``sorted`` on tuples.  Both orders are
@@ -72,16 +73,18 @@ def _sorted_entries(entries: list[tuple]) -> list[tuple]:
     Sorts on every column, key first and state last, so ``(key, state)``
     pairs and ``(key, rank, state)`` triples alike come out in tuple
     order.  The key column sorts as float64, the others as int64; a rank
-    too wide for int64 keeps ``sorted``.
+    too wide for int64 keeps ``sorted``, and so does a NaN key (``lexsort``
+    puts it last, ``sorted`` where it meets it).
     """
-    np = vec.np
-    if np is None or len(entries) < _VEC_SORT_MIN:
+    if len(entries) < _VEC_SORT_MIN:
         return sorted(entries)
     keys, *others = zip(*entries)
     try:
         columns = [np.array(keys, np.float64)]
         columns += [np.array(column, np.int64) for column in others]
     except OverflowError:
+        return sorted(entries)
+    if np.isnan(columns[0]).any():
         return sorted(entries)
     order = np.lexsort(columns[::-1])
     return list(zip(*(column[order].tolist() for column in columns)))

@@ -32,30 +32,29 @@ when enumeration first touches it.  Measured: a fragment's root is a
 list at bind (zipping it in the first fetch was slower), and the tuples
 are made at bind (made on touch, they moved collections into pages).
 
-**Three scans, one behaviour.**  With numpy, a stage of at least
-``_VEC_SCAN_MIN`` rows and no repeated variable takes the kernels:
-:func:`_scan_stage_vec`, then :func:`_place_by_connector` — for a core
-with an inverse, and for one without (tie-broken union members, acyclic
-max-times) with its rank column converted to int64 once
-(:func:`_kernel_columns`); the fragment root's least entry comes from
-the same arrays.  A union member whose bags are columns (a cycle
-decomposition's, :meth:`~repro.data.relation.Relation.from_columns`)
-takes the **column stage scan** on every stage, whatever its size
-(:func:`member_columns`): join keys become int64 codes, connectors
-numbered first-seen as ``dict.fromkeys`` numbers them (:func:`_place_columns`),
-a parent probes the child's codes (:class:`_KeyTable`), packed ranks
-come from the slot ordinals by ``searchsorted``
-(:func:`_rank_columns_of`), placement is :func:`_place_by_connector`'s
-(:func:`_place_local`), and the core's rows for the stage are a
-:class:`ColumnRows` view that result assembly indexes only for answers
-someone reads — no row tuple, no join-key tuple, no ``times`` per bag
-row.  Everything else — no numpy (``REPRO_NO_NUMPY``), small stages,
-repeated variables, NaN entry values, a rank column past int64 (the
-tie-breaker numbers more than 2**63 assignments) — runs the scalar
-loops over the same sequences, with the same IEEE operations in the
-same order (a column member with ranks past int64 lowers from its rows;
-a column stage with a NaN entry value takes the scalar placement over
-its key codes).
+**One row scan, one placement.**  Every stage runs on numpy kernels.  A
+stage over rows takes :func:`scan_stage` — join-key dict probes as one
+C-level ``map`` per child branch, the alive mask, the ``pi`` fold and
+the entry values as float64 kernels; an atom with a repeated variable
+first drops the rows that violate it, the one Python loop over a
+stage's rows — then :func:`_place_by_connector`, for a core with an
+inverse and for one without (tie-broken union members, acyclic
+max-times) with its rank column (:func:`_rank_columns`).  The fragment
+root's least entry comes from the same arrays.  A union member whose
+bags are columns (a cycle decomposition's,
+:meth:`~repro.data.relation.Relation.from_columns`) takes the **column
+stage scan** on every stage (:func:`member_columns`): join keys become
+int64 codes, connectors numbered first-seen as ``dict.fromkeys`` numbers
+them (:func:`_place_columns`), a parent probes the child's codes
+(:class:`_KeyTable`), packed ranks come from the slot ordinals by
+``searchsorted`` (:func:`_rank_columns_of`), placement is
+:func:`_place_by_connector`'s (:func:`_place_local`), and the core's
+rows for the stage are a :class:`ColumnRows` view that result assembly
+indexes only for answers someone reads — no row tuple, no join-key
+tuple, no ``times`` per bag row.  A connector's least entry is
+``min()``'s over its entry tuples (:func:`_least_entries`), a NaN entry
+value and a rank past int64 (the tie-breaker numbering more than 2**63
+assignments) included.
 
 The sweep is split at one **anchor** stage, a root of its join-tree
 component; no non-anchor stage depends on which anchor rows are present:
@@ -83,9 +82,12 @@ keep the object builder, which reads the same stage-input shape
 from __future__ import annotations
 
 import time
-from itertools import accumulate, chain, count, repeat
-from operator import add, itemgetter, neg
+from itertools import compress, count, repeat
+from numbers import Real
+from operator import add, itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -226,7 +228,7 @@ class SharedLower:
         "ent_rank", "entries", "conn_offsets", "conn_stage", "conn_min",
         "conn_rank", "conn_maps", "root_uid", "num_conns", "complete",
         "own_key_positions", "parent_key_positions", "seconds", "rows",
-        "vectorized_stages", "rank_tables",
+        "rank_tables",
     )
 
     def __init__(
@@ -295,9 +297,8 @@ class SharedLower:
         #: fragment is empty regardless of its anchor rows).
         self.complete = True
         self.seconds = 0.0
-        #: Input rows scanned, and how many stages took the numpy kernel.
+        #: Input rows scanned.
         self.rows = 0
-        self.vectorized_stages = 0
 
     def child_lookups(self, stage: int):
         """Per child branch: (single_column, positions, conn_map)."""
@@ -341,7 +342,6 @@ def build_shared_lower(
         entry_values, kept, ids_out, vk_out, pk_out, cu_out = _scan_relation(
             shared, stage, relation
         )
-        shared.vectorized_stages += _from_kernel(entry_values)
         shared.tuples[stage] = kept
         shared.tuple_ids[stage] = ids_out
         shared.val_base[stage] = vk_out
@@ -353,13 +353,13 @@ def build_shared_lower(
             shared.val_rank[stage], shared.ent_rank[stage] = _rank_lists(
                 val_rank, entry_ranks
             )
-            shared.ent_base[stage] = _as_list(entry_values)
+            shared.ent_base[stage] = entry_values.tolist()
 
         if isinstance(kept, ColumnRows):
             _place_columns(shared, stage, kept, entry_values, entry_ranks)
         else:
             join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
-            _place_entries(shared, stage, join_keys, entry_values, entry_ranks)
+            _place_by_connector(shared, stage, join_keys, entry_values, entry_ranks)
         shared.num_conns = len(shared.conn_stage)
 
         if shared.parent_stage[stage] == -1:
@@ -375,14 +375,14 @@ def build_shared_lower(
 
 def _rank_columns(
     shared: SharedLower, stage: int, rows: Sequence[tuple], child_uids: list[int]
-) -> tuple[list[int], list[int]]:
+) -> tuple:
     """``(val_rank, ent_rank)`` of one stage of a core without an inverse:
     zeros without a tie-breaker, else the packed ranks of the variables
     the stage owns plus, for the entry, the child connectors' least ranks.
-    Lists, or int64 arrays from a column stage (:func:`_rank_columns_of`).
+    Arrays (:func:`_rank_array`; one array where a leaf's two are one).
     """
     if shared.templates is None:
-        zeros = [0] * len(rows)
+        zeros = np.zeros(len(rows), np.int64)
         return zeros, zeros
     if isinstance(rows, ColumnRows):
         return _rank_columns_of(shared, stage, rows, child_uids)
@@ -397,89 +397,30 @@ def _rank_columns(
         uids = child_uids if branches == 1 else child_uids[branch::branches]
         ranks = map(conn_rank.__getitem__, uids)
         pi_rank = list(ranks) if pi_rank is None else list(map(add, pi_rank, ranks))
+    val_array = _rank_array(val_rank)
     if pi_rank is None:  # a leaf
-        return val_rank, val_rank
-    return val_rank, list(map(add, val_rank, pi_rank))
+        return val_array, val_array
+    return val_array, _rank_array(list(map(add, val_rank, pi_rank)))
 
 
-def _as_list(column):
-    """A kernel's numpy column as a list of native scalars; a list as it is."""
-    return column.tolist() if _from_kernel(column) else column
+def _rank_array(ranks: list):
+    """A rank column as int64, or as an object array of its Python ints
+    where a rank passes int64 (the tie-breaker numbers more than 2**63
+    assignments)."""
+    try:
+        return np.array(ranks, np.int64)
+    except OverflowError:
+        return np.array(ranks, object)
 
 
 def _rank_lists(val_rank, ent_rank) -> tuple[list, list]:
     """:func:`_rank_columns`' two columns as lists, one list where a leaf's
     two are one."""
-    val_list = _as_list(val_rank)
-    return val_list, val_list if ent_rank is val_rank else _as_list(ent_rank)
+    val_list = val_rank.tolist()
+    return val_list, val_list if ent_rank is val_rank else ent_rank.tolist()
 
 
 # -- one stage's connectors ----------------------------------------------------
-
-
-def _place_entries(
-    shared: SharedLower, stage: int, join_keys: list, entry_values, entry_ranks=None
-) -> None:
-    """Key one stage's entry values and place its states into connectors.
-
-    A connector per distinct join key in first-seen order, its entries
-    (``(key, state)``, or ``(key, rank, state)`` with ``entry_ranks``)
-    appended to the pool in state order, its minimum the value of
-    ``min(group)``.  This loop is the reference; kernel output goes
-    through :func:`_place_by_connector` unless :func:`_kernel_columns`
-    refuses it (a NaN, or a rank that does not fit in int64).
-    """
-    columns = _kernel_columns(entry_values, entry_ranks)
-    if columns is not None:
-        _place_by_connector(shared, stage, join_keys, *columns)
-        return
-    entry_values = _as_list(entry_values)
-    keys = list(map(neg, entry_values)) if shared.lane.negate else entry_values
-    if entry_ranks is None:
-        entries = zip(keys, count())
-    else:
-        entries = zip(keys, entry_ranks, count())
-    groups: dict = {}
-    g_get = groups.get
-    for join_key, entry in zip(join_keys, entries):
-        bucket = g_get(join_key)
-        if bucket is None:
-            groups[join_key] = [entry]
-        else:
-            bucket.append(entry)
-
-    # The buckets are scratch: the core keeps the pool they flatten into.
-    pool = shared.entries
-    shared.conn_maps[stage].update(zip(groups, count(len(shared.conn_stage))))
-    shared.conn_stage += [stage] * len(groups)
-    shared.conn_offsets += map(len(pool).__add__, accumulate(map(len, groups.values())))
-    pool += chain.from_iterable(groups.values())
-    least = list(map(min, groups.values()))
-    shared.conn_min += map(entry_values.__getitem__, map(itemgetter(-1), least))
-    if entry_ranks is not None:
-        shared.conn_rank += map(itemgetter(1), least)
-
-
-def _kernel_columns(entry_values, entry_ranks):
-    """A stage's entry columns as the placement kernel takes them — the
-    scan's numpy values and the ranks (if any) as int64 — or ``None``
-    where only the scalar loop reproduces ``min()``: a list (no kernel
-    scan), no rows, a NaN (``min()`` over ``(nan, ...)`` tuples depends
-    on the order it meets them in), or a rank past int64 (the
-    tie-breaker numbers more than 2**63 assignments)."""
-    np = vec.np
-    if (
-        not _from_kernel(entry_values)
-        or not len(entry_values)
-        or np.isnan(entry_values).any()
-    ):
-        return None
-    if entry_ranks is None:
-        return entry_values, None
-    try:
-        return entry_values, np.array(entry_ranks, np.int64)
-    except OverflowError:
-        return None
 
 
 def _least_entries(keys, ranks, starts, sizes):
@@ -490,30 +431,40 @@ def _least_entries(keys, ranks, starts, sizes):
     position is ``min()``'s over the entry tuples: the least key
     (``0.0 == -0.0``), among those the least rank, among those the first
     state — so a zero minimum has the sign of the entry it came from.
+    ``min()`` never replaces a leading NaN key and never takes a later
+    one: a NaN is never the least key (``fmin``) unless it comes first.
+    Ranks past int64 (an object array) compare by their dense codes.
     """
-    np = vec.np
     n = len(keys)
-    at_min = keys == np.repeat(np.minimum.reduceat(keys, starts), sizes)
+    at_min = keys == np.repeat(np.fmin.reduceat(keys, starts), sizes)
     if ranks is not None:
+        if ranks.dtype == object:
+            ranks = np.unique(ranks, return_inverse=True)[1].reshape(-1)
         ranked = np.where(at_min, ranks, np.iinfo(np.int64).max)
         at_min &= ranks == np.repeat(np.minimum.reduceat(ranked, starts), sizes)
-    return np.minimum.reduceat(np.where(at_min, np.arange(n), n), starts)
+    least = np.minimum.reduceat(np.where(at_min, np.arange(n), n), starts)
+    leading_nan = np.isnan(keys[starts])
+    least[leading_nan] = np.asarray(starts)[leading_nan]
+    return least
 
 
 def _place_by_connector(
     shared: SharedLower, stage: int, join_keys: list, entry_values, entry_ranks=None
 ) -> None:
-    """:func:`_place_entries` as one bucket placement by connector id.
+    """Key one stage's entry values and place its states into connectors.
 
-    Nothing is ordered by weight: first-seen uids come from
-    ``dict.fromkeys``, then :func:`_place_local` moves every state into
-    its connector's range.
+    A connector per distinct join key in first-seen order, its entries
+    (``(key, state)``, or ``(key, rank, state)`` with ``entry_ranks``)
+    appended to the pool in state order, its minimum the value of
+    ``min()`` over them.  Nothing is ordered by weight: first-seen uids
+    come from ``dict.fromkeys``, then :func:`_place_local` moves every
+    state into its connector's range.
     """
     first_uid = len(shared.conn_stage)
     cmap_out = shared.conn_maps[stage]
     cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
-    local = vec.np.fromiter(
-        map(cmap_out.__getitem__, join_keys), vec.np.int64, len(entry_values)
+    local = np.fromiter(
+        map(cmap_out.__getitem__, join_keys), np.int64, len(entry_values)
     )
     local -= first_uid
     _place_local(shared, stage, local, len(cmap_out), entry_values, entry_ranks)
@@ -527,9 +478,10 @@ def _place_local(
     argsort (a counting sort up to 2**16 connectors) moves every state
     into its connector's range, :func:`_least_entries` picks each range's
     least entry, and the pool grows by one C-level ``zip`` of the key,
-    (int64) rank and state columns.
+    rank and state columns.  A stage without states places nothing.
     """
-    np = vec.np
+    if not conns:
+        return
     if conns <= 1 << 16:
         local = local.astype(np.uint16)
     order = local.argsort(kind="stable")
@@ -553,18 +505,16 @@ def _place_local(
 # -- one stage's scan ----------------------------------------------------------
 
 
-#: Row count below which the vectorized scan is not worth the numpy
-#: round-trip.
-_VEC_SCAN_MIN = 512
-
-
 class StageScan:
     """One stage scan's inputs, read off a :class:`SharedLower` once
     (:func:`stage_scan_of`)."""
 
-    __slots__ = ("check_repeats", "satisfies", "lookups", "lane", "one", "conn_min")
+    __slots__ = (
+        "relation", "check_repeats", "satisfies", "lookups", "lane", "one", "conn_min",
+    )
 
     def __init__(self, atom, lookups, lane: FloatLane, one, conn_min):
+        self.relation = atom.relation_name
         self.check_repeats = atom.has_repeated_variables()
         self.satisfies = atom.satisfies_repeats
         self.lookups = lookups
@@ -580,53 +530,6 @@ def stage_scan_of(shared: SharedLower, stage: int) -> StageScan:
     )
 
 
-def _from_kernel(entry_values) -> bool:
-    """Whether a scan's entry values are the numpy kernel's (an ndarray)."""
-    return not isinstance(entry_values, list)
-
-
-def _scan_stage_vec(
-    scan: StageScan,
-    rows: Sequence[tuple],
-    weights: Sequence,
-    base: int,
-):
-    """Vectorized stage scan (no repeated variable).
-
-    The join-key dict probes stay hash probes (hash tables do not
-    vectorize) but run as one C-level ``map`` per child branch; the
-    alive mask, the ``pi`` fold and the ``v ⊗ pi`` entry values run as
-    numpy float64 kernels (:func:`_fold_branches`).  Every column is a
-    list of native Python scalars (``.tolist()``, or the stored weight
-    objects themselves); only the entry values stay an array, for
-    :func:`_place_by_connector`.
-    """
-    np = vec.np
-    n = len(rows)
-    probes = [
-        np.fromiter(
-            map(cmap.get, join_key_column(rows, positions), repeat(-1)), np.int64, n
-        )
-        for _single, positions, cmap in scan.lookups
-    ]
-    alive, probes, _w, pi, entry_values = _fold_branches(
-        scan, probes, np.array(weights, np.float64)
-    )
-    if alive is None:
-        tuples_out = list(rows)
-        ids_out = list(range(base, base + n))
-    else:
-        alive_list = alive.tolist()
-        tuples_out = [rows[i] for i in alive_list]
-        weights = [weights[i] for i in alive_list]
-        ids_out = (alive + base).tolist()
-    # Like the scalar loop, hand back objects that already exist rather
-    # than a second float per state: state values are the stored
-    # weights (an ``int`` weight stays one).
-    cu_out, pk_out = _branch_columns(scan, probes, pi, len(tuples_out))
-    return entry_values, tuples_out, ids_out, list(weights), pk_out, cu_out
-
-
 def _fold_branches(scan: StageScan, probes: list, w):
     """The kernels' shared middle: ``(alive, probes, w, pi, entry_values)``.
 
@@ -635,10 +538,9 @@ def _fold_branches(scan: StageScan, probes: list, w):
     some branch are dropped (``alive`` their positions, ``None`` when
     every row lives), then ``pi`` folds the connector minima from
     ``one`` and ``entry_values`` is ``w ⊗ pi`` — the same IEEE
-    operations in the same order as the scalar loop, so the arrays are
-    bit-identical to its values.
+    operations in the same order as ``build_tdp``'s ``times``, so the
+    arrays are bit-identical to its values.
     """
-    np = vec.np
     alive = None
     if probes:
         mask = np.minimum.reduce(probes) >= 0
@@ -648,11 +550,11 @@ def _fold_branches(scan: StageScan, probes: list, w):
             w = w[alive]
     multiply = scan.lane.multiply
     conn_min = np.asarray(scan.conn_min, dtype=np.float64)
-    # Folded from ``one`` in branch order, like the scalar tree loop
-    # (whose chain shortcut ``pi = conn_min[cu]`` has the same bits:
-    # ``1.0 * m`` is ``m``, and so is ``0.0 + m``, a minimum under ``+``
-    # never being -0.0, itself a sum that began at +0.0).  inf + -inf
-    # and 0 * inf are NaN here as there, without the warning.
+    # Folded from ``one`` in branch order, like the object builder (a
+    # single branch's ``pi`` is its connector minimum in bits: ``1.0 * m``
+    # is ``m``, and so is ``0.0 + m``, a minimum under ``+`` never being
+    # -0.0, itself a sum that began at +0.0).  inf + -inf and 0 * inf
+    # are NaN here as there, without the warning.
     pi = np.full(len(w), scan.one)
     with np.errstate(invalid="ignore"):
         for probe in probes:
@@ -663,11 +565,10 @@ def _fold_branches(scan: StageScan, probes: list, w):
 
 def _branch_columns(scan: StageScan, probes: list, pi, states: int):
     """``(cu_out, pk_out)`` of a kernel scan: the child connector uids
-    branch-major per state, like the scalar loop's ``extend``, and the
-    ``pi1`` column — a leaf's one shared ``one``, a single branch's its
-    connector minima themselves (the same bits, see
-    :func:`_fold_branches`), else the fold."""
-    cu_out = vec.np.stack(probes, axis=1).ravel().tolist() if probes else []
+    branch-major per state, and the ``pi1`` column — a leaf's one shared
+    ``one``, a single branch's its connector minima themselves (the same
+    bits, see :func:`_fold_branches`), else the fold."""
+    cu_out = np.stack(probes, axis=1).ravel().tolist() if probes else []
     if not probes:
         pk_out = [scan.one] * states
     elif len(probes) == 1:
@@ -693,75 +594,44 @@ def scan_stage(
     ``(entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out)``,
     one element per alive state: states are sequential (``0 ..
     alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi``.
-    ``entry_values`` is a list from this loop, an ndarray from the numpy
-    kernel (everything else is native lists either way).
+
+    The join-key dict probes stay hash probes (hash tables do not
+    vectorize) but run as one C-level ``map`` per child branch; the
+    alive mask, the ``pi`` fold and the ``v ⊗ pi`` entry values run as
+    numpy float64 kernels (:func:`_fold_branches`).  Every column is a
+    list of native Python scalars (``.tolist()``, or the stored weight
+    objects themselves); only the entry values stay an array, for
+    :func:`_place_by_connector`.  A weight that is not a real number is
+    a ``TypeError``, as ``times`` on it would be.
     """
-    check_repeats = scan.check_repeats
-    satisfies = scan.satisfies
-    lookups = scan.lookups
-    multiply = scan.lane.multiply
-    one = scan.one
-    conn_min = scan.conn_min
-
-    if not check_repeats and len(rows) >= _VEC_SCAN_MIN and vec.np is not None:
-        return _scan_stage_vec(scan, rows, weights, base)
-
-    tuples_out: list[tuple] = []
-    ids_out: list[int] = []
-    vk_out: list = []
-    pk_out: list = []
-    cu_out: list[int] = []
-    entry_values: list = []
-    t_append = tuples_out.append
-    i_append = ids_out.append
-    v_append = vk_out.append
-    p_append = pk_out.append
-    e_append = entry_values.append
-
-    if len(lookups) == 1 and lookups[0][0] is not None:  # the chain shape
-        child_col, _positions, cmap = lookups[0]
-        cm_get = cmap.get
-        c_append = cu_out.append
-        for local, (row, w) in enumerate(zip(rows, weights)):
-            if check_repeats and not satisfies(row):
-                continue
-            cu = cm_get(row[child_col])
-            if cu is None:
-                continue
-            pi = conn_min[cu]
-            e_append(w * pi if multiply else w + pi)
-            t_append(row)
-            i_append(base + local)
-            v_append(w)
-            p_append(pi)
-            c_append(cu)
-    else:
-        for local, (row, w) in enumerate(zip(rows, weights)):
-            if check_repeats and not satisfies(row):
-                continue
-            pi = one
-            conns: list[int] = []
-            dead = False
-            for single, positions, cmap in lookups:
-                if single is None:
-                    cu = cmap.get(tuple(row[p] for p in positions))
-                else:
-                    cu = cmap.get(row[single])
-                if cu is None:
-                    dead = True
-                    break
-                conns.append(cu)
-                pi = pi * conn_min[cu] if multiply else pi + conn_min[cu]
-            if dead:
-                continue
-            e_append(w * pi if multiply else w + pi)
-            t_append(row)
-            i_append(base + local)
-            v_append(w)
-            p_append(pi)
-            cu_out.extend(conns)
-
-    return entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out
+    for kind in set(map(type, weights)):
+        if not issubclass(kind, Real):
+            raise TypeError(f"{scan.relation} holds a weight of type {kind.__name__}")
+    ids = np.arange(base, base + len(rows))
+    if scan.check_repeats:
+        kept = list(compress(count(), map(scan.satisfies, rows)))
+        rows = [rows[i] for i in kept]
+        weights = [weights[i] for i in kept]
+        ids = ids[kept]
+    n = len(rows)
+    probes = [
+        np.fromiter(
+            map(cmap.get, join_key_column(rows, positions), repeat(-1)), np.int64, n
+        )
+        for _single, positions, cmap in scan.lookups
+    ]
+    alive, probes, _w, pi, entry_values = _fold_branches(
+        scan, probes, np.array(weights, np.float64)
+    )
+    if alive is not None:
+        alive_list = alive.tolist()
+        rows = [rows[i] for i in alive_list]
+        weights = [weights[i] for i in alive_list]
+        ids = ids[alive]
+    # State values are the stored weights (an ``int`` weight stays one),
+    # not a second float per state.
+    cu_out, pk_out = _branch_columns(scan, probes, pi, len(rows))
+    return entry_values, list(rows), ids.tolist(), list(weights), pk_out, cu_out
 
 
 # -- the column stage scan ------------------------------------------------------
@@ -810,7 +680,6 @@ class _KeyTable:
 
     def probe(self, key_columns: list):
         """Per row of ``key_columns`` its connector's uid, ``-1`` for none."""
-        np = vec.np
         if not len(self.columns[0]):
             return np.full(len(key_columns[0]), -1, np.int64)
         if len(self.columns) == 1:
@@ -860,16 +729,14 @@ def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
 def _place_columns(
     shared: SharedLower, stage: int, rows: ColumnRows, entry_values, entry_ranks
 ) -> None:
-    """:func:`_place_entries` for a column stage: its join keys as int64
-    codes, numbered in first-seen order as ``dict.fromkeys`` numbers
-    them, kept as the stage's :class:`_KeyTable`.  A NaN entry value
-    takes the scalar placement, grouping by those numbers."""
+    """:func:`_place_by_connector` for a column stage: its join keys as
+    int64 codes, numbered in first-seen order as ``dict.fromkeys``
+    numbers them, kept as the stage's :class:`_KeyTable`."""
     positions = shared.own_key_positions[stage]
     if not positions:  # a root: one connector
         join_keys = list(join_key_column(rows, positions))
-        _place_entries(shared, stage, join_keys, entry_values, _as_list(entry_ranks))
+        _place_by_connector(shared, stage, join_keys, entry_values, entry_ranks)
         return
-    np = vec.np
     keys = [rows.column(p) for p in positions]
     codes = keys[0] if len(keys) == 1 else vec.key_codes(*[(k, k[:0]) for k in keys])[0]
     _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -878,11 +745,7 @@ def _place_columns(
     number[seen] = np.arange(len(first))
     local = number[inverse.reshape(-1)]
     table = _KeyTable([key[first[seen]] for key in keys], len(shared.conn_stage))
-    columns = _kernel_columns(entry_values, entry_ranks)
-    if columns is None:
-        _place_entries(shared, stage, local.tolist(), entry_values, _as_list(entry_ranks))
-    else:
-        _place_local(shared, stage, local, len(first), *columns)
+    _place_local(shared, stage, local, len(first), entry_values, entry_ranks)
     shared.conn_maps[stage] = table
 
 
@@ -893,7 +756,6 @@ def _rank_columns_of(
     owned column's packed ranks gathered from
     :attr:`SharedLower.rank_tables` by ``searchsorted``, whose lists
     (``tolist``) equal :func:`packed_ranks`' in value and type."""
-    np = vec.np
     val_rank = np.zeros(len(rows), np.int64)
     for column, slot in shared.templates[shared.order[stage]]:
         domain, packed = shared.rank_tables[slot]
@@ -909,11 +771,8 @@ def _rank_columns_of(
 def rank_tables(tie: TieBreakingDioid) -> list | None:
     """Per slot of ``tie``, ``(domain, packed)``: its numbered values,
     ascending, and their packed ranks, as int64 arrays — or ``None``
-    where a column stage cannot rank: no numpy, a value that is not an
-    ``int``, or ranks past int64."""
-    np = vec.np
-    if np is None:
-        return None
+    where a column stage cannot rank: a value that is not an ``int``, or
+    ranks past int64."""
     top = sum(next(reversed(ranks.values()), 0) for ranks in tie.ranks)
     if top >= 1 << 63 or any(set(map(type, ranks)) - {int} for ranks in tie.ranks):
         return None
@@ -989,24 +848,21 @@ def assemble_fragment(
         columns[anchor] = column
         return columns
 
+    key_array = -entry_values if negate else entry_values
     val_rank = ent_rank = None
     if not shared.inverse:
         val_rank, ent_rank = _rank_columns(shared, anchor, rows, cu_out)
-    # The root connector's least entry: from the kernel's arrays where
-    # the placement would take them, else ``min()`` over its entries.
-    least = None
-    columns = _kernel_columns(entry_values, ent_rank)
-    if columns is not None:
-        keys = -entry_values if negate else entry_values
-        least = int(_least_entries(keys, columns[1], [0], [len(keys)])[0])
-    if not shared.inverse:
-        val_rank, ent_rank = _rank_lists(val_rank, ent_rank)
-    entry_values = _as_list(entry_values)
-    keys = list(map(neg, entry_values)) if negate else entry_values
+    empty = not len(key_array) or not shared.complete
+    if not empty:
+        # The root connector's least entry, as the placement picks it.
+        least = int(_least_entries(key_array, ent_rank, [0], [len(key_array)])[0])
+    entry_values = entry_values.tolist()
+    keys = key_array.tolist()
     without_inverse: dict = {}
     if shared.inverse:
         entries = list(zip(keys, count()))
     else:
+        val_rank, ent_rank = _rank_lists(val_rank, ent_rank)
         entries = list(zip(keys, ent_rank, count()))
         without_inverse = dict(
             val_rank=per_fragment(shared.val_rank, val_rank),
@@ -1016,11 +872,9 @@ def assemble_fragment(
             min_rank=lists["min_rank"],
         )
 
-    empty = not entries or not shared.complete
     if empty:
         best = (shared.zero, 0)
     else:
-        least = min(entries)[-1] if least is None else least
         frag_min = entry_values[least]
         frag_rank = 0 if shared.inverse else ent_rank[least]
         if not shared.inverse:
@@ -1074,10 +928,9 @@ def assemble_fragment(
 
 def _lower_whole(database: Database, shared: SharedLower) -> CompiledTDP:
     """Phase B over the whole anchor relation (stage 0): one fragment.
-    ``shared.rows`` / ``vectorized_stages`` then count every stage."""
+    ``shared.rows`` then counts every stage."""
     relation = database[shared.query.atoms[shared.order[0]].relation_name]
     scan_out = _scan_relation(shared, 0, relation)
-    shared.vectorized_stages += _from_kernel(scan_out[0])
     return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))
 
 
@@ -1092,15 +945,11 @@ def lower_query(
     without the object graph in between; the core holds the rows result
     assembly reads.  ``span``
     (the caller's ``tdp.build``) is told how many input rows the pass
-    scanned and how many of its stages took the numpy kernel.
+    scanned over how many stages.
     """
     shared = build_shared_lower(database, tree.query, tree, dioid, anchor_stage=0)
     core = _lower_whole(database, shared)
-    span.set(
-        rows=shared.rows,
-        stages=shared.num_stages,
-        vectorized_stages=shared.vectorized_stages,
-    )
+    span.set(rows=shared.rows, stages=shared.num_stages)
     return core
 
 
@@ -1111,7 +960,6 @@ def lower_member(
     var_position: dict[str, int],
     lane: FloatLane,
     tables: list | None,
-    span=NULL_SPAN,
 ) -> LaneCore:
     """Lower one union member to a :class:`~repro.dp.flat.LaneCore`.
 
@@ -1122,19 +970,14 @@ def lower_member(
     :func:`member_lane`'s and ``tables`` ``tie``'s :func:`rank_tables`,
     made once for all the members.  Its columns and ranks are
     ``build_tdp``'s under ``tie`` and its lift, with no ``times`` or
-    ``key`` call.  ``span`` is the union's ``tdp.build``: its
-    ``vectorized_stages`` counts, over the members, the stages that took
-    the numpy kernel or the column stage scan (the union sets ``rows``
-    and ``stages`` itself).
+    ``key`` call.
     """
     shared = build_shared_lower(
         database, join_tree.query, join_tree, tie, 0, lane,
         owned_columns(join_tree, var_position),
         tables if member_columns(database, join_tree) else None,
     )
-    core = _lower_whole(database, shared)
-    span.add(vectorized_stages=shared.vectorized_stages)
-    return core
+    return _lower_whole(database, shared)
 
 
 def member_columns(database: Database, join_tree: JoinTree) -> bool:

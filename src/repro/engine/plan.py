@@ -56,7 +56,7 @@ from repro.dp.lower import (
     rank_tables,
 )
 from repro.enumeration.result import QueryResult
-from repro.obs.trace import NULL_SPAN, NULL_TRACER
+from repro.obs.trace import NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid, lane_of
@@ -441,8 +441,7 @@ class UnionPhysical(PhysicalPlan):
     the member runs the flat kernels of :mod:`repro.anyk.flat` over it;
     otherwise it is the object graph of ``build_tdp`` (the reason in
     :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
-    yields pair-valued results, ``(base, rank)``.  Lowered members count
-    their kernel stages into ``span`` (``vectorized_stages``).
+    yields pair-valued results, ``(base, rank)``.
 
     An answer is its member's states until someone reads it: a
     :class:`QueryResult` view over that member's :class:`MemberDecoder`.
@@ -457,7 +456,6 @@ class UnionPhysical(PhysicalPlan):
         database: Database,
         tasks: list[TreeTask],
         dedup: bool = False,
-        span=NULL_SPAN,
     ):
         super().__init__(logical, database)
         self.tasks = tasks
@@ -489,7 +487,7 @@ class UnionPhysical(PhysicalPlan):
                 tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
             else:
                 tdp = lower_member(
-                    task.database, tree, self.tie, var_position, lane, tables, span
+                    task.database, tree, self.tie, var_position, lane, tables
                 )
             self.tdps.append(tdp)
             decoder = MemberDecoder(database, query, task, tdp)
@@ -804,7 +802,7 @@ def _bind_union(
     logical: LogicalPlan, database: Database, tasks: list[TreeTask], tracer
 ) -> "UnionPhysical":
     with tracer.span("tdp.build", members=len(tasks)) as span:
-        physical = UnionPhysical(logical, database, tasks, dedup=False, span=span)
+        physical = UnionPhysical(logical, database, tasks, dedup=False)
         tdps = physical.tdps
         lowered = [tdp for tdp in tdps if isinstance(tdp, CompiledTDP)]
         span.set(

@@ -1,4 +1,4 @@
-"""Zero-copy compiled cores: persistence, vector kernels.
+"""Zero-copy compiled cores: persistence.
 
 Covers the ``repro.dp.corebuf`` subsystem end to end:
 
@@ -9,9 +9,6 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
 * staleness — mutating a relation invalidates the entry, the rebuild
   rewrites it, and the rewritten entry hits again;
 * resource hygiene — ``Engine.close()`` releases the core file's mmap;
-* numpy independence — the vectorized kernels are gated behind
-  ``repro.util.vec`` and the pure-``array`` fallback produces identical
-  output (also for mmap-loaded cores);
 * robustness — a corrupt ``.core`` file is treated as a miss, never an
   error; in-memory backends simply run without persistence.
 """
@@ -37,7 +34,6 @@ from repro.ranking.dioid import (
     TROPICAL,
     TieBreakingDioid,
 )
-from repro.util import vec
 
 ALL_VARIANTS = [
     "take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort",
@@ -237,34 +233,6 @@ class TestStaleness:
                 "core_stale": 0, "core_writes": 0,
             }
             assert not os.path.exists(path + ".core")
-
-
-class TestNoNumpy:
-    """Pure-``array`` fallback conformance (also exercised by CI no-numpy)."""
-
-    def test_vectorized_paths_match_scalar(self, tmp_path, monkeypatch):
-        path = sqlite_database(tmp_path, "nonp")
-        query = path_query(4)
-        with Engine.from_backend(SQLiteBackend(path)) as engine:
-            with_numpy = {
-                variant: run(engine, query, variant)
-                for variant in ALL_VARIANTS
-            }
-        monkeypatch.setattr(vec, "np", None)
-        with Engine.from_backend(SQLiteBackend(path)) as engine:
-            for variant in ALL_VARIANTS:
-                assert run(engine, query, variant) == with_numpy[variant]
-            assert core_stats(engine)["core_hits"] == 1, (
-                "mapped cores must load without numpy"
-            )
-
-    def test_sharded_build_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vec, "np", None)
-        database = decoding_database(3, 30, domain=6, seed=9)
-        engine = Engine(database)
-        query = path_query(3)
-        reference = run(engine, query, "take2")
-        assert run(engine, query, "take2", shards=4) == reference
 
 
 class TestRobustness:

@@ -29,12 +29,10 @@ import pytest
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp import lower as lower_module
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import ChoiceSet
 from repro.dp.lower import ColumnRows, lower_member, rank_tables
 from repro.engine import Engine
-from repro.obs.trace import NULL_SPAN
 from repro.query.builders import cycle_query
 from repro.ranking.dioid import (
     MAX_PLUS,
@@ -45,7 +43,7 @@ from repro.ranking.dioid import (
     TieBreakingDioid,
     TropicalDioid,
 )
-from repro.util import vec
+from tests.test_cycle_columns import force_bag_rows
 
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 plan_module = importlib.import_module("repro.engine.plan")
@@ -242,24 +240,6 @@ def test_four_cycle_bind_op_counts(counted, self_join):
     assert base.times_calls == products + join_products
 
 
-@pytest.fixture
-def row_bags(monkeypatch):
-    """Have the bind decompose into bag rows: numpy is off for the
-    decomposition only, so the lowering still takes the numpy kernels
-    wherever the stage sizes (or ``_VEC_SCAN_MIN``) pick them."""
-    real_decompose = plan_module.decompose_cycle
-
-    def decompose(*args, **kwargs):
-        saved = vec.np
-        vec.np = None
-        try:
-            return real_decompose(*args, **kwargs)
-        finally:
-            vec.np = saved
-
-    monkeypatch.setattr(plan_module, "decompose_cycle", decompose)
-
-
 LANE_BASES = {
     "tropical": (TROPICAL, TropicalDioid),
     "max_plus": (MAX_PLUS, MaxPlusDioid),
@@ -281,7 +261,7 @@ def _bag_join_products(physical) -> int:
 @pytest.mark.parametrize("base_name", list(LANE_BASES))
 @pytest.mark.parametrize("self_join", [False, True])
 def test_lowered_four_cycle_bind_op_counts(
-    counted, monkeypatch, request, self_join, base_name, bags
+    counted, monkeypatch, self_join, base_name, bags
 ):
     """A base that keeps its lane: every member is lowered, and the bind
     makes no ``times`` / ``key`` call and no ``ChoiceSet``.
@@ -293,14 +273,10 @@ def test_lowered_four_cycle_bind_op_counts(
     * The base dioid's scalar ``times`` — counted on the class that
       declares the lane, so the lane stands — runs exactly for the bag
       joins of a decomposition into bag rows, and not at all for one
-      into bag columns; never for the T-DP; ``key`` never.  Bag rows
-      are forced on the decomposition alone: with numpy on, the
-      lowering still runs the kernels the stage sizes pick.
+      into bag columns; never for the T-DP; ``key`` never.
     """
     if bags == "rows":
-        request.getfixturevalue("row_bags")
-    elif vec.np is None:
-        pytest.skip("bag columns need numpy (REPRO_NO_NUMPY)")
+        force_bag_rows(monkeypatch)
     base, declaring = LANE_BASES[base_name]
     calls = {"times": 0, "key": 0, "choice_sets": 0}
     real_times, real_key, real_init = declaring.times, declaring.key, ChoiceSet.__init__
@@ -330,7 +306,7 @@ def test_lowered_four_cycle_bind_op_counts(
     assert all(isinstance(tdp, CompiledTDP) for tdp in physical.tdps)
     assert sum(relation.scans for relation in database) == (1 if self_join else 4)
     assert {task.bag_layout for task in physical.tasks} == {
-        "bag columns" if bags == "columns" else "bag rows (no numpy)"
+        "bag columns" if bags == "columns" else "bag rows (forced)"
     }
     (tie,) = CountingTie.instances
     assert counted["rankings"] == 1
@@ -347,14 +323,6 @@ def test_lowered_four_cycle_bind_op_counts(
     assert calls == before
 
 
-class AddedCounts(dict):
-    """A span that only sums what :meth:`add` is given."""
-
-    def add(self, **counts):
-        for name, value in counts.items():
-            self[name] = self.get(name, 0) + value
-
-
 #: Containers a lowered member may hold beside its states' entries and
 #: its connectors' lists: per stage its columns, per core the uid-indexed
 #: caches and the shell's per-stage tables.  Measured 46 for two stages
@@ -363,31 +331,17 @@ CONTAINERS_PER_STAGE = 16
 CONTAINERS_PER_CORE = 24
 
 
-@pytest.mark.parametrize(
-    "bags, kernel",
-    [("rows", False), ("rows", True), ("columns", False)],
-    ids=["default", "kernel", "columns"],
-)
-def test_a_lowered_state_keeps_one_tuple_beyond_its_row(
-    request, monkeypatch, bags, kernel
-):
+@pytest.mark.parametrize("bags", ["rows", "columns"])
+def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, bags):
     """By census, with the collector off: a member's lowering keeps one
     tuple per alive state — its ``(base_key, rank, state)`` entry — and
     one list per connector; no ``ChoiceSet``, no value pair, no dict or
-    list per state.  Over bag rows twice: as the stage sizes pick, and
-    with the numpy kernels (``_scan_stage_vec``, ``_place_by_connector``)
-    forced onto every stage.  Over bag columns once — the column stage
-    scan takes every stage, whatever its size — where the member holds
-    no bag-row tuple at all: its rows are views over the columns, which
-    never materialise."""
+    list per state.  Over bag rows (the row stage scan, then
+    ``_place_by_connector``) and over bag columns — the column stage
+    scan — where the member holds no bag-row tuple at all: its rows are
+    views over the columns, which never materialise."""
     if bags == "rows":
-        request.getfixturevalue("row_bags")
-    elif vec.np is None:
-        pytest.skip("bag columns need numpy (REPRO_NO_NUMPY)")
-    if kernel:
-        if vec.np is None:
-            pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
-        monkeypatch.setattr(lower_module, "_VEC_SCAN_MIN", 0)
+        force_bag_rows(monkeypatch)
     database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1503)
     query = cycle_query(4)
     physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
@@ -397,16 +351,12 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(
     for task, core in zip(physical.tasks, physical.tdps):
         tree = core.join_tree
 
-        def lower(span=NULL_SPAN):
+        def lower():
             return lower_member(
-                task.database, tree, physical.tie, positions, core.lane, tables, span
+                task.database, tree, physical.tie, positions, core.lane, tables
             )
 
-        added = AddedCounts()
-        lower(added)  # warm caches
-        if kernel or bags == "columns":
-            # Every stage on the numpy kernels, or on the column scan.
-            assert added["vectorized_stages"] == core.num_stages
+        lower()  # warm caches
         gc.collect()
         gc.disable()
         try:
@@ -429,7 +379,7 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(
         assert sum(type(o) is dict for o in fresh) <= slack
         assert not any(type(o) is ChoiceSet for o in fresh)
         if bags == "rows":
-            assert task.bag_layout == "bag rows (no numpy)"
+            assert task.bag_layout == "bag rows (forced)"
             assert not any(type(rows) is ColumnRows for rows in again.tuples)
         else:
             assert task.bag_layout == "bag columns"

@@ -1,9 +1,10 @@
 """Bag columns against bag rows: the cycle decomposition's two paths agree.
 
-Where numpy is on, the dioid has a lane and the cycle's relations hold
-``int`` values and ``float`` weights, :func:`~repro.decomposition.cycle.
-decompose_cycle` builds its bags as columns (column-backed relations);
-everywhere else it builds rows, and the rows are the reference.  The
+Where the dioid has a lane and the cycle's relations hold ``int`` values
+and ``float`` weights, :func:`~repro.decomposition.cycle.decompose_cycle`
+builds its bags as columns (column-backed relations); everywhere else it
+builds rows, and the rows are the reference (:func:`force_bag_rows`
+builds them for any relations).  The
 benchmark's cycle reference is bound through the same decomposition, so
 this suite is what guards the column path:
 
@@ -13,12 +14,9 @@ this suite is what guards the column path:
   three lanes and palettes with signed zeros, ±inf and NaN;
 * **answers**: a bound plan ranks the same answers, weight bits,
   assignments and witnesses either way;
-* **fallbacks**: ``str``, ``bool`` and ``None`` values, ``int`` weights,
-  a dioid without a lane and ``vec.np = None`` each run the row path, as
-  the ``decompose`` span's ``columns`` attribute and each member's
-  ``bag_layout`` say.
-
-Without numpy only the fallback cases run (the column path cannot).
+* **fallbacks**: ``str``, ``bool`` and ``None`` values, ``int`` weights
+  and a dioid without a lane each run the row path, as the ``decompose``
+  span's ``columns`` attribute and each member's ``bag_layout`` say.
 """
 
 from __future__ import annotations
@@ -27,18 +25,18 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.decomposition import cycle
 from repro.decomposition.cycle import decompose_cycle
 from repro.engine import Engine
 from repro.obs.trace import Tracer
 from repro.query.builders import cycle_query
 from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL, MaxTimesDioid
 from repro.util import vec
-
-needs_numpy = pytest.mark.skipif(vec.np is None, reason="bag columns need numpy")
 
 LANES = {"tropical": TROPICAL, "max_plus": MAX_PLUS, "max_times": MAX_TIMES}
 PALETTES = {
@@ -97,16 +95,20 @@ def snapshot(tasks) -> list:
     ]
 
 
+def force_bag_rows(patch: pytest.MonkeyPatch) -> None:
+    """Have the decomposition build bag rows whatever the relations hold."""
+    patch.setattr(cycle, "_scan_columns", lambda _relation, _scan: "forced")
+
+
 def decompose_both(monkeypatch, database, query, dioid, threshold):
-    """``(columns, rows)``: the decomposition with numpy, then without."""
+    """``(columns, rows)``: the decomposition as it runs, then as rows."""
     columns = decompose_cycle(database, query, dioid=dioid, threshold=threshold)
     with monkeypatch.context() as patch:
-        patch.setattr(vec, "np", None)
+        force_bag_rows(patch)
         rows = decompose_cycle(database, query, dioid=dioid, threshold=threshold)
     return columns, rows
 
 
-@needs_numpy
 @pytest.mark.parametrize("palette", list(PALETTES))
 @pytest.mark.parametrize("lane", list(LANES))
 @pytest.mark.parametrize("self_join", [False, True], ids=["distinct", "self_join"])
@@ -118,7 +120,7 @@ def test_bag_columns_are_the_bag_rows(monkeypatch, length, self_join, lane, pale
     for threshold in (None, 2, 4):
         columns, rows = decompose_both(monkeypatch, database, query, LANES[lane], threshold)
         assert {task.bag_layout for task in columns} == {"bag columns"}
-        assert {task.bag_layout for task in rows} == {"bag rows (no numpy)"}
+        assert {task.bag_layout for task in rows} == {"bag rows (forced)"}
         assert all(
             bag.arrays is not None and not bag.is_materialized
             for task in columns for bag in task.database
@@ -137,7 +139,6 @@ def answers(physical, k: int = 400) -> list:
     ]
 
 
-@needs_numpy
 @pytest.mark.parametrize("palette", list(PALETTES))
 @pytest.mark.parametrize("lane", list(LANES))
 @pytest.mark.parametrize("length", [3, 4, 5])
@@ -149,9 +150,10 @@ def test_a_plan_over_bag_columns_ranks_as_over_bag_rows(monkeypatch, length, lan
         assert {task.bag_layout for task in columns.tasks} == {"bag columns"}
         got = answers(columns)
     with monkeypatch.context() as patch:
-        patch.setattr(vec, "np", None)
+        force_bag_rows(patch)
         with Engine(database) as engine:
             rows = engine.prepare(query, dioid=LANES[lane]).bind()
+            assert {task.bag_layout for task in rows.tasks} == {"bag rows (forced)"}
             expected = answers(rows)
     assert len(got) > 10
     assert got == expected
@@ -185,18 +187,13 @@ FALLBACKS = {
     "none_value": (dict(value=None), None, "bag rows (R2 holds a value of type NoneType)"),
     "int_weight": (dict(weight=2), None, "bag rows (R2 holds a weight of type int)"),
     "lane_less": ({}, CountingMaxTimes(), "bag rows (CountingMaxTimes overrides times)"),
-    "no_numpy": ({}, None, "bag rows (no numpy)"),
 }
 
 
 @pytest.mark.parametrize("case", list(FALLBACKS))
-def test_every_fallback_runs_the_row_path(monkeypatch, case):
+def test_every_fallback_runs_the_row_path(case):
     change, dioid, layout = FALLBACKS[case]
     database = _retyped(cycle_database(4, "floats", seed=3600), change)
-    if case == "no_numpy":
-        monkeypatch.setattr(vec, "np", None)
-    elif vec.np is None:
-        layout = "bag rows (no numpy)"
     options = {} if dioid is None else {"dioid": dioid}
     with Engine(database, tracer=Tracer(sample="always")) as engine:
         physical = engine.prepare(cycle_query(4), **options).bind()
@@ -208,7 +205,6 @@ def test_every_fallback_runs_the_row_path(monkeypatch, case):
     assert all(bag.arrays is None for task in physical.tasks for bag in task.database)
 
 
-@needs_numpy
 def test_the_decompose_span_counts_the_bags_built_as_columns():
     database = cycle_database(4, "floats", seed=3601)
     with Engine(database, tracer=Tracer(sample="always")) as engine:
@@ -218,7 +214,6 @@ def test_the_decompose_span_counts_the_bags_built_as_columns():
     assert span.attrs["columns"] == bags > 0
 
 
-@needs_numpy
 def test_bag_rows_materialise_from_the_columns_only_when_read():
     database = cycle_database(4, "floats", seed=3602)
     (task, *_rest) = decompose_cycle(database, cycle_query(4), dioid=TROPICAL, threshold=2)
@@ -233,13 +228,11 @@ def test_bag_rows_materialise_from_the_columns_only_when_read():
     assert bag.arrays is None and len(bag) == len(weights) + 1
 
 
-@needs_numpy
 @pytest.mark.parametrize("palette", ["nan", "infinities", "signed_zeros"])
 @pytest.mark.parametrize("lane", list(LANES))
 def test_a_column_member_lowers_as_the_object_builder(lane, palette):
     """The column stage scan against ``build_tdp`` over the same bags'
-    rows, column by column in bits — NaN entry values included, which
-    take the scalar placement over the stage's key codes."""
+    rows, column by column in bits — NaN entry values included."""
     from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
     from repro.dp.lower import ColumnRows, lower_member, member_lane, rank_tables
     from repro.query.jointree import build_join_tree
@@ -275,7 +268,6 @@ def test_a_column_member_lowers_as_the_object_builder(lane, palette):
     assert (nan_entries > 0) == (palette != "signed_zeros")
 
 
-@needs_numpy
 @pytest.mark.parametrize("length", [3, 4])
 def test_values_near_the_int64_bounds_join_as_rows_do(monkeypatch, length):
     """Keys whose value ranges multiply past 2**62 are numbered densely
@@ -296,7 +288,7 @@ def test_values_near_the_int64_bounds_join_as_rows_do(monkeypatch, length):
     with Engine(database) as engine:
         got = answers(engine.prepare(query, dioid=MAX_TIMES).bind())
     with monkeypatch.context() as patch:
-        patch.setattr(vec, "np", None)
+        force_bag_rows(patch)
         with Engine(database) as engine:
             expected = answers(engine.prepare(query, dioid=MAX_TIMES).bind())
     assert len(got) > 10 and got == expected
@@ -307,19 +299,14 @@ def test_a_value_past_int64_keeps_bag_rows():
     relation = database["R3"]
     relation.tuples[0] = (2**63, relation.tuples[0][1])
     tasks = decompose_cycle(database, cycle_query(4), dioid=TROPICAL)
-    expected = "bag rows (no numpy)" if vec.np is None else (
-        "bag rows (R3 holds a value past int64)"
-    )
-    assert {task.bag_layout for task in tasks} == {expected}
+    assert {task.bag_layout for task in tasks} == {"bag rows (R3 holds a value past int64)"}
 
 
-@needs_numpy
 @pytest.mark.parametrize("scale", [1, 2**20, 2**40, 2**61])
 def test_the_join_kernels_match_their_loops(scale):
     """``vec.gather`` is the nested-loop join in its order, and
     ``vec.key_codes`` codes two keys alike iff they are equal — over
     narrow and wide value ranges, one to three key columns."""
-    np = vec.np
     rng = random.Random(scale)
     values = [rng.randint(-3, 3) * scale for _ in range(6)]
     for _ in range(40):

@@ -19,7 +19,6 @@ from repro.enumeration.api import ranked_enumerate
 from repro.joins.yannakakis import yannakakis
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.parser import parse_query
-from repro.util import vec
 from tests.conftest import brute_force, weight_signature
 
 
@@ -233,7 +232,7 @@ class TestMixedTypeValues:
         tasks = decompose_cycle(mixed, query, threshold=2)
         assert any(task.label.startswith("heavy") for task in tasks)
         assert {task.bag_layout for task in tasks} == {
-            "bag rows (R1 holds a value of type str)" if vec.np else "bag rows (no numpy)"
+            "bag rows (R1 holds a value of type str)"
         }
         # Renaming 'a' to 0 (a fresh int) changes no weight.
         top = Engine(mixed).prepare(query).top(3)

@@ -17,20 +17,18 @@ Over 3 bases (tropical, max-plus, max-times) x 3 weight palettes (floats,
 ``int`` 1..3, massive ties with signed zeros) x 3 members (the all-light
 chain and a heavy fan of a 4-cycle, a four-bag heavy member of a
 6-cycle), plus tree-shaped members — a star (open branches, ranked
-products) and a two-component query (several roots) — that no cycle
-produces.  The columns are compared four times per cycle member:
-decomposed into bag rows (numpy off) and into bag columns, each lowered
-on the numpy kernels (forced onto every stage, ``_VEC_SCAN_MIN = 0`` —
-the column stage scan for bag columns; skipped without numpy) and on the
-scalar loops.  The ``ints`` palette keeps bag rows either way.  Nothing
-else here needs numpy.
+products), a two-component query (several roots) and a star with a
+repeated variable (a stage that drops rows before its probes) — that no
+cycle produces.  The columns are compared twice per cycle member: decomposed
+into bag rows (:func:`~tests.test_cycle_columns.force_bag_rows`), which
+take the row stage scan, and into bag columns, which take the column
+stage scan.  The ``ints`` palette keeps bag rows either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -59,9 +57,9 @@ from repro.ranking.dioid import (
     TropicalDioid,
     lane_of,
 )
-from repro.util import vec
 from repro.util.counters import OpCounter
 from tests import vector_tie
+from tests.test_cycle_columns import force_bag_rows
 
 ALL_VARIANTS = [
     "take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort",
@@ -102,6 +100,8 @@ CYCLE_MEMBERS = {
 TREE_MEMBERS = {
     "star": star_query(3),
     "two_roots": parse_query("Q(a, b, c, d, e) :- R1(a, b), R2(b, c), R3(d, e)"),
+    # A repeated variable: its stage drops the rows that break it first.
+    "with_repeat": parse_query("Q(a, b, c) :- R1(a, b), R2(a, c), R3(a, a)"),
 }
 
 
@@ -113,18 +113,13 @@ def member_task(member: str, palette: str, base, decomposition: str = "rows"):
         length, n, domain, label = CYCLE_MEMBERS[member]
         database = cycle_database(length, n, domain, palette, seed)
         query = cycle_query(length)
-        if decomposition == "columns" and vec.np is None:
-            pytest.skip("bag columns need numpy (REPRO_NO_NUMPY)")
-        saved = vec.np
-        if decomposition == "rows":
-            vec.np = None
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            if decomposition == "rows":
+                force_bag_rows(patch)
             (task,) = [
                 task for task in decompose_cycle(database, query, dioid=base)
                 if task.label == label
             ]
-        finally:
-            vec.np = saved
         columns = decomposition == "columns" and palette != "ints"
         assert (task.bag_layout == "bag columns") == columns, task.bag_layout
         variables = query.variables
@@ -142,38 +137,18 @@ def member_task(member: str, palette: str, base, decomposition: str = "rows"):
     return database, build_join_tree(query), query.variables
 
 
-@contextmanager
-def lowering(mode: str):
-    """``kernel``: the numpy kernels on every stage, however small;
-    ``scalar``: the scalar loops (what ``REPRO_NO_NUMPY`` runs);
-    ``default``: whichever the stage sizes pick."""
-    if mode == "kernel" and vec.np is None:
-        pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
-    saved = lower._VEC_SCAN_MIN, vec.np
-    if mode == "kernel":
-        lower._VEC_SCAN_MIN = 0
-    elif mode == "scalar":
-        vec.np = None
-    try:
-        yield
-    finally:
-        lower._VEC_SCAN_MIN, vec.np = saved
-
-
 @lru_cache(maxsize=None)
 def member_pair(
-    member: str, palette: str, base_name: str, mode: str = "default",
-    decomposition: str = "rows",
+    member: str, palette: str, base_name: str, decomposition: str = "rows"
 ):
-    """The same member lowered (under ``mode``) and built: ``(core, object T-DP)``."""
+    """The same member lowered and built: ``(core, object T-DP)``."""
     base = BASES[base_name]
     database, tree, variables = member_task(member, palette, base, decomposition)
     positions = {var: slot for slot, var in enumerate(variables)}
     tie = TieBreakingDioid(base, len(variables))
     rank_tie_domains(tie, [(database, tree, positions)])
     lane, _why = member_lane(tie)
-    with lowering(mode):
-        core = lower_member(database, tree, tie, positions, lane, rank_tables(tie))
+    core = lower_member(database, tree, tie, positions, lane, rank_tables(tie))
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     return core, tdp
 
@@ -208,14 +183,13 @@ MEMBER_DECOMPOSITIONS = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["kernel", "scalar"])
 @pytest.mark.parametrize("palette", PALETTES)
 @pytest.mark.parametrize("base_name", list(BASES))
 @pytest.mark.parametrize("member, decomposition", MEMBER_DECOMPOSITIONS)
 def test_lowered_columns_equal_the_object_builder(
-    member, decomposition, base_name, palette, mode
+    member, decomposition, base_name, palette
 ):
-    core, tdp = member_pair(member, palette, base_name, mode, decomposition)
+    core, tdp = member_pair(member, palette, base_name, decomposition)
     assert core.is_chain == (member not in TREE_MEMBERS)
     assert_same_columns(core, tdp)
 
@@ -253,15 +227,11 @@ def assert_same_columns(core, tdp) -> None:
         assert canon((core.min_base[uid], core.min_rank[uid])) == canon(conn.min_value)
 
 
-def test_ranks_past_int64_lower_on_the_scalar_placement(monkeypatch):
+def test_ranks_past_int64_lower_on_the_kernel(monkeypatch):
     """A tie-breaker numbering more than 2**63 assignments (19 variables
     of 15 values): a stage whose ranks pass int64 keeps them as Python
-    integers and is placed by the scalar loop, even with the kernels
-    forced; a stage whose ranks fit takes the kernel; and the columns
-    are the object builder's."""
-    if vec.np is None:
-        pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
-
+    integers and is placed by the kernel like a stage whose ranks fit,
+    and the columns are the object builder's."""
     query = path_query(18)
     rng = random.Random(2530)
     database = Database([
@@ -279,7 +249,6 @@ def test_ranks_past_int64_lower_on_the_scalar_placement(monkeypatch):
     assert sum(map(max, (ranks.values() for ranks in tie.ranks))) >= 1 << 63
     placed = []
     real = lower._place_by_connector
-    monkeypatch.setattr(lower, "_VEC_SCAN_MIN", 0)
     monkeypatch.setattr(
         lower, "_place_by_connector",
         lambda shared, stage, *rest: placed.append(stage) or real(shared, stage, *rest),
@@ -294,9 +263,8 @@ def test_ranks_past_int64_lower_on_the_scalar_placement(monkeypatch):
         max(core.ent_rank[stage]) < 1 << 63 for stage in range(1, tdp.num_stages)
     ]
     assert all(core.ent_rank[1:]) and any(fits) and not all(fits)
-    assert placed == [
-        stage for stage, fit in zip(range(1, tdp.num_stages), fits) if fit
-    ][::-1]
+    assert all(type(rank) is int for column in core.ent_rank for rank in column)
+    assert placed == list(range(1, tdp.num_stages))[::-1]
 
 
 def ranked(enumerator, counter: OpCounter) -> tuple[list, list]:
@@ -389,7 +357,7 @@ def test_every_kernel_frees_a_dropped_run_without_the_cycle_collector(core, vari
 @pytest.mark.parametrize("base_name", list(BASES))
 def test_eager_over_a_wide_connector_sorts_every_entry_column(base_name):
     """From 64 entries up a connector's sorted list comes from numpy's
-    ``lexsort`` where numpy is present: key, rank and state columns must
+    ``lexsort``: key, rank and state columns must
     all survive it, in ``sorted``'s order, for Eager to rank as the
     object path does."""
     core, tdp = member_pair("heavy_fan", "ties", base_name)

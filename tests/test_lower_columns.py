@@ -1,19 +1,16 @@
-"""The lowering's columns, in bits: numpy kernel == scalar loop == object path.
+"""The lowering's columns, in bits: numpy kernels == object path.
 
 ``test_flat_conformance.TestDirectLoweringMatchesObjectLowering``
 compares the direct lowering with ``compile_tdp(build_tdp(...))`` using
 ``==``, which cannot see a zero's sign and treats ``1`` and ``1.0`` as
-one value.  This suite compares every column with ``float.hex`` across
-the three ways a stage gets lowered:
-
-* the **numpy kernel** — forced onto every stage, the tiny and empty
-  ones included (``_VEC_SCAN_MIN = 0``);
-* the **scalar loop** — ``vec.np = None``, what ``REPRO_NO_NUMPY`` runs;
-* the **object path** — ``compile_tdp(build_tdp(...))``.
-
-over {tropical, max-plus} x {path, star, two-column join key, self-join
-with a repeated variable} x {in-memory, SQLite} x {whole relation, range
-fragments, hash fragments} x hostile weight and join-key palettes.
+one value.  This suite compares every column with ``float.hex`` between
+the numpy kernels, which lower every stage (the tiny and empty ones
+included), and the object path, ``compile_tdp(build_tdp(...))``, over
+{tropical, max-plus} x {path, star, two-column join key, self-join with
+a repeated variable} x {in-memory, SQLite} x {whole relation, range
+fragments} x hostile weight and join-key palettes.  The connector
+placement is also held, as a unit, to the dict-of-lists grouping with
+``min()`` per connector (:func:`place_oracle`).
 
 The columns are values (state values, ``pi1`` values, connector minima)
 and the entries keys, under the dioid's lane.  The lowering folds in
@@ -21,7 +18,7 @@ value space from ``one`` and keys afterwards, as the object path does,
 so nothing differs, a max-plus derived zero's sign included
 (:func:`test_max_plus_zeros_equal_the_object_path_in_bits`).  The numpy
 kernel hands back the stored weight objects as state values (an ``int``
-weight stays an ``int``), like the scalar loop and the object path.
+weight stays an ``int``), like the object path.
 """
 
 from __future__ import annotations
@@ -29,7 +26,10 @@ from __future__ import annotations
 import gc
 import math
 import random
+from itertools import accumulate, chain, count
+from operator import itemgetter, neg
 
+import numpy as np
 import pytest
 
 from repro.data.backend import SQLiteBackend
@@ -42,7 +42,6 @@ from repro.query.builders import path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
 from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL
-from repro.util import vec
 
 DIOIDS = {"tropical": TROPICAL, "max-plus": MAX_PLUS}
 
@@ -128,7 +127,7 @@ def bits(x) -> str:
     return float(x).hex()
 
 
-# -- the three lowerings -------------------------------------------------------
+# -- the lowering and the object path -----------------------------------------
 
 
 def lower_whole(database, tree, dioid):
@@ -156,23 +155,6 @@ def conn_minima(shared, cores) -> list:
     return minima
 
 
-needs_numpy = pytest.mark.skipif(vec.np is None, reason="numpy kernel unavailable")
-
-
-def with_kernel(monkeypatch, build):
-    if vec.np is None:
-        pytest.skip("numpy kernel unavailable (REPRO_NO_NUMPY)")
-    with monkeypatch.context() as patch:
-        patch.setattr(lower, "_VEC_SCAN_MIN", 0)
-        return build()
-
-
-def with_scalar(monkeypatch, build):
-    with monkeypatch.context() as patch:
-        patch.setattr(vec, "np", None)
-        return build()
-
-
 def core_columns(core, conn_min, uids=None) -> dict:
     """Everything the lowering emits for one core, numbers as bit strings."""
     if uids is None:
@@ -185,6 +167,9 @@ def core_columns(core, conn_min, uids=None) -> dict:
         # (The object path forgets its root connectors when empty.)
         "root_uid": {} if core.empty else dict(core.root_uid),
         "val_base": [[bits(v) for v in stage] for stage in core.val_base],
+        # Not only equal bits: the same Python types (an ``int`` weight
+        # stays an ``int`` state value), state by state.
+        "val_types": [[type(v) for v in stage] for stage in core.val_base],
         "pi1": [[bits(v) for v in stage] for stage in core.pi1],
         "child_uids": [list(stage) for stage in core.child_uids],
         "tuples": [list(stage) for stage in core.tuples],
@@ -243,31 +228,12 @@ def assert_same_structures(core):
         assert all(type(v) in (float, int) for v in column)
 
 
-def assert_three_way(monkeypatch, database, tree, dioid, expect_empty=False):
-    scalar_shared, scalar = with_scalar(
-        monkeypatch, lambda: lower_whole(database, tree, dioid)
-    )
-    assert_same_structures(scalar)
+def assert_object_path(database, tree, dioid, expect_empty=False):
+    shared, core = lower_whole(database, tree, dioid)
+    assert_same_structures(core)
     reference, uids = object_columns(database, tree, dioid)
     assert reference["empty"] == expect_empty
-    scalar_min = conn_minima(scalar_shared, [scalar])
-    assert core_columns(scalar, scalar_min, uids) == reference
-    if vec.np is None:
-        return
-    kernel_shared, kernel = with_kernel(
-        monkeypatch, lambda: lower_whole(database, tree, dioid)
-    )
-    assert_same_structures(kernel)
-    assert core_columns(
-        kernel, conn_minima(kernel_shared, [kernel])
-    ) == core_columns(scalar, scalar_min)
-    assert kernel_shared.conn_maps == scalar_shared.conn_maps
-    assert kernel.conn_stage == scalar.conn_stage
-    # Not only equal bits: the same Python types (``int`` weights stay
-    # ``int`` state keys on both), state by state.
-    assert [[type(v) for v in s] for s in kernel.val_base] == [
-        [type(v) for v in s] for s in scalar.val_base
-    ]
+    assert core_columns(core, conn_minima(shared, [core]), uids) == reference
 
 
 # -- whole relation ------------------------------------------------------------
@@ -277,25 +243,23 @@ def assert_three_way(monkeypatch, database, tree, dioid, expect_empty=False):
 @pytest.mark.parametrize("weights", list(WEIGHTS))
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
-def test_whole_relation_in_memory(monkeypatch, shape, dioid, weights, n):
+def test_whole_relation_in_memory(shape, dioid, weights, n):
     query = QUERIES[shape]
     database = make_database(query, n, weights, seed=n)
-    assert_three_way(monkeypatch, database, build_join_tree(query), DIOIDS[dioid])
+    assert_object_path(database, build_join_tree(query), DIOIDS[dioid])
 
 
 @pytest.mark.parametrize("n", [60, 700])
 @pytest.mark.parametrize("weights", SQLITE_WEIGHTS)
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
-def test_whole_relation_sqlite(monkeypatch, tmp_path, shape, dioid, weights, n):
+def test_whole_relation_sqlite(tmp_path, shape, dioid, weights, n):
     query = QUERIES[shape]
     database = open_database(
         make_database(query, n, weights, seed=n + 1), "sqlite", tmp_path
     )
     try:
-        assert_three_way(
-            monkeypatch, database, build_join_tree(query), DIOIDS[dioid]
-        )
+        assert_object_path(database, build_join_tree(query), DIOIDS[dioid])
     finally:
         database.close()
 
@@ -304,7 +268,7 @@ def test_whole_relation_sqlite(monkeypatch, tmp_path, shape, dioid, weights, n):
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
 def test_join_keys_1_and_1_0_and_true_share_a_connector(
-    monkeypatch, tmp_path, shape, dioid, backend
+    tmp_path, shape, dioid, backend
 ):
     query = QUERIES[shape]
     database = open_database(
@@ -312,7 +276,7 @@ def test_join_keys_1_and_1_0_and_true_share_a_connector(
         backend, tmp_path,
     )
     try:
-        assert_three_way(monkeypatch, database, build_join_tree(query), DIOIDS[dioid])
+        assert_object_path(database, build_join_tree(query), DIOIDS[dioid])
     finally:
         database.close()
 
@@ -321,11 +285,11 @@ def test_join_keys_1_and_1_0_and_true_share_a_connector(
 @pytest.mark.parametrize("edge", ["dead_leaf", "empty_leaf", "empty_anchor"])
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", ["path4", "star4", "twocol"])
-def test_dead_stage_and_empty_relation(monkeypatch, shape, dioid, edge, n):
+def test_dead_stage_and_empty_relation(shape, dioid, edge, n):
     query = QUERIES[shape]
     database = make_database(query, n, "floats", seed=9, edge=edge)
     tree = build_join_tree(query)
-    assert_three_way(monkeypatch, database, tree, DIOIDS[dioid], expect_empty=True)
+    assert_object_path(database, tree, DIOIDS[dioid], expect_empty=True)
     core = lower.lower_query(database, tree, DIOIDS[dioid])
     assert core.empty and core.best_key == DIOIDS[dioid].key(DIOIDS[dioid].zero)
 
@@ -333,7 +297,7 @@ def test_dead_stage_and_empty_relation(monkeypatch, shape, dioid, edge, n):
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
 def test_lower_query_is_the_two_steps(shape, dioid):
-    """``lower_query`` == phase A + one all-spanning fragment (default gates)."""
+    """``lower_query`` == phase A + one all-spanning fragment."""
     query = QUERIES[shape]
     database = make_database(query, 700, "zeros", seed=2)
     tree = build_join_tree(query)
@@ -347,39 +311,30 @@ def test_lower_query_is_the_two_steps(shape, dioid):
 # -- what the columns hold ----------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("dioid", list(DIOIDS))
-def test_state_keys_are_the_stored_weight_objects(monkeypatch, dioid):
+def test_state_keys_are_the_stored_weight_objects(dioid):
     """No second float per state: ``int`` stays ``int``, identity shares."""
     query = QUERIES["path4"]
     database = make_database(query, 60, "ints", seed=4)
     tree = build_join_tree(query)
-    _shared, kernel = with_kernel(
-        monkeypatch, lambda: lower_whole(database, tree, DIOIDS[dioid])
-    )
+    _shared, kernel = lower_whole(database, tree, DIOIDS[dioid])
     assert {type(v) for s in kernel.val_base for v in s} == {int}
     assert {type(v) for s in kernel.pi1 for v in s} == {float}
     assert all(type(k) is float for uid in range(4) for k, _s in kernel.pairs(uid))
     floats = make_database(query, 60, "floats", seed=4)
-    _shared, kernel = with_kernel(
-        monkeypatch, lambda: lower_whole(floats, tree, TROPICAL)
-    )
+    _shared, kernel = lower_whole(floats, tree, TROPICAL)
     leaf = tree.query.atoms[tree.order[-1]].relation_name
     stored = {id(w) for w in floats[leaf].weights}
     assert all(id(v) in stored for v in kernel.val_base[-1])
     assert len({id(p) for p in kernel.pi1[-1]}) == 1  # one shared 0.0
 
 
-@pytest.mark.parametrize("lowering", ["scalar", "kernel"])
-def test_max_plus_zeros_equal_the_object_path_in_bits(monkeypatch, lowering):
+def test_max_plus_zeros_equal_the_object_path_in_bits():
     """A derived zero is keyed as the object path keys it: ``-(0.0)``."""
     query = QUERIES["path4"]
     database = make_database(query, 60, "zeros", seed=6)
     tree = build_join_tree(query)
-    lower_with = with_scalar if lowering == "scalar" else with_kernel
-    shared, core = lower_with(
-        monkeypatch, lambda: lower_whole(database, tree, MAX_PLUS)
-    )
+    shared, core = lower_whole(database, tree, MAX_PLUS)
     reference, uids = object_columns(database, tree, MAX_PLUS)
     direct = core_columns(core, conn_minima(shared, [core]), uids=uids)
     assert direct == reference
@@ -421,17 +376,12 @@ def lower_fragments(database, tree, dioid, layout):
     return shared, cores, inputs
 
 
-def fragment_columns(shared, cores):
-    minima = conn_minima(shared, cores)
-    return [core_columns(core, minima) for core in cores]
-
-
 @pytest.mark.parametrize("n", [60, 700])
 @pytest.mark.parametrize("layout", list(CUTS))
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
-def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, layout, n):
+def test_fragments(tmp_path, shape, dioid, backend, layout, n):
     query = QUERIES[shape]
     tree = build_join_tree(query)
     dioid = DIOIDS[dioid]
@@ -439,25 +389,23 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, layout, n):
         make_database(query, n, "zeros", seed=n + 7), backend, tmp_path
     )
     try:
-        shared, scalar, inputs = with_scalar(
-            monkeypatch, lambda: lower_fragments(database, tree, dioid, layout)
-        )
-        for core in scalar:
+        shared, cores, inputs = lower_fragments(database, tree, dioid, layout)
+        for core in cores:
             assert_same_structures(core)
-        for index, core in enumerate(scalar):
+        for index, core in enumerate(cores):
             root = shared.num_conns + index
             assert core.root_uid[0] == root
             assert core.conn_size(root) == len(core.val_base[0])
             assert core.stats()["entries"] == (
                 shared.conn_offsets[-1] + core.conn_size(root)
             )
-        columns = fragment_columns(shared, scalar)
-        if vec.np is not None:
-            _shared, kernel, _inputs = with_kernel(
-                monkeypatch,
-                lambda: lower_fragments(database, tree, dioid, layout),
-            )
-            assert fragment_columns(shared, kernel) == columns
+
+        # The fragments' anchor columns, end to end, are the whole
+        # relation's (a repeated variable's rows keep their positions).
+        _shared, whole = lower_whole(database, tree, dioid)
+        for name in ("val_base", "pi1", "tuples", "tuple_ids"):
+            joined = [v for core in cores for v in getattr(core, name)[0]]
+            assert list(map(repr, joined)) == list(map(repr, getattr(whole, name)[0]))
 
         # Against the object path: each fragment is the query over the
         # anchor relation restricted to its rows (sound when the anchor
@@ -465,7 +413,7 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, layout, n):
         anchor = query.atoms[tree.order[0]]
         if sum(a.relation_name == anchor.relation_name for a in query.atoms) > 1:
             return
-        for core, (rows, weights, base) in zip(scalar, inputs):
+        for core, (rows, weights, base) in zip(cores, inputs):
             restricted = Database(
                 [
                     Relation(anchor.relation_name, anchor.arity, rows, weights)
@@ -498,20 +446,16 @@ def test_fragments(monkeypatch, tmp_path, shape, dioid, backend, layout, n):
 # -- connector placement, as a unit --------------------------------------------
 
 
-def place(join_keys, entry_keys, kernel, ranks=None):
-    """One stage's grouping through the kernel's or the scalar placement.
-
-    With ``ranks`` the stage is a max-times one (no inverse), whose
-    entries are ``(key, rank, state)``; the rank column is a list of
-    Python integers, as :func:`lower._rank_columns` hands it over.
-    """
+def fresh_shared(ranks):
+    """A path-4 :class:`lower.SharedLower` to place stage 2 into: tropical,
+    or max-times (no inverse, entries ``(key, rank, state)``) with
+    ``ranks``."""
     query = QUERIES["path4"]
     dioid = TROPICAL if ranks is None else MAX_TIMES
-    shared = lower.SharedLower(query, build_join_tree(query), dioid, 0)
-    if kernel:
-        lower._place_entries(shared, 2, join_keys, vec.np.array(entry_keys), ranks)
-    else:
-        lower._place_entries(shared, 2, join_keys, list(entry_keys), ranks)
+    return lower.SharedLower(query, build_join_tree(query), dioid, 0)
+
+
+def placed(shared) -> tuple:
     offsets = shared.conn_offsets
     for entry in shared.entries:
         assert [type(v) for v in entry] == [float] + [int] * (len(entry) - 1)
@@ -527,131 +471,156 @@ def place(join_keys, entry_keys, kernel, ranks=None):
     )
 
 
-@needs_numpy
+def place(join_keys, entry_keys, ranks=None):
+    """One stage's grouping through the placement kernel.
+
+    ``ranks`` is a list of Python integers, as the tie-breaker's packed
+    ranks are summed, made a column as :func:`lower._rank_columns` makes
+    it.
+    """
+    shared = fresh_shared(ranks)
+    lower._place_by_connector(
+        shared, 2, join_keys, np.array(entry_keys, np.float64),
+        None if ranks is None else lower._rank_array(ranks),
+    )
+    return placed(shared)
+
+
+def place_oracle(join_keys, entry_keys, ranks=None):
+    """:func:`place` as a dict of lists: a connector per distinct join key
+    in first-seen order, its entries in state order, its minimum the
+    value of ``min()`` over them.  The entry values are fresh floats, one
+    object each, as a stage scan hands them over (``min()`` treats one
+    NaN object met twice as equal to itself)."""
+    shared = fresh_shared(ranks)
+    entry_values = np.array(entry_keys, np.float64).tolist()
+    keys = list(map(neg, entry_values)) if shared.lane.negate else entry_values
+    if ranks is None:
+        entries = zip(keys, count())
+    else:
+        entries = zip(keys, ranks, count())
+    groups: dict = {}
+    for join_key, entry in zip(join_keys, entries):
+        groups.setdefault(join_key, []).append(entry)
+    pool = shared.entries
+    shared.conn_maps[2].update(zip(groups, count(len(shared.conn_stage))))
+    shared.conn_stage += [2] * len(groups)
+    shared.conn_offsets += map(len(pool).__add__, accumulate(map(len, groups.values())))
+    pool += chain.from_iterable(groups.values())
+    least = list(map(min, groups.values()))
+    shared.conn_min += map(entry_values.__getitem__, map(itemgetter(-1), least))
+    if ranks is not None:
+        shared.conn_rank += map(itemgetter(1), least)
+    return placed(shared)
+
+
 def test_zero_minimum_takes_the_sign_of_its_first_entry():
     # Per group, in state order: the minimum is a zero of either sign.
     join_keys = ["a", "b", "a", "c", "b", "c", "d", "d", "a", "e", "e"]
     entry_keys = [0.0, -0.0, -0.0, 3.0, 0.0, -0.0, -0.0, -0.0, 1.0, 2.0, 0.0]
-    kernel = place(join_keys, entry_keys, True)
-    assert kernel == place(join_keys, entry_keys, False)
+    kernel = place(join_keys, entry_keys)
+    assert kernel == place_oracle(join_keys, entry_keys)
     assert kernel[1] == [bits(m) for m in (0.0, -0.0, -0.0, -0.0, 0.0)]
 
 
-@needs_numpy
+#: Entry values that tie, sign or not, and that ``min()`` cannot order.
+PALETTE = [0.0, -0.0, INF, -INF, 1.5, -1.5, 2.0, 1e-300, -1e-300, NAN]
+JOIN_VALUES = [1, 1.0, True, 2, 2.0, "x", (1, 2), (1.0, 2), None]
+
+
 def test_placement_matches_the_scalar_grouping():
     rng = random.Random(3)
-    palette = [0.0, -0.0, INF, -INF, 1.5, -1.5, 2.0, 1e-300, -1e-300]
-    join_values = [1, 1.0, True, 2, 2.0, "x", (1, 2), (1.0, 2), None]
     for size in (1, 7, 600):
-        join_keys = [rng.choice(join_values) for _ in range(size)]
-        entry_keys = [rng.choice(palette) for _ in range(size)]
-        assert place(join_keys, entry_keys, True) == place(
-            join_keys, entry_keys, False
-        )
+        for _ in range(20):
+            join_keys = [rng.choice(JOIN_VALUES) for _ in range(size)]
+            entry_keys = [rng.choice(PALETTE) for _ in range(size)]
+            assert place(join_keys, entry_keys) == place_oracle(join_keys, entry_keys)
 
 
-@needs_numpy
 def test_more_connectors_than_a_uint16_holds():
     rng = random.Random(8)
     join_keys = [rng.randrange(70_000) for _ in range(90_000)] + list(range(70_000))
     entry_keys = [rng.choice([0.0, -0.0, 1.0, -2.0]) for _ in join_keys]
-    kernel = place(join_keys, entry_keys, True)
+    kernel = place(join_keys, entry_keys)
     assert len(kernel[1]) == 70_000
-    assert kernel == place(join_keys, entry_keys, False)
+    assert kernel == place_oracle(join_keys, entry_keys)
 
 
-@needs_numpy
-def test_nan_entry_keys_keep_the_scalar_grouping(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("a stage with NaN entry keys reached the kernel")
+def test_nan_entry_keys_place_as_min_does():
+    join_keys = ["a", "b", "a", "a", "b", "b", "c", "c"]
+    entry_keys = [NAN, 1.0, 0.5, NAN, NAN, 0.25, NAN, NAN]
+    kernel = place(join_keys, entry_keys)
+    assert kernel == place_oracle(join_keys, entry_keys)
+    # ``min()`` never replaces a leading NaN, and never takes a later one.
+    assert kernel[1] == [bits(NAN), bits(0.25), bits(NAN)]
+    ranks = [2, 5, 1, 0, 0, 9, 3, 1]
+    kernel = place(join_keys, entry_keys, ranks)
+    assert kernel == place_oracle(join_keys, entry_keys, ranks)
+    # A leading NaN stays the least entry whatever the later ranks.
+    assert kernel[4] == [2, 5, 3]
 
-    monkeypatch.setattr(lower, "_place_by_connector", refuse)
-    join_keys = ["a", "b", "a", "a", "b", "b"]
-    entry_keys = [NAN, 1.0, 0.5, NAN, NAN, 0.25]
-    kernel = place(join_keys, entry_keys, True)
-    assert kernel == place(join_keys, entry_keys, False)
-    # ``min()`` never replaces a leading NaN: order-dependent, and kept.
-    assert kernel[1] == [bits(NAN), bits(0.25)]
 
-
-@needs_numpy
 def test_ranked_key_ties_go_to_the_rank_then_the_state():
     # Per group, in state order; max-times keys are the values negated.
     join_keys = ["a", "a", "a", "b", "b", "b", "c", "c", "d"]
     values = [2.0, 2.0, 2.0, 1.0, 1.0, 3.0, 0.5, 0.5, 4.0]
     ranks = [7, 3, 3, 5, 5, 0, 1, 0, 9]
-    kernel = place(join_keys, values, True, ranks)
-    assert kernel == place(join_keys, values, False, ranks)
+    kernel = place(join_keys, values, ranks)
+    assert kernel == place_oracle(join_keys, values, ranks)
     # a: equal keys, rank 3 beats 7; b: 3.0 is the least key (-3.0)
     # whatever its rank; c: equal keys, rank 0 beats 1.
     assert kernel[4] == [3, 0, 0, 9]
     assert kernel[1] == [bits(m) for m in (2.0, 3.0, 0.5, 4.0)]
 
 
-@needs_numpy
 def test_ranked_signed_zeros_tie_on_the_key():
     # ``0.0 == -0.0``: the rank decides, so the minimum's sign is the
     # least-ranked zero's, not the first zero's.
     join_keys = ["a", "a", "a", "b", "b", "c", "c"]
     values = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0]
     ranks = [4, 2, 2, 1, 1, 6, 6]
-    kernel = place(join_keys, values, True, ranks)
-    assert kernel == place(join_keys, values, False, ranks)
+    kernel = place(join_keys, values, ranks)
+    assert kernel == place_oracle(join_keys, values, ranks)
     assert kernel[1] == [bits(m) for m in (-0.0, -0.0, 0.0)]
     assert kernel[4] == [2, 1, 6]
 
 
-@needs_numpy
 def test_ranked_placement_matches_the_scalar_grouping():
     rng = random.Random(5)
-    palette = [0.0, -0.0, INF, -INF, 1.5, -1.5, 2.0, 1e-300, -1e-300]
-    join_values = [1, 1.0, True, 2, 2.0, "x", (1, 2), (1.0, 2), None]
     for size in (1, 7, 600):
-        for rank_range in (3, 1 << 40):
-            join_keys = [rng.choice(join_values) for _ in range(size)]
-            values = [rng.choice(palette) for _ in range(size)]
-            ranks = [rng.randrange(rank_range) for _ in range(size)]
-            assert place(join_keys, values, True, ranks) == place(
-                join_keys, values, False, ranks
-            )
+        for rank_range in (3, 1 << 40, 1 << 70):
+            for _ in range(10):
+                join_keys = [rng.choice(JOIN_VALUES) for _ in range(size)]
+                values = [rng.choice(PALETTE) for _ in range(size)]
+                ranks = [rng.randrange(rank_range) for _ in range(size)]
+                assert place(join_keys, values, ranks) == place_oracle(
+                    join_keys, values, ranks
+                )
 
 
-@needs_numpy
-def test_ranks_near_two_to_the_63_take_the_kernel(monkeypatch):
+def test_ranks_near_two_to_the_63_take_the_kernel():
     top = (1 << 63) - 1
     join_keys = ["a", "b", "a", "b", "a", "c"]
     values = [1.0, 2.0, 1.0, 2.0, 1.0, -0.0]
     ranks = [top, top - 1, top - 2, top - 1, top - 2, top]
-    calls = []
-    real = lower._place_by_connector
-    monkeypatch.setattr(
-        lower, "_place_by_connector", lambda *args: calls.append(1) or real(*args)
-    )
-    kernel = place(join_keys, values, True, ranks)
-    assert calls == [1]
-    assert kernel == place(join_keys, values, False, ranks)
+    assert lower._rank_array(ranks).dtype == np.int64
+    kernel = place(join_keys, values, ranks)
+    assert kernel == place_oracle(join_keys, values, ranks)
     assert kernel[4] == [top - 2, top - 1, top]
 
 
-@needs_numpy
-def test_a_rank_column_past_int64_keeps_the_scalar_grouping(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("a rank column past int64 reached the kernel")
-
+def test_a_rank_column_past_int64_places_as_min_does():
     join_keys = ["a", "b", "a", "b"]
     values = [1.0, 2.0, 1.0, 2.0]
     ranks = [1 << 64, 3, (1 << 64) - 1, 1 << 70]
-    expected = place(join_keys, values, False, ranks)
-    monkeypatch.setattr(lower, "_place_by_connector", refuse)
-    kernel = place(join_keys, values, True, ranks)
-    assert kernel == expected
+    kernel = place(join_keys, values, ranks)
+    assert kernel == place_oracle(join_keys, values, ranks)
     assert kernel[4] == [(1 << 64) - 1, 3]
 
 
-@needs_numpy
 @pytest.mark.parametrize("shape", ["path4", "star4", "twocol"])
 def test_tree_and_multi_column_stages_take_the_kernel(shape):
-    """Every stage of these shapes is vectorised at n >= ``_VEC_SCAN_MIN``."""
+    """``tdp.build`` counts the stages and the rows the pass scanned."""
     from repro.obs.trace import Tracer
 
     query = QUERIES[shape]
@@ -659,11 +628,31 @@ def test_tree_and_multi_column_stages_take_the_kernel(shape):
     tracer = Tracer()
     with tracer.span("tdp.build") as span:
         lower.lower_query(database, build_join_tree(query), TROPICAL, span)
-    stages = len(query.atoms)
-    assert span.attrs["stages"] == span.attrs["vectorized_stages"] == stages
+    assert span.attrs["stages"] == len(query.atoms)
+    assert "vectorized_stages" not in span.attrs
     assert span.attrs["rows"] == sum(
         len(database[a.relation_name]) for a in query.atoms
     )
+
+
+# -- weights that are not numbers ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [10, 600])
+@pytest.mark.parametrize("bad", [None, "3"])
+def test_a_weight_that_is_not_a_number_is_a_type_error(bad, n):
+    """Every stage size raises, as the object path does; none turns the
+    weight into a float (``None`` into NaN, ``"3"`` into 3.0)."""
+    query = QUERIES["path4"]
+    database = make_database(query, n, "floats", seed=16)
+    relation = database["R2"]
+    relation.weights[:] = [bad] * len(relation.weights)
+    tree = build_join_tree(query)
+    kind = type(bad).__name__
+    with pytest.raises(TypeError, match=f"R2 holds a weight of type {kind}"):
+        lower.lower_query(database, tree, TROPICAL)
+    with pytest.raises(TypeError):
+        build_tdp(database, tree, dioid=TROPICAL)
 
 
 # -- the cost gate: count, do not time -----------------------------------------

@@ -253,17 +253,14 @@ class TestEngineSpans:
             engine.close()
 
     def test_acyclic_build_span_says_how_much_was_scanned_and_how(self):
-        """``tdp.build`` carries ``rows`` and ``vectorized_stages`` (of ``stages``).
+        """``tdp.build`` carries ``rows`` and ``stages``.
 
-        Why was this bind slow?  Because it scanned that many rows, and
-        that many of its stages fell back from the numpy kernel.
+        Why was this bind slow?  Because it scanned that many rows over
+        that many stages.
         """
-        from repro.util import vec
-
         big = uniform_database(4, 600, domain_size=150, seed=2)
         small = uniform_database(4, 40, domain_size=10, seed=2)
-        expected = {"big": 4 if vec.np is not None else 0, "small": 0}
-        for name, data in (("big", big), ("small", small)):
+        for data in (big, small):
             engine = Engine(data, tracer=Tracer(sample="always"))
             try:
                 prepared = engine.prepare(path_query(4))
@@ -271,13 +268,12 @@ class TestEngineSpans:
                 build = next(
                     s for s in engine.tracer.spans() if s.name == "tdp.build"
                 )
-                assert build.attrs["rows"] == sum(len(r) for r in data)
+                rows = sum(len(r) for r in data)
+                assert build.attrs["rows"] == rows
                 assert build.attrs["stages"] == 4
-                assert build.attrs["vectorized_stages"] == expected[name]
-                assert (
-                    f"vectorized_stages={expected[name]}"
-                    in prepared.analyze(3).render()
-                )
+                assert "vectorized_stages" not in build.attrs
+                report = prepared.analyze(3).render()
+                assert f"rows={rows}" in report and "stages=4" in report
             finally:
                 engine.close()
 
@@ -321,11 +317,9 @@ class TestEngineSpans:
 
     def test_a_cycle_union_sized_bind_runs_every_member_stage_on_the_kernel(self):
         """A lowered member reports into the union's ``tdp.build`` as an
-        acyclic plan does: at the benchmark's size every stage of every
-        member takes the numpy kernel."""
+        acyclic plan does: the rows and stages of every member."""
         from repro.query.builders import cycle_query
         from repro.ranking.dioid import MAX_TIMES
-        from repro.util import vec
 
         cyclic = uniform_database(4, 1_500, domain_size=100, seed=31, weight_high=1.0)
         engine = Engine(cyclic, tracer=Tracer(sample="always"))
@@ -338,8 +332,7 @@ class TestEngineSpans:
             assert build.attrs["rows"] == sum(
                 len(bag) for task in physical.tasks for bag in task.database
             )
-            expected = stages if vec.np is not None else 0
-            assert build.attrs["vectorized_stages"] == expected
+            assert "vectorized_stages" not in build.attrs
         finally:
             engine.close()
 
@@ -348,15 +341,13 @@ class TestEngineSpans:
         member line of ``explain()`` and of ``--analyze`` says "bag
         columns", or "bag rows (<why>)"."""
         from repro.query.builders import cycle_query
-        from repro.util import vec
+        from tests.test_cycle_columns import force_bag_rows
 
         cyclic = uniform_database(4, 60, domain_size=6, seed=11)
-        for numpy in (True, False):
-            if not numpy:
-                monkeypatch.setattr(vec, "np", None)
-            elif vec.np is None:
-                continue
-            layout = "bag columns" if numpy else "bag rows (no numpy)"
+        for as_columns in (True, False):
+            if not as_columns:
+                force_bag_rows(monkeypatch)
+            layout = "bag columns" if as_columns else "bag rows (forced)"
             engine = Engine(cyclic, tracer=Tracer(sample="always"))
             try:
                 prepared = engine.prepare(cycle_query(4))
@@ -369,7 +360,7 @@ class TestEngineSpans:
             finally:
                 engine.close()
             bags = sum(len(task.database.relations) for task in physical.tasks)
-            assert decompose.attrs["columns"] == (bags if numpy else 0)
+            assert decompose.attrs["columns"] == (bags if as_columns else 0)
             members = len(physical.tasks)
             assert text.count(f"decomposition: {layout}") == members > 1
             assert "decomposition: bag" not in text.replace(
@@ -377,7 +368,7 @@ class TestEngineSpans:
             )
             for task in physical.tasks:
                 assert f"union member {task.label}: {layout}" in report
-            assert f"columns={bags if numpy else 0}" in report
+            assert f"columns={bags if as_columns else 0}" in report
 
     def test_union_explain_names_each_members_core(self):
         from repro.query.builders import cycle_query

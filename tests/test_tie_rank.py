@@ -17,8 +17,6 @@ vector of ``(value,)`` boxes merged slot by slot — lives on verbatim in
   ``None`` columns rank group by group instead of raising, empty
   relations, one-valued variables and ``k`` far past the output;
 * **laws** of the new contract, by Hypothesis.
-
-Nothing here needs numpy (CI also runs it under ``REPRO_NO_NUMPY=1``).
 """
 
 from __future__ import annotations
