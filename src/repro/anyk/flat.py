@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.anyk.base import Enumerator, RankedResult
 from repro.anyk.strategies import ALGORITHMS, FLAT_VIEWS
-from repro.dp.flat import CompiledTDP, LaneCore
+from repro.dp.flat import CompiledTDP
 from repro.util.counters import OpCounter
 
 
@@ -813,13 +813,12 @@ def _recursive_loop(rea: _Rea, product: FlatRankedProduct | None, emit):
 class FlatBatch(FlatEnumerator):
     """Batch baseline over a compiled core (full output, optional sort).
 
-    Backtracks over the compiled entries, a solution's total the left
-    fold of its states' values from ``one`` by the core's lane (its rank
-    the sum of theirs); sorting ``(key, rank, states)`` is the object
-    Batch's deterministic sort by ``(key, states)``.  The visit-counting
-    branch stays inline (one test per intermediate tuple): Batch
-    materialises everything up front, so it has no per-result delay path
-    to keep branch-free.
+    Expands the compiled entries level by level with numpy, a
+    solution's total the left fold of its states' values from ``one`` by
+    the core's lane (its rank the sum of theirs); sorting ``(key, rank,
+    states)`` is the object Batch's deterministic sort by ``(key,
+    states)``.  The object path's :class:`~repro.anyk.batch.Batch` is the
+    oracle, counters included (``tests/test_flat_conformance.py``).
     """
 
     def __init__(
@@ -838,40 +837,25 @@ class FlatBatch(FlatEnumerator):
         self._gen = _drain(results, counter, compiled.emitter(self.emits))
 
     def _solutions_list(self, counter: OpCounter | None) -> list:
-        """All ``(key, rank, states)`` solutions in DFS preorder.
-
-        Dispatches to the numpy level-expansion kernel when it applies:
-        every rank 0 (not a tie-broken :class:`~repro.dp.flat.LaneCore`,
-        which keeps the scalar path), no visit counting (the counter
-        increments per intermediate tuple, which the vectorized
-        expansion never materialises one at a time).  Both paths produce
-        the identical list — same DFS preorder, same left-fold float
-        operations.
-        """
-        compiled = self.compiled
-        if (
-            counter is None
-            and not compiled.empty
-            and not isinstance(compiled, LaneCore)
-        ):
-            return self._solutions_vec()
-        return list(self._solutions(counter))
-
-    def _solutions_vec(self) -> list:
-        """Level-synchronous ragged expansion over the CSR entry pool.
+        """All ``(key, rank, states)`` solutions in DFS preorder, by a
+        level-synchronous ragged expansion over the CSR entry pool.
 
         Each level replaces every live prefix by its child entries in
-        pool order, preserving prefix order — which reproduces the
-        scalar backtracker's DFS preorder exactly (a root's entries
-        repeat under every prefix).  The per-solution total is grown by
-        the same left fold from ``one``, ``acc ⊗ val_base[level][state]``
-        under the core's lane, that the scalar path uses, and keyed at
-        the end, so keys are bit-identical; all outputs convert to
+        pool order, preserving prefix order — a backtracker's DFS
+        preorder exactly (a root's entries repeat under every prefix).
+        The per-solution total is grown by the left fold from ``one``,
+        ``acc ⊗ val_base[level][state]`` under the core's lane, and keyed
+        at the end; the packed rank, where the core has one, is summed in
+        an object column (ranks may pass int64).  Every prefix extended
+        is one ``counter.intermediate_tuples``; all outputs convert to
         native Python scalars before leaving.
         """
         compiled = self.compiled
+        if compiled.empty:
+            return []
         parent_stage = compiled.parent_stage
         root_uid = compiled.root_uid
+        val_rank = compiled.val_rank
         pool = compiled.entries
         if isinstance(pool, list):
             entry_state = np.fromiter(map(itemgetter(-1), pool), np.int64, len(pool))
@@ -881,6 +865,7 @@ class FlatBatch(FlatEnumerator):
         multiply, negate = compiled.lane
 
         acc = np.full(1, compiled.one)
+        rank = np.zeros(1, object)
         paths = np.zeros((1, 0), np.int64)
         for level in range(compiled.num_stages):
             parent = parent_stage[level]
@@ -896,67 +881,17 @@ class FlatBatch(FlatEnumerator):
                 cum = np.cumsum(counts) - counts
                 idx = np.arange(len(rep)) - cum[rep] + starts[rep]
                 child_states = entry_state[idx]
+            if counter is not None:
+                counter.intermediate_tuples += len(rep)
             values = np.asarray(compiled.val_base[level], np.float64)[child_states]
             acc = acc[rep] * values if multiply else acc[rep] + values
+            if val_rank is not None:
+                rank = rank[rep] + np.asarray(val_rank[level], object)[child_states]
             paths = np.concatenate([paths[rep], child_states.reshape(-1, 1)], axis=1)
         keys = (-acc if negate else acc).tolist()
-        return [(key, 0, tuple(states)) for key, states in zip(keys, paths.tolist())]
-
-    def _solutions(self, counter: OpCounter | None):
-        compiled = self.compiled
-        if compiled.empty:
-            return
-        num_stages = compiled.num_stages
-        parent_stage = compiled.parent_stage
-        conn_of = compiled.conn_of
-        root_uid = compiled.root_uid
-        val_base = compiled.val_base
-        val_rank = compiled.val_rank
-        multiply, negate = compiled.lane
-        held, offsets = compiled._pairs, compiled.conn_offsets
-        entry_at = compiled.entries.__getitem__
-
-        def entries_of(uid: int):  # in place: no list per prefix visit
-            entries = held[uid]
-            if entries is None:
-                return map(entry_at, range(offsets[uid], offsets[uid + 1]))
-            return iter(entries)
-
-        states = [0] * num_stages
-        prefix = [compiled.one] * (num_stages + 1)
-        prefix_rank = [0] * (num_stages + 1)
-        iterators: list = [None] * num_stages
-        iterators[0] = entries_of(root_uid[0])
-        level = 0
-        last = num_stages - 1
-        while level >= 0:
-            entry = next(iterators[level], None)
-            if entry is None:
-                level -= 1
-                continue
-            state = entry[-1]
-            states[level] = state
-            value = val_base[level][state]
-            acc = prefix[level]
-            prefix[level + 1] = acc * value if multiply else acc + value
-            if val_rank is not None:
-                prefix_rank[level + 1] = prefix_rank[level] + val_rank[level][state]
-            if counter is not None:
-                counter.intermediate_tuples += 1
-            if level == last:
-                total = prefix[num_stages]
-                yield (
-                    -total if negate else total, prefix_rank[num_stages],
-                    tuple(states),
-                )
-            else:
-                level += 1
-                parent = parent_stage[level]
-                if parent == -1:
-                    uid = root_uid[level]
-                else:
-                    uid = conn_of[level][states[parent]]
-                iterators[level] = entries_of(uid)
+        if val_rank is None:
+            return [(key, 0, tuple(states)) for key, states in zip(keys, paths.tolist())]
+        return list(zip(keys, rank.tolist(), map(tuple, paths.tolist())))
 
 
 def _drain(results: list, counter: OpCounter | None, emit):

@@ -82,9 +82,11 @@ class TreeTask:
     the built-in decompositions, any list of :data:`Lineage` values from
     hand-made tasks), which lets the enumeration API reconstruct
     original witnesses, and ``label`` identifies the member (e.g.
-    ``"heavy@x3"``).  ``bag_layout`` says how the bags are stored:
+    ``"heavy@x3"``).  ``bag_layout`` says how the bags are stored — the
+    simple-cycle decomposition builds every bag as columns either way:
     ``"bag columns"`` (column-backed relations, lowered by the column
-    stage scan) or ``"bag rows (<why not columns>)"``.
+    stage scan) or ``"bag rows (<why not columns>)"`` (tuples of the
+    values read).
     """
 
     database: Database

@@ -3,20 +3,14 @@
 The paper uses submodular-width decompositions (PANDA) as a black box;
 those are out of scope, so arbitrary cyclic queries fall back to a
 single-tree *generalized hypertree decomposition*: a greedy tree
-decomposition of the query's primal graph (min-fill-in heuristic via
-networkx), whose bags are materialised with our worst-case-optimal
-Generic-Join and whose atom weights are *pinned* to exactly one bag
-(the Section 8.2 pinned-decomposition condition), so T-DP solution
-weights equal original witness weights.
-
-Assumes set semantics per relation (no duplicate tuples); the simple
-cycle decomposition, which the experiments use, has no such restriction.
+decomposition of the query's primal graph (the min-fill-in heuristic,
+:func:`min_fill_bags`), whose bags are materialised with our
+worst-case-optimal Generic-Join and whose atom weights are *pinned* to
+exactly one bag (the Section 8.2 pinned-decomposition condition), so
+T-DP solution weights equal original witness weights.
 """
 
 from __future__ import annotations
-
-import networkx as nx
-from networkx.algorithms.approximation import treewidth_min_fill_in
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -27,15 +21,49 @@ from repro.query.cq import ConjunctiveQuery
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, ranking_order
 
 
+def min_fill_bags(variables, edges) -> list[frozenset]:
+    """The bags of a min-fill-in elimination of the graph on ``variables``.
+
+    Each round orders the remaining nodes by degree (a stable sort) and
+    eliminates the first with strictly least fill — a node whose
+    neighbours are already a clique at once — joining its neighbours;
+    elimination stops when the min-degree node is adjacent to all the
+    others.  The bags are the remaining clique, then each eliminated
+    node with its neighbours in reverse elimination order, duplicates
+    dropped (``tests/test_generic_decomposition.py`` holds the order to
+    a reference implementation's).
+    """
+    graph: dict = {var: set() for var in variables}
+    for u, v in edges:
+        if u != v:
+            graph[u].add(v)
+            graph[v].add(u)
+    eliminated: list[frozenset] = []
+    while graph:
+        by_degree = sorted(graph, key=lambda node: len(graph[node]))
+        if len(graph[by_degree[0]]) == len(graph) - 1:
+            break
+        best, least = None, None
+        for node in by_degree:
+            neighbours = graph[node]
+            fill = sum(len(neighbours - graph[n]) - 1 for n in neighbours) // 2
+            if least is None or fill < least:
+                best, least = node, fill
+                if fill == 0:
+                    break
+        neighbours = graph.pop(best)
+        for u in neighbours:
+            graph[u] |= neighbours - {u}
+            graph[u].discard(best)
+        eliminated.append(frozenset(neighbours | {best}))
+    return list(dict.fromkeys([frozenset(graph), *reversed(eliminated)]))
+
+
 def _tree_decomposition(query: ConjunctiveQuery) -> list[frozenset]:
     """Bags of a tree decomposition of the primal graph (deduplicated)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(query.variables)
-    graph.add_edges_from(query.hypergraph().primal_edges())
-    _width, td = treewidth_min_fill_in(graph)
-    bags = [frozenset(bag) for bag in td.nodes()]
-    # Drop bags subsumed by others (networkx may emit redundant bags);
-    # the remaining bags still cover all vertices and atom cliques.
+    bags = min_fill_bags(query.variables, query.hypergraph().primal_edges())
+    # Drop bags subsumed by others; the remaining bags still cover all
+    # vertices and atom cliques.
     bags.sort(key=len, reverse=True)
     kept: list[frozenset] = []
     for bag in bags:
@@ -88,19 +116,22 @@ def decompose_generic(
             sub_vars = sub_query.variables
             positions = [sub_vars.index(v) for v in bag_vars if v in sub_vars]
             pinned_slots = [covered.index(a) for a in pinned]
-            seen: dict[tuple, int] = {}
+            # One bag tuple per value tuple and pinned atoms' tuple ids:
+            # repeated tuples of a pinned atom are distinct witnesses.
+            seen: set[tuple] = set()
             tuples: list[tuple] = []
             weights: list = []
             lineages: list[tuple] = []
             for _weight, assignment, witness in rows:
                 bag_tuple = tuple(assignment[p] for p in positions)
-                if bag_tuple in seen:
+                key = (bag_tuple, tuple(witness[slot] for slot in pinned_slots))
+                if key in seen:
                     continue
+                seen.add(key)
                 weight = dioid.one
                 for atom_index, slot in zip(pinned, pinned_slots):
                     relation = database[atoms[atom_index].relation_name]
                     weight = times(weight, relation.weights[witness[slot]])
-                seen[bag_tuple] = len(tuples)
                 tuples.append(bag_tuple)
                 weights.append(weight)
                 lineages.append(

@@ -23,12 +23,14 @@ import gc
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.decomposition.cycle import decompose_cycle
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import ChoiceSet
 from repro.dp.lower import ColumnRows, lower_member, rank_tables
@@ -43,7 +45,7 @@ from repro.ranking.dioid import (
     TieBreakingDioid,
     TropicalDioid,
 )
-from tests.test_cycle_columns import force_bag_rows
+from tests.reference.cycle_rows import LAYOUT, decompose_cycle_rows, use_cycle_rows
 
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 plan_module = importlib.import_module("repro.engine.plan")
@@ -104,8 +106,11 @@ class CountingTie(TieBreakingDioid):
         return super().key_column(values)
 
 
-def _skewed_cycle_database(relation_names: list[str], seed: int) -> Database:
-    """Hub values make heavy partitions non-empty; the rest stays light."""
+def _skewed_cycle_database(
+    relation_names: list[str], seed: int, value=None, weight=None
+) -> Database:
+    """Hub values make heavy partitions non-empty; the rest stays light.
+    ``value`` / ``weight`` retype the values and weights drawn."""
     rng = random.Random(seed)
     relations = []
     for name in dict.fromkeys(relation_names):
@@ -115,6 +120,10 @@ def _skewed_cycle_database(relation_names: list[str], seed: int) -> Database:
             for j in range(80)
         ]
         weights = [round(rng.uniform(0.1, 1.0), 3) for _ in tuples]
+        if value is not None:
+            tuples = [tuple(map(value, row)) for row in tuples]
+        if weight is not None:
+            weights = list(map(weight, weights))
         relations.append(CountingRelation(name, 2, tuples, weights))
     return Database(relations)
 
@@ -257,7 +266,21 @@ def _bag_join_products(physical) -> int:
     )
 
 
-@pytest.mark.parametrize("bags", ["rows", "columns"])
+#: bags -> (value, weight) retyping of the drawn cycle, and the layout
+#: of every member for the relation ``R1`` / ``E`` that holds them.
+BAG_STORAGES = {
+    "columns": (None, None, "bag columns"),
+    # The former fallbacks, stored as rows by the one builder: ``str`` ids
+    # keep the float64 weight fold, ``int`` weights fold as objects.
+    "str_ids": (str, None, "bag rows ({} holds a value of type str)"),
+    "int_weights": (
+        None, lambda w: round(w * 1000), "bag rows ({} holds a weight of type int)"
+    ),
+    "reference": (None, None, LAYOUT),
+}
+
+
+@pytest.mark.parametrize("bags", list(BAG_STORAGES))
 @pytest.mark.parametrize("base_name", list(LANE_BASES))
 @pytest.mark.parametrize("self_join", [False, True])
 def test_lowered_four_cycle_bind_op_counts(
@@ -271,12 +294,15 @@ def test_lowered_four_cycle_bind_op_counts(
     * No lift column, no column operation and no scalar call on the tie
       dioid: the ranks go straight into the rank lane.
     * The base dioid's scalar ``times`` — counted on the class that
-      declares the lane, so the lane stands — runs exactly for the bag
-      joins of a decomposition into bag rows, and not at all for one
-      into bag columns; never for the T-DP; ``key`` never.
+      declares the lane, so the lane stands — runs exactly once per bag
+      join product where the weights fold as objects (``int`` weights,
+      and the row-at-a-time reference :mod:`tests.reference.cycle_rows`),
+      and not at all where they fold as float64 (bag columns, and bag
+      rows of ``str`` ids); never for the T-DP; ``key`` never.
     """
-    if bags == "rows":
-        force_bag_rows(monkeypatch)
+    value, weight, layout = BAG_STORAGES[bags]
+    if bags == "reference":
+        use_cycle_rows(monkeypatch)
     base, declaring = LANE_BASES[base_name]
     calls = {"times": 0, "key": 0, "choice_sets": 0}
     real_times, real_key, real_init = declaring.times, declaring.key, ChoiceSet.__init__
@@ -297,7 +323,7 @@ def test_lowered_four_cycle_bind_op_counts(
     monkeypatch.setattr(declaring, "key", key)
     monkeypatch.setattr(ChoiceSet, "__init__", init)
     names = ["E"] * 4 if self_join else ["R1", "R2", "R3", "R4"]
-    database = _skewed_cycle_database(names, seed=1501)
+    database = _skewed_cycle_database(names, seed=1501, value=value, weight=weight)
     query = cycle_query(4, relation="E" if self_join else None)
 
     physical = Engine(database).prepare(query, dioid=base).bind()
@@ -305,9 +331,7 @@ def test_lowered_four_cycle_bind_op_counts(
     assert len(physical.tdps) > 1
     assert all(isinstance(tdp, CompiledTDP) for tdp in physical.tdps)
     assert sum(relation.scans for relation in database) == (1 if self_join else 4)
-    assert {task.bag_layout for task in physical.tasks} == {
-        "bag columns" if bags == "columns" else "bag rows (forced)"
-    }
+    assert {task.bag_layout for task in physical.tasks} == {layout.format(names[0])}
     (tie,) = CountingTie.instances
     assert counted["rankings"] == 1
     assert counted["sorts"] == len(query.variables) == 4
@@ -316,11 +340,48 @@ def test_lowered_four_cycle_bind_op_counts(
     assert calls["choice_sets"] == 0
     assert calls["key"] == 0
     assert _bag_join_products(physical) > 0
-    assert calls["times"] == (_bag_join_products(physical) if bags == "rows" else 0)
+    folds_objects = bags in ("int_weights", "reference")
+    assert calls["times"] == (_bag_join_products(physical) if folds_objects else 0)
     # ... and enumerating them needs neither.
     before = dict(calls)
     assert len(physical.top(50)) == 50
     assert calls == before
+
+
+@pytest.mark.parametrize("threshold", [None, 3])
+@pytest.mark.parametrize("length", [3, 4, 5])
+def test_an_object_weight_fold_makes_the_row_folds_times_calls(
+    monkeypatch, length, threshold
+):
+    """``int`` weights under a lane fold through ``dioid.times`` on object
+    columns: the calls and operands of the row-at-a-time reference (a
+    column at a time, so in another order; the 3-cycle's fan folds only
+    the rows its closing atom keeps)."""
+    calls = []
+    real_times = TropicalDioid.times
+
+    def times(self, a, b):
+        calls.append((a, b))
+        return real_times(self, a, b)
+
+    monkeypatch.setattr(TropicalDioid, "times", times)
+    names = [f"R{i}" for i in range(1, length + 1)]
+    database = _skewed_cycle_database(
+        names, seed=1502, weight=lambda w: round(w * 1000)
+    )
+    query = cycle_query(length)
+
+    tasks = decompose_cycle(database, query, dioid=TROPICAL, threshold=threshold)
+    built, calls[:] = list(calls), []
+    decompose_cycle_rows(database, query, dioid=TROPICAL, threshold=threshold)
+
+    assert {task.bag_layout for task in tasks} == {
+        "bag rows (R1 holds a weight of type int)"
+    }
+    assert all(
+        type(w) is int for task in tasks for bag in task.database for w in bag.weights
+    )
+    assert built and Counter(built) == Counter(calls)
 
 
 #: Containers a lowered member may hold beside its states' entries and
@@ -341,7 +402,7 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, bags):
     scan — where the member holds no bag-row tuple at all: its rows are
     views over the columns, which never materialise."""
     if bags == "rows":
-        force_bag_rows(monkeypatch)
+        use_cycle_rows(monkeypatch)
     database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1503)
     query = cycle_query(4)
     physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
@@ -379,7 +440,7 @@ def test_a_lowered_state_keeps_one_tuple_beyond_its_row(monkeypatch, bags):
         assert sum(type(o) is dict for o in fresh) <= slack
         assert not any(type(o) is ChoiceSet for o in fresh)
         if bags == "rows":
-            assert task.bag_layout == "bag rows (forced)"
+            assert task.bag_layout == LAYOUT
             assert not any(type(rows) is ColumnRows for rows in again.tuples)
         else:
             assert task.bag_layout == "bag columns"

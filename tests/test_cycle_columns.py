@@ -1,22 +1,26 @@
-"""Bag columns against bag rows: the cycle decomposition's two paths agree.
+"""The cycle decomposition's one builder against its row-at-a-time reference.
 
-Where the dioid has a lane and the cycle's relations hold ``int`` values
-and ``float`` weights, :func:`~repro.decomposition.cycle.decompose_cycle`
-builds its bags as columns (column-backed relations); everywhere else it
-builds rows, and the rows are the reference (:func:`force_bag_rows`
-builds them for any relations).  The
-benchmark's cycle reference is bound through the same decomposition, so
-this suite is what guards the column path:
+:func:`~repro.decomposition.cycle.decompose_cycle` builds every bag from
+int64 code columns, and stores it as columns where the dioid has a lane
+and the cycle's relations hold ``int`` values and ``float`` weights, else
+as rows made from the columns.  :mod:`tests.reference.cycle_rows` is the
+same decomposition with Python tuples and dict joins, and the oracle of
+both storages.  The benchmark's cycle reference is bound through the
+same decomposition, so this suite is what guards it:
 
-* **bags**: per member its label and query, per bag its tuples, its
-  weights by ``float.hex`` and its lineage (atoms and tuple-id columns),
-  over l = 3 .. 6, thresholds that force heavy members, self-joins, all
-  three lanes and palettes with signed zeros, ±inf and NaN;
+* **bags**: per member its label and query, per bag its tuples (each
+  value with its type), its weights by ``float.hex`` (``repr`` where not
+  a ``float``) and its lineage (atoms and tuple-id columns), over
+  l = 3 .. 6, thresholds that force heavy members, self-joins, all three
+  lanes and palettes with signed zeros, ±inf and NaN;
 * **answers**: a bound plan ranks the same answers, weight bits,
   assignments and witnesses either way;
-* **fallbacks**: ``str``, ``bool`` and ``None`` values, ``int`` weights
-  and a dioid without a lane each run the row path, as the ``decompose``
-  span's ``columns`` attribute and each member's ``bag_layout`` say.
+* **former fallbacks**: ``str``, ``bool``, ``None`` and mixed values,
+  ``1`` / ``1.0`` / ``True`` meeting in one join, a value past int64,
+  ``int`` weights, a dioid without a lane, ``BOOLEAN`` and a
+  lexicographic dioid, and degrees from the engine's ``IndexCache`` —
+  each stored as rows, as the ``decompose`` span's ``columns`` attribute
+  and each member's ``bag_layout`` say, and each the reference's bags.
 """
 
 from __future__ import annotations
@@ -30,13 +34,21 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.decomposition import cycle
+from repro.data.index import IndexCache
 from repro.decomposition.cycle import decompose_cycle
 from repro.engine import Engine
 from repro.obs.trace import Tracer
 from repro.query.builders import cycle_query
-from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL, MaxTimesDioid
+from repro.ranking.dioid import (
+    BOOLEAN,
+    MAX_PLUS,
+    MAX_TIMES,
+    TROPICAL,
+    LexicographicDioid,
+    MaxTimesDioid,
+)
 from repro.util import vec
+from tests.reference.cycle_rows import LAYOUT, decompose_cycle_rows, use_cycle_rows
 
 LANES = {"tropical": TROPICAL, "max_plus": MAX_PLUS, "max_times": MAX_TIMES}
 PALETTES = {
@@ -74,7 +86,8 @@ def cycle_database(
 
 
 def snapshot(tasks) -> list:
-    """Everything a member's bags hold, weights by their bits."""
+    """Everything a member's bags hold: values with their types, weights
+    by their bits."""
     return [
         (
             task.label,
@@ -82,8 +95,8 @@ def snapshot(tasks) -> list:
             [
                 (
                     name,
-                    bag.tuples,
-                    [float.hex(weight) for weight in bag.weights],
+                    [tuple(map(typed, row)) for row in bag.tuples],
+                    [typed(weight) for weight in bag.weights],
                     task.lineage[name].atoms,
                     [list(column) for column in task.lineage[name].columns],
                     repr([task.lineage[name][i] for i in range(len(bag))]),
@@ -95,32 +108,34 @@ def snapshot(tasks) -> list:
     ]
 
 
-def force_bag_rows(patch: pytest.MonkeyPatch) -> None:
-    """Have the decomposition build bag rows whatever the relations hold."""
-    patch.setattr(cycle, "_scan_columns", lambda _relation, _scan: "forced")
+def typed(value) -> tuple:
+    """``value`` with its type, a float by its bits."""
+    if type(value) is float:
+        return ("float", value.hex())
+    return (type(value).__name__, repr(value))
 
 
-def decompose_both(monkeypatch, database, query, dioid, threshold):
-    """``(columns, rows)``: the decomposition as it runs, then as rows."""
-    columns = decompose_cycle(database, query, dioid=dioid, threshold=threshold)
-    with monkeypatch.context() as patch:
-        force_bag_rows(patch)
-        rows = decompose_cycle(database, query, dioid=dioid, threshold=threshold)
-    return columns, rows
+def decompose_both(database, query, dioid, threshold=None, indexes=None):
+    """``(built, reference)``: the decomposition, then its reference."""
+    options = dict(dioid=dioid, threshold=threshold, indexes=indexes)
+    built = decompose_cycle(database, query, **options)
+    if indexes is not None:
+        options["indexes"] = IndexCache()
+    return built, decompose_cycle_rows(database, query, **options)
 
 
 @pytest.mark.parametrize("palette", list(PALETTES))
 @pytest.mark.parametrize("lane", list(LANES))
 @pytest.mark.parametrize("self_join", [False, True], ids=["distinct", "self_join"])
 @pytest.mark.parametrize("length", [3, 4, 5, 6])
-def test_bag_columns_are_the_bag_rows(monkeypatch, length, self_join, lane, palette):
+def test_bag_columns_are_the_bag_rows(length, self_join, lane, palette):
     database = cycle_database(length, palette, seed=3400 + length, self_join=self_join)
     query = cycle_query(length, relation="E" if self_join else None)
     heavy_members = 0
     for threshold in (None, 2, 4):
-        columns, rows = decompose_both(monkeypatch, database, query, LANES[lane], threshold)
+        columns, rows = decompose_both(database, query, LANES[lane], threshold)
         assert {task.bag_layout for task in columns} == {"bag columns"}
-        assert {task.bag_layout for task in rows} == {"bag rows (forced)"}
+        assert {task.bag_layout for task in rows} == {LAYOUT}
         assert all(
             bag.arrays is not None and not bag.is_materialized
             for task in columns for bag in task.database
@@ -132,11 +147,27 @@ def test_bag_columns_are_the_bag_rows(monkeypatch, length, self_join, lane, pale
 
 def answers(physical, k: int = 400) -> list:
     """Weights by their bits; the rest by ``repr``, so an id or value of
-    another type (``np.int64``) would not pass for an ``int``."""
+    another type (``np.int64``, ``1.0`` for ``1``) would not pass."""
     return [
-        (float.hex(a.weight), repr(a.assignment), repr(a.witness_ids), repr(a.witness))
+        (typed(a.weight), repr(a.assignment), repr(a.witness_ids), repr(a.witness))
         for a in itertools.islice(physical.iter(), k)
     ]
+
+
+def ranked_both(monkeypatch, database, query, **options) -> tuple:
+    """``(layouts, answers)`` of an engine bind, then of one over the
+    reference's bags."""
+    with Engine(database) as engine:
+        physical = engine.prepare(query, **options).bind()
+        built = ({task.bag_layout for task in physical.tasks}, answers(physical))
+    with monkeypatch.context() as patch:
+        use_cycle_rows(patch)
+        with Engine(database) as engine:
+            physical = engine.prepare(query, **options).bind()
+            assert {task.bag_layout for task in physical.tasks} == {LAYOUT}
+            reference = answers(physical)
+    assert len(reference) > 10
+    return built[0], built[1] == reference
 
 
 @pytest.mark.parametrize("palette", list(PALETTES))
@@ -144,19 +175,9 @@ def answers(physical, k: int = 400) -> list:
 @pytest.mark.parametrize("length", [3, 4, 5])
 def test_a_plan_over_bag_columns_ranks_as_over_bag_rows(monkeypatch, length, lane, palette):
     database = cycle_database(length, palette, seed=3500 + length)
-    query = cycle_query(length)
-    with Engine(database) as engine:
-        columns = engine.prepare(query, dioid=LANES[lane]).bind()
-        assert {task.bag_layout for task in columns.tasks} == {"bag columns"}
-        got = answers(columns)
-    with monkeypatch.context() as patch:
-        force_bag_rows(patch)
-        with Engine(database) as engine:
-            rows = engine.prepare(query, dioid=LANES[lane]).bind()
-            assert {task.bag_layout for task in rows.tasks} == {"bag rows (forced)"}
-            expected = answers(rows)
-    assert len(got) > 10
-    assert got == expected
+    layouts, same = ranked_both(monkeypatch, database, cycle_query(length), dioid=LANES[lane])
+    assert layouts == {"bag columns"}
+    assert same
 
 
 class CountingMaxTimes(MaxTimesDioid):
@@ -168,10 +189,14 @@ class CountingMaxTimes(MaxTimesDioid):
 
 def _retyped(database: Database, change: dict) -> Database:
     """``database`` with R2's first row's first ``value`` or its
-    ``weight`` replaced, as ``change`` says."""
+    ``weight`` replaced, as ``change`` says; ``values`` maps every value."""
     relations = []
     for relation in database:
         tuples, weights = list(relation.tuples), list(relation.weights)
+        if "values" in change:
+            tuples = [tuple(map(change["values"], row)) for row in tuples]
+        if "weights" in change:
+            weights = list(map(change["weights"], weights))
         if relation.name == "R2":
             if "value" in change:
                 tuples[0] = (change["value"], tuples[0][1])
@@ -181,20 +206,57 @@ def _retyped(database: Database, change: dict) -> Database:
     return Database(relations)
 
 
+def _mixed(value: int):
+    """Every third value a ``str``, every fifth ``None``."""
+    return None if value % 5 == 0 else str(value) if value % 3 == 0 else value
+
+
+def _equal_types(value: int):
+    """``1`` / ``1.0`` / ``True`` and ``2`` / ``2.0`` meet in the joins."""
+    return {1: True, 2: 2.0, 4: 1.0, 5: 1}.get(value, value)
+
+
+#: case -> (change, dioid, layout of every member).
 FALLBACKS = {
     "str_value": (dict(value="a"), None, "bag rows (R2 holds a value of type str)"),
     "bool_value": (dict(value=True), None, "bag rows (R2 holds a value of type bool)"),
     "none_value": (dict(value=None), None, "bag rows (R2 holds a value of type NoneType)"),
+    # A relation holding several other types names the first by name.
+    "mixed_values": (
+        dict(values=_mixed), None, "bag rows (R1 holds a value of type NoneType)"
+    ),
+    "equal_types": (
+        dict(values=_equal_types), None, "bag rows (R1 holds a value of type bool)"
+    ),
+    "past_int64": (
+        dict(values=lambda v: v if v % 4 else v + 2**64), None,
+        "bag rows (R1 holds a value past int64)",
+    ),
     "int_weight": (dict(weight=2), None, "bag rows (R2 holds a weight of type int)"),
+    "int_weights": (
+        dict(weights=lambda w: int(w * 10)), None,
+        "bag rows (R1 holds a weight of type int)",
+    ),
     "lane_less": ({}, CountingMaxTimes(), "bag rows (CountingMaxTimes overrides times)"),
+    "boolean": (
+        dict(weights=lambda w: w > 1.0), BOOLEAN, "bag rows (BooleanDioid declares no float lane)"
+    ),
+    "lexicographic": (
+        dict(weights=lambda w: (round(w), w)), LexicographicDioid(2),
+        "bag rows (LexicographicDioid(2) declares no float lane)",
+    ),
 }
 
 
-@pytest.mark.parametrize("case", list(FALLBACKS))
-def test_every_fallback_runs_the_row_path(case):
+def _fallback(case: str):
     change, dioid, layout = FALLBACKS[case]
     database = _retyped(cycle_database(4, "floats", seed=3600), change)
-    options = {} if dioid is None else {"dioid": dioid}
+    return database, {} if dioid is None else {"dioid": dioid}, layout
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_every_former_fallback_stores_rows(case):
+    database, options, layout = _fallback(case)
     with Engine(database, tracer=Tracer(sample="always")) as engine:
         physical = engine.prepare(cycle_query(4), **options).bind()
         (span,) = [s for s in engine.tracer.spans() if s.name == "decompose"]
@@ -203,6 +265,47 @@ def test_every_fallback_runs_the_row_path(case):
     assert span.attrs["bag_tuples"] > 0
     assert {task.bag_layout for task in physical.tasks} == {layout}
     assert all(bag.arrays is None for task in physical.tasks for bag in task.database)
+
+
+@pytest.mark.parametrize("indexes", [False, True], ids=["counted", "index_cache"])
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_every_former_fallback_builds_the_reference_bags(case, indexes):
+    database, options, _layout = _fallback(case)
+    dioid = options.get("dioid", TROPICAL)
+    heavy_members = 0
+    for threshold in (None, 2, 4):
+        built, reference = decompose_both(
+            database, cycle_query(4), dioid, threshold, IndexCache() if indexes else None
+        )
+        assert snapshot(built) == snapshot(reference)
+        heavy_members += sum(task.label.startswith("heavy") for task in built)
+    assert heavy_members > 0
+
+
+@pytest.mark.parametrize("case", ["mixed_values", "equal_types", "past_int64", "int_weights"])
+def test_a_former_fallback_ranks_as_the_reference(monkeypatch, case):
+    """Through the engine, whose ``IndexCache`` gives the degrees."""
+    database, options, layout = _fallback(case)
+    layouts, same = ranked_both(monkeypatch, database, cycle_query(4), **options)
+    assert layouts == {layout}
+    assert same
+
+
+def test_values_equal_under_eq_share_a_code_and_keep_their_type():
+    """``1`` joins ``1.0`` and ``True`` as a dict join does, and each bag
+    value is the object its own tuple holds."""
+    database = Database([
+        Relation("R1", 2, [(0, 1), (0, 2)], [1.0, 2.0]),
+        Relation("R2", 2, [(1.0, 3), (True, 4), (2, 5)], [1.0, 2.0, 3.0]),
+        Relation("R3", 2, [(3, 0), (4, 0.0), (5, False)], [1.0, 2.0, 3.0]),
+    ])
+    built, reference = decompose_both(database, cycle_query(3), TROPICAL)
+    assert snapshot(built) == snapshot(reference)
+    ((bag,),) = [list(task.database) for task in built]
+    assert bag.tuples == [(0, 1, 3), (0, 1, 4), (0, 2, 5)]
+    assert [tuple(map(type, row)) for row in bag.tuples] == [
+        (int, float, int), (int, bool, int), (int, int, int),
+    ]
 
 
 def test_the_decompose_span_counts_the_bags_built_as_columns():
@@ -282,16 +385,12 @@ def test_values_near_the_int64_bounds_join_as_rows_do(monkeypatch, length):
         for relation in spread
     ])
     query = cycle_query(length)
-    columns, rows = decompose_both(monkeypatch, database, query, MAX_TIMES, 2)
+    columns, rows = decompose_both(database, query, MAX_TIMES, 2)
     assert {task.bag_layout for task in columns} == {"bag columns"}
     assert snapshot(columns) == snapshot(rows)
-    with Engine(database) as engine:
-        got = answers(engine.prepare(query, dioid=MAX_TIMES).bind())
-    with monkeypatch.context() as patch:
-        force_bag_rows(patch)
-        with Engine(database) as engine:
-            expected = answers(engine.prepare(query, dioid=MAX_TIMES).bind())
-    assert len(got) > 10 and got == expected
+    layouts, same = ranked_both(monkeypatch, database, query, dioid=MAX_TIMES)
+    assert layouts == {"bag columns"}
+    assert same
 
 
 def test_a_value_past_int64_keeps_bag_rows():

@@ -414,9 +414,29 @@ class TestDirectLoweringMatchesObjectLowering:
 
 
 class TestBatchOverThePool:
-    """``FlatBatch`` over a lowered core: the numpy expansion and the
-    scalar DFS read the entry pool alike, and agree with the object
-    lowering's core, answer by answer in ``repr``."""
+    """``FlatBatch`` over a lowered core — the numpy expansion, its only
+    one — against the object path's :class:`~repro.anyk.batch.Batch`
+    over ``build_tdp``: answer by answer in ``repr``, and the same
+    ``OpCounter``."""
+
+    @staticmethod
+    def assert_batch_is_the_object_batch(core, tdp, sort: bool) -> int:
+        from repro.anyk.batch import Batch
+        from repro.anyk.flat import FlatBatch
+
+        flat_counter, object_counter = OpCounter(), OpCounter()
+        flat = [
+            repr((r.weight, r.key, r.states))
+            for r in FlatBatch(core, sort=sort, counter=flat_counter)
+        ]
+        objects = [
+            repr((r.weight, r.key, r.states))
+            for r in Batch(tdp, sort=sort, counter=object_counter)
+        ]
+        assert flat == objects
+        assert flat_counter.as_dict() == object_counter.as_dict()
+        assert flat_counter.intermediate_tuples > flat_counter.results == len(flat)
+        return len(flat)
 
     @pytest.mark.parametrize("algorithm", ["batch", "batch_nosort"])
     @pytest.mark.parametrize(
@@ -424,28 +444,36 @@ class TestBatchOverThePool:
         ids=["tropical", "max-plus", "max-times"],
     )
     @pytest.mark.parametrize("shape", ["path4", "star4"])
-    def test_vec_equals_scalar(self, shape, dioid, algorithm):
-        from repro.anyk.flat import FlatBatch
+    def test_flat_batch_is_the_object_batch(self, shape, dioid, algorithm):
         from repro.dp.lower import lower_query
         from repro.query.jointree import build_join_tree
 
         query = path_query(4) if shape == "path4" else star_query(4)
         db = uniform_database(4, 60, domain_size=12, seed=5)
         core = lower_query(db, build_join_tree(query), dioid)
-        sort = algorithm == "batch"
+        tdp = build_tdp_for_query(db, query, dioid=dioid)
+        answers = self.assert_batch_is_the_object_batch(
+            core, tdp, sort=algorithm == "batch"
+        )
+        assert answers > 1000
 
-        def answers(compiled) -> list[str]:
-            return [
-                repr((r.weight, r.key, r.states))
-                for r in FlatBatch(compiled, sort=sort)
-            ]
+    @pytest.mark.parametrize("algorithm", ["batch", "batch_nosort"])
+    @pytest.mark.parametrize("palette", ["floats", "ties"])
+    @pytest.mark.parametrize("member", ["heavy_fan", "light_chain", "cycle6"])
+    def test_a_tie_broken_member_batches_as_the_object_batch(
+        self, member, palette, algorithm
+    ):
+        """A union member's core carries packed ranks: the expansion sums
+        them as the object path's tie-breaking ``times`` does."""
+        from repro.dp.flat import LaneCore
+        from tests.test_lane_conformance import member_pair
 
-        lowered = answers(core)
-        solutions = repr(list(FlatBatch(core, sort=False)._solutions(None)))
-        assert repr(FlatBatch(core, sort=False)._solutions_vec()) == solutions
-        reference = compile_tdp(build_tdp_for_query(db, query, dioid=dioid))
-        assert answers(reference) == lowered
-        assert len(lowered) > 1000
+        core, tdp = member_pair(member, palette, "max_times", "columns")
+        assert isinstance(core, LaneCore) and core.val_rank is not None
+        answers = self.assert_batch_is_the_object_batch(
+            core, tdp, sort=algorithm == "batch"
+        )
+        assert answers > 10
 
 
 @pytest.mark.parametrize("variant", ["take2", "lazy", "eager", "all"])

@@ -20,7 +20,7 @@ chain and a heavy fan of a 4-cycle, a four-bag heavy member of a
 products), a two-component query (several roots) and a star with a
 repeated variable (a stage that drops rows before its probes) — that no
 cycle produces.  The columns are compared twice per cycle member: decomposed
-into bag rows (:func:`~tests.test_cycle_columns.force_bag_rows`), which
+into bag rows by the reference (:mod:`tests.reference.cycle_rows`), which
 take the row stage scan, and into bag columns, which take the column
 stage scan.  The ``ints`` palette keeps bag rows either way.
 """
@@ -59,7 +59,7 @@ from repro.ranking.dioid import (
 )
 from repro.util.counters import OpCounter
 from tests import vector_tie
-from tests.test_cycle_columns import force_bag_rows
+from tests.reference.cycle_rows import decompose_cycle_rows
 
 ALL_VARIANTS = [
     "take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort",
@@ -113,13 +113,11 @@ def member_task(member: str, palette: str, base, decomposition: str = "rows"):
         length, n, domain, label = CYCLE_MEMBERS[member]
         database = cycle_database(length, n, domain, palette, seed)
         query = cycle_query(length)
-        with pytest.MonkeyPatch.context() as patch:
-            if decomposition == "rows":
-                force_bag_rows(patch)
-            (task,) = [
-                task for task in decompose_cycle(database, query, dioid=base)
-                if task.label == label
-            ]
+        decompose = decompose_cycle_rows if decomposition == "rows" else decompose_cycle
+        (task,) = [
+            task for task in decompose(database, query, dioid=base)
+            if task.label == label
+        ]
         columns = decomposition == "columns" and palette != "ints"
         assert (task.bag_layout == "bag columns") == columns, task.bag_layout
         variables = query.variables

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import ast
 import os
+import re
+import sys
 
 import repro
 
@@ -194,3 +196,26 @@ def test_no_core_shell_is_left_in_src():
                     if "CoreShell" in fd.read():
                         found.append(name)
     assert not found, found
+
+
+def _declared_dependencies() -> set[str]:
+    """``pyproject.toml``'s ``[project] dependencies``, names only (read
+    without ``tomllib``, which Python 3.10 lacks)."""
+    path = os.path.join(SRC_ROOT, os.pardir, os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fd:
+        (line,) = [line for line in fd if line.startswith("dependencies")]
+    specs = ast.literal_eval(line.split("=", 1)[1].strip())
+    return {re.split(r"[\s<>=!~;\[]", spec, maxsplit=1)[0] for spec in specs}
+
+
+def test_the_third_party_imports_are_the_declared_dependencies():
+    """Every package ``src/`` imports — in any scope — is the standard
+    library, ``repro`` or a dependency ``pyproject.toml`` declares, and
+    every declared dependency is imported."""
+    third_party = {
+        module.split(".")[0]
+        for _module, imported in _modules()
+        for module in imported
+        if module
+    } - set(sys.stdlib_module_names) - {"repro"}
+    assert third_party == _declared_dependencies()

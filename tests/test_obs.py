@@ -341,13 +341,13 @@ class TestEngineSpans:
         member line of ``explain()`` and of ``--analyze`` says "bag
         columns", or "bag rows (<why>)"."""
         from repro.query.builders import cycle_query
-        from tests.test_cycle_columns import force_bag_rows
+        from tests.reference.cycle_rows import LAYOUT, use_cycle_rows
 
         cyclic = uniform_database(4, 60, domain_size=6, seed=11)
         for as_columns in (True, False):
             if not as_columns:
-                force_bag_rows(monkeypatch)
-            layout = "bag columns" if as_columns else "bag rows (forced)"
+                use_cycle_rows(monkeypatch)
+            layout = "bag columns" if as_columns else LAYOUT
             engine = Engine(cyclic, tracer=Tracer(sample="always"))
             try:
                 prepared = engine.prepare(cycle_query(4))
