@@ -28,8 +28,9 @@ every compiled core, and the core says which arithmetic to run:
 * connector ranking structures live in a uid-indexed list (no dict
   hashing); for the Take2 and Eager strategies the candidate carries
   (or, over a chain, recovers from its parent's state) the core's
-  shared heapified/sorted entry list itself, so entry reads are direct
-  C-level list indexing with no view object in between;
+  shared heap or sorted order itself — the entries' states, keys and
+  ranks as lists in that order — so entry reads are C-level list
+  indexing with no entry tuple and no view object in between;
 * every loop is a module-level generator over the state it is handed:
   every per-iteration attribute binds to a local once per run, and no
   loop holds its enumerator, so a dropped run is freed by reference
@@ -60,7 +61,6 @@ recursive` / :mod:`repro.anyk.batch` (asserted by
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -126,13 +126,15 @@ def _best(core: CompiledTDP) -> tuple:
 def _ranking_lists(core: CompiledTDP, kind: str) -> tuple:
     """``(width, lists, list_of)`` of a shared-list strategy.
 
-    Position ``pos``'s successors are ``pos * width + 1`` onward: the
-    two static-heap children of Take2, the next sorted entry of Eager.
-    ``lists`` is the core's uid-indexed cache, ``list_of(uid)`` fills it.
+    Each holds a connector's ``[states, keys, ranks]`` in ranked order
+    (:meth:`~repro.dp.flat.CompiledTDP.take2_heap`); position ``pos``'s
+    successors are ``pos * width + 1`` onward: the two static-heap
+    children of Take2, the next sorted entry of Eager.  ``lists`` is the
+    core's uid-indexed cache, ``list_of(uid)`` fills it.
     """
     if kind == "take2":
         return 2, core._take2_heaps, core.take2_heap
-    return 1, core._sorted_pairs, core.sorted_pairs
+    return 1, core._sorted_orders, core.sorted_order
 
 
 def _open_after(parent_stage: list[int]) -> list[list[int]]:
@@ -167,8 +169,8 @@ class FlatAnyKPart(FlatEnumerator):
 
     Candidates are ``(key, rank, seq, prefix, stage[, carrier], pos)``.
     Three loops, chosen by the algorithm name and the tree shape: Take2
-    and Eager run over the core's shared bare ranking lists (a static
-    heap order, a sorted list) — :func:`_chain_loop` over a chain,
+    and Eager run over the core's shared ranking lists (a static heap
+    order, a sorted order) — :func:`_chain_loop` over a chain,
     :func:`_tree_loop` over any other tree; Lazy and All run
     :func:`_view_loop` over per-run flat views
     (:data:`~repro.anyk.strategies.FLAT_VIEWS`), whose ranking structure
@@ -218,8 +220,7 @@ def _chain_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
     recovered at pop time from ``prefix[0]`` (the parent's state),
     which every push site has already warmed.  This is the loop of both
     end-to-end enumeration workloads (``enum_extend``, ``cycle_union``),
-    so the at most two successors are pushed unrolled, and the state is
-    read at a non-negative index (the last column of every entry).
+    so the at most two successors are pushed unrolled.
     """
     width, lists, list_of = _ranking_lists(core, kind)
     two = width == 2
@@ -236,20 +237,16 @@ def _chain_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
     one = core.one
 
     seq = 0
-    root_entries = None
+    root = None
     if not core.empty:
-        root_entries = list_of(core.root_uid[0])
-        at = len(root_entries[0]) - 1
+        root = list_of(core.root_uid[0])
         seq = 1
         heap.append((*_best(core), 1, None, 0, 0))
     counted = seq  # pushes already charged (the seed: at construction)
 
     while heap:
         key, rank, _seq, prefix, stage, pos = heappop(heap)
-        if stage:
-            entries = lists[conn_next[stage - 1][prefix[0]]]
-        else:
-            entries = root_entries
+        states, keys, ranks = lists[conn_next[stage - 1][prefix[0]]] if stage else root
         if not inverse:
             fixed = one
             fixed_rank = 0
@@ -263,43 +260,40 @@ def _chain_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
                 node = node[1]
                 fill -= 1
         for j in range(stage, num_stages):
-            entry = entries[pos]
-            state = entry[at]
+            state = states[pos]
             succ = pos * width + 1
-            size = len(entries)
+            size = len(states)
             if inverse:
                 if succ < size:
-                    base = key - entry[0]
+                    base = key - keys[pos]
                     seq += 1
-                    heappush(heap, (base + entries[succ][0], 0, seq, prefix, j, succ))
+                    heappush(heap, (base + keys[succ], 0, seq, prefix, j, succ))
                     if two:
                         succ += 1
                         if succ < size:
                             seq += 1
                             heappush(
-                                heap, (base + entries[succ][0], 0, seq, prefix, j, succ)
+                                heap, (base + keys[succ], 0, seq, prefix, j, succ)
                             )
             else:
                 if succ < size:
                     stage_entry = ent_base[j]
-                    other = entries[succ]
-                    value = stage_entry[other[at]]
+                    value = stage_entry[states[succ]]
                     sibling = fixed * value if multiply else fixed + value
                     seq += 1
                     heappush(heap, (
-                        -sibling if negate else sibling, fixed_rank + other[1],
+                        -sibling if negate else sibling, fixed_rank + ranks[succ],
                         seq, prefix, j, succ,
                     ))
                     if two:
                         succ += 1
                         if succ < size:
-                            other = entries[succ]
-                            value = stage_entry[other[at]]
+                            value = stage_entry[states[succ]]
                             sibling = fixed * value if multiply else fixed + value
                             seq += 1
                             heappush(heap, (
-                                -sibling if negate else sibling, fixed_rank + other[1],
-                                seq, prefix, j, succ,
+                                -sibling if negate else sibling,
+                                fixed_rank + ranks[succ], seq, prefix, j, succ,
                             ))
                 value = val_base[j][state]
                 fixed = fixed * value if multiply else fixed + value
@@ -307,9 +301,10 @@ def _chain_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
             prefix = (state, prefix)
             if j < last:
                 uid = conn_next[j][state]
-                entries = lists[uid]
-                if entries is None:
-                    entries = list_of(uid)
+                ranked = lists[uid]
+                if ranked is None:
+                    ranked = list_of(uid)
+                states, keys, ranks = ranked
                 pos = 0
 
         states = [0] * num_stages
@@ -326,12 +321,13 @@ def _chain_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
 
 
 def _tree_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
-    """Take2 / Eager over any tree shape: the shared bare ranking lists.
+    """Take2 / Eager over any tree shape: the shared ranking lists.
 
-    Candidates are ``(key, rank, seq, prefix, stage, entries, pos)``.  A
-    popped candidate rebuilds its partial ``states`` from the prefix, to
-    find the connectors below states already chosen.  Successors are
-    pushed as in :func:`_chain_loop`.
+    Candidates are ``(key, rank, seq, prefix, stage, ranked, pos)``, with
+    ``ranked`` the connector's ``[states, keys, ranks]``.  A popped candidate
+    rebuilds its partial ``states`` from the prefix, to find the
+    connectors below states already chosen.  Successors are pushed as in
+    :func:`_chain_loop`.
     """
     width, lists, list_of = _ranking_lists(core, kind)
     two = width == 2
@@ -349,14 +345,13 @@ def _tree_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
 
     seq = 0
     if not core.empty:
-        root_entries = list_of(root_uid[0])
-        at = len(root_entries[0]) - 1
         seq = 1
-        heap.append((*_best(core), 1, None, 0, root_entries, 0))
+        heap.append((*_best(core), 1, None, 0, list_of(root_uid[0]), 0))
     counted = seq  # pushes already charged (the seed: at construction)
 
     while heap:
-        key, rank, _seq, prefix, stage, entries, pos = heappop(heap)
+        key, rank, _seq, prefix, stage, ranked, pos = heappop(heap)
+        chosen, keys, ranks = ranked
         states = [0] * num_stages
         node = prefix
         fill = stage - 1
@@ -377,23 +372,22 @@ def _tree_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
                 fill -= 1
 
         for j in range(stage, num_stages):
-            entry = entries[pos]
-            state = states[j] = entry[at]
+            state = states[j] = chosen[pos]
             succ = pos * width + 1
-            size = len(entries)
+            size = len(chosen)
             if inverse:
                 if succ < size:
-                    base = key - entry[0]
+                    base = key - keys[pos]
                     seq += 1
                     heappush(
-                        heap, (base + entries[succ][0], 0, seq, prefix, j, entries, succ)
+                        heap, (base + keys[succ], 0, seq, prefix, j, ranked, succ)
                     )
                     if two:
                         succ += 1
                         if succ < size:
                             seq += 1
                             heappush(heap, (
-                                base + entries[succ][0], 0, seq, prefix, j, entries, succ,
+                                base + keys[succ], 0, seq, prefix, j, ranked, succ,
                             ))
             else:
                 if succ < size:
@@ -402,13 +396,12 @@ def _tree_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
                     )
                     stage_entry = ent_base[j]
                     for succ in range(succ, min(succ + width, size)):
-                        other = entries[succ]
-                        value = stage_entry[other[at]]
+                        value = stage_entry[chosen[succ]]
                         sibling = base * value if multiply else base + value
                         seq += 1
                         heappush(heap, (
-                            -sibling if negate else sibling, base_rank + other[1],
-                            seq, prefix, j, entries, succ,
+                            -sibling if negate else sibling,
+                            base_rank + ranks[succ], seq, prefix, j, ranked, succ,
                         ))
                 value = val_base[j][state]
                 fixed = fixed * value if multiply else fixed + value
@@ -421,9 +414,10 @@ def _tree_loop(core: CompiledTDP, kind: str, heap: list, counter, emit):
                     uid = root_uid[next_stage]
                 else:
                     uid = conn_of[next_stage][states[parent]]
-                entries = lists[uid]
-                if entries is None:
-                    entries = list_of(uid)
+                ranked = lists[uid]
+                if ranked is None:
+                    ranked = list_of(uid)
+                chosen, keys, ranks = ranked
                 pos = 0
 
         if counter is not None:
@@ -437,6 +431,8 @@ def _view_loop(core: CompiledTDP, view_class: type, heap: list, counter, emit):
 
     As :func:`_tree_loop`, with a view in the carrier slot: its
     ``entry_at`` reads a position, its ``succ`` lists the successors.
+    A view ranks the entry tuples the run makes of its connector
+    (:meth:`~repro.dp.flat.CompiledTDP.pairs`).
     """
     num_stages = core.num_stages
     parent_stage = core.parent_stage
@@ -842,7 +838,8 @@ class FlatBatch(FlatEnumerator):
 
         Each level replaces every live prefix by its child entries in
         pool order, preserving prefix order — a backtracker's DFS
-        preorder exactly (a root's entries repeat under every prefix).
+        preorder exactly (a root's entries repeat under every prefix),
+        the states read off the pool's ``entry_state`` column.
         The per-solution total is grown by the left fold from ``one``,
         ``acc ⊗ val_base[level][state]`` under the core's lane, and keyed
         at the end; the packed rank, where the core has one, is summed in
@@ -856,12 +853,8 @@ class FlatBatch(FlatEnumerator):
         parent_stage = compiled.parent_stage
         root_uid = compiled.root_uid
         val_rank = compiled.val_rank
-        pool = compiled.entries
-        if isinstance(pool, list):
-            entry_state = np.fromiter(map(itemgetter(-1), pool), np.int64, len(pool))
-        else:
-            entry_state = np.asarray(pool.state)
-        offsets = np.asarray(compiled.conn_offsets)
+        entry_state = np.asarray(compiled.entry_state, np.int64)
+        offsets = np.asarray(compiled.conn_offsets, np.int64)
         multiply, negate = compiled.lane
 
         acc = np.full(1, compiled.one)
@@ -870,17 +863,15 @@ class FlatBatch(FlatEnumerator):
         for level in range(compiled.num_stages):
             parent = parent_stage[level]
             if parent == -1:
-                root = [entry[-1] for entry in compiled.pairs(root_uid[level])]
-                child_states = np.tile(np.array(root, np.int64), len(acc))
-                rep = np.repeat(np.arange(len(acc)), len(root))
+                uids = np.full(len(acc), root_uid[level])
             else:
                 uids = np.asarray(compiled.conn_of[level])[paths[:, parent]]
-                starts = offsets[uids]
-                counts = offsets[uids + 1] - starts
-                rep = np.repeat(np.arange(len(acc)), counts)
-                cum = np.cumsum(counts) - counts
-                idx = np.arange(len(rep)) - cum[rep] + starts[rep]
-                child_states = entry_state[idx]
+            starts = offsets[uids]
+            counts = offsets[uids + 1] - starts
+            rep = np.repeat(np.arange(len(acc)), counts)
+            cum = np.cumsum(counts) - counts
+            idx = np.arange(len(rep)) - cum[rep] + starts[rep]
+            child_states = entry_state[idx]
             if counter is not None:
                 counter.intermediate_tuples += len(rep)
             values = np.asarray(compiled.val_base[level], np.float64)[child_states]

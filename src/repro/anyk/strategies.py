@@ -200,10 +200,10 @@ ALGORITHMS: dict[str, type[SuccessorStrategy]] = {
 # * ``entry_at`` is an *attribute* bound once at construction — for the
 #   list-backed view it is the list's C-level ``__getitem__``, so the
 #   hot loop pays no Python-level method frame per entry read;
-# * construction takes the connector's shared entry list (see
-#   ``CompiledTDP.pairs``) instead of a ``ChoiceSet``; a view that
-#   reorders copies it first, exactly like the object views copy
-#   ``conn.entries``.
+# * construction takes a list of the connector's entry tuples that the
+#   run makes off the pool's columns (``CompiledTDP.pairs``) instead of
+#   a ``ChoiceSet``; a view that reorders copies it first, exactly like
+#   the object views copy ``conn.entries``.
 #
 # Position semantics, successor rules, and tie-breaking are identical to
 # the object views: flat entries order exactly like the object triples

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from repro.data.backend import SQLiteBackend
@@ -69,6 +70,30 @@ def _shard_count(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive int, got {text!r}")
+    return value
+
+
+def _answer_count(text: str) -> int:
+    """``--top``: a non-negative int (0 = all), else an argparse usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative int (0 = all), got {text!r}"
+        )
+    return value
+
+
+def _sampling_rate(text: str) -> float:
+    """``--hz``: a positive finite number, else an argparse usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
 
 
@@ -100,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "an already-populated --db-path is given)")
     query_cmd.add_argument("text", help="query, e.g. 'Q(x) :- R(x, y)'")
     add_backend_options(query_cmd)
-    query_cmd.add_argument("--top", type=int, default=10,
+    query_cmd.add_argument("--top", type=_answer_count, default=10,
                            help="number of results (default 10; 0 = all)")
     query_cmd.add_argument("--shards", type=_shard_count, default=None, metavar="N",
                            help="partition the anchor relation into N "
@@ -131,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="N",
                              help="show the sharded plan (anchor atom, "
                                   "fragment layout)")
-    explain_cmd.add_argument("--analyze", type=int, default=None, metavar="K",
+    explain_cmd.add_argument("--analyze", type=_answer_count, default=None,
+                             metavar="K",
                              help="EXPLAIN ANALYZE: run the query "
                                   "instrumented, enumerate the top K "
                                   "answers (0 = all), and report per-stage "
@@ -149,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "an already-populated --db-path is given)")
     trace_cmd.add_argument("text", help="the query")
     add_backend_options(trace_cmd)
-    trace_cmd.add_argument("--top", type=int, default=10,
+    trace_cmd.add_argument("--top", type=_answer_count, default=10,
                            help="answers to enumerate (default 10; 0 = all)")
     trace_cmd.add_argument("--out", default="trace.json", metavar="FILE",
                            help="trace-event JSON output path "
@@ -235,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "an already-populated --db-path is given)")
     profile_cmd.add_argument("text", help="the query")
     add_backend_options(profile_cmd)
-    profile_cmd.add_argument("--top", type=int, default=10,
+    profile_cmd.add_argument("--top", type=_answer_count, default=10,
                              help="answers to enumerate per run "
                                   "(default 10; 0 = all)")
     profile_cmd.add_argument("--algorithm", default="take2",
@@ -246,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--repeat", type=int, default=1,
                              help="enumeration passes over the prepared plan "
                                   "(more passes = more samples)")
-    profile_cmd.add_argument("--hz", type=float, default=97.0,
+    profile_cmd.add_argument("--hz", type=_sampling_rate, default=97.0,
                              help="sampling rate (default 97)")
     profile_cmd.add_argument("--min-seconds", type=float, default=0.5,
                              metavar="S",

@@ -23,9 +23,11 @@ arrays a zero-copy lifecycle:
 
 Only dioids registered in ``NAMED_DIOIDS`` whose lane has an inverse
 (tropical min-plus, max-plus) are persistable: their cores are the
-state and ``pi1`` value columns, the child uids and the keyed ``(key,
-state)`` entries, nothing more (a core without an inverse also holds
-entry values, least entries and ranks, which no section stores), and
+state and ``pi1`` value columns, the child uids and the entry pool's
+``entry_key`` / ``entry_state`` columns, nothing more (a core without
+an inverse also holds entry values, least entries and ranks, which no
+section stores; no section stores Take2's heap layout either, so a
+mapped core heapifies a connector on first touch), and
 the dioid must travel by registry name — ``id()`` and pickled instances
 are not stable across processes.  The ``vk`` / ``pk`` sections hold
 *values* under the dioid's lane (a max-plus weight, not its negation).
@@ -49,11 +51,9 @@ import pickle
 import struct
 import threading
 from array import array
-from itertools import chain
-from operator import itemgetter
 from typing import Sequence
 
-from repro.dp.flat import CompiledTDP, MappedEntries
+from repro.dp.flat import CompiledTDP
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid, lane_of
 from repro.util import faults
@@ -201,10 +201,10 @@ def export_fragments(
 
     The fragments of one plan (a single one for an unsharded bind) share
     a common uid space — shared connectors first, then one root
-    connector per fragment — and alias one entry pool and one
-    ``_pairs`` list holding every root: the file's pool is the two in uid
-    order, no connector cut.  The non-anchor stage arrays are likewise
-    shared; only the anchor stage differs per fragment.
+    connector per fragment — and alias one entry pool holding every
+    root: the file's pool is the core's columns as they are.  The
+    non-anchor stage arrays are likewise shared; only the anchor stage
+    differs per fragment.
     """
     first = fragment_cores[0]
     name = _require_persistable(first.dioid)
@@ -212,16 +212,9 @@ def export_fragments(
     uid_space = first.num_connectors
 
     writer = SectionWriter()
-    # One CSR pool across the whole shared uid space: the core's pool,
-    # then the roots held beside it.
-    offsets = array("q", first.conn_offsets)
-    held = first._pairs[len(offsets) - 1:]
-    for root in held:
-        offsets.append(offsets[-1] + len(root))
-    for section, typecode, column in (("entry_key", "d", 0), ("entry_state", "q", 1)):
-        pool = chain(first.entries, *held)
-        writer.add(section, typecode, map(itemgetter(column), pool))
-    writer.add("conn_offsets", "q", offsets)
+    writer.add("entry_key", "d", first.entry_key)
+    writer.add("entry_state", "q", first.entry_state)
+    writer.add("conn_offsets", "q", first.conn_offsets)
     writer.add("conn_stage", "q", first.conn_stage)
     for stage in range(num_stages):
         if stage == anchor_stage:
@@ -267,11 +260,10 @@ def load_fragments(
 ) -> list[CompiledTDP]:
     """Rehydrate a stored plan as per-fragment cores over the mapping.
 
-    Reconstructs the cold build's aliasing: one entry pool over the
-    mapped columns (:class:`~repro.dp.flat.MappedEntries`, roots
-    included), one ``_pairs`` list (filled per connector on first
-    touch), one set of lazily built
-    ranking-structure caches, and one view per shared stage array —
+    Reconstructs the cold build's aliasing: one entry pool of the
+    mapped ``entry_key`` / ``entry_state`` views (roots included), one
+    set of lazily built ranking-structure caches, and one view per
+    shared stage array —
     shared by every fragment — with per-fragment anchor-stage arrays
     and root connectors layered on top.  Rows are point-fetched from
     the backend (:class:`LazyRows`).
@@ -307,9 +299,9 @@ def load_fragments(
         int(stage): uid for stage, uid in meta["root_uid"].items()
     }
     conn_offsets = sections.view("conn_offsets")
-    entries = MappedEntries(sections.view("entry_key"), sections.view("entry_state"))
-    pairs: list = [None] * uid_space
-    caches = ([None] * uid_space, [None] * uid_space, [None] * uid_space)
+    entry_key = sections.view("entry_key")
+    entry_state = sections.view("entry_state")
+    caches = ([None] * uid_space, [None] * uid_space)
 
     cores: list[CompiledTDP] = []
     for index in range(num_fragments):
@@ -345,8 +337,8 @@ def load_fragments(
                 best=(frag_meta["best"], 0),
                 empty=frag_meta["empty"],
                 conn_offsets=conn_offsets,
-                entries=entries,
-                pairs=pairs,
+                entry_key=entry_key,
+                entry_state=entry_state,
                 caches=caches,
             )
         )

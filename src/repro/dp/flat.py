@@ -13,26 +13,34 @@ a whole T-DP on its own, with no object graph behind it.
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
   plus ``root_uid`` for the virtual start state's branches;
-* connector entries, key first and state last, in one CSR pool:
-  connector ``uid`` owns ``entries[conn_offsets[uid]:conn_offsets[uid +
-  1]]``, a list of tuples made at bind (or a mapped ``.core`` file's
-  :class:`MappedEntries`), cut into a list per connector by
-  :meth:`CompiledTDP.pairs` on first touch; a fragment's root connector
-  is a list from the bind on, beside the pool.
+* connector entries as one CSR pool of columns: connector ``uid`` owns
+  positions ``conn_offsets[uid] .. conn_offsets[uid + 1]`` of
+  ``entry_key`` and ``entry_state`` (and ``entry_rank`` in a core
+  without an inverse, a list), typed arrays (``array.array``) at bind, a
+  mapped ``.core`` file's typed views, lists in a :func:`compile_tdp`
+  core.  A lowered core pools each connector's entries by state, one
+  compiled from an object ``TDP`` in its builder's order (the order its
+  object path heapifies); ties break by state either way.  A
+  fragment's root connector is pooled like any other.  No entry is a
+  tuple: Take2's static heap and Eager's sorted order are the entries'
+  states, keys and ranks as lists in that order
+  (:meth:`CompiledTDP.take2_heap`, :meth:`CompiledTDP.sorted_order`).
+  A lowered core ranks Take2's heaps at bind, the paper's linear pass
+  (:func:`heap_layout`), and a first touch cuts a connector's lists from
+  the result; Eager sorts on first touch.
 
 Every core is run by its dioid's lane (:func:`~repro.ranking.dioid.
 lane_of`): ``times`` as native ``+`` or ``*`` folded from ``one``, the
 key the value or its negation; the columns hold values and only the
 entries are keyed.  Section 6.2's two ways to get a sibling's weight
 are the slot ``inverse``, the dioid's ``has_inverse``: with one
-(tropical, max-plus) the key is ``total − entry + succ`` and entries are
-``(key, state)``; without (max-times, a tie-broken union member) the
-total is recomputed from the prefix, so the core also holds entry values
-(``ent_base``), least entries (``min_base``) and a rank lane
-(``val_rank`` / ``ent_rank`` / ``min_rank``, zeros without a
-tie-breaker), with ``(key, rank, state)`` entries.  A tie-broken
-member's core is a :class:`LaneCore`, whose answers are ``(base, rank)``
-pairs.
+(tropical, max-plus) the key is ``total − entry + succ``; without
+(max-times, a tie-broken union member) the total is recomputed from the
+prefix, so the core also holds entry values (``ent_base``), least
+entries (``min_base``) and a rank lane (``val_rank`` / ``ent_rank`` /
+``min_rank`` and the pool's ``entry_rank``, zeros without a
+tie-breaker).  A tie-broken member's core is a :class:`LaneCore`, whose
+answers are ``(base, rank)`` pairs.
 
 :mod:`repro.dp.lower` builds a core straight from the relations and
 :mod:`repro.dp.corebuf` maps one from a ``.core`` file, both through
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import sys
 from heapq import heapify as _heapify
+from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import Any, Callable
 
@@ -59,63 +68,147 @@ import numpy as np
 from repro.dp.graph import TDP, ResultAssembler, stage_tree
 from repro.ranking.dioid import lane_of
 
-#: Connector size above which :meth:`CompiledTDP.sorted_pairs` prefers a
-#: numpy ``lexsort`` over ``sorted`` on tuples.  Both orders are
-#: identical — column by column, key first, state last (states are
-#: unique within a connector, so the last tie rule is moot but kept for
-#: symmetry with the tuple comparison).
+#: Connector size from which :func:`_sorted_positions` prefers a numpy
+#: ``lexsort`` of the pool columns over ``sorted`` on tuples.
 _VEC_SORT_MIN = 64
 
+_position = itemgetter(-1)
 
-def _sorted_entries(entries: list[tuple]) -> list[tuple]:
-    """``sorted(entries)``, through a numpy ``lexsort`` on large connectors.
 
-    Sorts on every column, key first and state last, so ``(key, state)``
-    pairs and ``(key, rank, state)`` triples alike come out in tuple
-    order.  The key column sorts as float64, the others as int64; a rank
-    too wide for int64 keeps ``sorted``, and so does a NaN key (``lexsort``
-    puts it last, ``sorted`` where it meets it).
+def _keyed(key, rank, state, lo: int, hi: int) -> list[tuple]:
+    """Temporary ``(key[, rank], state, position)`` tuples of pool
+    positions ``lo .. hi``, in pool order.
+
+    A connector's states are distinct, so these compare as its
+    ``(key[, rank], state)`` entries do — ties, ±0.0 and NaN keys (each
+    its own object, as in the pool) included — and the position only
+    travels along.
     """
-    if len(entries) < _VEC_SORT_MIN:
-        return sorted(entries)
-    keys, *others = zip(*entries)
-    try:
-        columns = [np.array(keys, np.float64)]
-        columns += [np.array(column, np.int64) for column in others]
-    except OverflowError:
-        return sorted(entries)
-    if np.isnan(columns[0]).any():
-        return sorted(entries)
-    order = np.lexsort(columns[::-1])
-    return list(zip(*(column[order].tolist() for column in columns)))
+    if rank is None:
+        return list(zip(key[lo:hi], state[lo:hi], range(lo, hi)))
+    return list(zip(key[lo:hi], rank[lo:hi], state[lo:hi], range(lo, hi)))
 
 
-class MappedEntries:
-    """A mapped ``.core`` file's entry pool: its two typed views, read as
-    ``(key, state)`` tuples by index or slice — made only when touched."""
+def _heap_positions(key, rank, state, lo: int, hi: int) -> list[int]:
+    """Pool positions ``lo .. hi`` in ``heapify``'s layout of the entries,
+    by heapifying temporary :func:`_keyed` tuples: a connector no
+    :func:`heap_layout` covers (NaN keys, ranks past int64, a core that
+    was not lowered)."""
+    keyed = _keyed(key, rank, state, lo, hi)
+    _heapify(keyed)
+    return list(map(_position, keyed))
 
-    __slots__ = ("key", "state")
 
-    def __init__(self, key: memoryview, state: memoryview):
-        self.key, self.state = key, state
+def _sorted_positions(key, rank, state, lo: int, hi: int) -> list[int]:
+    """Pool positions ``lo .. hi`` in ``sorted``'s order of the entries.
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(zip(self.key[index], self.state[index]))
-        return self.key[index], self.state[index]
+    From :data:`_VEC_SORT_MIN` entries a ``lexsort`` of the key column
+    (float64), the rank column and the state column (int64) gives the
+    same order; a rank too wide for int64 keeps ``sorted``, and so does
+    a NaN key (``lexsort`` puts it last, ``sorted`` where it meets it).
+    """
+    if hi - lo < 2:
+        return list(range(lo, hi))
+    if hi - lo >= _VEC_SORT_MIN:
+        keys = np.asarray(key[lo:hi], np.float64)
+        if not np.isnan(keys).any():
+            try:
+                columns = [np.asarray(state[lo:hi], np.int64), keys]
+                if rank is not None:
+                    columns.insert(1, np.array(rank[lo:hi], np.int64))
+            except OverflowError:
+                pass
+            else:
+                return (np.lexsort(columns) + lo).tolist()
+    return list(map(_position, sorted(_keyed(key, rank, state, lo, hi))))
+
+
+def heap_layout(keys, ranks, offsets):
+    """Every connector's ``heapify`` layout, with no tuple: an array of
+    positions into ``keys``, connector ``c``'s at ``offsets[c] ..
+    offsets[c + 1]``; ``None`` for a NaN key or ranks that are not int64.
+
+    ``keys`` (float64) and ``ranks`` (int64, or ``None``) are pool
+    columns as arrays, in pool order, a connector's entries by state (a
+    lowered core's), so they compare as their tuples ``(key[, rank],
+    state)`` do when ``(key[, rank], position)`` do: the key (``0.0 ==
+    -0.0``), on a tie the rank, then the position.  CPython's
+    ``heapify`` sifts each node once its children are heaps: ``siftup``
+    walks the lesser child up to a leaf, ``siftdown`` climbs back while
+    less than the parent.  The sifts of one tree level touch disjoint
+    subtrees, in one connector and across connectors, so each level runs
+    as one vector step per depth — in any order, to the same layout.  A
+    NaN compares as no Python object does twice, so it is left to the
+    tuples (:func:`_heap_positions`).
+    """
+    if np.isnan(keys).any() or (ranks is not None and ranks.dtype != np.int64):
+        return None
+    heap = np.arange(len(keys))
+    held = keys.copy()  # the keys, in heap layout
+    base = offsets[:-1]
+    sizes = offsets[1:] - base
+    half = sizes >> 1  # per connector, its first slot without a child
+
+    def less(i, j):
+        key_i, key_j = held[i], held[j]
+        below = key_i < key_j
+        tie = key_i == key_j
+        if tie.any():
+            at_i, at_j = heap[i], heap[j]
+            first = at_i < at_j
+            if ranks is not None:
+                rank_i, rank_j = ranks[at_i], ranks[at_j]
+                first = (rank_i < rank_j) | ((rank_i == rank_j) & first)
+            below |= tie & first
+        return below
+
+    def swap(i, j):
+        heap[i], heap[j] = heap[j], heap[i]
+        held[i], held[j] = held[j], held[i]
+
+    for level in reversed(range(int(half.max(initial=0)).bit_length())):
+        first = (1 << level) - 1
+        conns = np.flatnonzero(half > first)
+        counts = np.minimum(half[conns], 2 * first + 1) - first
+        owner = np.repeat(conns, counts)
+        lo = base[owner]
+        nth = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        start = lo + first + nth
+        slot = start.copy()
+        moving = np.arange(len(owner))
+        at, low, end, limit = slot, lo, lo + sizes[owner], lo + half[owner]
+        while len(moving):  # siftup: the lesser child up, down to a leaf
+            child = 2 * at - low + 1
+            child += (child + 1 < end) & ~less(child, np.minimum(child + 1, end - 1))
+            swap(at, child)
+            slot[moving] = child
+            deeper = child < limit
+            moving, at = moving[deeper], child[deeper]
+            low, end, limit = low[deeper], end[deeper], limit[deeper]
+        moving = np.flatnonzero(slot > start)
+        while len(moving):  # siftdown: back up while less than the parent
+            at = slot[moving]
+            low = lo[moving]
+            parent = ((at - low - 1) >> 1) + low
+            up = less(at, parent)
+            moving, at, parent = moving[up], at[up], parent[up]
+            swap(at, parent)
+            slot[moving] = parent
+            moving = moving[parent > start[moving]]
+    return heap
 
 
 def _seq_bytes(seq: Any, seen: set[int]) -> int:
     """Heap-byte estimate of one compiled-core column.
 
-    ``memoryview`` columns and a mapped pool are mmap-backed and count
-    zero.  Lists of scalars/tuples are estimated from their first element
-    (columns are homogeneous), so the walk is O(nesting).  ``seen``
+    ``memoryview`` columns are mmap-backed and count zero.  Lists of
+    scalars/tuples are estimated from their first element (columns are
+    homogeneous), so the walk is O(nesting).  ``seen``
     holds the ``id`` of every container already counted: the fragment
     cores of one shard plan alias their shared columns, which must be
     counted once.
     """
-    if isinstance(seq, (memoryview, MappedEntries)) or seq is None or id(seq) in seen:
+    if isinstance(seq, memoryview) or seq is None or id(seq) in seen:
         return 0
     seen.add(id(seq))
     if isinstance(seq, (list, tuple)):
@@ -123,7 +216,7 @@ def _seq_bytes(seq: Any, seen: set[int]) -> int:
         sample = next((item for item in seq if item is not None), None)
         if sample is None:
             return total
-        if isinstance(sample, (list, memoryview)):
+        if isinstance(sample, (list, memoryview, np.ndarray)):
             for item in seq:  # ragged columns (per-stage / per-connector)
                 total += _seq_bytes(item, seen)
         elif isinstance(sample, tuple):
@@ -165,11 +258,12 @@ class CompiledTDP:
         "dioid", "query", "join_tree", "atom_of_stage", "tuples",
         "tuple_ids", "_assemblers", "num_stages", "num_connectors",
         "parent_stage", "children_stages", "branch_index", "num_branches",
-        "val_base", "pi1", "conn_offsets", "entries", "conn_stage",
-        "child_uids", "conn_of", "conn_meta", "root_stages", "root_uid",
-        "best_key", "empty", "is_chain", "_pairs", "_take2_heaps",
-        "_sorted_pairs", "_rea_heaps", "lane", "one", "inverse", "val_rank",
-        "ent_base", "ent_rank", "min_base", "min_rank", "best",
+        "val_base", "pi1", "conn_offsets", "entry_key", "entry_state",
+        "entry_rank", "conn_stage", "child_uids", "conn_of", "conn_meta",
+        "root_stages", "root_uid", "best_key", "empty", "is_chain",
+        "_take2_heaps", "_sorted_orders", "heap_columns", "lane", "one",
+        "inverse", "val_rank", "ent_base", "ent_rank", "min_base", "min_rank",
+        "best",
     )
 
     def __init__(self, tdp: TDP):
@@ -189,15 +283,19 @@ class CompiledTDP:
         for conn in tdp.root_conn.values():
             conns[conn.uid] = conn
 
-        # The CSR entry pool, roots included, in uid order.
-        entries: list = []
+        # The CSR entry pool, roots included, in uid order; a connector's
+        # entries in its own order, which the object path heapifies too
+        # (``DPProblem``'s come from a set, not by state).
+        entry_key: list = []
+        entry_state: list = []
         conn_stage = [-1] * tdp.num_connectors
         offsets = [0]
         for uid, conn in enumerate(conns):
             if conn is not None:
                 conn_stage[uid] = conn.stage
-                entries += map(itemgetter(0, 1), conn.entries)
-            offsets.append(len(entries))
+                entry_key += map(itemgetter(0), conn.entries)
+                entry_state += map(itemgetter(1), conn.entries)
+            offsets.append(len(entry_key))
 
         child_uids = [
             [conn.uid for state_conns in tdp.child_conns[stage] for conn in state_conns]
@@ -216,8 +314,8 @@ class CompiledTDP:
                 ent_rank=zeros,
                 min_base=[None if conn is None else conn.min_value for conn in conns],
                 min_rank=[0] * tdp.num_connectors,
+                entry_rank=[0] * len(entry_key),
             )
-            entries = [(key, 0, state) for key, state in entries]
         self._fill(
             dioid=dioid,
             query=tdp.query,
@@ -236,7 +334,8 @@ class CompiledTDP:
             best=(tdp.best_weight, 0),
             empty=tdp.is_empty(),
             conn_offsets=offsets,
-            entries=entries,
+            entry_key=entry_key,
+            entry_state=entry_state,
             **without_inverse,
         )
 
@@ -250,9 +349,10 @@ class CompiledTDP:
     def _fill(
         self, *, dioid, query, join_tree, atom_of_stage, parent_stage,
         tuples, tuple_ids, lane, one, val_base, pi1, child_uids,
-        conn_stage, root_uid, best, empty, conn_offsets, entries, pairs=None,
-        caches=None, val_rank=None, ent_base=None, ent_rank=None,
-        min_base=None, min_rank=None,
+        conn_stage, root_uid, best, empty, conn_offsets, entry_key,
+        entry_state, caches=None, heap_columns=None, val_rank=None,
+        ent_base=None, ent_rank=None, min_base=None, min_rank=None,
+        entry_rank=None,
     ) -> None:
         """Set every slot from the stored columns plus derived layout.
 
@@ -260,15 +360,16 @@ class CompiledTDP:
         (children, roots and branch positions derive from it), ``tuples``
         / ``tuple_ids`` the rows result assembly reads.
 
-        ``conn_offsets`` may stop short of the uid space: the uids past
-        the pool are fragment roots, held in ``pairs``.  ``pairs`` and
-        the three ``caches`` lists (Take2 heap orders, sorted entry
-        lists, Recursive heap templates) are uid-indexed and may be the
-        *same list objects* across the fragment cores of one shard plan:
-        a structure for a shared connector is then built once and reused
-        by every fragment, algorithm, and serving session.  The
-        entry-value, least-entry and rank columns are those of a core
-        without an inverse (the dioid's ``has_inverse``).
+        The pool columns and ``conn_offsets`` may be the *same
+        objects* across the fragment cores of one shard plan, each
+        fragment appending its root connector in uid order; so may the
+        two uid-indexed ``caches`` lists (Take2 heaps, Eager's sorted
+        orders) and the ``heap_columns`` of the connectors ranked at bind
+        (:func:`heap_layout`): a structure for a shared connector is
+        then built once and reused by every fragment, algorithm, and
+        serving session.  The entry-value, least-entry and rank columns
+        are those of a core without an inverse (the dioid's
+        ``has_inverse``).
         """
         self.dioid = dioid
         self.query = query
@@ -292,10 +393,13 @@ class CompiledTDP:
         #: loops, where list indexing (no re-boxing) wins.
         self.val_base = val_base
         self.pi1 = pi1
-        #: The CSR entry pool: connector ``uid`` owns entries
-        #: ``conn_offsets[uid] .. conn_offsets[uid + 1]``.
+        #: The CSR entry pool: connector ``uid`` owns positions
+        #: ``conn_offsets[uid] .. conn_offsets[uid + 1]`` of the columns.
         self.conn_offsets = conn_offsets
-        self.entries = entries
+        self.entry_key = entry_key
+        self.entry_state = entry_state
+        #: Per entry its rank; ``None`` where the core has an inverse.
+        self.entry_rank = entry_rank
         #: Connector uid -> owning stage (-1: never referenced).
         self.conn_stage = conn_stage
         #: Flattened adjacency: ``child_uids[s][state * num_branches[s]
@@ -348,26 +452,21 @@ class CompiledTDP:
             parent_stage[j] == j - 1 for j in range(num_stages)
         )
         self.empty = empty
-        #: Entry lists per connector, state last — the flat analogue of
-        #: ``ChoiceSet.entries`` (unsorted, read-only): fragment roots from
-        #: the bind on, pool connectors once :meth:`pairs` cut them.
-        self._pairs = [None] * uid_space if pairs is None else pairs
-        # Per-connector ranking structures that are *read-only once
-        # built* and therefore shared across every enumerator run (and
-        # every concurrent session) over this compiled core, filled
-        # lazily on first touch:
-        #
-        # * Take2's static heap order — heapified once, never popped
-        #   (that is the whole point of Take2), so one array serves all
-        #   runs where the object path re-heapifies per run;
-        # * Eager's sorted entry lists — never mutated after sorting;
-        # * Recursive's initial candidate heaps — runs *do* pop/push
-        #   these, so :meth:`rea_heap` hands out a C-level copy of the
-        #   heapified template (the tuples inside are immutable and stay
-        #   shared).
-        self._take2_heaps, self._sorted_pairs, self._rea_heaps = caches or (
-            [None] * uid_space, [None] * uid_space, [None] * uid_space
+        # Per-connector ranking structures, lists of pool positions that
+        # are *read-only once built* and therefore shared across every
+        # enumerator run (and every concurrent session) over this core,
+        # filled on first touch: Take2's static heap order — heapified
+        # once, never popped (that is the whole point of Take2), so one
+        # array serves all runs where the object path re-heapifies per
+        # run — and Eager's sorted order.
+        self._take2_heaps, self._sorted_orders = caches or (
+            [None] * uid_space, [None] * uid_space
         )
+        #: Take2's heap of every connector ranked at bind, from pool
+        #: position 0 (:func:`heap_layout`): the ``(states, keys, ranks)``
+        #: arrays in heap layout (``ranks`` ``None`` with an inverse), or
+        #: ``None``; a connector's first touch cuts its lists from them.
+        self.heap_columns = heap_columns
 
     def __getstate__(self) -> dict:
         # Assemblers hold compiled functions: derived, not picklable,
@@ -390,68 +489,95 @@ class CompiledTDP:
             assembler = self._assemblers[head] = ResultAssembler(self, head)
         return assembler
 
-    def _cut(self, uid: int) -> list[tuple]:
-        """A new list of connector ``uid``'s entries, in pool order."""
-        held = self._pairs[uid]
-        if held is not None:
-            return list(held)
-        offsets = self.conn_offsets
-        return self.entries[offsets[uid]:offsets[uid + 1]]
-
     def pairs(self, uid: int) -> list[tuple]:
-        """The unsorted entries of connector ``uid``, state last.
+        """A new list of connector ``uid``'s entries as tuples, in pool
+        order: ``(key, state)``, or ``(key, rank, state)`` where the core
+        has no inverse.  Made per call, for a Lazy or All run's views."""
+        lo, hi = self.conn_offsets[uid], self.conn_offsets[uid + 1]
+        if self.entry_rank is None:
+            return list(zip(self.entry_key[lo:hi], self.entry_state[lo:hi]))
+        return list(
+            zip(self.entry_key[lo:hi], self.entry_rank[lo:hi], self.entry_state[lo:hi])
+        )
 
-        Shared by all enumerator runs (and algorithms): callers must not
-        mutate it.  Cut from the pool on first touch (a fragment root is
-        held from the bind on); the lazy fill is the benign race
-        :meth:`take2_heap` documents.
+    def _ranked(self, positions) -> list:
+        """``[states, keys, ranks]`` of the entries at ``positions``, in
+        that order — lists of numbers, no tuple; ``ranks`` is ``None``
+        where the core has an inverse."""
+        rank = self.entry_rank
+        return [
+            list(map(self.entry_state.__getitem__, positions)),
+            list(map(self.entry_key.__getitem__, positions)),
+            None if rank is None else list(map(rank.__getitem__, positions)),
+        ]
+
+    def _columns_cover(self, uid: int):
+        """``(lo, hi)`` of connector ``uid`` in :attr:`heap_columns`, or
+        ``None`` where it was not ranked at bind."""
+        offsets = self.conn_offsets
+        lo, hi = offsets[uid], offsets[uid + 1]
+        columns = self.heap_columns
+        return None if columns is None or hi > len(columns[0]) else (lo, hi)
+
+    def take2_heap(self, uid: int) -> list:
+        """Connector ``uid``'s entries in static heap order (shared), as
+        :meth:`_ranked` columns.
+
+        Cut from :attr:`heap_columns`, ranked at bind, on first access
+        (a fragment root's from the bind on), the keys left out where
+        the kernels read ranks (the core has no inverse); any other
+        connector heapifies then (:func:`_heap_positions`).  Either way
+        the layout is ``heapify``'s of the entries themselves.  Read-only
+        afterwards (Take2 uses the heap array as a static partial order),
+        so safe to share across runs, algorithms, and threads — the lazy
+        fill is a benign race: both winners produce identical lists.
         """
-        entries = self._pairs[uid]
-        if entries is None:
-            entries = self._pairs[uid] = self._cut(uid)
-        return entries
+        ranked = self._take2_heaps[uid]
+        if ranked is None:
+            cover = self._columns_cover(uid)
+            if cover is None:
+                offsets = self.conn_offsets
+                ranked = self._ranked(_heap_positions(
+                    self.entry_key, self.entry_rank, self.entry_state,
+                    offsets[uid], offsets[uid + 1],
+                ))
+            else:
+                lo, hi = cover
+                states, keys, ranks = self.heap_columns
+                ranked = [states[lo:hi].tolist(), None, None]
+                if ranks is None:
+                    ranked[1] = keys[lo:hi].tolist()
+                else:
+                    ranked[2] = ranks[lo:hi].tolist()
+            self._take2_heaps[uid] = ranked
+        return ranked
 
-    def take2_heap(self, uid: int) -> list[tuple]:
-        """Connector ``uid``'s entries in static heap order (shared).
-
-        One ``heapify`` of a fresh cut on first access, in place;
-        read-only afterwards (Take2 uses the heap array as a static
-        partial order), so safe to share across runs, algorithms, and
-        threads — the lazy fill is a benign race: ``heapify`` is
-        deterministic, both winners produce the identical list.
-        """
-        heap = self._take2_heaps[uid]
-        if heap is None:
-            heap = self._cut(uid)
-            _heapify(heap)
-            self._take2_heaps[uid] = heap
-        return heap
-
-    def sorted_pairs(self, uid: int) -> list[tuple]:
-        """Connector ``uid``'s entries fully sorted (shared, read-only)."""
-        entries = self._sorted_pairs[uid]
-        if entries is None:
-            entries = self._sorted_pairs[uid] = _sorted_entries(self._cut(uid))
-        return entries
+    def sorted_order(self, uid: int) -> list:
+        """Connector ``uid``'s entries ascending, as :meth:`_ranked`
+        columns (shared, read-only; filled as :meth:`take2_heap` is)."""
+        ranked = self._sorted_orders[uid]
+        if ranked is None:
+            offsets = self.conn_offsets
+            ranked = self._sorted_orders[uid] = self._ranked(_sorted_positions(
+                self.entry_key, self.entry_rank, self.entry_state,
+                offsets[uid], offsets[uid + 1],
+            ))
+        return ranked
 
     def rea_heap(self, uid: int) -> list[tuple]:
         """A fresh Recursive candidate heap ``[(key, rank, state, 0), ...]``.
 
-        The rank is 0 where the core has no rank lane.  Returns a
-        per-call copy of a lazily built heapified template: the caller
-        mutates its copy freely while the immutable tuples stay shared,
-        and repeated runs skip both the tuple allocation and the
-        ``heapify``.
+        The rank is 0 where the core has no rank lane.  Laid out as
+        :meth:`take2_heap`, which is ``heapify``'s layout of these
+        candidates too (they compare as the entries do), so the caller
+        gets a valid heap with no ``heapify`` of its own, and mutates it
+        freely.
         """
-        template = self._rea_heaps[uid]
-        if template is None:
-            if self.val_rank is None:
-                template = [(key, 0, state, 0) for key, state in self._cut(uid)]
-            else:
-                template = [entry + (0,) for entry in self._cut(uid)]
-            _heapify(template)
-            self._rea_heaps[uid] = template
-        return list(template)
+        states, keys, ranks = self.take2_heap(uid)
+        if keys is None:
+            lo, hi = self._columns_cover(uid)
+            keys = self.heap_columns[1][lo:hi].tolist()
+        return list(zip(keys, repeat(0) if ranks is None else ranks, states, repeat(0)))
 
     def emitter(self, emits: tuple) -> Callable:
         """``emit(key, rank, states)``: one answer of class ``emits[0]``.
@@ -479,25 +605,40 @@ class CompiledTDP:
         return emit
 
     def conn_size(self, uid: int) -> int:
-        """Number of entries of connector ``uid``, without cutting a list."""
-        held = self._pairs[uid]
-        if held is None:
-            return self.conn_offsets[uid + 1] - self.conn_offsets[uid]
-        return len(held)
+        """Number of entries of connector ``uid``."""
+        return self.conn_offsets[uid + 1] - self.conn_offsets[uid]
 
     @property
     def mapped(self) -> bool:
         """Whether the entry pool is a view over a mapped ``.core`` file."""
-        return isinstance(self.entries, MappedEntries)
+        return isinstance(self.entry_key, memoryview)
+
+    def _own_entries(self) -> int:
+        """The pool's entries less the other fragments' roots.
+
+        A shard plan's fragment cores share one pool, whose last
+        connectors are every fragment's root, all at the anchor stage;
+        only this core's own root is its entries.  Walks those roots
+        only.
+        """
+        offsets = self.conn_offsets
+        uid = len(offsets) - 2  # the last pooled connector
+        entries = offsets[-1]
+        stage = self.conn_stage[uid] if uid >= 0 else -1
+        own = self.root_uid.get(stage)
+        if own is not None:
+            while uid >= 0 and self.conn_stage[uid] == stage:
+                if uid != own:
+                    entries -= offsets[uid + 1] - offsets[uid]
+                uid -= 1
+        return entries
 
     def stats(self) -> dict:
         """Compiled-core summary (for ``explain``), no connector walk."""
-        pooled = len(self.conn_offsets) - 1
-        held = [uid for uid in self.root_uid.values() if uid >= pooled]
         return {
             "stages": self.num_stages,
             "connectors": self.num_connectors,
-            "entries": self.conn_offsets[-1] + sum(map(self.conn_size, held)),
+            "entries": self._own_entries(),
             "states": sum(len(v) for v in self.val_base),
             "empty": self.empty,
         }
@@ -516,10 +657,10 @@ class CompiledTDP:
             seen = set()
         total = sys.getsizeof(self)
         for name in (
-            "val_base", "pi1", "conn_offsets", "entries", "conn_stage",
-            "child_uids", "conn_of", "root_stages", "_pairs", "_take2_heaps",
-            "_sorted_pairs", "_rea_heaps", "val_rank", "ent_base", "ent_rank",
-            "min_base", "min_rank",
+            "val_base", "pi1", "conn_offsets", "entry_key", "entry_state",
+            "entry_rank", "conn_stage", "child_uids", "conn_of", "root_stages",
+            "_take2_heaps", "_sorted_orders", "heap_columns", "val_rank",
+            "ent_base", "ent_rank", "min_base", "min_rank",
         ):
             total += _seq_bytes(getattr(self, name), seen)
         return total

@@ -26,11 +26,18 @@ per output (state values, ``pi1`` values, child connector uids, entry
 values ``v ⊗ pi1``).  The alive states are then *placed* into connectors
 by the uid of their join key, never by weight — "nothing is sorted
 during preprocessing" holds: the placement is a counting sort on
-connector ids, appending every entry tuple to one pool in uid order (the
-core's ``entries`` / ``conn_offsets``); a connector's list is cut only
-when enumeration first touches it.  Measured: a fragment's root is a
-list at bind (zipping it in the first fetch was slower), and the tuples
-are made at bind (made on touch, they moved collections into pages).
+connector ids, extending the pool's columns in uid order (the core's
+``entry_key`` / ``entry_state`` / ``entry_rank`` and ``conn_offsets``),
+a fragment's root connector last.  No entry becomes a tuple, and the key
+and state columns are typed arrays, which the collector never walks:
+only a connector's first touch reads them.  Take2's
+heaps are the paper's linear pass: ranked here, every connector at
+once (:func:`~repro.dp.flat.heap_layout`, a ``heapify`` per connector,
+not a sort), as arrays of the entries' states, keys and ranks in heap
+layout that a first touch cuts a connector's lists from; Eager's orders
+are sorted on first touch.  Measured: ranked on first touch, from the
+columns, a connector cost pages 2-3x what slicing a pool of entry
+tuples did.
 
 **One row scan, one placement.**  Every stage runs on numpy kernels.  A
 stage over rows takes :func:`scan_stage` — join-key dict probes as one
@@ -52,7 +59,7 @@ them (:func:`_place_columns`), a parent probes the child's codes
 rows for the stage are a :class:`ColumnRows` view that result assembly
 indexes only for answers someone reads — no row tuple, no join-key
 tuple, no ``times`` per bag row.  A connector's least entry is
-``min()``'s over its entry tuples (:func:`_least_entries`), a NaN entry
+``min()``'s over its entries (:func:`_least_entries`), a NaN entry
 value and a rank past int64 (the tie-breaker numbering more than 2**63
 assignments) included.
 
@@ -60,18 +67,19 @@ The sweep is split at one **anchor** stage, a root of its join-tree
 component; no non-anchor stage depends on which anchor rows are present:
 
 * **phase A** (:func:`build_shared_lower`, once): all non-anchor stages
-  — state columns, the connector entry pool, join-key maps;
+  — state columns, the connector entry pool and its Take2 heaps,
+  join-key maps;
 * **phase B** (:func:`build_fragment`, per fragment): scan one slice of
   the anchor relation against phase A's join-key maps, emit that
-  fragment's root connector and assemble its core over the shared
-  columns.
+  fragment's root connector and its Take2 heap, and assemble its core
+  over the shared columns.
 
 :func:`lower_query` and :func:`lower_member` are phase A plus one
 fragment spanning the anchor relation (stage 0).  The parallel layer
 (:mod:`repro.parallel.build`) runs phase B once per shard fragment;
-the fragment cores alias phase A's columns and entry pool and one set
-of uid-indexed lists (cut entries, Take2 orders, sorted lists, REA heap
-templates), built once per version.
+the fragment cores alias phase A's columns, entry pool (each fragment
+appends its root) and heap layout, and one set of uid-indexed lists
+(Take2 heaps, Eager's sorted orders), built once per version.
 
 Dioids without a lane (and members over them), the ``canonical``
 tie-break, the UCQ pipeline, the min-weight projection and ``DPProblem``
@@ -82,6 +90,7 @@ keep the object builder, which reads the same stage-input shape
 from __future__ import annotations
 
 import time
+from array import array
 from itertools import compress, count, repeat
 from numbers import Real
 from operator import add, itemgetter
@@ -91,7 +100,7 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.flat import CompiledTDP, LaneCore
+from repro.dp.flat import CompiledTDP, LaneCore, heap_layout
 from repro.dp.graph import stage_tree
 from repro.obs.trace import NULL_SPAN
 from repro.query.jointree import JoinTree
@@ -225,10 +234,11 @@ class SharedLower:
         "templates", "order", "num_stages", "parent_stage",
         "children_stages", "anchor_stage", "tuples", "tuple_ids",
         "val_base", "pi1", "child_uids", "val_rank", "ent_base",
-        "ent_rank", "entries", "conn_offsets", "conn_stage", "conn_min",
+        "ent_rank", "entry_key", "entry_state", "entry_rank",
+        "conn_offsets", "conn_stage", "conn_min",
         "conn_rank", "conn_maps", "root_uid", "num_conns", "complete",
         "own_key_positions", "parent_key_positions", "seconds", "rows",
-        "rank_tables",
+        "rank_tables", "heap_columns",
     )
 
     def __init__(
@@ -273,20 +283,28 @@ class SharedLower:
         self.pi1: list[list] = [[] for _ in self.order]
         #: Flattened child connector uids per stage (branch-major).
         self.child_uids: list[list[int]] = [[] for _ in self.order]
-        #: The entry pool in uid order, ``(key, state)`` or ``(key, rank, state)``.
-        self.entries: list[tuple] = []
+        #: The entry pool's columns in uid order: typed arrays, which the
+        #: collector never walks (``entry_rank``, a list, only without an
+        #: inverse, set below: a rank may pass int64).
+        self.entry_key = array("d")
+        self.entry_state = array("q")
         self.conn_offsets: list[int] = [0]
+        #: Take2's heap of every connector phase A places, as
+        #: ``CompiledTDP.heap_columns``.
+        self.heap_columns = None
         self.conn_stage: list[int] = []
         #: uid -> the value of its least entry.
         self.conn_min: list = []
         # Without an inverse: per stage the rank and entry-value columns,
-        # per connector the least entry's rank.
+        # per connector the least entry's rank, per entry its rank.
         self.val_rank = self.ent_base = self.ent_rank = self.conn_rank = None
+        self.entry_rank = None
         if not self.inverse:
             self.val_rank = [[] for _ in self.order]
             self.ent_base = [[] for _ in self.order]
             self.ent_rank = [[] for _ in self.order]
             self.conn_rank = []
+            self.entry_rank = []
         #: Per stage: join key -> connector uid (phase B resolves the
         #: anchor's child branches against the anchor-children's maps).
         self.conn_maps: list[dict] = [dict() for _ in range(self.num_stages)]
@@ -369,6 +387,13 @@ def build_shared_lower(
             else:
                 shared.root_uid[stage] = root
 
+    if shared.entry_key:
+        shared.heap_columns = _heap_columns(
+            np.frombuffer(shared.entry_key),
+            None if shared.inverse else _rank_array(shared.entry_rank),
+            np.frombuffer(shared.entry_state, np.int64),
+            np.array(shared.conn_offsets),
+        )
     shared.seconds = time.perf_counter() - start
     return shared
 
@@ -454,9 +479,9 @@ def _place_by_connector(
     """Key one stage's entry values and place its states into connectors.
 
     A connector per distinct join key in first-seen order, its entries
-    (``(key, state)``, or ``(key, rank, state)`` with ``entry_ranks``)
-    appended to the pool in state order, its minimum the value of
-    ``min()`` over them.  Nothing is ordered by weight: first-seen uids
+    (key and state, and the rank with ``entry_ranks``) appended to the
+    pool's columns in state order, its minimum the value of ``min()``
+    over them.  Nothing is ordered by weight: first-seen uids
     come from ``dict.fromkeys``, then :func:`_place_local` moves every
     state into its connector's range.
     """
@@ -477,8 +502,9 @@ def _place_local(
     numbered ``0 .. conns-1`` in first-seen order: one stable integer
     argsort (a counting sort up to 2**16 connectors) moves every state
     into its connector's range, :func:`_least_entries` picks each range's
-    least entry, and the pool grows by one C-level ``zip`` of the key,
-    rank and state columns.  A stage without states places nothing.
+    least entry, and each pool column grows by one copy of its array (the
+    rank column by one ``tolist``).  A stage without states places
+    nothing.
     """
     if not conns:
         return
@@ -491,15 +517,32 @@ def _place_local(
     keys = (-entry_values if shared.lane.negate else entry_values)[order]
     ranks = None if entry_ranks is None else entry_ranks[order]
     least = _least_entries(keys, ranks, starts, sizes)
-    pool = shared.entries
-    shared.conn_offsets += (ends + len(pool)).tolist()
-    if ranks is None:
-        pool += zip(keys.tolist(), order.tolist())
-    else:
-        pool += zip(keys.tolist(), ranks.tolist(), order.tolist())
+    shared.conn_offsets += (ends + len(shared.entry_key)).tolist()
+    _extend(shared.entry_key, keys)
+    _extend(shared.entry_state, order)
+    if ranks is not None:
+        shared.entry_rank += ranks.tolist()
         shared.conn_rank += ranks[least].tolist()
     shared.conn_stage.extend([stage] * conns)
     shared.conn_min += entry_values[order[least]].tolist()
+
+
+def _extend(column: array, values) -> None:
+    """Append the array ``values`` to the typed pool ``column``, one copy."""
+    column.frombytes(np.ascontiguousarray(values, column.typecode).data.cast("B"))
+
+
+def _heap_columns(keys, ranks, states, offsets) -> tuple | None:
+    """Take2's heap of every connector ``offsets`` delimits, as the
+    ``(states, keys, ranks)`` arrays in heap layout (``ranks`` ``None``
+    where the core has an inverse), or ``None`` where
+    :func:`~repro.dp.flat.heap_layout` cannot rank them.  Copies: the
+    pool's columns may be views of its typed arrays, which must not be
+    held (a held view stops them growing)."""
+    heap = heap_layout(keys, ranks, offsets)
+    if heap is None:
+        return None
+    return states[heap], keys[heap], None if ranks is None else ranks[heap]
 
 
 # -- one stage's scan ----------------------------------------------------------
@@ -792,14 +835,13 @@ def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
     Pre-sized to the common uid space (shared connectors first, then one
     root connector per fragment, all at the anchor stage): fragment
     slots are assigned by index, so no phase-B build resizes a shared
-    list (a root goes into its ``pairs`` slot, not the pool).  A core
-    without an inverse adds its least entries' values and ranks.
+    list.  A core without an inverse adds its least entries' values and
+    ranks.
     """
     total = shared.num_conns + num_fragments
     lists = {
-        "pairs": [None] * total,
         "conn_stage": shared.conn_stage + [shared.anchor_stage] * num_fragments,
-        "caches": ([None] * total, [None] * total, [None] * total),
+        "caches": ([None] * total, [None] * total),
     }
     if not shared.inverse:
         lists["min_base"] = shared.conn_min + [None] * num_fragments
@@ -820,7 +862,8 @@ def build_fragment(
     ``rows`` / ``weights`` are the fragment's slice of the anchor
     relation (:func:`stage_columns`), starting at insertion position
     ``base``.  ``index`` is the fragment's slot in ``lists`` (see
-    :func:`shared_lists`).
+    :func:`shared_lists`); fragments are built in index order, each
+    once (:func:`assemble_fragment`).
     """
     scan_out = scan_stage(
         stage_scan_of(shared, shared.anchor_stage), rows, weights, base
@@ -834,13 +877,19 @@ def assemble_fragment(
     """One fragment's core from its scan output over the shared columns.
 
     ``scan_out`` is :func:`scan_stage`'s tuple.  Scan states are
-    sequential, so the fragment's root connector is the keys zipped with
-    ``0 .. alive-1``.
+    sequential, so the fragment's root connector is the keys over states
+    ``0 .. alive-1``, appended to the shared pool: the fragments of one
+    plan come in index order, so the roots land in uid order.  Its Take2
+    heap is ranked here (:func:`~repro.dp.flat.heap_layout`), as phase A
+    ranks the shared connectors': every Take2 run reads it before its
+    first answer.
     """
     entry_values, rows, ids_out, vk_out, pk_out, cu_out = scan_out
     multiply, negate = shared.lane
     anchor = shared.anchor_stage
     uid = shared.num_conns + index
+    if len(shared.conn_offsets) != uid + 1:
+        raise ValueError(f"fragment {index} assembled out of index order")
 
     def per_fragment(columns: list, column: list) -> list:
         """The shared per-stage ``columns`` with this fragment's anchor ``column``."""
@@ -853,23 +902,32 @@ def assemble_fragment(
     if not shared.inverse:
         val_rank, ent_rank = _rank_columns(shared, anchor, rows, cu_out)
     empty = not len(key_array) or not shared.complete
+    states = np.arange(len(key_array), dtype=np.int64)  # the root's: its positions
     if not empty:
         # The root connector's least entry, as the placement picks it.
         least = int(_least_entries(key_array, ent_rank, [0], [len(key_array)])[0])
+        root = _heap_columns(
+            key_array, ent_rank, states, np.array([0, len(key_array)])
+        )
+        if root is not None:
+            lists["caches"][0][uid] = [
+                None if column is None else column.tolist() for column in root
+            ]
     entry_values = entry_values.tolist()
-    keys = key_array.tolist()
+    _extend(shared.entry_key, key_array)
+    _extend(shared.entry_state, states)
+    shared.conn_offsets.append(len(shared.entry_key))
     without_inverse: dict = {}
-    if shared.inverse:
-        entries = list(zip(keys, count()))
-    else:
+    if not shared.inverse:
         val_rank, ent_rank = _rank_lists(val_rank, ent_rank)
-        entries = list(zip(keys, ent_rank, count()))
+        shared.entry_rank += ent_rank
         without_inverse = dict(
             val_rank=per_fragment(shared.val_rank, val_rank),
             ent_base=per_fragment(shared.ent_base, entry_values),
             ent_rank=per_fragment(shared.ent_rank, ent_rank),
             min_base=lists["min_base"],
             min_rank=lists["min_rank"],
+            entry_rank=shared.entry_rank,
         )
 
     if empty:
@@ -897,7 +955,6 @@ def assemble_fragment(
             rank += value_rank
         best = (total, rank)
 
-    lists["pairs"][uid] = entries
     root_uid = dict(shared.root_uid)
     root_uid[anchor] = uid
     core_class = CompiledTDP if shared.templates is None else LaneCore
@@ -919,9 +976,10 @@ def assemble_fragment(
         best=best,
         empty=empty,
         conn_offsets=shared.conn_offsets,
-        entries=shared.entries,
-        pairs=lists["pairs"],
+        entry_key=shared.entry_key,
+        entry_state=shared.entry_state,
         caches=lists["caches"],
+        heap_columns=shared.heap_columns,
         **without_inverse,
     )
 

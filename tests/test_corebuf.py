@@ -321,8 +321,8 @@ class TestRobustness:
 
 
 class TestExportFromThePool:
-    """A ``.core`` export writes the entry pool column by column, roots
-    after it, and cuts no connector: its bytes are those of the object
+    """A ``.core`` export writes the entry pool's columns as they are,
+    roots last, and ranks no connector: its bytes are those of the object
     lowering (``compile_tdp(build_tdp(...))``) over the same plan."""
 
     @staticmethod
@@ -346,9 +346,9 @@ class TestExportFromThePool:
         core = lower_query(database, tree, dioid)
         reference = compile_tdp(build_tdp(database, tree, dioid=dioid))
         assert -1 not in reference.conn_stage
+        ranked = list(core._take2_heaps), list(core._sorted_orders)
         assert export_fragments([core], 0) == export_fragments([reference], 0)
-        pooled = len(core.conn_offsets) - 1
-        assert core._pairs[:pooled] == [None] * pooled  # nothing was cut
+        assert (core._take2_heaps, core._sorted_orders) == ranked
 
     @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
     def test_arrival_shard_bytes_equal_the_object_lowering(self, dioid):
@@ -366,9 +366,10 @@ class TestExportFromThePool:
         plan = physical.shard_plan
         anchor = plan.anchor_stage
         cores = [fragment.tdp for fragment in physical.fragments]
+        ranked = list(cores[0]._take2_heaps), list(cores[0]._sorted_orders)
         meta, data = export_fragments(cores, anchor)
-        pooled = len(cores[0].conn_offsets) - 1
-        assert cores[0]._pairs[:pooled] == [None] * pooled  # nothing was cut
+        assert (cores[0]._take2_heaps, cores[0]._sorted_orders) == ranked
+        pooled = cores[0].num_connectors - len(cores)  # phase A's connectors
 
         # Phase A's connectors are the whole relation's non-root ones;
         # each fragment's root is its own object build's.

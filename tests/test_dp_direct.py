@@ -129,6 +129,51 @@ class TestFigure7Tree:
         assert list(make_enumerator(tdp, "take2")) == []
 
 
+class TestTieOrder:
+    """A decision set has no order, so neither has the compiled TDP's
+    connector entries; the flat core must still break key ties by state,
+    as the object path does."""
+
+    @staticmethod
+    def tied_problem(parents, seed):
+        rng = random.Random(seed)
+        dp = DPProblem()
+        stages = []
+        for parent in parents:
+            stages.append(dp.add_stage(parent=None if parent is None else stages[parent]))
+        states = [
+            [dp.add_state(stage, float(rng.randrange(3))) for _ in range(12)]
+            for stage in stages
+        ]
+        decisions = [
+            (a, b)
+            for child, parent in enumerate(parents)
+            if parent is not None
+            for a in states[parent]
+            for b in states[child]
+            if rng.random() < 0.6
+        ]
+        rng.shuffle(decisions)
+        for a, b in decisions:
+            dp.add_decision(a, b)
+        return dp.compile()
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    @pytest.mark.parametrize(
+        "parents", [(None, 0, 1), (None, 0, 0, 1)], ids=["chain", "tree"]
+    )
+    def test_flat_ties_match_the_object_path(self, algorithm, parents):
+        for seed in range(3):
+            tdp = self.tied_problem(parents, seed)
+            got = [(r.weight, r.states) for r in make_enumerator(tdp, algorithm)]
+            want = [
+                (r.weight, r.states)
+                for r in make_enumerator(tdp, algorithm, flat=False)
+            ]
+            assert len(got) > 100
+            assert got == want
+
+
 class TestKLightestPaths:
     def test_matches_brute_force(self):
         rng = random.Random(1)

@@ -147,6 +147,48 @@ class TestCLI:
         assert f"argument --shards: must be a positive int, got '{shards}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("top", ["-1", "-10", "ten"])
+    @pytest.mark.parametrize("command", ["query", "trace", "profile"])
+    def test_negative_top_is_a_usage_error(
+        self, csv_dir, capsys, tmp_path, command, top
+    ):
+        argv = [command, csv_dir, "R1(x1,x2), R2(x2,x3)", "--top", top]
+        if command != "query":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            f"argument --top: must be a non-negative int (0 = all), got '{top}'" in err
+        )
+        assert "Traceback" not in err
+
+    def test_negative_analyze_is_a_usage_error(self, csv_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", csv_dir, "R1(x1,x2), R2(x2,x3)", "--analyze", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --analyze: must be a non-negative int" in (
+            capsys.readouterr().err
+        )
+
+    def test_top_zero_still_means_all(self, csv_dir, capsys):
+        assert main(["query", csv_dir, "R1(x1,x2), R2(x2,x3)", "--top", "0"]) == 0
+        everything = capsys.readouterr().out.strip().splitlines()
+        assert main(["query", csv_dir, "R1(x1,x2), R2(x2,x3)", "--top", "1"]) == 0
+        assert len(everything) > len(capsys.readouterr().out.strip().splitlines())
+
+    @pytest.mark.parametrize("hz", ["0", "-97", "nan", "inf", "fast"])
+    def test_profile_rate_must_be_positive(self, csv_dir, capsys, tmp_path, hz):
+        argv = ["profile", csv_dir, "R1(x1,x2), R2(x2,x3)", "--hz", hz,
+                "--out", str(tmp_path / "profile.txt")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --hz: must be a positive number, got '{hz}'" in err
+        assert "Traceback" not in err
+
     def test_explain_command(self, csv_dir, capsys):
         code = main(["explain", csv_dir, "R1(x1,x2), R2(x2,x3)"])
         assert code == 0

@@ -18,6 +18,7 @@ ordering decision is replicated.  This suite pins that claim:
 * a hypothesis sweep over random weighted databases.
 """
 
+import copy
 import itertools
 import random
 
@@ -283,12 +284,12 @@ class TestCompiledStructure:
         compiled = compile_tdp(tdp)
         first = signature(make_enumerator(tdp, "take2"))
         uid = compiled.root_uid[0]
-        heap_snapshot = list(compiled.take2_heap(uid))
-        sorted_snapshot = list(compiled.sorted_pairs(uid))
+        heap_snapshot = copy.deepcopy(compiled.take2_heap(uid))
+        sorted_snapshot = copy.deepcopy(compiled.sorted_order(uid))
         signature(make_enumerator(tdp, "take2"))
         signature(make_enumerator(tdp, "eager"))
         assert compiled.take2_heap(uid) == heap_snapshot
-        assert compiled.sorted_pairs(uid) == sorted_snapshot
+        assert compiled.sorted_order(uid) == sorted_snapshot
         assert signature(make_enumerator(tdp, "take2")) == first
 
 

@@ -354,15 +354,17 @@ def test_every_kernel_frees_a_dropped_run_without_the_cycle_collector(core, vari
 
 @pytest.mark.parametrize("base_name", list(BASES))
 def test_eager_over_a_wide_connector_sorts_every_entry_column(base_name):
-    """From 64 entries up a connector's sorted list comes from numpy's
-    ``lexsort``: key, rank and state columns must
-    all survive it, in ``sorted``'s order, for Eager to rank as the
-    object path does."""
+    """From 64 entries up a connector's sorted order comes from numpy's
+    ``lexsort`` of the pool's key and rank columns: its states and ranks
+    must come in ``sorted``'s order of the entries, for Eager to rank as
+    the object path does."""
     core, tdp = member_pair("heavy_fan", "ties", base_name)
     wide = [uid for uid in range(core.num_connectors) if core.conn_size(uid) >= 64]
     assert wide
     for uid in wide:
-        assert canon(core.sorted_pairs(uid)) == canon(sorted(core.pairs(uid)))
+        states, _keys, ranks = core.sorted_order(uid)
+        expected = [(state, rank) for _key, rank, state in sorted(core.pairs(uid))]
+        assert canon(list(zip(states, ranks))) == canon(expected)
     lane_counter, object_counter = OpCounter(), OpCounter()
     assert ranked(make_enumerator(core, "eager", lane_counter), lane_counter) == ranked(
         make_enumerator(tdp, "eager", object_counter), object_counter

@@ -26,16 +26,22 @@ from __future__ import annotations
 import gc
 import math
 import random
+import sys
+from array import array
+from heapq import heapify
 from itertools import accumulate, chain, count
 from operator import itemgetter, neg
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp import lower
+from repro.anyk.base import make_enumerator
+from repro.dp import flat, lower
 from repro.dp.builder import build_tdp
 from repro.dp.flat import compile_tdp
 from repro.query.builders import path_query, star_query
@@ -207,22 +213,21 @@ def object_columns(database, tree, dioid) -> tuple[dict, list[int]]:
 
 
 def assert_same_structures(core):
-    """The acceptance shape: one pool of ``(float, int)`` entries in uid
-    order, the fragment roots beside it as lists (see
-    :func:`test_lowering_keeps_no_list_per_connector`)."""
+    """The acceptance shape: one pool of ``float`` keys and ``int`` states
+    in uid order, typed arrays the collector never walks, the fragment
+    roots in it, each connector's states
+    ascending — pool order is state order (see
+    :func:`test_lowering_keeps_no_entry_tuple`)."""
     offsets = core.conn_offsets
-    pooled = len(offsets) - 1
-    assert type(core.entries) is list and type(offsets) is list
-    assert offsets[0] == 0 and offsets[-1] == len(core.entries)
+    key, state = core.entry_key, core.entry_state
+    assert (type(key), key.typecode, type(state), state.typecode) == (array, "d", array, "q")
+    assert type(offsets) is list
+    assert len(offsets) == core.num_connectors + 1
+    assert offsets[0] == 0 and offsets[-1] == len(key) == len(state)
     assert all(lo <= hi for lo, hi in zip(offsets, offsets[1:]))
-    for key, state in core.entries:
-        assert type(key) is float and type(state) is int
-    assert pooled < core.num_connectors
-    for uid in range(pooled, core.num_connectors):  # the fragment roots
-        pairs = core.pairs(uid)
-        assert type(pairs) is list and core.conn_size(uid) == len(pairs)
-        for key, state in pairs:
-            assert type(key) is float and type(state) is int
+    assert {type(k) for k in key} <= {float} and {type(s) for s in state} <= {int}
+    for lo, hi in zip(offsets, offsets[1:]):
+        assert all(a < b for a, b in zip(state[lo:hi - 1], state[lo + 1:hi]))
     for column in core.val_base + core.pi1 + core.child_uids:
         assert type(column) is list
         assert all(type(v) in (float, int) for v in column)
@@ -397,7 +402,7 @@ def test_fragments(tmp_path, shape, dioid, backend, layout, n):
             assert core.root_uid[0] == root
             assert core.conn_size(root) == len(core.val_base[0])
             assert core.stats()["entries"] == (
-                shared.conn_offsets[-1] + core.conn_size(root)
+                shared.conn_offsets[shared.num_conns] + core.conn_size(root)
             )
 
         # The fragments' anchor columns, end to end, are the whole
@@ -455,13 +460,23 @@ def fresh_shared(ranks):
     return lower.SharedLower(query, build_join_tree(query), dioid, 0)
 
 
+def pool_entries(shared) -> list[tuple]:
+    """The pool's columns as ``(key[, rank], state)`` tuples."""
+    columns = [shared.entry_key, shared.entry_state]
+    if shared.entry_rank is not None:
+        columns.insert(1, shared.entry_rank)
+    assert len({len(column) for column in columns}) == 1
+    return list(zip(*columns))
+
+
 def placed(shared) -> tuple:
     offsets = shared.conn_offsets
-    for entry in shared.entries:
+    entries = pool_entries(shared)
+    for entry in entries:
         assert [type(v) for v in entry] == [float] + [int] * (len(entry) - 1)
     return (
         [
-            [(bits(k), *rest) for k, *rest in shared.entries[lo:hi]]
+            [(bits(k), *rest) for k, *rest in entries[lo:hi]]
             for lo, hi in zip(offsets, offsets[1:])
         ],
         [bits(m) for m in shared.conn_min],
@@ -502,11 +517,16 @@ def place_oracle(join_keys, entry_keys, ranks=None):
     groups: dict = {}
     for join_key, entry in zip(join_keys, entries):
         groups.setdefault(join_key, []).append(entry)
-    pool = shared.entries
     shared.conn_maps[2].update(zip(groups, count(len(shared.conn_stage))))
     shared.conn_stage += [2] * len(groups)
-    shared.conn_offsets += map(len(pool).__add__, accumulate(map(len, groups.values())))
-    pool += chain.from_iterable(groups.values())
+    shared.conn_offsets += map(
+        len(shared.entry_key).__add__, accumulate(map(len, groups.values()))
+    )
+    pool = list(chain.from_iterable(groups.values()))
+    shared.entry_key.extend(map(itemgetter(0), pool))
+    shared.entry_state.extend(map(itemgetter(-1), pool))
+    if ranks is not None:
+        shared.entry_rank += map(itemgetter(1), pool)
     least = list(map(min, groups.values()))
     shared.conn_min += map(entry_values.__getitem__, map(itemgetter(-1), least))
     if ranks is not None:
@@ -721,19 +741,20 @@ def test_lowering_creates_no_reboxed_rows_and_only_what_the_core_holds(monkeypat
     assert max(count for count, _reboxed in samples) <= bound, (samples, bound)
 
 
-# -- one pool, not a list per connector ----------------------------------------
+# -- one pool of columns, no tuple per entry -----------------------------------
 
 #: The slots read lazily: filled on first touch, ``None`` at bind.
-FIRST_TOUCH_CACHES = ("_take2_heaps", "_sorted_pairs", "_rea_heaps")
+FIRST_TOUCH_CACHES = ("_take2_heaps", "_sorted_orders")
 
 
-def reachable_lists(core) -> int:
-    """``list`` objects reachable from the core's slots through lists,
-    tuples and dicts (not through other objects, the shell included)."""
-    seen: set[int] = set()
+def reachable(core, kind: type, skip=(), known=frozenset()) -> int:
+    """``kind`` objects reachable from the core's slots through lists,
+    tuples and dicts (not through other objects, the shell included),
+    leaving out the ``skip`` slots and the objects whose ``id`` is
+    ``known``."""
+    seen: set[int] = set(known)
     stack = [
-        getattr(core, name) for name in type(core).__slots__
-        if name not in FIRST_TOUCH_CACHES
+        getattr(core, name) for name in type(core).__slots__ if name not in skip
     ]
     found = 0
     while stack:
@@ -741,31 +762,65 @@ def reachable_lists(core) -> int:
         if not isinstance(item, (list, tuple, dict)) or id(item) in seen:
             continue
         seen.add(id(item))
-        found += type(item) is list
+        found += type(item) is kind
         stack.extend(item.values() if isinstance(item, dict) else item)
     return found
 
 
+def stored_rows(database) -> frozenset:
+    """The ``id`` of every row tuple ``database`` stores: a core holds its
+    stages' rows by reference (result assembly reads them), but the
+    bind makes none of them."""
+    return frozenset(id(row) for relation in database for row in relation.tuples)
+
+
 def test_lowering_keeps_no_list_per_connector():
-    """Ten times the rows, ten times the connectors, the same lists: the
-    entries are one pool, and only the root connector is a list at bind."""
+    """Ten times the rows, ten times the connectors, the same lists and
+    the same tuples: the entries are one pool of columns, so a bind makes
+    neither a list per connector nor a tuple per entry — and ranking a
+    connector keeps lists of numbers, no tuple."""
     query = QUERIES["path4"]
     tree = build_join_tree(query)
+    databases = [make_database(query, n, seed=14) for n in (2_000, 20_000)]
     small, large = (
-        lower.lower_query(make_database(query, n, seed=14), tree, TROPICAL)
-        for n in (2_000, 20_000)
+        lower.lower_query(database, tree, TROPICAL) for database in databases
     )
     assert large.num_connectors > 5 * small.num_connectors
-    assert reachable_lists(small) == reachable_lists(large)
-    # What enumeration touches is cut then, and only that.
-    before = reachable_lists(large)
-    large.pairs(0)
-    assert reachable_lists(large) == before + 1
+    assert reachable(small, list, FIRST_TOUCH_CACHES) == reachable(
+        large, list, FIRST_TOUCH_CACHES
+    )
+    small_tuples, large_tuples = (
+        reachable(core, tuple, FIRST_TOUCH_CACHES, stored_rows(database))
+        for core, database in zip((small, large), databases)
+    )
+    assert small_tuples == large_tuples
+    # The root's Take2 heap is ranked at bind; any other connector when
+    # enumeration first touches it — as lists of numbers only.
+    root = large.root_uid[0]
+    states, keys, ranks = large._take2_heaps[root]
+    assert len(states) == len(keys) == large.conn_size(root) and ranks is None
+    assert large._take2_heaps.count(None) == large.num_connectors - 1
+    # The arrays ranked at bind are counted as they are: no ranks here.
+    columns = large.heap_columns
+    assert columns[2] is None
+    assert flat._seq_bytes(columns, set()) == sys.getsizeof(columns) + sum(
+        map(sys.getsizeof, columns[:2])
+    )
+    lists, tuples = reachable(large, list), reachable(large, tuple)
+    large.take2_heap(0)
+    large.sorted_order(0)
+    assert reachable(large, list) == lists + 2 * 3  # [states, keys, None] each
+    assert reachable(large, tuple) == tuples
+    answers = make_enumerator(large, "take2")
+    for _answer in zip(range(50), answers):
+        pass
+    assert reachable(large, tuple, known=stored_rows(databases[1])) == large_tuples
 
 
-def test_fragment_roots_are_sized_beside_the_pool():
-    """Fragment roots never enter the shared pool; ``conn_size`` and
-    ``stats`` read them where they are held."""
+def test_fragment_roots_are_pooled_in_uid_order():
+    """Each fragment appends its root to the one shared pool, in uid
+    order; ``conn_size`` reads any connector off the offsets, and
+    ``stats`` counts the shared connectors plus the core's own root."""
     from repro.engine import Engine
 
     query = QUERIES["path4"]
@@ -773,12 +828,94 @@ def test_fragment_roots_are_sized_beside_the_pool():
     physical = Engine(database).prepare(query, shards=4).bind()
     cores = [fragment.tdp for fragment in physical.fragments]
     assert len(cores) == 4
-    pooled = len(cores[0].conn_offsets) - 1
+    shared = cores[0].num_connectors - len(cores)
+    offsets = cores[0].conn_offsets
+    assert len(offsets) == cores[0].num_connectors + 1
     for index, core in enumerate(cores):
-        assert core.entries is cores[0].entries
+        assert core.entry_key is cores[0].entry_key
+        assert core.entry_state is cores[0].entry_state
+        assert core.conn_offsets is offsets
         root = core.root_uid[0]
-        assert root == pooled + index
+        assert root == shared + index
+        assert core.entry_state[offsets[root]:offsets[root + 1]].tolist() == list(
+            range(len(core.val_base[0]))
+        )
         assert core.conn_size(root) == len(core.pairs(root)) == len(core.val_base[0])
-        assert core.stats()["entries"] == len(core.entries) + core.conn_size(root)
+        assert core.stats()["entries"] == offsets[shared] + core.conn_size(root)
         for uid in range(core.num_connectors):
             assert core.conn_size(uid) == len(core.pairs(uid))
+
+
+# -- ranking by pool position ---------------------------------------------------
+
+#: Keys that tie, as zeros of either sign, and as NaN (each a fresh
+#: object, as the pool holds them), or mostly do not.
+RANKED_KEYS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, math.inf, math.nan]) | (
+    st.floats(-1e6, 1e6)
+)
+
+
+@st.composite
+def pooled_connectors(draw):
+    """``(key, rank, states, lo, hi)``: a pool whose positions ``lo .. hi``
+    are one connector, its distinct states ascending (a lowered core's)
+    or not (``DPProblem``'s, compiled); ``rank`` is ``None`` (a core
+    with an inverse) or ints, now and then one past int64; ``key`` a list
+    or, like a mapped ``.core`` file's, a ``memoryview``."""
+    size = draw(st.integers(0, 150))
+    lo = draw(st.integers(0, 5))
+    total = lo + size + draw(st.integers(0, 3))
+    keys = draw(st.lists(RANKED_KEYS, min_size=total, max_size=total))
+    keys = [float(k) for k in keys]
+    states = sorted(draw(st.sets(st.integers(0, 10_000), min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        states = draw(st.permutations(states))
+    states = [0] * lo + states + [0] * (total - lo - size)
+    rank = None
+    if draw(st.booleans()):
+        rank = draw(st.lists(st.integers(0, 3), min_size=total, max_size=total))
+        if total and draw(st.sampled_from([False, False, False, True])):
+            rank[draw(st.integers(0, total - 1))] = 2**63  # past int64
+    if rank is None and draw(st.booleans()):
+        keys = memoryview(array("d", keys))
+    return keys, rank, states, lo, lo + size
+
+
+def entries_at(key, rank, states, positions) -> list[tuple]:
+    if rank is None:
+        return [(key[p], states[p]) for p in positions]
+    return [(key[p], rank[p], states[p]) for p in positions]
+
+
+def canon(entries: list[tuple]) -> list[tuple]:
+    """Entries with each float as its bits, so ``-0.0`` and NaN compare."""
+    return [tuple(bits(v) if type(v) is float else v for v in e) for e in entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooled_connectors())
+def test_position_heap_and_order_are_heapify_and_sorted(connector):
+    """Take2's heap and Eager's order, kept as pool positions and mapped
+    back to entries, are ``heapify``'s layout and ``sorted``'s order of
+    the ``(key[, rank], state)`` tuples themselves — on first touch, and
+    as a fragment root's heap is ranked at bind, from arrays (a lowered
+    core's connector, states ascending)."""
+    key, rank, states, lo, hi = connector
+    expected = entries_at(key, rank, states, range(lo, hi))
+    heapify(expected)
+    heap = flat._heap_positions(key, rank, states, lo, hi)
+    assert canon(entries_at(key, rank, states, heap)) == canon(expected)
+
+    # At bind: the connector between two others, ranked with them.
+    keys = np.asarray(key, np.float64)
+    ranks = None if rank is None else lower._rank_array(rank)
+    layout = flat.heap_layout(keys, ranks, np.array([0, lo, hi, len(keys)]))
+    if layout is None:
+        assert np.isnan(keys).any() or ranks.dtype == object
+    elif states[lo:hi] == sorted(states[lo:hi]):
+        heap = layout[lo:hi].tolist()
+        assert canon(entries_at(key, rank, states, heap)) == canon(expected)
+
+    expected = sorted(entries_at(key, rank, states, range(lo, hi)))
+    order = flat._sorted_positions(key, rank, states, lo, hi)
+    assert canon(entries_at(key, rank, states, order)) == canon(expected)
