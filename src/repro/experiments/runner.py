@@ -14,10 +14,9 @@ Checkpoint curves record the elapsed time after every ``checkpoint``
 results, which is exactly what the paper's "#Results vs Time" plots
 show.
 
-For the serving layer, :class:`LatencyStats` summarises request
-latencies measured under concurrent load (p50/p95/p99 plus
-answers-per-second throughput) — the numbers a paginated top-k service
-is judged on, as opposed to the single-run TT(k) curves above.
+Serving latency is not measured here: the session manager's
+``repro_fetch_latency_seconds`` histogram records every fetch, and
+``benchmarks/e2e`` times pages end to end.
 """
 
 from __future__ import annotations
@@ -189,19 +188,12 @@ def measure_full_enumeration(
     return measure_ttk(database, query, algorithm, k=None, dioid=dioid)
 
 
-# The latency summaries grew up here but now live in repro.obs.latency
-# (one implementation behind the runner, the gateway's /metrics, and
-# EXPLAIN ANALYZE); re-exported so existing imports keep working.
-from repro.obs.latency import (  # noqa: E402
-    LatencyStats,
-    LatencyWindow,
-    percentile,
-)
+# ``percentile`` grew up here but now lives in repro.obs.latency;
+# re-exported so existing imports keep working.
+from repro.obs.latency import percentile  # noqa: E402
 
 __all__ = [
     "TTKResult",
-    "LatencyStats",
-    "LatencyWindow",
     "percentile",
     "measure_ttk",
     "measure_cold_start",

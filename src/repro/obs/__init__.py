@@ -8,8 +8,9 @@ The running system's view of the paper's cost model:
   wall time, OpCounter attribution, per-shard counts, and the
   TTF / TT(k) / per-answer-delay profile;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto);
-* :mod:`repro.obs.latency` — the shared percentile / latency-window
-  implementation behind the gateway and the experiment runner;
+* :mod:`repro.obs.latency` — nearest-rank percentiles, the per-answer
+  delay profile EXPLAIN ANALYZE reports, and the fetch-latency block
+  ``/metrics`` builds from the session manager's histogram;
 * :mod:`repro.obs.metrics` — the typed metrics registry (counters,
   gauges, histograms, labeled families) every subsystem registers
   into — the one source of the Prometheus exposition behind
@@ -26,12 +27,7 @@ from repro.obs.export import (
     chrome_trace_json,
     write_chrome_trace,
 )
-from repro.obs.latency import (
-    LatencyStats,
-    LatencyWindow,
-    delay_profile,
-    percentile,
-)
+from repro.obs.latency import delay_profile, percentile
 from repro.obs.metrics import (
     Counter,
     Family,
@@ -61,8 +57,6 @@ __all__ = [
     "chrome_trace_events",
     "chrome_trace_json",
     "write_chrome_trace",
-    "LatencyStats",
-    "LatencyWindow",
     "delay_profile",
     "percentile",
     "NULL_SPAN",

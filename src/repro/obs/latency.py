@@ -1,18 +1,17 @@
-"""Shared latency summaries: percentiles, run stats, rolling windows.
+"""Latency summaries: nearest-rank percentiles, the fetch histogram's
+``/metrics`` block, and the per-answer delay profile.
 
-One implementation serves three consumers that historically each grew
-their own copy: the offline experiment runner (summarising a finished
-load run), the gateway's live ``/metrics`` endpoint (percentiles over a
-rolling window while requests keep arriving), and EXPLAIN ANALYZE's
-per-answer delay profile (TTF / TT(k) / delay percentiles — the
-paper's own cost model, Section 7).
+EXPLAIN ANALYZE reads :func:`delay_profile` (TTF / TT(k) / delay
+percentiles — the paper's own cost model, Section 7) over the delays it
+timed; a serving process keeps no samples, only the session manager's
+``repro_fetch_latency_seconds`` histogram, which :func:`latency_summary`
+turns into the p50/p95/p99 that ``/metrics``, ``/debug`` and ``repro
+top`` show.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from dataclasses import dataclass
+from repro.obs.metrics import histogram_quantile
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -31,118 +30,27 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[int(rank) - 1]
 
 
-@dataclass
-class LatencyStats:
-    """Request-latency summary under (possibly concurrent) load."""
+def latency_summary(snapshot: dict) -> dict:
+    """The ``/metrics`` ``latency.fetch`` block of a histogram snapshot.
 
-    count: int
-    p50: float
-    p95: float
-    p99: float
-    mean: float
-    #: Total answers delivered across all timed requests.
-    answers: int = 0
-    #: Wall-clock of the whole load run (for throughput; 0 = unknown).
-    elapsed: float = 0.0
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: list[float],
-        answers: int = 0,
-        elapsed: float = 0.0,
-    ) -> "LatencyStats":
-        """Summarise per-request latencies (seconds)."""
-        return cls(
-            count=len(samples),
-            p50=percentile(samples, 50),
-            p95=percentile(samples, 95),
-            p99=percentile(samples, 99),
-            mean=sum(samples) / len(samples),
-            answers=answers,
-            elapsed=elapsed,
-        )
-
-    @property
-    def answers_per_second(self) -> float:
-        """Aggregate throughput across the measured window."""
-        return self.answers / self.elapsed if self.elapsed > 0 else 0.0
-
-    def row(self) -> str:
-        text = (
-            f"{self.count:5d} fetches  "
-            f"p50={self.p50 * 1e3:8.2f} ms  "
-            f"p95={self.p95 * 1e3:8.2f} ms  "
-            f"p99={self.p99 * 1e3:8.2f} ms"
-        )
-        if self.elapsed > 0:
-            text += f"  {self.answers_per_second:10.0f} answers/s"
-        return text
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "p50_ms": round(self.p50 * 1e3, 3),
-            "p95_ms": round(self.p95 * 1e3, 3),
-            "p99_ms": round(self.p99 * 1e3, 3),
-            "mean_ms": round(self.mean * 1e3, 3),
-            "answers": self.answers,
-            "answers_per_second": round(self.answers_per_second, 1),
-        }
-
-
-class LatencyWindow:
-    """A rolling window of request latencies for live ``/metrics``.
-
-    The offline path summarises a finished load run with
-    :meth:`LatencyStats.from_samples`; a *serving* process instead needs
-    percentiles over its recent history while requests keep arriving.
-    ``record`` is O(1) (bounded deque), ``snapshot`` sorts the window on
-    demand — cheap at metric-scrape frequency for the default size.
-    Thread-safe: transports on different event loops share one window.
+    Quantiles are :func:`~repro.obs.metrics.histogram_quantile`
+    estimates over the snapshot's buckets; ``count`` and ``total`` are
+    both its observation count (``repro top`` swaps ``count`` for the
+    observations since its previous poll).
     """
+    count = snapshot["count"]
 
-    def __init__(self, maxlen: int = 2048):
-        if maxlen < 1:
-            raise ValueError(f"window size must be positive, got {maxlen}")
-        self._samples: deque[float] = deque(maxlen=maxlen)
-        self._lock = threading.Lock()
-        #: Lifetime number of recorded requests (window evictions
-        #: included), so rates stay meaningful past one window.
-        self.total = 0
+    def ms(seconds: float) -> float:
+        return round(seconds * 1e3, 3)
 
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._samples.append(seconds)
-            self.total += 1
-
-    def snapshot(self) -> dict:
-        """Percentiles over the current window (zeros when empty)."""
-        with self._lock:
-            samples = list(self._samples)
-            total = self.total
-        if not samples:
-            return {
-                "count": 0,
-                "total": total,
-                "p50_ms": 0.0,
-                "p95_ms": 0.0,
-                "p99_ms": 0.0,
-                "mean_ms": 0.0,
-            }
-        stats = LatencyStats.from_samples(samples)
-        return {
-            "count": stats.count,
-            "total": total,
-            "p50_ms": round(stats.p50 * 1e3, 3),
-            "p95_ms": round(stats.p95 * 1e3, 3),
-            "p99_ms": round(stats.p99 * 1e3, 3),
-            "mean_ms": round(stats.mean * 1e3, 3),
-        }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
+    return {
+        "count": count,
+        "total": count,
+        "p50_ms": ms(histogram_quantile(snapshot, 0.50)),
+        "p95_ms": ms(histogram_quantile(snapshot, 0.95)),
+        "p99_ms": ms(histogram_quantile(snapshot, 0.99)),
+        "mean_ms": ms(snapshot["sum"] / count) if count else 0.0,
+    }
 
 
 def delay_profile(delays: list[float]) -> dict:

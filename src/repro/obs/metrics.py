@@ -46,6 +46,7 @@ __all__ = [
     "Family",
     "MetricsRegistry",
     "default_buckets",
+    "histogram_quantile",
     "validate_exposition",
 ]
 
@@ -60,6 +61,27 @@ def default_buckets(
     if start <= 0 or factor <= 1 or count < 1:
         raise ValueError("buckets need start > 0, factor > 1, count >= 1")
     return tuple(start * factor**i for i in range(count))
+
+
+def histogram_quantile(snapshot: dict, q: float) -> float:
+    """The ``q``-quantile (``0 < q <= 1``) of a :meth:`Histogram.snapshot`.
+
+    Prometheus's ``histogram_quantile``: find the bucket holding rank
+    ``q * count`` and interpolate linearly between its bounds (the
+    first bucket's lower bound is 0).  A rank in the ``+Inf`` overflow
+    answers the highest finite bound; an empty snapshot answers 0.
+    """
+    if not 0 < q <= 1:
+        raise ValueError(f"quantile must be in (0, 1], got {q}")
+    rank = q * snapshot["count"]
+    if not rank:
+        return 0.0
+    lower, below = 0.0, 0
+    for upper, cumulative in snapshot["buckets"]:
+        if cumulative >= rank:
+            return lower + (upper - lower) * (rank - below) / (cumulative - below)
+        lower, below = upper, cumulative
+    return lower
 
 
 def _check_name(name: str) -> str:

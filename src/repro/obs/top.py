@@ -8,10 +8,12 @@ Two renderings of the same payload (the dict built by
   state, and a per-session row (served, cursors, memory, idle).
   :func:`run_top` polls the endpoint and redraws with a bare ANSI
   clear — no curses, so it works in dumb terminals, CI logs, and
-  ``watch``-style pipes alike.
+  ``watch``-style pipes alike.  From its second frame on, the fetch
+  percentiles cover the fetches since the previous poll (the bucket
+  deltas of the fetch histogram), not the process lifetime.
 * :func:`debug_html` — the ``GET /debug`` status page: the same
   numbers as static HTML tables for a browser glance at a live
-  deployment.
+  deployment (fetch percentiles over the process lifetime).
 
 Both renderers are pure functions of the metrics dict, so tests drive
 them without a socket.
@@ -22,6 +24,8 @@ from __future__ import annotations
 import json
 import urllib.request
 from typing import Any, Callable
+
+from repro.obs.latency import latency_summary
 
 __all__ = ["render_top", "run_top", "debug_html", "fetch_metrics"]
 
@@ -48,13 +52,42 @@ def _fmt_ms(ms: Any) -> str:
 
 
 def _latency_cells(metrics: dict) -> tuple[str, str, str, str]:
-    window = metrics.get("latency", {}).get("fetch", {}) or {}
+    fetch = metrics.get("latency", {}).get("fetch", {}) or {}
+    total = str(fetch.get("total", fetch.get("count", 0)))
+    if fetch.get("count") == 0:
+        return total, "-", "-", "-"
     return (
-        str(window.get("total", window.get("count", 0))),
-        _fmt_ms(window.get("p50_ms")),
-        _fmt_ms(window.get("p95_ms")),
-        _fmt_ms(window.get("p99_ms")),
+        total,
+        _fmt_ms(fetch.get("p50_ms")),
+        _fmt_ms(fetch.get("p95_ms")),
+        _fmt_ms(fetch.get("p99_ms")),
     )
+
+
+def _since(metrics: dict, previous: dict | None) -> dict:
+    """``metrics`` with its fetch percentiles over the fetches since
+    ``previous``: the bucket deltas of two polls' ``fetch_histogram``.
+
+    ``/metrics`` reports them over the process lifetime; ``total`` stays
+    that.  Without a previous poll of the same process (the first
+    frame, or a restart between polls) the lifetime figures stand.
+    """
+    now = metrics.get("latency", {}).get("fetch_histogram")
+    before = (previous or {}).get("latency", {}).get("fetch_histogram")
+    if not now or not before or before["count"] > now["count"]:
+        return metrics
+    delta = {
+        "buckets": [
+            (bound, count - earlier)
+            for (bound, count), (_bound, earlier) in zip(
+                now["buckets"], before["buckets"]
+            )
+        ],
+        "count": now["count"] - before["count"],
+        "sum": now["sum"] - before["sum"],
+    }
+    fetch = {**latency_summary(delta), "total": now["count"]}
+    return {**metrics, "latency": {**metrics["latency"], "fetch": fetch}}
 
 
 def _breaker_state(metrics: dict) -> str:
@@ -171,10 +204,12 @@ def run_top(
     if sleep is None:
         sleep = _time.sleep
     frames = 0
+    previous = None
     try:
         while iterations is None or frames < iterations:
             metrics = fetch_metrics(url, token=token)
-            frame = render_top(metrics)
+            frame = render_top(_since(metrics, previous))
+            previous = metrics
             out((_CLEAR + frame) if clear and frames else frame)
             frames += 1
             if iterations is not None and frames >= iterations:

@@ -20,9 +20,9 @@ incremental delay per page and zero repeated-prefix work.
 * :mod:`repro.serve.gateway` — the HTTP/1.1 + WebSocket framing of the
   same core (:class:`GatewayServer`, :class:`GatewayThread`) with
   ``/metrics`` and structured request logging;
-* :mod:`repro.serve.client` — one op table under three transports: the
-  blocking :class:`ServeClient`, the asyncio :class:`AsyncServeClient`,
-  and the gateway-facing :class:`HttpServeClient`.
+* :mod:`repro.serve.client` — one op table under two blocking
+  transports: the JSON-lines :class:`ServeClient` and the
+  gateway-facing :class:`HttpServeClient`.
 
 Start a server from the command line with ``python -m repro.cli serve``
 (add ``--http-port`` for the gateway, ``--auth-token``/``--rate-limit``
@@ -44,7 +44,6 @@ from repro.serve.session import (
 from repro.serve.server import OpDispatcher, ServeServer, ServerThread
 from repro.serve.gateway import GatewayServer, GatewayThread
 from repro.serve.client import (
-    AsyncServeClient,
     FetchPage,
     HttpServeClient,
     ServeClient,
@@ -71,7 +70,6 @@ __all__ = [
     "GatewayThread",
     "FetchPage",
     "ServeClient",
-    "AsyncServeClient",
     "HttpServeClient",
     "ServeClientError",
 ]

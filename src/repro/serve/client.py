@@ -1,4 +1,4 @@
-"""Clients for the serving layer: one op table under three transports.
+"""Clients for the serving layer: one op table under two transports.
 
 The op surface — ``ping`` / ``prepare`` / ``fetch`` / ``fetch_all`` /
 ``explain`` / ``close_cursor`` / ``close_session`` / ``stats`` — is
@@ -10,23 +10,19 @@ once, one retry policy) and inherited by:
   doubles as executable documentation of the protocol.  Requests are
   serialised per connection (the server multiplexes fairness across
   *connections*, not within one), so concurrent load is driven by
-  creating one client per worker thread.
-* :class:`AsyncServeClient` — the same protocol over asyncio streams,
-  for event-loop-native consumers (one connection per client; drive
-  concurrency by creating several clients on one loop).  Its op methods
-  return awaitables.
+  creating one client per worker thread — or, from an event loop, by
+  calling it through ``asyncio.to_thread``.
 * :class:`HttpServeClient` — a thin blocking client for the HTTP
   gateway's request/response endpoints (:mod:`repro.serve.gateway`):
   an op is ``POST /v1/<op>`` (``stats``: ``GET /v1/stats``, ``ping``:
   ``GET /healthz``), plus ``healthz()`` and ``metrics()``.
 
-All three accept ``token=`` and attach it to every request, matching
-the server-side :class:`~repro.serve.policy.AccessPolicy`.
+Both accept ``token=`` and attach it to every request, matching the
+server-side :class:`~repro.serve.policy.AccessPolicy`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import socket
@@ -150,17 +146,53 @@ _UNPACK: dict[str, Callable[[dict], Any]] = {
 }
 
 
-class _Client:
-    """The op surface of every client, written once.
+class _BlockingClient:
+    """The op surface of both clients, written once, over a transport's
+    ``_open(timeout)`` and ``_exchange(message)``.
 
-    Each method builds its request message and hands it to ``_call``,
-    which a transport supplies: send ``message``, return what
-    :data:`_UNPACK` makes of the response (blocking transports return
-    it, the asyncio one returns its awaitable).
+    Each op method builds its request message and hands it to
+    ``_call``, which sends it (retrying edge rejections) and returns
+    what :data:`_UNPACK` makes of the response.
     """
 
-    host: str
-    port: int
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float = 30.0,
+        token: str | None = None,
+        retries: int = 0,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
+        self.host = host
+        self.port = port
+        self.token = token
+        #: Extra attempts on throttled/overloaded rejections (0 = raise
+        #: immediately).  Retries honour the server's ``retry_after``
+        #: (over HTTP, its ``Retry-After`` header).
+        self.retries = retries
+        self._sleep = sleep
+        self._open(timeout)
+
+    def _with_retries(self, attempt_fn: Callable[[], dict]) -> dict:
+        """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
+        for attempt in range(self.retries + 1):
+            try:
+                return attempt_fn()
+            except ServeClientError as exc:
+                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
+                    raise
+                self._sleep(_retry_delay(exc, attempt))
+
+    def _call(self, message: dict) -> Any:
+        response = self._with_retries(lambda: self._exchange(message))
+        return _UNPACK[message["op"]](response)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     def ping(self) -> bool:
         return self._call({"op": "ping"})
@@ -251,50 +283,6 @@ class _Client:
         return f"{type(self).__name__}({self.host}:{self.port})"
 
 
-class _BlockingClient(_Client):
-    """Blocking control flow over a transport's ``_open(timeout)`` and
-    ``_exchange(message)``."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 30.0,
-        token: str | None = None,
-        retries: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.host = host
-        self.port = port
-        self.token = token
-        #: Extra attempts on throttled/overloaded rejections (0 = raise
-        #: immediately).  Retries honour the server's ``retry_after``
-        #: (over HTTP, its ``Retry-After`` header).
-        self.retries = retries
-        self._sleep = sleep
-        self._open(timeout)
-
-    def _with_retries(self, attempt_fn: Callable[[], dict]) -> dict:
-        """Run ``attempt_fn``, retrying edge rejections up to ``retries``."""
-        for attempt in range(self.retries + 1):
-            try:
-                return attempt_fn()
-            except ServeClientError as exc:
-                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
-                    raise
-                self._sleep(_retry_delay(exc, attempt))
-
-    def _call(self, message: dict) -> Any:
-        response = self._with_retries(lambda: self._exchange(message))
-        return _UNPACK[message["op"]](response)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
 class ServeClient(_BlockingClient):
     """Blocking JSON-lines client: ``prepare`` / ``fetch`` / ``explain`` /
     ``close`` plus ``stats`` and ``ping``."""
@@ -336,117 +324,6 @@ class ServeClient(_BlockingClient):
             self._file.close()
         finally:
             self._sock.close()
-
-
-class AsyncServeClient(_Client):
-    """An asyncio JSON-lines client mirroring :class:`ServeClient`.
-
-    Connect with :meth:`connect` (or ``async with``)::
-
-        async with AsyncServeClient(host, port) as client:
-            cursor = (await client.prepare("s", query))["cursor"]
-            page = await client.fetch("s", cursor, 10)
-
-    One connection per client; requests on a connection are serialised
-    (awaiting a second op mid-fetch would interleave response lines), so
-    event-loop concurrency is driven by creating several clients.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        token: str | None = None,
-        timeout: float | None = 30.0,
-        retries: int = 0,
-    ):
-        self.host = host
-        self.port = port
-        self.token = token
-        #: Per-read timeout in seconds (``None`` = wait forever).  A
-        #: timed-out read raises ``asyncio.TimeoutError`` and leaves the
-        #: connection in an undefined mid-stream state — close it.
-        self.timeout = timeout
-        #: Extra attempts on throttled/overloaded rejections.
-        self.retries = retries
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    async def connect(self) -> "AsyncServeClient":
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                self.timeout,
-            )
-        return self
-
-    async def close(self) -> None:
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def __aenter__(self) -> "AsyncServeClient":
-        return await self.connect()
-
-    async def __aexit__(self, *_exc) -> None:
-        await self.close()
-
-    # -- transport -------------------------------------------------------------
-
-    async def _read_line(self) -> bytes:
-        line = await asyncio.wait_for(self._reader.readline(), self.timeout)
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return line
-
-    async def _exchange(self, message: dict) -> dict:
-        if self._writer is None:
-            await self.connect()
-        if self.token is not None and "token" not in message:
-            message = {**message, "token": self.token}
-        self._writer.write(protocol.encode(message))
-        await self._writer.drain()
-        lines: list[bytes] = []
-        while (line := await self._read_line()).startswith(
-            protocol.RESULT_PREFIX
-        ):
-            lines.append(line)
-        return _line_response(lines, line)
-
-    async def request(self, message: dict) -> dict:
-        """Send one request, return its checked response, retrying edge
-        rejections up to ``retries``."""
-        for attempt in range(self.retries + 1):
-            try:
-                return await self._exchange(message)
-            except ServeClientError as exc:
-                if exc.code not in RETRYABLE_CODES or attempt == self.retries:
-                    raise
-                await asyncio.sleep(_retry_delay(exc, attempt))
-
-    async def _call(self, message: dict) -> Any:
-        return _UNPACK[message["op"]](await self.request(message))
-
-    async def fetch_all(
-        self, session: str, cursor: str, page_size: int = 64
-    ) -> list[dict]:
-        """Paginate a cursor to exhaustion (test/bench convenience)."""
-        out: list[dict] = []
-        while True:
-            page = await self.fetch(session, cursor, page_size)
-            out.extend(page.results)
-            if page.exhausted or page.served == 0:
-                return out
-
-    def __repr__(self) -> str:
-        state = "connected" if self._writer is not None else "disconnected"
-        return f"AsyncServeClient({self.host}:{self.port}, {state})"
 
 
 #: Ops the gateway serves elsewhere than ``POST /v1/<op>``.

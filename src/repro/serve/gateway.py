@@ -14,9 +14,9 @@ protocol cannot give:
 * **Observability**: a ``/metrics`` endpoint exposing engine cache and
   compiled-core counters (``stream_hits``/``misses``, ``core_hits``),
   session/eviction counts, admission counters, tracer stats, and
-  rolling p50/p95/p99 fetch latency (a
-  :class:`~repro.obs.latency.LatencyWindow` over the
-  :class:`~repro.obs.latency.LatencyStats` machinery) — as JSON, or,
+  p50/p95/p99 fetch latency over the process lifetime (estimated from
+  the session manager's ``repro_fetch_latency_seconds`` buckets by
+  :func:`~repro.obs.metrics.histogram_quantile`) — as JSON, or,
   via content negotiation (``Accept: text/plain`` or
   ``?format=prometheus``), as the Prometheus exposition of the
   deployment's typed :class:`~repro.obs.metrics.MetricsRegistry`.
@@ -74,6 +74,7 @@ from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import Engine
+from repro.obs.latency import latency_summary
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.top import debug_html
 from repro.obs.trace import new_request_id
@@ -660,6 +661,7 @@ class GatewayServer(Listener):
         """The ``/metrics`` JSON payload (also what ``repro top`` polls)."""
         manager_stats = self.manager.stats()
         memory = self.engine.memory_stats()
+        fetch_histogram = self.manager.fetch_latency_histogram.snapshot()
         session_detail = {
             name: {
                 "served": entry["served"],
@@ -683,10 +685,8 @@ class GatewayServer(Listener):
             },
             "policy": self.policy.snapshot(),
             "latency": {
-                "fetch": self.manager.fetch_latency.snapshot(),
-                "fetch_histogram": (
-                    self.manager.fetch_latency_histogram.snapshot()
-                ),
+                "fetch": latency_summary(fetch_histogram),
+                "fetch_histogram": fetch_histogram,
             },
             "sessions": {
                 "session_count": manager_stats["session_count"],

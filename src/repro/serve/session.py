@@ -32,8 +32,12 @@ from typing import Any, Callable, Iterator
 
 from repro.engine.engine import Engine
 from repro.enumeration.result import QueryResult
-from repro.obs.latency import LatencyWindow
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    default_buckets,
+)
 from repro.ranking.dioid import TROPICAL
 from repro.serve.cursor import Cursor, CursorBudgetExceeded
 from repro.util.resilience import Deadline
@@ -72,11 +76,23 @@ class FetchOutcome:
     deadline_exceeded: bool = False
 
 
+@dataclass
+class _Sliced:
+    """What one fetch's slice loop served so far."""
+
+    results: list[QueryResult] = field(default_factory=list)
+    slices: int = 0
+    expired: bool = False
+
+    def outcome(self) -> tuple[list[QueryResult], int, bool]:
+        return self.results, max(1, self.slices), self.expired
+
+
 class CooperativeScheduler:
     """Time-slices fetches into bounded batches for fair interleaving.
 
-    The synchronous :meth:`run` keeps the slicing (so budget checks and
-    accounting are identical on every path); the asynchronous
+    Both drivers run one slice loop (:meth:`_slicing`), so budget checks
+    and accounting are identical on every path; the asynchronous
     :meth:`run_async` additionally yields to the event loop between
     slices — that yield is the entire fairness mechanism, and it works
     precisely because any-k enumeration is incremental: a slice of
@@ -103,14 +119,6 @@ class CooperativeScheduler:
             "Fetches stopped early at their deadline.",
         )
 
-    def _slices(self, n: int) -> Iterator[int]:
-        full, rest = divmod(n, self.slice_size)
-        for _ in range(full):
-            yield self.slice_size
-        if rest:
-            yield rest
-
-
     def _fetch_slice(
         self, cursor: Cursor, size: int
     ) -> list[QueryResult] | None:
@@ -134,33 +142,50 @@ class CooperativeScheduler:
             except CursorBudgetExceeded:
                 return None
 
+    def _slicing(
+        self,
+        cursor: Cursor,
+        n: int,
+        deadline: Deadline | None,
+        fetched: _Sliced,
+    ) -> Iterator[tuple[int, list[QueryResult], bool]]:
+        """The one slice loop behind :meth:`run` and :meth:`run_async`.
+
+        Yields ``(start, page, more)`` per slice served, ``more`` telling
+        whether another slice follows, and tallies the pages into
+        ``fetched``.  A ``deadline`` is checked before every slice — an
+        expired fetch stops at the slice boundary and the prefix
+        enumerated so far stands as a partial page.
+        """
+        remaining = cursor.clamped(n)
+        while remaining:
+            if deadline is not None and deadline.expired():
+                fetched.expired = True
+                self.deadline_stops += 1
+                return
+            start = cursor.position
+            size = min(self.slice_size, remaining)
+            page = self._fetch_slice(cursor, size)
+            if page is None:
+                return
+            self.slices += 1
+            fetched.slices += 1
+            fetched.results.extend(page)
+            remaining = remaining - size if len(page) == size else 0
+            yield start, page, remaining > 0
+
     def run(
         self, cursor: Cursor, n: int, deadline: Deadline | None = None
     ) -> tuple[list[QueryResult], int, bool]:
         """Fetch ``n`` results as a sequence of bounded slices.
 
-        A ``deadline`` is checked before every slice — an expired fetch
-        stops at the slice boundary and the prefix enumerated so far is
-        returned as a partial page (third element of the return value
-        flags the early stop).
+        Returns ``(results, slices, expired)``: ``expired`` flags a fetch
+        its ``deadline`` stopped early (see :meth:`_slicing`).
         """
-        out: list[QueryResult] = []
-        used = 0
-        expired = False
-        for size in self._slices(cursor.clamped(n)):
-            if deadline is not None and deadline.expired():
-                expired = True
-                self.deadline_stops += 1
-                break
-            page = self._fetch_slice(cursor, size)
-            if page is None:
-                break
-            out.extend(page)
-            self.slices += 1
-            used += 1
-            if len(page) < size:
-                break
-        return out, max(1, used), expired
+        fetched = _Sliced()
+        for _step in self._slicing(cursor, n, deadline, fetched):
+            pass
+        return fetched.outcome()
 
     async def run_async(
         self,
@@ -175,23 +200,8 @@ class CooperativeScheduler:
         every slice — the server streams each page out (with transport
         backpressure) while the enumeration is still advancing.
         """
-        out: list[QueryResult] = []
-        used = 0
-        expired = False
-        remaining = cursor.clamped(n)
-        while remaining:
-            if deadline is not None and deadline.expired():
-                expired = True
-                self.deadline_stops += 1
-                break
-            start = cursor.position
-            size = min(self.slice_size, remaining)
-            page = self._fetch_slice(cursor, size)
-            if page is None:
-                break
-            self.slices += 1
-            used += 1
-            out.extend(page)
+        fetched = _Sliced()
+        for start, page, more in self._slicing(cursor, n, deadline, fetched):
             if sink is not None:
                 try:
                     await sink(start, page)
@@ -205,14 +215,12 @@ class CooperativeScheduler:
                     # concurrent reader's consumption of this cursor.
                     cursor.unfetch(start, len(page))
                     raise
-            remaining -= size
-            if len(page) < size or not remaining:
-                break
-            # Only between slices: a fetch that fits one slice never
-            # pays an event-loop turn.
-            self.yields += 1
-            await asyncio.sleep(0)
-        return out, max(1, used), expired
+            if more:
+                # Only between slices: a fetch that fits one slice never
+                # pays an event-loop turn.
+                self.yields += 1
+                await asyncio.sleep(0)
+        return fetched.outcome()
 
 
 @dataclass
@@ -258,6 +266,73 @@ class Session:
             ) from None
 
 
+class _Fetch:
+    """One fetch: the one body of :meth:`SessionManager.fetch` and
+    :meth:`SessionManager.fetch_async` around their scheduler call.
+
+    Construction resolves the cursor and reserves budget
+    (:meth:`SessionManager._fetch_prologue`) and sets the deadline;
+    inside ``with``, the driver stores the scheduler's ``(results,
+    slices, expired)`` in ``ran``; leaving — failed or not — settles the
+    budget, closes the ``session.fetch`` span and observes the latency.
+    """
+
+    __slots__ = (
+        "manager", "session", "cursor", "n", "deadline", "ran",
+        "_begin", "_span", "_started",
+    )
+
+    def __init__(
+        self,
+        manager: SessionManager,
+        session_name: str,
+        cursor_id: str,
+        n: int,
+        deadline_ms: float | None,
+    ):
+        self._started = time.perf_counter()
+        self.manager = manager
+        self.session, self.cursor, self.n = manager._fetch_prologue(
+            session_name, cursor_id, n
+        )
+        self.deadline = manager._deadline(self.session, cursor_id, deadline_ms)
+        self.ran: tuple[list[QueryResult], int, bool] | None = None
+        self._begin = self.cursor.position
+        self._span = manager.engine.tracer.span(
+            "session.fetch", session=session_name, cursor=cursor_id, n=self.n
+        )
+
+    def __enter__(self) -> _Fetch:
+        self._span.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        results, _slices, expired = self.ran or ([], 0, False)
+        # Exception path: charge whatever the cursor actually consumed,
+        # never zero — the async scheduler rewound an undelivered slice,
+        # so the position delta is exactly what the client received, and
+        # a client that aborts fetches mid-flight must still spend its
+        # budget.
+        served = len(results) or max(0, self.cursor.position - self._begin)
+        self.manager.settle_budget(self.session, self.n, served)
+        self._span.set(served=served, deadline_exceeded=expired)
+        suppress = self._span.__exit__(*exc)
+        self.manager.fetch_latency_histogram.observe(
+            time.perf_counter() - self._started
+        )
+        return suppress
+
+    def outcome(self) -> FetchOutcome:
+        results, slices, expired = self.ran
+        return FetchOutcome(
+            results=results,
+            position=self.cursor.position,
+            exhausted=self.cursor.exhausted,
+            slices=slices,
+            deadline_exceeded=expired,
+        )
+
+
 class SessionManager:
     """Named sessions over one engine, with eviction and fair fetches.
 
@@ -301,14 +376,14 @@ class SessionManager:
         self.expirations = Counter(
             "repro_sessions_expired_total", "Sessions expired by TTL."
         )
-        #: Latency of every streamed fetch, whichever transport asked:
-        #: a rolling window (percentiles for ``/metrics`` and ``repro
-        #: top``) and the cumulative Prometheus histogram.
-        self.fetch_latency = LatencyWindow()
+        #: Latency of every fetch, whichever transport or driver asked;
+        #: ``/metrics`` and ``repro top`` read their percentiles from
+        #: its buckets.  A served page takes well under a millisecond,
+        #: so the buckets start at 50 us (up to ~6.6 s).
         self.fetch_latency_histogram = Histogram(
             "repro_fetch_latency_seconds",
-            "Latency of streamed fetches in the session manager, "
-            "all transports.",
+            "Latency of fetches in the session manager, all transports.",
+            buckets=default_buckets(start=5e-5, count=18),
         )
 
     # -- session lifecycle -----------------------------------------------------
@@ -488,22 +563,6 @@ class SessionManager:
         self.reserve_budget(session, n)
         return session, cursor, n
 
-    def _fetch_epilogue(
-        self,
-        session: Session,
-        cursor: Cursor,
-        results: list[QueryResult],
-        slices: int,
-        deadline_exceeded: bool = False,
-    ) -> FetchOutcome:
-        return FetchOutcome(
-            results=results,
-            position=cursor.position,
-            exhausted=cursor.exhausted,
-            slices=slices,
-            deadline_exceeded=deadline_exceeded,
-        )
-
     def _deadline(
         self, session: Session, cursor_id: str, deadline_ms: float | None
     ) -> Deadline | None:
@@ -526,29 +585,12 @@ class SessionManager:
         n: int,
         deadline_ms: float | None = None,
     ) -> FetchOutcome:
-        """Serve the next ``n`` answers of a cursor (synchronous path)."""
-        session, cursor, n = self._fetch_prologue(session_name, cursor_id, n)
-        deadline = self._deadline(session, cursor_id, deadline_ms)
-        begin = cursor.position
-        served = 0
-        expired = False
-        with self.engine.tracer.span(
-            "session.fetch", session=session_name, cursor=cursor_id, n=n
-        ) as span:
-            try:
-                results, slices, expired = self.scheduler.run(
-                    cursor, n, deadline=deadline
-                )
-                served = len(results)
-            finally:
-                # Exception path: charge whatever the cursor actually
-                # consumed (delivered slices), not zero — a client that
-                # aborts fetches mid-flight must still spend its budget.
-                if served == 0:
-                    served = max(0, cursor.position - begin)
-                self.settle_budget(session, n, served)
-                span.set(served=served, deadline_exceeded=expired)
-        return self._fetch_epilogue(session, cursor, results, slices, expired)
+        """Serve the next ``n`` answers of a cursor (synchronous driver)."""
+        with _Fetch(self, session_name, cursor_id, n, deadline_ms) as fetch:
+            fetch.ran = self.scheduler.run(
+                fetch.cursor, fetch.n, deadline=fetch.deadline
+            )
+        return fetch.outcome()
 
     async def fetch_async(
         self,
@@ -564,32 +606,11 @@ class SessionManager:
         :meth:`CooperativeScheduler.run_async`) — the server's
         backpressure path.
         """
-        started = time.perf_counter()
-        session, cursor, n = self._fetch_prologue(session_name, cursor_id, n)
-        deadline = self._deadline(session, cursor_id, deadline_ms)
-        begin = cursor.position
-        served = 0
-        expired = False
-        with self.engine.tracer.span(
-            "session.fetch", session=session_name, cursor=cursor_id, n=n
-        ) as span:
-            try:
-                results, slices, expired = await self.scheduler.run_async(
-                    cursor, n, sink=sink, deadline=deadline
-                )
-                served = len(results)
-            finally:
-                # Exception path: the scheduler rewound the undelivered
-                # slice, so the position delta is exactly what the client
-                # received — charge that, never zero, against the budget.
-                if served == 0:
-                    served = max(0, cursor.position - begin)
-                self.settle_budget(session, n, served)
-                span.set(served=served, deadline_exceeded=expired)
-                elapsed = time.perf_counter() - started
-                self.fetch_latency.record(elapsed)
-                self.fetch_latency_histogram.observe(elapsed)
-        return self._fetch_epilogue(session, cursor, results, slices, expired)
+        with _Fetch(self, session_name, cursor_id, n, deadline_ms) as fetch:
+            fetch.ran = await self.scheduler.run_async(
+                fetch.cursor, fetch.n, sink=sink, deadline=fetch.deadline
+            )
+        return fetch.outcome()
 
     def undeliver(
         self, session_name: str, cursor_id: str, start: int, count: int

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import http.client
 import json
@@ -17,7 +16,6 @@ from repro.obs.metrics import validate_exposition
 from repro.query.builders import path_query
 from repro.serve import (
     AccessPolicy,
-    AsyncServeClient,
     GatewayThread,
     HttpServeClient,
     ServeClient,
@@ -487,61 +485,6 @@ class TestWebSocket:
         ws.send({"op": "ping"})
         assert ws.recv()["ok"]
         ws.close()
-
-
-# -- the async client ----------------------------------------------------------
-
-
-class TestAsyncServeClient:
-    def test_async_client_matches_baseline(self, engine, baseline):
-        with ServerThread(engine, slice_size=8) as address:
-            async def run() -> list[dict]:
-                async with AsyncServeClient(*address) as client:
-                    assert await client.ping()
-                    response = await client.prepare("async", QUERY)
-                    rows: list[dict] = []
-                    while len(rows) < 60:
-                        page = await client.fetch(
-                            "async", response["cursor"], 15
-                        )
-                        rows.extend(page.results)
-                    await client.close_session("async")
-                    return rows
-
-            rows = asyncio.run(run())
-        assert wire_signature(rows[:60]) == baseline
-
-    def test_async_client_concurrent_sessions(self, engine, baseline):
-        with ServerThread(engine, slice_size=8) as address:
-            async def one(name: str) -> list[dict]:
-                async with AsyncServeClient(*address) as client:
-                    cursor = (await client.prepare(name, QUERY))["cursor"]
-                    rows: list[dict] = []
-                    while len(rows) < 40:
-                        page = await client.fetch(name, cursor, 10)
-                        rows.extend(page.results)
-                    return rows
-
-            async def run():
-                return await asyncio.gather(
-                    *(one(f"aio-{i}") for i in range(4))
-                )
-
-            outputs = asyncio.run(run())
-        for rows in outputs:
-            assert wire_signature(rows[:40]) == baseline[:40]
-
-    def test_async_client_token(self, engine):
-        policy = AccessPolicy(auth_token=TOKEN)
-        with ServerThread(engine, policy=policy) as address:
-            async def run():
-                async with AsyncServeClient(*address) as anonymous:
-                    with pytest.raises(ServeClientError, match="unauthorized"):
-                        await anonymous.prepare("locked", QUERY)
-                async with AsyncServeClient(*address, token=TOKEN) as client:
-                    return (await client.prepare("granted", QUERY))["ok"]
-
-            assert asyncio.run(run())
 
 
 # -- shared manager across transports ------------------------------------------

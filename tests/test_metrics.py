@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
+from bisect import bisect_left
 import threading
 import time
 
@@ -25,8 +27,10 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     default_buckets,
+    histogram_quantile,
     validate_exposition,
 )
+from repro.obs.latency import latency_summary, percentile
 from repro.obs.profiler import SamplingProfiler, stage_of
 from repro.obs.top import debug_html, render_top
 
@@ -116,6 +120,44 @@ class TestHistogram:
         assert buckets[0] == pytest.approx(0.001)
         for lo, hi in zip(buckets, buckets[1:]):
             assert hi == pytest.approx(lo * 2.0)
+
+    def test_quantile_interpolates_inside_its_bucket(self):
+        hist = Histogram("repro_test_seconds", buckets=(1.0, 2.0, 4.0))
+        for value in (0.5, 1.5, 1.5, 3.0, 9.0):
+            hist.observe(value)
+        snap = hist.snapshot()
+        # Rank 2.5 of 5 is the second of the two in (1, 2].
+        assert histogram_quantile(snap, 0.5) == pytest.approx(1.75)
+        # The first bucket's lower bound is 0.
+        assert histogram_quantile(snap, 0.2) == pytest.approx(1.0)
+        # A rank in the +Inf overflow answers the highest finite bound.
+        assert histogram_quantile(snap, 0.99) == 4.0
+        empty = Histogram("repro_test_seconds").snapshot()
+        assert histogram_quantile(empty, 0.5) == 0.0
+        assert latency_summary(empty)["mean_ms"] == 0.0
+        for q in (0, 1.5):
+            with pytest.raises(ValueError):
+                histogram_quantile(snap, q)
+
+    def test_fetch_histogram_resolves_a_served_page(self):
+        """Served pages take 0.1-2 ms: there the fetch histogram's
+        quantiles stay within one bucket of the nearest-rank percentile,
+        and the sub-millisecond ones do not share one bucket."""
+        from repro.serve.session import SessionManager
+
+        manager = SessionManager(Engine(uniform_database(2, 10, seed=1)))
+        hist = manager.fetch_latency_histogram
+        rng = random.Random(39)
+        samples = [rng.uniform(1e-4, 2e-3) for _ in range(500)]
+        for value in samples:
+            hist.observe(value)
+        snap = hist.snapshot()
+        for q in (50, 95, 99):
+            estimate = bisect_left(hist.buckets, histogram_quantile(snap, q / 100))
+            exact = bisect_left(hist.buckets, percentile(samples, q))
+            assert abs(estimate - exact) <= 1, q
+        below_1ms = {bisect_left(hist.buckets, v) for v in samples if v < 1e-3}
+        assert len(below_1ms) >= 4
 
     def test_thread_safety_totals(self):
         hist = Histogram("repro_test_seconds")
@@ -499,3 +541,40 @@ class TestOperatorViews:
         assert len(frames) == 2
         assert frames[0].startswith("repro top")
         assert frames[1].startswith("\x1b[2J\x1b[H")
+
+    def test_run_top_reads_the_fetches_since_its_previous_poll(
+        self, monkeypatch
+    ):
+        from repro.obs import top as top_module
+
+        hist = Histogram(
+            "repro_fetch_latency_seconds", buckets=(0.001, 0.002, 0.004)
+        )
+
+        def poll() -> dict:
+            snap = json.loads(json.dumps(hist.snapshot()))
+            return {
+                "latency": {
+                    "fetch": latency_summary(snap), "fetch_histogram": snap,
+                }
+            }
+
+        for _ in range(10):
+            hist.observe(0.0035)
+        polls = [poll()]
+        for _ in range(4):
+            hist.observe(0.0005)
+        polls.append(poll())
+        monkeypatch.setattr(
+            top_module, "fetch_metrics",
+            lambda url, token=None, timeout=5.0: polls.pop(0),
+        )
+        frames = []
+        top_module.run_top(
+            "http://unused/metrics", iterations=2, out=frames.append,
+            sleep=lambda _s: None, clear=False,
+        )
+        # First frame: the lifetime.  Second: only the four fast fetches
+        # since, while n stays the lifetime count.
+        assert "fetch latency: n=10 p50 3.00ms p95 3.90ms" in frames[0]
+        assert "fetch latency: n=14 p50 0.50ms p95 0.95ms" in frames[1]

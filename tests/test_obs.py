@@ -14,8 +14,6 @@ import pytest
 from repro.data.generators import uniform_database
 from repro.engine import Engine
 from repro.obs import (
-    LatencyStats,
-    LatencyWindow,
     NULL_SPAN,
     NULL_TRACER,
     Tracer,
@@ -654,8 +652,6 @@ class TestLatencySharing:
     def test_runner_reexports_the_obs_implementation(self):
         from repro.experiments import runner
 
-        assert runner.LatencyStats is LatencyStats
-        assert runner.LatencyWindow is LatencyWindow
         assert runner.percentile is percentile
 
     def test_delay_profile_values(self):
@@ -667,15 +663,6 @@ class TestLatencySharing:
         empty = delay_profile([])
         assert empty["produced"] == 0
         assert empty["ttf_ms"] == 0.0
-
-    def test_latency_window_rolls(self):
-        window = LatencyWindow(maxlen=4)
-        for value in (0.1, 0.2, 0.3, 0.4, 0.5):
-            window.record(value)
-        snap = window.snapshot()
-        assert snap["count"] == 4
-        assert snap["total"] == 5
-        assert snap["p50_ms"] == pytest.approx(300.0)
 
 
 # -- gateway: negotiation, request ids, spans ----------------------------------
@@ -757,6 +744,13 @@ class TestGatewayObservability:
         assert 'repro_session_memory_bytes{session="obsval"}' in text
         assert "repro_engine_stream_bytes" in text
         assert "repro_engine_core_heap_bytes" in text
+
+    def test_metrics_json_fetch_latency_is_the_histograms(self, gateway):
+        from repro.obs.latency import latency_summary
+
+        _response, payload = http_request(gateway, "GET", "/metrics")
+        latency = json.loads(payload)["latency"]
+        assert latency["fetch"] == latency_summary(latency["fetch_histogram"])
 
     def test_debug_page(self, gateway):
         response, payload = http_request(gateway, "GET", "/debug")

@@ -24,7 +24,6 @@ from repro.dp.corebuf import CoreFile
 from repro.engine import Engine
 from repro.query.builders import path_query
 from repro.serve.client import (
-    AsyncServeClient,
     HttpServeClient,
     ServeClient,
     ServeClientError,
@@ -660,16 +659,14 @@ class TestGracefulDrain:
                 Engine(db), port=0, slice_size=4, drain_s=5.0
             )
             address = await server.start()
-            if server_class is ServeServer:
-                client = AsyncServeClient(*address)
-                cursor = (await client.prepare("s", QUERY))["cursor"]
-                fetch = client.fetch("s", cursor, 400)
-            else:
-                client = HttpServeClient(*address)
-                cursor = (
-                    await asyncio.to_thread(client.prepare, "s", QUERY)
-                )["cursor"]
-                fetch = asyncio.to_thread(client.fetch, "s", cursor, 400)
+            client_class = (
+                ServeClient if server_class is ServeServer else HttpServeClient
+            )
+            client = await asyncio.to_thread(client_class, *address)
+            cursor = (
+                await asyncio.to_thread(client.prepare, "s", QUERY)
+            )["cursor"]
+            fetch = asyncio.to_thread(client.fetch, "s", cursor, 400)
             # A slowed scheduler (100 slices, 2 ms each) keeps the fetch
             # in flight long enough to stop the server under it.
             with faults.injected("fetch.slice=delay:1:0:0.002"):
@@ -683,10 +680,7 @@ class TestGracefulDrain:
                 # fetch left dispatch, not because it gave up on it.
                 assert server.active_requests == 0
                 page = await fetch_task
-            if server_class is ServeServer:
-                await client.close()
-            else:
-                client.close()
+            client.close()
             return page
 
         page = asyncio.run(scenario())

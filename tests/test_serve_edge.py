@@ -1,5 +1,5 @@
 """The serving edge, once: typed request fields, the HTTP rewind, and
-the three clients' one op surface and one retry policy.
+the two clients' one op surface and one retry policy.
 
 What the folded serving stack promises and the per-transport suites do
 not check: a mistyped field is the same ``bad_request`` on TCP, HTTP and
@@ -17,12 +17,10 @@ import json
 
 import pytest
 
-import repro.serve.client as client_module
 from repro.data.generators import uniform_database
 from repro.engine import Engine
 from repro.serve import (
     AccessPolicy,
-    AsyncServeClient,
     GatewayServer,
     GatewayThread,
     HttpServeClient,
@@ -36,7 +34,7 @@ from tests.test_gateway import _SyncWsClient
 from tests.test_wire_golden import _RecordingTransport
 
 QUERY = "Q(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"
-TRANSPORTS = ("tcp", "async", "http")
+TRANSPORTS = ("tcp", "http")
 
 
 @pytest.fixture(scope="module")
@@ -396,7 +394,7 @@ class TestOneOpSurface:
         for name in OP_METHODS:
             signatures = {
                 str(inspect.signature(getattr(cls, name)))
-                for cls in (ServeClient, AsyncServeClient, HttpServeClient)
+                for cls in (ServeClient, HttpServeClient)
             }
             assert len(signatures) == 1, (name, signatures)
 
@@ -421,18 +419,6 @@ class TestOneOpSurface:
             client._file = _Tap(client._file, sent)
             for (name, args, kwargs), _message, _route in REQUESTS:
                 getattr(client, name)(*args, **kwargs)
-        assert sent == [self._line(message) for _call, message, _r in REQUESTS]
-
-    def test_async_client_sends_what_it_always_sent(self, guarded):
-        sent: list[bytes] = []
-
-        async def run() -> None:
-            async with AsyncServeClient(*guarded["tcp"], token="t") as client:
-                client._writer = _Tap(client._writer, sent)
-                for (name, args, kwargs), _message, _route in REQUESTS:
-                    await getattr(client, name)(*args, **kwargs)
-
-        asyncio.run(run())
         assert sent == [self._line(message) for _call, message, _r in REQUESTS]
 
     def test_http_client_sends_the_same_messages_to_its_routes(self, guarded):
@@ -476,41 +462,10 @@ class _FakeTime:
         self.sleeps.append(seconds)
         self.now += seconds
 
-    async def async_sleep(self, seconds: float) -> None:
-        self.sleep(seconds)
-
-
-class _PatchedAsyncio:
-    """``asyncio`` as the client module sees it, with a fake ``sleep``.
-
-    Only the module's name is rebound, so the server thread's loop keeps
-    the real one.
-    """
-
-    def __init__(self, sleep):
-        self.sleep = sleep
-
-    def __getattr__(self, name):
-        return getattr(asyncio, name)
-
 
 def _run_calls(transport, addresses, time, monkeypatch, retries, calls):
     """Make ``calls`` — ``(method, args)`` pairs — on one client of
     ``transport`` whose sleeps go to ``time``; the last call's result."""
-    if transport == "async":
-        monkeypatch.setattr(
-            client_module, "asyncio", _PatchedAsyncio(time.async_sleep)
-        )
-
-        async def run():
-            async with AsyncServeClient(
-                *addresses["tcp"], retries=retries
-            ) as client:
-                for name, args in calls:
-                    result = await getattr(client, name)(*args)
-                return result
-
-        return asyncio.run(run())
     cls, address = (
         (ServeClient, addresses["tcp"])
         if transport == "tcp"

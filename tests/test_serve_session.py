@@ -9,6 +9,8 @@ import pytest
 from repro.data.generators import uniform_database, worst_case_cycle_database
 from repro.engine import Engine
 from repro.query.builders import cycle_query, path_query
+from repro.serve.cursor import CursorBudgetExceeded
+from repro.util.resilience import Deadline
 from repro.serve.session import (
     CooperativeScheduler,
     SessionBudgetExceeded,
@@ -214,12 +216,179 @@ class TestBudgets:
 # -- the cooperative scheduler -------------------------------------------------
 
 
+class _ScriptCursor:
+    """A cursor over ranks ``0 .. total-1`` for scripted slice loops.
+
+    Every ``fetch`` advances ``now`` by one second (a clock for scripted
+    deadlines).  ``steal`` maps a fetch call number to the answers
+    another reader of the same cursor takes just before that call,
+    racing the scheduler's upfront clamp; past ``budget`` a fetch raises
+    as :class:`~repro.serve.cursor.Cursor`'s does.
+    """
+
+    def __init__(self, total, budget=None, steal=None):
+        self.total, self.budget = total, budget
+        self.steal = dict(steal or {})
+        self.position = 0
+        self.now = 0.0
+        self.sizes: list[int] = []
+
+    @property
+    def remaining_budget(self):
+        if self.budget is None:
+            return None
+        return max(0, self.budget - self.position)
+
+    @property
+    def exhausted(self):
+        return self.position >= self.total
+
+    def clamped(self, n):
+        remaining = self.remaining_budget
+        return n if remaining is None else min(n, remaining)
+
+    def fetch(self, n):
+        self.position += self.steal.pop(len(self.sizes), 0)
+        self.sizes.append(n)
+        self.now += 1.0
+        if self.budget is not None and self.position + n > self.budget:
+            raise CursorBudgetExceeded(self.budget, n, self.position)
+        page = list(range(self.position, min(self.total, self.position + n)))
+        self.position += len(page)
+        return page
+
+    def unfetch(self, start, count):
+        if self.position != start + count:
+            return False
+        self.position = start
+        return True
+
+
+#: ``(cursor kwargs, n, deadline seconds, (answers, slices, expired),
+#: yields)`` through slices of 10.
+SCRIPTS = {
+    "full_slices": (dict(total=100), 30, None, (30, 3, False), 2),
+    "short_last_slice": (dict(total=100), 25, None, (25, 3, False), 2),
+    "short_last_page": (dict(total=25), 40, None, (25, 3, False), 2),
+    "budget_trip": (
+        dict(total=100, budget=30, steal={2: 5}), 30, None, (25, 3, False), 2
+    ),
+    "deadline": (dict(total=100), 60, 2.5, (30, 3, True), 3),
+}
+
+
+def _counts(scheduler) -> tuple[int, int, int]:
+    return (
+        int(scheduler.slices),
+        int(scheduler.deadline_stops),
+        int(scheduler.yields),
+    )
+
+
+class TestOneSliceLoop:
+    """``run`` and ``run_async`` are two drivers of one slice loop: the
+    same script gives the same page, slices and expiry on both, and only
+    the async driver yields to the event loop."""
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_drivers_agree(self, script):
+        kwargs, n, deadline_s, expected, yields = SCRIPTS[script]
+        ran = {}
+        for driver in ("sync", "async"):
+            scheduler = CooperativeScheduler(slice_size=10)
+            cursor = _ScriptCursor(**kwargs)
+            deadline = (
+                None if deadline_s is None
+                else Deadline(deadline_s, lambda: cursor.now)
+            )
+            if driver == "sync":
+                outcome = scheduler.run(cursor, n, deadline=deadline)
+            else:
+                outcome = asyncio.run(
+                    scheduler.run_async(cursor, n, deadline=deadline)
+                )
+            ran[driver] = (outcome, _counts(scheduler))
+        (sync, sync_counts), (aio, aio_counts) = ran["sync"], ran["async"]
+        assert sync == aio
+        results, slices, expired = sync
+        assert (len(results), slices, expired) == expected
+        assert sync_counts[:2] == aio_counts[:2] == (slices, int(expired))
+        assert (sync_counts[2], aio_counts[2]) == (0, yields)
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_fetch_and_fetch_async_settle_alike(self, engine, script):
+        kwargs, n, deadline_s, expected, _yields = SCRIPTS[script]
+        settled = {}
+        for driver in ("sync", "async"):
+            cursor = _ScriptCursor(**kwargs)
+            manager = SessionManager(
+                engine, slice_size=10, result_budget=1000,
+                clock=lambda: cursor.now,
+            )
+            manager.session("s").cursors["c0"] = cursor
+            deadline_ms = None if deadline_s is None else deadline_s * 1e3
+            before = manager.fetch_latency_histogram.count
+            if driver == "sync":
+                outcome = manager.fetch("s", "c0", n, deadline_ms=deadline_ms)
+            else:
+                outcome = asyncio.run(
+                    manager.fetch_async("s", "c0", n, deadline_ms=deadline_ms)
+                )
+            assert manager.fetch_latency_histogram.count == before + 1
+            settled[driver] = (
+                outcome.results, outcome.slices, outcome.deadline_exceeded,
+                outcome.position, manager.session("s").served,
+            )
+        assert settled["sync"] == settled["async"]
+        results, slices, expired, _position, served = settled["sync"]
+        assert (len(results), slices, expired) == expected
+        # The reservation of ``n`` is refunded down to what was served.
+        assert served == len(results)
+
+
+class TestFetchLatency:
+    """Every fetch is one observation of ``repro_fetch_latency_seconds``,
+    whichever driver served it and however it ended."""
+
+    def test_sync_fetch_is_observed(self, manager):
+        _, cursor_id = manager.open_cursor("a", QUERY)
+        for n in (0, 5, 20):
+            before = manager.fetch_latency_histogram.count
+            manager.fetch("a", cursor_id, n)
+            assert manager.fetch_latency_histogram.count == before + 1
+
+    def test_async_fetch_is_observed(self, manager):
+        _, cursor_id = manager.open_cursor("a", QUERY)
+        before = manager.fetch_latency_histogram.count
+        asyncio.run(manager.fetch_async("a", cursor_id, 20))
+        assert manager.fetch_latency_histogram.count == before + 1
+
+    def test_fetch_stopped_by_its_deadline_is_observed(self, manager):
+        _, cursor_id = manager.open_cursor("a", QUERY)
+        before = manager.fetch_latency_histogram.count
+        outcome = manager.fetch("a", cursor_id, 20, deadline_ms=0)
+        assert outcome.deadline_exceeded and not outcome.results
+        assert manager.fetch_latency_histogram.count == before + 1
+
+    def test_fetch_whose_sink_raises_is_observed(self, manager):
+        _, cursor_id = manager.open_cursor("a", QUERY)
+
+        async def sink(start, page):
+            raise ConnectionResetError("client went away")
+
+        before = manager.fetch_latency_histogram.count
+        with pytest.raises(ConnectionResetError):
+            asyncio.run(manager.fetch_async("a", cursor_id, 20, sink=sink))
+        assert manager.fetch_latency_histogram.count == before + 1
+
+
 class TestScheduler:
     def test_slicing_math(self):
         scheduler = CooperativeScheduler(slice_size=10)
-        assert list(scheduler._slices(25)) == [10, 10, 5]
-        assert list(scheduler._slices(10)) == [10]
-        assert list(scheduler._slices(3)) == [3]
+        for n, sizes in ((25, [10, 10, 5]), (10, [10]), (3, [3])):
+            cursor = _ScriptCursor(total=100)
+            scheduler.run(cursor, n)
+            assert cursor.sizes == sizes
         with pytest.raises(ValueError):
             CooperativeScheduler(slice_size=0)
 
