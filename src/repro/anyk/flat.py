@@ -130,11 +130,12 @@ def _ranking_lists(core: CompiledTDP, kind: str) -> tuple:
     (:meth:`~repro.dp.flat.CompiledTDP.take2_heap`); position ``pos``'s
     successors are ``pos * width + 1`` onward: the two static-heap
     children of Take2, the next sorted entry of Eager.  ``lists`` is the
-    core's uid-indexed cache, ``list_of(uid)`` fills it.
+    core's uid-indexed cache (Eager's made on its first sort),
+    ``list_of(uid)`` fills it.
     """
     if kind == "take2":
         return 2, core._take2_heaps, core.take2_heap
-    return 1, core._sorted_orders, core.sorted_order
+    return 1, core.sorted_orders(), core.sorted_order
 
 
 def _open_after(parent_stage: list[int]) -> list[list[int]]:
@@ -653,8 +654,11 @@ class _Rea:
         elif j < len(sols):
             return sols[j]
         heap = self.heaps[uid]
-        branches, own_base, own_rank, child_row, stage = self.core.conn_meta[uid]
-        multiply, negate = self.core.lane
+        core = self.core
+        branches, own_base, own_rank, child_row, stage = core.stage_meta[
+            core.conn_stage[uid]
+        ]
+        multiply, negate = core.lane
         known = len(sols)
         pushed = 0
         try:

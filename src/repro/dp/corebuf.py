@@ -32,6 +32,12 @@ the dioid must travel by registry name — ``id()`` and pickled instances
 are not stable across processes.  The ``vk`` / ``pk`` sections hold
 *values* under the dioid's lane (a max-plus weight, not its negation).
 
+A mapped core holds what a cold bind holds, as views: the typed columns
+of a lowered core (``conn_offsets`` and ``conn_stage`` included) are
+``memoryview.cast`` views here, and each stage's row store is a
+:class:`LazyRows` read by tuple id, as a cold core reads a relation's
+own list.
+
 A ``.core`` entry is always the fragment cores of one plan
 (:func:`export_fragments` / :func:`load_fragments`): a sharded plan
 stores one per shard, an unsharded plan stores its single all-spanning
@@ -158,29 +164,25 @@ def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | Non
 
 
 class LazyRows:
-    """A per-stage row sequence materialised per index from the backend.
+    """A stage's row store on a warm-started core, read by tuple id.
 
-    Stands in for the builder's eagerly fetched row lists on warm-started
-    cores: result construction touches only the states a run actually
-    emits, so rows are point-fetched (and memoized) instead of
-    bulk-loaded.  Rows are the relation's bare value tuples — exactly
-    what witness/assignment need.
+    Stands in for the bulk fetch a cold bind keeps: result construction
+    touches only the states a run actually emits, so rows are
+    point-fetched by tuple id (and memoized) instead of bulk-loaded.
+    Rows are the relation's bare value tuples — exactly what
+    witness/assignment need.
     """
 
-    __slots__ = ("relation", "ids", "_cache")
+    __slots__ = ("relation", "_cache")
 
-    def __init__(self, relation, ids: Sequence[int]):
+    def __init__(self, relation):
         self.relation = relation
-        self.ids = ids
         self._cache: dict[int, tuple] = {}
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, index: int) -> tuple:
-        row = self._cache.get(index)
+    def __getitem__(self, tuple_id: int) -> tuple:
+        row = self._cache.get(tuple_id)
         if row is None:
-            row = self._cache[index] = self.relation.tuple_at(self.ids[index])
+            row = self._cache[tuple_id] = self.relation.tuple_at(tuple_id)
         return row
 
 
@@ -261,12 +263,13 @@ def load_fragments(
     """Rehydrate a stored plan as per-fragment cores over the mapping.
 
     Reconstructs the cold build's aliasing: one entry pool of the
-    mapped ``entry_key`` / ``entry_state`` views (roots included), one
-    set of lazily built ranking-structure caches, and one view per
-    shared stage array —
+    mapped ``entry_key`` / ``entry_state`` views (roots included), the
+    ``conn_offsets`` / ``conn_stage`` views, one set of lazily built
+    ranking-structure caches, and one view per shared stage array —
     shared by every fragment — with per-fragment anchor-stage arrays
-    and root connectors layered on top.  Rows are point-fetched from
-    the backend (:class:`LazyRows`).
+    and root connectors layered on top: the typed columns a cold bind
+    holds, as views.  Rows are point-fetched from the backend by tuple
+    id (:class:`LazyRows`, one per relation).
     """
     dioid = NAMED_DIOIDS[meta["dioid"]]
     lane = lane_of(dioid)[0]
@@ -280,12 +283,12 @@ def load_fragments(
     relations = [
         database[query.atoms[atom_index].relation_name] for atom_index in order
     ]
+    stores = [LazyRows(relation) for relation in relations]
 
     shared_vk: list = [None] * num_stages
     shared_pk: list = [None] * num_stages
     shared_cu: list = [None] * num_stages
     shared_ids: list = [None] * num_stages
-    shared_rows: list = [None] * num_stages
     for stage in range(num_stages):
         if stage == anchor:
             continue
@@ -293,15 +296,14 @@ def load_fragments(
         shared_pk[stage] = sections.view(f"pk{stage}")
         shared_cu[stage] = sections.view(f"cu{stage}")
         shared_ids[stage] = sections.view(f"ids{stage}")
-        shared_rows[stage] = LazyRows(relations[stage], shared_ids[stage])
-    conn_stage = list(sections.view("conn_stage"))
+    conn_stage = sections.view("conn_stage")
     shared_root_uid = {
         int(stage): uid for stage, uid in meta["root_uid"].items()
     }
     conn_offsets = sections.view("conn_offsets")
     entry_key = sections.view("entry_key")
     entry_state = sections.view("entry_state")
-    caches = ([None] * uid_space, [None] * uid_space)
+    caches = [[None] * uid_space, None]
 
     cores: list[CompiledTDP] = []
     for index in range(num_fragments):
@@ -314,8 +316,6 @@ def load_fragments(
         child_uids[anchor] = sections.view(f"f{index}.cu")
         tuple_ids = list(shared_ids)
         tuple_ids[anchor] = sections.view(f"f{index}.ids")
-        tuples = list(shared_rows)
-        tuples[anchor] = LazyRows(relations[anchor], tuple_ids[anchor])
         root_uid = dict(shared_root_uid)
         root_uid[anchor] = uid_space - num_fragments + index
         cores.append(
@@ -325,7 +325,7 @@ def load_fragments(
                 join_tree=join_tree,
                 atom_of_stage=order,
                 parent_stage=parent_stage,
-                tuples=tuples,
+                tuples=stores,
                 tuple_ids=tuple_ids,
                 lane=lane,
                 one=dioid.one,

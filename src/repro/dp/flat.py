@@ -8,26 +8,40 @@ state space as flat, cache-friendly parallel structures, plus the rows
 result assembly reads (``tuples`` / ``tuple_ids``, the query): a core is
 a whole T-DP on its own, with no object graph behind it.
 
-* ``val_base`` / ``pi1`` — per-stage state values and their ``pi1``
-  values (plain lists: hot random-access reads);
+Every number column is a typed array (``array.array``) in a lowered
+core and a typed view (``memoryview.cast``) in a mapped ``.core``
+file's, so a bound core gives the cycle collector a few references per
+stage to walk, not several per state; a :func:`compile_tdp` core keeps
+its object graph's lists.  Reading an element boxes a native ``int`` /
+``float``, which measured no slower than a list in the kernels: 20 000
+Take2 answers over the ``enum_extend`` benchmark's 4-path core took
+111 ms reading ``conn_of`` typed and 128 ms reading it as lists (min of
+15, 2-vCPU host).
+
+* ``val_base`` / ``pi1`` — per-stage state values (the stored weight
+  objects, a list per stage) and their ``pi1`` values;
+* ``tuples`` / ``tuple_ids`` — per stage a row store read by tuple id
+  (a relation's own list, a backend's one fetch, a
+  :class:`~repro.dp.lower.ColumnRows` or
+  :class:`~repro.dp.corebuf.LazyRows`) and each state's tuple id;
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
   plus ``root_uid`` for the virtual start state's branches;
 * connector entries as one CSR pool of columns: connector ``uid`` owns
   positions ``conn_offsets[uid] .. conn_offsets[uid + 1]`` of
   ``entry_key`` and ``entry_state`` (and ``entry_rank`` in a core
-  without an inverse, a list), typed arrays (``array.array``) at bind, a
-  mapped ``.core`` file's typed views, lists in a :func:`compile_tdp`
-  core.  A lowered core pools each connector's entries by state, one
-  compiled from an object ``TDP`` in its builder's order (the order its
-  object path heapifies); ties break by state either way.  A
+  without an inverse; a list where a rank passes int64).  A lowered
+  core pools each connector's entries by state, one compiled from an
+  object ``TDP`` in its builder's order (the order its object path
+  heapifies); ties break by state either way.  A
   fragment's root connector is pooled like any other.  No entry is a
   tuple: Take2's static heap and Eager's sorted order are the entries'
   states, keys and ranks as lists in that order
   (:meth:`CompiledTDP.take2_heap`, :meth:`CompiledTDP.sorted_order`).
   A lowered core ranks Take2's heaps at bind, the paper's linear pass
   (:func:`heap_layout`), and a first touch cuts a connector's lists from
-  the result; Eager sorts on first touch.
+  the result; Eager sorts on first touch, into a cache made on its
+  first sort.
 
 Every core is run by its dioid's lane (:func:`~repro.ranking.dioid.
 lane_of`): ``times`` as native ``+`` or ``*`` folded from ``one``, the
@@ -58,6 +72,7 @@ tropical or max-plus core is also persistable (the dioid travelling by
 from __future__ import annotations
 
 import sys
+from array import array
 from heapq import heapify as _heapify
 from itertools import repeat
 from operator import add, itemgetter, mul
@@ -201,7 +216,8 @@ def heap_layout(keys, ranks, offsets):
 def _seq_bytes(seq: Any, seen: set[int]) -> int:
     """Heap-byte estimate of one compiled-core column.
 
-    ``memoryview`` columns are mmap-backed and count zero.  Lists of
+    ``memoryview`` columns are mmap-backed and count zero; a typed
+    array (``array.array``, ``numpy``) counts its own size.  Lists of
     scalars/tuples are estimated from their first element (columns are
     homogeneous), so the walk is O(nesting).  ``seen``
     holds the ``id`` of every container already counted: the fragment
@@ -216,7 +232,7 @@ def _seq_bytes(seq: Any, seen: set[int]) -> int:
         sample = next((item for item in seq if item is not None), None)
         if sample is None:
             return total
-        if isinstance(sample, (list, memoryview, np.ndarray)):
+        if isinstance(sample, (list, memoryview, np.ndarray, array)):
             for item in seq:  # ragged columns (per-stage / per-connector)
                 total += _seq_bytes(item, seen)
         elif isinstance(sample, tuple):
@@ -233,9 +249,10 @@ class CompiledTDP:
     Read-only after construction; every per-run mutable structure (heap
     orders, sorted prefixes, memoized solution lists) lives in the
     enumerators of :mod:`repro.anyk.flat`.  Owns what result assembly
-    reads — ``query``, ``join_tree``, ``atom_of_stage``, per-stage rows
-    (``tuples``: lists, or :class:`~repro.dp.corebuf.LazyRows` over a
-    backend) and ``tuple_ids`` — and memoizes one
+    reads — ``query``, ``join_tree``, ``atom_of_stage``, per-stage row
+    stores (``tuples``, read by tuple id; an object graph's rows state
+    by state in a :func:`compile_tdp` core) and ``tuple_ids`` — and
+    memoizes one
     :class:`~repro.dp.graph.ResultAssembler` per head (:meth:`assembler`):
     witness tuples and variable assignments are materialised from the
     states when an answer is read, never carried through candidate
@@ -259,11 +276,11 @@ class CompiledTDP:
         "tuple_ids", "_assemblers", "num_stages", "num_connectors",
         "parent_stage", "children_stages", "branch_index", "num_branches",
         "val_base", "pi1", "conn_offsets", "entry_key", "entry_state",
-        "entry_rank", "conn_stage", "child_uids", "conn_of", "conn_meta",
+        "entry_rank", "conn_stage", "child_uids", "conn_of", "stage_meta",
         "root_stages", "root_uid", "best_key", "empty", "is_chain",
-        "_take2_heaps", "_sorted_orders", "heap_columns", "lane", "one",
+        "_take2_heaps", "_caches", "heap_columns", "lane", "one",
         "inverse", "val_rank", "ent_base", "ent_rank", "min_base", "min_rank",
-        "best",
+        "best", "rows_by_id",
     )
 
     def __init__(self, tdp: TDP):
@@ -336,6 +353,7 @@ class CompiledTDP:
             conn_offsets=offsets,
             entry_key=entry_key,
             entry_state=entry_state,
+            rows_by_id=False,
             **without_inverse,
         )
 
@@ -352,19 +370,22 @@ class CompiledTDP:
         conn_stage, root_uid, best, empty, conn_offsets, entry_key,
         entry_state, caches=None, heap_columns=None, val_rank=None,
         ent_base=None, ent_rank=None, min_base=None, min_rank=None,
-        entry_rank=None,
+        entry_rank=None, rows_by_id=True,
     ) -> None:
         """Set every slot from the stored columns plus derived layout.
 
         ``atom_of_stage`` / ``parent_stage`` are the stage layout
         (children, roots and branch positions derive from it), ``tuples``
-        / ``tuple_ids`` the rows result assembly reads.
+        / ``tuple_ids`` the rows result assembly reads: per stage a row
+        store read by tuple id (``rows_by_id``), or, in a
+        :func:`compile_tdp` core, the object graph's rows state by state.
 
         The pool columns and ``conn_offsets`` may be the *same
         objects* across the fragment cores of one shard plan, each
         fragment appending its root connector in uid order; so may the
-        two uid-indexed ``caches`` lists (Take2 heaps, Eager's sorted
-        orders) and the ``heap_columns`` of the connectors ranked at bind
+        ``caches`` (``[take2_heaps, sorted_orders]``: Take2's uid-indexed
+        heaps, and Eager's, ``None`` until its first sort) and the
+        ``heap_columns`` of the connectors ranked at bind
         (:func:`heap_layout`): a structure for a shared connector is
         then built once and reused by every fragment, algorithm, and
         serving session.  The entry-value, least-entry and rank columns
@@ -377,6 +398,9 @@ class CompiledTDP:
         self.atom_of_stage = atom_of_stage
         self.tuples = tuples
         self.tuple_ids = tuple_ids
+        #: Whether ``tuples[s]`` is read at ``tuple_ids[s][state]`` (a
+        #: row store) or at ``state`` (an object graph's rows).
+        self.rows_by_id = rows_by_id
         #: head -> :class:`~repro.dp.graph.ResultAssembler` (:meth:`assembler`).
         self._assemblers = {}
         num_stages = self.num_stages = len(parent_stage)
@@ -388,9 +412,12 @@ class CompiledTDP:
         self.branch_index = branch_index
         #: Branch fan-out per stage (row width of ``child_uids``).
         num_branches = self.num_branches = list(map(len, children_stages))
-        #: Per-stage state values and pi1 values.  Plain lists where
-        #: built in-process: read one element at a time in the innermost
-        #: loops, where list indexing (no re-boxing) wins.
+        #: Per-stage state values (the stored weight objects where
+        #: lowered, so an ``int`` weight stays one) and pi1 values, a
+        #: typed array where lowered: no loop reads ``pi1`` (a ``.core``
+        #: export copies it), and a typed column costs the collector no
+        #: walk per state where a list costs one; a kernel read boxes a
+        #: number, measured no slower (module docstring).
         self.val_base = val_base
         self.pi1 = pi1
         #: The CSR entry pool: connector ``uid`` owns positions
@@ -411,10 +438,11 @@ class CompiledTDP:
         #: ``conn_of[s][parent_state]`` replaces the
         #: ``child_uids[parent][state * fanout + branch]`` multiply-add
         #: on the enumeration hot path (``None`` for root stages, whose
-        #: single connector is in :attr:`root_uid`).
+        #: single connector is in :attr:`root_uid`).  The parent's own
+        #: column where it has one branch, else a strided copy.
         self.conn_of = [
-            None
-            if parent == -1
+            None if parent == -1
+            else child_uids[parent] if num_branches[parent] == 1
             else child_uids[parent][branch_index[stage]::num_branches[parent]]
             for stage, parent in enumerate(parent_stage)
         ]
@@ -430,18 +458,16 @@ class CompiledTDP:
         self.min_rank = min_rank
         self.best = best
         self.best_key = -best[0] if lane.negate else best[0]
-        #: Per-connector hot metadata ``(branch_count, own_values,
-        #: own_ranks, child_uid_row, stage)`` — one list index + unpack
-        #: replaces five attribute/index chains in Recursive's ``ensure``.
-        per_stage = [
+        #: Per-stage hot metadata ``(branch_count, own_values, own_ranks,
+        #: child_uid_row, stage)``, read through ``conn_stage`` — one
+        #: index + unpack replaces five attribute/index chains in
+        #: Recursive's ``ensure``.
+        self.stage_meta = [
             (
                 num_branches[s], val_base[s],
                 None if val_rank is None else val_rank[s], child_uids[s], s,
             )
             for s in range(num_stages)
-        ]
-        self.conn_meta = [
-            None if stage < 0 else per_stage[stage] for stage in conn_stage
         ]
         self.root_uid = root_uid
         #: Serpentine/path shape: every stage's parent is the previous
@@ -452,16 +478,16 @@ class CompiledTDP:
             parent_stage[j] == j - 1 for j in range(num_stages)
         )
         self.empty = empty
-        # Per-connector ranking structures, lists of pool positions that
-        # are *read-only once built* and therefore shared across every
+        # Per-connector ranking structures, lists of numbers that are
+        # *read-only once built* and therefore shared across every
         # enumerator run (and every concurrent session) over this core,
         # filled on first touch: Take2's static heap order — heapified
         # once, never popped (that is the whole point of Take2), so one
         # array serves all runs where the object path re-heapifies per
-        # run — and Eager's sorted order.
-        self._take2_heaps, self._sorted_orders = caches or (
-            [None] * uid_space, [None] * uid_space
-        )
+        # run — and Eager's sorted order, whose uid-indexed list is made
+        # on Eager's first sort (:meth:`sorted_orders`).
+        self._caches = caches or [[None] * uid_space, None]
+        self._take2_heaps = self._caches[0]
         #: Take2's heap of every connector ranked at bind, from pool
         #: position 0 (:func:`heap_layout`): the ``(states, keys, ranks)``
         #: arrays in heap layout (``ranks`` ``None`` with an inverse), or
@@ -552,13 +578,24 @@ class CompiledTDP:
             self._take2_heaps[uid] = ranked
         return ranked
 
+    def sorted_orders(self) -> list:
+        """Eager's uid-indexed cache of :meth:`sorted_order` lists, made on
+        the first sort (a benign race, as :meth:`take2_heap`'s: a run
+        holding a list that lost the slot reads through
+        :meth:`sorted_order`)."""
+        orders = self._caches[1]
+        if orders is None:
+            orders = self._caches[1] = [None] * self.num_connectors
+        return orders
+
     def sorted_order(self, uid: int) -> list:
         """Connector ``uid``'s entries ascending, as :meth:`_ranked`
         columns (shared, read-only; filled as :meth:`take2_heap` is)."""
-        ranked = self._sorted_orders[uid]
+        orders = self.sorted_orders()
+        ranked = orders[uid]
         if ranked is None:
             offsets = self.conn_offsets
-            ranked = self._sorted_orders[uid] = self._ranked(_sorted_positions(
+            ranked = orders[uid] = self._ranked(_sorted_positions(
                 self.entry_key, self.entry_rank, self.entry_state,
                 offsets[uid], offsets[uid + 1],
             ))
@@ -659,7 +696,7 @@ class CompiledTDP:
         for name in (
             "val_base", "pi1", "conn_offsets", "entry_key", "entry_state",
             "entry_rank", "conn_stage", "child_uids", "conn_of", "root_stages",
-            "_take2_heaps", "_sorted_orders", "heap_columns", "val_rank",
+            "_caches", "heap_columns", "val_rank",
             "ent_base", "ent_rank", "min_base", "min_rank",
         ):
             total += _seq_bytes(getattr(self, name), seen)

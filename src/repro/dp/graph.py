@@ -209,7 +209,7 @@ def witness(states):
 
 def witness_ids(states):
     {unpack} = states
-    return ({ids})
+    return ({witness_ids})
 """
 
 
@@ -249,10 +249,15 @@ class ResultAssembler:
 
     Built from anything that owns rows — an object :class:`TDP` or a
     :class:`~repro.dp.flat.CompiledTDP`: ``num_stages``,
-    ``atom_of_stage``, ``query``, ``tuples`` and ``tuple_ids``.  Compile
-    it after the builder is done: the per-stage row and id sequences are
-    captured, not re-read from their owner — which is why a view holding
-    an assembler holds no T-DP and no core.
+    ``atom_of_stage``, ``query``, ``tuples``, ``tuple_ids`` and
+    ``rows_by_id``.  A lowered core's ``tuples[s]`` is a row store — a
+    relation's own list, a backend's fetch, a
+    :class:`~repro.dp.lower.ColumnRows` or
+    :class:`~repro.dp.corebuf.LazyRows` — read at the state's tuple id,
+    ``tuples[s][tuple_ids[s][state]]``; an object graph's holds its rows
+    state by state.  Compile it after the builder is done: the per-stage
+    row and id sequences are captured, not re-read from their owner —
+    which is why a view holding an assembler holds no T-DP and no core.
     """
 
     __slots__ = (
@@ -284,12 +289,22 @@ class ResultAssembler:
         for stage in stages:
             namespace[f"rows{stage}"] = owner.tuples[stage]
             namespace[f"ids{stage}"] = owner.tuple_ids[stage]
+        witness_ids = "".join(f"ids{j}[s{j}], " for j in by_atom)
+        if owner.rows_by_id:
+            fetch = "; ".join(
+                f"i{j} = ids{j}[s{j}]; r{j} = rows{j}[i{j}]" for j in stages
+            )
+            ids = "".join(f"i{j}, " for j in by_atom)
+        else:
+            fetch = "; ".join(f"r{j} = rows{j}[s{j}]" for j in stages)
+            ids = witness_ids
         source_text = _ASSEMBLER_SOURCE.format(
             unpack="".join(f"s{j}, " for j in stages),
-            fetch="; ".join(f"r{j} = rows{j}[s{j}]" for j in stages),
+            fetch=fetch,
             binding=binding,
             output=output,
-            ids="".join(f"ids{j}[s{j}], " for j in by_atom),
+            ids=ids,
+            witness_ids=witness_ids,
             rows="".join(f"r{j}, " for j in by_atom),
         )
         # Definitions land in their own dict: a function stored in its
@@ -341,6 +356,9 @@ class TDP:
     construction, so the arrays contain only alive states (the paper's
     reduced sets S̄, Ē).
     """
+
+    #: Rows are held state by state (see :class:`ResultAssembler`).
+    rows_by_id = False
 
     def __init__(
         self,

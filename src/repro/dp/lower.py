@@ -20,6 +20,23 @@ of the Section 6.3 tie-breaker and never calls ``times`` or ``key``.
 weights (:func:`stage_columns`): the two lists an in-memory relation
 stores (slices for a fragment), or a backend's one bulk ``fetch_rows``
 split once.  No per-row container carries a weight next to its row.
+The rows sequence is also the stage's **row store**: the core keeps it
+as it came and result assembly reads it at a state's tuple id, so no
+stage keeps a list of its alive rows.
+
+**Columns the collector never walks.**  Every per-state and
+per-connector number column of a core — tuple ids, ``pi1``, child
+uids, the pool and its offsets, ``conn_stage``, least entries, and
+the entry values and ranks of a core without an inverse — is a typed
+array (``array('q')`` / ``array('d')``), filled by one buffer copy
+from the numpy kernel that computed it (:func:`_column`,
+:func:`_extend`).  A bound core then holds a few references per stage
+for a collection to traverse, not several per state, so the young
+collections that follow a bind cost little: 1.7–1.8 ms against
+11.8–15.3 ms with lists, on the ``cold_bind`` benchmark's 20 k-tuple
+4-path (gen 0 + gen 1, median of 10, 2-vCPU host).  The state values
+stay the stored weight objects (an ``int`` weight stays an ``int``),
+and a rank column whose ranks pass int64 stays a list of Python ints.
 
 **Scan, then placement.**  The scan drops dead rows and emits one column
 per output (state values, ``pi1`` values, child connector uids, entry
@@ -28,9 +45,8 @@ by the uid of their join key, never by weight — "nothing is sorted
 during preprocessing" holds: the placement is a counting sort on
 connector ids, extending the pool's columns in uid order (the core's
 ``entry_key`` / ``entry_state`` / ``entry_rank`` and ``conn_offsets``),
-a fragment's root connector last.  No entry becomes a tuple, and the key
-and state columns are typed arrays, which the collector never walks:
-only a connector's first touch reads them.  Take2's
+a fragment's root connector last.  No entry becomes a tuple; only a
+connector's first touch reads the pool.  Take2's
 heaps are the paper's linear pass: ranked here, every connector at
 once (:func:`~repro.dp.flat.heap_layout`, a ``heapify`` per connector,
 not a sort), as arrays of the entries' states, keys and ranks in heap
@@ -55,10 +71,10 @@ int64 codes, connectors numbered first-seen as ``dict.fromkeys`` numbers
 them (:func:`_place_columns`), a parent probes the child's codes
 (:class:`_KeyTable`), packed ranks come from the slot ordinals by
 ``searchsorted`` (:func:`_rank_columns_of`), placement is
-:func:`_place_by_connector`'s (:func:`_place_local`), and the core's
-rows for the stage are a :class:`ColumnRows` view that result assembly
-indexes only for answers someone reads — no row tuple, no join-key
-tuple, no ``times`` per bag row.  A connector's least entry is
+:func:`_place_by_connector`'s (:func:`_place_local`), and the stage's
+row store is a :class:`ColumnRows` view over the bag's columns that
+result assembly indexes only for answers someone reads — no row tuple,
+no join-key tuple, no ``times`` per bag row.  A connector's least entry is
 ``min()``'s over its entries (:func:`_least_entries`), a NaN entry
 value and a rank past int64 (the tie-breaker numbering more than 2**63
 assignments) included.
@@ -72,14 +88,16 @@ component; no non-anchor stage depends on which anchor rows are present:
 * **phase B** (:func:`build_fragment`, per fragment): scan one slice of
   the anchor relation against phase A's join-key maps, emit that
   fragment's root connector and its Take2 heap, and assemble its core
-  over the shared columns.
+  over the shared columns (its anchor rows a :class:`ShiftedRows` store
+  where the slice starts past id 0).
 
 :func:`lower_query` and :func:`lower_member` are phase A plus one
 fragment spanning the anchor relation (stage 0).  The parallel layer
 (:mod:`repro.parallel.build`) runs phase B once per shard fragment;
 the fragment cores alias phase A's columns, entry pool (each fragment
-appends its root) and heap layout, and one set of uid-indexed lists
-(Take2 heaps, Eager's sorted orders), built once per version.
+appends its root) and heap layout, and one set of ranking caches (Take2
+heaps, and Eager's sorted orders once it sorts), built once per
+version.
 
 Dioids without a lane (and members over them), the ``canonical``
 tie-break, the UCQ pipeline, the min-weight projection and ``DPProblem``
@@ -276,35 +294,38 @@ class SharedLower:
             raise ValueError("the anchor stage must be a component root")
 
         # Per-stage columns; the anchor's slots stay empty (each
-        # fragment layers its own over a copy of these lists).
-        self.tuples: list[list[tuple]] = [[] for _ in self.order]
-        self.tuple_ids: list[list[int]] = [[] for _ in self.order]
+        # fragment layers its own over a copy of these lists).  Every
+        # number column is a typed array (:func:`_column`), which the
+        # collector never walks; ``tuples`` holds each stage's row store,
+        # read by tuple id, and ``val_base`` the stored weight objects.
+        self.tuples: list = [[] for _ in self.order]
+        self.tuple_ids: list = [array("q") for _ in self.order]
         self.val_base: list[list] = [[] for _ in self.order]
-        self.pi1: list[list] = [[] for _ in self.order]
+        self.pi1: list = [array("d") for _ in self.order]
         #: Flattened child connector uids per stage (branch-major).
-        self.child_uids: list[list[int]] = [[] for _ in self.order]
-        #: The entry pool's columns in uid order: typed arrays, which the
-        #: collector never walks (``entry_rank``, a list, only without an
-        #: inverse, set below: a rank may pass int64).
+        self.child_uids: list = [array("q") for _ in self.order]
+        #: The entry pool's columns in uid order (``entry_rank`` only
+        #: without an inverse, set below).
         self.entry_key = array("d")
         self.entry_state = array("q")
-        self.conn_offsets: list[int] = [0]
+        self.conn_offsets = array("q", [0])
         #: Take2's heap of every connector phase A places, as
         #: ``CompiledTDP.heap_columns``.
         self.heap_columns = None
-        self.conn_stage: list[int] = []
+        self.conn_stage = array("q")
         #: uid -> the value of its least entry.
-        self.conn_min: list = []
+        self.conn_min = array("d")
         # Without an inverse: per stage the rank and entry-value columns,
-        # per connector the least entry's rank, per entry its rank.
+        # per connector the least entry's rank, per entry its rank (a
+        # rank column is a list of Python ints once a rank passes int64).
         self.val_rank = self.ent_base = self.ent_rank = self.conn_rank = None
         self.entry_rank = None
         if not self.inverse:
-            self.val_rank = [[] for _ in self.order]
-            self.ent_base = [[] for _ in self.order]
-            self.ent_rank = [[] for _ in self.order]
-            self.conn_rank = []
-            self.entry_rank = []
+            self.val_rank = [array("q") for _ in self.order]
+            self.ent_base = [array("d") for _ in self.order]
+            self.ent_rank = [array("q") for _ in self.order]
+            self.conn_rank = array("q")
+            self.entry_rank = array("q")
         #: Per stage: join key -> connector uid (phase B resolves the
         #: anchor's child branches against the anchor-children's maps).
         self.conn_maps: list[dict] = [dict() for _ in range(self.num_stages)]
@@ -357,10 +378,10 @@ def build_shared_lower(
         if stage == anchor_stage:
             continue
         relation = database[query.atoms[shared.order[stage]].relation_name]
-        entry_values, kept, ids_out, vk_out, pk_out, cu_out = _scan_relation(
-            shared, stage, relation
+        store, (entry_values, kept, ids_out, vk_out, pk_out, cu_out) = (
+            _scan_relation(shared, stage, relation)
         )
-        shared.tuples[stage] = kept
+        shared.tuples[stage] = store
         shared.tuple_ids[stage] = ids_out
         shared.val_base[stage] = vk_out
         shared.pi1[stage] = pk_out
@@ -368,10 +389,10 @@ def build_shared_lower(
         entry_ranks = None
         if not shared.inverse:
             val_rank, entry_ranks = _rank_columns(shared, stage, kept, cu_out)
-            shared.val_rank[stage], shared.ent_rank[stage] = _rank_lists(
+            shared.val_rank[stage], shared.ent_rank[stage] = _rank_pair(
                 val_rank, entry_ranks
             )
-            shared.ent_base[stage] = entry_values.tolist()
+            shared.ent_base[stage] = _column(entry_values, "d")
 
         if isinstance(kept, ColumnRows):
             _place_columns(shared, stage, kept, entry_values, entry_ranks)
@@ -438,11 +459,34 @@ def _rank_array(ranks: list):
         return np.array(ranks, object)
 
 
-def _rank_lists(val_rank, ent_rank) -> tuple[list, list]:
-    """:func:`_rank_columns`' two columns as lists, one list where a leaf's
-    two are one."""
-    val_list = val_rank.tolist()
-    return val_list, val_list if ent_rank is val_rank else ent_rank.tolist()
+def _rank_pair(val_rank, ent_rank) -> tuple:
+    """:func:`_rank_columns`' two columns as core columns (:func:`_column`),
+    one column where a leaf's two are one."""
+    val_column = _column(val_rank, "q")
+    return val_column, val_column if ent_rank is val_rank else _column(ent_rank, "q")
+
+
+def _column(values, typecode: str):
+    """The array ``values`` as a core column: a typed array of
+    ``typecode``, filled by one buffer copy — or, for a rank column past
+    int64 (an object array), a list of its Python ints."""
+    if values.dtype == object:
+        return values.tolist()
+    column = array(typecode)
+    _extend(column, values)
+    return column
+
+
+def _grown(column, values):
+    """Rank ``column`` extended by the array ``values``: in place while
+    both fit int64, else as a new list of Python ints."""
+    if isinstance(column, list):
+        column += values.tolist()
+    elif values.dtype == object:
+        column = [*column, *values.tolist()]
+    else:
+        _extend(column, values)
+    return column
 
 
 # -- one stage's connectors ----------------------------------------------------
@@ -502,9 +546,9 @@ def _place_local(
     numbered ``0 .. conns-1`` in first-seen order: one stable integer
     argsort (a counting sort up to 2**16 connectors) moves every state
     into its connector's range, :func:`_least_entries` picks each range's
-    least entry, and each pool column grows by one copy of its array (the
-    rank column by one ``tolist``).  A stage without states places
-    nothing.
+    least entry, and each pool and connector column grows by one copy of
+    its array (:func:`_grown` for a rank column).  A stage without states
+    places nothing.
     """
     if not conns:
         return
@@ -517,14 +561,14 @@ def _place_local(
     keys = (-entry_values if shared.lane.negate else entry_values)[order]
     ranks = None if entry_ranks is None else entry_ranks[order]
     least = _least_entries(keys, ranks, starts, sizes)
-    shared.conn_offsets += (ends + len(shared.entry_key)).tolist()
+    _extend(shared.conn_offsets, ends + len(shared.entry_key))
     _extend(shared.entry_key, keys)
     _extend(shared.entry_state, order)
     if ranks is not None:
-        shared.entry_rank += ranks.tolist()
-        shared.conn_rank += ranks[least].tolist()
-    shared.conn_stage.extend([stage] * conns)
-    shared.conn_min += entry_values[order[least]].tolist()
+        shared.entry_rank = _grown(shared.entry_rank, ranks)
+        shared.conn_rank = _grown(shared.conn_rank, ranks[least])
+    shared.conn_stage.extend(repeat(stage, conns))
+    _extend(shared.conn_min, entry_values[order[least]])
 
 
 def _extend(column: array, values) -> None:
@@ -606,19 +650,15 @@ def _fold_branches(scan: StageScan, probes: list, w):
     return alive, probes, w, pi, entry_values
 
 
-def _branch_columns(scan: StageScan, probes: list, pi, states: int):
-    """``(cu_out, pk_out)`` of a kernel scan: the child connector uids
-    branch-major per state, and the ``pi1`` column — a leaf's one shared
-    ``one``, a single branch's its connector minima themselves (the same
-    bits, see :func:`_fold_branches`), else the fold."""
-    cu_out = np.stack(probes, axis=1).ravel().tolist() if probes else []
-    if not probes:
-        pk_out = [scan.one] * states
-    elif len(probes) == 1:
-        pk_out = list(map(scan.conn_min.__getitem__, cu_out))
-    else:
-        pk_out = pi.tolist()
-    return cu_out, pk_out
+def _branch_columns(probes: list, pi):
+    """``(cu_out, pk_out)`` of a kernel scan as typed columns: the child
+    connector uids branch-major per state, and the ``pi1`` fold (a
+    leaf's ``one``, a single branch's connector minima in bits, see
+    :func:`_fold_branches`)."""
+    cu_out = array("q")
+    if probes:
+        _extend(cu_out, np.stack(probes, axis=1).ravel())
+    return cu_out, _column(pi, "d")
 
 
 def scan_stage(
@@ -632,20 +672,23 @@ def scan_stage(
     The one per-row pass of the bottom-up sweep: drop rows violating a
     repeated variable or lacking a join partner in some child branch,
     fold the child connectors' minima into ``pi1`` from ``one``, and
-    multiply the weight by it.  Insertion positions are ``base +
-    local``.  Returns
-    ``(entry_values, tuples_out, ids_out, vk_out, pk_out, cu_out)``,
+    multiply the weight by it.  Insertion positions (tuple ids) are
+    ``base + local``.  Returns
+    ``(entry_values, rows_out, ids_out, vk_out, pk_out, cu_out)``,
     one element per alive state: states are sequential (``0 ..
     alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi``.
 
     The join-key dict probes stay hash probes (hash tables do not
     vectorize) but run as one C-level ``map`` per child branch; the
     alive mask, the ``pi`` fold and the ``v ⊗ pi`` entry values run as
-    numpy float64 kernels (:func:`_fold_branches`).  Every column is a
-    list of native Python scalars (``.tolist()``, or the stored weight
-    objects themselves); only the entry values stay an array, for
-    :func:`_place_by_connector`.  A weight that is not a real number is
-    a ``TypeError``, as ``times`` on it would be.
+    numpy float64 kernels (:func:`_fold_branches`).  The tuple ids,
+    ``pi1`` values and child uids are typed arrays, each one buffer copy
+    of its kernel's array (:func:`_column`); the state values are the
+    stored weight objects themselves.  ``rows_out`` (the alive rows:
+    ``rows`` itself when every row lives) and the entry values serve the
+    stage's placement and ranks only: a core reads its rows from the
+    input ``rows`` by tuple id.  A weight that is not a real number is a
+    ``TypeError``, as ``times`` on it would be.
     """
     for kind in set(map(type, weights)):
         if not issubclass(kind, Real):
@@ -673,41 +716,55 @@ def scan_stage(
         ids = ids[alive]
     # State values are the stored weights (an ``int`` weight stays one),
     # not a second float per state.
-    cu_out, pk_out = _branch_columns(scan, probes, pi, len(rows))
-    return entry_values, list(rows), ids.tolist(), list(weights), pk_out, cu_out
+    cu_out, pk_out = _branch_columns(probes, pi)
+    return entry_values, rows, _column(ids, "q"), list(weights), pk_out, cu_out
 
 
 # -- the column stage scan ------------------------------------------------------
 
 
 class ColumnRows:
-    """A column stage's alive rows, as a view over its bag's columns.
+    """A column stage's row store, as a view over its bag's columns.
 
-    What the core holds for that stage's rows (``tuples``): ``ids`` are
-    the alive rows' positions in the bag, ``alive`` the same as an array
-    (``None``: every row).  A row is made — a tuple of native ``int`` —
-    only when it is read, so result assembly pays for the answers
-    someone reads and the bind for none.
+    What the core holds for that stage's rows (``tuples``), read by tuple
+    id — a row's position in the bag — as a relation's own list is.  A
+    row is made — a tuple of native ``int`` — only when it is read, so
+    result assembly pays for the answers someone reads and the bind for
+    none.  For the stage's lowering it also stands for the alive rows:
+    ``alive`` their positions (``None``: every row), :meth:`column`
+    their attributes, its length their number.
     """
 
-    __slots__ = ("arrays", "ids", "alive")
+    __slots__ = ("arrays", "alive")
 
-    def __init__(self, arrays: Sequence, ids: list[int], alive):
+    def __init__(self, arrays: Sequence, alive):
         self.arrays = arrays
-        self.ids = ids
         self.alive = alive
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.arrays[0] if self.alive is None else self.alive)
 
-    def __getitem__(self, state: int) -> tuple:
-        position = self.ids[state]
+    def __getitem__(self, position: int) -> tuple:
         return tuple([column.item(position) for column in self.arrays])
 
     def column(self, position: int):
         """Attribute ``position`` of the alive rows, as an int64 array."""
         values = self.arrays[position]
         return values if self.alive is None else values[self.alive]
+
+
+class ShiftedRows:
+    """A fragment's anchor rows, read by tuple id: ``rows`` is the slice
+    of its relation that starts at id ``base``."""
+
+    __slots__ = ("rows", "base")
+
+    def __init__(self, rows: Sequence[tuple], base: int):
+        self.rows = rows
+        self.base = base
+
+    def __getitem__(self, tuple_id: int) -> tuple:
+        return self.rows[tuple_id - self.base]
 
 
 class _KeyTable:
@@ -737,15 +794,17 @@ class _KeyTable:
 
 
 def _scan_relation(shared: SharedLower, stage: int, relation: Relation):
-    """One stage's :func:`scan_stage` output over ``relation``: the column
+    """``(store, scan_out)`` of one stage over ``relation``: the column
     stage scan where the member takes it, else the rows
-    (:func:`stage_columns`) through :func:`scan_stage`."""
+    (:func:`stage_columns`) through :func:`scan_stage`, whose input list
+    is the stage's row store."""
     if shared.rank_tables is not None:
         shared.rows += len(relation)
-        return _scan_column_stage(shared, stage, relation.arrays)
+        scan_out = _scan_column_stage(shared, stage, relation.arrays)
+        return scan_out[1], scan_out
     rows, weights = stage_columns(relation)
     shared.rows += len(rows)
-    return scan_stage(stage_scan_of(shared, stage), rows, weights, 0)
+    return rows, scan_stage(stage_scan_of(shared, stage), rows, weights, 0)
 
 
 def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
@@ -753,8 +812,8 @@ def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
 
     Each child branch is probed with the parent's key columns against
     the child's :class:`_KeyTable`; the fold is :func:`_fold_branches`.
-    The rows come back as a :class:`ColumnRows` view, the state values
-    as the weight column's native floats.
+    The rows come back as a :class:`ColumnRows` view, the stage's row
+    store; the state values as the weight column's native floats.
     """
     columns, weights = arrays
     scan = stage_scan_of(shared, stage)
@@ -763,10 +822,10 @@ def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
         for _single, positions, cmap in scan.lookups
     ]
     alive, probes, w, pi, entry_values = _fold_branches(scan, probes, weights)
-    ids_out = list(range(len(weights))) if alive is None else alive.tolist()
-    rows = ColumnRows(columns, ids_out, alive)
-    cu_out, pk_out = _branch_columns(scan, probes, pi, len(ids_out))
-    return entry_values, rows, ids_out, w.tolist(), pk_out, cu_out
+    ids = np.arange(len(weights)) if alive is None else alive
+    rows = ColumnRows(columns, alive)
+    cu_out, pk_out = _branch_columns(probes, pi)
+    return entry_values, rows, _column(ids, "q"), w.tolist(), pk_out, cu_out
 
 
 def _place_columns(
@@ -830,22 +889,24 @@ def rank_tables(tie: TieBreakingDioid) -> list | None:
 
 
 def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
-    """The uid-indexed lists every fragment core of one plan aliases.
+    """The uid-indexed columns every fragment core of one plan aliases.
 
     Pre-sized to the common uid space (shared connectors first, then one
     root connector per fragment, all at the anchor stage): fragment
     slots are assigned by index, so no phase-B build resizes a shared
-    list.  A core without an inverse adds its least entries' values and
-    ranks.
+    column.  ``caches`` is the cores' ranking caches (Take2's heaps,
+    one slot per uid; Eager's, made on its first sort).  A core without
+    an inverse adds its least entries' values and ranks, an empty
+    fragment's the dioid's zero and rank 0.
     """
     total = shared.num_conns + num_fragments
     lists = {
-        "conn_stage": shared.conn_stage + [shared.anchor_stage] * num_fragments,
-        "caches": ([None] * total, [None] * total),
+        "conn_stage": shared.conn_stage + array("q", [shared.anchor_stage]) * num_fragments,
+        "caches": [[None] * total, None],
     }
     if not shared.inverse:
-        lists["min_base"] = shared.conn_min + [None] * num_fragments
-        lists["min_rank"] = shared.conn_rank + [None] * num_fragments
+        lists["min_base"] = shared.conn_min + array("d", [shared.zero]) * num_fragments
+        lists["min_rank"] = _grown(shared.conn_rank[:], np.zeros(num_fragments, np.int64))
     return lists
 
 
@@ -868,15 +929,17 @@ def build_fragment(
     scan_out = scan_stage(
         stage_scan_of(shared, shared.anchor_stage), rows, weights, base
     )
-    return assemble_fragment(shared, scan_out, index, lists)
+    store = rows if not base else ShiftedRows(rows, base)
+    return assemble_fragment(shared, scan_out, store, index, lists)
 
 
 def assemble_fragment(
-    shared: SharedLower, scan_out: tuple, index: int, lists: dict
+    shared: SharedLower, scan_out: tuple, store, index: int, lists: dict
 ) -> CompiledTDP:
     """One fragment's core from its scan output over the shared columns.
 
-    ``scan_out`` is :func:`scan_stage`'s tuple.  Scan states are
+    ``scan_out`` is :func:`scan_stage`'s tuple, ``store`` the anchor
+    stage's rows by tuple id.  Scan states are
     sequential, so the fragment's root connector is the keys over states
     ``0 .. alive-1``, appended to the shared pool: the fragments of one
     plan come in index order, so the roots land in uid order.  Its Take2
@@ -913,30 +976,21 @@ def assemble_fragment(
             lists["caches"][0][uid] = [
                 None if column is None else column.tolist() for column in root
             ]
-    entry_values = entry_values.tolist()
     _extend(shared.entry_key, key_array)
     _extend(shared.entry_state, states)
     shared.conn_offsets.append(len(shared.entry_key))
-    without_inverse: dict = {}
     if not shared.inverse:
-        val_rank, ent_rank = _rank_lists(val_rank, ent_rank)
-        shared.entry_rank += ent_rank
-        without_inverse = dict(
-            val_rank=per_fragment(shared.val_rank, val_rank),
-            ent_base=per_fragment(shared.ent_base, entry_values),
-            ent_rank=per_fragment(shared.ent_rank, ent_rank),
-            min_base=lists["min_base"],
-            min_rank=lists["min_rank"],
-            entry_rank=shared.entry_rank,
-        )
+        shared.entry_rank = _grown(shared.entry_rank, ent_rank)
 
     if empty:
         best = (shared.zero, 0)
     else:
-        frag_min = entry_values[least]
-        frag_rank = 0 if shared.inverse else ent_rank[least]
+        frag_min = entry_values[least].item()
+        frag_rank = 0 if shared.inverse else int(ent_rank[least])
         if not shared.inverse:
             lists["min_base"][uid] = frag_min
+            if frag_rank >= 1 << 63:  # past int64: ranks as Python ints
+                lists["min_rank"] = list(lists["min_rank"])
             lists["min_rank"][uid] = frag_rank
         # The virtual start state: one branch per root stage, folded
         # from ``one`` in stage order exactly as ``build_tdp`` folds
@@ -955,6 +1009,17 @@ def assemble_fragment(
             rank += value_rank
         best = (total, rank)
 
+    without_inverse: dict = {}
+    if not shared.inverse:
+        val_rank, ent_rank = _rank_pair(val_rank, ent_rank)
+        without_inverse = dict(
+            val_rank=per_fragment(shared.val_rank, val_rank),
+            ent_base=per_fragment(shared.ent_base, _column(entry_values, "d")),
+            ent_rank=per_fragment(shared.ent_rank, ent_rank),
+            min_base=lists["min_base"],
+            min_rank=lists["min_rank"],
+            entry_rank=shared.entry_rank,
+        )
     root_uid = dict(shared.root_uid)
     root_uid[anchor] = uid
     core_class = CompiledTDP if shared.templates is None else LaneCore
@@ -964,7 +1029,7 @@ def assemble_fragment(
         join_tree=shared.tree,
         atom_of_stage=shared.order,
         parent_stage=shared.parent_stage,
-        tuples=per_fragment(shared.tuples, rows),
+        tuples=per_fragment(shared.tuples, store),
         tuple_ids=per_fragment(shared.tuple_ids, ids_out),
         lane=shared.lane,
         one=shared.one,
@@ -988,8 +1053,8 @@ def _lower_whole(database: Database, shared: SharedLower) -> CompiledTDP:
     """Phase B over the whole anchor relation (stage 0): one fragment.
     ``shared.rows`` then counts every stage."""
     relation = database[shared.query.atoms[shared.order[0]].relation_name]
-    scan_out = _scan_relation(shared, 0, relation)
-    return assemble_fragment(shared, scan_out, 0, shared_lists(shared, 1))
+    store, scan_out = _scan_relation(shared, 0, relation)
+    return assemble_fragment(shared, scan_out, store, 0, shared_lists(shared, 1))
 
 
 def lower_query(

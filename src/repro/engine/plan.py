@@ -46,7 +46,7 @@ from repro.decomposition.cycle import (
 )
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
-from repro.dp.corebuf import core_key, dioid_core_name, export_fragments
+from repro.dp.corebuf import LazyRows, core_key, dioid_core_name, export_fragments
 from repro.dp.flat import CompiledTDP, compile_tdp
 from repro.dp.lower import (
     lower_member,
@@ -239,8 +239,9 @@ def decodes_at_extension(tdp) -> str | None:
     or ``None`` when they can be handed out as views and decoded on read.
 
     One rule, applied once per bind to what the T-DP holds: rows this
-    process holds (lists) are read when someone looks, because reading
-    them later cannot fail; rows behind a backend
+    process holds (lists and the other in-process row stores) are read
+    when someone looks, because reading them later cannot fail; rows
+    behind a backend
     (:class:`~repro.dp.corebuf.LazyRows` of a warm-started plan) are
     fetched while extending, so a failed fetch is a failed ``ensure``
     that resumes at the same rank and an answer handed out is complete
@@ -253,8 +254,8 @@ def decodes_at_extension(tdp) -> str | None:
     if not isinstance(tdp, CompiledTDP):
         return "object-graph enumerators"
     for rows in tdp.tuples:
-        if not isinstance(rows, list):
-            backend = getattr(getattr(rows, "relation", None), "backend", None)
+        if isinstance(rows, LazyRows):
+            backend = rows.relation.backend
             holder = rows if backend is None else backend
             return f"rows behind {type(holder).__name__}"
     return None
@@ -809,7 +810,7 @@ def _bind_union(
             # Bag tuples read (every bag is one stage) -> alive states.
             rows=_bag_tuples(tasks),
             stages=sum(tdp.num_stages for tdp in tdps),
-            states=sum(len(rows) for tdp in tdps for rows in tdp.tuples),
+            states=sum(len(ids) for tdp in tdps for ids in tdp.tuple_ids),
             connectors=sum(tdp.num_connectors for tdp in tdps),
             # Members lowered to compiled cores, and the entries they hold.
             lowered=len(lowered),

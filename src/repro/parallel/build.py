@@ -100,7 +100,7 @@ class FragmentRuntime:
 
     def anchor_states(self) -> int:
         """Alive states at the anchor stage (this fragment's own slice)."""
-        return len(self.tdp.tuples[self.anchor_stage])
+        return len(self.tdp.tuple_ids[self.anchor_stage])
 
 
 class PreprocessResult:

@@ -346,9 +346,10 @@ class TestExportFromThePool:
         core = lower_query(database, tree, dioid)
         reference = compile_tdp(build_tdp(database, tree, dioid=dioid))
         assert -1 not in reference.conn_stage
-        ranked = list(core._take2_heaps), list(core._sorted_orders)
+        heaps = list(core._take2_heaps)
         assert export_fragments([core], 0) == export_fragments([reference], 0)
-        assert (core._take2_heaps, core._sorted_orders) == ranked
+        # Exporting ranks nothing and sorts nothing (Eager's cache: none).
+        assert core._caches == [heaps, None]
 
     @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
     def test_arrival_shard_bytes_equal_the_object_lowering(self, dioid):
@@ -366,9 +367,9 @@ class TestExportFromThePool:
         plan = physical.shard_plan
         anchor = plan.anchor_stage
         cores = [fragment.tdp for fragment in physical.fragments]
-        ranked = list(cores[0]._take2_heaps), list(cores[0]._sorted_orders)
+        heaps = list(cores[0]._take2_heaps)
         meta, data = export_fragments(cores, anchor)
-        assert (cores[0]._take2_heaps, cores[0]._sorted_orders) == ranked
+        assert cores[0]._caches == [heaps, None]
         pooled = cores[0].num_connectors - len(cores)  # phase A's connectors
 
         # Phase A's connectors are the whole relation's non-root ones;

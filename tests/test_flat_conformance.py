@@ -21,6 +21,7 @@ ordering decision is replicated.  This suite pins that claim:
 import copy
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -401,10 +402,19 @@ class TestDirectLoweringMatchesObjectLowering:
         assert direct.best_key == reference.best_key
         assert direct.root_uid == reference.root_uid
         assert direct.num_connectors == reference.num_connectors
-        for name in ("val_base", "pi1", "child_uids", "conn_of"):
-            assert getattr(direct, name) == getattr(reference, name), name
-        assert direct.tuples == tdp.tuples
-        assert direct.tuple_ids == tdp.tuple_ids
+        assert direct.val_base == reference.val_base
+        # The other per-state columns are typed arrays of the same numbers.
+        for name, typecode in (
+            ("pi1", "d"), ("child_uids", "q"), ("conn_of", "q"), ("tuple_ids", "q")
+        ):
+            assert getattr(direct, name) == [
+                None if column is None else array(typecode, column)
+                for column in getattr(reference, name)
+            ], name
+        # Rows are read from each stage's row store at the tuple id.
+        assert [
+            [rows[i] for i in ids] for rows, ids in zip(direct.tuples, direct.tuple_ids)
+        ] == tdp.tuples
         assert [list(v) for v in direct.val_base] == tdp.values
         assert direct.best[0] == tdp.best_weight
         for uid, stage in enumerate(reference.conn_stage):

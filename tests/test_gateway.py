@@ -333,7 +333,7 @@ class TestMetrics:
                     "lines_encoded": 20, "lines_replayed": 20
                 }
 
-    def test_latency_window_fills_with_fetches(self, engine):
+    def test_fetch_histogram_counts_each_fetch(self, engine):
         with GatewayThread(engine) as address:
             with HttpServeClient(*address) as c:
                 cursor = c.prepare("lat", QUERY)["cursor"]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -201,18 +202,20 @@ def assert_same_columns(core, tdp) -> None:
     assert core.empty == tdp.is_empty() is False
     assert canon(core.best) == canon(tdp.best_weight)
     for stage in range(tdp.num_stages):
-        # A column stage's rows are a view, read here row by row.
-        assert list(core.tuples[stage]) == tdp.tuples[stage]
-        assert core.tuple_ids[stage] == tdp.tuple_ids[stage]
+        # A stage's rows are read from its row store (a column stage's
+        # a view) at each state's tuple id.
+        rows, ids = core.tuples[stage], core.tuple_ids[stage]
+        assert ids == array("q", tdp.tuple_ids[stage])
+        assert [rows[i] for i in ids] == tdp.tuples[stage]
         assert canon(list(zip(core.val_base[stage], core.val_rank[stage]))) == canon(
             tdp.values[stage]
         )
         branches = len(tdp.children_stages[stage])
         child_uids = core.child_uids[stage]
         for state, conns in enumerate(tdp.child_conns[stage]):
-            assert child_uids[state * branches:(state + 1) * branches] == [
-                conn.uid for conn in conns
-            ]
+            assert child_uids[state * branches:(state + 1) * branches] == array(
+                "q", [conn.uid for conn in conns]
+            )
     for uid, conn in object_connectors(tdp).items():
         stage = conn.stage
         assert core.conn_stage[uid] == stage
@@ -262,6 +265,8 @@ def test_ranks_past_int64_lower_on_the_kernel(monkeypatch):
     ]
     assert all(core.ent_rank[1:]) and any(fits) and not all(fits)
     assert all(type(rank) is int for column in core.ent_rank for rank in column)
+    # A rank column that fits is a typed array, one past int64 a list.
+    assert [type(core.ent_rank[stage]) is array for stage in range(1, tdp.num_stages)] == fits
     assert placed == list(range(1, tdp.num_stages))[::-1]
 
 

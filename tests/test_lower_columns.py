@@ -42,12 +42,12 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.anyk.base import make_enumerator
 from repro.dp import flat, lower
-from repro.dp.builder import build_tdp
+from repro.dp.builder import build_tdp, rank_tie_domains
 from repro.dp.flat import compile_tdp
 from repro.query.builders import path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
-from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL
+from repro.ranking.dioid import MAX_PLUS, MAX_TIMES, TROPICAL, TieBreakingDioid
 
 DIOIDS = {"tropical": TROPICAL, "max-plus": MAX_PLUS}
 
@@ -178,7 +178,7 @@ def core_columns(core, conn_min, uids=None) -> dict:
         "val_types": [[type(v) for v in stage] for stage in core.val_base],
         "pi1": [[bits(v) for v in stage] for stage in core.pi1],
         "child_uids": [list(stage) for stage in core.child_uids],
-        "tuples": [list(stage) for stage in core.tuples],
+        "tuples": state_rows(core),
         "tuple_ids": [list(stage) for stage in core.tuple_ids],
         "conn_min": {
             uid: None if conn_min[uid] is None else bits(conn_min[uid])
@@ -189,6 +189,15 @@ def core_columns(core, conn_min, uids=None) -> dict:
             for uid in uids
         },
     }
+
+
+def state_rows(core) -> list[list[tuple]]:
+    """Each stage's rows, state by state: a lowered core reads its stage's
+    row store at the state's tuple id, an object graph's core holds them
+    in state order."""
+    if not core.rows_by_id:
+        return [list(rows) for rows in core.tuples]
+    return [[rows[i] for i in ids] for rows, ids in zip(core.tuples, core.tuple_ids)]
 
 
 def object_columns(database, tree, dioid) -> tuple[dict, list[int]]:
@@ -212,25 +221,44 @@ def object_columns(database, tree, dioid) -> tuple[dict, list[int]]:
     return core_columns(reference, conn_min, uids), uids
 
 
+def assert_typed(column, typecode: str, kinds: set) -> None:
+    """``column`` is a typed array of ``typecode`` that reads back
+    native Python numbers of ``kinds``."""
+    assert (type(column), column.typecode) == (array, typecode)
+    assert {type(v) for v in column} <= kinds
+
+
 def assert_same_structures(core):
     """The acceptance shape: one pool of ``float`` keys and ``int`` states
     in uid order, typed arrays the collector never walks, the fragment
     roots in it, each connector's states
     ascending — pool order is state order (see
-    :func:`test_lowering_keeps_no_entry_tuple`)."""
+    :func:`test_lowering_keeps_no_entry_tuple`) — and every other number
+    column a typed array too; only the state values stay the stored
+    weight objects."""
     offsets = core.conn_offsets
     key, state = core.entry_key, core.entry_state
     assert (type(key), key.typecode, type(state), state.typecode) == (array, "d", array, "q")
-    assert type(offsets) is list
+    assert_typed(offsets, "q", {int})
+    assert_typed(core.conn_stage, "q", {int})
     assert len(offsets) == core.num_connectors + 1
     assert offsets[0] == 0 and offsets[-1] == len(key) == len(state)
     assert all(lo <= hi for lo, hi in zip(offsets, offsets[1:]))
     assert {type(k) for k in key} <= {float} and {type(s) for s in state} <= {int}
     for lo, hi in zip(offsets, offsets[1:]):
         assert all(a < b for a, b in zip(state[lo:hi - 1], state[lo + 1:hi]))
-    for column in core.val_base + core.pi1 + core.child_uids:
+    for column in core.val_base:
         assert type(column) is list
         assert all(type(v) in (float, int) for v in column)
+    for column in core.pi1:
+        assert_typed(column, "d", {float})
+    for column in core.child_uids + core.tuple_ids:
+        assert_typed(column, "q", {int})
+    for stage, parent in enumerate(core.parent_stage):
+        if parent != -1 and core.num_branches[parent] == 1:
+            assert core.conn_of[stage] is core.child_uids[parent]
+        elif parent != -1:
+            assert_typed(core.conn_of[stage], "q", {int})
 
 
 def assert_object_path(database, tree, dioid, expect_empty=False):
@@ -331,7 +359,13 @@ def test_state_keys_are_the_stored_weight_objects(dioid):
     leaf = tree.query.atoms[tree.order[-1]].relation_name
     stored = {id(w) for w in floats[leaf].weights}
     assert all(id(v) in stored for v in kernel.val_base[-1])
-    assert len({id(p) for p in kernel.pi1[-1]}) == 1  # one shared 0.0
+    # ``pi1`` holds no float object per state at all: a typed array of
+    # the object path's bits (a leaf's every state ``0.0``).
+    reference = build_tdp(floats, tree, dioid=TROPICAL)
+    for column, expected in zip(kernel.pi1, reference.pi1):
+        assert_typed(column, "d", {float})
+        assert list(map(bits, column)) == list(map(bits, expected))
+    assert set(map(bits, kernel.pi1[-1])) == {bits(0.0)}
 
 
 def test_max_plus_zeros_equal_the_object_path_in_bits():
@@ -408,9 +442,11 @@ def test_fragments(tmp_path, shape, dioid, backend, layout, n):
         # The fragments' anchor columns, end to end, are the whole
         # relation's (a repeated variable's rows keep their positions).
         _shared, whole = lower_whole(database, tree, dioid)
-        for name in ("val_base", "pi1", "tuples", "tuple_ids"):
+        for name in ("val_base", "pi1", "tuple_ids"):
             joined = [v for core in cores for v in getattr(core, name)[0]]
             assert list(map(repr, joined)) == list(map(repr, getattr(whole, name)[0]))
+        joined = [row for core in cores for row in state_rows(core)[0]]
+        assert joined == state_rows(whole)[0]
 
         # Against the object path: each fragment is the query over the
         # anchor relation restricted to its rows (sound when the anchor
@@ -435,8 +471,8 @@ def test_fragments(tmp_path, shape, dioid, backend, layout, n):
                 assert [bits(v) for v in getattr(core, name)[0]] == [
                     bits(v) for v in getattr(reference, name)[0]
                 ]
-            assert core.tuples[0] == tdp.tuples[0]
-            assert core.tuple_ids[0] == [base + i for i in tdp.tuple_ids[0]]
+            assert state_rows(core)[0] == tdp.tuples[0]
+            assert core.tuple_ids[0] == array("q", [base + i for i in tdp.tuple_ids[0]])
             if not reference.empty:
                 assert [
                     (bits(k), s) for k, s in core.pairs(core.root_uid[0])
@@ -518,20 +554,29 @@ def place_oracle(join_keys, entry_keys, ranks=None):
     for join_key, entry in zip(join_keys, entries):
         groups.setdefault(join_key, []).append(entry)
     shared.conn_maps[2].update(zip(groups, count(len(shared.conn_stage))))
-    shared.conn_stage += [2] * len(groups)
-    shared.conn_offsets += map(
+    shared.conn_stage.extend([2] * len(groups))
+    shared.conn_offsets.extend(map(
         len(shared.entry_key).__add__, accumulate(map(len, groups.values()))
-    )
+    ))
     pool = list(chain.from_iterable(groups.values()))
     shared.entry_key.extend(map(itemgetter(0), pool))
     shared.entry_state.extend(map(itemgetter(-1), pool))
     if ranks is not None:
-        shared.entry_rank += map(itemgetter(1), pool)
+        shared.entry_rank = typed_ranks([*shared.entry_rank, *map(itemgetter(1), pool)])
     least = list(map(min, groups.values()))
-    shared.conn_min += map(entry_values.__getitem__, map(itemgetter(-1), least))
+    shared.conn_min.extend(map(entry_values.__getitem__, map(itemgetter(-1), least)))
     if ranks is not None:
-        shared.conn_rank += map(itemgetter(1), least)
+        shared.conn_rank = typed_ranks([*shared.conn_rank, *map(itemgetter(1), least)])
     return placed(shared)
+
+
+def typed_ranks(ranks: list):
+    """A rank column as a core keeps one: ``array('q')``, or the list of
+    Python ints where a rank passes int64."""
+    try:
+        return array("q", ranks)
+    except OverflowError:
+        return ranks
 
 
 def test_zero_minimum_takes_the_sign_of_its_first_entry():
@@ -577,7 +622,7 @@ def test_nan_entry_keys_place_as_min_does():
     kernel = place(join_keys, entry_keys, ranks)
     assert kernel == place_oracle(join_keys, entry_keys, ranks)
     # A leading NaN stays the least entry whatever the later ranks.
-    assert kernel[4] == [2, 5, 3]
+    assert kernel[4] == array("q", [2, 5, 3])
 
 
 def test_ranked_key_ties_go_to_the_rank_then_the_state():
@@ -589,7 +634,7 @@ def test_ranked_key_ties_go_to_the_rank_then_the_state():
     assert kernel == place_oracle(join_keys, values, ranks)
     # a: equal keys, rank 3 beats 7; b: 3.0 is the least key (-3.0)
     # whatever its rank; c: equal keys, rank 0 beats 1.
-    assert kernel[4] == [3, 0, 0, 9]
+    assert kernel[4] == array("q", [3, 0, 0, 9])
     assert kernel[1] == [bits(m) for m in (2.0, 3.0, 0.5, 4.0)]
 
 
@@ -602,7 +647,7 @@ def test_ranked_signed_zeros_tie_on_the_key():
     kernel = place(join_keys, values, ranks)
     assert kernel == place_oracle(join_keys, values, ranks)
     assert kernel[1] == [bits(m) for m in (-0.0, -0.0, 0.0)]
-    assert kernel[4] == [2, 1, 6]
+    assert kernel[4] == array("q", [2, 1, 6])
 
 
 def test_ranked_placement_matches_the_scalar_grouping():
@@ -626,7 +671,7 @@ def test_ranks_near_two_to_the_63_take_the_kernel():
     assert lower._rank_array(ranks).dtype == np.int64
     kernel = place(join_keys, values, ranks)
     assert kernel == place_oracle(join_keys, values, ranks)
-    assert kernel[4] == [top - 2, top - 1, top]
+    assert kernel[4] == array("q", [top - 2, top - 1, top])
 
 
 def test_a_rank_column_past_int64_places_as_min_does():
@@ -743,8 +788,9 @@ def test_lowering_creates_no_reboxed_rows_and_only_what_the_core_holds(monkeypat
 
 # -- one pool of columns, no tuple per entry -----------------------------------
 
-#: The slots read lazily: filled on first touch, ``None`` at bind.
-FIRST_TOUCH_CACHES = ("_take2_heaps", "_sorted_orders")
+#: The slots read lazily: filled on first touch, ``None`` at bind (the
+#: two caches: ``[_take2_heaps, Eager's made on its first sort]``).
+FIRST_TOUCH_CACHES = ("_take2_heaps", "_caches")
 
 
 def reachable(core, kind: type, skip=(), known=frozenset()) -> int:
@@ -809,12 +855,152 @@ def test_lowering_keeps_no_list_per_connector():
     lists, tuples = reachable(large, list), reachable(large, tuple)
     large.take2_heap(0)
     large.sorted_order(0)
-    assert reachable(large, list) == lists + 2 * 3  # [states, keys, None] each
+    # [states, keys, None] each, and Eager's uid-indexed list, made on
+    # its first sort.
+    assert reachable(large, list) == lists + 2 * 3 + 1
     assert reachable(large, tuple) == tuples
     answers = make_enumerator(large, "take2")
     for _answer in zip(range(50), answers):
         pass
     assert reachable(large, tuple, known=stored_rows(databases[1])) == large_tuples
+
+
+def test_a_list_of_typed_columns_counts_each_by_its_own_size():
+    """Per-stage typed arrays of different lengths are each counted as
+    they are, not as the first one times the number of stages."""
+    column = [array("q", range(3)), array("d", [0.5] * 1_000)]
+    assert flat._seq_bytes(column, set()) == sys.getsizeof(column) + sum(
+        map(sys.getsizeof, column)
+    )
+
+
+# -- what the collector walks ----------------------------------------------------
+
+#: Slots a walk leaves out: the state values (the stored weight objects,
+#: a reference per state), the first-touch caches, and the dioid (a
+#: tie-breaker's rank tables are the ranking's input, shared by every
+#: member of a union).
+UNWALKED = ("val_base", *FIRST_TOUCH_CACHES, "dioid")
+
+
+def walked_references(core) -> int:
+    """What a collection traverses from a core: ``len(gc.get_referents(x))``
+    summed over the GC-tracked objects reachable from its slots through
+    lists, tuples and dicts, leaving out the :data:`UNWALKED` slots (with
+    their per-stage lists) and each stage's row store — the stored rows:
+    a relation's own list, a backend's one fetch, a bag's columns."""
+    skipped = {id(rows) for rows in core.tuples}
+    for name in UNWALKED:
+        value = getattr(core, name)
+        skipped.add(id(value))
+        if isinstance(value, list):
+            skipped.update(map(id, value))
+    gc.collect()  # untracks what holds no container, in either core
+    stack = [
+        getattr(core, name) for name in flat.CompiledTDP.__slots__
+        if name not in UNWALKED
+    ]
+    walked = 0
+    while stack:
+        item = stack.pop()
+        if id(item) in skipped or not gc.is_tracked(item):
+            continue
+        skipped.add(id(item))
+        referents = gc.get_referents(item)
+        walked += len(referents)
+        if isinstance(item, (list, tuple, dict)):
+            stack.extend(referents)
+    return walked
+
+
+def column_backed(database) -> Database:
+    """``database`` with every relation held as int64 columns, as a cycle
+    decomposition's bags are."""
+    return Database([
+        Relation.from_columns(
+            relation.name,
+            [np.array(column, np.int64) for column in zip(*relation.tuples)],
+            np.array(relation.weights, np.float64),
+        )
+        for relation in database
+    ])
+
+
+def lower_cell(cell: str, database):
+    """One bind of the path-4 over ``database``, as ``cell`` asks: the
+    whole query, or a tie-broken union member over rows or columns."""
+    tree = build_join_tree(QUERIES["path4"])
+    if cell in ("path4", "sqlite"):
+        return lower.lower_query(database, tree, TROPICAL)
+    if cell == "member_columns":
+        database = column_backed(database)
+    positions = {var: slot for slot, var in enumerate(tree.query.variables)}
+    tie = TieBreakingDioid(TROPICAL, len(positions))
+    rank_tie_domains(tie, [(database, tree, positions)])
+    core = lower.lower_member(
+        database, tree, tie, positions, lower.member_lane(tie)[0],
+        lower.rank_tables(tie),
+    )
+    stores = (lower.ColumnRows if cell == "member_columns" else list,)
+    assert all(type(rows) in stores for rows in core.tuples)
+    return core
+
+
+@pytest.mark.parametrize("cell", ["path4", "member_rows", "member_columns", "sqlite"])
+def test_a_bound_core_leaves_the_collector_nothing_to_walk(tmp_path, cell):
+    """Ten times the rows, ten times the connectors and the states, the
+    same references for the collector to walk: every per-state and
+    per-connector number column is a typed array, and no stage keeps a
+    per-state row list."""
+    query = QUERIES["path4"]
+    walked, sizes = [], []
+    for n in (2_000, 20_000):
+        database = make_database(query, n, seed=14)
+        if cell == "sqlite":
+            sqlite = SQLiteBackend(str(tmp_path / f"walk{n}.db"))
+            for relation in database:
+                sqlite.ingest(relation)
+            database = sqlite.database()
+        try:
+            core = lower_cell(cell, database)
+            assert not core.empty
+            walked.append(walked_references(core))
+            sizes.append((core.num_connectors, core.stats()["states"]))
+        finally:
+            database.close()
+    (small_conns, small_states), (large_conns, large_states) = sizes
+    assert large_conns > 5 * small_conns and large_states > 5 * small_states
+    assert walked[0] == walked[1]
+
+
+@pytest.mark.parametrize("mutation", ["add", "replace"])
+def test_a_pinned_stream_reads_its_own_rows_after_a_mutation(mutation):
+    """A cursor opened at version v keeps reading v's witnesses after a
+    relation is appended to, or its tuple list replaced: a core reads
+    each stage's store — the relation's list it was bound over — by
+    tuple id, never the relation's current list."""
+    from repro.engine import Engine
+
+    def read(results) -> list[tuple]:
+        return [
+            (result.weight.hex(), result.witness_ids, result.witness, result.assignment)
+            for result in results
+        ]
+
+    query = QUERIES["path4"]
+    with Engine(make_database(query, 300, seed=19)) as reference:
+        expected = read(reference.prepare(query).top(60))
+    database = make_database(query, 300, seed=19)
+    with Engine(database) as engine:
+        cursor = engine.prepare(query).cursor()
+        results = list(cursor.fetch(20))
+        for relation in database:
+            if mutation == "add":
+                relation.add((1, 1), -1000.0)
+            else:
+                relation.tuples = relation.tuples[::-1]
+        results += cursor.fetch(40)
+        assert read(results) == expected
 
 
 def test_fragment_roots_are_pooled_in_uid_order():

@@ -100,12 +100,14 @@ def open_engine(database, backend, tmp_path, **options) -> Engine:
 def stagewise_fields(tdp, query, head, states) -> tuple:
     """What a stage-by-stage dict fill leaves: the loop the assembler's
     straight-line functions replaced (last binding wins, first
-    appearance orders)."""
+    appearance orders).  A lowered core's rows are its stage's row
+    store, read at the state's tuple id."""
     assignment: dict = {}
     by_atom: dict[int, tuple] = {}
     for stage, atom in enumerate(tdp.atom_of_stage):
-        row = tdp.tuples[stage][states[stage]]
-        by_atom[atom] = (tdp.tuple_ids[stage][states[stage]], row)
+        tuple_id = tdp.tuple_ids[stage][states[stage]]
+        row = tdp.tuples[stage][tuple_id if tdp.rows_by_id else states[stage]]
+        by_atom[atom] = (tuple_id, row)
         for var, value in zip(query.atoms[atom].variables, row):
             assignment[var] = value
     ordered = [by_atom[atom] for atom in sorted(by_atom)]

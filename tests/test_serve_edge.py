@@ -463,7 +463,7 @@ class _FakeTime:
         self.now += seconds
 
 
-def _run_calls(transport, addresses, time, monkeypatch, retries, calls):
+def _run_calls(transport, addresses, time, retries, calls):
     """Make ``calls`` — ``(method, args)`` pairs — on one client of
     ``transport`` whose sleeps go to ``time``; the last call's result."""
     cls, address = (
@@ -505,13 +505,13 @@ class TestOneRetryPolicy:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_throttled_is_retried_with_backoff(
-        self, deployment, time, monkeypatch, transport
+        self, deployment, time, transport
     ):
         if transport == "http":
             # The gateway's 429 carries Retry-After (whole seconds, at
             # least 1): the hint is honoured and one wait is enough.
             stats = _run_calls(
-                transport, deployment, time, monkeypatch, 3, TWO_STATS
+                transport, deployment, time, 3, TWO_STATS
             )
             assert stats["policy"]["throttled"] == 1
             assert time.sleeps == [1.0]
@@ -520,17 +520,17 @@ class TestOneRetryPolicy:
         # from 50 ms, which never refills a 1 req/s bucket — the client
         # gives up after ``retries`` extra attempts.
         with pytest.raises(ServeClientError, match="throttled"):
-            _run_calls(transport, deployment, time, monkeypatch, 3, TWO_STATS)
+            _run_calls(transport, deployment, time, 3, TWO_STATS)
         assert time.sleeps == [0.05, 0.1, 0.2]
         assert int(deployment["policy"].throttled) == 4
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_overloaded_hint_is_honoured(
-        self, deployment, time, monkeypatch, transport
+        self, deployment, time, transport
     ):
         deployment["policy"].record_result(False)  # trips the breaker
         response = _run_calls(
-            transport, deployment, time, monkeypatch, 1,
+            transport, deployment, time, 1,
             [("prepare", ("retry-" + transport, QUERY))],
         )
         assert response["ok"]
@@ -539,8 +539,8 @@ class TestOneRetryPolicy:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_no_retries_means_the_rejection_is_raised(
-        self, deployment, time, monkeypatch, transport
+        self, deployment, time, transport
     ):
         with pytest.raises(ServeClientError, match="throttled"):
-            _run_calls(transport, deployment, time, monkeypatch, 0, TWO_STATS)
+            _run_calls(transport, deployment, time, 0, TWO_STATS)
         assert time.sleeps == []
