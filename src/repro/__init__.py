@@ -97,13 +97,6 @@ from repro.ranking import (
     SelectiveDioid,
     TieBreakingDioid,
 )
-from repro.parallel import (
-    ParallelPreprocessor,
-    Sharder,
-    ShardedPhysical,
-    ShardMerge,
-    ShardSpec,
-)
 from repro.serve import (
     Cursor,
     ServeClient,
@@ -155,11 +148,6 @@ __all__ = [
     "LexicographicDioid",
     "TieBreakingDioid",
     "PrefixStream",
-    "ShardSpec",
-    "Sharder",
-    "ShardedPhysical",
-    "ShardMerge",
-    "ParallelPreprocessor",
     "Cursor",
     "SessionManager",
     "ServeServer",

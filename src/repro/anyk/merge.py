@@ -1,22 +1,16 @@
-"""The shared ranked k-way merge core.
+"""The ranked k-way merge core.
 
-Two subsystems merge ranked streams of :class:`RankedResult`:
-
-* the UT-DP union over decomposition members (Section 5.2 — the cycle
-  and generic decompositions, plus the UCQ pipeline), and
-* the parallel execution layer, which merges per-fragment any-k streams
-  back into one globally ranked stream (:mod:`repro.parallel`).
-
-Both need the same loop — a top-level priority queue holding the most
-recent unconsumed result of every member, popped minimum-first and
-refilled from the same member — with the same determinism guarantees:
-ties between equal keys resolve by *insertion sequence* (members are
-seeded in order, refills re-enter at pop time), so a merge over the
-same member streams always emits the same sequence.
-:class:`RankedMerge` is that loop, extracted once; the callers configure
-duplicate elimination (:class:`~repro.anyk.union.UnionEnumerator`) or
-per-member emit attribution (:class:`~repro.parallel.merge.ShardMerge`)
-on top of it.
+The UT-DP union over decomposition members (Section 5.2 — the cycle
+and generic decompositions, plus the UCQ pipeline) merges ranked
+streams of :class:`RankedResult` with one loop — a top-level priority
+queue holding the most recent unconsumed result of every member,
+popped minimum-first and refilled from the same member — under one
+determinism guarantee: ties between equal keys resolve by *insertion
+sequence* (members are seeded in order, refills re-enter at pop time),
+so a merge over the same member streams always emits the same
+sequence.  :class:`RankedMerge` is that loop;
+:class:`~repro.anyk.union.UnionEnumerator` configures duplicate
+elimination on top of it.
 
 Duplicate elimination remains O(1) look-behind: a result equal — under
 ``identity`` — to the previously emitted one is skipped.  That is only
@@ -66,11 +60,7 @@ class RankedMerge(Enumerator):
     ``dedup`` drops results whose ``identity`` equals the previously
     emitted one (consecutive-duplicate elimination, see module
     docstring).  ``counter`` receives the merge's own priority-queue
-    traffic; ``count_results`` controls whether emits are also counted
-    as ``results`` (the union callers historically count them, the
-    shard merge leaves result counting to the member enumerators).
-    ``member_counts[i]`` tracks how many results member ``i`` has
-    contributed to the merged output (per-shard attribution).
+    traffic and counts every emit as a ``result``.
     """
 
     def __init__(
@@ -80,16 +70,12 @@ class RankedMerge(Enumerator):
         identity: IdentityFn | None = None,
         dedup: bool = False,
         counter: OpCounter | None = None,
-        count_results: bool = True,
     ):
         self.members = list(members)
         self.key = key
         self.identity = identity if identity is not None else _default_identity
         self.dedup = dedup
         self.counter = counter
-        self.count_results = count_results
-        #: Results each member has contributed to the merged output.
-        self.member_counts = [0] * len(self.members)
         self._heap: list[tuple] = []
         self._seq = 0
         self._last_identity: Any = _SENTINEL
@@ -115,7 +101,6 @@ class RankedMerge(Enumerator):
         heappop = heapq.heappop
         heappush = heapq.heappush
         members = self.members
-        member_counts = self.member_counts
         counter = self.counter
         dedup = self.dedup
         identity = self.identity
@@ -136,40 +121,7 @@ class RankedMerge(Enumerator):
                 if ident == self._last_identity:
                     continue
                 self._last_identity = ident
-            member_counts[index] += 1
-            if counter is not None and self.count_results:
+            if counter is not None:
                 counter.results += 1
             return result
-        return None
-
-
-class ConcatenatedStreams(Enumerator):
-    """Members chained sequentially — the *unordered* merge degenerate.
-
-    Used where the member streams carry no ranking contract to preserve
-    (the ``batch_nosort`` baseline): with contiguous range fragments the
-    concatenation reproduces the unsharded generation order exactly.
-    """
-
-    def __init__(
-        self,
-        members: Sequence[Enumerator],
-        counter: OpCounter | None = None,
-        count_results: bool = True,
-    ):
-        self.members = list(members)
-        self.counter = counter
-        self.count_results = count_results
-        self.member_counts = [0] * len(self.members)
-        self._index = 0
-
-    def _next_result(self) -> RankedResult | None:
-        while self._index < len(self.members):
-            result = self.members[self._index]._next_result()
-            if result is not None:
-                self.member_counts[self._index] += 1
-                if self.counter is not None and self.count_results:
-                    self.counter.results += 1
-                return result
-            self._index += 1
         return None

@@ -9,11 +9,10 @@ decompositions), duplicates of an output tuple must arrive
 guaranteed by ranking each member with the Section 6.3 tie-breaking
 dioid, whose keys append the canonical output assignment.
 
-The merge loop itself lives in :class:`~repro.anyk.merge.RankedMerge`,
-shared with the parallel execution layer's shard merge
-(:mod:`repro.parallel`); this module keeps the union-specific
-configuration (duplicate elimination on by default, results counted at
-the union level — the historical UT-DP accounting).
+The merge loop itself lives in :class:`~repro.anyk.merge.RankedMerge`;
+this module keeps the union-specific configuration (duplicate
+elimination on by default, results counted at the union level — the
+historical UT-DP accounting).
 """
 
 from __future__ import annotations
@@ -49,5 +48,4 @@ class UnionEnumerator(RankedMerge):
             identity=identity,
             dedup=dedup,
             counter=counter,
-            count_results=True,
         )

@@ -62,17 +62,6 @@ from repro.ranking.dioid import NAMED_DIOIDS
 DIOIDS = NAMED_DIOIDS
 
 
-def _shard_count(text: str) -> int:
-    """``--shards``: a positive int, else an argparse usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive int, got {text!r}")
-    return value
-
-
 def _answer_count(text: str) -> int:
     """``--top``: a non-negative int (0 = all), else an argparse usage error."""
     try:
@@ -127,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_options(query_cmd)
     query_cmd.add_argument("--top", type=_answer_count, default=10,
                            help="number of results (default 10; 0 = all)")
-    query_cmd.add_argument("--shards", type=_shard_count, default=None, metavar="N",
-                           help="partition the anchor relation into N "
-                                "fragments and run the parallel execution "
-                                "layer (fragment T-DPs + ranked merge)")
     query_cmd.add_argument("--algorithm", default="take2",
                            choices=["take2", "lazy", "eager", "all",
                                     "recursive", "batch"])
@@ -152,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "an already-populated --db-path is given)")
     explain_cmd.add_argument("text", help="the query")
     add_backend_options(explain_cmd)
-    explain_cmd.add_argument("--shards", type=_shard_count, default=None,
-                             metavar="N",
-                             help="show the sharded plan (anchor atom, "
-                                  "fragment layout)")
     explain_cmd.add_argument("--analyze", type=_answer_count, default=None,
                              metavar="K",
                              help="EXPLAIN ANALYZE: run the query "
@@ -180,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--out", default="trace.json", metavar="FILE",
                            help="trace-event JSON output path "
                                 "(default: trace.json)")
-    trace_cmd.add_argument("--shards", type=_shard_count, default=None, metavar="N",
-                           help="trace the sharded (parallel) plan")
     trace_cmd.add_argument("--algorithm", default="take2",
                            choices=["take2", "lazy", "eager", "all",
                                     "recursive", "batch"])
@@ -349,7 +328,6 @@ def _command_query(args: argparse.Namespace) -> int:
             dioid=DIOIDS[args.dioid],
             algorithm=args.algorithm,
             projection=args.projection,
-            shards=args.shards,
         )
         prepared.bind()
         preprocess = time.perf_counter() - start
@@ -387,16 +365,14 @@ def _command_query(args: argparse.Namespace) -> int:
 def _command_explain(args: argparse.Namespace) -> int:
     engine = Engine(_open_database(args), core_cache=args.core_cache)
     if args.analyze is not None:
-        prepared = engine.prepare(
-            args.text, algorithm=args.algorithm, shards=args.shards
-        )
+        prepared = engine.prepare(args.text, algorithm=args.algorithm)
         k = None if args.analyze == 0 else args.analyze
         print(prepared.analyze(k).render())
         engine.close()
         return 0
     # One parse, one bind: the physical report reuses the bound T-DP's
     # statistics instead of rebuilding the plan a second time.
-    print(engine.explain(args.text, shards=args.shards))
+    print(engine.explain(args.text))
     engine.close()
     return 0
 
@@ -413,7 +389,6 @@ def _command_trace(args: argparse.Namespace) -> int:
         args.text,
         dioid=DIOIDS[args.dioid],
         algorithm=args.algorithm,
-        shards=args.shards,
     )
     k = None if args.top == 0 else args.top
     # analyze() records its run into the engine tracer, so the exported

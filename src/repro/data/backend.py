@@ -167,18 +167,14 @@ class StorageBackend(Protocol):
         """The single row at insertion position ``position``."""
         ...
 
-    def fetch_rows(
-        self, name: str, start: int | None = None, stop: int | None = None
-    ) -> list[tuple]:
-        """Bulk-materialise raw rows ``start .. stop-1`` (whole relation
-        when unbounded), each as one flat tuple with the weight in the
-        trailing position.
+    def fetch_rows(self, name: str) -> list[tuple]:
+        """Bulk-materialise every row in insertion order, each as one flat
+        tuple with the weight in the trailing position.
 
-        This is the fragment-scan primitive of the parallel execution
-        layer (:mod:`repro.parallel`): a contiguous *position range* maps
-        to a rowid range in SQLite, so a fragment build reads exactly its
-        slice of the anchor relation, and the single ``fetchall`` keeps
-        the per-row Python overhead out of the preprocessing hot loop.
+        The stage scan of :mod:`repro.dp.lower` reads a backend-stored
+        relation through this one call: a single ``fetchall`` in SQLite
+        keeps the per-row Python overhead out of the preprocessing hot
+        loop.
         """
         ...
 
@@ -308,16 +304,9 @@ class MemoryBackend:
         relation = self._get(name)
         return relation.tuples[position], relation.weights[position]
 
-    def fetch_rows(
-        self, name: str, start: int | None = None, stop: int | None = None
-    ) -> list[tuple]:
+    def fetch_rows(self, name: str) -> list[tuple]:
         relation = self._get(name)
-        tuples = relation.tuples
-        weights = relation.weights
-        if start is not None or stop is not None:
-            tuples = tuples[start:stop]
-            weights = weights[start:stop]
-        return [t + (w,) for t, w in zip(tuples, weights)]
+        return [t + (w,) for t, w in zip(relation.tuples, relation.weights)]
 
     def degree_statistics(
         self, name: str, columns: Sequence[int]
@@ -648,25 +637,12 @@ class SQLiteBackend:
             raise IndexError(f"{name}: no tuple at position {position}")
         return tuple(row[:-1]), row[-1]
 
-    def fetch_rows(
-        self, name: str, start: int | None = None, stop: int | None = None
-    ) -> list[tuple]:
+    def fetch_rows(self, name: str) -> list[tuple]:
         table = quote_identifier(name)
         self._meta_of(name)
-        # Append-only tables keep rowid == position + 1, so a position
-        # range is a rowid range scan; ORDER BY rowid pins the insertion
-        # order the T-DP state identity relies on.
-        if start is None and stop is None:
-            cursor = self._execute(f"SELECT * FROM {table} ORDER BY rowid")
-        else:
-            lo = 0 if start is None else start
-            hi = 2**63 - 1 if stop is None else stop
-            cursor = self._execute(
-                f"SELECT * FROM {table} WHERE rowid > ? AND rowid <= ? "
-                "ORDER BY rowid",
-                (lo, hi),
-            )
-        return cursor.fetchall()
+        # ORDER BY rowid pins the insertion order the T-DP state
+        # identity relies on.
+        return self._execute(f"SELECT * FROM {table} ORDER BY rowid").fetchall()
 
     def degree_statistics(
         self, name: str, columns: Sequence[int]

@@ -11,9 +11,9 @@ states with the same join value.
 Enumeration runs over the flat :class:`repro.dp.flat.CompiledTDP`
 arrays whenever the ranking dioid has a lane (``lane_of``).  The engine
 gets them in one bottom-up pass straight from the relations
-(:mod:`repro.dp.lower`, no object graph) — acyclic plans, shard
-fragments, and the tie-broken members of a cyclic plan, which carry a
-packed-rank column besides.  A core owns its rows and query, so physical
+(:mod:`repro.dp.lower`, no object graph) — acyclic plans and the
+tie-broken members of a cyclic plan, which carry a packed-rank column
+besides.  A core owns its rows and query, so physical
 plans hold it alone; :func:`compile_tdp` lowers an object ``TDP`` that
 was built anyway.  See :mod:`repro.dp.flat`.
 """

@@ -85,9 +85,8 @@ def rank_tie_domains(
 
     ``members`` are the ``(database, join tree, variable -> slot)`` of
     every tree that will be lifted into ``tie`` (decomposition members,
-    UCQ members, or the one tree all fragments of a sharded plan share):
-    a slot's domain is what the columns owning it hold, over all of
-    them, so any two members rank one value alike.  One C pass per
+    or UCQ members): a slot's domain is what the columns owning it hold,
+    over all of them, so any two members rank one value alike.  One C pass per
     owning column over rows the bind reads anyway — one ``unique`` per
     owning column of a column-backed bag — and one sort per slot.
     """

@@ -14,8 +14,8 @@ arrays a zero-copy lifecycle:
   warm-started enumeration bit-identical to a cold rebuild.
 * **mmap persistence** (:class:`CoreFile` / :class:`CoreCache`) — the
   same sections serialize to a ``<db>.core`` file next to the SQLite
-  database.  Entries are keyed by the plan fingerprint, the dioid's
-  registry name, and the shard spec, and stamped with the
+  database.  Entries are keyed by the plan fingerprint and the dioid's
+  registry name, and stamped with the
   ``Database.version`` they were built from; a cold process warm-starts
   by ``mmap``-ing the file and skips the bottom-up pass entirely, while a
   version mismatch reads as a miss and the rebuild rewrites the entry
@@ -38,13 +38,12 @@ of a lowered core (``conn_offsets`` and ``conn_stage`` included) are
 :class:`LazyRows` read by tuple id, as a cold core reads a relation's
 own list.
 
-A ``.core`` entry is always the fragment cores of one plan
-(:func:`export_fragments` / :func:`load_fragments`): a sharded plan
-stores one per shard, an unsharded plan stores its single all-spanning
-fragment.  Loading reconstructs the cold build's aliasing structurally
-(shared uid-indexed lists, per-fragment anchor arrays) through
-:meth:`CompiledTDP.assemble`; this module sits in the ``dp`` layer and
-never imports ``repro.parallel``.
+A ``.core`` entry is one plan's core (:func:`export_core` /
+:func:`load_core`), rebuilt through :meth:`CompiledTDP.assemble`.  Its
+sections and meta keys are those of the one-fragment layout earlier
+builds wrote — stage 0's columns under ``f0.*``, ``"kind":
+"fragments"``, ``"num_fragments": 1`` — so a file written by such a
+build holds the same bytes and still maps under ``CORE_FORMAT`` 3.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ import pickle
 import struct
 import threading
 from array import array
-from typing import Sequence
 
 from repro.dp.flat import CompiledTDP
 from repro.obs.metrics import Counter
@@ -146,18 +144,18 @@ def dioid_core_name(dioid: SelectiveDioid) -> str | None:
     return None
 
 
-def core_key(query, dioid: SelectiveDioid, shard_key: tuple | None) -> str | None:
-    """A stable cache key for one (query, dioid, shard spec) plan.
+def core_key(query, dioid: SelectiveDioid) -> str | None:
+    """A stable cache key for one (query, dioid) plan.
 
     ``None`` when the plan is not persistable (an unregistered dioid, or
     one whose lane has no inverse).  The query contributes its canonical
-    fingerprint (PYTHONHASHSEED-independent), the shard spec its
-    ``cache_key()`` tuple of primitives.
+    fingerprint (PYTHONHASHSEED-independent).  The third slot is always
+    ``None``, as earlier builds wrote it, so their entries still match.
     """
     name = dioid_core_name(dioid)
     if name is None:
         return None
-    return repr((query.fingerprint(), name, shard_key))
+    return repr((query.fingerprint(), name, None))
 
 
 # -- lazily fetched rows -------------------------------------------------------
@@ -196,153 +194,96 @@ def _require_persistable(dioid: SelectiveDioid) -> str:
     return name
 
 
-def export_fragments(
-    fragment_cores: Sequence[CompiledTDP], anchor_stage: int
-) -> tuple[dict, bytes]:
-    """Serialize one plan's fragment cores to ``(meta, sections)``.
+def export_core(core: CompiledTDP) -> tuple[dict, bytes]:
+    """Serialize one core to ``(meta, sections)``.
 
-    The fragments of one plan (a single one for an unsharded bind) share
-    a common uid space — shared connectors first, then one root
-    connector per fragment — and alias one entry pool holding every
-    root: the file's pool is the core's columns as they are.  The
-    non-anchor stage arrays are likewise shared; only the anchor stage
-    differs per fragment.
+    The file's pool is the core's columns as they are, stage 0's root
+    connector last; stage 0's state columns are the ``f0.*`` sections,
+    every other stage's ``vk{s}`` / ``pk{s}`` / ``cu{s}`` / ``ids{s}``.
     """
-    first = fragment_cores[0]
-    name = _require_persistable(first.dioid)
-    num_stages = first.num_stages
-    uid_space = first.num_connectors
-
+    name = _require_persistable(core.dioid)
     writer = SectionWriter()
-    writer.add("entry_key", "d", first.entry_key)
-    writer.add("entry_state", "q", first.entry_state)
-    writer.add("conn_offsets", "q", first.conn_offsets)
-    writer.add("conn_stage", "q", first.conn_stage)
-    for stage in range(num_stages):
-        if stage == anchor_stage:
-            continue
-        writer.add(f"vk{stage}", "d", first.val_base[stage])
-        writer.add(f"pk{stage}", "d", first.pi1[stage])
-        writer.add(f"cu{stage}", "q", first.child_uids[stage])
-        writer.add(f"ids{stage}", "q", first.tuple_ids[stage])
-    fragments_meta = []
-    for index, core in enumerate(fragment_cores):
-        writer.add(f"f{index}.vk", "d", core.val_base[anchor_stage])
-        writer.add(f"f{index}.pk", "d", core.pi1[anchor_stage])
-        writer.add(f"f{index}.cu", "q", core.child_uids[anchor_stage])
-        writer.add(f"f{index}.ids", "q", core.tuple_ids[anchor_stage])
-        fragments_meta.append(
-            {"best": core.best[0], "empty": core.empty}
-        )
+    writer.add("entry_key", "d", core.entry_key)
+    writer.add("entry_state", "q", core.entry_state)
+    writer.add("conn_offsets", "q", core.conn_offsets)
+    writer.add("conn_stage", "q", core.conn_stage)
+    for stage in (*range(1, core.num_stages), 0):
+        prefix, suffix = ("f0.", "") if stage == 0 else ("", stage)
+        writer.add(f"{prefix}vk{suffix}", "d", core.val_base[stage])
+        writer.add(f"{prefix}pk{suffix}", "d", core.pi1[stage])
+        writer.add(f"{prefix}cu{suffix}", "q", core.child_uids[stage])
+        writer.add(f"{prefix}ids{suffix}", "q", core.tuple_ids[stage])
     meta = {
         "kind": "fragments",
         "dioid": name,
-        "num_stages": num_stages,
-        "num_connectors": uid_space,
-        "order": list(first.atom_of_stage),
-        "parent_stage": list(first.parent_stage),
+        "num_stages": core.num_stages,
+        "num_connectors": core.num_connectors,
+        "order": list(core.atom_of_stage),
+        "parent_stage": list(core.parent_stage),
         "root_uid": {
-            stage: uid
-            for stage, uid in first.root_uid.items()
-            if stage != anchor_stage
+            stage: uid for stage, uid in core.root_uid.items() if stage != 0
         },
-        "anchor_stage": anchor_stage,
-        "num_fragments": len(fragment_cores),
-        "fragments": fragments_meta,
+        "anchor_stage": 0,
+        "num_fragments": 1,
+        "fragments": [{"best": core.best[0], "empty": core.empty}],
         "manifest": writer.manifest,
     }
     return meta, writer.getvalue()
 
 
-# -- import: sections + meta -> mapped cores -----------------------------------
+# -- import: sections + meta -> a mapped core ------------------------------------
 
 
-def load_fragments(
-    meta: dict, buffer, base: int, database, query, join_tree
-) -> list[CompiledTDP]:
-    """Rehydrate a stored plan as per-fragment cores over the mapping.
+def load_core(meta: dict, buffer, base: int, database, query, join_tree) -> CompiledTDP:
+    """Rehydrate a stored core over the mapping.
 
-    Reconstructs the cold build's aliasing: one entry pool of the
-    mapped ``entry_key`` / ``entry_state`` views (roots included), the
-    ``conn_offsets`` / ``conn_stage`` views, one set of lazily built
-    ranking-structure caches, and one view per shared stage array —
-    shared by every fragment — with per-fragment anchor-stage arrays
-    and root connectors layered on top: the typed columns a cold bind
-    holds, as views.  Rows are point-fetched from the backend by tuple
-    id (:class:`LazyRows`, one per relation).
+    Every typed column a cold bind holds is a ``memoryview.cast`` view
+    here; rows are point-fetched from the backend by tuple id
+    (:class:`LazyRows`, one per stage).  A ``ValueError`` where ``meta``
+    is not :func:`export_core`'s layout.
     """
+    if (
+        meta["kind"] != "fragments"
+        or meta["anchor_stage"] != 0
+        or meta["num_fragments"] != 1
+    ):
+        raise ValueError("entry was stored for another plan shape")
     dioid = NAMED_DIOIDS[meta["dioid"]]
-    lane = lane_of(dioid)[0]
     sections = SectionView(buffer, meta["manifest"], base)
-    num_stages = meta["num_stages"]
-    anchor = meta["anchor_stage"]
-    uid_space = meta["num_connectors"]
-    num_fragments = meta["num_fragments"]
     order = list(meta["order"])
-    parent_stage = list(meta["parent_stage"])
-    relations = [
-        database[query.atoms[atom_index].relation_name] for atom_index in order
-    ]
-    stores = [LazyRows(relation) for relation in relations]
 
-    shared_vk: list = [None] * num_stages
-    shared_pk: list = [None] * num_stages
-    shared_cu: list = [None] * num_stages
-    shared_ids: list = [None] * num_stages
-    for stage in range(num_stages):
-        if stage == anchor:
-            continue
-        shared_vk[stage] = sections.view(f"vk{stage}")
-        shared_pk[stage] = sections.view(f"pk{stage}")
-        shared_cu[stage] = sections.view(f"cu{stage}")
-        shared_ids[stage] = sections.view(f"ids{stage}")
-    conn_stage = sections.view("conn_stage")
-    shared_root_uid = {
-        int(stage): uid for stage, uid in meta["root_uid"].items()
-    }
-    conn_offsets = sections.view("conn_offsets")
-    entry_key = sections.view("entry_key")
-    entry_state = sections.view("entry_state")
-    caches = [[None] * uid_space, None]
+    def stage_views(kind: str) -> list:
+        return [
+            sections.view(f"f0.{kind}" if stage == 0 else f"{kind}{stage}")
+            for stage in range(meta["num_stages"])
+        ]
 
-    cores: list[CompiledTDP] = []
-    for index in range(num_fragments):
-        frag_meta = meta["fragments"][index]
-        val_base = list(shared_vk)
-        val_base[anchor] = sections.view(f"f{index}.vk")
-        pi1 = list(shared_pk)
-        pi1[anchor] = sections.view(f"f{index}.pk")
-        child_uids = list(shared_cu)
-        child_uids[anchor] = sections.view(f"f{index}.cu")
-        tuple_ids = list(shared_ids)
-        tuple_ids[anchor] = sections.view(f"f{index}.ids")
-        root_uid = dict(shared_root_uid)
-        root_uid[anchor] = uid_space - num_fragments + index
-        cores.append(
-            CompiledTDP.assemble(
-                dioid=dioid,
-                query=query,
-                join_tree=join_tree,
-                atom_of_stage=order,
-                parent_stage=parent_stage,
-                tuples=stores,
-                tuple_ids=tuple_ids,
-                lane=lane,
-                one=dioid.one,
-                val_base=val_base,
-                pi1=pi1,
-                child_uids=child_uids,
-                conn_stage=conn_stage,
-                root_uid=root_uid,
-                best=(frag_meta["best"], 0),
-                empty=frag_meta["empty"],
-                conn_offsets=conn_offsets,
-                entry_key=entry_key,
-                entry_state=entry_state,
-                caches=caches,
-            )
-        )
-    return cores
+    root_uid = {int(stage): uid for stage, uid in meta["root_uid"].items()}
+    root_uid[0] = meta["num_connectors"] - 1
+    stored = meta["fragments"][0]
+    return CompiledTDP.assemble(
+        dioid=dioid,
+        query=query,
+        join_tree=join_tree,
+        atom_of_stage=order,
+        parent_stage=list(meta["parent_stage"]),
+        tuples=[
+            LazyRows(database[query.atoms[atom].relation_name]) for atom in order
+        ],
+        tuple_ids=stage_views("ids"),
+        lane=lane_of(dioid)[0],
+        one=dioid.one,
+        val_base=stage_views("vk"),
+        pi1=stage_views("pk"),
+        child_uids=stage_views("cu"),
+        conn_stage=sections.view("conn_stage"),
+        root_uid=root_uid,
+        best=(stored["best"], 0),
+        empty=stored["empty"],
+        conn_offsets=sections.view("conn_offsets"),
+        entry_key=sections.view("entry_key"),
+        entry_state=sections.view("entry_state"),
+    )
 
 
 # -- the <db>.core container ---------------------------------------------------
@@ -517,7 +458,7 @@ class CoreFile:
 class CoreCache:
     """The engine-facing warm-start cache over one :class:`CoreFile`.
 
-    :meth:`load_fragment_cores` returns mapped cores on a hit, ``None``
+    :meth:`load` returns a mapped core on a hit, ``None``
     on a miss; a ``Database.version`` mismatch counts as *stale* (the
     caller rebuilds and :meth:`store` rewrites the entry).  Counters feed the engine's
     ``EngineStats``.  The mmap behind a hit stays open as long as loaded
@@ -596,26 +537,15 @@ class CoreCache:
 
     # -- engine API ------------------------------------------------------------
 
-    def load_fragment_cores(
-        self, key: str | None, database, query, join_tree,
-        anchor_stage: int, num_fragments: int,
-    ):
-        """Mapped fragment cores for ``key``, or ``None`` on any mismatch."""
+    def load(self, key: str | None, database, query, join_tree):
+        """The mapped core for ``key``, or ``None`` on any mismatch."""
         with self._lock:
             found = self._entry(key, database.version)
             if found is None:
                 return None
             meta, mapped, offset = found
             try:
-                if (
-                    meta["kind"] != "fragments"
-                    or meta["anchor_stage"] != anchor_stage
-                    or meta["num_fragments"] != num_fragments
-                ):
-                    raise ValueError("entry was stored for another plan shape")
-                cores = load_fragments(
-                    meta, mapped, offset, database, query, join_tree
-                )
+                core = load_core(meta, mapped, offset, database, query, join_tree)
             except Exception:
                 # A foreign entry under our key, or mangled section data
                 # inside an in-bounds blob: a cold rebuild beats serving
@@ -623,7 +553,7 @@ class CoreCache:
                 self.misses += 1
                 return None
             self.hits += 1
-            return cores
+            return core
 
     def store(
         self, key: str | None, database, meta: dict, data: bytes,

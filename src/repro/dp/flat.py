@@ -33,8 +33,7 @@ Take2 answers over the ``enum_extend`` benchmark's 4-path core took
   without an inverse; a list where a rank passes int64).  A lowered
   core pools each connector's entries by state, one compiled from an
   object ``TDP`` in its builder's order (the order its object path
-  heapifies); ties break by state either way.  A
-  fragment's root connector is pooled like any other.  No entry is a
+  heapifies); ties break by state either way.  No entry is a
   tuple: Take2's static heap and Eager's sorted order are the entries'
   states, keys and ranks as lists in that order
   (:meth:`CompiledTDP.take2_heap`, :meth:`CompiledTDP.sorted_order`).
@@ -220,9 +219,8 @@ def _seq_bytes(seq: Any, seen: set[int]) -> int:
     array (``array.array``, ``numpy``) counts its own size.  Lists of
     scalars/tuples are estimated from their first element (columns are
     homogeneous), so the walk is O(nesting).  ``seen``
-    holds the ``id`` of every container already counted: the fragment
-    cores of one shard plan alias their shared columns, which must be
-    counted once.
+    holds the ``id`` of every container already counted, so a column
+    two cores hold is counted once.
     """
     if isinstance(seq, memoryview) or seq is None or id(seq) in seen:
         return 0
@@ -380,16 +378,13 @@ class CompiledTDP:
         store read by tuple id (``rows_by_id``), or, in a
         :func:`compile_tdp` core, the object graph's rows state by state.
 
-        The pool columns and ``conn_offsets`` may be the *same
-        objects* across the fragment cores of one shard plan, each
-        fragment appending its root connector in uid order; so may the
-        ``caches`` (``[take2_heaps, sorted_orders]``: Take2's uid-indexed
-        heaps, and Eager's, ``None`` until its first sort) and the
-        ``heap_columns`` of the connectors ranked at bind
-        (:func:`heap_layout`): a structure for a shared connector is
-        then built once and reused by every fragment, algorithm, and
-        serving session.  The entry-value, least-entry and rank columns
-        are those of a core without an inverse (the dioid's
+        ``caches`` is ``[take2_heaps, sorted_orders]`` (Take2's
+        uid-indexed heaps, and Eager's, ``None`` until its first sort),
+        made here when not given; ``heap_columns`` holds Take2's heaps
+        of the connectors ranked at bind (:func:`heap_layout`).  A
+        ranking structure is built once and reused by every algorithm
+        and serving session.  The entry-value, least-entry and rank
+        columns are those of a core without an inverse (the dioid's
         ``has_inverse``).
         """
         self.dioid = dioid
@@ -539,18 +534,17 @@ class CompiledTDP:
 
     def _columns_cover(self, uid: int):
         """``(lo, hi)`` of connector ``uid`` in :attr:`heap_columns`, or
-        ``None`` where it was not ranked at bind."""
-        offsets = self.conn_offsets
-        lo, hi = offsets[uid], offsets[uid + 1]
-        columns = self.heap_columns
-        return None if columns is None or hi > len(columns[0]) else (lo, hi)
+        ``None`` where the core was not ranked at bind."""
+        if self.heap_columns is None:
+            return None
+        return self.conn_offsets[uid], self.conn_offsets[uid + 1]
 
     def take2_heap(self, uid: int) -> list:
         """Connector ``uid``'s entries in static heap order (shared), as
         :meth:`_ranked` columns.
 
         Cut from :attr:`heap_columns`, ranked at bind, on first access
-        (a fragment root's from the bind on), the keys left out where
+        (the root's from the bind on), the keys left out where
         the kernels read ranks (the core has no inverse); any other
         connector heapifies then (:func:`_heap_positions`).  Either way
         the layout is ``heapify``'s of the entries themselves.  Read-only
@@ -650,32 +644,12 @@ class CompiledTDP:
         """Whether the entry pool is a view over a mapped ``.core`` file."""
         return isinstance(self.entry_key, memoryview)
 
-    def _own_entries(self) -> int:
-        """The pool's entries less the other fragments' roots.
-
-        A shard plan's fragment cores share one pool, whose last
-        connectors are every fragment's root, all at the anchor stage;
-        only this core's own root is its entries.  Walks those roots
-        only.
-        """
-        offsets = self.conn_offsets
-        uid = len(offsets) - 2  # the last pooled connector
-        entries = offsets[-1]
-        stage = self.conn_stage[uid] if uid >= 0 else -1
-        own = self.root_uid.get(stage)
-        if own is not None:
-            while uid >= 0 and self.conn_stage[uid] == stage:
-                if uid != own:
-                    entries -= offsets[uid + 1] - offsets[uid]
-                uid -= 1
-        return entries
-
     def stats(self) -> dict:
         """Compiled-core summary (for ``explain``), no connector walk."""
         return {
             "stages": self.num_stages,
             "connectors": self.num_connectors,
-            "entries": self._own_entries(),
+            "entries": self.conn_offsets[-1],
             "states": sum(len(v) for v in self.val_base),
             "empty": self.empty,
         }
@@ -687,8 +661,8 @@ class CompiledTDP:
         zero here — their residency is reported by
         :meth:`repro.dp.corebuf.CoreCache.mmap_bytes` instead, which is
         exactly the heap-vs-mmap split the memory gauges exist to show.
-        Pass one ``seen`` set across the fragment cores of a shard plan
-        to count the columns they alias once.
+        Pass one ``seen`` set across several cores to count a column
+        they share once.
         """
         if seen is None:
             seen = set()

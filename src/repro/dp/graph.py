@@ -215,8 +215,8 @@ def witness_ids(states):
 
 @lru_cache(maxsize=256)
 def _assembler_code(source: str):
-    """``source`` compiled; every bind of one query shape (and every
-    fragment of a sharded one) formats the same text."""
+    """``source`` compiled; every bind of one query shape formats the
+    same text."""
     return compile(source, "<result assembler>", "exec")
 
 

@@ -2,8 +2,8 @@
 
 The paper's preprocessing for an acyclic query is one linear sweep over
 the join tree (Section 4; Eq. 2 / Eq. 7).  This module is that sweep —
-the only lowering, for acyclic plans, shard fragments and union members
-alike — for every dioid with a lane
+the only lowering, for acyclic plans and union members alike — for
+every dioid with a lane
 (:func:`~repro.ranking.dioid.lane_of`): each stage is lowered *directly*
 into the columns of a :class:`~repro.dp.flat.CompiledTDP`, without the
 object graph of :mod:`repro.dp.builder`.  It runs in value space — the
@@ -18,11 +18,11 @@ of the Section 6.3 tie-breaker and never calls ``times`` or ``key``.
 **One stage-input shape.**  Every caller hands a stage to
 :func:`scan_stage` as two parallel sequences, rows (at atom arity) and
 weights (:func:`stage_columns`): the two lists an in-memory relation
-stores (slices for a fragment), or a backend's one bulk ``fetch_rows``
-split once.  No per-row container carries a weight next to its row.
-The rows sequence is also the stage's **row store**: the core keeps it
-as it came and result assembly reads it at a state's tuple id, so no
-stage keeps a list of its alive rows.
+stores, or a backend's one bulk ``fetch_rows`` split once.  No per-row
+container carries a weight next to its row.  The rows sequence is
+also the stage's **row store**: the core keeps it as it came and result
+assembly reads it at a state's tuple id, so no stage keeps a list of
+its alive rows.
 
 **Columns the collector never walks.**  Every per-state and
 per-connector number column of a core — tuple ids, ``pi1``, child
@@ -45,7 +45,7 @@ by the uid of their join key, never by weight — "nothing is sorted
 during preprocessing" holds: the placement is a counting sort on
 connector ids, extending the pool's columns in uid order (the core's
 ``entry_key`` / ``entry_state`` / ``entry_rank`` and ``conn_offsets``),
-a fragment's root connector last.  No entry becomes a tuple; only a
+stage 0's root connector last.  No entry becomes a tuple; only a
 connector's first touch reads the pool.  Take2's
 heaps are the paper's linear pass: ranked here, every connector at
 once (:func:`~repro.dp.flat.heap_layout`, a ``heapify`` per connector,
@@ -62,9 +62,8 @@ the entry values as float64 kernels; an atom with a repeated variable
 first drops the rows that violate it, the one Python loop over a
 stage's rows — then :func:`_place_by_connector`, for a core with an
 inverse and for one without (tie-broken union members, acyclic
-max-times) with its rank column (:func:`_rank_columns`).  The fragment
-root's least entry comes from the same arrays.  A union member whose
-bags are columns (a cycle decomposition's,
+max-times) with its rank column (:func:`_rank_columns`).  A union
+member whose bags are columns (a cycle decomposition's,
 :meth:`~repro.data.relation.Relation.from_columns`) takes the **column
 stage scan** on every stage (:func:`member_columns`): join keys become
 int64 codes, connectors numbered first-seen as ``dict.fromkeys`` numbers
@@ -79,35 +78,20 @@ no join-key tuple, no ``times`` per bag row.  A connector's least entry is
 value and a rank past int64 (the tie-breaker numbering more than 2**63
 assignments) included.
 
-The sweep is split at one **anchor** stage, a root of its join-tree
-component; no non-anchor stage depends on which anchor rows are present:
+The sweep runs the stages in reverse serialised order, children before
+parents, so stage 0 — the first root, which the object builder also
+processes last — is placed last and its root connector takes the last
+uid.  :func:`lower_query` and :func:`lower_member` are its two entry
+points.
 
-* **phase A** (:func:`build_shared_lower`, once): all non-anchor stages
-  — state columns, the connector entry pool and its Take2 heaps,
-  join-key maps;
-* **phase B** (:func:`build_fragment`, per fragment): scan one slice of
-  the anchor relation against phase A's join-key maps, emit that
-  fragment's root connector and its Take2 heap, and assemble its core
-  over the shared columns (its anchor rows a :class:`ShiftedRows` store
-  where the slice starts past id 0).
-
-:func:`lower_query` and :func:`lower_member` are phase A plus one
-fragment spanning the anchor relation (stage 0).  The parallel layer
-(:mod:`repro.parallel.build`) runs phase B once per shard fragment;
-the fragment cores alias phase A's columns, entry pool (each fragment
-appends its root) and heap layout, and one set of ranking caches (Take2
-heaps, and Eager's sorted orders once it sorts), built once per
-version.
-
-Dioids without a lane (and members over them), the ``canonical``
-tie-break, the UCQ pipeline, the min-weight projection and ``DPProblem``
-keep the object builder, which reads the same stage-input shape
-(:func:`stage_columns`, :func:`join_key_column`).
+Dioids without a lane (and members over them), the UCQ pipeline, the
+min-weight projection and ``DPProblem`` keep the object builder, which
+reads the same stage-input shape (:func:`stage_columns`,
+:func:`join_key_column`).
 """
 
 from __future__ import annotations
 
-import time
 from array import array
 from itertools import compress, count, repeat
 from numbers import Real
@@ -126,26 +110,18 @@ from repro.ranking.dioid import FloatLane, SelectiveDioid, TieBreakingDioid, lan
 from repro.util import vec
 
 
-def stage_columns(
-    relation: Relation, lo: int | None = None, hi: int | None = None
-) -> tuple[Sequence[tuple], Sequence]:
+def stage_columns(relation: Relation) -> tuple[Sequence[tuple], Sequence]:
     """One stage's input: ``(rows, weights)``, parallel and order-stable.
 
     Rows are at atom arity.  An in-memory relation hands over the two
-    lists it stores (slices for ``lo .. hi``); a backend-stored,
-    unmaterialised one splits its bulk ``fetch_rows`` result (a single
-    rowid-range ``fetchall`` for SQLite) once.
+    lists it stores; a backend-stored, unmaterialised one splits its
+    bulk ``fetch_rows`` result (a single ``fetchall`` for SQLite) once.
     """
     backend = relation.backend
     if backend is not None and not relation.is_materialized:
-        fetched = backend.fetch_rows(relation.table, lo, hi)
+        fetched = backend.fetch_rows(relation.table)
         return [row[:-1] for row in fetched], [row[-1] for row in fetched]
-    rows = relation.tuples
-    weights = relation.weights
-    if lo is not None or hi is not None:
-        rows = rows[lo:hi]
-        weights = weights[lo:hi]
-    return rows, weights
+    return relation.tuples, relation.weights
 
 
 def join_key_column(rows: Sequence[tuple], positions: tuple[int, ...]):
@@ -236,31 +212,30 @@ def member_lane(tie: SelectiveDioid) -> tuple[FloatLane | None, str]:
     return lane_of(tie.base)
 
 
-# -- the shared lower stages (phase A) -----------------------------------------
+# -- the sweep's state ----------------------------------------------------------
 
 
-class SharedLower:
-    """Phase A output: every fragment-independent stage, lowered flat.
+class Lowering:
+    """The columns of one core while the sweep lowers it, stage by stage.
 
-    All structures are read-only once built.  Connector uids are
-    assigned ``0 .. num_conns-1`` here; fragment root connectors extend
-    the uid space from ``num_conns`` upward (one per fragment).
+    Connector uids are assigned ``0 .. num_conns-1`` in placement order,
+    stage 0's root connector last (:func:`_lower`).
     """
 
     __slots__ = (
         "query", "tree", "dioid", "lane", "one", "zero", "inverse",
         "templates", "order", "num_stages", "parent_stage",
-        "children_stages", "anchor_stage", "tuples", "tuple_ids",
+        "children_stages", "tuples", "tuple_ids",
         "val_base", "pi1", "child_uids", "val_rank", "ent_base",
         "ent_rank", "entry_key", "entry_state", "entry_rank",
         "conn_offsets", "conn_stage", "conn_min",
-        "conn_rank", "conn_maps", "root_uid", "num_conns", "complete",
-        "own_key_positions", "parent_key_positions", "seconds", "rows",
-        "rank_tables", "heap_columns",
+        "conn_rank", "conn_maps", "root_uid",
+        "own_key_positions", "parent_key_positions", "rows",
+        "rank_tables",
     )
 
     def __init__(
-        self, query, tree: JoinTree, dioid: SelectiveDioid, anchor_stage: int,
+        self, query, tree: JoinTree, dioid: SelectiveDioid,
         lane: FloatLane | None = None, templates: dict | None = None,
         rank_tables: list | None = None,
     ):
@@ -289,15 +264,11 @@ class SharedLower:
             stage_layout(tree)
         )
         self.children_stages = stage_tree(self.parent_stage)[0]
-        self.anchor_stage = anchor_stage
-        if self.parent_stage[anchor_stage] != -1:
-            raise ValueError("the anchor stage must be a component root")
 
-        # Per-stage columns; the anchor's slots stay empty (each
-        # fragment layers its own over a copy of these lists).  Every
-        # number column is a typed array (:func:`_column`), which the
-        # collector never walks; ``tuples`` holds each stage's row store,
-        # read by tuple id, and ``val_base`` the stored weight objects.
+        # Per-stage columns.  Every number column is a typed array
+        # (:func:`_column`), which the collector never walks; ``tuples``
+        # holds each stage's row store, read by tuple id, and
+        # ``val_base`` the stored weight objects.
         self.tuples: list = [[] for _ in self.order]
         self.tuple_ids: list = [array("q") for _ in self.order]
         self.val_base: list[list] = [[] for _ in self.order]
@@ -309,9 +280,6 @@ class SharedLower:
         self.entry_key = array("d")
         self.entry_state = array("q")
         self.conn_offsets = array("q", [0])
-        #: Take2's heap of every connector phase A places, as
-        #: ``CompiledTDP.heap_columns``.
-        self.heap_columns = None
         self.conn_stage = array("q")
         #: uid -> the value of its least entry.
         self.conn_min = array("d")
@@ -326,118 +294,42 @@ class SharedLower:
             self.ent_rank = [array("q") for _ in self.order]
             self.conn_rank = array("q")
             self.entry_rank = array("q")
-        #: Per stage: join key -> connector uid (phase B resolves the
-        #: anchor's child branches against the anchor-children's maps).
+        #: Per stage: join key -> connector uid (a parent stage's scan
+        #: resolves its child branches against these).
         self.conn_maps: list[dict] = [dict() for _ in range(self.num_stages)]
-        #: Root connector uids of *non-anchor* root stages.
+        #: Root stage -> its root connector's uid (absent: no state).
         self.root_uid: dict[int, int] = {}
-        self.num_conns = 0
-        #: False when some non-anchor component is empty (then every
-        #: fragment is empty regardless of its anchor rows).
-        self.complete = True
-        self.seconds = 0.0
         #: Input rows scanned.
         self.rows = 0
 
     def child_lookups(self, stage: int):
-        """Per child branch: (single_column, positions, conn_map)."""
+        """Per child branch: ``(positions, conn_map)``, the join-key
+        columns in this stage's atom and the child's connectors by key."""
         return [
-            (
-                self.parent_key_positions[c][0]
-                if len(self.parent_key_positions[c]) == 1
-                else None,
-                self.parent_key_positions[c],
-                self.conn_maps[c],
-            )
+            (self.parent_key_positions[c], self.conn_maps[c])
             for c in self.children_stages[stage]
         ]
 
 
-def build_shared_lower(
-    database: Database, query, tree: JoinTree, dioid: SelectiveDioid,
-    anchor_stage: int, lane: FloatLane | None = None, templates: dict | None = None,
-    rank_tables: list | None = None,
-) -> SharedLower:
-    """Phase A: lower every non-anchor stage to flat columns.
-
-    Mirrors :func:`repro.dp.builder.build_tdp` stage by stage — same row
-    order, same alive filter, same fold from ``one`` — in value space,
-    so the columns are the object builder's values and the entry keys
-    their ``key`` images, in bits.  Each stage is one :func:`scan_stage`
-    over its relation, then its alive states are placed into connectors
-    by their join key with the parent (first-seen order, like the
-    object builder's).  ``lane`` defaults to ``lane_of(dioid)``;
-    ``templates`` (:func:`owned_columns`) asks for the packed-rank
-    column of a tie-broken ``dioid``, and ``rank_tables`` the column
-    stage scan (:func:`lower_member`).
-    """
-    start = time.perf_counter()
-    shared = SharedLower(query, tree, dioid, anchor_stage, lane, templates, rank_tables)
-
-    for stage in reversed(range(shared.num_stages)):
-        if stage == anchor_stage:
-            continue
-        relation = database[query.atoms[shared.order[stage]].relation_name]
-        store, (entry_values, kept, ids_out, vk_out, pk_out, cu_out) = (
-            _scan_relation(shared, stage, relation)
-        )
-        shared.tuples[stage] = store
-        shared.tuple_ids[stage] = ids_out
-        shared.val_base[stage] = vk_out
-        shared.pi1[stage] = pk_out
-        shared.child_uids[stage] = cu_out
-        entry_ranks = None
-        if not shared.inverse:
-            val_rank, entry_ranks = _rank_columns(shared, stage, kept, cu_out)
-            shared.val_rank[stage], shared.ent_rank[stage] = _rank_pair(
-                val_rank, entry_ranks
-            )
-            shared.ent_base[stage] = _column(entry_values, "d")
-
-        if isinstance(kept, ColumnRows):
-            _place_columns(shared, stage, kept, entry_values, entry_ranks)
-        else:
-            join_keys = list(join_key_column(kept, shared.own_key_positions[stage]))
-            _place_by_connector(shared, stage, join_keys, entry_values, entry_ranks)
-        shared.num_conns = len(shared.conn_stage)
-
-        if shared.parent_stage[stage] == -1:
-            root = shared.conn_maps[stage].get(())
-            if root is None:
-                shared.complete = False
-            else:
-                shared.root_uid[stage] = root
-
-    if shared.entry_key:
-        shared.heap_columns = _heap_columns(
-            np.frombuffer(shared.entry_key),
-            None if shared.inverse else _rank_array(shared.entry_rank),
-            np.frombuffer(shared.entry_state, np.int64),
-            np.array(shared.conn_offsets),
-        )
-    shared.seconds = time.perf_counter() - start
-    return shared
-
-
 def _rank_columns(
-    shared: SharedLower, stage: int, rows: Sequence[tuple], child_uids: list[int]
+    low: Lowering, stage: int, rows: Sequence[tuple], child_uids: list[int]
 ) -> tuple:
     """``(val_rank, ent_rank)`` of one stage of a core without an inverse:
     zeros without a tie-breaker, else the packed ranks of the variables
     the stage owns plus, for the entry, the child connectors' least ranks.
     Arrays (:func:`_rank_array`; one array where a leaf's two are one).
     """
-    if shared.templates is None:
+    if low.templates is None:
         zeros = np.zeros(len(rows), np.int64)
         return zeros, zeros
     if isinstance(rows, ColumnRows):
-        return _rank_columns_of(shared, stage, rows, child_uids)
+        return _rank_columns_of(low, stage, rows, child_uids)
     packed = packed_ranks(
-        shared.dioid.ranks, shared.templates[shared.order[stage]], rows
+        low.dioid.ranks, low.templates[low.order[stage]], rows
     )
     val_rank = [0] * len(rows) if packed is None else list(packed)
-    branches = len(shared.children_stages[stage])
-    conn_rank = shared.conn_rank
+    branches = len(low.children_stages[stage])
+    conn_rank = low.conn_rank
     pi_rank = None
     for branch in range(branches):
         uids = child_uids if branches == 1 else child_uids[branch::branches]
@@ -518,7 +410,7 @@ def _least_entries(keys, ranks, starts, sizes):
 
 
 def _place_by_connector(
-    shared: SharedLower, stage: int, join_keys: list, entry_values, entry_ranks=None
+    low: Lowering, stage: int, join_keys: list, entry_values, entry_ranks=None
 ) -> None:
     """Key one stage's entry values and place its states into connectors.
 
@@ -529,18 +421,30 @@ def _place_by_connector(
     come from ``dict.fromkeys``, then :func:`_place_local` moves every
     state into its connector's range.
     """
-    first_uid = len(shared.conn_stage)
-    cmap_out = shared.conn_maps[stage]
+    first_uid = len(low.conn_stage)
+    cmap_out = low.conn_maps[stage]
     cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
     local = np.fromiter(
         map(cmap_out.__getitem__, join_keys), np.int64, len(entry_values)
     )
     local -= first_uid
-    _place_local(shared, stage, local, len(cmap_out), entry_values, entry_ranks)
+    _place_local(low, stage, local, len(cmap_out), entry_values, entry_ranks)
+
+
+def _place_keyless(low: Lowering, stage: int, entry_values, entry_ranks) -> None:
+    """:func:`_place_by_connector` for a stage that shares no variable
+    with a parent — a root: every state joins key ``()``, so the stage
+    has one connector (none without states) and no key is built or
+    probed per state."""
+    if len(entry_values):
+        low.conn_maps[stage][()] = len(low.conn_stage)
+    local = np.zeros(len(entry_values), np.int64)
+    conns = len(low.conn_maps[stage])
+    _place_local(low, stage, local, conns, entry_values, entry_ranks)
 
 
 def _place_local(
-    shared: SharedLower, stage: int, local, conns: int, entry_values, entry_ranks
+    low: Lowering, stage: int, local, conns: int, entry_values, entry_ranks
 ) -> None:
     """Place a stage's states by ``local``, each state's connector as
     numbered ``0 .. conns-1`` in first-seen order: one stable integer
@@ -558,17 +462,17 @@ def _place_local(
     sizes = np.bincount(local, minlength=conns)
     ends = sizes.cumsum()
     starts = ends - sizes
-    keys = (-entry_values if shared.lane.negate else entry_values)[order]
+    keys = (-entry_values if low.lane.negate else entry_values)[order]
     ranks = None if entry_ranks is None else entry_ranks[order]
     least = _least_entries(keys, ranks, starts, sizes)
-    _extend(shared.conn_offsets, ends + len(shared.entry_key))
-    _extend(shared.entry_key, keys)
-    _extend(shared.entry_state, order)
+    _extend(low.conn_offsets, ends + len(low.entry_key))
+    _extend(low.entry_key, keys)
+    _extend(low.entry_state, order)
     if ranks is not None:
-        shared.entry_rank = _grown(shared.entry_rank, ranks)
-        shared.conn_rank = _grown(shared.conn_rank, ranks[least])
-    shared.conn_stage.extend(repeat(stage, conns))
-    _extend(shared.conn_min, entry_values[order[least]])
+        low.entry_rank = _grown(low.entry_rank, ranks)
+        low.conn_rank = _grown(low.conn_rank, ranks[least])
+    low.conn_stage.extend(repeat(stage, conns))
+    _extend(low.conn_min, entry_values[order[least]])
 
 
 def _extend(column: array, values) -> None:
@@ -580,9 +484,8 @@ def _heap_columns(keys, ranks, states, offsets) -> tuple | None:
     """Take2's heap of every connector ``offsets`` delimits, as the
     ``(states, keys, ranks)`` arrays in heap layout (``ranks`` ``None``
     where the core has an inverse), or ``None`` where
-    :func:`~repro.dp.flat.heap_layout` cannot rank them.  Copies: the
-    pool's columns may be views of its typed arrays, which must not be
-    held (a held view stops them growing)."""
+    :func:`~repro.dp.flat.heap_layout` cannot rank them.  Copies, so
+    the core holds no view of the pool's typed arrays."""
     heap = heap_layout(keys, ranks, offsets)
     if heap is None:
         return None
@@ -593,7 +496,7 @@ def _heap_columns(keys, ranks, states, offsets) -> tuple | None:
 
 
 class StageScan:
-    """One stage scan's inputs, read off a :class:`SharedLower` once
+    """One stage scan's inputs, read off a :class:`Lowering` once
     (:func:`stage_scan_of`)."""
 
     __slots__ = (
@@ -610,10 +513,10 @@ class StageScan:
         self.conn_min = conn_min
 
 
-def stage_scan_of(shared: SharedLower, stage: int) -> StageScan:
-    atom = shared.query.atoms[shared.order[stage]]
+def stage_scan_of(low: Lowering, stage: int) -> StageScan:
+    atom = low.query.atoms[low.order[stage]]
     return StageScan(
-        atom, shared.child_lookups(stage), shared.lane, shared.one, shared.conn_min
+        atom, low.child_lookups(stage), low.lane, low.one, low.conn_min
     )
 
 
@@ -661,19 +564,14 @@ def _branch_columns(probes: list, pi):
     return cu_out, _column(pi, "d")
 
 
-def scan_stage(
-    scan: StageScan,
-    rows: Sequence[tuple],
-    weights: Sequence,
-    base: int,
-):
+def scan_stage(scan: StageScan, rows: Sequence[tuple], weights: Sequence):
     """Lower one stage's ``rows`` and parallel ``weights`` to flat columns.
 
     The one per-row pass of the bottom-up sweep: drop rows violating a
     repeated variable or lacking a join partner in some child branch,
     fold the child connectors' minima into ``pi1`` from ``one``, and
-    multiply the weight by it.  Insertion positions (tuple ids) are
-    ``base + local``.  Returns
+    multiply the weight by it.  A state's tuple id is its row's position
+    in ``rows``.  Returns
     ``(entry_values, rows_out, ids_out, vk_out, pk_out, cu_out)``,
     one element per alive state: states are sequential (``0 ..
     alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi``.
@@ -693,7 +591,7 @@ def scan_stage(
     for kind in set(map(type, weights)):
         if not issubclass(kind, Real):
             raise TypeError(f"{scan.relation} holds a weight of type {kind.__name__}")
-    ids = np.arange(base, base + len(rows))
+    ids = np.arange(len(rows))
     if scan.check_repeats:
         kept = list(compress(count(), map(scan.satisfies, rows)))
         rows = [rows[i] for i in kept]
@@ -704,7 +602,7 @@ def scan_stage(
         np.fromiter(
             map(cmap.get, join_key_column(rows, positions), repeat(-1)), np.int64, n
         )
-        for _single, positions, cmap in scan.lookups
+        for positions, cmap in scan.lookups
     ]
     alive, probes, _w, pi, entry_values = _fold_branches(
         scan, probes, np.array(weights, np.float64)
@@ -753,20 +651,6 @@ class ColumnRows:
         return values if self.alive is None else values[self.alive]
 
 
-class ShiftedRows:
-    """A fragment's anchor rows, read by tuple id: ``rows`` is the slice
-    of its relation that starts at id ``base``."""
-
-    __slots__ = ("rows", "base")
-
-    def __init__(self, rows: Sequence[tuple], base: int):
-        self.rows = rows
-        self.base = base
-
-    def __getitem__(self, tuple_id: int) -> tuple:
-        return self.rows[tuple_id - self.base]
-
-
 class _KeyTable:
     """A column stage's connectors by join key: the distinct keys as
     columns, in uid (first-seen) order from ``first_uid`` on — the
@@ -793,21 +677,21 @@ class _KeyTable:
         return np.where(ordered[at] == probes, order[at] + self.first_uid, -1)
 
 
-def _scan_relation(shared: SharedLower, stage: int, relation: Relation):
+def _scan_relation(low: Lowering, stage: int, relation: Relation):
     """``(store, scan_out)`` of one stage over ``relation``: the column
     stage scan where the member takes it, else the rows
     (:func:`stage_columns`) through :func:`scan_stage`, whose input list
     is the stage's row store."""
-    if shared.rank_tables is not None:
-        shared.rows += len(relation)
-        scan_out = _scan_column_stage(shared, stage, relation.arrays)
+    if low.rank_tables is not None:
+        low.rows += len(relation)
+        scan_out = _scan_column_stage(low, stage, relation.arrays)
         return scan_out[1], scan_out
     rows, weights = stage_columns(relation)
-    shared.rows += len(rows)
-    return rows, scan_stage(stage_scan_of(shared, stage), rows, weights, 0)
+    low.rows += len(rows)
+    return rows, scan_stage(stage_scan_of(low, stage), rows, weights)
 
 
-def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
+def _scan_column_stage(low: Lowering, stage: int, arrays: tuple):
     """:func:`scan_stage` over a column-backed relation's ``arrays``.
 
     Each child branch is probed with the parent's key columns against
@@ -816,10 +700,10 @@ def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
     store; the state values as the weight column's native floats.
     """
     columns, weights = arrays
-    scan = stage_scan_of(shared, stage)
+    scan = stage_scan_of(low, stage)
     probes = [
         cmap.probe([columns[p] for p in positions])
-        for _single, positions, cmap in scan.lookups
+        for positions, cmap in scan.lookups
     ]
     alive, probes, w, pi, entry_values = _fold_branches(scan, probes, weights)
     ids = np.arange(len(weights)) if alive is None else alive
@@ -829,43 +713,38 @@ def _scan_column_stage(shared: SharedLower, stage: int, arrays: tuple):
 
 
 def _place_columns(
-    shared: SharedLower, stage: int, rows: ColumnRows, entry_values, entry_ranks
+    low: Lowering, stage: int, rows: ColumnRows, entry_values, entry_ranks
 ) -> None:
     """:func:`_place_by_connector` for a column stage: its join keys as
     int64 codes, numbered in first-seen order as ``dict.fromkeys``
     numbers them, kept as the stage's :class:`_KeyTable`."""
-    positions = shared.own_key_positions[stage]
-    if not positions:  # a root: one connector
-        join_keys = list(join_key_column(rows, positions))
-        _place_by_connector(shared, stage, join_keys, entry_values, entry_ranks)
-        return
-    keys = [rows.column(p) for p in positions]
+    keys = [rows.column(p) for p in low.own_key_positions[stage]]
     codes = keys[0] if len(keys) == 1 else vec.key_codes(*[(k, k[:0]) for k in keys])[0]
     _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     seen = first.argsort()
     number = np.empty(len(first), np.int64)
     number[seen] = np.arange(len(first))
     local = number[inverse.reshape(-1)]
-    table = _KeyTable([key[first[seen]] for key in keys], len(shared.conn_stage))
-    _place_local(shared, stage, local, len(first), entry_values, entry_ranks)
-    shared.conn_maps[stage] = table
+    table = _KeyTable([key[first[seen]] for key in keys], len(low.conn_stage))
+    _place_local(low, stage, local, len(first), entry_values, entry_ranks)
+    low.conn_maps[stage] = table
 
 
 def _rank_columns_of(
-    shared: SharedLower, stage: int, rows: ColumnRows, child_uids: list[int]
+    low: Lowering, stage: int, rows: ColumnRows, child_uids: list[int]
 ) -> tuple:
     """:func:`_rank_columns` of a column stage, as int64 arrays: each
     owned column's packed ranks gathered from
-    :attr:`SharedLower.rank_tables` by ``searchsorted``, whose lists
+    :attr:`Lowering.rank_tables` by ``searchsorted``, whose lists
     (``tolist``) equal :func:`packed_ranks`' in value and type."""
     val_rank = np.zeros(len(rows), np.int64)
-    for column, slot in shared.templates[shared.order[stage]]:
-        domain, packed = shared.rank_tables[slot]
+    for column, slot in low.templates[low.order[stage]]:
+        domain, packed = low.rank_tables[slot]
         val_rank += packed[domain.searchsorted(rows.column(column))]
-    branches = len(shared.children_stages[stage])
+    branches = len(low.children_stages[stage])
     if not branches:  # a leaf
         return val_rank, val_rank
-    conn_rank = np.array(shared.conn_rank, np.int64)
+    conn_rank = np.array(low.conn_rank, np.int64)
     uids = np.array(child_uids, np.int64).reshape(len(rows), branches)
     return val_rank, val_rank + conn_rank[uids].sum(axis=1)
 
@@ -885,195 +764,142 @@ def rank_tables(tie: TieBreakingDioid) -> list | None:
     ]
 
 
-# -- phase B: assemble one fragment's core -------------------------------------
+# -- the sweep -------------------------------------------------------------------
 
 
-def shared_lists(shared: SharedLower, num_fragments: int) -> dict:
-    """The uid-indexed columns every fragment core of one plan aliases.
-
-    Pre-sized to the common uid space (shared connectors first, then one
-    root connector per fragment, all at the anchor stage): fragment
-    slots are assigned by index, so no phase-B build resizes a shared
-    column.  ``caches`` is the cores' ranking caches (Take2's heaps,
-    one slot per uid; Eager's, made on its first sort).  A core without
-    an inverse adds its least entries' values and ranks, an empty
-    fragment's the dioid's zero and rank 0.
-    """
-    total = shared.num_conns + num_fragments
-    lists = {
-        "conn_stage": shared.conn_stage + array("q", [shared.anchor_stage]) * num_fragments,
-        "caches": [[None] * total, None],
-    }
-    if not shared.inverse:
-        lists["min_base"] = shared.conn_min + array("d", [shared.zero]) * num_fragments
-        lists["min_rank"] = _grown(shared.conn_rank[:], np.zeros(num_fragments, np.int64))
-    return lists
-
-
-def build_fragment(
-    shared: SharedLower,
-    rows: Sequence[tuple],
-    weights: Sequence,
-    base: int,
-    index: int,
-    lists: dict,
+def _lower(
+    database: Database, query, tree: JoinTree, dioid: SelectiveDioid,
+    lane: FloatLane | None = None, templates: dict | None = None,
+    rank_tables: list | None = None, span=NULL_SPAN,
 ) -> CompiledTDP:
-    """Phase B: lower one anchor fragment and assemble its compiled core.
+    """The bottom-up pass over every stage of ``tree``, to one core.
 
-    ``rows`` / ``weights`` are the fragment's slice of the anchor
-    relation (:func:`stage_columns`), starting at insertion position
-    ``base``.  ``index`` is the fragment's slot in ``lists`` (see
-    :func:`shared_lists`); fragments are built in index order, each
-    once (:func:`assemble_fragment`).
+    Mirrors :func:`repro.dp.builder.build_tdp` stage by stage — same row
+    order, same alive filter, same fold from ``one`` — in value space,
+    so the columns are the object builder's values and the entry keys
+    their ``key`` images, in bits.  Each stage is one :func:`scan_stage`
+    over its relation, then its alive states are placed into connectors
+    by their join key with the parent (first-seen order, like the
+    object builder's).  ``lane`` defaults to ``lane_of(dioid)``;
+    ``templates`` (:func:`owned_columns`) asks for the packed-rank
+    column of a tie-broken ``dioid``, and ``rank_tables`` the column
+    stage scan (:func:`lower_member`).  Take2's heaps are ranked once,
+    over the whole pool (:func:`_heap_columns`), and the root's is cut
+    at bind: every Take2 run reads it before its first answer.  ``span``
+    is told how many input rows the pass scanned over how many stages.
     """
-    scan_out = scan_stage(
-        stage_scan_of(shared, shared.anchor_stage), rows, weights, base
-    )
-    store = rows if not base else ShiftedRows(rows, base)
-    return assemble_fragment(shared, scan_out, store, index, lists)
-
-
-def assemble_fragment(
-    shared: SharedLower, scan_out: tuple, store, index: int, lists: dict
-) -> CompiledTDP:
-    """One fragment's core from its scan output over the shared columns.
-
-    ``scan_out`` is :func:`scan_stage`'s tuple, ``store`` the anchor
-    stage's rows by tuple id.  Scan states are
-    sequential, so the fragment's root connector is the keys over states
-    ``0 .. alive-1``, appended to the shared pool: the fragments of one
-    plan come in index order, so the roots land in uid order.  Its Take2
-    heap is ranked here (:func:`~repro.dp.flat.heap_layout`), as phase A
-    ranks the shared connectors': every Take2 run reads it before its
-    first answer.
-    """
-    entry_values, rows, ids_out, vk_out, pk_out, cu_out = scan_out
-    multiply, negate = shared.lane
-    anchor = shared.anchor_stage
-    uid = shared.num_conns + index
-    if len(shared.conn_offsets) != uid + 1:
-        raise ValueError(f"fragment {index} assembled out of index order")
-
-    def per_fragment(columns: list, column: list) -> list:
-        """The shared per-stage ``columns`` with this fragment's anchor ``column``."""
-        columns = list(columns)
-        columns[anchor] = column
-        return columns
-
-    key_array = -entry_values if negate else entry_values
-    val_rank = ent_rank = None
-    if not shared.inverse:
-        val_rank, ent_rank = _rank_columns(shared, anchor, rows, cu_out)
-    empty = not len(key_array) or not shared.complete
-    states = np.arange(len(key_array), dtype=np.int64)  # the root's: its positions
-    if not empty:
-        # The root connector's least entry, as the placement picks it.
-        least = int(_least_entries(key_array, ent_rank, [0], [len(key_array)])[0])
-        root = _heap_columns(
-            key_array, ent_rank, states, np.array([0, len(key_array)])
+    low = Lowering(query, tree, dioid, lane, templates, rank_tables)
+    for stage in reversed(range(low.num_stages)):
+        relation = database[query.atoms[low.order[stage]].relation_name]
+        store, (entry_values, kept, ids_out, vk_out, pk_out, cu_out) = (
+            _scan_relation(low, stage, relation)
         )
-        if root is not None:
-            lists["caches"][0][uid] = [
-                None if column is None else column.tolist() for column in root
-            ]
-    _extend(shared.entry_key, key_array)
-    _extend(shared.entry_state, states)
-    shared.conn_offsets.append(len(shared.entry_key))
-    if not shared.inverse:
-        shared.entry_rank = _grown(shared.entry_rank, ent_rank)
+        low.tuples[stage] = store
+        low.tuple_ids[stage] = ids_out
+        low.val_base[stage] = vk_out
+        low.pi1[stage] = pk_out
+        low.child_uids[stage] = cu_out
+        entry_ranks = None
+        if not low.inverse:
+            val_rank, entry_ranks = _rank_columns(low, stage, kept, cu_out)
+            low.val_rank[stage], low.ent_rank[stage] = _rank_pair(val_rank, entry_ranks)
+            low.ent_base[stage] = _column(entry_values, "d")
 
+        if not low.own_key_positions[stage]:
+            _place_keyless(low, stage, entry_values, entry_ranks)
+        elif isinstance(kept, ColumnRows):
+            _place_columns(low, stage, kept, entry_values, entry_ranks)
+        else:
+            join_keys = list(join_key_column(kept, low.own_key_positions[stage]))
+            _place_by_connector(low, stage, join_keys, entry_values, entry_ranks)
+        if low.parent_stage[stage] == -1 and () in low.conn_maps[stage]:
+            low.root_uid[stage] = low.conn_maps[stage][()]
+
+    roots = [stage for stage, parent in enumerate(low.parent_stage) if parent == -1]
+    empty = len(low.root_uid) < len(roots)
+    if 0 not in low.root_uid:  # stage 0 has no state: its root is empty
+        low.root_uid[0] = len(low.conn_stage)
+        low.conn_offsets.append(len(low.entry_key))
+        low.conn_stage.append(0)
+        low.conn_min.append(low.zero)
+        if not low.inverse:
+            low.conn_rank = _grown(low.conn_rank, np.zeros(1, np.int64))
     if empty:
-        best = (shared.zero, 0)
+        best = (low.zero, 0)
     else:
-        frag_min = entry_values[least].item()
-        frag_rank = 0 if shared.inverse else int(ent_rank[least])
-        if not shared.inverse:
-            lists["min_base"][uid] = frag_min
-            if frag_rank >= 1 << 63:  # past int64: ranks as Python ints
-                lists["min_rank"] = list(lists["min_rank"])
-            lists["min_rank"][uid] = frag_rank
         # The virtual start state: one branch per root stage, folded
         # from ``one`` in stage order exactly as ``build_tdp`` folds
         # ``best_weight``.
-        total, rank = shared.one, 0
-        for stage, parent in enumerate(shared.parent_stage):
-            if parent != -1:
-                continue
-            if stage == anchor:
-                value, value_rank = frag_min, frag_rank
-            else:
-                root = shared.root_uid[stage]
-                value = shared.conn_min[root]
-                value_rank = 0 if shared.inverse else shared.conn_rank[root]
+        multiply = low.lane.multiply
+        total, rank = low.one, 0
+        for stage in roots:
+            root = low.root_uid[stage]
+            value = low.conn_min[root]
             total = total * value if multiply else total + value
-            rank += value_rank
+            if not low.inverse:
+                rank += low.conn_rank[root]
         best = (total, rank)
 
-    without_inverse: dict = {}
-    if not shared.inverse:
-        val_rank, ent_rank = _rank_pair(val_rank, ent_rank)
-        without_inverse = dict(
-            val_rank=per_fragment(shared.val_rank, val_rank),
-            ent_base=per_fragment(shared.ent_base, _column(entry_values, "d")),
-            ent_rank=per_fragment(shared.ent_rank, ent_rank),
-            min_base=lists["min_base"],
-            min_rank=lists["min_rank"],
-            entry_rank=shared.entry_rank,
+    heap_columns = None
+    if low.entry_key:
+        heap_columns = _heap_columns(
+            np.frombuffer(low.entry_key),
+            None if low.inverse else _rank_array(low.entry_rank),
+            np.frombuffer(low.entry_state, np.int64),
+            np.array(low.conn_offsets),
         )
-    root_uid = dict(shared.root_uid)
-    root_uid[anchor] = uid
-    core_class = CompiledTDP if shared.templates is None else LaneCore
-    return core_class.assemble(
-        dioid=shared.dioid,
-        query=shared.query,
-        join_tree=shared.tree,
-        atom_of_stage=shared.order,
-        parent_stage=shared.parent_stage,
-        tuples=per_fragment(shared.tuples, store),
-        tuple_ids=per_fragment(shared.tuple_ids, ids_out),
-        lane=shared.lane,
-        one=shared.one,
-        val_base=per_fragment(shared.val_base, vk_out),
-        pi1=per_fragment(shared.pi1, pk_out),
-        child_uids=per_fragment(shared.child_uids, cu_out),
-        conn_stage=lists["conn_stage"],
-        root_uid=root_uid,
+    without_inverse: dict = {}
+    if not low.inverse:
+        without_inverse = dict(
+            val_rank=low.val_rank,
+            ent_base=low.ent_base,
+            ent_rank=low.ent_rank,
+            min_base=low.conn_min,
+            min_rank=low.conn_rank,
+            entry_rank=low.entry_rank,
+        )
+    core_class = CompiledTDP if low.templates is None else LaneCore
+    core = core_class.assemble(
+        dioid=low.dioid,
+        query=low.query,
+        join_tree=low.tree,
+        atom_of_stage=low.order,
+        parent_stage=low.parent_stage,
+        tuples=low.tuples,
+        tuple_ids=low.tuple_ids,
+        lane=low.lane,
+        one=low.one,
+        val_base=low.val_base,
+        pi1=low.pi1,
+        child_uids=low.child_uids,
+        conn_stage=low.conn_stage,
+        root_uid=low.root_uid,
         best=best,
         empty=empty,
-        conn_offsets=shared.conn_offsets,
-        entry_key=shared.entry_key,
-        entry_state=shared.entry_state,
-        caches=lists["caches"],
-        heap_columns=shared.heap_columns,
+        conn_offsets=low.conn_offsets,
+        entry_key=low.entry_key,
+        entry_state=low.entry_state,
+        heap_columns=heap_columns,
         **without_inverse,
     )
-
-
-def _lower_whole(database: Database, shared: SharedLower) -> CompiledTDP:
-    """Phase B over the whole anchor relation (stage 0): one fragment.
-    ``shared.rows`` then counts every stage."""
-    relation = database[shared.query.atoms[shared.order[0]].relation_name]
-    store, scan_out = _scan_relation(shared, 0, relation)
-    return assemble_fragment(shared, scan_out, store, 0, shared_lists(shared, 1))
+    if not empty and heap_columns is not None:
+        core.take2_heap(low.root_uid[0])
+    span.set(rows=low.rows, stages=low.num_stages)
+    return core
 
 
 def lower_query(
     database: Database, tree: JoinTree, dioid: SelectiveDioid, span=NULL_SPAN
 ) -> CompiledTDP:
-    """The whole bottom-up pass: phase A, then one all-spanning fragment.
+    """The whole bottom-up pass over ``tree``, as a compiled core.
 
-    The anchor is stage 0 of ``tree`` — the first root, which the object
-    builder also processes last — so the core is the one
-    ``compile_tdp(build_tdp(database, tree, dioid))`` would produce,
-    without the object graph in between; the core holds the rows result
-    assembly reads.  ``span``
+    The core is the one ``compile_tdp(build_tdp(database, tree, dioid))``
+    would produce, without the object graph in between; it holds the
+    rows result assembly reads.  ``span``
     (the caller's ``tdp.build``) is told how many input rows the pass
     scanned over how many stages.
     """
-    shared = build_shared_lower(database, tree.query, tree, dioid, anchor_stage=0)
-    core = _lower_whole(database, shared)
-    span.set(rows=shared.rows, stages=shared.num_stages)
-    return core
+    return _lower(database, tree.query, tree, dioid, span=span)
 
 
 def lower_member(
@@ -1095,12 +921,11 @@ def lower_member(
     ``build_tdp``'s under ``tie`` and its lift, with no ``times`` or
     ``key`` call.
     """
-    shared = build_shared_lower(
-        database, join_tree.query, join_tree, tie, 0, lane,
+    return _lower(
+        database, join_tree.query, join_tree, tie, lane,
         owned_columns(join_tree, var_position),
         tables if member_columns(database, join_tree) else None,
     )
-    return _lower_whole(database, shared)
 
 
 def member_columns(database: Database, join_tree: JoinTree) -> bool:

@@ -72,8 +72,6 @@ class EngineStats:
         "prepare_hits",
         "prepare_misses",
         "binds",
-        #: Binds that went through the parallel execution layer.
-        "sharded_binds",
         "evictions",
         "stream_hits",
         "stream_misses",
@@ -231,11 +229,7 @@ class PreparedQuery:
 
         Streams memoize *emitted results*, whose order may depend on how
         the any-k algorithm breaks ties — so unlike the physical plan,
-        the stream key includes the algorithm.  The shard configuration
-        rides in through ``physical_key``: a prefix memoized under one
-        ``shards=`` can interleave exact-weight ties differently from
-        another fragmentation, so re-preparing with a different shard
-        count must (and does) get a fresh stream, never a stale prefix.
+        the stream key includes the algorithm.
         """
         return self.physical_key + (self.logical.algorithm,)
 
@@ -303,12 +297,11 @@ class PreparedQuery:
         """EXPLAIN ANALYZE: run up to ``k`` answers instrumented.
 
         Force-rebinds under an always-sampling tracer (so the per-stage
-        tree covers plan → T-DP build → compile → core-cache → shard
-        build), drains ``k`` ranked answers clocking each arrival, and
-        returns an :class:`~repro.obs.analyze.AnalyzeReport` carrying
-        per-stage wall time, OpCounter attribution, per-shard emit
-        counts, compiled-core stats, and the TTF / TT(k) /
-        per-answer-delay profile.  ``rebind=False`` profiles the warm
+        tree covers plan → T-DP build → compile → core-cache), drains
+        ``k`` ranked answers clocking each arrival, and returns an
+        :class:`~repro.obs.analyze.AnalyzeReport` carrying per-stage wall
+        time, OpCounter attribution, compiled-core stats, and the TTF /
+        TT(k) / per-answer-delay profile.  ``rebind=False`` profiles the warm
         serving path instead (no preprocessing re-run).
         """
         from repro.obs.analyze import analyze_prepared
@@ -389,9 +382,7 @@ class Engine:
         algorithm: str = "take2",
         projection: str = "all_weight",
         cycle_threshold: int | None = None,
-        shards: "int | Any | None" = None,
-        shard_atom: int | None = None,
-        shard_tie_break: str = "arrival",
+        shards: Any = None,
     ) -> PreparedQuery:
         """Plan ``query`` (or fetch the cached plan) for later execution.
 
@@ -401,19 +392,13 @@ class Engine:
         first execution (or an explicit :meth:`PreparedQuery.bind`) runs
         the preprocessing phase.
 
-        ``shards`` (an int or a prebuilt
-        :class:`repro.parallel.sharder.ShardSpec`) routes binding
-        through the parallel execution layer: the anchor relation is
-        partitioned into that many fragments, fragment T-DPs build one
-        after another (:class:`~repro.parallel.build.ParallelPreprocessor`),
-        and enumeration merges the per-fragment streams.  The shard
-        configuration is part of the physical *and* stream cache keys,
-        so re-preparing with a different ``shards=`` never reuses a
-        bound plan or a memoized result prefix built under another
-        fragmentation.  ``shard_atom`` and ``shard_tie_break`` refine the
-        spec (ignored when ``shards`` is ``None`` or already a spec).
+        ``shards`` is accepted and ignored, unvalidated: every bind
+        lowers one core, so ``prepare(q, shards=4)`` is ``prepare(q)``
+        and returns its cached plan.  The keyword stays only for callers
+        that still pass it (the benchmark ladder's
+        ``parallel.build.bind_shards{1,4}_ms`` rows); it leaves once
+        those rows are retired.
         """
-        spec = self._shard_spec(shards, shard_atom, shard_tie_break)
         source_query, selections = self._resolve(query)
         planned_query = (
             rewrite_for_selections(source_query, list(selections))
@@ -428,7 +413,6 @@ class Engine:
             id(dioid),
             projection,
             cycle_threshold,
-            None if spec is None else spec.cache_key(),
         )
         key = physical_key + (algorithm.lower(),)
         with self._lock:
@@ -448,7 +432,6 @@ class Engine:
                 algorithm=algorithm,
                 projection=projection,
                 cycle_threshold=cycle_threshold,
-                shards=spec,
             )
             span.set(strategy=logical.strategy)
         prepared = PreparedQuery(
@@ -529,10 +512,7 @@ class Engine:
                     core_cache=core_cache,
                     tracer=tracer,
                 )
-                span.set(
-                    preprocess_ms=round(physical.preprocess_seconds * 1e3, 4),
-                    sharded=bool(getattr(physical, "shard_count", 0)),
-                )
+                span.set(preprocess_ms=round(physical.preprocess_seconds * 1e3, 4))
             if core_cache is not None:
                 stats = core_cache.stats()
                 self.stats.core_hits = stats["hits"]
@@ -550,20 +530,7 @@ class Engine:
             while len(self._physicals) > self.max_cached_plans:
                 self._physicals.popitem(last=False)
             self.stats.binds += 1
-            if getattr(physical, "shard_count", 0):
-                self.stats.sharded_binds += 1
             return physical
-
-    @staticmethod
-    def _shard_spec(shards, atom, tie_break):
-        """Normalise the ``prepare`` shard keywords into a ShardSpec."""
-        if shards is None:
-            return None
-        from repro.parallel.sharder import ShardSpec
-
-        if isinstance(shards, ShardSpec):
-            return shards
-        return ShardSpec(shards, atom=atom, tie_break=tie_break)
 
     def _stream_for(self, prepared: PreparedQuery) -> PrefixStream:
         """Fetch or create the shared memoized stream for ``prepared``.
@@ -665,7 +632,6 @@ class Engine:
         if inner is not None:  # projection wrapper
             return Engine._compiled_cores(inner)
         tdps = [
-            *(fragment.tdp for fragment in getattr(physical, "fragments", ())),
             getattr(physical, "tdp", None),
             *getattr(physical, "tdps", ()),
         ]
@@ -676,9 +642,8 @@ class Engine:
 
         ``stream_bytes`` covers memoized result prefixes;
         ``core_heap_bytes`` sums the heap structures of compiled cores
-        reachable from bound plans — sharded plans included, with the
-        columns their fragment cores alias counted once (mmap-backed
-        columns count zero); ``core_mmap_bytes`` is the mapped span of
+        reachable from bound plans, a column two cores share counted once
+        (mmap-backed columns count zero); ``core_mmap_bytes`` is the mapped span of
         the ``.core`` file — the heap-vs-mmap split shows what warm
         starts moved off the heap.  Everything here is an estimate
         computed on demand; no instrument is touched on the enumeration
@@ -736,7 +701,7 @@ class Engine:
         """Pre-bind every stored core matching the current database state.
 
         Replays the replay recipes stored beside ``.core`` entries
-        (query + dioid + shard spec): each fresh entry binds straight
+        (query + dioid): each fresh entry binds straight
         off the mmap, so a serving process answers its first request of
         a known query at enumeration cost.  Returns how many plans were
         warmed; entries for other database versions (or with broken
@@ -759,9 +724,7 @@ class Engine:
             if dioid is None:
                 continue
             try:
-                prepared = self.prepare(
-                    warm["query"], dioid=dioid, shards=warm.get("shards")
-                )
+                prepared = self.prepare(warm["query"], dioid=dioid)
                 prepared.bind()
             except Exception:
                 continue

@@ -28,10 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (lazy runtime import)
-    from repro.parallel.sharder import ShardSpec
+from typing import Callable, Iterator, Sequence
 
 from repro.anyk.base import make_enumerator
 from repro.anyk.flat import make_flat_enumerator
@@ -46,7 +43,7 @@ from repro.decomposition.cycle import (
 )
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
-from repro.dp.corebuf import LazyRows, core_key, dioid_core_name, export_fragments
+from repro.dp.corebuf import LazyRows, core_key, dioid_core_name, export_core
 from repro.dp.flat import CompiledTDP, compile_tdp
 from repro.dp.lower import (
     lower_member,
@@ -95,20 +92,6 @@ class LogicalPlan:
     join_tree: JoinTree | None = None
     cycle_walk: list[tuple[int, str]] | None = None
     inner: "LogicalPlan | None" = None
-    #: Sharding request (:class:`repro.parallel.sharder.ShardSpec`), or
-    #: ``None``.  Only the acyclic T-DP strategy (and the all-weight
-    #: projection wrapper around it) binds sharded; other strategies
-    #: keep the spec for explain transparency and bind unsharded.
-    shard: "ShardSpec | None" = None
-
-    @property
-    def shard_supported(self) -> bool:
-        """Whether binding honours :attr:`shard` for this strategy."""
-        if self.strategy == ACYCLIC_TDP:
-            return True
-        if self.strategy == ALL_WEIGHT_PROJECTION and self.inner is not None:
-            return self.inner.shard_supported
-        return False
 
     def explain(self, indent: str = "") -> str:
         """A textual rendering of the plan (no data statistics)."""
@@ -119,15 +102,6 @@ class LogicalPlan:
         )
         if self.projection != "all_weight" or not self.query.is_full():
             lines.append(f"{indent}  projection: {self.projection}")
-        if self.shard is not None:
-            if self.shard_supported:
-                lines.append(f"{indent}  shards: {self.shard.describe()}")
-            else:
-                lines.append(
-                    f"{indent}  shards: requested {self.shard.describe()} — "
-                    f"unsupported for strategy {self.strategy}; "
-                    "binding unsharded"
-                )
         if self.join_tree is not None:
             from repro.enumeration.explain import tree_ascii
 
@@ -153,7 +127,6 @@ def plan(
     algorithm: str = "take2",
     projection: str = "all_weight",
     cycle_threshold: int | None = None,
-    shards: "ShardSpec | int | None" = None,
 ) -> LogicalPlan:
     """Classify ``query`` and build its :class:`LogicalPlan` (pure).
 
@@ -161,32 +134,17 @@ def plan(
     ``ranked_enumerate``: the Section 5.4 dispatch — acyclic T-DP,
     simple-cycle decomposition, generic decomposition — plus the Section
     8.1 projection semantics, each as an explicit plan object.
-
-    ``shards`` (an int or a :class:`repro.parallel.sharder.ShardSpec`)
-    requests the parallel execution layer; planning stays pure — the
-    anchor atom and fragment bounds are resolved against the database at
-    bind time by the :class:`~repro.parallel.sharder.Sharder`.
     """
     if projection not in VALID_PROJECTIONS:
         raise ValueError(f"unknown projection semantics {projection!r}")
     if algorithm.lower() not in VALID_ALGORITHMS:
         raise ValueError(f"unknown any-k algorithm {algorithm!r}")
-    if shards is not None:
-        from repro.parallel.sharder import ShardSpec
-
-        if isinstance(shards, int):
-            shards = ShardSpec(shards)
-        elif not isinstance(shards, ShardSpec):
-            raise TypeError(
-                f"shards must be an int or ShardSpec, got {shards!r}"
-            )
 
     common = dict(
         dioid=dioid,
         algorithm=algorithm,
         projection=projection,
         cycle_threshold=cycle_threshold,
-        shard=shards,
     )
     if projection == "min_weight":
         # Free-connex validation happens at bind time (the construction
@@ -201,7 +159,6 @@ def plan(
             dioid=dioid,
             algorithm=algorithm,
             cycle_threshold=cycle_threshold,
-            shards=shards,
         )
         return LogicalPlan(
             query, ALL_WEIGHT_PROJECTION, inner=inner, **common
@@ -664,50 +621,13 @@ def bind(
     ``tracer`` (:class:`repro.obs.trace.Tracer`) records a per-stage
     span tree of the preprocessing phase — T-DP build (``tdp.compile``
     too where an object graph is lowered afterwards), core-cache
-    load/store, decomposition, shard build.  The default
+    load/store, decomposition.  The default
     no-op tracer keeps the cost at one constant method call per stage.
     """
     start = time.perf_counter()
     physical = _bind(logical, database, indexes, core_cache, tracer)
     physical.preprocess_seconds = time.perf_counter() - start
     return physical
-
-
-def load_cores(
-    core_cache, key: str | None, database: Database, query, join_tree,
-    anchor_stage: int, num_fragments: int, tracer,
-):
-    """The plan's fragment cores mapped from the ``.core`` file, or ``None``.
-
-    ``None`` for a disabled cache, a non-persistable plan (``key`` is
-    ``None``), and any miss: absent, stale, or stored for another
-    anchor / fragment count.
-    """
-    if core_cache is None:
-        return None
-    with tracer.span("core.load", fragments=num_fragments) as span:
-        cores = core_cache.load_fragment_cores(
-            key, database, query, join_tree, anchor_stage, num_fragments
-        )
-        span.set(hit=cores is not None)
-    return cores
-
-
-def store_cores(
-    core_cache, key: str | None, logical: LogicalPlan, database: Database,
-    cores: list, anchor_stage: int, tracer,
-) -> None:
-    """Persist freshly built fragment cores with their replay recipe."""
-    if core_cache is None or key is None:
-        return
-    with tracer.span("core.store", fragments=len(cores)):
-        meta, data = export_fragments(cores, anchor_stage)
-        warm = {  # what ``Engine.warm_start`` needs to re-prepare the plan
-            "query": logical.query,
-            "dioid": dioid_core_name(logical.dioid),
-            "shards": logical.shard,
-        }
-        core_cache.store(key, database, meta, data, warm=warm)
 
 
 def _bind(
@@ -719,37 +639,35 @@ def _bind(
 ) -> PhysicalPlan:
     strategy = logical.strategy
     if strategy == ACYCLIC_TDP:
-        if logical.shard is not None:
-            from repro.parallel.physical import bind_sharded
-
-            return bind_sharded(
-                logical,
-                database,
-                indexes=indexes,
-                core_cache=core_cache,
-                tracer=tracer,
-            )
         if lane_of(logical.dioid)[0] is None:
             # No lane: the object graph is the T-DP.
             with tracer.span("tdp.build") as span:
                 tdp = build_tdp(database, logical.join_tree, dioid=logical.dioid)
                 span.set(states=tdp.num_states())
             return AcyclicPhysical(logical, database, tdp)
-        # One fragment spanning the whole anchor relation (stage 0).
-        key = core_key(logical.query, logical.dioid, None)
-        cores = load_cores(
-            core_cache, key, database, logical.query, logical.join_tree,
-            0, 1, tracer,
-        )
-        if cores is None:
+        # A disabled cache and a non-persistable plan (``key`` is
+        # ``None``) load nothing; any miss rebuilds and stores.
+        key = core_key(logical.query, logical.dioid)
+        core = None
+        if core_cache is not None:
+            with tracer.span("core.load") as span:
+                core = core_cache.load(key, database, logical.query, logical.join_tree)
+                span.set(hit=core is not None)
+        if core is None:
             with tracer.span("tdp.build") as span:
-                cores = [
-                    lower_query(database, logical.join_tree, logical.dioid, span)
-                ]
-                stats = cores[0].stats()
+                core = lower_query(database, logical.join_tree, logical.dioid, span)
+                stats = core.stats()
                 span.set(states=stats["states"], entries=stats["entries"])
-            store_cores(core_cache, key, logical, database, cores, 0, tracer)
-        return AcyclicPhysical(logical, database, cores[0])
+            if core_cache is not None and key is not None:
+                with tracer.span("core.store"):
+                    meta, data = export_core(core)
+                    # What ``Engine.warm_start`` needs to re-prepare the plan.
+                    warm = {
+                        "query": logical.query,
+                        "dioid": dioid_core_name(logical.dioid),
+                    }
+                    core_cache.store(key, database, meta, data, warm=warm)
+        return AcyclicPhysical(logical, database, core)
     if strategy == SIMPLE_CYCLE_UNION:
         with tracer.span("decompose", kind="simple-cycle") as span:
             tasks = decompose_cycle(

@@ -5,7 +5,7 @@ The running system's view of the paper's cost model:
 * :mod:`repro.obs.trace` — engine-wide spans with a bounded ring
   buffer, sampling, and a near-free no-op path when tracing is off;
 * :mod:`repro.obs.analyze` — ``PreparedQuery.analyze(k)``: per-stage
-  wall time, OpCounter attribution, per-shard counts, and the
+  wall time, OpCounter attribution, compiled-core counts, and the
   TTF / TT(k) / per-answer-delay profile;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto);
 * :mod:`repro.obs.latency` — nearest-rank percentiles, the per-answer

@@ -3,8 +3,8 @@
 ``analyze_prepared`` force-binds a :class:`~repro.engine.engine.
 PreparedQuery` under an always-sampling tracer, drains up to ``k``
 ranked answers while clocking every answer's arrival, and folds the
-recorded spans, the run's :class:`~repro.util.counters.OpCounter`,
-per-shard emit counts, and compiled-core attribution into one
+recorded spans, the run's :class:`~repro.util.counters.OpCounter`
+and compiled-core attribution into one
 :class:`AnalyzeReport`.
 
 The delay profile is the paper's own reading of the run: TTF (time to
@@ -75,8 +75,6 @@ class AnalyzeReport:
     stages: list[StageNode]
     counters: dict
     delay: dict
-    shard_counts: list[int] | None = None
-    shard_stats: dict | None = None
     core: dict | None = None
     #: Per union member, ``(label, bag layout)`` (``None``: not a union).
     members: list | None = None
@@ -94,8 +92,6 @@ class AnalyzeReport:
             "stages": [node.as_dict() for node in self.stages],
             "counters": self.counters,
             "delay": self.delay,
-            "shard_counts": self.shard_counts,
-            "shard_stats": self.shard_stats,
             "core": self.core,
             "members": self.members,
         }
@@ -131,13 +127,6 @@ class AnalyzeReport:
             or "(none)"
         )
         lines.append(f"counters: {counter_text}")
-        if self.shard_counts is not None:
-            lines.append(f"shards: emitted per fragment {self.shard_counts}")
-        if self.shard_stats is not None:
-            lines.append(
-                f"  shard build: shared lower "
-                f"{self.shard_stats['shared_lower_ms']} ms"
-            )
         if self.core is not None:
             lines.append(
                 f"compiled core: {self.core['entries']} flat entries, "
@@ -165,22 +154,7 @@ def _core_stats(physical) -> dict | None:
     if inner is not None:
         return _core_stats(inner)
     core = getattr(physical, "tdp", None)
-    if isinstance(core, CompiledTDP):
-        return core.stats()
-    fragments = getattr(physical, "fragments", None)
-    if fragments:
-        stats = [f.tdp.stats() for f in fragments if isinstance(f.tdp, CompiledTDP)]
-        if stats:
-            # Per-fragment cores alias the shared lower stages, so the
-            # sums attribute shared structures to every fragment that
-            # can reach them — attribution, not unique storage.
-            return {
-                "entries": sum(s["entries"] for s in stats),
-                "states": sum(s["states"] for s in stats),
-                "connectors": sum(s["connectors"] for s in stats),
-                "fragments": len(stats),
-            }
-    return None
+    return core.stats() if isinstance(core, CompiledTDP) else None
 
 
 def _members(physical) -> list | None:
@@ -195,14 +169,6 @@ def _members(physical) -> list | None:
     return [(task.label or task.query.name, task.bag_layout) for task in tasks]
 
 
-def _sharded(physical):
-    """The ShardedPhysical under ``physical`` (through projection wraps)."""
-    inner = getattr(physical, "inner", None)
-    if inner is not None:
-        return _sharded(inner)
-    return physical if hasattr(physical, "last_shard_counts") else None
-
-
 def analyze_prepared(
     prepared,
     k: int | None = 10,
@@ -213,7 +179,7 @@ def analyze_prepared(
 
     ``rebind=True`` (the default) re-runs the preprocessing phase under
     the tracer so the per-stage tree covers plan → T-DP build → compile
-    → core-cache → shard build; ``rebind=False`` profiles the warm
+    → core-cache; ``rebind=False`` profiles the warm
     serving path only (bind is a cache lookup).  A caller-supplied
     ``tracer`` collects the spans in addition to the report (used by the
     ``repro trace`` CLI to export the same run to Perfetto); by default
@@ -243,12 +209,6 @@ def analyze_prepared(
                 previous = now
             enum_span.set(produced=len(delays))
     trace_spans = [s for s in tracer.spans() if s.trace_id == root.trace_id]
-    shard_counts = None
-    shard_stats = None
-    sharded = _sharded(physical)
-    if sharded is not None:
-        shard_counts = sharded.last_shard_counts()
-        shard_stats = sharded.shard_stats()
     return AnalyzeReport(
         query=repr(logical.query),
         strategy=logical.strategy,
@@ -260,8 +220,6 @@ def analyze_prepared(
         stages=_span_tree(trace_spans),
         counters=counter.as_dict(),
         delay=delay_profile(delays),
-        shard_counts=shard_counts,
-        shard_stats=shard_stats,
         core=_core_stats(physical),
         members=_members(physical),
         explain=physical.explain(),

@@ -33,8 +33,8 @@ afterwards, one operation for each ``times`` the object path would
 call, so every bit (signed zeros included) and every result type (an
 ``int`` weight stays an ``int`` until it meets ``one``) is the one
 ``times`` would have produced.  Every plan ranked by a dioid with a lane
-— acyclic plans, shard fragments, and tie-broken union members whose
-base has one — is lowered that way (:mod:`repro.dp.lower`); whether the
+— acyclic plans and tie-broken union members whose base has one — is
+lowered that way (:mod:`repro.dp.lower`); whether the
 lane has an inverse is the dioid's :attr:`~SelectiveDioid.has_inverse`.
 :func:`lane_of` reads the declaration, and is the only question the
 lowering asks about a dioid; a subclass that overrides ``times`` or
@@ -410,7 +410,7 @@ class TieBreakingDioid(SelectiveDioid):
     def rank_domains(self, domains: Sequence[Iterable[Any]]) -> None:
         """Number every slot's values: ``domains[slot]`` is all it can take.
 
-        Once per bind, for all members / fragments of the plan together,
+        Once per bind, for all members of the plan together,
         before the first lift; one sort per slot.
         """
         if len(domains) != self.num_variables:

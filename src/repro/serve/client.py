@@ -205,19 +205,13 @@ class _BlockingClient:
         dioid: str = "tropical",
         projection: str = "all_weight",
         budget: int | None = None,
-        shards: int | None = None,
-        shard_tie_break: str = "arrival",
         deadline_ms: float | None = None,
     ) -> dict:
         """Open a cursor for ``query`` in ``session``; returns the
-        response (``cursor``, ``strategy``, ``algorithm``, ``shards``).
+        response (``cursor``, ``strategy``, ``algorithm``).
 
-        ``shards`` asks the server to bind through the parallel
-        execution layer (fragment-sharded T-DPs, ranked k-way merge),
-        refined by ``shard_tie_break``; the wire format and fetch
-        semantics are unchanged.  ``deadline_ms`` becomes the cursor's
-        default per-fetch deadline (each fetch's countdown starts when
-        that fetch begins).
+        ``deadline_ms`` becomes the cursor's default per-fetch deadline
+        (each fetch's countdown starts when that fetch begins).
         """
         message: dict[str, Any] = {
             "op": "prepare",
@@ -229,10 +223,6 @@ class _BlockingClient:
         }
         if budget is not None:
             message["budget"] = budget
-        if shards is not None:
-            message["shards"] = shards
-            if shard_tie_break != "arrival":
-                message["shard_tie_break"] = shard_tie_break
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
         return self._call(message)

@@ -7,14 +7,11 @@ Every request carries ``op`` plus op-specific fields:
     ``{"op": "prepare", "session": "s1", "query": "Q(x,z) :- R(x,y), S(y,z)",
     "algorithm": "take2", "dioid": "tropical", "projection": "all_weight",
     "budget": 1000}`` → ``{"ok": true, "op": "prepare", "cursor": "c0",
-    "strategy": "acyclic-tdp", "shards": null}``.  Opens (or touches)
-    the session and returns a cursor positioned at rank 0.  Optional
-    ``"shards": N`` binds through the parallel execution layer
-    (fragment-sharded T-DPs merged by a ranked k-way merge; see
-    :mod:`repro.parallel`), with an optional ``shard_tie_break``
-    (``"arrival"``/``"canonical"``); the per-session ``stats`` entries
-    then report the cursor's shard configuration.  A request field the
-    server does not know is ignored.
+    "strategy": "acyclic-tdp", "algorithm": "take2"}``.  Opens (or
+    touches) the session and returns a cursor positioned at rank 0.  A
+    request field the server does not know is ignored: ``shards`` and
+    ``shard_tie_break``, which asked for a sharded bind in earlier
+    builds, are served as if absent, whatever their value.
 
 ``fetch``
     ``{"op": "fetch", "session": "s1", "cursor": "c0", "n": 10}`` →
@@ -83,7 +80,7 @@ def valid_int(value: Any) -> bool:
 
     ``bool`` is an ``int`` subclass in Python, so a bare ``isinstance``
     check lets JSON ``true``/``false`` masquerade as ``1``/``0`` — e.g.
-    ``{"shards": true}`` silently preparing a 1-shard plan.  Every
+    ``{"n": true}`` fetching one row.  Every
     integer-valued protocol field validates through here instead.
     """
     return isinstance(value, int) and not isinstance(value, bool)

@@ -111,10 +111,6 @@ def _is_count(value: Any) -> bool:
     return protocol.valid_int(value) and value >= 0
 
 
-def _is_positive_int(value: Any) -> bool:
-    return protocol.valid_int(value) and value >= 1
-
-
 #: What a typed request field must be, whichever op carries it: name →
 #: (predicate, description).  Checked before any handler runs, so a
 #: mistyped field is the client's ``bad_request`` on every transport and
@@ -122,20 +118,16 @@ def _is_positive_int(value: Any) -> bool:
 #: circuit breaker, i.e. let one client shed everybody's requests).
 _FIELD_TYPES = {
     **dict.fromkeys(
-        (
-            "session", "query", "cursor", "algorithm", "dioid", "projection",
-            "shard_tie_break",
-        ),
+        ("session", "query", "cursor", "algorithm", "dioid", "projection"),
         (_is_string, "a string"),
     ),
     "budget": (_is_count, "a non-negative int or null"),
-    "shards": (_is_positive_int, "a positive int or null"),
     "n": (_is_count, "a non-negative int"),
     "deadline_ms": (protocol.valid_ms, "a positive number or null"),
 }
 
 #: Fields whose JSON ``null`` means "not given".
-_NULLABLE_FIELDS = ("cursor", "budget", "shards", "deadline_ms")
+_NULLABLE_FIELDS = ("cursor", "budget", "deadline_ms")
 
 
 class OpDispatcher:
@@ -284,12 +276,9 @@ class OpDispatcher:
             dioid=NAMED_DIOIDS[dioid_name],
             projection=request.get("projection", "all_weight"),
             budget=request.get("budget"),
-            shards=request.get("shards"),
-            shard_tie_break=request.get("shard_tie_break", "arrival"),
             deadline_ms=request.get("deadline_ms"),
         )
         cursor = session.cursor(cursor_id)
-        shard = cursor.prepared.logical.shard
         writer.write(
             protocol.encode(
                 protocol.ok(
@@ -298,7 +287,6 @@ class OpDispatcher:
                     cursor=cursor_id,
                     strategy=cursor.prepared.logical.strategy,
                     algorithm=cursor.prepared.logical.algorithm,
-                    shards=None if shard is None else shard.shards,
                 )
             )
         )

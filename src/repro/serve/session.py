@@ -473,19 +473,13 @@ class SessionManager:
         dioid=None,
         projection: str = "all_weight",
         budget: int | None = None,
-        shards: int | None = None,
-        shard_tie_break: str = "arrival",
         deadline_ms: float | None = None,
     ) -> tuple[Session, str]:
         """Prepare ``query`` in the session; returns its new cursor id.
 
         Preparation goes through the engine's caches, so many sessions
         opening cursors on the same query share one plan, one bound
-        T-DP, and one memoized stream.  ``shards`` routes the prepare
-        through the parallel execution layer; cursors over the same
-        query with *different* shard configurations get distinct plans
-        and distinct memoized prefixes (the shard spec is part of every
-        engine cache key).
+        T-DP, and one memoized stream.
         """
         # Prepare/bind runs outside the manager lock (it can be the
         # slow part); the session is resolved *atomically with* cursor
@@ -496,8 +490,6 @@ class SessionManager:
             dioid=TROPICAL if dioid is None else dioid,
             algorithm=algorithm,
             projection=projection,
-            shards=shards,
-            shard_tie_break=shard_tie_break,
         )
         cursor = prepared.cursor(budget=budget)
         with self._lock:
@@ -692,16 +684,11 @@ class SessionManager:
         """Snapshot across sessions, scheduler, and engine caches."""
         with self._lock:
             def cursor_stats(session: Session, cursor_id: str, cursor: Cursor) -> dict:
-                entry = {
+                return {
                     "query": session.queries.get(cursor_id, ""),
                     "position": cursor.position,
                     "exhausted": cursor.exhausted,
                 }
-                shard = cursor.prepared.logical.shard
-                if shard is not None:
-                    entry["shards"] = shard.shards
-                    entry["shard_tie_break"] = shard.tie_break
-                return entry
 
             sessions = {
                 name: {

@@ -5,7 +5,10 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
 * warm-start differential — a plan loaded from a ``.core`` file is
   bit-identical (weights, assignments, witness ids, witness tuples, in
   sequence) to a cold rebuild, for all 7 any-k variants x two
-  persistable dioids x {unsharded, 1 shard, 4 shards};
+  persistable dioids;
+* layout — the exported sections of a fixed plan hash to the digest the
+  one-fragment layout of earlier builds wrote, and their entries and
+  replay recipes still warm-start;
 * staleness — mutating a relation invalidates the entry, the rebuild
   rewrites it, and the rewritten entry hits again;
 * resource hygiene — ``Engine.close()`` releases the core file's mmap;
@@ -13,19 +16,21 @@ Covers the ``repro.dp.corebuf`` subsystem end to end:
   error; in-memory backends simply run without persistence.
 """
 
+import hashlib
 import itertools
 import os
 import pickle
 import random
+import sys
+import types
 
 import pytest
 
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.dp.corebuf import CoreCache, core_key, dioid_core_name, export_fragments
+from repro.dp.corebuf import CoreCache, core_key, dioid_core_name, export_core
 from repro.engine import Engine
-from repro.parallel import ShardSpec
 from repro.query.builders import path_query
 from repro.ranking.dioid import (
     MAX_PLUS,
@@ -39,8 +44,9 @@ ALL_VARIANTS = [
     "take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort",
 ]
 BASE = 64
-#: ``pickle.dumps(ShardSpec(2))`` as written by the build whose spec also
-#: held a partitioning strategy, a build mode and a worker count.
+#: ``pickle.dumps(ShardSpec(2))`` as an earlier build wrote it into a
+#: replay recipe: it names ``repro.parallel.sharder``, a module this build
+#: no longer has.
 OLDER_SHARD_SPEC = (
     b"\x80\x05\x95\x89\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.parallel.sharder"
     b"\x94\x8c\tShardSpec\x94\x93\x94)\x81\x94}\x94(\x8c\x06shards\x94K\x02\x8c"
@@ -107,88 +113,89 @@ class TestWarmStartDifferential:
     """mmap-loaded cores are bit-identical to a cold rebuild."""
 
     @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
-    @pytest.mark.parametrize("shards", [None, 1, 4])
-    def test_all_variants_bit_identical(self, tmp_path, dioid, shards):
+    def test_all_variants_bit_identical(self, tmp_path, dioid):
         path = sqlite_database(tmp_path, "diff")
         query = path_query(4)
         cold = {}
         with Engine.from_backend(SQLiteBackend(path), core_cache="off") as engine:
             for variant in ALL_VARIANTS:
-                cold[variant] = run(
-                    engine, query, variant, dioid=dioid, shards=shards
-                )
+                cold[variant] = run(engine, query, variant, dioid=dioid)
                 assert cold[variant], "workload must produce answers"
         # Cold bind with persistence on: writes the entry.
         with Engine.from_backend(SQLiteBackend(path)) as engine:
-            engine.prepare(query, dioid=dioid, shards=shards).bind()
+            engine.prepare(query, dioid=dioid).bind()
             stats = core_stats(engine)
             assert stats["core_writes"] == 1 and stats["core_hits"] == 0
         # Fresh process-equivalent: a new backend + engine, warm bind.
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             for variant in ALL_VARIANTS:
-                warm = run(engine, query, variant, dioid=dioid, shards=shards)
+                warm = run(engine, query, variant, dioid=dioid)
                 assert warm == cold[variant], (
-                    f"{variant} warm start diverged "
-                    f"(dioid={dioid!r}, shards={shards})"
+                    f"{variant} warm start diverged (dioid={dioid!r})"
                 )
             stats = core_stats(engine)
             assert stats["core_hits"] == 1 and stats["core_writes"] == 0
 
-    def test_warm_sharded_physical_reports_mmap_mode(self, tmp_path):
+    def test_warm_physical_reports_mmap_mode(self, tmp_path):
         path = sqlite_database(tmp_path, "mode")
         query = path_query(4)
         with Engine.from_backend(SQLiteBackend(path)) as engine:
-            cold = engine.prepare(query, shards=4).bind()
-            assert not any(f.tdp.mapped for f in cold.fragments)
-            assert "warm start" not in " ".join(cold.notes)
+            prepared = engine.prepare(query)
+            assert not prepared.bind().tdp.mapped
+            assert "(mapped warm start)" not in prepared.explain()
         with Engine.from_backend(SQLiteBackend(path)) as engine:
-            physical = engine.prepare(query, shards=4).bind()
-            assert all(f.tdp.mapped for f in physical.fragments)
-            assert physical.shard_count == 4
-            assert "warm start from compiled core file" in physical.notes
+            prepared = engine.prepare(query)
+            assert prepared.bind().tdp.mapped
+            assert "(mapped warm start)" in prepared.explain()
 
     def test_warm_start_replays_stored_plans(self, tmp_path):
         path = sqlite_database(tmp_path, "boot")
         query = path_query(4)
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             engine.prepare(query).bind()
-            engine.prepare(query, shards=2).bind()
+            engine.prepare(query, dioid=MAX_PLUS).bind()
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             assert engine.warm_start() == 2
             assert core_stats(engine)["core_hits"] == 2
 
-    def test_warm_start_rebuilds_an_entry_of_the_older_shard_spec(self, tmp_path):
-        """A stored recipe whose spec still carries ``strategy``,
-        ``parallel`` and ``workers`` binds as ``ShardSpec(2)``: its entry
-        (keyed with the strategy) is a miss, the plan rebuilds and is
-        written under the new key, and ``warm_start`` does not raise."""
-        older = pickle.loads(OLDER_SHARD_SPEC)
-        assert older == ShardSpec(2)
-        assert older.cache_key() == (2, None, "arrival")
-        path = sqlite_database(tmp_path, "older")
+    def test_a_recipe_naming_a_removed_class_is_a_miss(self, tmp_path, monkeypatch):
+        """A ``.core`` whose TOC pickles ``repro.parallel.sharder.ShardSpec``
+        (a sharded plan's replay recipe, as earlier builds stored it)
+        cannot be read by this build: ``warm_start`` warms nothing and
+        does not raise, and the cold bind answers as it would without the
+        file and rewrites it."""
+        path = sqlite_database(tmp_path, "removed")
         query = path_query(4)
+        # A stand-in for the removed module, so the TOC pickles the class
+        # by the name the earlier build's file holds.
+        sharder = types.ModuleType("repro.parallel.sharder")
+        sharder.ShardSpec = type("ShardSpec", (), {"__module__": sharder.__name__})
         with Engine.from_backend(SQLiteBackend(path), core_cache="off") as engine:
-            prepared = engine.prepare(query, shards=2)
+            prepared = engine.prepare(query)
             expected = signature(prepared.iter())
-            physical = prepared.bind()
-            meta, data = export_fragments(
-                [f.tdp for f in physical.fragments], physical.shard_plan.anchor_stage
-            )
+            meta, data = export_core(prepared.bind().tdp)
             cache = CoreCache(engine.database.backend.core_path)
-            assert cache.store(
-                core_key(query, TROPICAL, (2, None, "range", "arrival")),
-                engine.database, meta, data,
-                warm={"query": query, "dioid": "tropical", "shards": older},
-            )
+            with monkeypatch.context() as patch:
+                patch.setitem(sys.modules, sharder.__name__, sharder)
+                assert cache.store(
+                    repr((query.fingerprint(), "tropical", (2, None, "arrival"))),
+                    engine.database, meta, data,
+                    warm={
+                        "query": query, "dioid": "tropical",
+                        "shards": pickle.loads(OLDER_SHARD_SPEC),
+                    },
+                )
             cache.close()
+        with open(path + ".core", "rb") as handle:
+            assert b"repro.parallel.sharder" in handle.read()
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert engine.warm_start() == 0
+            assert signature(engine.prepare(query).iter()) == expected
+            stats = core_stats(engine)
+            assert stats["core_hits"] == 0 and stats["core_writes"] == 1
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             assert engine.warm_start() == 1
-            stats = core_stats(engine)
-            assert stats["core_hits"] == 0
-            assert stats["core_misses"] == stats["core_writes"] == 1
-            assert signature(engine.prepare(query, shards=2).iter()) == expected
-        with Engine.from_backend(SQLiteBackend(path)) as engine:
-            assert signature(engine.prepare(query, shards=2).iter()) == expected
+            assert signature(engine.prepare(query).iter()) == expected
             assert core_stats(engine)["core_hits"] == 1
 
 
@@ -217,10 +224,10 @@ class TestStaleness:
         assert dioid_core_name(MAX_PLUS) == "max-plus"
         assert dioid_core_name(MAX_TIMES) is None, "key is not the value"
         assert dioid_core_name(tie) is None
-        assert core_key(query, MAX_TIMES, None) is None
-        assert core_key(query, TROPICAL, None) != core_key(
-            query, TROPICAL, (4, None, "range", "arrival")
-        )
+        assert core_key(query, MAX_TIMES) is None
+        assert core_key(query, TROPICAL) == repr(
+            (query.fingerprint(), "tropical", None)
+        ), "the key earlier builds wrote for the plan"
 
     def test_non_persistable_dioid_still_runs(self, tmp_path):
         path = sqlite_database(tmp_path, "npd")
@@ -284,7 +291,7 @@ class TestRobustness:
             version = engine.database.version
         # Same key and db version, but a meta this build does not write
         # (wrong kind, no layout fields): must miss, never raise.
-        key = core_key(query, TROPICAL, None)
+        key = core_key(query, TROPICAL)
         CoreFile(path + ".core").write({key: ({"kind": "tdp"}, version, b"x" * 64)})
         with Engine.from_backend(SQLiteBackend(path)) as engine:
             assert run(engine, query, "take2") == reference
@@ -322,8 +329,8 @@ class TestRobustness:
 
 class TestExportFromThePool:
     """A ``.core`` export writes the entry pool's columns as they are,
-    roots last, and ranks no connector: its bytes are those of the object
-    lowering (``compile_tdp(build_tdp(...))``) over the same plan."""
+    the root last, and ranks no connector: its bytes are those of the
+    object lowering (``compile_tdp(build_tdp(...))``) over the same plan."""
 
     @staticmethod
     def _database():
@@ -336,7 +343,6 @@ class TestExportFromThePool:
     @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
     def test_unsharded_bytes_equal_the_object_lowering(self, dioid):
         from repro.dp.builder import build_tdp
-        from repro.dp.corebuf import export_fragments
         from repro.dp.flat import compile_tdp
         from repro.dp.lower import lower_query
         from repro.query.jointree import build_join_tree
@@ -347,52 +353,52 @@ class TestExportFromThePool:
         reference = compile_tdp(build_tdp(database, tree, dioid=dioid))
         assert -1 not in reference.conn_stage
         heaps = list(core._take2_heaps)
-        assert export_fragments([core], 0) == export_fragments([reference], 0)
+        assert export_core(core) == export_core(reference)
         # Exporting ranks nothing and sorts nothing (Eager's cache: none).
         assert core._caches == [heaps, None]
 
-    @pytest.mark.parametrize("dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"])
-    def test_arrival_shard_bytes_equal_the_object_lowering(self, dioid):
-        from array import array
-        from itertools import accumulate
 
-        from repro.dp.builder import build_tdp
-        from repro.dp.corebuf import SectionView, export_fragments
-        from repro.dp.flat import compile_tdp
-        from repro.parallel.build import build_object_fragment
+class TestLayout:
+    """The one-core layout is the one-fragment layout earlier builds
+    wrote: same sections, same meta keys, same bytes — so ``CORE_FORMAT``
+    stays 3 and their files still map."""
 
-        database = self._database()
+    #: ``sha256(repr(meta) + data)`` of the tropical 4-path export below,
+    #: recorded from the build that still had shard fragments.
+    DIGEST = "48281304a57d14f56e30a870f94f218ca1a3ea93c40497e796e9b6b3bfc75761"
+
+    def test_export_matches_the_pinned_digest(self):
+        from repro.data.generators import uniform_database
+        from repro.dp.corebuf import CORE_FORMAT
+
+        database = uniform_database(4, 700, domain_size=20, seed=3)
+        physical = Engine(database).prepare(path_query(4)).bind()
+        meta, data = export_core(physical.tdp)
+        assert meta["num_fragments"] == 1 and meta["anchor_stage"] == 0
+        assert {"f0.vk", "f0.pk", "f0.cu", "f0.ids"} <= set(meta["manifest"])
+        assert hashlib.sha256(repr(meta).encode() + data).hexdigest() == self.DIGEST
+        assert CORE_FORMAT == 3
+
+    def test_a_recipe_written_unsharded_still_warm_starts(self, tmp_path):
+        """A replay recipe as earlier builds stored an unsharded plan's,
+        ``"shards": None`` included, under the key they wrote: it maps."""
+        path = sqlite_database(tmp_path, "recipe")
         query = path_query(4)
-        physical = Engine(database).prepare(query, dioid=dioid, shards=4).bind()
-        plan = physical.shard_plan
-        anchor = plan.anchor_stage
-        cores = [fragment.tdp for fragment in physical.fragments]
-        heaps = list(cores[0]._take2_heaps)
-        meta, data = export_fragments(cores, anchor)
-        assert cores[0]._caches == [heaps, None]
-        pooled = cores[0].num_connectors - len(cores)  # phase A's connectors
-
-        # Phase A's connectors are the whole relation's non-root ones;
-        # each fragment's root is its own object build's.
-        whole = compile_tdp(build_tdp(database, plan.join_tree, dioid=dioid))
-        assert whole.root_uid == {anchor: pooled} == {0: whole.num_connectors - 1}
-        expected = [whole.pairs(uid) for uid in range(pooled)]
-        relation = database[query.atoms[plan.anchor_atom].relation_name]
-        for fragment in plan.fragments:
-            rows = (
-                relation.tuples[fragment.lo:fragment.hi],
-                relation.weights[fragment.lo:fragment.hi],
+        with Engine.from_backend(SQLiteBackend(path), core_cache="off") as engine:
+            prepared = engine.prepare(query)
+            expected = signature(prepared.iter())
+            meta, data = export_core(prepared.bind().tdp)
+            cache = CoreCache(engine.database.backend.core_path)
+            assert cache.store(
+                repr((query.fingerprint(), "tropical", None)),
+                engine.database, meta, data,
+                warm={"query": query, "dioid": "tropical", "shards": None},
             )
-            part = compile_tdp(
-                build_object_fragment(database, plan, fragment, dioid, None, rows)
-            )
-            expected.append(part.pairs(part.root_uid[anchor]))
-        assert len(expected) == meta["num_connectors"] == pooled + 4
-
-        sections = SectionView(data, meta["manifest"])
-        for section, typecode, column in (
-            ("entry_key", "d", [key for pairs in expected for key, _ in pairs]),
-            ("entry_state", "q", [state for pairs in expected for _, state in pairs]),
-            ("conn_offsets", "q", list(accumulate(map(len, expected), initial=0))),
-        ):
-            assert sections.view(section).tobytes() == array(typecode, column).tobytes()
+            cache.close()
+        with Engine.from_backend(SQLiteBackend(path)) as engine:
+            assert engine.warm_start() == 1
+            physical = engine.prepare(query).bind()
+            assert physical.tdp.mapped
+            assert signature(engine.prepare(query).iter()) == expected
+            stats = core_stats(engine)
+            assert stats["core_hits"] == 1 and stats["core_writes"] == 0

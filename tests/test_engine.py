@@ -2,6 +2,7 @@
 plan-cache hit/miss behaviour, and invalidation after database mutation."""
 
 import gc
+import pickle
 
 import pytest
 
@@ -190,6 +191,9 @@ class TestPlanCache:
         assert p1 is p2
         assert engine.stats.prepare_hits == 1
         assert engine.stats.prepare_misses == 1
+        # ``shards`` is accepted and ignored: the cached plan, one more hit.
+        assert engine.prepare(path_query(2), shards=4) is p1
+        assert engine.stats.prepare_hits == 2
 
     def test_miss_on_different_options(self):
         db = uniform_database(2, 20, domain_size=3, seed=22)
@@ -428,6 +432,29 @@ class TestIndexCache:
 
 
 # -- plan lifetime ---------------------------------------------------------------
+
+
+class TestPicklability:
+    def test_compiled_core_round_trips(self):
+        from repro.anyk.flat import make_flat_enumerator
+
+        engine = Engine(uniform_database(3, 120, seed=21))
+        core = engine.prepare(path_query(3)).bind().tdp
+        clone = pickle.loads(pickle.dumps(core))
+        original = [
+            (r.weight, r.states) for r in make_flat_enumerator(core, "recursive")
+        ]
+        copied = [
+            (r.weight, r.states) for r in make_flat_enumerator(clone, "recursive")
+        ]
+        assert original == copied
+        assert clone.dioid is core.dioid  # singleton
+
+    def test_named_dioids_pickle_to_singletons(self):
+        from repro.ranking.dioid import BOOLEAN
+
+        for dioid in (TROPICAL, MAX_PLUS, MAX_TIMES, BOOLEAN):
+            assert pickle.loads(pickle.dumps(dioid)) is dioid
 
 
 def _live_cores() -> int:

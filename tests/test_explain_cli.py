@@ -106,45 +106,19 @@ class TestCLI:
         )
         assert "witness=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("shards", ["1", "2", "3"])
-    def test_query_shards_match_unsharded(self, csv_dir, capsys, shards):
-        text = "Q(x1,x2,x3) :- R1(x1,x2), R2(x2,x3)"
-        assert main(["query", csv_dir, text, "--top", "0"]) == 0
-        unsharded = capsys.readouterr().out
-        code = main(["query", csv_dir, text, "--top", "0", "--shards", shards])
-        assert code == 0
-        sharded = capsys.readouterr().out
-        weights = [line.split("weight=")[1].split()[0]
-                   for line in unsharded.strip().splitlines()]
-        assert weights
-        assert [line.split("weight=")[1].split()[0]
-                for line in sharded.strip().splitlines()] == weights
-
-    def test_query_refuses_removed_shard_mode(self, csv_dir, capsys):
-        """There is one shard build, so no flag picks one."""
-        with pytest.raises(SystemExit) as exit_info:
-            main(
-                ["query", csv_dir, "R1(x1,x2), R2(x2,x3)", "--shards", "2",
-                 "--shard-parallel", "thread"]
-            )
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --shard-parallel" in (
-            capsys.readouterr().err
-        )
-
-    @pytest.mark.parametrize("shards", ["0", "-2", "two"])
     @pytest.mark.parametrize("command", ["query", "explain", "trace"])
-    def test_shard_count_below_one_is_a_usage_error(
-        self, csv_dir, capsys, tmp_path, command, shards
+    def test_the_removed_shards_flag_is_a_usage_error(
+        self, csv_dir, capsys, tmp_path, command
     ):
-        argv = [command, csv_dir, "R1(x1,x2), R2(x2,x3)", "--shards", shards]
+        """Every bind lowers one core, so no flag asks for shards."""
+        argv = [command, csv_dir, "R1(x1,x2), R2(x2,x3)", "--shards", "2"]
         if command == "trace":
             argv += ["--out", str(tmp_path / "trace.json")]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument --shards: must be a positive int, got '{shards}'" in err
+        assert "unrecognized arguments: --shards 2" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("top", ["-1", "-10", "ten"])

@@ -117,12 +117,8 @@ class TestHttpPlumbing:
         assert json.loads(response.read())["error"] == "unknown_session"
         conn.close()
 
-    def test_boolean_shards_rejected_over_http(self, client):
-        """The shared OpDispatcher validation covers the HTTP path too."""
-        with pytest.raises(ServeClientError, match="bad_request"):
-            client.prepare("boolh", QUERY, shards=True)
-
     def test_boolean_fetch_size_rejected_over_http(self, client):
+        """The shared OpDispatcher validation covers the HTTP path too."""
         cursor = client.prepare("boolh", QUERY)["cursor"]
         with pytest.raises(ServeClientError, match="bad_request"):
             client.fetch("boolh", cursor, n=True)

@@ -259,7 +259,7 @@ def test_ranks_past_int64_lower_on_the_kernel(monkeypatch):
     )
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     assert_same_columns(core, tdp)
-    # Stage 0 is the anchor: its root connector is not placed.
+    # Stage 0, a root, shares no join key: ``_place_keyless`` places it.
     fits = [
         max(core.ent_rank[stage]) < 1 << 63 for stage in range(1, tdp.num_stages)
     ]

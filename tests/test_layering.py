@@ -2,8 +2,7 @@
 
 ``util``, ``data``, ``ranking``, ``query``, ``dp`` and ``obs`` sit below
 the engine.  None of their modules may import ``repro.engine``,
-``repro.parallel``, ``repro.serve`` or ``repro.enumeration`` — at module
-level *or* inside a function: an import-on-call is how a cycle gets
+``repro.serve`` or ``repro.enumeration`` — at module level *or* inside a function: an import-on-call is how a cycle gets
 hidden instead of removed (``dp/corebuf.py`` and ``data/backend.py``
 both did that to reach the retry primitives while those lived in
 ``serve/``; ``enumeration/api.py`` reached up into ``engine/plan.py``
@@ -20,9 +19,7 @@ import sys
 import repro
 
 LOWER_PACKAGES = ("util", "data", "ranking", "query", "dp", "obs")
-UPPER_PACKAGES = (
-    "repro.engine", "repro.parallel", "repro.serve", "repro.enumeration",
-)
+UPPER_PACKAGES = ("repro.engine", "repro.serve", "repro.enumeration")
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 
@@ -150,13 +147,13 @@ def _modules():
                 yield module, {found for _, found in _imported_modules(path, package)}
 
 
-def test_the_engine_and_the_shards_hold_cores_not_object_graphs():
+def test_the_engine_holds_cores_not_object_graphs():
     """A bound plan holds compiled cores; where it holds an object graph
     (a no-lane site) it gets one from the builder, never names the class."""
     violations = [
         module
         for module, imported in _modules()
-        if module.startswith(("repro.engine", "repro.parallel"))
+        if module.startswith("repro.engine")
         and {"repro.dp.graph.TDP", "repro.dp.TDP"} & imported
     ]
     assert not violations, violations
@@ -174,7 +171,6 @@ OBJECT_PATH_IMPORTERS = {
     "repro.enumeration.api",  # UCQ members
     "repro.enumeration.explain",
     "repro.enumeration.projections",
-    "repro.parallel.build",  # canonical and no-lane shards
 }
 
 

@@ -7,8 +7,9 @@ one value.  This suite compares every column with ``float.hex`` between
 the numpy kernels, which lower every stage (the tiny and empty ones
 included), and the object path, ``compile_tdp(build_tdp(...))``, over
 {tropical, max-plus} x {path, star, two-column join key, self-join with
-a repeated variable} x {in-memory, SQLite} x {whole relation, range
-fragments} x hostile weight and join-key palettes.  The connector
+a repeated variable} x {in-memory, SQLite} x hostile weight and
+join-key palettes, and over a root relation cut to empty, one-row and
+partial row ranges.  The connector
 placement is also held, as a unit, to the dict-of-lists grouping with
 ``min()`` per connector (:func:`place_oracle`).
 
@@ -136,28 +137,14 @@ def bits(x) -> str:
 # -- the lowering and the object path -----------------------------------------
 
 
-def lower_whole(database, tree, dioid):
-    """``lower_query`` in two visible steps, so ``conn_min`` can be read."""
-    query = tree.query
-    shared = lower.build_shared_lower(database, query, tree, dioid, 0)
-    relation = database[query.atoms[shared.order[0]].relation_name]
-    rows, weights = lower.stage_columns(relation)
-    core = lower.build_fragment(
-        shared, rows, weights, 0, 0, lower.shared_lists(shared, 1)
-    )
-    return shared, core
-
-
-def conn_minima(shared, cores) -> list:
-    """``shared.conn_min`` extended by each fragment's root-connector minimum.
-
-    Values: a least entry's key, negated where the lane negates.
-    """
-    minima = list(shared.conn_min)
-    for index, core in enumerate(cores):
-        root = core.pairs(shared.num_conns + index)
-        key = min(root)[0] if root else None
-        minima.append(-key if root and shared.lane.negate else key)
+def conn_minima(core) -> list:
+    """Each connector's least entry value, as ``min()`` over its entry
+    tuples picks it: its key, negated where the lane negates."""
+    minima = []
+    for uid in range(core.num_connectors):
+        pairs = core.pairs(uid)
+        key = min(pairs)[0] if pairs else None
+        minima.append(-key if pairs and core.lane.negate else key)
     return minima
 
 
@@ -167,7 +154,7 @@ def core_columns(core, conn_min, uids=None) -> dict:
         uids = range(core.num_connectors)
     return {
         "empty": core.empty,
-        # (An empty fragment still owns its root uid slot.)
+        # (An empty core still owns its root uid slot.)
         "num_connectors": None if core.empty else core.num_connectors,
         "best_key": bits(core.best_key),
         # (The object path forgets its root connectors when empty.)
@@ -230,8 +217,8 @@ def assert_typed(column, typecode: str, kinds: set) -> None:
 
 def assert_same_structures(core):
     """The acceptance shape: one pool of ``float`` keys and ``int`` states
-    in uid order, typed arrays the collector never walks, the fragment
-    roots in it, each connector's states
+    in uid order, typed arrays the collector never walks, the root in
+    it, each connector's states
     ascending — pool order is state order (see
     :func:`test_lowering_keeps_no_entry_tuple`) — and every other number
     column a typed array too; only the state values stay the stored
@@ -262,11 +249,12 @@ def assert_same_structures(core):
 
 
 def assert_object_path(database, tree, dioid, expect_empty=False):
-    shared, core = lower_whole(database, tree, dioid)
+    core = lower.lower_query(database, tree, dioid)
     assert_same_structures(core)
     reference, uids = object_columns(database, tree, dioid)
-    assert reference["empty"] == expect_empty
-    assert core_columns(core, conn_minima(shared, [core]), uids) == reference
+    if expect_empty is not None:
+        assert reference["empty"] == expect_empty
+    assert core_columns(core, conn_minima(core), uids) == reference
 
 
 # -- whole relation ------------------------------------------------------------
@@ -327,18 +315,70 @@ def test_dead_stage_and_empty_relation(shape, dioid, edge, n):
     assert core.empty and core.best_key == DIOIDS[dioid].key(DIOIDS[dioid].zero)
 
 
+# -- a cut root relation -------------------------------------------------------
+
+
+#: Row ranges over the root stage's ``total`` rows: ``thirds`` leaves one
+#: range empty, ``edges`` gives the first and the last row one each.
+CUTS = {
+    "thirds": lambda total: [0, total // 3, total // 3, (2 * total) // 3, total],
+    "edges": lambda total: [0, 1, total - 1, total],
+}
+
+
+def cut_root(database, name, lo, hi) -> Database:
+    """``database`` with relation ``name`` restricted to rows ``[lo, hi)``."""
+    return Database([
+        Relation(
+            name, relation.arity, relation.tuples[lo:hi], relation.weights[lo:hi]
+        )
+        if relation.name == name
+        else relation
+        for relation in database
+    ])
+
+
+@pytest.mark.parametrize("n", [60, 700])
+@pytest.mark.parametrize("layout", list(CUTS))
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("dioid", list(DIOIDS))
 @pytest.mark.parametrize("shape", list(QUERIES))
-def test_lower_query_is_the_two_steps(shape, dioid):
-    """``lower_query`` == phase A + one all-spanning fragment."""
+def test_a_cut_root_relation_is_the_object_path(
+    tmp_path, shape, dioid, backend, layout, n
+):
+    """The root stage (placed last, keyless) over empty, one-row and
+    partial row ranges of its relation: bit for bit the object path, and,
+    where the root's relation occurs once, each range's root rows are the
+    whole relation's live root rows inside it, in order."""
     query = QUERIES[shape]
-    database = make_database(query, 700, "zeros", seed=2)
     tree = build_join_tree(query)
-    shared, stepwise = lower_whole(database, tree, DIOIDS[dioid])
-    core = lower.lower_query(database, tree, DIOIDS[dioid])
-    assert_same_structures(core)
-    minima = conn_minima(shared, [stepwise])
-    assert core_columns(core, minima) == core_columns(stepwise, minima)
+    dioid = DIOIDS[dioid]
+    full = make_database(query, n, "zeros", seed=n + 7)
+    name = query.atoms[tree.order[0]].relation_name
+    once = sum(atom.relation_name == name for atom in query.atoms) == 1
+    whole = lower.lower_query(full, tree, dioid)
+    live = list(whole.tuple_ids[0])
+    cuts = CUTS[layout](len(full[name]))
+    for index, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        part = tmp_path / f"cut{index}"
+        part.mkdir()
+        database = open_database(cut_root(full, name, lo, hi), backend, part)
+        try:
+            inside = [i for i in live if lo <= i < hi]
+            expect_empty = not inside if once else None
+            assert_object_path(database, tree, dioid, expect_empty=expect_empty)
+            core = lower.lower_query(database, tree, dioid)
+            root = core.root_uid[0]
+            assert root == core.num_connectors - 1
+            if once:
+                assert [lo + i for i in core.tuple_ids[0]] == inside
+                assert [bits(v) for v in core.val_base[0]] == [
+                    bits(whole.val_base[0][live.index(i)]) for i in inside
+                ]
+            if hi == lo:
+                assert core.empty and core.conn_size(root) == 0
+        finally:
+            database.close()
 
 
 # -- what the columns hold ----------------------------------------------------
@@ -350,12 +390,12 @@ def test_state_keys_are_the_stored_weight_objects(dioid):
     query = QUERIES["path4"]
     database = make_database(query, 60, "ints", seed=4)
     tree = build_join_tree(query)
-    _shared, kernel = lower_whole(database, tree, DIOIDS[dioid])
+    kernel = lower.lower_query(database, tree, DIOIDS[dioid])
     assert {type(v) for s in kernel.val_base for v in s} == {int}
     assert {type(v) for s in kernel.pi1 for v in s} == {float}
     assert all(type(k) is float for uid in range(4) for k, _s in kernel.pairs(uid))
     floats = make_database(query, 60, "floats", seed=4)
-    _shared, kernel = lower_whole(floats, tree, TROPICAL)
+    kernel = lower.lower_query(floats, tree, TROPICAL)
     leaf = tree.query.atoms[tree.order[-1]].relation_name
     stored = {id(w) for w in floats[leaf].weights}
     assert all(id(v) in stored for v in kernel.val_base[-1])
@@ -373,9 +413,9 @@ def test_max_plus_zeros_equal_the_object_path_in_bits():
     query = QUERIES["path4"]
     database = make_database(query, 60, "zeros", seed=6)
     tree = build_join_tree(query)
-    shared, core = lower_whole(database, tree, MAX_PLUS)
+    core = lower.lower_query(database, tree, MAX_PLUS)
     reference, uids = object_columns(database, tree, MAX_PLUS)
-    direct = core_columns(core, conn_minima(shared, [core]), uids=uids)
+    direct = core_columns(core, conn_minima(core), uids=uids)
     assert direct == reference
     # A derived zero entry value is +0.0, so its key is -0.0 (a fold in
     # key space from +0.0 would have made it +0.0).
@@ -383,131 +423,30 @@ def test_max_plus_zeros_equal_the_object_path_in_bits():
     assert (-0.0).hex() in keys and (0.0).hex() not in keys
 
 
-# -- fragments -----------------------------------------------------------------
-
-
-#: Fragment cuts over ``total`` anchor rows: ``thirds`` leaves one
-#: fragment empty, ``edges`` gives the first and the last row one each.
-CUTS = {
-    "thirds": lambda total: [0, total // 3, total // 3, (2 * total) // 3, total],
-    "edges": lambda total: [0, 1, total - 1, total],
-}
-
-
-def fragment_inputs(relation, layout):
-    """``(rows, weights, base)`` per fragment of ``CUTS[layout]``."""
-    cuts = CUTS[layout](len(relation))
-    return [
-        (*lower.stage_columns(relation, lo, hi), lo)
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
-
-
-def lower_fragments(database, tree, dioid, layout):
-    query = tree.query
-    shared = lower.build_shared_lower(database, query, tree, dioid, 0)
-    relation = database[query.atoms[shared.order[0]].relation_name]
-    inputs = fragment_inputs(relation, layout)
-    lists = lower.shared_lists(shared, len(inputs))
-    cores = []
-    for index, (rows, weights, base) in enumerate(inputs):
-        cores.append(lower.build_fragment(shared, rows, weights, base, index, lists))
-    return shared, cores, inputs
-
-
-@pytest.mark.parametrize("n", [60, 700])
-@pytest.mark.parametrize("layout", list(CUTS))
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-@pytest.mark.parametrize("dioid", list(DIOIDS))
-@pytest.mark.parametrize("shape", list(QUERIES))
-def test_fragments(tmp_path, shape, dioid, backend, layout, n):
-    query = QUERIES[shape]
-    tree = build_join_tree(query)
-    dioid = DIOIDS[dioid]
-    database = open_database(
-        make_database(query, n, "zeros", seed=n + 7), backend, tmp_path
-    )
-    try:
-        shared, cores, inputs = lower_fragments(database, tree, dioid, layout)
-        for core in cores:
-            assert_same_structures(core)
-        for index, core in enumerate(cores):
-            root = shared.num_conns + index
-            assert core.root_uid[0] == root
-            assert core.conn_size(root) == len(core.val_base[0])
-            assert core.stats()["entries"] == (
-                shared.conn_offsets[shared.num_conns] + core.conn_size(root)
-            )
-
-        # The fragments' anchor columns, end to end, are the whole
-        # relation's (a repeated variable's rows keep their positions).
-        _shared, whole = lower_whole(database, tree, dioid)
-        for name in ("val_base", "pi1", "tuple_ids"):
-            joined = [v for core in cores for v in getattr(core, name)[0]]
-            assert list(map(repr, joined)) == list(map(repr, getattr(whole, name)[0]))
-        joined = [row for core in cores for row in state_rows(core)[0]]
-        assert joined == state_rows(whole)[0]
-
-        # Against the object path: each fragment is the query over the
-        # anchor relation restricted to its rows (sound when the anchor
-        # relation occurs in one atom only).
-        anchor = query.atoms[tree.order[0]]
-        if sum(a.relation_name == anchor.relation_name for a in query.atoms) > 1:
-            return
-        for core, (rows, weights, base) in zip(cores, inputs):
-            restricted = Database(
-                [
-                    Relation(anchor.relation_name, anchor.arity, rows, weights)
-                    if relation.name == anchor.relation_name
-                    else relation
-                    for relation in database
-                ]
-            )
-            tdp = build_tdp(restricted, tree, dioid=dioid)
-            reference = compile_tdp(tdp)
-            assert core.empty == reference.empty
-            assert bits(core.best_key) == bits(reference.best_key)
-            for name in ("val_base", "pi1"):
-                assert [bits(v) for v in getattr(core, name)[0]] == [
-                    bits(v) for v in getattr(reference, name)[0]
-                ]
-            assert state_rows(core)[0] == tdp.tuples[0]
-            assert core.tuple_ids[0] == array("q", [base + i for i in tdp.tuple_ids[0]])
-            if not reference.empty:
-                assert [
-                    (bits(k), s) for k, s in core.pairs(core.root_uid[0])
-                ] == [
-                    (bits(k), s)
-                    for k, s in reference.pairs(reference.root_uid[0])
-                ]
-    finally:
-        database.close()
-
-
 # -- connector placement, as a unit --------------------------------------------
 
 
-def fresh_shared(ranks):
-    """A path-4 :class:`lower.SharedLower` to place stage 2 into: tropical,
+def fresh_lowering(ranks):
+    """A path-4 :class:`lower.Lowering` to place stage 2 into: tropical,
     or max-times (no inverse, entries ``(key, rank, state)``) with
     ``ranks``."""
     query = QUERIES["path4"]
     dioid = TROPICAL if ranks is None else MAX_TIMES
-    return lower.SharedLower(query, build_join_tree(query), dioid, 0)
+    return lower.Lowering(query, build_join_tree(query), dioid)
 
 
-def pool_entries(shared) -> list[tuple]:
+def pool_entries(low) -> list[tuple]:
     """The pool's columns as ``(key[, rank], state)`` tuples."""
-    columns = [shared.entry_key, shared.entry_state]
-    if shared.entry_rank is not None:
-        columns.insert(1, shared.entry_rank)
+    columns = [low.entry_key, low.entry_state]
+    if low.entry_rank is not None:
+        columns.insert(1, low.entry_rank)
     assert len({len(column) for column in columns}) == 1
     return list(zip(*columns))
 
 
-def placed(shared) -> tuple:
-    offsets = shared.conn_offsets
-    entries = pool_entries(shared)
+def placed(low) -> tuple:
+    offsets = low.conn_offsets
+    entries = pool_entries(low)
     for entry in entries:
         assert [type(v) for v in entry] == [float] + [int] * (len(entry) - 1)
     return (
@@ -515,10 +454,10 @@ def placed(shared) -> tuple:
             [(bits(k), *rest) for k, *rest in entries[lo:hi]]
             for lo, hi in zip(offsets, offsets[1:])
         ],
-        [bits(m) for m in shared.conn_min],
-        list(shared.conn_maps[2].items()),
-        shared.conn_stage,
-        shared.conn_rank,
+        [bits(m) for m in low.conn_min],
+        list(low.conn_maps[2].items()),
+        low.conn_stage,
+        low.conn_rank,
     )
 
 
@@ -529,12 +468,12 @@ def place(join_keys, entry_keys, ranks=None):
     ranks are summed, made a column as :func:`lower._rank_columns` makes
     it.
     """
-    shared = fresh_shared(ranks)
+    low = fresh_lowering(ranks)
     lower._place_by_connector(
-        shared, 2, join_keys, np.array(entry_keys, np.float64),
+        low, 2, join_keys, np.array(entry_keys, np.float64),
         None if ranks is None else lower._rank_array(ranks),
     )
-    return placed(shared)
+    return placed(low)
 
 
 def place_oracle(join_keys, entry_keys, ranks=None):
@@ -543,9 +482,9 @@ def place_oracle(join_keys, entry_keys, ranks=None):
     value of ``min()`` over them.  The entry values are fresh floats, one
     object each, as a stage scan hands them over (``min()`` treats one
     NaN object met twice as equal to itself)."""
-    shared = fresh_shared(ranks)
+    low = fresh_lowering(ranks)
     entry_values = np.array(entry_keys, np.float64).tolist()
-    keys = list(map(neg, entry_values)) if shared.lane.negate else entry_values
+    keys = list(map(neg, entry_values)) if low.lane.negate else entry_values
     if ranks is None:
         entries = zip(keys, count())
     else:
@@ -553,21 +492,21 @@ def place_oracle(join_keys, entry_keys, ranks=None):
     groups: dict = {}
     for join_key, entry in zip(join_keys, entries):
         groups.setdefault(join_key, []).append(entry)
-    shared.conn_maps[2].update(zip(groups, count(len(shared.conn_stage))))
-    shared.conn_stage.extend([2] * len(groups))
-    shared.conn_offsets.extend(map(
-        len(shared.entry_key).__add__, accumulate(map(len, groups.values()))
+    low.conn_maps[2].update(zip(groups, count(len(low.conn_stage))))
+    low.conn_stage.extend([2] * len(groups))
+    low.conn_offsets.extend(map(
+        len(low.entry_key).__add__, accumulate(map(len, groups.values()))
     ))
     pool = list(chain.from_iterable(groups.values()))
-    shared.entry_key.extend(map(itemgetter(0), pool))
-    shared.entry_state.extend(map(itemgetter(-1), pool))
+    low.entry_key.extend(map(itemgetter(0), pool))
+    low.entry_state.extend(map(itemgetter(-1), pool))
     if ranks is not None:
-        shared.entry_rank = typed_ranks([*shared.entry_rank, *map(itemgetter(1), pool)])
+        low.entry_rank = typed_ranks([*low.entry_rank, *map(itemgetter(1), pool)])
     least = list(map(min, groups.values()))
-    shared.conn_min.extend(map(entry_values.__getitem__, map(itemgetter(-1), least)))
+    low.conn_min.extend(map(entry_values.__getitem__, map(itemgetter(-1), least)))
     if ranks is not None:
-        shared.conn_rank = typed_ranks([*shared.conn_rank, *map(itemgetter(1), least)])
-    return placed(shared)
+        low.conn_rank = typed_ranks([*low.conn_rank, *map(itemgetter(1), least)])
+    return placed(low)
 
 
 def typed_ranks(ranks: list):
@@ -1003,33 +942,26 @@ def test_a_pinned_stream_reads_its_own_rows_after_a_mutation(mutation):
         assert read(results) == expected
 
 
-def test_fragment_roots_are_pooled_in_uid_order():
-    """Each fragment appends its root to the one shared pool, in uid
-    order; ``conn_size`` reads any connector off the offsets, and
-    ``stats`` counts the shared connectors plus the core's own root."""
-    from repro.engine import Engine
-
-    query = QUERIES["path4"]
+@pytest.mark.parametrize("dioid", list(DIOIDS))
+@pytest.mark.parametrize("shape", list(QUERIES))
+def test_the_root_is_pooled_last(shape, dioid):
+    """Stage 0's root connector takes the last uid and holds every state
+    of stage 0 in order; ``conn_size`` reads any connector off the
+    offsets, and ``stats`` counts the whole pool."""
+    query = QUERIES[shape]
     database = make_database(query, 700, seed=15)
-    physical = Engine(database).prepare(query, shards=4).bind()
-    cores = [fragment.tdp for fragment in physical.fragments]
-    assert len(cores) == 4
-    shared = cores[0].num_connectors - len(cores)
-    offsets = cores[0].conn_offsets
-    assert len(offsets) == cores[0].num_connectors + 1
-    for index, core in enumerate(cores):
-        assert core.entry_key is cores[0].entry_key
-        assert core.entry_state is cores[0].entry_state
-        assert core.conn_offsets is offsets
-        root = core.root_uid[0]
-        assert root == shared + index
-        assert core.entry_state[offsets[root]:offsets[root + 1]].tolist() == list(
-            range(len(core.val_base[0]))
-        )
-        assert core.conn_size(root) == len(core.pairs(root)) == len(core.val_base[0])
-        assert core.stats()["entries"] == offsets[shared] + core.conn_size(root)
-        for uid in range(core.num_connectors):
-            assert core.conn_size(uid) == len(core.pairs(uid))
+    core = lower.lower_query(database, build_join_tree(query), DIOIDS[dioid])
+    assert not core.empty
+    offsets = core.conn_offsets
+    root = core.root_uid[0]
+    assert root == core.num_connectors - 1 == len(offsets) - 2
+    assert core.conn_stage[root] == 0
+    assert core.entry_state[offsets[root]:].tolist() == list(
+        range(len(core.val_base[0]))
+    )
+    assert core.stats()["entries"] == offsets[-1] == len(core.entry_key)
+    for uid in range(core.num_connectors):
+        assert core.conn_size(uid) == len(core.pairs(uid))
 
 
 # -- ranking by pool position ---------------------------------------------------
@@ -1084,7 +1016,7 @@ def test_position_heap_and_order_are_heapify_and_sorted(connector):
     """Take2's heap and Eager's order, kept as pool positions and mapped
     back to entries, are ``heapify``'s layout and ``sorted``'s order of
     the ``(key[, rank], state)`` tuples themselves — on first touch, and
-    as a fragment root's heap is ranked at bind, from arrays (a lowered
+    as the pool's heaps are ranked at bind, from arrays (a lowered
     core's connector, states ascending)."""
     key, rank, states, lo, hi = connector
     expected = entries_at(key, rank, states, range(lo, hi))

@@ -2,19 +2,13 @@
 
 Max-times has a lane (``a * b``, key ``-a``) but no inverse, so an
 acyclic plan ranked by it lowers through :mod:`repro.dp.lower` to a core
-whose siblings are recomputed from their prefix product — unsharded, and
-per fragment of a shard plan (fused inline, or on a thread pool).
-The oracle is ``build_tdp`` + ``make_enumerator(flat=False)`` over the
-same rows:
+whose siblings are recomputed from their prefix product.  The oracle is
+``build_tdp`` + ``make_enumerator(flat=False)`` over the same rows:
 
 * {4-path, 4-star, self-join with a repeated variable, two-component
-  Cartesian product} x all 7 variants x {memory, SQLite} x {unsharded;
-  2 and 4 arrival shards, fused and thread};
-* every answer's weight by ``repr``, its order and its witness ids, and,
-  unsharded, the ``OpCounter`` after the last answer.  A sharded run adds
-  the merge's own operations and orders answers of equal weight by
-  arrival, so there each run of equal weights compares as a set (and
-  ``batch_nosort``, unranked, as a whole);
+  Cartesian product} x all 7 variants x {memory, SQLite};
+* every answer's weight by ``repr``, its order and its witness ids, and
+  the ``OpCounter`` after the last answer;
 * ``explain()`` reports a compiled core.
 
 Nothing here needs numpy.
@@ -22,7 +16,6 @@ Nothing here needs numpy.
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 
@@ -49,14 +42,6 @@ QUERIES = {
     "star4": star_query(4),
     "selfjoin_repeat": parse_query("Q(x, y, z) :- R1(x, y), R1(y, z), R1(z, z)"),
     "cartesian": parse_query("Q(a, b, c, d, e) :- R1(a, b), R2(b, c), R3(d, e)"),
-}
-#: name -> ``None`` (unsharded) or the shard count, arrival (seven
-#: fragments split the 30 anchor rows unevenly).
-LAYOUTS = {
-    "unsharded": None,
-    "fused2": 2,
-    "fused4": 4,
-    "fused7": 7,
 }
 
 
@@ -91,47 +76,29 @@ def reference(shape: str, variant: str) -> tuple[list, dict]:
     return rows, counter.as_dict()
 
 
-def by_weight(rows: list[tuple]) -> list[tuple]:
-    """Runs of equal weight, in order, each as a set of witnesses."""
-    return [
-        (weight, sorted(witness for _weight, witness in run))
-        for weight, run in itertools.groupby(rows, key=lambda row: row[0])
-    ]
-
-
-@pytest.mark.parametrize("layout", list(LAYOUTS))
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("shape", list(QUERIES))
-def test_lowered_max_times_is_the_object_path(tmp_path, shape, backend, layout):
+def test_lowered_max_times_is_the_object_path(tmp_path, shape, backend):
     database = make_database(shape)
     if backend == "sqlite":
         sqlite = SQLiteBackend(str(tmp_path / "max_times.db"))
         for relation in database:
             sqlite.ingest(relation)
         database = sqlite.database()
-    options = {"dioid": MAX_TIMES}
-    if LAYOUTS[layout] is not None:
-        options.update(shards=LAYOUTS[layout])
     with Engine(database) as engine:
         for variant in ALL_VARIANTS:
-            prepared = engine.prepare(QUERIES[shape], algorithm=variant, **options)
+            prepared = engine.prepare(
+                QUERIES[shape], algorithm=variant, dioid=MAX_TIMES
+            )
             counter = OpCounter()
             rows = answers(prepared.iter(counter))
             expected_rows, expected_counts = reference(shape, variant)
             assert len(rows) > 50
             physical = prepared.bind()
             explain = prepared.explain()
-            if LAYOUTS[layout] is None:
-                assert isinstance(physical.tdp, CompiledTDP)
-                assert not physical.tdp.inverse
-                assert "compiled core:" in explain
-                assert "lane (a * b, key -a)" in explain
-                assert rows == expected_rows, variant
-                assert counter.as_dict() == expected_counts, variant
-            else:
-                assert all(isinstance(f.tdp, CompiledTDP) for f in physical.fragments)
-                assert "compiled cores:" in explain
-                if variant == "batch_nosort":
-                    assert sorted(rows) == sorted(expected_rows)
-                else:
-                    assert by_weight(rows) == by_weight(expected_rows), variant
+            assert isinstance(physical.tdp, CompiledTDP)
+            assert not physical.tdp.inverse
+            assert "compiled core:" in explain
+            assert "lane (a * b, key -a)" in explain
+            assert rows == expected_rows, variant
+            assert counter.as_dict() == expected_counts, variant

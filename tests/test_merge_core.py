@@ -1,18 +1,16 @@
 """Unit tests for the shared ranked-merge core (`repro.anyk.merge`).
 
-The core is consumed by two callers — the UT-DP union enumerator and
-the parallel layer's shard merge — so its contract is pinned directly:
-minimum-first order across members, insertion-sequence tie-breaking,
-consecutive-duplicate elimination, counter attribution, per-member emit
-counts, and the unordered concatenation degenerate.
+The core is consumed by the UT-DP union enumerator, and its contract
+is pinned directly: minimum-first order across members,
+insertion-sequence tie-breaking, consecutive-duplicate elimination and
+counter attribution.
 """
 
 import pytest
 
 from repro.anyk.base import Enumerator, RankedResult
-from repro.anyk.merge import ConcatenatedStreams, RankedMerge
+from repro.anyk.merge import RankedMerge
 from repro.anyk.union import UnionEnumerator
-from repro.parallel.merge import ShardConcat, ShardMerge
 from repro.util.counters import OpCounter
 
 
@@ -70,21 +68,10 @@ class TestRankedMerge:
             [ListStream([]), ListStream([result(2.0)]), ListStream([])]
         )
         assert keys(merge) == [2.0]
-        assert merge.member_counts == [0, 1, 0]
 
     def test_no_members(self):
         merge = RankedMerge([])
         assert keys(merge) == []
-
-    def test_member_counts_attribution(self):
-        merge = RankedMerge(
-            [
-                ListStream([result(1.0), result(5.0)]),
-                ListStream([result(2.0), result(3.0), result(4.0)]),
-            ]
-        )
-        list(merge)
-        assert merge.member_counts == [2, 3]
 
     def test_counter_attribution(self):
         counter = OpCounter()
@@ -96,15 +83,6 @@ class TestRankedMerge:
         assert counter.pq_push == 3
         assert counter.pq_pop == 3
         assert counter.results == len(out) == 3
-
-    def test_count_results_off(self):
-        counter = OpCounter()
-        merge = RankedMerge(
-            [ListStream([result(1.0)])], counter=counter, count_results=False
-        )
-        list(merge)
-        assert counter.results == 0
-        assert counter.pq_pop == 1
 
     def test_dedup_drops_consecutive_duplicates(self):
         merge = RankedMerge(
@@ -133,41 +111,6 @@ class TestRankedMerge:
         assert [r.states[0] for r in union] == ["x"]  # dedup on by default
 
 
-class TestConcatenatedStreams:
-    def test_chains_members_in_order(self):
-        concat = ConcatenatedStreams(
-            [
-                ListStream([result(9.0), result(1.0)]),
-                ListStream([]),
-                ListStream([result(5.0)]),
-            ]
-        )
-        assert keys(concat) == [9.0, 1.0, 5.0]
-        assert concat.member_counts == [2, 0, 1]
-
-
-class TestShardMergeConfiguration:
-    def test_shard_merge_leaves_result_counting_to_members(self):
-        counter = OpCounter()
-        merge = ShardMerge([ListStream([result(1.0)])], counter=counter)
-        list(merge)
-        assert counter.results == 0  # members count their own emissions
-        assert merge.shard_counts() == [1]
-
-    def test_shard_merge_never_dedups(self):
-        merge = ShardMerge(
-            [ListStream([result(1.0, "x")]), ListStream([result(1.0, "x")])]
-        )
-        assert len(list(merge)) == 2
-
-    def test_shard_concat_counts(self):
-        concat = ShardConcat(
-            [ListStream([result(1.0)]), ListStream([result(2.0), result(3.0)])]
-        )
-        list(concat)
-        assert concat.shard_counts() == [1, 2]
-
-
 class TestEnumeratorProtocol:
     def test_step_and_exhausted(self):
         merge = RankedMerge([ListStream([result(1.0), result(2.0)])])
@@ -183,7 +126,7 @@ class TestEnumeratorProtocol:
         assert [r.key for r in merge.top(1)] == [1.0]
 
 
-@pytest.mark.parametrize("merge_cls", [RankedMerge, ShardMerge])
+@pytest.mark.parametrize("merge_cls", [RankedMerge])
 def test_determinism_across_runs(merge_cls):
     def build():
         return merge_cls(

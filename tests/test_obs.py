@@ -27,6 +27,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.query.builders import path_query
+from repro.ranking.dioid import MAX_PLUS, TROPICAL
 from repro.util.counters import OpCounter
 
 VARIANTS = [
@@ -194,17 +195,6 @@ class TestNoOpIdentity:
             )
             assert counter_off.as_dict() == counter_on.as_dict()
             assert traced.tracer.spans(), "traced engine recorded no spans"
-        finally:
-            plain.close()
-            traced.close()
-
-    def test_sharded_results_identical(self, database):
-        plain = Engine(database)
-        traced = Engine(database, tracer=Tracer(sample="always"))
-        try:
-            off = plain.prepare(QUERY, shards=2)
-            on = traced.prepare(QUERY, shards=2)
-            assert signature(off.top(40)) == signature(on.top(40))
         finally:
             plain.close()
             traced.close()
@@ -457,16 +447,6 @@ class TestEngineSpans:
         finally:
             engine.close()
 
-    def test_sharded_bind_spans(self, database):
-        engine = Engine(database, tracer=Tracer(sample="always"))
-        try:
-            engine.prepare(QUERY, shards=2).bind()
-            names = {s.name for s in engine.tracer.spans()}
-            assert {"shard.plan", "fragments.build", "shared.lower",
-                    "fragments.fanout"} <= names
-        finally:
-            engine.close()
-
     def test_core_cache_hit_span(self, tmp_path, database):
         from repro.data.backend import SQLiteBackend
 
@@ -503,13 +483,13 @@ class TestEngineSpans:
 
 class TestAnalyze:
     @pytest.mark.parametrize("algorithm", VARIANTS)
-    @pytest.mark.parametrize("shards", [None, 2])
-    def test_analyze_all_variants(self, database, algorithm, shards):
+    @pytest.mark.parametrize(
+        "dioid", [TROPICAL, MAX_PLUS], ids=["tropical", "max-plus"]
+    )
+    def test_analyze_all_variants(self, database, algorithm, dioid):
         engine = Engine(database)
         try:
-            prepared = engine.prepare(
-                QUERY, algorithm=algorithm, shards=shards
-            )
+            prepared = engine.prepare(QUERY, algorithm=algorithm, dioid=dioid)
             report = prepared.analyze(12)
             assert report.algorithm == algorithm
             assert 0 < report.produced <= 12
@@ -529,12 +509,6 @@ class TestAnalyze:
             assert delay["ttk_ms"] >= delay["ttf_ms"] >= 0.0
             assert delay["delay_max_us"] >= delay["delay_p50_us"]
             assert sum(report.counters.values()) > 0
-            if shards:
-                assert report.shard_counts is not None
-                assert sum(report.shard_counts) == report.produced
-                assert report.shard_stats["shards"] == shards
-            else:
-                assert report.shard_counts is None
             text = report.render()
             assert text.startswith("EXPLAIN ANALYZE")
             assert "delay profile" in text
@@ -551,9 +525,6 @@ class TestAnalyze:
             report = engine.prepare(QUERY).analyze(5)
             assert report.core is not None
             assert report.core["entries"] > 0
-            sharded = engine.prepare(QUERY, shards=2).analyze(5)
-            assert sharded.core is not None
-            assert sharded.core["fragments"] == 2
         finally:
             engine.close()
 

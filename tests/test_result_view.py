@@ -8,13 +8,14 @@ Plans whose rows sit behind a backend, and the finishers that
 post-process, still hand out finished answers built while the stream
 extends.  This module pins both sides:
 
-* every plan kind that hands out views x {tropical, max-plus} x all
-  seven algorithm names x {memory, SQLite cold bind, sharded 1 / 4,
-  4 shards built on the thread pool},
-  over the ``1 == 1.0 == True`` join-key palette: all five fields of
-  every answer equal ``ResultAssembler.result(weight, states)`` by
-  ``repr`` / ``float.hex``, and (unsharded) a stage-by-stage loop that
-  shares no code with the assembler;
+* every plan kind that hands out views (chain, tree, ranked product,
+  two-column join key, self-join with a repeated variable) x
+  {tropical, max-plus, max-times} x all seven algorithm names x
+  {memory, SQLite cold bind}, over the
+  ``1 == 1.0 == True`` join-key palette: all five fields of every
+  answer equal ``ResultAssembler.result(weight, states)`` by ``repr`` /
+  ``float.hex``, and a stage-by-stage loop that shares no code with the
+  assembler;
 * the cycle union over in-process relations: views too, decoding
   through the member's assembler and bag lineage, equal field by field
   to the finished answers the same plan hands out over SQLite;
@@ -63,14 +64,15 @@ SHAPES = {
     "path4": QUERIES["path4"],
     "star4": QUERIES["star4"],
     "product": parse_query("Q(a, b, c, d) :- R1(a, b), R2(c, d)"),
+    "twocol": QUERIES["twocol"],
+    "selfjoin_repeat": QUERIES["selfjoin_repeat"],
 }
+#: The lane dioids: with an inverse, and max-times without one.
+VIEW_DIOIDS = {**DIOIDS, "max-times": MAX_TIMES}
 #: storage -> (backend, prepare options).
 STORAGES = {
     "memory": ("memory", {}),
     "sqlite_cold": ("sqlite", {}),
-    "shards1": ("memory", {"shards": 1}),
-    "shards4": ("memory", {"shards": 4}),
-    "sqlite_shards4": ("sqlite", {"shards": 4}),
 }
 K = 300
 PROJECTION = parse_query("Q(x1, x3) :- R1(x1, x2), R2(x2, x3), R3(x3, x4)")
@@ -123,7 +125,7 @@ def stagewise_fields(tdp, query, head, states) -> tuple:
 
 
 @pytest.mark.parametrize("algorithm", ALL_VARIANTS)
-@pytest.mark.parametrize("dioid", list(DIOIDS))
+@pytest.mark.parametrize("dioid", list(VIEW_DIOIDS))
 @pytest.mark.parametrize("storage", list(STORAGES))
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_view_fields_equal_the_eager_decode(
@@ -136,7 +138,7 @@ def test_view_fields_equal_the_eager_decode(
     engine = open_engine(database, backend, tmp_path, core_cache="off")
     try:
         prepared = engine.prepare(
-            query, dioid=DIOIDS[dioid], algorithm=algorithm, **options
+            query, dioid=VIEW_DIOIDS[dioid], algorithm=algorithm, **options
         )
         results = prepared.top(K)
         assert len(results) >= 50
@@ -151,10 +153,9 @@ def test_view_fields_equal_the_eager_decode(
             assert eager.states is None
             assert snapshot(result) == snapshot(eager)
             assert repr(result.decoded()) == repr(eager.decoded())
-            if "shards" not in options:
-                assert snapshot(result)[1:] == stagewise_fields(
-                    physical.tdp, query, query.head, result.states
-                )
+            assert snapshot(result)[1:] == stagewise_fields(
+                physical.tdp, query, query.head, result.states
+            )
     finally:
         engine.close()
 
@@ -217,11 +218,6 @@ EAGER_PLANS = {
     "boolean": (
         SHAPES["path4"], {"dioid": BOOLEAN}, "object-graph enumerators",
     ),
-    "canonical_shards": (
-        SHAPES["path4"],
-        {"shards": 2, "shard_tie_break": "canonical"},
-        "object-graph enumerators",
-    ),
 }
 
 
@@ -235,18 +231,16 @@ def test_finishers_and_object_plans_hand_out_finished_answers(plan, algorithm):
         assert_finished(prepared, prepared.top(100), reason)
 
 
-@pytest.mark.parametrize("shards", [None, 3])
 @pytest.mark.parametrize("dioid", list(DIOIDS))
-def test_projection_is_the_projected_inner_answer(dioid, shards):
+def test_projection_is_the_projected_inner_answer(dioid):
     database = make_database(PROJECTION, 150, "mixed", seed=9, mixed_keys=True)
     full = parse_query(
         "Q(x1, x2, x3, x4) :- R1(x1, x2), R2(x2, x3), R3(x3, x4)"
     )
-    options = {} if shards is None else {"shards": shards}
     with Engine(database) as engine:
-        prepared = engine.prepare(PROJECTION, dioid=DIOIDS[dioid], **options)
+        prepared = engine.prepare(PROJECTION, dioid=DIOIDS[dioid])
         projected = prepared.top(K)
-        inner = engine.prepare(full, dioid=DIOIDS[dioid], **options).top(K)
+        inner = engine.prepare(full, dioid=DIOIDS[dioid]).top(K)
         assert_finished(prepared, projected, "the plan's finisher")
     assert len(projected) == len(inner) >= 50
     for got, source in zip(projected, inner):
@@ -463,7 +457,7 @@ def test_a_view_reaches_no_tdp_and_no_compiled_core():
     query = SHAPES["star4"]
     database = make_database(query, 60, "floats", seed=2)
     with Engine(database) as engine:
-        result = engine.prepare(query, shards=2).top(3)[-1]
+        result = engine.prepare(query).top(3)[-1]
         # (> 100: it did walk the assembler's rows.)
         assert reachable_from(result, (TDP, CompiledTDP)) > 100
 

@@ -133,9 +133,9 @@ class TestTypedFields:
 
 
 class TestRemovedShardFields:
-    """``shard_parallel`` and ``shard_strategy`` are not wire fields: a
-    prepare from a client that still sends them, with any value, is
-    served as if they were absent."""
+    """``shards``, ``shard_tie_break``, ``shard_parallel`` and
+    ``shard_strategy`` are not wire fields: a prepare from a client that
+    still sends them, with any value, is served as if they were absent."""
 
     @pytest.fixture(scope="class")
     def addresses(self, engine):
@@ -191,10 +191,14 @@ class TestRemovedShardFields:
             {"shard_parallel": "process"},
             {"shard_parallel": "thread", "shard_strategy": "hash"},
             {"shard_parallel": 5, "shard_strategy": ["range"]},
+            {"shards": 2},
+            {"shards": 0},
+            {"shards": True},
+            {"shard_tie_break": "canonical"},
         ],
     )
     def test_stale_fields_get_the_same_pages(self, addresses, transport, stale):
-        plain = {"session": f"plain-{transport}", "query": QUERY, "shards": 2}
+        plain = {"session": f"plain-{transport}", "query": QUERY}
         response, pages = self._serve(transport, addresses, plain)
         assert sum(map(len, pages)) == 21
         carried = {**plain, "session": f"stale-{transport}", **stale}
@@ -336,12 +340,11 @@ REQUESTS = [
     (
         ("prepare", ("s", QUERY), dict(
             algorithm="recursive", dioid="tropical", projection="all_weight",
-            budget=9, shards=2, shard_tie_break="canonical", deadline_ms=250.0,
+            budget=9, deadline_ms=250.0,
         )),
         {"op": "prepare", "session": "s", "query": QUERY,
          "algorithm": "recursive", "dioid": "tropical",
-         "projection": "all_weight", "budget": 9, "shards": 2,
-         "shard_tie_break": "canonical", "deadline_ms": 250.0},
+         "projection": "all_weight", "budget": 9, "deadline_ms": 250.0},
         ("POST", "/v1/prepare"),
     ),
     (

@@ -248,16 +248,9 @@ class TestFrameLimit:
 class TestBooleanFieldRegressions:
     """JSON ``true``/``false`` must not pass integer validation.
 
-    Regression: ``isinstance(True, int)`` holds, so ``{"shards": true}``
-    used to prepare a 1-shard plan and ``{"n": true}`` fetched one row.
+    Regression: ``isinstance(True, int)`` holds, so ``{"n": true}``
+    fetched one row.
     """
-
-    def test_boolean_shards_rejected(self, client):
-        with pytest.raises(ServeClientError, match="bad_request"):
-            client.request(
-                {"op": "prepare", "session": "bools", "query": QUERY,
-                 "shards": True}
-            )
 
     def test_boolean_fetch_size_rejected(self, client):
         cursor = client.prepare("bools", QUERY)["cursor"]

@@ -8,7 +8,8 @@ vector of ``(value,)`` boxes merged slot by slot — lives on verbatim in
 
 * **equivalence**: every tie-broken pipeline (simple-cycle union of
   length 4 / 5 / 6, generic decomposition, UCQ with and without
-  ``dedup``, canonical shards 1 / 2 / 4) x all seven any-k variants x
+  ``dedup``, one-member unions of an acyclic 3-path, with and without
+  ``dedup``, and of a 3-star) x all seven any-k variants x
   {tropical, max-times, lexicographic base} on massive-tie weight
   palettes is bound once under each representation; the ranked
   sequences (``float.hex`` weight, assignment, ``witness_ids``) and the
@@ -36,7 +37,7 @@ from repro.data.relation import Relation
 from repro.dp.builder import make_tie_lift, owned_columns, rank_tie_domains
 from repro.engine import Engine
 from repro.enumeration.api import ranked_enumerate, ranked_enumerate_ucq
-from repro.query.builders import cycle_query, path_query
+from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
 from repro.ranking.dioid import (
@@ -53,7 +54,7 @@ from tests.test_lower_columns import QUERIES, make_database
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 TIE_PIPELINES = [
     importlib.import_module(name)
-    for name in ("repro.engine.plan", "repro.enumeration.api", "repro.parallel.build")
+    for name in ("repro.engine.plan", "repro.enumeration.api")
 ]
 
 ALL_VARIANTS = [
@@ -145,14 +146,15 @@ def ucq_run(dedup):
     return run
 
 
-def shards_run(shards):
+def acyclic_run(query, dedup):
+    """An acyclic query as a one-member union: one tree, tie-broken."""
     def run(base, palette, variant, counter):
-        database = tie_database(["R1", "R2", "R3"], 26, 5, base, palette, seed=2412)
-        prepared = Engine(database).prepare(
-            path_query(3), dioid=BASES[base][0], algorithm=variant,
-            shards=shards, shard_tie_break="canonical",
+        names = [atom.relation_name for atom in query.atoms]
+        database = tie_database(names, 26, 5, base, palette, seed=2412)
+        return ranked_enumerate_ucq(
+            database, [query], dioid=BASES[base][0], algorithm=variant,
+            dedup=dedup, counter=counter,
         )
-        return prepared.bind().iter(counter)
 
     return run
 
@@ -164,9 +166,9 @@ PIPELINES = {
     "generic": generic_run,
     "ucq": ucq_run(dedup=False),
     "ucq_dedup": ucq_run(dedup=True),
-    "shards1": shards_run(1),
-    "shards2": shards_run(2),
-    "shards4": shards_run(4),
+    "path3": acyclic_run(path_query(3), dedup=False),
+    "path3_dedup": acyclic_run(path_query(3), dedup=True),
+    "star3": acyclic_run(star_query(3), dedup=False),
 }
 
 
@@ -219,10 +221,6 @@ def test_the_oracle_is_the_vector_representation():
         physical = Engine(database).prepare(cycle_query(4)).bind()
         assert type(physical.tie) is vector_tie.TieBreakingDioid
         assert type(physical.tdps[0].values[0][0][1]) is tuple
-        sharded = Engine(database).prepare(
-            path_query(3), shards=2, shard_tie_break="canonical"
-        ).bind()
-        assert type(sharded.tie) is vector_tie.TieBreakingDioid
 
 
 # -- values that are hostile to a sort -----------------------------------------
@@ -281,10 +279,9 @@ def mixed_database(names, n, values, weights, seed) -> Database:
     ])
 
 
-def canonical_path3(database):
-    return Engine(database).prepare(
-        path_query(3), shards=2, shard_tie_break="canonical"
-    )
+def ranked_path3(database):
+    """A 3-path ranked under the tie-breaker: a one-member union."""
+    return ranked_enumerate_ucq(database, [path_query(3)], dedup=False)
 
 
 def test_mixed_type_columns_with_real_ties_bind_and_rank_deterministically():
@@ -294,8 +291,8 @@ def test_mixed_type_columns_with_real_ties_bind_and_rank_deterministically():
     names = ["R1", "R2", "R3"]
     database = mixed_database(names, 30, MIXED_VALUES, lambda rng: 1.0, 2420)
     with vector_oracle(), pytest.raises(TypeError):
-        list(canonical_path3(database).iter())
-    results = list(canonical_path3(database).iter())
+        list(ranked_path3(database))
+    results = list(ranked_path3(database))
     brute_force = [
         (a[0], a[1], b[1], c[1])
         for a, b, c in itertools.product(*(database[name].tuples for name in names))
@@ -309,10 +306,10 @@ def test_mixed_type_columns_with_real_ties_bind_and_rank_deterministically():
     keys = [tuple(position[value] for value in r.output_tuple) for r in results]
     assert keys == sorted(keys) and len(set(keys)) < len(keys)  # duplicate tuples
     again = mixed_database(names, 30, MIXED_VALUES, lambda rng: 1.0, 2420)
-    assert [row(r) for r in canonical_path3(again).iter()] == [row(r) for r in results]
+    assert [row(r) for r in ranked_path3(again)] == [row(r) for r in results]
 
 
-@pytest.mark.parametrize("pipeline", ["cycle", "shards"])
+@pytest.mark.parametrize("pipeline", ["cycle", "ucq"])
 def test_a_mixed_type_database_that_binds_under_the_vectors_ranks_the_same(pipeline):
     """No two answers tie (weights are distinct sums), so the vectors are
     never compared across types and the parent ranks this input too."""
@@ -324,7 +321,7 @@ def test_a_mixed_type_database_that_binds_under_the_vectors_ranks_the_same(pipel
     def run():
         if pipeline == "cycle":
             return [row(r) for r in Engine(database).prepare(cycle_query(4)).iter()]
-        return [row(r) for r in canonical_path3(database).iter()]
+        return [row(r) for r in ranked_path3(database)]
 
     results = run()
     with vector_oracle():
@@ -335,16 +332,14 @@ def test_a_mixed_type_database_that_binds_under_the_vectors_ranks_the_same(pipel
 @pytest.mark.parametrize("shape", ["path4", "star4", "twocol"])
 @pytest.mark.parametrize("weights", ["mixed", "ints", "zeros"])
 def test_join_keys_1_and_1_0_and_true_rank_like_the_vectors(shape, weights):
-    """Canonical shards over the lowering suite's key palette: the
+    """A one-member union over the lowering suite's key palette: the
     spelling an answer reports and its place among equal weights."""
     query = QUERIES[shape]
     database = make_database(query, 60, weights, seed=2422, mixed_keys=True)
 
     def run():
-        prepared = Engine(database).prepare(
-            query, shards=3, shard_tie_break="canonical"
-        )
-        return [row(r) for r in prepared.top(10**6)]  # k far past the output
+        results = ranked_enumerate_ucq(database, [query], dedup=False)
+        return [row(r) for r in itertools.islice(results, 10**6)]
 
     results = run()
     with vector_oracle():
@@ -356,8 +351,7 @@ def test_join_keys_1_and_1_0_and_true_rank_like_the_vectors(shape, weights):
 def test_empty_relations_rank_nothing_and_do_not_fail(edge):
     query = QUERIES["path4"]
     database = make_database(query, 40, "floats", seed=2423, edge=edge)
-    prepared = Engine(database).prepare(query, shards=2, shard_tie_break="canonical")
-    assert prepared.top(5) == []
+    assert list(ranked_enumerate_ucq(database, [query], dedup=False)) == []
     empty = Database([Relation(f"R{i}", 2, [], []) for i in range(1, 5)])
     assert list(Engine(empty).prepare(cycle_query(4)).iter()) == []
     assert list(ranked_enumerate_ucq(empty, UCQ)) == []
