@@ -58,6 +58,9 @@ _SQLITE_RETRIER = resilience.Retrier(
     label="sqlite",
 )
 
+#: Rows per ``fetchmany`` of :meth:`SQLiteBackend.fetch_rows`.
+FETCH_BATCH = 4096
+
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 #: Table names a backend may never hand to user data.
 _RESERVED_PREFIXES = ("sqlite_", "repro_")
@@ -167,14 +170,15 @@ class StorageBackend(Protocol):
         """The single row at insertion position ``position``."""
         ...
 
-    def fetch_rows(self, name: str) -> list[tuple]:
-        """Bulk-materialise every row in insertion order, each as one flat
-        tuple with the weight in the trailing position.
+    def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
+        """Every row in insertion order, each as one flat tuple with the
+        weight in the trailing position, in batches (lists of rows).
 
-        The stage scan of :mod:`repro.dp.lower` reads a backend-stored
-        relation through this one call: a single ``fetchall`` in SQLite
-        keeps the per-row Python overhead out of the preprocessing hot
-        loop.
+        A relation's column image (:mod:`repro.data.image`) and the
+        object builder read a backend-stored relation through this one
+        call: one statement in SQLite, fetched :data:`FETCH_BATCH` rows
+        at a time, so no per-row Python call sits in the preprocessing
+        hot loop and the rows of one batch at most are held at once.
         """
         ...
 
@@ -304,9 +308,9 @@ class MemoryBackend:
         relation = self._get(name)
         return relation.tuples[position], relation.weights[position]
 
-    def fetch_rows(self, name: str) -> list[tuple]:
+    def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         relation = self._get(name)
-        return [t + (w,) for t, w in zip(relation.tuples, relation.weights)]
+        yield [t + (w,) for t, w in zip(relation.tuples, relation.weights)]
 
     def degree_statistics(
         self, name: str, columns: Sequence[int]
@@ -637,12 +641,13 @@ class SQLiteBackend:
             raise IndexError(f"{name}: no tuple at position {position}")
         return tuple(row[:-1]), row[-1]
 
-    def fetch_rows(self, name: str) -> list[tuple]:
+    def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         table = quote_identifier(name)
         self._meta_of(name)
         # ORDER BY rowid pins the insertion order the T-DP state
         # identity relies on.
-        return self._execute(f"SELECT * FROM {table} ORDER BY rowid").fetchall()
+        cursor = self._execute(f"SELECT * FROM {table} ORDER BY rowid")
+        return iter(lambda: cursor.fetchmany(FETCH_BATCH), [])
 
     def degree_statistics(
         self, name: str, columns: Sequence[int]

@@ -84,8 +84,13 @@ class Database:
         )
 
     def touch(self) -> None:
-        """Force a version bump (for out-of-band mutation of relations)."""
+        """Force a version bump (for out-of-band mutation of relations,
+        such as a list changed in place): the column image of every
+        relation that keeps lists is dropped, to be made anew."""
         self._structure_version += 1
+        for relation in self.relations.values():
+            if relation.is_materialized:
+                relation._image = None
 
     def add(self, relation: Relation) -> None:
         """Register ``relation`` under its own name (replacing any old one)."""

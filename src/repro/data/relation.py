@@ -14,16 +14,23 @@ backend without materialising, while ``tuples``/``weights`` materialise
 on first access and transparently refresh when the backend-side version
 counter shows the table changed underneath them.
 
-A relation may also be *column-backed* (:meth:`Relation.from_columns`):
-one int64 array per attribute and a float64 weight array, as the cycle
-decomposition builds its bags.  Consumers that understand the arrays
-read :attr:`Relation.arrays`; ``tuples`` / ``weights`` are made from
-them, as native Python values, only when something reads them.
+Every lane bind reads a relation's **column image** (:attr:`Relation.arrays`,
+:mod:`repro.data.image`), made once per relation version — from the
+lists, or from one batched ``fetch_rows`` of a backend view — and kept
+only once whole.  :meth:`Relation.add` extends it; assigning ``tuples``
+or ``weights`` drops it and bumps :attr:`Relation.version` (a list
+changed in place is out-of-band: :meth:`~repro.data.database.Database.touch`).  A weight
+that is not a real number makes reading it a ``TypeError``.  A
+*column-backed* relation (:meth:`Relation.from_columns`, the cycle
+decomposition's bags) is stored as its image, and ``tuples`` /
+``weights`` are made from it only when something reads them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+
+from repro.data.image import ColumnImage, object_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.backend import StorageBackend
@@ -39,7 +46,7 @@ class Relation:
 
     __slots__ = (
         "name", "arity", "backend", "_table", "_tuples", "_weights",
-        "_version", "_cardinality", "_arrays",
+        "_version", "_cardinality", "_image", "_image_version",
     )
 
     def __init__(
@@ -59,8 +66,9 @@ class Relation:
         #: :meth:`rename`, which aliases the same stored table).
         self._table = name
         self._cardinality: tuple[int, int] | None = None
-        #: ``(value_columns, weight_column)`` of a column-backed relation.
-        self._arrays: tuple | None = None
+        #: The column image, and the :attr:`version` it was made at.
+        self._image: ColumnImage | None = None
+        self._image_version = 0
         self._tuples: list[tuple] | None = [tuple(t) for t in (tuples or [])]
         for t in self._tuples:
             if len(t) != arity:
@@ -100,27 +108,49 @@ class Relation:
         return relation
 
     @classmethod
-    def from_columns(cls, name: str, columns: Sequence, weights) -> "Relation":
-        """A relation over one int64 array per attribute and a float64
-        weight array, all of one length; ``tuples`` / ``weights`` are
-        materialised from them on first read (see :attr:`arrays`)."""
-        relation = cls(name, len(columns))
+    def from_columns(cls, name: str, image: ColumnImage) -> "Relation":
+        """A relation stored as ``image``; ``tuples`` / ``weights`` are
+        materialised from it on first read (see :attr:`arrays`)."""
+        relation = cls(name, len(image.codes))
         relation._tuples = relation._weights = None
-        relation._arrays = (tuple(columns), weights)
+        relation._image = image
         return relation
 
     @property
-    def arrays(self) -> tuple | None:
-        """``(value_columns, weight_column)`` of a column-backed relation
-        (:meth:`from_columns`), else ``None``.  Read-only: a mutation
-        (:meth:`add`, assigning ``tuples``) drops them."""
-        return self._arrays
+    def arrays(self) -> ColumnImage:
+        """The column image of this version, made on first read (rows
+        appended to the lists since then extend it)."""
+        image, version = self._image, self.version
+        stale = self.backend is not None and self._image_version != version
+        if image is None or stale:
+            image = self._read_image()
+        elif self._tuples is not None and len(image) < len(self._tuples):
+            n = len(image)
+            image = image.extended(
+                self.name, self._tuples[n:], self._weights[n:]
+            ) or self._read_image()
+        if self._weights is not None:
+            # The stored objects: a lowered core's state values share them.
+            image.objects = self._weights
+        self._image, self._image_version = image, version
+        return image
 
-    def _from_arrays(self) -> None:
-        """Materialise ``tuples`` / ``weights`` from the arrays."""
-        columns, weights = self._arrays
+    def _read_image(self) -> ColumnImage:
+        """A new image: from the backend's one ``fetch_rows`` for an
+        unmaterialised view, else from the lists."""
+        if self.backend is not None and self._tuples is None:
+            rows = self.backend.fetch_rows(self._table)
+            return ColumnImage.fetched(self.name, rows, self.arity)
+        tuples = self.tuples
+        table = object_table(tuples, self.arity)
+        return ColumnImage.read(self.name, table, self.weights)
+
+    def _from_image(self) -> None:
+        """Materialise ``tuples`` / ``weights`` from the image."""
+        image = self._image
+        columns = image.codes if image.values is None else image.values
         self._tuples = list(zip(*[column.tolist() for column in columns]))
-        self._weights = weights.tolist()
+        self._weights = image.weight_list()
 
     @property
     def table(self) -> str:
@@ -153,12 +183,12 @@ class Relation:
         if self.backend is not None:
             self._refresh()
         elif self._tuples is None:
-            self._from_arrays()
+            self._from_image()
         return self._tuples
 
     @tuples.setter
     def tuples(self, value: list[tuple]) -> None:
-        self._drop_arrays()
+        self._replace()
         self._tuples = value
         self._cardinality = None
 
@@ -167,24 +197,27 @@ class Relation:
         if self.backend is not None:
             self._refresh()
         elif self._weights is None:
-            self._from_arrays()
+            self._from_image()
         return self._weights
 
     @weights.setter
     def weights(self, value: list[Any]) -> None:
-        self._drop_arrays()
+        self._replace()
         self._weights = value
 
-    def _drop_arrays(self) -> None:
-        """Before a mutation: the lists become the only storage."""
-        if self._arrays is not None:
-            if self._tuples is None:
-                self._from_arrays()
-            self._arrays = None
+    def _replace(self) -> None:
+        """Before a list is replaced: the lists become the storage, the
+        image is dropped and an in-memory relation's version bumps."""
+        if self._tuples is None and self.backend is None:
+            self._from_image()
+        self._image = None
+        if self.backend is None:
+            self._version += 1
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped by :meth:`add`.
+        """Mutation counter: bumped by :meth:`add` and by assigning
+        ``tuples`` or ``weights``.
 
         Together with ``len(self)`` this stamps the relation's content
         for cache invalidation (engine plan cache, index cache).  For a
@@ -219,6 +252,9 @@ class Relation:
         if self.backend is not None:
             before = self.backend.version(self._table)
             self.backend.append(self._table, values, weight)
+            if self._image is not None and self._image_version == before:
+                self._image = self._image.extended(self.name, [values], [weight])
+                self._image_version = self.backend.version(self._table)
             if self._tuples is not None:
                 if self._version == before:
                     # Local copy was current: extend it in place and
@@ -234,7 +270,8 @@ class Relation:
                     self._weights = None
             self._cardinality = None
             return
-        self._drop_arrays()
+        if self._tuples is None:
+            self._from_image()
         self._tuples.append(values)
         self._weights.append(weight)
         self._version += 1
@@ -244,7 +281,7 @@ class Relation:
     def __len__(self) -> int:
         if self.backend is None:
             if self._tuples is None:
-                return len(self._arrays[1])
+                return len(self._image)
             return len(self._tuples)
         if self._tuples is not None:
             # Materialised view: refresh if another view of the same
@@ -308,7 +345,8 @@ class Relation:
         copy._table = self._table
         copy._tuples = self._tuples
         copy._weights = self._weights
-        copy._arrays = self._arrays
+        copy._image = self._image
+        copy._image_version = self._image_version
         copy._version = self._version
         return copy
 

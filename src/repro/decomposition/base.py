@@ -84,9 +84,9 @@ class TreeTask:
     original witnesses, and ``label`` identifies the member (e.g.
     ``"heavy@x3"``).  ``bag_layout`` says how the bags are stored — the
     simple-cycle decomposition builds every bag as columns either way:
-    ``"bag columns"`` (column-backed relations, lowered by the column
-    stage scan) or ``"bag rows (<why not columns>)"`` (tuples of the
-    values read).
+    ``"bag columns"`` (column-backed relations, whose image is their
+    storage) or ``"bag rows (<why not columns>)"`` (tuples of the values
+    read).
     """
 
     database: Database

@@ -16,49 +16,47 @@ attribute ``a_0``; the light partition uses the two-bag chain split
 original atom's weight is pinned to exactly one bag.
 
 **One scan per relation, one builder, two storages.**  Each distinct
-relation of the cycle is read once (a self-join ``E⋈E⋈E⋈E`` reads ``E``
-once; stored in a backend, one ``SELECT``) into columns that every atom
-orients: an int64 *code* per value and a weight column.  An ``int``
-within int64 is its own code; once the cycle holds any other value
-(``str``, ``bool``, ``None``, a mixed type, an int past int64) every
-value is numbered in :func:`~repro.ranking.dioid.ranking_order` over the
-cycle's one domain, values equal under ``==`` (``1``, ``1.0``, ``True``)
-sharing a code as a dict join matches them.  Weights are float64 where
-the dioid has a lane (:func:`~repro.ranking.dioid.lane_of`) and every
-weight is a ``float``, joined by the lane's ``*`` or ``+``; else an
-object column folded by ``np.frompyfunc(dioid.times)``, the same calls
-on the same operands as a join row by row.  Heavy and light are split by
-one mask, and every join — the light chains and the heavy fan's bags —
-is one :func:`~repro.util.vec.gather` (sort, ``searchsorted``,
-``repeat``) in nested-loop order.
+relation of the cycle is read once — its column image
+(:attr:`~repro.data.relation.Relation.arrays`; a self-join ``E⋈E⋈E⋈E``
+reads ``E`` once) — and every atom orients it: an int64 *code* per value
+and a weight column.  Once the cycle holds a value that is not an
+``int`` within int64, the images are put over one numbering in
+:func:`~repro.ranking.dioid.ranking_order`
+(:func:`~repro.data.image.shared_codes`), values equal under ``==``
+(``1``, ``1.0``, ``True``) sharing a code as a dict join matches them.
+Weights are float64 where the dioid has a lane
+(:func:`~repro.ranking.dioid.lane_of`) and every weight is a ``float``,
+joined by the lane's ``*`` or ``+``; else an object column folded by
+``np.frompyfunc(dioid.times)``, the calls of a join row by row.  A dioid
+without a lane reads no image (its weights need not be numbers) and
+codes the rows per bind.  Heavy and light are split by one mask, and
+every join is one :func:`~repro.util.vec.gather` in nested-loop order.
 
-A bag is stored one of two ways.  Native ``int`` values and float64
-weights make a column-backed :class:`~repro.data.relation.Relation` (its
-``tuples`` made only if something reads them), which
-:mod:`repro.dp.lower` scans as columns.  Any other bag is a row relation
-made from the columns, carrying the value objects the scan read (``1.0``
-stays ``1.0``); codes never leave this module.  Either way the bags
+A bag is a column-backed :class:`~repro.data.relation.Relation` — codes,
+and where those are not the values the value objects the scan read
+(``1.0`` stays ``1.0``) — or, where the dioid has no lane or a weight is
+not a ``float``, a row relation of the values read.  Either way the bags
 equal the row-at-a-time reference ``tests/reference/cycle_rows.py``
-tuple for tuple and bit for bit (``tests/test_cycle_columns.py``).
-Each task's ``bag_layout`` says which storage, and why not columns.
+tuple for tuple and bit for bit (``tests/test_cycle_columns.py``); each
+task's ``bag_layout`` says which storage, and why not columns.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.data.database import Database
+from repro.data.image import ColumnImage, code_table, object_table, shared_codes
 from repro.data.relation import Relation
 from repro.decomposition.base import BagLineage, TreeTask
 from repro.query.atom import Atom
 from repro.query.cq import ConjunctiveQuery
-from repro.ranking.dioid import TROPICAL, SelectiveDioid, lane_of, ranking_order
+from repro.ranking.dioid import TROPICAL, SelectiveDioid, lane_of
 from repro.util import vec
 
 
@@ -156,10 +154,10 @@ class _CycleAtom:
         exit_pos = 1 - entry_pos
         codes, values, weights = scan
         self.full = _Columns(
-            np.arange(len(weights)), codes[:, entry_pos], codes[:, exit_pos], weights
+            np.arange(len(weights)), codes[entry_pos], codes[exit_pos], weights
         )
         self.values = (
-            None if values is None else (values[:, entry_pos], values[:, exit_pos])
+            None if values is None else (values[entry_pos], values[exit_pos])
         )
         self.heavy = self.full.take(slice(0, 0))
         self.light = self.full
@@ -200,14 +198,6 @@ class _CycleAtom:
         return (self.full.entry, self.full.exit)[side][ids]
 
 
-def _other_type(items, wanted: type) -> type | None:
-    """The type of ``items`` that is not ``wanted`` and comes first by
-    name, if any (by name, so that the reason is the same in every
-    process)."""
-    others = set(map(type, items)) - {wanted}
-    return min(others, key=lambda t: t.__name__) if others else None
-
-
 def cycle_relations(query: ConjunctiveQuery, walk) -> list[str]:
     """The distinct relations of a cycle walk, in walk order: what the
     decomposition scans, once each."""
@@ -221,63 +211,45 @@ def _read_scans(
     later per atom.
 
     Returns ``(scans, code, times, why)``.  ``scans`` maps a relation name
-    to ``(codes, values, weights)``: an ``(n, 2)`` int64 code table, the
-    ``(n, 2)`` object table of the values read (``None`` where every
-    value is an ``int`` within int64, its own code) and the weight
+    to ``(codes, values, weights)``: per attribute the int64 codes over
+    the cycle's one code space and the values read (``None`` where every
+    value is an ``int`` within int64, its own code), and the weight
     column.  ``code`` maps a value to its code (``None`` likewise).
     ``times`` joins two weight columns: the lane's ``*`` or ``+`` over
     float64 where the dioid has a lane and every weight is a ``float``,
     else ``dioid.times`` element by element over object columns.  ``why``
     is ``None`` when the bags can be columns, else why not: the dioid has
-    no lane, or the first relation in walk order that holds a value that
-    is not an ``int``, a weight that is not a ``float`` or a value past
-    int64.
+    no lane, or the first relation in walk order holds a weight that is
+    not a ``float``.
     """
     lane, why = lane_of(dioid)
     why = why or None
-    reads: dict[str, tuple[list, tuple]] = {}
-    tables: dict[str, np.ndarray] = {}
-    native, floats = True, lane is not None
-    for name in cycle_relations(query, walk):
-        scan = list(database[name].rows())
-        rows, weights = zip(*scan) if scan else ((), ())
-        values = list(chain.from_iterable(rows))
-        reads[name] = values, weights
-        value_type = _other_type(values, int)
-        weight_type = _other_type(weights, float)
-        reason = None
-        if value_type is not None:
-            reason = f"{name} holds a value of type {value_type.__name__}"
-        elif weight_type is not None:
-            reason = f"{name} holds a weight of type {weight_type.__name__}"
-        if value_type is None:
-            try:
-                tables[name] = np.array(values, np.int64).reshape(-1, 2)
-            except OverflowError:
-                reason = reason or f"{name} holds a value past int64"
-        native = native and name in tables
-        floats = floats and weight_type is None
-        why = why or reason
-    code = None
-    if not native:
-        domain = ranking_order(
-            chain.from_iterable(values for values, _weights in reads.values())
-        )
-        code = {value: position for position, value in enumerate(domain)}
-    scans = {}
-    for name, (values, weights) in reads.items():
-        if code is None:
-            codes, objects = tables[name], None
+    names = cycle_relations(query, walk)
+    reads = []
+    for name in names:
+        relation = database[name]
+        if lane is None:  # the weights need not be numbers: no image
+            rows = list(relation.rows())
+            tuples, weights = zip(*rows) if rows else ((), ())
+            codes, values, code = code_table(object_table(tuples, 2))
+            weights = np.fromiter(weights, object, len(weights))
         else:
-            codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-            codes = codes.reshape(-1, 2)
-            objects = np.fromiter(values, object, len(values)).reshape(-1, 2)
-        weights = (
-            np.array(weights, np.float64) if floats
-            else np.fromiter(weights, object, len(weights))
-        )
-        scans[name] = (codes, objects, weights)
-    if floats:
+            image = relation.arrays
+            codes, values, code = image.codes, image.values, image.code
+            weights = image.weights
+            if image.weight_type is not None:
+                why = why or f"{name} holds a weight of type {image.weight_type}"
+                weights = np.fromiter(image.objects, object, len(image))
+        reads.append((codes, values, code, weights))
+    shared, code = shared_codes([(codes, code) for codes, _values, code, _w in reads])
+    scans = {}
+    for name, columns, (codes, values, _code, weights) in zip(names, shared, reads):
+        if why is not None:
+            weights = weights.astype(object)
+        if code is not None and values is None:  # an int is its own value
+            values = codes
+        scans[name] = (columns, values, weights)
+    if why is None:
         times = partial(_times, multiply=lane.multiply)
     else:
         times = np.frompyfunc(dioid.times, 2, 1)
@@ -328,9 +300,8 @@ def decompose_cycle(
 
     Every bag is built by the one column join.  It is stored as columns
     (a column-backed relation) where ``dioid`` has a lane and the
-    relations hold ``int`` values and ``float`` weights, else as rows
-    made from the columns; each task's ``bag_layout`` says which, and
-    why not columns.
+    relations hold ``float`` weights, else as rows made from the
+    columns; each task's ``bag_layout`` says which, and why not columns.
     """
     if walk is None:
         walk = detect_simple_cycle(query)
@@ -354,10 +325,10 @@ def decompose_cycle(
     for pivot in range(length):
         # No heavy entry value at the pivot: T_pivot is empty.
         if cycle_atoms[pivot].heavy:
-            task = _heavy_partition_columns(query, cycle_atoms, pivot, times, why)
+            task = _heavy_partition_columns(query, cycle_atoms, pivot, times, why, code)
             if task is not None:
                 tasks.append(task)
-    light = _light_partition_columns(query, cycle_atoms, times, why)
+    light = _light_partition_columns(query, cycle_atoms, times, why, code)
     if light is not None:
         tasks.append(light)
     return tasks
@@ -387,12 +358,13 @@ def _restricted(cycle_atoms: list[_CycleAtom], pivot: int):
 
 class _Bags:
     """The bags of one member, filed as relations with their lineage;
-    ``why`` is ``None`` where they are stored as columns, else why not
-    (from :func:`_read_scans`)."""
+    ``why`` is ``None`` where they are stored as columns, else why not,
+    and ``code`` the cycle's numbering (from :func:`_read_scans`)."""
 
-    def __init__(self, rotated: list[_CycleAtom], why: str | None):
+    def __init__(self, rotated: list[_CycleAtom], why: str | None, code: dict | None):
         self.rotated = rotated
         self.why = why
+        self.code = code
         self.relations: list[Relation] = []
         self.atoms: list[Atom] = []
         self.lineage: dict[str, BagLineage] = {}
@@ -407,20 +379,24 @@ class _Bags:
         positions (into ``rotated``) of the atoms whose ids
         ``id_columns`` hold; lineage lists them in atom order, or as
         given (``by_atom=False``: a chain's walk order).  Stored as
-        columns, a bag is a column-backed relation with int64 lineage
-        columns; as rows, a row relation of the value objects read, with
-        ``int`` lineage lists.
+        columns, a bag is a column-backed relation — its codes, and the
+        values read where those differ — with int64 lineage columns; as
+        rows, a row relation of the values read, with ``int`` lineage
+        lists.
         """
         if not len(weights):
             return False
-        rows = self.why is not None
-        columns = [self.rotated[k].read(side, ids, rows) for k, side, ids in sources]
-        if rows:
-            tuples = list(zip(*[column.tolist() for column in columns]))
-            relation = Relation(name, len(columns), tuples, weights.tolist())
+        values = None
+        if self.code is not None or self.why is not None:
+            values = [self.rotated[k].read(side, ids, True) for k, side, ids in sources]
+        if self.why is not None:
+            tuples = list(zip(*[column.tolist() for column in values]))
+            relation = Relation(name, len(values), tuples, weights.tolist())
             id_columns = [column.tolist() for column in id_columns]
         else:
-            relation = Relation.from_columns(name, columns, weights)
+            codes = [self.rotated[k].read(side, ids, False) for k, side, ids in sources]
+            image = ColumnImage(codes, weights, values, self.code)
+            relation = Relation.from_columns(name, image)
         self.relations.append(relation)
         self.atoms.append(Atom(name, tuple(vars_)))
         pairs = zip([self.rotated[k].index for k in pinned], id_columns)
@@ -443,7 +419,7 @@ class _Bags:
 
 def _heavy_partition_columns(
     query: ConjunctiveQuery, cycle_atoms: list[_CycleAtom], pivot: int, times,
-    why: str | None,
+    why: str | None, code: dict | None,
 ) -> TreeTask | None:
     """Partition T_pivot: the fan decomposition broken at atom ``pivot``.
 
@@ -458,7 +434,7 @@ def _heavy_partition_columns(
         return None
     variables = [ca.entry_var for ca in rotated]
     prefix = f"T{pivot}"
-    bags = _Bags(rotated, why)
+    bags = _Bags(rotated, why, code)
     q0, q1 = rows[0], rows[1]
 
     # B_1(a_0, a_1, a_2): Q_1 probing Q_0H by exit value ...
@@ -511,7 +487,8 @@ def _heavy_partition_columns(
 
 
 def _light_partition_columns(
-    query: ConjunctiveQuery, cycle_atoms: list[_CycleAtom], times, why: str | None
+    query: ConjunctiveQuery, cycle_atoms: list[_CycleAtom], times, why: str | None,
+    code: dict | None,
 ) -> TreeTask | None:
     """Partition T_(l+1): the two-chain all-light decomposition (Fig 8c)."""
     length = len(cycle_atoms)
@@ -519,7 +496,7 @@ def _light_partition_columns(
     if any(not len(ca.light) for ca in cycle_atoms):
         return None
     variables = [ca.entry_var for ca in cycle_atoms]
-    bags = _Bags(cycle_atoms, why)
+    bags = _Bags(cycle_atoms, why, code)
     chains = (
         ("TL_C1", range(split), variables[: split + 1]),
         ("TL_C2", range(split, length), variables[split:] + [variables[0]]),

@@ -11,9 +11,11 @@ specialised to the tropical (or any) semiring, as Section 3 observes.
 Total cost is O(l * n) data complexity: one pass over every relation
 plus hash grouping; nothing is sorted (TTF optimality).
 
-**A stage is swept as columns, never as rows.**  The input is the two
-parallel sequences :func:`repro.dp.lower.stage_columns` also hands the
-direct lowering (rows, weights).  Per stage: one C-level hash-probe pass
+**A stage is swept as columns, never as rows.**  The input is two
+parallel sequences (:func:`stage_columns`): rows and weights, the lists
+a relation stores or a backend's one ``fetch_rows`` split once — the
+lane lowering of :mod:`repro.dp.lower` reads the relation's column
+image instead, and this builder is its oracle.  Per stage: one C-level hash-probe pass
 per child branch (``map(conn_map.get, join keys)``) and one alive
 filter; the lift as one column; ``pi1``, the entry values and their keys
 through the dioid's column operations
@@ -46,21 +48,16 @@ emitted value with the row-at-a-time loop this sweep replaced, kept as
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
-from operator import and_, is_not, itemgetter
+from itertools import chain, compress, count, repeat
+from operator import add, and_, is_not, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.dp.graph import ChoiceSet, TDP
-from repro.dp.lower import (
-    join_key_column,
-    owned_columns,
-    packed_ranks,
-    stage_columns,
-    stage_layout,
-)
+from repro.dp.lower import owned_columns, stage_layout
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
@@ -70,6 +67,40 @@ from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
 #: ``column(atom, rows, weights)``, equal to the lift mapped over the
 #: two sequences — which the builder then calls once per stage.
 WeightLift = Callable[[Any, tuple, Any], Any]
+
+
+def stage_columns(relation: Relation) -> tuple[Sequence[tuple], Sequence]:
+    """One stage's input: ``(rows, weights)``, parallel and order-stable.
+
+    Rows are at atom arity.  An in-memory relation hands over the two
+    lists it stores; a backend-stored, unmaterialised one splits its
+    bulk ``fetch_rows`` result once.
+    """
+    backend = relation.backend
+    if backend is not None and not relation.is_materialized:
+        fetched = list(chain.from_iterable(backend.fetch_rows(relation.table)))
+        return [row[:-1] for row in fetched], [row[-1] for row in fetched]
+    return relation.tuples, relation.weights
+
+
+def join_key_column(rows: Sequence[tuple], positions: tuple[int, ...]):
+    """Iterate the join keys of ``rows``: bare values for one column, else tuples."""
+    if not positions:
+        return repeat((), len(rows))
+    return map(itemgetter(*positions), rows)
+
+
+def packed_ranks(ranks: Sequence[dict], template, rows) -> Iterable[int] | None:
+    """Each row's packed rank over the owned ``template``, or ``None``.
+
+    ``ranks`` is :attr:`TieBreakingDioid.ranks`; one table lookup pass
+    per owned column, summed lazily (``None``: the stage owns nothing).
+    """
+    packed = None
+    for column, slot in template:
+        lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
+        packed = lane if packed is None else map(add, packed, lane)
+    return packed
 
 
 def default_lift(_atom, _values, raw_weight):
@@ -88,7 +119,8 @@ def rank_tie_domains(
     or UCQ members): a slot's domain is what the columns owning it hold,
     over all of them, so any two members rank one value alike.  One C pass per
     owning column over rows the bind reads anyway — one ``unique`` per
-    owning column of a column-backed bag — and one sort per slot.
+    owning column of a column-backed bag, over its codes — and one sort
+    per slot.
     """
     domains: list[set] = [set() for _ in range(tie.num_variables)]
     for database, join_tree, var_position in members:
@@ -97,10 +129,14 @@ def rank_tie_domains(
             if not template:
                 continue
             relation = database[atoms[atom_idx].relation_name]
-            if relation.arrays is not None:
-                columns = relation.arrays[0]
+            if relation.backend is None and not relation.is_materialized:
+                image = relation.arrays  # a column-backed bag
+                domain = None if image.code is None else list(image.code)
                 for column, slot in template:
-                    domains[slot].update(np.unique(columns[column]).tolist())
+                    values = np.unique(image.codes[column]).tolist()
+                    if domain is not None:
+                        values = map(domain.__getitem__, values)
+                    domains[slot].update(values)
                 continue
             rows, _weights = stage_columns(relation)
             for column, slot in template:

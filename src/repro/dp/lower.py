@@ -15,15 +15,6 @@ negates), so every column is ``build_tdp``'s in bits and type
 A tie-broken member (:func:`lower_member`) adds the packed-rank column
 of the Section 6.3 tie-breaker and never calls ``times`` or ``key``.
 
-**One stage-input shape.**  Every caller hands a stage to
-:func:`scan_stage` as two parallel sequences, rows (at atom arity) and
-weights (:func:`stage_columns`): the two lists an in-memory relation
-stores, or a backend's one bulk ``fetch_rows`` split once.  No per-row
-container carries a weight next to its row.  The rows sequence is
-also the stage's **row store**: the core keeps it as it came and result
-assembly reads it at a state's tuple id, so no stage keeps a list of
-its alive rows.
-
 **Columns the collector never walks.**  Every per-state and
 per-connector number column of a core — tuple ids, ``pi1``, child
 uids, the pool and its offsets, ``conn_stage``, least entries, and
@@ -55,28 +46,20 @@ are sorted on first touch.  Measured: ranked on first touch, from the
 columns, a connector cost pages 2-3x what slicing a pool of entry
 tuples did.
 
-**One row scan, one placement.**  Every stage runs on numpy kernels.  A
-stage over rows takes :func:`scan_stage` — join-key dict probes as one
-C-level ``map`` per child branch, the alive mask, the ``pi`` fold and
-the entry values as float64 kernels; an atom with a repeated variable
-first drops the rows that violate it, the one Python loop over a
-stage's rows — then :func:`_place_by_connector`, for a core with an
-inverse and for one without (tie-broken union members, acyclic
-max-times) with its rank column (:func:`_rank_columns`).  A union
-member whose bags are columns (a cycle decomposition's,
-:meth:`~repro.data.relation.Relation.from_columns`) takes the **column
-stage scan** on every stage (:func:`member_columns`): join keys become
-int64 codes, connectors numbered first-seen as ``dict.fromkeys`` numbers
-them (:func:`_place_columns`), a parent probes the child's codes
-(:class:`_KeyTable`), packed ranks come from the slot ordinals by
-``searchsorted`` (:func:`_rank_columns_of`), placement is
-:func:`_place_by_connector`'s (:func:`_place_local`), and the stage's
-row store is a :class:`ColumnRows` view over the bag's columns that
-result assembly indexes only for answers someone reads — no row tuple,
-no join-key tuple, no ``times`` per bag row.  A connector's least entry is
-``min()``'s over its entries (:func:`_least_entries`), a NaN entry
-value and a rank past int64 (the tie-breaker numbering more than 2**63
-assignments) included.
+**One stage scan, one placement.**  Every stage reads its relation's
+column image (:attr:`~repro.data.relation.Relation.arrays`: int64 codes,
+float64 weights, made once per relation version), the images of one
+bind put over one code space (:func:`~repro.data.image.shared_codes`).
+:func:`_scan_column_stage` drops the rows whose repeated variables'
+codes differ, probes each child's :class:`_KeyTable` with the stage's
+key codes and folds ``pi`` and the entry values as float64 kernels;
+:func:`_place_columns` numbers the connectors first-seen, as
+``dict.fromkeys`` does.  A tie-broken member's packed ranks are looked
+up once per distinct code (:func:`_rank_columns`).  A stage's row store,
+read by tuple id when an answer is read, is the relation's own
+``tuples`` list, else a :class:`ColumnRows` view over its image.  A
+connector's least entry is ``min()``'s (:func:`_least_entries`), a NaN
+entry value and a rank past int64 included.
 
 The sweep runs the stages in reverse serialised order, children before
 parents, so stage 0 — the first root, which the object builder also
@@ -85,50 +68,26 @@ uid.  :func:`lower_query` and :func:`lower_member` are its two entry
 points.
 
 Dioids without a lane (and members over them), the UCQ pipeline, the
-min-weight projection and ``DPProblem`` keep the object builder, which
-reads the same stage-input shape (:func:`stage_columns`,
-:func:`join_key_column`).
+min-weight projection and ``DPProblem`` keep the object builder
+(:mod:`repro.dp.builder`), which reads the rows.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress, count, repeat
-from numbers import Real
-from operator import add, itemgetter
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.image import ColumnImage, shared_codes
 from repro.dp.flat import CompiledTDP, LaneCore, heap_layout
 from repro.dp.graph import stage_tree
 from repro.obs.trace import NULL_SPAN
 from repro.query.jointree import JoinTree
 from repro.ranking.dioid import FloatLane, SelectiveDioid, TieBreakingDioid, lane_of
 from repro.util import vec
-
-
-def stage_columns(relation: Relation) -> tuple[Sequence[tuple], Sequence]:
-    """One stage's input: ``(rows, weights)``, parallel and order-stable.
-
-    Rows are at atom arity.  An in-memory relation hands over the two
-    lists it stores; a backend-stored, unmaterialised one splits its
-    bulk ``fetch_rows`` result (a single ``fetchall`` for SQLite) once.
-    """
-    backend = relation.backend
-    if backend is not None and not relation.is_materialized:
-        fetched = backend.fetch_rows(relation.table)
-        return [row[:-1] for row in fetched], [row[-1] for row in fetched]
-    return relation.tuples, relation.weights
-
-
-def join_key_column(rows: Sequence[tuple], positions: tuple[int, ...]):
-    """Iterate the join keys of ``rows``: bare values for one column, else tuples."""
-    if not positions:
-        return repeat((), len(rows))
-    return map(itemgetter(*positions), rows)
 
 
 def stage_layout(
@@ -188,19 +147,6 @@ def owned_columns(
     return owned
 
 
-def packed_ranks(ranks: Sequence[dict], template, rows) -> Iterable[int] | None:
-    """Each row's packed rank over the owned ``template``, or ``None``.
-
-    ``ranks`` is :attr:`TieBreakingDioid.ranks`; one table lookup pass
-    per owned column, summed lazily (``None``: the stage owns nothing).
-    """
-    packed = None
-    for column, slot in template:
-        lane = map(ranks[slot].__getitem__, map(itemgetter(column), rows))
-        packed = lane if packed is None else map(add, packed, lane)
-    return packed
-
-
 def member_lane(tie: SelectiveDioid) -> tuple[FloatLane | None, str]:
     """``(lane, "")`` when members ranked under ``tie`` lower, else ``(None, why)``.
 
@@ -229,15 +175,14 @@ class Lowering:
         "val_base", "pi1", "child_uids", "val_rank", "ent_base",
         "ent_rank", "entry_key", "entry_state", "entry_rank",
         "conn_offsets", "conn_stage", "conn_min",
-        "conn_rank", "conn_maps", "root_uid",
+        "conn_rank", "tables", "root_uid",
         "own_key_positions", "parent_key_positions", "rows",
-        "rank_tables",
+        "rank_type", "code", "packed",
     )
 
     def __init__(
         self, query, tree: JoinTree, dioid: SelectiveDioid,
         lane: FloatLane | None = None, templates: dict | None = None,
-        rank_tables: list | None = None,
     ):
         self.query = query
         self.tree = tree
@@ -251,9 +196,17 @@ class Lowering:
         #: of a tie-broken member, whose values are ``(base, rank)``; else
         #: ``None``.
         self.templates = templates
-        #: A tie-broken member's packed ranks as arrays (:func:`rank_tables`)
-        #: when its stages take the column stage scan, else ``None``.
-        self.rank_tables = rank_tables
+        #: A rank column's dtype: int64, or ``object`` (Python ints) where
+        #: a tie-breaker's packed ranks can pass int64.
+        self.rank_type = np.int64
+        if templates is not None:
+            top = sum(next(reversed(ranks.values()), 0) for ranks in dioid.ranks)
+            self.rank_type = object if top >= 1 << 63 else np.int64
+        #: The bind's numbering (value -> code) where the codes are not
+        #: the values, and a tie-breaker's packed ranks per slot
+        #: (:func:`_packed_ranks`); both set by :func:`_lower`.
+        self.code: dict | None = None
+        self.packed: list = []
         base = dioid if templates is None else dioid.base
         self.one = base.one
         self.zero = base.zero
@@ -294,51 +247,54 @@ class Lowering:
             self.ent_rank = [array("q") for _ in self.order]
             self.conn_rank = array("q")
             self.entry_rank = array("q")
-        #: Per stage: join key -> connector uid (a parent stage's scan
-        #: resolves its child branches against these).
-        self.conn_maps: list[dict] = [dict() for _ in range(self.num_stages)]
+        #: Per stage its connectors by join key (:class:`_KeyTable`; a
+        #: parent stage's scan probes its child branches against these).
+        self.tables: list = [None] * self.num_stages
         #: Root stage -> its root connector's uid (absent: no state).
         self.root_uid: dict[int, int] = {}
         #: Input rows scanned.
         self.rows = 0
 
-    def child_lookups(self, stage: int):
-        """Per child branch: ``(positions, conn_map)``, the join-key
-        columns in this stage's atom and the child's connectors by key."""
-        return [
-            (self.parent_key_positions[c], self.conn_maps[c])
-            for c in self.children_stages[stage]
-        ]
 
 
-def _rank_columns(
-    low: Lowering, stage: int, rows: Sequence[tuple], child_uids: list[int]
-) -> tuple:
+def _rank_columns(low: Lowering, stage: int, codes: list, states: int, child_uids):
     """``(val_rank, ent_rank)`` of one stage of a core without an inverse:
     zeros without a tie-breaker, else the packed ranks of the variables
-    the stage owns plus, for the entry, the child connectors' least ranks.
-    Arrays (:func:`_rank_array`; one array where a leaf's two are one).
+    the stage owns, gathered by code (:func:`_packed_ranks`), plus, for
+    the entry, the child connectors' least ranks.  Arrays
+    (:func:`_fitted`; one array where a leaf's two are one).
     """
     if low.templates is None:
-        zeros = np.zeros(len(rows), np.int64)
+        zeros = np.zeros(states, np.int64)
         return zeros, zeros
-    if isinstance(rows, ColumnRows):
-        return _rank_columns_of(low, stage, rows, child_uids)
-    packed = packed_ranks(
-        low.dioid.ranks, low.templates[low.order[stage]], rows
-    )
-    val_rank = [0] * len(rows) if packed is None else list(packed)
+    val_rank = np.zeros(states, low.rank_type)
+    for column, slot in low.templates[low.order[stage]]:
+        keys, packed = low.packed[slot]
+        at = codes[column] if keys is None else keys.searchsorted(codes[column])
+        val_rank = val_rank + packed[at]
     branches = len(low.children_stages[stage])
-    conn_rank = low.conn_rank
-    pi_rank = None
-    for branch in range(branches):
-        uids = child_uids if branches == 1 else child_uids[branch::branches]
-        ranks = map(conn_rank.__getitem__, uids)
-        pi_rank = list(ranks) if pi_rank is None else list(map(add, pi_rank, ranks))
-    val_array = _rank_array(val_rank)
-    if pi_rank is None:  # a leaf
-        return val_array, val_array
-    return val_array, _rank_array(list(map(add, val_rank, pi_rank)))
+    if not branches:  # a leaf
+        val_rank = _fitted(val_rank)
+        return val_rank, val_rank
+    conn_rank = np.array(low.conn_rank, low.rank_type)
+    uids = np.array(child_uids, np.int64).reshape(states, branches)
+    return _fitted(val_rank), _fitted(val_rank + conn_rank[uids].sum(axis=1))
+
+
+def _packed_ranks(ranks: dict, code: dict | None, dtype) -> tuple:
+    """``(keys, packed)`` of one tie-breaker slot's ``ranks`` (value ->
+    packed rank): where the codes are the values, the ranked ``int``
+    values ascending and their ranks; else ``keys`` ``None`` and
+    ``packed`` indexed by code (``code``'s values, in code order)."""
+    if code is None:
+        keys = np.fromiter(ranks, np.int64, len(ranks))
+        return keys, np.array(list(ranks.values()), dtype)
+    return None, np.array([ranks.get(value, 0) for value in code], dtype)
+
+
+def _fitted(ranks):
+    """A rank array as int64 where its ranks fit, else as Python ints."""
+    return ranks if ranks.dtype != object else _rank_array(ranks.tolist())
 
 
 def _rank_array(ranks: list):
@@ -409,40 +365,6 @@ def _least_entries(keys, ranks, starts, sizes):
     return least
 
 
-def _place_by_connector(
-    low: Lowering, stage: int, join_keys: list, entry_values, entry_ranks=None
-) -> None:
-    """Key one stage's entry values and place its states into connectors.
-
-    A connector per distinct join key in first-seen order, its entries
-    (key and state, and the rank with ``entry_ranks``) appended to the
-    pool's columns in state order, its minimum the value of ``min()``
-    over them.  Nothing is ordered by weight: first-seen uids
-    come from ``dict.fromkeys``, then :func:`_place_local` moves every
-    state into its connector's range.
-    """
-    first_uid = len(low.conn_stage)
-    cmap_out = low.conn_maps[stage]
-    cmap_out.update(zip(dict.fromkeys(join_keys), count(first_uid)))
-    local = np.fromiter(
-        map(cmap_out.__getitem__, join_keys), np.int64, len(entry_values)
-    )
-    local -= first_uid
-    _place_local(low, stage, local, len(cmap_out), entry_values, entry_ranks)
-
-
-def _place_keyless(low: Lowering, stage: int, entry_values, entry_ranks) -> None:
-    """:func:`_place_by_connector` for a stage that shares no variable
-    with a parent — a root: every state joins key ``()``, so the stage
-    has one connector (none without states) and no key is built or
-    probed per state."""
-    if len(entry_values):
-        low.conn_maps[stage][()] = len(low.conn_stage)
-    local = np.zeros(len(entry_values), np.int64)
-    conns = len(low.conn_maps[stage])
-    _place_local(low, stage, local, conns, entry_values, entry_ranks)
-
-
 def _place_local(
     low: Lowering, stage: int, local, conns: int, entry_values, entry_ranks
 ) -> None:
@@ -495,177 +417,42 @@ def _heap_columns(keys, ranks, states, offsets) -> tuple | None:
 # -- one stage's scan ----------------------------------------------------------
 
 
-class StageScan:
-    """One stage scan's inputs, read off a :class:`Lowering` once
-    (:func:`stage_scan_of`)."""
-
-    __slots__ = (
-        "relation", "check_repeats", "satisfies", "lookups", "lane", "one", "conn_min",
-    )
-
-    def __init__(self, atom, lookups, lane: FloatLane, one, conn_min):
-        self.relation = atom.relation_name
-        self.check_repeats = atom.has_repeated_variables()
-        self.satisfies = atom.satisfies_repeats
-        self.lookups = lookups
-        self.lane = lane
-        self.one = one
-        self.conn_min = conn_min
-
-
-def stage_scan_of(low: Lowering, stage: int) -> StageScan:
-    atom = low.query.atoms[low.order[stage]]
-    return StageScan(
-        atom, low.child_lookups(stage), low.lane, low.one, low.conn_min
-    )
-
-
-def _fold_branches(scan: StageScan, probes: list, w):
-    """The kernels' shared middle: ``(alive, probes, w, pi, entry_values)``.
-
-    ``probes`` hold each child branch's connector uid per row (``-1``:
-    no partner), ``w`` the float64 weights.  Rows without a partner in
-    some branch are dropped (``alive`` their positions, ``None`` when
-    every row lives), then ``pi`` folds the connector minima from
-    ``one`` and ``entry_values`` is ``w ⊗ pi`` — the same IEEE
-    operations in the same order as ``build_tdp``'s ``times``, so the
-    arrays are bit-identical to its values.
-    """
-    alive = None
-    if probes:
-        mask = np.minimum.reduce(probes) >= 0
-        if not mask.all():
-            alive = np.flatnonzero(mask)
-            probes = [probe[alive] for probe in probes]
-            w = w[alive]
-    multiply = scan.lane.multiply
-    conn_min = np.asarray(scan.conn_min, dtype=np.float64)
-    # Folded from ``one`` in branch order, like the object builder (a
-    # single branch's ``pi`` is its connector minimum in bits: ``1.0 * m``
-    # is ``m``, and so is ``0.0 + m``, a minimum under ``+`` never being
-    # -0.0, itself a sum that began at +0.0).  inf + -inf and 0 * inf
-    # are NaN here as there, without the warning.
-    pi = np.full(len(w), scan.one)
-    with np.errstate(invalid="ignore"):
-        for probe in probes:
-            pi = pi * conn_min[probe] if multiply else pi + conn_min[probe]
-        entry_values = w * pi if multiply else w + pi
-    return alive, probes, w, pi, entry_values
-
-
-def _branch_columns(probes: list, pi):
-    """``(cu_out, pk_out)`` of a kernel scan as typed columns: the child
-    connector uids branch-major per state, and the ``pi1`` fold (a
-    leaf's ``one``, a single branch's connector minima in bits, see
-    :func:`_fold_branches`)."""
-    cu_out = array("q")
-    if probes:
-        _extend(cu_out, np.stack(probes, axis=1).ravel())
-    return cu_out, _column(pi, "d")
-
-
-def scan_stage(scan: StageScan, rows: Sequence[tuple], weights: Sequence):
-    """Lower one stage's ``rows`` and parallel ``weights`` to flat columns.
-
-    The one per-row pass of the bottom-up sweep: drop rows violating a
-    repeated variable or lacking a join partner in some child branch,
-    fold the child connectors' minima into ``pi1`` from ``one``, and
-    multiply the weight by it.  A state's tuple id is its row's position
-    in ``rows``.  Returns
-    ``(entry_values, rows_out, ids_out, vk_out, pk_out, cu_out)``,
-    one element per alive state: states are sequential (``0 ..
-    alive-1``), so ``entry_values[s]`` is state ``s``'s ``v ⊗ pi``.
-
-    The join-key dict probes stay hash probes (hash tables do not
-    vectorize) but run as one C-level ``map`` per child branch; the
-    alive mask, the ``pi`` fold and the ``v ⊗ pi`` entry values run as
-    numpy float64 kernels (:func:`_fold_branches`).  The tuple ids,
-    ``pi1`` values and child uids are typed arrays, each one buffer copy
-    of its kernel's array (:func:`_column`); the state values are the
-    stored weight objects themselves.  ``rows_out`` (the alive rows:
-    ``rows`` itself when every row lives) and the entry values serve the
-    stage's placement and ranks only: a core reads its rows from the
-    input ``rows`` by tuple id.  A weight that is not a real number is a
-    ``TypeError``, as ``times`` on it would be.
-    """
-    for kind in set(map(type, weights)):
-        if not issubclass(kind, Real):
-            raise TypeError(f"{scan.relation} holds a weight of type {kind.__name__}")
-    ids = np.arange(len(rows))
-    if scan.check_repeats:
-        kept = list(compress(count(), map(scan.satisfies, rows)))
-        rows = [rows[i] for i in kept]
-        weights = [weights[i] for i in kept]
-        ids = ids[kept]
-    n = len(rows)
-    probes = [
-        np.fromiter(
-            map(cmap.get, join_key_column(rows, positions), repeat(-1)), np.int64, n
-        )
-        for positions, cmap in scan.lookups
-    ]
-    alive, probes, _w, pi, entry_values = _fold_branches(
-        scan, probes, np.array(weights, np.float64)
-    )
-    if alive is not None:
-        alive_list = alive.tolist()
-        rows = [rows[i] for i in alive_list]
-        weights = [weights[i] for i in alive_list]
-        ids = ids[alive]
-    # State values are the stored weights (an ``int`` weight stays one),
-    # not a second float per state.
-    cu_out, pk_out = _branch_columns(probes, pi)
-    return entry_values, rows, _column(ids, "q"), list(weights), pk_out, cu_out
-
-
-# -- the column stage scan ------------------------------------------------------
-
-
 class ColumnRows:
-    """A column stage's row store, as a view over its bag's columns.
+    """A stage's row store where its relation keeps no list — a backend
+    view, a column-backed bag: a view over the image's value columns (its
+    codes where those are the values), read by tuple id.  A row is made
+    only when read, so result assembly pays for the answers someone reads
+    and the bind for none."""
 
-    What the core holds for that stage's rows (``tuples``), read by tuple
-    id — a row's position in the bag — as a relation's own list is.  A
-    row is made — a tuple of native ``int`` — only when it is read, so
-    result assembly pays for the answers someone reads and the bind for
-    none.  For the stage's lowering it also stands for the alive rows:
-    ``alive`` their positions (``None``: every row), :meth:`column`
-    their attributes, its length their number.
-    """
+    __slots__ = ("columns",)
 
-    __slots__ = ("arrays", "alive")
-
-    def __init__(self, arrays: Sequence, alive):
-        self.arrays = arrays
-        self.alive = alive
+    def __init__(self, columns: Sequence):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.arrays[0] if self.alive is None else self.alive)
+        return len(self.columns[0])
 
     def __getitem__(self, position: int) -> tuple:
-        return tuple([column.item(position) for column in self.arrays])
-
-    def column(self, position: int):
-        """Attribute ``position`` of the alive rows, as an int64 array."""
-        values = self.arrays[position]
-        return values if self.alive is None else values[self.alive]
+        return tuple([column.item(position) for column in self.columns])
 
 
 class _KeyTable:
-    """A column stage's connectors by join key: the distinct keys as
-    columns, in uid (first-seen) order from ``first_uid`` on — the
-    column form of a row stage's join-key dict."""
+    """A stage's connectors by join key: the distinct keys as code
+    columns, in uid (first-seen) order from ``first_uid`` on, ``size``
+    of them.  A keyless stage's (a root's) has no column and at most one
+    connector, which every probe finds."""
 
-    __slots__ = ("columns", "first_uid")
+    __slots__ = ("columns", "first_uid", "size")
 
-    def __init__(self, columns: list, first_uid: int):
+    def __init__(self, columns: list, first_uid: int, size: int):
         self.columns = columns
         self.first_uid = first_uid
+        self.size = size
 
-    def probe(self, key_columns: list):
+    def probe(self, key_columns: list, rows: int):
         """Per row of ``key_columns`` its connector's uid, ``-1`` for none."""
-        if not len(self.columns[0]):
-            return np.full(len(key_columns[0]), -1, np.int64)
+        if not self.size or not self.columns:
+            return np.full(rows, self.first_uid if self.size else -1, np.int64)
         if len(self.columns) == 1:
             keys, probes = self.columns[0], key_columns[0]
         else:
@@ -677,91 +464,99 @@ class _KeyTable:
         return np.where(ordered[at] == probes, order[at] + self.first_uid, -1)
 
 
-def _scan_relation(low: Lowering, stage: int, relation: Relation):
-    """``(store, scan_out)`` of one stage over ``relation``: the column
-    stage scan where the member takes it, else the rows
-    (:func:`stage_columns`) through :func:`scan_stage`, whose input list
-    is the stage's row store."""
-    if low.rank_tables is not None:
-        low.rows += len(relation)
-        scan_out = _scan_column_stage(low, stage, relation.arrays)
-        return scan_out[1], scan_out
-    rows, weights = stage_columns(relation)
-    low.rows += len(rows)
-    return rows, scan_stage(stage_scan_of(low, stage), rows, weights)
+def _repeats_hold(atom, codes, code: dict | None) -> np.ndarray:
+    """Per row, whether each repeated variable's values are equal, as
+    ``!=`` says: their codes agree, and no value is unequal to itself (a
+    NaN, which shares its code with itself as a dict key does)."""
+    unequal = [c for value, c in (code or {}).items() if value != value]
+    first: dict = {}
+    hold = np.ones(len(codes[0]), bool)
+    for position, var in enumerate(atom.variables):
+        at = first.setdefault(var, position)
+        if at != position:
+            hold &= codes[at] == codes[position]
+            if unequal:
+                hold &= ~np.isin(codes[position], unequal)
+    return hold
 
 
-def _scan_column_stage(low: Lowering, stage: int, arrays: tuple):
-    """:func:`scan_stage` over a column-backed relation's ``arrays``.
-
-    Each child branch is probed with the parent's key columns against
-    the child's :class:`_KeyTable`; the fold is :func:`_fold_branches`.
-    The rows come back as a :class:`ColumnRows` view, the stage's row
-    store; the state values as the weight column's native floats.
+def _scan_column_stage(low: Lowering, stage: int, image: ColumnImage, codes: tuple):
+    """The sweep's one per-row pass over a stage's ``image`` (``codes``:
+    its codes in the bind's code space): drop rows violating a repeated
+    variable or lacking a partner in some child branch, fold ``pi1``
+    and multiply the weight by it.  Returns ``(entry_values, codes_out,
+    ids_out, vk_out, pk_out, cu_out)``, one element per alive state; the
+    alive rows' ``codes_out`` serve the placement and ranks, and the state
+    values are the stored weights (an ``int`` weight stays an ``int``).
     """
-    columns, weights = arrays
-    scan = stage_scan_of(low, stage)
+    atom = low.query.atoms[low.order[stage]]
+    ids = None
+    weights = image.weights
+    if atom.has_repeated_variables():
+        ids = np.flatnonzero(_repeats_hold(atom, codes, low.code))
+        codes = [column[ids] for column in codes]
+        weights = weights[ids]
     probes = [
-        cmap.probe([columns[p] for p in positions])
-        for positions, cmap in scan.lookups
+        low.tables[child].probe(
+            [codes[p] for p in low.parent_key_positions[child]], len(weights)
+        )
+        for child in low.children_stages[stage]
     ]
-    alive, probes, w, pi, entry_values = _fold_branches(scan, probes, weights)
-    ids = np.arange(len(weights)) if alive is None else alive
-    rows = ColumnRows(columns, alive)
-    cu_out, pk_out = _branch_columns(probes, pi)
-    return entry_values, rows, _column(ids, "q"), w.tolist(), pk_out, cu_out
+    # Rows without a partner in some branch die; ``pi`` folds the
+    # connector minima from ``one`` in branch order, like the object
+    # builder (a single branch's ``pi`` is its connector minimum in bits:
+    # ``1.0 * m`` is ``m``, and so is ``0.0 + m``, a minimum under ``+``
+    # never being -0.0, itself a sum that began at +0.0), and the entry
+    # value is ``w ⊗ pi``: ``times``'s IEEE operations in its order.
+    # inf + -inf and 0 * inf are NaN here as there, without the warning.
+    if probes:
+        alive = np.flatnonzero(np.minimum.reduce(probes) >= 0)
+        if len(alive) < len(weights):
+            probes = [probe[alive] for probe in probes]
+            weights = weights[alive]
+            codes = [column[alive] for column in codes]
+            ids = alive if ids is None else ids[alive]
+    multiply = low.lane.multiply
+    conn_min = np.asarray(low.conn_min, dtype=np.float64)
+    pi = np.full(len(weights), low.one)
+    with np.errstate(invalid="ignore"):
+        for probe in probes:
+            pi = pi * conn_min[probe] if multiply else pi + conn_min[probe]
+        entry_values = weights * pi if multiply else weights + pi
+    cu_out = array("q")
+    if probes:
+        _extend(cu_out, np.stack(probes, axis=1).ravel())
+    tuple_ids = np.arange(len(image)) if ids is None else ids
+    return (
+        entry_values, codes, _column(tuple_ids, "q"), image.weight_list(ids),
+        _column(pi, "d"), cu_out,
+    )
 
 
 def _place_columns(
-    low: Lowering, stage: int, rows: ColumnRows, entry_values, entry_ranks
+    low: Lowering, stage: int, keys: list, entry_values, entry_ranks
 ) -> None:
-    """:func:`_place_by_connector` for a column stage: its join keys as
-    int64 codes, numbered in first-seen order as ``dict.fromkeys``
-    numbers them, kept as the stage's :class:`_KeyTable`."""
-    keys = [rows.column(p) for p in low.own_key_positions[stage]]
+    """Place one stage's states into connectors by ``keys``, their join
+    key's code columns: a connector per distinct key in first-seen order,
+    as ``dict.fromkeys`` numbers them, kept as the stage's
+    :class:`_KeyTable`, its entries placed by :func:`_place_local`.
+    Nothing is ordered by weight.  A keyless stage (a root: every state
+    joins key ``()``) has one connector, none without states."""
+    if not keys:
+        local = np.zeros(len(entry_values), np.int64)
+        low.tables[stage] = _KeyTable([], len(low.conn_stage), min(len(local), 1))
+        _place_local(low, stage, local, min(len(local), 1), entry_values, entry_ranks)
+        return
     codes = keys[0] if len(keys) == 1 else vec.key_codes(*[(k, k[:0]) for k in keys])[0]
     _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     seen = first.argsort()
     number = np.empty(len(first), np.int64)
     number[seen] = np.arange(len(first))
     local = number[inverse.reshape(-1)]
-    table = _KeyTable([key[first[seen]] for key in keys], len(low.conn_stage))
+    low.tables[stage] = _KeyTable(
+        [key[first[seen]] for key in keys], len(low.conn_stage), len(first)
+    )
     _place_local(low, stage, local, len(first), entry_values, entry_ranks)
-    low.conn_maps[stage] = table
-
-
-def _rank_columns_of(
-    low: Lowering, stage: int, rows: ColumnRows, child_uids: list[int]
-) -> tuple:
-    """:func:`_rank_columns` of a column stage, as int64 arrays: each
-    owned column's packed ranks gathered from
-    :attr:`Lowering.rank_tables` by ``searchsorted``, whose lists
-    (``tolist``) equal :func:`packed_ranks`' in value and type."""
-    val_rank = np.zeros(len(rows), np.int64)
-    for column, slot in low.templates[low.order[stage]]:
-        domain, packed = low.rank_tables[slot]
-        val_rank += packed[domain.searchsorted(rows.column(column))]
-    branches = len(low.children_stages[stage])
-    if not branches:  # a leaf
-        return val_rank, val_rank
-    conn_rank = np.array(low.conn_rank, np.int64)
-    uids = np.array(child_uids, np.int64).reshape(len(rows), branches)
-    return val_rank, val_rank + conn_rank[uids].sum(axis=1)
-
-
-def rank_tables(tie: TieBreakingDioid) -> list | None:
-    """Per slot of ``tie``, ``(domain, packed)``: its numbered values,
-    ascending, and their packed ranks, as int64 arrays — or ``None``
-    where a column stage cannot rank: a value that is not an ``int``, or
-    ranks past int64."""
-    top = sum(next(reversed(ranks.values()), 0) for ranks in tie.ranks)
-    if top >= 1 << 63 or any(set(map(type, ranks)) - {int} for ranks in tie.ranks):
-        return None
-    return [
-        (np.fromiter(ranks, np.int64, len(ranks)),
-         np.fromiter(ranks.values(), np.int64, len(ranks)))
-        for ranks in tie.ranks
-    ]
 
 
 # -- the sweep -------------------------------------------------------------------
@@ -769,51 +564,58 @@ def rank_tables(tie: TieBreakingDioid) -> list | None:
 
 def _lower(
     database: Database, query, tree: JoinTree, dioid: SelectiveDioid,
-    lane: FloatLane | None = None, templates: dict | None = None,
-    rank_tables: list | None = None, span=NULL_SPAN,
+    lane: FloatLane | None = None, templates: dict | None = None, span=NULL_SPAN,
 ) -> CompiledTDP:
     """The bottom-up pass over every stage of ``tree``, to one core.
 
     Mirrors :func:`repro.dp.builder.build_tdp` stage by stage — same row
     order, same alive filter, same fold from ``one`` — in value space,
     so the columns are the object builder's values and the entry keys
-    their ``key`` images, in bits.  Each stage is one :func:`scan_stage`
-    over its relation, then its alive states are placed into connectors
-    by their join key with the parent (first-seen order, like the
-    object builder's).  ``lane`` defaults to ``lane_of(dioid)``;
-    ``templates`` (:func:`owned_columns`) asks for the packed-rank
-    column of a tie-broken ``dioid``, and ``rank_tables`` the column
-    stage scan (:func:`lower_member`).  Take2's heaps are ranked once,
+    their ``key`` images, in bits.  Each stage is one
+    :func:`_scan_column_stage` over its relation's column image, then its
+    alive states are placed into connectors by their join key with the
+    parent (first-seen order, like the object builder's).  ``lane``
+    defaults to ``lane_of(dioid)``; ``templates`` (:func:`owned_columns`)
+    asks for the packed-rank column of a tie-broken ``dioid``
+    (:func:`lower_member`).  Take2's heaps are ranked once,
     over the whole pool (:func:`_heap_columns`), and the root's is cut
     at bind: every Take2 run reads it before its first answer.  ``span``
     is told how many input rows the pass scanned over how many stages.
     """
-    low = Lowering(query, tree, dioid, lane, templates, rank_tables)
+    low = Lowering(query, tree, dioid, lane, templates)
+    relations = [database[query.atoms[atom].relation_name] for atom in low.order]
+    images = [relation.arrays for relation in relations]
+    codes, low.code = shared_codes([(image.codes, image.code) for image in images])
+    if templates is not None:
+        low.packed = [
+            _packed_ranks(ranks, low.code, low.rank_type) for ranks in dioid.ranks
+        ]
     for stage in reversed(range(low.num_stages)):
-        relation = database[query.atoms[low.order[stage]].relation_name]
-        store, (entry_values, kept, ids_out, vk_out, pk_out, cu_out) = (
-            _scan_relation(low, stage, relation)
+        relation, image = relations[stage], images[stage]
+        low.rows += len(image)
+        entry_values, kept, ids_out, vk_out, pk_out, cu_out = _scan_column_stage(
+            low, stage, image, codes[stage]
         )
-        low.tuples[stage] = store
+        low.tuples[stage] = (
+            relation.tuples if relation.is_materialized
+            else ColumnRows(image.codes if image.values is None else image.values)
+        )
         low.tuple_ids[stage] = ids_out
         low.val_base[stage] = vk_out
         low.pi1[stage] = pk_out
         low.child_uids[stage] = cu_out
         entry_ranks = None
         if not low.inverse:
-            val_rank, entry_ranks = _rank_columns(low, stage, kept, cu_out)
+            val_rank, entry_ranks = _rank_columns(
+                low, stage, kept, len(entry_values), cu_out
+            )
             low.val_rank[stage], low.ent_rank[stage] = _rank_pair(val_rank, entry_ranks)
             low.ent_base[stage] = _column(entry_values, "d")
 
-        if not low.own_key_positions[stage]:
-            _place_keyless(low, stage, entry_values, entry_ranks)
-        elif isinstance(kept, ColumnRows):
-            _place_columns(low, stage, kept, entry_values, entry_ranks)
-        else:
-            join_keys = list(join_key_column(kept, low.own_key_positions[stage]))
-            _place_by_connector(low, stage, join_keys, entry_values, entry_ranks)
-        if low.parent_stage[stage] == -1 and () in low.conn_maps[stage]:
-            low.root_uid[stage] = low.conn_maps[stage][()]
+        keys = [kept[p] for p in low.own_key_positions[stage]]
+        _place_columns(low, stage, keys, entry_values, entry_ranks)
+        if low.parent_stage[stage] == -1 and low.tables[stage].size:
+            low.root_uid[stage] = low.tables[stage].first_uid
 
     roots = [stage for stage, parent in enumerate(low.parent_stage) if parent == -1]
     empty = len(low.root_uid) < len(roots)
@@ -908,7 +710,6 @@ def lower_member(
     tie: TieBreakingDioid,
     var_position: dict[str, int],
     lane: FloatLane,
-    tables: list | None,
 ) -> LaneCore:
     """Lower one union member to a :class:`~repro.dp.flat.LaneCore`.
 
@@ -916,26 +717,10 @@ def lower_member(
     must have numbered its domains
     (:func:`~repro.dp.builder.rank_tie_domains`) — with the packed-rank
     column of the variables each stage owns; ``lane`` is
-    :func:`member_lane`'s and ``tables`` ``tie``'s :func:`rank_tables`,
-    made once for all the members.  Its columns and ranks are
-    ``build_tdp``'s under ``tie`` and its lift, with no ``times`` or
-    ``key`` call.
+    :func:`member_lane`'s.  Its columns and ranks are ``build_tdp``'s
+    under ``tie`` and its lift, with no ``times`` or ``key`` call.
     """
     return _lower(
         database, join_tree.query, join_tree, tie, lane,
         owned_columns(join_tree, var_position),
-        tables if member_columns(database, join_tree) else None,
-    )
-
-
-def member_columns(database: Database, join_tree: JoinTree) -> bool:
-    """Whether every stage of the member takes the column stage scan:
-    each relation holds columns (a cycle decomposition's bags,
-    :meth:`~repro.data.relation.Relation.from_columns`) and no atom
-    repeats a variable.  The stages still lower from their rows where
-    :func:`rank_tables` could not rank."""
-    return all(
-        database[atom.relation_name].arrays is not None
-        and not atom.has_repeated_variables()
-        for atom in join_tree.query.atoms
     )

@@ -45,13 +45,7 @@ from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import LazyRows, core_key, dioid_core_name, export_core
 from repro.dp.flat import CompiledTDP, compile_tdp
-from repro.dp.lower import (
-    lower_member,
-    lower_query,
-    member_columns,
-    member_lane,
-    rank_tables,
-)
+from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
@@ -428,12 +422,6 @@ class UnionPhysical(PhysicalPlan):
             [(task.database, tree, var_position) for task, tree in zip(tasks, trees)],
         )
         lane, self.object_reason = member_lane(self.tie)
-        # The column stage scan's packed ranks, shared by every member.
-        tables = None
-        if lane is not None and any(
-            member_columns(task.database, tree) for task, tree in zip(tasks, trees)
-        ):
-            tables = rank_tables(self.tie)
         self.tdps = []
         #: A member's ``assembler()`` — what its results decode through —
         #: -> that member's :class:`MemberDecoder`.
@@ -444,9 +432,7 @@ class UnionPhysical(PhysicalPlan):
                 lift = make_tie_lift(self.tie, var_position, tree)
                 tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
             else:
-                tdp = lower_member(
-                    task.database, tree, self.tie, var_position, lane, tables
-                )
+                tdp = lower_member(task.database, tree, self.tie, var_position, lane)
             self.tdps.append(tdp)
             decoder = MemberDecoder(database, query, task, tdp)
             self._decoders[tdp.assembler()] = decoder
@@ -688,7 +674,7 @@ def _bind(
                 bag_tuples=_bag_tuples(tasks),
                 # Bags built as columns (the rest are rows).
                 columns=sum(
-                    bag.arrays is not None for task in tasks for bag in task.database
+                    not bag.is_materialized for task in tasks for bag in task.database
                 ),
             )
         return _bind_union(logical, database, tasks, tracer)

@@ -33,7 +33,7 @@ from repro.data.relation import Relation
 from repro.decomposition.cycle import decompose_cycle
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import ChoiceSet
-from repro.dp.lower import ColumnRows, lower_member, rank_tables
+from repro.dp.lower import ColumnRows, lower_member
 from repro.engine import Engine
 from repro.query.builders import cycle_query
 from repro.ranking.dioid import (
@@ -53,7 +53,8 @@ dioid_module = importlib.import_module("repro.ranking.dioid")
 
 
 class CountingRelation(Relation):
-    """A relation that counts how often its rows are read in full."""
+    """A relation that counts how often it is read in full: its rows, or
+    its column image."""
 
     __slots__ = ("scans",)
 
@@ -64,6 +65,11 @@ class CountingRelation(Relation):
     def rows(self):
         self.scans += 1
         return super().rows()
+
+    @property
+    def arrays(self):
+        self.scans += 1
+        return super().arrays
 
 
 class CountingMaxTimes(MaxTimesDioid):
@@ -270,9 +276,9 @@ def _bag_join_products(physical) -> int:
 #: of every member for the relation ``R1`` / ``E`` that holds them.
 BAG_STORAGES = {
     "columns": (None, None, "bag columns"),
-    # The former fallbacks, stored as rows by the one builder: ``str`` ids
-    # keep the float64 weight fold, ``int`` weights fold as objects.
-    "str_ids": (str, None, "bag rows ({} holds a value of type str)"),
+    # ``str`` ids are coded like any value: their bags are columns too.
+    # ``int`` weights are stored as rows and fold as objects.
+    "str_ids": (str, None, "bag columns"),
     "int_weights": (
         None, lambda w: round(w * 1000), "bag rows ({} holds a weight of type int)"
     ),
@@ -297,8 +303,8 @@ def test_lowered_four_cycle_bind_op_counts(
       declares the lane, so the lane stands — runs exactly once per bag
       join product where the weights fold as objects (``int`` weights,
       and the row-at-a-time reference :mod:`tests.reference.cycle_rows`),
-      and not at all where they fold as float64 (bag columns, and bag
-      rows of ``str`` ids); never for the T-DP; ``key`` never.
+      and not at all where they fold as float64 (bag columns, ``str``
+      ids included); never for the T-DP; ``key`` never.
     """
     value, weight, layout = BAG_STORAGES[bags]
     if bags == "reference":
@@ -397,24 +403,24 @@ def test_a_lowered_state_keeps_no_tuple_beyond_its_row(monkeypatch, bags):
     tuple per alive state — its entries are the pool's key, rank and
     state columns — and at most one list per connector; no
     ``ChoiceSet``, no value pair, no dict or list per state.  Over bag
-    rows (the row stage scan, then ``_place_by_connector``) and over bag
-    columns — the column stage scan — where the member holds no bag-row
-    tuple at all: its rows are views over the columns, which never
-    materialise."""
+    rows — whose column images the first, warming call makes, so the
+    counted one scans them as it scans bag columns, and whose row stores
+    are the bags' own lists — and over bag columns, where the member
+    holds no bag-row tuple at all: its rows are views over the columns,
+    which never materialise."""
     if bags == "rows":
         use_cycle_rows(monkeypatch)
     database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1503)
     query = cycle_query(4)
     physical = Engine(database).prepare(query, dioid=MAX_TIMES).bind()
     positions = {var: slot for slot, var in enumerate(query.variables)}
-    tables = rank_tables(physical.tie)  # made once per union, as the bind does
     assert len(physical.tdps) > 1
     for task, core in zip(physical.tasks, physical.tdps):
         tree = core.join_tree
 
         def lower():
             return lower_member(
-                task.database, tree, physical.tie, positions, core.lane, tables
+                task.database, tree, physical.tie, positions, core.lane
             )
 
         lower()  # warm caches

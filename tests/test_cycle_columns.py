@@ -2,8 +2,8 @@
 
 :func:`~repro.decomposition.cycle.decompose_cycle` builds every bag from
 int64 code columns, and stores it as columns where the dioid has a lane
-and the cycle's relations hold ``int`` values and ``float`` weights, else
-as rows made from the columns.  :mod:`tests.reference.cycle_rows` is the
+and the cycle's relations hold ``float`` weights, whatever their values,
+else as rows made from the columns.  :mod:`tests.reference.cycle_rows` is the
 same decomposition with Python tuples and dict joins, and the oracle of
 both storages.  The benchmark's cycle reference is bound through the
 same decomposition, so this suite is what guards it:
@@ -16,11 +16,12 @@ same decomposition, so this suite is what guards it:
 * **answers**: a bound plan ranks the same answers, weight bits,
   assignments and witnesses either way;
 * **former fallbacks**: ``str``, ``bool``, ``None`` and mixed values,
-  ``1`` / ``1.0`` / ``True`` meeting in one join, a value past int64,
-  ``int`` weights, a dioid without a lane, ``BOOLEAN`` and a
-  lexicographic dioid, and degrees from the engine's ``IndexCache`` —
-  each stored as rows, as the ``decompose`` span's ``columns`` attribute
-  and each member's ``bag_layout`` say, and each the reference's bags.
+  ``1`` / ``1.0`` / ``True`` meeting in one join and a value past int64 —
+  each coded, and stored as columns — and ``int`` weights, a dioid
+  without a lane, ``BOOLEAN`` and a lexicographic dioid — each stored as
+  rows — with degrees from the engine's ``IndexCache``; each as the
+  ``decompose`` span's ``columns`` attribute and each member's
+  ``bag_layout`` say, and each the reference's bags.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def test_bag_columns_are_the_bag_rows(length, self_join, lane, palette):
         assert {task.bag_layout for task in columns} == {"bag columns"}
         assert {task.bag_layout for task in rows} == {LAYOUT}
         assert all(
-            bag.arrays is not None and not bag.is_materialized
-            for task in columns for bag in task.database
+            not bag.is_materialized for task in columns for bag in task.database
         )
         assert snapshot(columns) == snapshot(rows)
         heavy_members += sum(task.label.startswith("heavy") for task in columns)
@@ -218,20 +218,16 @@ def _equal_types(value: int):
 
 #: case -> (change, dioid, layout of every member).
 FALLBACKS = {
-    "str_value": (dict(value="a"), None, "bag rows (R2 holds a value of type str)"),
-    "bool_value": (dict(value=True), None, "bag rows (R2 holds a value of type bool)"),
-    "none_value": (dict(value=None), None, "bag rows (R2 holds a value of type NoneType)"),
-    # A relation holding several other types names the first by name.
-    "mixed_values": (
-        dict(values=_mixed), None, "bag rows (R1 holds a value of type NoneType)"
-    ),
-    "equal_types": (
-        dict(values=_equal_types), None, "bag rows (R1 holds a value of type bool)"
-    ),
+    "str_value": (dict(value="a"), None, "bag columns"),
+    "bool_value": (dict(value=True), None, "bag columns"),
+    "none_value": (dict(value=None), None, "bag columns"),
+    # Any value is coded: its bags are columns.
+    "mixed_values": (dict(values=_mixed), None, "bag columns"),
+    "equal_types": (dict(values=_equal_types), None, "bag columns"),
     "past_int64": (
-        dict(values=lambda v: v if v % 4 else v + 2**64), None,
-        "bag rows (R1 holds a value past int64)",
+        dict(values=lambda v: v if v % 4 else v + 2**64), None, "bag columns",
     ),
+    # A relation holding several other types names the first by name.
     "int_weight": (dict(weight=2), None, "bag rows (R2 holds a weight of type int)"),
     "int_weights": (
         dict(weights=lambda w: int(w * 10)), None,
@@ -255,16 +251,18 @@ def _fallback(case: str):
 
 
 @pytest.mark.parametrize("case", list(FALLBACKS))
-def test_every_former_fallback_stores_rows(case):
+def test_every_former_fallback_stores_its_layout(case):
     database, options, layout = _fallback(case)
     with Engine(database, tracer=Tracer(sample="always")) as engine:
         physical = engine.prepare(cycle_query(4), **options).bind()
         (span,) = [s for s in engine.tracer.spans() if s.name == "decompose"]
         assert len(physical.top(5)) == 5
-    assert span.attrs["columns"] == 0
+    columns = layout == "bag columns"
+    bags = [bag for task in physical.tasks for bag in task.database]
+    assert span.attrs["columns"] == (len(bags) if columns else 0)
     assert span.attrs["bag_tuples"] > 0
     assert {task.bag_layout for task in physical.tasks} == {layout}
-    assert all(bag.arrays is None for task in physical.tasks for bag in task.database)
+    assert all(bag.is_materialized != columns for bag in bags)
 
 
 @pytest.mark.parametrize("indexes", [False, True], ids=["counted", "index_cache"])
@@ -321,14 +319,18 @@ def test_bag_rows_materialise_from_the_columns_only_when_read():
     database = cycle_database(4, "floats", seed=3602)
     (task, *_rest) = decompose_cycle(database, cycle_query(4), dioid=TROPICAL, threshold=2)
     bag = next(iter(task.database))
-    columns, weights = bag.arrays
+    image = bag.arrays
+    columns, weights = image.codes, image.weights
     assert not bag.is_materialized and len(bag) == len(weights) > 0
     assert bag.tuples[0] == tuple(int(column[0]) for column in columns)
     assert all(type(value) is int for row in bag.tuples for value in row)
     assert [float.hex(w) for w in bag.weights] == [float.hex(w) for w in weights.tolist()]
-    # A mutation leaves the lists as the only storage.
+    # A mutation materialises the lists and extends the image.
     bag.add((1, 2, 3), 0.5)
-    assert bag.arrays is None and len(bag) == len(weights) + 1
+    assert bag.is_materialized and len(bag) == len(weights) + 1
+    extended = bag.arrays
+    assert [column[-1] for column in extended.codes] == [1, 2, 3]
+    assert extended.weights[:-1].tolist() == weights.tolist()
 
 
 @pytest.mark.parametrize("palette", ["nan", "infinities", "signed_zeros"])
@@ -337,7 +339,7 @@ def test_a_column_member_lowers_as_the_object_builder(lane, palette):
     """The column stage scan against ``build_tdp`` over the same bags'
     rows, column by column in bits — NaN entry values included."""
     from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
-    from repro.dp.lower import ColumnRows, lower_member, member_lane, rank_tables
+    from repro.dp.lower import ColumnRows, lower_member, member_lane
     from repro.query.jointree import build_join_tree
     from repro.ranking.dioid import TieBreakingDioid
     from tests.test_lane_conformance import assert_same_columns
@@ -351,11 +353,10 @@ def test_a_column_member_lowers_as_the_object_builder(lane, palette):
     tie = TieBreakingDioid(base, len(positions))
     trees = [build_join_tree(task.query) for task in tasks]
     rank_tie_domains(tie, [(t.database, tree, positions) for t, tree in zip(tasks, trees)])
-    tables = rank_tables(tie)
     compared = nan_entries = 0
     for task, tree in zip(tasks, trees):
         core = lower_member(
-            task.database, tree, tie, positions, member_lane(tie)[0], tables
+            task.database, tree, tie, positions, member_lane(tie)[0]
         )
         assert all(type(rows) is ColumnRows for rows in core.tuples)
         tdp = build_tdp(
@@ -393,12 +394,13 @@ def test_values_near_the_int64_bounds_join_as_rows_do(monkeypatch, length):
     assert same
 
 
-def test_a_value_past_int64_keeps_bag_rows():
+def test_a_value_past_int64_is_coded_into_bag_columns():
     database = cycle_database(4, "floats", seed=3801)
     relation = database["R3"]
     relation.tuples[0] = (2**63, relation.tuples[0][1])
-    tasks = decompose_cycle(database, cycle_query(4), dioid=TROPICAL)
-    assert {task.bag_layout for task in tasks} == {"bag rows (R3 holds a value past int64)"}
+    tasks, reference = decompose_both(database, cycle_query(4), TROPICAL)
+    assert {task.bag_layout for task in tasks} == {"bag columns"}
+    assert snapshot(tasks) == snapshot(reference)
 
 
 @pytest.mark.parametrize("scale", [1, 2**20, 2**40, 2**61])

@@ -490,8 +490,6 @@ class TestSharedManager:
     def test_gateway_shares_tcp_server_sessions(self, engine):
         """`repro serve --http-port` wires both transports to one
         SessionManager: a session opened over TCP pages over HTTP."""
-        from repro.serve.server import ServeServer
-
         thread = ServerThread(engine, slice_size=8)
         address = thread.start()
 

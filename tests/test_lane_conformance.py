@@ -17,12 +17,15 @@ Over 3 bases (tropical, max-plus, max-times) x 3 weight palettes (floats,
 ``int`` 1..3, massive ties with signed zeros) x 3 members (the all-light
 chain and a heavy fan of a 4-cycle, a four-bag heavy member of a
 6-cycle), plus tree-shaped members — a star (open branches, ranked
-products), a two-component query (several roots) and a star with a
-repeated variable (a stage that drops rows before its probes) — that no
-cycle produces.  The columns are compared twice per cycle member: decomposed
-into bag rows by the reference (:mod:`tests.reference.cycle_rows`), which
-take the row stage scan, and into bag columns, which take the column
-stage scan.  The ``ints`` palette keeps bag rows either way.
+products), a two-component query (several roots), a star with a
+repeated variable (a stage that drops rows before its probes) and a star
+whose columns mix ``bool``, ``float``, ``str`` and ``int`` values — that
+no cycle produces.  The columns are compared twice per cycle member:
+decomposed into bag rows by the reference
+(:mod:`tests.reference.cycle_rows`), whose column images the lowering
+makes from their lists, and into bag columns, which are their images.
+Either way every stage takes the one stage scan.  The ``ints`` palette
+keeps bag rows either way.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.decomposition.cycle import decompose_cycle
 from repro.dp import lower
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.flat import LaneCore
-from repro.dp.lower import lower_member, lower_query, member_lane, rank_tables
+from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.engine import Engine
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.jointree import build_join_tree
@@ -103,7 +106,13 @@ TREE_MEMBERS = {
     "two_roots": parse_query("Q(a, b, c, d, e) :- R1(a, b), R2(b, c), R3(d, e)"),
     # A repeated variable: its stage drops the rows that break it first.
     "with_repeat": parse_query("Q(a, b, c) :- R1(a, b), R2(a, c), R3(a, a)"),
+    # Columns mixing ``bool``, ``float``, ``str`` and ``int`` values (see
+    # :data:`TYPED`): the images are numbered, and ranked as the object
+    # builder ranks the values.
+    "with_types": star_query(3),
 }
+#: How ``with_types`` spells the values 1 .. 3 it draws.
+TYPED = {1: True, 2: 2.0, 3: "3"}
 
 
 def member_task(member: str, palette: str, base, decomposition: str = "rows"):
@@ -125,10 +134,14 @@ def member_task(member: str, palette: str, base, decomposition: str = "rows"):
         return task.database, build_join_tree(task.query), variables
     query = TREE_MEMBERS[member]
     rng = random.Random(seed)
+    typed = TYPED if member == "with_types" else {}
     database = Database([
         Relation(
             atom.relation_name, 2,
-            [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(18)],
+            [
+                tuple(typed.get(v, v) for v in (rng.randint(1, 6), rng.randint(1, 6)))
+                for _ in range(18)
+            ],
             palette_weights(rng, palette, 18),
         )
         for atom in query.atoms
@@ -147,7 +160,7 @@ def member_pair(
     tie = TieBreakingDioid(base, len(variables))
     rank_tie_domains(tie, [(database, tree, positions)])
     lane, _why = member_lane(tie)
-    core = lower_member(database, tree, tie, positions, lane, rank_tables(tie))
+    core = lower_member(database, tree, tie, positions, lane)
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     return core, tdp
 
@@ -249,17 +262,17 @@ def test_ranks_past_int64_lower_on_the_kernel(monkeypatch):
     rank_tie_domains(tie, [(database, tree, positions)])
     assert sum(map(max, (ranks.values() for ranks in tie.ranks))) >= 1 << 63
     placed = []
-    real = lower._place_by_connector
+    real = lower._place_columns
     monkeypatch.setattr(
-        lower, "_place_by_connector",
+        lower, "_place_columns",
         lambda shared, stage, *rest: placed.append(stage) or real(shared, stage, *rest),
     )
     core = lower_member(
-        database, tree, tie, positions, member_lane(tie)[0], rank_tables(tie)
+        database, tree, tie, positions, member_lane(tie)[0]
     )
     tdp = build_tdp(database, tree, dioid=tie, lift=make_tie_lift(tie, positions, tree))
     assert_same_columns(core, tdp)
-    # Stage 0, a root, shares no join key: ``_place_keyless`` places it.
+    # Stage 0, a root, shares no join key: one connector holds it.
     fits = [
         max(core.ent_rank[stage]) < 1 << 63 for stage in range(1, tdp.num_stages)
     ]
@@ -267,7 +280,7 @@ def test_ranks_past_int64_lower_on_the_kernel(monkeypatch):
     assert all(type(rank) is int for column in core.ent_rank for rank in column)
     # A rank column that fits is a typed array, one past int64 a list.
     assert [type(core.ent_rank[stage]) is array for stage in range(1, tdp.num_stages)] == fits
-    assert placed == list(range(1, tdp.num_stages))[::-1]
+    assert placed == list(range(tdp.num_stages))[::-1]
 
 
 def ranked(enumerator, counter: OpCounter) -> tuple[list, list]:
@@ -445,7 +458,7 @@ def test_an_empty_member_lowers_to_an_empty_core():
     tie = TieBreakingDioid(MAX_TIMES, 4)
     rank_tie_domains(tie, [(database, tree, positions)])
     core = lower_member(
-        database, tree, tie, positions, member_lane(tie)[0], rank_tables(tie)
+        database, tree, tie, positions, member_lane(tie)[0]
     )
     assert core.empty
     assert core.best == (MAX_TIMES.zero, 0)

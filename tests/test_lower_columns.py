@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
+from repro.data.image import ColumnImage, code_table, object_table
 from repro.data.relation import Relation
 from repro.anyk.base import make_enumerator
 from repro.dp import flat, lower
@@ -78,12 +79,26 @@ WEIGHTS = {
 SQLITE_WEIGHTS = [name for name in WEIGHTS if name != "nans"]
 
 
+#: One NaN object: a dict probe finds it (by identity), ``!=`` says it
+#: is unequal to itself.
+NAN_KEY = float("nan")
+#: Spellings of a join value ``v`` in one column: ``int`` and ``str``
+#: mixed (``3`` and ``"3"`` are two values), every third value past
+#: int64, or ``1`` as :data:`NAN_KEY`.
+SPELLINGS = {
+    "str": lambda rng, v: rng.choice([v, str(v)]),
+    "past_int64": lambda rng, v: v + 2**64 if v % 3 == 0 else v,
+    "nan": lambda rng, v: NAN_KEY if v == 1 else v,
+}
+
+
 def make_database(query, n, weights="floats", seed=1, mixed_keys=False, edge=None):
     """Relations for ``query``: ``n`` rows each plus 10% duplicate tuples.
 
     ``mixed_keys`` spells one join value as ``1`` / ``1.0`` / ``True``
-    (and every other as ``v`` / ``float(v)``) within a column.  ``edge``
-    empties a relation or leaves a stage without join partners.
+    (and every other as ``v`` / ``float(v)``) within a column, or as
+    :data:`SPELLINGS` names.  ``edge`` empties a relation or leaves a
+    stage without join partners.
     """
     rng = random.Random(seed)
     draw = WEIGHTS[weights]
@@ -96,6 +111,8 @@ def make_database(query, n, weights="floats", seed=1, mixed_keys=False, edge=Non
 
     def value():
         v = rng.randint(1, domain)
+        if mixed_keys in SPELLINGS:
+            return SPELLINGS[mixed_keys](rng, v)
         if mixed_keys:
             return rng.choice([v, float(v), True] if v == 1 else [v, float(v)])
         return v
@@ -166,6 +183,11 @@ def core_columns(core, conn_min, uids=None) -> dict:
         "pi1": [[bits(v) for v in stage] for stage in core.pi1],
         "child_uids": [list(stage) for stage in core.child_uids],
         "tuples": state_rows(core),
+        # Each value read back as the object its row holds (``1.0`` stays
+        # ``1.0``), not as its code.
+        "row_types": [
+            [tuple(map(type, row)) for row in stage] for stage in state_rows(core)
+        ],
         "tuple_ids": [list(stage) for stage in core.tuple_ids],
         "conn_min": {
             uid: None if conn_min[uid] is None else bits(conn_min[uid])
@@ -294,6 +316,33 @@ def test_join_keys_1_and_1_0_and_true_share_a_connector(
     query = QUERIES[shape]
     database = open_database(
         make_database(query, 700, "floats", seed=5, mixed_keys=True),
+        backend, tmp_path,
+    )
+    try:
+        assert_object_path(database, build_join_tree(query), DIOIDS[dioid])
+    finally:
+        database.close()
+
+
+@pytest.mark.parametrize(
+    "spelling, backend",
+    [
+        ("str", "memory"), ("str", "sqlite"),
+        ("past_int64", "memory"), ("nan", "memory"),
+    ],
+)
+@pytest.mark.parametrize("dioid", list(DIOIDS))
+@pytest.mark.parametrize("shape", list(QUERIES))
+def test_mixed_and_wide_join_values_lower_as_the_object_path(
+    tmp_path, shape, dioid, spelling, backend
+):
+    """A column image numbers what is not an ``int`` within int64: the
+    codes join as the object path's dict probes do, and rows read back
+    as the values stored.  (SQLite stores no integer past int64, and
+    NaN as NULL.)"""
+    query = QUERIES[shape]
+    database = open_database(
+        make_database(query, 700, "mixed", seed=7, mixed_keys=spelling),
         backend, tmp_path,
     )
     try:
@@ -444,7 +493,9 @@ def pool_entries(low) -> list[tuple]:
     return list(zip(*columns))
 
 
-def placed(low) -> tuple:
+def placed(low, keys: list) -> tuple:
+    """The placement's columns, with ``keys`` — ``(join key, uid)`` per
+    connector of stage 2."""
     offsets = low.conn_offsets
     entries = pool_entries(low)
     for entry in entries:
@@ -455,25 +506,31 @@ def placed(low) -> tuple:
             for lo, hi in zip(offsets, offsets[1:])
         ],
         [bits(m) for m in low.conn_min],
-        list(low.conn_maps[2].items()),
+        keys,
         low.conn_stage,
         low.conn_rank,
     )
 
 
 def place(join_keys, entry_keys, ranks=None):
-    """One stage's grouping through the placement kernel.
+    """One stage's grouping through the placement kernel, over the join
+    keys' codes as a column image numbers them.
 
     ``ranks`` is a list of Python integers, as the tie-breaker's packed
     ranks are summed, made a column as :func:`lower._rank_columns` makes
     it.
     """
     low = fresh_lowering(ranks)
-    lower._place_by_connector(
-        low, 2, join_keys, np.array(entry_keys, np.float64),
+    (codes,), _values, code = code_table(object_table([(key,) for key in join_keys], 1))
+    lower._place_columns(
+        low, 2, [codes], np.array(entry_keys, np.float64),
         None if ranks is None else lower._rank_array(ranks),
     )
-    return placed(low)
+    table = low.tables[2]
+    keys = table.columns[0].tolist()
+    if code is not None:
+        keys = list(map(list(code).__getitem__, keys))
+    return placed(low, list(zip(keys, count(table.first_uid))))
 
 
 def place_oracle(join_keys, entry_keys, ranks=None):
@@ -492,7 +549,7 @@ def place_oracle(join_keys, entry_keys, ranks=None):
     groups: dict = {}
     for join_key, entry in zip(join_keys, entries):
         groups.setdefault(join_key, []).append(entry)
-    low.conn_maps[2].update(zip(groups, count(len(low.conn_stage))))
+    uids = list(zip(groups, count(len(low.conn_stage))))
     low.conn_stage.extend([2] * len(groups))
     low.conn_offsets.extend(map(
         len(low.entry_key).__add__, accumulate(map(len, groups.values()))
@@ -506,7 +563,7 @@ def place_oracle(join_keys, entry_keys, ranks=None):
     low.conn_min.extend(map(entry_values.__getitem__, map(itemgetter(-1), least)))
     if ranks is not None:
         low.conn_rank = typed_ranks([*low.conn_rank, *map(itemgetter(1), least)])
-    return placed(low)
+    return placed(low, uids)
 
 
 def typed_ranks(ranks: list):
@@ -695,7 +752,7 @@ def test_lowering_creates_no_reboxed_rows_and_only_what_the_core_holds(monkeypat
         )
         samples.append((len(fresh), reboxed))
 
-    real_scan = lower.scan_stage
+    real_scan = lower._scan_column_stage
 
     def sampling_scan(*args, **kwargs):
         sample()
@@ -703,7 +760,7 @@ def test_lowering_creates_no_reboxed_rows_and_only_what_the_core_holds(monkeypat
         sample()
         return out
 
-    monkeypatch.setattr(lower, "scan_stage", sampling_scan)
+    monkeypatch.setattr(lower, "_scan_column_stage", sampling_scan)
     lower.lower_query(database, tree, TROPICAL)  # warm caches, imports
     del samples[:]
     gc.collect()
@@ -856,11 +913,10 @@ def column_backed(database) -> Database:
     """``database`` with every relation held as int64 columns, as a cycle
     decomposition's bags are."""
     return Database([
-        Relation.from_columns(
-            relation.name,
+        Relation.from_columns(relation.name, ColumnImage(
             [np.array(column, np.int64) for column in zip(*relation.tuples)],
             np.array(relation.weights, np.float64),
-        )
+        ))
         for relation in database
     ])
 
@@ -876,10 +932,7 @@ def lower_cell(cell: str, database):
     positions = {var: slot for slot, var in enumerate(tree.query.variables)}
     tie = TieBreakingDioid(TROPICAL, len(positions))
     rank_tie_domains(tie, [(database, tree, positions)])
-    core = lower.lower_member(
-        database, tree, tie, positions, lower.member_lane(tie)[0],
-        lower.rank_tables(tie),
-    )
+    core = lower.lower_member(database, tree, tie, positions, lower.member_lane(tie)[0])
     stores = (lower.ColumnRows if cell == "member_columns" else list,)
     assert all(type(rows) in stores for rows in core.tuples)
     return core
