@@ -60,7 +60,6 @@ from repro.anyk import (
 from repro.data import (
     Database,
     HashIndex,
-    IndexCache,
     MemoryBackend,
     Relation,
     SQLiteBackend,
@@ -112,7 +111,6 @@ __all__ = [
     "Database",
     "Relation",
     "HashIndex",
-    "IndexCache",
     "StorageBackend",
     "MemoryBackend",
     "SQLiteBackend",

@@ -16,14 +16,13 @@ from repro.data.backend import (
     validate_identifier,
 )
 from repro.data.database import Database
-from repro.data.index import HashIndex, IndexCache
+from repro.data.index import HashIndex
 from repro.data.relation import Relation
 
 __all__ = [
     "Relation",
     "Database",
     "HashIndex",
-    "IndexCache",
     "StorageBackend",
     "MemoryBackend",
     "SQLiteBackend",

@@ -1,14 +1,13 @@
 """Pluggable storage backends: where relation tuples physically live.
 
 The any-k algorithms only need sequential access to ``(tuple, weight)``
-rows plus cheap cardinality/degree statistics (Section 2.3's linear-time
+rows plus cheap cardinality statistics (Section 2.3's linear-time
 preprocessing assumes nothing more); they are agnostic to *where* the
 rows are stored.  This module makes that boundary explicit:
 
 * :class:`StorageBackend` is the protocol every backend implements —
-  create/drop/append/extend for writes, lazy (optionally weight-sorted)
-  row iteration for reads, and server-side degree statistics for the
-  heavy/light partitioning of the cycle decomposition.
+  create/drop/append/extend for writes and lazy (optionally
+  weight-sorted) row iteration for reads.
 * :class:`MemoryBackend` is the original in-memory implementation
   (Python lists inside :class:`~repro.data.relation.Relation`) extracted
   behind the protocol.
@@ -28,8 +27,8 @@ Every mutation through a backend bumps a per-relation *version
 counter* that is persisted (SQLite) or delegated to the stored relation
 (memory).  :class:`~repro.data.relation.Relation` objects constructed
 from a backend consult that counter, so the engine's prepared-query
-invalidation (and the :class:`~repro.data.index.IndexCache` stamps)
-stay sound even when several ``Relation`` views — including
+invalidation (and each relation's column image, remade when its version
+moves) stay sound even when several ``Relation`` views — including
 ``rename``-aliased copies — share one table.  Mutations through a
 *different* backend instance (another process) are picked up on the
 next open; within one process, route writes through one backend.
@@ -98,10 +97,9 @@ class StorageBackend(Protocol):
     """What a storage backend must provide to host relations.
 
     The contract mirrors what the paper's preprocessing phase consumes:
-    one sequential pass over each relation (:meth:`iter_rows`), optional
-    weight-sorted access (:meth:`sorted_rows`, rank-join style), and
-    degree statistics (:meth:`degree_statistics`) for the heavy/light
-    threshold of the cycle decomposition — plus enough bookkeeping
+    one sequential pass over each relation (:meth:`iter_rows`) and
+    optional weight-sorted access (:meth:`sorted_rows`, rank-join
+    style) — plus enough bookkeeping
     (arity, cardinality, a monotone per-relation version counter) for
     the engine's cache invalidation to observe every mutation.
 
@@ -179,17 +177,6 @@ class StorageBackend(Protocol):
         call: one statement in SQLite, fetched :data:`FETCH_BATCH` rows
         at a time, so no per-row Python call sits in the preprocessing
         hot loop and the rows of one batch at most are held at once.
-        """
-        ...
-
-    def degree_statistics(
-        self, name: str, columns: Sequence[int]
-    ) -> dict[tuple, int]:
-        """Occurrence count per distinct projection onto ``columns``.
-
-        Computed server-side where possible (SQL ``GROUP BY``), so the
-        heavy/light split of the cycle decomposition does not force a
-        client-side pass over the relation.
         """
         ...
 
@@ -311,16 +298,6 @@ class MemoryBackend:
     def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         relation = self._get(name)
         yield [t + (w,) for t, w in zip(relation.tuples, relation.weights)]
-
-    def degree_statistics(
-        self, name: str, columns: Sequence[int]
-    ) -> dict[tuple, int]:
-        cols = tuple(columns)
-        counts: dict[tuple, int] = {}
-        for values in self._get(name).tuples:
-            key = tuple(values[c] for c in cols)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def ingest(self, relation: "Relation", name: str | None = None) -> str:
         name = name or relation.name
@@ -648,20 +625,6 @@ class SQLiteBackend:
         # identity relies on.
         cursor = self._execute(f"SELECT * FROM {table} ORDER BY rowid")
         return iter(lambda: cursor.fetchmany(FETCH_BATCH), [])
-
-    def degree_statistics(
-        self, name: str, columns: Sequence[int]
-    ) -> dict[tuple, int]:
-        arity = self.arity(name)
-        cols = tuple(columns)
-        if not cols or any(c < 0 or c >= arity for c in cols):
-            raise ValueError(f"bad column subset {cols!r} for arity {arity}")
-        table = quote_identifier(name)
-        select = ", ".join(f"a{c + 1}" for c in cols)
-        cursor = self._execute(
-            f"SELECT {select}, COUNT(*) FROM {table} GROUP BY {select}"
-        )
-        return {tuple(row[:-1]): row[-1] for row in cursor}
 
     def create_index(self, name: str, columns: Sequence[int]) -> str:
         """A persistent b-tree access path on ``columns`` (idempotent)."""

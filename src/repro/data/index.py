@@ -8,7 +8,6 @@ subset to the list of matching tuple positions.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -68,84 +67,3 @@ class HashIndex:
     def max_bucket(self) -> int:
         """Size of the largest bucket (degree statistics for heavy/light)."""
         return max(map(len, self._buckets.values()), default=0)
-
-
-class IndexCache:
-    """Memoised :class:`HashIndex` builds, keyed by relation content.
-
-    The cache key is ``(relation name, columns)``; each entry is stamped
-    with ``(id(relation), len(relation), relation.version)`` at build
-    time and is rebuilt transparently when the stamp no longer matches:
-    ``version``/``len`` catch :meth:`Relation.add`, and the object
-    identity catches replacing a relation with a fresh same-name,
-    same-cardinality one.  (The cached :class:`HashIndex` holds a
-    reference to the stamped relation, so its ``id`` cannot be recycled
-    while the entry lives.)  One instance lives on each
-    :class:`~repro.engine.engine.Engine`, letting repeated preparations
-    share the linear-time index builds of Section 2.3.
-    """
-
-    __slots__ = ("_indexes", "_degrees", "hits", "misses", "pushdowns")
-
-    def __init__(self):
-        self._indexes: dict[tuple, tuple[tuple, HashIndex]] = {}
-        #: Memoised degree statistics: ``(stamp, counts, relation)``.
-        self._degrees: dict[tuple, tuple[tuple, dict[tuple, int], Relation]] = {}
-        self.hits = 0
-        self.misses = 0
-        #: Degree-statistics requests answered server-side by a backend.
-        self.pushdowns = 0
-
-    def get(self, relation: Relation, columns: Sequence[int]) -> HashIndex:
-        """The index of ``relation`` on ``columns`` (built at most once)."""
-        columns = tuple(columns)
-        key = (relation.name, columns)
-        stamp = (id(relation), len(relation), relation.version)
-        entry = self._indexes.get(key)
-        if entry is not None and entry[0] == stamp:
-            self.hits += 1
-            return entry[1]
-        index = HashIndex(relation, columns)
-        self._indexes[key] = (stamp, index)
-        self.misses += 1
-        return index
-
-    def degrees(self, relation: Relation, columns: Sequence[int]) -> dict[tuple, int]:
-        """Occurrence count per distinct key of ``relation`` on ``columns``.
-
-        This is the degree information behind the heavy/light threshold
-        of the cycle decomposition (Section 5.2).  For a backend-stored,
-        not-yet-materialised relation the counts are computed *server
-        side* (SQL ``GROUP BY`` for SQLite) so asking for statistics
-        does not force the relation into memory.  Otherwise they are
-        counted over the key column in one pass, building no index.
-        Either way they are memoised, stamped like the indexes.
-        """
-        columns = tuple(columns)
-        backend = relation.backend
-        in_memory = backend is None or relation.is_materialized
-        if in_memory:
-            stamp = (id(relation), len(relation), relation.version)
-        else:
-            stamp = (id(relation), relation.version)
-        key = (relation.name, columns, in_memory)
-        entry = self._degrees.get(key)
-        if entry is not None and entry[0] == stamp:
-            self.hits += 1
-            return entry[1]
-        if not in_memory:
-            self.pushdowns += 1
-            counts = backend.degree_statistics(relation.table, columns)
-        else:
-            self.misses += 1
-            counts = dict(Counter(_key_tuples(relation.tuples, columns)))
-        # The entry holds the relation, so its ``id`` stays its own.
-        self._degrees[key] = (stamp, counts, relation)
-        return counts
-
-    def clear(self) -> None:
-        self._indexes.clear()
-        self._degrees.clear()
-
-    def __len__(self) -> int:
-        return len(self._indexes)

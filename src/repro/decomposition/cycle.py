@@ -140,15 +140,11 @@ class _CycleAtom:
     """
 
     __slots__ = (
-        "index", "relation", "entry_pos", "entry_var", "full", "heavy", "light",
-        "values",
+        "index", "entry_pos", "entry_var", "full", "heavy", "light", "values",
     )
 
-    def __init__(
-        self, index: int, relation: Relation, atom: Atom, entry_var: str, scan
-    ):
+    def __init__(self, index: int, atom: Atom, entry_var: str, scan):
         self.index = index
-        self.relation = relation
         self.entry_var = entry_var
         self.entry_pos = entry_pos = atom.variables.index(entry_var)
         exit_pos = 1 - entry_pos
@@ -162,28 +158,16 @@ class _CycleAtom:
         self.heavy = self.full.take(slice(0, 0))
         self.light = self.full
 
-    def split(self, threshold: int, indexes=None, code: dict | None = None) -> None:
+    def split(self, threshold: int) -> None:
         """Classify the scanned rows by their entry value's degree.
 
-        With an :class:`~repro.data.index.IndexCache` the degree
-        statistics come from :meth:`~repro.data.index.IndexCache.degrees`:
-        one count over the entry column for in-memory relations, or a
-        server-side ``GROUP BY`` for backend-stored ones, memoised — so
-        repeated decompositions of the same database skip the counting
-        pass; its values are mapped to codes by ``code``.  Any
+        The degrees are counted over the entry codes the scan already
+        holds, so a backend-stored relation is not read again.  Any
         classification yields a disjoint cover; the degrees only carry
         the size bound.  The rows split by one mask.
         """
-        if indexes is not None:
-            degrees = indexes.degrees(self.relation, (self.entry_pos,))
-            heavy_values = [
-                key[0] for key, count in degrees.items() if count >= threshold
-            ]
-            if code is not None:
-                heavy_values = [code[value] for value in heavy_values if value in code]
-        else:
-            values, counts = np.unique(self.full.entry, return_counts=True)
-            heavy_values = values[counts >= threshold]
+        values, counts = np.unique(self.full.entry, return_counts=True)
+        heavy_values = values[counts >= threshold]
         if not len(heavy_values):
             return
         heavy = np.isin(self.full.entry, heavy_values)
@@ -284,19 +268,17 @@ def decompose_cycle(
     query: ConjunctiveQuery,
     dioid: SelectiveDioid = TROPICAL,
     threshold: int | None = None,
-    indexes=None,
     walk: list[tuple[int, str]] | None = None,
 ) -> list[TreeTask]:
     """Decompose a simple-cycle query into l heavy trees + 1 light tree.
 
     Raises ``ValueError`` if the query is not a simple cycle.  Member
-    outputs are disjoint; empty members are dropped.  ``indexes`` is an
-    optional :class:`~repro.data.index.IndexCache` for the heavy/light
-    degree statistics, and ``walk`` a precomputed
-    :func:`detect_simple_cycle` result (the planning layer passes the
-    one it stored on the logical plan, skipping re-detection on rebind).
-    Every distinct relation of the cycle is read exactly once, however
-    many atoms it serves.
+    outputs are disjoint; empty members are dropped.  ``walk`` is a
+    precomputed :func:`detect_simple_cycle` result (the planning layer
+    passes the one it stored on the logical plan, skipping re-detection
+    on rebind).  Every distinct relation of the cycle is read exactly
+    once, however many atoms it serves, and the heavy/light degrees are
+    counted over what that read holds.
 
     Every bag is built by the one column join.  It is stored as columns
     (a column-backed relation) where ``dioid`` has a lane and the
@@ -310,8 +292,7 @@ def decompose_cycle(
     length = len(walk)
     scans, code, times, why = _read_scans(database, query, walk, dioid)
     cycle_atoms = [
-        _CycleAtom(index, database[query.atoms[index].relation_name],
-                   query.atoms[index], entry_var,
+        _CycleAtom(index, query.atoms[index], entry_var,
                    scans[query.atoms[index].relation_name])
         for index, entry_var in walk
     ]
@@ -319,7 +300,7 @@ def decompose_cycle(
         n = max(len(ca.full) for ca in cycle_atoms)
         threshold = default_threshold(n, length)
     for ca in cycle_atoms:
-        ca.split(threshold, indexes, code)
+        ca.split(threshold)
 
     tasks: list[TreeTask] = []
     for pivot in range(length):

@@ -11,11 +11,12 @@ states with the same join value.
 Enumeration runs over the flat :class:`repro.dp.flat.CompiledTDP`
 arrays whenever the ranking dioid has a lane (``lane_of``).  The engine
 gets them in one bottom-up pass straight from the relations
-(:mod:`repro.dp.lower`, no object graph) — acyclic plans and the
-tie-broken members of a cyclic plan, which carry a packed-rank column
-besides.  A core owns its rows and query, so physical
-plans hold it alone; :func:`compile_tdp` lowers an object ``TDP`` that
-was built anyway.  See :mod:`repro.dp.flat`.
+(:mod:`repro.dp.lower`, no object graph) — acyclic plans, the free
+region of a min-weight projection, and the tie-broken members of a
+cyclic plan or a UCQ, which carry a packed-rank column besides.  A core
+owns its rows and query, so physical plans hold it alone;
+:func:`compile_tdp` lowers an object ``TDP`` handed to
+:func:`~repro.anyk.base.make_enumerator`.  See :mod:`repro.dp.flat`.
 """
 
 from repro.dp.builder import build_tdp, build_tdp_for_query

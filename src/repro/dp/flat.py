@@ -58,7 +58,7 @@ answers are ``(base, rank)`` pairs.
 :mod:`repro.dp.lower` builds a core straight from the relations and
 :mod:`repro.dp.corebuf` maps one from a ``.core`` file, both through
 :meth:`CompiledTDP.assemble`.  :func:`compile_tdp` lowers an object
-``TDP`` that exists anyway (the no-lane sites' ``build_tdp`` callers,
+``TDP`` handed to :func:`~repro.anyk.base.make_enumerator` (``DPProblem``,
 tests and benchmarks comparing the two enumerator families) to the same
 arrays, sharing its row lists, and returns ``None`` for a dioid without
 a lane; that core is memoized on the ``TDP`` (``TDP._compiled``), and
@@ -366,7 +366,7 @@ class CompiledTDP:
         self, *, dioid, query, join_tree, atom_of_stage, parent_stage,
         tuples, tuple_ids, lane, one, val_base, pi1, child_uids,
         conn_stage, root_uid, best, empty, conn_offsets, entry_key,
-        entry_state, caches=None, heap_columns=None, val_rank=None,
+        entry_state, heap_columns=None, val_rank=None,
         ent_base=None, ent_rank=None, min_base=None, min_rank=None,
         entry_rank=None, rows_by_id=True,
     ) -> None:
@@ -378,9 +378,9 @@ class CompiledTDP:
         store read by tuple id (``rows_by_id``), or, in a
         :func:`compile_tdp` core, the object graph's rows state by state.
 
-        ``caches`` is ``[take2_heaps, sorted_orders]`` (Take2's
+        ``_caches`` is ``[take2_heaps, sorted_orders]`` (Take2's
         uid-indexed heaps, and Eager's, ``None`` until its first sort),
-        made here when not given; ``heap_columns`` holds Take2's heaps
+        made here; ``heap_columns`` holds Take2's heaps
         of the connectors ranked at bind (:func:`heap_layout`).  A
         ranking structure is built once and reused by every algorithm
         and serving session.  The entry-value, least-entry and rank
@@ -481,7 +481,7 @@ class CompiledTDP:
         # array serves all runs where the object path re-heapifies per
         # run — and Eager's sorted order, whose uid-indexed list is made
         # on Eager's first sort (:meth:`sorted_orders`).
-        self._caches = caches or [[None] * uid_space, None]
+        self._caches = [[None] * uid_space, None]
         self._take2_heaps = self._caches[0]
         #: Take2's heap of every connector ranked at bind, from pool
         #: position 0 (:func:`heap_layout`): the ``(states, keys, ranks)``

@@ -67,8 +67,9 @@ processes last — is placed last and its root connector takes the last
 uid.  :func:`lower_query` and :func:`lower_member` are its two entry
 points.
 
-Dioids without a lane (and members over them), the UCQ pipeline, the
-min-weight projection and ``DPProblem`` keep the object builder
+UCQ members and the free region of a min-weight projection lower here
+too.  Dioids without a lane (and members over them), the free-connex
+cut of a min-weight projection and ``DPProblem`` keep the object builder
 (:mod:`repro.dp.builder`), which reads the rows.
 """
 

@@ -30,7 +30,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.data.database import Database
-from repro.data.index import IndexCache
 from repro.dp.flat import CompiledTDP
 from repro.engine.plan import LogicalPlan, PhysicalPlan, bind, plan
 from repro.engine.stream import PrefixStream
@@ -297,7 +296,7 @@ class PreparedQuery:
         """EXPLAIN ANALYZE: run up to ``k`` answers instrumented.
 
         Force-rebinds under an always-sampling tracer (so the per-stage
-        tree covers plan → T-DP build → compile → core-cache), drains
+        tree covers plan → T-DP build → core-cache), drains
         ``k`` ranked answers clocking each arrival, and returns an
         :class:`~repro.obs.analyze.AnalyzeReport` carrying per-stage wall
         time, OpCounter attribution, compiled-core stats, and the TTF /
@@ -317,12 +316,12 @@ class PreparedQuery:
 
 
 class Engine:
-    """Session object: one database, cached prepared queries and indexes.
+    """Session object: one database and its cached prepared queries.
 
     The database may live on any storage backend; an engine over a
     :class:`~repro.data.backend.SQLiteBackend` database binds plans
-    against the persistent store (lazy row streams, server-side degree
-    statistics) and gets cross-process warm starts for free — reopening
+    against the persistent store (one batched column image per relation
+    version) and gets cross-process warm starts for free — reopening
     the ``.db`` file skips ingestion, and only the in-process plan/T-DP
     caches are rebuilt.  Engines are context managers; leaving the
     ``with`` block closes the owning backend.
@@ -337,7 +336,6 @@ class Engine:
     ):
         self.database = database
         self.max_cached_plans = max_cached_plans
-        self.indexes = IndexCache()
         self.stats = EngineStats()
         #: Engine-wide tracer (:class:`repro.obs.trace.Tracer`), default
         #: the shared no-op :data:`~repro.obs.trace.NULL_TRACER` so the
@@ -508,7 +506,6 @@ class Engine:
                 physical = bind(
                     prepared.logical,
                     database,
-                    indexes=self.indexes,
                     core_cache=core_cache,
                     tracer=tracer,
                 )
@@ -685,7 +682,7 @@ class Engine:
             )
 
     def clear_caches(self) -> None:
-        """Drop all cached plans, streams, and indexes.
+        """Drop all cached plans and streams.
 
         Also the explicit way to release memoized result prefixes on a
         long-lived engine over a never-mutating database.
@@ -693,7 +690,6 @@ class Engine:
         with self._lock:
             self._plans.clear()
             self._physicals.clear()
-            self.indexes.clear()
         with self._stream_lock:
             self._streams.clear()
 

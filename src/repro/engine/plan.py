@@ -34,7 +34,6 @@ from repro.anyk.base import make_enumerator
 from repro.anyk.flat import make_flat_enumerator
 from repro.anyk.union import UnionEnumerator
 from repro.data.database import Database
-from repro.data.index import IndexCache
 from repro.decomposition.base import BagLineage, TreeTask
 from repro.decomposition.cycle import (
     cycle_relations,
@@ -44,10 +43,10 @@ from repro.decomposition.cycle import (
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.dp.corebuf import LazyRows, core_key, dioid_core_name, export_core
-from repro.dp.flat import CompiledTDP, compile_tdp
+from repro.dp.flat import CompiledTDP
 from repro.dp.lower import lower_member, lower_query, member_lane
 from repro.enumeration.result import QueryResult
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid, lane_of
@@ -97,8 +96,6 @@ class LogicalPlan:
         if self.projection != "all_weight" or not self.query.is_full():
             lines.append(f"{indent}  projection: {self.projection}")
         if self.join_tree is not None:
-            from repro.enumeration.explain import tree_ascii
-
             lines.append(f"{indent}  join tree:")
             lines.extend(
                 indent + "  " + line for line in tree_ascii(self.join_tree)
@@ -113,6 +110,24 @@ class LogicalPlan:
             lines.append(f"{indent}  inner full-query plan:")
             lines.append(self.inner.explain(indent + "    "))
         return "\n".join(lines)
+
+
+def tree_ascii(tree: JoinTree) -> list[str]:
+    """Indentation-based rendering of the join forest, one atom a line
+    with the variables it joins its parent on."""
+    lines: list[str] = []
+    atoms = tree.query.atoms
+
+    def visit(node: int, depth: int) -> None:
+        shared = tree.shared_variables(node)
+        join = f" [join on {', '.join(shared)}]" if shared else ""
+        lines.append("  " * depth + f"- {atoms[node]!r}{join}")
+        for child in tree.children(node):
+            visit(child, depth + 1)
+
+    for root in tree.roots():
+        visit(root, 0)
+    return lines
 
 
 def plan(
@@ -183,6 +198,30 @@ def run_tdp(tdp, algorithm: str, counter=None, emits: tuple | None = None):
     if isinstance(tdp, CompiledTDP):
         return make_flat_enumerator(tdp, algorithm.lower(), counter, emits=emits)
     return make_enumerator(tdp, algorithm, counter=counter)
+
+
+def bind_members(tie: TieBreakingDioid, parts: list[tuple]) -> tuple[list, str]:
+    """The T-DPs of union members ranked under ``tie``, and why they are
+    object graphs (``""`` when they are lowered).
+
+    ``parts`` holds per member ``(database, join tree, variable -> tie
+    position)``.  The tie-breaker numbers its domains once, over every
+    member (:func:`~repro.dp.builder.rank_tie_domains`); then each member
+    is lowered to a :class:`~repro.dp.flat.LaneCore` where the base dioid
+    has a lane (:func:`~repro.dp.lower.member_lane`), else built as an
+    object graph under the tie lift.  Shared by :class:`UnionPhysical`
+    and :func:`~repro.enumeration.api.ranked_enumerate_ucq`.
+    """
+    rank_tie_domains(tie, parts)
+    lane, why = member_lane(tie)
+    tdps = []
+    for database, tree, var_position in parts:
+        if lane is None:
+            lift = make_tie_lift(tie, var_position, tree)
+            tdps.append(build_tdp(database, tree, dioid=tie, lift=lift))
+        else:
+            tdps.append(lower_member(database, tree, tie, var_position, lane))
+    return tdps, why
 
 
 def decodes_at_extension(tdp) -> str | None:
@@ -387,13 +426,13 @@ class UnionPhysical(PhysicalPlan):
     disjoint) and exists for overlapping decompositions plugged in via
     ``enumerate_union``.
 
-    A member is *lowered*, not built, when the base dioid keeps its lane
-    contract (:func:`repro.dp.lower.member_lane`, decided once from the
-    dioid): ``tdps[i]`` is then a :class:`~repro.dp.flat.LaneCore` and
-    the member runs the flat kernels of :mod:`repro.anyk.flat` over it;
-    otherwise it is the object graph of ``build_tdp`` (the reason in
-    :attr:`object_reason`).  Either way ``make_enumerator(tdps[i])``
-    yields pair-valued results, ``(base, rank)``.
+    The members are bound by :func:`bind_members`, the UCQ pipeline's
+    binding too: where the base dioid has a lane ``tdps[i]`` is a
+    lowered :class:`~repro.dp.flat.LaneCore`, run by the flat kernels of
+    :mod:`repro.anyk.flat`; only a dioid without one gets the object
+    graph of ``build_tdp`` (the reason in :attr:`object_reason`).
+    Either way :func:`run_tdp` over ``tdps[i]`` yields pair-valued
+    results, ``(base, rank)``.
 
     An answer is its member's states until someone reads it: a
     :class:`QueryResult` view over that member's :class:`MemberDecoder`.
@@ -416,24 +455,16 @@ class UnionPhysical(PhysicalPlan):
         variables = query.variables
         var_position = {v: i for i, v in enumerate(variables)}
         self.tie = TieBreakingDioid(logical.dioid, len(variables))
-        trees = [build_join_tree(task.query) for task in tasks]
-        rank_tie_domains(
+        self.tdps, self.object_reason = bind_members(
             self.tie,
-            [(task.database, tree, var_position) for task, tree in zip(tasks, trees)],
+            [(task.database, build_join_tree(task.query), var_position)
+             for task in tasks],
         )
-        lane, self.object_reason = member_lane(self.tie)
-        self.tdps = []
         #: A member's ``assembler()`` — what its results decode through —
         #: -> that member's :class:`MemberDecoder`.
         self._decoders: dict = {}
         self.eager = None
-        for task, tree in zip(tasks, trees):
-            if lane is None:
-                lift = make_tie_lift(self.tie, var_position, tree)
-                tdp = build_tdp(task.database, tree, dioid=self.tie, lift=lift)
-            else:
-                tdp = lower_member(task.database, tree, self.tie, var_position, lane)
-            self.tdps.append(tdp)
+        for task, tdp in zip(tasks, self.tdps):
             decoder = MemberDecoder(database, query, task, tdp)
             self._decoders[tdp.assembler()] = decoder
             self.eager = self.eager or decoder.behind
@@ -496,22 +527,23 @@ class UnionPhysical(PhysicalPlan):
 class MinWeightPhysical(PhysicalPlan):
     """Free-connex min-weight projection (Section 8.1, Theorem 20)."""
 
-    def __init__(self, logical: LogicalPlan, database: Database):
+    def __init__(self, logical: LogicalPlan, database: Database, span=NULL_SPAN):
         super().__init__(logical, database)
         from repro.enumeration.projections import build_free_connex_plan
 
-        self.fc_plan = build_free_connex_plan(
+        fc_plan = self.fc_plan = build_free_connex_plan(
             database, logical.query, dioid=logical.dioid
         )
-        #: The reduced free-region T-DP: bind swaps in its compiled core
-        #: where the dioid has a lane; ``None`` for an empty free region.
-        self.tdp = (
-            None
-            if self.fc_plan.empty
-            else build_tdp(
-                self.fc_plan.database, self.fc_plan.tree, dioid=logical.dioid
-            )
-        )
+        #: The reduced free-region T-DP — lowered where the dioid has a
+        #: lane (``span`` is told what the pass scanned), else the object
+        #: graph; ``None`` for an empty free region.
+        self.tdp = None
+        dioid = logical.dioid
+        if not fc_plan.empty:
+            if lane_of(dioid)[0] is None:
+                self.tdp = build_tdp(fc_plan.database, fc_plan.tree, dioid=dioid)
+            else:
+                self.tdp = lower_query(fc_plan.database, fc_plan.tree, dioid, span)
 
     def iter(
         self,
@@ -587,7 +619,6 @@ class ProjectionPhysical(PhysicalPlan):
 def bind(
     logical: LogicalPlan,
     database: Database,
-    indexes: IndexCache | None = None,
     core_cache=None,
     tracer=NULL_TRACER,
 ) -> PhysicalPlan:
@@ -596,7 +627,10 @@ def bind(
     This is the only place data-dependent work happens before
     enumeration: decomposition bag materialisation and T-DP bottom-up
     passes.  The elapsed wall-clock time is recorded on the returned
-    plan as ``preprocess_seconds``.
+    plan as ``preprocess_seconds``.  Where the dioid has a lane every
+    pass — acyclic plan, union member, min-weight free region — is
+    lowered straight to a compiled core; ``build_tdp`` runs only for a
+    dioid without one.
 
     ``core_cache`` (a :class:`repro.dp.corebuf.CoreCache`, or ``None``)
     enables warm starts for the acyclic T-DP strategy: a fresh entry for
@@ -605,13 +639,12 @@ def bind(
     falls through to the normal build and rewrites the file.
 
     ``tracer`` (:class:`repro.obs.trace.Tracer`) records a per-stage
-    span tree of the preprocessing phase — T-DP build (``tdp.compile``
-    too where an object graph is lowered afterwards), core-cache
+    span tree of the preprocessing phase — T-DP build, core-cache
     load/store, decomposition.  The default
     no-op tracer keeps the cost at one constant method call per stage.
     """
     start = time.perf_counter()
-    physical = _bind(logical, database, indexes, core_cache, tracer)
+    physical = _bind(logical, database, core_cache, tracer)
     physical.preprocess_seconds = time.perf_counter() - start
     return physical
 
@@ -619,7 +652,6 @@ def bind(
 def _bind(
     logical: LogicalPlan,
     database: Database,
-    indexes: IndexCache | None,
     core_cache=None,
     tracer=NULL_TRACER,
 ) -> PhysicalPlan:
@@ -661,7 +693,6 @@ def _bind(
                 logical.query,
                 dioid=logical.dioid,
                 threshold=logical.cycle_threshold,
-                indexes=indexes,
                 walk=logical.cycle_walk,
             )
             atoms = len(logical.cycle_walk)
@@ -686,15 +717,10 @@ def _bind(
             span.set(bag_tuples=_bag_tuples(tasks))
         return _bind_union(logical, database, tasks, tracer)
     if strategy == FREE_CONNEX_MINWEIGHT:
-        with tracer.span("tdp.build", projection="min_weight"):
-            physical = MinWeightPhysical(logical, database)
-        if physical.tdp is not None and lane_of(logical.dioid)[0] is not None:
-            with tracer.span("tdp.compile") as span:
-                physical.tdp = compile_tdp(physical.tdp)
-                span.set(entries=physical.tdp.stats()["entries"])
-        return physical
+        with tracer.span("tdp.build", projection="min_weight") as span:
+            return MinWeightPhysical(logical, database, span)
     if strategy == ALL_WEIGHT_PROJECTION:
-        inner = _bind(logical.inner, database, indexes, core_cache, tracer)
+        inner = _bind(logical.inner, database, core_cache, tracer)
         return ProjectionPhysical(logical, database, inner)
     raise AssertionError(f"unhandled strategy {strategy!r}")
 

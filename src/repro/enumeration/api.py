@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.anyk.base import make_enumerator
 from repro.anyk.union import UnionEnumerator
 from repro.data.database import Database
 from repro.decomposition.base import TreeTask
 from repro.decomposition.cycle import decompose_cycle, detect_simple_cycle
 from repro.decomposition.generic import decompose_generic
-from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
 from repro.enumeration.result import QueryResult
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import build_join_tree
@@ -147,8 +145,12 @@ def ranked_enumerate_ucq(
     reported once (set-style union semantics per weight level).
 
     Cyclic members are decomposed and their trees flattened into the
-    top-level union.
+    top-level union.  The members are bound as a decomposition's are
+    (:func:`~repro.engine.plan.bind_members`): lowered to compiled cores
+    where the dioid has a lane, object graphs otherwise.
     """
+    from repro.engine.plan import bind_members, run_tdp
+
     if not queries:
         raise ValueError("the union needs at least one query")
     head_arity = len(queries[0].head)
@@ -178,16 +180,14 @@ def ranked_enumerate_ucq(
             add_member(task.database, task.query, query.head)
 
     # One numbering per head position, over every member.
-    rank_tie_domains(tie, parts)
-    members = []
+    tdps, _why = bind_members(tie, parts)
+    members = [run_tdp(tdp, algorithm, counter) for tdp in tdps]
     #: A member's ``assembler()`` — what its results decode through —
     #: -> states -> the answer's values in head order.
-    head_values: dict = {}
-    for member_db, tree, positions in parts:
-        lift = make_tie_lift(tie, positions, tree)
-        tdp = build_tdp(member_db, tree, dioid=tie, lift=lift)
-        members.append(make_enumerator(tdp, algorithm, counter=counter))
-        head_values[tdp.assembler()] = tdp.assembler(tuple(positions)).output_tuple
+    head_values = {
+        tdp.assembler(): tdp.assembler(tuple(positions)).output_tuple
+        for tdp, (_db, _tree, positions) in zip(tdps, parts)
+    }
 
     def identity(result) -> tuple:
         # The tie-broken key *is* (weight, head tuple) — sufficient.

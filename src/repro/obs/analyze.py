@@ -178,8 +178,8 @@ def analyze_prepared(
     """Run ``prepared`` instrumented and report where the time went.
 
     ``rebind=True`` (the default) re-runs the preprocessing phase under
-    the tracer so the per-stage tree covers plan → T-DP build → compile
-    → core-cache; ``rebind=False`` profiles the warm
+    the tracer so the per-stage tree covers plan → T-DP build →
+    core-cache; ``rebind=False`` profiles the warm
     serving path only (bind is a cache lookup).  A caller-supplied
     ``tracer`` collects the spans in addition to the report (used by the
     ``repro trace`` CLI to export the same run to Perfetto); by default

@@ -7,7 +7,7 @@ Design constraints, in order:
    a singleton :data:`NULL_TRACER` whose ``span()`` returns a stateless
    singleton context manager — no allocation, no clock read, no
    contextvar touch.  The flat enumeration loops themselves are never
-   instrumented per-answer; spans wrap *phases* (bind, compile,
+   instrumented per-answer; spans wrap *phases* (bind, T-DP build,
    core-cache load, stream extension, request dispatch).
 
 2. **Nesting must survive threads and asyncio tasks.**  The current

@@ -38,9 +38,8 @@ class _CycleAtom:
     """One atom of the walk over its relation's one scan: rows
     ``(tuple_id, entry_value, exit_value, weight)``, split by degree."""
 
-    def __init__(self, index: int, relation: Relation, atom: Atom, entry_var: str, scan):
+    def __init__(self, index: int, atom: Atom, entry_var: str, scan):
         self.index = index
-        self.relation = relation
         self.entry_var = entry_var
         self.entry_pos = entry_pos = atom.variables.index(entry_var)
         self.full = [
@@ -50,13 +49,9 @@ class _CycleAtom:
         self.heavy: list = []
         self.light = self.full
 
-    def split(self, threshold: int, indexes=None) -> None:
-        if indexes is not None:
-            degrees = indexes.degrees(self.relation, (self.entry_pos,))
-            heavy_values = {key[0] for key, count in degrees.items() if count >= threshold}
-        else:
-            counts = Counter(row[1] for row in self.full)
-            heavy_values = {value for value, count in counts.items() if count >= threshold}
+    def split(self, threshold: int) -> None:
+        counts = Counter(row[1] for row in self.full)
+        heavy_values = {value for value, count in counts.items() if count >= threshold}
         if heavy_values:
             self.heavy = [row for row in self.full if row[1] in heavy_values]
             self.light = [row for row in self.full if row[1] not in heavy_values]
@@ -213,7 +208,6 @@ def decompose_cycle_rows(
     query: ConjunctiveQuery,
     dioid: SelectiveDioid = TROPICAL,
     threshold: int | None = None,
-    indexes=None,
     walk=None,
 ) -> list[TreeTask]:
     """``decompose_cycle`` over bag rows: l heavy fans and the light chains."""
@@ -226,15 +220,15 @@ def decompose_cycle_rows(
     }
     cycle_atoms = [
         _CycleAtom(
-            index, database[query.atoms[index].relation_name], query.atoms[index],
-            entry_var, scans[query.atoms[index].relation_name],
+            index, query.atoms[index], entry_var,
+            scans[query.atoms[index].relation_name],
         )
         for index, entry_var in walk
     ]
     if threshold is None:
         threshold = default_threshold(max(len(ca.full) for ca in cycle_atoms), len(walk))
     for ca in cycle_atoms:
-        ca.split(threshold, indexes)
+        ca.split(threshold)
     tasks = [
         _heavy_partition(query, cycle_atoms, pivot, dioid.times)
         for pivot in range(len(walk))

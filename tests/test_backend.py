@@ -3,6 +3,7 @@ version-counter soundness, and the sql_baseline identifier hardening."""
 
 import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.data.backend import (
@@ -66,12 +67,16 @@ class TestProtocol:
         with pytest.raises((IndexError, KeyError)):
             backend.fetch_tuple("R", 17)
 
-    def test_degree_statistics(self, backend):
+    def test_image_codes_count_the_degrees(self, backend):
+        """A bind counts degrees over a relation's column image; both
+        stores number the values alike."""
         filled(backend)
-        assert backend.degree_statistics("R", (0,)) == {(1,): 2, (2,): 1}
-        assert backend.degree_statistics("R", (0, 1)) == {
-            (1, 2): 1, (1, 3): 1, (2, 3): 1,
-        }
+        backend.extend("R", [(("a", None), 1.0), (("a", 2), 2.0)])
+        image = backend.relation("R").arrays
+        values = {code: value for value, code in image.code.items()}
+        for column, expected in ((0, {1: 2, 2: 1, "a": 2}), (1, {2: 2, 3: 2, None: 1})):
+            codes, counts = np.unique(image.codes[column], return_counts=True)
+            assert {values[c]: n for c, n in zip(codes.tolist(), counts.tolist())} == expected
 
     def test_version_bumps_on_mutation(self, backend):
         filled(backend)

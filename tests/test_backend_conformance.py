@@ -18,6 +18,7 @@ from repro.data.backend import MemoryBackend, SQLiteBackend
 from repro.data.database import Database
 from repro.data.generators import uniform_database, worst_case_cycle_database
 from repro.data.relation import Relation
+from repro.decomposition.cycle import decompose_cycle
 from repro.engine import Engine
 from repro.query.builders import cycle_query, path_query, star_query
 
@@ -141,38 +142,26 @@ class TestBackendsProduceIdenticalStreams:
         assert [r.witness_ids for r in mem] == [r.witness_ids for r in sql]
 
 
-class TestDegreeStatisticsPushdown:
-    def test_cycle_plan_uses_server_side_degrees(self, tmp_path):
-        """Binding a cyclic query over SQLite asks the backend for degrees."""
-        database = worst_case_cycle_database(4, 30, seed=3)
-        via_sqlite = sqlite_copy(database, tmp_path, "deg")
-        engine = Engine(via_sqlite)
-        prepared = engine.prepare(cycle_query(4))
-        prepared.bind()
-        assert engine.indexes.pushdowns > 0
+class TestCycleSplitOverSQLite:
+    @pytest.mark.parametrize("length", [3, 4, 5])
+    def test_sqlite_bags_are_the_memory_bags(self, tmp_path, length):
+        """The heavy/light degrees come from the codes each image holds:
+        the stored relations decompose as the in-memory ones, bag for bag."""
+        from tests.test_cycle_columns import snapshot
 
-    def test_pushdown_matches_client_side_counts(self, tmp_path):
-        database = uniform_database(1, 60, domain_size=5, seed=8)
-        relation = database["R1"]
-        backend = SQLiteBackend(str(tmp_path / "cnt.db"))
-        backend.ingest(relation)
-        lazy = backend.relation("R1")
-        from repro.data.index import IndexCache
-
-        cache = IndexCache()
-        pushed = cache.degrees(lazy, (0,))
-        assert cache.pushdowns == 1
-        local = cache.degrees(relation, (0,))
-        assert pushed == local
-        # Repeats are memoised (no second GROUP BY)...
-        assert cache.degrees(lazy, (0,)) == pushed
-        assert cache.pushdowns == 1
-        # ...until a mutation invalidates the stamp.
-        lazy.add((99, 99), 0.0)
-        refreshed = cache.degrees(lazy, (0,))
-        assert cache.pushdowns == 2
-        assert refreshed[(99,)] == 1
-        backend.close()
+        database = uniform_database(length, 40, domain_size=8, seed=40 + length)
+        via_sqlite = sqlite_copy(database, tmp_path, f"split{length}")
+        query = cycle_query(length)
+        try:
+            heavy = 0
+            for threshold in (None, 2, 3):
+                memory = decompose_cycle(database, query, threshold=threshold)
+                stored = decompose_cycle(via_sqlite, query, threshold=threshold)
+                assert snapshot(stored) == snapshot(memory)
+                heavy += sum(task.label.startswith("heavy") for task in stored)
+            assert heavy > 0
+        finally:
+            via_sqlite.close()
 
 
 def test_empty_relation_conformance(tmp_path):

@@ -14,12 +14,18 @@ and an image is made once per relation version:
   the old rows — as :meth:`~repro.data.database.Database.touch` does
   after a list is changed in place;
 * **one read**: a SQLite image is one statement, retried through a lock
-  storm, and a read that fails leaves no image.
+  storm — a cycle's split included — and a read that fails leaves no image;
+* **no object graph**: a bind whose dioid has a lane calls neither
+  ``build_tdp`` nor ``compile_tdp`` — a UCQ of an acyclic and a cyclic
+  member under tropical and max-times included — apart from the one
+  ``build_tdp`` of a min-weight projection's free-connex cut.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -28,13 +34,15 @@ from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.image import ColumnImage
 from repro.data.relation import Relation
-from repro.dp import lower
+from repro.dp import builder, flat, lower
 from repro.dp.builder import rank_tie_domains
+from repro.dp.flat import CompiledTDP
 from repro.engine import Engine
+from repro.enumeration.api import ranked_enumerate_ucq
 from repro.query.builders import cycle_query, path_query
 from repro.query.jointree import build_join_tree
 from repro.query.parser import parse_query
-from repro.ranking.dioid import TROPICAL, TieBreakingDioid
+from repro.ranking.dioid import MAX_TIMES, TROPICAL, TieBreakingDioid
 from repro.util import faults
 
 CHORDED = parse_query(
@@ -66,8 +74,10 @@ def database_for(query, n: int = 120, seed: int = 7, value=None) -> Database:
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts stage scans, image builds (by relation name) and extensions."""
-    seen = {"scans": 0, "builds": [], "extends": 0}
+    """Counts stage scans, image builds (by relation name), extensions, and
+    calls of the object builder and its compiler, under every name a
+    ``repro`` module imported them by."""
+    seen = {"scans": 0, "builds": [], "extends": 0, "build_tdp": 0, "compile_tdp": 0}
     real_scan = lower._scan_column_stage
     real_read = Relation._read_image
     real_extended = ColumnImage.extended
@@ -87,6 +97,16 @@ def counts(monkeypatch):
     monkeypatch.setattr(lower, "_scan_column_stage", scan)
     monkeypatch.setattr(Relation, "_read_image", read)
     monkeypatch.setattr(ColumnImage, "extended", extended)
+    for real in (builder.build_tdp, flat.compile_tdp):
+        name = real.__name__
+
+        def counted(*args, real=real, name=name, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("repro") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counted)
     return seen
 
 
@@ -134,6 +154,7 @@ def test_every_stage_scans_once_and_every_image_is_made_once(tmp_path, counts, c
         stages, layouts, first = bind(database, query)
         assert len(first) == 20
         assert counts["scans"] == stages > 0
+        assert counts["build_tdp"] == counts["compile_tdp"] == 0
         assert sorted(n for n in counts["builds"] if n in inputs) == sorted(inputs)
         bags = [n for n in counts["builds"] if n not in inputs]
         assert len(bags) == len(set(bags)) == (stages if cell == "generic" else 0)
@@ -160,6 +181,33 @@ def test_a_tie_broken_member_over_row_relations_scans_each_stage_once(counts):
     assert counts["scans"] == core.num_stages == 3
     assert sorted(counts["builds"]) == ["R1", "R2", "R3"]
     assert all(type(rows) is list for rows in core.tuples)
+
+
+#: An acyclic member and a cyclic one (a 3-cycle with heavy members).
+UCQ = [
+    parse_query("Q(x, y, z) :- R1(x, y), R2(y, z)"),
+    parse_query("Q(x, y, z) :- R1(x, y), R2(y, z), R3(z, x)"),
+]
+
+
+@pytest.mark.parametrize("dioid", [TROPICAL, MAX_TIMES], ids=["tropical", "max_times"])
+def test_a_ucq_under_a_lane_lowers_every_member(counts, dioid):
+    database = database_for(UCQ[1])
+    results = ranked_enumerate_ucq(database, UCQ, dioid=dioid)
+    assert len(answers(itertools.islice(results, 20))) == 20
+    assert counts["build_tdp"] == counts["compile_tdp"] == 0
+    # The path's two stages, and at least one bag per cycle member.
+    assert counts["scans"] >= 3
+
+
+def test_a_min_weight_bind_builds_only_the_free_connex_cut(counts):
+    query = parse_query("Q(x1) :- R1(x1, x2), R2(x2, x3)")
+    with Engine(database_for(query), core_cache="off") as engine:
+        physical = engine.prepare(query, projection="min_weight").bind()
+        assert counts["build_tdp"] == 1 and counts["compile_tdp"] == 0
+        assert isinstance(physical.tdp, CompiledTDP)
+        assert counts["scans"] == physical.tdp.num_stages
+        assert len(physical.top(5)) == 5
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
@@ -266,6 +314,24 @@ def test_a_lock_storm_during_the_image_read_is_retried(tmp_path, counts):
     assert list(zip(*[column.tolist() for column in image.codes])) == relation.tuples
     assert image.weights.tolist() == relation.weights
     relation.backend.close()
+
+
+def test_a_lock_storm_during_a_cycle_split_is_retried(tmp_path, counts):
+    """A SQLite-backed cycle counts its degrees over the images it read
+    through the retrier: one image per relation, the in-memory answers."""
+    query = cycle_query(4)
+    database = database_for(query, seed=11)
+    backend = SQLiteBackend(str(tmp_path / "storm.db"))
+    for relation in database:
+        backend.ingest(relation)
+    stored = backend.database()
+    try:
+        with faults.injected("sqlite.execute=raise:1:2:busy"):
+            stages, layouts, top = bind(stored, query)
+        assert sorted(counts["builds"]) == ["R1", "R2", "R3", "R4"]
+        assert (stages, layouts, top) == bind(database, query)
+    finally:
+        stored.close()
 
 
 def test_a_failed_image_read_leaves_no_image(tmp_path, counts):

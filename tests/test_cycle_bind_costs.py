@@ -455,7 +455,8 @@ def test_a_lowered_state_keeps_no_tuple_beyond_its_row(monkeypatch, bags):
 @pytest.mark.parametrize("self_join", [False, True])
 def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path, self_join):
     """One ``SELECT`` per stored relation: four for R1..R4, one for the
-    self-join ``E⋈E⋈E⋈E``."""
+    self-join ``E⋈E⋈E⋈E`` — and no ``GROUP BY``: the heavy/light degrees
+    are counted over the codes those reads hold."""
     names = ["E"] * 4 if self_join else ["R1", "R2", "R3", "R4"]
     database = _skewed_cycle_database(names, seed=1502)
     query = cycle_query(4, relation="E" if self_join else None)
@@ -474,6 +475,7 @@ def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path, self_joi
         assert sorted(row_scans) == [
             f'SELECT * FROM "{name}" ORDER BY rowid' for name in dict.fromkeys(names)
         ], row_scans
+        assert not [sql for sql in statements if "GROUP BY" in sql.upper()]
         stored = list(itertools.islice(prepared.iter(), 300))
     memory = list(itertools.islice(Engine(database).prepare(query).iter(), 300))
     assert len(memory) == 300

@@ -19,9 +19,12 @@ same decomposition, so this suite is what guards it:
   ``1`` / ``1.0`` / ``True`` meeting in one join and a value past int64 —
   each coded, and stored as columns — and ``int`` weights, a dioid
   without a lane, ``BOOLEAN`` and a lexicographic dioid — each stored as
-  rows — with degrees from the engine's ``IndexCache``; each as the
-  ``decompose`` span's ``columns`` attribute and each member's
-  ``bag_layout`` say, and each the reference's bags.
+  rows; each as the ``decompose`` span's ``columns`` attribute and each member's
+  ``bag_layout`` say, and each the reference's bags — in memory and, where
+  SQLite stores the values, over SQLite;
+* **degrees**: counted over the entry codes, values equal under ``==``
+  sharing one; a rebind after ``add`` or a same-name replacement counts
+  them anew.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ import random
 import numpy as np
 import pytest
 
+from repro.data.backend import SQLiteBackend
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.data.index import IndexCache
 from repro.decomposition.cycle import decompose_cycle
 from repro.engine import Engine
 from repro.obs.trace import Tracer
@@ -116,12 +119,10 @@ def typed(value) -> tuple:
     return (type(value).__name__, repr(value))
 
 
-def decompose_both(database, query, dioid, threshold=None, indexes=None):
+def decompose_both(database, query, dioid, threshold=None):
     """``(built, reference)``: the decomposition, then its reference."""
-    options = dict(dioid=dioid, threshold=threshold, indexes=indexes)
+    options = dict(dioid=dioid, threshold=threshold)
     built = decompose_cycle(database, query, **options)
-    if indexes is not None:
-        options["indexes"] = IndexCache()
     return built, decompose_cycle_rows(database, query, **options)
 
 
@@ -265,24 +266,142 @@ def test_every_former_fallback_stores_its_layout(case):
     assert all(bag.is_materialized != columns for bag in bags)
 
 
-@pytest.mark.parametrize("indexes", [False, True], ids=["counted", "index_cache"])
 @pytest.mark.parametrize("case", list(FALLBACKS))
-def test_every_former_fallback_builds_the_reference_bags(case, indexes):
+def test_every_former_fallback_builds_the_reference_bags(case):
     database, options, _layout = _fallback(case)
     dioid = options.get("dioid", TROPICAL)
     heavy_members = 0
     for threshold in (None, 2, 4):
-        built, reference = decompose_both(
-            database, cycle_query(4), dioid, threshold, IndexCache() if indexes else None
-        )
+        built, reference = decompose_both(database, cycle_query(4), dioid, threshold)
         assert snapshot(built) == snapshot(reference)
         heavy_members += sum(task.label.startswith("heavy") for task in built)
     assert heavy_members > 0
 
 
+def sqlite_database(database: Database, tmp_path, tag: str) -> Database:
+    """``database`` stored in SQLite, its relations read back from there."""
+    backend = SQLiteBackend(str(tmp_path / f"{tag}.db"))
+    for relation in database:
+        backend.ingest(relation)
+    return backend.database()
+
+
+def bag_sizes(tasks) -> list:
+    """Per member its label and the length of each bag."""
+    return [(task.label, [len(bag) for bag in task.database]) for task in tasks]
+
+
+#: The former fallbacks whose values and weights SQLite stores: not a
+#: value past int64, nor ``bool`` or tuple weights.
+SQLITE_FALLBACKS = [
+    case for case in FALLBACKS if case not in ("past_int64", "boolean", "lexicographic")
+]
+
+
+@pytest.mark.parametrize("case", SQLITE_FALLBACKS)
+def test_a_former_fallback_over_sqlite_builds_the_reference_bags(tmp_path, case):
+    """The degrees of a SQLite-backed relation come from the codes of its
+    image: its bags are the reference's over the same stored rows, and
+    split as the in-memory relations do."""
+    database, options, _layout = _fallback(case)
+    dioid = options.get("dioid", TROPICAL)
+    stored = sqlite_database(database, tmp_path, case)
+    try:
+        heavy_members = 0
+        for threshold in (None, 2, 4):
+            built, reference = decompose_both(stored, cycle_query(4), dioid, threshold)
+            assert snapshot(built) == snapshot(reference)
+            memory = decompose_cycle(database, cycle_query(4), dioid=dioid, threshold=threshold)
+            assert bag_sizes(built) == bag_sizes(memory)
+            heavy_members += sum(task.label.startswith("heavy") for task in built)
+        assert heavy_members > 0
+    finally:
+        stored.close()
+
+
+def _degree_database() -> Database:
+    """A 3-cycle whose R1 entry values ``1`` / ``1.0`` / ``True`` are one
+    value of degree 3, ``"1"`` and ``None`` each of degree 2 and ``2`` of
+    degree 1; every R1 row joins."""
+    entries = [1, 1.0, True, "1", "1", None, None, 2]
+    return Database([
+        Relation("R1", 2, [(value, 0) for value in entries], [1.0] * len(entries)),
+        Relation("R2", 2, [(0, 0)], [1.0]),
+        Relation("R3", 2, [(0, value) for value in (1, "1", None, 2)], [1.0] * 4),
+    ])
+
+
+@pytest.mark.parametrize("store", ["memory", "sqlite"])
+def test_the_split_counts_degrees_as_a_dict_join_matches_values(tmp_path, store):
+    """Values equal under ``==`` share a code, so they share a degree;
+    ``"1"`` and ``None`` are values of their own."""
+    database = _degree_database()
+    if store == "sqlite":
+        database = sqlite_database(database, tmp_path, "degrees")
+    expected = {2: {1, "1", None}, 3: {1}, 4: set()}
+    try:
+        for threshold, heavy in expected.items():
+            built, reference = decompose_both(database, cycle_query(3), TROPICAL, threshold)
+            assert snapshot(built) == snapshot(reference)
+            fans = [task for task in built if task.label == "heavy@x1"]
+            assert len(fans) == (1 if heavy else 0)
+            for task in fans:
+                bag = next(iter(task.database))
+                assert {row[0] for row in bag.tuples} == heavy
+                assert len(bag) == sum(value in heavy for value, _ in database["R1"].tuples)
+    finally:
+        database.close()
+
+
+@pytest.mark.parametrize("store", ["memory", "sqlite"])
+def test_degrees_follow_a_mutation_on_rebind(tmp_path, store):
+    """A value made heavy by ``add`` gets its own fan on the next bind of
+    the same prepared plan, as a fresh decomposition gives it."""
+    database = cycle_database(4, "floats", seed=3602)
+    if store == "sqlite":
+        database = sqlite_database(database, tmp_path, "mutation")
+    query = cycle_query(4)
+    try:
+        with Engine(database) as engine:
+            prepared = engine.prepare(query)
+            before = prepared.bind()
+            assert snapshot(before.tasks) == snapshot(decompose_cycle_rows(database, query))
+            for value in range(3, 13):
+                database["R1"].add((50, value % 9 + 1), 0.5)
+                database["R4"].add((value % 9 + 1, 50), 0.5)
+            after = prepared.bind()
+            assert after is not before and engine.stats.binds == 2
+            assert snapshot(after.tasks) == snapshot(decompose_cycle_rows(database, query))
+            (fan,) = [task for task in after.tasks if task.label == "heavy@x1"]
+            assert 50 in {row[0] for row in next(iter(fan.database)).tuples}
+            (old_fan,) = [task for task in before.tasks if task.label == "heavy@x1"]
+            assert 50 not in {row[0] for row in next(iter(old_fan.database)).tuples}
+    finally:
+        database.close()
+
+
+def test_the_degrees_of_a_same_name_replacement_are_recounted():
+    """A relation replaced by another of the same name and cardinality is
+    counted anew: the fan follows the new relation's hub."""
+    database = cycle_database(4, "floats", seed=3603)
+    query = cycle_query(4)
+    with Engine(database) as engine:
+        prepared = engine.prepare(query)
+        before = prepared.bind()
+        old = database["R1"]
+        rehubbed = [(7 if value in (1, 2) else value, exit_value) for value, exit_value in old.tuples]
+        database.add(Relation("R1", 2, rehubbed, list(old.weights)))
+        after = prepared.bind()
+        assert after is not before
+        assert snapshot(after.tasks) == snapshot(decompose_cycle_rows(database, query))
+        (fan,) = [task for task in after.tasks if task.label == "heavy@x1"]
+        assert 7 in {row[0] for row in next(iter(fan.database)).tuples}
+        assert not {1, 2} & {row[0] for row in next(iter(fan.database)).tuples}
+
+
 @pytest.mark.parametrize("case", ["mixed_values", "equal_types", "past_int64", "int_weights"])
 def test_a_former_fallback_ranks_as_the_reference(monkeypatch, case):
-    """Through the engine, whose ``IndexCache`` gives the degrees."""
+    """Through the engine, which counts the degrees from the codes."""
     database, options, layout = _fallback(case)
     layouts, same = ranked_both(monkeypatch, database, cycle_query(4), **options)
     assert layouts == {layout}

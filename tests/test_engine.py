@@ -8,7 +8,6 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.generators import uniform_database, worst_case_cycle_database
-from repro.data.index import HashIndex, IndexCache
 from repro.data.relation import Relation
 from repro.engine import (
     ACYCLIC_TDP,
@@ -246,22 +245,32 @@ class TestPlanCache:
         assert take2.bind() is lazy.bind()
         assert r1 == r2
 
-    def test_index_cache_reused_on_rebind(self):
+    def test_images_reused_on_rebind(self, monkeypatch):
+        """A cycle's split reads each relation's column image: after one
+        relation is mutated, the rebind extends that image and remakes none."""
+        made = []
+        real_read = Relation._read_image
+
+        def read(self):
+            made.append(self.name)
+            return real_read(self)
+
+        monkeypatch.setattr(Relation, "_read_image", read)
         db = worst_case_cycle_database(4, 30, seed=25)
         engine = Engine(db)
         prepared = engine.prepare(cycle_query(4))
-        list(prepared.iter())
-        misses = engine.indexes.misses
-        assert misses > 0
-        assert engine.indexes.hits == 0
-        # Mutate one relation: on rebind, only its degree counts are
-        # recounted; the other cycle atoms' counts are memo hits.
-        name = next(iter(db.relations))
-        db[name].add((0, 0), 1.0)
-        list(prepared.iter())
+        first = signature(prepared.iter())
+        assert sorted(made) == sorted(db.relations)
+        # A cheaper copy of the best answer's R1 tuple: a new best answer.
+        best = first[0][1]
+        db["R1"].add((best[0], best[1]), -1e6)
+        made.clear()
+        second = signature(prepared.iter())
         assert engine.stats.binds == 2
-        assert engine.indexes.hits == 3
-        assert engine.indexes.misses == misses + 1
+        assert made == []
+        assert len(db["R1"].arrays) == len(db["R1"])
+        assert second[0][1] == best and second[0][0] < first[0][0]
+        assert second == signature(Engine(db).prepare(cycle_query(4)).iter())
 
 
 # -- invalidation after mutation -----------------------------------------------
@@ -366,69 +375,6 @@ class TestInvalidation:
         assert len(list(prepared.iter())) == 2
         db["R"].add((3, 2), 0.1)
         assert len(list(prepared.iter())) == 3
-
-
-# -- index cache ---------------------------------------------------------------
-
-
-class TestIndexCache:
-    def test_hit_and_stale_rebuild(self):
-        rel = Relation("R", 2, [(1, 2), (1, 3), (2, 3)], [0.0, 0.0, 0.0])
-        cache = IndexCache()
-        index = cache.get(rel, (0,))
-        assert cache.get(rel, (0,)) is index
-        assert (cache.hits, cache.misses) == (1, 1)
-        rel.add((5, 5), 0.0)
-        rebuilt = cache.get(rel, (0,))
-        assert rebuilt is not index
-        assert rebuilt.lookup((5,)) == [3]
-        assert cache.misses == 2
-
-    def test_degrees_count_the_key_column_and_follow_mutation(self):
-        rows = [(1, 2), (1, 3), (2, 3), (1.0, 4), (None, 5), ("1", 2)]
-        rel = Relation("R", 2, rows, [0.0] * len(rows))
-        cache = IndexCache()
-        for columns in ((0,), (1,), (0, 1), ()):
-            expected = {
-                key: len(positions)
-                for key, positions in HashIndex(rel, columns).items()
-            }
-            counts = cache.degrees(rel, columns)
-            assert counts == expected
-            assert list(counts) == list(expected)  # first-seen order
-            assert cache.degrees(rel, columns) is counts
-        assert len(cache) == 0, "counting builds no index"
-        assert (cache.hits, cache.misses) == (4, 4)
-        rel.add((2, 9), 0.0)
-        assert cache.degrees(rel, (0,)) == {(1,): 3, (2,): 2, (None,): 1, ("1",): 1}
-        assert cache.misses == 5
-
-    def test_degrees_of_a_same_name_replacement_are_recounted(self):
-        rel = Relation("R", 2, [(1, 2), (1, 3), (2, 3)], [0.0] * 3)
-        cache = IndexCache()
-        assert cache.degrees(rel, (0,)) == {(1,): 2, (2,): 1}
-        # Same name, cardinality and version, but another relation.
-        other = Relation("R", 2, [(5, 2), (5, 3), (5, 3)], [0.0] * 3)
-        assert cache.degrees(other, (0,)) == {(5,): 3}
-        assert (cache.hits, cache.misses) == (0, 2)
-
-    def test_distinct_columns_distinct_indexes(self):
-        rel = Relation("R", 2, [(1, 2)], [0.0])
-        cache = IndexCache()
-        assert cache.get(rel, (0,)) is not cache.get(rel, (1,))
-        assert len(cache) == 2
-
-    def test_same_name_replacement_not_served_stale(self):
-        # A fresh relation with the same name, cardinality, and version
-        # must not hit the old entry (object identity is in the stamp).
-        cache = IndexCache()
-        old = Relation("R", 2, [(1, 2)], [0.0])
-        cache.get(old, (0,))
-        new = Relation("R", 2, [(9, 9)], [0.0])
-        index = cache.get(new, (0,))
-        assert index.lookup((9,)) == [0]
-        assert index.lookup((1,)) == []
-        assert cache.misses == 2
 
 
 # -- plan lifetime ---------------------------------------------------------------

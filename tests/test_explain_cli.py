@@ -1,5 +1,7 @@
 """Tests for the explain facility and the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -7,31 +9,46 @@ from repro.data.database import Database
 from repro.data.generators import uniform_database, worst_case_cycle_database
 from repro.data.io import save_database
 from repro.data.relation import Relation
-from repro.enumeration.explain import explain
+from repro.engine import Engine
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.parser import parse_query
 
 
+def states_of(report: str, label: str) -> int:
+    """The state count the report gives for the core labelled ``label``."""
+    (count,) = re.findall(rf"^ +{re.escape(label)}: (\d+) states", report, re.M)
+    return int(count)
+
+
 class TestExplain:
+    """``Engine.explain``: the logical plan and the bound plan's statistics."""
+
     def test_acyclic_plan(self):
         db = uniform_database(3, 20, domain_size=3, seed=1)
-        report = explain(db, path_query(3))
-        assert "acyclic -> join tree -> T-DP" in report
-        assert "alive states" in report
-        assert "best weight" in report
-        assert "n = 20" in report
+        report = Engine(db).explain(path_query(3))
+        assert "strategy: acyclic-tdp" in report
+        assert "join tree:" in report
+        assert "- R2(x2, x3) [join on x2]" in report
+        assert "- R3(x3, x4) [join on x3]" in report
+        assert states_of(report, "t-dp") > 0
+        assert "EMPTY" not in report
 
     def test_star_tree_shape(self):
         db = uniform_database(3, 20, domain_size=3, seed=2)
-        report = explain(db, star_query(3))
+        report = Engine(db).explain(star_query(3))
         assert report.count("join on x1") == 2
 
     def test_cycle_plan(self):
         db = worst_case_cycle_database(4, 12, seed=3)
-        report = explain(db, cycle_query(4))
-        assert "heavy/light decomposition" in report
-        assert "UT-DP union" in report
-        assert "member" in report
+        report = Engine(db).explain(cycle_query(4))
+        assert "strategy: simple-cycle-union" in report
+        assert "cycle walk: x1 -> x2 -> x3 -> x4" in report
+        members = re.findall(r"^  (\S+): \d+ states.*\n    decomposition: (.+)$",
+                             report, re.M)
+        assert f"union of {len(members)} member trees" in report
+        assert members and {layout for _label, layout in members} == {"bag columns"}
+        assert all(label.startswith(("heavy@", "light")) for label, _ in members)
+        assert all(states_of(report, label) > 0 for label, _ in members)
 
     def test_generic_plan(self):
         rels = [
@@ -40,20 +57,28 @@ class TestExplain:
         ]
         db = Database(rels)
         q = parse_query("Q(a,b,c,d) :- R1(a,b), R2(b,c), R3(c,d), R4(d,a), R5(a,c)")
-        report = explain(db, q)
-        assert "generic hypertree decomposition" in report
+        report = Engine(db).explain(q)
+        assert "strategy: generic-decomposition" in report
+        assert "union of 1 member trees" in report
+        assert "decomposition: bag rows (generic decomposition)" in report
 
     def test_projection_note(self):
         db = uniform_database(2, 10, domain_size=2, seed=4)
         q = parse_query("Q(x1) :- R1(x1, x2), R2(x2, x3)")
-        report = explain(db, q)
-        assert "projection query" in report
+        report = Engine(db).explain(q)
+        assert "strategy: all-weight-projection" in report
+        assert "projection: all_weight" in report
+        inner = report.split("inner full-query plan:\n", 1)[1]
+        assert "logical plan: Q(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)" in inner
+        assert "strategy: acyclic-tdp" in inner
+        assert "- R2(x2, x3) [join on x2]" in inner
+        assert states_of(report, "t-dp") > 0
 
     def test_empty_output_flagged(self):
         db = Database(
             [Relation("R1", 2, [(1, 1)], [0]), Relation("R2", 2, [(2, 2)], [0])]
         )
-        report = explain(db, path_query(2))
+        report = Engine(db).explain(path_query(2))
         assert "EMPTY" in report
 
 

@@ -159,18 +159,18 @@ def test_the_engine_holds_cores_not_object_graphs():
     assert not violations, violations
 
 
-#: Where the object path is still imported: ROADMAP item 2's no-lane
-#: sites, ``make_enumerator`` (which lowers an object graph it is handed)
-#: and the packages re-exporting the public API.  Item 2(c) lowers the
-#: sites and shrinks this list.
+#: Where the object path is still imported: the plan layer's branches
+#: for a dioid without a lane, the free-connex cut of a min-weight
+#: projection, ``make_enumerator`` (which lowers an object graph it is
+#: handed) and the packages re-exporting the public API.  Every bind
+#: whose dioid has a lane — UCQ members and the min-weight free region
+#: included — lowers instead.
 OBJECT_PATH_IMPORTERS = {
     "repro",  # public ``build_tdp``
     "repro.dp",  # package re-exports
     "repro.anyk.base",  # ``make_enumerator`` over an object graph
-    "repro.engine.plan",  # no-lane acyclic plans, object members, min-weight
-    "repro.enumeration.api",  # UCQ members
-    "repro.enumeration.explain",
-    "repro.enumeration.projections",
+    "repro.engine.plan",  # no-lane acyclic plans, members and min-weight
+    "repro.enumeration.projections",  # the free-connex cut
 }
 
 

@@ -395,7 +395,9 @@ class TestEngineSpans:
                 )
                 assert build.attrs["lowered"] == build.attrs["entries"] == 0
 
-    def test_compile_span_only_where_an_object_tdp_is_lowered(self, database):
+    def test_min_weight_free_region_lowers_in_its_build_span(self, database):
+        """The free region is lowered in one pass: no object graph is left
+        for a separate compile step."""
         engine = Engine(database, tracer=Tracer(sample="always"))
         try:
             engine.prepare(
@@ -403,9 +405,11 @@ class TestEngineSpans:
             ).bind()
             spans = engine.tracer.spans()
             bind = next(s for s in spans if s.name == "engine.bind")
-            compile_span = next(s for s in spans if s.name == "tdp.compile")
-            assert compile_span.parent_id == bind.span_id
-            assert compile_span.attrs["entries"] > 0
+            build = next(s for s in spans if s.name == "tdp.build")
+            assert build.parent_id == bind.span_id
+            assert build.attrs["projection"] == "min_weight"
+            assert build.attrs["rows"] > 0 and build.attrs["stages"] > 0
+            assert not any(s.name == "tdp.compile" for s in spans)
         finally:
             engine.close()
 

@@ -51,11 +51,11 @@ from repro.util.counters import OpCounter
 from tests import vector_tie
 from tests.test_lower_columns import QUERIES, make_database
 
-# ``repro.engine.plan`` the attribute is the ``plan()`` function.
-TIE_PIPELINES = [
-    importlib.import_module(name)
-    for name in ("repro.engine.plan", "repro.enumeration.api")
-]
+# ``repro.engine.plan`` the attribute is the ``plan()`` function.  It
+# binds every tie-broken member (``bind_members``); the UCQ pipeline in
+# ``repro.enumeration.api`` makes its own tie-breaker and binds there.
+MEMBER_BINDER = importlib.import_module("repro.engine.plan")
+TIE_PIPELINES = [MEMBER_BINDER, importlib.import_module("repro.enumeration.api")]
 
 ALL_VARIANTS = [
     "take2", "lazy", "eager", "all", "recursive", "batch", "batch_nosort",
@@ -70,11 +70,11 @@ def vector_oracle():
     with pytest.MonkeyPatch.context() as patch:
         for module in TIE_PIPELINES:
             patch.setattr(module, "TieBreakingDioid", vector_tie.TieBreakingDioid)
-            patch.setattr(
-                module, "make_tie_lift",
-                lambda tie, positions, _tree: vector_tie.make_tie_lift(tie, positions),
-            )
-            patch.setattr(module, "rank_tie_domains", lambda tie, members: None)
+        patch.setattr(
+            MEMBER_BINDER, "make_tie_lift",
+            lambda tie, positions, _tree: vector_tie.make_tie_lift(tie, positions),
+        )
+        patch.setattr(MEMBER_BINDER, "rank_tie_domains", lambda tie, members: None)
         yield
 
 
