@@ -164,10 +164,6 @@ class StorageBackend(Protocol):
         """Yield rows ordered by weight (ties in insertion order)."""
         ...
 
-    def fetch_tuple(self, name: str, position: int) -> tuple[tuple, Any]:
-        """The single row at insertion position ``position``."""
-        ...
-
     def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         """Every row in insertion order, each as one flat tuple with the
         weight in the trailing position, in batches (lists of rows).
@@ -291,10 +287,6 @@ class MemoryBackend:
         rows = sorted(relation.rows(), key=lambda row: row[1], reverse=descending)
         return iter(rows)
 
-    def fetch_tuple(self, name: str, position: int) -> tuple[tuple, Any]:
-        relation = self._get(name)
-        return relation.tuples[position], relation.weights[position]
-
     def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         relation = self._get(name)
         yield [t + (w,) for t, w in zip(relation.tuples, relation.weights)]
@@ -331,8 +323,8 @@ class SQLiteBackend:
     paper's Appendix-B schema.  Value columns are declared without a
     type, giving them BLOB affinity so ints, floats, and strings round
     trip unchanged.  Insertion order is identity: rows are only ever
-    appended, so ``rowid == position + 1`` and witnesses resolve with a
-    point lookup instead of a scan.
+    appended, so ``rowid == position + 1``, and ``ORDER BY rowid`` reads
+    them in tuple-id order.
 
     A catalog table ``repro_relations`` records each relation's arity
     and a monotone version counter; the counter is mirrored in memory so
@@ -605,18 +597,6 @@ class SQLiteBackend:
             f"SELECT * FROM {table} ORDER BY w {order}, rowid ASC"
         )
         return ((tuple(row[:-1]), row[-1]) for row in cursor)
-
-    def fetch_tuple(self, name: str, position: int) -> tuple[tuple, Any]:
-        table = quote_identifier(name)
-        self._meta_of(name)
-        # Append-only tables keep rowid == insertion position + 1, so
-        # witness recovery is a point lookup, not an OFFSET scan.
-        row = self._execute(
-            f"SELECT * FROM {table} WHERE rowid = ?", (position + 1,)
-        ).fetchone()
-        if row is None:
-            raise IndexError(f"{name}: no tuple at position {position}")
-        return tuple(row[:-1]), row[-1]
 
     def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         table = quote_identifier(name)

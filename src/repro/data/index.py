@@ -57,13 +57,5 @@ class HashIndex:
         """All distinct join keys present in the relation."""
         return self._buckets.keys()
 
-    def items(self) -> Iterable[tuple[tuple, list[int]]]:
-        """``(key, positions)`` pairs — e.g. for degree statistics."""
-        return self._buckets.items()
-
     def __len__(self) -> int:
         return len(self._buckets)
-
-    def max_bucket(self) -> int:
-        """Size of the largest bucket (degree statistics for heavy/light)."""
-        return max(map(len, self._buckets.values()), default=0)

@@ -315,14 +315,6 @@ class Relation:
         self._refresh()
         return zip(self._tuples, self._weights)
 
-    def tuple_at(self, position: int) -> tuple:
-        """The tuple with id ``position`` (point lookup when backed)."""
-        if self.backend is not None:
-            if self._tuples is None:
-                return self.backend.fetch_tuple(self._table, position)[0]
-            self._refresh()
-        return self.tuples[position]
-
     def __repr__(self) -> str:
         where = "" if self.backend is None else f", backend={self.backend!r}"
         try:

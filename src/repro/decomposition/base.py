@@ -95,20 +95,6 @@ class TreeTask:
     label: str = ""
     bag_layout: str = "bag rows"
 
-    def witness_ids_of(self, bag_choices: dict[str, int]) -> Lineage:
-        """Merge bag-tuple lineages into an original witness id vector.
-
-        ``bag_choices`` maps bag relation names to chosen tuple
-        positions.  Each original atom is pinned to exactly one bag, so
-        the merged lineage covers every atom exactly once; the result is
-        sorted by atom index.
-        """
-        merged: list[tuple[int, int]] = []
-        for bag_name, position in bag_choices.items():
-            merged.extend(self.lineage.get(bag_name, [()] * (position + 1))[position])
-        merged.sort()
-        return tuple(merged)
-
     def __repr__(self) -> str:
         sizes = {name: len(rel) for name, rel in self.database.relations.items()}
         return f"TreeTask({self.label or self.query.name}, bags={sizes})"

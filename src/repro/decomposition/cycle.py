@@ -213,8 +213,8 @@ def _read_scans(
     for name in names:
         relation = database[name]
         if lane is None:  # the weights need not be numbers: no image
-            rows = list(relation.rows())
-            tuples, weights = zip(*rows) if rows else ((), ())
+            # The lists, which the union's witnesses then read too.
+            tuples, weights = relation.tuples, relation.weights
             codes, values, code = code_table(object_table(tuples, 2))
             weights = np.fromiter(weights, object, len(weights))
         else:

@@ -1,4 +1,4 @@
-"""Zero-copy compiled-core buffers: mmap persistence.
+"""Compiled-core buffers: mmap persistence.
 
 A :class:`~repro.dp.flat.CompiledTDP` is, deliberately, a bundle of flat
 arrays (see that module's docstring) — the direct lowering of
@@ -23,33 +23,38 @@ arrays a zero-copy lifecycle:
 
 Only dioids registered in ``NAMED_DIOIDS`` whose lane has an inverse
 (tropical min-plus, max-plus) are persistable: their cores are the
-state and ``pi1`` value columns, the child uids and the entry pool's
-``entry_key`` / ``entry_state`` columns, nothing more (a core without
-an inverse also holds entry values, least entries and ranks, which no
-section stores; no section stores Take2's heap layout either, so a
-mapped core heapifies a connector on first touch), and
-the dioid must travel by registry name — ``id()`` and pickled instances
-are not stable across processes.  The ``vk`` / ``pk`` sections hold
-*values* under the dioid's lane (a max-plus weight, not its negation).
+state and ``pi1`` value columns, the child uids, the entry pool's
+``entry_key`` / ``entry_state`` columns and the rows result assembly
+reads (a core without an inverse also holds entry values, least
+entries and ranks, which no section stores; no section stores Take2's
+heap layout either, so a mapped core heapifies a connector on first
+touch), and the dioid must travel by registry name — ``id()`` and
+pickled instances are not stable across processes.  The ``vk`` /
+``pk`` sections hold *values* under the dioid's lane (a max-plus
+weight, not its negation).
 
-A mapped core holds what a cold bind holds, as views: the typed columns
-of a lowered core (``conn_offsets`` and ``conn_stage`` included) are
-``memoryview.cast`` views here, and each stage's row store is a
-:class:`LazyRows` read by tuple id, as a cold core reads a relation's
-own list.
+Preprocessing is a pure function of the database (Section 5), so its
+output is stored whole: each stage's rows, state by state, are one
+section per attribute — an int64 ``q`` column where every value is an
+``int`` within int64 (:func:`~repro.data.image.code_table` says which),
+else the attribute's value objects as one pickled ``B`` section (the
+TOC is a pickle already; ``1.0`` stays ``1.0``).  A mapped core holds
+what a cold bind holds: the kernels' typed columns are
+``memoryview.cast`` views of the mapping, while the two things a held
+answer's assembler captures — each stage's row store (a
+:class:`~repro.dp.lower.ColumnRows`) and its tuple ids — are copied out,
+so nothing reads a backend after the bind and no answer pins the mmap.
 
 A ``.core`` entry is one plan's core (:func:`export_core` /
-:func:`load_core`), rebuilt through :meth:`CompiledTDP.assemble`.  Its
-sections and meta keys are those of the one-fragment layout earlier
-builds wrote — stage 0's columns under ``f0.*``, ``"kind":
-"fragments"``, ``"num_fragments": 1`` — so a file written by such a
-build holds the same bytes and still maps under ``CORE_FORMAT`` 3.
+:func:`load_core`), rebuilt through :meth:`CompiledTDP.assemble`; stage
+``s``'s sections are ``vk{s}`` / ``pk{s}`` / ``cu{s}`` / ``ids{s}`` and
+``rows{s}.{attribute}``.  A file of an earlier ``CORE_FORMAT`` is a
+miss, rewritten by the next cold bind.
 """
 
 from __future__ import annotations
 
 import gc
-import io
 import mmap
 import os
 import pickle
@@ -57,7 +62,11 @@ import struct
 import threading
 from array import array
 
+import numpy as np
+
+from repro.data.image import code_table, object_table
 from repro.dp.flat import CompiledTDP
+from repro.dp.lower import ColumnRows
 from repro.obs.metrics import Counter
 from repro.ranking.dioid import NAMED_DIOIDS, SelectiveDioid, lane_of
 from repro.util import faults
@@ -78,7 +87,7 @@ _CORE_RETRIER = Retrier(
 #: ``<db>.core`` container magic + format version.  Bump the version on
 #: any layout change: readers treat unknown versions as a cache miss.
 CORE_MAGIC = b"RPROCORE"
-CORE_FORMAT = 3
+CORE_FORMAT = 4
 
 _ALIGN = 8
 _HEADER = struct.Struct("<8sII")  # magic, format, TOC length
@@ -91,26 +100,35 @@ def _pad(size: int) -> int:
 # -- section buffers -----------------------------------------------------------
 
 
+#: Section typecode -> the numpy type its values are written as.
+_DTYPES = {"d": np.float64, "q": np.int64}
+
+
 class SectionWriter:
-    """Packs named typed arrays into one aligned buffer + manifest."""
+    """Packs named typed arrays into one aligned buffer + manifest.
+
+    A typed column (an ``array``, a numpy array, a cast view) is held by
+    reference until :meth:`getvalue` copies it, once, into the buffer.
+    """
 
     def __init__(self):
-        self._chunks: list[bytes] = []
+        self._chunks: list = []
         self._size = 0
         self.manifest: dict[str, tuple[int, int, str]] = {}
 
     def add(self, name: str, typecode: str, values) -> None:
-        data = values if isinstance(values, array) else array(typecode, values)
-        if data.typecode != typecode:
-            raise ValueError(f"section {name}: {data.typecode} != {typecode}")
+        """``values`` (numbers, or bytes under ``"B"``) as section ``name``."""
+        if typecode == "B":
+            data = np.frombuffer(values, np.uint8)
+        else:
+            data = np.ascontiguousarray(values, _DTYPES[typecode])
         pad = _pad(self._size)
         if pad:
             self._chunks.append(b"\x00" * pad)
             self._size += pad
         self.manifest[name] = (self._size, len(data), typecode)
-        raw = data.tobytes()
-        self._chunks.append(raw)
-        self._size += len(raw)
+        self._chunks.append(memoryview(data).cast("B"))
+        self._size += data.nbytes
 
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
@@ -158,32 +176,6 @@ def core_key(query, dioid: SelectiveDioid) -> str | None:
     return repr((query.fingerprint(), name, None))
 
 
-# -- lazily fetched rows -------------------------------------------------------
-
-
-class LazyRows:
-    """A stage's row store on a warm-started core, read by tuple id.
-
-    Stands in for the bulk fetch a cold bind keeps: result construction
-    touches only the states a run actually emits, so rows are
-    point-fetched by tuple id (and memoized) instead of bulk-loaded.
-    Rows are the relation's bare value tuples — exactly what
-    witness/assignment need.
-    """
-
-    __slots__ = ("relation", "_cache")
-
-    def __init__(self, relation):
-        self.relation = relation
-        self._cache: dict[int, tuple] = {}
-
-    def __getitem__(self, tuple_id: int) -> tuple:
-        row = self._cache.get(tuple_id)
-        if row is None:
-            row = self._cache[tuple_id] = self.relation.tuple_at(tuple_id)
-        return row
-
-
 # -- export: compiled core -> sections + meta ----------------------------------
 
 
@@ -194,12 +186,28 @@ def _require_persistable(dioid: SelectiveDioid) -> str:
     return name
 
 
+def _state_rows(core: CompiledTDP, stage: int) -> list:
+    """Stage ``stage``'s rows, state by state, as one column per
+    attribute: int64 where every value is an ``int`` within int64, else
+    the value objects."""
+    rows = core.tuples[stage]
+    if core.rows_by_id:  # a row store: keep the rows of the states
+        ids = np.asarray(core.tuple_ids[stage], np.int64)
+        if isinstance(rows, ColumnRows):
+            return [column[ids] for column in rows.columns]
+        rows = list(map(rows.__getitem__, ids.tolist()))
+    arity = len(core.query.atoms[core.atom_of_stage[stage]].variables)
+    codes, values, _code = code_table(object_table(rows, arity))
+    return list(codes if values is None else values)
+
+
 def export_core(core: CompiledTDP) -> tuple[dict, bytes]:
     """Serialize one core to ``(meta, sections)``.
 
     The file's pool is the core's columns as they are, stage 0's root
-    connector last; stage 0's state columns are the ``f0.*`` sections,
-    every other stage's ``vk{s}`` / ``pk{s}`` / ``cu{s}`` / ``ids{s}``.
+    connector last; stage ``s``'s state columns are ``vk{s}`` /
+    ``pk{s}`` / ``cu{s}`` / ``ids{s}``, its rows ``rows{s}.{attribute}``
+    (:func:`_state_rows`: ``q``, or a pickled ``B`` column of objects).
     """
     name = _require_persistable(core.dioid)
     writer = SectionWriter()
@@ -207,25 +215,26 @@ def export_core(core: CompiledTDP) -> tuple[dict, bytes]:
     writer.add("entry_state", "q", core.entry_state)
     writer.add("conn_offsets", "q", core.conn_offsets)
     writer.add("conn_stage", "q", core.conn_stage)
-    for stage in (*range(1, core.num_stages), 0):
-        prefix, suffix = ("f0.", "") if stage == 0 else ("", stage)
-        writer.add(f"{prefix}vk{suffix}", "d", core.val_base[stage])
-        writer.add(f"{prefix}pk{suffix}", "d", core.pi1[stage])
-        writer.add(f"{prefix}cu{suffix}", "q", core.child_uids[stage])
-        writer.add(f"{prefix}ids{suffix}", "q", core.tuple_ids[stage])
+    for stage in range(core.num_stages):
+        writer.add(f"vk{stage}", "d", core.val_base[stage])
+        writer.add(f"pk{stage}", "d", core.pi1[stage])
+        writer.add(f"cu{stage}", "q", core.child_uids[stage])
+        writer.add(f"ids{stage}", "q", core.tuple_ids[stage])
+        for attribute, column in enumerate(_state_rows(core, stage)):
+            section = f"rows{stage}.{attribute}"
+            if column.dtype == np.int64:
+                writer.add(section, "q", column)
+            else:
+                payload = pickle.dumps(column, protocol=pickle.HIGHEST_PROTOCOL)
+                writer.add(section, "B", payload)
     meta = {
-        "kind": "fragments",
         "dioid": name,
         "num_stages": core.num_stages,
-        "num_connectors": core.num_connectors,
         "order": list(core.atom_of_stage),
         "parent_stage": list(core.parent_stage),
-        "root_uid": {
-            stage: uid for stage, uid in core.root_uid.items() if stage != 0
-        },
-        "anchor_stage": 0,
-        "num_fragments": 1,
-        "fragments": [{"best": core.best[0], "empty": core.empty}],
+        "root_uid": dict(core.root_uid),
+        "best": core.best[0],
+        "empty": core.empty,
         "manifest": writer.manifest,
     }
     return meta, writer.getvalue()
@@ -234,52 +243,54 @@ def export_core(core: CompiledTDP) -> tuple[dict, bytes]:
 # -- import: sections + meta -> a mapped core ------------------------------------
 
 
-def load_core(meta: dict, buffer, base: int, database, query, join_tree) -> CompiledTDP:
+def load_core(meta: dict, buffer, base: int, query, join_tree) -> CompiledTDP:
     """Rehydrate a stored core over the mapping.
 
-    Every typed column a cold bind holds is a ``memoryview.cast`` view
-    here; rows are point-fetched from the backend by tuple id
-    (:class:`LazyRows`, one per stage).  A ``ValueError`` where ``meta``
-    is not :func:`export_core`'s layout.
+    Every typed column the kernels read is a ``memoryview.cast`` view
+    here; each stage's rows (a :class:`~repro.dp.lower.ColumnRows` read
+    state by state) and tuple ids are copies, so a held answer's
+    assembler holds no view of the mapping.  A ``KeyError`` where
+    ``meta`` is not :func:`export_core`'s layout.
     """
-    if (
-        meta["kind"] != "fragments"
-        or meta["anchor_stage"] != 0
-        or meta["num_fragments"] != 1
-    ):
-        raise ValueError("entry was stored for another plan shape")
     dioid = NAMED_DIOIDS[meta["dioid"]]
     sections = SectionView(buffer, meta["manifest"], base)
     order = list(meta["order"])
+    stages = range(meta["num_stages"])
 
     def stage_views(kind: str) -> list:
-        return [
-            sections.view(f"f0.{kind}" if stage == 0 else f"{kind}{stage}")
-            for stage in range(meta["num_stages"])
-        ]
+        return [sections.view(f"{kind}{stage}") for stage in stages]
 
-    root_uid = {int(stage): uid for stage, uid in meta["root_uid"].items()}
-    root_uid[0] = meta["num_connectors"] - 1
-    stored = meta["fragments"][0]
+    def column(name: str):
+        view = sections.view(name)
+        return pickle.loads(view) if view.format == "B" else np.array(view)
+
+    def row_store(stage: int) -> ColumnRows:
+        arity = len(query.atoms[order[stage]].variables)
+        return ColumnRows([column(f"rows{stage}.{a}") for a in range(arity)])
+
+    def ids(view: memoryview) -> array:
+        copied = array("q")
+        copied.frombytes(view.cast("B"))
+        return copied
+
     return CompiledTDP.assemble(
         dioid=dioid,
         query=query,
         join_tree=join_tree,
         atom_of_stage=order,
         parent_stage=list(meta["parent_stage"]),
-        tuples=[
-            LazyRows(database[query.atoms[atom].relation_name]) for atom in order
-        ],
-        tuple_ids=stage_views("ids"),
+        tuples=[row_store(stage) for stage in stages],
+        tuple_ids=[ids(view) for view in stage_views("ids")],
+        rows_by_id=False,
         lane=lane_of(dioid)[0],
         one=dioid.one,
         val_base=stage_views("vk"),
         pi1=stage_views("pk"),
         child_uids=stage_views("cu"),
         conn_stage=sections.view("conn_stage"),
-        root_uid=root_uid,
-        best=(stored["best"], 0),
-        empty=stored["empty"],
+        root_uid=dict(meta["root_uid"]),
+        best=(meta["best"], 0),
+        empty=meta["empty"],
         conn_offsets=sections.view("conn_offsets"),
         entry_key=sections.view("entry_key"),
         entry_state=sections.view("entry_state"),
@@ -378,27 +389,23 @@ class CoreFile:
                 break
         else:  # pragma: no cover - pickle size oscillation
             raise RuntimeError("could not stabilise core TOC layout")
-        out = io.BytesIO()
-        out.write(_HEADER.pack(CORE_MAGIC, CORE_FORMAT, len(toc_bytes)))
-        out.write(toc_bytes)
-        out.write(b"\x00" * _pad(out.tell()))
-        for key, (meta, db_version, data) in order:
-            assert out.tell() == toc[key]["offset"]
-            out.write(data)
-            out.write(b"\x00" * _pad(len(data)))
         self._sweep_stale_tmp()
-        payload = out.getvalue()
         tmp_path = f"{self.path}.tmp.{os.getpid()}"
         try:
             with open(tmp_path, "wb") as fd:
-                # Two chunks with the fault site between them: a chaos
-                # test can kill the writer mid-file and assert the
-                # half-written bytes only ever land in the ``.tmp``
-                # sibling, never in the ``.core`` readers map.
-                mid = len(payload) // 2
-                fd.write(payload[:mid])
+                fd.write(_HEADER.pack(CORE_MAGIC, CORE_FORMAT, len(toc_bytes)))
+                fd.write(toc_bytes)
+                fd.write(b"\x00" * _pad(fd.tell()))
+                # The fault site sits mid-file: a chaos test can kill the
+                # writer there and assert the half-written bytes only
+                # ever land in the ``.tmp`` sibling, never in the
+                # ``.core`` readers map.  The blobs go out as they are,
+                # with no copy of the whole file in memory.
                 faults.hit("core.write")
-                fd.write(payload[mid:])
+                for key, (meta, db_version, data) in order:
+                    assert fd.tell() == toc[key]["offset"]
+                    fd.write(data)
+                    fd.write(b"\x00" * _pad(len(data)))
                 fd.flush()
                 os.fsync(fd.fileno())
             os.replace(tmp_path, self.path)
@@ -545,7 +552,7 @@ class CoreCache:
                 return None
             meta, mapped, offset = found
             try:
-                core = load_core(meta, mapped, offset, database, query, join_tree)
+                core = load_core(meta, mapped, offset, query, join_tree)
             except Exception:
                 # A foreign entry under our key, or mangled section data
                 # inside an in-bounds blob: a cold rebuild beats serving

@@ -21,9 +21,10 @@ Take2 answers over the ``enum_extend`` benchmark's 4-path core took
 * ``val_base`` / ``pi1`` — per-stage state values (the stored weight
   objects, a list per stage) and their ``pi1`` values;
 * ``tuples`` / ``tuple_ids`` — per stage a row store read by tuple id
-  (a relation's own list, a backend's one fetch, a
-  :class:`~repro.dp.lower.ColumnRows` or
-  :class:`~repro.dp.corebuf.LazyRows`) and each state's tuple id;
+  (:func:`~repro.dp.lower.row_store`: a relation's own list or a
+  :class:`~repro.dp.lower.ColumnRows` over its image), or, in a mapped
+  ``.core``, a :class:`~repro.dp.lower.ColumnRows` of the rows read
+  state by state; and each state's tuple id;
 * ``child_uids`` — the ``child_conns`` adjacency flattened to one
   integer array per stage (``state * num_branches + branch`` indexing),
   plus ``root_uid`` for the virtual start state's branches;

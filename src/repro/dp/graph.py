@@ -109,10 +109,10 @@ class QueryResult:
 
     ``QueryResult(weight, assignment, head, witness_ids, witness)``
     builds the *finished* form (``states is None``): what a finisher
-    that post-processes answers hands out, and what a plan whose rows
-    sit behind a storage backend must hand out, because there a decode
-    is a lookup that can fail (:class:`repro.engine.plan.DecodedResults`).
-    A view pickles and copies as its finished form.
+    that post-processes answers hands out, and what the object-graph
+    enumerators' plans hand out.  No decode reads a storage backend:
+    every row store is in-process from the bind on.  A view pickles and
+    copies as its finished form.
 
     ``_wire`` is the serving layer's: ``(index, line)`` once the answer
     has been sent at that rank (:func:`repro.serve.protocol.result_lines`
@@ -242,20 +242,17 @@ class ResultAssembler:
     * ``fields(states)`` — ``(assignment, head, witness_ids, witness)``
       in one pass over the rows;
     * ``result(weight, states)`` — the finished :class:`QueryResult`,
-      every field decoded *now*: what a plan hands out while extending
-      when its rows are :class:`~repro.dp.corebuf.LazyRows` over a
-      backend that may fail, or be closed, before the caller reads the
-      page.
+      every field decoded *now*: what a plan over the object-graph
+      enumerators hands out while extending.
 
     Built from anything that owns rows — an object :class:`TDP` or a
     :class:`~repro.dp.flat.CompiledTDP`: ``num_stages``,
     ``atom_of_stage``, ``query``, ``tuples``, ``tuple_ids`` and
     ``rows_by_id``.  A lowered core's ``tuples[s]`` is a row store — a
-    relation's own list, a backend's fetch, a
-    :class:`~repro.dp.lower.ColumnRows` or
-    :class:`~repro.dp.corebuf.LazyRows` — read at the state's tuple id,
-    ``tuples[s][tuple_ids[s][state]]``; an object graph's holds its rows
-    state by state.  Compile it after the builder is done: the per-stage
+    relation's own list or a :class:`~repro.dp.lower.ColumnRows` — read
+    at the state's tuple id, ``tuples[s][tuple_ids[s][state]]``; an
+    object graph's, and a mapped ``.core``'s, hold their rows state by
+    state.  Compile it after the builder is done: the per-stage
     row and id sequences are captured, not re-read from their owner —
     which is why a view holding an assembler holds no T-DP and no core.
     """
@@ -457,9 +454,6 @@ class TDP:
             "best_weight": self.best_weight,
             "empty": self.is_empty(),
         }
-
-    def state_count_per_stage(self) -> list[int]:
-        return [len(stage_tuples) for stage_tuples in self.tuples]
 
     def solution_weight(self, states: Sequence[int]) -> Any:
         """Aggregate weight of a full solution (one state per stage)."""

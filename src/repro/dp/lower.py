@@ -56,8 +56,9 @@ key codes and folds ``pi`` and the entry values as float64 kernels;
 :func:`_place_columns` numbers the connectors first-seen, as
 ``dict.fromkeys`` does.  A tie-broken member's packed ranks are looked
 up once per distinct code (:func:`_rank_columns`).  A stage's row store,
-read by tuple id when an answer is read, is the relation's own
-``tuples`` list, else a :class:`ColumnRows` view over its image.  A
+read by tuple id when an answer is read, is :func:`row_store`'s: the
+relation's own ``tuples`` list, else a :class:`ColumnRows` view over its
+image.  A
 connector's least entry is ``min()``'s (:func:`_least_entries`), a NaN
 entry value and a rank past int64 included.
 
@@ -421,9 +422,10 @@ def _heap_columns(keys, ranks, states, offsets) -> tuple | None:
 class ColumnRows:
     """A stage's row store where its relation keeps no list — a backend
     view, a column-backed bag: a view over the image's value columns (its
-    codes where those are the values), read by tuple id.  A row is made
-    only when read, so result assembly pays for the answers someone reads
-    and the bind for none."""
+    codes where those are the values), read by tuple id; a mapped
+    ``.core``'s rows, read by state.  A row is made only when read, so
+    result assembly pays for the answers someone reads and the bind for
+    none."""
 
     __slots__ = ("columns",)
 
@@ -435,6 +437,17 @@ class ColumnRows:
 
     def __getitem__(self, position: int) -> tuple:
         return tuple([column.item(position) for column in self.columns])
+
+
+def row_store(relation) -> Sequence[tuple]:
+    """What a bind reads ``relation``'s rows through, by tuple id: its
+    own ``tuples`` list where it holds one, else a :class:`ColumnRows`
+    over its column image.  Captured at bind, so a held answer reads the
+    rows of its version, and never a backend."""
+    if relation.is_materialized:
+        return relation.tuples
+    image = relation.arrays
+    return ColumnRows(image.codes if image.values is None else image.values)
 
 
 class _KeyTable:
@@ -597,10 +610,7 @@ def _lower(
         entry_values, kept, ids_out, vk_out, pk_out, cu_out = _scan_column_stage(
             low, stage, image, codes[stage]
         )
-        low.tuples[stage] = (
-            relation.tuples if relation.is_materialized
-            else ColumnRows(image.codes if image.values is None else image.values)
-        )
+        low.tuples[stage] = row_store(relation)
         low.tuple_ids[stage] = ids_out
         low.val_base[stage] = vk_out
         low.pi1[stage] = pk_out

@@ -42,9 +42,9 @@ from repro.decomposition.cycle import (
 )
 from repro.decomposition.generic import decompose_generic
 from repro.dp.builder import build_tdp, make_tie_lift, rank_tie_domains
-from repro.dp.corebuf import LazyRows, core_key, dioid_core_name, export_core
+from repro.dp.corebuf import core_key, dioid_core_name, export_core
 from repro.dp.flat import CompiledTDP
-from repro.dp.lower import lower_member, lower_query, member_lane
+from repro.dp.lower import lower_member, lower_query, member_lane, row_store
 from repro.enumeration.result import QueryResult
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query.cq import ConjunctiveQuery
@@ -224,66 +224,6 @@ def bind_members(tie: TieBreakingDioid, parts: list[tuple]) -> tuple[list, str]:
     return tdps, why
 
 
-def decodes_at_extension(tdp) -> str | None:
-    """Why answers over ``tdp`` are finished while the stream extends,
-    or ``None`` when they can be handed out as views and decoded on read.
-
-    One rule, applied once per bind to what the T-DP holds: rows this
-    process holds (lists and the other in-process row stores) are read
-    when someone looks, because reading them later cannot fail; rows
-    behind a backend
-    (:class:`~repro.dp.corebuf.LazyRows` of a warm-started plan) are
-    fetched while extending, so a failed fetch is a failed ``ensure``
-    that resumes at the same rank and an answer handed out is complete
-    after the backend is closed.  Only
-    the flat kernels over a compiled core allocate views; the object-graph
-    enumerators emit :class:`~repro.anyk.base.RankedResult` and keep the
-    hop.  (A union of member trees applies the same rule to the relations
-    its witnesses are read from: :attr:`MemberDecoder.behind`.)
-    """
-    if not isinstance(tdp, CompiledTDP):
-        return "object-graph enumerators"
-    for rows in tdp.tuples:
-        if isinstance(rows, LazyRows):
-            backend = rows.relation.backend
-            holder = rows if backend is None else backend
-            return f"rows behind {type(holder).__name__}"
-    return None
-
-
-class DecodedResults:
-    """``map(decode, results)`` that a failing ``decode`` cannot damage.
-
-    The hop of every plan whose answers are finished while the stream
-    extends (:func:`decodes_at_extension`, and the finishers that
-    post-process).  Decoding reads input rows, which for a warm-started
-    plan are point lookups in a storage backend and can fail.  ``map``
-    would drop the result it had already pulled (a skipped rank); a
-    generator would be finalised by the raise and read as exhausted
-    from then on.  Here the undecoded result stays pending and the next
-    pull retries it, so a consumer that survives the error resumes at
-    the same rank.
-    """
-
-    __slots__ = ("_results", "_decode", "_pending")
-
-    def __init__(self, results, decode):
-        self._results = iter(results)
-        self._decode = decode
-        self._pending = None
-
-    def __iter__(self) -> "DecodedResults":
-        return self
-
-    def __next__(self) -> QueryResult:
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = next(self._results)
-        answer = self._decode(pending)
-        self._pending = None
-        return answer
-
-
 class PhysicalPlan:
     """A logical plan bound to one database state (preprocessing done).
 
@@ -300,7 +240,9 @@ class PhysicalPlan:
     """
 
     #: Why answers are decoded while the stream extends; ``None`` when the
-    #: plan hands out views that decode on read (:func:`decodes_at_extension`).
+    #: plan hands out views that decode on read: every plan whose answers
+    #: the flat kernels allocate, since each bind leaves every row an
+    #: answer can read in this process.
     eager: str | None = "the plan's finisher builds each answer"
 
     def __init__(self, logical: LogicalPlan, database: Database):
@@ -381,7 +323,11 @@ class AcyclicPhysical(PhysicalPlan):
         # Compiled here, in the preprocessing phase: a warm plan's first
         # answer should not pay for it.
         tdp.assembler(logical.query.head)
-        self.eager = decodes_at_extension(tdp)
+        # Only the flat kernels over a compiled core allocate views; the
+        # object-graph enumerators emit ``RankedResult`` and are finished.
+        self.eager = (
+            None if isinstance(tdp, CompiledTDP) else "object-graph enumerators"
+        )
 
     def close(self) -> None:
         self.tdp = None
@@ -398,7 +344,7 @@ class AcyclicPhysical(PhysicalPlan):
             # The kernel's object is the answer: nothing in between.
             return iter(run)
         finish = assembler.result
-        return DecodedResults(run, lambda result: finish(result.weight, result.states))
+        return map(lambda result: finish(result.weight, result.states), run)
 
     def _physical_stats(self) -> list[str]:
         core = self.tdp
@@ -435,11 +381,11 @@ class UnionPhysical(PhysicalPlan):
     results, ``(base, rank)``.
 
     An answer is its member's states until someone reads it: a
-    :class:`QueryResult` view over that member's :class:`MemberDecoder`.
-    The rule is :func:`decodes_at_extension`'s — when a relation the
-    witness is read from sits behind a backend, answers are finished
-    while the stream extends instead.
+    :class:`QueryResult` view over that member's :class:`MemberDecoder`,
+    whose witnesses read the row stores the bind read.
     """
+
+    eager = None
 
     def __init__(
         self,
@@ -462,12 +408,10 @@ class UnionPhysical(PhysicalPlan):
         )
         #: A member's ``assembler()`` — what its results decode through —
         #: -> that member's :class:`MemberDecoder`.
-        self._decoders: dict = {}
-        self.eager = None
-        for task, tdp in zip(tasks, self.tdps):
-            decoder = MemberDecoder(database, query, task, tdp)
-            self._decoders[tdp.assembler()] = decoder
-            self.eager = self.eager or decoder.behind
+        self._decoders = {
+            tdp.assembler(): MemberDecoder(database, query, task, tdp)
+            for task, tdp in zip(tasks, self.tdps)
+        }
 
     def iter(
         self,
@@ -486,14 +430,6 @@ class UnionPhysical(PhysicalPlan):
         )
         decoders = self._decoders
         base_value = self.tie.base_value
-        if self.eager is not None:
-            return DecodedResults(
-                union,
-                lambda result: QueryResult(
-                    base_value(result.weight),
-                    *decoders[result.decoder].fields(result.states),
-                ),
-            )
         new = QueryResult.__new__
 
         def view(result) -> QueryResult:
@@ -761,18 +697,13 @@ class MemberDecoder:
     ``witness`` map the states back to original tuple ids and tuples,
     in atom order.  Which bag (stage) and which lineage column supply
     each original atom is the same for every answer of the member, so
-    both — and the relation each id is looked up in — are resolved here,
-    at bind; a read costs one pick per atom and no sort.  Holds the
-    assembler, the lineage columns and the relations' lookups, never
-    the T-DP.
-
-    ``behind`` says why reading a witness can fail — a relation behind a
-    storage backend, where a lookup is a query — or is ``None``.
+    both — and the row store each id is read in, the one the bind read
+    (:func:`~repro.dp.lower.row_store`) — are resolved here, at bind; a
+    read costs one pick per atom and no sort.  Holds the assembler, the
+    lineage columns and the row stores, never the T-DP.
     """
 
-    __slots__ = (
-        "assignment", "output_tuple", "witness_ids", "witness", "fields", "behind",
-    )
+    __slots__ = ("assignment", "output_tuple", "witness_ids", "witness", "fields")
 
     def __init__(
         self, database: Database, query: ConjunctiveQuery, task: TreeTask, tdp
@@ -780,7 +711,6 @@ class MemberDecoder:
         assembler = tdp.assembler(query.head)
         assignment = self.assignment = assembler.assignment
         self.output_tuple = assembler.output_tuple
-        self.behind: str | None = None
         by_atom: list[tuple[int, int, list[int], Callable]] = []
         for stage, bag_atom in enumerate(tdp.atom_of_stage):
             per_tuple = task.lineage.get(task.query.atoms[bag_atom].relation_name)
@@ -795,13 +725,9 @@ class MemberDecoder:
             )
         by_atom.sort(key=itemgetter(0))
         picks = [pick[1:] for pick in by_atom]
-        relations = [database[query.atoms[pick[0]].relation_name] for pick in by_atom]
-        for relation in relations:
-            if relation.backend is not None:
-                self.behind = f"rows behind {type(relation.backend).__name__}"
-        # tuple_at is a plain list index in memory and a rowid point lookup
-        # for backend-stored relations (no materialisation per witness).
-        fetchers = [relation.tuple_at for relation in relations]
+        stores = [
+            row_store(database[query.atoms[pick[0]].relation_name]) for pick in by_atom
+        ]
 
         def witness_ids(states: Sequence[int]) -> tuple:
             return tuple(
@@ -809,7 +735,7 @@ class MemberDecoder:
             )
 
         def rows_of(tuple_ids: tuple) -> tuple:
-            return tuple([fetch(i) for fetch, i in zip(fetchers, tuple_ids)])
+            return tuple([rows[i] for rows, i in zip(stores, tuple_ids)])
 
         if not task.lineage:  # a hand-made task that tracks no witnesses
             witness_ids = rows_of = lambda _: None

@@ -34,25 +34,27 @@ append-only, so replays need no locking at all.
 
 A raise during extension is never mistaken for the end of the output.
 Answers memoized before it stay; an iterator that survives its own
-raise (:class:`~repro.engine.plan.DecodedResults` does, keeping the
-answer whose decode failed pending) resumes at the same rank on the
-next extension; one that is dead afterwards — a generator is finalised
-by a raise — marks the stream :attr:`~PrefixStream.broken`: replays of
-the memo keep working, further extension raises, and the engine hands
-new requests a fresh stream.
+raise resumes on the next extension, where it left off; one that is
+dead afterwards — a generator is finalised by a raise — marks the
+stream :attr:`~PrefixStream.broken`: replays of the memo keep working,
+further extension raises, and the engine hands new requests a fresh
+stream.
 
 What the memo holds is what the plan hands out.  A plan whose rows this
 process holds hands out :class:`QueryResult` *views* — the object the
 kernel allocated: weight, states, the plan's assembler — and a field is
 decoded when someone reads it, retaining nothing, so an answer that is
-only skipped, budgeted, probed or ranked is never decoded at all.  A
-plan whose rows sit behind a storage backend (a warm-started ``.core``
-plan), or whose finisher post-processes
-(union, min-weight, projection), hands out finished answers built while
-extending (:func:`repro.engine.plan.decodes_at_extension`);
+only skipped, budgeted, probed or ranked is never decoded at all.
+Every bind leaves the rows its answers read in this process — a
+warm-started ``.core`` plan maps them with its core, and a union's
+witnesses read the rows its decomposition read — so every plan the
+flat kernels run hands out views.  A plan whose finisher post-processes
+(min-weight, projection) or that runs the object-graph enumerators
+hands out finished answers built while extending;
 :attr:`PrefixStream.decode` says which, and so do the ``stream.extend``
-span and ``explain()``.  A held view keeps its plan's row lists alive
-(as a held ``RankedResult`` does), not its engine or backend.
+span and ``explain()``.  A held view keeps its plan's row stores alive
+(as a held ``RankedResult`` does), not its engine, backend or mapped
+``.core`` file.
 
 The memo holds an answer's served form too: once a rank has gone over a
 socket, its :class:`QueryResult` carries the encoded protocol line
@@ -254,8 +256,8 @@ class PrefixStream:
     def decode(self) -> str | None:
         """Where this stream's answers are decoded, read off the memo:
         ``"on_read"`` when it holds views (states, decoded when someone
-        looks), ``"at_extension"`` when it holds finished answers (the
-        plan's rows sit behind a backend, or a finisher post-processes —
+        looks), ``"at_extension"`` when it holds finished answers (a
+        finisher post-processes, or the object-graph enumerators run —
         ``explain()`` says which); ``None`` while it holds nothing."""
         if not self._results:
             return None

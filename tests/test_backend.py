@@ -61,12 +61,6 @@ class TestProtocol:
         weights_desc = [w for _v, w in backend.sorted_rows("R", descending=True)]
         assert weights_desc == sorted(weights, reverse=True)
 
-    def test_fetch_tuple_by_position(self, backend):
-        filled(backend)
-        assert backend.fetch_tuple("R", 1) == ((1, 3), 1.5)
-        with pytest.raises((IndexError, KeyError)):
-            backend.fetch_tuple("R", 17)
-
     def test_image_codes_count_the_degrees(self, backend):
         """A bind counts degrees over a relation's column image; both
         stores number the values alike."""
@@ -220,8 +214,6 @@ class TestSQLitePersistence:
         assert not relation.is_materialized
         assert list(relation.rows()) == ROWS  # streamed, still lazy
         assert not relation.is_materialized
-        assert relation.tuple_at(2) == (2, 3)  # point lookup, still lazy
-        assert not relation.is_materialized
         assert relation.tuples == [t for t, _ in ROWS]  # now materialised
         assert relation.is_materialized
         backend.close()
@@ -284,15 +276,14 @@ class TestVersionSoundness:
         assert view_a.tuples[-1] == (4, 4)  # refreshed, not stale
         backend.close()
 
-    def test_len_rows_and_tuple_at_see_cross_view_mutations(self, tmp_path):
-        """A materialised view must not serve stale len/rows/tuple_at
-        after the table was mutated through another view."""
+    def test_len_and_rows_see_cross_view_mutations(self, tmp_path):
+        """A materialised view must not serve stale len/rows after the
+        table was mutated through another view."""
         backend = filled(SQLiteBackend(str(tmp_path / "st.db")))
         view = backend.relation("R")
         assert view.tuples  # materialise
         backend.relation("R").add((6, 6), 6.0)
         assert len(view) == 4
-        assert view.tuple_at(3) == (6, 6)
         assert list(view.rows())[-1] == ((6, 6), 6.0)
         backend.close()
 

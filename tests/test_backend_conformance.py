@@ -128,7 +128,7 @@ class TestBackendsProduceIdenticalStreams:
             assert mem, "selection case should not be empty"
 
     def test_witnesses_match_across_backends(self, tmp_path):
-        """Witness recovery (rowid point lookups) returns the same tuples."""
+        """Witness recovery (the rows the bind read) returns the same tuples."""
         database = uniform_database(3, 40, domain_size=4, seed=5)
         query = cycle_query(3)
         via_sqlite = sqlite_copy(database, tmp_path, "wit")

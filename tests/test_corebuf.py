@@ -359,13 +359,14 @@ class TestExportFromThePool:
 
 
 class TestLayout:
-    """The one-core layout is the one-fragment layout earlier builds
-    wrote: same sections, same meta keys, same bytes — so ``CORE_FORMAT``
-    stays 3 and their files still map."""
+    """One core's layout: per stage its state columns and its rows, one
+    section per attribute.  ``CORE_FORMAT`` is 4 since the rows went in;
+    a format-3 file is a miss
+    (``test_old_format_core_file_is_a_miss_and_rewritten``)."""
 
     #: ``sha256(repr(meta) + data)`` of the tropical 4-path export below,
-    #: recorded from the build that still had shard fragments.
-    DIGEST = "48281304a57d14f56e30a870f94f218ca1a3ea93c40497e796e9b6b3bfc75761"
+    #: recaptured when the rows sections went in (format 4).
+    DIGEST = "89ccc7196873984af5f4ba2decbc2c3185620f703a1e3fe5ca9f17b7b3640ba5"
 
     def test_export_matches_the_pinned_digest(self):
         from repro.data.generators import uniform_database
@@ -374,10 +375,15 @@ class TestLayout:
         database = uniform_database(4, 700, domain_size=20, seed=3)
         physical = Engine(database).prepare(path_query(4)).bind()
         meta, data = export_core(physical.tdp)
-        assert meta["num_fragments"] == 1 and meta["anchor_stage"] == 0
-        assert {"f0.vk", "f0.pk", "f0.cu", "f0.ids"} <= set(meta["manifest"])
+        manifest = meta["manifest"]
+        for stage in range(4):
+            assert {f"vk{stage}", f"pk{stage}", f"cu{stage}", f"ids{stage}"} <= set(manifest)
+            # Integer values: one int64 column per attribute, a row per state.
+            for attribute in range(2):
+                _offset, count, typecode = manifest[f"rows{stage}.{attribute}"]
+                assert typecode == "q" and count == manifest[f"ids{stage}"][1]
         assert hashlib.sha256(repr(meta).encode() + data).hexdigest() == self.DIGEST
-        assert CORE_FORMAT == 3
+        assert CORE_FORMAT == 4
 
     def test_a_recipe_written_unsharded_still_warm_starts(self, tmp_path):
         """A replay recipe as earlier builds stored an unsharded plan's,

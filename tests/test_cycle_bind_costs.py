@@ -53,8 +53,9 @@ dioid_module = importlib.import_module("repro.ranking.dioid")
 
 
 class CountingRelation(Relation):
-    """A relation that counts how often it is read in full: its rows, or
-    its column image."""
+    """A relation that counts how often it is read in full: its rows,
+    its column image, or its lists (a read of ``weights``; the lists an
+    image is made from are that image's one read)."""
 
     __slots__ = ("scans",)
 
@@ -68,8 +69,16 @@ class CountingRelation(Relation):
 
     @property
     def arrays(self):
+        scans = self.scans = self.scans + 1
+        image = super().arrays
+        self.scans = scans
+        return image
+
+    def _counted_weights(self):
         self.scans += 1
-        return super().arrays
+        return Relation.weights.fget(self)
+
+    weights = property(_counted_weights, Relation.weights.fset)
 
 
 class CountingMaxTimes(MaxTimesDioid):

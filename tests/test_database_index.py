@@ -67,13 +67,6 @@ class TestHashIndex:
         assert set(index.keys()) == {(2,), (3,)}
         assert len(index) == 2
 
-    def test_max_bucket(self):
-        rel = _rel("R", [(1, 2), (1, 3), (1, 4), (2, 3)])
-        index = HashIndex(rel, [0])
-        assert index.max_bucket() == 3
-        empty = HashIndex(_rel("E", [(1,)]).filter(lambda t: False), [0])
-        assert empty.max_bucket() == 0
-
     def test_getitem(self):
         rel = _rel("R", [(7, 8)])
         index = HashIndex(rel, [0])

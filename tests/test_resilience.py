@@ -250,37 +250,6 @@ class TestSqliteBusyStorm:
                 list(engine.prepare(path_query(3)).iter())
 
 
-class TestRowFetchFailureMidStream:
-    def test_warm_started_stream_resumes_at_the_same_rank(self, tmp_path):
-        """A warm-started plan decodes answers by point lookups; one that
-        fails past the retrier's budget must cost the caller that call,
-        not the rest of the output (a silently "complete" short memo)."""
-        import sqlite3
-
-        db = uniform_database(3, 200, domain_size=20, seed=11)
-        path = str(tmp_path / "warm.db")
-        backend = SQLiteBackend(path)
-        for relation in db:
-            backend.ingest(relation)
-        with Engine.from_backend(backend) as cold:  # writes warm.db.core
-            baseline = signature(cold.prepare(QUERY).top(60))
-        with Engine.from_backend(SQLiteBackend(path)) as engine:
-            prepared = engine.prepare(QUERY)
-            stream = prepared.stream()
-            assert engine.stats.core_hits == 1
-            assert stream.ensure(5) == 5
-            with faults.injected("sqlite.execute=raise:1:0:busy"):
-                with pytest.raises(sqlite3.OperationalError):
-                    stream.ensure(40)
-            reached = stream.produced
-            assert 5 <= reached < 40
-            assert not stream.exhausted
-            assert signature(prepared.top(60)) == baseline
-            assert not stream.broken
-            # The answer whose decode failed was enumerated once.
-            assert stream.counter.results == stream.extensions == 60
-
-
 # -- core-file corruption and partial writes -----------------------------------
 
 

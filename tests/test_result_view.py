@@ -2,11 +2,11 @@
 
 The flat kernels allocate :class:`~repro.dp.graph.QueryResult` views —
 weight, key, states and the plan's compiled assembler — for every plan
-whose rows this process holds; ``assignment`` / ``witness_ids`` /
-``witness`` / ``output_tuple`` decode when read and nothing is retained.
-Plans whose rows sit behind a backend, and the finishers that
-post-process, still hand out finished answers built while the stream
-extends.  This module pins both sides:
+they run: every bind leaves the rows its answers read in this process,
+so ``assignment`` / ``witness_ids`` / ``witness`` / ``output_tuple``
+decode when read and nothing is retained.  The finishers that
+post-process and the object-graph enumerators hand out finished answers
+built while the stream extends.  This module pins both sides:
 
 * every plan kind that hands out views (chain, tree, ranked product,
   two-column join key, self-join with a repeated variable) x
@@ -16,15 +16,15 @@ extends.  This module pins both sides:
   answer equal ``ResultAssembler.result(weight, states)`` by ``repr`` /
   ``float.hex``, and a stage-by-stage loop that shares no code with the
   assembler;
-* the cycle union over in-process relations: views too, decoding
-  through the member's assembler and bag lineage, equal field by field
-  to the finished answers the same plan hands out over SQLite;
-* min-weight, projection, warm-started and SQLite-backed union plans as
-  the eager controls;
+* the cycle union, in memory and over SQLite, and the warm-started
+  plan: views too, equal field by field to the in-memory (or cold)
+  plan's answers;
+* min-weight, projection and object-graph plans as the eager controls;
 * lifetime: answers of an in-memory plan decode after ``engine.close()``
-  / ``invalidate()`` / a relation append; a warm-started plan still
-  fails inside ``ensure`` and hands out answers that outlive their
-  backend; held answers never pin the mapped ``.core``;
+  / ``invalidate()`` / a relation append, and a held union answer after
+  a relation's list is replaced; a warm-started plan extends with every
+  SQLite statement failing, and its answers outlive their backend;
+  held answers never pin the mapped ``.core``;
 * cost, counted not timed: no dict and at most two tracked containers
   per memoized answer, reads retain nothing, the stream's memory
   estimate sizes what the memo holds, the encoder and the projection
@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
-import sqlite3
+import random
 import sys
 import threading
 import types
@@ -45,6 +45,8 @@ import pytest
 
 from repro.anyk.base import Enumerator, RankedResult, make_enumerator
 from repro.data.backend import SQLiteBackend
+from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.dp.flat import CompiledTDP
 from repro.dp.graph import TDP, ChoiceSet, QueryResult, ResultAssembler
 from repro.engine import Engine
@@ -276,11 +278,20 @@ def test_projection_decodes_each_inner_view_once():
     assert set(calls.values()) == {0}, calls
 
 
+def assert_views(prepared, results) -> None:
+    assert results
+    assert prepared.stream().decode == "on_read"
+    assert "answers: decoded on read" in prepared.explain()
+    assert all(result.states is not None for result in results)
+
+
 @pytest.mark.parametrize("algorithm", ALL_VARIANTS)
 @pytest.mark.parametrize("dioid", list(DIOIDS))
-def test_warm_started_plan_is_the_cold_plan_finished_at_extension(
+def test_warm_started_plan_hands_out_views_equal_to_the_cold_plans(
     tmp_path, dioid, algorithm
 ):
+    """A ``.core`` holds its stages' rows: a warm plan's answers are
+    views over the rows it mapped, equal to the cold plan's."""
     query = SHAPES["path4"]
     database = make_database(query, 150, "mixed", seed=7, mixed_keys=True)
     options = {"dioid": DIOIDS[dioid], "algorithm": algorithm}
@@ -293,7 +304,8 @@ def test_warm_started_plan_is_the_cold_plan_finished_at_extension(
         prepared = warm.prepare(query, **options)
         results = prepared.top(K)
         assert warm.stats.core_hits == 1
-        assert_finished(prepared, results, "rows behind SQLiteBackend")
+        assert prepared.bind().tdp.mapped
+        assert_views(prepared, results)
     finally:
         warm.close()
     # Read with the backend closed and the core unmapped.
@@ -316,8 +328,8 @@ def skewed_cycle_database(seed: int, weights="floats"):
 def test_union_answers_are_views_equal_to_the_finished_answers(
     tmp_path, dioid, algorithm
 ):
-    """In memory a union answer is its member's states; over SQLite the
-    same plan finishes each answer while extending.  Same five fields."""
+    """A union answer is its member's states, in memory and over SQLite,
+    where its witnesses read the rows the bind read.  Same five fields."""
     query = cycle_query(4)
     weights = "floats" if dioid == "tropical" else "mixed"
     database = skewed_cycle_database(seed=29, weights=weights)
@@ -354,9 +366,9 @@ def test_union_answers_are_views_equal_to_the_finished_answers(
             assert len(members) > 1, "answers of several members were merged"
     with open_engine(database, "sqlite", tmp_path, core_cache="off") as stored:
         prepared = stored.prepare(query, **options)
-        finished = prepared.top(K)
-        assert_finished(prepared, finished, "rows behind SQLiteBackend")
-    assert [snapshot(r) for r in results] == [snapshot(r) for r in finished]
+        stored_results = prepared.top(K)
+        assert_views(prepared, stored_results)
+    assert [snapshot(r) for r in results] == [snapshot(r) for r in stored_results]
 
 
 def test_a_held_union_answer_reaches_no_tdp_connector_or_enumerator():
@@ -414,20 +426,48 @@ def test_unread_union_memo_holds_no_dict_and_no_witness():
 # -- lifetime ------------------------------------------------------------------------
 
 
-def test_held_views_outlive_their_engine_plan_and_later_appends():
-    query = SHAPES["path4"]
-    database = make_database(query, 150, "floats", seed=11)
-    with Engine(make_database(query, 150, "floats", seed=11)) as other:
+def four_cycle_pairs(seed: int, pairs: int, values: int):
+    """``R1`` .. ``R4`` of ``pairs`` random pairs over ``values`` values."""
+    rng = random.Random(seed)
+    return Database([
+        Relation(
+            f"R{i}", 2,
+            [(rng.randrange(values), rng.randrange(values)) for _ in range(pairs)],
+            [rng.random() for _ in range(pairs)],
+        )
+        for i in range(1, 5)
+    ])
+
+
+#: A lifetime case -> (query, a new database of its relations).
+LIFETIME_CASES = {
+    "path4": (SHAPES["path4"], lambda: make_database(SHAPES["path4"], 150, "floats", seed=11)),
+    "cycle4": (cycle_query(4), lambda: four_cycle_pairs(seed=3, pairs=60, values=6)),
+}
+
+
+@pytest.mark.parametrize("case", list(LIFETIME_CASES))
+def test_held_views_outlive_their_engine_plan_and_later_appends(case):
+    """Held answers are of their version: appending to a relation, or
+    replacing its list, leaves them as they were — an acyclic view and a
+    union answer alike read the rows their bind read, not the
+    relation's current list."""
+    query, make = LIFETIME_CASES[case]
+    database = make()
+    with Engine(make()) as other:
         expected = [snapshot(result) for result in other.prepare(query).top(K)]
     engine = Engine(database)
     prepared = engine.prepare(query)
     results = prepared.top(K)
-    assert results[0].states is not None
+    assert len(results) >= 20 and results[0].states is not None
     # An append rebinds the next request; held answers are of their version.
     for relation in database:
         relation.add((1, 1), -1000.0)
     assert [snapshot(result) for result in results] == expected
     assert snapshot(prepared.top(1)[0]) != expected[0]
+    for relation in database:
+        relation.tuples = list(reversed(relation.tuples))
+    assert [snapshot(result) for result in results] == expected
     prepared.invalidate()
     assert [snapshot(result) for result in results] == expected
     engine.close()
@@ -462,24 +502,25 @@ def test_a_view_reaches_no_tdp_and_no_compiled_core():
         assert reachable_from(result, (TDP, CompiledTDP)) > 100
 
 
-def test_warm_started_plan_fails_inside_ensure_and_answers_outlive_the_backend(
-    tmp_path,
-):
+@pytest.mark.parametrize("algorithm", ALL_VARIANTS)
+@pytest.mark.parametrize("dioid", list(DIOIDS))
+def test_a_warm_started_plan_extends_with_no_sql(tmp_path, dioid, algorithm):
+    """Every row a warm plan's answers read is in its ``.core``: with
+    every SQLite statement failing, the stream still extends, and its
+    answers — read after the engine, the backend and the mapping are
+    gone — are the cold plan's, field by field."""
     query = SHAPES["path4"]
-    database = make_database(query, 150, "floats", seed=13)
+    database = make_database(query, 150, "mixed", seed=13, mixed_keys=True)
+    options = {"dioid": DIOIDS[dioid], "algorithm": algorithm}
     with open_engine(database, "sqlite", tmp_path) as cold:  # writes the .core
-        expected = [snapshot(result) for result in cold.prepare(query).top(60)]
+        expected = [snapshot(result) for result in cold.prepare(query, **options).top(60)]
     engine = Engine.from_backend(SQLiteBackend(str(tmp_path / "view.db")))
-    prepared = engine.prepare(query)
+    prepared = engine.prepare(query, **options)
     stream = prepared.stream()
     assert engine.stats.core_hits == 1 and engine.core_cache._maps
-    assert stream.ensure(5) == 5
     with faults.injected("sqlite.execute=raise:1:0:busy"):
-        with pytest.raises(sqlite3.OperationalError):
-            stream.ensure(40)
-    assert 5 <= stream.produced < 40 and not stream.broken
-    results = prepared.top(60)
-    assert stream.counter.results == stream.extensions == 60
+        assert stream.ensure(60) == 60
+        results = stream.prefix(60)
     del stream  # the run behind it reads the mapped columns; answers do not
     engine.close()
     # Held answers pin neither the backend nor the mapped core file.
