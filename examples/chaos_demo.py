@@ -56,7 +56,8 @@ def main() -> None:
             results = signature(engine.prepare(path_query(3)).iter())
         assert results == baseline
         print(f"three injected 'database is locked' errors, "
-              f"{COUNTERS.get('retries_sqlite')} retries, output identical")
+              f"{COUNTERS.labels('retries_sqlite').value:.0f} retries, "
+              "output identical")
 
         banner("2. truncated .core container")
         core_path = os.path.join(tmp, "plans.core")

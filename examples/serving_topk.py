@@ -8,14 +8,16 @@ emitted prefix is never recomputed (not even by a second client).
 
 Part two upgrades to the production front door: the same engine behind
 the HTTP gateway, with bearer-token auth, a per-client rate limit, and
-a ``/metrics`` scrape — the deployment shape of ``repro serve
---http-port --auth-token --rate-limit``.
+a read of its stats document (what ``GET /metrics`` serves) — the
+deployment shape of ``repro serve --http-port --auth-token
+--rate-limit``.
 
 Run:  python examples/serving_topk.py
 """
 
 from repro import Database, Engine
 from repro.data.graphs import graph_statistics, twitter_like
+from repro.obs.latency import latency_summary
 from repro.serve import (
     AccessPolicy,
     GatewayThread,
@@ -78,11 +80,12 @@ def main() -> None:
                 f"\nsecond session re-read the same top-{len(weights)} "
                 "without re-enumerating (shared prefix cache)"
             )
-            served = client.stats()["engine"]
+            served = client.stats()["metrics"]
             print(
-                f"engine: {served['binds']} preprocessing pass(es), "
-                f"{served['stream_misses']} enumeration stream(s) "
-                f"for {2} sessions"
+                f"engine: {served['repro_engine_binds_total']} "
+                "preprocessing pass(es), "
+                f"{served['repro_engine_stream_misses_total']} enumeration "
+                f"stream(s) for {2} sessions"
             )
 
     # -- part two: the HTTP gateway front door ------------------------
@@ -112,12 +115,13 @@ def main() -> None:
                 chain = " -> ".join(str(row["assignment"][v]) for v in "abcde")
                 print(f"  #{rank:<3} influence {row['weight']:8.3f}  {chain}")
 
-            metrics = http.metrics()
-            latency = metrics["latency"]["fetch"]
+            metrics = http.stats()["metrics"]
+            latency = latency_summary(metrics["repro_fetch_latency_seconds"])
             print(
-                f"gateway metrics: {metrics['gateway']['http_requests']} "
-                f"HTTP requests, fetch p95 {latency['p95_ms']:.2f} ms, "
-                f"{metrics['sessions']['session_count']} live session(s)"
+                "gateway metrics: "
+                f"{metrics['repro_gateway_http_requests_total']} HTTP "
+                f"requests, fetch p95 {latency['p95_ms']:.2f} ms, "
+                f"{metrics['repro_sessions_open']} live session(s)"
             )
     engine.close()
 

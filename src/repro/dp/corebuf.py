@@ -467,10 +467,13 @@ class CoreCache:
 
     :meth:`load` returns a mapped core on a hit, ``None``
     on a miss; a ``Database.version`` mismatch counts as *stale* (the
-    caller rebuilds and :meth:`store` rewrites the entry).  Counters feed the engine's
-    ``EngineStats``.  The mmap behind a hit stays open as long as loaded
-    cores reference its views; :meth:`close` releases mappings that are
-    no longer referenced and leaves the rest to garbage collection.
+    caller rebuilds and :meth:`store` rewrites the entry).  Its counters
+    are the only count of these events: ``EngineStats.core_*`` read them
+    and :meth:`~repro.engine.Engine.register_metrics` exports them as
+    ``repro_core_cache_*_total``.  The mmap behind a hit stays open as
+    long as loaded cores reference its views; :meth:`close` releases
+    mappings that are no longer referenced and leaves the rest to
+    garbage collection.
     """
 
     def __init__(self, path: str):
@@ -593,15 +596,6 @@ class CoreCache:
                 (key, entry["meta"], entry["db_version"])
                 for key, entry in toc.items()
             ]
-
-    def stats(self) -> dict:
-        return {
-            "path": self.path,
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-            "stale": int(self.stale),
-            "writes": int(self.writes),
-        }
 
     def mmap_bytes(self) -> int:
         """Bytes of ``.core`` file currently mapped into this process.

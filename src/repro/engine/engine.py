@@ -45,7 +45,6 @@ from repro.query.selections import (
 )
 from repro.ranking.dioid import TROPICAL, SelectiveDioid
 from repro.util.counters import OpCounter
-from repro.util.resilience import COUNTERS as RECOVERY_COUNTERS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from repro.serve.cursor import Cursor
@@ -54,17 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
 class EngineStats:
     """Plan-cache and binding counters (observability for tests/tuning).
 
-    Every field is backed by a typed :class:`~repro.obs.metrics.Counter`
-    registered with the gateway's scrape registry — but attribute reads
-    return plain ints and writes go through the counter, so
-    ``stats.binds += 1`` increments, ``before = stats.binds`` snapshots,
-    and ``stats.binds == before + 1`` comparisons all keep exact int
-    semantics (an aliasing-free snapshot, unlike handing out the
-    mutable instrument itself).  The ``core_*`` and recovery fields are
-    *mirrors* of authoritative counters elsewhere
-    (:class:`~repro.dp.corebuf.CoreCache`,
-    :data:`repro.util.resilience.COUNTERS`) refreshed after every bind
-    by plain assignment.
+    Each field is one typed :class:`~repro.obs.metrics.Counter`,
+    exported as ``repro_engine_<field>_total``; the engine counts with
+    :meth:`inc`, and an attribute read is the count as a plain int, so
+    ``before = stats.binds`` is a snapshot, not an alias.  The
+    ``core_*`` fields read the counters of the engine's
+    :class:`~repro.dp.corebuf.CoreCache` — the only count of those
+    events — and are 0 without one.
     """
 
     _FIELDS = (
@@ -74,45 +69,27 @@ class EngineStats:
         "evictions",
         "stream_hits",
         "stream_misses",
-        #: Compiled-core file counters; a ``core_hit`` bind skipped the
-        #: T-DP build + compile entirely.
-        "core_hits",
-        "core_misses",
-        "core_stale",
-        "core_writes",
-        #: Recovery mirror — how often transient faults were absorbed.
-        "retries",
     )
+    #: A ``core_hits`` bind skipped the T-DP build + compile entirely.
+    _CORE_FIELDS = ("core_hits", "core_misses", "core_stale", "core_writes")
 
-    def __init__(self):
-        object.__setattr__(
-            self,
-            "_counters",
-            {
-                name: Counter(f"repro_engine_{name}_total", f"Engine {name}.")
-                for name in self._FIELDS
-            },
-        )
+    def __init__(self, core_cache=None):
+        self.counters = {
+            name: Counter(f"repro_engine_{name}_total", f"Engine {name}.")
+            for name in self._FIELDS
+        }
+        self.core_cache = core_cache
+
+    def inc(self, name: str) -> None:
+        self.counters[name].inc()
 
     def __getattr__(self, name: str) -> int:
-        counters = object.__getattribute__(self, "_counters")
-        try:
-            return int(counters[name])
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value) -> None:
         if name in self._FIELDS:
-            self._counters[name].set(value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def as_dict(self) -> dict:
-        return {name: int(counter) for name, counter in self._counters.items()}
-
-    def register_metrics(self, registry: MetricsRegistry) -> None:
-        for counter in self._counters.values():
-            registry.attach(counter)
+            return int(self.counters[name].value)
+        if name in self._CORE_FIELDS:
+            cache = self.core_cache
+            return 0 if cache is None else int(getattr(cache, name[5:]).value)
+        raise AttributeError(name)
 
 
 class PreparedQuery:
@@ -336,7 +313,6 @@ class Engine:
     ):
         self.database = database
         self.max_cached_plans = max_cached_plans
-        self.stats = EngineStats()
         #: Engine-wide tracer (:class:`repro.obs.trace.Tracer`), default
         #: the shared no-op :data:`~repro.obs.trace.NULL_TRACER` so the
         #: instrumentation points cost one attribute read + a constant
@@ -349,6 +325,7 @@ class Engine:
         #: is an explicit core-file path; a prebuilt
         #: :class:`~repro.dp.corebuf.CoreCache` is used as-is.
         self.core_cache = self._resolve_core_cache(core_cache, database)
+        self.stats = EngineStats(self.core_cache)
         #: Guards the plan/physical caches and their stats.  Binding
         #: (preprocessing) runs under this lock, so concurrent sessions
         #: binding the same query preprocess once; enumeration and
@@ -417,7 +394,7 @@ class Engine:
             cached = self._plans.get(key)
             if cached is not None:
                 self._plans.move_to_end(key)
-                self.stats.prepare_hits += 1
+                self.stats.inc("prepare_hits")
                 return cached
         # Planning is pure (no database access), so it runs outside the
         # lock; a racing duplicate prepare just loses the insert below.
@@ -443,13 +420,13 @@ class Engine:
             raced = self._plans.get(key)
             if raced is not None:
                 self._plans.move_to_end(key)
-                self.stats.prepare_hits += 1
+                self.stats.inc("prepare_hits")
                 return raced
             self._plans[key] = prepared
-            self.stats.prepare_misses += 1
+            self.stats.inc("prepare_misses")
             while len(self._plans) > self.max_cached_plans:
                 self._plans.popitem(last=False)
-                self.stats.evictions += 1
+                self.stats.inc("evictions")
         return prepared
 
     @staticmethod
@@ -510,23 +487,11 @@ class Engine:
                     tracer=tracer,
                 )
                 span.set(preprocess_ms=round(physical.preprocess_seconds * 1e3, 4))
-            if core_cache is not None:
-                stats = core_cache.stats()
-                self.stats.core_hits = stats["hits"]
-                self.stats.core_misses = stats["misses"]
-                self.stats.core_stale = stats["stale"]
-                self.stats.core_writes = stats["writes"]
-            recovery = RECOVERY_COUNTERS.snapshot()
-            self.stats.retries = sum(
-                count
-                for name, count in recovery.items()
-                if name.startswith("retries_")
-            )
             self._physicals[key] = (version, physical)
             self._physicals.move_to_end(key)
             while len(self._physicals) > self.max_cached_plans:
                 self._physicals.popitem(last=False)
-            self.stats.binds += 1
+            self.stats.inc("binds")
             return physical
 
     def _stream_for(self, prepared: PreparedQuery) -> PrefixStream:
@@ -557,7 +522,7 @@ class Engine:
                 and not entry[1].broken
             ):
                 self._streams.move_to_end(key)
-                self.stats.stream_hits += 1
+                self.stats.inc("stream_hits")
                 return entry[1]
             algorithm = prepared.logical.algorithm
             stream = PrefixStream(
@@ -565,7 +530,7 @@ class Engine:
                 tracer=self.tracer,
             )
             self._streams[key] = (physical, stream)
-            self.stats.stream_misses += 1
+            self.stats.inc("stream_misses")
             while len(self._streams) > self.max_cached_plans:
                 self._streams.popitem(last=False)
             return stream
@@ -667,19 +632,51 @@ class Engine:
         }
 
     def register_metrics(self, registry: MetricsRegistry) -> None:
-        """Attach engine counters and memory gauges to a registry."""
-        self.stats.register_metrics(registry)
+        """Attach the engine's counters (its core cache's included) and
+        its memory and tracing gauges to a registry.
+
+        The memory gauges share one :meth:`memory_stats` per scrape; the
+        tracing gauges read the tracer's fields without its lock.
+        """
+        for counter in self.stats.counters.values():
+            registry.attach(counter)
+        cache = self.core_cache
+        if cache is not None:
+            for counter in (cache.hits, cache.misses, cache.stale, cache.writes):
+                registry.attach(counter)
+        memory = self.memory_stats
         for field in (
             "stream_count",
             "stream_bytes",
             "core_heap_bytes",
             "core_mmap_bytes",
         ):
-            registry.gauge(
-                f"repro_engine_{field}",
-                f"Engine memory accounting: {field}.",
-                fn=lambda field=field: self.memory_stats()[field],
+            registry.callback(
+                f"repro_engine_{field}", memory, field=field,
+                help=f"Engine memory accounting: {field}.",
             )
+        tracer = self.tracer
+        registry.gauge(
+            "repro_tracing_enabled",
+            "1 when the engine tracer records spans.",
+            fn=lambda: tracer.enabled,
+        )
+        for field in ("recorded", "dropped", "buffered"):
+            registry.gauge(
+                f"repro_tracing_{field}",
+                f"Engine tracer: spans {field}.",
+                fn=lambda field=field: getattr(tracer, field),
+            )
+        registry.gauge(
+            "repro_tracing_sample_ratio",
+            "Share of root spans the engine tracer samples.",
+            fn=lambda: tracer.ratio,
+        )
+        registry.gauge(
+            "repro_tracing_capacity",
+            "Spans the engine tracer's ring buffer holds.",
+            fn=lambda: tracer.capacity,
+        )
 
     def clear_caches(self) -> None:
         """Drop all cached plans and streams.

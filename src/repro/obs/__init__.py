@@ -9,16 +9,17 @@ The running system's view of the paper's cost model:
   TTF / TT(k) / per-answer-delay profile;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto);
 * :mod:`repro.obs.latency` — nearest-rank percentiles, the per-answer
-  delay profile EXPLAIN ANALYZE reports, and the fetch-latency block
-  ``/metrics`` builds from the session manager's histogram;
+  delay profile EXPLAIN ANALYZE reports, and the p50/p95/p99 of a
+  histogram snapshot (the fetch latency ``repro top`` shows);
 * :mod:`repro.obs.metrics` — the typed metrics registry (counters,
   gauges, histograms, labeled families) every subsystem registers
-  into — the one source of the Prometheus exposition behind
+  into — the one source of every served number: the stats document's
+  ``metrics`` (``as_dict()``) and the Prometheus exposition behind
   ``GET /metrics?format=prometheus`` — plus a promtool-style validator;
 * :mod:`repro.obs.profiler` — the sampling profiler behind
   ``repro profile`` (collapsed-stack output, stage attribution);
 * :mod:`repro.obs.top` — the ``repro top`` operator view and the
-  ``GET /debug`` status page.
+  ``GET /debug`` status page, both over the stats document.
 """
 
 from repro.obs.analyze import AnalyzeReport, StageNode, analyze_prepared

@@ -1,12 +1,11 @@
-"""Latency summaries: nearest-rank percentiles, the fetch histogram's
-``/metrics`` block, and the per-answer delay profile.
+"""Latency summaries: nearest-rank percentiles, a histogram's
+percentiles, and the per-answer delay profile.
 
 EXPLAIN ANALYZE reads :func:`delay_profile` (TTF / TT(k) / delay
 percentiles — the paper's own cost model, Section 7) over the delays it
 timed; a serving process keeps no samples, only the session manager's
 ``repro_fetch_latency_seconds`` histogram, which :func:`latency_summary`
-turns into the p50/p95/p99 that ``/metrics``, ``/debug`` and ``repro
-top`` show.
+turns into the p50/p95/p99 that ``/debug`` and ``repro top`` show.
 """
 
 from __future__ import annotations
@@ -31,12 +30,10 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 def latency_summary(snapshot: dict) -> dict:
-    """The ``/metrics`` ``latency.fetch`` block of a histogram snapshot.
+    """Count, mean and p50/p95/p99 (ms) of a histogram snapshot.
 
     Quantiles are :func:`~repro.obs.metrics.histogram_quantile`
-    estimates over the snapshot's buckets; ``count`` and ``total`` are
-    both its observation count (``repro top`` swaps ``count`` for the
-    observations since its previous poll).
+    estimates over the snapshot's buckets.
     """
     count = snapshot["count"]
 
@@ -45,7 +42,6 @@ def latency_summary(snapshot: dict) -> dict:
 
     return {
         "count": count,
-        "total": count,
         "p50_ms": ms(histogram_quantile(snapshot, 0.50)),
         "p95_ms": ms(histogram_quantile(snapshot, 0.95)),
         "p99_ms": ms(histogram_quantile(snapshot, 0.99)),

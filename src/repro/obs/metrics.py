@@ -4,14 +4,13 @@ The serving stack's operational counters used to be ad-hoc ints and
 dicts flattened into untyped gauges.  This module gives them first-class
 instruments:
 
-* :class:`Counter` — monotone event count.  Implements the numeric
-  protocol (``int()``, comparisons, ``+``), and ``counter += 1``
-  increments *in place* via ``__iadd__`` — existing call sites and test
-  assertions over plain-int counters keep working unchanged after a
-  field is migrated to an instrument.
-* :class:`Gauge` — a settable level, optionally computed at read time
-  from a callback (``fn=``) so expensive values (memory estimates) are
-  paid per scrape, never on the hot path.
+* :class:`Counter` — monotone event count; ``counter += 1`` increments
+  in place, readers take ``counter.value``.
+* :class:`Gauge` — a settable level.  A level computed per scrape
+  (memory estimates, open sessions) is a collect-time callback
+  (:meth:`MetricsRegistry.gauge` with ``fn=``, or
+  :meth:`MetricsRegistry.callback`), paid per scrape and never on the
+  hot path; callbacks that share a source read it once per collect.
 * :class:`Histogram` — fixed upper-bound buckets (exponential by
   default), rendered as cumulative ``_bucket{le="..."}`` counts plus
   ``_sum``/``_count``, exactly the Prometheus text-format contract.
@@ -22,7 +21,8 @@ instruments:
   them, so two gateways (or two test fixtures) never collide in shared
   state.  :meth:`MetricsRegistry.render` emits valid text exposition
   (format 0.0.4): one ``# TYPE`` per metric name, sorted, with bucket
-  lines in ascending ``le`` order.
+  lines in ascending ``le`` order; :meth:`MetricsRegistry.as_dict` is
+  the same collection as one JSON-safe dict.
 
 :func:`validate_exposition` is a promtool-style line validator used by
 the test suite and the CI smoke job to keep every scrape well-formed.
@@ -122,99 +122,11 @@ def _format_sample(
     return f"{name} {_format_value(value)}"
 
 
-class _Numeric:
-    """Numeric protocol over ``self.value`` for Counter/Gauge.
+class Counter:
+    """A monotone event counter; ``counter += n`` and :meth:`inc` add.
 
-    Keeps migrated call sites working: ``stats.binds == before + 1``,
-    ``policy.shed >= 1``, f-string formatting, and JSON-prep ``int()``
-    all behave as they did when the fields were plain ints.
-    """
-
-    __slots__ = ()
-
-    @property
-    def value(self) -> float:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __index__(self) -> int:
-        return int(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __str__(self) -> str:
-        return _format_value(self.value)
-
-    def __format__(self, spec: str) -> str:
-        value = self.value
-        if float(value).is_integer() and ("f" not in spec and "e" not in spec):
-            try:
-                return format(int(value), spec)
-            except ValueError:
-                pass
-        return format(value, spec)
-
-    @staticmethod
-    def _other(other: Any) -> float:
-        if isinstance(other, _Numeric):
-            return float(other.value)
-        return float(other)
-
-    def __eq__(self, other: Any) -> bool:
-        try:
-            return float(self.value) == self._other(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __ne__(self, other: Any) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __lt__(self, other: Any) -> bool:
-        return float(self.value) < self._other(other)
-
-    def __le__(self, other: Any) -> bool:
-        return float(self.value) <= self._other(other)
-
-    def __gt__(self, other: Any) -> bool:
-        return float(self.value) > self._other(other)
-
-    def __ge__(self, other: Any) -> bool:
-        return float(self.value) >= self._other(other)
-
-    def __add__(self, other: Any):
-        result = self.value + self._other(other)
-        return int(result) if float(result).is_integer() else result
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any):
-        result = self.value - self._other(other)
-        return int(result) if float(result).is_integer() else result
-
-    def __rsub__(self, other: Any):
-        result = self._other(other) - self.value
-        return int(result) if float(result).is_integer() else result
-
-    # Identity hashing: instruments are registry entries, never dict
-    # keys by value.
-    __hash__ = object.__hash__
-
-
-class Counter(_Numeric):
-    """A monotone event counter.
-
-    ``counter += n`` and :meth:`inc` add; :meth:`set` exists for *mirror*
-    counters that copy an authoritative counter elsewhere (the engine's
-    ``core_hits`` mirror of the :class:`~repro.dp.corebuf.CoreCache`)
-    and for test ``reset()`` hooks — monotonicity is the caller's
-    contract there, not enforced per call.
+    Readers take :attr:`value`.  ``int(counter)`` is kept for scripts
+    that read a counter as a number (the benchmark ladder does).
     """
 
     kind = "counter"
@@ -240,16 +152,12 @@ class Counter(_Numeric):
         with self._lock:
             self._value += by
 
-    def set(self, total: float) -> None:
-        with self._lock:
-            self._value = float(total)
-
-    def reset(self) -> None:
-        self.set(0)
-
-    def __iadd__(self, other: float) -> "Counter":
-        self.inc(self._other(other))
+    def __iadd__(self, by: float) -> "Counter":
+        self.inc(by)
         return self
+
+    def __int__(self) -> int:
+        return int(self._value)
 
     def samples(self) -> list[tuple[str, dict | None, float]]:
         return [("", self.labels, self._value)]
@@ -258,34 +166,25 @@ class Counter(_Numeric):
         return f"Counter({self.name}={_format_value(self._value)})"
 
 
-class Gauge(_Numeric):
-    """A settable level; ``fn=`` computes the value lazily per read."""
+class Gauge:
+    """A settable level.  A level computed at read time is a
+    :meth:`MetricsRegistry.gauge` with ``fn=`` instead."""
 
     kind = "gauge"
 
-    __slots__ = ("name", "help", "labels", "_lock", "_value", "_fn")
+    __slots__ = ("name", "help", "labels", "_lock", "_value")
 
     def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: dict[str, str] | None = None,
-        fn: Callable[[], float] | None = None,
+        self, name: str, help: str = "", labels: dict[str, str] | None = None
     ):
         self.name = _check_name(name)
         self.help = help
         self.labels = labels
         self._lock = threading.Lock()
         self._value = 0.0
-        self._fn = fn
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            try:
-                return float(self._fn())
-            except Exception:
-                return 0.0
         return self._value
 
     def set(self, value: float) -> None:
@@ -299,19 +198,11 @@ class Gauge(_Numeric):
     def dec(self, by: float = 1) -> None:
         self.inc(-by)
 
-    def __iadd__(self, other: float) -> "Gauge":
-        self.inc(self._other(other))
-        return self
-
-    def __isub__(self, other: float) -> "Gauge":
-        self.dec(self._other(other))
-        return self
-
     def samples(self) -> list[tuple[str, dict | None, float]]:
-        return [("", self.labels, self.value)]
+        return [("", self.labels, self._value)]
 
     def __repr__(self) -> str:
-        return f"Gauge({self.name}={_format_value(self.value)})"
+        return f"Gauge({self.name}={_format_value(self._value)})"
 
 
 class Histogram:
@@ -492,10 +383,12 @@ class _Callback:
     Without ``labelnames``, ``fn() -> float``.  With them, ``fn`` returns
     a mapping of label value (or tuple of values) to float — the shape
     used for per-session gauges, where the label set changes as sessions
-    come and go.
+    come and go.  With ``field``, ``fn()`` is a mapping and the metric is
+    ``fn()[field]``: callbacks over one ``fn`` share its read within a
+    collect (see :meth:`MetricsRegistry.collect`).
     """
 
-    __slots__ = ("name", "help", "kind", "labelnames", "fn")
+    __slots__ = ("name", "help", "kind", "labelnames", "fn", "field")
 
     def __init__(
         self,
@@ -504,6 +397,7 @@ class _Callback:
         fn: Callable[[], Any],
         help: str = "",
         labelnames: tuple[str, ...] = (),
+        field: str | None = None,
     ):
         if kind not in ("counter", "gauge"):
             raise ValueError(f"callback metrics are counter|gauge, not {kind}")
@@ -512,26 +406,33 @@ class _Callback:
         self.kind = kind
         self.labelnames = tuple(labelnames)
         self.fn = fn
+        self.field = field
 
-    def samples(self) -> list[tuple[str, dict | None, float]]:
+    def samples(self, reads: dict) -> list[tuple[str, dict | None, float]]:
+        """The current samples; ``reads`` memoizes ``fn`` per collect."""
         try:
-            result = self.fn()
+            if self.field is None:
+                result = self.fn()
+            else:
+                if self.fn not in reads:
+                    reads[self.fn] = self.fn()
+                result = reads[self.fn][self.field]
+            if not self.labelnames:
+                return [("", None, float(result))]
+            out: list[tuple[str, dict | None, float]] = []
+            for key in sorted(result, key=str):
+                values = key if isinstance(key, tuple) else (key,)
+                labels = dict(zip(self.labelnames, (str(v) for v in values)))
+                out.append(("", labels, float(result[key])))
+            return out
         except Exception:
             return []
-        if not self.labelnames:
-            return [("", None, float(result))]
-        out: list[tuple[str, dict | None, float]] = []
-        for key in sorted(result, key=str):
-            values = key if isinstance(key, tuple) else (key,)
-            labels = dict(zip(self.labelnames, (str(v) for v in values)))
-            out.append(("", labels, float(result[key])))
-        return out
 
 
 class MetricsRegistry:
     """A deployment's metric collection: get-or-create plus attach.
 
-    One registry per serving deployment (the gateway owns one).
+    One registry per front door (each serving listener owns one).
     Components keep owning their instruments — :meth:`attach` only
     indexes them for rendering, so unattached components (bare engines
     in tests) pay nothing and never collide across instances.
@@ -567,11 +468,11 @@ class MetricsRegistry:
         help: str = "",
         labelnames: tuple[str, ...] = (),
         fn: Callable[[], float] | None = None,
-    ) -> Gauge | Family:
+    ) -> Gauge | Family | _Callback:
         if fn is not None:
             if labelnames:
                 raise ValueError("use callback() for labeled collect-time metrics")
-            return self._register(name, lambda: Gauge(name, help, fn=fn))
+            return self.callback(name, fn, help=help)
         if labelnames:
             return self._register(
                 name, lambda: Family(Gauge, name, help, labelnames)
@@ -599,9 +500,12 @@ class MetricsRegistry:
         kind: str = "gauge",
         help: str = "",
         labelnames: tuple[str, ...] = (),
+        field: str | None = None,
     ) -> _Callback:
+        """A collect-time metric; with ``field``, the ``field`` entry of
+        the mapping ``fn()`` returns, ``fn`` read once per collect."""
         return self._register(
-            name, lambda: _Callback(name, kind, fn, help, labelnames)
+            name, lambda: _Callback(name, kind, fn, help, labelnames, field)
         )
 
     def attach(self, metric: Any) -> Any:
@@ -627,12 +531,19 @@ class MetricsRegistry:
 
     # -- output ----------------------------------------------------------------
 
-    def collect(self) -> list[tuple[str, str, list[tuple[str, dict | None, float]]]]:
-        """``(name, kind, samples)`` per metric, sorted by name."""
+    def _metrics_sorted(self) -> list[tuple[str, Any]]:
         with self._lock:
-            metrics = sorted(self._metrics.items())
+            return sorted(self._metrics.items())
+
+    def collect(self) -> list[tuple[str, str, list[tuple[str, dict | None, float]]]]:
+        """``(name, kind, samples)`` per metric, sorted by name.
+
+        Callbacks over one source (``field=``) share one read of it.
+        """
+        reads: dict = {}
         return [
-            (name, metric.kind, metric.samples()) for name, metric in metrics
+            (name, metric.kind, _samples(metric, reads))
+            for name, metric in self._metrics_sorted()
         ]
 
     def render(self) -> str:
@@ -647,23 +558,47 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
     def as_dict(self) -> dict:
-        """JSON-safe snapshot: plain numbers, labels folded into keys."""
+        """JSON-safe snapshot, one key per registered name.
+
+        A counter or gauge is its number (``None`` when its callback
+        failed), a labeled family a dict keyed ``label=value[,...]``,
+        a histogram its :meth:`Histogram.snapshot`.
+        """
         out: dict[str, Any] = {}
-        for name, kind, samples in self.collect():
-            if kind == "histogram":
-                continue  # histograms expose snapshot() where needed
-            if len(samples) == 1 and not samples[0][1]:
-                value = samples[0][2]
-                out[name] = int(value) if float(value).is_integer() else value
+        reads: dict = {}
+        for name, metric in self._metrics_sorted():
+            if metric.kind == "histogram":
+                if isinstance(metric, Family):
+                    out[name] = {
+                        _label_key(child.labels): child.snapshot()
+                        for _key, child in sorted(metric.children().items())
+                    }
+                else:
+                    out[name] = metric.snapshot()
                 continue
-            folded: dict[str, float] = {}
-            for suffix, labels, value in samples:
-                key = ",".join(f"{k}={v}" for k, v in (labels or {}).items())
-                folded[key or suffix or name] = (
-                    int(value) if float(value).is_integer() else value
-                )
-            out[name] = folded
+            samples = _samples(metric, reads)
+            if getattr(metric, "labelnames", ()):
+                out[name] = {
+                    _label_key(labels): _number(value)
+                    for _suffix, labels, value in samples
+                }
+            else:
+                out[name] = _number(samples[0][2]) if samples else None
         return out
+
+
+def _samples(metric: Any, reads: dict) -> list[tuple[str, dict | None, float]]:
+    if isinstance(metric, _Callback):
+        return metric.samples(reads)
+    return metric.samples()
+
+
+def _label_key(labels: dict | None) -> str:
+    return ",".join(f"{k}={v}" for k, v in (labels or {}).items())
+
+
+def _number(value: float) -> int | float:
+    return int(value) if float(value).is_integer() else value
 
 
 # -- exposition validation -----------------------------------------------------

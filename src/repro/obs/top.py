@@ -1,7 +1,9 @@
-"""Live operator views over the gateway's ``/metrics`` JSON document.
+"""Live operator views over a listener's stats document.
 
-Two renderings of the same payload (the dict built by
-``GatewayServer.metrics()``):
+The ``stats`` op, ``GET /v1/stats`` and JSON ``GET /metrics`` all answer
+with one document (:meth:`repro.serve.server.OpDispatcher.document`):
+``metrics``, the listener registry's ``as_dict()`` keyed by exported
+name, and ``sessions``, the per-session detail.  Two renderings of it:
 
 * :func:`render_top` — a plain-text terminal table: uptime, request and
   admission counters, fetch p50/p95/p99, memory accounting, breaker
@@ -10,13 +12,14 @@ Two renderings of the same payload (the dict built by
   clear — no curses, so it works in dumb terminals, CI logs, and
   ``watch``-style pipes alike.  From its second frame on, the fetch
   percentiles cover the fetches since the previous poll (the bucket
-  deltas of the fetch histogram), not the process lifetime.
+  deltas of ``repro_fetch_latency_seconds``), not the process lifetime.
 * :func:`debug_html` — the ``GET /debug`` status page: the same
   numbers as static HTML tables for a browser glance at a live
-  deployment (fetch percentiles over the process lifetime).
+  deployment (fetch percentiles over the process lifetime), followed by
+  every metric of the document.
 
-Both renderers are pure functions of the metrics dict, so tests drive
-them without a socket.
+Both renderers are pure functions of the document, so tests drive them
+without a socket.
 """
 
 from __future__ import annotations
@@ -32,6 +35,17 @@ __all__ = ["render_top", "run_top", "debug_html", "fetch_metrics"]
 #: ANSI "clear screen, cursor home" — the whole redraw mechanism.
 _CLEAR = "\x1b[2J\x1b[H"
 
+#: The histogram the fetch percentiles are read from.
+_FETCH = "repro_fetch_latency_seconds"
+
+#: Memory rows: label → engine gauge.
+_MEMORY = {
+    "stream_count": "repro_engine_stream_count",
+    "stream_bytes": "repro_engine_stream_bytes",
+    "core_heap_bytes": "repro_engine_core_heap_bytes",
+    "core_mmap_bytes": "repro_engine_core_mmap_bytes",
+}
+
 
 def _fmt_bytes(n: Any) -> str:
     try:
@@ -46,59 +60,110 @@ def _fmt_bytes(n: Any) -> str:
 
 
 def _fmt_ms(ms: Any) -> str:
-    if ms is None:
-        return "-"
     return f"{float(ms):.2f}ms"
 
 
-def _latency_cells(metrics: dict) -> tuple[str, str, str, str]:
-    fetch = metrics.get("latency", {}).get("fetch", {}) or {}
-    total = str(fetch.get("total", fetch.get("count", 0)))
-    if fetch.get("count") == 0:
-        return total, "-", "-", "-"
-    return (
-        total,
-        _fmt_ms(fetch.get("p50_ms")),
-        _fmt_ms(fetch.get("p95_ms")),
-        _fmt_ms(fetch.get("p99_ms")),
-    )
+def _metrics(doc: dict | None) -> dict:
+    return (doc or {}).get("metrics") or {}
 
 
-def _since(metrics: dict, previous: dict | None) -> dict:
-    """``metrics`` with its fetch percentiles over the fetches since
-    ``previous``: the bucket deltas of two polls' ``fetch_histogram``.
+def _count(metrics: dict, name: str) -> Any:
+    value = metrics.get(name)
+    return 0 if value is None else value
 
-    ``/metrics`` reports them over the process lifetime; ``total`` stays
-    that.  Without a previous poll of the same process (the first
-    frame, or a restart between polls) the lifetime figures stand.
+
+def _latency_cells(doc: dict, previous: dict | None = None) -> tuple[str, ...]:
+    """``(n, p50, p95, p99)`` of the fetch histogram.
+
+    ``n`` is the lifetime count.  The percentiles cover the fetches
+    since ``previous`` when that is an earlier poll of the same process
+    (the bucket deltas), else the lifetime.
     """
-    now = metrics.get("latency", {}).get("fetch_histogram")
-    before = (previous or {}).get("latency", {}).get("fetch_histogram")
-    if not now or not before or before["count"] > now["count"]:
-        return metrics
-    delta = {
-        "buckets": [
-            (bound, count - earlier)
-            for (bound, count), (_bound, earlier) in zip(
-                now["buckets"], before["buckets"]
-            )
-        ],
-        "count": now["count"] - before["count"],
-        "sum": now["sum"] - before["sum"],
-    }
-    fetch = {**latency_summary(delta), "total": now["count"]}
-    return {**metrics, "latency": {**metrics["latency"], "fetch": fetch}}
+    now = _metrics(doc).get(_FETCH)
+    if not now:
+        return "0", "-", "-", "-"
+    window = now
+    before = _metrics(previous).get(_FETCH)
+    if before and before["count"] <= now["count"]:
+        window = {
+            "buckets": [
+                (bound, count - earlier)
+                for (bound, count), (_bound, earlier) in zip(
+                    now["buckets"], before["buckets"]
+                )
+            ],
+            "count": now["count"] - before["count"],
+            "sum": now["sum"] - before["sum"],
+        }
+    if not window["count"]:
+        return str(now["count"]), "-", "-", "-"
+    summary = latency_summary(window)
+    return (
+        str(now["count"]),
+        _fmt_ms(summary["p50_ms"]),
+        _fmt_ms(summary["p95_ms"]),
+        _fmt_ms(summary["p99_ms"]),
+    )
 
 
 def _breaker_state(metrics: dict) -> str:
-    breaker = metrics.get("policy", {}).get("breaker")
-    if not breaker:
+    states = metrics.get("repro_breaker_state")
+    if not states:
         return "none"
-    return (
-        f"{breaker.get('state', '?')} "
-        f"(opened {breaker.get('opened', 0)}, "
-        f"rejected {breaker.get('rejected', 0)})"
+    current = next(
+        (key.partition("=")[2] for key, on in states.items() if on), "?"
     )
+    return (
+        f"{current} "
+        f"(opened {_count(metrics, 'repro_breaker_opened_total')}, "
+        f"rejected {_count(metrics, 'repro_breaker_rejected_total')})"
+    )
+
+
+def _session_rows(doc: dict) -> list[list[Any]]:
+    """``[name, served, cursors, memory bytes, idle seconds]`` per session."""
+    memory = _metrics(doc).get("repro_session_memory_bytes") or {}
+    return [
+        [
+            name,
+            entry.get("served", 0),
+            len(entry.get("cursors") or {}),
+            memory.get(f"session={name}"),
+            entry.get("idle_seconds", 0),
+        ]
+        for name, entry in sorted((doc.get("sessions") or {}).items())
+    ]
+
+
+def _memory_rows(doc: dict) -> list[list[Any]]:
+    metrics = _metrics(doc)
+    rows = [[label, _count(metrics, name)] for label, name in _MEMORY.items()]
+    held = metrics.get("repro_session_memory_bytes") or {}
+    rows.append(["session_bytes", sum(held.values())])
+    budget = metrics.get("repro_session_memory_budget_bytes")
+    if budget is not None:
+        rows.append(["memory_budget_bytes", budget])
+    return rows
+
+
+def _overview(doc: dict, previous: dict | None = None) -> dict[str, Any]:
+    """The scalar numbers both views lead with, by row label."""
+    metrics = _metrics(doc)
+    count, p50, p95, p99 = _latency_cells(doc, previous)
+    return {
+        "uptime_seconds": _count(metrics, "repro_uptime_seconds"),
+        "requests": _count(metrics, "repro_dispatched_requests_total"),
+        "active_requests": _count(metrics, "repro_active_requests"),
+        "admitted": _count(metrics, "repro_policy_admitted_total"),
+        "throttled": _count(metrics, "repro_policy_throttled_total"),
+        "denied_auth": _count(metrics, "repro_policy_denied_auth_total"),
+        "shed": _count(metrics, "repro_policy_shed_total"),
+        "breaker": _breaker_state(metrics),
+        "fetch_count": count,
+        "fetch_p50": p50,
+        "fetch_p95": p95,
+        "fetch_p99": p99,
+    }
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -120,47 +185,42 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_top(metrics: dict) -> str:
-    """One frame of the ``repro top`` display, as plain text."""
-    gateway = metrics.get("gateway", {})
-    policy = metrics.get("policy", {})
-    memory = metrics.get("memory", {})
-    count, p50, p95, p99 = _latency_cells(metrics)
-    sessions = metrics.get("sessions", {})
+def render_top(doc: dict, previous: dict | None = None) -> str:
+    """One frame of the ``repro top`` display, as plain text.
+
+    ``previous`` is the poll before ``doc``; with it, the fetch
+    percentiles cover only the fetches in between.
+    """
+    view = _overview(doc, previous)
+    memory = dict(_memory_rows(doc))
+    metrics = _metrics(doc)
     lines = [
         (
-            f"repro top — up {metrics.get('uptime_seconds', 0):.0f}s — "
-            f"http {gateway.get('http_requests', 0)} "
-            f"ws {gateway.get('ws_messages', 0)} "
-            f"active {gateway.get('active_requests', 0)}"
+            f"repro top — up {float(view['uptime_seconds']):.0f}s — "
+            f"requests {view['requests']} "
+            f"active {view['active_requests']}"
         ),
         (
-            f"admission: admitted {policy.get('admitted', 0)} "
-            f"throttled {policy.get('throttled', 0)} "
-            f"denied {policy.get('denied_auth', 0)} "
-            f"shed {policy.get('shed', 0)} — breaker {_breaker_state(metrics)}"
+            f"admission: admitted {view['admitted']} "
+            f"throttled {view['throttled']} "
+            f"denied {view['denied_auth']} "
+            f"shed {view['shed']} — breaker {view['breaker']}"
         ),
         (
-            f"fetch latency: n={count} p50 {p50} p95 {p95} p99 {p99}"
+            f"fetch latency: n={view['fetch_count']} p50 {view['fetch_p50']} "
+            f"p95 {view['fetch_p95']} p99 {view['fetch_p99']}"
         ),
         (
-            f"memory: streams {_fmt_bytes(memory.get('stream_bytes'))} "
-            f"({memory.get('stream_count', 0)} streams) "
-            f"core heap {_fmt_bytes(memory.get('core_heap_bytes'))} "
-            f"core mmap {_fmt_bytes(memory.get('core_mmap_bytes'))}"
+            f"memory: streams {_fmt_bytes(memory['stream_bytes'])} "
+            f"({memory['stream_count']} streams) "
+            f"core heap {_fmt_bytes(memory['core_heap_bytes'])} "
+            f"core mmap {_fmt_bytes(memory['core_mmap_bytes'])}"
         ),
         "",
     ]
-    detail = sessions.get("detail", {}) or {}
     rows = [
-        [
-            name,
-            entry.get("served", 0),
-            entry.get("cursors", 0),
-            _fmt_bytes(entry.get("memory_bytes")),
-            f"{entry.get('idle_seconds', 0):.1f}s",
-        ]
-        for name, entry in sorted(detail.items())
+        [name, served, cursors, _fmt_bytes(held), f"{float(idle):.1f}s"]
+        for name, served, cursors, held, idle in _session_rows(doc)
     ]
     lines.append(
         _table(["session", "served", "cursors", "memory", "idle"], rows)
@@ -168,9 +228,9 @@ def render_top(metrics: dict) -> str:
     if not rows:
         lines.append("(no open sessions)")
     lines.append(
-        f"\nsessions {sessions.get('session_count', 0)} "
-        f"evictions {sessions.get('evictions', 0)} "
-        f"expirations {sessions.get('expirations', 0)}"
+        f"\nsessions {len(rows)} "
+        f"evictions {_count(metrics, 'repro_sessions_evicted_total')} "
+        f"expirations {_count(metrics, 'repro_sessions_expired_total')}"
     )
     return "\n".join(lines)
 
@@ -207,9 +267,9 @@ def run_top(
     previous = None
     try:
         while iterations is None or frames < iterations:
-            metrics = fetch_metrics(url, token=token)
-            frame = render_top(_since(metrics, previous))
-            previous = metrics
+            doc = fetch_metrics(url, token=token)
+            frame = render_top(doc, previous)
+            previous = doc
             out((_CLEAR + frame) if clear and frames else frame)
             frames += 1
             if iterations is not None and frames >= iterations:
@@ -238,52 +298,39 @@ def _html_table(headers: list[str], rows: list[list[Any]]) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def debug_html(metrics: dict) -> str:
-    """The ``GET /debug`` status page for one metrics snapshot."""
-    gateway = metrics.get("gateway", {})
-    policy = metrics.get("policy", {})
-    memory = metrics.get("memory", {})
-    sessions = metrics.get("sessions", {})
-    engine = metrics.get("engine", {})
-    count, p50, p95, p99 = _latency_cells(metrics)
+def _metric_cell(value: Any) -> str:
+    """One document value as text: a histogram by its count and sum, a
+    labeled family as ``key value`` pairs."""
+    if isinstance(value, dict):
+        if "buckets" in value:
+            return f"count {value['count']}, sum {value['sum']}"
+        return ", ".join(f"{key} {item}" for key, item in sorted(value.items()))
+    return "-" if value is None else str(value)
+
+
+def debug_html(doc: dict) -> str:
+    """The ``GET /debug`` status page for one stats document."""
     overview = _html_table(
-        ["metric", "value"],
-        [
-            ["uptime_seconds", metrics.get("uptime_seconds", 0)],
-            ["http_requests", gateway.get("http_requests", 0)],
-            ["ws_messages", gateway.get("ws_messages", 0)],
-            ["active_requests", gateway.get("active_requests", 0)],
-            ["admitted", policy.get("admitted", 0)],
-            ["throttled", policy.get("throttled", 0)],
-            ["denied_auth", policy.get("denied_auth", 0)],
-            ["shed", policy.get("shed", 0)],
-            ["breaker", _breaker_state(metrics)],
-            ["fetch_count", count],
-            ["fetch_p50", p50],
-            ["fetch_p95", p95],
-            ["fetch_p99", p99],
-        ],
+        ["metric", "value"], [list(row) for row in _overview(doc).items()]
     )
     memory_table = _html_table(
         ["metric", "value"],
         [[key, _fmt_bytes(value) if key.endswith("bytes") else value]
-         for key, value in sorted(memory.items())],
+         for key, value in _memory_rows(doc)],
     )
     session_rows = [
-        [
-            name,
-            entry.get("served", 0),
-            entry.get("cursors", 0),
-            _fmt_bytes(entry.get("memory_bytes")),
-            entry.get("idle_seconds", 0),
-        ]
-        for name, entry in sorted((sessions.get("detail") or {}).items())
+        [name, served, cursors, _fmt_bytes(held), idle]
+        for name, served, cursors, held, idle in _session_rows(doc)
     ]
     session_table = _html_table(
         ["session", "served", "cursors", "memory", "idle (s)"], session_rows
     )
-    engine_table = _html_table(
-        ["counter", "value"], [[k, v] for k, v in sorted(engine.items())]
+    metrics_table = _html_table(
+        ["metric", "value"],
+        [
+            [name, _metric_cell(value)]
+            for name, value in sorted(_metrics(doc).items())
+        ],
     )
     return (
         "<!DOCTYPE html><html><head><title>repro gateway</title>"
@@ -294,8 +341,8 @@ def debug_html(metrics: dict) -> str:
         "<h1>repro gateway</h1>"
         f"<h2>overview</h2>{overview}"
         f"<h2>memory</h2>{memory_table}"
-        f"<h2>sessions ({sessions.get('session_count', 0)})</h2>"
+        f"<h2>sessions ({len(session_rows)})</h2>"
         f"{session_table}"
-        f"<h2>engine</h2>{engine_table}"
+        f"<h2>metrics</h2>{metrics_table}"
         "</body></html>"
     )

@@ -233,23 +233,20 @@ class Tracer:
         with self._lock:
             self._spans.clear()
 
-    def stats(self) -> dict:
-        with self._lock:
-            buffered = len(self._spans)
-        return {
-            "enabled": True,
-            "sample": self.ratio,
-            "capacity": self.capacity,
-            "recorded": self.recorded,
-            "dropped": self.dropped,
-            "buffered": buffered,
-        }
+    @property
+    def buffered(self) -> int:
+        """Spans currently held by the ring buffer."""
+        return len(self._spans)
 
 
 class NullTracer:
     """Tracing disabled: every call is a constant-time no-op."""
 
     __slots__ = ()
+
+    #: What the tracing gauges read off a :class:`Tracer`: all zero.
+    ratio = 0.0
+    capacity = recorded = dropped = buffered = 0
 
     @property
     def enabled(self) -> bool:
@@ -266,16 +263,6 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
-
-    def stats(self) -> dict:
-        return {
-            "enabled": False,
-            "sample": 0.0,
-            "capacity": 0,
-            "recorded": 0,
-            "dropped": 0,
-            "buffered": 0,
-        }
 
 
 NULL_TRACER = NullTracer()

@@ -13,13 +13,15 @@ incremental delay per page and zero repeated-prefix work.
   and per-client token-bucket rate limiting, shared across transports;
 * :mod:`repro.serve.protocol` — the JSON-lines wire protocol;
 * :mod:`repro.serve.server` — the listener core (lifecycle, drain,
-  edge check, tracked dispatch), the transport-agnostic op dispatcher
-  (:class:`OpDispatcher`), the JSON-lines framing of the core
+  edge check, tracked dispatch, metrics registry), the
+  transport-agnostic op dispatcher (:class:`OpDispatcher`, which also
+  builds the stats document), the JSON-lines framing of the core
   (:class:`ServeServer`), and the thread-hosted harness
   (:class:`ServerThread`);
 * :mod:`repro.serve.gateway` — the HTTP/1.1 + WebSocket framing of the
   same core (:class:`GatewayServer`, :class:`GatewayThread`) with
-  ``/metrics`` and structured request logging;
+  ``/metrics`` (the stats document, or Prometheus text), ``/debug``
+  and structured request logging;
 * :mod:`repro.serve.client` — one op table under two blocking
   transports: the JSON-lines :class:`ServeClient` and the
   gateway-facing :class:`HttpServeClient`.

@@ -15,7 +15,8 @@ once, one retry policy) and inherited by:
 * :class:`HttpServeClient` — a thin blocking client for the HTTP
   gateway's request/response endpoints (:mod:`repro.serve.gateway`):
   an op is ``POST /v1/<op>`` (``stats``: ``GET /v1/stats``, ``ping``:
-  ``GET /healthz``), plus ``healthz()`` and ``metrics()``.
+  ``GET /healthz``), plus ``healthz()``.  ``stats()`` is the document
+  JSON ``GET /metrics`` serves, in the ``stats`` op's envelope.
 
 Both accept ``token=`` and attach it to every request, matching the
 server-side :class:`~repro.serve.policy.AccessPolicy`.
@@ -376,9 +377,6 @@ class HttpServeClient(_BlockingClient):
 
     def healthz(self) -> dict:
         return self.request("GET", "/healthz")
-
-    def metrics(self) -> dict:
-        return self.request("GET", "/metrics")
 
     def close(self) -> None:
         self._conn.close()

@@ -11,15 +11,13 @@ protocol cannot give:
   the TCP server enforces, so the two front doors cannot drift.  A
   rejected request is answered ``401``/``429`` at the edge without
   touching the session manager or consuming a scheduler slice.
-* **Observability**: a ``/metrics`` endpoint exposing engine cache and
-  compiled-core counters (``stream_hits``/``misses``, ``core_hits``),
-  session/eviction counts, admission counters, tracer stats, and
-  p50/p95/p99 fetch latency over the process lifetime (estimated from
-  the session manager's ``repro_fetch_latency_seconds`` buckets by
-  :func:`~repro.obs.metrics.histogram_quantile`) — as JSON, or,
-  via content negotiation (``Accept: text/plain`` or
-  ``?format=prometheus``), as the Prometheus exposition of the
-  deployment's typed :class:`~repro.obs.metrics.MetricsRegistry`.
+* **Observability**: ``GET /metrics`` answers with the listener's
+  stats document (:meth:`~repro.serve.server.OpDispatcher.document`:
+  the registry's :meth:`~repro.obs.metrics.MetricsRegistry.as_dict`
+  plus per-session detail) — the document the ``stats`` op, ``GET
+  /v1/stats``, ``/debug`` and ``repro top`` read too — or, via content
+  negotiation (``Accept: text/plain`` or ``?format=prometheus``), with
+  the Prometheus exposition of the same registry.
   Structured JSON request logging on ``repro.serve.gateway`` carries a
   per-request ``request_id`` (honouring a client's ``X-Request-Id``,
   echoed back in the response header) and the request's wall-clock
@@ -47,9 +45,9 @@ Endpoints
 
 ====================  ======================================================
 ``GET  /healthz``     liveness (never authenticated, never throttled)
-``GET  /metrics``     engine/session/latency/admission counters
-``GET  /debug``       HTML status page (sessions, latency, memory)
-``GET  /v1/stats``    the ``stats`` op (full per-session detail)
+``GET  /metrics``     the stats document, or its Prometheus exposition
+``GET  /debug``       HTML status page over the stats document
+``GET  /v1/stats``    the ``stats`` op: the stats document in its envelope
 ``POST /v1/prepare``  the ``prepare`` op; body = op fields sans ``op``
 ``POST /v1/fetch``    the ``fetch`` op; results buffered into ``results``
 ``POST /v1/explain``  the ``explain`` op
@@ -74,13 +72,11 @@ from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import Engine
-from repro.obs.latency import latency_summary
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import Counter
 from repro.obs.top import debug_html
 from repro.obs.trace import new_request_id
 from repro.serve import protocol
 from repro.serve.policy import AccessPolicy
-from repro.util.resilience import COUNTERS as RESILIENCE_COUNTERS
 from repro.serve.server import CoalescingWriter, Listener, ServerThread
 from repro.serve.session import SessionManager
 from repro.util import faults
@@ -283,14 +279,14 @@ class GatewayServer(Listener):
             slice_size=slice_size,
         )
         self.log_requests = log_requests
-        #: The engine's tracer, whose statistics ``/metrics`` reports.
-        self.tracer = self.engine.tracer
-        self.started_at = time.time()
-        self.ws_connections = Counter(
-            "repro_gateway_ws_connections_total", "WebSocket upgrades."
+        self.ws_connections = self.registry.attach(
+            Counter("repro_gateway_ws_connections_total", "WebSocket upgrades.")
         )
-        self.ws_messages = Counter(
-            "repro_gateway_ws_messages_total", "WebSocket messages received."
+        self.ws_messages = self.registry.attach(
+            Counter(
+                "repro_gateway_ws_messages_total",
+                "WebSocket messages received.",
+            )
         )
         #: Path → (method, handler) of every endpoint but the upgrade.
         self._routes = {
@@ -303,47 +299,6 @@ class GatewayServer(Listener):
             "/v1/explain": ("POST", self._run_op),
             "/v1/close": ("POST", self._run_op),
         }
-        #: The deployment's typed-instrument registry behind
-        #: ``GET /metrics?format=prometheus``.  Per-gateway, never
-        #: process-global: two gateways (or two test fixtures) each see
-        #: exactly their own deployment's instruments.
-        self.registry = MetricsRegistry()
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        registry = self.registry
-        registry.attach(self.requests)
-        registry.attach(self.ws_connections)
-        registry.attach(self.ws_messages)
-        registry.attach(self.dispatcher.requests)
-        registry.attach(self.dispatcher.lines_encoded)
-        registry.attach(self.dispatcher.lines_replayed)
-        registry.attach(RESILIENCE_COUNTERS.family)
-        self.policy.register_metrics(registry)
-        self.manager.register_metrics(registry)
-        self.engine.register_metrics(registry)
-        registry.gauge(
-            "repro_gateway_uptime_seconds",
-            "Seconds since the gateway started.",
-            fn=lambda: round(time.time() - self.started_at, 3),
-        )
-        registry.gauge(
-            "repro_gateway_active_requests",
-            "Requests currently inside dispatch.",
-            fn=lambda: self.active_requests,
-        )
-        tracer_stats = self.tracer.stats
-        registry.gauge(
-            "repro_tracing_enabled",
-            "1 when the engine tracer records spans.",
-            fn=lambda: 1 if tracer_stats().get("enabled") else 0,
-        )
-        for field in ("recorded", "dropped", "buffered"):
-            registry.gauge(
-                f"repro_tracing_{field}",
-                f"Engine tracer: spans {field}.",
-                fn=lambda field=field: tracer_stats().get(field, 0),
-            )
 
     def url(self, path: str = "/") -> str:
         return f"http://{self.host}:{self.port}{path}"
@@ -483,8 +438,8 @@ class GatewayServer(Listener):
 
     async def _get_metrics(self, request: _HttpRequest) -> int:
         # Content negotiation: Prometheus scrapers ask for text/plain
-        # (or ?format=prometheus) and get the typed registry exposition;
-        # everyone else keeps the JSON document.
+        # (or ?format=prometheus) and get the registry's exposition;
+        # everyone else gets the stats document, as JSON.
         if (
             "text/plain" in request.headers.get("accept", "")
             or request.query.get("format") == "prometheus"
@@ -494,12 +449,12 @@ class GatewayServer(Listener):
                 self.registry.render().encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
-        return await request.respond(200, self.metrics())
+        return await request.respond(200, self.dispatcher.document())
 
     async def _get_debug(self, request: _HttpRequest) -> int:
         return await request.respond_raw(
             200,
-            debug_html(self.metrics()).encode("utf-8"),
+            debug_html(self.dispatcher.document()).encode("utf-8"),
             "text/html; charset=utf-8",
         )
 
@@ -654,65 +609,6 @@ class GatewayServer(Listener):
             await self._handle_message(
                 "gateway.ws", frame, ws_writer, peer, token, request.request_id
             )
-
-    # -- observability ---------------------------------------------------------
-
-    def metrics(self) -> dict:
-        """The ``/metrics`` JSON payload (also what ``repro top`` polls)."""
-        manager_stats = self.manager.stats()
-        memory = self.engine.memory_stats()
-        fetch_histogram = self.manager.fetch_latency_histogram.snapshot()
-        session_detail = {
-            name: {
-                "served": entry["served"],
-                "cursors": len(entry["cursors"]),
-                "memory_bytes": entry["memory_bytes"],
-                "idle_seconds": entry["idle_seconds"],
-            }
-            for name, entry in manager_stats["sessions"].items()
-        }
-        return {
-            "ok": True,
-            "uptime_seconds": round(time.time() - self.started_at, 3),
-            "gateway": {
-                "http_requests": int(self.requests),
-                "ws_connections": int(self.ws_connections),
-                "ws_messages": int(self.ws_messages),
-                "dispatched": int(self.dispatcher.requests),
-                "lines_encoded": int(self.dispatcher.lines_encoded),
-                "lines_replayed": int(self.dispatcher.lines_replayed),
-                "active_requests": self.active_requests,
-            },
-            "policy": self.policy.snapshot(),
-            "latency": {
-                "fetch": latency_summary(fetch_histogram),
-                "fetch_histogram": fetch_histogram,
-            },
-            "sessions": {
-                "session_count": manager_stats["session_count"],
-                "evictions": manager_stats["evictions"],
-                "expirations": manager_stats["expirations"],
-                "detail": session_detail,
-            },
-            "memory": {
-                **memory,
-                "session_bytes": sum(
-                    entry["memory_bytes"] for entry in session_detail.values()
-                ),
-                "memory_budget_bytes": manager_stats["memory_budget_bytes"],
-            },
-            "scheduler": manager_stats["scheduler"],
-            "engine": manager_stats["engine"],
-            "tracing": self.tracer.stats(),
-            "resilience": {
-                **RESILIENCE_COUNTERS.snapshot(),
-                "shed": int(self.policy.shed),
-                "deadline_stops": manager_stats["scheduler"].get(
-                    "deadline_stops", 0
-                ),
-                "faults": faults.counters(),
-            },
-        }
 
 
 class GatewayThread(ServerThread):

@@ -234,27 +234,13 @@ class AccessPolicy:
 
     # -- observability ---------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Counter snapshot for ``/metrics`` and the ``stats`` op."""
-        with self._lock:
-            snapshot = {
-                "auth_required": self.auth_token is not None,
-                "rate_limit": self.rate_limit,
-                "burst": self.burst,
-                "admitted": int(self.admitted),
-                "denied_auth": int(self.denied_auth),
-                "throttled": int(self.throttled),
-                "tracked_clients": len(self._buckets),
-                "shed": int(self.shed),
-                "max_in_flight": self.max_in_flight,
-                "in_flight": self._in_flight,
-            }
-        if self.breaker is not None:
-            snapshot["breaker"] = self.breaker.snapshot()
-        return snapshot
-
     def register_metrics(self, registry: MetricsRegistry) -> None:
-        """Attach this policy's instruments to a deployment registry."""
+        """Attach this policy's instruments and settings to a registry.
+
+        A limit that is not configured (``rate_limit``, ``burst``,
+        ``max_in_flight`` of ``None``) has no gauge: absent means
+        unlimited.
+        """
         registry.attach(self.admitted)
         registry.attach(self.denied_auth)
         registry.attach(self.throttled)
@@ -269,14 +255,22 @@ class AccessPolicy:
             "Token buckets currently tracked.",
             fn=lambda: len(self._buckets),
         )
+        registry.gauge(
+            "repro_policy_auth_required",
+            "1 when every request must present the bearer token.",
+            fn=lambda: self.auth_token is not None,
+        )
+        for name, setting, help in (
+            ("rate_limit", self.rate_limit, "Requests/second per client."),
+            ("burst", self.burst, "Token-bucket capacity per client."),
+            ("max_in_flight", self.max_in_flight, "Cap on concurrent fetches."),
+        ):
+            if setting is not None:
+                registry.gauge(
+                    f"repro_policy_{name}", help, fn=lambda v=setting: v
+                )
         if self.breaker is not None:
-            registry.attach(self.breaker.rejected)
-            registry.attach(self.breaker.opened)
-            registry.gauge(
-                "repro_breaker_open",
-                "1 when the circuit breaker is not closed.",
-                fn=lambda: 0 if self.breaker.state == self.breaker.CLOSED else 1,
-            )
+            self.breaker.register_metrics(registry)
 
     def __repr__(self) -> str:
         auth = "token" if self.auth_token is not None else "open"

@@ -49,10 +49,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Callable
+import time
+from typing import Any
 
 from repro.engine.engine import Engine
-from repro.obs.metrics import Counter
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.ranking.dioid import NAMED_DIOIDS
 from repro.serve import protocol
 from repro.serve.cursor import CursorBudgetExceeded
@@ -64,6 +65,8 @@ from repro.serve.session import (
     UnknownCursor,
     UnknownSession,
 )
+from repro.util import faults
+from repro.util.resilience import COUNTERS as RESILIENCE_EVENTS
 
 #: ServeError subclasses → protocol error codes.
 _ERROR_CODES = {
@@ -147,7 +150,7 @@ class OpDispatcher:
         self,
         manager: SessionManager,
         policy: AccessPolicy | None = None,
-        extra_stats: Callable[[], dict] | None = None,
+        registry: MetricsRegistry | None = None,
     ):
         self.manager = manager
         #: Shared edge policy; when set, its overload gate (circuit
@@ -155,9 +158,9 @@ class OpDispatcher:
         #: after auth/throttle but before any engine work — and its
         #: breaker is fed from dispatch outcomes.
         self.policy = policy
-        #: What the listener adds to the ``stats`` op's answer (its own
-        #: connection/request counts, the policy snapshot).
-        self.extra_stats = extra_stats
+        #: The numbers of the ``stats`` op's document (its listener's
+        #: registry; a private one for a bare dispatcher).
+        self.registry = MetricsRegistry() if registry is None else registry
         #: Requests dispatched (all transports sharing this dispatcher).
         self.requests = Counter(
             "repro_dispatched_requests_total",
@@ -173,6 +176,10 @@ class OpDispatcher:
             "repro_wire_lines_replayed_total",
             "Result lines sent again from the bytes the stream holds.",
         )
+        for counter in (
+            self.requests, self.lines_encoded, self.lines_replayed
+        ):
+            self.registry.attach(counter)
 
     def _record(self, succeeded: bool) -> None:
         if self.policy is not None:
@@ -365,15 +372,22 @@ class OpDispatcher:
             self.manager.close_cursor(session_name, cursor_id)
         writer.write(protocol.encode(protocol.ok("close")))
 
-    async def op_stats(self, request: dict, writer: Any) -> None:
-        stats = self.manager.stats()
-        stats["wire"] = {
-            "lines_encoded": int(self.lines_encoded),
-            "lines_replayed": int(self.lines_replayed),
+    def document(self) -> dict:
+        """The stats document: the ``stats`` op's answer, and the JSON
+        ``GET /metrics``, ``/debug`` and ``repro top`` read.
+
+        ``metrics`` is :meth:`MetricsRegistry.as_dict` — every number,
+        under its exported name; ``sessions`` is the per-session state
+        that is no instrument (:meth:`SessionManager.session_detail`).
+        """
+        return {
+            "metrics": self.registry.as_dict(),
+            "sessions": self.manager.session_detail(),
         }
-        if self.extra_stats is not None:
-            stats.update(self.extra_stats())
-        writer.write(protocol.encode(protocol.ok("stats", stats=stats)))
+
+    async def op_stats(self, request: dict, writer: Any) -> None:
+        stats = protocol.ok("stats", stats=self.document())
+        writer.write(protocol.encode(stats))
 
     async def op_ping(self, request: dict, writer: Any) -> None:
         writer.write(protocol.encode(protocol.ok("ping")))
@@ -384,11 +398,14 @@ class Listener:
     front door that is not its framing.
 
     It owns, once for every transport: the session manager and its
-    argument checks, ``start`` / ``serve_forever`` / ``stop`` with the
-    drain wait, the per-connection shell (peer, quiet disconnects, the
-    close), the auth-then-admit edge check and the tracked dispatch of
-    an admitted request.  A framing — :class:`ServeServer`'s JSON lines,
-    the gateway's HTTP/1.1 and WebSocket — subclasses it and supplies
+    argument checks, the metrics registry (its own counters, the
+    dispatcher's, and those of the policy, sessions, engine and
+    recovery paths it serves), ``start`` / ``serve_forever`` / ``stop``
+    with the drain wait, the per-connection shell (peer, quiet
+    disconnects, the close), the auth-then-admit edge check and the
+    tracked dispatch of an admitted request.  A framing —
+    :class:`ServeServer`'s JSON lines, the gateway's HTTP/1.1 and
+    WebSocket — subclasses it and supplies
     :meth:`_serve`: read requests off one connection, pass each through
     :meth:`_edge_check`, hand the admitted ones to :meth:`_dispatch`.
     """
@@ -426,7 +443,10 @@ class Listener:
         self.port = port
         #: Shared edge policy (None = open deployment, no checks).
         self.policy = policy
-        self.dispatcher = OpDispatcher(manager, policy, self._edge_stats)
+        #: This front door's metrics: its own counters plus everything
+        #: it serves (dispatcher, policy, sessions, engine, recovery).
+        self.registry = MetricsRegistry()
+        self.dispatcher = OpDispatcher(manager, policy, self.registry)
         #: Largest accepted request frame (a JSON line, an HTTP header
         #: section or body, a WebSocket message); a longer one is
         #: answered with ``ERR_BAD_REQUEST``.
@@ -440,15 +460,34 @@ class Listener:
         #: Requests currently inside dispatch (drain watches this).
         #: A plain int, not an instrument: it goes down as well as up.
         self.active_requests = 0
+        self.started_at = time.time()
+        self._register_metrics()
 
-    def _edge_stats(self) -> dict:
-        extra = {
-            "connections": int(self.connections),
-            "requests": int(self.requests),
-        }
+    def _register_metrics(self) -> None:
+        registry = self.registry
+        registry.attach(self.connections)
+        registry.attach(self.requests)
+        registry.attach(RESILIENCE_EVENTS)
+        for field in ("hits", "fired"):
+            registry.callback(
+                f"repro_faults_{field}_total", faults.counters, kind="counter",
+                help=f"Injected-fault sites: {field} under the active plan.",
+                labelnames=("site",), field=field,
+            )
         if self.policy is not None:
-            extra["policy"] = self.policy.snapshot()
-        return extra
+            self.policy.register_metrics(registry)
+        self.manager.register_metrics(registry)
+        self.engine.register_metrics(registry)
+        registry.gauge(
+            "repro_uptime_seconds",
+            "Seconds since the listener started.",
+            fn=lambda: round(time.time() - self.started_at, 3),
+        )
+        registry.gauge(
+            "repro_active_requests",
+            "Requests currently inside dispatch.",
+            fn=lambda: self.active_requests,
+        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -627,9 +666,11 @@ class ServeServer(Listener):
             result_budget=result_budget,
             slice_size=slice_size,
         )
-        self.oversized_frames = Counter(
-            "repro_server_oversized_frames_total",
-            "Request frames rejected for exceeding the frame cap.",
+        self.oversized_frames = self.registry.attach(
+            Counter(
+                "repro_server_oversized_frames_total",
+                "Request frames rejected for exceeding the frame cap.",
+            )
         )
 
     async def _serve(

@@ -28,7 +28,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.engine.engine import Engine
 from repro.enumeration.result import QueryResult
@@ -377,9 +377,10 @@ class SessionManager:
             "repro_sessions_expired_total", "Sessions expired by TTL."
         )
         #: Latency of every fetch, whichever transport or driver asked;
-        #: ``/metrics`` and ``repro top`` read their percentiles from
-        #: its buckets.  A served page takes well under a millisecond,
-        #: so the buckets start at 50 us (up to ~6.6 s).
+        #: the stats document carries its buckets, from which ``repro
+        #: top`` and ``/debug`` read their percentiles.  A served page
+        #: takes well under a millisecond, so the buckets start at 50 us
+        #: (up to ~6.6 s).
         self.fetch_latency_histogram = Histogram(
             "repro_fetch_latency_seconds",
             "Latency of fetches in the session manager, all transports.",
@@ -675,49 +676,43 @@ class SessionManager:
             help="Estimated memoized-prefix bytes held per session.",
             labelnames=("session",),
         )
+        registry.gauge(
+            "repro_scheduler_slice_size",
+            "Most answers one scheduler slice serves.",
+            fn=lambda: self.scheduler.slice_size,
+        )
+        if self.memory_budget_bytes is not None:
+            registry.gauge(
+                "repro_session_memory_budget_bytes",
+                "Per-session cap on memoized-prefix bytes.",
+                fn=lambda: self.memory_budget_bytes,
+            )
 
     def explain(self, session_name: str, cursor_id: str) -> str:
         """The (bound) plan report of a cursor's prepared query."""
         return self.cursor(session_name, cursor_id).prepared.explain()
 
-    def stats(self) -> dict[str, Any]:
-        """Snapshot across sessions, scheduler, and engine caches."""
+    def session_detail(self) -> dict[str, dict]:
+        """What the stats document holds besides the registry: per
+        session, each cursor's query, position and exhaustion, and the
+        session's served count, budget and idle seconds."""
         with self._lock:
-            def cursor_stats(session: Session, cursor_id: str, cursor: Cursor) -> dict:
-                return {
-                    "query": session.queries.get(cursor_id, ""),
-                    "position": cursor.position,
-                    "exhausted": cursor.exhausted,
-                }
-
-            sessions = {
+            now = self._clock()
+            return {
                 name: {
                     "cursors": {
-                        cursor_id: cursor_stats(session, cursor_id, cursor)
+                        cursor_id: {
+                            "query": session.queries.get(cursor_id, ""),
+                            "position": cursor.position,
+                            "exhausted": cursor.exhausted,
+                        }
                         for cursor_id, cursor in session.cursors.items()
                     },
                     "served": session.served,
                     "budget": session.budget,
-                    "memory_bytes": self.session_memory_bytes(session),
-                    "idle_seconds": round(
-                        self._clock() - session.last_used, 3
-                    ),
+                    "idle_seconds": round(now - session.last_used, 3),
                 }
                 for name, session in self._sessions.items()
-            }
-            return {
-                "sessions": sessions,
-                "session_count": len(sessions),
-                "evictions": int(self.evictions),
-                "expirations": int(self.expirations),
-                "memory_budget_bytes": self.memory_budget_bytes,
-                "scheduler": {
-                    "slice_size": self.scheduler.slice_size,
-                    "slices": int(self.scheduler.slices),
-                    "yields": int(self.scheduler.yields),
-                    "deadline_stops": int(self.scheduler.deadline_stops),
-                },
-                "engine": self.engine.stats.as_dict(),
             }
 
     def __repr__(self) -> str:

@@ -276,5 +276,6 @@ def corrupt(site: str, data: bytes) -> bytes:
 
 
 def counters() -> dict:
-    """Counter snapshot of the active plan (for ``/metrics`` and tests)."""
+    """Counter snapshot of the active plan (the ``repro_faults_*_total``
+    counters a serving listener exports, and tests)."""
     return _ACTIVE.counters()

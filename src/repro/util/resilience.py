@@ -17,10 +17,11 @@ drive every state transition deterministically:
   (``deadline_ms``) into the cooperative scheduler, which stops at a
   slice boundary and returns a partial page instead of hanging.
 
-Cross-cutting counters land in the module-level :data:`COUNTERS`
-registry, which the gateway's ``/metrics`` and the engine's stats
-mirror — the acceptance signal that recovery paths actually ran
-(fault injection off ⇒ every counter stays zero).
+Recovery events (``retries_*``) count in the module-level
+:data:`COUNTERS` family, which every serving listener's registry
+exports as ``repro_resilience_events_total{event=...}`` — the
+acceptance signal that recovery paths actually ran (fault injection off
+⇒ the family has no children).
 """
 
 from __future__ import annotations
@@ -30,48 +31,17 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.obs.metrics import Counter, Family
+from repro.obs.metrics import Counter, Family, MetricsRegistry
 
 
-class _Counters:
-    """A thread-safe named-counter registry backed by a labeled family.
-
-    The legacy ``bump``/``get``/``snapshot``/``reset`` API is unchanged;
-    underneath, each name is a child of the
-    ``repro_resilience_events_total{event=...}`` counter family, so the
-    gateway registry renders recovery events as typed counters.
-    """
-
-    def __init__(self):
-        self.family = Family(
-            Counter,
-            "repro_resilience_events_total",
-            "Recovery events (retries) by name.",
-            labelnames=("event",),
-        )
-
-    def bump(self, name: str, by: int = 1) -> None:
-        self.family.labels(name).inc(by)
-
-    def get(self, name: str) -> int:
-        child = self.family.get(name)
-        return int(child) if child is not None else 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            key[0]: int(child)
-            for key, child in self.family.children().items()
-        }
-
-    def reset(self) -> None:
-        """Test hook: zero every counter."""
-        self.family.clear()
-
-
-#: Process-wide recovery counters (``retries_*``, ...).  Exported on
-#: ``/metrics`` under
-#: ``resilience`` and mirrored into ``EngineStats``.
-COUNTERS = _Counters()
+#: Process-wide recovery events, one child per event name
+#: (``COUNTERS.labels("retries_sqlite").inc()``).
+COUNTERS = Family(
+    Counter,
+    "repro_resilience_events_total",
+    "Recovery events (retries) by name.",
+    labelnames=("event",),
+)
 
 
 def transient_sqlite(exc: BaseException) -> bool:
@@ -135,7 +105,7 @@ class Retrier:
                     raise
                 self.retries += 1
                 if self.label:
-                    COUNTERS.bump(f"retries_{self.label}")
+                    COUNTERS.labels(f"retries_{self.label}").inc()
                 self._sleep(self.backoff(attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -250,18 +220,48 @@ class CircuitBreaker:
                 return 0.0
             return max(0.0, self.reset_timeout - (now - self._opened_at))
 
-    def snapshot(self) -> dict:
+    def _levels(self) -> dict:
+        """One locked read of the state, for the gauges of one collect."""
         with self._lock:
             self._transition_locked(self._clock())
-            return {
-                "state": self._state,
-                "open": self._state != self.CLOSED,
-                "failures": self._failures,
-                "opened": int(self.opened),
-                "rejected": int(self.rejected),
-                "failure_threshold": self.failure_threshold,
-                "reset_timeout": self.reset_timeout,
-            }
+            state, failures = self._state, self._failures
+        return {
+            "open": int(state != self.CLOSED),
+            "state": {
+                s: int(s == state)
+                for s in (self.CLOSED, self.OPEN, self.HALF_OPEN)
+            },
+            "failures": failures,
+        }
+
+    def register_metrics(self, registry: MetricsRegistry) -> None:
+        """Attach the breaker's counters, state and settings to a registry."""
+        registry.attach(self.rejected)
+        registry.attach(self.opened)
+        levels = self._levels
+        registry.callback(
+            "repro_breaker_open", levels, field="open",
+            help="1 when the circuit breaker is not closed.",
+        )
+        registry.callback(
+            "repro_breaker_state", levels, field="state",
+            help="1 for the breaker's current state, 0 for the others.",
+            labelnames=("state",),
+        )
+        registry.callback(
+            "repro_breaker_failures", levels, field="failures",
+            help="Consecutive failures counted toward tripping.",
+        )
+        registry.gauge(
+            "repro_breaker_failure_threshold",
+            "Consecutive failures that trip the breaker.",
+            fn=lambda: self.failure_threshold,
+        )
+        registry.gauge(
+            "repro_breaker_reset_timeout_seconds",
+            "Seconds the breaker stays open before a probe.",
+            fn=lambda: self.reset_timeout,
+        )
 
     def __repr__(self) -> str:
         return f"CircuitBreaker({self.state}, failures={self._failures})"

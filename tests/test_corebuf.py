@@ -105,7 +105,8 @@ def run(engine: Engine, query, algorithm: str, k: int | None = 200, **kwargs):
 
 def core_stats(engine: Engine) -> dict:
     return {
-        k: v for k, v in engine.stats.as_dict().items() if k.startswith("core")
+        k: getattr(engine.stats, k)
+        for k in ("core_hits", "core_misses", "core_stale", "core_writes")
     }
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.data.generators import uniform_database
 from repro.engine import Engine
 from repro.obs.metrics import validate_exposition
+from repro.obs.top import debug_html, render_top
 from repro.query.builders import path_query
 from repro.serve import (
     AccessPolicy,
@@ -23,6 +24,7 @@ from repro.serve import (
     ServerThread,
 )
 from repro.serve.gateway import GatewayServer, ws_accept_key, ws_encode_frame
+from repro.util.resilience import CircuitBreaker
 
 QUERY = "Q(x1, x2, x3, x4) :- R1(x1, x2), R2(x2, x3), R3(x3, x4)"
 TOKEN = "open-sesame"
@@ -40,6 +42,21 @@ def wire_signature(rows):
         )
         for row in rows
     ]
+
+
+def get_json(address, path: str) -> dict:
+    conn = http.client.HTTPConnection(*address)
+    conn.request("GET", path)
+    response = conn.getresponse()
+    assert response.status == 200
+    body = json.loads(response.read())
+    conn.close()
+    return body
+
+
+def fetch_total(client) -> int:
+    """Fetches the deployment has timed, off its stats document."""
+    return client.stats()["metrics"]["repro_fetch_latency_seconds"]["count"]
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +192,10 @@ class TestHttpPagination:
         cursor = client.prepare("httpex", QUERY)["cursor"]
         assert "strategy: acyclic-tdp" in client.explain("httpex", cursor)
         stats = client.stats()
-        assert "engine" in stats and "scheduler" in stats
+        assert set(stats) == {"metrics", "sessions"}
+        assert stats["sessions"]["httpex"]["cursors"][cursor]["position"] == 0
+        for name in ("repro_engine_binds_total", "repro_scheduler_slices_total"):
+            assert name in stats["metrics"]
 
 
 # -- auth ----------------------------------------------------------------------
@@ -235,10 +255,10 @@ class TestThrottling:
             with HttpServeClient(*address) as c:
                 cursor = c.prepare("burst", QUERY)["cursor"]
                 assert c.fetch("burst", cursor, 5).served == 5
-                assert c.stats()["session_count"] >= 1
+                assert c.stats()["metrics"]["repro_sessions_open"] >= 1
                 # Bucket (burst=3) is now empty: the edge must reject
                 # without touching the cooperative scheduler.
-                slices_before = manager.scheduler.slices
+                slices_before = manager.scheduler.slices.value
                 conn = http.client.HTTPConnection(*address)
                 conn.request(
                     "POST", "/v1/fetch",
@@ -252,8 +272,8 @@ class TestThrottling:
                 assert payload["error"] == "throttled"
                 assert int(response.getheader("Retry-After")) >= 1
                 conn.close()
-                assert manager.scheduler.slices == slices_before
-                assert policy.throttled >= 1
+                assert manager.scheduler.slices.value == slices_before
+                assert policy.throttled.value >= 1
                 # Refill restores service.
                 clock[0] += 10.0
                 assert c.fetch("burst", cursor, 5).served == 5
@@ -273,27 +293,32 @@ class TestThrottling:
 
 
 class TestMetrics:
-    def test_metrics_shape(self, engine, client):
+    def test_metrics_shape(self, gateway, client):
         cursor = client.prepare("metrics", QUERY)["cursor"]
         client.fetch("metrics", cursor, 5)
-        metrics = client.metrics()
-        assert metrics["ok"] is True
-        gateway = metrics["gateway"]
-        assert gateway["http_requests"] >= 2
-        assert {"ws_connections", "ws_messages", "dispatched"} <= set(gateway)
-        for key in ("admitted", "denied_auth", "throttled", "rate_limit"):
-            assert key in metrics["policy"]
-        fetch_latency = metrics["latency"]["fetch"]
+        doc = get_json(gateway, "/metrics")
+        assert set(doc) == {"metrics", "sessions"}
+        metrics = doc["metrics"]
+        assert metrics["repro_gateway_http_requests_total"] >= 2
+        for name in (
+            "repro_gateway_ws_connections_total",
+            "repro_gateway_ws_messages_total",
+            "repro_dispatched_requests_total",
+            "repro_policy_admitted_total",
+            "repro_policy_denied_auth_total",
+            "repro_policy_throttled_total",
+            "repro_policy_auth_required",
+        ):
+            assert name in metrics
+        fetch_latency = metrics["repro_fetch_latency_seconds"]
         assert fetch_latency["count"] >= 1
-        for key in ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "total"):
-            assert key in fetch_latency
-        assert fetch_latency["p50_ms"] <= fetch_latency["p99_ms"]
-        assert metrics["sessions"]["session_count"] >= 1
+        assert len(fetch_latency["buckets"]) == 18
+        assert metrics["repro_sessions_open"] >= 1
+        assert doc["sessions"]["metrics"]["served"] == 5
         # Engine cache counters ride along (stream/core observability).
-        engine_stats = metrics["engine"]
-        for key in ("stream_hits", "stream_misses", "core_hits", "binds"):
-            assert key in engine_stats
-        assert metrics["scheduler"]["slices"] >= 1
+        for name in ("stream_hits", "stream_misses", "binds"):
+            assert f"repro_engine_{name}_total" in metrics
+        assert metrics["repro_scheduler_slices_total"] >= 1
 
     def test_replayed_page_is_counted_as_replayed(self, engine):
         """Was this page encoded or sent again from the stream's bytes?"""
@@ -321,22 +346,20 @@ class TestMetrics:
                 after, text = scrape(address)
                 assert after == {"encoded": 20, "replayed": 20}
                 assert validate_exposition(text) == []
-                gateway = c.metrics()["gateway"]
-                assert (gateway["lines_encoded"], gateway["lines_replayed"]) == (
-                    20, 20
-                )
-                assert c.stats()["wire"] == {
-                    "lines_encoded": 20, "lines_replayed": 20
-                }
+                metrics = c.stats()["metrics"]
+                assert (
+                    metrics["repro_wire_lines_encoded_total"],
+                    metrics["repro_wire_lines_replayed_total"],
+                ) == (20, 20)
 
     def test_fetch_histogram_counts_each_fetch(self, engine):
         with GatewayThread(engine) as address:
             with HttpServeClient(*address) as c:
                 cursor = c.prepare("lat", QUERY)["cursor"]
-                before = c.metrics()["latency"]["fetch"]["total"]
+                before = fetch_total(c)
                 for _ in range(4):
                     c.fetch("lat", cursor, 2)
-                after = c.metrics()["latency"]["fetch"]["total"]
+                after = fetch_total(c)
         assert after == before + 4
 
 
@@ -365,7 +388,7 @@ class TestMetrics:
                     c.fetch("tcplat", cursor, 3)
                 assert fetch_count(address) == before + 2
                 with HttpServeClient(*address) as c:
-                    assert c.metrics()["latency"]["fetch"]["total"] == before + 2
+                    assert fetch_total(c) == before + 2
         finally:
             tcp.stop()
 
@@ -513,6 +536,70 @@ class TestSharedManager:
         finally:
             gateway_thread.stop()
             thread.stop()
+
+    def test_one_document_on_every_door(self, engine):
+        """TCP ``stats``, ``GET /v1/stats`` and JSON ``GET /metrics`` over
+        one manager return one document, and the operator views render
+        a TCP ``stats`` reply: sessions, fetch percentiles, memory and
+        breaker state."""
+        policy = AccessPolicy(breaker=CircuitBreaker())
+        thread = ServerThread(engine, slice_size=8, policy=policy)
+        address = thread.start()
+
+        class SharedGatewayThread(GatewayThread):
+            server_class = staticmethod(
+                lambda engine, **options: GatewayServer(
+                    engine, manager=thread.server.manager, policy=policy,
+                    **options
+                )
+            )
+
+        gateway_thread = SharedGatewayThread(engine, log_requests=False)
+        gateway_address = gateway_thread.start()
+        try:
+            with ServeClient(*address) as tcp:
+                cursor = tcp.prepare("shared-doc", QUERY)["cursor"]
+                tcp.fetch("shared-doc", cursor, 10)
+                over_tcp = tcp.stats()
+            with HttpServeClient(*gateway_address) as via_http:
+                over_http = via_http.stats()
+            over_metrics = get_json(gateway_address, "/metrics")
+        finally:
+            gateway_thread.stop()
+            thread.stop()
+        documents = (over_tcp, over_http, over_metrics)
+        for doc in documents:
+            assert set(doc) == {"metrics", "sessions"}
+            assert set(doc["sessions"]) == set(over_tcp["sessions"])
+            session = doc["sessions"]["shared-doc"]
+            assert set(session) == {"cursors", "served", "budget", "idle_seconds"}
+            assert session["served"] == 10
+            assert session["cursors"][cursor] == {
+                "query": QUERY, "position": 10, "exhausted": False,
+            }
+        # The gateway answers one registry on both routes; the TCP
+        # server's differs only by its framing's own counters.
+        assert set(over_http["metrics"]) == set(over_metrics["metrics"])
+        framing = {
+            name for doc in documents for name in doc["metrics"]
+            if name.startswith(("repro_server_", "repro_gateway_"))
+        }
+        assert set(over_tcp["metrics"]) - framing == (
+            set(over_http["metrics"]) - framing
+        )
+        assert over_tcp["metrics"]["repro_fetch_latency_seconds"]["count"] >= 1
+
+        frame = render_top(over_tcp)
+        assert "shared-doc" in frame
+        (latency,) = [l for l in frame.splitlines() if l.startswith("fetch")]
+        assert "p50 -" not in latency and "p99" in latency
+        assert "memory: streams" in frame
+        assert "breaker closed (opened 0, rejected 0)" in frame
+        page = debug_html(over_tcp)
+        assert "<td>shared-doc</td>" in page
+        assert "<td>fetch_p99</td>" in page
+        assert "<td>stream_bytes</td>" in page
+        assert "<td>closed (opened 0, rejected 0)</td>" in page
 
     def test_gateway_requires_engine_or_manager(self):
         with pytest.raises(ValueError, match="engine or a manager"):

@@ -39,35 +39,37 @@ from repro.obs.top import debug_html, render_top
 
 
 class TestCounter:
-    def test_inc_and_int_protocol(self):
+    def test_inc_and_value(self):
         counter = Counter("repro_test_total")
         counter.inc()
         counter.inc(3)
+        assert counter.value == 4
         assert int(counter) == 4
-        assert counter == 4
-        assert counter >= 1
-        assert counter + 1 == 5
 
     def test_iadd_returns_same_instrument(self):
         counter = Counter("repro_test_total")
         alias = counter
         counter += 1
         assert counter is alias
-        assert int(counter) == 1
+        assert counter.value == 1
 
     def test_negative_increment_rejected(self):
         counter = Counter("repro_test_total")
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_set_allows_monotone_mirrors(self):
-        counter = Counter("repro_test_total")
-        counter.set(10)
-        assert int(counter) == 10
-
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
             Counter("not a metric name")
+
+    def test_an_instrument_is_no_number(self):
+        """Readers take ``.value``: an instrument does not compare equal
+        to its count."""
+        counter = Counter("repro_test_total")
+        counter.inc()
+        assert counter != 1
+        with pytest.raises(TypeError):
+            counter >= 1
 
 
 class TestGauge:
@@ -76,18 +78,21 @@ class TestGauge:
         gauge.set(5)
         gauge.inc(2)
         gauge.dec(3)
-        assert float(gauge) == 4.0
+        assert gauge.value == 4.0
 
     def test_callback_evaluated_per_read(self):
         box = {"v": 1}
-        gauge = Gauge("repro_test_gauge", fn=lambda: box["v"])
-        assert float(gauge) == 1.0
+        registry = MetricsRegistry()
+        registry.gauge("repro_test_gauge", fn=lambda: box["v"])
+        assert registry.as_dict()["repro_test_gauge"] == 1
         box["v"] = 7
-        assert float(gauge) == 7.0
+        assert registry.as_dict()["repro_test_gauge"] == 7
 
-    def test_callback_failure_reads_zero(self):
-        gauge = Gauge("repro_test_gauge", fn=lambda: 1 / 0)
-        assert float(gauge) == 0.0
+    def test_callback_failure_reads_absent(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_test_gauge", fn=lambda: 1 / 0)
+        assert registry.as_dict() == {"repro_test_gauge": None}
+        assert registry.render() == ""
 
 
 class TestHistogram:
@@ -247,6 +252,43 @@ class TestRegistry:
         registry.histogram("repro_c_seconds").observe(0.1)
         json.dumps(registry.as_dict())
 
+    def test_as_dict_has_every_name(self):
+        """Histograms included: one key per registered name."""
+        registry = MetricsRegistry()
+        registry.counter("repro_a_total").inc()
+        registry.gauge("repro_b").set(1.5)
+        hist = registry.histogram("repro_c_seconds", buckets=(0.1, 1.0))
+        hist.observe(0.05)
+        registry.counter("repro_d_total", labelnames=("kind",)).labels("x").inc()
+        registry.callback(
+            "repro_e_bytes", lambda: {"s1": 10}, labelnames=("session",)
+        )
+        registry.callback("repro_f", lambda: {}, labelnames=("session",))
+        doc = registry.as_dict()
+        assert sorted(doc) == registry.names()
+        assert doc["repro_a_total"] == 1
+        assert doc["repro_b"] == 1.5
+        assert doc["repro_c_seconds"] == hist.snapshot()
+        assert doc["repro_d_total"] == {"kind=x": 1}
+        assert doc["repro_e_bytes"] == {"session=s1": 10}
+        assert doc["repro_f"] == {}
+
+    def test_field_callbacks_share_one_read_per_collect(self):
+        reads = []
+
+        def source() -> dict:
+            reads.append(1)
+            return {"a": 1, "b": 2}
+
+        registry = MetricsRegistry()
+        registry.callback("repro_a", source, field="a")
+        registry.callback("repro_b", source, field="b")
+        text = registry.render()
+        assert "repro_a 1" in text and "repro_b 2" in text
+        assert len(reads) == 1
+        assert registry.as_dict() == {"repro_a": 1, "repro_b": 2}
+        assert len(reads) == 2
+
 
 class TestValidator:
     def test_catches_duplicate_type(self):
@@ -307,9 +349,11 @@ class TestSubsystemMigration:
         assert validate_exposition(text) == []
         assert "# TYPE repro_engine_prepare_misses_total counter" in text
         assert "repro_engine_stream_count" in text
-        stats = engine.stats.as_dict()
-        json.dumps(stats)
-        assert stats["prepare_misses"] >= 1
+        assert engine.stats.prepare_misses >= 1
+        doc = registry.as_dict()
+        assert doc["repro_engine_prepare_misses_total"] == (
+            engine.stats.prepare_misses
+        )
 
     def test_memory_stats_populates_after_run(self, engine):
         prepared = engine.prepare("Q(x, z) :- R1(x, y), R2(y, z)")
@@ -352,9 +396,14 @@ class TestSubsystemMigration:
         assert 'repro_session_memory_bytes{session="obs"}' in text
         by_session = manager.memory_by_session()
         assert by_session["obs"] > 0
-        stats = manager.stats()
-        json.dumps(stats)
-        assert stats["sessions"]["obs"]["memory_bytes"] == by_session["obs"]
+        doc = registry.as_dict()
+        assert doc["repro_session_memory_bytes"] == {
+            "session=obs": by_session["obs"]
+        }
+        detail = manager.session_detail()
+        json.dumps(detail)
+        assert detail["obs"]["served"] == 3
+        assert detail["obs"]["cursors"][cursor_id]["position"] == 3
 
     def test_policy_metrics(self):
         from repro.serve.policy import AccessPolicy
@@ -371,18 +420,66 @@ class TestSubsystemMigration:
     def test_resilience_counters_exposed_as_family(self):
         from repro.util.resilience import COUNTERS
 
-        COUNTERS.reset()
-        COUNTERS.bump("deadline_exceeded")
-        COUNTERS.bump("deadline_exceeded")
+        COUNTERS.clear()
+        COUNTERS.labels("deadline_exceeded").inc()
+        COUNTERS.labels("deadline_exceeded").inc()
         registry = MetricsRegistry()
-        registry.attach(COUNTERS.family)
+        registry.attach(COUNTERS)
         text = registry.render()
         assert (
             'repro_resilience_events_total{event="deadline_exceeded"} 2'
             in text
         )
         assert validate_exposition(text) == []
-        COUNTERS.reset()
+        COUNTERS.clear()
+
+
+class TestOneReadPerScrape:
+    """A scrape reads each source once: the engine's memory walk (every
+    bound core's columns, every stream) and the tracer's counters."""
+
+    def test_one_render_reads_memory_once_and_takes_no_tracer_lock(
+        self, monkeypatch
+    ):
+        from repro.obs.trace import Tracer
+        from repro.serve.gateway import GatewayServer
+
+        walks = []
+        memory_stats = Engine.memory_stats
+
+        def counted(engine):
+            walks.append(engine)
+            return memory_stats(engine)
+
+        monkeypatch.setattr(Engine, "memory_stats", counted)
+        tracer = Tracer()
+        engine = Engine(
+            uniform_database(3, 30, domain_size=5, seed=3), tracer=tracer
+        )
+        prepared = engine.prepare("Q(x, z) :- R1(x, y), R2(y, z)")
+        prepared.stream().ensure(5)
+
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.taken = lock, 0
+
+            def __enter__(self):
+                self.taken += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        server = GatewayServer(engine, log_requests=False)
+        tracer._lock = CountingLock(tracer._lock)
+        text = server.registry.render()
+        assert validate_exposition(text) == []
+        assert len(walks) == 1
+        assert tracer._lock.taken == 0
+        for name in ("recorded", "dropped", "buffered", "enabled"):
+            assert f"repro_tracing_{name} " in text
+        assert "repro_engine_stream_count 1" in text
+        engine.close()
 
 
 # -- profiler -------------------------------------------------------------------
@@ -448,43 +545,63 @@ class TestProfiler:
 # -- operator views -------------------------------------------------------------
 
 
+def _fetch_snapshot(*seconds: float) -> dict:
+    hist = Histogram(
+        "repro_fetch_latency_seconds", buckets=(0.001, 0.002, 0.004, 0.016)
+    )
+    for value in seconds:
+        hist.observe(value)
+    return json.loads(json.dumps(hist.snapshot()))
+
+
+#: A stats document: ``metrics`` keyed by exported name, ``sessions``.
 _METRICS_DOC = {
-    "uptime_seconds": 12.5,
-    "gateway": {"http_requests": 10, "ws_messages": 4, "active_requests": 1},
-    "policy": {
-        "admitted": 9, "throttled": 1, "denied_auth": 0, "shed": 0,
-        "breaker": {"state": "closed", "opened": 0, "rejected": 0},
-    },
-    "latency": {
-        "fetch": {"total": 9, "p50_ms": 2.0, "p95_ms": 10.0, "p99_ms": 20.0}
-    },
-    "memory": {
-        "stream_count": 2, "stream_bytes": 4096,
-        "core_heap_bytes": 1 << 20, "core_mmap_bytes": 0,
-        "session_bytes": 4096,
+    "metrics": {
+        "repro_uptime_seconds": 12.5,
+        "repro_dispatched_requests_total": 10,
+        "repro_active_requests": 1,
+        "repro_policy_admitted_total": 9,
+        "repro_policy_throttled_total": 1,
+        "repro_policy_denied_auth_total": 0,
+        "repro_policy_shed_total": 0,
+        "repro_breaker_state": {
+            "state=closed": 1, "state=half_open": 0, "state=open": 0,
+        },
+        "repro_breaker_opened_total": 0,
+        "repro_breaker_rejected_total": 0,
+        "repro_fetch_latency_seconds": _fetch_snapshot(0.0015, 0.003, 0.012),
+        "repro_engine_stream_count": 2,
+        "repro_engine_stream_bytes": 4096,
+        "repro_engine_core_heap_bytes": 1 << 20,
+        "repro_engine_core_mmap_bytes": 0,
+        "repro_session_memory_bytes": {"session=s1": 4096},
+        "repro_sessions_evicted_total": 0,
+        "repro_sessions_expired_total": 0,
+        "repro_engine_prepare_hits_total": 3,
     },
     "sessions": {
-        "session_count": 1,
-        "evictions": 0,
-        "expirations": 0,
-        "detail": {
-            "s1": {"served": 5, "cursors": 1, "memory_bytes": 4096,
-                   "idle_seconds": 0.5},
+        "s1": {
+            "cursors": {
+                "c0": {"query": "Q(x) :- R(x)", "position": 5,
+                       "exhausted": False},
+            },
+            "served": 5,
+            "budget": None,
+            "idle_seconds": 0.5,
         },
     },
-    "engine": {"prepare_hits": 3, "prepare_misses": 1},
 }
 
 
 class TestOperatorViews:
     def test_render_top_contains_sections(self):
         frame = render_top(_METRICS_DOC)
-        assert "repro top" in frame
-        assert "http 10" in frame
-        assert "p95 10.00ms" in frame
+        assert "repro top — up 12s — requests 10 active 1" in frame
+        assert "fetch latency: n=3 p50 3.00ms p95 14.20ms p99 15.64ms" in frame
         assert "s1" in frame
         assert "4.0KiB" in frame
-        assert "breaker closed" in frame
+        assert "breaker closed (opened 0, rejected 0)" in frame
+        assert "sessions 1 evictions 0" in frame
 
     def test_render_top_empty_document(self):
         frame = render_top({})
@@ -492,16 +609,18 @@ class TestOperatorViews:
         assert "(no open sessions)" in frame
 
     def test_debug_html_escapes_and_renders(self):
-        doc = dict(_METRICS_DOC)
-        doc = json.loads(json.dumps(doc))
-        doc["sessions"]["detail"]["<evil>"] = {
-            "served": 0, "cursors": 0, "memory_bytes": 0, "idle_seconds": 0,
+        doc = json.loads(json.dumps(_METRICS_DOC))
+        doc["sessions"]["<evil>"] = {
+            "cursors": {}, "served": 0, "budget": None, "idle_seconds": 0,
         }
         page = debug_html(doc)
         assert page.startswith("<!DOCTYPE html>")
         assert "&lt;evil&gt;" in page
         assert "<evil>" not in page
         assert "repro gateway" in page
+        # Every metric of the document has a row.
+        for name in doc["metrics"]:
+            assert f"<td>{name}</td>" in page
 
     def test_run_top_single_poll(self, monkeypatch):
         from repro.obs import top as top_module
@@ -531,11 +650,7 @@ class TestOperatorViews:
 
         def poll() -> dict:
             snap = json.loads(json.dumps(hist.snapshot()))
-            return {
-                "latency": {
-                    "fetch": latency_summary(snap), "fetch_histogram": snap,
-                }
-            }
+            return {"metrics": {"repro_fetch_latency_seconds": snap}}
 
         for _ in range(10):
             hist.observe(0.0035)

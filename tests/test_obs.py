@@ -93,10 +93,9 @@ class TestTracer:
         for index in range(10):
             with tracer.span(f"s{index}"):
                 pass
-        stats = tracer.stats()
-        assert stats["buffered"] == 4
-        assert stats["recorded"] == 10
-        assert stats["dropped"] == 6
+        assert tracer.buffered == 4
+        assert tracer.recorded == 10
+        assert tracer.dropped == 6
         # Oldest fell out, newest survive.
         assert [s.name for s in tracer.spans()] == ["s6", "s7", "s8", "s9"]
 
@@ -123,7 +122,7 @@ class TestTracer:
             pass
         assert [s.name for s in tracer.drain()] == ["once"]
         assert tracer.spans() == []
-        assert tracer.stats()["buffered"] == 0
+        assert tracer.buffered == 0
 
     def test_thread_spans_start_fresh_roots(self):
         tracer = Tracer()
@@ -148,7 +147,7 @@ class TestTracer:
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.drain() == []
         assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.stats()["enabled"] is False
+        assert (NULL_TRACER.recorded, NULL_TRACER.buffered) == (0, 0)
 
     def test_tracer_from_option(self):
         assert tracer_from_option(None) is NULL_TRACER
@@ -672,9 +671,9 @@ class TestGatewayObservability:
         response, payload = http_request(gateway, "GET", "/metrics")
         assert response.status == 200
         assert "application/json" in response.getheader("Content-Type")
-        metrics = json.loads(payload)
-        assert "tracing" in metrics
-        assert metrics["tracing"]["enabled"] is True
+        metrics = json.loads(payload)["metrics"]
+        assert metrics["repro_tracing_enabled"] == 1
+        assert metrics["repro_tracing_sample_ratio"] == 1.0
 
     def test_metrics_prometheus_negotiation(self, gateway):
         response, payload = http_request(
@@ -721,11 +720,18 @@ class TestGatewayObservability:
         assert "repro_engine_core_heap_bytes" in text
 
     def test_metrics_json_fetch_latency_is_the_histograms(self, gateway):
-        from repro.obs.latency import latency_summary
-
         _response, payload = http_request(gateway, "GET", "/metrics")
-        latency = json.loads(payload)["latency"]
-        assert latency["fetch"] == latency_summary(latency["fetch_histogram"])
+        fetch = json.loads(payload)["metrics"]["repro_fetch_latency_seconds"]
+        _response, payload = http_request(
+            gateway, "GET", "/metrics?format=prometheus"
+        )
+        text = payload.decode("utf-8")
+        (count,) = [
+            line.split()[-1] for line in text.splitlines()
+            if line.startswith("repro_fetch_latency_seconds_count ")
+        ]
+        assert fetch["count"] == int(count)
+        assert set(fetch) == {"buckets", "count", "sum"}
 
     def test_debug_page(self, gateway):
         response, payload = http_request(gateway, "GET", "/debug")
@@ -737,12 +743,12 @@ class TestGatewayObservability:
 
     def test_metrics_json_memory_section(self, gateway):
         _response, payload = http_request(gateway, "GET", "/metrics")
-        metrics = json.loads(payload)
-        memory = metrics["memory"]
+        doc = json.loads(payload)
         for key in ("stream_count", "stream_bytes", "core_heap_bytes",
-                    "core_mmap_bytes", "session_bytes"):
-            assert key in memory
-        assert isinstance(metrics["sessions"]["detail"], dict)
+                    "core_mmap_bytes"):
+            assert f"repro_engine_{key}" in doc["metrics"]
+        assert isinstance(doc["metrics"]["repro_session_memory_bytes"], dict)
+        assert isinstance(doc["sessions"], dict)
 
     def test_metrics_prometheus_query_param(self, gateway):
         response, payload = http_request(

@@ -22,6 +22,7 @@ from repro.data.backend import SQLiteBackend
 from repro.data.generators import uniform_database
 from repro.dp.corebuf import CoreFile
 from repro.engine import Engine
+from repro.obs.metrics import MetricsRegistry
 from repro.query.builders import path_query
 from repro.serve.client import (
     HttpServeClient,
@@ -62,9 +63,9 @@ def signature(results):
 
 @pytest.fixture(autouse=True)
 def reset_counters():
-    COUNTERS.reset()
+    COUNTERS.clear()
     yield
-    COUNTERS.reset()
+    COUNTERS.clear()
 
 
 @pytest.fixture
@@ -143,7 +144,7 @@ class TestRetrier:
         assert calls["n"] == 3
         assert len(sleeps) == 2
         assert sleeps[1] > sleeps[0]  # exponential growth
-        assert COUNTERS.get("retries_t") == 2
+        assert COUNTERS.labels("retries_t").value == 2
 
     def test_exhaustion_reraises_last(self):
         retrier = Retrier(attempts=2, sleep=lambda _s: None)
@@ -234,9 +235,7 @@ class TestSqliteBusyStorm:
         with faults.injected("sqlite.execute=raise:2:3:busy"):
             results = list(engine.prepare(path_query(3)).iter())
         assert signature(results) == signature(baseline)
-        assert COUNTERS.get("retries_sqlite") >= 1
-        engine2 = Engine(sqlite.database(), core_cache="off")
-        assert engine2.stats.retries == 0  # fresh engine, fresh mirror
+        assert COUNTERS.labels("retries_sqlite").value >= 1
 
     def test_persistent_lock_still_raises(self, db, tmp_path):
         import sqlite3
@@ -285,7 +284,7 @@ class TestCoreFileRecovery:
             warm = Engine(db, core_cache=str(core_path))
             results = list(warm.prepare(path_query(3)).iter())
         assert signature(results) == signature(baseline)
-        assert COUNTERS.get("retries_core_read") >= 1
+        assert COUNTERS.labels("retries_core_read").value >= 1
 
     def test_kill_mid_write_leaves_no_partial_core(self, tmp_path):
         path = str(tmp_path / "mid.core")
@@ -347,7 +346,7 @@ class TestDeadlines:
         assert [
             r.output_tuple for r in outcome.results
         ] == full[:served]
-        assert manager.scheduler.deadline_stops == 1
+        assert manager.scheduler.deadline_stops.value == 1
         # The cursor resumes exactly where the deadline stopped it.
         rest = manager.fetch("a", cursor, 500 - served)
         assert not rest.deadline_exceeded
@@ -434,7 +433,7 @@ class TestOverloadGate:
         policy.overload_release("fetch")
         admitted, _ = policy.overload_acquire("fetch")
         assert admitted
-        assert policy.shed == 1
+        assert policy.shed.value == 1
 
     def test_open_breaker_sheds_prepare_and_fetch(self):
         now = {"t": 0.0}
@@ -448,7 +447,9 @@ class TestOverloadGate:
             assert not admitted
             assert retry == pytest.approx(30.0)
         assert policy.overload_acquire("ping") == (True, 0.0)
-        assert policy.snapshot()["breaker"]["open"] is True
+        registry = MetricsRegistry()
+        policy.register_metrics(registry)
+        assert registry.as_dict()["repro_breaker_open"] == 1
 
     def test_gateway_breaker_trip_and_client_retry(self, db):
         engine = Engine(db)
@@ -473,9 +474,8 @@ class TestOverloadGate:
                 page = patient.fetch("s", cursor, 5)
                 assert page.served == 5
                 assert breaker.state == CircuitBreaker.CLOSED
-                metrics = client.metrics()
-                assert metrics["policy"]["shed"] >= 1
-                assert metrics["resilience"]["shed"] >= 1
+                metrics = client.stats()["metrics"]
+                assert metrics["repro_policy_shed_total"] >= 1
                 patient.close()
 
 
@@ -522,7 +522,7 @@ class TestOverloadGate:
         assert exchange(message)["error"] == code
         assert policy.breaker.state == CircuitBreaker.CLOSED
         assert exchange({"op": "prepare", "session": "s", "query": QUERY})["ok"]
-        assert int(policy.shed) == 0
+        assert policy.shed.value == 0
 
     def test_probe_lost_to_a_dead_socket_closes_the_breaker(self, db):
         """The engine produced the slice the socket lost: evidence
@@ -554,7 +554,7 @@ class TestOverloadGate:
                     client.fetch("nope", "c0", 5)
                 assert err.value.code == "unknown_session"
                 assert client.prepare("s", QUERY)["ok"]
-        assert int(policy.shed) == 0
+        assert policy.shed.value == 0
 
     def test_shedding_plus_retry_is_lossless(self):
         """Serving under a deliberately tiny in-flight cap.
@@ -678,8 +678,7 @@ class TestZeroFaultParity:
         results = list(engine.prepare(path_query(3)).iter())
         assert results  # the query ran
         assert faults.counters() == {"hits": {}, "fired": {}}
-        assert COUNTERS.snapshot() == {}
-        assert engine.stats.retries == 0
+        assert COUNTERS.children() == {}
 
     def test_wire_terminator_unchanged_without_deadline(self, db):
         with ServerThread(Engine(db), slice_size=8) as address:

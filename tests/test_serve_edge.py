@@ -91,7 +91,7 @@ class TestTypedFields:
                         )
                 assert other.prepare("y", QUERY)["ok"]
         assert policy.breaker.state == CircuitBreaker.CLOSED
-        assert int(policy.shed) == 0
+        assert policy.shed.value == 0
 
     @pytest.mark.parametrize("transport", ["tcp", "http", "ws"])
     @pytest.mark.parametrize(
@@ -211,8 +211,8 @@ class TestRemovedShardFields:
 
 
 def test_stats_has_the_edge_block_on_every_transport(engine):
-    """Regression: ``GET /v1/stats`` lacked the ``connections`` /
-    ``requests`` / ``policy`` block the TCP ``stats`` op returns."""
+    """Regression: ``GET /v1/stats`` lacked the connection, request and
+    policy numbers the TCP ``stats`` op returns."""
     policy = AccessPolicy(rate_limit=1000.0)
     with ServerThread(engine, policy=policy) as tcp, GatewayThread(
         engine, policy=policy, log_requests=False
@@ -226,9 +226,15 @@ def test_stats_has_the_edge_block_on_every_transport(engine):
         over_ws = ws.recv()["stats"]
         ws.close()
     assert set(over_tcp) == set(over_http) == set(over_ws)
-    for stats in (over_tcp, over_http, over_ws):
-        assert stats["connections"] >= 1 and stats["requests"] >= 1
-        assert stats["policy"]["rate_limit"] == 1000.0
+    assert set(over_http["metrics"]) == set(over_ws["metrics"])
+    for stats, door in (
+        (over_tcp, "server"), (over_http, "gateway"), (over_ws, "gateway")
+    ):
+        metrics = stats["metrics"]
+        requests = "http_requests" if door == "gateway" else "requests"
+        assert metrics[f"repro_{door}_connections_total"] >= 1
+        assert metrics[f"repro_{door}_{requests}_total"] >= 1
+        assert metrics["repro_policy_rate_limit"] == 1000.0
 
 
 # -- the HTTP rewind -------------------------------------------------------------
@@ -516,7 +522,7 @@ class TestOneRetryPolicy:
             stats = _run_calls(
                 transport, deployment, time, 3, TWO_STATS
             )
-            assert stats["policy"]["throttled"] == 1
+            assert stats["metrics"]["repro_policy_throttled_total"] == 1
             assert time.sleeps == [1.0]
             return
         # A JSON-lines ``throttled`` has no hint: exponential backoff
@@ -525,7 +531,7 @@ class TestOneRetryPolicy:
         with pytest.raises(ServeClientError, match="throttled"):
             _run_calls(transport, deployment, time, 3, TWO_STATS)
         assert time.sleeps == [0.05, 0.1, 0.2]
-        assert int(deployment["policy"].throttled) == 4
+        assert deployment["policy"].throttled.value == 4
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_overloaded_hint_is_honoured(

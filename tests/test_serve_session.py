@@ -77,10 +77,12 @@ class TestSessionLifecycle:
         _, cursor_id = manager.open_cursor("alice", QUERY)
         manager.fetch("alice", cursor_id, 5)
         assert "logical plan" in manager.explain("alice", cursor_id)
-        stats = manager.stats()
-        assert stats["session_count"] == 1
-        assert stats["sessions"]["alice"]["served"] == 5
-        assert stats["scheduler"]["slice_size"] == 8
+        detail = manager.session_detail()
+        assert list(detail) == ["alice"]
+        assert detail["alice"]["served"] == 5
+        assert detail["alice"]["cursors"][cursor_id] == {
+            "query": QUERY, "position": 5, "exhausted": False,
+        }
 
 
 class TestEviction:
@@ -91,7 +93,7 @@ class TestEviction:
         manager.session("a")  # refresh a: b is now least-recent
         manager.session("c")  # evicts b
         assert sorted(manager.session_names()) == ["a", "c"]
-        assert manager.evictions == 1
+        assert manager.evictions.value == 1
 
     def test_ttl_expiry(self, engine):
         now = [0.0]
@@ -105,7 +107,7 @@ class TestEviction:
         assert manager.evict_expired() == 0  # idle 9s < ttl
         now[0] = 16.0
         assert manager.evict_expired() == 1  # idle 11s > ttl
-        assert manager.expirations == 1
+        assert manager.expirations.value == 1
         with pytest.raises(UnknownSession):
             manager.session("alice", create=False)
 
@@ -279,9 +281,9 @@ SCRIPTS = {
 
 def _counts(scheduler) -> tuple[int, int, int]:
     return (
-        int(scheduler.slices),
-        int(scheduler.deadline_stops),
-        int(scheduler.yields),
+        int(scheduler.slices.value),
+        int(scheduler.deadline_stops.value),
+        int(scheduler.yields.value),
     )
 
 
@@ -440,24 +442,24 @@ class TestScheduler:
 
         outcome = asyncio.run(run())
         assert signature(outcome.results) == signature(sync_results)
-        assert manager.scheduler.yields > 0
+        assert manager.scheduler.yields.value > 0
 
     def test_yields_only_between_slices(self, engine):
         """Regression: a full-size final slice was followed by a yield,
         so every one-slice page paid an event-loop turn for nothing."""
         manager = SessionManager(engine, slice_size=8)
         _, cursor_id = manager.open_cursor("y", QUERY)
-        yields = int(manager.scheduler.yields)
+        yields = manager.scheduler.yields.value
 
         async def fetch(n):
             return await manager.fetch_async("y", cursor_id, n)
 
         for n in (0, 1, 5, 8):
             assert len(asyncio.run(fetch(n)).results) == n
-            assert manager.scheduler.yields == yields, n
+            assert manager.scheduler.yields.value == yields, n
         outcome = asyncio.run(fetch(24))
         assert (len(outcome.results), outcome.slices) == (24, 3)
-        assert manager.scheduler.yields == yields + 2
+        assert manager.scheduler.yields.value == yields + 2
 
     def test_heavy_query_does_not_starve_cheap_one(self):
         """Fairness: a cheap fetch completes while a heavy one is mid-flight.

@@ -233,13 +233,13 @@ def test_failed_send_then_refetch(plan):
     # slice is taken back — its lines stay on the answers.
     _serve_connection(server, [fetch], _RecordingTransport(fail_after=0))
     assert server.manager.cursor("lost", cursor).position == 0
-    assert int(server.dispatcher.lines_encoded) == 10
+    assert server.dispatcher.lines_encoded.value == 10
     healthy = _RecordingTransport()
     _serve_connection(server, [fetch, fetch], healthy)
     lines = b"".join(healthy.writes).splitlines(keepends=True)
     assert lines[0:10] == expected[0:10]
     assert lines[11:21] == expected[10:20]
-    assert int(server.dispatcher.lines_replayed) == 10
+    assert server.dispatcher.lines_replayed.value == 10
     # The live deployment shares the engine's stream, hence the lines.
     world.open("after")
     assert world.fetch("ws", "after", 25) == expected[0:25]
