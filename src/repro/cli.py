@@ -208,8 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--trace-sample", default=None, metavar="RATIO",
                            help="trace requests through the engine: 'off' "
                                 "(default), 'always', or a sample ratio in "
-                                "[0,1]; spans land in a bounded ring buffer "
-                                "surfaced via GET /metrics")
+                                "[0,1]; spans land in a bounded in-process "
+                                "ring buffer, which no endpoint serves: "
+                                "GET /metrics reports only their counts "
+                                "(repro_tracing_recorded / _dropped / "
+                                "_buffered)")
     serve_cmd.add_argument("--max-in-flight", type=int, default=None,
                            metavar="N",
                            help="shed fetches beyond N concurrently "

@@ -249,7 +249,7 @@ def _chain_join_columns(members: Sequence[_Columns], times):
     first = members[0]
     exit, weights, id_columns = first.exit, first.weight, [first.ids]
     for rows in members[1:]:
-        left, right = vec.gather(exit, rows.entry)
+        left, right = vec.gather([exit], [rows.entry])
         exit = rows.exit[right]
         weights = times(weights[left], rows.weight[right])
         id_columns = [column[left] for column in id_columns] + [rows.ids[right]]
@@ -419,14 +419,13 @@ def _heavy_partition_columns(
     q0, q1 = rows[0], rows[1]
 
     # B_1(a_0, a_1, a_2): Q_1 probing Q_0H by exit value ...
-    left, right = vec.gather(q1.entry, q0.exit)
+    left, right = vec.gather([q1.entry], [q0.exit])
     if length == 3:
         # ... closed by the Q_2 tuples on (a_2, a_0).
         q2 = rows[2]
-        probe, build = vec.key_codes(
-            (q1.exit[left], q2.entry), (q0.entry[right], q2.exit)
+        outer, closing = vec.gather(
+            [q1.exit[left], q0.entry[right]], [q2.entry, q2.exit]
         )
-        outer, closing = vec.gather(probe, build)
         left, right = left[outer], right[outer]
     ids = [q0.ids[right], q1.ids[left]]
     weights = times(q0.weight[right], q1.weight[left])
@@ -456,7 +455,7 @@ def _heavy_partition_columns(
     j = length - 2
     q, last = rows[j], rows[length - 1]
     last = last.take(np.isin(last.exit, heavy))
-    left, right = vec.gather(q.exit, last.entry)
+    left, right = vec.gather([q.exit], [last.entry])
     ids = [q.ids[left], last.ids[right]]
     sources = [(length - 1, 1, ids[1]), (j, 0, ids[0]), (j, 1, ids[0])]
     if not bags.add(

@@ -52,8 +52,6 @@ from itertools import chain, compress, count, repeat
 from operator import add, and_, is_not, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.dp.graph import ChoiceSet, TDP
@@ -61,6 +59,7 @@ from repro.dp.lower import owned_columns, stage_layout
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid, TieBreakingDioid
+from repro.util import vec
 
 #: Lift signature: (atom, tuple_values, raw_weight) -> dioid value.  A
 #: lift may carry its column form as a ``column`` attribute —
@@ -118,9 +117,10 @@ def rank_tie_domains(
     every tree that will be lifted into ``tie`` (decomposition members,
     or UCQ members): a slot's domain is what the columns owning it hold,
     over all of them, so any two members rank one value alike.  One C pass per
-    owning column over rows the bind reads anyway — one ``unique`` per
-    owning column of a column-backed bag, over its codes — and one sort
-    per slot.
+    owning column over rows the bind reads anyway — over a column-backed
+    bag's codes, its distinct codes by a
+    :class:`~repro.util.vec.KeyIndex`, a table where they are dense — and
+    one sort per slot, of its values.
     """
     domains: list[set] = [set() for _ in range(tie.num_variables)]
     for database, join_tree, var_position in members:
@@ -133,7 +133,8 @@ def rank_tie_domains(
                 image = relation.arrays  # a column-backed bag
                 domain = None if image.code is None else list(image.code)
                 for column, slot in template:
-                    values = np.unique(image.codes[column]).tolist()
+                    codes = image.codes[column]
+                    values = codes[vec.KeyIndex([codes], len(codes)).first].tolist()
                     if domain is not None:
                         values = map(domain.__getitem__, values)
                     domains[slot].update(values)

@@ -33,10 +33,13 @@ and a rank column whose ranks pass int64 stays a list of Python ints.
 per output (state values, ``pi1`` values, child connector uids, entry
 values ``v ⊗ pi1``).  The alive states are then *placed* into connectors
 by the uid of their join key, never by weight — "nothing is sorted
-during preprocessing" holds: the placement is a counting sort on
-connector ids, extending the pool's columns in uid order (the core's
-``entry_key`` / ``entry_state`` / ``entry_rank`` and ``conn_offsets``),
-stage 0's root connector last.  No entry becomes a tuple; only a
+during preprocessing" holds: a stage's join keys are numbered
+first-seen by a :class:`~repro.util.vec.KeyIndex`, a direct-address
+table over their codes (one sort only where the codes span too wide a
+range for one), and the placement is a counting sort on connector ids,
+extending the pool's columns in uid order (the core's ``entry_key`` /
+``entry_state`` / ``entry_rank`` and ``conn_offsets``), stage 0's root
+connector last.  No entry becomes a tuple; only a
 connector's first touch reads the pool.  Take2's
 heaps are the paper's linear pass: ranked here, every connector at
 once (:func:`~repro.dp.flat.heap_layout`, a ``heapify`` per connector,
@@ -52,10 +55,11 @@ float64 weights, made once per relation version), the images of one
 bind put over one code space (:func:`~repro.data.image.shared_codes`).
 :func:`_scan_column_stage` drops the rows whose repeated variables'
 codes differ, probes each child's :class:`_KeyTable` with the stage's
-key codes and folds ``pi`` and the entry values as float64 kernels;
-:func:`_place_columns` numbers the connectors first-seen, as
-``dict.fromkeys`` does.  A tie-broken member's packed ranks are looked
-up once per distinct code (:func:`_rank_columns`).  A stage's row store,
+key codes — looked up by code in the table the child's placement built,
+no sort per probe — and folds ``pi`` and the entry values as float64
+kernels; :func:`_place_columns` numbers the connectors first-seen, as
+``dict.fromkeys`` does.  A tie-broken member's packed ranks are gathered
+by code (:func:`_rank_columns`).  A stage's row store,
 read by tuple id when an answer is read, is :func:`row_store`'s: the
 relation's own ``tuples`` list, else a :class:`ColumnRows` view over its
 image.  A
@@ -271,8 +275,8 @@ def _rank_columns(low: Lowering, stage: int, codes: list, states: int, child_uid
         return zeros, zeros
     val_rank = np.zeros(states, low.rank_type)
     for column, slot in low.templates[low.order[stage]]:
-        keys, packed = low.packed[slot]
-        at = codes[column] if keys is None else keys.searchsorted(codes[column])
+        index, packed = low.packed[slot]
+        at = codes[column] if index is None else index.find([codes[column]], states)
         val_rank = val_rank + packed[at]
     branches = len(low.children_stages[stage])
     if not branches:  # a leaf
@@ -284,13 +288,16 @@ def _rank_columns(low: Lowering, stage: int, codes: list, states: int, child_uid
 
 
 def _packed_ranks(ranks: dict, code: dict | None, dtype) -> tuple:
-    """``(keys, packed)`` of one tie-breaker slot's ``ranks`` (value ->
-    packed rank): where the codes are the values, the ranked ``int``
-    values ascending and their ranks; else ``keys`` ``None`` and
-    ``packed`` indexed by code (``code``'s values, in code order)."""
+    """``(index, packed)`` of one tie-breaker slot's ``ranks`` (value ->
+    packed rank): where the codes are the values, a
+    :class:`~repro.util.vec.KeyIndex` of the ranked ``int`` values, which
+    numbers them in ``ranks``' order, and their ranks; else ``index``
+    ``None`` and ``packed`` indexed by code (``code``'s values, in code
+    order)."""
     if code is None:
-        keys = np.fromiter(ranks, np.int64, len(ranks))
-        return keys, np.array(list(ranks.values()), dtype)
+        values = np.fromiter(ranks, np.int64, len(ranks))
+        index = vec.KeyIndex([values], len(values))
+        return index, np.array(list(ranks.values()), dtype)
     return None, np.array([ranks.get(value, 0) for value in code], dtype)
 
 
@@ -372,17 +379,15 @@ def _place_local(
 ) -> None:
     """Place a stage's states by ``local``, each state's connector as
     numbered ``0 .. conns-1`` in first-seen order: one stable integer
-    argsort (a counting sort up to 2**16 connectors) moves every state
-    into its connector's range, :func:`_least_entries` picks each range's
-    least entry, and each pool and connector column grows by one copy of
-    its array (:func:`_grown` for a rank column).  A stage without states
-    places nothing.
+    argsort (:func:`~repro.util.vec.grouped`, a counting sort up to 2**16
+    connectors) moves every state into its connector's range,
+    :func:`_least_entries` picks each range's least entry, and each pool
+    and connector column grows by one copy of its array (:func:`_grown`
+    for a rank column).  A stage without states places nothing.
     """
     if not conns:
         return
-    if conns <= 1 << 16:
-        local = local.astype(np.uint16)
-    order = local.argsort(kind="stable")
+    order = vec.grouped(local, conns)
     sizes = np.bincount(local, minlength=conns)
     ends = sizes.cumsum()
     starts = ends - sizes
@@ -453,29 +458,25 @@ def row_store(relation) -> Sequence[tuple]:
 class _KeyTable:
     """A stage's connectors by join key: the distinct keys as code
     columns, in uid (first-seen) order from ``first_uid`` on, ``size``
-    of them.  A keyless stage's (a root's) has no column and at most one
-    connector, which every probe finds."""
+    of them, and the :class:`~repro.util.vec.KeyIndex` that numbered
+    them — built once, at placement, with the stage's radix.  A keyless
+    stage's (a root's) has no column and at most one connector, which
+    every probe finds."""
 
-    __slots__ = ("columns", "first_uid", "size")
+    __slots__ = ("columns", "first_uid", "size", "index")
 
-    def __init__(self, columns: list, first_uid: int, size: int):
-        self.columns = columns
+    def __init__(self, keys: list, first_uid: int, index: vec.KeyIndex):
+        self.columns = [key[index.first] for key in keys]
         self.first_uid = first_uid
-        self.size = size
+        self.size = index.size
+        self.index = index
 
     def probe(self, key_columns: list, rows: int):
-        """Per row of ``key_columns`` its connector's uid, ``-1`` for none."""
-        if not self.size or not self.columns:
-            return np.full(rows, self.first_uid if self.size else -1, np.int64)
-        if len(self.columns) == 1:
-            keys, probes = self.columns[0], key_columns[0]
-        else:
-            keys, probes = vec.key_codes(*zip(self.columns, key_columns))
-        order = keys.argsort()
-        ordered = keys[order]
-        at = ordered.searchsorted(probes)
-        at[at == len(ordered)] = 0
-        return np.where(ordered[at] == probes, order[at] + self.first_uid, -1)
+        """Per row of ``key_columns`` its connector's uid, ``-1`` for none:
+        the keys encoded with the table's radix, one out of its range a
+        miss, and the uids gathered by code — no sort per probe."""
+        local = self.index.find(key_columns, rows)
+        return np.where(local >= 0, local + self.first_uid, -1)
 
 
 def _repeats_hold(atom, codes, code: dict | None) -> np.ndarray:
@@ -552,25 +553,14 @@ def _place_columns(
 ) -> None:
     """Place one stage's states into connectors by ``keys``, their join
     key's code columns: a connector per distinct key in first-seen order,
-    as ``dict.fromkeys`` numbers them, kept as the stage's
-    :class:`_KeyTable`, its entries placed by :func:`_place_local`.
+    as ``dict.fromkeys`` numbers them — by the stage's one
+    :class:`~repro.util.vec.KeyIndex`, kept in its :class:`_KeyTable` for
+    the parent's probes — its entries placed by :func:`_place_local`.
     Nothing is ordered by weight.  A keyless stage (a root: every state
     joins key ``()``) has one connector, none without states."""
-    if not keys:
-        local = np.zeros(len(entry_values), np.int64)
-        low.tables[stage] = _KeyTable([], len(low.conn_stage), min(len(local), 1))
-        _place_local(low, stage, local, min(len(local), 1), entry_values, entry_ranks)
-        return
-    codes = keys[0] if len(keys) == 1 else vec.key_codes(*[(k, k[:0]) for k in keys])[0]
-    _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    seen = first.argsort()
-    number = np.empty(len(first), np.int64)
-    number[seen] = np.arange(len(first))
-    local = number[inverse.reshape(-1)]
-    low.tables[stage] = _KeyTable(
-        [key[first[seen]] for key in keys], len(low.conn_stage), len(first)
-    )
-    _place_local(low, stage, local, len(first), entry_values, entry_ranks)
+    index = vec.KeyIndex(keys, len(entry_values))
+    low.tables[stage] = _KeyTable(keys, len(low.conn_stage), index)
+    _place_local(low, stage, index.local, index.size, entry_values, entry_ranks)
 
 
 # -- the sweep -------------------------------------------------------------------

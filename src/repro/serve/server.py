@@ -457,7 +457,8 @@ class Listener:
         self._server: asyncio.AbstractServer | None = None
         self.connections = Counter(*self.connections_metric)
         self.requests = Counter(*self.requests_metric)
-        #: Requests currently inside dispatch (drain watches this).
+        #: Prepare and fetch requests currently inside dispatch (drain
+        #: watches this).
         #: A plain int, not an instrument: it goes down as well as up.
         self.active_requests = 0
         self.started_at = time.time()
@@ -485,7 +486,7 @@ class Listener:
         )
         registry.gauge(
             "repro_active_requests",
-            "Requests currently inside dispatch.",
+            "Prepare and fetch requests currently inside dispatch.",
             fn=lambda: self.active_requests,
         )
 
@@ -619,22 +620,27 @@ class Listener:
     async def _dispatch(
         self, span: str, request: dict, writer: Any, request_id: Any, **attrs: Any
     ) -> None:
-        """Run one admitted request: counted for the drain wait, under
-        its request span, and flushed when the handler is done.
+        """Run one admitted request under its request span, and flush
+        when the handler is done.  A ``prepare`` or ``fetch`` — the work
+        the drain wait lets finish — is counted in ``active_requests``
+        while it runs; a ``stats`` read is not, so an idle server's
+        ``repro_active_requests`` reads 0 through every door.
 
         The span carries the request id (a client's opaque
         ``request_id`` field or ``X-Request-Id`` header) and roots the
         trace: dispatch runs in this task, so the session and engine
         spans it causes nest under it.
         """
-        self.active_requests += 1
+        op = request.get("op")
+        counted = int(op in ("prepare", "fetch"))
+        self.active_requests += counted
         try:
             with self.engine.tracer.span(
-                span, **attrs, op=request.get("op"), request_id=request_id
+                span, **attrs, op=op, request_id=request_id
             ):
                 await self.dispatcher.dispatch(request, writer)
         finally:
-            self.active_requests -= 1
+            self.active_requests -= counted
         await writer.drain()
 
 

@@ -3,14 +3,17 @@
 The simple-cycle bind went from "about twelve containers and three
 dioid merges per bag tuple" to one scan per cycle atom, one column
 operation per stage and a tie-breaker that is one integer, numbered by
-one sort per ranked variable per bind and merged by addition; members
-whose base dioid keeps its lane contract are now lowered to a two-lane
-core — no ``times`` or ``key`` call, no ``ChoiceSet``, one tuple per
-alive state.  Wall clock cannot guard that on a shared CI box; these
-counts can: a re-introduced rescan, a second product per state, a shared
-minimum folded per state, a sort per member, a scalar fallback on the
-tie path or an object built per state on the lowered one changes an
-integer.
+one sort per ranked variable per bind — of its distinct values, which a
+table finds among dense codes — and merged by addition; members whose
+base dioid keeps its lane contract are now lowered to a two-lane core —
+no ``times`` or ``key`` call, no ``ChoiceSet``, one tuple per alive
+state — whose keys are looked up by code: over dense codes no
+``np.unique``, no ``searchsorted`` and one ``argsort`` per stage, the
+placement's counting pass.  Wall clock cannot guard that on a shared CI
+box; these counts can: a re-introduced rescan, a second product per
+state, a shared minimum folded per state, a sort per member or per
+probe, a scalar fallback on the tie path or an object built per state on
+the lowered one changes an integer.
 
 ``CountingMaxTimes`` overrides ``times`` to count it, which costs it the
 lane (:func:`repro.ranking.dioid.lane_of`): it drives the object path's
@@ -23,7 +26,9 @@ import gc
 import importlib
 import itertools
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -35,7 +40,7 @@ from repro.dp.flat import CompiledTDP
 from repro.dp.graph import ChoiceSet
 from repro.dp.lower import ColumnRows, lower_member
 from repro.engine import Engine
-from repro.query.builders import cycle_query
+from repro.query.builders import cycle_query, path_query
 from repro.ranking.dioid import (
     MAX_PLUS,
     MAX_TIMES,
@@ -50,6 +55,8 @@ from tests.reference.cycle_rows import LAYOUT, decompose_cycle_rows, use_cycle_r
 # ``repro.engine.plan`` the attribute is the ``plan()`` function.
 plan_module = importlib.import_module("repro.engine.plan")
 dioid_module = importlib.import_module("repro.ranking.dioid")
+lower_module = importlib.import_module("repro.dp.lower")
+builder_module = importlib.import_module("repro.dp.builder")
 
 
 class CountingRelation(Relation):
@@ -493,3 +500,81 @@ def test_sqlite_cycle_reads_each_atom_once_and_matches_memory(tmp_path, self_joi
         assert got.assignment == expected.assignment
         assert got.witness_ids == expected.witness_ids
         assert got.witness == expected.witness
+
+
+# -- key lookups by code ----------------------------------------------------------
+
+
+def _in_the_lowering(frame) -> bool:
+    """Whether ``frame`` or a caller of it runs ``dp/lower.py`` or
+    ``rank_tie_domains``."""
+    tie_domains = builder_module.rank_tie_domains.__code__
+    while frame is not None:
+        code = frame.f_code
+        if code.co_filename == lower_module.__file__ or code is tie_domains:
+            return True
+        frame = frame.f_back
+    return False
+
+
+@contextmanager
+def numpy_lookups():
+    """Count, while the lowering runs (:func:`_in_the_lowering`), the
+    calls of ``np.unique`` and of the ``argsort`` / ``searchsorted``
+    methods — which ``np.argsort`` and ``np.searchsorted`` call too."""
+    counts = Counter(unique=0, searchsorted=0, argsort=0)
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            name = getattr(arg, "__name__", None)
+            if name in ("argsort", "searchsorted") and _in_the_lowering(frame):
+                counts[name] += 1
+        elif event == "call":
+            code = frame.f_code
+            if (
+                code.co_name == "unique" and "numpy" in code.co_filename
+                and _in_the_lowering(frame.f_back)
+            ):
+                counts["unique"] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
+def _path_database(seed: int) -> Database:
+    rng = random.Random(seed)
+    return Database([
+        Relation(
+            f"R{i}", 2,
+            [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(200)],
+            [round(rng.uniform(0.1, 1.0), 3) for _ in range(200)],
+        )
+        for i in range(1, 5)
+    ])
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+def test_a_dense_code_bind_looks_its_keys_up_by_code(shape):
+    """Over dense codes the lowering — the members of a 4-cycle with the
+    domains the tie-breaker ranks, or a 4-path — makes no ``np.unique``
+    and no ``searchsorted`` call, and exactly one ``argsort`` per stage
+    with states: the placement's counting pass.  Connectors are numbered
+    first-seen, probes find them and packed ranks are gathered through
+    direct-address tables (:class:`~repro.util.vec.KeyIndex`)."""
+    if shape == "cycle":
+        database = _skewed_cycle_database(["R1", "R2", "R3", "R4"], seed=1504)
+        query, dioid = cycle_query(4), MAX_TIMES
+    else:
+        database, query, dioid = _path_database(1505), path_query(4), TROPICAL
+    prepared = Engine(database).prepare(query, dioid=dioid)
+    with numpy_lookups() as counts:
+        physical = prepared.bind()
+    cores = physical.tdps if shape == "cycle" else [physical.tdp]
+    assert all(isinstance(core, CompiledTDP) for core in cores)
+    assert len(cores) == (1 if shape == "path" else len(physical.tasks)) >= 1
+    placed = sum(len(ids) > 0 for core in cores for ids in core.tuple_ids)
+    assert placed >= 4
+    assert dict(counts) == {"unique": 0, "searchsorted": 0, "argsort": placed}

@@ -494,7 +494,7 @@ def test_a_column_member_lowers_as_the_object_builder(lane, palette):
 @pytest.mark.parametrize("length", [3, 4])
 def test_values_near_the_int64_bounds_join_as_rows_do(monkeypatch, length):
     """Keys whose value ranges multiply past 2**62 are numbered densely
-    (``vec.key_codes``), not read as one mixed-radix number."""
+    (``vec.KeyIndex``), not read as one mixed-radix number."""
     spread = cycle_database(length, "floats", seed=3800)
     database = Database([
         Relation(
@@ -524,25 +524,27 @@ def test_a_value_past_int64_is_coded_into_bag_columns():
 
 @pytest.mark.parametrize("scale", [1, 2**20, 2**40, 2**61])
 def test_the_join_kernels_match_their_loops(scale):
-    """``vec.gather`` is the nested-loop join in its order, and
-    ``vec.key_codes`` codes two keys alike iff they are equal — over
-    narrow and wide value ranges, one to three key columns."""
+    """``vec.gather`` is the nested-loop join in its order — over
+    narrow and wide value ranges, one to three key columns, so its
+    :class:`~repro.util.vec.KeyIndex` finds two keys alike iff they are
+    equal."""
     rng = random.Random(scale)
     values = [rng.randint(-3, 3) * scale for _ in range(6)]
     for _ in range(40):
+        width = rng.randint(1, 3)
         probe, build = (
-            np.array([rng.choice(values) for _ in range(rng.randint(0, 25))], np.int64)
-            for _side in range(2)
+            [
+                np.array([rng.choice(values) for _ in range(rows)], np.int64)
+                for _column in range(width)
+            ]
+            for rows in (rng.randint(0, 25), rng.randint(0, 25))
         )
         left, right = vec.gather(probe, build)
+        probe_keys = list(zip(*[column.tolist() for column in probe]))
+        build_keys = list(zip(*[column.tolist() for column in build]))
         assert list(zip(left.tolist(), right.tolist())) == [
-            (i, j) for i, p in enumerate(probe) for j, b in enumerate(build) if p == b
+            (i, j)
+            for i, p in enumerate(probe_keys)
+            for j, b in enumerate(build_keys)
+            if p == b
         ]
-        width = rng.randint(1, 3)
-        a = [np.array([rng.choice(values) for _ in range(9)], np.int64) for _ in range(width)]
-        b = [np.array([rng.choice(values) for _ in range(7)], np.int64) for _ in range(width)]
-        code_a, code_b = vec.key_codes(*zip(a, b))
-        keys = list(zip(*[c.tolist() for c in a])) + list(zip(*[c.tolist() for c in b]))
-        codes = code_a.tolist() + code_b.tolist()
-        for x, y in itertools.product(range(len(keys)), repeat=2):
-            assert (keys[x] == keys[y]) == (codes[x] == codes[y])

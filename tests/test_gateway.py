@@ -570,6 +570,8 @@ class TestSharedManager:
         documents = (over_tcp, over_http, over_metrics)
         for doc in documents:
             assert set(doc) == {"metrics", "sessions"}
+            # Idle but for the read itself: a ``stats`` is not counted.
+            assert doc["metrics"]["repro_active_requests"] == 0
             assert set(doc["sessions"]) == set(over_tcp["sessions"])
             session = doc["sessions"]["shared-doc"]
             assert set(session) == {"cursors", "served", "budget", "idle_seconds"}
