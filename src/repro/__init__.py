@@ -59,8 +59,6 @@ from repro.anyk import (
 )
 from repro.data import (
     Database,
-    HashIndex,
-    MemoryBackend,
     Relation,
     SQLiteBackend,
     StorageBackend,
@@ -110,9 +108,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Database",
     "Relation",
-    "HashIndex",
     "StorageBackend",
-    "MemoryBackend",
     "SQLiteBackend",
     "Engine",
     "PreparedQuery",

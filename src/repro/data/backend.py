@@ -1,16 +1,15 @@
-"""Pluggable storage backends: where relation tuples physically live.
+"""Storage backends: where relation tuples physically live.
 
-The any-k algorithms only need sequential access to ``(tuple, weight)``
-rows plus cheap cardinality statistics (Section 2.3's linear-time
-preprocessing assumes nothing more); they are agnostic to *where* the
-rows are stored.  This module makes that boundary explicit:
+The any-k algorithms only need one sequential pass over each relation's
+``(tuple, weight)`` rows plus cheap cardinality statistics (Section
+2.3's linear-time preprocessing assumes nothing more); they are
+agnostic to *where* the rows are stored.  This module makes that
+boundary explicit:
 
-* :class:`StorageBackend` is the protocol every backend implements —
-  create/drop/append/extend for writes and lazy (optionally
-  weight-sorted) row iteration for reads.
-* :class:`MemoryBackend` is the original in-memory implementation
-  (Python lists inside :class:`~repro.data.relation.Relation`) extracted
-  behind the protocol.
+* :class:`StorageBackend` is the protocol a backend implements —
+  create/drop/append/extend for writes, and one batched read,
+  :meth:`~StorageBackend.fetch_rows`, that every reader of a stored
+  relation goes through.
 * :class:`SQLiteBackend` persists relations to a ``.db`` file via the
   stdlib ``sqlite3`` module, using the paper's Appendix-B schema
   (columns ``a1..a_arity`` plus a weight column ``w``).  Relations
@@ -19,14 +18,18 @@ rows are stored.  This module makes that boundary explicit:
   second process gets a *cross-process warm start*: it reopens the
   ``.db`` file and skips CSV ingestion entirely.
 
+Relations held in memory need no backend: a plain
+:class:`~repro.data.database.Database` of list-backed
+:class:`~repro.data.relation.Relation` objects is the in-memory store.
+
 Backends store scalar values (int / float / str / bytes / None).
 Richer weight domains (e.g. the lexicographic tuple weights) stay
 in-memory only.
 
 Every mutation through a backend bumps a per-relation *version
-counter* that is persisted (SQLite) or delegated to the stored relation
-(memory).  :class:`~repro.data.relation.Relation` objects constructed
-from a backend consult that counter, so the engine's prepared-query
+counter* that is persisted with the data.
+:class:`~repro.data.relation.Relation` objects constructed from a
+backend consult that counter, so the engine's prepared-query
 invalidation (and each relation's column image, remade when its version
 moves) stay sound even when several ``Relation`` views — including
 ``rename``-aliased copies — share one table.  Mutations through a
@@ -97,16 +100,16 @@ class StorageBackend(Protocol):
     """What a storage backend must provide to host relations.
 
     The contract mirrors what the paper's preprocessing phase consumes:
-    one sequential pass over each relation (:meth:`iter_rows`) and
-    optional weight-sorted access (:meth:`sorted_rows`, rank-join
-    style) — plus enough bookkeeping
-    (arity, cardinality, a monotone per-relation version counter) for
-    the engine's cache invalidation to observe every mutation.
+    one sequential pass over each relation (:meth:`fetch_rows`) — plus
+    enough bookkeeping (arity, cardinality, a monotone per-relation
+    version counter) for the engine's cache invalidation to observe
+    every mutation.
 
-    Row *position* is identity: the ``i``-th row yielded by
-    :meth:`iter_rows` is tuple id ``i`` (witnesses reference it), so
-    backends must iterate in stable insertion order and never reorder
-    or delete rows in place.
+    Row *position* is identity: the ``i``-th row of :meth:`fetch_rows`
+    (counting across its batches) is tuple id ``i``, which witnesses and
+    a stage's stored rows reference, so a backend reads in stable
+    insertion order and never reorders or deletes rows in place; rows
+    change only by appending, or by replacing a whole relation.
     """
 
     @property
@@ -154,25 +157,17 @@ class StorageBackend(Protocol):
         bump for the whole batch).  Returns the number of rows added."""
         ...
 
-    def iter_rows(self, name: str) -> Iterator[tuple[tuple, Any]]:
-        """Lazily yield ``(tuple, weight)`` rows in insertion order."""
-        ...
-
-    def sorted_rows(
-        self, name: str, descending: bool = False
-    ) -> Iterator[tuple[tuple, Any]]:
-        """Yield rows ordered by weight (ties in insertion order)."""
-        ...
-
     def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         """Every row in insertion order, each as one flat tuple with the
         weight in the trailing position, in batches (lists of rows).
 
-        A relation's column image (:mod:`repro.data.image`) and the
-        object builder read a backend-stored relation through this one
-        call: one statement in SQLite, fetched :data:`FETCH_BATCH` rows
-        at a time, so no per-row Python call sits in the preprocessing
-        hot loop and the rows of one batch at most are held at once.
+        The protocol's only read: a relation's column image
+        (:mod:`repro.data.image`), the object builder and a view's
+        ``tuples`` / ``rows()`` all read a backend-stored relation
+        through this one call.  It is one statement in SQLite, fetched
+        :data:`FETCH_BATCH` rows at a time, so no per-row Python call
+        sits in the preprocessing hot loop and the rows of one batch at
+        most are held at once.
         """
         ...
 
@@ -191,129 +186,6 @@ class StorageBackend(Protocol):
     def close(self) -> None:
         """Release any held resources (idempotent)."""
         ...
-
-
-class MemoryBackend:
-    """The in-memory storage the library started with, behind the protocol.
-
-    Rows live in Python lists inside :class:`Relation` objects;
-    :meth:`relation` hands out the stored object itself (zero-copy), so
-    version counters are exactly the relation's own and the fast paths
-    of the algorithms are untouched.
-    """
-
-    def __init__(self, relations: Iterable["Relation"] | None = None):
-        self._relations: dict[str, Relation] = {}
-        for relation in relations or ():
-            self.ingest(relation)
-
-    # -- protocol --------------------------------------------------------------
-
-    @property
-    def core_path(self) -> str | None:
-        return None
-
-    def relation_names(self) -> list[str]:
-        return list(self._relations)
-
-    def _get(self, name: str) -> "Relation":
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise KeyError(f"no relation named {name!r} in backend") from None
-
-    def arity(self, name: str) -> int:
-        return self._get(name).arity
-
-    def cardinality(self, name: str) -> int:
-        return len(self._get(name))
-
-    def version(self, name: str) -> int:
-        return self._get(name).version
-
-    def create(self, name: str, arity: int, replace: bool = False) -> None:
-        from repro.data.relation import Relation
-
-        validate_identifier(name)
-        existing = self._relations.get(name)
-        if existing is not None:
-            if not replace:
-                raise ValueError(f"relation {name!r} already exists")
-            # Replace *in place* so Database views holding this object
-            # observe the swap, compensating the version counter for the
-            # dropped cardinality (the engine's invalidation stamp sums
-            # len + version and must stay strictly monotone) — the same
-            # contract SQLiteBackend.create upholds.
-            existing._version += len(existing._tuples) + 1
-            existing._tuples = []
-            existing._weights = []
-            existing._cardinality = None
-            existing.arity = arity
-            return
-        self._relations[name] = Relation(name, arity)
-
-    def drop(self, name: str) -> None:
-        self._get(name)
-        del self._relations[name]
-
-    def append(self, name: str, values: tuple, weight: Any = 0.0) -> None:
-        self._get(name).add(values, weight)
-
-    def extend(self, name: str, rows: Iterable[tuple[tuple, Any]]) -> int:
-        relation = self._get(name)
-        arity = relation.arity
-        # Stage the whole batch before touching the relation: a row
-        # source failing mid-stream must not leave a partial append
-        # (same all-or-nothing contract as SQLiteBackend.extend).
-        staged: list[tuple[tuple, Any]] = []
-        for values, weight in rows:
-            values = tuple(values)
-            if len(values) != arity:
-                raise ValueError(
-                    f"tuple {values!r} does not match arity {arity} of {name}"
-                )
-            staged.append((values, weight))
-        for values, weight in staged:
-            relation.add(values, weight)
-        return len(staged)
-
-    def iter_rows(self, name: str) -> Iterator[tuple[tuple, Any]]:
-        return iter(list(self._get(name).rows()))
-
-    def sorted_rows(
-        self, name: str, descending: bool = False
-    ) -> Iterator[tuple[tuple, Any]]:
-        relation = self._get(name)
-        rows = sorted(relation.rows(), key=lambda row: row[1], reverse=descending)
-        return iter(rows)
-
-    def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
-        relation = self._get(name)
-        yield [t + (w,) for t, w in zip(relation.tuples, relation.weights)]
-
-    def ingest(self, relation: "Relation", name: str | None = None) -> str:
-        name = name or relation.name
-        self.create(name, relation.arity, replace=True)
-        stored = self._relations[name]
-        for values, weight in relation.rows():
-            stored._tuples.append(values)
-            stored._weights.append(weight)
-        stored._version += 1
-        return name
-
-    def relation(self, name: str) -> "Relation":
-        return self._get(name)
-
-    def database(self) -> "Database":
-        from repro.data.database import Database
-
-        return Database.from_backend(self)
-
-    def close(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"MemoryBackend({len(self._relations)} relations)"
 
 
 class SQLiteBackend:
@@ -457,9 +329,9 @@ class SQLiteBackend:
         except KeyError:
             raise KeyError(f"no relation named {name!r} in backend") from None
 
-    def _bump(self, name: str, by: int = 1) -> None:
+    def _bump(self, name: str) -> None:
         meta = self._meta_of(name)
-        meta[1] += by
+        meta[1] += 1
         self._execute(
             f"UPDATE {self.CATALOG} SET version = ? WHERE name = ?",
             (meta[1], name),
@@ -581,23 +453,6 @@ class SQLiteBackend:
             self.connection.commit()
             return count
 
-    def iter_rows(self, name: str) -> Iterator[tuple[tuple, Any]]:
-        table = quote_identifier(name)
-        self._meta_of(name)
-        cursor = self._execute(f"SELECT * FROM {table} ORDER BY rowid")
-        return ((tuple(row[:-1]), row[-1]) for row in cursor)
-
-    def sorted_rows(
-        self, name: str, descending: bool = False
-    ) -> Iterator[tuple[tuple, Any]]:
-        table = quote_identifier(name)
-        self._meta_of(name)
-        order = "DESC" if descending else "ASC"
-        cursor = self._execute(
-            f"SELECT * FROM {table} ORDER BY w {order}, rowid ASC"
-        )
-        return ((tuple(row[:-1]), row[-1]) for row in cursor)
-
     def fetch_rows(self, name: str) -> Iterator[list[tuple]]:
         table = quote_identifier(name)
         self._meta_of(name)
@@ -605,23 +460,6 @@ class SQLiteBackend:
         # identity relies on.
         cursor = self._execute(f"SELECT * FROM {table} ORDER BY rowid")
         return iter(lambda: cursor.fetchmany(FETCH_BATCH), [])
-
-    def create_index(self, name: str, columns: Sequence[int]) -> str:
-        """A persistent b-tree access path on ``columns`` (idempotent)."""
-        arity = self.arity(name)
-        cols = tuple(columns)
-        if not cols or any(c < 0 or c >= arity for c in cols):
-            raise ValueError(f"bad column subset {cols!r} for arity {arity}")
-        table = quote_identifier(name)
-        suffix = "_".join(f"a{c + 1}" for c in cols)
-        index_name = quote_identifier(f"idx_{name}_{suffix}")
-        with self._lock:
-            self._execute(
-                f"CREATE INDEX IF NOT EXISTS {index_name} ON {table} "
-                f"({', '.join(f'a{c + 1}' for c in cols)})"
-            )
-            self.connection.commit()
-        return f"idx_{name}_{suffix}"
 
     def ingest(self, relation: "Relation", name: str | None = None) -> str:
         name = name or relation.name

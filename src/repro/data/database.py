@@ -43,10 +43,10 @@ class Database:
     def from_backend(cls, backend: "StorageBackend") -> "Database":
         """Open every relation stored in ``backend`` as one database.
 
-        Relations come back as the backend's views (lazy for SQLite,
-        the stored objects themselves for the memory backend), so no
-        tuples are read until an execution needs them — opening a large
-        persistent ``.db`` file is O(#relations), not O(data).
+        Relations come back as the backend's lazy views, so no tuples
+        are read until an execution needs them — opening a large
+        persistent ``.db`` file is O(#relations), not O(data).  (An
+        in-memory database needs no backend: build it from relations.)
         """
         database = cls(
             [backend.relation(name) for name in backend.relation_names()]

@@ -9,16 +9,19 @@ tuples of hashable values; weights default to ``0.0`` (the tropical
 Tuples either live directly in Python lists (the default, and the
 in-memory fast path the algorithms were written against) or in a
 :class:`~repro.data.backend.StorageBackend` (e.g. a SQLite file), in
-which case the relation is a *lazy view*: ``rows()`` streams from the
-backend without materialising, while ``tuples``/``weights`` materialise
-on first access and transparently refresh when the backend-side version
-counter shows the table changed underneath them.
+which case the relation is a *lazy view*: ``rows()`` streams the
+backend's ``fetch_rows`` batches without materialising, while
+``tuples``/``weights`` materialise from them on first access and
+transparently refresh when the backend-side version counter shows the
+table changed underneath them.  A view changes its table only by
+:meth:`Relation.add`; assigning its ``tuples`` or ``weights`` raises.
 
 Every lane bind reads a relation's **column image** (:attr:`Relation.arrays`,
 :mod:`repro.data.image`), made once per relation version — from the
 lists, or from one batched ``fetch_rows`` of a backend view — and kept
-only once whole.  :meth:`Relation.add` extends it; assigning ``tuples``
-or ``weights`` drops it and bumps :attr:`Relation.version` (a list
+only once whole.  :meth:`Relation.add` extends it; assigning an
+in-memory relation's ``tuples`` or ``weights`` drops it and bumps
+:attr:`Relation.version` (a list
 changed in place is out-of-band: :meth:`~repro.data.database.Database.touch`).  A weight
 that is not a real number makes reading it a ``TypeError``.  A
 *column-backed* relation (:meth:`Relation.from_columns`, the cycle
@@ -95,8 +98,8 @@ class Relation:
         """A lazy view of the stored relation ``table`` (default: ``name``).
 
         Nothing is read up front beyond the arity; tuples materialise on
-        first ``tuples``/``weights`` access, and ``rows()`` streams
-        without materialising at all.
+        first ``tuples``/``weights`` access, and ``rows()`` streams the
+        fetched batches without materialising at all.
         """
         table = table or name
         relation = cls(name, backend.arity(table))
@@ -170,9 +173,9 @@ class Relation:
         self.arity = self.backend.arity(self._table)
         tuples: list[tuple] = []
         weights: list[Any] = []
-        for values, weight in self.backend.iter_rows(self._table):
-            tuples.append(values)
-            weights.append(weight)
+        for batch in self.backend.fetch_rows(self._table):
+            tuples.extend(row[:-1] for row in batch)
+            weights.extend(row[-1] for row in batch)
         self._tuples = tuples
         self._weights = weights
         self._version = current
@@ -188,7 +191,7 @@ class Relation:
 
     @tuples.setter
     def tuples(self, value: list[tuple]) -> None:
-        self._replace()
+        self._replace("tuples")
         self._tuples = value
         self._cardinality = None
 
@@ -202,17 +205,27 @@ class Relation:
 
     @weights.setter
     def weights(self, value: list[Any]) -> None:
-        self._replace()
+        self._replace("weights")
         self._weights = value
 
-    def _replace(self) -> None:
+    def _replace(self, field: str) -> None:
         """Before a list is replaced: the lists become the storage, the
-        image is dropped and an in-memory relation's version bumps."""
-        if self._tuples is None and self.backend is None:
+        image is dropped and the version bumps.
+
+        A stored relation's rows are append-only and their position is
+        their identity, so its lists cannot be replaced: the new list
+        would reach neither the table nor any version counter.
+        """
+        if self.backend is not None:
+            raise TypeError(
+                f"cannot assign {field} of {self.name!r}: it is stored in "
+                f"{self.backend!r}; append with add(), or replace the "
+                "whole relation with the backend's ingest()"
+            )
+        if self._tuples is None:
             self._from_image()
         self._image = None
-        if self.backend is None:
-            self._version += 1
+        self._version += 1
 
     @property
     def version(self) -> int:
@@ -220,7 +233,7 @@ class Relation:
         ``tuples`` or ``weights``.
 
         Together with ``len(self)`` this stamps the relation's content
-        for cache invalidation (engine plan cache, index cache).  For a
+        for cache invalidation (engine plan cache, column image).  For a
         backend-stored relation the counter is the *backend's*, so
         mutations through any view of the same table — including
         ``rename``-aliased copies — are observed by every view.
@@ -304,14 +317,16 @@ class Relation:
     def rows(self) -> Iterator[tuple[tuple, Any]]:
         """Iterate ``(tuple, weight)`` pairs.
 
-        For an unmaterialised backend relation this streams straight
-        from storage — the single pass the T-DP bottom-up build needs —
-        without pulling the relation into memory.
+        For an unmaterialised backend relation this streams the
+        backend's ``fetch_rows`` batches — the single pass the T-DP
+        bottom-up build needs — without pulling the relation into
+        memory.
         """
         if self.backend is None:
             return zip(self.tuples, self._weights)
         if self._tuples is None:
-            return self.backend.iter_rows(self._table)
+            batches = self.backend.fetch_rows(self._table)
+            return ((row[:-1], row[-1]) for batch in batches for row in batch)
         self._refresh()
         return zip(self._tuples, self._weights)
 
@@ -380,26 +395,3 @@ class Relation:
     def column_values(self, column: int) -> set:
         """Distinct values appearing in ``column``."""
         return {values[column] for values in self}
-
-    def sorted_by_weight(self, key: Callable[[Any], Any] | None = None) -> "Relation":
-        """Copy with tuples ordered by weight (rank-join style sorted access).
-
-        A backend-stored relation delegates the natural-order sort to
-        the backend (``ORDER BY w`` in SQLite) instead of sorting
-        client-side; a custom ``key`` always sorts locally.
-        """
-        out = Relation(self.name, self.arity)
-        if key is None and self.backend is not None and self._tuples is None:
-            for values, weight in self.backend.sorted_rows(self._table):
-                out._tuples.append(values)
-                out._weights.append(weight)
-            return out
-        tuples = self.tuples
-        weights = self.weights
-        order = sorted(
-            range(len(tuples)),
-            key=(lambda i: key(weights[i])) if key else (lambda i: weights[i]),
-        )
-        out._tuples = [tuples[i] for i in order]
-        out._weights = [weights[i] for i in order]
-        return out

@@ -8,14 +8,8 @@ projection semantics for non-full queries — and yields
 """
 
 from repro.enumeration.api import QueryResult, ranked_enumerate
-from repro.enumeration.projections import (
-    enumerate_all_weight,
-    enumerate_min_weight,
-)
 
 __all__ = [
     "QueryResult",
     "ranked_enumerate",
-    "enumerate_all_weight",
-    "enumerate_min_weight",
 ]

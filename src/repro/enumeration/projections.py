@@ -1,14 +1,17 @@
 """Join queries with projections (Section 8.1).
 
-Two semantics for a non-full query ``Q(y)``:
+Two semantics for a non-full query ``Q(y)``, both reached through
+``ranked_enumerate(..., projection=...)`` (or ``Engine.prepare``):
 
-* **all-weight** (:func:`enumerate_all_weight`): enumerate the full
+* **all-weight** (``projection="all_weight"``): enumerate the full
   query and project each output onto ``y``, keeping duplicates and their
   individual weights — trivially reduces to full-CQ enumeration.
-* **min-weight** (:func:`enumerate_min_weight`): return each distinct
+* **min-weight** (``projection="min_weight"``): return each distinct
   head assignment once, weighted by the minimum over its witnesses;
   possible with optimal guarantees exactly for *free-connex* acyclic
-  queries (Theorem 20 / Corollary 22).
+  queries (Theorem 20 / Corollary 22).  This module builds its plan
+  (:func:`build_free_connex_plan`); the plan layer
+  (``repro.engine.plan.MinWeightPhysical``) enumerates it.
 
 The min-weight pipeline follows the paper's Example 19 construction:
 
@@ -36,29 +39,6 @@ from repro.query.atom import Atom
 from repro.query.cq import ConjunctiveQuery
 from repro.query.jointree import JoinTree, build_join_tree
 from repro.ranking.dioid import TROPICAL, SelectiveDioid
-from repro.util.counters import OpCounter
-
-
-def enumerate_all_weight(
-    database: Database,
-    query: ConjunctiveQuery,
-    dioid: SelectiveDioid = TROPICAL,
-    algorithm: str = "take2",
-    counter: OpCounter | None = None,
-):
-    """All-weight projection: rank full answers, project the output.
-
-    Duplicates of a head assignment are returned once per witness, each
-    with its own weight, exactly like the paper's first SQL variant.
-    Thin wrapper over the plan layer (the logic lives in
-    :class:`repro.engine.plan.ProjectionPhysical`).
-    """
-    from repro.engine.plan import bind, plan
-
-    logical = plan(
-        query, dioid=dioid, algorithm=algorithm, projection="all_weight"
-    )
-    return bind(logical, database).iter(counter)
 
 
 class FreeConnexPlan:
@@ -188,27 +168,3 @@ def build_free_connex_plan(
     return FreeConnexPlan(
         Database(u_relations), u_query, u_tree, offset, empty
     )
-
-
-def enumerate_min_weight(
-    database: Database,
-    query: ConjunctiveQuery,
-    dioid: SelectiveDioid = TROPICAL,
-    algorithm: str = "take2",
-    counter: OpCounter | None = None,
-):
-    """Min-weight projection semantics for free-connex acyclic queries.
-
-    Each distinct head assignment is returned exactly once, weighted by
-    the minimum weight over all witnesses projecting to it, in ranked
-    order with TTF O(n) and logarithmic delay (Theorem 20).  Thin
-    wrapper over the plan layer (the logic lives in
-    :class:`repro.engine.plan.MinWeightPhysical`, which builds on
-    :func:`build_free_connex_plan`).
-    """
-    from repro.engine.plan import bind, plan
-
-    logical = plan(
-        query, dioid=dioid, algorithm=algorithm, projection="min_weight"
-    )
-    return bind(logical, database).iter(counter)

@@ -68,6 +68,16 @@ def weight_signature(results, precision: int = 6):
     return sorted((round(w, precision), o) for w, o in results)
 
 
+def stored_rows(backend, name: str) -> list[tuple[tuple, Any]]:
+    """``(tuple, weight)`` pairs of a stored relation, in insertion order,
+    through the backend's one read (``fetch_rows``)."""
+    return [
+        (row[:-1], row[-1])
+        for batch in backend.fetch_rows(name)
+        for row in batch
+    ]
+
+
 def assert_ranked(weights, dioid: SelectiveDioid = TROPICAL) -> None:
     """Assert weights are non-decreasing under the dioid's order."""
     keys = [dioid.key(w) for w in weights]

@@ -3,10 +3,10 @@
 Semi-join reduction (bottom-up then top-down over a join tree) followed
 by a backtracking join produces the full output in O(n + |out|) data
 complexity.  This implementation is deliberately *independent* of the
-T-DP machinery — it operates directly on relations — so the test suite
-can use it as an oracle for the any-k enumerators, and the Batch
-baseline's claims ("full result, then sort") are grounded in a real
-implementation of the classic algorithm.
+T-DP machinery — it operates directly on relations — so the suites use
+it as an unranked oracle for the any-k enumerators and the
+decompositions (``test_joins``, ``test_cross_oracle``,
+``test_cycle_decomposition``, ``test_generic_decomposition``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.data.backend import (
-    MemoryBackend,
     SQLiteBackend,
     StorageBackend,
     quote_identifier,
@@ -16,6 +15,7 @@ from repro.data.backend import (
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import Engine
+from tests.conftest import stored_rows
 
 ROWS = [((1, 2), 0.5), ((1, 3), 1.5), ((2, 3), 0.25)]
 
@@ -28,8 +28,22 @@ def filled(backend, name="R"):
 
 @pytest.fixture(params=["memory", "sqlite"])
 def backend(request, tmp_path):
+    """A throwaway ``":memory:"`` store (one shared connection) or a
+    SQLite file (a connection per thread)."""
     if request.param == "memory":
-        yield MemoryBackend()
+        backend = SQLiteBackend(":memory:")
+    else:
+        backend = SQLiteBackend(str(tmp_path / "t.db"))
+    yield backend
+    backend.close()
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def store(request, tmp_path):
+    """Where a query's relations live: a plain in-memory ``Database``
+    (``None``), or a SQLite file."""
+    if request.param == "memory":
+        yield None
     else:
         backend = SQLiteBackend(str(tmp_path / "t.db"))
         yield backend
@@ -45,21 +59,14 @@ class TestProtocol:
         assert backend.relation_names() == ["R"]
         assert backend.arity("R") == 2
         assert backend.cardinality("R") == 3
-        assert list(backend.iter_rows("R")) == ROWS
+        assert stored_rows(backend, "R") == ROWS
 
     def test_iteration_preserves_insertion_order(self, backend):
         filled(backend)
         backend.append("R", (9, 9), 0.0)
-        assert [v for v, _w in backend.iter_rows("R")] == [
+        assert [v for v, _w in stored_rows(backend, "R")] == [
             (1, 2), (1, 3), (2, 3), (9, 9),
         ]
-
-    def test_sorted_rows(self, backend):
-        filled(backend)
-        weights = [w for _v, w in backend.sorted_rows("R")]
-        assert weights == sorted(weights)
-        weights_desc = [w for _v, w in backend.sorted_rows("R", descending=True)]
-        assert weights_desc == sorted(weights, reverse=True)
 
     def test_image_codes_count_the_degrees(self, backend):
         """A bind counts degrees over a relation's column image; both
@@ -107,7 +114,7 @@ class TestProtocol:
     def test_ingest_copies_a_relation(self, backend):
         relation = Relation("S", 2, [t for t, _ in ROWS], [w for _, w in ROWS])
         backend.ingest(relation)
-        assert list(backend.iter_rows("S")) == ROWS
+        assert stored_rows(backend, "S") == ROWS
 
     def test_database_view(self, backend):
         filled(backend)
@@ -142,7 +149,7 @@ class TestProtocol:
             backend.extend("R", poisoned())
         # Later unrelated writes must not resurrect the partial rows.
         backend.append("R", (9, 9), 0.3)
-        rows = [v for v, _w in backend.iter_rows("R")]
+        rows = [v for v, _w in stored_rows(backend, "R")]
         assert (7, 7) not in rows and (8, 8) not in rows
         assert rows[-1] == (9, 9)
         assert backend.version("R") == v0 + 1
@@ -152,6 +159,42 @@ class TestProtocol:
                     "repro_relations"):
             with pytest.raises(ValueError):
                 backend.create(bad, 2)
+
+    def test_empty_relation_reads_no_rows(self, backend):
+        backend.create("E", 2)
+        assert list(backend.fetch_rows("E")) == []
+        view = backend.relation("E")
+        assert list(view.rows()) == []
+        assert view.tuples == [] and view.weights == []
+
+
+class TestBatchedReads:
+    """``fetch_rows`` is the one read: a view's ``rows()`` streams its
+    batches and a view's lists are filled from them, whatever the batch
+    boundaries (one row, a remainder, an exact multiple, one batch)."""
+
+    ROWS = [((i, i % 3), float(i) / 4) for i in range(12)]
+
+    @pytest.fixture(params=[1, 5, 6, 13])
+    def stored(self, request, monkeypatch, tmp_path):
+        monkeypatch.setattr("repro.data.backend.FETCH_BATCH", request.param)
+        with SQLiteBackend(str(tmp_path / "b.db")) as backend:
+            backend.create("R", 2)
+            backend.extend("R", self.ROWS)
+            yield backend
+
+    def test_rows_stream_every_batch_in_order(self, stored):
+        view = stored.relation("R")
+        assert list(view.rows()) == self.ROWS
+        assert not view.is_materialized
+
+    def test_lists_refresh_from_every_batch(self, stored):
+        view = stored.relation("R")
+        assert view.tuples == [t for t, _w in self.ROWS]
+        stored.relation("R").add((99, 0), 9.5)
+        assert view.tuples[-1] == (99, 0)
+        assert view.weights == [w for _t, w in self.ROWS] + [9.5]
+        assert list(view.rows()) == self.ROWS + [((99, 0), 9.5)]
 
 
 class TestSQLitePersistence:
@@ -164,13 +207,13 @@ class TestSQLitePersistence:
         with SQLiteBackend(path) as reopened:
             assert reopened.relation_names() == ["R"]
             assert reopened.version("R") == version
-            assert list(reopened.iter_rows("R"))[-1] == ((7, 7), 9.0)
+            assert stored_rows(reopened, "R")[-1] == ((7, 7), 9.0)
 
     def test_value_types_round_trip(self, tmp_path):
         backend = SQLiteBackend(str(tmp_path / "v.db"))
         backend.create("T", 3)
         backend.append("T", (1, 2.5, "hello"), 0.75)
-        ((values, weight),) = list(backend.iter_rows("T"))
+        ((values, weight),) = stored_rows(backend, "T")
         assert values == (1, 2.5, "hello")
         assert isinstance(values[0], int)
         assert isinstance(values[1], float)
@@ -182,28 +225,13 @@ class TestSQLitePersistence:
         backend.close()
         backend.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            list(backend.iter_rows("R"))
+            stored_rows(backend, "R")
 
     def test_replace_keeps_len_plus_version_monotone(self, tmp_path):
         backend = filled(SQLiteBackend(str(tmp_path / "m.db")))
         stamp = backend.cardinality("R") + backend.version("R")
         backend.create("R", 2, replace=True)  # now empty
         assert backend.cardinality("R") + backend.version("R") > stamp
-        backend.close()
-
-    def test_create_index_access_path(self, tmp_path):
-        backend = filled(SQLiteBackend(str(tmp_path / "i.db")))
-        name = backend.create_index("R", (0,))
-        backend.create_index("R", (0,))  # idempotent
-        indexes = {
-            row[0]
-            for row in backend.connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'index'"
-            )
-        }
-        assert name in indexes
-        with pytest.raises(ValueError, match="column"):
-            backend.create_index("R", (5,))
         backend.close()
 
     def test_lazy_relation_is_not_materialized_up_front(self, tmp_path):
@@ -218,33 +246,30 @@ class TestSQLitePersistence:
         assert relation.is_materialized
         backend.close()
 
-    def test_sorted_by_weight_pushes_down(self, tmp_path):
-        backend = filled(SQLiteBackend(str(tmp_path / "s.db")))
-        relation = backend.relation("R")
-        ordered = relation.sorted_by_weight()
-        assert ordered.weights == [0.25, 0.5, 1.5]
-        assert not relation.is_materialized  # ORDER BY ran server-side
-        backend.close()
-
 
 class TestVersionSoundness:
-    """Mutating backend-loaded relations must invalidate engine caches."""
+    """Mutating stored relations must invalidate engine caches, as
+    mutating in-memory ones does."""
 
-    def query_db(self, backend):
-        backend.create("R", 2)
-        backend.extend("R", [((1, 2), 1.0), ((2, 2), 5.0)])
-        backend.create("S", 2)
-        backend.extend("S", [((2, 9), 2.0)])
-        return backend.database()
+    def query_db(self, store):
+        relations = [
+            Relation("R", 2, [(1, 2), (2, 2)], [1.0, 5.0]),
+            Relation("S", 2, [(2, 9)], [2.0]),
+        ]
+        if store is None:
+            return Database(relations)
+        for relation in relations:
+            store.ingest(relation)
+        return store.database()
 
-    def test_mutation_bumps_database_version(self, backend):
-        db = self.query_db(backend)
+    def test_mutation_bumps_database_version(self, store):
+        db = self.query_db(store)
         v0 = db.version
         db["R"].add((3, 2), 0.5)
         assert db.version > v0
 
-    def test_mutation_invalidates_prepared_query(self, backend):
-        db = self.query_db(backend)
+    def test_mutation_invalidates_prepared_query(self, store):
+        db = self.query_db(store)
         engine = Engine(db)
         prepared = engine.prepare("Q(x, y, z) :- R(x, y), S(y, z)")
         first = prepared.top(10)
@@ -256,8 +281,8 @@ class TestVersionSoundness:
         assert engine.stats.binds == 2
         assert again[0].weight == pytest.approx(2.1)
 
-    def test_aliased_rename_copy_mutation_is_observed(self, backend):
-        db = self.query_db(backend)
+    def test_aliased_rename_copy_mutation_is_observed(self, store):
+        db = self.query_db(store)
         engine = Engine(db)
         prepared = engine.prepare("Q(x, y, z) :- R(x, y), S(y, z)")
         assert len(prepared.top(10)) == 2
@@ -287,13 +312,56 @@ class TestVersionSoundness:
         assert list(view.rows())[-1] == ((6, 6), 6.0)
         backend.close()
 
-    def test_no_spurious_rebinds_without_mutation(self, backend):
-        db = self.query_db(backend)
+    def test_no_spurious_rebinds_without_mutation(self, store):
+        db = self.query_db(store)
         engine = Engine(db)
         prepared = engine.prepare("Q(x, y, z) :- R(x, y), S(y, z)")
         for _ in range(3):
             prepared.top(5)
         assert engine.stats.binds == 1
+
+    @pytest.mark.parametrize("field", ["tuples", "weights"])
+    def test_assigning_a_stored_relations_lists_raises(self, tmp_path, field):
+        """A stored table is append-only: a list assigned to a view would
+        reach neither the table nor a version counter, so the engine
+        would keep answering from the old rows.  The assignment raises."""
+        query = "Q(x, y, z) :- R(x, y), S(y, z)"
+        replacement = {"tuples": [(2, 2), (1, 2)], "weights": [7.0, 0.5]}[field]
+        with SQLiteBackend(str(tmp_path / "a.db")) as backend:
+            db = self.query_db(backend)
+            engine = Engine(db)
+            before = [(r.weight, r.output_tuple) for r in engine.prepare(query).top(5)]
+            version = db.version
+            with pytest.raises(TypeError, match="add|ingest"):
+                setattr(db["R"], field, replacement)
+            assert db.version == version
+            assert stored_rows(backend, "R") == [((1, 2), 1.0), ((2, 2), 5.0)]
+            assert db["R"].weights == [1.0, 5.0]
+            again = [(r.weight, r.output_tuple) for r in engine.prepare(query).top(5)]
+            assert again == before
+            # The supported ways to change stored data still reach the engine.
+            db["R"].add((3, 2), 0.25)
+            assert engine.prepare(query).top(1)[0].weight == pytest.approx(2.25)
+            backend.ingest(Relation("R", 2, [(2, 2)], [0.5]))
+            assert [r.weight for r in engine.prepare(query).top(5)] == [2.5]
+
+    @pytest.mark.parametrize("field", ["tuples", "weights"])
+    def test_assigning_an_in_memory_relations_lists_rebinds(self, field):
+        """An in-memory relation's lists are its storage: assigning one
+        bumps the version, so a prepared query rebinds on the new rows."""
+        query = "Q(x, y, z) :- R(x, y), S(y, z)"
+        replacement = {"tuples": [(2, 2), (1, 2)], "weights": [7.0, 0.5]}[field]
+        db = self.query_db(None)
+        engine = Engine(db)
+        assert [r.weight for r in engine.prepare(query).top(5)] == [3.0, 7.0]
+        version = db.version
+        setattr(db["R"], field, replacement)
+        assert db.version > version
+        assert [r.weight for r in engine.prepare(query).top(5)] == [
+            {"tuples": 3.0, "weights": 2.5}[field],
+            {"tuples": 7.0, "weights": 9.0}[field],
+        ]
+        assert engine.stats.binds == 2
 
 
 class TestIdentifierHelpers:

@@ -7,14 +7,22 @@ since SQLite REAL round-trips IEEE doubles exactly — and both must
 agree with the Batch oracle (full join, then sort) up to aggregation
 order.  Extends the cross-oracle pattern of ``test_cross_oracle.py``
 one axis further: implementation x storage backend.
+
+The protocol itself is checked to be the store's whole surface: every
+public method of :class:`SQLiteBackend` is a protocol member, and every
+protocol member is used by the package outside ``data/backend.py``.
 """
 
+import ast
+import inspect
 import itertools
+import os
 import random
 
 import pytest
 
-from repro.data.backend import MemoryBackend, SQLiteBackend
+import repro
+from repro.data.backend import SQLiteBackend, StorageBackend
 from repro.data.database import Database
 from repro.data.generators import uniform_database, worst_case_cycle_database
 from repro.data.relation import Relation
@@ -52,8 +60,12 @@ def sqlite_copy(database: Database, tmp_path, tag: str) -> Database:
     return backend.database()
 
 
-def memory_backend_copy(database: Database) -> Database:
-    return MemoryBackend(list(database)).database()
+def memory_copy(database: Database) -> Database:
+    """A second in-memory store: fresh relations over copied lists."""
+    return Database([
+        Relation(r.name, r.arity, list(r.tuples), list(r.weights))
+        for r in database
+    ])
 
 
 def stream(database: Database, query, algorithm: str, k: int | None = K):
@@ -71,7 +83,7 @@ class TestBackendsProduceIdenticalStreams:
     def test_random_queries_all_variants(self, tmp_path, seed):
         database, query, shape = random_case(seed)
         via_sqlite = sqlite_copy(database, tmp_path, f"case{seed}")
-        via_membackend = memory_backend_copy(database)
+        via_memory = memory_copy(database)
         oracle = sorted(
             (round(w, 6), out)
             for w, out in stream(database, query, "batch", k=None)
@@ -84,7 +96,7 @@ class TestBackendsProduceIdenticalStreams:
                 f"sqlite differs from memory for {algorithm} on "
                 f"{shape} seed {seed}"
             )
-            assert stream(via_membackend, query, algorithm) == reference
+            assert stream(via_memory, query, algorithm) == reference
             # And the ranked prefix agrees with the Batch oracle.
             assert [
                 (round(w, 6), out) for w, out in reference
@@ -174,3 +186,65 @@ def test_empty_relation_conformance(tmp_path):
     assert list(Engine(database).prepare(query_text).iter()) == []
     via_sqlite = sqlite_copy(database, tmp_path, "empty")
     assert list(Engine(via_sqlite).prepare(query_text).iter()) == []
+
+
+# -- the protocol is the store's whole surface --------------------------------
+
+
+def public_members(cls) -> set[str]:
+    return {name for name in vars(cls) if not name.startswith("_")}
+
+
+def public_methods(cls) -> set[str]:
+    return {
+        name for name in public_members(cls)
+        if inspect.isfunction(vars(cls)[name])
+    }
+
+
+PROTOCOL = public_members(StorageBackend)
+
+
+def test_the_sqlite_backend_offers_the_protocol_and_nothing_more():
+    """No access path beside the protocol: a method only ``tests/`` call
+    is a method nothing in the product reads."""
+    assert public_methods(SQLiteBackend) == public_methods(StorageBackend)
+    assert PROTOCOL - public_methods(StorageBackend) == {"core_path"}
+    assert isinstance(vars(SQLiteBackend)["core_path"], property)
+
+
+def backend_reads(tree: ast.AST) -> set[str]:
+    """Attribute names read off an expression named ``*backend``:
+    ``backend.fetch_rows(...)``, ``self.backend.version``, and
+    ``getattr(database.backend, "core_path", None)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if ast.unparse(node.value).endswith("backend"):
+                found.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and ast.unparse(node.args[0]).endswith("backend")
+        ):
+            found.add(node.args[1].value)
+    return found
+
+
+def test_every_protocol_member_has_a_caller_in_the_package():
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    own = os.path.join(root, "data", "backend.py")
+    used: set[str] = set()
+    for directory, _dirs, files in os.walk(root):
+        for name in sorted(files):
+            path = os.path.join(directory, name)
+            if not name.endswith(".py") or path == own:
+                continue
+            with open(path, encoding="utf-8") as fd:
+                used |= backend_reads(ast.parse(fd.read(), filename=path))
+    assert PROTOCOL - used == set(), (
+        "protocol members no module outside data/backend.py calls"
+    )

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.backend import MemoryBackend, SQLiteBackend
+from repro.data.backend import SQLiteBackend
 from repro.data.io import (
     ingest_csv,
     load_database,
@@ -24,6 +24,7 @@ from repro.data.io import (
     write_relation_csv,
 )
 from repro.data.relation import Relation
+from tests.conftest import stored_rows
 
 # -- strategies ---------------------------------------------------------------
 
@@ -95,11 +96,12 @@ class TestCsvRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(relation=relations())
     def test_memory_backend_round_trip(self, relation, tmp_path_factory):
+        """CSV into a memory-resident SQLite database and back out."""
         path = str(tmp_path_factory.mktemp("mem") / "R.csv")
         write_relation_csv(relation, path)
-        backend = MemoryBackend()
-        ingest_csv(backend, path, has_header=True)
-        assert_same_rows(relation, backend.relation("R"))
+        with SQLiteBackend(":memory:") as backend:
+            ingest_csv(backend, path, has_header=True)
+            assert_same_rows(relation, backend.relation("R"))
 
 
 # -- explicit edge cases ------------------------------------------------------
@@ -116,9 +118,9 @@ class TestMissingWeightColumn:
     def test_ingest_without_weights(self, tmp_path):
         path = tmp_path / "E.csv"
         path.write_text("1,2\n3,4\n")
-        backend = MemoryBackend()
-        ingest_csv(backend, str(path), weight_column=None)
-        assert list(backend.iter_rows("E")) == [((1, 2), 0.0), ((3, 4), 0.0)]
+        with SQLiteBackend(":memory:") as backend:
+            ingest_csv(backend, str(path), weight_column=None)
+            assert stored_rows(backend, "E") == [((1, 2), 0.0), ((3, 4), 0.0)]
 
     def test_header_without_w_column(self, tmp_path):
         path = tmp_path / "H.csv"
@@ -162,7 +164,7 @@ class TestTypeInference:
         relation = read_relation_csv(str(path))
         with SQLiteBackend(str(tmp_path / "m.db")) as backend:
             ingest_csv(backend, str(path))
-            assert list(backend.iter_rows("M")) == list(relation.rows())
+            assert stored_rows(backend, "M") == list(relation.rows())
 
 
 class TestEmptyRelations:
@@ -194,16 +196,17 @@ class TestEmptyRelations:
         path.write_text("")
         with pytest.raises(ValueError, match="no tuples"):
             read_relation_csv(str(path))
-        with pytest.raises(ValueError, match="no tuples"):
-            ingest_csv(MemoryBackend(), str(path))
+        with SQLiteBackend(":memory:") as backend:
+            with pytest.raises(ValueError, match="no tuples"):
+                ingest_csv(backend, str(path))
 
     def test_ragged_ingest_rolls_back(self, tmp_path):
         path = tmp_path / "Bad.csv"
         path.write_text("1,2,0.5\n1,2,3,0.5\n")
-        backend = MemoryBackend()
-        with pytest.raises(ValueError, match="inconsistent arity"):
-            ingest_csv(backend, str(path))
-        assert "Bad" not in backend.relation_names()
+        with SQLiteBackend(":memory:") as backend:
+            with pytest.raises(ValueError, match="inconsistent arity"):
+                ingest_csv(backend, str(path))
+            assert "Bad" not in backend.relation_names()
 
     def test_directory_ingest_is_all_or_nothing(self, tmp_path):
         """A malformed file mid-directory must not leave a half-loaded

@@ -25,6 +25,7 @@ from repro.data.generators import uniform_database
 from repro.engine import Engine
 from repro.query.builders import path_query, star_query
 from repro.serve.session import SessionManager
+from tests.conftest import stored_rows
 
 
 def signature(results):
@@ -192,28 +193,29 @@ def sqlite_db_path(tmp_path) -> str:
 
 
 class TestSQLiteConcurrency:
-    def test_interleaved_lazy_streams_across_threads(self, sqlite_db_path):
+    def test_interleaved_lazy_streams_across_threads(
+        self, sqlite_db_path, monkeypatch
+    ):
+        # Small batches, so each cursor steps many times between the other's.
+        monkeypatch.setattr("repro.data.backend.FETCH_BATCH", 7)
         backend = SQLiteBackend(sqlite_db_path)
         try:
-            expected = list(backend.iter_rows("R1"))
+            expected = stored_rows(backend, "R1")
             barrier = Barrier2(4)
             errors: list[Exception] = []
 
             def worker() -> None:
                 try:
                     barrier.wait()
-                    # Interleave two lazy cursors within the thread while
+                    # Interleave two open cursors within the thread while
                     # other threads do the same against the same file.
-                    a = backend.iter_rows("R1")
-                    b = backend.sorted_rows("R1")
-                    rows, ranked = [], []
-                    for row_a, row_b in zip(a, b):
-                        rows.append(row_a)
-                        ranked.append(row_b)
-                    assert rows == expected
-                    assert [w for _t, w in ranked] == sorted(
-                        w for _t, w in expected
-                    )
+                    a = backend.fetch_rows("R1")
+                    b = backend.fetch_rows("R1")
+                    rows, again = [], []
+                    for batch_a, batch_b in zip(a, b):
+                        rows.extend((row[:-1], row[-1]) for row in batch_a)
+                        again.extend((row[:-1], row[-1]) for row in batch_b)
+                    assert rows == again == expected
                 except Exception as exc:
                     errors.append(exc)
 
@@ -284,7 +286,7 @@ class TestSQLiteConcurrency:
                 try:
                     barrier.wait()
                     for _ in range(5):
-                        rows = list(backend.iter_rows("R1"))
+                        rows = stored_rows(backend, "R1")
                         assert len(rows) >= 60
                 except Exception as exc:
                     errors.append(exc)
@@ -317,7 +319,7 @@ class TestSQLiteConcurrency:
         try:
             for _ in range(10):
                 thread = threading.Thread(
-                    target=lambda: list(backend.iter_rows("R1"))
+                    target=lambda: stored_rows(backend, "R1")
                 )
                 thread.start()
                 thread.join(timeout=30)
@@ -337,7 +339,7 @@ class TestSQLiteConcurrency:
         seen: list[int] = []
 
         def worker() -> None:
-            seen.append(len(list(backend.iter_rows("R"))))
+            seen.append(len(stored_rows(backend, "R")))
 
         thread = threading.Thread(target=worker)
         thread.start()

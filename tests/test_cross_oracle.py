@@ -14,8 +14,8 @@ from repro.data.generators import (
 )
 from repro.enumeration.api import ranked_enumerate
 from repro.joins.generic_join import generic_join
-from repro.joins.yannakakis import yannakakis
 from repro.query.builders import cycle_query, path_query, star_query
+from tests.reference.yannakakis import yannakakis
 
 
 def pipeline_signature(db, query, algorithm="take2"):

@@ -16,10 +16,10 @@ from repro.decomposition.cycle import (
     detect_simple_cycle,
 )
 from repro.enumeration.api import ranked_enumerate
-from repro.joins.yannakakis import yannakakis
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.parser import parse_query
 from tests.conftest import brute_force, weight_signature
+from tests.reference.yannakakis import yannakakis
 
 
 def _reorder(rows, bag_query, original_query):

@@ -1,9 +1,8 @@
-"""Unit tests for Database and HashIndex."""
+"""Unit tests for Database."""
 
 import pytest
 
 from repro.data.database import Database
-from repro.data.index import HashIndex
 from repro.data.relation import Relation
 
 
@@ -44,30 +43,3 @@ class TestDatabase:
     def test_total_tuples(self):
         db = Database([_rel("A", [(1,), (2,)]), _rel("B", [(3,)])])
         assert db.total_tuples() == 3
-
-
-class TestHashIndex:
-    def test_single_column(self):
-        rel = _rel("R", [(1, 2), (1, 3), (2, 3)])
-        index = HashIndex(rel, [0])
-        assert index.lookup((1,)) == [0, 1]
-        assert index.lookup((2,)) == [2]
-        assert index.lookup((9,)) == []
-
-    def test_composite_key(self):
-        rel = _rel("R", [(1, 2, 5), (1, 3, 5), (1, 2, 6)])
-        index = HashIndex(rel, [0, 1])
-        assert index.lookup((1, 2)) == [0, 2]
-        assert (1, 3) in index
-        assert (2, 2) not in index
-
-    def test_keys_and_len(self):
-        rel = _rel("R", [(1, 2), (1, 3), (2, 3)])
-        index = HashIndex(rel, [1])
-        assert set(index.keys()) == {(2,), (3,)}
-        assert len(index) == 2
-
-    def test_getitem(self):
-        rel = _rel("R", [(7, 8)])
-        index = HashIndex(rel, [0])
-        assert index[(7,)] == [0]

@@ -8,9 +8,9 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.decomposition.generic import decompose_generic, min_fill_bags
 from repro.enumeration.api import ranked_enumerate
-from repro.joins.yannakakis import yannakakis
 from repro.query.parser import parse_query
 from tests.conftest import brute_force, weight_signature
+from tests.reference.yannakakis import yannakakis
 
 
 def distinct_relation(name, n, domain, rng, arity=2):

@@ -1,4 +1,4 @@
-"""Tests for the join algorithms: hash join, Yannakakis, Generic-Join,
+"""Tests for the join algorithms: the Yannakakis oracle, Generic-Join,
 and the Rank-Join baseline."""
 
 from collections import Counter
@@ -13,43 +13,12 @@ from repro.data.generators import (
 )
 from repro.data.relation import Relation
 from repro.joins.generic_join import build_trie, generic_join
-from repro.joins.hash_join import hash_join, semijoin
 from repro.joins.rank_join import rank_join_enumerate
-from repro.joins.yannakakis import yannakakis
 from repro.query.builders import cycle_query, path_query, star_query
 from repro.query.parser import parse_query
 from repro.util.counters import OpCounter
 from tests.conftest import brute_force, weight_signature
-
-
-class TestSemijoin:
-    def test_basic(self):
-        left = Relation("L", 2, [(1, 2), (3, 4), (5, 6)], [1, 2, 3])
-        right = Relation("R", 2, [(2, 9), (6, 9)], [0, 0])
-        reduced = semijoin(left, [1], right, [0])
-        assert reduced.tuples == [(1, 2), (5, 6)]
-        assert reduced.weights == [1, 3]
-
-    def test_column_count_mismatch(self):
-        left = Relation("L", 2, [(1, 2)], [0])
-        with pytest.raises(ValueError):
-            semijoin(left, [0, 1], left, [0])
-
-
-class TestHashJoin:
-    def test_concatenates_and_adds_weights(self):
-        left = Relation("L", 2, [(1, 2)], [1.5])
-        right = Relation("R", 2, [(2, 7), (2, 8), (3, 9)], [1.0, 2.0, 3.0])
-        out = hash_join(left, [1], right, [0])
-        assert out.arity == 4
-        assert sorted(out.tuples) == [(1, 2, 2, 7), (1, 2, 2, 8)]
-        assert sorted(out.weights) == [2.5, 3.5]
-
-    def test_custom_weight_combiner(self):
-        left = Relation("L", 1, [(1,)], [2.0])
-        right = Relation("R", 1, [(1,)], [3.0])
-        out = hash_join(left, [0], right, [0], combine_weights=lambda a, b: a * b)
-        assert out.weights == [6.0]
+from tests.reference.yannakakis import yannakakis
 
 
 class TestYannakakis:

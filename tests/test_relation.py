@@ -86,19 +86,6 @@ def test_column_values():
     assert r.column_values(1) == {2, 3}
 
 
-def test_sorted_by_weight():
-    r = Relation("R", 1, [(1,), (2,), (3,)], [5.0, 1.0, 3.0])
-    s = r.sorted_by_weight()
-    assert s.tuples == [(2,), (3,), (1,)]
-    assert s.weights == [1.0, 3.0, 5.0]
-
-
-def test_sorted_by_weight_custom_key():
-    r = Relation("R", 1, [(1,), (2,)], [5.0, 1.0])
-    s = r.sorted_by_weight(key=lambda w: -w)
-    assert s.weights == [5.0, 1.0]
-
-
 def test_repr_contains_name_and_size():
     r = Relation("Edges", 2, [(1, 2)], [0.0])
     assert "Edges" in repr(r)
